@@ -8,7 +8,7 @@ use medes_core::dedup::{dedup_op, index_base_sandbox};
 use medes_core::ids::{FnId, NodeId, SandboxId};
 use medes_core::images::ImageFactory;
 use medes_core::registry::RegistryClient;
-use medes_core::restore::restore_op;
+use medes_core::restore::restore_op_cached;
 use medes_hash::sample::{page_fingerprint, FingerprintConfig};
 use medes_mem::{AslrConfig, ContentModel};
 use medes_net::Fabric;
@@ -103,12 +103,13 @@ fn bench_restore_op(c: &mut Criterion) {
     let base3 = Arc::clone(&base);
     c.bench_function("restore_op_vanilla_sandbox", |b| {
         b.iter(|| {
-            restore_op(
+            restore_op_cached(
                 &cfg,
                 &mut fabric,
                 NodeId(1),
                 &outcome.table,
                 &|id| (id == SandboxId(1)).then(|| (Arc::clone(&base3), FnId(0))),
+                None,
                 None,
             )
             .unwrap()

@@ -1,7 +1,7 @@
 //! Experiment runner: regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments <id>... [--quick] [--results <dir>] [--obs] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>]
+//! experiments <id>... [--quick] [--results <dir>] [--obs] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>]
 //! experiments all [--quick]
 //! experiments list
 //! experiments trace summarize <trace.jsonl> [--top <n>]
@@ -22,17 +22,19 @@
 //! from the seed at the experiment's scale. The `chaos` experiment
 //! sweeps fault rates on its own and ignores this flag.
 //!
-//! `--cache <MiB>` enables the coalesced restore read path with a
-//! per-node base-page cache of the given capacity in every cluster
-//! run. The `cache` experiment sweeps capacities on its own and
-//! ignores this flag.
+//! `--cache <MiB>` gives every node a base-page cache of that capacity
+//! in front of the restore read path (default 0: no cache). The
+//! `cache` experiment sweeps capacities on its own and ignores this
+//! flag.
 //!
-//! `--shards <n> --workers <n>` enable the sharded registry and the
-//! batch-parallel dedup pipeline in every cluster run. The `pipeline`
-//! experiment sweeps both on its own and ignores these flags. All
-//! flag combinations are validated through `PlatformConfig::builder`,
-//! so nonsense (zero shards, cache larger than node memory) is
-//! rejected up front instead of mutating config fields ad hoc.
+//! `--shards <n>` and `--workers <n>` set the fingerprint-registry
+//! shard count and the dedup scan worker-pool size (default 1 each) in
+//! every cluster run; reports are bit-identical at any value. The
+//! `pipeline` experiment sweeps both on its own and ignores these
+//! flags. All flag combinations are validated through
+//! `PlatformConfig::builder`, so nonsense (zero shards, zero workers,
+//! cache larger than node memory) is rejected up front instead of
+//! mutating config fields ad hoc.
 //!
 //! `--registry-owners <n>` places the fingerprint registry's shards on
 //! the first `n` worker nodes (the distributed backend, DESIGN.md §15)
@@ -347,21 +349,19 @@ fn main() {
                 let Some(mib) = it.next().and_then(|s| s.parse::<usize>().ok()) else {
                     usage();
                 };
-                cfg.cache = Some(mib);
+                cfg.cache_mib = mib;
             }
             "--shards" => {
                 let Some(n) = it.next().and_then(|s| s.parse::<usize>().ok()) else {
                     usage();
                 };
-                let (_, workers) = cfg.pipeline.unwrap_or((1, 1));
-                cfg.pipeline = Some((n, workers));
+                cfg.shards = n;
             }
             "--workers" => {
                 let Some(n) = it.next().and_then(|s| s.parse::<usize>().ok()) else {
                     usage();
                 };
-                let (shards, _) = cfg.pipeline.unwrap_or((1, 1));
-                cfg.pipeline = Some((shards, n));
+                cfg.workers = n;
             }
             "--registry-owners" => {
                 let Some(n) = it.next().and_then(|s| s.parse::<usize>().ok()) else {

@@ -61,16 +61,14 @@ pub struct ExpConfig {
     /// [`FaultPlan`] by [`ExpConfig::platform`]. `None` keeps every
     /// experiment byte-identical to the fault-free build.
     pub faults: Option<FaultSpec>,
-    /// Optional restore read-path cache capacity in MiB (`--cache`):
-    /// turns on read coalescing plus the per-node base-page cache in
-    /// every platform built by [`ExpConfig::platform`]. `None` keeps
-    /// the legacy read path (and byte-identical outputs).
-    pub cache: Option<usize>,
-    /// Optional dedup pipeline `(shards, workers)` (`--shards` /
-    /// `--workers`): shards the fingerprint registry and batches dedup
-    /// scans across a worker pool. `None` keeps the legacy serial path
-    /// (and byte-identical outputs).
-    pub pipeline: Option<(usize, usize)>,
+    /// Per-node base-page cache capacity in MiB (`--cache`) for every
+    /// platform built by [`ExpConfig::platform`]; 0 means no cache.
+    pub cache_mib: usize,
+    /// Fingerprint-registry shard count (`--shards`).
+    pub shards: usize,
+    /// Dedup scan worker-pool size (`--workers`). Reports are
+    /// bit-identical at any shard and worker count.
+    pub workers: usize,
     /// Streamed span export (`--stream`, with `--obs`): spans go to the
     /// trace file as they finish, so long traces run in O(ring) memory.
     /// Inert without `--obs`.
@@ -112,8 +110,9 @@ impl ExpConfig {
             obs: false,
             sample: None,
             faults: None,
-            cache: None,
-            pipeline: None,
+            cache_mib: 0,
+            shards: 1,
+            workers: 1,
             stream: false,
             timeseries_ms: None,
             registry_owners: None,
@@ -241,7 +240,10 @@ impl ExpConfig {
         let mut b = PlatformConfig::builder()
             .mem_scale(self.mem_scale())
             .node_mem_bytes(192 << 20)
-            .nodes(nodes);
+            .nodes(nodes)
+            .read_path(RestoreReadConfig::cached(self.cache_mib << 20))
+            .shards(self.shards)
+            .workers(self.workers);
         if self.obs {
             let mut oc = medes_obs::ObsConfig::enabled();
             oc.set_export_dir(self.results_dir.clone());
@@ -266,12 +268,6 @@ impl ExpConfig {
                 SimTime::from_secs(self.trace_secs()),
                 spec.rate,
             ));
-        }
-        if let Some(mib) = self.cache {
-            b = b.read_path(RestoreReadConfig::cached(mib << 20));
-        }
-        if let Some((shards, workers)) = self.pipeline {
-            b = b.shards(shards).workers(workers);
         }
         if let Some(owners) = self.registry_owners {
             b = b.registry_owners(owners);
@@ -305,8 +301,9 @@ pub fn run(cfg: PlatformConfig, suite: &[FunctionProfile], trace: &Trace) -> Run
 }
 
 /// Runs one platform configuration over a trace, returning the full
-/// [`RunOutcome`] (report + observability handle). Experiments that
-/// read counters — e.g. the `pipeline` wall-time gate — use this.
+/// [`RunOutcome`] (report + observability handle + scan wall time).
+/// Experiments that read counters or the `pipeline` wall-time gate use
+/// this.
 pub fn run_outcome(cfg: PlatformConfig, suite: &[FunctionProfile], trace: &Trace) -> RunOutcome {
     Platform::new(cfg, suite.to_vec()).run(trace)
 }
@@ -388,13 +385,18 @@ mod tests {
     }
 
     #[test]
-    fn cache_flag_activates_read_path() {
+    fn cache_and_pipeline_flags_reach_the_platform() {
         let mut cfg = ExpConfig::quick();
-        assert!(!cfg.platform().read_path.active());
-        cfg.cache = Some(64);
-        let rp = cfg.platform().read_path;
-        assert!(rp.coalesce);
-        assert_eq!(rp.page_cache_bytes, 64 << 20);
+        assert_eq!(cfg.platform().read_path.page_cache_bytes, 0);
+        cfg.cache_mib = 64;
+        cfg.shards = 4;
+        cfg.workers = 2;
+        let p = cfg.platform();
+        assert_eq!(p.read_path.page_cache_bytes, 64 << 20);
+        assert_eq!((p.pipeline.shards, p.pipeline.workers), (4, 2));
+        // The validating builder rejects an empty worker pool.
+        cfg.workers = 0;
+        assert!(cfg.try_platform().is_err());
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Cache — restore read-path sweep: coalescing + per-node page cache.
+//! Cache — per-node base-page cache capacity sweep.
 //!
-//! Not a paper figure: this experiment quantifies the restore hot-path
-//! optimization. The same pressured Medes configuration runs with the
-//! legacy read path, with read coalescing alone, and with the per-node
-//! base-page LRU cache at a sweep of capacities; the report shows the
-//! restore-latency and RDMA-byte deltas plus the cache counters. The
-//! cached runs must beat the legacy run on both axes — the asserts
-//! below are the regression gate, not decoration.
+//! Not a paper figure: this experiment quantifies what the base-page
+//! LRU cache in front of the restore read path buys. The same
+//! pressured Medes configuration runs at a sweep of per-node cache
+//! capacities starting at 0 (no cache); the report shows the
+//! restore-latency and RDMA-byte deltas plus the cache counters. Every
+//! non-zero capacity must beat the uncached run on both axes — the
+//! asserts below are the regression gate, not decoration.
 
 use crate::common::{run as run_platform, ExpConfig};
 use crate::report::{f, mib, Report};
@@ -40,9 +40,13 @@ fn total_restores(r: &RunReport) -> u64 {
 pub fn run(cfg: &ExpConfig) -> Report {
     let mut report = Report::new(
         "cache",
-        "restore read-path sweep: coalescing + per-node base-page cache",
+        "restore read path: per-node base-page cache capacity sweep",
     );
-    let caps_mib: &[usize] = if cfg.quick { &[16, 64] } else { &[8, 32, 128] };
+    let caps_mib: &[usize] = if cfg.quick {
+        &[0, 16, 64]
+    } else {
+        &[0, 8, 32, 128]
+    };
     let suite = cfg.suite();
     let trace = cfg.full_trace(&suite);
     // The sweep measures the restore read path, so the cluster must be
@@ -56,18 +60,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let mut policy = cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 });
     policy.idle_period = SimDuration::from_secs(2);
 
-    let mut modes: Vec<(String, RestoreReadConfig)> = vec![
-        ("legacy".to_string(), RestoreReadConfig::default()),
-        ("coalesce".to_string(), RestoreReadConfig::coalescing()),
-    ];
-    for &mib_cap in caps_mib {
-        modes.push((
-            format!("cache {mib_cap} MiB"),
-            RestoreReadConfig::cached(mib_cap << 20),
-        ));
-    }
-
-    report.section("Read-path sweep (Medes policy, latency-target objective)");
+    report.section("Cache capacity sweep (Medes policy, latency-target objective)");
     report.line(&format!(
         "{} nodes x {} MiB, {}s trace; cache capacity is per node",
         base.nodes,
@@ -77,14 +70,15 @@ pub fn run(cfg: &ExpConfig) -> Report {
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    let mut legacy: Option<RunReport> = None;
-    for (label, read_path) in &modes {
+    let mut uncached: Option<RunReport> = None;
+    for &mib_cap in caps_mib {
+        let label = &format!("cache {mib_cap} MiB");
         let mut pcfg = base.clone().with_policy(PolicyKind::Medes(policy.clone()));
-        pcfg.read_path = *read_path;
+        pcfg.read_path = RestoreReadConfig::cached(mib_cap << 20);
         let r = run_platform(pcfg.clone(), &suite, &trace);
         // The cache changes restore timings, which perturbs the whole
         // closed-loop trajectory — so determinism must be re-pinned per
-        // read-path configuration, not just for the legacy path.
+        // capacity, not just for the uncached run.
         let r2 = run_platform(pcfg, &suite, &trace);
         assert_eq!(r, r2, "cache run must be deterministic for {label}");
 
@@ -105,9 +99,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
             f(p99, 1),
         ]);
         json_rows.push(medes_obs::json!({
-            "mode": label.clone(),
-            "cache_mib": read_path.page_cache_bytes >> 20,
-            "coalesce": read_path.coalesce,
+            "cache_mib": mib_cap,
             "restores": restores,
             "mean_restore_ms": restore_ms,
             "rdma_bytes": r.rdma_bytes,
@@ -121,37 +113,36 @@ pub fn run(cfg: &ExpConfig) -> Report {
             "mem_mean_bytes": r.mem_mean_bytes,
         }));
 
-        if let Some(ref l) = legacy {
-            if read_path.page_cache_bytes > 0 {
-                // The regression gate: every cached capacity must win on
-                // both restore latency and fabric bytes, and actually
-                // serve repeat restores from memory.
-                assert!(
-                    r.cache_hits > 0,
-                    "{label}: repeat restores must hit the cache"
-                );
-                assert!(
-                    mean_restore_ms(&r) <= mean_restore_ms(l),
-                    "{label}: cached mean restore latency must not exceed legacy \
-                     ({:.3} ms vs {:.3} ms)",
-                    mean_restore_ms(&r),
-                    mean_restore_ms(l)
-                );
-                assert!(
-                    r.rdma_bytes < l.rdma_bytes,
-                    "{label}: cached run must move fewer RDMA bytes than legacy \
-                     ({} vs {})",
-                    r.rdma_bytes,
-                    l.rdma_bytes
-                );
-            }
+        if let Some(ref u) = uncached {
+            // The regression gate: every cached capacity must win on
+            // both restore latency and fabric bytes, and actually
+            // serve repeat restores from memory.
+            assert!(
+                r.cache_hits > 0,
+                "{label}: repeat restores must hit the cache"
+            );
+            assert!(
+                mean_restore_ms(&r) <= mean_restore_ms(u),
+                "{label}: cached mean restore latency must not exceed uncached \
+                 ({:.3} ms vs {:.3} ms)",
+                mean_restore_ms(&r),
+                mean_restore_ms(u)
+            );
+            assert!(
+                r.rdma_bytes < u.rdma_bytes,
+                "{label}: cached run must move fewer RDMA bytes than uncached \
+                 ({} vs {})",
+                r.rdma_bytes,
+                u.rdma_bytes
+            );
         } else {
-            legacy = Some(r);
+            assert_eq!(r.cache_hits + r.cache_misses, 0, "capacity 0 is no cache");
+            uncached = Some(r);
         }
     }
     report.table(
         &[
-            "mode",
+            "capacity",
             "restores",
             "mean restore (ms)",
             "rdma (MiB)",
@@ -164,12 +155,12 @@ pub fn run(cfg: &ExpConfig) -> Report {
         ],
         &rows,
     );
-    let l = legacy.expect("legacy mode always runs");
+    let u = uncached.expect("capacity 0 always runs");
     report.line(&format!(
-        "legacy moves {} MiB over the fabric at {} ms mean restore; every cached \
+        "without a cache {} MiB cross the fabric at {} ms mean restore; every cached \
          capacity moved fewer bytes at equal-or-lower latency",
-        mib(l.rdma_bytes as f64),
-        f(mean_restore_ms(&l), 3)
+        mib(u.rdma_bytes as f64),
+        f(mean_restore_ms(&u), 3)
     ));
     report.json_set("sweep", medes_obs::Json::Array(json_rows));
     report

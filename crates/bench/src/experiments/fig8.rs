@@ -14,7 +14,7 @@ use medes_core::dedup::{dedup_op, index_base_sandbox};
 use medes_core::ids::{FnId, NodeId, SandboxId};
 use medes_core::images::ImageFactory;
 use medes_core::registry::RegistryClient;
-use medes_core::restore::restore_op;
+use medes_core::restore::restore_op_cached;
 use medes_mem::{AslrConfig, ContentModel};
 use medes_net::Fabric;
 use std::sync::Arc;
@@ -54,12 +54,13 @@ pub fn run(cfg: &ExpConfig) -> Report {
             &resolver,
         )
         .expect("dedup op on a fault-free fabric");
-        let restore = restore_op(
+        let restore = restore_op_cached(
             &pcfg,
             &mut fabric,
             NodeId(1),
             &outcome.table,
             &resolver,
+            None,
             Some(&target),
         )
         .expect("restore must verify");

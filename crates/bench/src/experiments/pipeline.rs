@@ -1,16 +1,15 @@
 //! Pipeline — sharded-registry + batch-parallel dedup sweep.
 //!
 //! Not a paper figure: this experiment is the regression gate for the
-//! dedup pipeline redesign. One pressured Medes configuration runs with
-//! the legacy serial dedup path and with the batch pipeline at a sweep
+//! dedup pipeline. One pressured Medes configuration runs at a sweep
 //! of shard × worker counts. The pipeline's determinism contract —
 //! `RunReport` is bit-identical at any shard count and any worker
 //! count — is asserted for every combination against the serial
-//! (1 shard, 1 worker) pipeline run, and the compute-phase wall time
-//! (the `medes.dedup.batch_wall_us` obs counter, deliberately kept out
-//! of the report) must drop strictly below serial once workers > 1.
-//! The wall-time gate needs real parallel hardware, so it is skipped
-//! on single-core hosts; the equality gates always run.
+//! (1 shard, 1 worker) run, and the scan-phase host wall time
+//! (`RunOutcome::dedup_scan_wall_us`, deliberately kept out of the
+//! report and of every obs export) must drop strictly below serial
+//! once workers > 1. The wall-time gate needs real parallel hardware,
+//! so it is skipped on single-core hosts; the equality gates always run.
 
 use crate::common::{run_outcome, ExpConfig};
 use crate::report::{f, Report};
@@ -19,7 +18,7 @@ use medes_core::metrics::RunReport;
 use medes_policy::medes::Objective;
 use medes_sim::SimDuration;
 
-/// Flush cadence for every pipelined run: long enough that several
+/// Flush cadence for every run: long enough that several
 /// idle sandboxes accumulate per batch, short enough that dedup still
 /// lands well inside the keep-dedup window.
 const FLUSH: SimDuration = SimDuration::from_secs(5);
@@ -49,12 +48,6 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let base = {
         let mut b = cfg.platform();
         b.mem_scale = mem_scale;
-        // The wall-time gate reads the `medes.dedup.batch_wall_us`
-        // counter, so observability must be on even without `--obs`
-        // (which would additionally export span traces).
-        if !b.obs.enabled {
-            b.obs = medes_obs::ObsConfig::enabled();
-        }
         b.with_policy(PolicyKind::Medes(policy.clone()))
     };
     let with_pipeline = |shards: usize, workers: usize| -> PlatformConfig {
@@ -80,43 +73,15 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
 
-    // Context row: the legacy serial path (pipeline disabled). Batching
-    // defers dedup by up to one flush interval, so this run is *not*
-    // report-identical to the pipelined ones — it anchors how far the
-    // closed-loop trajectory moves when batching is turned on.
-    let legacy = run_outcome(base.clone(), &suite, &trace);
-    rows.push(vec![
-        "legacy serial".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        total_dedups(&legacy.report).to_string(),
-        "-".to_string(),
-        f(legacy.report.e2e_quantile_all_ms(0.99).unwrap_or(0.0), 1),
-    ]);
-    json_rows.push(medes_obs::json!({
-        "mode": "legacy",
-        "shards": 0,
-        "workers": 0,
-        "deduped": total_dedups(&legacy.report),
-        "p99_ms": legacy.report.e2e_quantile_all_ms(0.99).unwrap_or(0.0),
-    }));
-    assert_eq!(
-        legacy.report.dedup_batches, 0,
-        "legacy path must not form batches"
-    );
-
     let combos: &[(usize, usize)] = &[(1, 1), (4, 1), (16, 1), (1, 8), (4, 8), (16, 8)];
     let mut serial: Option<RunReport> = None;
     let mut wall_by_combo: Vec<(usize, usize, u64)> = Vec::new();
     for &(shards, workers) in combos {
         let outcome = run_outcome(with_pipeline(shards, workers), &suite, &trace);
         let r = outcome.report;
-        let wall_us = outcome.obs.counter("medes.dedup.batch_wall_us");
+        let wall_us = outcome.dedup_scan_wall_us;
         wall_by_combo.push((shards, workers, wall_us));
         rows.push(vec![
-            format!("pipeline {shards}x{workers}"),
             shards.to_string(),
             workers.to_string(),
             r.dedup_batches.to_string(),
@@ -126,7 +91,6 @@ pub fn run(cfg: &ExpConfig) -> Report {
             f(r.e2e_quantile_all_ms(0.99).unwrap_or(0.0), 1),
         ]);
         json_rows.push(medes_obs::json!({
-            "mode": "pipeline",
             "shards": shards,
             "workers": workers,
             "batches": r.dedup_batches,
@@ -141,19 +105,16 @@ pub fn run(cfg: &ExpConfig) -> Report {
                 // The (1, 1) reference: must actually batch, and must
                 // replay deterministically before anything compares
                 // against it.
-                assert!(r.dedup_batches > 0, "pipeline run formed no batches");
+                assert!(r.dedup_batches > 0, "run formed no batches");
                 assert!(
                     r.dedup_batch_peak >= 2,
                     "flush interval never accumulated a multi-sandbox batch \
                      (peak {})",
                     r.dedup_batch_peak
                 );
-                assert!(total_dedups(&r) > 0, "pipeline run deduped nothing");
+                assert!(total_dedups(&r) > 0, "run deduped nothing");
                 let replay = run_outcome(with_pipeline(shards, workers), &suite, &trace);
-                assert_eq!(
-                    r, replay.report,
-                    "serial pipeline run must be deterministic"
-                );
+                assert_eq!(r, replay.report, "serial run must be deterministic");
                 serial = Some(r);
             }
             Some(s) => {
@@ -170,7 +131,6 @@ pub fn run(cfg: &ExpConfig) -> Report {
     }
     report.table(
         &[
-            "mode",
             "shards",
             "workers",
             "batches",
@@ -211,11 +171,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     // noisy, and the gate claims a structural speedup, not a lucky one.
     let best_of = |shards: usize, workers: usize, first: u64| -> u64 {
         (0..2)
-            .map(|_| {
-                run_outcome(with_pipeline(shards, workers), &suite, &trace)
-                    .obs
-                    .counter("medes.dedup.batch_wall_us")
-            })
+            .map(|_| run_outcome(with_pipeline(shards, workers), &suite, &trace).dedup_scan_wall_us)
             .fold(first, u64::min)
     };
     let ser_us = best_of(16, 1, wall_of(16, 1));

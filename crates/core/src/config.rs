@@ -10,61 +10,39 @@ use medes_sim::fault::FaultPlan;
 use medes_sim::SimDuration;
 use medes_trace::DeploySchedule;
 
-/// Restore read-path configuration: read coalescing and the per-node
-/// base-page cache. The default is fully disabled, which preserves the
-/// legacy one-read-per-patched-page behaviour bit-for-bit.
+/// Restore read-path configuration. Every restore and dedup op reads
+/// each distinct `(base sandbox, base page)` once (§4.2's batched RDMA
+/// reads); the only setting is the size of the per-node base-page cache
+/// in front of the fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RestoreReadConfig {
-    /// Deduplicate the `(base sandbox, base page)` read set before
-    /// hitting the fabric: each distinct base page transfers once per
-    /// restore/dedup op instead of once per patched page.
-    pub coalesce: bool,
-    /// Paper-scale capacity of each node's base-page cache; 0 disables
-    /// the cache. Cached bytes are charged to node memory.
+    /// Paper-scale capacity of each node's base-page cache; 0 means no
+    /// cache. Cached bytes are charged to node memory.
     pub page_cache_bytes: usize,
 }
 
 impl RestoreReadConfig {
-    /// True when either read-path feature changes restore behaviour.
-    pub fn active(&self) -> bool {
-        self.coalesce || self.page_cache_bytes > 0
-    }
-
-    /// Coalescing on, cache off.
-    pub fn coalescing() -> Self {
-        RestoreReadConfig {
-            coalesce: true,
-            page_cache_bytes: 0,
-        }
-    }
-
-    /// Coalescing on plus a cache of the given paper-scale capacity.
+    /// A per-node cache of the given paper-scale capacity.
     pub fn cached(page_cache_bytes: usize) -> Self {
-        RestoreReadConfig {
-            coalesce: true,
-            page_cache_bytes,
-        }
+        RestoreReadConfig { page_cache_bytes }
     }
 }
 
-/// Dedup pipeline configuration: registry sharding plus the
-/// batch-parallel dedup worker pool. The default is the legacy serial
-/// path — one registry shard, no batching — which is pinned
-/// byte-identical to the pre-pipeline platform.
+/// Dedup pipeline configuration: registry sharding plus the dedup
+/// worker pool.
 ///
-/// When `workers > 0`, sandboxes picked for dedup are queued instead of
-/// scanned inline; the queue is flushed every `flush_interval`, fanning
-/// the chunk-scan/lookup/patch-encode work across a scoped worker pool
-/// and merging outcomes in first-enqueued order (see DESIGN.md §10 for
-/// the determinism argument: `RunReport` is bit-identical at any worker
-/// count).
+/// Sandboxes picked for dedup are queued; the queue is flushed every
+/// `flush_interval`, fanning the chunk-scan/lookup/patch-encode work
+/// across a scoped worker pool and merging outcomes in first-enqueued
+/// order (see DESIGN.md §10 for the determinism argument: `RunReport`
+/// is bit-identical at any worker count). One worker is the serial
+/// case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DedupPipelineConfig {
     /// Number of fingerprint-registry shards (≥ 1). Each chunk hash has
     /// one home shard, so lookup results are shard-count-invariant.
     pub shards: usize,
-    /// Worker threads for the batched dedup compute phase; 0 disables
-    /// the pipeline entirely (legacy inline serial dedup).
+    /// Worker threads for the batched dedup compute phase (≥ 1).
     pub workers: usize,
     /// How long pending dedups accumulate before a batch flush.
     pub flush_interval: SimDuration,
@@ -74,24 +52,8 @@ impl Default for DedupPipelineConfig {
     fn default() -> Self {
         DedupPipelineConfig {
             shards: 1,
-            workers: 0,
+            workers: 1,
             flush_interval: SimDuration::from_secs(1),
-        }
-    }
-}
-
-impl DedupPipelineConfig {
-    /// True when the batched pipeline replaces the inline serial path.
-    pub fn enabled(&self) -> bool {
-        self.workers > 0
-    }
-
-    /// A sharded parallel pipeline with the default flush interval.
-    pub fn parallel(shards: usize, workers: usize) -> Self {
-        DedupPipelineConfig {
-            shards,
-            workers,
-            ..Self::default()
         }
     }
 }
@@ -163,13 +125,11 @@ pub struct PlatformConfig {
     pub faults: FaultPlan,
     /// Retry/backoff policy for fabric operations under fault injection.
     pub retry: RetryPolicy,
-    /// Restore read-path features (coalescing + base-page cache).
-    /// Disabled by default: restores then issue one read per patched
-    /// page exactly as before.
+    /// Restore read path: per-node base-page cache capacity (0 by
+    /// default, meaning no cache).
     pub read_path: RestoreReadConfig,
-    /// Registry sharding + batch-parallel dedup pipeline. Defaults to
-    /// the legacy serial path (one shard, zero workers), which is
-    /// byte-identical to the pre-pipeline platform.
+    /// Registry sharding + the batched dedup pipeline. Defaults to one
+    /// shard and one worker.
     pub pipeline: DedupPipelineConfig,
     /// Per-node memory capacities, bytes. Empty (the default) means
     /// every node has `node_mem_bytes`; a non-empty vector must have one
@@ -222,7 +182,9 @@ pub enum ConfigError {
         /// Configured per-node memory limit, bytes.
         node_mem_bytes: usize,
     },
-    /// A non-zero worker pool needs a positive flush interval.
+    /// The dedup pipeline needs at least one worker.
+    ZeroWorkers,
+    /// The dedup pipeline needs a positive flush interval.
     ZeroFlushInterval,
     /// A heterogeneous memory profile must list one capacity per node.
     NodeMemProfileLen {
@@ -274,6 +236,10 @@ impl std::fmt::Display for ConfigError {
             } => write!(
                 f,
                 "page cache of {cache_bytes} B cannot exceed node memory of {node_mem_bytes} B"
+            ),
+            ConfigError::ZeroWorkers => write!(
+                f,
+                "dedup pipeline needs at least one worker (use 1 for serial scans)"
             ),
             ConfigError::ZeroFlushInterval => {
                 write!(f, "dedup pipeline needs a positive flush interval")
@@ -364,13 +330,13 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Restore read-path features (coalescing + base-page cache).
+    /// Restore read path (base-page cache capacity).
     pub fn read_path(mut self, read_path: RestoreReadConfig) -> Self {
         self.cfg.read_path = read_path;
         self
     }
 
-    /// Registry sharding + batch-parallel dedup pipeline.
+    /// Registry sharding + the batched dedup pipeline.
     pub fn pipeline(mut self, pipeline: DedupPipelineConfig) -> Self {
         self.cfg.pipeline = pipeline;
         self
@@ -382,7 +348,7 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Dedup worker-pool size; 0 keeps the legacy serial path.
+    /// Dedup worker-pool size (≥ 1; 1 scans serially).
     pub fn workers(mut self, workers: usize) -> Self {
         self.cfg.pipeline.workers = workers;
         self
@@ -459,7 +425,10 @@ impl PlatformConfigBuilder {
                 node_mem_bytes: c.node_mem_bytes,
             });
         }
-        if c.pipeline.enabled() && c.pipeline.flush_interval == SimDuration::ZERO {
+        if c.pipeline.workers == 0 {
+            return Err(ConfigError::ZeroWorkers);
+        }
+        if c.pipeline.flush_interval == SimDuration::ZERO {
             return Err(ConfigError::ZeroFlushInterval);
         }
         if !c.node_mem_profile.is_empty() {
@@ -633,27 +602,10 @@ mod tests {
     }
 
     #[test]
-    fn read_path_defaults_to_legacy() {
-        let c = PlatformConfig::paper_default();
-        assert!(!c.read_path.active(), "read path must default off");
-        assert!(RestoreReadConfig::coalescing().active());
-        assert!(RestoreReadConfig::cached(1 << 20).active());
-        assert_eq!(RestoreReadConfig::cached(1 << 20).page_cache_bytes, 1 << 20);
-    }
-
-    #[test]
     fn policy_swap() {
         let c = PlatformConfig::paper_default()
             .with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_mins(10)));
         assert!(!c.is_medes());
-    }
-
-    #[test]
-    fn pipeline_defaults_to_legacy_serial() {
-        let c = PlatformConfig::paper_default();
-        assert!(!c.pipeline.enabled(), "pipeline must default off");
-        assert_eq!(c.pipeline.shards, 1);
-        assert!(DedupPipelineConfig::parallel(4, 2).enabled());
     }
 
     #[test]
@@ -699,8 +651,13 @@ mod tests {
             }
         );
         assert_eq!(
+            PlatformConfig::builder().workers(0).build().unwrap_err(),
+            ConfigError::ZeroWorkers
+        );
+        // Errors render as actionable messages: the fix is in the text.
+        assert!(ConfigError::ZeroWorkers.to_string().contains("use 1"));
+        assert_eq!(
             PlatformConfig::builder()
-                .workers(2)
                 .tweak(|c| c.pipeline.flush_interval = SimDuration::ZERO)
                 .build()
                 .unwrap_err(),
@@ -713,7 +670,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::InvalidPatchFrac(0.0)
         );
-        // Errors render as actionable messages.
         assert!(ConfigError::ZeroShards.to_string().contains("shard"));
     }
 

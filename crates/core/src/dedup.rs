@@ -169,7 +169,7 @@ pub struct DedupScan {
     /// Distinct base sandboxes referenced, in first-seen order.
     pub referenced_bases: Vec<SandboxId>,
     /// Base-page reads to account on the fabric: (source node index,
-    /// paper-scale bytes), in page order.
+    /// paper-scale bytes), one per distinct base page, in page order.
     pub remote_reads: Vec<(usize, usize)>,
     /// Pages that ended up patched (for patch-compute timing).
     pub patched_pages: usize,
@@ -207,8 +207,9 @@ where
     let mut referenced: Vec<SandboxId> = Vec::new();
     let mut referenced_set: HashSet<SandboxId> = HashSet::new();
     let mut remote_reads: Vec<(usize, usize)> = Vec::new(); // (node, bytes)
-                                                            // Under read coalescing, each distinct base page is read once per
-                                                            // op no matter how many pages patch against it.
+
+    // Each distinct base page is read once per op no matter how many
+    // pages patch against it.
     let mut read_set: HashSet<(SandboxId, u32)> = HashSet::new();
     let mut patched_pages = 0usize;
 
@@ -267,10 +268,10 @@ where
                     referenced.push(loc.sandbox);
                 }
                 // Base page is read (possibly remotely) to compute the
-                // patch; account paper-scale bytes on the fabric. With
-                // coalescing, a page already read this op is diffed
-                // against the local copy for free.
-                if !cfg.read_path.coalesce || read_set.insert((loc.sandbox, loc.page)) {
+                // patch; account paper-scale bytes on the fabric. A
+                // page already read this op is diffed against the
+                // local copy for free.
+                if read_set.insert((loc.sandbox, loc.page)) {
                     remote_reads.push((loc.node.0, PAGE_SIZE * cfg.mem_scale));
                 }
                 entries.push(PageEntry::Patched {
@@ -482,10 +483,9 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_reduces_dedup_fabric_reads() {
+    fn dedup_reads_each_distinct_base_page_once() {
         // Synthetic images: the target is six identical clones of base
-        // page 2, so every patched page elects the SAME base page and
-        // coalescing has duplicates to remove.
+        // page 2, so every patched page elects the SAME base page.
         let synth = |pages: usize, seed: u64| {
             let mut data = vec![0u8; pages * PAGE_SIZE];
             let mut s = seed | 1;
@@ -502,7 +502,7 @@ mod tests {
                 data,
             }])
         };
-        let mut cfg = PlatformConfig::small_test();
+        let cfg = PlatformConfig::small_test();
         let registry = RegistryClient::new();
         let mut fabric = Fabric::new(cfg.nodes, medes_net::NetConfig::default());
         let base = Arc::new(synth(4, 0xBA5E));
@@ -520,7 +520,7 @@ mod tests {
         let b = Arc::clone(&base);
         let resolver = move |id: SandboxId| (id == SandboxId(1)).then(|| (Arc::clone(&b), FnId(0)));
 
-        let legacy = dedup_op(
+        let outcome = dedup_op(
             &cfg,
             &registry,
             &mut fabric,
@@ -530,35 +530,12 @@ mod tests {
             &resolver,
         )
         .expect("dedup op");
-        let legacy_reads = fabric.stats().rdma_reads;
-        assert_eq!(legacy_reads as usize, legacy.table.patched_pages());
-
-        cfg.read_path = crate::config::RestoreReadConfig::coalescing();
-        let coalesced = dedup_op(
-            &cfg,
-            &registry,
-            &mut fabric,
-            NodeId(1),
-            FnId(0),
-            &target,
-            &resolver,
-        )
-        .expect("dedup op");
-        let coalesced_reads = (fabric.stats().rdma_reads - legacy_reads) as usize;
-        let distinct = coalesced.table.distinct_base_pages().len();
-        assert_eq!(coalesced_reads, distinct);
+        let distinct = outcome.table.distinct_base_pages().len();
         assert!(
-            distinct < coalesced.table.patched_pages(),
+            distinct < outcome.table.patched_pages(),
             "duplicate base-page references must exist"
         );
-        // The residual representation itself is unchanged — coalescing
-        // only affects how many reads hit the fabric.
-        assert_eq!(
-            coalesced.table.patched_pages(),
-            legacy.table.patched_pages()
-        );
-        assert_eq!(coalesced.table.patch_bytes, legacy.table.patch_bytes);
-        assert!(coalesced.timing.base_read < legacy.timing.base_read);
+        assert_eq!(fabric.stats().rdma_reads as usize, distinct);
     }
 
     #[test]

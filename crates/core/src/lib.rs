@@ -10,9 +10,9 @@
 //!   → registry lookup → base-page election → Xdelta-style patch.
 //! * [`restore`] — the restore op (§4.2): batched RDMA base-page reads →
 //!   patch application → optimized CRIU restore (~140 ms path).
-//! * [`pagecache`] — the per-node base-page LRU cache behind the
-//!   coalesced restore read path; repeat restores of hot base pages
-//!   skip the fabric entirely.
+//! * [`pagecache`] — the per-node base-page LRU cache in front of the
+//!   restore read path; repeat restores of hot base pages skip the
+//!   fabric entirely.
 //! * [`sandbox`] — the sandbox lifecycle state machine of Fig 4b.
 //! * [`controller`] — scheduler state, per-function statistics, base-
 //!   sandbox demarcation (`D/B > T`), policy targets.

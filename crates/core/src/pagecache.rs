@@ -2,8 +2,8 @@
 //!
 //! Dedup-start latency is dominated by base-page fetches (§4.2, Fig 8),
 //! and the read set is highly skewed: dozens of pages patch against the
-//! same hot base page (runtime pages of one base sandbox). After read
-//! coalescing removes the duplicates *within* one restore, this cache
+//! same hot base page (runtime pages of one base sandbox). The distinct
+//! read set removes the duplicates *within* one restore; this cache
 //! removes them *across* restores on the same node: the first restore
 //! pays the RDMA transfer, repeats are served from local memory.
 //!

@@ -23,7 +23,7 @@
 use crate::config::{PlatformConfig, PolicyKind, RegistryPlacement};
 use crate::controller::{FunctionRuntime, QueuedRequest};
 use crate::dedup::{
-    dedup_commit, dedup_op, dedup_scan, index_base_sandbox, DedupOutcome, DedupScan, DedupTiming,
+    dedup_commit, dedup_scan, index_base_sandbox, DedupOutcome, DedupScan, DedupTiming,
 };
 use crate::ids::{FnId, NodeId, SandboxId};
 use crate::images::ImageFactory;
@@ -134,6 +134,7 @@ impl Platform {
         let end = sim.now();
         cluster = sim.into_world();
         let obs = Arc::clone(&cluster.obs);
+        let dedup_scan_wall_us = cluster.dedup_scan_wall_us;
         let report = cluster.finish(end);
         match obs.write_trace() {
             Ok(Some(path)) => eprintln!("[obs] wrote {}", path.display()),
@@ -141,7 +142,12 @@ impl Platform {
             Err(e) => eprintln!("warning: failed to write obs trace: {e}"),
         }
         let slo = obs.slo_summary();
-        RunOutcome { report, obs, slo }
+        RunOutcome {
+            report,
+            obs,
+            slo,
+            dedup_scan_wall_us,
+        }
     }
 }
 
@@ -157,6 +163,10 @@ pub struct RunOutcome {
     /// Per-function SLO summaries (paper §5.2: startup latency against
     /// the `α · s_W` bound). Empty when observability is disabled.
     pub slo: Vec<medes_obs::FnSloSummary>,
+    /// Host wall time spent in the dedup scan phase, microseconds,
+    /// summed over every batch. Host time is not deterministic, so it
+    /// lives here and never in `report` or an `obs` export.
+    pub dedup_scan_wall_us: u64,
 }
 
 /// A request travelling through dispatch.
@@ -252,7 +262,7 @@ struct Cluster {
     /// Base-sandbox resolver data: id → (function, pinned image).
     bases: HashMap<SandboxId, (FnId, Arc<MemoryImage>)>,
     /// Per-node base-page caches for the restore read path. Present in
-    /// every run (zero-capacity when disabled, where they are inert).
+    /// every run (zero-capacity, and never consulted, without a cache).
     caches: Vec<BasePageCache>,
     /// Deployed code version per function (rolling deploys bump these;
     /// all zero without a deploy schedule).
@@ -267,11 +277,13 @@ struct Cluster {
     obs: Arc<Obs>,
     /// Don't re-arm periodic events past this instant.
     horizon: SimTime,
-    /// Sandboxes queued for the batched dedup pipeline: `(id, epoch at
-    /// enqueue)`, in enqueue order. Empty on the legacy serial path.
+    /// Sandboxes queued for the next dedup flush: `(id, epoch at
+    /// enqueue)`, in enqueue order.
     pending_dedups: Vec<(SandboxId, u64)>,
     /// Whether a `DedupFlush` is already scheduled.
     flush_armed: bool,
+    /// See [`RunOutcome::dedup_scan_wall_us`].
+    dedup_scan_wall_us: u64,
 }
 
 impl Cluster {
@@ -334,6 +346,7 @@ impl Cluster {
             cfg,
             pending_dedups: Vec::new(),
             flush_armed: false,
+            dedup_scan_wall_us: 0,
         }
     }
 
@@ -862,7 +875,7 @@ impl Cluster {
                             root,
                             node.0,
                         );
-                        if self.cfg.read_path.active() && self.obs.enabled() {
+                        if self.obs.enabled() {
                             // The cache span covers the base-read phase
                             // it accelerates, and sits under it in the
                             // trace tree.
@@ -1051,100 +1064,39 @@ impl Cluster {
             return;
         }
 
-        // Run the dedup op.
-        let (func, seed, node, version) = {
-            let sb = self.sandboxes.get_mut(&id).expect("exists");
-            let info = (sb.func, sb.instance_seed, sb.node, sb.version);
-            sb.transition(SandboxState::Deduping);
-            info
-        };
-        {
-            let sb = &self.sandboxes[&id];
-            let rt = &mut self.fns[f];
-            rt.idle_warm.remove(&(sb.last_used, id));
+        // Queue the dedup op: the sandbox moves to `Deduping` now (so
+        // dispatch cannot reclaim it) and is scanned at the next flush;
+        // outcomes commit in this enqueue order.
+        let last_used = sb.last_used;
+        let sb = self.sandboxes.get_mut(&id).expect("exists");
+        sb.transition(SandboxState::Deduping);
+        let epoch = sb.epoch;
+        self.fns[f].idle_warm.remove(&(last_used, id));
+        self.pending_dedups.push((id, epoch));
+        if !self.flush_armed {
+            self.flush_armed = true;
+            sched.after(self.cfg.pipeline.flush_interval, Ev::DedupFlush);
         }
-        if self.cfg.pipeline.enabled() {
-            // Batched pipeline: queue the sandbox (it is already in
-            // `Deduping`, so dispatch cannot reclaim it) and make sure a
-            // flush is scheduled. The scan runs at flush time on the
-            // worker pool; outcomes commit in this enqueue order.
-            let epoch = self.sandboxes[&id].epoch;
-            self.pending_dedups.push((id, epoch));
-            if !self.flush_armed {
-                self.flush_armed = true;
-                sched.after(self.cfg.pipeline.flush_interval, Ev::DedupFlush);
-            }
-            return;
-        }
-        let image = self.factory.image_v(func, seed, version);
-        // A sandbox can dedup more than once over its life, so the
-        // dedup trace root is keyed by (sandbox id, initiation time) —
-        // both deterministic, so replays mint identical trees.
-        let droot = self
-            .obs
-            .trace_root("dedup", self.cfg.seed, self.dedup_trace_key(id, now));
-        let result = {
-            let mut fabric = self.fabric.with_ctx(DedupTiming::op_ctx(droot));
-            let bases = &self.bases;
-            dedup_op(
-                &self.cfg,
-                &self.registry,
-                &mut fabric,
-                node,
-                func,
-                &image,
-                &|bid| bases.get(&bid).map(|(bf, img)| (Arc::clone(img), *bf)),
-            )
-        };
-        let outcome = match result {
-            Ok(o) => o,
-            Err(_) => {
-                // Fault-injected failure (controller RPC or base reads
-                // stayed broken past the retry policy): abort the dedup
-                // and keep the sandbox warm — it will be reconsidered
-                // after another idle period.
-                debug_assert!(!self.cfg.faults.is_empty());
-                self.obs.incr("medes.platform.dedup_aborts");
-                let sb = self.sandboxes.get_mut(&id).expect("exists");
-                sb.transition(SandboxState::Warm);
-                sb.last_used = now;
-                let epoch = sb.epoch;
-                self.fns[f].idle_warm.insert((now, id));
-                sched.after(
-                    self.keep_alive_window(f),
-                    Ev::KeepAliveExpire { sb: id, epoch },
-                );
-                if now + medes.idle_period <= self.horizon + medes.keep_alive {
-                    sched.after(medes.idle_period, Ev::IdleCheck { sb: id, epoch });
-                }
-                return;
-            }
-        };
-        outcome.timing.record(
-            &self.obs,
-            now,
-            &self.fns[f].profile.name,
-            self.cfg.to_paper_bytes(image.total_bytes()),
-            droot,
-            node.0,
-        );
-        // Pin the referenced bases *now*: the dedup table already points
-        // into them, and they must survive until DedupDone commits (or
-        // reverts) the state.
-        for base in &outcome.referenced_bases {
-            if let Some(b) = self.sandboxes.get_mut(base) {
-                b.refcount += 1;
-            }
-        }
-        let epoch = self.sandboxes[&id].epoch;
+    }
+
+    /// Returns a sandbox whose dedup did not stick (fabric abort, or
+    /// savings below [`MIN_SAVING_FRAC`]) to the warm pool as if it had
+    /// just gone idle: it is reconsidered after another idle period.
+    fn revert_to_warm(&mut self, id: SandboxId, sched: &mut Scheduler<Ev>) {
+        let now = sched.now();
+        let sb = self.sandboxes.get_mut(&id).expect("exists");
+        sb.transition(SandboxState::Warm);
+        sb.last_used = now;
+        let (f, epoch) = (sb.func.0, sb.epoch);
+        self.fns[f].idle_warm.insert((now, id));
         sched.after(
-            outcome.timing.total(),
-            Ev::DedupDone {
-                sb: id,
-                epoch,
-                outcome: Box::new(outcome),
-            },
+            self.keep_alive_window(f),
+            Ev::KeepAliveExpire { sb: id, epoch },
         );
+        let medes = self.medes.as_ref().expect("dedup requires Medes policy");
+        if now + medes.idle_period <= self.horizon + medes.keep_alive {
+            sched.after(medes.idle_period, Ev::IdleCheck { sb: id, epoch });
+        }
     }
 
     /// Drains the pending-dedup queue: validates entries (crash purges
@@ -1161,9 +1113,6 @@ impl Cluster {
         if self.pending_dedups.is_empty() {
             return;
         }
-        let Some(medes) = self.medes.clone() else {
-            return;
-        };
         let pending = std::mem::take(&mut self.pending_dedups);
         struct BatchItem {
             id: SandboxId,
@@ -1199,16 +1148,14 @@ impl Cluster {
         let registry = &self.registry;
         let bases = &self.bases;
         let resolve = |bid: SandboxId| bases.get(&bid).map(|(bf, img)| (Arc::clone(img), *bf));
-        let resolve = &resolve;
+        let scan =
+            |it: &BatchItem| dedup_scan(cfg, registry, it.node, it.func, &it.image, &resolve);
+        let scan = &scan;
         let workers = cfg.pipeline.workers.min(items.len()).max(1);
         let wall_start = std::time::Instant::now();
         let mut scans: Vec<Option<DedupScan>> = Vec::new();
         if workers <= 1 {
-            for it in &items {
-                scans.push(Some(dedup_scan(
-                    cfg, registry, it.node, it.func, &it.image, resolve,
-                )));
-            }
+            scans.extend(items.iter().map(|it| Some(scan(it))));
         } else {
             scans.resize_with(items.len(), || None);
             let chunk = items.len().div_ceil(workers);
@@ -1216,15 +1163,13 @@ impl Cluster {
                 for (inp, out) in items.chunks(chunk).zip(scans.chunks_mut(chunk)) {
                     s.spawn(move || {
                         for (it, slot) in inp.iter().zip(out.iter_mut()) {
-                            *slot = Some(dedup_scan(
-                                cfg, registry, it.node, it.func, &it.image, resolve,
-                            ));
+                            *slot = Some(scan(it));
                         }
                     });
                 }
             });
         }
-        let wall_us = wall_start.elapsed().as_micros() as u64;
+        self.dedup_scan_wall_us += wall_start.elapsed().as_micros() as u64;
 
         self.metrics.report.dedup_batches += 1;
         self.metrics.report.dedup_batch_peak =
@@ -1239,10 +1184,6 @@ impl Cluster {
             self.obs.incr("medes.dedup.batches");
             self.obs
                 .record("medes.dedup.batch_size", items.len() as u64);
-            // Host wall time of the compute phase — deliberately an obs
-            // counter, never a RunReport field, so report equality
-            // across worker counts is unaffected.
-            self.obs.counter_add("medes.dedup.batch_wall_us", wall_us);
         }
 
         // Serial merge in first-enqueued order: fabric accounting,
@@ -1286,22 +1227,12 @@ impl Cluster {
                     );
                 }
                 Err(_) => {
-                    // Same abort path as the serial dedup: keep the
-                    // sandbox warm and reconsider after an idle period.
+                    // Fault-injected failure (controller RPC or base
+                    // reads stayed broken past the retry policy): abort
+                    // the dedup and keep the sandbox warm.
                     debug_assert!(!self.cfg.faults.is_empty());
                     self.obs.incr("medes.platform.dedup_aborts");
-                    let sb = self.sandboxes.get_mut(&item.id).expect("exists");
-                    sb.transition(SandboxState::Warm);
-                    sb.last_used = now;
-                    let epoch = sb.epoch;
-                    self.fns[f].idle_warm.insert((now, item.id));
-                    sched.after(
-                        self.keep_alive_window(f),
-                        Ev::KeepAliveExpire { sb: item.id, epoch },
-                    );
-                    if now + medes.idle_period <= self.horizon + medes.keep_alive {
-                        sched.after(medes.idle_period, Ev::IdleCheck { sb: item.id, epoch });
-                    }
+                    self.revert_to_warm(item.id, sched);
                 }
             }
         }
@@ -1348,19 +1279,7 @@ impl Cluster {
             // Not worth it: return to warm; release the base pins taken
             // at dedup initiation.
             self.release_base_refs(&outcome.table);
-            let sb = self.sandboxes.get_mut(&id).expect("exists");
-            sb.transition(SandboxState::Warm);
-            sb.last_used = now;
-            let (lu, eid, fid) = (sb.last_used, sb.id, sb.func.0);
-            self.fns[fid].idle_warm.insert((lu, eid));
-            let epoch = self.sandboxes[&id].epoch;
-            sched.after(
-                self.keep_alive_window(f),
-                Ev::KeepAliveExpire { sb: id, epoch },
-            );
-            if now + medes.idle_period <= self.horizon + medes.keep_alive {
-                sched.after(medes.idle_period, Ev::IdleCheck { sb: id, epoch });
-            }
+            self.revert_to_warm(id, sched);
             return;
         }
 
@@ -1949,6 +1868,32 @@ mod tests {
             obs.counter("medes.registry.lookups"),
             report.registry_lookups
         );
+    }
+
+    /// Host wall time must never enter a deterministic export: two
+    /// obs-on runs of one config export byte-identical JSONL and
+    /// Prometheus text, while the scan wall time is still measured —
+    /// on `RunOutcome`, outside both.
+    #[test]
+    fn obs_exports_are_byte_identical_across_runs() {
+        let run = || {
+            let (suite, trace) = small_trace(600, 10.0);
+            let mut cfg = PlatformConfig::small_test();
+            cfg.obs = medes_obs::ObsConfig::enabled();
+            cfg.obs.span_buffer_cap = 1 << 20;
+            if let PolicyKind::Medes(m) = &mut cfg.policy {
+                m.idle_period = SimDuration::from_secs(5);
+                m.objective = medes_policy::medes::Objective::MemoryBudget {
+                    budget_bytes: 100e6,
+                };
+            }
+            Platform::new(cfg, suite).run(&trace)
+        };
+        let (a, b) = (run(), run());
+        assert!(a.report.dedup_batches > 0, "run must scan dedup batches");
+        assert!(a.dedup_scan_wall_us > 0, "scan wall time is measured");
+        assert_eq!(a.obs.export_jsonl(), b.obs.export_jsonl());
+        assert_eq!(a.obs.export_prometheus(), b.obs.export_prometheus());
     }
 
     #[test]

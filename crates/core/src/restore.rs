@@ -121,19 +121,13 @@ pub struct RestoreOutcome {
     /// Timing breakdown (this is what Fig 8 plots).
     pub timing: RestoreTiming,
     /// Paper-scale bytes transiently read for reconstruction — the
-    /// `m_R` overhead in the §5 policy model. With the legacy read
-    /// path this is one page per *patched page*
-    /// ([`DedupPageTable::read_paper_bytes`]); with coalescing it is
-    /// one page per *distinct base page*
-    /// ([`DedupPageTable::coalesced_read_paper_bytes`]), cache hits
+    /// `m_R` overhead in the §5 policy model: one page per *distinct
+    /// base page* ([`DedupPageTable::distinct_base_pages`]), cache hits
     /// included (they still occupy transient reconstruction memory).
     pub read_paper_bytes: usize,
-    /// Distinct base pages served from the node's base-page cache
-    /// (always 0 on the legacy read path).
+    /// Distinct base pages served from the node's base-page cache.
     pub cache_hits: u64,
-    /// Distinct base pages that had to be fetched over the fabric
-    /// (always 0 on the legacy read path, which does not track
-    /// distinct pages).
+    /// Distinct base pages that had to be fetched over the fabric.
     pub cache_misses: u64,
 }
 
@@ -169,33 +163,18 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Runs the restore op with the read path selected by
-/// `cfg.read_path` and no cache (callers holding a per-node cache use
-/// [`restore_op_cached`]).
+/// Runs the restore op (§4.2), with an optional per-node base-page
+/// cache.
+///
+/// The read set is the table's distinct `(base sandbox, base page)`
+/// pairs; pairs present in `cache` are served from local memory
+/// (`local_mem_bps`) without touching the fabric, and the remaining
+/// pages are fetched in one batched RDMA read and inserted into the
+/// cache once the transfer succeeds.
 ///
 /// When `verify_against` is provided, every patched page is actually
 /// reconstructed and compared byte-for-byte with the original image —
 /// the end-to-end correctness check of the whole dedup pipeline.
-pub fn restore_op(
-    cfg: &PlatformConfig,
-    fabric: &mut Fabric,
-    node: NodeId,
-    table: &DedupPageTable,
-    bases: &BaseResolver<'_>,
-    verify_against: Option<&MemoryImage>,
-) -> Result<RestoreOutcome, RestoreError> {
-    restore_op_cached(cfg, fabric, node, table, bases, None, verify_against)
-}
-
-/// Runs the restore op with an optional per-node base-page cache.
-///
-/// With `cfg.read_path` inactive (the default) this is the legacy read
-/// path — one fabric read per patched page — and `cache` is ignored.
-/// When active, the read set is first coalesced to distinct
-/// `(base sandbox, base page)` pairs; pairs present in `cache` are
-/// served from local memory (`local_mem_bps`) without touching the
-/// fabric, and the remaining pages are fetched in one batched RDMA
-/// read and inserted into the cache once the transfer succeeds.
 pub fn restore_op_cached(
     cfg: &PlatformConfig,
     fabric: &mut Fabric,
@@ -205,9 +184,6 @@ pub fn restore_op_cached(
     mut cache: Option<&mut BasePageCache>,
     verify_against: Option<&MemoryImage>,
 ) -> Result<RestoreOutcome, RestoreError> {
-    if !cfg.read_path.active() {
-        return restore_legacy(cfg, fabric, node, table, bases, verify_against);
-    }
     let scale = cfg.mem_scale;
     let page_paper = PAGE_SIZE * scale;
     let patched = table.patched_pages();
@@ -225,7 +201,7 @@ pub fn restore_op_cached(
         }
     }
 
-    // Cache pass over the coalesced read set: hits keep their bytes
+    // Cache pass over the read set: hits keep their bytes
     // (verification must see what the cache actually returned), misses
     // join the fabric batch.
     let mut reads: Vec<(usize, usize)> = Vec::new();
@@ -313,76 +289,9 @@ pub fn restore_op_cached(
     })
 }
 
-/// The legacy read path: one read per patched page, no coalescing, no
-/// cache. Kept bit-identical to the pre-read-path implementation.
-fn restore_legacy(
-    cfg: &PlatformConfig,
-    fabric: &mut Fabric,
-    node: NodeId,
-    table: &DedupPageTable,
-    bases: &BaseResolver<'_>,
-    verify_against: Option<&MemoryImage>,
-) -> Result<RestoreOutcome, RestoreError> {
-    let scale = cfg.mem_scale;
-    let mut reads: Vec<(usize, usize)> = Vec::new();
-    let mut patched = 0usize;
-    let mut rebuilt = Vec::new(); // reused across pages under verification
-
-    for (idx, entry) in table.entries.iter().enumerate() {
-        let PageEntry::Patched {
-            base_sandbox,
-            base_node,
-            base_page,
-            patch,
-        } = entry
-        else {
-            continue;
-        };
-        patched += 1;
-        let Some((base_img, _)) = bases(*base_sandbox) else {
-            return Err(RestoreError::MissingBase {
-                sandbox: base_sandbox.0,
-            });
-        };
-        reads.push((base_node.0, PAGE_SIZE * scale));
-        if let Some(original) = verify_against {
-            let base_bytes = base_img.page(*base_page as usize);
-            apply_into(base_bytes, patch, &mut rebuilt)
-                .map_err(|_| RestoreError::Corrupt { page: idx })?;
-            if rebuilt != original.page(idx) {
-                return Err(RestoreError::Corrupt { page: idx });
-            }
-        }
-    }
-
-    let base_read = fabric
-        .rdma_read_batch_retry(node.0, &reads, &cfg.retry)
-        .map_err(RestoreError::Net)?
-        .time;
-    let ckpt = cfg.ckpt.restore_time(
-        table.full_paper_bytes(scale),
-        &medes_ckpt::ProcessSpec::default(),
-        &medes_ckpt::RestoreOptions::MEDES,
-    );
-    let timing = RestoreTiming {
-        base_read,
-        page_compute: cfg
-            .patch_apply_per_page
-            .mul_f64(patched as f64 * scale as f64),
-        ckpt_restore: ckpt.total(),
-    };
-    Ok(RestoreOutcome {
-        timing,
-        read_paper_bytes: table.read_paper_bytes(scale),
-        cache_hits: 0,
-        cache_misses: 0,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RestoreReadConfig;
     use crate::dedup::{dedup_op, index_base_sandbox};
     use crate::ids::{FnId, SandboxId};
     use crate::images::ImageFactory;
@@ -408,49 +317,6 @@ mod tests {
             va_base: 0x7000_0000,
             data,
         }])
-    }
-
-    /// A pipeline whose dedup table contains DUPLICATE base-page
-    /// references: the target is `copies` identical clones of one base
-    /// page, so every patched entry elects the same base page.
-    fn duplicate_pipeline() -> (
-        PlatformConfig,
-        Fabric,
-        DedupPageTable,
-        Arc<MemoryImage>,
-        MemoryImage,
-    ) {
-        let cfg = PlatformConfig::small_test();
-        let registry = RegistryClient::new();
-        let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
-        let base = Arc::new(synth_image(4, 0xBA5E));
-        index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
-        let mut data = Vec::new();
-        for _ in 0..6 {
-            data.extend_from_slice(base.page(2));
-        }
-        let target = MemoryImage::new(vec![medes_mem::region::Region {
-            kind: medes_mem::region::RegionKind::Heap,
-            name: "synth".into(),
-            va_base: 0x7100_0000,
-            data,
-        }]);
-        let base_arc = Arc::clone(&base);
-        let outcome = dedup_op(
-            &cfg,
-            &registry,
-            &mut fabric,
-            NodeId(1),
-            FnId(0),
-            &target,
-            &move |id| (id == SandboxId(1)).then(|| (Arc::clone(&base_arc), FnId(0))),
-        )
-        .expect("dedup op");
-        assert!(
-            outcome.table.distinct_base_pages().len() < outcome.table.patched_pages(),
-            "synthetic target must produce duplicate base-page references"
-        );
-        (cfg, fabric, outcome.table, base, target)
     }
 
     fn pipeline() -> (
@@ -491,12 +357,13 @@ mod tests {
         let (cfg, mut fabric, table, base, target) = pipeline();
         assert!(table.patched_pages() > 0, "pipeline must dedup something");
         let base_arc = Arc::clone(&base);
-        let out = restore_op(
+        let out = restore_op_cached(
             &cfg,
             &mut fabric,
             NodeId(1),
             &table,
             &move |id| (id == SandboxId(1)).then(|| (Arc::clone(&base_arc), FnId(0))),
+            None,
             Some(&target),
         )
         .expect("restore must succeed");
@@ -507,113 +374,114 @@ mod tests {
     #[test]
     fn missing_base_is_detected() {
         let (cfg, mut fabric, table, _base, _target) = pipeline();
-        let err = restore_op(&cfg, &mut fabric, NodeId(1), &table, &|_| None, None).unwrap_err();
+        let err = restore_op_cached(&cfg, &mut fabric, NodeId(1), &table, &|_| None, None, None)
+            .unwrap_err();
         assert!(matches!(err, RestoreError::MissingBase { sandbox: 1 }));
     }
 
     #[test]
     fn missing_base_accounts_no_phantom_reads() {
-        // A failed base resolve must leave the fabric untouched on both
-        // read paths: no reads, no bytes, as if the op never started.
-        for read_path in [
-            RestoreReadConfig::default(),
-            RestoreReadConfig::coalescing(),
-        ] {
-            let (mut cfg, mut fabric, table, _base, _target) = pipeline();
-            cfg.read_path = read_path;
-            let before = fabric.stats();
-            let err =
-                restore_op(&cfg, &mut fabric, NodeId(1), &table, &|_| None, None).unwrap_err();
-            assert!(matches!(err, RestoreError::MissingBase { sandbox: 1 }));
-            let after = fabric.stats();
-            assert_eq!(after.rdma_reads, before.rdma_reads);
-            assert_eq!(after.rdma_bytes, before.rdma_bytes);
+        // A failed base resolve must leave the fabric untouched: no
+        // reads, no bytes, as if the op never started.
+        let (cfg, mut fabric, table, _base, _target) = pipeline();
+        let before = fabric.stats();
+        let err = restore_op_cached(&cfg, &mut fabric, NodeId(1), &table, &|_| None, None, None)
+            .unwrap_err();
+        assert!(matches!(err, RestoreError::MissingBase { sandbox: 1 }));
+        let after = fabric.stats();
+        assert_eq!(after.rdma_reads, before.rdma_reads);
+        assert_eq!(after.rdma_bytes, before.rdma_bytes);
+    }
+
+    /// Property over random page tables: the read set is the distinct
+    /// base pages, `m_R` is priced from it, every distinct page is
+    /// either a cache hit or a fabric read, and the CRIU pass is fed
+    /// the full image (`m_W`) however many pages were patched.
+    #[test]
+    fn read_set_is_the_distinct_base_pages() {
+        const BASES: u64 = 3;
+        const BASE_PAGES: usize = 8;
+        let cfg = PlatformConfig::small_test();
+        let imgs: Vec<Arc<MemoryImage>> = (0..BASES)
+            .map(|i| Arc::new(synth_image(BASE_PAGES, 0xBA5E + i)))
+            .collect();
+        let resolver = |id: SandboxId| {
+            imgs.get(id.0 as usize)
+                .map(|img| (Arc::clone(img), FnId(0)))
+        };
+        let page_paper = PAGE_SIZE * cfg.mem_scale;
+        let mut seeds = medes_sim::DetRng::new(0x5EED_7AB1E);
+        for case in 0..64 {
+            let mut rng = medes_sim::DetRng::new(seeds.next_u64());
+            let len = 1 + rng.below(40) as usize;
+            let mut table = DedupPageTable::default();
+            for _ in 0..len {
+                if rng.below(4) == 0 {
+                    table.verbatim_pages += 1;
+                    table.entries.push(PageEntry::Verbatim);
+                } else {
+                    let sb = rng.below(BASES);
+                    table.entries.push(PageEntry::Patched {
+                        base_sandbox: SandboxId(sb),
+                        // Never the restoring node: local reads skip the NIC.
+                        base_node: NodeId(2 + sb as usize % 2),
+                        base_page: rng.below(BASE_PAGES as u64) as u32,
+                        patch: medes_delta::Patch {
+                            base_len: PAGE_SIZE as u32,
+                            target_len: PAGE_SIZE as u32,
+                            instrs: vec![],
+                        },
+                    });
+                }
+            }
+            let distinct = table.distinct_base_pages().len();
+            assert!(distinct <= table.patched_pages(), "case {case}");
+
+            // A cache too small for the whole read set on some cases,
+            // so the repeat restore mixes hits and misses.
+            let cap = rng.below(2 * distinct as u64 + 1) as usize * page_paper;
+            let mut cache = crate::pagecache::BasePageCache::new(cap, cfg.mem_scale);
+            let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+            for pass in 0..2 {
+                let reads_before = fabric.stats().rdma_reads;
+                let out = restore_op_cached(
+                    &cfg,
+                    &mut fabric,
+                    NodeId(1),
+                    &table,
+                    &resolver,
+                    Some(&mut cache),
+                    None,
+                )
+                .expect("restore");
+                assert_eq!(out.read_paper_bytes, distinct * page_paper, "case {case}");
+                assert_eq!(
+                    (out.cache_hits + out.cache_misses) as usize,
+                    distinct,
+                    "case {case} pass {pass}"
+                );
+                assert_eq!(
+                    fabric.stats().rdma_reads - reads_before,
+                    out.cache_misses,
+                    "case {case} pass {pass}: every miss is exactly one fabric read"
+                );
+                if pass == 0 {
+                    assert_eq!(out.cache_hits, 0, "case {case}: cold cache");
+                }
+                let ckpt = cfg.ckpt.restore_time(
+                    table.full_paper_bytes(cfg.mem_scale),
+                    &medes_ckpt::ProcessSpec::default(),
+                    &medes_ckpt::RestoreOptions::MEDES,
+                );
+                assert_eq!(out.timing.ckpt_restore, ckpt.total(), "case {case}");
+            }
         }
     }
 
     #[test]
-    fn legacy_m_r_is_pinned_to_patched_pages() {
-        // Satellite: `m_R` counts transient read bytes (patched pages),
-        // while the CRIU restore pass is fed the full image (`m_W`).
-        let (cfg, mut fabric, table, base, target) = pipeline();
-        let base_arc = Arc::clone(&base);
-        let out = restore_op(
-            &cfg,
-            &mut fabric,
-            NodeId(1),
-            &table,
-            &move |id| (id == SandboxId(1)).then(|| (Arc::clone(&base_arc), FnId(0))),
-            Some(&target),
-        )
-        .unwrap();
-        assert_eq!(out.read_paper_bytes, table.read_paper_bytes(cfg.mem_scale));
-        assert_eq!(out.cache_hits, 0);
-        assert_eq!(out.cache_misses, 0);
-        let ckpt = cfg.ckpt.restore_time(
-            table.full_paper_bytes(cfg.mem_scale),
-            &medes_ckpt::ProcessSpec::default(),
-            &medes_ckpt::RestoreOptions::MEDES,
-        );
-        assert_eq!(out.timing.ckpt_restore, ckpt.total());
-    }
-
-    #[test]
-    fn coalescing_reads_each_distinct_base_page_once() {
-        let (mut cfg, mut fabric, table, base, target) = duplicate_pipeline();
-        let distinct = table.distinct_base_pages().len();
-
-        // Legacy: one read per patched page.
-        let before = fabric.stats().rdma_reads;
-        let base_arc = Arc::clone(&base);
-        let legacy = restore_op(
-            &cfg,
-            &mut fabric,
-            NodeId(1),
-            &table,
-            &move |id| (id == SandboxId(1)).then(|| (Arc::clone(&base_arc), FnId(0))),
-            Some(&target),
-        )
-        .unwrap();
-        let legacy_reads = fabric.stats().rdma_reads - before;
-        assert_eq!(legacy_reads as usize, table.patched_pages());
-
-        // Coalesced: one read per distinct base page, lower latency.
-        cfg.read_path = RestoreReadConfig::coalescing();
-        let base_arc = Arc::clone(&base);
-        let out = restore_op(
-            &cfg,
-            &mut fabric,
-            NodeId(1),
-            &table,
-            &move |id| (id == SandboxId(1)).then(|| (Arc::clone(&base_arc), FnId(0))),
-            Some(&target),
-        )
-        .unwrap();
-        assert_eq!(
-            (fabric.stats().rdma_reads - before - legacy_reads) as usize,
-            distinct
-        );
-        assert_eq!(
-            out.read_paper_bytes,
-            table.coalesced_read_paper_bytes(cfg.mem_scale)
-        );
-        assert!(out.read_paper_bytes < legacy.read_paper_bytes);
-        assert!(
-            out.timing.base_read < legacy.timing.base_read,
-            "fewer reads must be faster"
-        );
-        // Same number of patches applied, same checkpoint feed.
-        assert_eq!(out.timing.page_compute, legacy.timing.page_compute);
-        assert_eq!(out.timing.ckpt_restore, legacy.timing.ckpt_restore);
-        assert_eq!(out.cache_misses as usize, distinct);
-    }
-
-    #[test]
     fn cache_serves_repeat_restore_without_fabric_reads() {
-        let (mut cfg, mut fabric, table, base, target) = pipeline();
-        cfg.read_path = RestoreReadConfig::cached(64 << 20);
-        let mut cache =
-            crate::pagecache::BasePageCache::new(cfg.read_path.page_cache_bytes, cfg.mem_scale);
+        let (cfg, mut fabric, table, base, target) = pipeline();
+        let mut cache = crate::pagecache::BasePageCache::new(64 << 20, cfg.mem_scale);
 
         let resolver = {
             let base_arc = Arc::clone(&base);
@@ -662,10 +530,8 @@ mod tests {
     fn stale_cache_entry_surfaces_as_corruption() {
         // Poison the cache with wrong bytes for every distinct base
         // page: verification must use the cached bytes and fail.
-        let (mut cfg, mut fabric, table, base, target) = pipeline();
-        cfg.read_path = RestoreReadConfig::cached(64 << 20);
-        let mut cache =
-            crate::pagecache::BasePageCache::new(cfg.read_path.page_cache_bytes, cfg.mem_scale);
+        let (cfg, mut fabric, table, base, target) = pipeline();
+        let mut cache = crate::pagecache::BasePageCache::new(64 << 20, cfg.mem_scale);
         for (sb, _, page) in table.distinct_base_pages() {
             cache.insert(sb, page, &vec![0xEE; PAGE_SIZE]);
         }
@@ -695,12 +561,13 @@ mod tests {
         );
         let wrong = factory.image(FnId(0), 999);
         let base_arc = Arc::clone(&base);
-        let err = restore_op(
+        let err = restore_op_cached(
             &cfg,
             &mut fabric,
             NodeId(1),
             &table,
             &move |id| (id == SandboxId(1)).then(|| (Arc::clone(&base_arc), FnId(0))),
+            None,
             Some(&wrong),
         )
         .unwrap_err();
@@ -711,12 +578,13 @@ mod tests {
     fn dedup_start_faster_than_cold_start() {
         let (cfg, mut fabric, table, base, target) = pipeline();
         let base_arc = Arc::clone(&base);
-        let out = restore_op(
+        let out = restore_op_cached(
             &cfg,
             &mut fabric,
             NodeId(1),
             &table,
             &move |id| (id == SandboxId(1)).then(|| (Arc::clone(&base_arc), FnId(0))),
+            None,
             Some(&target),
         )
         .unwrap();

@@ -96,14 +96,7 @@ impl DedupPageTable {
         self.entries.len() * medes_mem::PAGE_SIZE * mem_scale
     }
 
-    /// Paper-scale bytes transiently fetched when every patched page
-    /// issues its own base-page read — the uncoalesced `m_R` term of
-    /// the §5 policy model.
-    pub fn read_paper_bytes(&self, mem_scale: usize) -> usize {
-        self.patched_pages() * medes_mem::PAGE_SIZE * mem_scale
-    }
-
-    /// The coalesced read set: distinct `(base sandbox, base node,
+    /// The read set of a restore: distinct `(base sandbox, base node,
     /// base page)` triples referenced by patched entries, in
     /// first-appearance order (deterministic).
     pub fn distinct_base_pages(&self) -> Vec<(SandboxId, NodeId, u32)> {
@@ -123,12 +116,6 @@ impl DedupPageTable {
             }
         }
         out
-    }
-
-    /// Paper-scale bytes fetched under read coalescing — `m_R` with
-    /// the coalesced read path: each distinct base page transfers once.
-    pub fn coalesced_read_paper_bytes(&self, mem_scale: usize) -> usize {
-        self.distinct_base_pages().len() * medes_mem::PAGE_SIZE * mem_scale
     }
 }
 
@@ -330,8 +317,7 @@ mod tests {
         let scale = 16;
         let page = medes_mem::PAGE_SIZE;
         assert_eq!(table.full_paper_bytes(scale), 4 * page * scale);
-        assert_eq!(table.read_paper_bytes(scale), 3 * page * scale);
-        assert_eq!(table.coalesced_read_paper_bytes(scale), 2 * page * scale);
+        assert_eq!(table.patched_pages(), 3);
         // First-appearance order is preserved.
         assert_eq!(
             table.distinct_base_pages(),

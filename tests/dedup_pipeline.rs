@@ -8,7 +8,7 @@ use medes::platform::config::PlatformConfig;
 use medes::platform::dedup::{dedup_op, index_base_sandbox};
 use medes::platform::ids::{FnId, NodeId, SandboxId};
 use medes::platform::registry::RegistryClient;
-use medes::platform::restore::restore_op;
+use medes::platform::restore::restore_op_cached;
 use medes_delta::apply;
 use std::sync::Arc;
 
@@ -69,12 +69,13 @@ fn full_pipeline_reconstructs_every_page() {
     // And the restore op agrees.
     let b2 = Arc::clone(&base);
     let resolver2 = move |id: SandboxId| (id == SandboxId(1)).then(|| (Arc::clone(&b2), FnId(0)));
-    restore_op(
+    restore_op_cached(
         &cfg,
         &mut fabric,
         NodeId(1),
         &outcome.table,
         &resolver2,
+        None,
         Some(&target),
     )
     .expect("verified restore");
@@ -160,12 +161,13 @@ fn aslr_reduces_dedup_effectiveness_but_not_correctness() {
         off.saved_model_bytes()
     );
     // Restores remain byte-correct with ASLR on.
-    restore_op(
+    restore_op_cached(
         &cfg,
         &mut fabric,
         NodeId(0),
         &on.table,
         &resolver_on,
+        None,
         Some(&tgt_on),
     )
     .expect("ASLR restore verifies");

@@ -34,8 +34,7 @@ fn pressured_trace(secs: u64, seed: u64) -> (Vec<FunctionProfile>, Trace) {
     (suite, trace)
 }
 
-/// Memory-pressured Medes config with the batch pipeline enabled at
-/// the given shard/worker counts.
+/// Memory-pressured Medes config at the given shard/worker counts.
 fn pipelined_config(shards: usize, workers: usize) -> PlatformConfig {
     let mut cfg = PlatformConfig::small_test();
     if let PolicyKind::Medes(m) = &mut cfg.policy {

@@ -1,5 +1,5 @@
-//! Cross-crate tests for the coalesced restore read path and the
-//! per-node base-page cache: locality of the read cost model, cache
+//! Cross-crate tests for the restore read path and the per-node
+//! base-page cache: locality of the read cost model, cache
 //! behaviour under chaos replay, and invalidation when a node holding
 //! base sandboxes crashes.
 
@@ -10,7 +10,7 @@ use medes::platform::dedup::{dedup_op, index_base_sandbox};
 use medes::platform::ids::{FnId, NodeId, SandboxId};
 use medes::platform::metrics::RunReport;
 use medes::platform::registry::RegistryClient;
-use medes::platform::restore::restore_op;
+use medes::platform::restore::restore_op_cached;
 use medes::platform::Platform;
 use medes::policy::medes::Objective;
 use medes::sim::fault::{FaultPlan, LinkFaultKind, LinkFaultWindow, NodeCrash};
@@ -28,66 +28,60 @@ fn image(name: &str, scale: usize, inst: u64) -> Arc<MemoryImage> {
 
 /// Same-node base pages go through `local_mem_bps`, not the RDMA NIC:
 /// restoring next to the base sandbox must be strictly faster than
-/// restoring across the fabric, under both the legacy and the
-/// coalesced read path.
+/// restoring across the fabric.
 #[test]
 fn local_base_restore_beats_remote() {
-    for read_path in [
-        RestoreReadConfig::default(),
-        RestoreReadConfig::coalescing(),
-    ] {
-        let mut cfg = PlatformConfig::small_test();
-        cfg.mem_scale = 512;
-        cfg.read_path = read_path;
-        let base = image("LocalFn", cfg.mem_scale, 1);
-        let target = image("LocalFn", cfg.mem_scale, 2);
-        let registry = RegistryClient::new();
-        let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
-        index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
-        let b = Arc::clone(&base);
-        let resolver = move |id: SandboxId| (id == SandboxId(1)).then(|| (Arc::clone(&b), FnId(0)));
-        let outcome = dedup_op(
-            &cfg,
-            &registry,
-            &mut fabric,
-            NodeId(1),
-            FnId(0),
-            &target,
-            &resolver,
-        )
-        .expect("dedup op");
-        assert!(outcome.table.patched_pages() > 0);
+    let mut cfg = PlatformConfig::small_test();
+    cfg.mem_scale = 512;
+    let base = image("LocalFn", cfg.mem_scale, 1);
+    let target = image("LocalFn", cfg.mem_scale, 2);
+    let registry = RegistryClient::new();
+    let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+    index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
+    let b = Arc::clone(&base);
+    let resolver = move |id: SandboxId| (id == SandboxId(1)).then(|| (Arc::clone(&b), FnId(0)));
+    let outcome = dedup_op(
+        &cfg,
+        &registry,
+        &mut fabric,
+        NodeId(1),
+        FnId(0),
+        &target,
+        &resolver,
+    )
+    .expect("dedup op");
+    assert!(outcome.table.patched_pages() > 0);
 
-        // Same table, same bases — only the restoring node differs.
-        let local = restore_op(
-            &cfg,
-            &mut fabric,
-            NodeId(0),
-            &outcome.table,
-            &resolver,
-            Some(&target),
-        )
-        .expect("local restore");
-        let remote = restore_op(
-            &cfg,
-            &mut fabric,
-            NodeId(1),
-            &outcome.table,
-            &resolver,
-            Some(&target),
-        )
-        .expect("remote restore");
-        assert!(
-            local.timing.base_read < remote.timing.base_read,
-            "local base read {:?} must beat remote {:?} (coalesce={})",
-            local.timing.base_read,
-            remote.timing.base_read,
-            read_path.coalesce
-        );
-        // Everything after the read is location-independent.
-        assert_eq!(local.timing.page_compute, remote.timing.page_compute);
-        assert_eq!(local.timing.ckpt_restore, remote.timing.ckpt_restore);
-    }
+    // Same table, same bases — only the restoring node differs.
+    let local = restore_op_cached(
+        &cfg,
+        &mut fabric,
+        NodeId(0),
+        &outcome.table,
+        &resolver,
+        None,
+        Some(&target),
+    )
+    .expect("local restore");
+    let remote = restore_op_cached(
+        &cfg,
+        &mut fabric,
+        NodeId(1),
+        &outcome.table,
+        &resolver,
+        None,
+        Some(&target),
+    )
+    .expect("remote restore");
+    assert!(
+        local.timing.base_read < remote.timing.base_read,
+        "local base read {:?} must beat remote {:?}",
+        local.timing.base_read,
+        remote.timing.base_read,
+    );
+    // Everything after the read is location-independent.
+    assert_eq!(local.timing.page_compute, remote.timing.page_compute);
+    assert_eq!(local.timing.ckpt_restore, remote.timing.ckpt_restore);
 }
 
 fn pressured_trace(secs: u64) -> (Vec<FunctionProfile>, Trace) {
@@ -105,10 +99,9 @@ fn pressured_trace(secs: u64) -> (Vec<FunctionProfile>, Trace) {
     (suite, trace)
 }
 
-/// A memory-pressured config with the coalesced read path and a
-/// per-node base-page cache. `small_test` keeps `verify_restores` on,
-/// so every restore — cache hit or not — is byte-checked against the
-/// expected image.
+/// A memory-pressured config with a per-node base-page cache.
+/// `small_test` keeps `verify_restores` on, so every restore — cache
+/// hit or not — is byte-checked against the expected image.
 fn cached_config(page_cache_bytes: usize) -> PlatformConfig {
     let mut cfg = PlatformConfig::small_test();
     cfg.read_path = RestoreReadConfig::cached(page_cache_bytes);
