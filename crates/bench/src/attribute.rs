@@ -1,30 +1,30 @@
-//! `trace attribute`: tail-latency drill-down over a run's
-//! `.prom`/`.jsonl` export pair.
+//! `trace attribute`: tail-latency drill-down over a run's `.jsonl`
+//! trace export.
 //!
-//! A labeled run (`--obs --labels`) exports three things this module
-//! joins back together:
+//! A labeled run (`--obs --labels`) ends its trace with a tail line
+//! carrying three things this module joins back to the spans above it:
 //!
-//! * **labeled series** in the Prometheus exposition — per-node,
-//!   per-function, per-link twins of the flat aggregates;
-//! * **`# slo_violation` comment lines** — the SLO tracker's top
-//!   violators per function, each carrying `(rank, latency, node,
-//!   trace_id)`;
-//! * **`# exemplar` comment lines** — per-bucket worst samples of every
-//!   histogram, each carrying the deterministic trace id that produced
-//!   the sample.
+//! * **`labeled`** — per-node, per-function, per-link series of the
+//!   flat aggregates under `metrics`, keyed `name{k=v,...}`;
+//! * **`slo_violators`** — the SLO tracker's top violators per
+//!   function, each a `(func, rank, latency_us, node, trace_id)`
+//!   record;
+//! * **`exemplars`** — per-bucket worst samples of every histogram,
+//!   each carrying the deterministic trace id that produced the sample.
 //!
 //! Attribution then proceeds in three steps: rank nodes by the SLO
 //! violations they served (the "which node is hurting the tail"
 //! answer), rank labeled p99 series that run far above their flat
 //! aggregate (the "which dimension is the outlier" answer), and
-//! resolve the worst violator's trace id against the span file to
-//! print the critical path with per-phase self times (the "what was it
+//! resolve the worst violator's trace id against the spans to print
+//! the critical path with per-phase self times (the "what was it
 //! doing" answer). The CLI exits nonzero when any attribution is
 //! found, so the same invocation doubles as a CI gate.
 
 use crate::analyze::Forest;
 use crate::report::{f, Report};
-use medes_obs::{parse_jsonl, unescape_prom_label};
+use medes_obs::span::parse_id;
+use medes_obs::{parse_jsonl, parse_series_key, parse_tail, Json};
 use std::collections::BTreeMap;
 
 /// A labeled p99 must run at least this factor above the flat p99 of
@@ -35,216 +35,45 @@ pub const OUTLIER_RATIO: f64 = 1.5;
 /// 1 µs blip is not a tail-latency story.
 pub const OUTLIER_FLOOR_US: f64 = 1_000.0;
 
-/// One parsed Prometheus sample line (`name{labels} value`).
+/// One `slo_violators` record of the tail.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PromSeries {
-    /// Metric name (sanitized form, e.g. `medes_restore_op_us`).
-    pub name: String,
-    /// Label pairs in exposition order, values unescaped.
-    pub labels: Vec<(String, String)>,
-    /// Sample value.
-    pub value: f64,
+struct Violation {
+    func: String,
+    latency_us: u64,
+    node: u64,
+    trace_id: u64,
 }
 
-impl PromSeries {
-    /// The label value under `key`, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Labels rendered without the `quantile` pair — the identity of
-    /// the dimension a summary series belongs to.
-    fn dimension(&self) -> String {
-        let parts: Vec<String> = self
-            .labels
-            .iter()
-            .filter(|(k, _)| k != "quantile")
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        parts.join(",")
-    }
-}
-
-/// One `# slo_violation` comment line.
+/// One `exemplars` record of the tail.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ViolationLine {
-    /// Function name (unescaped).
-    pub func: String,
-    /// 1-based rank within the function's top-k list.
-    pub rank: u64,
-    /// Violating startup latency, µs.
-    pub latency_us: u64,
-    /// Node that served the request.
-    pub node: u64,
-    /// Deterministic trace id of the request.
-    pub trace_id: u64,
+struct Exemplar {
+    series: String,
+    bucket: u64,
+    value: u64,
+    trace_id: u64,
 }
 
-/// One `# exemplar` comment line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExemplarLine {
-    /// Series the exemplar belongs to (`name` or `name{labels}`).
-    pub series: String,
-    /// Histogram bucket index.
-    pub bucket: u64,
-    /// The bucket's worst sample.
-    pub value: u64,
-    /// Trace id of the op that produced it.
-    pub trace_id: u64,
+/// The array under `key` in the tail, each record mapped through
+/// `read`; records missing a field are skipped — the export is a
+/// report, not a protocol.
+fn records<T>(tail: &Json, key: &str, read: impl Fn(&Json) -> Option<T>) -> Vec<T> {
+    tail.get(key)
+        .and_then(Json::as_array)
+        .map(|rs| rs.iter().filter_map(read).collect())
+        .unwrap_or_default()
 }
 
-/// Everything `trace attribute` reads out of a `.prom` exposition.
-#[derive(Debug, Default)]
-pub struct PromData {
-    /// Plain sample lines.
-    pub series: Vec<PromSeries>,
-    /// `# slo_violation` annotations.
-    pub violations: Vec<ViolationLine>,
-    /// `# exemplar` annotations.
-    pub exemplars: Vec<ExemplarLine>,
-}
-
-/// A parsed `name{k="v",...}` reference: the name, unescaped label
-/// pairs, and the byte offset just past the closing `}` (or past the
-/// name when there are no labels).
-type SeriesRef = (String, Vec<(String, String)>, usize);
-
-/// Parses `name{k="v",...}` starting at the beginning of `s`.
-fn parse_series_ref(s: &str) -> Option<SeriesRef> {
-    let name_end = s
-        .find(|c: char| c == '{' || c.is_whitespace())
-        .unwrap_or(s.len());
-    let name = &s[..name_end];
-    if name.is_empty() {
-        return None;
-    }
-    if !s[name_end..].starts_with('{') {
-        return Some((name.to_string(), Vec::new(), name_end));
-    }
-    let mut labels = Vec::new();
-    let bytes = s.as_bytes();
-    let mut i = name_end + 1;
-    loop {
-        if i >= s.len() {
-            return None;
-        }
-        if bytes[i] == b'}' {
-            return Some((name.to_string(), labels, i + 1));
-        }
-        let eq = s[i..].find('=')? + i;
-        let key = s[i..eq].to_string();
-        if !s[eq + 1..].starts_with('"') {
-            return None;
-        }
-        // Scan the quoted value, honoring backslash escapes.
-        let mut j = eq + 2;
-        let mut raw = String::new();
-        loop {
-            if j >= s.len() {
-                return None;
-            }
-            match bytes[j] {
-                b'"' => break,
-                b'\\' if j + 1 < s.len() => {
-                    raw.push(bytes[j] as char);
-                    raw.push(bytes[j + 1] as char);
-                    j += 2;
-                }
-                c => {
-                    raw.push(c as char);
-                    j += 1;
-                }
-            }
-        }
-        labels.push((key, unescape_prom_label(&raw)));
-        i = j + 1;
-        if i < s.len() && bytes[i] == b',' {
-            i += 1;
-        }
-    }
-}
-
-/// Parses `key=<u64>` (decimal or, for `trace_id`, 16-digit hex) out
-/// of a whitespace-split token.
-fn parse_kv_u64(tok: &str, key: &str) -> Option<u64> {
-    let v = tok.strip_prefix(key)?.strip_prefix('=')?;
-    if key == "trace_id" {
-        u64::from_str_radix(v, 16).ok()
-    } else {
-        v.parse().ok()
-    }
-}
-
-/// Parses a Prometheus text exposition, keeping sample lines plus the
-/// `# slo_violation` / `# exemplar` drill-down annotations. Malformed
-/// lines are skipped — the exposition is a report, not a protocol.
-pub fn parse_prom(contents: &str) -> PromData {
-    let mut data = PromData::default();
-    for line in contents.lines() {
-        let line = line.trim_end();
-        if let Some(rest) = line.strip_prefix("# slo_violation ") {
-            let Some((_, labels, consumed)) = parse_series_ref(rest) else {
-                continue;
-            };
-            let func = labels
-                .iter()
-                .find(|(k, _)| k == "function")
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default();
-            let mut toks = rest[consumed..].split_whitespace();
-            let (Some(rank), Some(latency_us), Some(node), Some(trace_id)) = (
-                toks.next().and_then(|t| parse_kv_u64(t, "rank")),
-                toks.next().and_then(|t| parse_kv_u64(t, "latency_us")),
-                toks.next().and_then(|t| parse_kv_u64(t, "node")),
-                toks.next().and_then(|t| parse_kv_u64(t, "trace_id")),
-            ) else {
-                continue;
-            };
-            data.violations.push(ViolationLine {
-                func,
-                rank,
-                latency_us,
-                node,
-                trace_id,
-            });
-        } else if let Some(rest) = line.strip_prefix("# exemplar ") {
-            let Some((series, _)) = rest.split_once(' ') else {
-                continue;
-            };
-            let mut toks = rest[series.len()..].split_whitespace();
-            let (Some(bucket), Some(value), Some(trace_id)) = (
-                toks.next().and_then(|t| parse_kv_u64(t, "bucket")),
-                toks.next().and_then(|t| parse_kv_u64(t, "value")),
-                toks.next().and_then(|t| parse_kv_u64(t, "trace_id")),
-            ) else {
-                continue;
-            };
-            data.exemplars.push(ExemplarLine {
-                series: series.to_string(),
-                bucket,
-                value,
-                trace_id,
-            });
-        } else if line.starts_with('#') || line.is_empty() {
-            continue;
-        } else {
-            let Some((name, labels, consumed)) = parse_series_ref(line) else {
-                continue;
-            };
-            let Ok(value) = line[consumed..].trim().parse::<f64>() else {
-                continue;
-            };
-            data.series.push(PromSeries {
-                name,
-                labels,
-                value,
-            });
-        }
-    }
-    data
+/// `name -> p99` for every histogram in the tail object under `key`
+/// (`metrics` or `labeled`).
+fn hist_p99s<'a>(tail: &'a Json, key: &str) -> Vec<(&'a str, f64)> {
+    tail.get(key)
+        .and_then(Json::as_object)
+        .map(|m| {
+            m.iter()
+                .filter_map(|(name, v)| Some((name, v.get("p99")?.as_f64()?)))
+                .collect()
+        })
+        .unwrap_or_default()
 }
 
 /// One ranked attribution: something concrete the tail latency of this
@@ -255,25 +84,46 @@ pub struct Attribution {
     /// (a labeled p99 far above its flat aggregate).
     pub kind: &'static str,
     /// The attributed dimension, e.g. `node 3` or
-    /// `medes_restore_op_us{node=3}`.
+    /// `medes.restore.op_us{node=3}`.
     pub subject: String,
     /// Ranking weight (violation count, or p99 ratio).
     pub weight: f64,
 }
 
-/// Builds the `trace attribute` report from a run's Prometheus
-/// exposition and its span trace. Returns the report and the ranked
+/// Builds the `trace attribute` report from a run's JSONL trace
+/// export (spans plus tail). Returns the report and the ranked
 /// attributions (empty = nothing to pin the tail on, the CLI exits 0).
-pub fn attribute(name: &str, prom: &str, trace: &str, top: usize) -> (Report, Vec<Attribution>) {
-    let data = parse_prom(prom);
+pub fn attribute(name: &str, trace: &str, top: usize) -> (Report, Vec<Attribution>) {
+    let tail = &parse_tail(trace).unwrap_or_else(Json::object);
+    let violations = records(tail, "slo_violators", |r| {
+        Some(Violation {
+            func: r.get("func")?.as_str()?.to_string(),
+            latency_us: r.get("latency_us")?.as_u64()?,
+            node: r.get("node")?.as_u64()?,
+            trace_id: parse_id(r.get("trace_id")),
+        })
+    });
+    let exemplars = records(tail, "exemplars", |r| {
+        Some(Exemplar {
+            series: r.get("series")?.as_str()?.to_string(),
+            bucket: r.get("bucket")?.as_u64()?,
+            value: r.get("value")?.as_u64()?,
+            trace_id: parse_id(r.get("trace_id")),
+        })
+    });
+    let flat_p99: BTreeMap<&str, f64> = hist_p99s(tail, "metrics").into_iter().collect();
+    let labeled_p99 = hist_p99s(tail, "labeled");
+    let series = tail
+        .get("labeled")
+        .and_then(Json::as_object)
+        .map_or(0, |m| m.len());
     let spans = parse_jsonl(trace);
     let forest = Forest::build(&spans);
     let mut report = Report::new("trace-attribute", name);
     report.line(&format!(
-        "{} series, {} slo violation(s), {} exemplar(s), {} span(s)",
-        data.series.len(),
-        data.violations.len(),
-        data.exemplars.len(),
+        "{series} labeled series, {} slo violation(s), {} exemplar(s), {} span(s)",
+        violations.len(),
+        exemplars.len(),
         spans.len()
     ));
     let mut attributions: Vec<Attribution> = Vec::new();
@@ -281,7 +131,7 @@ pub fn attribute(name: &str, prom: &str, trace: &str, top: usize) -> (Report, Ve
     // 1. SLO violations grouped by serving node.
     //    (count, total latency, worst latency, worst trace id)
     let mut by_node: BTreeMap<u64, (u64, u64, u64, u64)> = BTreeMap::new();
-    for v in &data.violations {
+    for v in &violations {
         let e = by_node.entry(v.node).or_insert((0, 0, 0, 0));
         e.0 += 1;
         e.1 += v.latency_us;
@@ -324,59 +174,41 @@ pub fn attribute(name: &str, prom: &str, trace: &str, top: usize) -> (Report, Ve
     }
 
     // 2. Labeled p99s far above their flat aggregate.
-    let flat_p99: BTreeMap<&str, f64> = data
-        .series
+    let mut outliers: Vec<(&str, f64, f64, f64)> = labeled_p99
         .iter()
-        .filter(|s| s.labels.len() == 1 && s.label("quantile") == Some("0.99"))
-        .map(|s| (s.name.as_str(), s.value))
-        .collect();
-    let mut outliers: Vec<(&PromSeries, f64)> = data
-        .series
-        .iter()
-        .filter(|s| s.labels.len() > 1 && s.label("quantile") == Some("0.99"))
-        .filter_map(|s| {
-            let flat = *flat_p99.get(s.name.as_str())?;
-            if flat <= 0.0 || s.value < OUTLIER_FLOOR_US {
+        .filter_map(|&(key, p99)| {
+            let (base, _) = parse_series_key(key)?;
+            let flat = *flat_p99.get(base)?;
+            if flat <= 0.0 || p99 < OUTLIER_FLOOR_US {
                 return None;
             }
-            let ratio = s.value / flat;
-            (ratio >= OUTLIER_RATIO).then_some((s, ratio))
+            let ratio = p99 / flat;
+            (ratio >= OUTLIER_RATIO).then_some((key, p99, flat, ratio))
         })
         .collect();
-    outliers.sort_by(|a, b| {
-        b.1.total_cmp(&a.1)
-            .then(a.0.dimension().cmp(&b.0.dimension()))
-    });
+    outliers.sort_by(|a, b| b.3.total_cmp(&a.3).then(a.0.cmp(b.0)));
     if !outliers.is_empty() {
         report.section("labeled p99 outliers (vs flat aggregate)");
         let rows: Vec<Vec<String>> = outliers
             .iter()
             .take(top)
-            .map(|(s, ratio)| {
-                vec![
-                    format!("{}{{{}}}", s.name, s.dimension()),
-                    f(s.value, 1),
-                    f(flat_p99[s.name.as_str()], 1),
-                    f(*ratio, 2),
-                ]
+            .map(|&(key, p99, flat, ratio)| {
+                vec![key.to_string(), f(p99, 1), f(flat, 1), f(ratio, 2)]
             })
             .collect();
         report.table(&["series", "p99_us", "flat_p99_us", "ratio"], &rows);
-        for (s, ratio) in outliers.iter().take(top) {
+        for &(key, _, _, ratio) in outliers.iter().take(top) {
             attributions.push(Attribution {
                 kind: "p99-outlier",
-                subject: format!("{}{{{}}}", s.name, s.dimension()),
-                weight: *ratio,
+                subject: key.to_string(),
+                weight: ratio,
             });
         }
     }
 
     // 3. Resolve the worst violator's trace against the span file:
     //    critical path with per-phase self times.
-    let worst = data
-        .violations
-        .iter()
-        .max_by_key(|v| (v.latency_us, v.trace_id));
+    let worst = violations.iter().max_by_key(|v| (v.latency_us, v.trace_id));
     if let Some(v) = worst {
         report.section(&format!(
             "critical path of worst violation ({}: {} us on node {}, trace {:016x})",
@@ -386,8 +218,7 @@ pub fn attribute(name: &str, prom: &str, trace: &str, top: usize) -> (Report, Ve
     }
     // And the single worst exemplar not already covered by the worst
     // violation — the op-level view of the tail.
-    if let Some(e) = data
-        .exemplars
+    if let Some(e) = exemplars
         .iter()
         .filter(|e| worst.is_none_or(|v| e.trace_id != v.trace_id))
         .max_by_key(|e| (e.value, e.trace_id))
@@ -453,57 +284,52 @@ fn report_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medes_obs::{Obs, ObsConfig};
+    use medes_obs::{LabelSet, Obs, ObsConfig};
     use medes_sim::SimTime;
 
+    /// The drill-down reads a hand-written tail: labeled keys resolve
+    /// to their flat base through the shared series-key parser (escaped
+    /// delimiters in a function name included), the ratio and floor
+    /// gates apply, and malformed records are skipped.
     #[test]
     fn series_ref_parses_names_labels_and_escapes() {
-        let (name, labels, _) = parse_series_ref("medes_x_ops 3").unwrap();
-        assert_eq!(name, "medes_x_ops");
-        assert!(labels.is_empty());
-        let (name, labels, used) =
-            parse_series_ref("medes_x{node=\"3\",func=\"a\\\"b\\\\c\\nd\"} 7").unwrap();
-        assert_eq!(name, "medes_x");
-        assert_eq!(labels[0], ("node".to_string(), "3".to_string()));
-        assert_eq!(labels[1], ("func".to_string(), "a\"b\\c\nd".to_string()));
-        assert_eq!(
-            &"medes_x{node=\"3\",func=\"a\\\"b\\\\c\\nd\"} 7"[used..],
-            " 7"
+        let trace = concat!(
+            r#"{"metrics":{"medes.restore.op_us":{"count":9,"p99":1000},"medes.x.ops":3},"#,
+            r#""labeled":{"medes.restore.op_us{func=a\\,b\\=c,node=3}":{"count":2,"p99":9000},"#,
+            r#""medes.restore.op_us{func=ok,node=0}":{"count":7,"p99":1400},"#,
+            r#""medes.tiny_us{node=3}":{"count":1,"p99":900},"medes.x.ops{node=3}":3},"#,
+            r#""exemplars":[{"series":"medes.restore.op_us{func=a\\,b\\=c,node=3}","bucket":12,"#,
+            r#""value":9000,"trace_id":"00000000000000ff"},{"series":"broken"}],"#,
+            r#""slo":{},"#,
+            r#""slo_violators":[{"func":"a,b=c","rank":1,"latency_us":9000,"node":3,"#,
+            r#""trace_id":"00000000000000ff"},{"func":"no-latency","node":1}]}"#,
+            "\n"
         );
-        assert!(parse_series_ref("").is_none());
-        assert!(parse_series_ref("x{k=\"unterminated").is_none());
-    }
-
-    #[test]
-    fn prom_parser_reads_series_violations_and_exemplars() {
-        let text = "\
-# HELP medes_restore_op_us restore op latency\n\
-# TYPE medes_restore_op_us summary\n\
-medes_restore_op_us{quantile=\"0.99\"} 1000\n\
-medes_restore_op_us{node=\"3\",quantile=\"0.99\"} 9000\n\
-garbage line without value\n\
-# exemplar medes_restore_op_us{node=\"3\"} bucket=12 value=9000 trace_id=00000000000000ff\n\
-# slo_violation medes_slo_startup_us{function=\"f\"} rank=1 latency_us=9000 node=3 trace_id=00000000000000ff\n";
-        let d = parse_prom(text);
-        assert_eq!(d.series.len(), 2);
-        assert_eq!(d.exemplars.len(), 1);
-        assert_eq!(d.exemplars[0].trace_id, 0xff);
-        assert_eq!(d.violations.len(), 1);
+        let (report, attributions) = attribute("t", trace, 5);
         assert_eq!(
-            d.violations[0],
-            ViolationLine {
-                func: "f".to_string(),
-                rank: 1,
-                latency_us: 9000,
-                node: 3,
-                trace_id: 0xff,
-            }
+            attributions,
+            [
+                Attribution {
+                    kind: "slo-node",
+                    subject: "node 3".to_string(),
+                    weight: 1.0,
+                },
+                Attribution {
+                    kind: "p99-outlier",
+                    subject: r"medes.restore.op_us{func=a\,b\=c,node=3}".to_string(),
+                    weight: 9.0,
+                },
+            ]
         );
+        let text = report.text();
+        assert!(text.contains("4 labeled series, 1 slo violation(s), 1 exemplar(s), 0 span(s)"));
+        assert!(text.contains("worst violation (a,b=c: 9000 us on node 3, trace 00000000000000ff)"));
+        assert!(text.contains("trace not present in span file"), "{text}");
     }
 
     /// End to end on a synthetic run: the node serving the violations
-    /// ranks first, the inflated labeled p99 is flagged, and the
-    /// violator's critical path resolves from the span file.
+    /// ranks first and the violator's critical path resolves from the
+    /// spans of the same export.
     #[test]
     fn attribution_ranks_slow_node_and_resolves_critical_path() {
         let obs = Obs::new(ObsConfig::enabled().labeled());
@@ -519,28 +345,23 @@ garbage line without value\n\
             )
             .end(SimTime::from_micros(latency - 5));
             obs.slo_record_traced("f", latency, 100, root.trace_id, node);
-            obs.record_labeled(
-                "medes.restore.op_us",
-                || medes_obs::LabelSet::new().with("node", node),
-                latency,
-                Some(root.trace_id),
-            );
-            obs.record("medes.restore.op_us", latency);
+            obs.record_with("medes.restore.op_us", latency, Some(root.trace_id), || {
+                LabelSet::new().with("node", node)
+            });
         }
-        let prom = obs.export_prometheus();
-        let trace = obs.export_jsonl();
-        let (report, attributions) = attribute("t", &prom, &trace, 5);
-        assert!(!attributions.is_empty());
+        let (report, attributions) = attribute("t", &obs.export_jsonl(), 5);
+        // The flat p99 includes the slow samples, so node 1's p99 is no
+        // outlier by the ratio gate — attribution fires from the SLO
+        // records alone.
+        assert_eq!(attributions.len(), 1);
         assert_eq!(attributions[0].kind, "slo-node");
         assert_eq!(attributions[0].subject, "node 1");
         assert_eq!(attributions[0].weight, 2.0);
         let text = report.text();
         assert!(text.contains("slo violation attribution"), "{text}");
         assert!(text.contains("critical path of worst violation"), "{text}");
-        assert!(text.contains("medes.restore.op"), "{text}");
-        // The labeled p99 for node 1 dwarfs the flat aggregate? The flat
-        // p99 includes the slow samples, so it's not an outlier by the
-        // ratio gate — attribution still fires from the SLO lines alone.
+        assert!(text.contains("  medes.restore.op"), "{text}");
+        assert!(text.contains("critical path of worst exemplar"), "{text}");
         assert_eq!(report.json()["attributions"][0]["subject"], "node 1");
     }
 
@@ -548,8 +369,13 @@ garbage line without value\n\
     fn clean_run_yields_no_attributions() {
         let obs = Obs::new(ObsConfig::enabled().labeled());
         obs.slo_record_traced("f", 50, 100, 1, 0);
-        let (report, attributions) = attribute("t", &obs.export_prometheus(), "", 5);
+        let (report, attributions) = attribute("t", &obs.export_jsonl(), 5);
         assert!(attributions.is_empty(), "{attributions:?}");
         assert!(report.text().contains("nothing to attribute"));
+        // Neither does a label-off export, or no export at all.
+        let off = Obs::new(ObsConfig::enabled());
+        off.slo_record_traced("f", 500, 100, 1, 0);
+        assert!(attribute("t", &off.export_jsonl(), 5).1.is_empty());
+        assert!(attribute("t", "", 5).1.is_empty());
     }
 }

@@ -71,7 +71,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--stream] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model] [--microbench]\n       experiments all [--quick]\n       experiments list\n       experiments trace summarize <trace.jsonl> [--top <n>]\n       experiments trace analyze <trace.jsonl> [--top <n>] [--anomaly-k <f>] [--folded <path>]\n       experiments trace timeline <trace.timeseries.jsonl> [--group-by <label>]\n       experiments trace diff <base.jsonl> <cand.jsonl> [--threshold <f>] [--group-by <label>]\n       experiments trace attribute <trace.jsonl> [<trace.prom>] [--top <n>]\nids: {}",
+        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--stream] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model] [--microbench]\n       experiments all [--quick]\n       experiments list\n       experiments trace summarize <trace.jsonl> [--top <n>]\n       experiments trace analyze <trace.jsonl> [--top <n>] [--anomaly-k <f>] [--folded <path>]\n       experiments trace timeline <trace.timeseries.jsonl> [--group-by <label>]\n       experiments trace diff <base.jsonl> <cand.jsonl> [--threshold <f>] [--group-by <label>]\n       experiments trace attribute <trace.jsonl> [--top <n>]\nids: {}",
         experiments::ALL.join(", ")
     );
     std::process::exit(2);
@@ -202,7 +202,7 @@ fn run_timeline(args: &[String]) {
     }
 }
 
-/// `trace attribute <trace.jsonl> [<trace.prom>] [--top <n>]`. Exits 1
+/// `trace attribute <trace.jsonl> [--top <n>]`. Exits 1
 /// when any attribution is found — the drill-down doubles as a gate.
 fn run_attribute(args: &[String]) {
     let mut files: Vec<PathBuf> = Vec::new();
@@ -219,25 +219,21 @@ fn run_attribute(args: &[String]) {
             path => files.push(PathBuf::from(path)),
         }
     }
-    let (trace_path, prom_path) = match files.as_slice() {
-        [t] => (t.clone(), t.with_extension("prom")),
-        [t, p] => (t.clone(), p.clone()),
-        _ => usage(),
+    let [trace_path] = files.as_slice() else {
+        usage();
     };
-    let read = |p: &Path| match std::fs::read_to_string(p) {
+    let trace = match std::fs::read_to_string(trace_path) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("cannot read {}: {e}", p.display());
+            eprintln!("cannot read {}: {e}", trace_path.display());
             std::process::exit(1);
         }
     };
-    let trace = read(&trace_path);
-    let prom = read(&prom_path);
     let name = trace_path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| trace_path.display().to_string());
-    let (report, attributions) = attribute::attribute(&name, &prom, &trace, top);
+    let (report, attributions) = attribute::attribute(&name, &trace, top);
     println!("{}", report.text());
     if !attributions.is_empty() {
         std::process::exit(1);

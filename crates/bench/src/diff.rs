@@ -22,7 +22,7 @@
 use crate::analyze::Forest;
 use crate::report::{f, Report};
 use medes_obs::json::Json;
-use medes_obs::{parse_jsonl, parse_timeseries, SeriesKind};
+use medes_obs::{parse_jsonl, parse_series_key, parse_tail, parse_timeseries, SeriesKind};
 use std::collections::BTreeMap;
 
 /// Counters where *more is strictly worse*. Compared whenever either
@@ -113,13 +113,7 @@ impl TraceExport {
         let mut hist_p99 = BTreeMap::new();
         let mut slo_violations = 0.0;
         let mut labeled = BTreeMap::new();
-        // The tail is the last well-formed JSON object carrying a
-        // "metrics" key (span lines parse too, but lack it).
-        let tail = trace
-            .lines()
-            .rev()
-            .filter_map(|l| medes_obs::json::parse(l).ok())
-            .find(|v| v.get("metrics").is_some());
+        let tail = parse_tail(trace);
         if let Some(tail) = &tail {
             if let Some(Json::Object(m)) = tail.get("metrics") {
                 for (name, v) in m.iter() {
@@ -184,17 +178,6 @@ impl TraceExport {
             labeled,
         }
     }
-}
-
-/// Splits a labeled tail key (`base{k=v,k=v}`) into base and pairs.
-fn split_labeled_key(name: &str) -> Option<(&str, Vec<(&str, &str)>)> {
-    let open = name.find('{')?;
-    let inner = name[open + 1..].strip_suffix('}')?;
-    let mut labels = Vec::new();
-    for pair in inner.split(',') {
-        labels.push(pair.split_once('=')?);
-    }
-    Some((&name[..open], labels))
 }
 
 /// Compares `cand` against `base`, returning the rendered report and
@@ -330,11 +313,11 @@ pub fn diff_by(
         let collect = |side: &TraceExport| {
             let mut g: BTreeMap<(String, String), f64> = BTreeMap::new();
             for (key, v) in &side.labeled {
-                let Some((name, labels)) = split_labeled_key(key) else {
+                let Some((name, labels)) = parse_series_key(key) else {
                     continue;
                 };
-                if let Some(&(_, gv)) = labels.iter().find(|(k, _)| *k == group) {
-                    *g.entry((name.to_string(), gv.to_string())).or_default() += v;
+                if let Some((_, gv)) = labels.into_iter().find(|(k, _)| k == group) {
+                    *g.entry((name.to_string(), gv)).or_default() += v;
                 }
             }
             g
@@ -516,17 +499,12 @@ mod tests {
         use medes_obs::LabelSet;
         let export = |retries: u64| {
             let obs = Obs::new(ObsConfig::enabled().labeled());
-            obs.counter_add("medes.net.retries", retries);
-            obs.counter_add_labeled(
-                "medes.net.retries",
-                || LabelSet::new().with("owner", 2u64),
-                retries,
-            );
-            obs.counter_add_labeled(
-                "medes.net.rdma_reads",
-                || LabelSet::new().with("src", 1u64).with("dst", 0u64),
-                10,
-            );
+            obs.counter_add_with("medes.net.retries", retries, || {
+                LabelSet::new().with("owner", 2u64)
+            });
+            obs.counter_add_with("medes.net.rdma_reads", 10, || {
+                LabelSet::new().with("src", 1u64).with("dst", 0u64)
+            });
             obs.export_jsonl()
         };
         let base = TraceExport::load("a", &export(2), None);

@@ -9,8 +9,8 @@
 //!    read-only taps on the event loop.
 //! 2. **Traces reconstruct.** The enabled run's causal forest must
 //!    contain request trees whose per-node self times sum exactly to
-//!    the root duration (phase spans tile their parents), and a valid
-//!    Prometheus exposition.
+//!    the root duration (phase spans tile their parents), and the
+//!    export's tail carries every function's SLO row.
 //! 3. **The cost is bounded.** Best-of-3 wall time with tracing on is
 //!    compared against tracing off; the overhead must stay under a
 //!    deliberately generous bound (the point is to catch accidental
@@ -118,10 +118,14 @@ pub fn run(cfg: &ExpConfig) -> Report {
         sampled_spans.len() < spans.len(),
         "1-in-4 sampling did not shrink the trace"
     );
-    let prom = outcome.obs.export_prometheus();
+    let tail = medes_obs::parse_tail(&jsonl).expect("trace export ends in a tail");
     assert!(
-        prom.contains("medes_slo_startup_us") && prom.contains("# TYPE"),
-        "Prometheus exposition missing SLO series"
+        !outcome.slo.is_empty()
+            && outcome
+                .slo
+                .iter()
+                .all(|row| tail["slo"][row.func.as_str()]["count"] == row.count as i64),
+        "export tail missing SLO rows"
     );
     report.section("trace reconstruction");
     report.line(&format!(

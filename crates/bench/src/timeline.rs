@@ -10,7 +10,7 @@
 //! construction, so only gauges are interrogated.
 
 use crate::report::{f, Report};
-use medes_obs::{parse_timeseries, ParsedSeries, SeriesKind};
+use medes_obs::{parse_series_key, parse_timeseries, ParsedSeries, SeriesKind};
 
 /// Exact quantile of an already-sorted value slice (nearest-rank,
 /// `ceil(q·n)`). Series are small (one point per sample tick), so no
@@ -43,18 +43,6 @@ pub fn looks_like_leak(s: &ParsedSeries) -> bool {
         return false;
     }
     first <= 0.0 || last >= 1.5 * first
-}
-
-/// Splits a labeled series name (`base{k=v,k=v}` — the sampler's key
-/// for dimensional twins) into its base and label pairs.
-fn split_labeled_name(name: &str) -> Option<(&str, Vec<(&str, &str)>)> {
-    let open = name.find('{')?;
-    let inner = name[open + 1..].strip_suffix('}')?;
-    let mut labels = Vec::new();
-    for pair in inner.split(',') {
-        labels.push(pair.split_once('=')?);
-    }
-    Some((&name[..open], labels))
 }
 
 /// Builds the `trace timeline` report for one `.timeseries.jsonl`
@@ -107,15 +95,13 @@ pub fn timeline_by(name: &str, contents: &str, group_by: Option<&str>) -> (Repor
         let mut grouped: std::collections::BTreeMap<(String, String), f64> =
             std::collections::BTreeMap::new();
         for s in &series {
-            let Some((base, labels)) = split_labeled_name(&s.name) else {
+            let Some((base, labels)) = parse_series_key(&s.name) else {
                 continue;
             };
-            let Some(&(_, v)) = labels.iter().find(|(k, _)| *k == group) else {
+            let Some((_, v)) = labels.into_iter().find(|(k, _)| k == group) else {
                 continue;
             };
-            *grouped
-                .entry((base.to_string(), v.to_string()))
-                .or_default() += s.last().unwrap_or(0.0);
+            *grouped.entry((base.to_string(), v)).or_default() += s.last().unwrap_or(0.0);
         }
         report.section(&format!("grouped by {group} (final values)"));
         if grouped.is_empty() {
@@ -276,6 +262,22 @@ mod tests {
         assert!(text.contains("75.0"), "{text}");
         // The multi-label series still groups by its node label.
         assert!(text.contains("medes.y.ops"), "{text}");
+        // A function name holding the key's own delimiters groups
+        // under its real value instead of dropping out.
+        let hostile = medes_obs::LabelSet::new()
+            .with("func", "a,b=c}d")
+            .with("node", 1u64);
+        s.point(
+            &hostile.series_key("medes.y.ops"),
+            SeriesKind::Counter,
+            0,
+            5.0,
+        );
+        let (report, _) = timeline_by("ts", &s.export_jsonl(), Some("func"));
+        let text = report.text();
+        assert!(text.contains("a,b=c}d"), "{text}");
+        // 5 of medes.y.ops' 8 grouped-by-func total: 62.5%.
+        assert!(text.contains("62.5"), "{text}");
         // Grouping by an absent label degrades gracefully.
         let (report, _) = timeline_by("ts", &s.export_jsonl(), Some("shard"));
         assert!(report.text().contains("no series carry a shard label"));

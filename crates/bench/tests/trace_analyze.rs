@@ -1,10 +1,12 @@
 //! End-to-end: a traced quick-scale Medes run exports a JSONL trace
-//! that `trace analyze` reconstructs into exact causal trees.
+//! that `trace analyze` reconstructs into exact causal trees and
+//! `trace attribute` drills into.
 
 use medes_bench::analyze::{analyze, tree_self_sum, Forest};
+use medes_bench::attribute::attribute;
 use medes_bench::common::{run_outcome, ExpConfig};
 use medes_core::config::PolicyKind;
-use medes_obs::{parse_jsonl, ObsConfig};
+use medes_obs::{parse_jsonl, parse_tail, ObsConfig};
 use medes_policy::medes::Objective;
 
 #[test]
@@ -13,7 +15,7 @@ fn traced_run_reconstructs_exact_request_trees() {
     let suite = cfg.suite();
     let trace = cfg.full_trace(&suite);
     let mut platform = cfg.platform();
-    let mut obs = ObsConfig::enabled();
+    let mut obs = ObsConfig::enabled().labeled();
     obs.span_buffer_cap = 1 << 21;
     platform.obs = obs;
     platform.policy = PolicyKind::Medes(cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 }));
@@ -62,9 +64,19 @@ fn traced_run_reconstructs_exact_request_trees() {
     assert!(text.contains("medes.platform.request"));
     assert!(folded.lines().any(|l| l.contains(';')), "no nested stacks");
 
-    // SLO summary rides along on the outcome and the exposition is
-    // well-formed.
+    // SLO summary rides along on the outcome and in the export's tail.
     assert!(!outcome.slo.is_empty());
-    let prom = outcome.obs.export_prometheus();
-    assert!(prom.contains("medes_slo_startup_us"));
+    let tail = parse_tail(&jsonl).expect("export ends in a tail");
+    for row in &outcome.slo {
+        assert_eq!(tail["slo"][row.func.as_str()]["count"], row.count as i64);
+    }
+
+    // The drill-down needs nothing but the same string: cold starts
+    // break the α·s_W bound, so violators are retained, ranked by node
+    // and resolved against the spans above the tail.
+    let (drill, attributions) = attribute("e2e.jsonl", &jsonl, 5);
+    assert!(attributions.iter().any(|a| a.kind == "slo-node"));
+    let text = drill.text();
+    assert!(text.contains("critical path of worst violation"), "{text}");
+    assert!(!text.contains("trace not present"), "{text}");
 }

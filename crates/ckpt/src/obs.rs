@@ -8,39 +8,13 @@
 use medes_obs::{LabelSet, Obs, TraceCtx};
 use medes_sim::{SimDuration, SimTime};
 
-/// Records one sandbox checkpoint: op counter, dumped paper-scale
-/// bytes, and a duration histogram (`medes.ckpt.checkpoint_us`).
-pub fn record_checkpoint(obs: &Obs, paper_bytes: usize, took: SimDuration) {
-    if !obs.enabled() {
-        return;
-    }
-    obs.incr("medes.ckpt.checkpoints");
-    obs.counter_add("medes.ckpt.checkpoint_bytes", paper_bytes as u64);
-    obs.record_us("medes.ckpt.checkpoint_us", took);
-    // Cumulative-time counter: the time-series sampler skips
-    // histograms, so this is what makes checkpoint time visible as a
-    // sampled series.
-    obs.counter_add("medes.ckpt.checkpoint_us_total", took.as_micros());
-}
-
-/// Records one restore-from-checkpoint (the memory-restore path):
-/// op counter and a duration histogram (`medes.ckpt.restore_us`).
-pub fn record_restore(obs: &Obs, took: SimDuration) {
-    if !obs.enabled() {
-        return;
-    }
-    obs.incr("medes.ckpt.restores");
-    obs.record_us("medes.ckpt.restore_us", took);
-    // Same cumulative mirror as `checkpoint_us_total`, for restores.
-    obs.counter_add("medes.ckpt.restore_us_total", took.as_micros());
-}
-
-/// Causal variant of [`record_checkpoint`]: additionally emits a
-/// `medes.ckpt.checkpoint` span covering `[start, start + took)` as a
-/// child of `parent` (the dedup op's checkpoint phase), so the memory
-/// dump shows up inside the reconstructed trace tree. `node` is the
-/// node being checkpointed; with dimensional telemetry on it keys
-/// per-node labeled twins of the checkpoint counters.
+/// Records one sandbox checkpoint: a `medes.ckpt.checkpoint` span
+/// covering `[start, start + took)` as a child of `parent` (the dedup
+/// op's checkpoint phase, so the memory dump shows up inside the
+/// reconstructed trace tree), the op counter, dumped paper-scale bytes,
+/// and a duration histogram (`medes.ckpt.checkpoint_us`). `node` is
+/// the node being checkpointed; with dimensional telemetry on it keys
+/// the per-node series.
 pub fn record_checkpoint_in(
     obs: &Obs,
     parent: TraceCtx,
@@ -59,23 +33,26 @@ pub fn record_checkpoint_in(
     )
     .attr("paper_bytes", paper_bytes)
     .end(start + took);
-    record_checkpoint(obs, paper_bytes, took);
     let labels = || LabelSet::new().with("node", node);
-    obs.incr_labeled("medes.ckpt.checkpoints", labels);
-    obs.counter_add_labeled("medes.ckpt.checkpoint_bytes", labels, paper_bytes as u64);
-    obs.record_labeled(
+    obs.incr_with("medes.ckpt.checkpoints", labels);
+    obs.counter_add_with("medes.ckpt.checkpoint_bytes", paper_bytes as u64, labels);
+    obs.record_with(
         "medes.ckpt.checkpoint_us",
-        labels,
         took.as_micros(),
         Some(parent.trace_id),
+        labels,
     );
+    // Cumulative-time counter: the time-series sampler skips
+    // histograms, so this is what makes checkpoint time visible as a
+    // sampled series.
+    obs.counter_add("medes.ckpt.checkpoint_us_total", took.as_micros());
 }
 
-/// Causal variant of [`record_restore`]: additionally emits a
+/// Records one restore-from-checkpoint (the memory-restore path): a
 /// `medes.ckpt.restore` span covering `[start, start + took)` as a
-/// child of `parent` (the restore op's checkpoint phase), so the CRIU
-/// resume shows up inside the reconstructed trace tree. `node` is the
-/// restoring node (see [`record_checkpoint_in`]).
+/// child of `parent` (the restore op's checkpoint phase), the op
+/// counter and a duration histogram (`medes.ckpt.restore_us`). `node`
+/// is the restoring node (see [`record_checkpoint_in`]).
 pub fn record_restore_in(
     obs: &Obs,
     parent: TraceCtx,
@@ -92,15 +69,16 @@ pub fn record_restore_in(
         parent.child("medes.ckpt.restore", 0),
     )
     .end(start + took);
-    record_restore(obs, took);
     let labels = || LabelSet::new().with("node", node);
-    obs.incr_labeled("medes.ckpt.restores", labels);
-    obs.record_labeled(
+    obs.incr_with("medes.ckpt.restores", labels);
+    obs.record_with(
         "medes.ckpt.restore_us",
-        labels,
         took.as_micros(),
         Some(parent.trace_id),
+        labels,
     );
+    // Same cumulative mirror as `checkpoint_us_total`, for restores.
+    obs.counter_add("medes.ckpt.restore_us_total", took.as_micros());
 }
 
 #[cfg(test)]
@@ -111,9 +89,10 @@ mod tests {
     #[test]
     fn checkpoint_and_restore_are_recorded() {
         let obs = Obs::new(ObsConfig::enabled());
-        record_checkpoint(&obs, 4096, SimDuration::from_millis(120));
-        record_checkpoint(&obs, 8192, SimDuration::from_millis(140));
-        record_restore(&obs, SimDuration::from_millis(140));
+        let (ctx, t0) = (TraceCtx::NONE, SimTime::ZERO);
+        record_checkpoint_in(&obs, ctx, t0, 4096, SimDuration::from_millis(120), 0);
+        record_checkpoint_in(&obs, ctx, t0, 8192, SimDuration::from_millis(140), 0);
+        record_restore_in(&obs, ctx, t0, SimDuration::from_millis(140), 0);
         assert_eq!(obs.counter("medes.ckpt.checkpoints"), 2);
         assert_eq!(obs.counter("medes.ckpt.checkpoint_bytes"), 12288);
         assert_eq!(obs.counter("medes.ckpt.restores"), 1);
@@ -128,27 +107,20 @@ mod tests {
     #[test]
     fn disabled_obs_records_nothing() {
         let obs = Obs::disabled();
-        record_checkpoint(&obs, 4096, SimDuration::from_millis(120));
-        record_restore(&obs, SimDuration::from_millis(140));
-        record_restore_in(
-            &obs,
-            TraceCtx::NONE,
-            medes_sim::SimTime::ZERO,
-            SimDuration::from_millis(140),
-            0,
-        );
+        let (ctx, t0) = (TraceCtx::NONE, SimTime::ZERO);
+        record_checkpoint_in(&obs, ctx, t0, 4096, SimDuration::from_millis(120), 0);
+        record_restore_in(&obs, ctx, t0, SimDuration::from_millis(140), 0);
         assert!(obs.metrics_snapshot().is_empty());
         assert_eq!(obs.span_count(), 0);
     }
 
-    /// Tentpole: the causal variants keep flat counters as the exact
-    /// aggregate while adding per-node labeled twins (only when
-    /// dimensional telemetry is on).
+    /// Each call moves the flat counter and, only when dimensional
+    /// telemetry is on, the per-node series with it.
     #[test]
     fn causal_variants_label_per_node_when_enabled() {
         let obs = Obs::new(ObsConfig::enabled().labeled());
         let root = obs.trace_root("dedup", 1, 2);
-        let start = medes_sim::SimTime::from_micros(50);
+        let start = SimTime::from_micros(50);
         record_checkpoint_in(&obs, root, start, 4096, SimDuration::from_millis(120), 3);
         record_restore_in(&obs, root, start, SimDuration::from_millis(140), 3);
         let node3 = LabelSet::new().with("node", 3u64);
@@ -170,7 +142,7 @@ mod tests {
     fn causal_variants_emit_child_spans() {
         let obs = Obs::new(ObsConfig::enabled());
         let root = obs.trace_root("dedup", 1, 2);
-        let start = medes_sim::SimTime::from_micros(50);
+        let start = SimTime::from_micros(50);
         record_checkpoint_in(&obs, root, start, 4096, SimDuration::from_millis(120), 2);
         record_restore_in(&obs, root, start, SimDuration::from_millis(140), 2);
         let spans = obs.spans();

@@ -98,19 +98,17 @@ impl DedupTiming {
         obs.span_in("medes.dedup.op", start, op)
             .attr("fn", fn_name.to_string())
             .end(t4);
-        obs.incr("medes.dedup.ops");
+        let labels = || LabelSet::new().with("node", node);
+        obs.incr_with("medes.dedup.ops", labels);
         obs.record_us("medes.dedup.checkpoint_us", self.checkpoint);
         obs.record_us("medes.dedup.lookup_us", self.lookup);
         obs.record_us("medes.dedup.base_read_us", self.base_read);
         obs.record_us("medes.dedup.patch_us", self.patch_compute);
-        obs.record_us("medes.dedup.op_us", self.total());
-        let labels = || LabelSet::new().with("node", node);
-        obs.incr_labeled("medes.dedup.ops", labels);
-        obs.record_labeled(
+        obs.record_with(
             "medes.dedup.op_us",
-            labels,
             self.total().as_micros(),
             Some(op.trace_id),
+            labels,
         );
         medes_ckpt::obs::record_checkpoint_in(
             obs,

@@ -345,23 +345,18 @@ impl MetricsCollector {
                 StartType::Dedup => "medes.platform.starts.dedup",
                 StartType::Cold => "medes.platform.starts.cold",
             };
-            self.obs.incr(start_counter);
-            self.obs.incr_labeled(start_counter, labels);
-            self.obs
-                .record_traced("medes.platform.e2e_us", rec.e2e_us, ctx.trace_id);
-            self.obs.record_labeled(
+            self.obs.incr_with(start_counter, labels);
+            self.obs.record_with(
                 "medes.platform.e2e_us",
-                labels,
                 rec.e2e_us,
                 Some(ctx.trace_id),
-            );
-            self.obs
-                .record_traced("medes.platform.startup_us", rec.startup_us, ctx.trace_id);
-            self.obs.record_labeled(
-                "medes.platform.startup_us",
                 labels,
+            );
+            self.obs.record_with(
+                "medes.platform.startup_us",
                 rec.startup_us,
                 Some(ctx.trace_id),
+                labels,
             );
             self.obs
                 .gauge_set("medes.slo.violations", self.obs.slo_violations() as f64);

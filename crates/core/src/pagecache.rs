@@ -135,24 +135,22 @@ impl BasePageCache {
                 self.stats.hits += 1;
                 self.stats.bytes_saved += self.page_paper_bytes as u64;
                 if self.obs.enabled() {
-                    self.obs.incr("medes.restore.cache.hits");
+                    let node = self.node;
+                    self.obs.incr_with("medes.restore.cache.hits", || {
+                        LabelSet::new().with("node", node)
+                    });
                     self.obs.gauge_set(
                         "medes.restore.cache.bytes_saved",
                         self.stats.bytes_saved as f64,
                     );
-                    let node = self.node;
-                    self.obs.incr_labeled("medes.restore.cache.hits", || {
-                        LabelSet::new().with("node", node)
-                    });
                 }
                 Some(entry.bytes.clone())
             }
             None => {
                 self.stats.misses += 1;
                 if self.obs.enabled() {
-                    self.obs.incr("medes.restore.cache.misses");
                     let node = self.node;
-                    self.obs.incr_labeled("medes.restore.cache.misses", || {
+                    self.obs.incr_with("medes.restore.cache.misses", || {
                         LabelSet::new().with("node", node)
                     });
                 }

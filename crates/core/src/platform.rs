@@ -816,8 +816,12 @@ impl Cluster {
             let needed = m_w.saturating_sub(cur_mem);
             if self.ensure_capacity(now, node, needed, Some(id)) {
                 self.fns[f].idle_dedup.remove(&(lu, id));
-                // Run the restore op against pinned base images.
-                let table = self.sandboxes[&id].dedup_table.clone_for_restore();
+                // Run the restore op against pinned base images. The
+                // restore needs the table while the sandbox map stays
+                // borrowed; tables are modest (patches) and this is one
+                // clone per restored request, so cloning is acceptable
+                // and keeps the borrows trivial.
+                let table = self.sandboxes[&id].dedup_table.clone();
                 let verify = if self.cfg.verify_restores {
                     let sb = &self.sandboxes[&id];
                     Some(self.factory.image_v(sb.func, sb.instance_seed, sb.version))
@@ -1383,20 +1387,6 @@ impl Cluster {
     }
 }
 
-/// Cloning helper: the restore path needs the table while the sandbox
-/// stays borrowed; tables are modest (patches), and restores are on the
-/// critical path of a single request, so a clone is acceptable and keeps
-/// the borrow checker trivial.
-trait CloneForRestore {
-    fn clone_for_restore(&self) -> Option<crate::sandbox::DedupPageTable>;
-}
-
-impl CloneForRestore for Option<crate::sandbox::DedupPageTable> {
-    fn clone_for_restore(&self) -> Option<crate::sandbox::DedupPageTable> {
-        self.clone()
-    }
-}
-
 impl World for Cluster {
     type Event = Ev;
 
@@ -1871,9 +1861,10 @@ mod tests {
     }
 
     /// Host wall time must never enter a deterministic export: two
-    /// obs-on runs of one config export byte-identical JSONL and
-    /// Prometheus text, while the scan wall time is still measured —
-    /// on `RunOutcome`, outside both.
+    /// obs-on runs of one config export byte-identical JSONL (spans
+    /// plus the metrics/SLO tail) and equal SLO summaries, while the
+    /// scan wall time is still measured — on `RunOutcome`, outside
+    /// both.
     #[test]
     fn obs_exports_are_byte_identical_across_runs() {
         let run = || {
@@ -1893,7 +1884,7 @@ mod tests {
         assert!(a.report.dedup_batches > 0, "run must scan dedup batches");
         assert!(a.dedup_scan_wall_us > 0, "scan wall time is measured");
         assert_eq!(a.obs.export_jsonl(), b.obs.export_jsonl());
-        assert_eq!(a.obs.export_prometheus(), b.obs.export_prometheus());
+        assert_eq!(a.obs.slo_summary(), b.obs.slo_summary());
     }
 
     #[test]
@@ -1982,7 +1973,7 @@ mod tests {
 
     /// Tentpole: per-function SLO rows on `RunOutcome` cover every
     /// request, carry the §5.2 `α·s_W` bound under the latency-target
-    /// objective, and surface in the Prometheus exposition.
+    /// objective, and surface in the trace export's tail.
     #[test]
     fn slo_summary_reflects_latency_target_bounds() {
         let (suite, trace) = small_trace(120, 2.0);
@@ -2006,9 +1997,18 @@ mod tests {
         let violations: u64 = outcome.slo.iter().map(|s| s.violations).sum();
         assert!(violations > 0, "cold starts must violate the bound");
         assert_eq!(outcome.obs.slo_violations(), violations);
-        let prom = outcome.obs.export_prometheus();
-        assert!(prom.contains("medes_slo_startup_us"));
-        assert!(prom.contains("medes_slo_violations_total"));
+        assert_eq!(outcome.obs.slo_summary(), outcome.slo);
+        let tail = medes_obs::parse_tail(&outcome.obs.export_jsonl()).expect("tail");
+        for row in &outcome.slo {
+            assert_eq!(
+                tail["slo"][row.func.as_str()]["violations"],
+                row.violations as i64
+            );
+            assert_eq!(
+                tail["slo"][row.func.as_str()]["bound_us"],
+                row.bound_us as i64
+            );
+        }
     }
 
     /// Rolling deploys: bumps register, stale sandboxes are purged, and

@@ -92,24 +92,21 @@ impl RestoreTiming {
         obs.span_in("medes.restore.op", start, op)
             .attr("fn", fn_name.to_string())
             .end(t3);
-        obs.incr("medes.restore.ops");
-        obs.record_us("medes.restore.base_read_us", self.base_read);
-        obs.record_us("medes.restore.page_compute_us", self.page_compute);
-        obs.record_us("medes.restore.ckpt_us", self.ckpt_restore);
-        obs.record_us("medes.restore.op_us", self.total());
         let labels = || LabelSet::new().with("node", node);
-        obs.incr_labeled("medes.restore.ops", labels);
-        obs.record_labeled(
-            "medes.restore.op_us",
-            labels,
-            self.total().as_micros(),
-            Some(op.trace_id),
-        );
-        obs.record_labeled(
+        obs.incr_with("medes.restore.ops", labels);
+        obs.record_with(
             "medes.restore.base_read_us",
-            labels,
             self.base_read.as_micros(),
             Some(op.trace_id),
+            labels,
+        );
+        obs.record_us("medes.restore.page_compute_us", self.page_compute);
+        obs.record_us("medes.restore.ckpt_us", self.ckpt_restore);
+        obs.record_with(
+            "medes.restore.op_us",
+            self.total().as_micros(),
+            Some(op.trace_id),
+            labels,
         );
         medes_ckpt::obs::record_restore_in(obs, ckpt, t2, self.ckpt_restore, node as u64);
     }

@@ -407,15 +407,13 @@ impl Fabric {
             t = t.mul_f64(factor);
         }
         if self.obs.enabled() {
-            self.obs.incr("medes.net.rdma_reads");
-            self.obs.counter_add("medes.net.rdma_bytes", bytes as u64);
-            self.obs.record_us("medes.net.rdma_read_us", t);
-            // Per-link twins: one series per (src, dst) pair, so the
-            // drill-down can pin a slow link instead of a slow cluster.
+            // One series per (src, dst) link, so the drill-down can
+            // pin a slow link instead of a slow cluster.
             let labels = || LabelSet::new().with("src", src).with("dst", dst);
-            self.obs.incr_labeled("medes.net.rdma_reads", labels);
+            self.obs.incr_with("medes.net.rdma_reads", labels);
             self.obs
-                .counter_add_labeled("medes.net.rdma_bytes", labels, bytes as u64);
+                .counter_add_with("medes.net.rdma_bytes", bytes as u64, labels);
+            self.obs.record_us("medes.net.rdma_read_us", t);
         }
         Ok(t)
     }
@@ -485,29 +483,22 @@ impl Fabric {
             t += wire;
         }
         if self.obs.enabled() && !reads.is_empty() {
-            self.obs
-                .counter_add("medes.net.rdma_reads", reads.len() as u64);
-            self.obs
-                .counter_add("medes.net.rdma_bytes", (local_bytes + remote_bytes) as u64);
-            self.obs.record_us("medes.net.rdma_batch_us", t);
-            if self.obs.labels_enabled() {
-                // Group the batch per source so each (src, dst) link
-                // series counts exactly the reads it carried; the sums
-                // across sources equal the flat counters above.
-                let mut per_src: BTreeMap<NodeIdx, (u64, u64)> = BTreeMap::new();
-                for &(src, bytes) in reads {
-                    let e = per_src.entry(src).or_insert((0, 0));
-                    e.0 += 1;
-                    e.1 += bytes as u64;
-                }
-                for (src, (ops, bytes)) in per_src {
-                    let labels = || LabelSet::new().with("src", src).with("dst", dst);
-                    self.obs
-                        .counter_add_labeled("medes.net.rdma_reads", labels, ops);
-                    self.obs
-                        .counter_add_labeled("medes.net.rdma_bytes", labels, bytes);
-                }
+            // Group the batch per source so each (src, dst) link series
+            // counts exactly the reads it carried.
+            let mut per_src: BTreeMap<NodeIdx, (u64, u64)> = BTreeMap::new();
+            for &(src, bytes) in reads {
+                let e = per_src.entry(src).or_insert((0, 0));
+                e.0 += 1;
+                e.1 += bytes as u64;
             }
+            for (src, (ops, bytes)) in per_src {
+                let labels = || LabelSet::new().with("src", src).with("dst", dst);
+                self.obs
+                    .counter_add_with("medes.net.rdma_reads", ops, labels);
+                self.obs
+                    .counter_add_with("medes.net.rdma_bytes", bytes, labels);
+            }
+            self.obs.record_us("medes.net.rdma_batch_us", t);
         }
         Ok(t)
     }
@@ -614,17 +605,14 @@ impl Fabric {
             t = t.mul_f64(factor);
         }
         if self.obs.enabled() {
-            self.obs.incr("medes.net.rpcs");
-            self.obs
-                .counter_add("medes.net.rpc_bytes", (req_bytes + resp_bytes) as u64);
-            self.obs.record_us("medes.net.rpc_us", t);
             let labels = || LabelSet::new().with("src", a).with("dst", b);
-            self.obs.incr_labeled("medes.net.rpcs", labels);
-            self.obs.counter_add_labeled(
+            self.obs.incr_with("medes.net.rpcs", labels);
+            self.obs.counter_add_with(
                 "medes.net.rpc_bytes",
-                labels,
                 (req_bytes + resp_bytes) as u64,
+                labels,
             );
+            self.obs.record_us("medes.net.rpc_us", t);
         }
         Ok(t)
     }
@@ -743,19 +731,14 @@ impl Fabric {
         let out = self.rpc_retry(a, b, req_bytes, resp_bytes, policy)?;
         if self.obs.enabled() {
             self.obs.incr(op.counter_name());
-            self.obs.incr("medes.net.registry.rpcs");
-            self.obs.counter_add(
-                "medes.net.registry.rpc_bytes",
-                (req_bytes + resp_bytes) as u64,
-            );
             // Registry traffic keyed by the shard owner serving the op,
             // so hot shards surface as their own series.
             let labels = || LabelSet::new().with("owner", b);
-            self.obs.incr_labeled("medes.net.registry.rpcs", labels);
-            self.obs.counter_add_labeled(
+            self.obs.incr_with("medes.net.registry.rpcs", labels);
+            self.obs.counter_add_with(
                 "medes.net.registry.rpc_bytes",
-                labels,
                 (req_bytes + resp_bytes) as u64,
+                labels,
             );
         }
         Ok(out)

@@ -22,8 +22,8 @@ pub mod span;
 pub use ids::TraceCtx;
 pub use json::{Json, JsonMap, ParseError};
 pub use metrics::{
-    LabelSet, LogLinearHistogram, Metric, MetricsRegistry, SmallValue, MAX_LABELS,
-    TYPE_MISMATCH_METRIC,
+    parse_series_key, LabelSet, LogLinearHistogram, Metric, MetricsRegistry, SmallValue,
+    MAX_LABELS, TYPE_MISMATCH_METRIC,
 };
 pub use series::{parse_timeseries, MetricSeries, ParsedSeries, SeriesKind, SeriesStore};
 pub use sink::SpanSink;
@@ -54,8 +54,7 @@ pub struct ObsConfig {
     /// seed always samples the same traces, whole trees at a time.
     /// Untraced (flat) spans and all metrics ignore sampling.
     pub sample_one_in: u64,
-    /// When set, finished runs export `trace-<run_tag>-<n>.jsonl` (and
-    /// a Prometheus-style `.prom` exposition) here.
+    /// When set, finished runs export `trace-<run_tag>-<n>.jsonl` here.
     pub export_dir: Option<PathBuf>,
     /// Tag embedded in exported trace filenames.
     pub run_tag: String,
@@ -75,13 +74,13 @@ pub struct ObsConfig {
     /// per-metric series exported as `.timeseries.jsonl` next to the
     /// trace.
     pub sample_every_ms: u64,
-    /// Dimensional telemetry switch. When true, labeled call sites
+    /// Dimensional telemetry switch. When true, the `*_with` calls
     /// additionally update their `(name, LabelSet)` series, traced
     /// histogram samples retain per-bucket exemplar trace ids, and the
     /// SLO tracker keeps its worst violating requests. Off by default:
-    /// every labeled/traced call then degrades to its flat equivalent
-    /// (or a no-op), so all exports are byte-identical to a build that
-    /// never heard of labels.
+    /// every `*_with`/traced call is then exactly its flat equivalent,
+    /// so all exports are byte-identical to a build that never heard
+    /// of labels.
     pub labels: bool,
 }
 
@@ -153,75 +152,6 @@ impl ObsConfig {
     }
 }
 
-/// Escapes a Prometheus label value: `\` → `\\`, `"` → `\"`, and
-/// newline → `\n` (the exposition format is line-oriented — an
-/// unescaped newline in a label value corrupts every line after it).
-pub fn escape_prom_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-/// Inverse of [`escape_prom_label`]. Unknown escapes pass through
-/// verbatim so a foreign exposition never panics the parser.
-pub fn unescape_prom_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    let mut chars = v.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('\\') => out.push('\\'),
-            Some('"') => out.push('"'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-/// Static `# HELP` strings for the standard metric names, registered
-/// on every enabled handle. Names outside this table simply export
-/// without a HELP line.
-const STANDARD_HELP: &[(&str, &str)] = &[
-    ("medes.platform.e2e_us", "end-to-end request latency"),
-    ("medes.platform.startup_us", "sandbox startup latency"),
-    (
-        "medes.platform.starts.warm",
-        "requests served from a warm sandbox",
-    ),
-    (
-        "medes.platform.starts.dedup",
-        "requests restored from a dedup checkpoint",
-    ),
-    ("medes.platform.starts.cold", "requests cold-started"),
-    ("medes.restore.ops", "dedup restore operations"),
-    ("medes.restore.op_us", "dedup restore end-to-end time"),
-    ("medes.restore.cache.hits", "base page cache hits"),
-    ("medes.restore.cache.misses", "base page cache misses"),
-    ("medes.dedup.ops", "dedup checkpoint operations"),
-    ("medes.net.rdma_reads", "RDMA read operations"),
-    ("medes.net.rdma_bytes", "bytes moved by RDMA reads"),
-    ("medes.net.rpcs", "RPC round trips"),
-    ("medes.net.registry.rpcs", "registry RPC round trips"),
-    ("medes.ckpt.checkpoints", "checkpoints written"),
-    ("medes.slo.violations", "SLO violations observed so far"),
-    (
-        "medes.obs.spans_live",
-        "spans currently buffered in the ring",
-    ),
-    (
-        TYPE_MISMATCH_METRIC,
-        "telemetry writes dropped due to metric type collisions",
-    ),
-];
-
 /// Distinguishes trace files exported by successive runs within one
 /// process (simulated time restarts at zero each run, so wall-clock or
 /// sim time can't disambiguate).
@@ -271,16 +201,10 @@ impl Obs {
         } else {
             None
         };
-        let mut registry = MetricsRegistry::new();
-        if cfg.enabled {
-            for &(name, help) in STANDARD_HELP {
-                registry.describe(name, help);
-            }
-        }
         Arc::new(Obs {
             enabled: cfg.enabled,
             tracer: Mutex::new(Tracer::new(cap)),
-            metrics: Mutex::new(registry),
+            metrics: Mutex::new(MetricsRegistry::new()),
             slo: Mutex::new(SloTracker::new()),
             sink: Mutex::new(sink),
             streamed: AtomicU64::new(0),
@@ -414,94 +338,60 @@ impl Obs {
     /// Whether dimensional (labeled) telemetry is live
     /// ([`ObsConfig::labels`] on an enabled handle).
     #[inline]
-    pub fn labels_enabled(&self) -> bool {
+    fn labels_enabled(&self) -> bool {
         self.enabled && self.cfg.labels
     }
 
-    /// Adds to the labeled counter `(name, labels)`. No-op unless
-    /// labels are enabled; never touches the flat counter of the same
-    /// name — pair it 1:1 with [`Obs::counter_add`] at the call site
-    /// so the flat series stays the exact aggregate of its labeled
-    /// children. `labels` is a closure so the label-off path never
-    /// builds the set.
+    /// Adds `delta` to the counter `name` and — with labels enabled —
+    /// to its labeled series `(name, labels())`, under one lock: no
+    /// call can move a labeled series without its flat aggregate, so
+    /// the flat counter is always the exact sum of its series. With
+    /// labels off this is exactly [`Obs::counter_add`] and the closure
+    /// never runs.
     #[inline]
-    pub fn counter_add_labeled(
+    pub fn counter_add_with(
         &self,
         name: &'static str,
-        labels: impl FnOnce() -> LabelSet,
         delta: u64,
+        labels: impl FnOnce() -> LabelSet,
     ) {
-        if self.labels_enabled() {
-            self.metrics
-                .lock()
-                .unwrap()
-                .counter_add_labeled(name, labels(), delta);
+        if self.enabled {
+            let mut m = self.metrics.lock().unwrap();
+            if self.cfg.labels {
+                m.counter_add_with(name, delta, labels());
+            } else {
+                m.counter_add(name, delta);
+            }
         }
     }
 
-    /// Increments the labeled counter `(name, labels)` by one.
+    /// Increments the counter `name` and its labeled series by one
+    /// (see [`Obs::counter_add_with`]).
     #[inline]
-    pub fn incr_labeled(&self, name: &'static str, labels: impl FnOnce() -> LabelSet) {
-        self.counter_add_labeled(name, labels, 1);
+    pub fn incr_with(&self, name: &'static str, labels: impl FnOnce() -> LabelSet) {
+        self.counter_add_with(name, 1, labels);
     }
 
-    /// Sets the labeled gauge `(name, labels)` (no-op unless labels
-    /// are enabled).
+    /// Records a sample into the histogram `name` and — with labels
+    /// enabled — into its labeled series `(name, labels())`, both
+    /// retaining `trace_id` (when given) as the bucket's max-sample
+    /// exemplar. With labels off this is exactly [`Obs::record`]:
+    /// no series, no exemplars.
     #[inline]
-    pub fn gauge_set_labeled(
+    pub fn record_with(
         &self,
         name: &'static str,
-        labels: impl FnOnce() -> LabelSet,
-        value: f64,
-    ) {
-        if self.labels_enabled() {
-            self.metrics
-                .lock()
-                .unwrap()
-                .gauge_set_labeled(name, labels(), value);
-        }
-    }
-
-    /// Records a sample into the labeled histogram `(name, labels)`,
-    /// optionally retaining `trace_id` as a bucket exemplar (no-op
-    /// unless labels are enabled).
-    #[inline]
-    pub fn record_labeled(
-        &self,
-        name: &'static str,
-        labels: impl FnOnce() -> LabelSet,
         sample: u64,
         trace_id: Option<u64>,
+        labels: impl FnOnce() -> LabelSet,
     ) {
-        if self.labels_enabled() {
-            self.metrics
-                .lock()
-                .unwrap()
-                .record_labeled(name, labels(), sample, trace_id);
-        }
-    }
-
-    /// Records a flat histogram sample, retaining `trace_id` as the
-    /// bucket's max-sample exemplar when labels are enabled. With
-    /// labels off this is exactly [`Obs::record`], so call sites can
-    /// upgrade unconditionally without changing default-off state.
-    #[inline]
-    pub fn record_traced(&self, name: &'static str, sample: u64, trace_id: u64) {
-        if self.labels_enabled() {
-            self.metrics
-                .lock()
-                .unwrap()
-                .record_traced(name, sample, trace_id);
-        } else {
-            self.record(name, sample);
-        }
-    }
-
-    /// Registers a static `# HELP` string for `name` (see
-    /// [`MetricsRegistry::describe`]).
-    pub fn describe(&self, name: &'static str, help: &'static str) {
         if self.enabled {
-            self.metrics.lock().unwrap().describe(name, help);
+            let mut m = self.metrics.lock().unwrap();
+            if self.cfg.labels {
+                m.record_with(name, sample, trace_id, labels());
+            } else {
+                m.record(name, sample);
+            }
         }
     }
 
@@ -639,18 +529,6 @@ impl Obs {
         }
     }
 
-    /// All retained SLO violators, name-sorted by function (empty
-    /// unless labels are enabled; see [`SloTracker::all_violators`]).
-    pub fn slo_violators(&self) -> Vec<(String, Vec<SloViolator>)> {
-        self.slo
-            .lock()
-            .unwrap()
-            .all_violators()
-            .into_iter()
-            .map(|(f, v)| (f.to_string(), v.to_vec()))
-            .collect()
-    }
-
     /// Name-sorted per-function SLO summaries.
     pub fn slo_summary(&self) -> Vec<FnSloSummary> {
         self.slo.lock().unwrap().summary()
@@ -687,25 +565,36 @@ impl Obs {
     }
 
     /// The trace export's tail line: one JSON object carrying the
-    /// final metrics snapshot and the per-function SLO summary, so a
-    /// trace file is a self-contained run export (`trace diff`
-    /// compares two of them without side files). Streamed and buffered
-    /// exports build the tail identically.
+    /// final metrics snapshot and the per-function SLO summary — plus,
+    /// on a labeled run, the labeled series, the histogram exemplars
+    /// and the SLO top violators as plain records — so a trace file is
+    /// a self-contained run export (`trace diff` and `trace attribute`
+    /// read nothing else). Streamed and buffered exports build the
+    /// tail identically.
     fn export_tail(&self) -> String {
-        let (metrics, labeled) = {
+        let (metrics, labeled, exemplars) = {
             let m = self.metrics.lock().unwrap();
             let labeled = (m.labeled_len() > 0).then(|| m.labeled_to_json());
-            (m.to_json(), labeled)
+            (m.to_json(), labeled, m.exemplars_to_json())
         };
-        let slo = self.slo.lock().unwrap().to_json();
+        let (slo, violators) = {
+            let t = self.slo.lock().unwrap();
+            (t.to_json(), t.violators_to_json())
+        };
         let mut tail = JsonMap::new();
         tail.insert("metrics", metrics);
-        // Only labeled runs carry the key: label-off tails stay
-        // byte-identical to every pre-label build.
+        // Only labeled runs carry the dimensional keys: label-off tails
+        // stay byte-identical to every pre-label build.
         if let Some(l) = labeled {
             tail.insert("labeled", l);
         }
+        if !exemplars.is_empty() {
+            tail.insert("exemplars", Json::Array(exemplars));
+        }
         tail.insert("slo", slo);
+        if !violators.is_empty() {
+            tail.insert("slo_violators", Json::Array(violators));
+        }
         let mut out = Json::Object(tail).to_string();
         out.push('\n');
         out
@@ -724,243 +613,9 @@ impl Obs {
         out
     }
 
-    /// Renders all metrics plus the per-function SLO summaries in the
-    /// Prometheus text exposition format (metric names sanitized to
-    /// `[a-zA-Z0-9_:]`, functions as `function="..."` labels,
-    /// histograms as summaries with p50/p95/p99 quantile series).
-    /// Empty when disabled.
-    pub fn export_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        if !self.enabled {
-            return String::new();
-        }
-        fn sanitize(name: &str) -> String {
-            name.chars()
-                .map(|c| {
-                    if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                        c
-                    } else {
-                        '_'
-                    }
-                })
-                .collect()
-        }
-        fn prom_labels(labels: &LabelSet) -> String {
-            use std::fmt::Write as _;
-            let mut out = String::new();
-            for (i, (k, v)) in labels.pairs().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{}=\"{}\"",
-                    sanitize(k),
-                    escape_prom_label(&v.to_string())
-                );
-            }
-            out
-        }
-        fn write_exemplars(out: &mut String, n: &str, labels: &str, h: &LogLinearHistogram) {
-            use std::fmt::Write as _;
-            // `#`-comment lines: invisible to a standard scraper,
-            // parsed by `trace attribute` for drill-down.
-            for (idx, v, id) in h.exemplars() {
-                let series = if labels.is_empty() {
-                    n.to_string()
-                } else {
-                    format!("{n}{{{labels}}}")
-                };
-                let _ = writeln!(
-                    out,
-                    "# exemplar {series} bucket={idx} value={v} trace_id={id:016x}"
-                );
-            }
-        }
-        let (snapshot, labeled, help): (
-            _,
-            _,
-            std::collections::HashMap<&'static str, &'static str>,
-        ) = {
-            let reg = self.metrics.lock().unwrap();
-            let snapshot = reg.snapshot();
-            let help = snapshot
-                .iter()
-                .filter_map(|(n, _)| reg.help(n).map(|h| (*n, h)))
-                .collect();
-            (snapshot, reg.labeled_snapshot(), help)
-        };
-        let mut out = String::new();
-        for (name, metric) in &snapshot {
-            let n = sanitize(name);
-            if let Some(h) = help.get(name) {
-                let _ = writeln!(out, "# HELP {n} {h}");
-            }
-            // This metric's labeled children, already label-sorted.
-            let children: Vec<_> = labeled.iter().filter(|(ln, _, _)| ln == name).collect();
-            match metric {
-                Metric::Counter(v) => {
-                    let _ = writeln!(out, "# TYPE {n} counter\n{n} {v}");
-                    for (_, ls, m) in &children {
-                        if let Metric::Counter(lv) = m {
-                            let _ = writeln!(out, "{n}{{{}}} {lv}", prom_labels(ls));
-                        }
-                    }
-                }
-                Metric::Gauge(v) => {
-                    let _ = writeln!(out, "# TYPE {n} gauge\n{n} {v}");
-                    for (_, ls, m) in &children {
-                        if let Metric::Gauge(lv) = m {
-                            let _ = writeln!(out, "{n}{{{}}} {lv}", prom_labels(ls));
-                        }
-                    }
-                }
-                Metric::Hist(h) => {
-                    let _ = writeln!(out, "# TYPE {n} summary");
-                    for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                        let v = h.quantile(q).unwrap_or(0.0);
-                        let _ = writeln!(out, "{n}{{quantile=\"{label}\"}} {v}");
-                    }
-                    let _ = writeln!(out, "{n}_sum {}", h.sum());
-                    let _ = writeln!(out, "{n}_count {}", h.count());
-                    write_exemplars(&mut out, &n, "", h);
-                    for (_, ls, m) in &children {
-                        if let Metric::Hist(lh) = m {
-                            let lbl = prom_labels(ls);
-                            for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                                let v = lh.quantile(q).unwrap_or(0.0);
-                                let _ = writeln!(out, "{n}{{{lbl},quantile=\"{label}\"}} {v}");
-                            }
-                            let _ = writeln!(out, "{n}_sum{{{lbl}}} {}", lh.sum());
-                            let _ = writeln!(out, "{n}_count{{{lbl}}} {}", lh.count());
-                            write_exemplars(&mut out, &n, &lbl, lh);
-                        }
-                    }
-                }
-            }
-        }
-        // Labeled series whose flat aggregate was never written still
-        // export (under their own TYPE header) rather than vanishing.
-        {
-            let mut last = "";
-            for (name, ls, m) in &labeled {
-                if snapshot.iter().any(|(n, _)| n == name) {
-                    continue;
-                }
-                let n = sanitize(name);
-                let lbl = prom_labels(ls);
-                match m {
-                    Metric::Counter(v) => {
-                        if *name != last {
-                            let _ = writeln!(out, "# TYPE {n} counter");
-                        }
-                        let _ = writeln!(out, "{n}{{{lbl}}} {v}");
-                    }
-                    Metric::Gauge(v) => {
-                        if *name != last {
-                            let _ = writeln!(out, "# TYPE {n} gauge");
-                        }
-                        let _ = writeln!(out, "{n}{{{lbl}}} {v}");
-                    }
-                    Metric::Hist(h) => {
-                        if *name != last {
-                            let _ = writeln!(out, "# TYPE {n} summary");
-                        }
-                        for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                            let v = h.quantile(q).unwrap_or(0.0);
-                            let _ = writeln!(out, "{n}{{{lbl},quantile=\"{label}\"}} {v}");
-                        }
-                        let _ = writeln!(out, "{n}_sum{{{lbl}}} {}", h.sum());
-                        let _ = writeln!(out, "{n}_count{{{lbl}}} {}", h.count());
-                        write_exemplars(&mut out, &n, &lbl, h);
-                    }
-                }
-                last = *name;
-            }
-        }
-        let (slo, violators) = {
-            let t = self.slo.lock().unwrap();
-            let violators: Vec<(String, Vec<SloViolator>)> = t
-                .all_violators()
-                .into_iter()
-                .map(|(f, v)| (f.to_string(), v.to_vec()))
-                .collect();
-            (t.summary(), violators)
-        };
-        if !slo.is_empty() {
-            let _ = writeln!(
-                out,
-                "# HELP medes_slo_startup_us per-function startup latency vs the alpha*s_W bound"
-            );
-            let _ = writeln!(out, "# TYPE medes_slo_startup_us summary");
-            for s in &slo {
-                let f = escape_prom_label(&s.func);
-                for (v, label) in [(s.p50_us, "0.5"), (s.p95_us, "0.95"), (s.p99_us, "0.99")] {
-                    let _ = writeln!(
-                        out,
-                        "medes_slo_startup_us{{function=\"{f}\",quantile=\"{label}\"}} {v}"
-                    );
-                }
-                // The histogram's exact running sum — not the lossy
-                // `mean * count` reconstruction.
-                let _ = writeln!(
-                    out,
-                    "medes_slo_startup_us_sum{{function=\"{f}\"}} {}",
-                    s.sum_us
-                );
-                let _ = writeln!(
-                    out,
-                    "medes_slo_startup_us_count{{function=\"{f}\"}} {}",
-                    s.count
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP medes_slo_bound_us the alpha*s_W bound in effect"
-            );
-            let _ = writeln!(out, "# TYPE medes_slo_bound_us gauge");
-            for s in &slo {
-                let _ = writeln!(
-                    out,
-                    "medes_slo_bound_us{{function=\"{}\"}} {}",
-                    escape_prom_label(&s.func),
-                    s.bound_us
-                );
-            }
-            let _ = writeln!(
-                out,
-                "# HELP medes_slo_violations_total requests over their bound"
-            );
-            let _ = writeln!(out, "# TYPE medes_slo_violations_total counter");
-            for s in &slo {
-                let _ = writeln!(
-                    out,
-                    "medes_slo_violations_total{{function=\"{}\"}} {}",
-                    escape_prom_label(&s.func),
-                    s.violations
-                );
-            }
-            for (func, worst) in &violators {
-                let f = escape_prom_label(func);
-                for (rank, v) in worst.iter().enumerate() {
-                    let _ = writeln!(
-                        out,
-                        "# slo_violation medes_slo_startup_us{{function=\"{f}\"}} rank={} latency_us={} node={} trace_id={:016x}",
-                        rank + 1,
-                        v.latency_us,
-                        v.node,
-                        v.trace_id
-                    );
-                }
-            }
-        }
-        out
-    }
-
     /// Writes the JSONL export to
-    /// `<export_dir>/trace-<run_tag>-<seq>.jsonl` (and the Prometheus
-    /// exposition next to it as `.prom`), creating directories as
-    /// needed. In streamed mode the spans are already on disk — this
+    /// `<export_dir>/trace-<run_tag>-<seq>.jsonl`, creating directories
+    /// as needed. In streamed mode the spans are already on disk — this
     /// finalizes the open sink with the metrics tail instead of
     /// rewriting the file. When the time-series sampler is configured,
     /// the sampled series land next to the trace as
@@ -982,7 +637,6 @@ impl Obs {
             std::fs::write(&path, self.export_jsonl())?;
             path
         };
-        std::fs::write(path.with_extension("prom"), self.export_prometheus())?;
         if self.cfg.sample_every_ms > 0 {
             std::fs::write(
                 path.with_extension("timeseries.jsonl"),
@@ -991,6 +645,17 @@ impl Obs {
         }
         Ok(Some(path))
     }
+}
+
+/// The tail object of a JSONL trace export (see [`Obs::export_jsonl`]):
+/// the last well-formed line carrying a `"metrics"` key — span lines
+/// parse too, but lack it. `None` for an export cut short of its tail.
+pub fn parse_tail(contents: &str) -> Option<Json> {
+    contents
+        .lines()
+        .rev()
+        .filter_map(|l| json::parse(l).ok())
+        .find(|v| v.get("metrics").is_some())
 }
 
 /// Reads spans back from a JSONL trace file's contents, skipping the
@@ -1133,7 +798,7 @@ mod tests {
     }
 
     #[test]
-    fn slo_flows_through_obs_and_prometheus() {
+    fn slo_flows_through_obs_and_export_tail() {
         let obs = Obs::new(ObsConfig::enabled());
         obs.slo_record("resnet", 10, 15);
         obs.slo_record("resnet", 20, 15);
@@ -1144,21 +809,19 @@ mod tests {
         let s = obs.slo_summary();
         assert_eq!(s.len(), 1);
         assert_eq!(s[0].count, 2);
-        let prom = obs.export_prometheus();
-        assert!(prom.contains("# TYPE medes_platform_starts_warm counter"));
-        assert!(prom.contains("medes_platform_starts_warm 1"));
-        assert!(prom.contains("# TYPE medes_cluster_mem gauge"));
-        assert!(prom.contains("# TYPE medes_platform_e2e_us summary"));
-        assert!(prom.contains("medes_platform_e2e_us{quantile=\"0.99\"}"));
-        assert!(prom.contains("medes_platform_e2e_us_count 1"));
-        assert!(prom.contains("medes_slo_startup_us{function=\"resnet\",quantile=\"0.5\"}"));
-        assert!(prom.contains("medes_slo_violations_total{function=\"resnet\"} 1"));
-        assert!(prom.contains("medes_slo_bound_us{function=\"resnet\"} 15"));
-        // Disabled handles export nothing and record nothing.
+        let tail = parse_tail(&obs.export_jsonl()).expect("tail");
+        assert_eq!(tail["metrics"]["medes.platform.starts.warm"], 1);
+        assert_eq!(tail["metrics"]["medes.cluster.mem"], 42.0);
+        assert_eq!(tail["metrics"]["medes.platform.e2e_us"]["count"], 1);
+        assert_eq!(tail["metrics"]["medes.platform.e2e_us"]["p99"], 123.0);
+        assert_eq!(tail["slo"]["resnet"]["p50_us"], 10.0);
+        assert_eq!(tail["slo"]["resnet"]["violations"], 1);
+        assert_eq!(tail["slo"]["resnet"]["bound_us"], 15);
+        // Disabled handles record nothing.
         let off = Obs::disabled();
         off.slo_record("resnet", 10, 15);
-        assert!(off.export_prometheus().is_empty());
         assert!(off.slo_summary().is_empty());
+        assert!(off.metrics_snapshot().is_empty());
     }
 
     /// Satellite: property test — a seeded `DetRng` span forest
@@ -1319,43 +982,8 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Satellite (stable ordering audit): the Prometheus exposition is
-    /// name-sorted by raw byte order — golden bytes pinned so any
-    /// ordering or formatting drift fails loudly. Covers `# HELP`
-    /// lines (a described metric gets one, an undescribed one
-    /// doesn't) and the exact-sum SLO `_sum` line.
-    #[test]
-    fn prometheus_export_is_name_sorted_golden() {
-        let obs = Obs::new(ObsConfig::enabled());
-        obs.gauge_set("medes.z.level", 2.5);
-        obs.counter_add("medes.a.ops", 3);
-        obs.describe("medes.a.ops", "test ops");
-        obs.slo_record("fn-b", 4, 0);
-        assert_eq!(
-            obs.export_prometheus(),
-            "# HELP medes_a_ops test ops\n\
-             # TYPE medes_a_ops counter\n\
-             medes_a_ops 3\n\
-             # TYPE medes_z_level gauge\n\
-             medes_z_level 2.5\n\
-             # HELP medes_slo_startup_us per-function startup latency vs the alpha*s_W bound\n\
-             # TYPE medes_slo_startup_us summary\n\
-             medes_slo_startup_us{function=\"fn-b\",quantile=\"0.5\"} 4\n\
-             medes_slo_startup_us{function=\"fn-b\",quantile=\"0.95\"} 4\n\
-             medes_slo_startup_us{function=\"fn-b\",quantile=\"0.99\"} 4\n\
-             medes_slo_startup_us_sum{function=\"fn-b\"} 4\n\
-             medes_slo_startup_us_count{function=\"fn-b\"} 1\n\
-             # HELP medes_slo_bound_us the alpha*s_W bound in effect\n\
-             # TYPE medes_slo_bound_us gauge\n\
-             medes_slo_bound_us{function=\"fn-b\"} 0\n\
-             # HELP medes_slo_violations_total requests over their bound\n\
-             # TYPE medes_slo_violations_total counter\n\
-             medes_slo_violations_total{function=\"fn-b\"} 0\n"
-        );
-    }
-
-    /// Satellite 1: the SLO `_sum` line is the histogram's exact
-    /// running sum (equal to the raw-sample sum), not `mean * count`.
+    /// The SLO summary's `sum_us` is the histogram's exact running sum
+    /// (equal to the raw-sample sum), not `mean * count`.
     #[test]
     fn slo_sum_line_is_exact_raw_sample_sum() {
         let obs = Obs::new(ObsConfig::enabled());
@@ -1364,46 +992,47 @@ mod tests {
             obs.slo_record("f", v, 0);
         }
         let exact: f64 = samples.iter().map(|&v| v as f64).sum();
-        let prom = obs.export_prometheus();
-        let sum_line = prom
-            .lines()
-            .find(|l| l.starts_with("medes_slo_startup_us_sum"))
-            .unwrap();
-        assert_eq!(
-            sum_line,
-            format!("medes_slo_startup_us_sum{{function=\"f\"}} {exact}")
-        );
+        assert_eq!(obs.slo_summary()[0].sum_us, exact);
     }
 
-    /// Satellite 2: label escaping round-trips a hostile function name
-    /// (backslash, quote, newline) and never breaks the line-oriented
-    /// exposition.
+    /// A hostile function name (every byte that delimits a series key,
+    /// plus quote and newline) survives the export: the tail stays one
+    /// line of valid JSON and the labeled key parses back to the name.
     #[test]
     fn escape_label_round_trips_hostile_function_name() {
-        let hostile = "bad\"fn\\name\nwith newline";
-        assert_eq!(unescape_prom_label(&escape_prom_label(hostile)), hostile);
-        assert!(!escape_prom_label(hostile).contains('\n'));
-        let obs = Obs::new(ObsConfig::enabled());
-        obs.slo_record(hostile, 9, 0);
-        let prom = obs.export_prometheus();
-        // Every exposition line stays a complete series or comment —
-        // an unescaped newline would leave a dangling fragment line.
-        for line in prom.lines() {
-            assert!(
-                line.starts_with('#') || line.starts_with("medes_"),
-                "corrupt line: {line:?}"
-            );
-        }
-        assert!(prom.contains("function=\"bad\\\"fn\\\\name\\nwith newline\""));
-        // Unknown escapes pass through unchanged.
-        assert_eq!(unescape_prom_label("a\\zb"), "a\\zb");
-        assert_eq!(unescape_prom_label("trail\\"), "trail\\");
+        let hostile = "bad\"fn\\name,with=all}four\nand newline";
+        let obs = Obs::new(ObsConfig::enabled().labeled());
+        obs.incr_with("medes.platform.starts.cold", || {
+            LabelSet::new()
+                .with("func", hostile.to_string())
+                .with("node", 2u64)
+        });
+        obs.slo_record_traced(hostile, 9, 5, 0x77, 2);
+        let export = obs.export_jsonl();
+        assert_eq!(export.lines().count(), 1, "tail must stay one line");
+        let tail = parse_tail(&export).expect("tail");
+        let keys: Vec<&str> = tail["labeled"]
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(keys.len(), 1);
+        let (base, labels) = parse_series_key(keys[0]).expect("key parses");
+        assert_eq!(base, "medes.platform.starts.cold");
+        assert_eq!(
+            labels,
+            [
+                ("func".to_string(), hostile.to_string()),
+                ("node".to_string(), "2".to_string())
+            ]
+        );
+        assert_eq!(tail["slo_violators"][0]["func"], hostile);
     }
 
-    /// Tentpole: labeled series are additive-only — flat metrics and
-    /// every export stay byte-identical with labels off, and with
-    /// labels on the flat aggregate equals the sum of its labeled
-    /// children.
+    /// Labeled series are additive-only — with labels off a `*_with`
+    /// call is its flat equivalent to the byte, and with labels on the
+    /// flat aggregate equals the sum of its labeled children.
     #[test]
     fn labels_off_is_byte_identical_and_on_sums_exactly() {
         let plain = Obs::new(ObsConfig::enabled());
@@ -1411,64 +1040,133 @@ mod tests {
         let on = Obs::new(ObsConfig::enabled().labeled());
         assert!(!off.labels_enabled());
         assert!(on.labels_enabled());
-        for obs in [&plain, &off, &on] {
-            obs.counter_add("medes.restore.ops", 2);
-            obs.record("medes.platform.e2e_us", 50);
-        }
+        plain.counter_add("medes.restore.ops", 2);
+        plain.record("medes.platform.e2e_us", 50);
         for obs in [&off, &on] {
-            // Paired 1:1 with the flat calls above: 2 = 1 + 1.
-            obs.incr_labeled("medes.restore.ops", || LabelSet::new().with("node", 0u64));
-            obs.incr_labeled("medes.restore.ops", || LabelSet::new().with("node", 1u64));
-            obs.record_labeled(
-                "medes.platform.e2e_us",
-                || LabelSet::new().with("node", 0u64),
-                50,
-                Some(0xbeef),
-            );
+            obs.incr_with("medes.restore.ops", || LabelSet::new().with("node", 0u64));
+            obs.incr_with("medes.restore.ops", || LabelSet::new().with("node", 1u64));
+            obs.record_with("medes.platform.e2e_us", 50, Some(0xbeef), || {
+                LabelSet::new().with("node", 0u64)
+            });
         }
-        // Labels off: exports byte-identical to a handle that never
-        // made a labeled call.
+        // Labels off: exports byte-identical to a handle that only
+        // ever made flat calls.
         assert_eq!(off.labeled_len(), 0);
         assert_eq!(off.export_jsonl(), plain.export_jsonl());
-        assert_eq!(off.export_prometheus(), plain.export_prometheus());
         assert!(!off.export_jsonl().contains("labeled"));
+        assert!(!off.export_jsonl().contains("exemplars"));
         // Labels on: flat == Σ labeled, and the export carries both.
         assert_eq!(on.labeled_len(), 3);
-        let sum: u64 = on
-            .labeled_snapshot()
-            .iter()
-            .filter(|(n, _, _)| *n == "medes.restore.ops")
-            .map(|(_, _, m)| match m {
-                Metric::Counter(v) => *v,
-                _ => 0,
-            })
-            .sum();
-        assert_eq!(sum, on.counter("medes.restore.ops"));
+        assert_eq!(on.counter("medes.restore.ops"), 2);
         assert_eq!(
             on.labeled_counter("medes.restore.ops", &LabelSet::new().with("node", 1u64)),
             1
         );
-        let prom = on.export_prometheus();
-        assert!(prom.contains("medes_restore_ops 2"));
-        assert!(prom.contains("medes_restore_ops{node=\"0\"} 1"));
-        assert!(prom.contains("medes_restore_ops{node=\"1\"} 1"));
-        assert!(prom.contains("medes_platform_e2e_us_count{node=\"0\"} 1"));
-        assert!(
-            prom.contains("# exemplar medes_platform_e2e_us{node=\"0\"} bucket="),
-            "labeled exemplar annotation missing:\n{prom}"
-        );
-        let tail = on.export_jsonl();
-        let v = json::parse(tail.lines().last().unwrap()).unwrap();
-        assert_eq!(v["labeled"]["medes.restore.ops{node=0}"], 1);
+        let v = parse_tail(&on.export_jsonl()).unwrap();
         assert_eq!(v["metrics"]["medes.restore.ops"], 2);
+        assert_eq!(v["labeled"]["medes.restore.ops{node=0}"], 1);
+        assert_eq!(v["labeled"]["medes.restore.ops{node=1}"], 1);
+        assert_eq!(v["labeled"]["medes.platform.e2e_us{node=0}"]["count"], 1);
+        // The traced sample left an exemplar on the flat histogram and
+        // on its labeled series, flat first.
+        let exemplars = v["exemplars"].as_array().unwrap();
+        assert_eq!(exemplars.len(), 2);
+        assert_eq!(exemplars[0]["series"], "medes.platform.e2e_us");
+        assert_eq!(exemplars[1]["series"], "medes.platform.e2e_us{node=0}");
+        assert_eq!(exemplars[1]["value"], 50);
+        assert_eq!(exemplars[1]["trace_id"], "000000000000beef");
     }
 
-    /// Tentpole: traced SLO recording retains violators and surfaces
-    /// them as `# slo_violation` annotations; with labels off the same
-    /// call degrades to plain recording (no annotations, same
-    /// violation counts).
+    /// Construction property: over a random sequence of dimensional
+    /// calls with labels on, every flat counter equals the sum of its
+    /// labeled children and every flat histogram count the sum of
+    /// theirs; with labels off the same sequence leaves the registry
+    /// and the exported tail identical to issuing the flat calls alone.
     #[test]
-    fn slo_violators_annotate_prometheus_when_labeled() {
+    fn flat_aggregates_equal_their_labeled_sums_by_construction() {
+        use medes_sim::DetRng;
+        use std::collections::BTreeMap;
+        const COUNTERS: [&str; 3] = ["medes.t.a", "medes.t.b", "medes.t.c"];
+        const HISTS: [&str; 2] = ["medes.t.h_us", "medes.t.g_us"];
+        let on = Obs::new(ObsConfig::enabled().labeled());
+        let off = Obs::new(ObsConfig::enabled());
+        let flat = Obs::new(ObsConfig::enabled());
+        let mut rng = DetRng::new(0x0d1e_5eed_0000_0013);
+        for _ in 0..2_000 {
+            let labels = match rng.below(3) {
+                0 => LabelSet::new().with("node", rng.below(4)),
+                1 => LabelSet::new()
+                    .with("src", rng.below(3))
+                    .with("dst", rng.below(3)),
+                _ => LabelSet::new().with("func", format!("f{}", rng.below(3))),
+            };
+            let v = rng.below(1 << 20);
+            match rng.below(4) {
+                0 => {
+                    let name = COUNTERS[rng.below(3) as usize];
+                    on.counter_add_with(name, v, || labels.clone());
+                    off.counter_add_with(name, v, || labels.clone());
+                    flat.counter_add(name, v);
+                }
+                1 => {
+                    let name = COUNTERS[rng.below(3) as usize];
+                    on.incr_with(name, || labels.clone());
+                    off.incr_with(name, || labels.clone());
+                    flat.incr(name);
+                }
+                2 => {
+                    // An undimensioned write to a name that also has
+                    // series would break the sum; flat-only names stay
+                    // flat-only.
+                    on.counter_add("medes.t.flat_only", v);
+                    off.counter_add("medes.t.flat_only", v);
+                    flat.counter_add("medes.t.flat_only", v);
+                }
+                _ => {
+                    let name = HISTS[rng.below(2) as usize];
+                    let id = rng.chance(0.5).then(|| rng.below(u64::MAX));
+                    on.record_with(name, v, id, || labels.clone());
+                    off.record_with(name, v, id, || labels.clone());
+                    flat.record(name, v);
+                }
+            }
+        }
+        let mut counter_sums: BTreeMap<&str, u64> = BTreeMap::new();
+        let mut hist_counts: BTreeMap<&str, u64> = BTreeMap::new();
+        for (name, _, m) in on.labeled_snapshot() {
+            match m {
+                Metric::Counter(v) => *counter_sums.entry(name).or_default() += v,
+                Metric::Hist(h) => *hist_counts.entry(name).or_default() += h.count(),
+                Metric::Gauge(_) => unreachable!("no labeled gauges"),
+            }
+        }
+        assert_eq!(counter_sums.len(), COUNTERS.len());
+        assert_eq!(hist_counts.len(), HISTS.len());
+        for (name, sum) in counter_sums {
+            assert_eq!(on.counter(name), sum, "{name}");
+        }
+        for (name, sum) in hist_counts {
+            assert_eq!(on.with_histogram(name, |h| h.count()), Some(sum), "{name}");
+        }
+        // The flat series never depend on the switch.
+        assert_eq!(
+            parse_tail(&on.export_jsonl()).unwrap()["metrics"],
+            parse_tail(&flat.export_jsonl()).unwrap()["metrics"]
+        );
+        assert_eq!(off.labeled_len(), 0);
+        assert_eq!(
+            format!("{:?}", off.metrics_snapshot()),
+            format!("{:?}", flat.metrics_snapshot())
+        );
+        assert_eq!(off.export_jsonl(), flat.export_jsonl());
+    }
+
+    /// Traced SLO recording retains violators and surfaces them as
+    /// `slo_violators` records in the tail; with labels off the same
+    /// call degrades to plain recording (no records, same violation
+    /// counts).
+    #[test]
+    fn slo_violators_reach_export_tail_when_labeled() {
         let on = Obs::new(ObsConfig::enabled().labeled());
         let off = Obs::new(ObsConfig::enabled());
         for obs in [&on, &off] {
@@ -1478,31 +1176,17 @@ mod tests {
         }
         assert_eq!(on.slo_violations(), 2);
         assert_eq!(off.slo_violations(), 2, "labels off still counts");
-        assert!(off.slo_violators().is_empty());
-        let worst = on.slo_violators();
-        assert_eq!(worst.len(), 1);
-        assert_eq!(worst[0].0, "hot");
-        assert_eq!(worst[0].1[0].trace_id, 0x22);
-        assert_eq!(worst[0].1[0].node, 3);
-        let prom = on.export_prometheus();
-        assert!(prom.contains(
-            "# slo_violation medes_slo_startup_us{function=\"hot\"} rank=1 latency_us=500 node=3 trace_id=0000000000000022"
-        ));
-        assert!(!off.export_prometheus().contains("# slo_violation"));
-        // Flat traced histogram recording keeps exemplars only when
-        // labels are on.
-        on.record_traced("medes.platform.startup_us", 40, 0x44);
-        off.record_traced("medes.platform.startup_us", 40, 0x44);
-        assert!(on
-            .export_prometheus()
-            .contains("# exemplar medes_platform_startup_us bucket="));
-        assert!(!off.export_prometheus().contains("# exemplar"));
-        assert_eq!(off.counter("medes.platform.startup_us"), 0);
+        let tail = parse_tail(&on.export_jsonl()).unwrap();
+        let worst = tail["slo_violators"].as_array().unwrap();
+        assert_eq!(worst.len(), 2);
         assert_eq!(
-            off.with_histogram("medes.platform.startup_us", |h| h.count()),
-            Some(1),
-            "labels off still records the flat sample"
+            worst[0].to_string(),
+            r#"{"func":"hot","rank":1,"latency_us":500,"node":3,"trace_id":"0000000000000022"}"#
         );
+        assert_eq!(worst[1]["rank"], 2);
+        assert_eq!(worst[1]["node"], 1);
+        assert!(!off.export_jsonl().contains("slo_violators"));
+        assert_eq!(tail["slo"], parse_tail(&off.export_jsonl()).unwrap()["slo"]);
     }
 
     /// Satellite: SLO accounting sees every request even under

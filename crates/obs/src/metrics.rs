@@ -7,6 +7,7 @@
 //! samples. Metric names follow `medes.<subsystem>.<name>`.
 
 use crate::json::{Json, JsonMap};
+use crate::span::id_hex;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -101,6 +102,15 @@ impl LogLinearHistogram {
         }
     }
 
+    /// [`LogLinearHistogram::record_traced`] when a trace id is given,
+    /// [`LogLinearHistogram::record`] otherwise.
+    fn observe(&mut self, v: u64, trace_id: Option<u64>) {
+        match trace_id {
+            Some(id) => self.record_traced(v, id),
+            None => self.record(v),
+        }
+    }
+
     /// Bucket-sorted exemplars as `(bucket index, max sample, trace
     /// id)` triples. Empty unless samples came in via
     /// [`LogLinearHistogram::record_traced`].
@@ -185,6 +195,18 @@ pub enum Metric {
     Gauge(f64),
     /// Log-linear histogram.
     Hist(LogLinearHistogram),
+}
+
+impl Metric {
+    /// The metric's exported form: a number for counters and gauges,
+    /// the summary object for histograms.
+    fn to_json(&self) -> Json {
+        match self {
+            Metric::Counter(v) => Json::from(*v),
+            Metric::Gauge(v) => Json::from(*v),
+            Metric::Hist(h) => h.to_json(),
+        }
+    }
 }
 
 /// A label value: a small integer (node index, shard, owner) or a
@@ -305,19 +327,36 @@ impl LabelSet {
         self.pairs.is_empty()
     }
 
-    /// Renders as `k=v,k=v` (key-sorted, no quoting) — the compact
-    /// form used in JSON tails and series names.
+    /// Renders as `k=v,k=v` (key-sorted) — the compact form used in
+    /// JSON tails and series names. The bytes that delimit a series
+    /// key (`,`, `=`, `}`) and `\` itself are backslash-escaped, so any
+    /// key or value survives [`parse_series_key`]; text without them
+    /// renders verbatim.
     pub fn render(&self) -> String {
+        fn push_escaped(out: &mut String, text: &str) {
+            for c in text.chars() {
+                if matches!(c, ',' | '=' | '}' | '\\') {
+                    out.push('\\');
+                }
+                out.push(c);
+            }
+        }
         let mut out = String::new();
         for (i, (k, v)) in self.pairs.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(k);
+            push_escaped(&mut out, k);
             out.push('=');
-            out.push_str(&v.to_string());
+            push_escaped(&mut out, &v.to_string());
         }
         out
+    }
+
+    /// The key a labeled series of metric `base` exports under:
+    /// `base{k=v,...}` (see [`LabelSet::render`]).
+    pub fn series_key(&self, base: &str) -> String {
+        format!("{base}{{{self}}}")
     }
 }
 
@@ -327,16 +366,44 @@ impl fmt::Display for LabelSet {
     }
 }
 
+/// Inverse of [`LabelSet::series_key`]: splits `base{k=v,...}` into the
+/// base metric name and its unescaped label pairs. `None` for a flat
+/// name or a malformed key.
+pub fn parse_series_key(key: &str) -> Option<(&str, Vec<(String, String)>)> {
+    let open = key.find('{')?;
+    let inner = key[open + 1..].strip_suffix('}')?;
+    let mut labels = Vec::new();
+    if inner.is_empty() {
+        return Some((&key[..open], labels));
+    }
+    let (mut label, mut cur) = (None, String::new());
+    let mut chars = inner.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' => cur.push(chars.next()?),
+            '=' if label.is_none() => label = Some(std::mem::take(&mut cur)),
+            ',' => labels.push((label.take()?, std::mem::take(&mut cur))),
+            '}' => return None,
+            c => cur.push(c),
+        }
+    }
+    labels.push((label?, cur));
+    Some((&key[..open], labels))
+}
+
 /// A registry of named metrics. Names should be `'static` dotted paths
 /// (`medes.net.rdma_bytes`). Alongside the flat map there is a
-/// separate `(name, LabelSet)`-keyed map of dimensional series —
-/// labeled updates never touch the flat metrics, so a build with
-/// labels off is byte-identical to one that never heard of them.
+/// `(name, LabelSet)`-keyed map of dimensional series. The only way to
+/// move a labeled series is a `*_with` call, which moves the flat
+/// metric of the same name by the same amount first — so every flat
+/// counter is the exact sum of its labeled series (and every flat
+/// histogram holds the union of theirs) by construction, and a run
+/// that never passes labels is byte-identical to one that never heard
+/// of them.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: HashMap<&'static str, Metric>,
     labeled: HashMap<(&'static str, LabelSet), Metric>,
-    help: HashMap<&'static str, &'static str>,
     /// Writes that hit a name already registered under a different
     /// metric type. Production telemetry must not kill a run over a
     /// name collision, so the mismatched write is dropped and counted
@@ -355,11 +422,21 @@ impl MetricsRegistry {
     /// under a different type drops the write and counts a mismatch
     /// (panicking only under `debug_assertions`).
     pub fn counter_add(&mut self, name: &'static str, delta: u64) {
+        self.counter_add_flat(name, delta);
+    }
+
+    /// [`MetricsRegistry::counter_add`], reporting whether the write
+    /// landed.
+    fn counter_add_flat(&mut self, name: &'static str, delta: u64) -> bool {
         match self.metrics.entry(name).or_insert(Metric::Counter(0)) {
-            Metric::Counter(v) => *v += delta,
+            Metric::Counter(v) => {
+                *v += delta;
+                true
+            }
             other => {
                 self.type_mismatches += 1;
                 debug_assert!(false, "metric {name} is not a counter: {other:?}");
+                false
             }
         }
     }
@@ -379,30 +456,23 @@ impl MetricsRegistry {
     /// Records a histogram sample (same mismatch policy as
     /// [`MetricsRegistry::counter_add`]).
     pub fn record(&mut self, name: &'static str, sample: u64) {
-        self.record_inner(name, sample, None);
+        self.record_flat(name, sample, None);
     }
 
-    /// Records a histogram sample tagged with the deterministic trace
-    /// id of the operation that produced it (retained per bucket as
-    /// the max-sample exemplar; see
-    /// [`LogLinearHistogram::record_traced`]).
-    pub fn record_traced(&mut self, name: &'static str, sample: u64, trace_id: u64) {
-        self.record_inner(name, sample, Some(trace_id));
-    }
-
-    fn record_inner(&mut self, name: &'static str, sample: u64, trace_id: Option<u64>) {
+    fn record_flat(&mut self, name: &'static str, sample: u64, trace_id: Option<u64>) -> bool {
         match self
             .metrics
             .entry(name)
             .or_insert_with(|| Metric::Hist(LogLinearHistogram::new()))
         {
-            Metric::Hist(h) => match trace_id {
-                Some(id) => h.record_traced(sample, id),
-                None => h.record(sample),
-            },
+            Metric::Hist(h) => {
+                h.observe(sample, trace_id);
+                true
+            }
             other => {
                 self.type_mismatches += 1;
                 debug_assert!(false, "metric {name} is not a histogram: {other:?}");
+                false
             }
         }
     }
@@ -413,72 +483,44 @@ impl MetricsRegistry {
         self.type_mismatches
     }
 
-    /// Registers a static help string for `name`, surfaced as the
-    /// `# HELP` line in the Prometheus exposition. Last write wins;
-    /// help registration never creates a metric.
-    pub fn describe(&mut self, name: &'static str, help: &'static str) {
-        self.help.insert(name, help);
-    }
-
-    /// The registered help string for `name`, if any.
-    pub fn help(&self, name: &str) -> Option<&'static str> {
-        self.help.get(name).copied()
-    }
-
-    /// Adds to the labeled counter `(name, labels)`. Labeled series
-    /// live in their own map: this never touches the flat counter of
-    /// the same name (call both to keep `flat == Σ labeled`).
-    pub fn counter_add_labeled(&mut self, name: &'static str, labels: LabelSet, delta: u64) {
-        match self
+    /// Adds `delta` to the counter `name` and to its labeled series
+    /// `(name, labels)`. A labeled series is only ever created here,
+    /// after the flat write landed, so it always has its flat metric's
+    /// type; a mismatched flat write drops both.
+    pub fn counter_add_with(&mut self, name: &'static str, delta: u64, labels: LabelSet) {
+        if !self.counter_add_flat(name, delta) {
+            return;
+        }
+        if let Metric::Counter(v) = self
             .labeled
             .entry((name, labels))
             .or_insert(Metric::Counter(0))
         {
-            Metric::Counter(v) => *v += delta,
-            other => {
-                self.type_mismatches += 1;
-                debug_assert!(false, "labeled metric {name} is not a counter: {other:?}");
-            }
+            *v += delta;
         }
     }
 
-    /// Sets the labeled gauge `(name, labels)`.
-    pub fn gauge_set_labeled(&mut self, name: &'static str, labels: LabelSet, value: f64) {
-        match self
-            .labeled
-            .entry((name, labels))
-            .or_insert(Metric::Gauge(0.0))
-        {
-            Metric::Gauge(v) => *v = value,
-            other => {
-                self.type_mismatches += 1;
-                debug_assert!(false, "labeled metric {name} is not a gauge: {other:?}");
-            }
-        }
-    }
-
-    /// Records a sample into the labeled histogram `(name, labels)`,
-    /// optionally tagging it with an exemplar trace id.
-    pub fn record_labeled(
+    /// Records `sample` into the histogram `name` and into its labeled
+    /// series `(name, labels)`; `trace_id`, when given, is retained by
+    /// both as the bucket's max-sample exemplar (see
+    /// [`LogLinearHistogram::record_traced`]). Same typing rule as
+    /// [`MetricsRegistry::counter_add_with`].
+    pub fn record_with(
         &mut self,
         name: &'static str,
-        labels: LabelSet,
         sample: u64,
         trace_id: Option<u64>,
+        labels: LabelSet,
     ) {
-        match self
+        if !self.record_flat(name, sample, trace_id) {
+            return;
+        }
+        if let Metric::Hist(h) = self
             .labeled
             .entry((name, labels))
             .or_insert_with(|| Metric::Hist(LogLinearHistogram::new()))
         {
-            Metric::Hist(h) => match trace_id {
-                Some(id) => h.record_traced(sample, id),
-                None => h.record(sample),
-            },
-            other => {
-                self.type_mismatches += 1;
-                debug_assert!(false, "labeled metric {name} is not a histogram: {other:?}");
-            }
+            h.observe(sample, trace_id);
         }
     }
 
@@ -517,14 +559,34 @@ impl MetricsRegistry {
     pub fn labeled_to_json(&self) -> Json {
         let mut m = JsonMap::new();
         for (name, labels, metric) in self.labeled_snapshot() {
-            let key = format!("{name}{{{labels}}}");
-            match metric {
-                Metric::Counter(v) => m.insert(&key, v),
-                Metric::Gauge(v) => m.insert(&key, v),
-                Metric::Hist(h) => m.insert(&key, h.to_json()),
-            }
+            m.insert(labels.series_key(name), metric.to_json());
         }
         Json::Object(m)
+    }
+
+    /// Every retained histogram exemplar as one plain record
+    /// `{"series", "bucket", "value", "trace_id"}` — flat histograms
+    /// name-sorted, then labeled series in snapshot order, each
+    /// bucket-sorted. Empty unless samples came in with a trace id.
+    pub fn exemplars_to_json(&self) -> Vec<Json> {
+        let flat = self.snapshot().into_iter().map(|(n, m)| (n.to_string(), m));
+        let labeled = self
+            .labeled_snapshot()
+            .into_iter()
+            .map(|(n, l, m)| (l.series_key(n), m));
+        let mut out = Vec::new();
+        for (series, metric) in flat.chain(labeled) {
+            let Metric::Hist(h) = metric else { continue };
+            for (bucket, value, trace_id) in h.exemplars() {
+                out.push(crate::json!({
+                    "series": series.as_str(),
+                    "bucket": bucket,
+                    "value": value,
+                    "trace_id": id_hex(trace_id),
+                }));
+            }
+        }
+        out
     }
 
     /// Current counter value (0 if absent). `medes.obs.type_mismatch`
@@ -582,11 +644,7 @@ impl MetricsRegistry {
     pub fn to_json(&self) -> Json {
         let mut m = JsonMap::new();
         for (name, metric) in self.snapshot() {
-            match metric {
-                Metric::Counter(v) => m.insert(name, v),
-                Metric::Gauge(v) => m.insert(name, v),
-                Metric::Hist(h) => m.insert(name, h.to_json()),
-            }
+            m.insert(name, metric.to_json());
         }
         Json::Object(m)
     }
@@ -720,30 +778,30 @@ mod tests {
         assert_eq!(owned, LabelSet::new().with("func", "resnet"));
     }
 
-    /// Tentpole: labeled series live in their own map, never disturb
+    /// Labeled series live in their own map, move only together with
     /// the flat metric of the same name, and snapshot in
     /// name-then-label order.
     #[test]
     fn labeled_series_are_separate_and_ordered() {
         let mut m = MetricsRegistry::new();
-        m.counter_add("medes.restore.ops", 5);
-        m.counter_add_labeled("medes.restore.ops", LabelSet::new().with("node", 1u64), 2);
-        m.counter_add_labeled("medes.restore.ops", LabelSet::new().with("node", 0u64), 3);
-        m.record_labeled(
+        m.counter_add_with("medes.restore.ops", 2, LabelSet::new().with("node", 1u64));
+        m.counter_add_with("medes.restore.ops", 3, LabelSet::new().with("node", 0u64));
+        m.record_with(
             "medes.restore.op_us",
-            LabelSet::new().with("node", 0u64),
             40,
             Some(0xabc),
+            LabelSet::new().with("node", 0u64),
         );
-        assert_eq!(m.counter("medes.restore.ops"), 5, "flat untouched");
-        assert_eq!(m.len(), 1, "labeled series don't count as flat metrics");
+        assert_eq!(m.counter("medes.restore.ops"), 5, "flat is the sum");
+        assert_eq!(m.histogram("medes.restore.op_us").unwrap().count(), 1);
+        assert_eq!(m.len(), 2, "labeled series don't count as flat metrics");
         assert_eq!(m.labeled_len(), 3);
         assert_eq!(
             m.labeled_counter("medes.restore.ops", &LabelSet::new().with("node", 0u64)),
             3
         );
         let snap = m.labeled_snapshot();
-        let keys: Vec<String> = snap.iter().map(|(n, l, _)| format!("{n}{{{l}}}")).collect();
+        let keys: Vec<String> = snap.iter().map(|(n, l, _)| l.series_key(n)).collect();
         assert_eq!(
             keys,
             [
@@ -755,6 +813,82 @@ mod tests {
         let j = m.labeled_to_json();
         assert_eq!(j["medes.restore.ops{node=1}"], 2);
         assert_eq!(j["medes.restore.op_us{node=0}"]["count"], 1);
+        let ex = m.exemplars_to_json();
+        assert_eq!(ex.len(), 2, "flat and labeled histogram both keep it");
+        assert_eq!(ex[1]["series"], "medes.restore.op_us{node=0}");
+        assert_eq!(ex[1]["trace_id"], "0000000000000abc");
+    }
+
+    /// A dimensional write to a name held by another metric type drops
+    /// the flat write *and* the labeled one — a labeled series never
+    /// exists without a flat aggregate of its own type.
+    #[test]
+    fn mismatched_dimensional_write_creates_no_series() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut m = MetricsRegistry::new();
+        m.gauge_set("medes.x.level", 1.0);
+        let labels = || LabelSet::new().with("node", 0u64);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            m.counter_add_with("medes.x.level", 1, labels())
+        }));
+        assert_eq!(r.is_err(), cfg!(debug_assertions));
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            m.record_with("medes.x.level", 1, None, labels())
+        }));
+        assert_eq!(r.is_err(), cfg!(debug_assertions));
+        assert_eq!(m.type_mismatches(), 2);
+        assert_eq!(m.labeled_len(), 0);
+        assert_eq!(m.gauge("medes.x.level"), Some(1.0));
+    }
+
+    /// Satellite property: `parse_series_key` inverts
+    /// `LabelSet::series_key` for any label text, the four delimiter
+    /// bytes included, and plain text renders unescaped.
+    #[test]
+    fn series_keys_round_trip_any_label_text() {
+        const KEYS: [&str; 5] = ["dst", "func", "node", "owner", "src"];
+        const ALPHABET: &[u8] = b",=}\\{ab\"\n 7";
+        let mut rng = DetRng::new(0x5e71_e5ca_9e00_0013);
+        for case in 0..2_000 {
+            let mut set = LabelSet::new();
+            for _ in 0..rng.below(MAX_LABELS as u64 + 1) {
+                let key = KEYS[rng.below(KEYS.len() as u64) as usize];
+                set = if rng.chance(0.3) {
+                    set.with(key, rng.below(1 << 40))
+                } else {
+                    let text: String = (0..rng.below(9))
+                        .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize] as char)
+                        .collect();
+                    set.with(key, text)
+                };
+            }
+            let key = set.series_key("medes.t.metric");
+            let (base, labels) =
+                parse_series_key(&key).unwrap_or_else(|| panic!("case {case}: {key:?}"));
+            assert_eq!(base, "medes.t.metric");
+            let want: Vec<(String, String)> = set
+                .pairs()
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            assert_eq!(labels, want, "case {case}: {key:?}");
+        }
+        assert_eq!(
+            LabelSet::new()
+                .with("func", "resnet-50_v2")
+                .with("node", 3u64)
+                .series_key("medes.x"),
+            "medes.x{func=resnet-50_v2,node=3}"
+        );
+        assert_eq!(
+            LabelSet::new().with("func", "a,b=c}d\\e").render(),
+            "func=a\\,b\\=c\\}d\\\\e"
+        );
+        assert_eq!(parse_series_key("medes.flat"), None);
+        assert_eq!(parse_series_key("x{novalue}"), None);
+        assert_eq!(parse_series_key("x{k=v"), None);
+        assert_eq!(parse_series_key("x{k=a}b}"), None, "unescaped brace");
+        assert_eq!(parse_series_key("x{k=trailing\\}"), None);
     }
 
     /// Tentpole: each bucket's exemplar is the max sample's trace id,
@@ -801,16 +935,5 @@ mod tests {
         // A clean registry never grows the synthetic counter.
         let clean = MetricsRegistry::new();
         assert!(clean.snapshot().is_empty());
-    }
-
-    /// Satellite: help strings attach to names without creating
-    /// metrics.
-    #[test]
-    fn describe_registers_help_without_creating_metrics() {
-        let mut m = MetricsRegistry::new();
-        m.describe("medes.x.ops", "operations started");
-        assert_eq!(m.help("medes.x.ops"), Some("operations started"));
-        assert_eq!(m.help("medes.y.ops"), None);
-        assert!(m.is_empty(), "describe must not create a metric");
     }
 }

@@ -77,9 +77,8 @@ impl SeriesStore {
 
     /// Snapshots every counter and gauge in `reg` as one point each at
     /// `t_us`. Histograms are skipped: their quantiles live in the
-    /// metrics tail and the Prometheus exposition, and sampling a
-    /// cumulative distribution per tick would not be a time series of
-    /// anything.
+    /// metrics tail, and sampling a cumulative distribution per tick
+    /// would not be a time series of anything.
     pub fn sample_registry(&mut self, reg: &MetricsRegistry, t_us: u64) {
         for (name, metric) in reg.snapshot() {
             match metric {
@@ -88,15 +87,13 @@ impl SeriesStore {
                 Metric::Hist(_) => {}
             }
         }
-        // Labeled twins sample as `name{k=v,...}` series, so the
+        // Labeled counters sample as `name{k=v,...}` series, so the
         // timeline's `--group-by` can break a flat aggregate down by
         // dimension. Empty with labels off — exports stay byte-stable.
         for (name, labels, metric) in reg.labeled_snapshot() {
-            let key = format!("{name}{{{labels}}}");
-            match metric {
-                Metric::Counter(v) => self.point(&key, SeriesKind::Counter, t_us, v as f64),
-                Metric::Gauge(v) => self.point(&key, SeriesKind::Gauge, t_us, v),
-                Metric::Hist(_) => {}
+            if let Metric::Counter(v) = metric {
+                let key = labels.series_key(name);
+                self.point(&key, SeriesKind::Counter, t_us, v as f64);
             }
         }
     }
@@ -250,16 +247,15 @@ mod tests {
         assert_eq!(s.get("medes.x.level").unwrap().kind, SeriesKind::Gauge);
     }
 
-    /// Tentpole: labeled twins sample as `name{labels}` series next to
+    /// Labeled counters sample as `name{labels}` series next to
     /// their flat parents; with no labeled data the sample set is
     /// unchanged.
     #[test]
     fn sample_registry_includes_labeled_series() {
         use crate::metrics::LabelSet;
         let mut reg = MetricsRegistry::new();
-        reg.counter_add("medes.x.ops", 7);
-        reg.counter_add_labeled("medes.x.ops", LabelSet::new().with("node", 1u64), 3);
-        reg.counter_add_labeled("medes.x.ops", LabelSet::new().with("node", 2u64), 4);
+        reg.counter_add_with("medes.x.ops", 3, LabelSet::new().with("node", 1u64));
+        reg.counter_add_with("medes.x.ops", 4, LabelSet::new().with("node", 2u64));
         let mut s = SeriesStore::new();
         s.sample_registry(&reg, 100);
         assert_eq!(s.len(), 3);

@@ -6,10 +6,11 @@
 //! startup latencies (p50/p95/p99 with ≤ ~3% relative error at fixed
 //! memory) plus a counter of individual requests that exceeded the
 //! bound. The platform feeds it one sample per finished request; the
-//! summary surfaces on `RunOutcome` and in the Prometheus exposition.
+//! summary surfaces on `RunOutcome` and in the trace export's tail.
 
 use crate::json::{Json, JsonMap};
 use crate::metrics::LogLinearHistogram;
+use crate::span::id_hex;
 use std::collections::BTreeMap;
 
 /// How many worst violating requests each function retains for
@@ -141,6 +142,25 @@ impl SloTracker {
             .filter(|(_, f)| !f.violators.is_empty())
             .map(|(name, f)| (name.as_str(), f.violators.as_slice()))
             .collect()
+    }
+
+    /// Every retained violator as one plain record `{"func", "rank",
+    /// "latency_us", "node", "trace_id"}`, functions name-sorted and
+    /// ranks (1-based) latency-descending within each.
+    pub fn violators_to_json(&self) -> Vec<Json> {
+        let mut out = Vec::new();
+        for (func, worst) in self.all_violators() {
+            for (rank, v) in worst.iter().enumerate() {
+                out.push(crate::json!({
+                    "func": func,
+                    "rank": rank + 1,
+                    "latency_us": v.latency_us,
+                    "node": v.node,
+                    "trace_id": id_hex(v.trace_id),
+                }));
+            }
+        }
+        out
     }
 
     /// Number of tracked functions.

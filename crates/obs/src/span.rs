@@ -14,11 +14,13 @@ use std::collections::HashSet;
 /// Renders a 64-bit id as a fixed-width hex string. Ids must survive
 /// the JSONL round-trip exactly, and JSON numbers are f64 (53-bit
 /// mantissa), so ids travel as strings.
-fn id_hex(id: u64) -> String {
+pub(crate) fn id_hex(id: u64) -> String {
     format!("{id:016x}")
 }
 
-fn parse_id(v: Option<&Json>) -> u64 {
+/// Reads a trace/span id back from its exported form (16 hex digits
+/// in a JSON string); `0` — the untraced id — when absent or malformed.
+pub fn parse_id(v: Option<&Json>) -> u64 {
     v.and_then(|j| j.as_str())
         .and_then(|s| u64::from_str_radix(s, 16).ok())
         .unwrap_or(0)
