@@ -37,10 +37,10 @@
 //! mutating config fields ad hoc.
 //!
 //! `--registry-owners <n>` places the fingerprint registry's shards on
-//! the first `n` worker nodes (the distributed backend, DESIGN.md §15)
+//! the first `n` worker nodes (the distributed placement, DESIGN.md §15)
 //! in every cluster run; registry traffic is routed as priced RPCs and
 //! reported through obs counters, while the `RunReport` stays
-//! byte-identical to the in-process backend. The `registry` experiment
+//! byte-identical to the in-process placement. The `registry` experiment
 //! sweeps placements on its own and ignores this flag.
 //!
 //! `--content-model` switches every cluster run to the calibrated

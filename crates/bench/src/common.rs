@@ -81,7 +81,7 @@ pub struct ExpConfig {
     /// Optional distributed registry placement (`--registry-owners`):
     /// the fingerprint registry's shards are placed on the first `n`
     /// worker nodes and all registry traffic is routed as priced RPCs
-    /// (DESIGN.md §15). `None` keeps the in-process backend (and, by
+    /// (DESIGN.md §15). `None` keeps the in-process registry (and, by
     /// design, byte-identical reports either way).
     pub registry_owners: Option<usize>,
     /// Dimensional telemetry (`--labels`, with `--obs`): hot call

@@ -10,7 +10,7 @@
 //!    turning labels on produces the exact same [`RunReport`] — the
 //!    dimensional layer observes the simulation, it never perturbs it.
 //! 2. **The drill-down names an injected slow node.** A latency-spike
-//!    fault window (×[`SLOW_FACTOR`] on every RDMA read into one node)
+//!    fault window (×`SLOW_FACTOR` on every RDMA read into one node)
 //!    makes `trace attribute` rank that node as the top SLO
 //!    attribution and resolve a critical path for its worst violation.
 //!

@@ -5,8 +5,9 @@
 //!
 //! 1. **Observation never perturbs the simulation.** The same workload
 //!    run with tracing disabled, fully enabled, and head-sampled must
-//!    produce an identical [`RunReport`] — spans and SLO accounting are
-//!    read-only taps on the event loop.
+//!    produce an identical
+//!    [`RunReport`](medes_core::metrics::RunReport) — spans and SLO
+//!    accounting are read-only taps on the event loop.
 //! 2. **Traces reconstruct.** The enabled run's causal forest must
 //!    contain request trees whose per-node self times sum exactly to
 //!    the root duration (phase spans tile their parents), and the

@@ -5,7 +5,7 @@
 //! 1. **Streaming + sampling never perturb the simulation.** The same
 //!    workload with telemetry off and with the streamed sink plus the
 //!    sim-time sampler fully on must produce an identical
-//!    [`RunReport`].
+//!    [`RunReport`](medes_core::metrics::RunReport).
 //! 2. **Span memory is bounded by the ring.** With a deliberately tiny
 //!    ring cap, the in-memory span count stays at the cap while the
 //!    on-disk trace holds *every* span, and the accounting closes

@@ -1,14 +1,14 @@
 //! Registry — distributed fingerprint-registry placement sweep.
 //!
-//! Not a paper figure: this experiment is the regression gate for the
-//! registry backend redesign (DESIGN.md §15). One pressured Medes
+//! Not a paper figure: this experiment is the regression gate for
+//! registry placement (DESIGN.md §15). One pressured Medes
 //! configuration runs with the in-process registry and with the
-//! distributed backend at a sweep of owner-node counts. The backend's
+//! registry distributed over a sweep of owner-node counts. The
 //! determinism contract — placement decides where registry RPCs go,
 //! never what the registry answers — is asserted by requiring the
 //! `RunReport` to be bit-identical to the in-process run at every
 //! placement, while the registry-RPC counters must show real routed
-//! traffic. A crash sub-run replays a fault plan against both backends
+//! traffic. A crash sub-run replays a fault plan against both placements
 //! and checks the §5.3 re-demarcation hygiene: the run ends with zero
 //! registry chunks on dead nodes and zero entries in shards owned by
 //! dead nodes, with the re-replication traffic counted.

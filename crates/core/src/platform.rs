@@ -190,7 +190,6 @@ enum Ev {
     RestoreDone {
         sb: SandboxId,
         req: ReqInfo,
-        read_paper: usize,
     },
     ExecDone {
         sb: SandboxId,
@@ -267,8 +266,9 @@ struct Cluster {
     /// Deployed code version per function (rolling deploys bump these;
     /// all zero without a deploy schedule).
     fn_version: Vec<u64>,
-    fixed_ka: Option<FixedKeepAlive>,
-    adaptive_ka: Option<AdaptiveKeepAlive>,
+    /// Keep-alive window for idle warm sandboxes, under every policy.
+    ka: Box<dyn KeepAlivePolicy>,
+    /// The §5 dedup policy knobs; `Some` only under `PolicyKind::Medes`.
     medes: Option<MedesPolicyConfig>,
     rng: DetRng,
     next_sandbox: u64,
@@ -297,10 +297,10 @@ impl Cluster {
         let names: Vec<String> = profiles.iter().map(|p| p.name.clone()).collect();
         let metrics =
             MetricsCollector::with_obs(names, SimDuration::from_secs(10), Arc::clone(&obs));
-        let (fixed_ka, adaptive_ka, medes) = match &cfg.policy {
-            PolicyKind::FixedKeepAlive(d) => (Some(FixedKeepAlive::new(*d)), None, None),
-            PolicyKind::AdaptiveKeepAlive => (None, Some(AdaptiveKeepAlive::paper_default()), None),
-            PolicyKind::Medes(m) => (None, None, Some(m.clone())),
+        let (ka, medes): (Box<dyn KeepAlivePolicy>, _) = match &cfg.policy {
+            PolicyKind::FixedKeepAlive(d) => (Box::new(FixedKeepAlive::new(*d)), None),
+            PolicyKind::AdaptiveKeepAlive => (Box::new(AdaptiveKeepAlive::paper_default()), None),
+            PolicyKind::Medes(m) => (Box::new(FixedKeepAlive::new(m.keep_alive)), Some(m.clone())),
         };
         let rng = DetRng::new(cfg.seed);
         Cluster {
@@ -319,8 +319,7 @@ impl Cluster {
                     )
                 })
                 .collect(),
-            fixed_ka,
-            adaptive_ka,
+            ka,
             medes,
             rng,
             next_sandbox: 0,
@@ -502,34 +501,13 @@ impl Cluster {
         self.obs.series_sample(now);
     }
 
-    /// Purges a sandbox completely (eviction or expiry).
+    /// Purges an idle sandbox completely (eviction or expiry).
     fn purge_sandbox(&mut self, now: SimTime, id: SandboxId) {
-        let Some(sb) = self.sandboxes.remove(&id) else {
-            return;
-        };
-        debug_assert!(sb.state.assignable(), "only idle sandboxes are purged");
-        let rt = &mut self.fns[sb.func.0];
-        rt.idle_warm.remove(&(sb.last_used, id));
-        rt.idle_dedup.remove(&(sb.last_used, id));
-        rt.total_sandboxes -= 1;
-        if sb.state == SandboxState::Dedup {
-            rt.dedup_total -= 1;
+        if let Some(sb) = self.sandboxes.get(&id) {
+            debug_assert!(sb.state.assignable(), "only idle sandboxes are purged");
+            debug_assert!(!sb.is_base || sb.refcount == 0, "purging a referenced base");
         }
-        self.nodes[sb.node.0].sandboxes.remove(&id);
-        self.charge(now, sb.node, -(sb.mem_paper_bytes as i64));
-        // Release base references held by the dedup table.
-        if let Some(table) = &sb.dedup_table {
-            self.release_base_refs(table);
-        }
-        if sb.is_base {
-            debug_assert_eq!(sb.refcount, 0, "purging a referenced base");
-            self.registry.remove_sandbox(id);
-            self.factory.unpin_v(sb.func, sb.instance_seed, sb.version);
-            self.bases.remove(&id);
-            self.fns[sb.func.0].bases.retain(|&b| b != id);
-            self.invalidate_cached_base(now, id);
-        }
-        self.metrics.live_update(now, self.live_count() as f64);
+        self.teardown_sandbox(now, id);
     }
 
     fn release_base_refs(&mut self, table: &crate::sandbox::DedupPageTable) {
@@ -565,10 +543,10 @@ impl Cluster {
     /// candidates remain — orphaned dedup sandboxes then fall back to
     /// cold starts when dispatched).
     fn re_demarcate(&mut self, f: usize) {
-        let Some(medes) = self.medes.clone() else {
+        let Some(base_threshold) = self.medes.as_ref().map(|m| m.base_threshold) else {
             return;
         };
-        while self.fns[f].dedup_total > 0 && self.fns[f].needs_base(medes.base_threshold) {
+        while self.fns[f].dedup_total > 0 && self.fns[f].needs_base(base_threshold) {
             let cand = self.fns[f]
                 .idle_warm
                 .iter()
@@ -603,7 +581,7 @@ impl Cluster {
         let victims: Vec<SandboxId> = self.nodes[node].sandboxes.iter().copied().collect();
         let mut affected: Vec<usize> = Vec::new();
         for id in victims {
-            if let Some(f) = self.crash_purge(now, id) {
+            if let Some(f) = self.teardown_sandbox(now, id) {
                 if !affected.contains(&f) {
                     affected.push(f);
                 }
@@ -614,11 +592,11 @@ impl Cluster {
             0,
             "crash purge must drop every registry chunk on the dead node"
         );
-        // Shard ownership survives the crash: a distributed backend
-        // purges the dead owner's shard copies, re-demarcates them to
+        // Shard ownership survives the crash: a placed registry purges
+        // the dead owner's shard copies, re-demarcates them to
         // survivors, and re-replicates the recoverable entries (their
         // bases live on surviving nodes — the dead node's bases were
-        // just purged above). In-process backends own nothing here.
+        // just purged above). Unplaced, worker nodes own nothing.
         let recovery = self.registry.on_node_crash(NodeId(node));
         debug_assert_eq!(
             self.registry.entries_owned_by(NodeId(node)),
@@ -641,21 +619,22 @@ impl Cluster {
         }
     }
 
-    /// Removes a sandbox in ANY state because its node crashed. Unlike
-    /// [`Cluster::purge_sandbox`] this also tears down referenced
+    /// Removes a sandbox in ANY state and settles everything that knew
+    /// about it. [`Cluster::purge_sandbox`] is the idle-only entry; a
+    /// node crash calls this directly and so also tears down referenced
     /// bases: surviving dedup sandboxes that point at them will fail
     /// their restore and fall back to a cold start (§5.3). Returns the
     /// sandbox's function for re-demarcation.
-    fn crash_purge(&mut self, now: SimTime, id: SandboxId) -> Option<usize> {
+    fn teardown_sandbox(&mut self, now: SimTime, id: SandboxId) -> Option<usize> {
         let sb = self.sandboxes.remove(&id)?;
         let f = sb.func.0;
         let rt = &mut self.fns[f];
         rt.idle_warm.remove(&(sb.last_used, id));
         rt.idle_dedup.remove(&(sb.last_used, id));
         rt.total_sandboxes -= 1;
-        // A Restoring sandbox left the idle-dedup pool but its
-        // dedup_total decrement only happens at RestoreDone — which will
-        // now never fire for it.
+        // A Restoring sandbox (crash only) left the idle-dedup pool but
+        // its dedup_total decrement only happens at RestoreDone — which
+        // will now never fire for it.
         if matches!(sb.state, SandboxState::Dedup | SandboxState::Restoring) {
             rt.dedup_total -= 1;
         }
@@ -746,19 +725,6 @@ impl Cluster {
                 Objective::MemoryBudget { .. } => 0,
             },
             None => 0,
-        }
-    }
-
-    fn keep_alive_window(&self, func: usize) -> SimDuration {
-        if let Some(f) = &self.fixed_ka {
-            f.keep_alive(func)
-        } else if let Some(a) = &self.adaptive_ka {
-            a.keep_alive(func)
-        } else {
-            self.medes
-                .as_ref()
-                .map(|m| m.keep_alive)
-                .unwrap_or(SimDuration::from_mins(10))
         }
     }
 
@@ -900,14 +866,7 @@ impl Cluster {
                         self.charge(now, node, grow.max(0));
                         let sbm = self.sandboxes.get_mut(&id).expect("sandbox exists");
                         sbm.mem_paper_bytes = cur_mem.max(m_w);
-                        sched.after(
-                            outcome.timing.total(),
-                            Ev::RestoreDone {
-                                sb: id,
-                                req,
-                                read_paper: outcome.read_paper_bytes,
-                            },
-                        );
+                        sched.after(outcome.timing.total(), Ev::RestoreDone { sb: id, req });
                         // Record the Fig 8 breakdown.
                         let stats = &mut self.metrics.report.dedup_stats[f];
                         stats.restores += 1;
@@ -1024,20 +983,18 @@ impl Cluster {
 
     fn idle_check(&mut self, id: SandboxId, epoch: u64, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
-        let Some(medes) = self.medes.clone() else {
+        let Some(medes) = &self.medes else {
             return;
         };
+        let (idle_period, keep_alive) = (medes.idle_period, medes.keep_alive);
         let Some(sb) = self.sandboxes.get(&id) else {
             return;
         };
         if sb.epoch != epoch || sb.state != SandboxState::Warm {
             return;
         }
-        if now.since(sb.last_used) < medes.idle_period {
-            sched.at(
-                sb.last_used + medes.idle_period,
-                Ev::IdleCheck { sb: id, epoch },
-            );
+        if now.since(sb.last_used) < idle_period {
+            sched.at(sb.last_used + idle_period, Ev::IdleCheck { sb: id, epoch });
             return;
         }
         let f = sb.func.0;
@@ -1062,8 +1019,8 @@ impl Cluster {
         let want_dedup = rt.dedup_total < rt.target.target_dedup || !rt.target.feasible || pressure;
         if !want_dedup || sb.is_base {
             // Stay warm; re-evaluate after another idle period.
-            if now + medes.idle_period <= self.horizon + medes.keep_alive {
-                sched.after(medes.idle_period, Ev::IdleCheck { sb: id, epoch });
+            if now + idle_period <= self.horizon + keep_alive {
+                sched.after(idle_period, Ev::IdleCheck { sb: id, epoch });
             }
             return;
         }
@@ -1093,10 +1050,7 @@ impl Cluster {
         sb.last_used = now;
         let (f, epoch) = (sb.func.0, sb.epoch);
         self.fns[f].idle_warm.insert((now, id));
-        sched.after(
-            self.keep_alive_window(f),
-            Ev::KeepAliveExpire { sb: id, epoch },
-        );
+        sched.after(self.ka.keep_alive(f), Ev::KeepAliveExpire { sb: id, epoch });
         let medes = self.medes.as_ref().expect("dedup requires Medes policy");
         if now + medes.idle_period <= self.horizon + medes.keep_alive {
             sched.after(medes.idle_period, Ev::IdleCheck { sb: id, epoch });
@@ -1263,7 +1217,11 @@ impl Cluster {
         let node = sb.node;
         let full_model = outcome.table.entries.len() * medes_mem::PAGE_SIZE;
         let saved = outcome.saved_model_bytes();
-        let medes = self.medes.clone().expect("dedup requires Medes policy");
+        let keep_dedup = self
+            .medes
+            .as_ref()
+            .expect("dedup requires Medes policy")
+            .keep_dedup;
 
         if sb.version < self.fn_version[f] {
             // A rolling deploy superseded this sandbox mid-dedup: drop
@@ -1329,7 +1287,7 @@ impl Cluster {
         self.charge(now, node, delta);
         self.fns[f].dedup_total += 1;
         self.fns[f].idle_dedup.insert((now, id));
-        sched.after(medes.keep_dedup, Ev::KeepDedupExpire { sb: id, epoch });
+        sched.after(keep_dedup, Ev::KeepDedupExpire { sb: id, epoch });
     }
 
     // ------------------------------------------------------------------
@@ -1393,16 +1351,14 @@ impl World for Cluster {
     fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         // Fault windows are evaluated at the fabric's current instant;
-        // the registry backend prices its RPCs at the same instant.
+        // a placed registry prices its RPCs at the same instant.
         self.fabric.set_now(now);
         self.registry.set_now(now);
         match event {
             Ev::Arrival { id, func } => {
                 self.obs.incr("medes.platform.arrivals");
                 self.fns[func].on_arrival();
-                if let Some(a) = &mut self.adaptive_ka {
-                    a.on_request(func, now);
-                }
+                self.ka.on_request(func, now);
                 let req = ReqInfo {
                     id,
                     func,
@@ -1436,13 +1392,9 @@ impl World for Cluster {
                 sched.after(exec, Ev::ExecDone { sb: id, rec });
             }
 
-            Ev::RestoreDone {
-                sb: id,
-                req,
-                read_paper,
-            } => {
+            Ev::RestoreDone { sb: id, req } => {
                 if !self.sandboxes.contains_key(&id) {
-                    // The node crashed mid-restore (crash_purge already
+                    // The node crashed mid-restore (the teardown already
                     // settled the dedup accounting and base refs).
                     self.reschedule(req, sched);
                     return;
@@ -1462,7 +1414,6 @@ impl World for Cluster {
                 sb.mem_paper_bytes = m_w;
                 sb.transition(SandboxState::Running);
                 self.charge(now, node, delta);
-                let _ = read_paper;
                 if let Some(t) = table {
                     self.release_base_refs(&t);
                 }
@@ -1518,10 +1469,7 @@ impl World for Cluster {
                     self.obs.incr("medes.platform.version_purges");
                 } else {
                     self.fns[f].idle_warm.insert((now, id));
-                    sched.after(
-                        self.keep_alive_window(f),
-                        Ev::KeepAliveExpire { sb: id, epoch },
-                    );
+                    sched.after(self.ka.keep_alive(f), Ev::KeepAliveExpire { sb: id, epoch });
                     if let Some(m) = &self.medes {
                         if now + m.idle_period <= self.horizon + m.keep_alive {
                             sched.after(m.idle_period, Ev::IdleCheck { sb: id, epoch });
@@ -1551,7 +1499,7 @@ impl World for Cluster {
                     return;
                 }
                 let f = sb.func.0;
-                let window = self.keep_alive_window(f);
+                let window = self.ka.keep_alive(f);
                 let idle_for = now.since(sb.last_used);
                 if idle_for < window {
                     sched.at(sb.last_used + window, Ev::KeepAliveExpire { sb: id, epoch });
@@ -1584,7 +1532,7 @@ impl World for Cluster {
             Ev::DedupFlush => self.dedup_flush(sched),
 
             Ev::PolicyTick => {
-                let Some(medes) = self.medes.clone() else {
+                let Some(medes) = &self.medes else {
                     return;
                 };
                 // Memory-budget objectives divide the cluster budget by
@@ -1600,11 +1548,13 @@ impl World for Cluster {
                     } else {
                         None
                     };
+                // `solve` reads only the objective, which a memory
+                // budget makes per-function.
+                let mut cfg_i = medes.clone();
                 for (i, rt) in self.fns.iter_mut().enumerate() {
                     rt.roll_tick();
                     let state = rt.function_state(self.cfg.policy_tick);
-                    let mut cfg_i = medes.clone();
-                    if let (Some(b), Objective::MemoryBudget { .. }) = (&budgets, medes.objective) {
+                    if let Some(b) = &budgets {
                         cfg_i.objective = Objective::MemoryBudget { budget_bytes: b[i] };
                     }
                     rt.target = solve(&cfg_i, &state);

@@ -1,5 +1,5 @@
-//! The global fingerprint registry (§3.1, §4.1.3), behind the
-//! [`RegistryBackend`] trait.
+//! The global fingerprint registry (§3.1, §4.1.3): one type,
+//! [`RegistryClient`].
 //!
 //! A hash table mapping RSC (64 B chunk) hashes to their locations in
 //! the cluster. Only **base sandboxes** populate the registry — that is
@@ -10,20 +10,6 @@
 //! candidate base page, how many of the sampled chunks it shares — the
 //! vote count used for base-page election.
 //!
-//! ## The backend seam
-//!
-//! The platform consumes the registry exclusively through the thin
-//! [`RegistryClient`] facade over a [`RegistryBackend`]:
-//!
-//! * [`InProcessRegistry`] — the controller-resident sharded store
-//!   (the concrete `FingerprintRegistry` of earlier revisions);
-//! * [`DistributedRegistry`] — the same logical contents, but shards
-//!   are *owned* by worker nodes (chunk-hash ownership) and every
-//!   lookup/insert/removal is routed to its owner as a priced
-//!   `medes-net` RPC. Candidate results are byte-identical to the
-//!   in-process backend at any placement; only the accounted RPC
-//!   traffic differs.
-//!
 //! ## Sharding
 //!
 //! The store is partitioned into N independent shards keyed by the
@@ -31,25 +17,49 @@
 //! every chunk hash has exactly one home shard, the per-hash location
 //! cap, vote accumulation, and removal semantics are identical at any
 //! shard count — a single-shard registry is bit-for-bit the legacy
-//! structure. Reads ([`InProcessRegistry::lookup`],
-//! [`InProcessRegistry::lookup_batch`]) take `&self` and shard read
-//! locks, so the parallel dedup pipeline's worker pool can probe the
-//! registry concurrently; writes ([`InProcessRegistry::insert_page`],
-//! [`InProcessRegistry::remove_sandbox`]) route each chunk through
-//! its home shard's write lock. Global counters are atomics.
+//! structure. Reads ([`RegistryClient::lookup`],
+//! [`RegistryClient::lookup_batch`]) take `&self` and shard read locks,
+//! so the parallel dedup pipeline's worker pool can probe the registry
+//! concurrently; writes ([`RegistryClient::insert_page`],
+//! [`RegistryClient::remove_sandbox`]) route each chunk through its
+//! home shard's write lock. Global counters are atomics.
+//!
+//! ## Placement
+//!
+//! Where the shards live changes only what the traffic *costs*, never
+//! which candidates come back. A client built with
+//! [`RegistryClient::in_process`] is the controller-resident table and
+//! charges nothing. One built with [`RegistryClient::distributed`]
+//! additionally carries a placement: shard `s` is owned by worker node
+//! `s % owners` (the first `owners` nodes form the owner set) and every
+//! lookup/insert/removal is first priced as `medes-net` RPCs to the
+//! owners of the shards it touches, then runs the same store body.
+//!
+//! The dedup controller (node 0) issues one RPC per touched shard per
+//! operation: lookups carry `PROBE_BYTES` per chunk probe out and a
+//! response sized to the probe count (candidate lists are capped, see
+//! `MAX_LOCS_PER_HASH`), inserts carry the probe bytes plus one
+//! serialized entry, removals broadcast the sandbox id to every owner.
+//! Costs are priced by the same [`NetConfig`] the platform fabric uses,
+//! on a registry-private fabric, so the traffic lands in
+//! [`RegistryClient::rpc_stats`] without perturbing the event stream
+//! the reports are computed from — dedup is off the critical path, and
+//! the accounted latency is an overhead figure (§7.7), not a scheduling
+//! input. That is why a `RunReport` is bit-identical at any placement.
 //!
 //! ## Crash-surviving shard ownership
 //!
 //! When a worker node crashes, the platform purges the dead node's
 //! base sandboxes (removing every chunk location pointing at it) and
-//! then calls [`RegistryClient::on_node_crash`]: the distributed
-//! backend drops the dead owner's physical shard copies, re-demarcates
-//! their ownership onto surviving nodes, and re-replicates the
-//! recoverable entries (those whose backing base sandboxes survived)
-//! onto the new owners, charging the bulk transfer as registry RPCs.
-//! The net effect preserves logical contents — which is exactly why a
-//! crash run's `RunReport` stays bit-identical across backends — and
-//! no shard is ever owned by a down node.
+//! then calls [`RegistryClient::on_node_crash`]: a placed client drops
+//! the dead owner's physical shard copies, re-demarcates their
+//! ownership onto surviving nodes, and re-replicates the recoverable
+//! entries (those whose backing base sandboxes survived) onto the new
+//! owners, charging the bulk transfer as registry RPCs. Logical
+//! contents are preserved and no shard is owned by a down node while
+//! any node is up. In a full outage there is no survivor to hand the
+//! shards to: they stay with their dead owners — empty, since every
+//! base was just purged — until the first restarted node adopts them.
 
 use crate::ids::{NodeId, SandboxId};
 use medes_hash::ChunkHash;
@@ -68,6 +78,9 @@ const CANDIDATE_BYTES: usize = std::mem::size_of::<Candidate>();
 /// Wire size of one chunk-hash probe in a lookup/insert request.
 const PROBE_BYTES: usize = 8;
 
+/// The node hosting the dedup controller, origin of registry RPCs.
+const CONTROLLER_NODE: usize = 0;
+
 /// What a crash cost the registry: entries purged with the dead
 /// owner's shard copies, entries re-replicated onto the new owners,
 /// and the number of shards whose ownership moved.
@@ -79,84 +92,6 @@ pub struct CrashRecovery {
     pub rereplicated_entries: usize,
     /// Shards whose ownership was re-demarcated.
     pub reassigned_shards: usize,
-}
-
-/// The registry API every backend implements and the platform consumes
-/// through [`RegistryClient`].
-///
-/// Methods take `&self`: lookups run concurrently on the dedup
-/// pipeline's worker threads, so every implementation keeps its
-/// mutable state behind locks/atomics.
-pub trait RegistryBackend: std::fmt::Debug + Send + Sync {
-    /// Inserts all fingerprint chunks of one base-sandbox page.
-    fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc);
-    /// Looks up one page fingerprint (candidates in descending-vote
-    /// total order).
-    fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate>;
-    /// Looks up a batch of fingerprints; identical per-fingerprint
-    /// results to [`RegistryBackend::lookup`].
-    fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>>;
-    /// Removes every entry contributed by a base sandbox.
-    fn remove_sandbox(&self, sandbox: SandboxId);
-
-    /// Live (hash, location) entry count.
-    fn entries(&self) -> usize;
-    /// High-water mark of entries over the registry's lifetime.
-    fn peak_entries(&self) -> usize;
-    /// Total lookups served.
-    fn lookups(&self) -> u64;
-    /// Approximate resident bytes.
-    fn mem_bytes(&self) -> usize;
-    /// High-water mark of resident bytes.
-    fn peak_mem_bytes(&self) -> usize;
-    /// Number of shards.
-    fn shard_count(&self) -> usize;
-    /// Live entry count per shard.
-    fn shard_entries(&self) -> Vec<usize>;
-    /// Chunk probes served per shard.
-    fn shard_lookup_counts(&self) -> Vec<u64>;
-    /// Distinct base sandboxes currently contributing entries.
-    fn base_sandboxes(&self) -> usize;
-    /// Whether the registry still tracks this sandbox.
-    fn contains_sandbox(&self, sandbox: SandboxId) -> bool;
-    /// Chunk locations pointing at `node` (crash-purge hygiene).
-    fn locs_on_node(&self, node: NodeId) -> usize;
-    /// Structural self-check (shard disjointness, counter drift).
-    fn check_invariants(&self) -> Result<(), String>;
-
-    /// Mirrors the simulated clock into the backend (used to price
-    /// RPCs at the current instant). No-op for in-process backends.
-    fn set_now(&self, _now: SimTime) {}
-    /// Notifies the backend that `node` crashed, *after* the platform
-    /// purged the node's base sandboxes. Distributed backends purge
-    /// the dead owner's shard copies, re-demarcate ownership, and
-    /// re-replicate surviving entries.
-    fn on_node_crash(&self, _node: NodeId) -> CrashRecovery {
-        CrashRecovery::default()
-    }
-    /// Notifies the backend that `node` restarted. Restarted nodes
-    /// rejoin the owner candidate set for future re-demarcations but
-    /// do not reclaim shards (no proactive rebalancing).
-    fn on_node_restart(&self, _node: NodeId) {}
-    /// Entries resident in shards owned by `node`. In-process backends
-    /// own nothing on worker nodes and report 0.
-    fn entries_owned_by(&self, _node: NodeId) -> usize {
-        0
-    }
-    /// Cumulative registry RPC traffic (zero for in-process backends).
-    fn rpc_stats(&self) -> FabricStats {
-        FabricStats::default()
-    }
-    /// Total simulated time spent in registry RPCs. Accounted off the
-    /// report-visible path: dedup runs off the critical path, so the
-    /// latency is an overhead figure, not a scheduling input.
-    fn rpc_time(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-    /// Cumulative entries re-replicated by crash recoveries.
-    fn rereplicated_entries(&self) -> u64 {
-        0
-    }
 }
 
 /// Where one RSC lives.
@@ -224,9 +159,56 @@ struct ShardMetricNames {
     lookups: &'static str,
 }
 
-/// The global fingerprint registry, sharded by chunk hash.
+/// Shard ownership: crash and restart update both halves together.
 #[derive(Debug)]
-pub struct InProcessRegistry {
+struct Ownership {
+    /// Shard index → owning node index.
+    owner_of: Vec<usize>,
+    /// Node index → alive? (crashed owners never receive shards).
+    alive: Vec<bool>,
+}
+
+/// Which worker node owns each shard, and what reaching the owners has
+/// cost so far. Present only on a [`RegistryClient::distributed`]
+/// client.
+#[derive(Debug)]
+struct Placement {
+    ownership: RwLock<Ownership>,
+    /// Registry-private fabric: prices RPCs with the platform's cost
+    /// model but keeps its own stats, so report-visible fabric
+    /// counters stay byte-identical to an unplaced client.
+    fabric: Mutex<Fabric>,
+    retry: RetryPolicy,
+    rpc_time_us: AtomicU64,
+    rereplicated: AtomicU64,
+}
+
+impl Placement {
+    /// Issues (and accounts) one registry RPC to a shard owner. The
+    /// clean registry fabric never fails, so the retry machinery is a
+    /// straight pass-through; the result feeds the overhead totals.
+    fn owner_rpc(&self, owner: usize, op: RegistryOp, req: usize, resp: usize) {
+        let mut fabric = self.fabric.lock().unwrap();
+        // An unreachable owner can only happen if a fault schedule was
+        // installed directly on the registry fabric: ownership is
+        // re-demarcated at crash time. The op still completes against
+        // the store; the failure stays in the fabric's stats.
+        if let Ok(out) =
+            fabric.registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, &self.retry)
+        {
+            self.rpc_time_us
+                .fetch_add(out.time.as_micros(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// The global fingerprint registry, sharded by chunk hash, with an
+/// optional placement of those shards on worker nodes. Constructed per
+/// run from the platform config; shared across the dedup pipeline's
+/// worker threads by reference (all methods take `&self`; mutable
+/// state sits behind locks and atomics).
+#[derive(Debug)]
+pub struct RegistryClient {
     shards: Vec<RwLock<Shard>>,
     /// Per-shard probe counters (a lookup probes each chunk's home
     /// shard); atomics because lookups run under read locks.
@@ -236,36 +218,26 @@ pub struct InProcessRegistry {
     lookups: AtomicU64,
     obs: Arc<Obs>,
     metric_names: Vec<ShardMetricNames>,
+    placement: Option<Placement>,
 }
 
-impl Default for InProcessRegistry {
+impl Default for RegistryClient {
     fn default() -> Self {
-        Self::with_obs(Obs::disabled())
+        Self::new()
     }
 }
 
-impl InProcessRegistry {
-    /// Creates an empty single-shard registry (observability disabled).
+impl RegistryClient {
+    /// A single-shard controller-resident registry with observability
+    /// disabled.
     pub fn new() -> Self {
-        Self::default()
+        Self::in_process(1, Obs::disabled())
     }
 
-    /// Creates an empty single-shard registry recording
-    /// `medes.registry.*` metrics.
-    pub fn with_obs(obs: Arc<Obs>) -> Self {
-        Self::with_shards_obs(1, obs)
-    }
-
-    /// Creates an empty registry with `shards` independent shards
-    /// (observability disabled). `shards` is clamped to at least 1.
-    pub fn with_shards(shards: usize) -> Self {
-        Self::with_shards_obs(shards, Obs::disabled())
-    }
-
-    /// Creates an empty registry with `shards` independent shards,
-    /// recording `medes.registry.*` metrics (including per-shard entry
-    /// gauges and lookup counters). `shards` is clamped to at least 1.
-    pub fn with_shards_obs(shards: usize, obs: Arc<Obs>) -> Self {
+    /// A controller-resident registry with `shards` independent shards
+    /// (clamped to at least 1), recording `medes.registry.*` metrics
+    /// (including per-shard entry gauges and lookup counters).
+    pub fn in_process(shards: usize, obs: Arc<Obs>) -> Self {
         let n = shards.max(1);
         let metric_names = if obs.enabled() {
             (0..n)
@@ -277,7 +249,7 @@ impl InProcessRegistry {
         } else {
             Vec::new()
         };
-        InProcessRegistry {
+        RegistryClient {
             shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
             shard_lookups: (0..n).map(|_| AtomicU64::new(0)).collect(),
             entries: AtomicUsize::new(0),
@@ -285,7 +257,35 @@ impl InProcessRegistry {
             lookups: AtomicU64::new(0),
             obs,
             metric_names,
+            placement: None,
         }
+    }
+
+    /// The same registry with its `shards` placed on the first `owners`
+    /// of `nodes` worker nodes (`owners` is clamped to `1..=nodes`),
+    /// every operation priced as RPCs under `net` and `retry`.
+    pub fn distributed(
+        shards: usize,
+        owners: usize,
+        nodes: usize,
+        net: NetConfig,
+        retry: RetryPolicy,
+        obs: Arc<Obs>,
+    ) -> Self {
+        assert!(nodes > 0, "distributed registry needs at least one node");
+        let owners = owners.clamp(1, nodes);
+        let mut client = Self::in_process(shards, Arc::clone(&obs));
+        client.placement = Some(Placement {
+            ownership: RwLock::new(Ownership {
+                owner_of: (0..client.shards.len()).map(|s| s % owners).collect(),
+                alive: vec![true; nodes],
+            }),
+            fabric: Mutex::new(Fabric::with_obs(nodes, net, obs)),
+            retry,
+            rpc_time_us: AtomicU64::new(0),
+            rereplicated: AtomicU64::new(0),
+        });
+        client
     }
 
     /// Number of shards.
@@ -300,9 +300,46 @@ impl InProcessRegistry {
         (hash % self.shards.len() as u64) as usize
     }
 
+    /// Under a placement, charges one RPC per shard `fps` touches, to
+    /// that shard's owner, in shard order; `sizes` maps a shard's probe
+    /// count to its (request, response) bytes.
+    fn charge_per_shard(
+        &self,
+        fps: &[PageFingerprint],
+        op: RegistryOp,
+        sizes: impl Fn(usize) -> (usize, usize),
+    ) {
+        let Some(p) = &self.placement else {
+            return;
+        };
+        let mut probes = vec![0usize; self.shards.len()];
+        for chunk in fps.iter().flat_map(|fp| fp.chunks()) {
+            probes[self.shard_of(chunk.hash)] += 1;
+        }
+        let own = p.ownership.read().unwrap();
+        for (s, &n) in probes.iter().enumerate() {
+            if n > 0 {
+                let (req, resp) = sizes(n);
+                p.owner_rpc(own.owner_of[s], op, req, resp);
+            }
+        }
+    }
+
+    fn charge_lookup(&self, fps: &[PageFingerprint]) {
+        self.charge_per_shard(fps, RegistryOp::Lookup, |n| {
+            (n * PROBE_BYTES, n * CANDIDATE_BYTES)
+        });
+    }
+
     /// Inserts all fingerprint chunks of one base-sandbox page, each
     /// routed through its home shard's write lock.
     pub fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
+        self.charge_per_shard(std::slice::from_ref(fp), RegistryOp::Insert, |n| {
+            (
+                n * PROBE_BYTES + std::mem::size_of::<ChunkLoc>(),
+                PROBE_BYTES,
+            )
+        });
         let nshards = self.shards.len();
         let mut inserted_total = 0usize;
         // Anchor the sandbox in shard 0's reverse index even when no
@@ -399,6 +436,7 @@ impl InProcessRegistry {
     /// pipeline's worker threads, guarded by shard read locks, with
     /// the lookup counter kept in an atomic.
     pub fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
+        self.charge_lookup(std::slice::from_ref(fp));
         self.lookups.fetch_add(1, Ordering::Relaxed);
         let mut votes: HashMap<ChunkLoc, u32> = HashMap::new();
         self.accumulate_votes(fp, &mut votes);
@@ -414,8 +452,9 @@ impl InProcessRegistry {
     /// Looks up a batch of page fingerprints, grouping the chunk probes
     /// by home shard so each shard's read lock is taken at most once
     /// per batch. Returns one candidate list per input fingerprint,
-    /// identical to calling [`InProcessRegistry::lookup`] on each.
+    /// identical to calling [`RegistryClient::lookup`] on each.
     pub fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
+        self.charge_lookup(fps);
         self.lookups.fetch_add(fps.len() as u64, Ordering::Relaxed);
         let nshards = self.shards.len();
         // probes[s] = (fingerprint index, chunk hash) pairs homed in s.
@@ -459,6 +498,18 @@ impl InProcessRegistry {
     /// Removes every entry contributed by a base sandbox, shard by
     /// shard through the shard-local write locks.
     pub fn remove_sandbox(&self, sandbox: SandboxId) {
+        if let Some(p) = &self.placement {
+            // Removal is a broadcast: a sandbox's chunk hashes span
+            // shards, and the reverse index lives with each owner.
+            if self.contains_sandbox(sandbox) {
+                let mut owners = p.ownership.read().unwrap().owner_of.clone();
+                owners.sort_unstable();
+                owners.dedup();
+                for owner in owners {
+                    p.owner_rpc(owner, RegistryOp::Remove, PROBE_BYTES, PROBE_BYTES);
+                }
+            }
+        }
         let mut removed_total = 0usize;
         let mut known = false;
         for (s, lock) in self.shards.iter().enumerate() {
@@ -580,8 +631,9 @@ impl InProcessRegistry {
 
     /// Checks that every shard's `table` and `by_sandbox` are mutually
     /// consistent, that each chunk hash lives in (only) its home shard
-    /// — cross-shard disjointness — and that the global entry counter
-    /// matches the per-shard sums.
+    /// — cross-shard disjointness — that the global entry counter
+    /// matches the per-shard sums, and, under a placement, that every
+    /// shard is owned by a live node (or that no node is alive).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut total = 0usize;
         for (s, lock) in self.shards.iter().enumerate() {
@@ -640,361 +692,79 @@ impl InProcessRegistry {
                 self.entries()
             ));
         }
-        Ok(())
-    }
-
-    /// All (hash, location) pairs, for test assertions.
-    #[cfg(test)]
-    fn snapshot_locs(&self) -> Vec<(ChunkHash, ChunkLoc)> {
-        let mut out = Vec::new();
-        for lock in &self.shards {
-            let shard = lock.read().unwrap();
-            for (&h, locs) in &shard.table {
-                out.extend(locs.iter().map(|&l| (h, l)));
-            }
-        }
-        out
-    }
-}
-
-impl RegistryBackend for InProcessRegistry {
-    fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
-        InProcessRegistry::insert_page(self, fp, loc);
-    }
-    fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
-        InProcessRegistry::lookup(self, fp)
-    }
-    fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
-        InProcessRegistry::lookup_batch(self, fps)
-    }
-    fn remove_sandbox(&self, sandbox: SandboxId) {
-        InProcessRegistry::remove_sandbox(self, sandbox);
-    }
-    fn entries(&self) -> usize {
-        InProcessRegistry::entries(self)
-    }
-    fn peak_entries(&self) -> usize {
-        InProcessRegistry::peak_entries(self)
-    }
-    fn lookups(&self) -> u64 {
-        InProcessRegistry::lookups(self)
-    }
-    fn mem_bytes(&self) -> usize {
-        InProcessRegistry::mem_bytes(self)
-    }
-    fn peak_mem_bytes(&self) -> usize {
-        InProcessRegistry::peak_mem_bytes(self)
-    }
-    fn shard_count(&self) -> usize {
-        InProcessRegistry::shard_count(self)
-    }
-    fn shard_entries(&self) -> Vec<usize> {
-        InProcessRegistry::shard_entries(self)
-    }
-    fn shard_lookup_counts(&self) -> Vec<u64> {
-        InProcessRegistry::shard_lookup_counts(self)
-    }
-    fn base_sandboxes(&self) -> usize {
-        InProcessRegistry::base_sandboxes(self)
-    }
-    fn contains_sandbox(&self, sandbox: SandboxId) -> bool {
-        InProcessRegistry::contains_sandbox(self, sandbox)
-    }
-    fn locs_on_node(&self, node: NodeId) -> usize {
-        InProcessRegistry::locs_on_node(self, node)
-    }
-    fn check_invariants(&self) -> Result<(), String> {
-        InProcessRegistry::check_invariants(self)
-    }
-}
-
-/// The distributed fingerprint registry: the same sharded store, but
-/// every shard is *owned* by a worker node and all traffic to it is
-/// routed over the fabric as priced RPCs.
-///
-/// ## Placement
-///
-/// Shard `s` is initially owned by node `s % owners` (the first
-/// `owners` nodes of the cluster form the owner set). A chunk hash
-/// homes in shard `hash % nshards` exactly as in-process, so candidate
-/// election — and therefore the whole `RunReport` — is bit-identical
-/// at any placement; the placement only decides *where* the RPCs go.
-///
-/// ## RPC cost model
-///
-/// The dedup controller (node 0) issues one RPC per touched shard per
-/// operation: lookups carry `PROBE_BYTES` per chunk probe out and a
-/// response sized to the probe count (candidate lists are capped, see
-/// `MAX_LOCS_PER_HASH`), inserts carry the probe bytes plus one
-/// serialized entry, removals broadcast the sandbox id to every owner.
-/// Costs are priced by the same [`NetConfig`] the platform fabric
-/// uses, on a registry-private fabric, so the traffic lands in this
-/// backend's [`FabricStats`] without perturbing the event stream the
-/// reports are computed from — dedup is off the critical path, and the
-/// accounted latency is an overhead figure (§7.7), not a scheduling
-/// input.
-#[derive(Debug)]
-pub struct DistributedRegistry {
-    store: InProcessRegistry,
-    /// Shard index → owning node index.
-    owner_map: RwLock<Vec<usize>>,
-    /// Node index → alive? (crashed owners never receive shards).
-    alive: RwLock<Vec<bool>>,
-    /// Registry-private fabric: prices RPCs with the platform's cost
-    /// model but keeps its own stats, so report-visible fabric
-    /// counters stay byte-identical to the in-process backend.
-    fabric: Mutex<Fabric>,
-    retry: RetryPolicy,
-    rpc_time_us: AtomicU64,
-    rereplicated: AtomicU64,
-    crash_purged: AtomicU64,
-    obs: Arc<Obs>,
-}
-
-/// The node hosting the dedup controller, origin of registry RPCs.
-const CONTROLLER_NODE: usize = 0;
-
-impl DistributedRegistry {
-    /// Creates a distributed registry with `shards` shards placed on
-    /// the first `owners` of `nodes` worker nodes. `owners` is clamped
-    /// to `1..=nodes`.
-    pub fn new(
-        shards: usize,
-        owners: usize,
-        nodes: usize,
-        net: NetConfig,
-        retry: RetryPolicy,
-        obs: Arc<Obs>,
-    ) -> Self {
-        assert!(nodes > 0, "distributed registry needs at least one node");
-        let owners = owners.clamp(1, nodes);
-        let nshards = shards.max(1);
-        DistributedRegistry {
-            store: InProcessRegistry::with_shards_obs(nshards, Arc::clone(&obs)),
-            owner_map: RwLock::new((0..nshards).map(|s| s % owners).collect()),
-            alive: RwLock::new(vec![true; nodes]),
-            fabric: Mutex::new(Fabric::with_obs(nodes, net, Arc::clone(&obs))),
-            retry,
-            rpc_time_us: AtomicU64::new(0),
-            rereplicated: AtomicU64::new(0),
-            crash_purged: AtomicU64::new(0),
-            obs,
-        }
-    }
-
-    /// Current owner node of a shard.
-    pub fn owner_of(&self, shard: usize) -> usize {
-        self.owner_map.read().unwrap()[shard]
-    }
-
-    /// Number of shards currently owned by `node`.
-    pub fn shards_owned_by(&self, node: NodeId) -> usize {
-        self.owner_map
-            .read()
-            .unwrap()
-            .iter()
-            .filter(|&&o| o == node.0)
-            .count()
-    }
-
-    /// Issues (and accounts) one registry RPC to a shard owner. The
-    /// clean registry fabric never fails, so the retry machinery is a
-    /// straight pass-through; the result feeds the overhead totals.
-    fn owner_rpc(&self, owner: usize, op: RegistryOp, req: usize, resp: usize) {
-        let mut fabric = self.fabric.lock().unwrap();
-        match fabric.registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, &self.retry) {
-            Ok(out) => {
-                self.rpc_time_us
-                    .fetch_add(out.time.as_micros(), Ordering::Relaxed);
-            }
-            Err(_) => {
-                // Unreachable owner: ownership is re-demarcated at
-                // crash time, so this only fires if a fault schedule
-                // was installed directly on the registry fabric (unit
-                // tests). The op still completes against the logical
-                // store; the failure stays in the stats.
-            }
-        }
-    }
-
-    /// Groups a fingerprint batch's chunk probes by home shard.
-    /// Mirrors the store's own grouping so the RPC fan-out matches the
-    /// lock fan-out of the in-process fast path.
-    fn probes_per_shard(&self, fps: &[PageFingerprint]) -> Vec<usize> {
-        let nshards = self.store.shard_count();
-        let mut probes = vec![0usize; nshards];
-        for fp in fps {
-            for chunk in fp.chunks() {
-                probes[(chunk.hash % nshards as u64) as usize] += 1;
-            }
-        }
-        probes
-    }
-
-    /// Charges the per-shard RPCs for a batch of `probes` chunk probes.
-    fn charge_lookup(&self, probes: &[usize]) {
-        let owners = self.owner_map.read().unwrap().clone();
-        for (s, &n) in probes.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            self.owner_rpc(
-                owners[s],
-                RegistryOp::Lookup,
-                n * PROBE_BYTES,
-                n * CANDIDATE_BYTES,
-            );
-        }
-    }
-}
-
-impl RegistryBackend for DistributedRegistry {
-    fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
-        let probes = self.probes_per_shard(std::slice::from_ref(fp));
-        let owners = self.owner_map.read().unwrap().clone();
-        for (s, &n) in probes.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            self.owner_rpc(
-                owners[s],
-                RegistryOp::Insert,
-                n * PROBE_BYTES + std::mem::size_of::<ChunkLoc>(),
-                PROBE_BYTES,
-            );
-        }
-        self.store.insert_page(fp, loc);
-    }
-
-    fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
-        self.charge_lookup(&self.probes_per_shard(std::slice::from_ref(fp)));
-        self.store.lookup(fp)
-    }
-
-    fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
-        self.charge_lookup(&self.probes_per_shard(fps));
-        self.store.lookup_batch(fps)
-    }
-
-    fn remove_sandbox(&self, sandbox: SandboxId) {
-        // Removal is a broadcast: a sandbox's chunk hashes span shards,
-        // and the reverse index lives with each owner.
-        if self.store.contains_sandbox(sandbox) {
-            let owners = self.owner_map.read().unwrap().clone();
-            let mut distinct: Vec<usize> = owners.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            for owner in distinct {
-                self.owner_rpc(owner, RegistryOp::Remove, PROBE_BYTES, PROBE_BYTES);
-            }
-        }
-        self.store.remove_sandbox(sandbox);
-    }
-
-    fn entries(&self) -> usize {
-        self.store.entries()
-    }
-    fn peak_entries(&self) -> usize {
-        self.store.peak_entries()
-    }
-    fn lookups(&self) -> u64 {
-        self.store.lookups()
-    }
-    fn mem_bytes(&self) -> usize {
-        self.store.mem_bytes()
-    }
-    fn peak_mem_bytes(&self) -> usize {
-        self.store.peak_mem_bytes()
-    }
-    fn shard_count(&self) -> usize {
-        self.store.shard_count()
-    }
-    fn shard_entries(&self) -> Vec<usize> {
-        self.store.shard_entries()
-    }
-    fn shard_lookup_counts(&self) -> Vec<u64> {
-        self.store.shard_lookup_counts()
-    }
-    fn base_sandboxes(&self) -> usize {
-        self.store.base_sandboxes()
-    }
-    fn contains_sandbox(&self, sandbox: SandboxId) -> bool {
-        self.store.contains_sandbox(sandbox)
-    }
-    fn locs_on_node(&self, node: NodeId) -> usize {
-        self.store.locs_on_node(node)
-    }
-    fn check_invariants(&self) -> Result<(), String> {
-        self.store.check_invariants()?;
-        let owners = self.owner_map.read().unwrap();
-        let alive = self.alive.read().unwrap();
-        if owners.len() != self.store.shard_count() {
+        let Some(p) = &self.placement else {
+            return Ok(());
+        };
+        let own = p.ownership.read().unwrap();
+        if own.owner_of.len() != self.shards.len() {
             return Err(format!(
                 "ownership map covers {} shards, store has {}",
-                owners.len(),
-                self.store.shard_count()
+                own.owner_of.len(),
+                self.shards.len()
             ));
         }
-        for (s, &o) in owners.iter().enumerate() {
-            if o >= alive.len() {
+        let any_alive = own.alive.contains(&true);
+        for (s, &o) in own.owner_of.iter().enumerate() {
+            if o >= own.alive.len() {
                 return Err(format!("shard {s} owned by out-of-range node {o}"));
             }
-            if !alive[o] {
+            if !own.alive[o] && any_alive {
                 return Err(format!("shard {s} owned by dead node {o}"));
             }
         }
         Ok(())
     }
 
-    fn set_now(&self, now: SimTime) {
-        self.fabric.lock().unwrap().set_now(now);
+    /// Mirrors the simulated clock into the placement's fabric, so RPCs
+    /// are priced at the current instant.
+    pub fn set_now(&self, now: SimTime) {
+        if let Some(p) = &self.placement {
+            p.fabric.lock().unwrap().set_now(now);
+        }
     }
 
-    fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
-        {
-            let mut alive = self.alive.write().unwrap();
-            if node.0 >= alive.len() || !alive[node.0] {
-                return CrashRecovery::default();
-            }
-            alive[node.0] = false;
-        }
-        let shard_entries = self.store.shard_entries();
-        let mut owners = self.owner_map.write().unwrap();
-        let alive = self.alive.read().unwrap();
-        // Deterministic survivor rotation: ascending node ids, each
-        // orphaned shard taking the next survivor in turn.
-        let survivors: Vec<usize> = (0..alive.len()).filter(|&n| alive[n]).collect();
-        assert!(
-            !survivors.is_empty(),
-            "all registry owner candidates are down"
-        );
+    /// Notifies the registry that `node` crashed, *after* the platform
+    /// purged the node's base sandboxes. Under a placement the dead
+    /// owner's shards go to the survivors (ascending node ids, each
+    /// orphaned shard taking the next survivor in turn) and their
+    /// entries are re-replicated as one bulk transfer per shard. With
+    /// no survivor the shards stay put until a node restarts.
+    pub fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
         let mut rec = CrashRecovery::default();
-        let mut turn = 0usize;
-        for (s, owner) in owners.iter_mut().enumerate() {
+        let Some(p) = &self.placement else {
+            return rec;
+        };
+        let mut own = p.ownership.write().unwrap();
+        if node.0 >= own.alive.len() || !own.alive[node.0] {
+            return rec;
+        }
+        own.alive[node.0] = false;
+        let survivors: Vec<usize> = (0..own.alive.len()).filter(|&n| own.alive[n]).collect();
+        if survivors.is_empty() {
+            return rec;
+        }
+        let shard_entries = self.shard_entries();
+        for (s, owner) in own.owner_of.iter_mut().enumerate() {
             if *owner != node.0 {
                 continue;
             }
-            // The dead owner's physical copy is gone; hand the shard
-            // to a survivor and re-replicate the recoverable entries
-            // (their backing base sandboxes are on live nodes — dead
-            // bases were already purged by the platform) as one bulk
-            // transfer.
-            *owner = survivors[turn % survivors.len()];
-            turn += 1;
+            // The dead owner's physical copy is gone; the recoverable
+            // entries (their backing base sandboxes are on live nodes —
+            // dead bases were already purged by the platform) move to
+            // the new owner.
+            *owner = survivors[rec.reassigned_shards % survivors.len()];
+            rec.reassigned_shards += 1;
             let entries = shard_entries[s];
             rec.purged_entries += entries;
             rec.rereplicated_entries += entries;
-            rec.reassigned_shards += 1;
-            self.owner_rpc(
+            p.owner_rpc(
                 *owner,
                 RegistryOp::Replicate,
                 2 * PROBE_BYTES,
                 entries * ENTRY_BYTES,
             );
         }
-        self.crash_purged
-            .fetch_add(rec.purged_entries as u64, Ordering::Relaxed);
-        self.rereplicated
+        p.rereplicated
             .fetch_add(rec.rereplicated_entries as u64, Ordering::Relaxed);
         if self.obs.enabled() && rec.reassigned_shards > 0 {
             self.obs
@@ -1011,196 +781,85 @@ impl RegistryBackend for DistributedRegistry {
         rec
     }
 
-    fn on_node_restart(&self, node: NodeId) {
-        let mut alive = self.alive.write().unwrap();
-        if node.0 < alive.len() {
-            alive[node.0] = true;
+    /// Notifies the registry that `node` restarted. It rejoins the
+    /// owner candidate set for future re-demarcations but reclaims no
+    /// shard from a live owner (no proactive rebalancing); shards a
+    /// full outage left with dead owners are adopted by it.
+    pub fn on_node_restart(&self, node: NodeId) {
+        let Some(p) = &self.placement else {
+            return;
+        };
+        let mut own = p.ownership.write().unwrap();
+        let Ownership { owner_of, alive } = &mut *own;
+        if node.0 >= alive.len() {
+            return;
+        }
+        alive[node.0] = true;
+        for owner in owner_of.iter_mut().filter(|o| !alive[**o]) {
+            *owner = node.0;
         }
     }
 
-    fn entries_owned_by(&self, node: NodeId) -> usize {
-        let owners = self.owner_map.read().unwrap();
-        self.store
-            .shard_entries()
+    /// Entries resident in shards owned by `node`: 0 without a
+    /// placement, where worker nodes own nothing.
+    pub fn entries_owned_by(&self, node: NodeId) -> usize {
+        let Some(p) = &self.placement else {
+            return 0;
+        };
+        let own = p.ownership.read().unwrap();
+        self.shard_entries()
             .iter()
-            .enumerate()
-            .filter(|&(s, _)| owners[s] == node.0)
-            .map(|(_, &e)| e)
+            .zip(own.owner_of.iter())
+            .filter(|&(_, &o)| o == node.0)
+            .map(|(&e, _)| e)
             .sum()
     }
 
-    fn rpc_stats(&self) -> FabricStats {
-        self.fabric.lock().unwrap().stats()
-    }
-
-    fn rpc_time(&self) -> SimDuration {
-        SimDuration::from_micros(self.rpc_time_us.load(Ordering::Relaxed))
-    }
-
-    fn rereplicated_entries(&self) -> u64 {
-        self.rereplicated.load(Ordering::Relaxed)
-    }
-}
-
-/// Thin facade the platform holds: forwards every call to the
-/// configured [`RegistryBackend`]. Constructed per run from the
-/// platform config; cheap to share across the dedup pipeline's worker
-/// threads by reference.
-#[derive(Debug)]
-pub struct RegistryClient {
-    backend: Box<dyn RegistryBackend>,
-}
-
-impl Default for RegistryClient {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RegistryClient {
-    /// A single-shard in-process registry with observability disabled —
-    /// the drop-in equivalent of the old `FingerprintRegistry::new()`.
-    pub fn new() -> Self {
-        Self::in_process(1, Obs::disabled())
-    }
-
-    /// A controller-resident sharded registry.
-    pub fn in_process(shards: usize, obs: Arc<Obs>) -> Self {
-        Self::from_backend(Box::new(InProcessRegistry::with_shards_obs(shards, obs)))
-    }
-
-    /// A distributed registry over `owners` of `nodes` worker nodes.
-    pub fn distributed(
-        shards: usize,
-        owners: usize,
-        nodes: usize,
-        net: NetConfig,
-        retry: RetryPolicy,
-        obs: Arc<Obs>,
-    ) -> Self {
-        Self::from_backend(Box::new(DistributedRegistry::new(
-            shards, owners, nodes, net, retry, obs,
-        )))
-    }
-
-    /// Wraps an arbitrary backend.
-    pub fn from_backend(backend: Box<dyn RegistryBackend>) -> Self {
-        RegistryClient { backend }
-    }
-
-    /// Inserts all fingerprint chunks of one base-sandbox page.
-    pub fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
-        self.backend.insert_page(fp, loc);
-    }
-
-    /// Looks up one page fingerprint.
-    pub fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
-        self.backend.lookup(fp)
-    }
-
-    /// Looks up a batch of page fingerprints.
-    pub fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
-        self.backend.lookup_batch(fps)
-    }
-
-    /// Removes every entry contributed by a base sandbox.
-    pub fn remove_sandbox(&self, sandbox: SandboxId) {
-        self.backend.remove_sandbox(sandbox);
-    }
-
-    /// Live (hash, location) entry count.
-    pub fn entries(&self) -> usize {
-        self.backend.entries()
-    }
-
-    /// High-water mark of entries.
-    pub fn peak_entries(&self) -> usize {
-        self.backend.peak_entries()
-    }
-
-    /// Total lookups served.
-    pub fn lookups(&self) -> u64 {
-        self.backend.lookups()
-    }
-
-    /// Approximate resident bytes.
-    pub fn mem_bytes(&self) -> usize {
-        self.backend.mem_bytes()
-    }
-
-    /// High-water mark of resident bytes.
-    pub fn peak_mem_bytes(&self) -> usize {
-        self.backend.peak_mem_bytes()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.backend.shard_count()
-    }
-
-    /// Live entry count per shard.
-    pub fn shard_entries(&self) -> Vec<usize> {
-        self.backend.shard_entries()
-    }
-
-    /// Chunk probes served per shard.
-    pub fn shard_lookup_counts(&self) -> Vec<u64> {
-        self.backend.shard_lookup_counts()
-    }
-
-    /// Distinct base sandboxes currently contributing entries.
-    pub fn base_sandboxes(&self) -> usize {
-        self.backend.base_sandboxes()
-    }
-
-    /// Whether the registry still tracks this sandbox.
-    pub fn contains_sandbox(&self, sandbox: SandboxId) -> bool {
-        self.backend.contains_sandbox(sandbox)
-    }
-
-    /// Chunk locations pointing at `node`.
-    pub fn locs_on_node(&self, node: NodeId) -> usize {
-        self.backend.locs_on_node(node)
-    }
-
-    /// Structural self-check.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        self.backend.check_invariants()
-    }
-
-    /// Mirrors the simulated clock into the backend.
-    pub fn set_now(&self, now: SimTime) {
-        self.backend.set_now(now);
-    }
-
-    /// Crash notification (see [`RegistryBackend::on_node_crash`]).
-    pub fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
-        self.backend.on_node_crash(node)
-    }
-
-    /// Restart notification.
-    pub fn on_node_restart(&self, node: NodeId) {
-        self.backend.on_node_restart(node);
-    }
-
-    /// Entries resident in shards owned by `node`.
-    pub fn entries_owned_by(&self, node: NodeId) -> usize {
-        self.backend.entries_owned_by(node)
-    }
-
-    /// Cumulative registry RPC traffic.
+    /// Cumulative registry RPC traffic (zero without a placement).
     pub fn rpc_stats(&self) -> FabricStats {
-        self.backend.rpc_stats()
+        self.placement
+            .as_ref()
+            .map(|p| p.fabric.lock().unwrap().stats())
+            .unwrap_or_default()
     }
 
-    /// Total simulated time spent in registry RPCs.
+    /// Total simulated time spent in registry RPCs. Accounted off the
+    /// report-visible path: dedup runs off the critical path, so the
+    /// latency is an overhead figure, not a scheduling input.
     pub fn rpc_time(&self) -> SimDuration {
-        self.backend.rpc_time()
+        SimDuration::from_micros(
+            self.placement
+                .as_ref()
+                .map_or(0, |p| p.rpc_time_us.load(Ordering::Relaxed)),
+        )
     }
 
     /// Cumulative entries re-replicated by crash recoveries.
     pub fn rereplicated_entries(&self) -> u64 {
-        self.backend.rereplicated_entries()
+        self.placement
+            .as_ref()
+            .map_or(0, |p| p.rereplicated.load(Ordering::Relaxed))
+    }
+
+    /// Number of shards currently owned by `node`.
+    #[cfg(test)]
+    fn shards_owned_by(&self, node: NodeId) -> usize {
+        let p = self.placement.as_ref().expect("placed client");
+        let own = p.ownership.read().unwrap();
+        own.owner_of.iter().filter(|&&o| o == node.0).count()
+    }
+
+    /// All (hash, location) pairs, for test assertions.
+    #[cfg(test)]
+    fn snapshot_locs(&self) -> Vec<(ChunkHash, ChunkLoc)> {
+        let mut out = Vec::new();
+        for lock in &self.shards {
+            let shard = lock.read().unwrap();
+            for (&h, locs) in &shard.table {
+                out.extend(locs.iter().map(|&l| (h, l)));
+            }
+        }
+        out
     }
 }
 
@@ -1231,7 +890,7 @@ mod tests {
         let page = random_page(1);
         let fp = page_fingerprint(&page, &cfg);
         assert!(!fp.is_empty());
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         reg.insert_page(&fp, loc(1, 0));
         let cands = reg.lookup(&fp);
         assert_eq!(cands.len(), 1);
@@ -1242,7 +901,7 @@ mod tests {
     #[test]
     fn unrelated_page_gets_no_candidates() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         reg.insert_page(&page_fingerprint(&random_page(1), &cfg), loc(1, 0));
         let cands = reg.lookup(&page_fingerprint(&random_page(2), &cfg));
         assert!(cands.is_empty());
@@ -1257,7 +916,7 @@ mod tests {
         let mut partial = random_page(4);
         partial[..2048].copy_from_slice(&page[..2048]);
         let fp_partial = page_fingerprint(&partial, &cfg);
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         reg.insert_page(&fp, loc(1, 0));
         reg.insert_page(&fp_partial, loc(2, 0));
         let cands = reg.lookup(&fp);
@@ -1270,7 +929,7 @@ mod tests {
     #[test]
     fn removal_is_exact() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         let fp1 = page_fingerprint(&random_page(5), &cfg);
         let fp2 = page_fingerprint(&random_page(6), &cfg);
         reg.insert_page(&fp1, loc(1, 0));
@@ -1291,7 +950,7 @@ mod tests {
         let page = random_page(7);
         let fp = page_fingerprint(&page, &cfg);
         for shards in [1, 4] {
-            let reg = InProcessRegistry::with_shards(shards);
+            let reg = RegistryClient::in_process(shards, Obs::disabled());
             for sb in 0..20 {
                 reg.insert_page(&fp, loc(sb, 0));
             }
@@ -1304,7 +963,7 @@ mod tests {
     #[test]
     fn lookup_counter_increments() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::new();
+        let reg = RegistryClient::new();
         let fp = page_fingerprint(&random_page(8), &cfg);
         reg.lookup(&fp);
         reg.lookup(&fp);
@@ -1324,7 +983,7 @@ mod tests {
         let fp_partial = page_fingerprint(&partial, &cfg);
 
         let build = |shards: usize| {
-            let reg = InProcessRegistry::with_shards(shards);
+            let reg = RegistryClient::in_process(shards, Obs::disabled());
             for (i, fp) in fps.iter().enumerate() {
                 reg.insert_page(
                     fp,
@@ -1366,7 +1025,7 @@ mod tests {
     fn lookup_batch_matches_individual_lookups() {
         let cfg = FingerprintConfig::default();
         for shards in [1, 4, 16] {
-            let reg = InProcessRegistry::with_shards(shards);
+            let reg = RegistryClient::in_process(shards, Obs::disabled());
             for i in 0..16u64 {
                 let fp = page_fingerprint(&random_page(i), &cfg);
                 reg.insert_page(&fp, loc(i % 4 + 1, i as u32));
@@ -1387,7 +1046,7 @@ mod tests {
     #[test]
     fn base_sandboxes_is_distinct_union_across_shards() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::with_shards(8);
+        let reg = RegistryClient::in_process(8, Obs::disabled());
         for page in 0..12u64 {
             let fp = page_fingerprint(&random_page(1000 + page), &cfg);
             reg.insert_page(&fp, loc(1, page as u32));
@@ -1400,80 +1059,135 @@ mod tests {
         assert_eq!(reg.entries(), 0);
     }
 
-    /// Randomized insert/remove interleavings must keep every shard's
-    /// `table` and `by_sandbox` mutually consistent — at several shard
-    /// counts — and no location may survive its sandbox's eviction.
+    /// Randomized insert/remove/crash/restart interleavings — including
+    /// full outages — must keep every shard's `table` and `by_sandbox`
+    /// mutually consistent, at several shard counts, on a placed client
+    /// and an in-process client fed the same stream; the two must agree
+    /// on every lookup, no shard entry may sit with a dead owner, and no
+    /// location may survive its sandbox's eviction.
     #[test]
     fn random_interleavings_keep_invariants() {
+        const NODES: usize = 4;
         let cfg = FingerprintConfig::default();
+        let mut full_outages = 0usize;
         for shards in [1, 3, 8] {
-            let mut rng = DetRng::new(0x1EC5);
-            for case in 0..16 {
-                let reg = InProcessRegistry::with_shards(shards);
-                let mut live: Vec<u64> = Vec::new();
+            for case in 0..70u64 {
+                let mut rng = DetRng::new(0x1EC5 + 1000 * shards as u64 + case);
+                let owners = rng.range(1, NODES as u64 + 1) as usize;
+                let regs = [
+                    RegistryClient::in_process(shards, Obs::disabled()),
+                    distributed(shards, owners, NODES),
+                ];
+                // Live sandboxes with the node each lives on.
+                let mut live: Vec<(u64, usize)> = Vec::new();
                 let mut evicted: Vec<u64> = Vec::new();
+                let mut up = [true; NODES];
                 let mut next_sb = 1u64;
+                let mut probe = page_fingerprint(&random_page(rng.next_u64()), &cfg);
+                // What the platform does on a crash: purge the dead
+                // node's bases, then tell the registry.
+                let crash = |n: usize, live: &mut Vec<(u64, usize)>, evicted: &mut Vec<u64>| {
+                    live.retain(|&(sb, node)| {
+                        if node == n {
+                            regs.iter().for_each(|r| r.remove_sandbox(SandboxId(sb)));
+                            evicted.push(sb);
+                        }
+                        node != n
+                    });
+                    for reg in &regs {
+                        assert_eq!(reg.locs_on_node(NodeId(n)), 0);
+                        reg.on_node_crash(NodeId(n));
+                    }
+                };
                 for step in 0..rng.range(20, 60) {
-                    if live.is_empty() || rng.chance(0.65) {
+                    let ctx = format!("shards {shards} case {case} step {step}");
+                    let up_nodes: Vec<usize> = (0..NODES).filter(|&n| up[n]).collect();
+                    let roll = rng.below(100);
+                    if roll < 3 {
+                        // Full outage, one node at a time.
+                        for n in up_nodes {
+                            crash(n, &mut live, &mut evicted);
+                            up[n] = false;
+                            regs[1].check_invariants().expect(&ctx);
+                        }
+                        full_outages += 1;
+                    } else if roll < 13 {
+                        let n = rng.below(NODES as u64) as usize;
+                        crash(n, &mut live, &mut evicted);
+                        up[n] = false;
+                    } else if roll < 23 {
+                        let n = rng.below(NODES as u64) as usize;
+                        regs.iter().for_each(|r| r.on_node_restart(NodeId(n)));
+                        up[n] = true;
+                    } else if !up_nodes.is_empty() && (live.is_empty() || roll < 75) {
                         // Insert a few pages for a fresh or existing sandbox.
-                        let sb = if live.is_empty() || rng.chance(0.4) {
-                            let sb = next_sb;
+                        let (sb, node) = if live.is_empty() || rng.chance(0.4) {
+                            let node = up_nodes[rng.below(up_nodes.len() as u64) as usize];
+                            live.push((next_sb, node));
                             next_sb += 1;
-                            live.push(sb);
-                            sb
+                            live[live.len() - 1]
                         } else {
                             live[rng.below(live.len() as u64) as usize]
                         };
                         for page in 0..rng.range(1, 4) {
                             let fp = page_fingerprint(&random_page(rng.next_u64()), &cfg);
                             if !fp.is_empty() {
-                                reg.insert_page(
-                                    &fp,
-                                    ChunkLoc {
-                                        node: NodeId(rng.below(4) as usize),
-                                        sandbox: SandboxId(sb),
-                                        page: page as u32,
-                                    },
-                                );
+                                let loc = ChunkLoc {
+                                    node: NodeId(node),
+                                    sandbox: SandboxId(sb),
+                                    page: page as u32,
+                                };
+                                regs.iter().for_each(|r| r.insert_page(&fp, loc));
+                                probe = fp;
                             }
                         }
-                    } else {
+                    } else if !live.is_empty() {
                         let i = rng.below(live.len() as u64) as usize;
-                        let sb = live.swap_remove(i);
-                        reg.remove_sandbox(SandboxId(sb));
+                        let (sb, _) = live.swap_remove(i);
+                        regs.iter().for_each(|r| r.remove_sandbox(SandboxId(sb)));
                         evicted.push(sb);
                     }
-                    reg.check_invariants()
-                        .unwrap_or_else(|e| panic!("shards {shards} case {case} step {step}: {e}"));
+                    for reg in &regs {
+                        reg.check_invariants()
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        for dead in (0..NODES).filter(|&n| !up[n]) {
+                            assert_eq!(reg.entries_owned_by(NodeId(dead)), 0, "{ctx}");
+                        }
+                    }
+                    assert_eq!(regs[0].lookup(&probe), regs[1].lookup(&probe), "{ctx}");
+                    assert_eq!(regs[0].entries(), regs[1].entries(), "{ctx}");
                 }
-                // No ChunkLoc points at an evicted sandbox.
-                for &sb in &evicted {
+                for reg in &regs {
+                    // No ChunkLoc points at an evicted sandbox.
+                    for &sb in &evicted {
+                        assert!(
+                            reg.snapshot_locs()
+                                .iter()
+                                .all(|(_, l)| l.sandbox != SandboxId(sb)),
+                            "shards {shards} case {case}: location survived eviction of sb{sb}"
+                        );
+                        assert!(!reg.contains_sandbox(SandboxId(sb)));
+                    }
+                    // Evicting everything drains the registry completely.
+                    for &(sb, _) in &live {
+                        reg.remove_sandbox(SandboxId(sb));
+                    }
+                    reg.check_invariants().expect("drained registry");
+                    assert_eq!(reg.entries(), 0, "shards {shards} case {case}");
                     assert!(
-                        reg.snapshot_locs()
-                            .iter()
-                            .all(|(_, l)| l.sandbox != SandboxId(sb)),
-                        "shards {shards} case {case}: location survived eviction of sb{sb}"
+                        reg.snapshot_locs().is_empty(),
+                        "shards {shards} case {case}"
                     );
-                    assert!(!reg.contains_sandbox(SandboxId(sb)));
                 }
-                // Evicting everything drains the registry completely.
-                for sb in live.drain(..) {
-                    reg.remove_sandbox(SandboxId(sb));
-                }
-                reg.check_invariants().expect("drained registry");
-                assert_eq!(reg.entries(), 0, "shards {shards} case {case}");
-                assert!(
-                    reg.snapshot_locs().is_empty(),
-                    "shards {shards} case {case}"
-                );
             }
         }
+        assert!(full_outages > 0, "no case took every node down");
     }
 
     #[test]
     fn locs_on_node_counts_and_drains() {
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::with_shards(4);
+        let reg = RegistryClient::in_process(4, Obs::disabled());
         let fp1 = page_fingerprint(&random_page(21), &cfg);
         let fp2 = page_fingerprint(&random_page(22), &cfg);
         reg.insert_page(
@@ -1504,7 +1218,7 @@ mod tests {
     fn obs_mirrors_registry_activity() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let cfg = FingerprintConfig::default();
-        let reg = InProcessRegistry::with_shards_obs(2, Arc::clone(&obs));
+        let reg = RegistryClient::in_process(2, Arc::clone(&obs));
         let fp = page_fingerprint(&random_page(9), &cfg);
         reg.insert_page(&fp, loc(1, 0));
         reg.lookup(&fp);
@@ -1523,8 +1237,8 @@ mod tests {
         assert_eq!(obs.counter("medes.registry.evictions"), 1);
     }
 
-    fn distributed(shards: usize, owners: usize, nodes: usize) -> DistributedRegistry {
-        DistributedRegistry::new(
+    fn distributed(shards: usize, owners: usize, nodes: usize) -> RegistryClient {
+        RegistryClient::distributed(
             shards,
             owners,
             nodes,
@@ -1537,14 +1251,14 @@ mod tests {
     /// Shard placement must not leak into what the registry *returns*:
     /// a distributed registry at any owner count elects the exact same
     /// candidates — and reports the same counters — as the in-process
-    /// store it wraps.
+    /// one.
     #[test]
     fn distributed_results_match_in_process_at_any_placement() {
         let cfg = FingerprintConfig::default();
         let fps: Vec<PageFingerprint> = (0..16u64)
             .map(|i| page_fingerprint(&random_page(40 + i), &cfg))
             .collect();
-        let run = |reg: &dyn RegistryBackend| {
+        let run = |reg: &RegistryClient| {
             for (i, fp) in fps.iter().enumerate() {
                 reg.insert_page(
                     fp,
@@ -1559,7 +1273,7 @@ mod tests {
             let batch = reg.lookup_batch(&fps);
             (batch, reg.entries(), reg.base_sandboxes(), reg.lookups())
         };
-        let local = InProcessRegistry::with_shards(8);
+        let local = RegistryClient::in_process(8, Obs::disabled());
         let baseline = run(&local);
         for owners in [1, 3, 6] {
             let reg = distributed(8, owners, 6);
@@ -1568,13 +1282,13 @@ mod tests {
         }
     }
 
-    /// Every logical operation on the distributed backend turns into
+    /// Every logical operation on a placed client turns into
     /// priced RPC traffic on its private fabric, split by op kind.
     #[test]
     fn distributed_charges_rpc_traffic() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let cfg = FingerprintConfig::default();
-        let reg = DistributedRegistry::new(
+        let reg = RegistryClient::distributed(
             4,
             2,
             4,
@@ -1653,9 +1367,9 @@ mod tests {
         reg.check_invariants().expect("second re-demarcation");
     }
 
-    /// The facade forwards faithfully: a distributed client and an
-    /// in-process client given the same inputs agree on every counter
-    /// the trait exposes (the counter-parity contract of the backends).
+    /// A distributed client and an in-process client given the same
+    /// inputs agree on every store counter (the counter-parity contract
+    /// of placement).
     #[test]
     fn client_counters_agree_across_backends() {
         let cfg = FingerprintConfig::default();

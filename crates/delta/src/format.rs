@@ -151,7 +151,7 @@ impl Patch {
 /// the instruction stream is validated once up front and then iterated
 /// *in place* — `ADD` literals borrow from the underlying wire buffer
 /// instead of being copied into `Vec`s. Combined with
-/// [`PatchRef::apply_into`](crate::apply), a page restore from stored
+/// [`PatchRef::apply_into`], a page restore from stored
 /// patch bytes touches no intermediate allocation at all.
 #[derive(Debug, Clone, Copy)]
 pub struct PatchRef<'a> {

@@ -7,7 +7,7 @@
 //! coder with the same shape:
 //!
 //! * a patch is a stream of `COPY{offset, len}` (from the base) and
-//!   `ADD{bytes}` (literal) instructions ([`format`]);
+//!   `ADD{bytes}` (literal) instructions ([`mod@format`]);
 //! * [`encode`](encode::encode) finds matches with a hash-chain block
 //!   index over the base; compression levels 0–9 trade encode effort for
 //!   patch size exactly like Xdelta3's flag (level 0 = store, level 1 =

@@ -140,7 +140,7 @@ impl Default for FingerprintConfig {
 /// hit) so a single repeated byte run cannot dominate the fingerprint.
 ///
 /// The scan itself runs 32 bytes per step (SWAR over `u64` lanes, see
-/// [`scan_candidates`]); debug builds cross-check every result against
+/// `scan_candidates`); debug builds cross-check every result against
 /// the byte-at-a-time [`page_fingerprint_scalar`] reference.
 pub fn page_fingerprint(page: &[u8], cfg: &FingerprintConfig) -> PageFingerprint {
     if page.len() < cfg.chunk_size || cfg.chunk_size < 2 || cfg.cardinality == 0 {

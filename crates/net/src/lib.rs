@@ -515,13 +515,25 @@ impl Fabric {
         reads: &[(NodeIdx, usize)],
         policy: &RetryPolicy,
     ) -> Result<RetryOutcome, NetError> {
+        self.retry(policy, |f, at| f.rdma_read_batch_at(dst, reads, at))
+    }
+
+    /// The one retry loop behind every `*_retry` op: runs `attempt` at
+    /// the accumulated simulated instant until it succeeds or
+    /// `max_attempts` is exhausted, charging each failure
+    /// [`NetConfig::fault_timeout`] plus the policy's backoff.
+    fn retry(
+        &mut self,
+        policy: &RetryPolicy,
+        mut attempt: impl FnMut(&mut Self, SimTime) -> Result<SimDuration, NetError>,
+    ) -> Result<RetryOutcome, NetError> {
         let mut elapsed = SimDuration::ZERO;
         let mut backoff_total = SimDuration::ZERO;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             let attempt_start = self.now + elapsed;
-            match self.rdma_read_batch_at(dst, reads, attempt_start) {
+            match attempt(self, attempt_start) {
                 Ok(t) => {
                     return Ok(RetryOutcome {
                         time: elapsed + t,
@@ -627,39 +639,7 @@ impl Fabric {
         resp_bytes: usize,
         policy: &RetryPolicy,
     ) -> Result<RetryOutcome, NetError> {
-        let mut elapsed = SimDuration::ZERO;
-        let mut backoff_total = SimDuration::ZERO;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let attempt_start = self.now + elapsed;
-            match self.rpc_at(a, b, req_bytes, resp_bytes, attempt_start) {
-                Ok(t) => {
-                    return Ok(RetryOutcome {
-                        time: elapsed + t,
-                        attempts,
-                        backoff: backoff_total,
-                    })
-                }
-                Err(e) => {
-                    self.retry_span(attempts, attempt_start, e);
-                    elapsed += self.cfg.fault_timeout;
-                    if attempts >= policy.max_attempts.max(1) {
-                        if self.obs.enabled() {
-                            self.obs.incr("medes.net.retry_giveups");
-                        }
-                        return Err(e);
-                    }
-                    let pause = policy.backoff(attempts - 1);
-                    elapsed += pause;
-                    backoff_total += pause;
-                    self.stats.retries += 1;
-                    if self.obs.enabled() {
-                        self.obs.incr("medes.net.retries");
-                    }
-                }
-            }
-        }
+        self.retry(policy, |f, at| f.rpc_at(a, b, req_bytes, resp_bytes, at))
     }
 
     /// Fault gate for the dedup agent's fingerprint RPC to the
@@ -677,34 +657,18 @@ impl Fabric {
         if self.faults.is_none() {
             return Ok(SimDuration::ZERO);
         }
-        let mut elapsed = SimDuration::ZERO;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let at = self.now + elapsed;
-            let dropped = self.faults.as_mut().is_some_and(|f| f.rpc_dropped(at));
-            if !dropped {
-                return Ok(elapsed);
+        let out = self.retry(policy, |f, at| {
+            if !f.faults.as_mut().is_some_and(|s| s.rpc_dropped(at)) {
+                return Ok(SimDuration::ZERO);
             }
             let e = NetError::Timeout { node: from };
-            self.note_error(e, false);
-            if self.obs.enabled() {
-                self.obs.incr("medes.net.rpc_dropped");
+            f.note_error(e, false);
+            if f.obs.enabled() {
+                f.obs.incr("medes.net.rpc_dropped");
             }
-            self.retry_span(attempts, at, e);
-            elapsed += self.cfg.fault_timeout;
-            if attempts >= policy.max_attempts.max(1) {
-                if self.obs.enabled() {
-                    self.obs.incr("medes.net.retry_giveups");
-                }
-                return Err(e);
-            }
-            elapsed += policy.backoff(attempts - 1);
-            self.stats.retries += 1;
-            if self.obs.enabled() {
-                self.obs.incr("medes.net.retries");
-            }
-        }
+            Err(e)
+        })?;
+        Ok(out.time)
     }
 
     fn check(&self, n: NodeIdx) {

@@ -2,7 +2,7 @@
 //!
 //! Histograms use log-linear bucketing (HdrHistogram-style): values are
 //! grouped by power-of-two octave, each octave split into
-//! [`SUB_BUCKETS`] linear sub-buckets, so quantile estimates carry a
+//! `SUB_BUCKETS` linear sub-buckets, so quantile estimates carry a
 //! bounded relative error (≤ 1/SUB_BUCKETS ≈ 3%) without storing
 //! samples. Metric names follow `medes.<subsystem>.<name>`.
 

@@ -1,5 +1,5 @@
 //! Adaptive keep-alive — the hybrid-histogram policy of Shahrad et al.
-//! ("Serverless in the Wild", the paper's [29]), as adopted by Azure
+//! ("Serverless in the Wild", the paper's \[29\]), as adopted by Azure
 //! Functions.
 //!
 //! Per function, a histogram of request inter-arrival times (1-minute

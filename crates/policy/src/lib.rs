@@ -7,7 +7,7 @@
 //! * [`adaptive::AdaptiveKeepAlive`] — the Azure-style policy of
 //!   Shahrad et al.: a per-function histogram of inter-arrival times
 //!   picks a keep-alive window covering a target percentile.
-//! * [`medes::MedesPolicy`] — the paper's contribution (§5): given
+//! * [`medes`] — the paper's contribution (§5): given
 //!   per-function measurements (arrival rate, reuse periods, memory
 //!   footprints, startup latencies), solve the optimization problem P1
 //!   (min memory s.t. latency ≤ α·s_W) or P2 (min latency s.t. memory ≤

@@ -5,7 +5,7 @@
 //! the Azure Functions production traces, scaled 5×. The Azure dataset
 //! is not redistributable, so per `DESIGN.md` this crate generates
 //! *Azure-like* arrivals reproducing the characteristics reported by
-//! Shahrad et al. (the paper's [29]): heavy skew across functions, a mix
+//! Shahrad et al. (the paper's \[29\]): heavy skew across functions, a mix
 //! of bursty / periodic / diurnal per-function patterns, and long idle
 //! gaps that punish naive keep-alive policies.
 //!

@@ -1,12 +1,13 @@
-//! Trait-conformance suite for registry backends (DESIGN.md §15).
+//! Placement-conformance suite for the registry (DESIGN.md §15).
 //!
-//! Every [`RegistryBackend`] must be observationally identical to the
+//! A placed [`RegistryClient`] must be observationally identical to the
 //! in-process reference: same candidates, same counters, at every
 //! interleaving of inserts, lookups, and removals. On top of the
-//! backend-level contract, whole-platform runs (fig7-, fig9-, and
+//! client-level contract, whole-platform runs (fig7-, fig9-, and
 //! chaos-style configurations) must produce bit-identical `RunReport`s
-//! with the distributed backend at 1, 4, and 12 owner nodes — and
-//! crash runs must end with zero registry state tied to dead nodes.
+//! with the registry distributed over 1, 4, and 12 owner nodes — and
+//! crash runs, a full outage included, must end with zero registry
+//! state tied to dead nodes.
 
 use medes::hash::sample::{page_fingerprint, FingerprintConfig};
 use medes::net::{NetConfig, RetryPolicy};
@@ -16,7 +17,7 @@ use medes::platform::ids::{NodeId, SandboxId};
 use medes::platform::registry::{ChunkLoc, RegistryClient};
 use medes::platform::Platform;
 use medes::policy::medes::Objective;
-use medes::sim::fault::FaultPlan;
+use medes::sim::fault::{FaultPlan, NodeCrash};
 use medes::sim::{DetRng, SimDuration, SimTime};
 use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
 
@@ -27,7 +28,7 @@ fn random_page(seed: u64) -> Vec<u8> {
     p
 }
 
-/// One client per backend, identically sharded: the in-process
+/// One client per placement, identically sharded: the in-process
 /// reference plus distributed placements of several widths.
 fn backends(shards: usize) -> Vec<(String, RegistryClient)> {
     let mut out = vec![(
@@ -50,7 +51,7 @@ fn backends(shards: usize) -> Vec<(String, RegistryClient)> {
     out
 }
 
-/// Snapshot of every counter the trait exposes, for parity assertions.
+/// Snapshot of every store counter, for parity assertions.
 fn counters(c: &RegistryClient) -> (usize, usize, u64, usize, usize, Vec<usize>, Vec<u64>, usize) {
     (
         c.entries(),
@@ -64,7 +65,7 @@ fn counters(c: &RegistryClient) -> (usize, usize, u64, usize, usize, Vec<usize>,
     )
 }
 
-/// Randomized insert/lookup/remove interleavings: every backend must
+/// Randomized insert/lookup/remove interleavings: every placement must
 /// return the same candidates and report the same counters as the
 /// in-process reference, step for step.
 #[test]
@@ -265,7 +266,7 @@ fn fig9_style_report_is_placement_invariant() {
 }
 
 /// Chaos-style: a synthesized fault plan crashes nodes mid-run. The
-/// distributed backend must re-demarcate ownership and still replay
+/// placed registry must re-demarcate ownership and still replay
 /// the in-process report bit for bit, ending with zero dead-node
 /// registry state.
 #[test]
@@ -285,4 +286,38 @@ fn chaos_style_report_is_placement_invariant() {
         reference.report.node_crashes > 0,
         "no crash landed during the trace; the hygiene gate is vacuous"
     );
+}
+
+/// A full outage: every node — so every registry owner candidate — is
+/// down at once. The placed registry has no survivor to re-demarcate
+/// onto, so its (empty) shards wait for the first restarted node; the
+/// run must finish and replay the in-process report bit for bit.
+#[test]
+fn full_outage_report_is_placement_invariant() {
+    let crashes: Vec<NodeCrash> = (0..4u64)
+        .map(|n| NodeCrash {
+            node: n as usize,
+            at: SimTime::from_secs(40 + n),
+            restart: Some(SimTime::from_secs(60)),
+        })
+        .collect();
+    let run = |registry: RegistryPlacement| {
+        let cfg = PlatformConfig::test_builder()
+            .nodes(4)
+            .shards(4)
+            .registry(registry)
+            .faults(FaultPlan {
+                crashes: crashes.clone(),
+                ..Default::default()
+            })
+            .build()
+            .expect("valid config");
+        Platform::new(cfg, suite()).run(&trace(120, 31, 2.0)).report
+    };
+    let reference = run(RegistryPlacement::InProcess);
+    assert_eq!(reference.node_crashes, 4);
+    assert_eq!(reference.node_restarts, 4);
+    let placed = run(RegistryPlacement::Distributed { owners: 2 });
+    assert_eq!(placed, reference);
+    assert_eq!(placed.registry_dead_node_locs, 0);
 }
