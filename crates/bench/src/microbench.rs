@@ -14,6 +14,11 @@
 //! | encode | `encode_reference` (per-call `HashMap`) | `encode_with` (reused [`EncodeScratch`]) |
 //! | apply | `apply` (allocating) | `apply_into` / `PatchRef::apply_into` (zero-copy) |
 //!
+//! Image materialisation has three rows of its own: `image_build_first`
+//! (a fresh [`ImageBuilder`]: fills the file-backed template, then the
+//! instance), `image_build` (the same builder warm: template copy +
+//! heap/stack fill + noise) and `page_count` (what a spawn pays).
+//!
 //! The experiment is self-checking: every optimized-path result is
 //! asserted bit-identical to its legacy counterpart on the whole
 //! corpus, and a deterministic FNV digest over all fingerprints and
@@ -36,7 +41,7 @@ use medes_hash::sample::{
     page_fingerprint, page_fingerprint_scalar, pages_fingerprints, FingerprintConfig,
     PageFingerprint,
 };
-use medes_mem::{FunctionSpec, ImageBuilder};
+use medes_mem::{ContentModel, ContentModelConfig, FunctionSpec, ImageBuilder};
 use medes_obs::json::{Json, JsonMap};
 use medes_sim::DetRng;
 use std::time::Instant;
@@ -130,6 +135,18 @@ fn build_corpus(quick: bool) -> Corpus {
     Corpus { pages, pairs }
 }
 
+/// The builder the image rows time: a mid-sized two-library function
+/// under the `paper_calibrated` mixture (what the platform experiments
+/// and the repository benchmark materialise), 128 pages at 1/64.
+fn image_builder() -> ImageBuilder {
+    ImageBuilder::new(FunctionSpec::new("mb-image", 32 << 20, &["numpy", "time"]))
+        .with_scale(64)
+        .with_model(ContentModel {
+            mixture: ContentModelConfig::paper_calibrated(),
+            ..ContentModel::default()
+        })
+}
+
 /// Folds bytes into a running FNV-chain digest.
 fn fold(acc: u64, bytes: &[u8]) -> u64 {
     acc.rotate_left(1) ^ fnv1a(bytes)
@@ -141,6 +158,23 @@ fn digest_fingerprints(fps: &[PageFingerprint]) -> u64 {
         for c in fp.chunks() {
             acc = fold(acc, &c.offset.to_le_bytes());
             acc = fold(acc, &c.hash.to_le_bytes());
+        }
+    }
+    acc
+}
+
+/// Digest of what the image rows produce: a cold and a warm build of
+/// two instances (asserted equal) and the page count.
+fn digest_images() -> u64 {
+    let warm = image_builder();
+    let mut acc = fold(0xD16E_5702u64, &(warm.page_count() as u64).to_le_bytes());
+    for (seed, version) in [(1u64, 0u64), (2, 0), (2, 1)] {
+        let cold = image_builder().build_versioned(seed, version);
+        let img = warm.build_versioned(seed, version);
+        assert_eq!(img.page_count(), warm.page_count(), "page_count drifted");
+        for (i, page) in img.pages() {
+            assert!(page == cold.page(i), "templated build diverged from first");
+            acc = fold(acc, page);
         }
     }
     acc
@@ -206,11 +240,14 @@ pub fn run(cfg: &ExpConfig) -> Report {
         assert_eq!(out, *target, "PatchRef::apply_into diverged");
         patches.push(fast);
     }
-    report.line("equality gates: wide==scalar, batch==single, scratch==reference, into==alloc ok");
-
     // --- Determinism digest (for the CI double-run diff).
     let fp_digest = digest_fingerprints(&wide_fps);
     let patch_digest = digest_patches(&patches);
+    let image_digest = digest_images();
+    report.line(
+        "equality gates: wide==scalar, batch==single, scratch==reference, into==alloc, \
+         templated==first ok",
+    );
 
     // --- Timed sections.
     let samples = if cfg.quick { 300 } else { 3000 };
@@ -258,7 +295,19 @@ pub fn run(cfg: &ExpConfig) -> Report {
         out.len() as u64
     });
 
-    let ops: [(&str, OpStats); 8] = [
+    let image_samples = if cfg.quick { 40 } else { 400 };
+    let image_first = measure(image_samples, |i| {
+        image_builder().build(i as u64).page_count() as u64
+    });
+    let warm_builder = image_builder();
+    let image_warm = measure(image_samples, |i| {
+        warm_builder.build(i as u64).page_count() as u64
+    });
+    let page_count = measure(apply_samples, |_| {
+        std::hint::black_box(&warm_builder).page_count() as u64
+    });
+
+    let ops: [(&str, OpStats); 11] = [
         ("fingerprint/scalar", fp_scalar),
         ("fingerprint/wide", fp_wide),
         ("fingerprint/batch", fp_batch),
@@ -267,6 +316,9 @@ pub fn run(cfg: &ExpConfig) -> Report {
         ("apply/alloc", apply_alloc),
         ("apply/into", apply_into_stats),
         ("apply/ref-into", apply_ref),
+        ("image_build_first", image_first),
+        ("image_build", image_warm),
+        ("page_count", page_count),
     ];
     let us = |ns: f64| f(ns / 1000.0, 3);
     report.section("per-op latency (us)");
@@ -309,7 +361,8 @@ pub fn run(cfg: &ExpConfig) -> Report {
         );
     }
     report.line(&format!(
-        "determinism digest: fingerprints {fp_digest:016x}, patches {patch_digest:016x}"
+        "determinism digest: fingerprints {fp_digest:016x}, patches {patch_digest:016x}, \
+         images {image_digest:016x}"
     ));
 
     // --- Artifacts: JSON record, digest file, per-op perf history.
@@ -331,8 +384,11 @@ pub fn run(cfg: &ExpConfig) -> Report {
         Json::from(format!("{fp_digest:016x}")),
     );
     report.json_set("patch_digest", Json::from(format!("{patch_digest:016x}")));
+    report.json_set("image_digest", Json::from(format!("{image_digest:016x}")));
     let digest_path = cfg.results_dir.join("microbench.digest");
-    let digest_body = format!("fingerprints {fp_digest:016x}\npatches {patch_digest:016x}\n");
+    let digest_body = format!(
+        "fingerprints {fp_digest:016x}\npatches {patch_digest:016x}\nimages {image_digest:016x}\n"
+    );
     if let Err(e) = std::fs::create_dir_all(&cfg.results_dir)
         .and_then(|()| std::fs::write(&digest_path, &digest_body))
     {

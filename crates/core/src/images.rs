@@ -1,15 +1,28 @@
 //! The image factory: deterministic regeneration + caching.
 //!
 //! Sandbox memory images are pure functions of `(function, instance
-//! seed)`, so the platform holds real bytes only where the system
-//! semantically requires residency: **base sandbox images** (pinned, the
-//! registry points into them) are cached here; everything else is
-//! regenerated on demand.
+//! seed, code version)`, so the platform holds real bytes only where
+//! the system semantically requires residency: **base sandbox images**
+//! (pinned, the registry points into them) are cached here; everything
+//! else is regenerated on demand — by a dedup scan, which drops the
+//! image when the scan ends, or to verify a restore. Spawning a sandbox
+//! needs only the page count, which [`ImageFactory::model_pages`] reads
+//! off the builder's region plan without building anything.
+//!
+//! A regeneration copies the function's file-backed regions from its
+//! builder's per-version template (see `medes_mem::image`) and fills
+//! only heap and stack tile by tile. The factory counts what it does:
+//! [`ImageFactory::builds`] images materialized (a pinned hit is not a
+//! build) and [`ImageFactory::template_builds`] templates filled. Both
+//! are functions of the request sequence, so they repeat exactly for a
+//! seed; the platform exports them as `medes.images.builds` and
+//! `medes.images.template_builds`.
 
 use crate::ids::FnId;
 use medes_mem::{AslrConfig, ContentModel, FunctionSpec, ImageBuilder, MemoryImage};
 use medes_trace::FunctionProfile;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Builds and caches sandbox memory images.
@@ -20,6 +33,8 @@ pub struct ImageFactory {
     /// code version). Rolling deploys give distinct versions distinct
     /// content, so the version participates in identity.
     pinned: HashMap<(usize, u64, u64), Arc<MemoryImage>>,
+    /// Images materialized. Statistic only; publishes no other data.
+    builds: AtomicU64,
 }
 
 impl ImageFactory {
@@ -44,6 +59,7 @@ impl ImageFactory {
         ImageFactory {
             builders,
             pinned: HashMap::new(),
+            builds: AtomicU64::new(0),
         }
     }
 
@@ -66,14 +82,24 @@ impl ImageFactory {
         if let Some(img) = self.pinned.get(&(func.0, instance_seed, version)) {
             return Arc::clone(img);
         }
+        self.builds.fetch_add(1, Ordering::Relaxed);
         Arc::new(self.builders[func.0].build_versioned(instance_seed, version))
     }
 
-    /// Model-scale page count of a function's image (layout jitter keeps
-    /// the page count constant, so any instance is representative).
+    /// Model-scale page count of a function's image (sizes depend only
+    /// on the spec, not the instance). Builds nothing.
     pub fn model_pages(&self, func: FnId) -> usize {
-        // Sizes depend only on the spec, not the instance.
-        self.builders[func.0].build(0).page_count()
+        self.builders[func.0].page_count()
+    }
+
+    /// Images materialized so far (pinned hits excluded).
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
+    }
+
+    /// File-backed region templates filled so far, over all functions.
+    pub fn template_builds(&self) -> u64 {
+        self.builders.iter().map(|b| b.template_builds()).sum()
     }
 
     /// Pins a base sandbox's image (version 0) so the registry can
@@ -169,5 +195,20 @@ mod tests {
         // Vanilla (17MB) < LinAlg (32MB).
         assert!(f.model_pages(FnId(0)) < f.model_pages(FnId(1)));
         assert_eq!(f.functions(), 3);
+        assert_eq!(f.model_pages(FnId(2)), f.image(FnId(2), 9).page_count());
+    }
+
+    #[test]
+    fn counts_builds_but_not_pinned_hits_or_page_counts() {
+        let mut f = factory();
+        f.model_pages(FnId(0));
+        assert_eq!((f.builds(), f.template_builds()), (0, 0));
+        f.pin(FnId(0), 1);
+        f.image(FnId(0), 1); // pinned: served from the cache
+        f.image(FnId(0), 2);
+        assert_eq!((f.builds(), f.template_builds()), (2, 1));
+        f.image_v(FnId(0), 2, 1); // a new version replaces the template
+        f.image(FnId(1), 2);
+        assert_eq!((f.builds(), f.template_builds()), (4, 3));
     }
 }

@@ -536,6 +536,7 @@ impl Cluster {
         self.bases.insert(id, (func, img));
         self.fns[func.0].bases.push(id);
         self.sandboxes.get_mut(&id).expect("exists").is_base = true;
+        self.obs.incr("medes.platform.demarcations");
     }
 
     /// After a crash removed base sandboxes, promotes MRU idle warm
@@ -783,17 +784,15 @@ impl Cluster {
             if self.ensure_capacity(now, node, needed, Some(id)) {
                 self.fns[f].idle_dedup.remove(&(lu, id));
                 // Run the restore op against pinned base images. The
-                // restore needs the table while the sandbox map stays
-                // borrowed; tables are modest (patches) and this is one
-                // clone per restored request, so cloning is acceptable
-                // and keeps the borrows trivial.
-                let table = self.sandboxes[&id].dedup_table.clone();
-                let verify = if self.cfg.verify_restores {
-                    let sb = &self.sandboxes[&id];
-                    Some(self.factory.image_v(sb.func, sb.instance_seed, sb.version))
-                } else {
-                    None
-                };
+                // table leaves the sandbox for the call only: it goes
+                // back right after, before anything (a purge on the
+                // error path releases base refs through it) can miss it.
+                let sb = self.sandboxes.get_mut(&id).expect("idle sandbox exists");
+                let table = sb.dedup_table.take().expect("dedup sandbox has a table");
+                let verify = self
+                    .cfg
+                    .verify_restores
+                    .then(|| self.factory.image_v(sb.func, sb.instance_seed, sb.version));
                 let cache_on = self.cache_enabled();
                 let cache_before = self.caches[node.0].used_paper_bytes();
                 // The request's trace root is a pure function of
@@ -816,12 +815,16 @@ impl Cluster {
                         &self.cfg,
                         &mut fabric,
                         node,
-                        table.as_ref().expect("dedup sandbox has a table"),
+                        &table,
                         &|bid| bases.get(&bid).map(|(f, img)| (Arc::clone(img), *f)),
                         cache,
                         verify.as_deref(),
                     )
                 };
+                self.sandboxes
+                    .get_mut(&id)
+                    .expect("idle sandbox exists")
+                    .dedup_table = Some(table);
                 if cache_on {
                     // Charge freshly cached pages to node memory, and
                     // trim the cache back if that pushed the node over
@@ -1076,7 +1079,8 @@ impl Cluster {
             id: SandboxId,
             func: FnId,
             node: NodeId,
-            image: Arc<MemoryImage>,
+            instance_seed: u64,
+            version: u64,
         }
         let mut items: Vec<BatchItem> = Vec::with_capacity(pending.len());
         for (id, epoch) in pending {
@@ -1090,7 +1094,8 @@ impl Cluster {
                 id,
                 func: sb.func,
                 node: sb.node,
-                image: self.factory.image_v(sb.func, sb.instance_seed, sb.version),
+                instance_seed: sb.instance_seed,
+                version: sb.version,
             });
         }
         if items.is_empty() {
@@ -1101,13 +1106,18 @@ impl Cluster {
         // disjoint output slots: no locks, no unsafe, and the result
         // vector is in enqueue order regardless of which worker ran
         // which chunk. All captures are shared borrows — the registry
-        // takes shard read locks internally.
+        // takes shard read locks internally. Each scan regenerates its
+        // sandbox's image and drops it when done, so a batch holds one
+        // image per worker, not one per item.
         let cfg = &self.cfg;
         let registry = &self.registry;
+        let factory = &self.factory;
         let bases = &self.bases;
         let resolve = |bid: SandboxId| bases.get(&bid).map(|(bf, img)| (Arc::clone(img), *bf));
-        let scan =
-            |it: &BatchItem| dedup_scan(cfg, registry, it.node, it.func, &it.image, &resolve);
+        let scan = |it: &BatchItem| {
+            let image = factory.image_v(it.func, it.instance_seed, it.version);
+            dedup_scan(cfg, registry, it.node, it.func, &image, &resolve)
+        };
         let scan = &scan;
         let workers = cfg.pipeline.workers.min(items.len()).max(1);
         let wall_start = std::time::Instant::now();
@@ -1152,6 +1162,7 @@ impl Cluster {
             let droot =
                 self.obs
                     .trace_root("dedup", self.cfg.seed, self.dedup_trace_key(item.id, now));
+            let ckpt_paper_bytes = self.cfg.to_paper_bytes(scan.image_model_bytes);
             let committed = {
                 let mut fabric = self.fabric.with_ctx(DedupTiming::op_ctx(droot));
                 dedup_commit(&self.cfg, &mut fabric, item.node, scan)
@@ -1162,7 +1173,7 @@ impl Cluster {
                         &self.obs,
                         now,
                         &self.fns[f].profile.name,
-                        self.cfg.to_paper_bytes(item.image.total_bytes()),
+                        ckpt_paper_bytes,
                         droot,
                         item.node.0,
                     );
@@ -1329,6 +1340,12 @@ impl Cluster {
             self.obs.counter_add(
                 "medes.registry.dead_owner_entries",
                 dead_owner_entries as u64,
+            );
+            self.obs
+                .counter_add("medes.images.builds", self.factory.builds());
+            self.obs.counter_add(
+                "medes.images.template_builds",
+                self.factory.template_builds(),
             );
         }
         for c in &self.caches {
@@ -1702,6 +1719,42 @@ mod tests {
             "dedup starts must serve requests"
         );
         assert!(report.registry_peak_entries > 0, "bases must be indexed");
+    }
+
+    #[test]
+    fn image_builds_are_scans_plus_verified_restores_plus_pins() {
+        let run = |cfg: PlatformConfig| {
+            let (suite, trace) = small_trace(600, 10.0);
+            let out = Platform::new(cfg, suite).run(&trace);
+            (out.report, out.obs)
+        };
+
+        // Spawning a sandbox needs a page count, not an image.
+        let mut cfg = PlatformConfig::small_test();
+        cfg.obs = medes_obs::ObsConfig::enabled();
+        cfg.policy = PolicyKind::FixedKeepAlive(SimDuration::from_secs(600));
+        let (report, obs) = run(cfg.clone());
+        assert!(report.sandboxes_spawned > 0);
+        assert_eq!(obs.counter("medes.images.builds"), 0);
+        assert_eq!(obs.counter("medes.images.template_builds"), 0);
+
+        cfg.policy = PlatformConfig::small_test().policy;
+        if let PolicyKind::Medes(m) = &mut cfg.policy {
+            m.idle_period = SimDuration::from_secs(5);
+            m.objective = medes_policy::medes::Objective::MemoryBudget {
+                budget_bytes: 100e6,
+            };
+        }
+        cfg.verify_restores = true;
+        let (report, obs) = run(cfg);
+        let scans = obs.counter("medes.dedup.ops");
+        let restores: u64 = report.dedup_stats.iter().map(|s| s.restores).sum();
+        let pins = obs.counter("medes.platform.demarcations");
+        assert!(scans > 0 && restores > 0 && pins > 0);
+        assert_eq!(obs.counter("medes.images.builds"), scans + restores + pins);
+        // One deploy version: at most one template per function.
+        let template_builds = obs.counter("medes.images.template_builds");
+        assert!((1..=4).contains(&template_builds), "{template_builds}");
     }
 
     #[test]

@@ -22,6 +22,21 @@
 //! `HashMap`-based implementation as the comparator the fast path is
 //! verified against (property tests and the `--microbench` baseline);
 //! both produce bit-identical patches.
+//!
+//! ## Seed hash
+//!
+//! The scan hashes `SEED_LEN` bytes at every target position it cannot
+//! match, so the seed hash is the encoder's inner loop. [`encode_with`]
+//! reads the seed as two `u64` words and mixes them (two multiplies);
+//! [`encode_reference`] keeps byte-serial FNV-1a (sixteen dependent
+//! multiplies). A patch depends on the hash only through *collisions*:
+//! a candidate with the target's key but other bytes uses up one of
+//! the `max_probes`. Both keys are 64 bits wide and depend on every
+//! seed bit, so two of a page's at most 4 096 distinct seeds share a
+//! key with probability about 2⁻⁴⁰ under either hash; without a
+//! collision both encoders walk the same candidates in the same order.
+//! The oracle keeping the old hash is what makes the `encode_with ==
+//! encode_reference` tests a check that patches did not change.
 
 use crate::format::{Instr, Patch};
 use medes_hash::fnv::fnv1a;
@@ -78,7 +93,23 @@ impl Default for EncodeConfig {
     }
 }
 
+/// The seed key of [`encode_with`]: `mix(a) ^ b` for the seed's two
+/// little-endian words `a`, `b`, with `mix` a bijection. Two seeds
+/// collide only if `b ^ b' == mix(a) ^ mix(a')`.
+#[inline]
 fn seed_hash(data: &[u8]) -> u64 {
+    let a = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
+    let b = u64::from_le_bytes(data[8..SEED_LEN].try_into().expect("8 bytes"));
+    let mut h = (a ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h ^= h >> 32;
+    h = h.wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^= h >> 29;
+    h ^ b
+}
+
+/// The seed key of [`encode_reference`]: FNV-1a, as before the
+/// word-wise hash.
+fn seed_hash_fnv(data: &[u8]) -> u64 {
     fnv1a(&data[..SEED_LEN])
 }
 
@@ -293,7 +324,7 @@ pub fn encode_reference(base: &[u8], target: &[u8], cfg: &EncodeConfig) -> Patch
     let mut pos = 0usize;
     while pos + SEED_LEN <= base.len() {
         index
-            .entry(seed_hash(&base[pos..]))
+            .entry(seed_hash_fnv(&base[pos..]))
             .or_default()
             .push(pos as u32);
         pos += cfg.seed_step;
@@ -306,7 +337,7 @@ pub fn encode_reference(base: &[u8], target: &[u8], cfg: &EncodeConfig) -> Patch
         if t + SEED_LEN > target.len() {
             break; // tail (including any pending no-match bytes) added below
         }
-        let h = seed_hash(&target[t..]);
+        let h = seed_hash_fnv(&target[t..]);
         let mut best: Option<(usize, usize, usize)> = None; // (b_start, t_start, len)
         if let Some(cands) = index.get(&h) {
             for &cand in cands.iter().rev().take(cfg.max_probes) {
@@ -586,6 +617,18 @@ mod tests {
         cases.push((base.clone(), t2));
         cases.push((base.clone(), pseudo_random(22, 4096)));
         cases.push((base.clone(), base.clone()));
+        // Pages of one repeated 16-byte motif: each seed recurs 256
+        // times, so the probe budget binds and candidate order matters.
+        let motif = |seed: u64| -> Vec<u8> {
+            let unit = pseudo_random(seed, 16);
+            unit.iter().map(|b| b & 0xC0).cycle().take(4096).collect()
+        };
+        let mut t3 = motif(23);
+        t3.rotate_left(5);
+        t3[2000] ^= 0xFF;
+        cases.push((motif(23), t3));
+        cases.push((motif(23), motif(24)));
+        cases.push((vec![0u8; 4096], vec![0u8; 4096]));
         for level in [0u8, 1, 5, 9] {
             let cfg = EncodeConfig::with_level(level);
             for (base, target) in &cases {

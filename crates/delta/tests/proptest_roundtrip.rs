@@ -119,6 +119,19 @@ fn pathological_cases(rng: &mut DetRng) -> Vec<(Vec<u8>, Vec<u8>)> {
         repeat(&unit, rng.range(64, 4096) as usize),
         repeat(&unit, rng.range(64, 4096) as usize),
     ));
+    // A page of one 16-byte motif over a 4-symbol alphabet (the content
+    // model's pattern tiles: every seed recurs 256 times, so the probe
+    // budget binds), against the same motif rotated and point-edited.
+    let alphabet = [0x00u8, 0xFF, rng.next_u8(), rng.next_u8()];
+    let motif: Vec<u8> = (0..16).map(|_| alphabet[rng.below(4) as usize]).collect();
+    let base = repeat(&motif, 4096);
+    let mut target = base.clone();
+    target.rotate_left(rng.below(16) as usize);
+    for _ in 0..rng.below(6) {
+        let at = rng.below(target.len() as u64) as usize;
+        target[at] = rng.next_u8();
+    }
+    cases.push((base, target));
     // Near-duplicate with insertions.
     let base = random_vec_min(rng, 256, 4096);
     let mut target = base.clone();
@@ -167,6 +180,55 @@ fn pathological_inputs_roundtrip_all_paths() {
             }
         }
     }
+}
+
+/// The encoder's word-wise seed hash against the FNV-seeded reference
+/// on the pages the platform encodes: instances of `paper_calibrated`
+/// images paired page by page (same function, and across functions
+/// sharing a library), at levels 1/5/9.
+#[test]
+fn content_model_page_pairs_match_reference() {
+    use medes_mem::{ContentModel, ContentModelConfig, FunctionSpec, ImageBuilder};
+    let build = |name: &str, libs: &[&str], seed: u64, version: u64| {
+        ImageBuilder::new(FunctionSpec::new(name, 16 << 20, libs))
+            .with_scale(16)
+            .with_model(ContentModel {
+                mixture: ContentModelConfig::paper_calibrated(),
+                ..ContentModel::default()
+            })
+            .build_versioned(seed, version)
+    };
+    let a1 = build("PairA", &["numpy"], 1, 0);
+    let images = [
+        build("PairA", &["numpy"], 2, 0),
+        build("PairA", &["numpy"], 3, 1),
+        build("PairB", &["numpy", "json"], 4, 0),
+        build("PairA", &["numpy"], 5, 0),
+        build("PairB", &["numpy", "json"], 6, 2),
+    ];
+    let mut scratch = EncodeScratch::new();
+    let mut pairs = 0usize;
+    for (n, other) in images.iter().enumerate() {
+        let level = [1u8, 5, 9][n % 3];
+        let cfg = EncodeConfig::with_level(level);
+        // Same-index pairs, then pairs one page apart (heap jitter
+        // shifts content by whole pages).
+        for shift in [0usize, 1] {
+            for i in 0..a1.page_count().min(other.page_count()) - shift {
+                let (base, target) = (a1.page(i + shift), other.page(i));
+                let patch = encode_with(base, target, &cfg, &mut scratch);
+                let reference = encode_reference(base, target, &cfg);
+                assert_eq!(
+                    patch.to_bytes(),
+                    reference.to_bytes(),
+                    "image {n} page {i} shift {shift} level {level}"
+                );
+                assert_eq!(apply(base, &patch).expect("apply"), target);
+                pairs += 1;
+            }
+        }
+    }
+    assert!(pairs >= 2000, "only {pairs} page pairs");
 }
 
 /// Corrupted instruction streams must come back as `DeltaError`s —

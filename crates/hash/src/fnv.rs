@@ -1,8 +1,13 @@
 //! FNV-1a 64-bit — a cheap non-cryptographic hash.
 //!
 //! Used where hash quality only needs to be "good enough for a hash
-//! table": interning library names, weak chunk pre-filters, and the
-//! delta encoder's block index. Unlike SHA-1 it costs ~1 ns per word.
+//! table": interning library names, weak chunk pre-filters, digests of
+//! benchmark output. Unlike SHA-1 it costs ~1 ns per byte — one
+//! dependent multiply each, which is why the delta encoder's block
+//! index no longer uses it: `medes_delta::encode_with` keys its 16-byte
+//! seeds with a word-wise mix, and only the `encode_reference` oracle
+//! still seeds with [`fnv1a`], so that comparing the two checks the
+//! new hash against the old one.
 
 /// FNV-1a offset basis.
 pub const OFFSET_BASIS: u64 = 0xCBF29CE484222325;

@@ -397,7 +397,9 @@ impl ContentModel {
                 let mut alphabet = [0u8; 16];
                 rng.fill_bytes(&mut alphabet);
                 for b in out.iter_mut() {
-                    *b = alphabet[rng.below(16) as usize];
+                    // What `below(16)` returns, without its rejection
+                    // test: 16 divides 2^64, so no draw is rejected.
+                    *b = alphabet[(rng.next_u64() >> 60) as usize];
                 }
             }
         }
@@ -407,20 +409,21 @@ impl ContentModel {
     /// overwhelmingly most common page content in real dumps); others
     /// repeat a short motif from a small byte alphabet.
     pub fn fill_pattern(&self, out: &mut [u8], pid: u32) {
-        if pid == 0 {
-            out.fill(0);
-            return;
-        }
-        let mut rng = DetRng::new(mix(pid as u64, PATTERN_SALT));
-        // Motif of 16 bytes over a 4-symbol alphabet -> low entropy.
-        let alphabet = [0x00u8, 0xFF, rng.next_u8(), rng.next_u8()];
+        write_motif(out, &self.pattern_motif(pid));
+    }
+
+    /// The 16 bytes pattern `pid` repeats.
+    pub fn pattern_motif(&self, pid: u32) -> [u8; 16] {
         let mut motif = [0u8; 16];
-        for b in &mut motif {
-            *b = alphabet[rng.below(4) as usize];
+        if pid != 0 {
+            let mut rng = DetRng::new(mix(pid as u64, PATTERN_SALT));
+            // A 4-symbol alphabet -> low entropy.
+            let alphabet = [0x00u8, 0xFF, rng.next_u8(), rng.next_u8()];
+            for b in &mut motif {
+                *b = alphabet[rng.below(4) as usize];
+            }
         }
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = motif[i % 16];
-        }
+        motif
     }
 
     fn plant_pointers(
@@ -494,10 +497,75 @@ impl ContentModel {
     }
 }
 
+/// Repeats `motif` over `out`, starting at its first byte.
+pub(crate) fn write_motif(out: &mut [u8], motif: &[u8; 16]) {
+    let mut chunks = out.chunks_exact_mut(16);
+    for chunk in &mut chunks {
+        chunk.copy_from_slice(motif);
+    }
+    let rem = chunks.into_remainder();
+    rem.copy_from_slice(&motif[..rem.len()]);
+}
+
 /// Exposes the internal mixer for modules that need consistent derived
 /// seeds (image builder, ASLR).
 pub(crate) fn mix_seed(a: u64, b: u64) -> u64 {
     mix(a, b)
+}
+
+/// The pre-tuning tile fills, kept as the oracle the tuned `Medium` and
+/// pattern fills (and the image builder's template) are compared with.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// `fill_tile_v` with the `below(16)` and `motif[i % 16]` loops.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn fill_tile_v(
+        m: &ContentModel,
+        out: &mut [u8],
+        kind: TileKind,
+        stream_seed: u64,
+        idx: u64,
+        instance_seed: u64,
+        region_base: u64,
+        region_len: u64,
+        version: u64,
+    ) {
+        match kind {
+            TileKind::Pattern(0) => out.fill(0),
+            TileKind::Pattern(pid) => {
+                let mut rng = DetRng::new(mix(pid as u64, PATTERN_SALT));
+                let alphabet = [0x00u8, 0xFF, rng.next_u8(), rng.next_u8()];
+                let mut motif = [0u8; 16];
+                for b in &mut motif {
+                    *b = alphabet[rng.below(4) as usize];
+                }
+                for (i, b) in out.iter_mut().enumerate() {
+                    *b = motif[i % 16];
+                }
+            }
+            TileKind::Medium => {
+                let vsalt = m.epoch_salt(stream_seed, idx, version);
+                let mut rng = DetRng::new(mix(mix(stream_seed, MEDIUM_SALT), idx) ^ vsalt);
+                let mut alphabet = [0u8; 16];
+                rng.fill_bytes(&mut alphabet);
+                for b in out.iter_mut() {
+                    *b = alphabet[rng.below(16) as usize];
+                }
+            }
+            TileKind::Shared | TileKind::Unique => m.fill_tile_v(
+                out,
+                kind,
+                stream_seed,
+                idx,
+                instance_seed,
+                region_base,
+                region_len,
+                version,
+            ),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -506,6 +574,28 @@ mod tests {
 
     fn model() -> ContentModel {
         ContentModel::default()
+    }
+
+    #[test]
+    fn tuned_medium_and_pattern_fills_match_the_reference_loops() {
+        // 250 is not a multiple of 16: the motif's tail chunk is partial.
+        for tile_size in [256usize, 250, 4096] {
+            let m = ContentModel {
+                tile_size,
+                ..mixture_model()
+            };
+            let mut tuned = vec![0xAAu8; tile_size];
+            let mut oracle = vec![0x55u8; tile_size];
+            let kinds = (0..m.pattern_pool as u32)
+                .map(TileKind::Pattern)
+                .chain(std::iter::repeat_n(TileKind::Medium, 300));
+            for (idx, kind) in kinds.enumerate() {
+                let (idx, version) = (idx as u64, idx as u64 % 3);
+                m.fill_tile_v(&mut tuned, kind, 77, idx, 5, 0x5000, 1 << 20, version);
+                reference::fill_tile_v(&m, &mut oracle, kind, 77, idx, 5, 0x5000, 1 << 20, version);
+                assert_eq!(tuned, oracle, "{kind:?} tile {idx} at size {tile_size}");
+            }
+        }
     }
 
     #[test]

@@ -11,18 +11,74 @@
 //! setting of 64, a 90 MiB sandbox materializes 1.4 MiB of real bytes.
 //! The dedup pipeline operates on the model-scale bytes; the platform
 //! multiplies page counts back up for paper-scale accounting.
+//!
+//! ## Materialisation
+//!
+//! Region kinds, streams, sizes and layouts come from one *region plan*
+//! that depends only on the spec, model and scale. Both
+//! [`ImageBuilder::build_versioned`] and [`ImageBuilder::page_count`]
+//! walk it, so the page count needs no build and cannot drift from one.
+//!
+//! The file-backed regions (runtime, libraries, file mappings) hold the
+//! same pre-noise bytes in every instance — that is the paper's premise
+//! (§2, Fig 1). The builder fills them once per deploy version into a
+//! *template*; an instance build copies the template and applies its
+//! own two noise passes. The template is built lazily on first use,
+//! exactly one version is held (a build at another version replaces
+//! it), and a region whose per-instance base is not the canonical one
+//! (ASLR moved it, so its planted pointers differ) bypasses the
+//! template and is filled tile by tile, as heap and stack always are.
 
 use crate::aslr::{rotate_content, AslrConfig};
-use crate::content::{mix_seed, ContentModel, TileKind};
+use crate::content::{mix_seed, write_motif, ContentModel, TileKind};
 use crate::page::{page_align, PAGE_SIZE};
 use crate::region::{Region, RegionKind};
 use crate::spec::{FunctionSpec, LibraryId};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 const LAYOUT_SALT: u64 = 0x1A_0001;
 const CANON_SALT: u64 = 0x1A_0002;
 const HEAP_SALT: u64 = 0x1A_0003;
 const STACK_SALT: u64 = 0x1A_0004;
 const FILEMAP_SALT: u64 = 0x1A_0005;
+
+/// The library every sandbox maps; its region is [`RegionKind::Runtime`].
+const RUNTIME_LIB: &str = "python-runtime";
+
+/// One region of the plan: everything about it that no instance changes.
+struct PlannedRegion<'a> {
+    kind: RegionKind,
+    name: &'a str,
+    stream: u64,
+    size: usize,
+    layout: Layout,
+}
+
+/// The pre-noise bytes of every plan region at one deploy version;
+/// empty for the regions that are not templated.
+#[derive(Debug)]
+struct Template {
+    version: u64,
+    regions: Vec<Vec<u8>>,
+}
+
+/// What a builder derives from its configuration and keeps between
+/// builds. A cloned or reconfigured builder starts with none of it.
+#[derive(Debug, Default)]
+struct BuildCache {
+    template: Mutex<Option<Arc<Template>>>,
+    /// Statistic only; publishes no other data.
+    template_builds: AtomicU64,
+    /// The 16-byte motif of every pattern id.
+    motifs: OnceLock<Vec<[u8; 16]>>,
+}
+
+impl Clone for BuildCache {
+    fn clone(&self) -> Self {
+        BuildCache::default()
+    }
+}
 
 /// Builds [`MemoryImage`]s for one function.
 #[derive(Debug, Clone)]
@@ -31,6 +87,7 @@ pub struct ImageBuilder {
     model: ContentModel,
     aslr: AslrConfig,
     scale_denom: usize,
+    cache: BuildCache,
 }
 
 impl ImageBuilder {
@@ -42,12 +99,14 @@ impl ImageBuilder {
             model: ContentModel::default(),
             aslr: AslrConfig::DISABLED,
             scale_denom: 1,
+            cache: BuildCache::default(),
         }
     }
 
     /// Replaces the content model.
     pub fn with_model(mut self, model: ContentModel) -> Self {
         self.model = model;
+        self.cache = BuildCache::default();
         self
     }
 
@@ -60,6 +119,7 @@ impl ImageBuilder {
     /// Divides every region size by `denom` (≥ 1).
     pub fn with_scale(mut self, denom: usize) -> Self {
         self.scale_denom = denom.max(1);
+        self.cache = BuildCache::default();
         self
     }
 
@@ -73,8 +133,81 @@ impl ImageBuilder {
         self.scale_denom
     }
 
+    /// Templates filled so far (one per builder and deploy version
+    /// unless versions alternate).
+    pub fn template_builds(&self) -> u64 {
+        self.cache.template_builds.load(Ordering::Relaxed)
+    }
+
     fn scaled(&self, paper_bytes: usize) -> usize {
         page_align((paper_bytes / self.scale_denom).max(self.model.tile_size))
+    }
+
+    /// The regions of every image of this builder, in address order.
+    fn region_plan(&self) -> Vec<PlannedRegion<'_>> {
+        let mut plan = Vec::with_capacity(self.spec.libs.len() + 4);
+
+        // Runtime + libraries: shared streams keyed by library identity.
+        let runtime = LibraryId::new(RUNTIME_LIB);
+        let libs = std::iter::once((RUNTIME_LIB, &runtime))
+            .chain(self.spec.libs.iter().map(|l| (l.0.as_str(), l)));
+        for (name, lib) in libs {
+            plan.push(PlannedRegion {
+                kind: if name == RUNTIME_LIB {
+                    RegionKind::Runtime
+                } else {
+                    RegionKind::Library
+                },
+                name,
+                stream: lib.seed(),
+                size: self.scaled(lib.catalog_bytes()),
+                layout: Layout::Direct,
+            });
+        }
+
+        // Anonymous memory: file mappings, heap, stack.
+        let anon = self.spec.anon_bytes();
+        let stack_paper = (anon / 10).clamp(PAGE_SIZE, 256 << 10);
+        let filemap_paper = anon * 15 / 100;
+        let heap_paper = anon
+            .saturating_sub(stack_paper + filemap_paper)
+            .max(PAGE_SIZE);
+        let anon_region = |kind, name, salt, paper, layout| PlannedRegion {
+            kind,
+            name,
+            stream: mix_seed(self.spec.seed(), salt),
+            size: self.scaled(paper),
+            layout,
+        };
+        plan.extend([
+            anon_region(
+                RegionKind::FileMap,
+                "filemap",
+                FILEMAP_SALT,
+                filemap_paper,
+                Layout::Direct,
+            ),
+            anon_region(
+                RegionKind::Heap,
+                "heap",
+                HEAP_SALT,
+                heap_paper,
+                Layout::Jittered,
+            ),
+            anon_region(
+                RegionKind::Stack,
+                "stack",
+                STACK_SALT,
+                stack_paper,
+                Layout::Direct,
+            ),
+        ]);
+        plan
+    }
+
+    /// Pages of every image this builder makes, without building one.
+    pub fn page_count(&self) -> usize {
+        self.region_plan().iter().map(|r| r.size / PAGE_SIZE).sum()
     }
 
     /// Materializes the image for `instance_seed`.
@@ -87,98 +220,93 @@ impl ImageBuilder {
     /// version remaps `ContentModelConfig::version_mutation_frac` of
     /// each stream's shared/medium tiles per epoch (rolling deploys).
     pub fn build_versioned(&self, instance_seed: u64, version: u64) -> MemoryImage {
-        let mut regions = Vec::new();
-
-        // Runtime + libraries: shared streams keyed by library identity.
-        let runtime = LibraryId::new("python-runtime");
-        for lib in std::iter::once(&runtime).chain(self.spec.libs.iter()) {
-            let kind = if lib.0 == "python-runtime" {
-                RegionKind::Runtime
+        let m = &self.model;
+        let plan = self.region_plan();
+        let mut template: Option<Arc<Template>> = None;
+        let mut regions = Vec::with_capacity(plan.len());
+        for (i, p) in plan.iter().enumerate() {
+            let canonical = canonical_base(p.stream);
+            let va_base = self.aslr.region_base(canonical, p.stream, instance_seed);
+            let mut data = if self.templated(p.kind) && va_base == canonical {
+                template
+                    .get_or_insert_with(|| self.template(&plan, version))
+                    .regions[i]
+                    .clone()
             } else {
-                RegionKind::Library
+                self.fill_region(p, instance_seed, va_base, version)
             };
-            let stream = lib.seed();
-            let size = self.scaled(lib.catalog_bytes());
-            regions.push(self.build_region(
-                kind,
-                &lib.0,
-                stream,
-                canonical_base(stream),
-                size,
-                instance_seed,
-                Layout::Direct,
-                version,
-            ));
+
+            m.apply_noise(&mut data, p.stream, instance_seed);
+            if m.mixture.enabled {
+                m.apply_dispersed_noise(
+                    &mut data,
+                    p.stream,
+                    instance_seed,
+                    m.mixture.mix_for(p.kind).dispersed_noise,
+                );
+            }
+            if p.kind == RegionKind::Stack {
+                let shift = self.aslr.stack_shift(p.stream, instance_seed);
+                rotate_content(&mut data, shift);
+            }
+            regions.push(Region {
+                kind: p.kind,
+                name: p.name.to_string(),
+                va_base,
+                data,
+            });
         }
-
-        // Anonymous memory: file mappings, heap, stack.
-        let anon = self.spec.anon_bytes();
-        let stack_paper = (anon / 10).clamp(PAGE_SIZE, 256 << 10);
-        let filemap_paper = anon * 15 / 100;
-        let heap_paper = anon
-            .saturating_sub(stack_paper + filemap_paper)
-            .max(PAGE_SIZE);
-
-        let fm_stream = mix_seed(self.spec.seed(), FILEMAP_SALT);
-        regions.push(self.build_region(
-            RegionKind::FileMap,
-            "filemap",
-            fm_stream,
-            canonical_base(fm_stream),
-            self.scaled(filemap_paper),
-            instance_seed,
-            Layout::Direct,
-            version,
-        ));
-
-        let heap_stream = mix_seed(self.spec.seed(), HEAP_SALT);
-        regions.push(self.build_region(
-            RegionKind::Heap,
-            "heap",
-            heap_stream,
-            canonical_base(heap_stream),
-            self.scaled(heap_paper),
-            instance_seed,
-            Layout::Jittered,
-            version,
-        ));
-
-        let stack_stream = mix_seed(self.spec.seed(), STACK_SALT);
-        let mut stack = self.build_region(
-            RegionKind::Stack,
-            "stack",
-            stack_stream,
-            canonical_base(stack_stream),
-            self.scaled(stack_paper),
-            instance_seed,
-            Layout::Direct,
-            version,
-        );
-        let shift = self.aslr.stack_shift(stack_stream, instance_seed);
-        rotate_content(&mut stack.data, shift);
-        regions.push(stack);
-
         MemoryImage::new(regions)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build_region(
+    /// Whether a region's pre-noise bytes are the same in every
+    /// instance: a file-backed kind whose mixture can draw no
+    /// instance-unique tile.
+    fn templated(&self, kind: RegionKind) -> bool {
+        let mixture = &self.model.mixture;
+        let draws_unique = mixture.enabled && mixture.mix_for(kind).unique_frac > 0.0;
+        !anonymous(kind) && !draws_unique
+    }
+
+    /// The template at `version`, filling it if the held one is of
+    /// another version (or there is none yet).
+    fn template(&self, plan: &[PlannedRegion<'_>], version: u64) -> Arc<Template> {
+        let mut held = self
+            .cache
+            .template
+            .lock()
+            .expect("a template fill panicked");
+        if let Some(t) = held.as_ref().filter(|t| t.version == version) {
+            return Arc::clone(t);
+        }
+        let regions = plan
+            .iter()
+            .map(|p| {
+                if self.templated(p.kind) {
+                    self.fill_region(p, 0, canonical_base(p.stream), version)
+                } else {
+                    Vec::new()
+                }
+            })
+            .collect();
+        self.cache.template_builds.fetch_add(1, Ordering::Relaxed);
+        let t = Arc::new(Template { version, regions });
+        *held = Some(Arc::clone(&t));
+        t
+    }
+
+    /// Fills one region's tiles (no noise) for a region based at
+    /// `va_base`.
+    fn fill_region(
         &self,
-        kind: RegionKind,
-        name: &str,
-        stream_seed: u64,
-        canonical_base: u64,
-        size: usize,
+        p: &PlannedRegion<'_>,
         instance_seed: u64,
-        layout: Layout,
+        va_base: u64,
         version: u64,
-    ) -> Region {
+    ) -> Vec<u8> {
         let m = &self.model;
-        let va_base = self
-            .aslr
-            .region_base(canonical_base, stream_seed, instance_seed);
-        let n_tiles = size / m.tile_size;
-        let mut data = vec![0u8; size];
+        let n_tiles = p.size / m.tile_size;
+        let mut data = vec![0u8; p.size];
 
         // Tile index sequence: direct, or per-instance jittered (heap).
         // Heap jitter is page-granular: big allocations are mmap-backed,
@@ -186,12 +314,12 @@ impl ImageBuilder {
         // shifting content by page multiples without breaking chunk
         // alignment inside pages (what the §2 measurement observes).
         let tiles_per_page = PAGE_SIZE / m.tile_size;
-        let mut jitter =
-            JitterRng::new(mix_seed(stream_seed, mix_seed(instance_seed, LAYOUT_SALT)));
         let mut seq: Vec<(u64, bool)> = Vec::with_capacity(n_tiles);
-        match layout {
+        match p.layout {
             Layout::Direct => seq.extend((0..n_tiles as u64).map(|i| (i, false))),
             Layout::Jittered => {
+                let mut jitter =
+                    JitterRng::new(mix_seed(p.stream, mix_seed(instance_seed, LAYOUT_SALT)));
                 let mut shared_page = 0u64;
                 let mut own_page = 0u64;
                 while seq.len() < n_tiles {
@@ -215,45 +343,41 @@ impl ImageBuilder {
                 seq.truncate(n_tiles);
             }
         }
-        for (slot, &(tile_idx, forced_unique)) in seq.iter().enumerate() {
-            // Unique tiles only make sense in writable anonymous memory;
-            // file-backed regions are byte-identical in every process.
-            let allow_unique = matches!(kind, RegionKind::Heap | RegionKind::Stack);
+        let motifs = self.cache.motifs.get_or_init(|| {
+            (0..m.pattern_pool as u32)
+                .map(|pid| m.pattern_motif(pid))
+                .collect()
+        });
+        // Unique tiles only make sense in writable anonymous memory;
+        // file-backed regions are byte-identical in every process.
+        let allow_unique = anonymous(p.kind);
+        for (out, &(tile_idx, forced_unique)) in data.chunks_exact_mut(m.tile_size).zip(&seq) {
             let tk = if forced_unique {
                 TileKind::Unique
             } else {
-                m.tile_kind_region(stream_seed, tile_idx, kind, allow_unique)
+                m.tile_kind_region(p.stream, tile_idx, p.kind, allow_unique)
             };
-            let out = &mut data[slot * m.tile_size..(slot + 1) * m.tile_size];
-            m.fill_tile_v(
-                out,
-                tk,
-                stream_seed,
-                tile_idx,
-                instance_seed,
-                va_base,
-                size as u64,
-                version,
-            );
+            match tk {
+                TileKind::Pattern(pid) => write_motif(out, &motifs[pid as usize]),
+                _ => m.fill_tile_v(
+                    out,
+                    tk,
+                    p.stream,
+                    tile_idx,
+                    instance_seed,
+                    va_base,
+                    p.size as u64,
+                    version,
+                ),
+            }
         }
-
-        m.apply_noise(&mut data, stream_seed, instance_seed);
-        if m.mixture.enabled {
-            m.apply_dispersed_noise(
-                &mut data,
-                stream_seed,
-                instance_seed,
-                m.mixture.mix_for(kind).dispersed_noise,
-            );
-        }
-
-        Region {
-            kind,
-            name: name.to_string(),
-            va_base,
-            data,
-        }
+        data
     }
+}
+
+/// Writable anonymous memory, as opposed to a file-backed mapping.
+fn anonymous(kind: RegionKind) -> bool {
+    matches!(kind, RegionKind::Heap | RegionKind::Stack)
 }
 
 /// How tile indices map to slots within a region.
@@ -378,6 +502,248 @@ mod tests {
 
     fn builder() -> ImageBuilder {
         ImageBuilder::new(spec()).with_scale(16)
+    }
+
+    /// The pre-template build, kept whole as the oracle: its own region
+    /// list, every region filled tile by tile with the reference fills.
+    fn reference_build(b: &ImageBuilder, instance_seed: u64, version: u64) -> MemoryImage {
+        let mut regions = Vec::new();
+        let runtime = LibraryId::new("python-runtime");
+        for lib in std::iter::once(&runtime).chain(b.spec.libs.iter()) {
+            let kind = if lib.0 == "python-runtime" {
+                RegionKind::Runtime
+            } else {
+                RegionKind::Library
+            };
+            let size = b.scaled(lib.catalog_bytes());
+            regions.push(reference_region(
+                b,
+                kind,
+                &lib.0,
+                lib.seed(),
+                size,
+                instance_seed,
+                Layout::Direct,
+                version,
+            ));
+        }
+        let anon = b.spec.anon_bytes();
+        let stack_paper = (anon / 10).clamp(PAGE_SIZE, 256 << 10);
+        let filemap_paper = anon * 15 / 100;
+        let heap_paper = anon
+            .saturating_sub(stack_paper + filemap_paper)
+            .max(PAGE_SIZE);
+        regions.push(reference_region(
+            b,
+            RegionKind::FileMap,
+            "filemap",
+            mix_seed(b.spec.seed(), FILEMAP_SALT),
+            b.scaled(filemap_paper),
+            instance_seed,
+            Layout::Direct,
+            version,
+        ));
+        regions.push(reference_region(
+            b,
+            RegionKind::Heap,
+            "heap",
+            mix_seed(b.spec.seed(), HEAP_SALT),
+            b.scaled(heap_paper),
+            instance_seed,
+            Layout::Jittered,
+            version,
+        ));
+        let stack_stream = mix_seed(b.spec.seed(), STACK_SALT);
+        let mut stack = reference_region(
+            b,
+            RegionKind::Stack,
+            "stack",
+            stack_stream,
+            b.scaled(stack_paper),
+            instance_seed,
+            Layout::Direct,
+            version,
+        );
+        let shift = b.aslr.stack_shift(stack_stream, instance_seed);
+        rotate_content(&mut stack.data, shift);
+        regions.push(stack);
+        MemoryImage::new(regions)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn reference_region(
+        b: &ImageBuilder,
+        kind: RegionKind,
+        name: &str,
+        stream_seed: u64,
+        size: usize,
+        instance_seed: u64,
+        layout: Layout,
+        version: u64,
+    ) -> Region {
+        let m = &b.model;
+        let va_base = b
+            .aslr
+            .region_base(canonical_base(stream_seed), stream_seed, instance_seed);
+        let n_tiles = size / m.tile_size;
+        let mut data = vec![0u8; size];
+        let tiles_per_page = PAGE_SIZE / m.tile_size;
+        let mut jitter =
+            JitterRng::new(mix_seed(stream_seed, mix_seed(instance_seed, LAYOUT_SALT)));
+        let mut seq: Vec<(u64, bool)> = Vec::with_capacity(n_tiles);
+        match layout {
+            Layout::Direct => seq.extend((0..n_tiles as u64).map(|i| (i, false))),
+            Layout::Jittered => {
+                let mut shared_page = 0u64;
+                let mut own_page = 0u64;
+                while seq.len() < n_tiles {
+                    let u = jitter.next_f64();
+                    if u < m.heap_insert_prob {
+                        for t in 0..tiles_per_page as u64 {
+                            seq.push(((1u64 << 40) + own_page * tiles_per_page as u64 + t, true));
+                        }
+                    } else {
+                        if u < m.heap_insert_prob + m.heap_skip_prob {
+                            shared_page += 1;
+                        }
+                        for t in 0..tiles_per_page as u64 {
+                            seq.push((shared_page * tiles_per_page as u64 + t, false));
+                        }
+                        shared_page += 1;
+                    }
+                    own_page += 1;
+                }
+                seq.truncate(n_tiles);
+            }
+        }
+        for (slot, &(tile_idx, forced_unique)) in seq.iter().enumerate() {
+            let allow_unique = matches!(kind, RegionKind::Heap | RegionKind::Stack);
+            let tk = if forced_unique {
+                TileKind::Unique
+            } else {
+                m.tile_kind_region(stream_seed, tile_idx, kind, allow_unique)
+            };
+            crate::content::reference::fill_tile_v(
+                m,
+                &mut data[slot * m.tile_size..(slot + 1) * m.tile_size],
+                tk,
+                stream_seed,
+                tile_idx,
+                instance_seed,
+                va_base,
+                size as u64,
+                version,
+            );
+        }
+        m.apply_noise(&mut data, stream_seed, instance_seed);
+        if m.mixture.enabled {
+            m.apply_dispersed_noise(
+                &mut data,
+                stream_seed,
+                instance_seed,
+                m.mixture.mix_for(kind).dispersed_noise,
+            );
+        }
+        Region {
+            kind,
+            name: name.to_string(),
+            va_base,
+            data,
+        }
+    }
+
+    fn assert_same_image(got: &MemoryImage, want: &MemoryImage, what: &str) {
+        assert_eq!(got.regions().len(), want.regions().len(), "{what}");
+        for (g, w) in got.regions().iter().zip(want.regions()) {
+            assert_eq!((g.kind, &g.name, g.va_base), (w.kind, &w.name, w.va_base));
+            assert!(g.data == w.data, "{what}: region {} differs", g.name);
+        }
+    }
+
+    #[test]
+    fn templated_build_matches_the_per_tile_fill() {
+        use crate::content::ContentModelConfig;
+        // The third mixture can draw instance-unique tiles in the
+        // runtime region, which must therefore stay out of the template.
+        let mut unique_runtime = ContentModelConfig::paper_calibrated();
+        unique_runtime.runtime.unique_frac = 0.2;
+        for mixture in [
+            ContentModelConfig::disabled(),
+            ContentModelConfig::paper_calibrated(),
+            unique_runtime,
+        ] {
+            for aslr in [AslrConfig::DISABLED, AslrConfig::LINUX] {
+                let model = ContentModel {
+                    mixture: mixture.clone(),
+                    ..ContentModel::default()
+                };
+                // Two builders sharing the numpy library, each with its
+                // own template.
+                let builders = [
+                    ("F1", 12 << 20, &["numpy", "json"][..]),
+                    ("F2", 16 << 20, &["numpy"][..]),
+                ]
+                .map(|(name, mem, libs)| {
+                    ImageBuilder::new(FunctionSpec::new(name, mem, libs))
+                        .with_scale(16)
+                        .with_model(model.clone())
+                        .with_aslr(aslr)
+                });
+                // Version 0 comes back after 1 replaced its template.
+                for (step, version) in [0u64, 1, 0, 2].into_iter().enumerate() {
+                    for b in &builders {
+                        for seed in [3u64, 4] {
+                            let what = format!(
+                                "{} v{version} (step {step}) seed {seed} aslr {} mixture {}",
+                                b.spec.name, aslr.enabled, mixture.enabled
+                            );
+                            assert_same_image(
+                                &b.build_versioned(seed, version),
+                                &reference_build(b, seed, version),
+                                &what,
+                            );
+                        }
+                    }
+                }
+                for b in &builders {
+                    // One template per version change when every base is
+                    // canonical; almost surely none under ASLR.
+                    let expect = if aslr.enabled { 0 } else { 4 };
+                    assert_eq!(b.template_builds(), expect, "{}", b.spec.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_count_matches_every_functionbench_build() {
+        for profile in medes_trace::functionbench_suite() {
+            let libs: Vec<&str> = profile.libs.iter().map(String::as_str).collect();
+            let spec = FunctionSpec::new(&profile.name, profile.memory_bytes, &libs);
+            for scale in [16usize, 64, 128, 1024] {
+                let b = ImageBuilder::new(spec.clone()).with_scale(scale);
+                for seed in [0u64, 1, 0xDEAD_BEEF] {
+                    for version in 0..3 {
+                        assert_eq!(
+                            b.page_count(),
+                            b.build_versioned(seed, version).page_count(),
+                            "{} at 1/{scale}, seed {seed}, v{version}",
+                            profile.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_count_needs_no_build() {
+        let b = builder();
+        assert_eq!(b.page_count(), b.build(1).page_count());
+        assert_eq!(b.template_builds(), 1);
+        let fresh = builder();
+        assert!(fresh.page_count() > 0);
+        assert_eq!(fresh.template_builds(), 0, "page_count filled a template");
     }
 
     #[test]
