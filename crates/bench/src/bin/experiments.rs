@@ -61,17 +61,16 @@
 //! those series with min/p50/p95/max tables and monotonic-leak
 //! detection; `trace diff <base> <cand>` compares two run exports and
 //! exits 1 when any metric regressed past `--threshold` (relative,
-//! default 0.10). Every experiment run appends wall time and peak RSS
-//! to `<results>/perf_history.jsonl`.
+//! default 0.10).
 
 use medes_bench::common::{ExpConfig, FaultSpec};
-use medes_bench::{analyze, attribute, diff, experiments, perf_history, summarize, timeline};
+use medes_bench::{analyze, attribute, diff, experiments, summarize, timeline};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--stream] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model] [--microbench]\n       experiments all [--quick]\n       experiments list\n       experiments trace summarize <trace.jsonl> [--top <n>]\n       experiments trace analyze <trace.jsonl> [--top <n>] [--anomaly-k <f>] [--folded <path>]\n       experiments trace timeline <trace.timeseries.jsonl> [--group-by <label>]\n       experiments trace diff <base.jsonl> <cand.jsonl> [--threshold <f>] [--group-by <label>]\n       experiments trace attribute <trace.jsonl> [--top <n>]\nids: {}",
+        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--stream] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace summarize <trace.jsonl> [--top <n>]\n       experiments trace analyze <trace.jsonl> [--top <n>] [--anomaly-k <f>] [--folded <path>]\n       experiments trace timeline <trace.timeseries.jsonl> [--group-by <label>]\n       experiments trace diff <base.jsonl> <cand.jsonl> [--threshold <f>] [--group-by <label>]\n       experiments trace attribute <trace.jsonl> [--top <n>]\nids: {}",
         experiments::ALL.join(", ")
     );
     std::process::exit(2);
@@ -322,7 +321,6 @@ fn main() {
                 cfg.sample = Some(n);
             }
             "--stream" => cfg.stream = true,
-            "--microbench" => ids.push("microbench".to_string()),
             "--content-model" => cfg.content_model = true,
             "--timeseries" => {
                 let Some(ms) = it.next().and_then(|s| s.parse::<u64>().ok()) else {
@@ -331,9 +329,8 @@ fn main() {
                 cfg.timeseries_ms = Some(ms);
             }
             "--results" => {
-                if let Some(dir) = it.next() {
-                    cfg.results_dir = PathBuf::from(dir);
-                }
+                let Some(dir) = it.next() else { usage() };
+                cfg.results_dir = PathBuf::from(dir);
             }
             "--faults" => {
                 let Some(spec) = it.next().and_then(|s| FaultSpec::parse(s)) else {
@@ -385,18 +382,16 @@ fn main() {
         eprintln!("invalid flag combination: {e}");
         std::process::exit(2);
     }
-    // fig11 is produced by the fig10 run; drop the duplicate when both
-    // were requested via `all`.
-    ids.dedup();
-    let mut seen_fig10 = false;
-    ids.retain(|id| {
-        if id == "fig10" || id == "fig11" {
-            if seen_fig10 {
-                return false;
-            }
-            seen_fig10 = true;
+    // An alias runs its id's experiment (fig11 is produced by the
+    // fig10 run): run each experiment once, however it was named.
+    let mut seen: Vec<&str> = Vec::new();
+    ids.retain(|id| match experiments::resolve(id) {
+        Some((canon, _)) if seen.contains(&canon) => false,
+        Some((canon, _)) => {
+            seen.push(canon);
+            true
         }
-        true
+        None => true,
     });
 
     for id in &ids {
@@ -405,15 +400,6 @@ fn main() {
             Some(report) => {
                 report.emit(&cfg.results_dir);
                 let wall_s = t0.elapsed().as_secs_f64();
-                perf_history::append(
-                    &cfg.results_dir,
-                    &perf_history::PerfRecord {
-                        experiment: id.clone(),
-                        quick: cfg.quick,
-                        wall_s,
-                        peak_rss_bytes: perf_history::peak_rss_bytes(),
-                    },
-                );
                 eprintln!("[{id} finished in {wall_s:.1}s]\n");
             }
             None => {

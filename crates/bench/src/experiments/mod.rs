@@ -27,65 +27,80 @@ pub mod table3;
 use crate::common::ExpConfig;
 use crate::report::Report;
 
-/// All experiment ids, in paper order.
-pub const ALL: &[&str] = &[
-    "fig1a",
-    "fig1b",
-    "fig1c",
-    "fig2",
-    "table2",
-    "fig7",
-    "fig8",
-    "fig9",
-    "table3",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "overheads",
-    "obs-overhead",
-    "obs-stream",
-    "chaos",
-    "cache",
-    "pipeline",
-    "registry",
-    "scenarios",
-    "attribute",
-    "microbench",
+/// An experiment entry point: one run under `cfg`, one [`Report`].
+pub type RunFn = fn(&ExpConfig) -> Report;
+
+/// Every experiment, in paper order: `(id, aliases, entry point)`. An
+/// alias names a sub-figure that its id's run already produces.
+/// [`ALL`], `experiments list` and [`run`] all derive from this table.
+pub const TABLE: &[(&str, &[&str], RunFn)] = &[
+    ("fig1a", &[], fig1::run_fig1a),
+    ("fig1b", &[], fig1::run_fig1b),
+    ("fig1c", &[], fig1::run_fig1c),
+    ("fig2", &[], fig2::run),
+    ("table2", &[], table2::run),
+    ("fig7", &["fig7a", "fig7b"], fig7::run),
+    ("fig8", &[], fig8::run),
+    ("fig9", &["fig9a", "fig9b"], fig9::run),
+    ("table3", &[], table3::run),
+    ("fig10", &["fig11"], fig10::run),
+    ("fig12", &[], fig12::run),
+    ("fig13", &[], fig13::run),
+    ("fig14", &[], fig14::run),
+    ("fig15", &[], fig15::run),
+    ("fig16", &[], fig16::run),
+    ("overheads", &[], overheads::run),
+    ("obs-overhead", &[], obs_overhead::run),
+    ("obs-stream", &[], obs_stream::run),
+    ("chaos", &[], chaos::run),
+    ("cache", &[], cache::run),
+    ("pipeline", &[], pipeline::run),
+    ("registry", &[], registry::run),
+    ("scenarios", &[], scenarios::run),
+    ("attribute", &[], attribute::run),
 ];
 
-/// Dispatches one experiment by id.
+/// All experiment ids, in paper order.
+pub const ALL: [&str; TABLE.len()] = {
+    let mut ids = [""; TABLE.len()];
+    let mut i = 0;
+    while i < TABLE.len() {
+        ids[i] = TABLE[i].0;
+        i += 1;
+    }
+    ids
+};
+
+/// Resolves an id or alias to its canonical id and entry point.
+pub fn resolve(name: &str) -> Option<(&'static str, RunFn)> {
+    TABLE
+        .iter()
+        .find(|(id, aliases, _)| *id == name || aliases.contains(&name))
+        .map(|&(id, _, f)| (id, f))
+}
+
+/// Dispatches one experiment by id or alias.
 pub fn run(id: &str, cfg: &ExpConfig) -> Option<Report> {
-    let report = match id {
-        "fig1a" => fig1::run_fig1a(cfg),
-        "fig1b" => fig1::run_fig1b(cfg),
-        "fig1c" => fig1::run_fig1c(cfg),
-        "fig2" => fig2::run(cfg),
-        "table2" => table2::run(cfg),
-        "fig7" | "fig7a" | "fig7b" => fig7::run(cfg),
-        "fig8" => fig8::run(cfg),
-        "fig9" | "fig9a" | "fig9b" => fig9::run(cfg),
-        "table3" => table3::run(cfg),
-        "fig10" | "fig11" => fig10::run(cfg),
-        "fig12" => fig12::run(cfg),
-        "fig13" => fig13::run(cfg),
-        "fig14" => fig14::run(cfg),
-        "fig15" => fig15::run(cfg),
-        "fig16" => fig16::run(cfg),
-        "overheads" => overheads::run(cfg),
-        "obs-overhead" => obs_overhead::run(cfg),
-        "obs-stream" => obs_stream::run(cfg),
-        "chaos" => chaos::run(cfg),
-        "cache" => cache::run(cfg),
-        "pipeline" => pipeline::run(cfg),
-        "registry" => registry::run(cfg),
-        "scenarios" => scenarios::run(cfg),
-        "attribute" => attribute::run(cfg),
-        "microbench" => crate::microbench::run(cfg),
-        _ => return None,
-    };
-    Some(report)
+    resolve(id).map(|(_, f)| f(cfg))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+
+    #[test]
+    fn ids_and_aliases_are_unique_and_resolve() {
+        let mut seen = HashSet::new();
+        for &(id, aliases, _) in TABLE {
+            for name in std::iter::once(id).chain(aliases.iter().copied()) {
+                assert!(seen.insert(name), "{name} is listed twice");
+                assert_eq!(resolve(name).map(|(canon, _)| canon), Some(id));
+            }
+        }
+        for alias in ["fig7a", "fig7b", "fig9a", "fig9b", "fig11"] {
+            assert!(resolve(alias).is_some(), "{alias} must resolve");
+        }
+        assert!(resolve("nope").is_none());
+    }
 }

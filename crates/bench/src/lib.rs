@@ -13,10 +13,17 @@
 //! record to `results/<id>.json`. The `--quick` flag shrinks workloads
 //! for smoke testing (used by the integration tests).
 //!
-//! Micro-benchmarks (`cargo bench -p medes-bench`, via the local
-//! [`harness`]) cover the hot primitives: SHA-1, rolling scans, value
-//! sampling, delta encode/apply, registry lookups, the dedup/restore
-//! ops, and the observability no-op fast path.
+//! Host-time measurement is not this crate's job. What a run costs end
+//! to end and per layer (SHA-1, fingerprint scan, delta encode/apply,
+//! image build, registry lookups, the dedup/restore ops, the
+//! observability no-op path) is timed by the repository benchmark:
+//!
+//! ```text
+//! cargo run --release --manifest-path benchmark/Cargo.toml -- run --workload <w> --trace 1
+//! ```
+//!
+//! Its rows are named in `BENCHMARK.json` (`hash.sha1_64_ns`,
+//! `delta.encode_ns_per_page`, `dedup.scan_us`, `obs.noop_ns`, …).
 //!
 //! `trace summarize <trace.jsonl>` renders the per-phase latency
 //! breakdown of a JSONL span trace exported by `medes-obs` (run any
@@ -32,8 +39,7 @@
 //! (see [`timeline`]). `trace diff <base.jsonl> <cand.jsonl>` compares
 //! two run exports — counters, histogram p99s, SLO violations, phase
 //! self times, series endpoints — and exits nonzero on regression (see
-//! [`diff`]). Each experiment run also appends its wall time and peak
-//! RSS to `results/perf_history.jsonl` (see [`perf_history`]).
+//! [`diff`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,9 +49,6 @@ pub mod attribute;
 pub mod common;
 pub mod diff;
 pub mod experiments;
-pub mod harness;
-pub mod microbench;
-pub mod perf_history;
 pub mod report;
 pub mod summarize;
 pub mod timeline;

@@ -76,6 +76,22 @@ pub fn keep_alive_sweep(
         .collect()
 }
 
+/// Snapshot-restore latency of the emulated Catalyzer (§7.6).
+pub const CATALYZER_RESTORE: SimDuration = SimDuration::from_millis(150);
+
+/// The emulated-Catalyzer preset (§7.6): the same functions, with every
+/// cold start replaced by a snapshot restore. A spawn is the only
+/// reader of a profile's cold-start time, so no platform knob is needed.
+pub fn catalyzer_profiles(profiles: &[FunctionProfile]) -> Vec<FunctionProfile> {
+    profiles
+        .iter()
+        .map(|p| FunctionProfile {
+            cold_start_us: CATALYZER_RESTORE.as_micros(),
+            ..p.clone()
+        })
+        .collect()
+}
+
 /// Runs the emulated-Catalyzer experiment (§7.6): cold starts are
 /// replaced by snapshot restores, with and without Medes on top.
 pub fn catalyzer_comparison(
@@ -83,20 +99,19 @@ pub fn catalyzer_comparison(
     profiles: &[FunctionProfile],
     trace: &Trace,
 ) -> (RunReport, RunReport) {
-    let mut plain = cfg
+    let profiles = catalyzer_profiles(profiles);
+    let plain = cfg
         .clone()
         .with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_mins(10)));
-    plain.catalyzer_mode = true;
-    let without_medes = Platform::new(plain, profiles.to_vec()).run(trace).report;
+    let without_medes = Platform::new(plain, profiles.clone()).run(trace).report;
 
-    let mut with = if cfg.is_medes() {
+    let with = if cfg.is_medes() {
         cfg.clone()
     } else {
         cfg.clone()
             .with_policy(PolicyKind::Medes(Default::default()))
     };
-    with.catalyzer_mode = true;
-    let with_medes = Platform::new(with, profiles.to_vec()).run(trace).report;
+    let with_medes = Platform::new(with, profiles).run(trace).report;
     (without_medes, with_medes)
 }
 
@@ -143,14 +158,14 @@ mod tests {
     }
 
     #[test]
-    fn catalyzer_mode_shrinks_cold_start_latency() {
+    fn catalyzer_preset_shrinks_cold_start_latency() {
         let (cfg, suite, trace) = setup();
         let (plain, with_medes) = catalyzer_comparison(&cfg, &suite, &trace);
         assert_eq!(plain.requests.len(), trace.len());
         assert_eq!(with_medes.requests.len(), trace.len());
         // Cold starts now cost the snapshot-restore time: their startup
-        // must be ≤ the configured restore + scheduling slack.
-        let cap_us = cfg.catalyzer_restore.as_micros() + 200_000;
+        // must be ≤ the restore time + scheduling slack.
+        let cap_us = CATALYZER_RESTORE.as_micros() + 200_000;
         for r in plain
             .requests
             .iter()

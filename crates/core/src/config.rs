@@ -104,11 +104,6 @@ pub struct PlatformConfig {
     pub patch_compute_per_page: SimDuration,
     /// Patch application cost per (paper-scale) page during restore.
     pub patch_apply_per_page: SimDuration,
-    /// Emulated-Catalyzer mode (§7.6): cold starts become snapshot
-    /// restores.
-    pub catalyzer_mode: bool,
-    /// Snapshot-restore latency used in Catalyzer mode.
-    pub catalyzer_restore: SimDuration,
     /// How often the controller re-solves policy targets.
     pub policy_tick: SimDuration,
     /// RNG seed.
@@ -381,12 +376,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Emulated-Catalyzer mode (§7.6).
-    pub fn catalyzer_mode(mut self, on: bool) -> Self {
-        self.cfg.catalyzer_mode = on;
-        self
-    }
-
     /// Verify every restore byte-for-byte (slow; tests).
     pub fn verify_restores(mut self, on: bool) -> Self {
         self.cfg.verify_restores = on;
@@ -505,8 +494,6 @@ impl PlatformConfig {
             lookup_per_page: SimDuration::from_micros(80),
             patch_compute_per_page: SimDuration::from_micros(40),
             patch_apply_per_page: SimDuration::from_micros(8),
-            catalyzer_mode: false,
-            catalyzer_restore: SimDuration::from_millis(150),
             policy_tick: SimDuration::from_secs(10),
             seed: 0xC0FFEE,
             verify_restores: false,

@@ -944,11 +944,7 @@ impl Cluster {
         self.charge(now, node, m_w as i64);
         self.metrics.report.sandboxes_spawned += 1;
         self.metrics.live_update(now, self.live_count() as f64);
-        let spawn_time = if self.cfg.catalyzer_mode {
-            self.cfg.catalyzer_restore
-        } else {
-            self.fns[f].profile.cold_start()
-        };
+        let spawn_time = self.fns[f].profile.cold_start();
         sched.after(spawn_time, Ev::SpawnDone { sb: id, req });
     }
 

@@ -20,8 +20,8 @@
 //! of being reallocated per call. [`encode`] is the convenience
 //! one-shot form. [`encode_reference`] preserves the original
 //! `HashMap`-based implementation as the comparator the fast path is
-//! verified against (property tests and the `--microbench` baseline);
-//! both produce bit-identical patches.
+//! verified against (property tests); both produce bit-identical
+//! patches.
 //!
 //! ## Seed hash
 //!
@@ -302,9 +302,8 @@ pub fn encode_with(
 
 /// The pre-optimization encoder — fresh `HashMap` index, byte-wise
 /// match extension — kept verbatim as the comparator [`encode_with`]
-/// is verified against (property tests, the `hot_path` integration
-/// test, and the `--microbench` baseline). Produces bit-identical
-/// patches to [`encode`]/[`encode_with`].
+/// is verified against (property tests and the `hot_path` integration
+/// test). Produces bit-identical patches to [`encode`]/[`encode_with`].
 pub fn encode_reference(base: &[u8], target: &[u8], cfg: &EncodeConfig) -> Patch {
     let mut patch = Patch {
         base_len: base.len() as u32,

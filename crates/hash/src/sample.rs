@@ -161,7 +161,7 @@ pub fn page_fingerprint(page: &[u8], cfg: &FingerprintConfig) -> PageFingerprint
 /// The byte-at-a-time reference scan — the pre-optimization
 /// implementation of [`page_fingerprint`], kept as the comparator the
 /// wide path is checked against (a debug assertion in
-/// [`page_fingerprint`], plus tests and the `--microbench` baseline).
+/// [`page_fingerprint`], plus tests).
 pub fn page_fingerprint_scalar(page: &[u8], cfg: &FingerprintConfig) -> PageFingerprint {
     let w = cfg.chunk_size;
     if page.len() < w || w < 2 || cfg.cardinality == 0 {

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the whole dedup pipeline, end to end.
 
-use medes::platform::baselines::run_comparison;
+use medes::platform::baselines::{catalyzer_profiles, run_comparison};
 use medes::platform::config::{PlatformConfig, PolicyKind};
 use medes::platform::metrics::StartType;
 use medes::platform::Platform;
@@ -130,13 +130,14 @@ fn deterministic_across_identical_runs() {
 }
 
 #[test]
-fn catalyzer_mode_reduces_cold_penalty() {
-    let mut plain =
+fn catalyzer_preset_reduces_cold_penalty() {
+    let plain =
         pressured_config().with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_mins(10)));
     let t = trace(300, 13);
     let normal = Platform::new(plain.clone(), suite()).run(&t).report;
-    plain.catalyzer_mode = true;
-    let cata = Platform::new(plain, suite()).run(&t).report;
+    let cata = Platform::new(plain, catalyzer_profiles(&suite()))
+        .run(&t)
+        .report;
     // Nearly the same cold-start count (faster spawns shift timing
     // slightly), far lower cold latency.
     let (a, b) = (normal.total_cold_starts(), cata.total_cold_starts());
