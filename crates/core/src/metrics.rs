@@ -313,11 +313,9 @@ impl MetricsCollector {
                 .report
                 .functions
                 .get(rec.func)
-                .map(|s| s.as_str())
-                .unwrap_or("?")
-                .to_string();
+                .map_or("?", String::as_str);
             self.obs.slo_record_traced(
-                &fn_name,
+                fn_name,
                 rec.startup_us,
                 bound_us,
                 ctx.trace_id,
@@ -326,7 +324,7 @@ impl MetricsCollector {
             let labels = || {
                 LabelSet::new()
                     .with("node", node)
-                    .with("func", fn_name.clone())
+                    .with("func", fn_name.to_string())
             };
             self.obs
                 .span_in(
@@ -335,7 +333,7 @@ impl MetricsCollector {
                     ctx,
                 )
                 .attr("id", rec.id)
-                .attr("fn", fn_name.clone())
+                .attr("fn", fn_name)
                 .attr("start_type", start_type)
                 .attr("startup_us", rec.startup_us)
                 .attr("exec_us", rec.exec_us)

@@ -31,7 +31,7 @@ use crate::metrics::{FnDedupStats, MetricsCollector, RequestRecord, RunReport, S
 use crate::pagecache::BasePageCache;
 use crate::registry::RegistryClient;
 use crate::restore::{restore_op_cached, RestoreTiming};
-use crate::sandbox::{Sandbox, SandboxState};
+use crate::sandbox::{Sandbox, SandboxState, SandboxTable};
 use medes_mem::MemoryImage;
 use medes_net::Fabric;
 use medes_obs::Obs;
@@ -72,9 +72,12 @@ impl Platform {
     ///
     /// # Panics
     /// Panics if the trace's function table does not match the profile
-    /// catalog, or if any function's footprint exceeds the per-node
+    /// catalog, if any function's footprint exceeds the per-node
     /// memory limit (such a function could never be scheduled and its
-    /// requests would retry forever).
+    /// requests would retry forever), or if the trace's invocations are
+    /// not sorted by arrival time (arrivals are streamed into the event
+    /// loop in trace order, so an unsorted trace would run the clock
+    /// backwards).
     pub fn run(&self, trace: &Trace) -> RunOutcome {
         assert_eq!(
             trace.functions.len(),
@@ -91,18 +94,15 @@ impl Platform {
                 min_node
             );
         }
+        assert_eq!(
+            trace.first_out_of_order(),
+            None,
+            "trace invocations must be sorted by arrival time; this one arrives before its predecessor"
+        );
         let horizon = trace.duration();
         let mut cluster = Cluster::new(self.cfg.clone(), self.profiles.clone(), horizon);
+        cluster.metrics.report.requests.reserve_exact(trace.len());
         let mut sim = Simulation::new(cluster);
-        for inv in &trace.invocations {
-            sim.schedule(
-                inv.time(),
-                Ev::Arrival {
-                    id: inv.id,
-                    func: inv.function,
-                },
-            );
-        }
         if self.cfg.is_medes() {
             sim.schedule(SimTime::ZERO, Ev::PolicyTick);
         }
@@ -130,8 +130,19 @@ impl Platform {
                 },
             );
         }
-        sim.run();
+        // Arrivals are not queued: the loop takes them from the trace as
+        // their time comes, each ahead of anything queued for the same
+        // instant, so the queue holds pending timers and in-flight
+        // requests only.
+        sim.run_with(trace.invocations.iter().map(|inv| {
+            let arrival = Ev::Arrival {
+                id: inv.id,
+                func: inv.function,
+            };
+            (inv.time(), arrival)
+        }));
         let end = sim.now();
+        let (events, peak_queue_depth) = (sim.processed(), sim.peak_queue_depth());
         cluster = sim.into_world();
         let obs = Arc::clone(&cluster.obs);
         let dedup_scan_wall_us = cluster.dedup_scan_wall_us;
@@ -147,6 +158,8 @@ impl Platform {
             obs,
             slo,
             dedup_scan_wall_us,
+            events,
+            peak_queue_depth,
         }
     }
 }
@@ -167,6 +180,14 @@ pub struct RunOutcome {
     /// summed over every batch. Host time is not deterministic, so it
     /// lives here and never in `report` or an `obs` export.
     pub dedup_scan_wall_us: u64,
+    /// Events the loop handled (deterministic). Here and not in
+    /// `report` because it describes the simulator, not the simulated
+    /// cluster.
+    pub events: u64,
+    /// Most events pending in the queue at once (deterministic):
+    /// expiry timers plus in-flight requests, independent of how many
+    /// arrivals the trace still holds.
+    pub peak_queue_depth: usize,
 }
 
 /// A request travelling through dispatch.
@@ -256,8 +277,11 @@ struct Cluster {
     fabric: Fabric,
     registry: RegistryClient,
     nodes: Vec<NodeState>,
-    sandboxes: HashMap<SandboxId, Sandbox>,
+    sandboxes: SandboxTable,
     fns: Vec<FunctionRuntime>,
+    /// Per function, the `(mu, sigma)` of its log-normal execution time;
+    /// `None` for a function whose execution time does not vary.
+    exec_dist: Vec<Option<(f64, f64)>>,
     /// Base-sandbox resolver data: id → (function, pinned image).
     bases: HashMap<SandboxId, (FnId, Arc<MemoryImage>)>,
     /// Per-node base-page caches for the restore read path. Present in
@@ -303,11 +327,25 @@ impl Cluster {
             PolicyKind::Medes(m) => (Box::new(FixedKeepAlive::new(m.keep_alive)), Some(m.clone())),
         };
         let rng = DetRng::new(cfg.seed);
+        let exec_dist = profiles
+            .iter()
+            .map(|p| {
+                let cv = p.exec_cv.max(0.0);
+                if cv < 1e-9 {
+                    return None;
+                }
+                let mean = p.exec_time().as_secs_f64();
+                let sigma2 = (1.0 + cv * cv).ln();
+                let mu = mean.ln() - sigma2 / 2.0;
+                Some((mu, sigma2.sqrt()))
+            })
+            .collect();
         Cluster {
             nodes: (0..cfg.nodes).map(|_| NodeState::default()).collect(),
             fn_version: vec![0; profiles.len()],
             fns: profiles.into_iter().map(FunctionRuntime::new).collect(),
-            sandboxes: HashMap::new(),
+            exec_dist,
+            sandboxes: SandboxTable::default(),
             bases: HashMap::new(),
             caches: (0..cfg.nodes)
                 .map(|n| {
@@ -730,15 +768,10 @@ impl Cluster {
     }
 
     fn sample_exec(&mut self, func: usize) -> SimDuration {
-        let p = &self.fns[func].profile;
-        let mean = p.exec_time().as_secs_f64();
-        let cv = p.exec_cv.max(0.0);
-        if cv < 1e-9 {
-            return p.exec_time();
+        match self.exec_dist[func] {
+            Some((mu, sigma)) => SimDuration::from_secs_f64(self.rng.log_normal(mu, sigma)),
+            None => self.fns[func].profile.exec_time(),
         }
-        let sigma2 = (1.0 + cv * cv).ln();
-        let mu = mean.ln() - sigma2 / 2.0;
-        SimDuration::from_secs_f64(self.rng.log_normal(mu, sigma2.sqrt()))
     }
 
     // ------------------------------------------------------------------
@@ -1353,7 +1386,8 @@ impl Cluster {
             self.metrics.report.cache_bytes_saved += s.bytes_saved;
         }
         let mut report = self.metrics.finish(end);
-        report.requests.sort_by_key(|r| r.id);
+        // Ids are unique, so the unstable sort has one possible result.
+        report.requests.sort_unstable_by_key(|r| r.id);
         report
     }
 }
@@ -1653,6 +1687,37 @@ mod tests {
             .report;
         assert_eq!(report.requests.len(), trace.len());
         assert!(report.requests.iter().all(|r| r.e2e_us >= r.exec_us));
+    }
+
+    /// Arrivals are streamed into the loop, not queued, so the queue's
+    /// depth follows the work in flight — one expiry timer per request
+    /// of the last keep-alive window plus the requests executing — and
+    /// not the length of the trace.
+    #[test]
+    fn queue_depth_follows_in_flight_work_not_trace_length() {
+        let (suite, trace) = small_trace(3600, 10.0);
+        let cfg = PlatformConfig::small_test()
+            .with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_secs(30)));
+        let out = Platform::new(cfg, suite).run(&trace);
+        let requests = out.report.requests.len();
+        assert_eq!(requests, trace.len());
+        assert!(requests > 2000, "{requests} requests");
+        assert!(
+            out.peak_queue_depth * 10 < requests,
+            "peak queue depth {} against {requests} requests",
+            out.peak_queue_depth
+        );
+        // At least an arrival and a completion per request.
+        assert!(out.events >= 2 * requests as u64, "{} events", out.events);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be sorted by arrival time")]
+    fn unsorted_trace_is_rejected_before_the_run() {
+        let (suite, mut trace) = small_trace(60, 2.0);
+        let last = trace.len() - 1;
+        trace.invocations.swap(0, last);
+        Platform::new(PlatformConfig::small_test(), suite).run(&trace);
     }
 
     #[test]

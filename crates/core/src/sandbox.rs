@@ -215,6 +215,65 @@ impl Sandbox {
     }
 }
 
+/// The live sandboxes of one run, indexed by [`SandboxId`].
+///
+/// Ids are handed out densely from zero and never reused within a run,
+/// so the id is the slot index and a lookup is one bounds check. For the
+/// same reason no generation counter is needed: the id carried by a
+/// stale timer names a slot that stays empty for the rest of the run and
+/// can never alias a newer sandbox. A removed sandbox's slot is not
+/// reclaimed; the table grows by one `Option<Sandbox>` per spawn.
+#[derive(Debug, Default)]
+pub(crate) struct SandboxTable {
+    slots: Vec<Option<Sandbox>>,
+    live: usize,
+}
+
+impl SandboxTable {
+    pub(crate) fn get(&self, id: &SandboxId) -> Option<&Sandbox> {
+        self.slots.get(id.0 as usize)?.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, id: &SandboxId) -> Option<&mut Sandbox> {
+        self.slots.get_mut(id.0 as usize)?.as_mut()
+    }
+
+    pub(crate) fn contains_key(&self, id: &SandboxId) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// # Panics
+    /// Panics if `id` was inserted before — ids are never reused.
+    pub(crate) fn insert(&mut self, id: SandboxId, sb: Sandbox) {
+        let slot = id.0 as usize;
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        assert!(self.slots[slot].is_none(), "{id} is already live");
+        self.slots[slot] = Some(sb);
+        self.live += 1;
+    }
+
+    pub(crate) fn remove(&mut self, id: &SandboxId) -> Option<Sandbox> {
+        let sb = self.slots.get_mut(id.0 as usize)?.take()?;
+        self.live -= 1;
+        Some(sb)
+    }
+
+    /// Number of live sandboxes.
+    pub(crate) fn len(&self) -> usize {
+        self.live
+    }
+}
+
+impl std::ops::Index<&SandboxId> for SandboxTable {
+    type Output = Sandbox;
+
+    fn index(&self, id: &SandboxId) -> &Sandbox {
+        self.get(id).expect("sandbox is live")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,5 +392,41 @@ mod tests {
         sb.transition(SandboxState::Deduping);
         sb.transition(SandboxState::Warm);
         assert_eq!(sb.state, SandboxState::Warm);
+    }
+
+    #[test]
+    fn table_is_keyed_by_id_and_never_aliases_a_removed_one() {
+        let at = |id: u64| {
+            let mut sb = sandbox();
+            sb.id = SandboxId(id);
+            sb
+        };
+        let mut t = SandboxTable::default();
+        assert_eq!(t.len(), 0);
+        assert!(t.get(&SandboxId(0)).is_none());
+        assert!(t.remove(&SandboxId(7)).is_none());
+        for id in 0..3 {
+            t.insert(SandboxId(id), at(id));
+        }
+        t.insert(SandboxId(5), at(5)); // a gap leaves empty slots behind
+        assert_eq!(t.len(), 4);
+        assert!(!t.contains_key(&SandboxId(3)) && !t.contains_key(&SandboxId(4)));
+        assert_eq!(t[&SandboxId(5)].id, SandboxId(5));
+        t.get_mut(&SandboxId(1)).unwrap().refcount = 9;
+        assert_eq!(t.remove(&SandboxId(1)).unwrap().refcount, 9);
+        assert_eq!(t.len(), 3);
+        // A stale id keeps naming an empty slot, whatever is spawned later.
+        t.insert(SandboxId(6), at(6));
+        assert!(t.get(&SandboxId(1)).is_none());
+        assert!(t.remove(&SandboxId(1)).is_none());
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "sb2 is already live")]
+    fn table_rejects_a_reused_id() {
+        let mut t = SandboxTable::default();
+        t.insert(SandboxId(2), sandbox());
+        t.insert(SandboxId(2), sandbox());
     }
 }

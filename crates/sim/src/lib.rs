@@ -6,11 +6,13 @@
 //! deliberately small and fully deterministic:
 //!
 //! * [`time`] — microsecond-resolution simulated time and durations.
-//! * [`event`] — a stable binary-heap event queue ([`event::EventQueue`]).
+//! * [`event`] — a stable `(time, push order)` event queue
+//!   ([`event::EventQueue`]): a monotone lane in front of a binary heap.
 //! * [`fault`] — seeded fault-injection plans ([`fault::FaultPlan`]):
 //!   node crashes, link fault windows, RPC drops — all reproducible.
 //! * [`engine`] — a minimal driver loop ([`engine::Simulation`]) for
-//!   worlds that implement [`engine::World`].
+//!   worlds that implement [`engine::World`]; a time-sorted input (a
+//!   trace's arrivals) is streamed into it rather than queued.
 //! * [`rng`] — a from-scratch deterministic RNG ([`rng::DetRng`],
 //!   SplitMix64-seeded xoshiro256**) with the distributions the workload
 //!   generators need (exponential, Poisson, normal, Pareto).

@@ -74,6 +74,14 @@ impl Trace {
         self.invocations.is_empty()
     }
 
+    /// Index of the first invocation that arrives before its
+    /// predecessor; `None` when the invocations are sorted by arrival
+    /// time, as everything that replays a trace requires.
+    pub fn first_out_of_order(&self) -> Option<usize> {
+        let sorted = |w: &[Invocation]| w[0].time_us <= w[1].time_us;
+        Some(self.invocations.windows(2).position(|w| !sorted(w))? + 1)
+    }
+
     /// Trace duration.
     pub fn duration(&self) -> SimTime {
         SimTime::from_micros(self.duration_us)
@@ -156,7 +164,8 @@ impl Trace {
         Json::Object(obj).to_string()
     }
 
-    /// Parses a JSON trace produced by [`Trace::to_json`].
+    /// Parses a JSON trace produced by [`Trace::to_json`]. Invocations
+    /// that are not sorted by arrival time are an error.
     pub fn from_json(text: &str) -> Result<Trace, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
         let functions = v
@@ -185,11 +194,18 @@ impl Trace {
             .get("duration_us")
             .and_then(Json::as_u64)
             .ok_or("missing duration_us")?;
-        Ok(Trace {
+        let trace = Trace {
             functions,
             invocations,
             duration_us,
-        })
+        };
+        match trace.first_out_of_order() {
+            Some(i) => Err(format!(
+                "invocation {i} arrives before invocation {}: a trace is sorted by arrival time",
+                i - 1
+            )),
+            None => Ok(trace),
+        }
     }
 }
 
@@ -254,6 +270,19 @@ mod tests {
             Trace::from_json(r#"{"functions": [], "invocations": [[1]], "duration_us": 5}"#)
                 .is_err()
         );
+    }
+
+    #[test]
+    fn from_json_rejects_out_of_order_arrivals() {
+        let mut tr = sample();
+        assert_eq!(tr.first_out_of_order(), None);
+        tr.invocations.swap(1, 2);
+        assert_eq!(tr.first_out_of_order(), Some(2));
+        let err = Trace::from_json(&tr.to_json()).unwrap_err();
+        assert!(err.contains("invocation 2 arrives before"), "{err}");
+        // Equal arrival times are in order.
+        tr.invocations[2].time_us = tr.invocations[1].time_us;
+        assert!(Trace::from_json(&tr.to_json()).is_ok());
     }
 
     #[test]
