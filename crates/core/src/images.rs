@@ -9,14 +9,16 @@
 //! needs only the page count, which [`ImageFactory::model_pages`] reads
 //! off the builder's region plan without building anything.
 //!
-//! A regeneration copies the function's file-backed regions from its
-//! builder's per-version template (see `medes_mem::image`) and fills
-//! only heap and stack tile by tile. The factory counts what it does:
-//! [`ImageFactory::builds`] images materialized (a pinned hit is not a
-//! build) and [`ImageFactory::template_builds`] templates filled. Both
-//! are functions of the request sequence, so they repeat exactly for a
-//! seed; the platform exports them as `medes.images.builds` and
-//! `medes.images.template_builds`.
+//! A regeneration copies every tile the function's instances share
+//! from its builder's per-version template (see `medes_mem::image`) and
+//! fills only the instance-unique tiles of heap and stack. The factory
+//! counts what it does: [`ImageFactory::builds`] images materialized (a
+//! pinned hit is not a build), [`ImageFactory::template_builds`]
+//! templates filled and [`ImageFactory::template_bytes`] the memory the
+//! held templates cost. All are functions of the request sequence, so
+//! they repeat exactly for a seed; the platform exports them as
+//! `medes.images.builds`, `medes.images.template_builds` and
+//! `medes.images.template_bytes`.
 
 use crate::ids::FnId;
 use medes_mem::{AslrConfig, ContentModel, FunctionSpec, ImageBuilder, MemoryImage};
@@ -97,9 +99,14 @@ impl ImageFactory {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// File-backed region templates filled so far, over all functions.
+    /// Templates filled so far, over all functions.
     pub fn template_builds(&self) -> u64 {
         self.builders.iter().map(|b| b.template_builds()).sum()
+    }
+
+    /// Bytes the functions' templates hold right now.
+    pub fn template_bytes(&self) -> usize {
+        self.builders.iter().map(|b| b.template_bytes()).sum()
     }
 
     /// Pins a base sandbox's image (version 0) so the registry can
@@ -203,6 +210,7 @@ mod tests {
         let mut f = factory();
         f.model_pages(FnId(0));
         assert_eq!((f.builds(), f.template_builds()), (0, 0));
+        assert_eq!(f.template_bytes(), 0);
         f.pin(FnId(0), 1);
         f.image(FnId(0), 1); // pinned: served from the cache
         f.image(FnId(0), 2);
@@ -210,5 +218,8 @@ mod tests {
         f.image_v(FnId(0), 2, 1); // a new version replaces the template
         f.image(FnId(1), 2);
         assert_eq!((f.builds(), f.template_builds()), (4, 3));
+        // Two functions hold a template, each a little over its image.
+        let images = (f.model_pages(FnId(0)) + f.model_pages(FnId(1))) * medes_mem::PAGE_SIZE;
+        assert!((images..images * 5 / 4).contains(&f.template_bytes()));
     }
 }

@@ -1376,6 +1376,10 @@ impl Cluster {
                 "medes.images.template_builds",
                 self.factory.template_builds(),
             );
+            self.obs.counter_add(
+                "medes.images.template_bytes",
+                self.factory.template_bytes() as u64,
+            );
         }
         for c in &self.caches {
             let s = c.stats();
@@ -1798,6 +1802,7 @@ mod tests {
         assert!(report.sandboxes_spawned > 0);
         assert_eq!(obs.counter("medes.images.builds"), 0);
         assert_eq!(obs.counter("medes.images.template_builds"), 0);
+        assert_eq!(obs.counter("medes.images.template_bytes"), 0);
 
         cfg.policy = PlatformConfig::small_test().policy;
         if let PolicyKind::Medes(m) = &mut cfg.policy {
@@ -1807,15 +1812,28 @@ mod tests {
             };
         }
         cfg.verify_restores = true;
-        let (report, obs) = run(cfg);
+        let (report, obs) = run(cfg.clone());
         let scans = obs.counter("medes.dedup.ops");
         let restores: u64 = report.dedup_stats.iter().map(|s| s.restores).sum();
         let pins = obs.counter("medes.platform.demarcations");
         assert!(scans > 0 && restores > 0 && pins > 0);
         assert_eq!(obs.counter("medes.images.builds"), scans + restores + pins);
-        // One deploy version: at most one template per function.
+        // One deploy version: at most one template per function, each
+        // the function's image plus an eighth of its heap (and a flag
+        // per tile).
         let template_builds = obs.counter("medes.images.template_builds");
         assert!((1..=4).contains(&template_builds), "{template_builds}");
+        let suite = small_trace(600, 10.0).0;
+        let factory = ImageFactory::new(&suite, cfg.content, cfg.aslr, cfg.mem_scale);
+        let image_bytes: usize = (0..suite.len())
+            .map(|f| factory.model_pages(FnId(f)) * medes_mem::PAGE_SIZE)
+            .sum();
+        let template_bytes = obs.counter("medes.images.template_bytes") as usize;
+        assert!(template_bytes > 0);
+        assert!(
+            template_bytes * 4 <= image_bytes * 5,
+            "{template_bytes} template bytes for {image_bytes} image bytes"
+        );
     }
 
     #[test]

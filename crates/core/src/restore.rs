@@ -423,11 +423,11 @@ mod tests {
                         // Never the restoring node: local reads skip the NIC.
                         base_node: NodeId(2 + sb as usize % 2),
                         base_page: rng.below(BASE_PAGES as u64) as u32,
-                        patch: medes_delta::Patch {
-                            base_len: PAGE_SIZE as u32,
-                            target_len: PAGE_SIZE as u32,
-                            instrs: vec![],
-                        },
+                        patch: medes_delta::Patch::from_instrs(
+                            PAGE_SIZE as u32,
+                            PAGE_SIZE as u32,
+                            &[],
+                        ),
                     });
                 }
             }

@@ -323,11 +323,7 @@ mod tests {
 
     #[test]
     fn dedup_table_accounting() {
-        let patch = Patch {
-            base_len: 4096,
-            target_len: 4096,
-            instrs: vec![],
-        };
+        let patch = Patch::from_instrs(4096, 4096, &[]);
         let patch_bytes = patch.serialized_size();
         let table = DedupPageTable {
             entries: vec![
@@ -350,11 +346,7 @@ mod tests {
 
     #[test]
     fn read_set_helpers_pin_m_r_accounting() {
-        let patch = Patch {
-            base_len: 4096,
-            target_len: 4096,
-            instrs: vec![],
-        };
+        let patch = Patch::from_instrs(4096, 4096, &[]);
         let patched = |sb: u64, node: usize, page: u32| PageEntry::Patched {
             base_sandbox: SandboxId(sb),
             base_node: NodeId(node),

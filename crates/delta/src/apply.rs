@@ -2,16 +2,17 @@
 //!
 //! This is the hot path of the *restore* operation — the dedup agent
 //! applies one patch per deduplicated page while a request is waiting —
-//! so it is a single pass with exact pre-allocation and no copies beyond
-//! the output buffer itself. Batch callers should reuse one output
-//! buffer across pages via [`apply_into`] (or its zero-copy sibling
-//! [`PatchRef::apply_into`](crate::format::PatchRef)), which skips the
-//! per-page `Vec` allocation entirely; [`apply`] is the allocating
-//! convenience form. A validation pre-pass checks every COPY range and
-//! the claimed target length *before* any buffer is grown, so a corrupt
-//! patch can never over-allocate.
+//! so it reads the instructions straight from the patch's wire bytes
+//! (an owned [`Patch`] and a borrowed [`PatchRef`] hold the same bytes,
+//! so [`PatchRef::apply_into`] is the one apply body), with exact
+//! pre-allocation and no copies beyond the output buffer itself. Batch
+//! callers should reuse one output buffer across pages via
+//! [`apply_into`], which skips the per-page `Vec` allocation entirely;
+//! [`apply`] is the allocating convenience form. A validation pre-pass
+//! checks every COPY range and the claimed target length *before* any
+//! buffer is grown, so a corrupt patch can never over-allocate.
 
-use crate::format::{Instr, InstrRef, Patch, PatchRef};
+use crate::format::{Instr, Patch, PatchRef};
 
 /// Errors from [`apply`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,57 +74,13 @@ pub fn apply(base: &[u8], patch: &Patch) -> Result<Vec<u8>, DeltaError> {
 /// precedence to [`apply`]; reusing one `out` across pages removes the
 /// per-page allocation from the restore path.
 pub fn apply_into(base: &[u8], patch: &Patch, out: &mut Vec<u8>) -> Result<(), DeltaError> {
-    out.clear();
-    if base.len() != patch.base_len as usize {
-        return Err(DeltaError::BaseLengthMismatch {
-            expected: patch.base_len,
-            actual: base.len(),
-        });
-    }
-    // Validation pre-pass, in stream order (same error precedence as
-    // the historical single pass): every COPY range, then the total
-    // output length — before a single byte of buffer growth.
-    let mut total: u64 = 0;
-    for instr in &patch.instrs {
-        match instr {
-            Instr::Copy { offset, len } => {
-                (*offset as usize)
-                    .checked_add(*len as usize)
-                    .filter(|&e| e <= base.len())
-                    .ok_or(DeltaError::CopyOutOfRange {
-                        offset: *offset,
-                        len: *len,
-                    })?;
-                total += *len as u64;
-            }
-            Instr::Add(data) => total += data.len() as u64,
-        }
-    }
-    if total != patch.target_len as u64 {
-        return Err(DeltaError::OutputLengthMismatch {
-            expected: patch.target_len,
-            actual: total as usize,
-        });
-    }
-    out.reserve_exact(total as usize);
-    for instr in &patch.instrs {
-        match instr {
-            Instr::Copy { offset, len } => {
-                let start = *offset as usize;
-                out.extend_from_slice(&base[start..start + *len as usize]);
-            }
-            Instr::Add(data) => out.extend_from_slice(data),
-        }
-    }
-    Ok(())
+    patch.view().apply_into(base, out)
 }
 
 impl PatchRef<'_> {
-    /// Applies a serialized patch directly from its wire bytes into a
-    /// caller-provided buffer — the fully zero-copy restore path: no
-    /// instruction `Vec`, no literal copies, no output allocation when
-    /// `out` is warm. Same validation and error precedence as
-    /// [`apply_into`].
+    /// Applies the patch into a caller-provided buffer straight from
+    /// its wire bytes: no instruction `Vec`, no literal copies, no
+    /// output allocation when `out` is warm.
     pub fn apply_into(&self, base: &[u8], out: &mut Vec<u8>) -> Result<(), DeltaError> {
         out.clear();
         if base.len() != self.base_len() as usize {
@@ -132,17 +89,20 @@ impl PatchRef<'_> {
                 actual: base.len(),
             });
         }
+        // Validation pre-pass, in stream order: every COPY range, then
+        // the total output length — before a single byte of buffer
+        // growth.
         let mut total: u64 = 0;
         for instr in self.instrs() {
             match instr {
-                InstrRef::Copy { offset, len } => {
+                Instr::Copy { offset, len } => {
                     (offset as usize)
                         .checked_add(len as usize)
                         .filter(|&e| e <= base.len())
                         .ok_or(DeltaError::CopyOutOfRange { offset, len })?;
                     total += len as u64;
                 }
-                InstrRef::Add(data) => total += data.len() as u64,
+                Instr::Add(data) => total += data.len() as u64,
             }
         }
         if total != self.target_len() as u64 {
@@ -154,11 +114,11 @@ impl PatchRef<'_> {
         out.reserve_exact(total as usize);
         for instr in self.instrs() {
             match instr {
-                InstrRef::Copy { offset, len } => {
+                Instr::Copy { offset, len } => {
                     let start = offset as usize;
                     out.extend_from_slice(&base[start..start + len as usize]);
                 }
-                InstrRef::Add(data) => out.extend_from_slice(data),
+                Instr::Add(data) => out.extend_from_slice(data),
             }
         }
         Ok(())
@@ -171,33 +131,21 @@ mod tests {
 
     #[test]
     fn detects_base_mismatch() {
-        let patch = Patch {
-            base_len: 10,
-            target_len: 0,
-            instrs: vec![],
-        };
+        let patch = Patch::from_instrs(10, 0, &[]);
         let err = apply(b"short", &patch).unwrap_err();
         assert!(matches!(err, DeltaError::BaseLengthMismatch { .. }));
     }
 
     #[test]
     fn detects_copy_out_of_range() {
-        let patch = Patch {
-            base_len: 4,
-            target_len: 8,
-            instrs: vec![Instr::Copy { offset: 2, len: 6 }],
-        };
+        let patch = Patch::from_instrs(4, 8, &[Instr::Copy { offset: 2, len: 6 }]);
         let err = apply(b"base", &patch).unwrap_err();
         assert_eq!(err, DeltaError::CopyOutOfRange { offset: 2, len: 6 });
     }
 
     #[test]
     fn detects_length_mismatch() {
-        let patch = Patch {
-            base_len: 4,
-            target_len: 100,
-            instrs: vec![Instr::Add(b"only-nine".to_vec())],
-        };
+        let patch = Patch::from_instrs(4, 100, &[Instr::Add(b"only-nine")]);
         let err = apply(b"base", &patch).unwrap_err();
         assert!(matches!(err, DeltaError::OutputLengthMismatch { .. }));
     }
@@ -205,28 +153,28 @@ mod tests {
     #[test]
     fn manual_patch_applies() {
         let base = b"0123456789";
-        let patch = Patch {
-            base_len: 10,
-            target_len: 9,
-            instrs: vec![
+        let patch = Patch::from_instrs(
+            10,
+            9,
+            &[
                 Instr::Copy { offset: 5, len: 5 },
-                Instr::Add(b"XY".to_vec()),
+                Instr::Add(b"XY"),
                 Instr::Copy { offset: 0, len: 2 },
             ],
-        };
+        );
         assert_eq!(apply(base, &patch).unwrap(), b"56789XY01");
     }
 
     #[test]
     fn copy_len_overflow_is_rejected() {
-        let patch = Patch {
-            base_len: 4,
-            target_len: 4,
-            instrs: vec![Instr::Copy {
+        let patch = Patch::from_instrs(
+            4,
+            4,
+            &[Instr::Copy {
                 offset: u32::MAX,
                 len: u32::MAX,
             }],
-        };
+        );
         assert!(matches!(
             apply(b"base", &patch).unwrap_err(),
             DeltaError::CopyOutOfRange { .. }

@@ -16,12 +16,13 @@
 //!
 //! Batch callers (the dedup scan encodes one patch per candidate page)
 //! should hold an [`EncodeScratch`] and call [`encode_with`]: the index
-//! arenas and the literal buffer are then reused across pages instead
-//! of being reallocated per call. [`encode`] is the convenience
-//! one-shot form. [`encode_reference`] preserves the original
-//! `HashMap`-based implementation as the comparator the fast path is
-//! verified against (property tests); both produce bit-identical
-//! patches.
+//! arenas and the builder's buffers are then reused across pages
+//! instead of being reallocated per call, and the only allocation an
+//! encode makes is the patch's own, of its exact size. [`encode`] is the
+//! convenience one-shot form. [`encode_reference`] preserves the
+//! original `HashMap`-based implementation as the comparator the fast
+//! path is verified against (property tests); both produce
+//! bit-identical patches.
 //!
 //! ## Seed hash
 //!
@@ -37,8 +38,22 @@
 //! collision both encoders walk the same candidates in the same order.
 //! The oracle keeping the old hash is what makes the `encode_with ==
 //! encode_reference` tests a check that patches did not change.
+//!
+//! ## Seed prefilter
+//!
+//! Most target positions match no indexed seed, and for those even the
+//! two-multiply hash and the bucket walk are wasted. [`encode_with`] therefore keeps a 2 KiB
+//! bitmap beside the index: indexing a base seed sets the bit chosen by
+//! one multiply of the seed's *first* word, and the scan tests that bit
+//! before it hashes anything. A target seed equal to an indexed seed
+//! has the same first word and so finds its bit set — the filter has no
+//! false negatives. A clear bit means no indexed seed equals the target
+//! seed, which is exactly the case in which the bucket walk would have
+//! found no candidate; a set bit falls through to the unfiltered walk.
+//! Candidates, their order and the probe budget are untouched, so the
+//! patch is the same patch. [`encode_reference`] has no filter.
 
-use crate::format::{Instr, Patch};
+use crate::format::{push_add, push_copy, Instr, Patch};
 use medes_hash::fnv::fnv1a;
 use std::collections::HashMap;
 
@@ -47,16 +62,20 @@ const SEED_LEN: usize = 16;
 /// Minimum profitable COPY length (COPY costs ~1+2·varint ≈ 7 bytes max
 /// for 4 KiB pages, so 8 is the break-even point with margin).
 const MIN_MATCH: usize = 8;
+/// Words of the seed prefilter: 2 KiB, 16 384 bits.
+const FILTER_WORDS: usize = 256;
 
-/// Encoder tuning derived from a compression level.
+/// Encoder tuning derived from a compression level. The fields are
+/// private so that [`EncodeConfig::with_level`] is the only constructor:
+/// a matching configuration always has a seed step of at least 1.
 #[derive(Debug, Clone, Copy)]
 pub struct EncodeConfig {
     /// Distance between indexed base positions.
-    pub seed_step: usize,
+    seed_step: usize,
     /// How many index candidates to try per target position.
-    pub max_probes: usize,
+    max_probes: usize,
     /// Level 0 disables matching entirely.
-    pub store_only: bool,
+    store_only: bool,
 }
 
 impl EncodeConfig {
@@ -93,12 +112,18 @@ impl Default for EncodeConfig {
     }
 }
 
+/// The first of a seed's two little-endian words.
+#[inline]
+fn first_word(data: &[u8]) -> u64 {
+    u64::from_le_bytes(data[..8].try_into().expect("8 bytes"))
+}
+
 /// The seed key of [`encode_with`]: `mix(a) ^ b` for the seed's two
 /// little-endian words `a`, `b`, with `mix` a bijection. Two seeds
 /// collide only if `b ^ b' == mix(a) ^ mix(a')`.
 #[inline]
 fn seed_hash(data: &[u8]) -> u64 {
-    let a = u64::from_le_bytes(data[..8].try_into().expect("8 bytes"));
+    let a = first_word(data);
     let b = u64::from_le_bytes(data[8..SEED_LEN].try_into().expect("8 bytes"));
     let mut h = (a ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h ^= h >> 32;
@@ -113,13 +138,27 @@ fn seed_hash_fnv(data: &[u8]) -> u64 {
     fnv1a(&data[..SEED_LEN])
 }
 
-/// Reusable encoder workspace: the base hash index (flat chained
-/// buckets) plus the literal-accumulation buffer. Holding one of these
-/// per worker and calling [`encode_with`] amortizes every allocation
-/// the encoder makes across pages; a fresh scratch is equivalent to
-/// (and used by) plain [`encode`].
+/// Reusable encoder workspace: the base hash index plus the patch
+/// builder's buffers. Holding one of these per worker and calling
+/// [`encode_with`] amortizes every allocation the encoder makes across
+/// pages except the patch's own; a fresh scratch is equivalent to (and
+/// used by) plain [`encode`].
 #[derive(Debug, Default)]
 pub struct EncodeScratch {
+    index: SeedIndex,
+    out: PatchBuilder,
+}
+
+impl EncodeScratch {
+    /// Creates an empty scratch (allocates lazily on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// The base's indexed seeds: flat chained buckets and the prefilter.
+#[derive(Debug, Default)]
+struct SeedIndex {
     /// Bucket heads: 1-based entry index of the newest entry, 0 = empty.
     heads: Vec<u32>,
     /// Per-entry link to the next-older entry in the same bucket.
@@ -133,18 +172,13 @@ pub struct EncodeScratch {
     positions: Vec<u32>,
     /// Right-shift mapping a mixed hash to a bucket index.
     bucket_shift: u32,
-    /// Pending-literal arena loaned to the patch builder.
-    pending_add: Vec<u8>,
+    /// One bit per [`SeedIndex::filter_bit`] of an indexed seed.
+    filter: Vec<u64>,
 }
 
-impl EncodeScratch {
-    /// Creates an empty scratch (allocates lazily on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl SeedIndex {
     /// (Re)builds the index over `base` at `seed_step` positions.
-    fn build_index(&mut self, base: &[u8], seed_step: usize) {
+    fn build(&mut self, base: &[u8], seed_step: usize) {
         let n_entries = (base.len() - SEED_LEN) / seed_step + 1;
         let buckets = (n_entries * 2).next_power_of_two().max(16);
         self.bucket_shift = 64 - buckets.trailing_zeros();
@@ -153,8 +187,12 @@ impl EncodeScratch {
         self.links.clear();
         self.keys.clear();
         self.positions.clear();
+        self.filter.clear();
+        self.filter.resize(FILTER_WORDS, 0);
         let mut pos = 0usize;
         while pos + SEED_LEN <= base.len() {
+            let (word, bit) = Self::filter_bit(first_word(&base[pos..]));
+            self.filter[word] |= bit;
             let h = seed_hash(&base[pos..]);
             let b = self.bucket(h);
             // Prepend: heads always point at the newest entry, so a
@@ -172,6 +210,20 @@ impl EncodeScratch {
     #[inline]
     fn bucket(&self, h: u64) -> usize {
         (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.bucket_shift) as usize
+    }
+
+    /// The filter word and mask of a seed, from its first word alone.
+    #[inline]
+    fn filter_bit(first: u64) -> (usize, u64) {
+        let bit = first.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - 6 - FILTER_WORDS.ilog2());
+        ((bit >> 6) as usize, 1 << (bit & 63))
+    }
+
+    /// False only if no indexed seed starts with the word `first`.
+    #[inline]
+    fn may_hold(&self, first: u64) -> bool {
+        let (word, bit) = Self::filter_bit(first);
+        self.filter[word] & bit != 0
     }
 }
 
@@ -225,6 +277,14 @@ pub fn encode(base: &[u8], target: &[u8], cfg: &EncodeConfig) -> Patch {
     encode_with(base, target, cfg, &mut EncodeScratch::new())
 }
 
+/// The patch of an input too short (or a level too low) to match: the
+/// target as one literal, or nothing for an empty target.
+fn stored(base: &[u8], target: &[u8]) -> Patch {
+    let literal = [Instr::Add(target)];
+    let instrs = if target.is_empty() { &[][..] } else { &literal };
+    Patch::from_instrs(base.len() as u32, target.len() as u32, instrs)
+}
+
 /// [`encode`] with a caller-held [`EncodeScratch`]: identical output,
 /// no per-call index/arena allocations once the scratch is warm.
 pub fn encode_with(
@@ -233,40 +293,32 @@ pub fn encode_with(
     cfg: &EncodeConfig,
     scratch: &mut EncodeScratch,
 ) -> Patch {
-    let mut patch = Patch {
-        base_len: base.len() as u32,
-        target_len: target.len() as u32,
-        instrs: Vec::new(),
-    };
-    if target.is_empty() {
-        return patch;
-    }
     if cfg.store_only || base.len() < SEED_LEN || target.len() < SEED_LEN {
-        patch.instrs.push(Instr::Add(target.to_vec()));
-        return patch;
+        return stored(base, target);
     }
 
-    scratch.build_index(base, cfg.seed_step);
-    // Loan the literal arena out of the scratch (and return it below)
-    // so the builder's mutable borrow doesn't pin the whole scratch.
-    let mut pending_add = std::mem::take(&mut scratch.pending_add);
-    let mut out = PatchBuilder::new(&mut patch, &mut pending_add);
+    let EncodeScratch { index, out } = scratch;
+    index.build(base, cfg.seed_step);
     let mut t = 0usize;
+    // (tail bytes, including any pending no-match bytes, are added
+    // after the loop)
     while t + SEED_LEN <= target.len() {
-        // (tail bytes, including any pending no-match bytes, are added
-        // after the loop)
+        if !index.may_hold(first_word(&target[t..])) {
+            t += 1; // no indexed seed starts like this one: no candidate
+            continue;
+        }
         let h = seed_hash(&target[t..]);
         let mut best: Option<(usize, usize, usize)> = None; // (b_start, t_start, len)
         let mut probes = 0usize;
-        let mut entry = scratch.heads[scratch.bucket(h)];
+        let mut entry = index.heads[index.bucket(h)];
         while entry != 0 && probes < cfg.max_probes {
             let idx = (entry - 1) as usize;
-            entry = scratch.links[idx];
-            if scratch.keys[idx] != h {
+            entry = index.links[idx];
+            if index.keys[idx] != h {
                 continue; // different key sharing the bucket: not a probe
             }
             probes += 1;
-            let b = scratch.positions[idx] as usize;
+            let b = index.positions[idx] as usize;
             if base[b..b + SEED_LEN] != target[t..t + SEED_LEN] {
                 continue; // hash collision
             }
@@ -291,31 +343,18 @@ pub fn encode_with(
             }
         }
     }
-    let tail_from = out.emitted_until();
-    if tail_from < target.len() {
-        out.add(&target[tail_from..]);
-    }
-    out.finish();
-    scratch.pending_add = pending_add;
-    patch
+    out.add(&target[out.emitted_until()..]);
+    out.finish(base.len() as u32, target.len() as u32)
 }
 
 /// The pre-optimization encoder — fresh `HashMap` index, byte-wise
-/// match extension — kept verbatim as the comparator [`encode_with`]
-/// is verified against (property tests and the `hot_path` integration
-/// test). Produces bit-identical patches to [`encode`]/[`encode_with`].
+/// match extension, no prefilter — kept as the comparator
+/// [`encode_with`] is verified against (property tests and the
+/// `hot_path` integration test). Produces bit-identical patches to
+/// [`encode`]/[`encode_with`].
 pub fn encode_reference(base: &[u8], target: &[u8], cfg: &EncodeConfig) -> Patch {
-    let mut patch = Patch {
-        base_len: base.len() as u32,
-        target_len: target.len() as u32,
-        instrs: Vec::new(),
-    };
-    if target.is_empty() {
-        return patch;
-    }
     if cfg.store_only || base.len() < SEED_LEN || target.len() < SEED_LEN {
-        patch.instrs.push(Instr::Add(target.to_vec()));
-        return patch;
+        return stored(base, target);
     }
 
     // Index the base: block hash -> positions (most recent first, capped).
@@ -329,8 +368,7 @@ pub fn encode_reference(base: &[u8], target: &[u8], cfg: &EncodeConfig) -> Patch
         pos += cfg.seed_step;
     }
 
-    let mut pending = Vec::new();
-    let mut out = PatchBuilder::new(&mut patch, &mut pending);
+    let mut out = PatchBuilder::default();
     let mut t = 0usize;
     while t < target.len() {
         if t + SEED_LEN > target.len() {
@@ -382,69 +420,74 @@ pub fn encode_reference(base: &[u8], target: &[u8], cfg: &EncodeConfig) -> Patch
     if tail_from < target.len() {
         out.add(&target[tail_from..]);
     }
-    out.finish();
-    patch
+    out.finish(base.len() as u32, target.len() as u32)
 }
 
-/// Accumulates instructions, merging adjacent ADDs and coalescing
-/// contiguous COPYs. The pending-literal buffer is borrowed from the
-/// caller (an [`EncodeScratch`] arena) so its capacity survives
-/// across encodes; flushing copies the exact bytes out instead of
-/// surrendering the allocation.
-struct PatchBuilder<'a> {
-    patch: &'a mut Patch,
-    pending_add: &'a mut Vec<u8>,
+/// Writes a patch's instruction stream, merging adjacent ADDs and
+/// coalescing contiguous COPYs. The newest instruction is held back
+/// (a COPY as its two numbers, an ADD as its bytes) until one that
+/// cannot merge with it arrives, because merging changes the length
+/// varint in front of it. [`PatchBuilder::finish`] copies the stream
+/// out into the patch's own exact-size allocation and leaves the
+/// builder empty, its buffers' capacity kept for the next patch.
+#[derive(Debug, Default)]
+struct PatchBuilder {
+    /// Serialized instructions, all but the pending one.
+    stream: Vec<u8>,
+    /// The pending ADD's bytes; empty when no ADD is pending.
+    literal: Vec<u8>,
+    /// The pending COPY; never set while `literal` holds bytes.
+    pending_copy: Option<(u32, u32)>,
+    /// Target bytes covered so far.
     emitted: usize,
 }
 
-impl<'a> PatchBuilder<'a> {
-    fn new(patch: &'a mut Patch, pending_add: &'a mut Vec<u8>) -> Self {
-        pending_add.clear();
-        PatchBuilder {
-            patch,
-            pending_add,
-            emitted: 0,
-        }
-    }
-
+impl PatchBuilder {
     /// Target bytes already covered by emitted/pending instructions.
     fn emitted_until(&self) -> usize {
         self.emitted
     }
 
     fn add(&mut self, data: &[u8]) {
-        self.pending_add.extend_from_slice(data);
+        if data.is_empty() {
+            return; // an empty ADD is no instruction, and parts no COPYs
+        }
+        if let Some((offset, len)) = self.pending_copy.take() {
+            push_copy(&mut self.stream, offset, len);
+        }
+        self.literal.extend_from_slice(data);
         self.emitted += data.len();
     }
 
     fn copy(&mut self, offset: u32, len: u32) {
+        self.emitted += len as usize;
         self.flush_add();
-        if let Some(Instr::Copy {
-            offset: po,
-            len: pl,
-        }) = self.patch.instrs.last_mut()
-        {
-            if *po + *pl == offset {
-                *pl += len;
-                self.emitted += len as usize;
-                return;
+        match &mut self.pending_copy {
+            Some((po, pl)) if *po + *pl == offset => *pl += len,
+            pending => {
+                if let Some((po, pl)) = pending.replace((offset, len)) {
+                    push_copy(&mut self.stream, po, pl);
+                }
             }
         }
-        self.patch.instrs.push(Instr::Copy { offset, len });
-        self.emitted += len as usize;
     }
 
     fn flush_add(&mut self) {
-        if !self.pending_add.is_empty() {
-            self.patch
-                .instrs
-                .push(Instr::Add(self.pending_add.as_slice().to_vec()));
-            self.pending_add.clear();
+        if !self.literal.is_empty() {
+            push_add(&mut self.stream, &self.literal);
+            self.literal.clear();
         }
     }
 
-    fn finish(&mut self) {
+    fn finish(&mut self, base_len: u32, target_len: u32) -> Patch {
         self.flush_add();
+        if let Some((offset, len)) = self.pending_copy.take() {
+            push_copy(&mut self.stream, offset, len);
+        }
+        let patch = Patch::from_stream(base_len, target_len, &self.stream);
+        self.stream.clear();
+        self.emitted = 0;
+        patch
     }
 }
 
@@ -525,8 +568,8 @@ mod tests {
     fn level_zero_stores() {
         let base = pseudo_random(6, 1024);
         let patch = encode(&base, &base, &EncodeConfig::with_level(0));
-        assert_eq!(patch.instrs.len(), 1);
-        assert!(matches!(patch.instrs[0], Instr::Add(_)));
+        assert_eq!(patch.instrs().count(), 1);
+        assert!(matches!(patch.instrs().next(), Some(Instr::Add(_))));
         assert_eq!(apply(&base, &patch).unwrap(), base);
     }
 
@@ -628,6 +671,34 @@ mod tests {
         cases.push((motif(23), t3));
         cases.push((motif(23), motif(24)));
         cases.push((vec![0u8; 4096], vec![0u8; 4096]));
+        cases.push((vec![0u8; 4096], base.clone()));
+        cases.push((base.clone(), vec![0u8; 4096]));
+        cases.push((motif(23), vec![0u8; 4096]));
+        // Pages built to defeat the prefilter. Every indexed seed of
+        // `halves` starts with the one word an all-0xAA target shows at
+        // every position, and none equals a target seed: the filter
+        // passes everything and nothing matches. Then the same first
+        // words in front of other second words.
+        let aa_halves = |seed: u64| {
+            let mut page = pseudo_random(seed, 4096);
+            for block in page.chunks_exact_mut(16) {
+                block[..8].fill(0xAA);
+            }
+            page
+        };
+        let halves = aa_halves(25);
+        cases.push((halves.clone(), vec![0xAA; 4096]));
+        cases.push((halves.clone(), aa_halves(26)));
+        // Base seeds recurring in the target only where no level
+        // indexes them: 18-byte snippets hold the seeds at offsets
+        // 4j+1..=4j+3 and no other.
+        let mut off_grid = Vec::new();
+        for j in 0..200usize {
+            let at = 4 * (j * 7 % 1000) + 1;
+            off_grid.extend_from_slice(&base[at..at + 18]);
+            off_grid.extend_from_slice(&[j as u8, 0x5A]);
+        }
+        cases.push((base.clone(), off_grid));
         for level in [0u8, 1, 5, 9] {
             let cfg = EncodeConfig::with_level(level);
             for (base, target) in &cases {
@@ -638,7 +709,132 @@ mod tests {
                 assert_eq!(apply(base, &fast).unwrap(), *target);
             }
         }
+        // The all-0xAA target really is all false positives.
+        let target = vec![0xAA; 4096];
+        let patch = encode_with(&halves, &target, &EncodeConfig::with_level(1), &mut scratch);
+        assert!(
+            (0..=target.len() - SEED_LEN).all(|t| scratch.index.may_hold(first_word(&target[t..])))
+        );
+        assert_eq!(patch.instrs().collect::<Vec<_>>(), [Instr::Add(&target)]);
     }
+
+    /// The pre-wire-format builder: an owned instruction tree with the
+    /// merge rules `PatchBuilder` must reproduce.
+    #[derive(Default)]
+    struct TreeBuilder {
+        instrs: Vec<(u32, u32, Vec<u8>)>, // COPY (offset, len, []) or ADD (0, 0, bytes)
+        pending_add: Vec<u8>,
+    }
+
+    impl TreeBuilder {
+        fn add(&mut self, data: &[u8]) {
+            self.pending_add.extend_from_slice(data);
+        }
+
+        fn copy(&mut self, offset: u32, len: u32) {
+            self.flush_add();
+            if let Some((po, pl, literal)) = self.instrs.last_mut() {
+                if literal.is_empty() && *po + *pl == offset {
+                    *pl += len;
+                    return;
+                }
+            }
+            self.instrs.push((offset, len, Vec::new()));
+        }
+
+        fn flush_add(&mut self) {
+            if !self.pending_add.is_empty() {
+                self.instrs
+                    .push((0, 0, std::mem::take(&mut self.pending_add)));
+            }
+        }
+
+        fn finish(mut self, base_len: u32, target_len: u32) -> Patch {
+            self.flush_add();
+            let instrs: Vec<Instr<'_>> = self
+                .instrs
+                .iter()
+                .map(|(offset, len, literal)| match literal.as_slice() {
+                    [] => Instr::Copy {
+                        offset: *offset,
+                        len: *len,
+                    },
+                    bytes => Instr::Add(bytes),
+                })
+                .collect();
+            Patch::from_instrs(base_len, target_len, &instrs)
+        }
+    }
+
+    /// Random `add`/`copy` sequences — empty ADDs, ADD after ADD,
+    /// contiguous and scattered COPYs, ADD after COPY after ADD — must
+    /// serialize exactly as the owned tree did, across reuses of one
+    /// builder.
+    #[test]
+    fn patch_builder_matches_the_tree_builder() {
+        use medes_sim::DetRng;
+        let mut wire = PatchBuilder::default();
+        for case in 0..256u64 {
+            let mut rng = DetRng::new(0xB01D_0000 + case);
+            let mut tree = TreeBuilder::default();
+            let (mut emitted, mut next_contiguous) = (0usize, 0u32);
+            for _ in 0..rng.below(40) {
+                match rng.below(5) {
+                    0 => {
+                        tree.add(&[]);
+                        wire.add(&[]);
+                    }
+                    1 | 2 => {
+                        let mut literal = vec![0u8; rng.range(1, 200) as usize];
+                        rng.fill_bytes(&mut literal);
+                        tree.add(&literal);
+                        wire.add(&literal);
+                        emitted += literal.len();
+                    }
+                    kind => {
+                        let offset = if kind == 3 {
+                            next_contiguous
+                        } else {
+                            rng.below(1 << 20) as u32
+                        };
+                        let len = rng.below(300) as u32;
+                        tree.copy(offset, len);
+                        wire.copy(offset, len);
+                        emitted += len as usize;
+                        next_contiguous = offset + len;
+                    }
+                }
+                assert_eq!(wire.emitted_until(), emitted, "case {case}");
+            }
+            let want = tree.finish(1 << 21, emitted as u32);
+            let got = wire.finish(1 << 21, emitted as u32);
+            assert_eq!(got.to_bytes(), want.to_bytes(), "case {case}");
+            assert_eq!(got, want, "case {case}");
+        }
+    }
+
+    /// The wire format, byte for byte: a drift in the magic, the varints,
+    /// the opcodes or the builder's merging fails here by name. The
+    /// bytes were produced by the encoder that still held patches as
+    /// instruction trees.
+    #[test]
+    fn golden_patch_bytes() {
+        let base = pseudo_random(31, 4096);
+        let mut target = base.clone();
+        target[100..104].copy_from_slice(b"GOLD");
+        target.splice(3000..3000, *b"medes!!");
+        let patch = encode(&base, &target, &EncodeConfig::default());
+        let hex: String = patch
+            .to_bytes()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(patch.serialized_size(), GOLDEN.len() / 2);
+        assert_eq!(apply(&base, &patch).unwrap(), target);
+    }
+
+    const GOLDEN: &str = "4d447031802087200100640204474f4c440168d01602076d65646573212101b817c808";
 
     #[test]
     fn adjacent_copies_coalesce() {
@@ -647,8 +843,7 @@ mod tests {
         // A perfectly matching page should be a single COPY.
         assert_eq!(
             patch
-                .instrs
-                .iter()
+                .instrs()
                 .filter(|i| matches!(i, Instr::Copy { .. }))
                 .count(),
             1

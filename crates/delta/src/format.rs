@@ -10,11 +10,17 @@
 //! ```
 //!
 //! The platform stores patches in memory, so the byte size of this
-//! encoding *is* the dedup memory footprint of a page.
+//! encoding *is* the dedup memory footprint of a page — literally: a
+//! [`Patch`] holds the two header lengths and the instruction stream as
+//! the bytes above, in one allocation of exactly that size, and
+//! [`Patch::serialized_size`] is the header plus their count. There is
+//! no second, tree-shaped representation; instructions are read in
+//! place ([`Patch::instrs`]) and [`PatchRef`] is the same view over a
+//! buffer someone else owns.
 
-/// One delta instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Instr {
+/// One delta instruction, as read from (or written to) a patch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Instr<'a> {
     /// Copy `len` bytes from `offset` in the base buffer.
     Copy {
         /// Byte offset into the base.
@@ -22,22 +28,25 @@ pub enum Instr {
         /// Number of bytes to copy.
         len: u32,
     },
-    /// Append literal bytes.
-    Add(Vec<u8>),
+    /// Append literal bytes (borrowed from the patch).
+    Add(&'a [u8]),
 }
 
-/// A complete patch: header + instructions.
+/// A complete patch: header lengths + the serialized instruction
+/// stream. The stream is always well-formed (built by the encoder or
+/// [`Patch::from_instrs`], or validated by [`Patch::from_bytes`]); the
+/// lengths and COPY ranges are checked against a base when the patch is
+/// applied.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Patch {
-    /// Length of the base buffer the patch was computed against.
-    pub base_len: u32,
-    /// Length of the reconstructed target.
-    pub target_len: u32,
-    /// The instruction stream.
-    pub instrs: Vec<Instr>,
+    base_len: u32,
+    target_len: u32,
+    body: Box<[u8]>,
 }
 
 const MAGIC: &[u8; 4] = b"MDp1";
+const OP_COPY: u8 = 0x01;
+const OP_ADD: u8 = 0x02;
 
 fn varint_len(mut v: u64) -> usize {
     let mut n = 1;
@@ -56,33 +65,104 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-fn read_varint(data: &[u8], pos: &mut usize) -> Option<u64> {
+/// Splits one varint off the front of `data`.
+#[inline(always)]
+fn read_varint(data: &[u8]) -> Option<(u64, &[u8])> {
+    // One or two bytes cover every length and offset within a page, and
+    // the instruction iterator is only fast with this part inlined.
+    match *data {
+        [a, ref rest @ ..] if a < 0x80 => Some((a as u64, rest)),
+        [a, b, ref rest @ ..] if b < 0x80 => Some(((a & 0x7F) as u64 | (b as u64) << 7, rest)),
+        _ => read_long_varint(data),
+    }
+}
+
+/// [`read_varint`] for any length (and for a truncated one).
+#[inline(never)]
+fn read_long_varint(mut data: &[u8]) -> Option<(u64, &[u8])> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
-        let &b = data.get(*pos)?;
-        *pos += 1;
+        let (&b, rest) = data.split_first()?;
+        data = rest;
         if shift >= 64 {
             return None;
         }
         v |= ((b & 0x7F) as u64) << shift;
         if b & 0x80 == 0 {
-            return Some(v);
+            return Some((v, data));
         }
         shift += 7;
     }
 }
 
+/// Appends one serialized COPY to an instruction stream.
+pub(crate) fn push_copy(out: &mut Vec<u8>, offset: u32, len: u32) {
+    out.push(OP_COPY);
+    push_varint(out, offset as u64);
+    push_varint(out, len as u64);
+}
+
+/// Appends one serialized ADD to an instruction stream.
+pub(crate) fn push_add(out: &mut Vec<u8>, data: &[u8]) {
+    out.push(OP_ADD);
+    push_varint(out, data.len() as u64);
+    out.extend_from_slice(data);
+}
+
 impl Patch {
-    /// Total bytes the target would occupy if stored verbatim.
-    pub fn target_len(&self) -> usize {
-        self.target_len as usize
+    /// Wraps an instruction stream written with [`push_copy`] and
+    /// [`push_add`], copying it into an allocation of its exact size.
+    pub(crate) fn from_stream(base_len: u32, target_len: u32, stream: &[u8]) -> Patch {
+        Patch {
+            base_len,
+            target_len,
+            body: stream.into(),
+        }
+    }
+
+    /// Spells a patch out by hand: the instructions are serialized as
+    /// given, with none of the encoder's merging. For tests and
+    /// fixtures; nothing checks the lengths against the instructions
+    /// until the patch is applied.
+    pub fn from_instrs(base_len: u32, target_len: u32, instrs: &[Instr<'_>]) -> Patch {
+        let mut stream = Vec::new();
+        for i in instrs {
+            match *i {
+                Instr::Copy { offset, len } => push_copy(&mut stream, offset, len),
+                Instr::Add(data) => push_add(&mut stream, data),
+            }
+        }
+        Patch::from_stream(base_len, target_len, &stream)
+    }
+
+    /// The same patch as a borrowed view.
+    pub fn view(&self) -> PatchRef<'_> {
+        PatchRef {
+            base_len: self.base_len,
+            target_len: self.target_len,
+            body: &self.body,
+        }
+    }
+
+    /// Length of the base buffer the patch was computed against.
+    pub fn base_len(&self) -> u32 {
+        self.base_len
+    }
+
+    /// Length of the reconstructed target.
+    pub fn target_len(&self) -> u32 {
+        self.target_len
+    }
+
+    /// Iterates the instruction stream in place.
+    pub fn instrs(&self) -> InstrIter<'_> {
+        self.view().instrs()
     }
 
     /// Number of literal bytes carried by the patch.
     pub fn add_bytes(&self) -> usize {
-        self.instrs
-            .iter()
+        self.instrs()
             .map(|i| match i {
                 Instr::Add(d) => d.len(),
                 Instr::Copy { .. } => 0,
@@ -93,27 +173,21 @@ impl Patch {
     /// Number of bytes covered by COPY instructions (i.e. bytes *saved*
     /// by referencing the base instead of storing them).
     pub fn copied_bytes(&self) -> usize {
-        self.instrs
-            .iter()
+        self.instrs()
             .map(|i| match i {
-                Instr::Copy { len, .. } => *len as usize,
+                Instr::Copy { len, .. } => len as usize,
                 Instr::Add(_) => 0,
             })
             .sum()
     }
 
-    /// Exact size of [`Patch::to_bytes`] output, without allocating.
+    /// Exact size of [`Patch::to_bytes`] output: the header plus the
+    /// instruction bytes held.
     pub fn serialized_size(&self) -> usize {
-        let mut n = 4 + varint_len(self.base_len as u64) + varint_len(self.target_len as u64);
-        for i in &self.instrs {
-            n += match i {
-                Instr::Copy { offset, len } => {
-                    1 + varint_len(*offset as u64) + varint_len(*len as u64)
-                }
-                Instr::Add(d) => 1 + varint_len(d.len() as u64) + d.len(),
-            };
-        }
-        n
+        MAGIC.len()
+            + varint_len(self.base_len as u64)
+            + varint_len(self.target_len as u64)
+            + self.body.len()
     }
 
     /// Serializes the patch.
@@ -122,37 +196,28 @@ impl Patch {
         out.extend_from_slice(MAGIC);
         push_varint(&mut out, self.base_len as u64);
         push_varint(&mut out, self.target_len as u64);
-        for i in &self.instrs {
-            match i {
-                Instr::Copy { offset, len } => {
-                    out.push(0x01);
-                    push_varint(&mut out, *offset as u64);
-                    push_varint(&mut out, *len as u64);
-                }
-                Instr::Add(d) => {
-                    out.push(0x02);
-                    push_varint(&mut out, d.len() as u64);
-                    out.extend_from_slice(d);
-                }
-            }
-        }
+        out.extend_from_slice(&self.body);
         debug_assert_eq!(out.len(), self.serialized_size());
         out
     }
 
-    /// Parses a serialized patch (an owned deep copy; see [`PatchRef`]
-    /// for the zero-copy view with identical validation).
+    /// Parses a serialized patch into an owned one: [`PatchRef`]'s
+    /// validation, then one copy of the instruction bytes.
     pub fn from_bytes(data: &[u8]) -> Result<Patch, ParseError> {
-        Ok(PatchRef::from_bytes(data)?.to_patch())
+        let view = PatchRef::from_bytes(data)?;
+        Ok(Patch::from_stream(
+            view.base_len,
+            view.target_len,
+            view.body,
+        ))
     }
 }
 
 /// A zero-copy view over a serialized patch: the header is decoded,
 /// the instruction stream is validated once up front and then iterated
-/// *in place* — `ADD` literals borrow from the underlying wire buffer
-/// instead of being copied into `Vec`s. Combined with
-/// [`PatchRef::apply_into`], a page restore from stored
-/// patch bytes touches no intermediate allocation at all.
+/// *in place* — `ADD` literals borrow from the underlying wire buffer.
+/// [`PatchRef::apply_into`] is the one apply body; an owned [`Patch`]
+/// applies through its [`Patch::view`].
 #[derive(Debug, Clone, Copy)]
 pub struct PatchRef<'a> {
     base_len: u32,
@@ -160,34 +225,17 @@ pub struct PatchRef<'a> {
     body: &'a [u8],
 }
 
-/// One borrowed instruction yielded by [`PatchRef::instrs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstrRef<'a> {
-    /// Copy `len` bytes from `offset` in the base buffer.
-    Copy {
-        /// Byte offset into the base.
-        offset: u32,
-        /// Number of bytes to copy.
-        len: u32,
-    },
-    /// Append literal bytes (borrowed from the serialized patch).
-    Add(&'a [u8]),
-}
-
 impl<'a> PatchRef<'a> {
     /// Parses the header and validates the whole instruction stream
-    /// without allocating. Errors match [`Patch::from_bytes`] exactly
-    /// (same variants, same stream-order precedence); after success,
-    /// iteration is infallible.
+    /// without allocating; after success, iteration is infallible.
     pub fn from_bytes(data: &'a [u8]) -> Result<Self, ParseError> {
         if data.len() < 4 || &data[..4] != MAGIC {
             return Err(ParseError::BadMagic);
         }
-        let mut pos = 4;
-        let base_len = read_varint(data, &mut pos).ok_or(ParseError::Truncated)? as u32;
-        let target_len = read_varint(data, &mut pos).ok_or(ParseError::Truncated)? as u32;
-        let body = &data[pos..];
-        let mut check = InstrIter { data: body, pos: 0 };
+        let (base_len, rest) = read_varint(&data[4..]).ok_or(ParseError::Truncated)?;
+        let (target_len, body) = read_varint(rest).ok_or(ParseError::Truncated)?;
+        let (base_len, target_len) = (base_len as u32, target_len as u32);
+        let mut check = InstrIter { rest: body };
         while check.next_checked()?.is_some() {}
         Ok(PatchRef {
             base_len,
@@ -208,78 +256,57 @@ impl<'a> PatchRef<'a> {
 
     /// Iterates the instruction stream in place.
     pub fn instrs(&self) -> InstrIter<'a> {
-        InstrIter {
-            data: self.body,
-            pos: 0,
-        }
-    }
-
-    /// Deep-copies the view into an owned [`Patch`].
-    pub fn to_patch(&self) -> Patch {
-        let instrs = self
-            .instrs()
-            .map(|i| match i {
-                InstrRef::Copy { offset, len } => Instr::Copy { offset, len },
-                InstrRef::Add(d) => Instr::Add(d.to_vec()),
-            })
-            .collect();
-        Patch {
-            base_len: self.base_len,
-            target_len: self.target_len,
-            instrs,
-        }
+        InstrIter { rest: self.body }
     }
 }
 
-/// Iterator over the borrowed instructions of a [`PatchRef`].
+/// Iterator over the instructions of a [`Patch`] or [`PatchRef`].
 #[derive(Debug, Clone)]
 pub struct InstrIter<'a> {
-    data: &'a [u8],
-    pos: usize,
+    /// The instructions not yet read.
+    rest: &'a [u8],
 }
 
 impl<'a> InstrIter<'a> {
     /// Fallible step used both for up-front validation and (through
     /// the infallible `Iterator` impl) for iteration afterwards.
-    fn next_checked(&mut self) -> Result<Option<InstrRef<'a>>, ParseError> {
-        if self.pos >= self.data.len() {
+    #[inline(always)]
+    fn next_checked(&mut self) -> Result<Option<Instr<'a>>, ParseError> {
+        let Some((&op, rest)) = self.rest.split_first() else {
             return Ok(None);
-        }
-        let op = self.data[self.pos];
-        self.pos += 1;
-        match op {
-            0x01 => {
-                let offset =
-                    read_varint(self.data, &mut self.pos).ok_or(ParseError::Truncated)? as u32;
-                let len =
-                    read_varint(self.data, &mut self.pos).ok_or(ParseError::Truncated)? as u32;
-                Ok(Some(InstrRef::Copy { offset, len }))
+        };
+        let number = |data| read_varint(data).ok_or(ParseError::Truncated);
+        let (instr, rest) = match op {
+            OP_COPY => {
+                let (offset, rest) = number(rest)?;
+                let (len, rest) = number(rest)?;
+                let (offset, len) = (offset as u32, len as u32);
+                (Instr::Copy { offset, len }, rest)
             }
-            0x02 => {
-                let len =
-                    read_varint(self.data, &mut self.pos).ok_or(ParseError::Truncated)? as usize;
-                let end = self.pos.checked_add(len).ok_or(ParseError::Truncated)?;
-                if end > self.data.len() {
-                    return Err(ParseError::Truncated);
-                }
-                let slice = &self.data[self.pos..end];
-                self.pos = end;
-                Ok(Some(InstrRef::Add(slice)))
+            OP_ADD => {
+                let (len, rest) = number(rest)?;
+                let (literal, rest) = rest
+                    .split_at_checked(len as usize)
+                    .ok_or(ParseError::Truncated)?;
+                (Instr::Add(literal), rest)
             }
-            other => Err(ParseError::BadOpcode(other)),
-        }
+            other => return Err(ParseError::BadOpcode(other)),
+        };
+        self.rest = rest;
+        Ok(Some(instr))
     }
 }
 
 impl<'a> Iterator for InstrIter<'a> {
-    type Item = InstrRef<'a>;
+    type Item = Instr<'a>;
 
-    fn next(&mut self) -> Option<InstrRef<'a>> {
+    #[inline]
+    fn next(&mut self) -> Option<Instr<'a>> {
         match self.next_checked() {
             Ok(v) => v,
             Err(_) => {
-                // Unreachable for iterators handed out by PatchRef:
-                // the stream was validated at construction.
+                // Unreachable for iterators handed out by Patch and
+                // PatchRef: their streams are well-formed.
                 debug_assert!(false, "iterating an unvalidated instruction stream");
                 None
             }
@@ -315,21 +342,21 @@ mod tests {
     use super::*;
 
     fn sample_patch() -> Patch {
-        Patch {
-            base_len: 4096,
-            target_len: 4096,
-            instrs: vec![
+        Patch::from_instrs(
+            4096,
+            4096,
+            &[
                 Instr::Copy {
                     offset: 0,
                     len: 1000,
                 },
-                Instr::Add(vec![1, 2, 3, 4, 5]),
+                Instr::Add(&[1, 2, 3, 4, 5]),
                 Instr::Copy {
                     offset: 1005,
                     len: 3091,
                 },
             ],
-        }
+        )
     }
 
     #[test]
@@ -379,9 +406,7 @@ mod tests {
             let mut out = Vec::new();
             push_varint(&mut out, v);
             assert_eq!(out.len(), varint_len(v));
-            let mut pos = 0;
-            assert_eq!(read_varint(&out, &mut pos), Some(v));
-            assert_eq!(pos, out.len());
+            assert_eq!(read_varint(&out), Some((v, &[][..])));
         }
     }
 

@@ -16,8 +16,9 @@
 //!   and is O(target).
 //!
 //! The patch's serialized size is what the platform charges against a
-//! dedup sandbox's memory footprint, so [`format::Patch::serialized_size`]
-//! is exact, not an estimate.
+//! dedup sandbox's memory footprint, and a [`format::Patch`] holds
+//! exactly those bytes, so [`format::Patch::serialized_size`] is exact,
+//! not an estimate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +29,7 @@ pub mod format;
 
 pub use apply::{apply, apply_into, DeltaError};
 pub use encode::{encode, encode_reference, encode_with, EncodeConfig, EncodeScratch};
-pub use format::{Instr, InstrRef, ParseError, Patch, PatchRef};
+pub use format::{Instr, ParseError, Patch, PatchRef};
 
 /// Convenience: encode `target` against `base` at the given level and
 /// return the patch.

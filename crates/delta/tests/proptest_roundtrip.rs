@@ -141,6 +141,45 @@ fn pathological_cases(rng: &mut DetRng) -> Vec<(Vec<u8>, Vec<u8>)> {
         target.splice(at..at, ins);
     }
     cases.push((base, target));
+    // Pages built to defeat the encoder's seed prefilter, which knows a
+    // seed by its first 8 bytes. (1) Every 16-byte block of both pages
+    // starts with the same word, so the filter passes every aligned
+    // target seed and the second words decide: equal in a few blocks,
+    // different in the rest. (2) The same base against a page of that
+    // word's byte alone: every position passes, nothing matches.
+    let word = rng.next_u8();
+    let halves = |rng: &mut DetRng| {
+        let mut page = random_vec_min(rng, 4096, 4096);
+        for block in page.chunks_exact_mut(16) {
+            block[..8].fill(word);
+        }
+        page
+    };
+    let base = halves(rng);
+    let mut target = halves(rng);
+    for _ in 0..rng.below(8) {
+        let at = 16 * rng.below(250) as usize;
+        let len = 16 * rng.range(1, 6) as usize;
+        target[at..at + len].copy_from_slice(&base[at..at + len]);
+    }
+    cases.push((base.clone(), target));
+    cases.push((base, vec![word; 4096]));
+    // (3) Base seeds recurring in the target only at offsets no level
+    // indexes: an 18-byte snippet from 4j+1 holds the seeds at
+    // 4j+1..=4j+3 and no other.
+    let base = random_vec_min(rng, 4096, 4096);
+    let mut target = Vec::new();
+    while target.len() < 4000 {
+        let at = 4 * rng.below(1000) as usize + 1;
+        target.extend_from_slice(&base[at..at + 18]);
+        target.push(rng.next_u8());
+        target.push(rng.next_u8());
+    }
+    cases.push((base.clone(), target));
+    // (4) All-zero and single-motif pages against content.
+    cases.push((vec![0u8; 4096], base.clone()));
+    cases.push((base.clone(), vec![0u8; 4096]));
+    cases.push((repeat(&motif, 4096), base));
     // Empty and tiny buffers on either side.
     cases.push((Vec::new(), random_vec(rng, 8)));
     cases.push((random_vec(rng, 8), Vec::new()));
@@ -176,7 +215,8 @@ fn pathological_inputs_roundtrip_all_paths() {
                 let view = PatchRef::from_bytes(&bytes).expect("view parse");
                 view.apply_into(&base, &mut out).expect("ref apply_into");
                 assert_eq!(out, target, "case {case} level {level}");
-                assert_eq!(view.to_patch(), patch, "case {case} level {level}");
+                let parsed = Patch::from_bytes(&bytes).expect("owned parse");
+                assert_eq!(parsed, patch, "case {case} level {level}");
             }
         }
     }
@@ -250,7 +290,7 @@ fn corrupted_streams_error_without_overallocating() {
         if let Ok(patch) = Patch::from_bytes(&bytes) {
             out = Vec::new(); // fresh buffer: observe reservations
             match apply_into(&base, &patch, &mut out) {
-                Ok(()) => assert_eq!(out.len(), patch.target_len as usize, "case {case}"),
+                Ok(()) => assert_eq!(out.len(), patch.target_len() as usize, "case {case}"),
                 Err(_) => assert_eq!(
                     out.capacity(),
                     0,
@@ -269,11 +309,7 @@ fn corrupted_streams_error_without_overallocating() {
     }
     // A directly forged header with an absurd target_len must be
     // rejected before any reservation.
-    let patch = Patch {
-        base_len: 4,
-        target_len: u32::MAX,
-        instrs: vec![medes_delta::Instr::Add(vec![1, 2, 3])],
-    };
+    let patch = Patch::from_instrs(4, u32::MAX, &[medes_delta::Instr::Add(&[1, 2, 3])]);
     let mut fresh = Vec::new();
     assert!(matches!(
         apply_into(b"base", &patch, &mut fresh),

@@ -19,15 +19,30 @@
 //! [`ImageBuilder::build_versioned`] and [`ImageBuilder::page_count`]
 //! walk it, so the page count needs no build and cannot drift from one.
 //!
-//! The file-backed regions (runtime, libraries, file mappings) hold the
-//! same pre-noise bytes in every instance — that is the paper's premise
-//! (§2, Fig 1). The builder fills them once per deploy version into a
-//! *template*; an instance build copies the template and applies its
-//! own two noise passes. The template is built lazily on first use,
-//! exactly one version is held (a build at another version replaces
-//! it), and a region whose per-instance base is not the canonical one
-//! (ASLR moved it, so its planted pointers differ) bypasses the
-//! template and is filled tile by tile, as heap and stack always are.
+//! Most of an image is the same in every instance — that is the paper's
+//! premise (§2, Fig 1): a tile whose kind is not `Unique` is a function
+//! of (stream, tile index, deploy version, region base, region length)
+//! only. The builder fills those tiles once per deploy version into a
+//! *template* that holds, for every region, the leading tiles of its
+//! stream in stream order. An instance build computes its page layout
+//! (the identity, or the heap's per-instance insert/skip jitter), copies
+//! each page of the stream from the template, fills only the tiles the
+//! template marks `Unique` (none in a file-backed region under the
+//! calibrated mixture, 15–18 % of heap and stack) and the pages the
+//! instance inserted, and applies its own two noise passes. There is
+//! one build path: a file-backed region is the overlay with nothing to
+//! overlay.
+//!
+//! The heap's template holds an eighth more of the stream than fits the
+//! region, because skipped pages carry an instance's stream index past
+//! the region's length; a page past the template's end is filled tile
+//! by tile. So is every page of a region whose per-instance base is not
+//! the canonical one (ASLR moved it, so the pointers planted in its
+//! shared tiles differ). The template
+//! is built lazily on first use and exactly one version is held (a
+//! build at another version replaces it); it costs the function's image
+//! size plus that eighth of the heap, which
+//! [`ImageBuilder::template_bytes`] reports.
 
 use crate::aslr::{rotate_content, AslrConfig};
 use crate::content::{mix_seed, write_motif, ContentModel, TileKind};
@@ -55,12 +70,41 @@ struct PlannedRegion<'a> {
     layout: Layout,
 }
 
-/// The pre-noise bytes of every plan region at one deploy version;
-/// empty for the regions that are not templated.
+/// The tiles of every plan region that no instance changes, at one
+/// deploy version and the canonical region bases.
 #[derive(Debug)]
 struct Template {
     version: u64,
-    regions: Vec<Vec<u8>>,
+    regions: Vec<SharedTiles>,
+}
+
+/// The leading tiles of one region's stream, in stream order. A tile
+/// whose kind is not `Unique` is a function of (stream, tile index,
+/// version, region base, region length) only, so every instance with
+/// the canonical base holds the same bytes wherever its layout puts the
+/// tile.
+#[derive(Debug)]
+struct SharedTiles {
+    /// `unique.len()` tiles back to back; a unique tile's are unset.
+    bytes: Vec<u8>,
+    /// Whether the stream draws tile `i` as `Unique`.
+    unique: Vec<bool>,
+}
+
+impl SharedTiles {
+    /// The `n` stream tiles from `first` on, if all are held: their
+    /// bytes, and which of them every instance fills for itself.
+    fn tiles(&self, first: u64, n: usize, tile_size: usize) -> Option<(&[u8], &[bool])> {
+        let first = usize::try_from(first).ok()?;
+        let unique = self.unique.get(first..first + n)?;
+        let bytes = &self.bytes[first * tile_size..(first + n) * tile_size];
+        Some((bytes, unique))
+    }
+
+    /// Bytes this holds.
+    fn held_bytes(&self) -> usize {
+        self.bytes.len() + self.unique.len()
+    }
 }
 
 /// What a builder derives from its configuration and keeps between
@@ -137,6 +181,17 @@ impl ImageBuilder {
     /// unless versions alternate).
     pub fn template_builds(&self) -> u64 {
         self.cache.template_builds.load(Ordering::Relaxed)
+    }
+
+    /// Bytes the held template occupies (0 before the first build).
+    pub fn template_bytes(&self) -> usize {
+        let held = self
+            .cache
+            .template
+            .lock()
+            .expect("a template fill panicked");
+        held.as_ref()
+            .map_or(0, |t| t.regions.iter().map(SharedTiles::held_bytes).sum())
     }
 
     fn scaled(&self, paper_bytes: usize) -> usize {
@@ -227,14 +282,14 @@ impl ImageBuilder {
         for (i, p) in plan.iter().enumerate() {
             let canonical = canonical_base(p.stream);
             let va_base = self.aslr.region_base(canonical, p.stream, instance_seed);
-            let mut data = if self.templated(p.kind) && va_base == canonical {
-                template
+            // A region ASLR moved plants other pointers in its shared
+            // tiles, so it takes nothing from the template.
+            let shared = (va_base == canonical).then(|| {
+                &template
                     .get_or_insert_with(|| self.template(&plan, version))
                     .regions[i]
-                    .clone()
-            } else {
-                self.fill_region(p, instance_seed, va_base, version)
-            };
+            });
+            let mut data = self.fill_region(p, instance_seed, va_base, version, shared);
 
             m.apply_noise(&mut data, p.stream, instance_seed);
             if m.mixture.enabled {
@@ -259,15 +314,6 @@ impl ImageBuilder {
         MemoryImage::new(regions)
     }
 
-    /// Whether a region's pre-noise bytes are the same in every
-    /// instance: a file-backed kind whose mixture can draw no
-    /// instance-unique tile.
-    fn templated(&self, kind: RegionKind) -> bool {
-        let mixture = &self.model.mixture;
-        let draws_unique = mixture.enabled && mixture.mix_for(kind).unique_frac > 0.0;
-        !anonymous(kind) && !draws_unique
-    }
-
     /// The template at `version`, filling it if the held one is of
     /// another version (or there is none yet).
     fn template(&self, plan: &[PlannedRegion<'_>], version: u64) -> Arc<Template> {
@@ -279,99 +325,157 @@ impl ImageBuilder {
         if let Some(t) = held.as_ref().filter(|t| t.version == version) {
             return Arc::clone(t);
         }
-        let regions = plan
-            .iter()
-            .map(|p| {
-                if self.templated(p.kind) {
-                    self.fill_region(p, 0, canonical_base(p.stream), version)
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
+        let regions = plan.iter().map(|p| self.shared_tiles(p, version)).collect();
         self.cache.template_builds.fetch_add(1, Ordering::Relaxed);
         let t = Arc::new(Template { version, regions });
         *held = Some(Arc::clone(&t));
         t
     }
 
+    /// Fills the stream tiles of `p` an instance is likely to place: all
+    /// of a direct region's, and an eighth more than fit for the heap,
+    /// whose skipped pages carry the stream index past the region's
+    /// length (inserted pages pull it back; instances end within a few
+    /// pages of it either way). A stream index past the end is filled
+    /// per instance.
+    fn shared_tiles(&self, p: &PlannedRegion<'_>, version: u64) -> SharedTiles {
+        let tile = self.model.tile_size;
+        let n_tiles = p.size / tile;
+        let len = match p.layout {
+            Layout::Direct => n_tiles,
+            Layout::Jittered => n_tiles + n_tiles / 8,
+        };
+        let mut bytes = vec![0u8; len * tile];
+        let mut unique = vec![false; len];
+        let base = canonical_base(p.stream);
+        for (idx, out) in bytes.chunks_exact_mut(tile).enumerate() {
+            let kind = self.tile_kind(p, idx as u64);
+            if kind == TileKind::Unique {
+                unique[idx] = true;
+            } else {
+                self.fill_tile(out, kind, p, idx as u64, 0, base, version);
+            }
+        }
+        SharedTiles { bytes, unique }
+    }
+
     /// Fills one region's tiles (no noise) for a region based at
-    /// `va_base`.
+    /// `va_base`, copying from `shared` the tiles it holds.
     fn fill_region(
         &self,
         p: &PlannedRegion<'_>,
         instance_seed: u64,
         va_base: u64,
         version: u64,
+        shared: Option<&SharedTiles>,
     ) -> Vec<u8> {
-        let m = &self.model;
-        let n_tiles = p.size / m.tile_size;
-        let mut data = vec![0u8; p.size];
+        let tile = self.model.tile_size;
+        let n_tiles = p.size / tile;
+        let per_page = PAGE_SIZE / tile;
+        let mut data = Vec::with_capacity(p.size);
+        for (slot, from) in self.page_layout(p, instance_seed).into_iter().enumerate() {
+            let tiles = per_page.min(n_tiles - slot * per_page);
+            let first = match from {
+                Some(stream_page) => stream_page * per_page as u64,
+                None => (1u64 << 40) + (slot * per_page) as u64,
+            };
+            let at = data.len();
+            let held = shared
+                .filter(|_| from.is_some())
+                .and_then(|s| s.tiles(first, tiles, tile));
+            match held {
+                Some((bytes, _)) => data.extend_from_slice(bytes),
+                None => data.resize(at + tiles * tile, 0),
+            }
+            for (t, out) in data[at..].chunks_exact_mut(tile).enumerate() {
+                let idx = first + t as u64;
+                let kind = match (from, held) {
+                    (None, _) => TileKind::Unique,
+                    (Some(_), Some((_, unique))) if unique[t] => TileKind::Unique,
+                    (Some(_), Some(_)) => continue, // copied above
+                    (Some(_), None) => self.tile_kind(p, idx),
+                };
+                self.fill_tile(out, kind, p, idx, instance_seed, va_base, version);
+            }
+        }
+        data.resize(p.size, 0);
+        data
+    }
 
-        // Tile index sequence: direct, or per-instance jittered (heap).
-        // Heap jitter is page-granular: big allocations are mmap-backed,
-        // so allocation-order divergence inserts/skips whole pages —
-        // shifting content by page multiples without breaking chunk
-        // alignment inside pages (what the §2 measurement observes).
-        let tiles_per_page = PAGE_SIZE / m.tile_size;
-        let mut seq: Vec<(u64, bool)> = Vec::with_capacity(n_tiles);
+    /// The page of the stream each page of the region holds, in address
+    /// order; `None` is a page only this instance has.
+    fn page_layout(&self, p: &PlannedRegion<'_>, instance_seed: u64) -> Vec<Option<u64>> {
+        let m = &self.model;
+        let pages = (p.size / m.tile_size).div_ceil(PAGE_SIZE / m.tile_size);
         match p.layout {
-            Layout::Direct => seq.extend((0..n_tiles as u64).map(|i| (i, false))),
+            Layout::Direct => (0..pages as u64).map(Some).collect(),
+            // Heap jitter is page-granular: big allocations are
+            // mmap-backed, so allocation-order divergence inserts/skips
+            // whole pages — shifting content by page multiples without
+            // breaking chunk alignment inside pages (what the §2
+            // measurement observes).
             Layout::Jittered => {
                 let mut jitter =
                     JitterRng::new(mix_seed(p.stream, mix_seed(instance_seed, LAYOUT_SALT)));
-                let mut shared_page = 0u64;
-                let mut own_page = 0u64;
-                while seq.len() < n_tiles {
-                    let u = jitter.next_f64();
-                    if u < m.heap_insert_prob {
-                        // Inserted instance-unique allocation (one page).
-                        for t in 0..tiles_per_page as u64 {
-                            seq.push(((1u64 << 40) + own_page * tiles_per_page as u64 + t, true));
+                let mut next = 0u64;
+                (0..pages)
+                    .map(|_| {
+                        let u = jitter.next_f64();
+                        if u < m.heap_insert_prob {
+                            return None; // an instance-unique allocation
                         }
-                    } else {
                         if u < m.heap_insert_prob + m.heap_skip_prob {
-                            shared_page += 1; // this instance skipped a page
+                            next += 1; // this instance skipped a page
                         }
-                        for t in 0..tiles_per_page as u64 {
-                            seq.push((shared_page * tiles_per_page as u64 + t, false));
-                        }
-                        shared_page += 1;
-                    }
-                    own_page += 1;
-                }
-                seq.truncate(n_tiles);
+                        next += 1;
+                        Some(next - 1)
+                    })
+                    .collect()
             }
         }
-        let motifs = self.cache.motifs.get_or_init(|| {
-            (0..m.pattern_pool as u32)
-                .map(|pid| m.pattern_motif(pid))
-                .collect()
-        });
+    }
+
+    /// The kind the stream of `p` draws for tile `idx`.
+    fn tile_kind(&self, p: &PlannedRegion<'_>, idx: u64) -> TileKind {
         // Unique tiles only make sense in writable anonymous memory;
         // file-backed regions are byte-identical in every process.
-        let allow_unique = anonymous(p.kind);
-        for (out, &(tile_idx, forced_unique)) in data.chunks_exact_mut(m.tile_size).zip(&seq) {
-            let tk = if forced_unique {
-                TileKind::Unique
-            } else {
-                m.tile_kind_region(p.stream, tile_idx, p.kind, allow_unique)
-            };
-            match tk {
-                TileKind::Pattern(pid) => write_motif(out, &motifs[pid as usize]),
-                _ => m.fill_tile_v(
-                    out,
-                    tk,
-                    p.stream,
-                    tile_idx,
-                    instance_seed,
-                    va_base,
-                    p.size as u64,
-                    version,
-                ),
+        self.model
+            .tile_kind_region(p.stream, idx, p.kind, anonymous(p.kind))
+    }
+
+    /// Fills one tile of `p` in a region based at `va_base`.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_tile(
+        &self,
+        out: &mut [u8],
+        kind: TileKind,
+        p: &PlannedRegion<'_>,
+        idx: u64,
+        instance_seed: u64,
+        va_base: u64,
+        version: u64,
+    ) {
+        let m = &self.model;
+        match kind {
+            TileKind::Pattern(pid) => {
+                let motifs = self.cache.motifs.get_or_init(|| {
+                    (0..m.pattern_pool as u32)
+                        .map(|pid| m.pattern_motif(pid))
+                        .collect()
+                });
+                write_motif(out, &motifs[pid as usize]);
             }
+            _ => m.fill_tile_v(
+                out,
+                kind,
+                p.stream,
+                idx,
+                instance_seed,
+                va_base,
+                p.size as u64,
+                version,
+            ),
         }
-        data
     }
 }
 
@@ -493,6 +597,7 @@ impl MemoryImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::content::RegionMix;
 
     fn spec() -> FunctionSpec {
         // 16 MiB total: ~6.5 MiB runtime+json, ~9.5 MiB anonymous, so
@@ -663,20 +768,42 @@ mod tests {
     #[test]
     fn templated_build_matches_the_per_tile_fill() {
         use crate::content::ContentModelConfig;
-        // The third mixture can draw instance-unique tiles in the
-        // runtime region, which must therefore stay out of the template.
-        let mut unique_runtime = ContentModelConfig::paper_calibrated();
-        unique_runtime.runtime.unique_frac = 0.2;
-        for mixture in [
-            ContentModelConfig::disabled(),
-            ContentModelConfig::paper_calibrated(),
-            unique_runtime,
-        ] {
-            for aslr in [AslrConfig::DISABLED, AslrConfig::LINUX] {
-                let model = ContentModel {
-                    mixture: mixture.clone(),
-                    ..ContentModel::default()
+        let calibrated = |tweak: &dyn Fn(&mut ContentModel)| {
+            let mut m = ContentModel {
+                mixture: ContentModelConfig::paper_calibrated(),
+                ..ContentModel::default()
+            };
+            tweak(&mut m);
+            assert!(m.mixture.is_valid());
+            m
+        };
+        let anon_unique = |m: &mut ContentModel, frac: f64| {
+            for mix in [&mut m.mixture.heap, &mut m.mixture.stack] {
+                *mix = RegionMix {
+                    low_frac: 0.0,
+                    medium_frac: 0.0,
+                    unique_frac: frac,
+                    ..*mix
                 };
+            }
+        };
+        let models = [
+            ("legacy", ContentModel::default()),
+            ("calibrated", calibrated(&|_| {})),
+            // Unique tiles in a file-backed region are overlaid too.
+            (
+                "unique runtime",
+                calibrated(&|m| m.mixture.runtime.unique_frac = 0.2),
+            ),
+            // Half the pages skip one: stream indices run far past the
+            // heap template's end.
+            ("skips", calibrated(&|m| m.heap_skip_prob = 0.5)),
+            ("inserts", calibrated(&|m| m.heap_insert_prob = 0.5)),
+            ("no unique tile", calibrated(&|m| anon_unique(m, 0.0))),
+            ("all unique", calibrated(&|m| anon_unique(m, 1.0))),
+        ];
+        for (label, model) in &models {
+            for aslr in [AslrConfig::DISABLED, AslrConfig::LINUX] {
                 // Two builders sharing the numpy library, each with its
                 // own template.
                 let builders = [
@@ -694,8 +821,8 @@ mod tests {
                     for b in &builders {
                         for seed in [3u64, 4] {
                             let what = format!(
-                                "{} v{version} (step {step}) seed {seed} aslr {} mixture {}",
-                                b.spec.name, aslr.enabled, mixture.enabled
+                                "{} v{version} (step {step}) seed {seed} aslr {} model {label}",
+                                b.spec.name, aslr.enabled
                             );
                             assert_same_image(
                                 &b.build_versioned(seed, version),
@@ -710,6 +837,7 @@ mod tests {
                     // canonical; almost surely none under ASLR.
                     let expect = if aslr.enabled { 0 } else { 4 };
                     assert_eq!(b.template_builds(), expect, "{}", b.spec.name);
+                    assert_eq!(b.template_bytes() > 0, !aslr.enabled);
                 }
             }
         }
