@@ -2,11 +2,12 @@
 //! trace exported by `medes-obs`.
 //!
 //! Groups spans by name, reports count / mean / p50 / p99 / max /
-//! total time per phase, and lists the top-N slowest
-//! `medes.platform.request` spans with their attributes.
+//! total time per phase, lists the top-N slowest
+//! `medes.platform.request` spans with their attributes, and prints the
+//! run's counters and gauges from the trace's tail line.
 
 use crate::report::{f, Report};
-use medes_obs::{parse_jsonl, ParsedSpan};
+use medes_obs::{parse_jsonl, parse_tail, ParsedSpan};
 use medes_sim::stats::Percentiles;
 use std::collections::BTreeMap;
 
@@ -142,6 +143,21 @@ pub fn summarize(trace_name: &str, contents: &str, top: usize) -> Report {
             &rows,
         );
     }
+
+    // Counters and gauges are plain numbers in the tail; histograms are
+    // objects and already appear above through their spans.
+    let tail = parse_tail(contents);
+    let scalars: Vec<Vec<String>> = tail
+        .iter()
+        .filter_map(|t| t.get("metrics")?.as_object())
+        .flat_map(|m| m.iter())
+        .filter(|(_, v)| v.as_f64().is_some())
+        .map(|(name, v)| vec![name.to_string(), v.to_string()])
+        .collect();
+    if !scalars.is_empty() {
+        report.section("run counters");
+        report.table(&["metric", "value"], &scalars);
+    }
     report
 }
 
@@ -165,6 +181,7 @@ mod tests {
                 .attr("exec_us", i * 7)
                 .end(t(i * 100 + 80 + i * 7));
         }
+        obs.counter_add("medes.dedup.pages_reused", 29007);
         obs.export_jsonl()
     }
 
@@ -201,6 +218,11 @@ mod tests {
         assert!(text.contains("medes.restore.base_read"));
         assert!(text.contains("top 5 slowest requests"));
         assert!(text.contains("LinAlg"));
+        assert!(text.contains("run counters"));
+        let reused = text
+            .lines()
+            .find(|l| l.contains("medes.dedup.pages_reused"));
+        assert!(reused.is_some_and(|l| l.ends_with("29007")), "{reused:?}");
     }
 
     #[test]

@@ -12,11 +12,34 @@
 //!
 //! The result is a [`DedupPageTable`]: patches + verbatim pages, the
 //! sandbox's entire residual footprint.
+//!
+//! ## Scanning a sandbox again
+//!
+//! The policy dedups an idle sandbox, a request restores it, and a few
+//! seconds later it is idle again: nearly half of all scans re-scan a
+//! sandbox, and its image has not changed in between. A scan therefore
+//! returns, beside the table, a [`DedupMemo`] — the page fingerprints
+//! (step 2) and, per page, the base page it elected with what step 5's
+//! encode gave — which the platform keeps on the sandbox and hands to
+//! the sandbox's next scan. That scan still runs steps 3 and 4 in full,
+//! because they depend on what the registry holds *now*; it skips step 2
+//! and, for every page that elects the base page it elected last time,
+//! the encode of step 5. Only a page whose winner changed needs the
+//! image, which is why [`dedup_scan_with`] takes an image *source* and
+//! evaluates it at most once — often never. [`dedup_scan`] is the same
+//! body with a ready image and no memo.
+//!
+//! Reuse cannot change a byte: a patch is a function of (base page
+//! bytes, target page bytes, `EncodeConfig`), none of which changes
+//! while both sandboxes live (see [`DedupMemo`]). Nor does it change a
+//! simulated microsecond: [`dedup_commit`] prices the op from the same
+//! page counts whether or not the host repeated the work. What the host
+//! did do is counted in [`ScanWork`].
 
 use crate::config::PlatformConfig;
 use crate::ids::{FnId, NodeId, SandboxId};
 use crate::registry::RegistryClient;
-use crate::sandbox::{DedupPageTable, PageEntry};
+use crate::sandbox::{DedupMemo, DedupPageTable, PageEntry, Remembered};
 use medes_delta::{encode_with, EncodeConfig, EncodeScratch};
 use medes_hash::sample::pages_fingerprints;
 use medes_mem::{MemoryImage, PAGE_SIZE};
@@ -134,6 +157,8 @@ pub struct DedupOutcome {
     pub cross_fn_pages: usize,
     /// Distinct base sandboxes referenced (for refcounting).
     pub referenced_bases: Vec<SandboxId>,
+    /// What the sandbox's next scan can reuse (see [`DedupScan::memo`]).
+    pub memo: DedupMemo,
 }
 
 impl DedupOutcome {
@@ -175,6 +200,36 @@ pub struct DedupScan {
     pub image_model_bytes: usize,
     /// Model-scale page count (for lookup timing).
     pub image_pages: usize,
+    /// What the sandbox's next scan can reuse of this one (host memory
+    /// only; its `entries` are still in `table`).
+    pub memo: DedupMemo,
+    /// What the host computed for this scan, as opposed to reused.
+    pub work: ScanWork,
+}
+
+/// Host work done by dedup scans, in pages — deterministic for a seed,
+/// and blind to simulated time: a page whose fingerprint or patch came
+/// out of a [`DedupMemo`] costs the simulated op what it always did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanWork {
+    /// Pages whose fingerprint was computed (0 for a scan with a memo).
+    pub pages_fingerprinted: u64,
+    /// Elected, resolvable pages encoded against their base page.
+    pub pages_encoded: u64,
+    /// Elected, resolvable pages that took the remembered outcome of
+    /// the same base page instead — a patch or a rejection.
+    pub pages_reused: u64,
+    /// Scans that never evaluated their image source.
+    pub scans_without_image: u64,
+}
+
+impl std::ops::AddAssign for ScanWork {
+    fn add_assign(&mut self, o: ScanWork) {
+        self.pages_fingerprinted += o.pages_fingerprinted;
+        self.pages_encoded += o.pages_encoded;
+        self.pages_reused += o.pages_reused;
+        self.scans_without_image += o.scans_without_image;
+    }
 }
 
 /// Runs the compute phase of the dedup op: per-page fingerprints, a
@@ -195,7 +250,44 @@ pub fn dedup_scan<F>(
 where
     F: Fn(SandboxId) -> Option<(Arc<MemoryImage>, FnId)> + ?Sized,
 {
-    let mut entries = Vec::with_capacity(image.page_count());
+    dedup_scan_with(cfg, registry, node, func, || image, None, bases)
+}
+
+/// The one scan body. `image` yields the sandbox's image and is called
+/// at most once, on first need: for the fingerprints when there is no
+/// `memo`, otherwise for the first page that elects another base page
+/// than the memo remembers. `memo` must come from an earlier scan of the
+/// same sandbox (same image) in the same run (same `cfg`).
+pub fn dedup_scan_with<F, S, I>(
+    cfg: &PlatformConfig,
+    registry: &RegistryClient,
+    node: NodeId,
+    func: FnId,
+    image: S,
+    memo: Option<DedupMemo>,
+    bases: &F,
+) -> DedupScan
+where
+    F: Fn(SandboxId) -> Option<(Arc<MemoryImage>, FnId)> + ?Sized,
+    S: Fn() -> I,
+    I: std::ops::Deref<Target = MemoryImage>,
+{
+    let mut built: Option<I> = None;
+    let mut work = ScanWork::default();
+    // Fingerprint every page in one batch call (shared scan scratch) —
+    // or take the fingerprints the last scan of this image computed.
+    let (fps, mut last) = match memo {
+        Some(mut last) => (std::mem::take(&mut last.fingerprints), last),
+        None => {
+            let image = built.insert(image());
+            let page_slices: Vec<&[u8]> = image.pages().map(|(_, page)| page).collect();
+            let fps = pages_fingerprints(&page_slices, &cfg.fingerprint);
+            work.pages_fingerprinted = fps.len() as u64;
+            (fps, DedupMemo::default())
+        }
+    };
+
+    let mut entries = Vec::with_capacity(fps.len());
     let mut patch_bytes = 0usize;
     let mut verbatim_pages = 0usize;
     let mut same_fn_pages = 0usize;
@@ -210,17 +302,14 @@ where
     // pages patch against it.
     let mut read_set: HashSet<(SandboxId, u32)> = HashSet::new();
     let mut patched_pages = 0usize;
+    let mut rejected: Vec<(u32, SandboxId, u32)> = Vec::new();
 
     let encode_cfg = EncodeConfig::with_level(cfg.delta_level);
     let max_patch = (cfg.patch_max_frac * PAGE_SIZE as f64) as usize;
 
-    // Fingerprint every page in one batch call (shared scan scratch),
-    // then probe the registry in one batch so each shard's read lock
-    // is taken once per op rather than once per page. Empty
-    // fingerprints (rare) skip the registry exactly as the per-page
-    // path did.
-    let page_slices: Vec<&[u8]> = image.pages().map(|(_, page)| page).collect();
-    let fps = pages_fingerprints(&page_slices, &cfg.fingerprint);
+    // Probe the registry in one batch so each shard's read lock is
+    // taken once per op rather than once per page. Empty fingerprints
+    // (rare) skip the registry exactly as the per-page path did.
     let probe_fps: Vec<_> = fps.iter().filter(|fp| !fp.is_empty()).cloned().collect();
     let candidate_lists = registry.lookup_batch(&probe_fps);
     let mut probe_cursor = 0usize;
@@ -228,7 +317,7 @@ where
     // are reused across every candidate page of this image.
     let mut scratch = EncodeScratch::new();
 
-    for ((_, page), fp) in image.pages().zip(&fps) {
+    for (idx, fp) in fps.iter().enumerate() {
         let entry = if fp.is_empty() {
             None
         } else {
@@ -244,12 +333,29 @@ where
             });
             best.and_then(|cand| {
                 let (base_img, base_fn) = bases(cand.loc.sandbox)?;
-                let base_page = base_img.page(cand.loc.page as usize);
-                let patch = encode_with(base_page, page, &encode_cfg, &mut scratch);
+                // The same base page as last time gives the same patch.
+                let patch = match last.take(idx, cand.loc.sandbox, cand.loc.page) {
+                    Some(outcome) => {
+                        work.pages_reused += 1;
+                        match outcome {
+                            Remembered::Patch(patch) => Some(patch),
+                            Remembered::Rejected => None,
+                        }
+                    }
+                    None => {
+                        work.pages_encoded += 1;
+                        let base_page = base_img.page(cand.loc.page as usize);
+                        let page = built.get_or_insert_with(&image).page(idx);
+                        let patch = encode_with(base_page, page, &encode_cfg, &mut scratch);
+                        (patch.serialized_size() < max_patch).then_some(patch)
+                    }
+                };
+                let Some(patch) = patch else {
+                    // Not worth deduplicating — against this base page.
+                    rejected.push((idx as u32, cand.loc.sandbox, cand.loc.page));
+                    return None;
+                };
                 let size = patch.serialized_size();
-                if size >= max_patch {
-                    return None; // not worth deduplicating
-                }
                 Some((cand.loc, base_fn, patch, size))
             })
         };
@@ -286,6 +392,12 @@ where
         }
     }
 
+    work.scans_without_image = u64::from(built.is_none());
+    debug_assert_eq!(
+        work.pages_encoded + work.pages_reused,
+        (patched_pages + rejected.len()) as u64,
+        "every elected, resolvable page is encoded or reused, once"
+    );
     DedupScan {
         table: DedupPageTable {
             entries,
@@ -297,48 +409,73 @@ where
         referenced_bases: referenced,
         remote_reads,
         patched_pages,
-        image_model_bytes: image.total_bytes(),
-        image_pages: image.page_count(),
+        image_model_bytes: fps.len() * PAGE_SIZE,
+        image_pages: fps.len(),
+        memo: DedupMemo {
+            fingerprints: fps,
+            rejected,
+            entries: Vec::new(),
+        },
+        work,
     }
 }
 
-/// The serial commit phase of a dedup op: accounts the controller RPC
-/// and base-page reads on the fabric (the only fault-injectable,
-/// RNG-consuming steps) and assembles the final [`DedupOutcome`].
-///
-/// Fails only under fault injection, when the controller fingerprint
-/// RPC or the base-page reads stay broken past the retry policy; the
-/// caller then aborts the dedup and keeps the sandbox warm.
+impl DedupScan {
+    /// Accounts the op on the fabric — the controller RPC and the
+    /// base-page reads, the only fault-injectable, RNG-consuming steps —
+    /// and prices its four phases. The counts it prices from are those
+    /// of a full scan whatever the host reused.
+    ///
+    /// Fails only under fault injection, when the controller fingerprint
+    /// RPC or the base-page reads stay broken past the retry policy; the
+    /// caller then aborts the dedup and keeps the sandbox warm.
+    pub fn price(
+        &self,
+        cfg: &PlatformConfig,
+        fabric: &mut Fabric,
+        node: NodeId,
+    ) -> Result<DedupTiming, NetError> {
+        let scale = cfg.mem_scale as f64;
+        let paper_pages = self.image_pages as f64 * scale;
+        let lookup_extra = fabric.controller_rpc_check(node.0, &cfg.retry)?;
+        let base_read = fabric
+            .rdma_read_batch_retry(node.0, &self.remote_reads, &cfg.retry)?
+            .time;
+        Ok(DedupTiming {
+            checkpoint: cfg
+                .ckpt
+                .checkpoint_time(cfg.to_paper_bytes(self.image_model_bytes)),
+            lookup: cfg.lookup_per_page.mul_f64(paper_pages) + lookup_extra,
+            base_read,
+            patch_compute: cfg
+                .patch_compute_per_page
+                .mul_f64(self.patched_pages as f64 * scale),
+        })
+    }
+
+    /// The outcome of a scan priced at `timing`.
+    pub fn into_outcome(self, timing: DedupTiming) -> DedupOutcome {
+        DedupOutcome {
+            table: self.table,
+            timing,
+            same_fn_pages: self.same_fn_pages,
+            cross_fn_pages: self.cross_fn_pages,
+            referenced_bases: self.referenced_bases,
+            memo: self.memo,
+        }
+    }
+}
+
+/// The serial commit phase of a dedup op: [`DedupScan::price`], then
+/// the final [`DedupOutcome`].
 pub fn dedup_commit(
     cfg: &PlatformConfig,
     fabric: &mut Fabric,
     node: NodeId,
     scan: DedupScan,
 ) -> Result<DedupOutcome, NetError> {
-    let scale = cfg.mem_scale as f64;
-    let paper_pages = scan.image_pages as f64 * scale;
-    let lookup_extra = fabric.controller_rpc_check(node.0, &cfg.retry)?;
-    let base_read = fabric
-        .rdma_read_batch_retry(node.0, &scan.remote_reads, &cfg.retry)?
-        .time;
-    let timing = DedupTiming {
-        checkpoint: cfg
-            .ckpt
-            .checkpoint_time(cfg.to_paper_bytes(scan.image_model_bytes)),
-        lookup: cfg.lookup_per_page.mul_f64(paper_pages) + lookup_extra,
-        base_read,
-        patch_compute: cfg
-            .patch_compute_per_page
-            .mul_f64(scan.patched_pages as f64 * scale),
-    };
-
-    Ok(DedupOutcome {
-        table: scan.table,
-        timing,
-        same_fn_pages: scan.same_fn_pages,
-        cross_fn_pages: scan.cross_fn_pages,
-        referenced_bases: scan.referenced_bases,
-    })
+    let timing = scan.price(cfg, fabric, node)?;
+    Ok(scan.into_outcome(timing))
 }
 
 /// Runs the dedup op for one sandbox image: [`dedup_scan`] followed by
@@ -393,9 +530,12 @@ pub fn index_base_sandbox(
 mod tests {
     use super::*;
     use crate::images::ImageFactory;
+    use crate::restore::restore_op_cached;
     use medes_mem::{AslrConfig, ContentModel};
     use medes_net::NetConfig;
+    use medes_sim::DetRng;
     use medes_trace::functionbench_suite;
+    use std::collections::HashMap;
 
     fn setup() -> (PlatformConfig, ImageFactory, RegistryClient, Fabric) {
         let cfg = PlatformConfig::small_test();
@@ -578,6 +718,225 @@ mod tests {
             "runtime/pattern pages must dedup across functions"
         );
         assert_eq!(outcome.same_fn_pages, 0);
+    }
+
+    /// Field-by-field equality of two scans of the same sandbox against
+    /// the same registry state: the table with every patch byte and
+    /// `base_node`, the order-sensitive lists, the counts the op is
+    /// priced from, and what the scan leaves for the next one.
+    fn assert_same_scan(fresh: &DedupScan, memoised: &DedupScan, ctx: &str) {
+        assert_eq!(fresh.table, memoised.table, "{ctx}");
+        assert_eq!(fresh.same_fn_pages, memoised.same_fn_pages, "{ctx}");
+        assert_eq!(fresh.cross_fn_pages, memoised.cross_fn_pages, "{ctx}");
+        assert_eq!(fresh.referenced_bases, memoised.referenced_bases, "{ctx}");
+        assert_eq!(fresh.remote_reads, memoised.remote_reads, "{ctx}");
+        assert_eq!(fresh.patched_pages, memoised.patched_pages, "{ctx}");
+        assert_eq!(fresh.image_model_bytes, memoised.image_model_bytes, "{ctx}");
+        assert_eq!(fresh.image_pages, memoised.image_pages, "{ctx}");
+        assert_eq!(fresh.memo.fingerprints, memoised.memo.fingerprints, "{ctx}");
+        assert_eq!(fresh.memo.rejected, memoised.memo.rejected, "{ctx}");
+    }
+
+    /// Scan a sandbox, change the registry the ways a run does, scan it
+    /// again with and without what the last scan remembered: the two
+    /// scans must be indistinguishable, whatever happened in between.
+    #[test]
+    fn a_memoised_scan_equals_a_fresh_one_whatever_the_registry_did() {
+        const NODES: usize = 4;
+        const FUNCS: u64 = 3;
+        let suite = functionbench_suite();
+        let (mut reused_patches, mut reused_rejections, mut imageless) = (0u64, 0u64, 0u64);
+        let mut full_outages = 0;
+        for case in 0..208u64 {
+            let mut rng = DetRng::new(0x19_D0D0 + case);
+            let placed = case % 2 == 1;
+            let mut cfg = PlatformConfig::small_test();
+            let mut content = ContentModel::default();
+            if case % 4 >= 2 {
+                // Most patches of the calibrated mixture are larger than
+                // this: rejections are the common outcome.
+                content.mixture = medes_mem::ContentModelConfig::paper_calibrated();
+                cfg.patch_max_frac = 0.25;
+            }
+            let mut factory = ImageFactory::new(
+                &suite[..FUNCS as usize],
+                content,
+                AslrConfig::DISABLED,
+                cfg.mem_scale,
+            );
+            let shards = 1 + rng.below(4) as usize;
+            let registry = if placed {
+                RegistryClient::distributed(
+                    shards,
+                    3,
+                    NODES,
+                    NetConfig::default(),
+                    cfg.retry,
+                    Obs::disabled(),
+                )
+            } else {
+                RegistryClient::in_process(shards, Obs::disabled())
+            };
+            let mut fabric = Fabric::new(NODES, NetConfig::default());
+
+            // Live bases: id -> (pinned image, function, node).
+            let mut bases: HashMap<SandboxId, (Arc<MemoryImage>, FnId, NodeId)> = HashMap::new();
+            let mut next_id = 1u64;
+            let mut add_base = |bases: &mut HashMap<_, _>,
+                                factory: &mut ImageFactory,
+                                rng: &mut DetRng,
+                                func: FnId| {
+                let (id, node) = (SandboxId(next_id), NodeId(rng.below(NODES as u64) as usize));
+                next_id += 1;
+                let img = factory.pin(func, 0xBA5E_0000 + id.0);
+                index_base_sandbox(&cfg, &registry, node, id, &img);
+                bases.insert(id, (img, func, node));
+            };
+            let crash = |bases: &mut HashMap<SandboxId, (_, _, NodeId)>, n: usize| {
+                bases.retain(|&id, &mut (_, _, node)| {
+                    if node.0 == n {
+                        registry.remove_sandbox(id);
+                    }
+                    node.0 != n
+                });
+                registry.on_node_crash(NodeId(n));
+            };
+
+            // The sandbox under test, and at least one base of its own
+            // function among the first k.
+            let func = FnId(rng.below(FUNCS) as usize);
+            let (seed, node) = (rng.next_u64(), NodeId(rng.below(NODES as u64) as usize));
+            add_base(&mut bases, &mut factory, &mut rng, func);
+            for _ in 0..rng.range(1, 4) {
+                let f = FnId(rng.below(FUNCS) as usize);
+                add_base(&mut bases, &mut factory, &mut rng, f);
+            }
+            let target = factory.image(func, seed);
+            let scan_fresh = |bases: &HashMap<SandboxId, (Arc<MemoryImage>, FnId, NodeId)>| {
+                dedup_scan(&cfg, &registry, node, func, &target, &|id| {
+                    bases.get(&id).map(|(img, f, _)| (Arc::clone(img), *f))
+                })
+            };
+            let first = scan_fresh(&bases);
+            assert_eq!(first.work.pages_fingerprinted, target.page_count() as u64);
+            assert_eq!(first.work.pages_reused, 0);
+            let mut referenced = first.referenced_bases.clone();
+            let mut memo = first.memo.absorb(first.table);
+
+            let rounds = rng.range(2, 5);
+            for round in 0..=rounds {
+                let ctx = format!("case {case} round {round}");
+                // The last round changes nothing: an all-same scan.
+                let ops = if round == rounds { 0 } else { rng.range(1, 3) };
+                for _ in 0..ops {
+                    match rng.below(5) {
+                        0 => {
+                            let f = FnId(rng.below(FUNCS) as usize);
+                            add_base(&mut bases, &mut factory, &mut rng, f);
+                        }
+                        // Evict a base the sandbox patched against.
+                        1 => {
+                            if let Some(&id) = referenced.first() {
+                                registry.remove_sandbox(id);
+                                bases.remove(&id);
+                            }
+                        }
+                        // The same pages leave the registry and come back.
+                        2 => {
+                            let mut ids: Vec<SandboxId> = bases.keys().copied().collect();
+                            ids.sort_unstable();
+                            if !ids.is_empty() {
+                                let id = ids[rng.below(ids.len() as u64) as usize];
+                                let (img, _, at) = &bases[&id];
+                                registry.remove_sandbox(id);
+                                index_base_sandbox(&cfg, &registry, *at, id, img);
+                            }
+                        }
+                        3 => {
+                            let n = rng.below(NODES as u64) as usize;
+                            crash(&mut bases, n);
+                            registry.on_node_restart(NodeId(n));
+                        }
+                        // Every node down, one at a time: under the
+                        // placement no owner survives.
+                        _ => {
+                            (0..NODES).for_each(|n| crash(&mut bases, n));
+                            (0..NODES).for_each(|n| registry.on_node_restart(NodeId(n)));
+                            full_outages += usize::from(placed);
+                            add_base(&mut bases, &mut factory, &mut rng, func);
+                        }
+                    }
+                }
+                registry.check_invariants().expect(&ctx);
+
+                let fresh = scan_fresh(&bases);
+                let prior_rejected = memo.rejected.clone();
+                let builds = factory.builds();
+                let memoised = dedup_scan_with(
+                    &cfg,
+                    &registry,
+                    node,
+                    func,
+                    || factory.image(func, seed),
+                    Some(memo),
+                    &|id| bases.get(&id).map(|(img, f, _)| (Arc::clone(img), *f)),
+                );
+                assert_same_scan(&fresh, &memoised, &ctx);
+                // Each elected, resolvable page is encoded exactly once
+                // by the fresh scan: it ends up patched or rejected.
+                assert_eq!(
+                    fresh.work.pages_encoded as usize,
+                    fresh.patched_pages + fresh.memo.rejected.len(),
+                    "{ctx}"
+                );
+
+                let w = memoised.work;
+                assert_eq!(w.pages_fingerprinted, 0, "{ctx}");
+                assert_eq!(
+                    w.pages_encoded + w.pages_reused,
+                    fresh.work.pages_encoded,
+                    "{ctx}"
+                );
+                let built = factory.builds() - builds;
+                assert_eq!(built, 1 - w.scans_without_image, "{ctx}");
+                assert_eq!(w.scans_without_image == 1, w.pages_encoded == 0, "{ctx}");
+                if ops == 0 {
+                    assert_eq!((w.pages_encoded, built), (0, 0), "{ctx}");
+                }
+                let again = memoised
+                    .memo
+                    .rejected
+                    .iter()
+                    .filter(|r| prior_rejected.contains(r))
+                    .count() as u64;
+                reused_rejections += again;
+                reused_patches += w.pages_reused - again;
+                imageless += w.scans_without_image;
+
+                // The table built from remembered patches restores the
+                // image byte for byte.
+                restore_op_cached(
+                    &cfg,
+                    &mut fabric,
+                    node,
+                    &memoised.table,
+                    &|id| bases.get(&id).map(|(img, f, _)| (Arc::clone(img), *f)),
+                    None,
+                    Some(&target),
+                )
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+
+                referenced = memoised.referenced_bases.clone();
+                memo = memoised.memo.absorb(memoised.table);
+            }
+        }
+        assert!(reused_patches > 1000, "{reused_patches} patches reused");
+        assert!(
+            reused_rejections > 100,
+            "{reused_rejections} rejections reused"
+        );
+        assert!(imageless >= 208, "{imageless} scans built no image");
+        assert!(full_outages > 0, "no placed case lost every owner");
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! seed, code version)`, so the platform holds real bytes only where
 //! the system semantically requires residency: **base sandbox images**
 //! (pinned, the registry points into them) are cached here; everything
-//! else is regenerated on demand — by a dedup scan, which drops the
-//! image when the scan ends, or to verify a restore. Spawning a sandbox
+//! else is regenerated on demand — by a dedup scan that has a page to
+//! fingerprint or encode (a sandbox's repeat scan often has none, see
+//! `crate::dedup`), which drops the image when the scan ends, or to
+//! verify a restore. Spawning a sandbox
 //! needs only the page count, which [`ImageFactory::model_pages`] reads
 //! off the builder's region plan without building anything.
 //!

@@ -23,7 +23,7 @@
 use crate::config::{PlatformConfig, PolicyKind, RegistryPlacement};
 use crate::controller::{FunctionRuntime, QueuedRequest};
 use crate::dedup::{
-    dedup_commit, dedup_scan, index_base_sandbox, DedupOutcome, DedupScan, DedupTiming,
+    dedup_scan_with, index_base_sandbox, DedupOutcome, DedupScan, DedupTiming, ScanWork,
 };
 use crate::ids::{FnId, NodeId, SandboxId};
 use crate::images::ImageFactory;
@@ -31,7 +31,7 @@ use crate::metrics::{FnDedupStats, MetricsCollector, RequestRecord, RunReport, S
 use crate::pagecache::BasePageCache;
 use crate::registry::RegistryClient;
 use crate::restore::{restore_op_cached, RestoreTiming};
-use crate::sandbox::{Sandbox, SandboxState, SandboxTable};
+use crate::sandbox::{DedupMemo, Sandbox, SandboxState, SandboxTable};
 use medes_mem::MemoryImage;
 use medes_net::Fabric;
 use medes_obs::Obs;
@@ -146,6 +146,7 @@ impl Platform {
         cluster = sim.into_world();
         let obs = Arc::clone(&cluster.obs);
         let dedup_scan_wall_us = cluster.dedup_scan_wall_us;
+        let (dedup_work, dedup_memo_peak_bytes) = (cluster.dedup_work, cluster.memo_peak_bytes);
         let report = cluster.finish(end);
         match obs.write_trace() {
             Ok(Some(path)) => eprintln!("[obs] wrote {}", path.display()),
@@ -158,6 +159,8 @@ impl Platform {
             obs,
             slo,
             dedup_scan_wall_us,
+            dedup_work,
+            dedup_memo_peak_bytes,
             events,
             peak_queue_depth,
         }
@@ -180,6 +183,15 @@ pub struct RunOutcome {
     /// summed over every batch. Host time is not deterministic, so it
     /// lives here and never in `report` or an `obs` export.
     pub dedup_scan_wall_us: u64,
+    /// What the host computed, and what it reused, over every dedup
+    /// scan (deterministic). Here and not in `report` because a memoised
+    /// scan is the same simulated op: the report must not tell them
+    /// apart. Exported as `medes.dedup.pages_fingerprinted`,
+    /// `.pages_encoded`, `.pages_reused` and `.scans_without_image`.
+    pub dedup_work: ScanWork,
+    /// Most host bytes the live sandboxes' [`DedupMemo`]s held at once
+    /// (deterministic; `medes.dedup.memo_peak_bytes`).
+    pub dedup_memo_peak_bytes: usize,
     /// Events the loop handled (deterministic). Here and not in
     /// `report` because it describes the simulator, not the simulated
     /// cluster.
@@ -308,6 +320,11 @@ struct Cluster {
     flush_armed: bool,
     /// See [`RunOutcome::dedup_scan_wall_us`].
     dedup_scan_wall_us: u64,
+    /// See [`RunOutcome::dedup_work`].
+    dedup_work: ScanWork,
+    /// Host bytes held by the memos of live sandboxes, now and at most.
+    memo_bytes: usize,
+    memo_peak_bytes: usize,
 }
 
 impl Cluster {
@@ -384,6 +401,9 @@ impl Cluster {
             pending_dedups: Vec::new(),
             flush_armed: false,
             dedup_scan_wall_us: 0,
+            dedup_work: ScanWork::default(),
+            memo_bytes: 0,
+            memo_peak_bytes: 0,
         }
     }
 
@@ -561,6 +581,18 @@ impl Cluster {
         }
     }
 
+    /// Replaces a live sandbox's memo and returns the one it held,
+    /// keeping the host-byte gauge behind `medes.dedup.memo_peak_bytes`.
+    fn swap_memo(&mut self, id: SandboxId, memo: Option<DedupMemo>) -> Option<DedupMemo> {
+        let held = memo.as_ref().map_or(0, DedupMemo::host_bytes);
+        let sb = self.sandboxes.get_mut(&id).expect("sandbox is live");
+        let old = std::mem::replace(&mut sb.last_dedup, memo);
+        self.memo_bytes += held;
+        self.memo_bytes -= old.as_ref().map_or(0, DedupMemo::host_bytes);
+        self.memo_peak_bytes = self.memo_peak_bytes.max(self.memo_bytes);
+        old
+    }
+
     /// Promotes a warm sandbox to a base: pins its image, indexes every
     /// page in the registry, and registers it with its function. The
     /// sandbox stays warm (and stays in the idle-warm pool).
@@ -682,6 +714,8 @@ impl Cluster {
         if let Some(table) = &sb.dedup_table {
             self.release_base_refs(table);
         }
+        // The memo dies with its sandbox.
+        self.memo_bytes -= sb.last_dedup.as_ref().map_or(0, DedupMemo::host_bytes);
         if sb.is_base {
             // Even a referenced base dies with its node; dependants
             // discover the loss when their restore fails.
@@ -1110,6 +1144,8 @@ impl Cluster {
             node: NodeId,
             instance_seed: u64,
             version: u64,
+            /// The sandbox's last scan, moved into this one.
+            memo: Option<DedupMemo>,
         }
         let mut items: Vec<BatchItem> = Vec::with_capacity(pending.len());
         for (id, epoch) in pending {
@@ -1119,12 +1155,19 @@ impl Cluster {
             if sb.epoch != epoch || sb.state != SandboxState::Deduping {
                 continue;
             }
+            let (func, node, instance_seed, version) =
+                (sb.func, sb.node, sb.instance_seed, sb.version);
+            debug_assert!(sb
+                .last_dedup
+                .as_ref()
+                .is_none_or(|m| m.fingerprints.len() == sb.model_pages));
             items.push(BatchItem {
                 id,
-                func: sb.func,
-                node: sb.node,
-                instance_seed: sb.instance_seed,
-                version: sb.version,
+                func,
+                node,
+                instance_seed,
+                version,
+                memo: self.swap_memo(id, None),
             });
         }
         if items.is_empty() {
@@ -1134,32 +1177,42 @@ impl Cluster {
         // Parallel compute phase. Static contiguous chunking into
         // disjoint output slots: no locks, no unsafe, and the result
         // vector is in enqueue order regardless of which worker ran
-        // which chunk. All captures are shared borrows — the registry
-        // takes shard read locks internally. Each scan regenerates its
-        // sandbox's image and drops it when done, so a batch holds one
-        // image per worker, not one per item.
+        // which chunk. Each worker owns its chunk of items, so a memo's
+        // patches move into the scan's table instead of being cloned;
+        // every other capture is a shared borrow — the registry takes
+        // shard read locks internally. A scan regenerates its sandbox's
+        // image only if it needs it and drops it when done, so a batch
+        // holds at most one image per worker, not one per item.
         let cfg = &self.cfg;
         let registry = &self.registry;
         let factory = &self.factory;
         let bases = &self.bases;
         let resolve = |bid: SandboxId| bases.get(&bid).map(|(bf, img)| (Arc::clone(img), *bf));
-        let scan = |it: &BatchItem| {
-            let image = factory.image_v(it.func, it.instance_seed, it.version);
-            dedup_scan(cfg, registry, it.node, it.func, &image, &resolve)
+        let scan = |it: &mut BatchItem| {
+            let image = || factory.image_v(it.func, it.instance_seed, it.version);
+            dedup_scan_with(
+                cfg,
+                registry,
+                it.node,
+                it.func,
+                image,
+                it.memo.take(),
+                &resolve,
+            )
         };
         let scan = &scan;
         let workers = cfg.pipeline.workers.min(items.len()).max(1);
         let wall_start = std::time::Instant::now();
         let mut scans: Vec<Option<DedupScan>> = Vec::new();
         if workers <= 1 {
-            scans.extend(items.iter().map(|it| Some(scan(it))));
+            scans.extend(items.iter_mut().map(|it| Some(scan(it))));
         } else {
             scans.resize_with(items.len(), || None);
             let chunk = items.len().div_ceil(workers);
             std::thread::scope(|s| {
-                for (inp, out) in items.chunks(chunk).zip(scans.chunks_mut(chunk)) {
+                for (inp, out) in items.chunks_mut(chunk).zip(scans.chunks_mut(chunk)) {
                     s.spawn(move || {
-                        for (it, slot) in inp.iter().zip(out.iter_mut()) {
+                        for (it, slot) in inp.iter_mut().zip(out.iter_mut()) {
                             *slot = Some(scan(it));
                         }
                     });
@@ -1192,12 +1245,14 @@ impl Cluster {
                 self.obs
                     .trace_root("dedup", self.cfg.seed, self.dedup_trace_key(item.id, now));
             let ckpt_paper_bytes = self.cfg.to_paper_bytes(scan.image_model_bytes);
-            let committed = {
+            self.dedup_work += scan.work;
+            let priced = {
                 let mut fabric = self.fabric.with_ctx(DedupTiming::op_ctx(droot));
-                dedup_commit(&self.cfg, &mut fabric, item.node, scan)
+                scan.price(&self.cfg, &mut fabric, item.node)
             };
-            match committed {
-                Ok(outcome) => {
+            match priced {
+                Ok(timing) => {
+                    let outcome = scan.into_outcome(timing);
                     outcome.timing.record(
                         &self.obs,
                         now,
@@ -1227,9 +1282,12 @@ impl Cluster {
                 Err(_) => {
                     // Fault-injected failure (controller RPC or base
                     // reads stayed broken past the retry policy): abort
-                    // the dedup and keep the sandbox warm.
+                    // the dedup and keep the sandbox warm. No base was
+                    // pinned; what the scan computed stays good for the
+                    // sandbox's next one.
                     debug_assert!(!self.cfg.faults.is_empty());
                     self.obs.incr("medes.platform.dedup_aborts");
+                    self.swap_memo(item.id, Some(scan.memo.absorb(scan.table)));
                     self.revert_to_warm(item.id, sched);
                 }
             }
@@ -1251,6 +1309,14 @@ impl Cluster {
             return;
         };
         if sb.epoch != epoch || sb.state != SandboxState::Deduping {
+            // Nothing but this event moves a `Deduping` sandbox (dispatch
+            // and eviction take `assignable()` sandboxes only), so its
+            // epoch cannot have moved. Were that to change, the pins
+            // taken at initiation must still be dropped, and the outcome
+            // — table and memo — goes with them, whole: nothing of a
+            // stale scan attaches to a sandbox in some other state.
+            debug_assert!(false, "{id} left Deduping before its DedupDone");
+            self.release_base_refs(&outcome.table);
             return;
         }
         let f = sb.func.0;
@@ -1279,8 +1345,10 @@ impl Cluster {
 
         if (saved as f64) < MIN_SAVING_FRAC * full_model as f64 {
             // Not worth it: return to warm; release the base pins taken
-            // at dedup initiation.
+            // at dedup initiation. The next scan may find more bases
+            // indexed, and will not redo what this one computed.
             self.release_base_refs(&outcome.table);
+            self.swap_memo(id, Some(outcome.memo.absorb(outcome.table)));
             self.revert_to_warm(id, sched);
             return;
         }
@@ -1317,6 +1385,9 @@ impl Cluster {
         }
         self.fns[f].record_dedup_footprint(new_paper);
 
+        // The memo takes the table's entries over once the restore
+        // releases them (`RestoreDone`).
+        self.swap_memo(id, Some(outcome.memo));
         let sb = self.sandboxes.get_mut(&id).expect("exists");
         let delta = new_paper as i64 - sb.mem_paper_bytes as i64;
         sb.mem_paper_bytes = new_paper;
@@ -1335,6 +1406,16 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     fn finish(mut self, end: SimTime) -> RunReport {
+        debug_assert_eq!(
+            self.memo_bytes,
+            self.nodes
+                .iter()
+                .flat_map(|n| &n.sandboxes)
+                .filter_map(|id| self.sandboxes[id].last_dedup.as_ref())
+                .map(DedupMemo::host_bytes)
+                .sum::<usize>(),
+            "the memo gauge drifted from the live sandboxes' memos"
+        );
         self.metrics.report.registry_entries = self.registry.entries();
         self.metrics.report.registry_peak_entries = self.registry.peak_entries();
         self.metrics.report.registry_peak_bytes = self.registry.peak_mem_bytes();
@@ -1380,6 +1461,16 @@ impl Cluster {
                 "medes.images.template_bytes",
                 self.factory.template_bytes() as u64,
             );
+            let w = self.dedup_work;
+            for (name, v) in [
+                ("medes.dedup.pages_fingerprinted", w.pages_fingerprinted),
+                ("medes.dedup.pages_encoded", w.pages_encoded),
+                ("medes.dedup.pages_reused", w.pages_reused),
+                ("medes.dedup.scans_without_image", w.scans_without_image),
+                ("medes.dedup.memo_peak_bytes", self.memo_peak_bytes as u64),
+            ] {
+                self.obs.counter_add(name, v);
+            }
         }
         for c in &self.caches {
             let s = c.stats();
@@ -1467,6 +1558,12 @@ impl World for Cluster {
                 self.charge(now, node, delta);
                 if let Some(t) = table {
                     self.release_base_refs(&t);
+                    // The sandbox lives on: the patches it no longer
+                    // needs resident are what its next scan would
+                    // otherwise encode again.
+                    if let Some(memo) = self.swap_memo(id, None) {
+                        self.swap_memo(id, Some(memo.absorb(t)));
+                    }
                 }
                 self.fns[f].dedup_total -= 1;
                 let startup = now.since(req.arrival);
@@ -1791,15 +1888,21 @@ mod tests {
         let run = |cfg: PlatformConfig| {
             let (suite, trace) = small_trace(600, 10.0);
             let out = Platform::new(cfg, suite).run(&trace);
-            (out.report, out.obs)
+            (
+                out.report,
+                out.obs,
+                out.dedup_work,
+                out.dedup_memo_peak_bytes,
+            )
         };
 
         // Spawning a sandbox needs a page count, not an image.
         let mut cfg = PlatformConfig::small_test();
         cfg.obs = medes_obs::ObsConfig::enabled();
         cfg.policy = PolicyKind::FixedKeepAlive(SimDuration::from_secs(600));
-        let (report, obs) = run(cfg.clone());
+        let (report, obs, work, memo_peak) = run(cfg.clone());
         assert!(report.sandboxes_spawned > 0);
+        assert_eq!((work, memo_peak), (ScanWork::default(), 0));
         assert_eq!(obs.counter("medes.images.builds"), 0);
         assert_eq!(obs.counter("medes.images.template_builds"), 0);
         assert_eq!(obs.counter("medes.images.template_bytes"), 0);
@@ -1812,12 +1915,42 @@ mod tests {
             };
         }
         cfg.verify_restores = true;
-        let (report, obs) = run(cfg.clone());
+        let (report, obs, work, memo_peak) = run(cfg.clone());
         let scans = obs.counter("medes.dedup.ops");
         let restores: u64 = report.dedup_stats.iter().map(|s| s.restores).sum();
         let pins = obs.counter("medes.platform.demarcations");
         assert!(scans > 0 && restores > 0 && pins > 0);
-        assert_eq!(obs.counter("medes.images.builds"), scans + restores + pins);
+        // A scan builds its image unless its sandbox's last scan left
+        // it everything it needs.
+        assert!(work.scans_without_image > 0, "{work:?}");
+        assert_eq!(
+            obs.counter("medes.images.builds"),
+            (scans - work.scans_without_image) + restores + pins
+        );
+        // Every page of every scan is charged a checkpoint; only a
+        // sandbox's first scan fingerprints it.
+        let scanned_pages = obs.counter("medes.ckpt.checkpoint_bytes")
+            / (medes_mem::PAGE_SIZE * cfg.mem_scale) as u64;
+        assert!(work.pages_fingerprinted > 0 && work.pages_reused > 0);
+        assert!(
+            work.pages_fingerprinted < scanned_pages,
+            "{work:?} over {scanned_pages} scanned pages"
+        );
+        // Each elected, resolvable page was encoded or reused; the ones
+        // that ended up patched in a committed table are in the report.
+        assert!(
+            work.pages_encoded + work.pages_reused >= report.same_fn_pages + report.cross_fn_pages
+        );
+        assert!(memo_peak > 0);
+        for (name, v) in [
+            ("medes.dedup.pages_fingerprinted", work.pages_fingerprinted),
+            ("medes.dedup.pages_encoded", work.pages_encoded),
+            ("medes.dedup.pages_reused", work.pages_reused),
+            ("medes.dedup.scans_without_image", work.scans_without_image),
+            ("medes.dedup.memo_peak_bytes", memo_peak as u64),
+        ] {
+            assert_eq!(obs.counter(name), v, "{name}");
+        }
         // One deploy version: at most one template per function, each
         // the function's image plus an eighth of its heap (and a flag
         // per tile).

@@ -1,7 +1,16 @@
 //! Sandbox state and the Fig 4b lifecycle state machine.
+//!
+//! Besides its simulated state a [`Sandbox`] carries one piece of host
+//! memory, [`Sandbox::last_dedup`]: what its last dedup scan computed
+//! (page fingerprints, and per page the elected base page with the patch
+//! — or the rejection — that encoding against it gave). The next scan of
+//! the same sandbox reuses it instead of hashing and encoding again; see
+//! [`DedupMemo`] and `crate::dedup`. It lives and dies with the sandbox:
+//! there is no cache to size and nothing to evict.
 
 use crate::ids::{FnId, NodeId, SandboxId};
 use medes_delta::Patch;
+use medes_hash::sample::PageFingerprint;
 use medes_sim::SimTime;
 
 /// Sandbox lifecycle states (Fig 4b).
@@ -46,7 +55,7 @@ impl SandboxState {
 }
 
 /// How one page of a dedup sandbox is stored.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PageEntry {
     /// Kept verbatim (no suitable base page found).
     Verbatim,
@@ -64,7 +73,7 @@ pub enum PageEntry {
 }
 
 /// The residual memory representation of a dedup sandbox.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DedupPageTable {
     /// One entry per page of the original image.
     pub entries: Vec<PageEntry>,
@@ -119,7 +128,117 @@ impl DedupPageTable {
     }
 }
 
+/// What a sandbox remembers of its last dedup scan, so that the next
+/// scan of the same sandbox repeats none of it.
+///
+/// Everything in here is a pure function of bytes that never change
+/// while the sandbox lives. The fingerprints are a function of the
+/// sandbox's image alone. A remembered page outcome is keyed by the
+/// `(base sandbox, base page)` the scan elected, and a patch is a
+/// function of the base page's bytes, the target page's bytes and the
+/// run's `EncodeConfig`: a base's pinned image never changes and sandbox
+/// ids are never reused, so an equal key means an equal patch. The
+/// registry lookup and the election are *not* remembered — they depend
+/// on registry state, and re-running them is what decides, page by
+/// page, whether the remembered outcome still applies.
+///
+/// Host memory only: no simulated quantity reads it, and a scan that
+/// reuses it is charged the checkpoint, lookups, base reads and patch
+/// compute of a full scan.
+#[derive(Debug, Default)]
+pub struct DedupMemo {
+    /// The fingerprint of every page, in page order.
+    pub(crate) fingerprints: Vec<PageFingerprint>,
+    /// Pages whose elected base page gave a patch no smaller than
+    /// `patch_max_frac` of a page and so stayed verbatim: `(page, base
+    /// sandbox, base page)`, ascending by page.
+    pub(crate) rejected: Vec<(u32, SandboxId, u32)>,
+    /// The entries of the table that scan produced — a `Patched` entry
+    /// is the remembered outcome of its page. Empty while that table is
+    /// still attached to the sandbox as [`Sandbox::dedup_table`]; filled
+    /// by [`DedupMemo::absorb`] when the table is released.
+    pub(crate) entries: Vec<PageEntry>,
+}
+
+/// What a [`DedupMemo`] holds for one page and one elected base page.
+#[derive(Debug)]
+pub(crate) enum Remembered {
+    /// The patch the last scan encoded against that base page.
+    Patch(Patch),
+    /// The last scan encoded against that base page and rejected the
+    /// patch as too large.
+    Rejected,
+}
+
+impl DedupMemo {
+    /// Takes over the entries (and with them the patches) of the table
+    /// the memo's scan produced, once nothing else needs that table.
+    #[must_use]
+    pub fn absorb(mut self, table: DedupPageTable) -> Self {
+        debug_assert_eq!(table.entries.len(), self.fingerprints.len());
+        self.entries = table.entries;
+        self
+    }
+
+    /// Moves out what the last scan got for `page` against
+    /// `(base_sandbox, base_page)`, if that is the base page it elected.
+    pub(crate) fn take(
+        &mut self,
+        page: usize,
+        base_sandbox: SandboxId,
+        base_page: u32,
+    ) -> Option<Remembered> {
+        let key = (base_sandbox, base_page);
+        if let Some(PageEntry::Patched {
+            base_sandbox: s,
+            base_page: p,
+            patch,
+            ..
+        }) = self.entries.get_mut(page)
+        {
+            if (*s, *p) == key {
+                return Some(Remembered::Patch(std::mem::take(patch)));
+            }
+        }
+        let at = self
+            .rejected
+            .binary_search_by_key(&(page as u32), |r| r.0)
+            .ok()?;
+        let (_, s, p) = self.rejected[at];
+        ((s, p) == key).then_some(Remembered::Rejected)
+    }
+
+    /// Host heap bytes the memo holds (what `medes.dedup.memo_peak_bytes`
+    /// sums over live sandboxes).
+    pub fn host_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let fingerprints: usize = self
+            .fingerprints
+            .iter()
+            .map(|fp| size_of::<PageFingerprint>() + size_of_val(fp.chunks()))
+            .sum();
+        let patches: usize = self
+            .entries
+            .iter()
+            .map(|e| match e {
+                PageEntry::Patched { patch, .. } => patch.serialized_size(),
+                PageEntry::Verbatim => 0,
+            })
+            .sum();
+        fingerprints
+            + size_of_val(self.rejected.as_slice())
+            + size_of_val(self.entries.as_slice())
+            + patches
+    }
+}
+
 /// One sandbox.
+///
+/// Its memory image is a pure function of `(func, instance_seed,
+/// version)`, all fixed at spawn: executing a request does not dirty the
+/// content model's bytes. [`Sandbox::last_dedup`] rests on exactly that —
+/// a content model that dirties pages between requests must bump an
+/// image epoch here and drop the memo with it.
 #[derive(Debug)]
 pub struct Sandbox {
     /// Unique id.
@@ -154,6 +273,9 @@ pub struct Sandbox {
     pub refcount: u32,
     /// Dedup representation (present iff state ∈ {Dedup, Restoring}).
     pub dedup_table: Option<DedupPageTable>,
+    /// What the last dedup scan of this sandbox computed (host memory
+    /// only; `None` until the first scan, and while a scan holds it).
+    pub last_dedup: Option<DedupMemo>,
     /// Paper-scale bytes currently charged to the hosting node.
     pub mem_paper_bytes: usize,
     /// Total pages of the (model-scale) image.
@@ -185,6 +307,7 @@ impl Sandbox {
             ever_deduped: false,
             refcount: 0,
             dedup_table: None,
+            last_dedup: None,
             mem_paper_bytes,
             model_pages,
         }
@@ -374,6 +497,46 @@ mod tests {
             table.distinct_base_pages(),
             vec![(SandboxId(7), NodeId(2), 3), (SandboxId(9), NodeId(0), 1)]
         );
+    }
+
+    #[test]
+    fn memo_gives_an_outcome_back_only_for_the_base_page_it_elected() {
+        let patch = Patch::from_instrs(4096, 4096, &[]);
+        let mut memo = DedupMemo {
+            fingerprints: vec![PageFingerprint::default(); 3],
+            rejected: vec![(1, SandboxId(7), 4)],
+            entries: Vec::new(),
+        };
+        // Until the table is released the memo holds no patch.
+        assert!(memo.take(2, SandboxId(9), 3).is_none());
+        memo = memo.absorb(DedupPageTable {
+            entries: vec![
+                PageEntry::Verbatim,
+                PageEntry::Verbatim,
+                PageEntry::Patched {
+                    base_sandbox: SandboxId(9),
+                    base_node: NodeId(1),
+                    base_page: 3,
+                    patch: patch.clone(),
+                },
+            ],
+            patch_bytes: patch.serialized_size(),
+            verbatim_pages: 2,
+        });
+        assert!(memo.host_bytes() > patch.serialized_size());
+        // Another base page, or another sandbox's page 3: not remembered.
+        assert!(memo.take(2, SandboxId(9), 2).is_none());
+        assert!(memo.take(2, SandboxId(8), 3).is_none());
+        assert!(memo.take(1, SandboxId(7), 5).is_none());
+        assert!(memo.take(0, SandboxId(9), 3).is_none());
+        assert!(matches!(
+            memo.take(2, SandboxId(9), 3),
+            Some(Remembered::Patch(p)) if p == patch
+        ));
+        assert!(matches!(
+            memo.take(1, SandboxId(7), 4),
+            Some(Remembered::Rejected)
+        ));
     }
 
     #[test]

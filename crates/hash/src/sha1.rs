@@ -5,6 +5,15 @@
 //! for signatures, but for content-addressing memory chunks (with a
 //! byte-verify on match, as Medes does) it is exactly what the original
 //! system used, so we reproduce it faithfully.
+//!
+//! Every chunk the fingerprint scan hashes is exactly 64 bytes, so
+//! [`Sha1::digest64`] is the hot path: two compressions, the chunk and
+//! the padding block of a 64-byte message. That second block is the same
+//! for every chunk, so its 80 schedule words are constants: they are
+//! computed at compile time with the round constants already added
+//! (`PAD64_KW`), and the second compression runs the 80 rounds
+//! without loading a block or updating a schedule. Both compressions go
+//! through the one round body, `rounds`.
 
 /// Incremental SHA-1 digest.
 ///
@@ -57,21 +66,13 @@ impl Sha1 {
 
     /// One-shot digest of exactly one 64-byte block — the dedup hot
     /// path (every sampled chunk is 64 B). Skips all incremental
-    /// buffering: two compressions, the data block and a constant
-    /// padding block (0x80, zeros, bit length 512). Bit-identical to
-    /// `Sha1::digest` on the same bytes.
+    /// buffering: two compressions, the data block and the constant
+    /// padding block (0x80, zeros, bit length 512), whose schedule is
+    /// precomputed. Bit-identical to `Sha1::digest` on the same bytes.
     pub fn digest64(block: &[u8; 64]) -> [u8; 20] {
-        // Padding for a 64-byte message: 0x80 then zeros, with the
-        // 64-bit big-endian bit length (512 = 0x0200) in the tail.
-        const PAD64: [u8; 64] = {
-            let mut b = [0u8; 64];
-            b[0] = 0x80;
-            b[62] = 0x02;
-            b
-        };
         let mut state = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
         compress_block(&mut state, block);
-        compress_block(&mut state, &PAD64);
+        rounds(&mut state, |_, t| PAD64_KW[t]);
         let mut out = [0u8; 20];
         for (i, word) in state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
@@ -142,37 +143,44 @@ impl Sha1 {
     }
 }
 
-/// One SHA-1 compression round: four constant-(f, k) loops of 20
-/// rounds each over a 16-word circular schedule, instead of a
-/// per-round `(f, k)` branch over an 80-word array. Same math as
+/// The round constants of rounds 0–19, 20–39, 40–59 and 60–79.
+const K: [u32; 4] = [0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6];
+
+/// `K[t / 20] + W[t]` for the padding block of a 64-byte message: 0x80,
+/// zeros, and the bit length 512 in the last word.
+const PAD64_KW: [u32; 80] = {
+    let mut w = [0u32; 80];
+    w[0] = 0x8000_0000;
+    w[15] = 512;
+    let mut t = 16;
+    while t < 80 {
+        w[t] = (w[t - 3] ^ w[t - 8] ^ w[t - 14] ^ w[t - 16]).rotate_left(1);
+        t += 1;
+    }
+    t = 0;
+    while t < 80 {
+        w[t] = w[t].wrapping_add(K[t / 20]);
+        t += 1;
+    }
+    w
+};
+
+/// The 80 rounds of one SHA-1 compression: four constant-f loops of 20
+/// rounds each instead of a per-round `(f, k)` branch. `kw(k, t)` yields
+/// `k + W[t]` for round `t`, whose round constant is `k`. Same math as
 /// FIPS 180-4 §6.1.2 — the round-function identities used below
 /// (`Ch(b,c,d) = d ^ (b & (c ^ d))`, `Maj(b,c,d) = (b & c) | (d &
 /// (b | c))`) are bitwise-equal to the spec's and cost one op less.
-#[inline]
-fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
-    let mut w = [0u32; 16];
-    for (i, word) in w.iter_mut().enumerate() {
-        *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
-    }
+#[inline(always)]
+fn rounds(state: &mut [u32; 5], mut kw: impl FnMut(u32, usize) -> u32) {
     let [mut a, mut b, mut c, mut d, mut e] = *state;
-    // W[t] = rotl1(W[t-3] ^ W[t-8] ^ W[t-14] ^ W[t-16]); indices taken
-    // mod 16 so the schedule lives in 16 words instead of 80.
-    macro_rules! sched {
-        ($t:expr) => {{
-            let t = $t & 15;
-            let next = (w[(t + 13) & 15] ^ w[(t + 8) & 15] ^ w[(t + 2) & 15] ^ w[t]).rotate_left(1);
-            w[t] = next;
-            next
-        }};
-    }
     macro_rules! round {
-        ($f:expr, $k:expr, $wi:expr) => {{
+        ($f:expr, $kw:expr) => {{
             let temp = a
                 .rotate_left(5)
                 .wrapping_add($f)
                 .wrapping_add(e)
-                .wrapping_add($k)
-                .wrapping_add($wi);
+                .wrapping_add($kw);
             e = d;
             d = c;
             c = b.rotate_left(30);
@@ -180,26 +188,47 @@ fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
             a = temp;
         }};
     }
-    for &wi in w.iter() {
-        round!(d ^ (b & (c ^ d)), 0x5A827999, wi);
+    // The first loop is split where a data block's schedule starts to
+    // recur, so a `t < 16` test in `kw` folds away in both halves.
+    for t in 0..16 {
+        round!(d ^ (b & (c ^ d)), kw(K[0], t));
     }
     for t in 16..20 {
-        round!(d ^ (b & (c ^ d)), 0x5A827999, sched!(t));
+        round!(d ^ (b & (c ^ d)), kw(K[0], t));
     }
     for t in 20..40 {
-        round!(b ^ c ^ d, 0x6ED9EBA1, sched!(t));
+        round!(b ^ c ^ d, kw(K[1], t));
     }
     for t in 40..60 {
-        round!((b & c) | (d & (b | c)), 0x8F1BBCDC, sched!(t));
+        round!((b & c) | (d & (b | c)), kw(K[2], t));
     }
     for t in 60..80 {
-        round!(b ^ c ^ d, 0xCA62C1D6, sched!(t));
+        round!(b ^ c ^ d, kw(K[3], t));
     }
     state[0] = state[0].wrapping_add(a);
     state[1] = state[1].wrapping_add(b);
     state[2] = state[2].wrapping_add(c);
     state[3] = state[3].wrapping_add(d);
     state[4] = state[4].wrapping_add(e);
+}
+
+/// One SHA-1 compression of a data block, over a 16-word circular
+/// schedule instead of an 80-word array.
+#[inline]
+fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (i, word) in w.iter_mut().enumerate() {
+        *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    }
+    rounds(state, |k, t| {
+        let i = t & 15;
+        if t >= 16 {
+            // W[t] = rotl1(W[t-3] ^ W[t-8] ^ W[t-14] ^ W[t-16]), indices
+            // taken mod 16.
+            w[i] = (w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i]).rotate_left(1);
+        }
+        k.wrapping_add(w[i])
+    });
 }
 
 #[cfg(test)]

@@ -5,9 +5,13 @@
 //! order (DESIGN.md §10). The grid runs both clean and under a chaos
 //! fault plan — the fault schedule consumes RNG per fabric op, so any
 //! reordering of fabric traffic across worker counts would surface
-//! here as a diverged report.
+//! here as a diverged report. Beside the report, the host-work counts
+//! of the scans (`RunOutcome::dedup_work`: pages fingerprinted, encoded,
+//! reused from a sandbox's last scan) must be identical too: a memo
+//! moves into whichever worker scans its sandbox.
 
 use medes::platform::config::{DedupPipelineConfig, PlatformConfig, PolicyKind};
+use medes::platform::dedup::ScanWork;
 use medes::platform::metrics::RunReport;
 use medes::platform::Platform;
 use medes::policy::medes::Objective;
@@ -93,13 +97,14 @@ fn run_grid_point(
     workers: usize,
     seed: u64,
     faults: Option<&FaultPlan>,
-) -> RunReport {
+) -> (RunReport, ScanWork) {
     let (suite, trace) = pressured_trace(400, seed);
     let mut cfg = pipelined_config(shards, workers);
     if let Some(plan) = faults {
         cfg.faults = plan.clone();
     }
-    Platform::new(cfg, suite).run(&trace).report
+    let out = Platform::new(cfg, suite).run(&trace);
+    (out.report, out.dedup_work)
 }
 
 /// The core grid: every shard count × worker count must reproduce the
@@ -109,12 +114,19 @@ fn report_is_invariant_across_shards_and_workers() {
     for &seed in SEEDS {
         let reference = run_grid_point(1, 1, seed, None);
         assert!(
-            reference.sandboxes_deduped > 0,
+            reference.0.sandboxes_deduped > 0,
             "seed {seed}: the grid must exercise real dedup work"
         );
         assert!(
-            reference.dedup_batches > 0,
+            reference.0.dedup_batches > 0,
             "seed {seed}: the pipeline must form batches"
+        );
+        // Sandboxes are scanned more than once, so workers also run
+        // scans that reuse a sandbox's last one — and must count the
+        // same work as the serial run.
+        assert!(
+            reference.1.pages_reused > 0,
+            "seed {seed}: no scan reused its sandbox's last one"
         );
         for &shards in SHARDS {
             for &workers in WORKERS {
@@ -141,9 +153,9 @@ fn chaos_report_is_invariant_across_shards_and_workers() {
     let plan = chaos_plan();
     let seed = SEEDS[0];
     let reference = run_grid_point(1, 1, seed, Some(&plan));
-    assert!(reference.node_crashes > 0, "chaos plan must fire");
+    assert!(reference.0.node_crashes > 0, "chaos plan must fire");
     assert!(
-        reference.sandboxes_deduped > 0,
+        reference.0.sandboxes_deduped > 0,
         "chaos grid must exercise real dedup work"
     );
     for &shards in SHARDS {

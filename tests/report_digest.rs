@@ -108,9 +108,24 @@ fn p1_latency_target() {
     assert_eq!(d, P1, "{d:#018x}");
 }
 
+/// Dedup ops that re-scanned a sandbox scanned before: the ops a
+/// sandbox's memo of its last scan serves (`Sandbox::last_dedup`). Both
+/// P2 runs must keep enough of them that the pinned digest covers
+/// tables assembled from remembered patches.
+fn assert_re_dedups(report: &RunReport) {
+    let ops: u64 = report.dedup_stats.iter().map(|s| s.dedup_ops).sum();
+    let again = ops - report.sandboxes_deduped;
+    assert!(
+        again >= 50,
+        "{ops} ops over {} sandboxes",
+        report.sandboxes_deduped
+    );
+}
+
 #[test]
 fn p2_under_memory_pressure() {
-    let (d, _) = run(pressured());
+    let (d, report) = run(pressured());
+    assert_re_dedups(&report);
     assert_eq!(d, P2_PRESSURED, "{d:#018x}");
 }
 
@@ -136,6 +151,7 @@ fn p2_with_a_crash_and_a_version_bump() {
     let (d, report) = run(cfg);
     assert_eq!((report.node_crashes, report.version_bumps), (1, 1));
     assert!(report.version_purges > 0, "the bump purged nothing");
+    assert_re_dedups(&report);
     assert_eq!(d, P2_CRASH_AND_BUMP, "{d:#018x}");
 }
 
