@@ -97,15 +97,6 @@ pub struct PlatformConfig {
     pub net: NetConfig,
     /// Checkpoint/restore timing model.
     pub ckpt: TimingModel,
-    /// Controller-side registry lookup cost per (paper-scale) page —
-    /// ~80 µs in the paper's single-threaded controller (§7.7).
-    pub lookup_per_page: SimDuration,
-    /// Patch computation cost per (paper-scale) page during dedup.
-    pub patch_compute_per_page: SimDuration,
-    /// Patch application cost per (paper-scale) page during restore.
-    pub patch_apply_per_page: SimDuration,
-    /// How often the controller re-solves policy targets.
-    pub policy_tick: SimDuration,
     /// RNG seed.
     pub seed: u64,
     /// Verify every restore byte-for-byte against the regenerated image
@@ -491,10 +482,6 @@ impl PlatformConfig {
             aslr: AslrConfig::DISABLED,
             net: NetConfig::default(),
             ckpt: TimingModel::default(),
-            lookup_per_page: SimDuration::from_micros(80),
-            patch_compute_per_page: SimDuration::from_micros(40),
-            patch_apply_per_page: SimDuration::from_micros(8),
-            policy_tick: SimDuration::from_secs(10),
             seed: 0xC0FFEE,
             verify_restores: false,
             obs: ObsConfig::default(),

@@ -1,51 +1,52 @@
-//! Controller-side per-function runtime state.
+//! Controller-side per-function policy state.
 //!
-//! The controller tracks, per function: live sandbox counts by state,
-//! idle pools (MRU-ordered), base sandboxes, arrival-rate estimates, and
-//! EWMA estimates of the quantities the §5 optimizer needs (dedup start
-//! latency, dedup footprint, restore overhead). Targets produced by the
-//! policy solver are cached here between policy ticks.
+//! The controller tracks, per function: the deployed code version,
+//! arrival-rate estimates, EWMA estimates of the quantities the §5
+//! optimizer needs (dedup start latency, dedup footprint, restore
+//! overhead), the targets the policy solver produced at the last tick,
+//! and the requests waiting for capacity. Which sandboxes exist and
+//! which of them are bases is not kept here: the platform's `Lifecycle`
+//! and `Bases` own that, and hand the counts in.
 
-use crate::ids::SandboxId;
-use medes_policy::medes::{Decision, FunctionState};
+use medes_policy::medes::{divide_budget, solve, Decision, FunctionState, Objective};
+use medes_policy::MedesPolicyConfig;
 use medes_sim::{SimDuration, SimTime};
 use medes_trace::FunctionProfile;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// EWMA smoothing factor for measured quantities.
 const EWMA_ALPHA: f64 = 0.2;
+/// How often the controller re-solves policy targets; also the width of
+/// one arrival-rate bucket.
+pub(crate) const POLICY_TICK: SimDuration = SimDuration::from_secs(10);
 /// Arrival-rate window: number of policy ticks whose maximum defines
 /// λ_max. Five minutes of 10 s ticks: a burst keeps λ_max (and with it
 /// the aggressive-dedup phase, §5.2.3) alive well past its end, which is
 /// what converts post-burst idle pools into dedup sandboxes.
 const RATE_WINDOW_TICKS: usize = 12;
 
-/// A queued request waiting for capacity.
+/// A request on its way to a sandbox: travelling through dispatch, or
+/// parked in its function's wait queue.
 #[derive(Debug, Clone, Copy)]
-pub struct QueuedRequest {
+pub(crate) struct ReqInfo {
     /// Trace request id.
     pub id: u64,
+    pub func: usize,
     /// Arrival time (queue wait counts into the end-to-end latency).
     pub arrival: SimTime,
 }
 
 /// Per-function controller state.
 #[derive(Debug)]
-pub struct FunctionRuntime {
+pub(crate) struct FunctionRuntime {
     /// The function's profile.
     pub profile: FunctionProfile,
-    /// Idle warm sandboxes, ordered by `(last_used, id)` — the scheduler
-    /// pops the most recently used.
-    pub idle_warm: BTreeSet<(SimTime, SandboxId)>,
-    /// Idle dedup sandboxes, same ordering.
-    pub idle_dedup: BTreeSet<(SimTime, SandboxId)>,
-    /// All live sandboxes of this function (any state): the optimizer's
-    /// `C`.
-    pub total_sandboxes: u32,
-    /// Live sandboxes currently in the dedup state (or restoring).
-    pub dedup_total: u32,
-    /// Base sandboxes of this function.
-    pub bases: Vec<SandboxId>,
+    /// Deployed code version (rolling deploys bump it; 0 without a
+    /// deploy schedule). New sandboxes spawn with it.
+    pub version: u64,
+    /// The `(mu, sigma)` of the function's log-normal execution time;
+    /// `None` when its execution time does not vary.
+    pub exec_dist: Option<(f64, f64)>,
     /// Arrivals since the last policy tick.
     pub arrivals_this_tick: u32,
     /// Per-tick arrival counts (bounded window).
@@ -59,7 +60,7 @@ pub struct FunctionRuntime {
     /// Latest policy targets.
     pub target: Decision,
     /// Requests waiting for capacity.
-    pub wait_queue: VecDeque<QueuedRequest>,
+    pub wait_queue: VecDeque<ReqInfo>,
     /// Whether a RetryQueue timer is outstanding for this function
     /// (exactly one retry chain per function, never more).
     pub retry_armed: bool,
@@ -71,13 +72,16 @@ impl FunctionRuntime {
         // Initial estimates before any measurement: dedup start ≈ 300 ms,
         // dedup footprint ≈ 50 % of warm, restore reads ≈ 30 % of warm.
         let mem = profile.memory_bytes as f64;
+        let cv = profile.exec_cv.max(0.0);
+        let exec_dist = (cv >= 1e-9).then(|| {
+            let sigma2 = (1.0 + cv * cv).ln();
+            let mu = profile.exec_time().as_secs_f64().ln() - sigma2 / 2.0;
+            (mu, sigma2.sqrt())
+        });
         FunctionRuntime {
             profile,
-            idle_warm: BTreeSet::new(),
-            idle_dedup: BTreeSet::new(),
-            total_sandboxes: 0,
-            dedup_total: 0,
-            bases: Vec::new(),
+            version: 0,
+            exec_dist,
             arrivals_this_tick: 0,
             tick_history: VecDeque::new(),
             dedup_start_ewma_us: 300_000.0,
@@ -99,7 +103,7 @@ impl FunctionRuntime {
     }
 
     /// Rolls the arrival window at a policy tick.
-    pub fn roll_tick(&mut self) {
+    fn roll_tick(&mut self) {
         self.tick_history.push_back(self.arrivals_this_tick);
         self.arrivals_this_tick = 0;
         while self.tick_history.len() > RATE_WINDOW_TICKS {
@@ -108,8 +112,7 @@ impl FunctionRuntime {
     }
 
     /// Peak arrival rate (requests/second) over the recent window.
-    pub fn lambda_max(&self, tick: SimDuration) -> f64 {
-        let secs = tick.as_secs_f64().max(1e-9);
+    fn lambda_max(&self) -> f64 {
         let peak = self
             .tick_history
             .iter()
@@ -117,7 +120,7 @@ impl FunctionRuntime {
             .chain(std::iter::once(self.arrivals_this_tick))
             .max()
             .unwrap_or(0);
-        peak as f64 / secs
+        peak as f64 / POLICY_TICK.as_secs_f64()
     }
 
     /// Folds a measured dedup-start latency into the estimate.
@@ -138,27 +141,54 @@ impl FunctionRuntime {
             EWMA_ALPHA * paper_bytes as f64 + (1.0 - EWMA_ALPHA) * self.mem_restore_ewma;
     }
 
-    /// Builds the optimizer input from current estimates.
-    pub fn function_state(&self, tick: SimDuration) -> FunctionState {
+    /// Builds the optimizer input from current estimates; `sandboxes`
+    /// is the function's live sandbox count, the optimizer's `C`.
+    fn function_state(&self, sandboxes: u32) -> FunctionState {
         FunctionState {
-            arrival_rate: self.lambda_max(tick),
+            arrival_rate: self.lambda_max(),
             exec_time: self.profile.exec_time(),
             warm_start: self.profile.warm_start(),
             dedup_start: SimDuration::from_micros(self.dedup_start_ewma_us as u64),
             mem_warm: self.profile.memory_bytes as f64,
             mem_dedup: self.mem_dedup_ewma,
             mem_restore: self.mem_restore_ewma,
-            sandboxes: self.total_sandboxes,
+            sandboxes,
         }
     }
+}
 
-    /// Whether one more base sandbox should be demarcated: `D/B > T`, or
-    /// no base exists yet (§4.1.3).
-    pub fn needs_base(&self, threshold: u32) -> bool {
-        if self.bases.is_empty() {
-            return true;
+/// Whether a function with `dedup_total` dedup (or restoring) sandboxes
+/// and `bases` base sandboxes should demarcate one more: `D/B > T`, or
+/// no base exists yet (§4.1.3).
+pub(crate) fn needs_base(dedup_total: u32, bases: usize, threshold: u32) -> bool {
+    bases == 0 || dedup_total as f64 / bases as f64 > threshold as f64
+}
+
+/// One policy tick: rolls every function's arrival window and re-solves
+/// its targets. `sandboxes(f)` is function `f`'s live sandbox count.
+pub(crate) fn solve_targets(
+    fns: &mut [FunctionRuntime],
+    medes: &MedesPolicyConfig,
+    sandboxes: impl Fn(usize) -> u32,
+) {
+    // Memory-budget objectives divide the cluster budget by
+    // arrival-rate share (§5.3).
+    let budgets = if let Objective::MemoryBudget { budget_bytes } = medes.objective {
+        let rates: Vec<f64> = fns.iter().map(FunctionRuntime::lambda_max).collect();
+        Some(divide_budget(budget_bytes, &rates))
+    } else {
+        None
+    };
+    // `solve` reads only the objective, which a memory budget makes
+    // per-function.
+    let mut cfg_i = medes.clone();
+    for (i, rt) in fns.iter_mut().enumerate() {
+        rt.roll_tick();
+        let state = rt.function_state(sandboxes(i));
+        if let Some(b) = &budgets {
+            cfg_i.objective = Objective::MemoryBudget { budget_bytes: b[i] };
         }
-        self.dedup_total as f64 / self.bases.len() as f64 > threshold as f64
+        rt.target = solve(&cfg_i, &state);
     }
 }
 
@@ -174,17 +204,16 @@ mod tests {
     #[test]
     fn lambda_max_tracks_peak_tick() {
         let mut rt = runtime();
-        let tick = SimDuration::from_secs(10);
         for n in [5u32, 50, 10] {
             rt.arrivals_this_tick = n;
             rt.roll_tick();
         }
-        assert!((rt.lambda_max(tick) - 5.0).abs() < 1e-9, "50 per 10s tick");
+        assert!((rt.lambda_max() - 5.0).abs() < 1e-9, "50 per 10s tick");
         // Window bounded: old peaks age out.
         for _ in 0..RATE_WINDOW_TICKS {
             rt.roll_tick();
         }
-        assert_eq!(rt.lambda_max(tick), 0.0);
+        assert_eq!(rt.lambda_max(), 0.0);
     }
 
     #[test]
@@ -203,21 +232,16 @@ mod tests {
 
     #[test]
     fn base_demarcation_rule() {
-        let mut rt = runtime();
-        assert!(rt.needs_base(40), "no base yet: must demarcate");
-        rt.bases.push(SandboxId(1));
-        rt.dedup_total = 40;
-        assert!(!rt.needs_base(40), "D/B = 40 is not > 40");
-        rt.dedup_total = 41;
-        assert!(rt.needs_base(40), "D/B = 41 > 40");
-        rt.bases.push(SandboxId(2));
-        assert!(!rt.needs_base(40), "second base resets the ratio");
+        assert!(needs_base(0, 0, 40), "no base yet: must demarcate");
+        assert!(!needs_base(40, 1, 40), "D/B = 40 is not > 40");
+        assert!(needs_base(41, 1, 40), "D/B = 41 > 40");
+        assert!(!needs_base(41, 2, 40), "second base resets the ratio");
     }
 
     #[test]
     fn function_state_reflects_profile() {
         let rt = runtime();
-        let s = rt.function_state(SimDuration::from_secs(10));
+        let s = rt.function_state(0);
         assert_eq!(s.mem_warm, rt.profile.memory_bytes as f64);
         assert_eq!(s.sandboxes, 0);
         assert!(s.dedup_start > s.warm_start);

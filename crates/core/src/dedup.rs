@@ -49,6 +49,12 @@ use medes_sim::{SimDuration, SimTime};
 use std::collections::HashSet;
 use std::sync::Arc;
 
+/// Controller-side registry lookup cost per (paper-scale) page — ~80 µs
+/// in the paper's single-threaded controller (§7.7).
+const LOOKUP_PER_PAGE: SimDuration = SimDuration::from_micros(80);
+/// Patch computation cost per (paper-scale) page.
+const PATCH_COMPUTE_PER_PAGE: SimDuration = SimDuration::from_micros(40);
+
 /// Wall-time breakdown of one dedup op (background work).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DedupTiming {
@@ -445,11 +451,9 @@ impl DedupScan {
             checkpoint: cfg
                 .ckpt
                 .checkpoint_time(cfg.to_paper_bytes(self.image_model_bytes)),
-            lookup: cfg.lookup_per_page.mul_f64(paper_pages) + lookup_extra,
+            lookup: LOOKUP_PER_PAGE.mul_f64(paper_pages) + lookup_extra,
             base_read,
-            patch_compute: cfg
-                .patch_compute_per_page
-                .mul_f64(self.patched_pages as f64 * scale),
+            patch_compute: PATCH_COMPUTE_PER_PAGE.mul_f64(self.patched_pages as f64 * scale),
         })
     }
 

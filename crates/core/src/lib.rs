@@ -13,13 +13,17 @@
 //! * [`pagecache`] — the per-node base-page LRU cache in front of the
 //!   restore read path; repeat restores of hot base pages skip the
 //!   fabric entirely.
-//! * [`sandbox`] — the sandbox lifecycle state machine of Fig 4b.
-//! * [`controller`] — scheduler state, per-function statistics, base-
-//!   sandbox demarcation (`D/B > T`), policy targets.
+//! * [`sandbox`] — sandbox state, the Fig 4b transition table and the
+//!   dedup page table.
+//! * `controller` — per-function policy state: arrival rates, EWMA
+//!   estimates, the `D/B > T` demarcation rule, policy targets.
 //! * [`platform`] — the discrete-event cluster simulation tying it all
-//!   together over a [`medes_trace::Trace`]; produces [`metrics`].
+//!   together over a [`medes_trace::Trace`]; produces [`metrics`]. Its
+//!   state has three owners (node memory, sandbox lifecycle, bases);
+//!   the event loop only routes.
 //! * [`baselines`] — the same platform running fixed/adaptive keep-alive
-//!   policies (no dedup state) and the emulated-Catalyzer mode (§7.6).
+//!   policies (no dedup state), and the Catalyzer profile preset of
+//!   Fig 13 (§7.6).
 //!
 //! ## Quick start
 //!
@@ -44,7 +48,7 @@
 
 pub mod baselines;
 pub mod config;
-pub mod controller;
+pub(crate) mod controller;
 pub mod dedup;
 pub mod ids;
 pub mod images;

@@ -1,6 +1,6 @@
 //! Run metrics: everything the paper's tables and figures need.
 //!
-//! The [`MetricsCollector`] is layered on top of `medes-obs`: every
+//! The platform's collector is layered on top of `medes-obs`: every
 //! request it records is mirrored as a `medes.platform.request` span
 //! plus latency histograms, so an obs-enabled run yields a JSONL trace
 //! whose aggregates match the [`RunReport`] exactly.
@@ -17,8 +17,9 @@ pub enum StartType {
     Warm,
     /// Restored a dedup sandbox (a "dedup start").
     Dedup,
-    /// Spawned a new sandbox (a cold start; in Catalyzer mode this is a
-    /// snapshot restore, still counted as a cold start per §7.6).
+    /// Spawned a new sandbox (a cold start; under the Fig 13 Catalyzer
+    /// profiles its cost is a snapshot restore, still counted as a cold
+    /// start per §7.6).
     Cold,
 }
 
@@ -245,34 +246,38 @@ impl RunReport {
             self.sandboxes_deduped as f64 / self.sandboxes_spawned as f64
         }
     }
+}
 
-    /// Mean dedup-start latency per function, ms (Fig 8 input).
-    pub fn mean_restore_breakdown_ms(&self, func: usize) -> Option<(f64, f64, f64)> {
-        let s = self.dedup_stats.get(func)?;
-        if s.restores == 0 {
-            return None;
-        }
-        let (a, b, c) = s.mean_restore_us;
-        Some((a / 1e3, b / 1e3, c / 1e3))
-    }
+/// The platform events a run only counts: each is one field of the
+/// report and one `medes.platform.*` counter of the same meaning.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Tally {
+    /// A sandbox evicted under memory pressure.
+    Eviction,
+    /// A keep-alive / keep-dedup expiration.
+    Expiration,
+    NodeCrash,
+    NodeRestart,
+    VersionBump,
+    VersionPurge,
+    FallbackColdStart,
+    Rescheduled,
 }
 
 /// Builder that the platform drives while the simulation runs.
 #[derive(Debug)]
-pub struct MetricsCollector {
+pub(crate) struct MetricsCollector {
     /// The report under construction.
     pub report: RunReport,
     obs: Arc<Obs>,
+    /// The simulated instant of the event being handled: when the
+    /// memory and live-sandbox updates that follow take effect.
+    now: SimTime,
     mem: medes_sim::stats::TimeWeighted,
     live: medes_sim::stats::TimeWeighted,
 }
 
 impl MetricsCollector {
-    /// Creates a collector for the given functions (obs disabled).
-    pub fn new(functions: Vec<String>, mem_sample_every: SimDuration) -> Self {
-        Self::with_obs(functions, mem_sample_every, Obs::disabled())
-    }
-
     /// Creates a collector that mirrors everything it records into the
     /// given observability sink.
     pub fn with_obs(functions: Vec<String>, mem_sample_every: SimDuration, obs: Arc<Obs>) -> Self {
@@ -284,6 +289,7 @@ impl MetricsCollector {
                 ..Default::default()
             },
             obs,
+            now: SimTime::ZERO,
             mem: medes_sim::stats::TimeWeighted::new(mem_sample_every),
             live: medes_sim::stats::TimeWeighted::new(mem_sample_every),
         }
@@ -362,28 +368,41 @@ impl MetricsCollector {
         self.report.requests.push(rec);
     }
 
-    /// Records a pressure eviction.
-    pub fn push_eviction(&mut self) {
-        self.report.evictions += 1;
-        self.obs.incr("medes.platform.evictions");
+    /// Records one counted event.
+    pub fn count(&mut self, what: Tally) {
+        let r = &mut self.report;
+        let (field, counter) = match what {
+            Tally::Eviction => (&mut r.evictions, "medes.platform.evictions"),
+            Tally::Expiration => (&mut r.expirations, "medes.platform.expirations"),
+            Tally::NodeCrash => (&mut r.node_crashes, "medes.platform.node_crashes"),
+            Tally::NodeRestart => (&mut r.node_restarts, "medes.platform.node_restarts"),
+            Tally::VersionBump => (&mut r.version_bumps, "medes.platform.version_bumps"),
+            Tally::VersionPurge => (&mut r.version_purges, "medes.platform.version_purges"),
+            Tally::FallbackColdStart => (
+                &mut r.fallback_cold_starts,
+                "medes.platform.starts.fallback_cold",
+            ),
+            Tally::Rescheduled => (&mut r.rescheduled_requests, "medes.platform.rescheduled"),
+        };
+        *field += 1;
+        self.obs.incr(counter);
     }
 
-    /// Records a keep-alive / keep-dedup expiration.
-    pub fn push_expiration(&mut self) {
-        self.report.expirations += 1;
-        self.obs.incr("medes.platform.expirations");
+    /// Mirrors the simulated clock (like `Fabric::set_now`).
+    pub fn set_now(&mut self, now: SimTime) {
+        self.now = now;
     }
 
     /// Records a cluster memory usage change (paper bytes).
-    pub fn mem_update(&mut self, now: SimTime, paper_bytes: f64) {
-        self.mem.update(now, paper_bytes);
+    pub fn mem_update(&mut self, paper_bytes: f64) {
+        self.mem.update(self.now, paper_bytes);
         self.obs
             .gauge_set("medes.platform.mem_paper_bytes", paper_bytes);
     }
 
     /// Records a live-sandbox-count change.
-    pub fn live_update(&mut self, now: SimTime, count: f64) {
-        self.live.update(now, count);
+    pub fn live_update(&mut self, count: f64) {
+        self.live.update(self.now, count);
         self.obs.gauge_set("medes.platform.live_sandboxes", count);
     }
 
@@ -470,10 +489,15 @@ mod tests {
 
     #[test]
     fn collector_time_weighting() {
-        let mut c = MetricsCollector::new(vec!["A".into()], SimDuration::from_secs(1));
-        c.mem_update(SimTime::ZERO, 100.0);
-        c.mem_update(SimTime::from_secs(10), 200.0);
-        c.live_update(SimTime::ZERO, 1.0);
+        let mut c = MetricsCollector::with_obs(
+            vec!["A".into()],
+            SimDuration::from_secs(1),
+            Obs::disabled(),
+        );
+        c.mem_update(100.0);
+        c.live_update(1.0);
+        c.set_now(SimTime::from_secs(10));
+        c.mem_update(200.0);
         let r = c.finish(SimTime::from_secs(20));
         assert!((r.mem_mean_bytes - 150.0).abs() < 1e-9);
         assert!(!r.mem_series.is_empty());

@@ -116,6 +116,11 @@ impl BasePageCache {
         self.stats
     }
 
+    /// The base sandboxes the cached pages belong to, one item per page.
+    pub fn cached_sandboxes(&self) -> impl Iterator<Item = SandboxId> + '_ {
+        self.entries.keys().map(|&(sandbox, _)| sandbox)
+    }
+
     /// True when the cache holds bytes for `(sandbox, page)` (no LRU or
     /// stats side effects).
     pub fn contains(&self, sandbox: SandboxId, page: u32) -> bool {

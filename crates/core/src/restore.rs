@@ -22,6 +22,9 @@ use medes_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Patch application cost per (paper-scale) page.
+const PATCH_APPLY_PER_PAGE: SimDuration = SimDuration::from_micros(8);
+
 /// Wall-time breakdown of one restore (the dedup-start latency).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RestoreTiming {
@@ -275,9 +278,7 @@ pub fn restore_op_cached(
     Ok(RestoreOutcome {
         timing: RestoreTiming {
             base_read,
-            page_compute: cfg
-                .patch_apply_per_page
-                .mul_f64(patched as f64 * scale as f64),
+            page_compute: PATCH_APPLY_PER_PAGE.mul_f64(patched as f64 * scale as f64),
             ckpt_restore: ckpt.total(),
         },
         read_paper_bytes: distinct.len() * page_paper,

@@ -1,7 +1,12 @@
 //! Sandbox state and the Fig 4b lifecycle state machine.
 //!
-//! Besides its simulated state a [`Sandbox`] carries one piece of host
-//! memory, [`Sandbox::last_dedup`]: what its last dedup scan computed
+//! A `Sandbox` is plain data: the platform's `Lifecycle` is the only
+//! code that moves one between states, and what makes a sandbox a *base*
+//! (its pinned image, its reference count) lives with the platform's
+//! `Bases`, not here.
+//!
+//! Besides its simulated state a sandbox carries one piece of host
+//! memory, `Sandbox::last_dedup`: what its last dedup scan computed
 //! (page fingerprints, and per page the elected base page with the patch
 //! — or the rejection — that encoding against it gave). The next scan of
 //! the same sandbox reuses it instead of hashing and encoding again; see
@@ -15,7 +20,7 @@ use medes_sim::SimTime;
 
 /// Sandbox lifecycle states (Fig 4b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SandboxState {
+pub(crate) enum SandboxState {
     /// Being spawned (cold start in progress).
     Spawning,
     /// Executing a request.
@@ -155,8 +160,8 @@ pub struct DedupMemo {
     pub(crate) rejected: Vec<(u32, SandboxId, u32)>,
     /// The entries of the table that scan produced — a `Patched` entry
     /// is the remembered outcome of its page. Empty while that table is
-    /// still attached to the sandbox as [`Sandbox::dedup_table`]; filled
-    /// by [`DedupMemo::absorb`] when the table is released.
+    /// still attached to the sandbox as its `dedup_table`; filled by
+    /// [`DedupMemo::absorb`] when the table is released.
     pub(crate) entries: Vec<PageEntry>,
 }
 
@@ -240,7 +245,7 @@ impl DedupMemo {
 /// a content model that dirties pages between requests must bump an
 /// image epoch here and drop the memo with it.
 #[derive(Debug)]
-pub struct Sandbox {
+pub(crate) struct Sandbox {
     /// Unique id.
     pub id: SandboxId,
     /// The function it runs.
@@ -256,41 +261,36 @@ pub struct Sandbox {
     /// from an older version are purged once idle). Version 0 is the
     /// initial deployment.
     pub version: u64,
-    /// Last time the sandbox finished serving a request.
+    /// Last time the sandbox went idle (spawn time until then).
     pub last_used: SimTime,
-    /// Creation time.
-    pub created: SimTime,
     /// Timer epoch: bumped on every state change so stale timer events
     /// can be ignored.
     pub epoch: u64,
-    /// Whether this is a base sandbox (pinned warm; populates the
-    /// registry).
-    pub is_base: bool,
     /// Whether this sandbox has ever entered the dedup state (for the
     /// distinct-sandbox dedup-fraction metric).
     pub ever_deduped: bool,
-    /// Dedup sandboxes currently referencing this base sandbox.
-    pub refcount: u32,
     /// Dedup representation (present iff state ∈ {Dedup, Restoring}).
     pub dedup_table: Option<DedupPageTable>,
     /// What the last dedup scan of this sandbox computed (host memory
     /// only; `None` until the first scan, and while a scan holds it).
     pub last_dedup: Option<DedupMemo>,
-    /// Paper-scale bytes currently charged to the hosting node.
+    /// Paper-scale bytes currently charged to the hosting node (written
+    /// by the platform's `NodeMemory` only, together with the charge).
     pub mem_paper_bytes: usize,
     /// Total pages of the (model-scale) image.
     pub model_pages: usize,
 }
 
 impl Sandbox {
-    /// Creates a sandbox entering the `Spawning` state.
+    /// Creates a sandbox entering the `Spawning` state, with nothing
+    /// charged to its node yet.
     pub fn new(
         id: SandboxId,
         func: FnId,
         node: NodeId,
         instance_seed: u64,
+        version: u64,
         now: SimTime,
-        mem_paper_bytes: usize,
         model_pages: usize,
     ) -> Self {
         Sandbox {
@@ -299,26 +299,15 @@ impl Sandbox {
             node,
             state: SandboxState::Spawning,
             instance_seed,
-            version: 0,
+            version,
             last_used: now,
-            created: now,
             epoch: 0,
-            is_base: false,
             ever_deduped: false,
-            refcount: 0,
             dedup_table: None,
             last_dedup: None,
-            mem_paper_bytes,
+            mem_paper_bytes: 0,
             model_pages,
         }
-    }
-
-    /// Sets the content version (builder style; used at spawn time so
-    /// [`Sandbox::new`] keeps its legacy arity).
-    #[must_use]
-    pub fn with_version(mut self, version: u64) -> Self {
-        self.version = version;
-        self
     }
 
     /// Transitions the state machine, bumping the timer epoch.
@@ -387,6 +376,11 @@ impl SandboxTable {
     pub(crate) fn len(&self) -> usize {
         self.live
     }
+
+    /// The live sandboxes, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Sandbox> {
+        self.slots.iter().flatten()
+    }
 }
 
 impl std::ops::Index<&SandboxId> for SandboxTable {
@@ -403,15 +397,7 @@ mod tests {
     use medes_delta::Patch;
 
     fn sandbox() -> Sandbox {
-        Sandbox::new(
-            SandboxId(1),
-            FnId(0),
-            NodeId(0),
-            42,
-            SimTime::ZERO,
-            17 << 20,
-            64,
-        )
+        Sandbox::new(SandboxId(1), FnId(0), NodeId(0), 42, 0, SimTime::ZERO, 64)
     }
 
     #[test]
@@ -567,8 +553,8 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert!(!t.contains_key(&SandboxId(3)) && !t.contains_key(&SandboxId(4)));
         assert_eq!(t[&SandboxId(5)].id, SandboxId(5));
-        t.get_mut(&SandboxId(1)).unwrap().refcount = 9;
-        assert_eq!(t.remove(&SandboxId(1)).unwrap().refcount, 9);
+        t.get_mut(&SandboxId(1)).unwrap().epoch = 9;
+        assert_eq!(t.remove(&SandboxId(1)).unwrap().epoch, 9);
         assert_eq!(t.len(), 3);
         // A stale id keeps naming an empty slot, whatever is spawned later.
         t.insert(SandboxId(6), at(6));

@@ -246,11 +246,6 @@ impl Fabric {
         self.faults = Some(schedule);
     }
 
-    /// True when a fault schedule is installed.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// Advances the fabric's notion of the current simulated time, used
     /// to evaluate fault windows. A no-op concern without faults.
     pub fn set_now(&mut self, now: SimTime) {
@@ -644,7 +639,7 @@ impl Fabric {
 
     /// Fault gate for the dedup agent's fingerprint RPC to the
     /// controller. The RPC's *cost* is part of the platform's
-    /// `lookup_per_page` model, so this returns only the **extra**
+    /// per-page lookup model, so this returns only the **extra**
     /// fault-induced delay: `ZERO` without faults (no side effects at
     /// all), the accumulated retry delay when drops occur, or the final
     /// error once the policy is exhausted.

@@ -102,14 +102,6 @@ impl Json {
         }
     }
 
-    /// Borrows as `bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Borrows as `f64`.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -134,11 +134,6 @@ impl<W: World> Simulation<W> {
         &self.world
     }
 
-    /// Mutable access to the world (for setup/teardown between runs).
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
     /// Consumes the simulation and returns the world.
     pub fn into_world(self) -> W {
         self.world

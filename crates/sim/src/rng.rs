@@ -90,11 +90,6 @@ impl DetRng {
         result
     }
 
-    /// Next random `u32`.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Next random byte.
     pub fn next_u8(&mut self) -> u8 {
         (self.next_u64() >> 56) as u8
