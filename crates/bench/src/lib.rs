@@ -1,7 +1,8 @@
 //! # medes-bench — the experiment harness
 //!
 //! One experiment per table and figure in the paper's evaluation
-//! (§2 and §7). Run them with:
+//! (§2 and §7), plus two sweeps EXPERIMENTS.md reports beside them
+//! (`chaos`, `scenarios`). Run them with:
 //!
 //! ```text
 //! cargo run --release -p medes-bench --bin experiments -- <id> [--quick]
@@ -9,9 +10,17 @@
 //! ```
 //!
 //! Each experiment prints the same rows/series the paper reports, next
-//! to the paper's reference values, and appends a machine-readable JSON
-//! record to `results/<id>.json`. The `--quick` flag shrinks workloads
-//! for smoke testing (used by the integration tests).
+//! to the paper's reference values, and writes a machine-readable,
+//! byte-reproducible JSON record to `results/<id>.json`. The `--quick`
+//! flag shrinks workloads for smoke testing (used by the integration
+//! tests).
+//!
+//! An experiment produces numbers. A property that must merely hold —
+//! reports invariant under shards, workers, registry placement and
+//! telemetry; the cache's benefit; bounded streaming; slow-node
+//! attribution — is asserted by a test, in the root `tests/` and in
+//! this crate's `tests/` (EXPERIMENTS.md, "Gates that live in tests"),
+//! not by an experiment id.
 //!
 //! Host-time measurement is not this crate's job. What a run costs end
 //! to end and per layer (SHA-1, fingerprint scan, delta encode/apply,

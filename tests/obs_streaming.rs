@@ -1,6 +1,7 @@
 //! Cross-crate tests for the streaming span sink and the sim-time
 //! series sampler (DESIGN.md §12): turning both fully on must leave
-//! the `RunReport` byte-identical, the streamed trace on disk must be
+//! the `RunReport` byte-identical, span memory must stay bounded by a
+//! ring far smaller than the trace while the streamed trace on disk is
 //! complete with exact drop accounting, and the streamed file must
 //! match a buffered export byte-for-byte when the ring never
 //! overflows.
@@ -59,10 +60,14 @@ fn streamed_config(dir: &Path, tag: &str, sample_ms: u64) -> PlatformConfig {
     cfg
 }
 
+/// Deliberately tiny ring: the workload streams four times this
+/// many spans, so the bound and the drop accounting are exercised.
+const RING_CAP: usize = 128;
+
 /// Streaming spans to disk and sampling time series every 500 sim-ms
-/// must not move a single byte of the `RunReport`; the disk trace must
-/// hold every streamed span and the series must be strictly
-/// time-ordered.
+/// must not move a single byte of the `RunReport`; the ring bounds span
+/// memory while the disk trace holds every streamed span, and the
+/// series must be strictly time-ordered.
 #[test]
 fn streaming_and_sampling_do_not_perturb_the_run() {
     let (suite, trace) = workload();
@@ -71,13 +76,25 @@ fn streaming_and_sampling_do_not_perturb_the_run() {
     let plain = Platform::new(plain_cfg, suite.clone()).run(&trace).report;
 
     let dir = scratch_dir("stream");
-    let outcome = Platform::new(streamed_config(&dir, "it-stream", 500), suite).run(&trace);
+    let mut streamed_cfg = streamed_config(&dir, "it-stream", 500);
+    streamed_cfg.obs.span_buffer_cap = RING_CAP;
+    let outcome = Platform::new(streamed_cfg, suite).run(&trace);
     assert_eq!(
         plain, outcome.report,
         "streaming + sampling must not perturb the simulation"
     );
 
     let obs = &outcome.obs;
+    assert!(
+        obs.span_count() <= RING_CAP,
+        "ring exceeded its cap: {} > {RING_CAP}",
+        obs.span_count()
+    );
+    assert!(
+        obs.spans_streamed() > RING_CAP as u64,
+        "workload too small to overflow the ring ({} spans)",
+        obs.spans_streamed()
+    );
     assert_eq!(
         obs.spans_streamed(),
         obs.span_count() as u64 + obs.spans_dropped(),
@@ -94,7 +111,11 @@ fn streaming_and_sampling_do_not_perturb_the_run() {
     let ts_text = std::fs::read_to_string(trace_path.with_extension("timeseries.jsonl"))
         .expect("timeseries exported next to the trace");
     let series = parse_timeseries(&ts_text);
-    assert!(!series.is_empty(), "sampler must have produced series");
+    assert!(
+        series.len() >= 6,
+        "sampler exported only {} series",
+        series.len()
+    );
     for s in &series {
         assert!(
             s.points.windows(2).all(|w| w[0].0 < w[1].0),
@@ -121,7 +142,11 @@ fn streamed_file_matches_buffered_export() {
     let mut oc = ObsConfig::enabled().tagged("it-bytes-b");
     oc.set_export_dir(dir.clone());
     buffered_cfg.obs = oc;
-    Platform::new(buffered_cfg, suite).run(&trace);
+    let buffered = Platform::new(buffered_cfg, suite).run(&trace);
+    assert_eq!(
+        streamed.report, buffered.report,
+        "two label-off traced runs must produce identical reports"
+    );
 
     let s = std::fs::read(find_trace(&dir, "it-bytes-s")).expect("streamed file");
     let b = std::fs::read(find_trace(&dir, "it-bytes-b")).expect("buffered file");

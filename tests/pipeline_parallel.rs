@@ -8,7 +8,9 @@
 //! here as a diverged report. Beside the report, the host-work counts
 //! of the scans (`RunOutcome::dedup_work`: pages fingerprinted, encoded,
 //! reused from a sandbox's last scan) must be identical too: a memo
-//! moves into whichever worker scans its sandbox.
+//! moves into whichever worker scans its sandbox. The one host-time
+//! claim — parallel scans beat serial ones — is `#[ignore]`d: CI runs
+//! it in `--release` with `-- --ignored`.
 
 use medes::platform::config::{DedupPipelineConfig, PlatformConfig, PolicyKind};
 use medes::platform::dedup::ScanWork;
@@ -121,6 +123,17 @@ fn report_is_invariant_across_shards_and_workers() {
             reference.0.dedup_batches > 0,
             "seed {seed}: the pipeline must form batches"
         );
+        assert!(
+            reference.0.dedup_batch_peak >= 2,
+            "seed {seed}: the flush interval never accumulated a multi-sandbox batch (peak {})",
+            reference.0.dedup_batch_peak
+        );
+        // The reference must replay before anything compares against it.
+        assert_eq!(
+            run_grid_point(1, 1, seed, None),
+            reference,
+            "seed {seed}: the serial run must be deterministic"
+        );
         // Sandboxes are scanned more than once, so workers also run
         // scans that reuse a sandbox's last one — and must count the
         // same work as the serial run.
@@ -181,4 +194,59 @@ fn oversized_worker_pool_is_harmless() {
     let reference = run_grid_point(1, 1, seed, None);
     let r = run_grid_point(4, 64, seed, None);
     assert_eq!(r, reference, "64-worker run diverged");
+}
+
+/// The host-time gate: at 16 shards, 8 scan workers must beat 1 on
+/// scan-phase wall time (`RunOutcome::dedup_scan_wall_us`, kept out of
+/// the report and of every obs export). The grid above cannot show it —
+/// its batches hold one or two sandboxes — so this is the harness's
+/// full-scale fig7 cluster (12 nodes x 192 MiB, all ten functions,
+/// 1800 s, P1 with a 2 s idle period: 32 batches, 30 sandboxes at the
+/// peak) on images four times heavier than the harness builds, so chunk
+/// hashing rather than thread spawn is what is timed. Best of three per
+/// side: a shared runner is noisy and the claim is a structural
+/// speedup, not a lucky one.
+#[test]
+#[ignore = "host-time gate"]
+fn parallel_scans_beat_serial_on_a_multicore_host() {
+    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if hw < 2 {
+        eprintln!("single-core host: no parallel speed-up to measure, skipped");
+        return;
+    }
+    let suite = functionbench_suite();
+    let names: Vec<String> = suite.iter().map(|p| p.name.clone()).collect();
+    let trace = azure_like_trace(
+        &names,
+        &TraceGenConfig {
+            duration_secs: 1800,
+            scale: 5.0,
+            ..Default::default()
+        },
+    );
+    let best_of_three = |workers: usize| -> u64 {
+        let mut cfg = pipelined_config(16, workers);
+        cfg.nodes = 12;
+        cfg.node_mem_bytes = 192 << 20;
+        cfg.mem_scale = 128 / 4;
+        if let PolicyKind::Medes(m) = &mut cfg.policy {
+            m.idle_period = SimDuration::from_secs(2);
+            m.objective = Objective::LatencyTarget { alpha: 2.5 };
+        }
+        (0..3)
+            .map(|_| {
+                Platform::new(cfg.clone(), suite.clone())
+                    .run(&trace)
+                    .dedup_scan_wall_us
+            })
+            .min()
+            .expect("three runs")
+    };
+    let (ser_us, par_us) = (best_of_three(1), best_of_three(8));
+    assert!(ser_us > 0, "serial scan wall time was not measured");
+    assert!(
+        par_us < ser_us,
+        "parallel dedup scans must beat serial on a {hw}-core host \
+         ({par_us} us at 8 workers vs {ser_us} us at 1)"
+    );
 }

@@ -7,11 +7,13 @@
 //! chaos-style configurations) must produce bit-identical `RunReport`s
 //! with the registry distributed over 1, 4, and 12 owner nodes — and
 //! crash runs, a full outage included, must end with zero registry
-//! state tied to dead nodes.
+//! state tied to dead nodes. What placement does change is counted:
+//! the obs counters must show routed RPC traffic at every placement
+//! and none in process.
 
 use medes::hash::sample::{page_fingerprint, FingerprintConfig};
 use medes::net::{NetConfig, RetryPolicy};
-use medes::obs::Obs;
+use medes::obs::{Obs, ObsConfig};
 use medes::platform::config::{PlatformConfig, PolicyKind, RegistryPlacement};
 use medes::platform::ids::{NodeId, SandboxId};
 use medes::platform::registry::{ChunkLoc, RegistryClient};
@@ -180,9 +182,12 @@ fn trace(secs: u64, seed: u64, scale: f64) -> Trace {
 }
 
 /// A 12-node pressured cluster, so the 12-owner placement is legal and
-/// the Medes policy dedups enough to populate the registry.
+/// the Medes policy dedups enough to populate the registry. Obs is on
+/// (reports are obs-invariant) so the RPC-traffic gates can read the
+/// registry counters.
 fn cluster_config() -> PlatformConfig {
     let mut cfg = PlatformConfig::small_test();
+    cfg.obs = ObsConfig::enabled();
     cfg.nodes = 12;
     cfg.node_mem_bytes = 128 << 20;
     cfg.pipeline.shards = 16;
@@ -193,13 +198,20 @@ fn cluster_config() -> PlatformConfig {
 }
 
 /// Runs one configuration at every registry placement and asserts the
-/// reports are bit-identical; returns the reference outcome's report
-/// for scenario-level assertions.
+/// reports are bit-identical while the registry counters show real
+/// routed traffic — placement decides where registry RPCs go, never
+/// what the registry answers; returns the reference outcome for
+/// scenario-level assertions.
 fn assert_placement_invariant(
     base: PlatformConfig,
     t: &Trace,
 ) -> medes::platform::platform::RunOutcome {
     let reference = Platform::new(base.clone(), suite()).run(t);
+    assert_eq!(
+        reference.obs.counter("medes.net.registry.rpcs"),
+        0,
+        "the in-process registry must issue no registry RPCs"
+    );
     for owners in [1usize, 4, 12] {
         let mut cfg = base.clone();
         cfg.registry = RegistryPlacement::Distributed { owners };
@@ -209,6 +221,37 @@ fn assert_placement_invariant(
             "report diverged at {owners} owners"
         );
         assert_eq!(outcome.report.registry_dead_node_locs, 0);
+        let count = |name: &str| outcome.obs.counter(name);
+        let rpcs = count("medes.net.registry.rpcs");
+        assert!(rpcs > 0, "{owners} owners: no registry RPCs issued");
+        assert!(
+            count("medes.net.registry.rpc_bytes") > 0,
+            "{owners} owners: registry RPCs moved no bytes"
+        );
+        assert_eq!(
+            count("medes.registry.rpc_total"),
+            rpcs,
+            "{owners} owners: fabric totals must agree with the live counters"
+        );
+        assert!(
+            count("medes.net.registry.lookup_rpcs") > 0
+                && count("medes.net.registry.insert_rpcs") > 0,
+            "{owners} owners: both lookup and insert traffic must be routed"
+        );
+        assert_eq!(
+            count("medes.registry.dead_owner_entries"),
+            0,
+            "{owners} owners: entries left in shards owned by dead nodes"
+        );
+        // When every node owns shards any crash hits an owner, and
+        // must re-demarcate at least one shard onto a survivor.
+        if owners == base.nodes {
+            assert_eq!(
+                count("medes.registry.shards_reassigned") > 0,
+                outcome.report.node_crashes > 0,
+                "shards are re-demarcated exactly when an owner crashed"
+            );
+        }
     }
     reference
 }

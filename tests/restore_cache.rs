@@ -114,11 +114,30 @@ fn cached_config(page_cache_bytes: usize) -> PlatformConfig {
     cfg
 }
 
-fn run_cached(plan: &FaultPlan) -> RunReport {
+fn run_with_cache(page_cache_bytes: usize, plan: &FaultPlan) -> RunReport {
     let (suite, trace) = pressured_trace(600);
-    let mut cfg = cached_config(32 << 20);
+    let mut cfg = cached_config(page_cache_bytes);
     cfg.faults = plan.clone();
     Platform::new(cfg, suite).run(&trace).report
+}
+
+fn run_cached(plan: &FaultPlan) -> RunReport {
+    run_with_cache(32 << 20, plan)
+}
+
+/// Restore count and restore-count-weighted mean restore time (us):
+/// each function's mean base-read + patch + checkpoint-restore time.
+fn restores_and_mean_us(r: &RunReport) -> (u64, f64) {
+    let n: u64 = r.dedup_stats.iter().map(|s| s.restores).sum();
+    let total_us: f64 = r
+        .dedup_stats
+        .iter()
+        .map(|s| {
+            let (base, patch, ckpt) = s.mean_restore_us;
+            s.restores as f64 * (base + patch + ckpt)
+        })
+        .sum();
+    (n, total_us / n.max(1) as f64)
 }
 
 /// Repeat restores on the same node must be served from the cache, and
@@ -141,6 +160,31 @@ fn pressured_run_hits_cache_and_serves_correct_bytes() {
     assert!(
         report.cache_invalidations > 0,
         "base purges must invalidate cached pages"
+    );
+
+    // What the cache buys, against the same run without one: node
+    // memory is large against the cache (1 GiB vs 32 MiB), so the
+    // cache trades nothing for its bytes and must win on both axes.
+    let uncached = run_with_cache(0, &FaultPlan::default());
+    assert_eq!(
+        uncached.cache_hits + uncached.cache_misses,
+        0,
+        "capacity 0 is no cache"
+    );
+    let ((n, mean_us), (n0, mean0_us)) = (
+        restores_and_mean_us(&report),
+        restores_and_mean_us(&uncached),
+    );
+    assert!(n > 0 && n0 > 0, "both runs need restores to compare");
+    assert!(
+        mean_us <= mean0_us,
+        "cached mean restore time must not exceed uncached ({mean_us} us vs {mean0_us} us)"
+    );
+    assert!(
+        report.rdma_bytes < uncached.rdma_bytes,
+        "the cached run must move fewer RDMA bytes ({} vs {})",
+        report.rdma_bytes,
+        uncached.rdma_bytes
     );
 }
 
