@@ -1,22 +1,21 @@
-//! `trace analyze`: causal-tree reconstruction and critical-path
-//! profiling of a JSONL span trace exported by `medes-obs`.
+//! Causal trees: the forest every `trace report` section reads self
+//! times and critical paths from, and the report's operations section.
 //!
-//! Where `trace summarize` aggregates spans *by name*, this module
-//! uses the `trace_id`/`span_id`/`parent_id` fields to rebuild each
-//! operation's **tree** — request → restore op → {base read → cache,
-//! retries; page compute; ckpt → CRIU resume} — and then answers the
-//! questions a flat breakdown cannot:
+//! The `trace_id`/`span_id`/`parent_id` fields rebuild each operation's
+//! **tree** — request → restore op → {base read → cache, retries; page
+//! compute; ckpt → CRIU resume} — which answers what grouping spans by
+//! name cannot:
 //!
 //! * **critical path** per operation: the chain of last-ending spans
 //!   from the root down, i.e. what actually gated completion;
-//! * **self time** per phase: a span's duration minus the union of its
-//!   children's intervals — time attributable to the phase itself.
-//!   Because the platform's phase spans tile their parent exactly, the
-//!   self times of a tree sum to its root's duration;
+//! * **self time** per span: its duration minus the union of its
+//!   children's intervals. Because the platform's phase spans tile
+//!   their parent exactly, the self times of a tree sum to its root's
+//!   duration;
 //! * **folded stacks**: `root;child;...;leaf self_us` lines, the input
 //!   format of standard flamegraph renderers;
-//! * **anomalies**: roots whose duration exceeds `k ×` the p99 of
-//!   their kind — the ops worth pulling up individually.
+//! * **anomalies**: roots whose duration exceeds [`ANOMALY_K`]` ×` the
+//!   p99 of their kind — the ops worth pulling up individually.
 //!
 //! Spans whose parent never made it into the buffer (head-sampling of
 //! an enclosing op, eviction, or a fault-aborted op that skipped its
@@ -24,29 +23,35 @@
 //! dropped, so a truncated trace still analyzes.
 
 use crate::report::{f, Report};
-use medes_obs::{parse_jsonl, ParsedSpan};
-use medes_sim::stats::Percentiles;
+use crate::trace::{fmt_attr, percentiles, TOP};
+use medes_obs::ParsedSpan;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
+
+/// A root slower than this multiple of its kind's p99 is anomalous.
+const ANOMALY_K: f64 = 2.0;
 
 /// One reconstructed causal tree (all spans sharing a `trace_id`).
 #[derive(Debug)]
 pub struct TraceTree {
     /// The shared trace id.
     pub trace_id: u64,
-    /// Indices (into the forest's span slice) of this trace's roots:
-    /// spans with no parent, plus orphans promoted to roots. Sorted by
+    /// Indices (into the forest's spans) of this trace's roots: spans
+    /// with no parent, plus orphans promoted to roots. Sorted by
     /// `(start_us, end_us, name)`.
     pub roots: Vec<usize>,
 }
 
-/// A forest of causal trees over one parsed span slice.
+/// A trace's spans and the causal trees over them.
 #[derive(Debug)]
 pub struct Forest {
+    /// Every span, in file order.
+    pub spans: Vec<ParsedSpan>,
     /// Trees sorted by first root start time (ties: trace id).
     pub trees: Vec<TraceTree>,
     /// `children[i]` = indices of the spans parented under span `i`,
     /// sorted by `(start_us, end_us, name)`.
-    children: Vec<Vec<usize>>,
+    pub children: Vec<Vec<usize>>,
     /// Spans with `trace_id == 0` (untraced flat records), excluded
     /// from every tree.
     pub untraced: usize,
@@ -57,79 +62,52 @@ impl Forest {
     /// span in the trace) become roots; a duplicate span id keeps the
     /// first occurrence as the parent target (later duplicates still
     /// appear as nodes).
-    pub fn build(spans: &[ParsedSpan]) -> Forest {
+    pub fn build(spans: Vec<ParsedSpan>) -> Forest {
+        let traced = || spans.iter().enumerate().filter(|(_, s)| s.trace_id != 0);
+        let mut by_id: HashMap<(u64, u64), usize> = HashMap::new();
+        for (i, s) in traced() {
+            by_id.entry((s.trace_id, s.span_id)).or_insert(i);
+        }
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
-        let mut by_trace: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        let mut untraced = 0usize;
-        for (i, s) in spans.iter().enumerate() {
-            if s.trace_id == 0 {
-                untraced += 1;
-                continue;
+        let mut roots: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, s) in traced() {
+            match by_id.get(&(s.trace_id, s.parent_id)) {
+                Some(&p) if s.parent_id != 0 && p != i => children[p].push(i),
+                _ => roots.entry(s.trace_id).or_default().push(i),
             }
-            by_trace.entry(s.trace_id).or_default().push(i);
         }
         let order = |&a: &usize, &b: &usize| {
             let (x, y) = (&spans[a], &spans[b]);
             (x.start_us, x.end_us, &x.name).cmp(&(y.start_us, y.end_us, &y.name))
         };
-        let mut trees: Vec<TraceTree> = Vec::with_capacity(by_trace.len());
-        for (trace_id, members) in by_trace {
-            let mut by_id: HashMap<u64, usize> = HashMap::with_capacity(members.len());
-            for &i in &members {
-                by_id.entry(spans[i].span_id).or_insert(i);
-            }
-            let mut roots = Vec::new();
-            for &i in &members {
-                let p = spans[i].parent_id;
-                match by_id.get(&p) {
-                    Some(&pi) if p != 0 && pi != i => children[pi].push(i),
-                    _ => roots.push(i),
-                }
-            }
-            roots.sort_by(order);
-            trees.push(TraceTree { trace_id, roots });
-        }
-        for c in &mut children {
-            c.sort_by(order);
-        }
-        trees.sort_by_key(|t| {
-            (
-                t.roots.first().map(|&r| spans[r].start_us).unwrap_or(0),
-                t.trace_id,
-            )
-        });
+        children.iter_mut().for_each(|c| c.sort_by(order));
+        let mut trees: Vec<TraceTree> = roots
+            .into_iter()
+            .map(|(trace_id, mut roots)| {
+                roots.sort_by(order);
+                TraceTree { trace_id, roots }
+            })
+            .collect();
+        trees.sort_by_key(|t| (spans[t.roots[0]].start_us, t.trace_id));
+        let untraced = spans.iter().filter(|s| s.trace_id == 0).count();
         Forest {
+            spans,
             trees,
             children,
             untraced,
         }
     }
 
-    /// The children of span `i`, in start order.
-    pub fn children(&self, i: usize) -> &[usize] {
-        &self.children[i]
-    }
-
     /// Self time of span `i`: its duration minus the union of its
     /// children's intervals (clipped to the span). Time spent in a
     /// phase itself, as opposed to waiting on sub-phases.
-    pub fn self_time_us(&self, spans: &[ParsedSpan], i: usize) -> u64 {
-        let s = &spans[i];
-        let mut ivs: Vec<(u64, u64)> = self.children[i]
-            .iter()
-            .map(|&c| {
-                (
-                    spans[c].start_us.max(s.start_us),
-                    spans[c].end_us.min(s.end_us),
-                )
-            })
-            .filter(|&(a, b)| b > a)
-            .collect();
-        ivs.sort_unstable();
-        let mut covered = 0u64;
-        let mut cursor = s.start_us;
-        for (a, b) in ivs {
-            let a = a.max(cursor);
+    pub fn self_time_us(&self, i: usize) -> u64 {
+        let s = &self.spans[i];
+        let (mut covered, mut cursor) = (0, s.start_us);
+        // Children are in start order, so one sweep merges their
+        // intervals.
+        for c in self.children[i].iter().map(|&c| &self.spans[c]) {
+            let (a, b) = (c.start_us.max(cursor), c.end_us.min(s.end_us));
             if b > a {
                 covered += b - a;
                 cursor = b;
@@ -138,262 +116,145 @@ impl Forest {
         s.dur_us().saturating_sub(covered)
     }
 
-    /// The critical path from root `i` down: at every node, descend
+    /// Sum of self times over the whole tree rooted at `r` — equals the
+    /// root's duration when every level's children tile their parent.
+    pub fn tree_self_sum(&self, r: usize) -> u64 {
+        let mut sum = 0u64;
+        let mut stack = vec![r];
+        while let Some(i) = stack.pop() {
+            sum += self.self_time_us(i);
+            stack.extend_from_slice(&self.children[i]);
+        }
+        sum
+    }
+
+    /// The critical path from span `i` down: at every node, descend
     /// into the **last-ending** child (ties: later start, then name) —
     /// the chain of spans that gated the operation's completion.
-    /// Always non-empty (contains at least the root).
-    pub fn critical_path(&self, spans: &[ParsedSpan], i: usize) -> Vec<usize> {
+    /// Always non-empty (contains at least `i`).
+    pub fn critical_path(&self, mut i: usize) -> Vec<usize> {
         let mut path = vec![i];
-        let mut cur = i;
-        while let Some(&next) = self.children[cur].iter().max_by(|&&a, &&b| {
-            let (x, y) = (&spans[a], &spans[b]);
-            (x.end_us, x.start_us, &x.name).cmp(&(y.end_us, y.start_us, &y.name))
-        }) {
+        let last_ending = |c: &&usize| {
+            let s = &self.spans[**c];
+            (s.end_us, s.start_us, &s.name)
+        };
+        while let Some(&next) = self.children[i].iter().max_by_key(last_ending) {
             path.push(next);
-            cur = next;
+            i = next;
         }
         path
     }
 
-    /// Folded-stack lines (`root;child;…;leaf self_us`), aggregated
-    /// over every tree — the input format of flamegraph renderers.
-    /// Deterministically sorted by stack string.
-    pub fn folded_stacks(&self, spans: &[ParsedSpan]) -> BTreeMap<String, u64> {
+    /// Folded-stack lines (`root;child;…;leaf self_us\n`), aggregated
+    /// over every tree and sorted by stack — the input format of
+    /// flamegraph renderers. Zero-self-time stacks are left out.
+    pub fn folded_stacks(&self) -> String {
         let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-        for tree in &self.trees {
-            for &root in &tree.roots {
-                let mut stack: Vec<usize> = vec![root];
-                // Iterative DFS carrying the name path.
-                let mut path: Vec<&str> = Vec::new();
-                let mut depth: Vec<usize> = vec![0];
-                while let Some(i) = stack.pop() {
-                    let d = depth.pop().expect("depth tracks stack");
-                    path.truncate(d);
-                    path.push(&spans[i].name);
-                    let self_us = self.self_time_us(spans, i);
-                    if self_us > 0 {
-                        *folded.entry(path.join(";")).or_default() += self_us;
-                    }
-                    // Push in reverse so children pop in start order.
-                    for &c in self.children[i].iter().rev() {
-                        stack.push(c);
-                        depth.push(d + 1);
-                    }
+        // Iterative DFS carrying each node's depth, so `path` is the
+        // name chain from the root.
+        let mut stack: Vec<(usize, usize)> = Vec::new();
+        let mut path: Vec<&str> = Vec::new();
+        for &root in self.trees.iter().flat_map(|t| &t.roots) {
+            stack.push((root, 0));
+            while let Some((i, depth)) = stack.pop() {
+                path.truncate(depth);
+                path.push(&self.spans[i].name);
+                let self_us = self.self_time_us(i);
+                if self_us > 0 {
+                    *folded.entry(path.join(";")).or_default() += self_us;
                 }
+                // Push in reverse so children pop in start order.
+                stack.extend(self.children[i].iter().rev().map(|&c| (c, depth + 1)));
             }
         }
-        folded
+        folded.iter().map(|(s, us)| format!("{s} {us}\n")).collect()
+    }
+
+    /// Tree roots grouped by span name.
+    fn roots_by_name(&self) -> BTreeMap<&str, Vec<usize>> {
+        let mut kinds: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for &r in self.trees.iter().flat_map(|t| &t.roots) {
+            kinds.entry(&self.spans[r].name).or_default().push(r);
+        }
+        kinds
     }
 }
 
-/// One root span flagged as anomalous: slower than `k ×` the p99 of
-/// roots sharing its name.
-#[derive(Debug)]
-pub struct Anomaly {
-    /// Index of the root span.
-    pub root: usize,
-    /// Its duration, µs.
-    pub dur_us: u64,
-    /// The p99 duration of roots with the same name, µs.
-    pub p99_us: f64,
+/// The critical path from span `root` as a table, one row per span,
+/// indented by depth — the one renderer of the operations and
+/// attribution sections.
+pub(crate) fn critical_path_table(report: &mut Report, forest: &Forest, root: usize) {
+    let rows = forest
+        .critical_path(root)
+        .into_iter()
+        .enumerate()
+        .map(|(depth, i)| {
+            let s = &forest.spans[i];
+            let mut row = vec![format!("{}{}", "  ".repeat(depth), s.name)];
+            row.extend([s.start_us, s.dur_us(), forest.self_time_us(i)].map(|n| n.to_string()));
+            row
+        });
+    report.table(&["phase", "start_us", "dur_us", "self_us"], rows);
 }
 
-/// Flags anomalous roots across the forest (duration `> k × p99` of
-/// same-named roots). With fewer than 10 samples of a name the p99 is
-/// too noisy to flag against, so those names are skipped.
-pub fn anomalies(forest: &Forest, spans: &[ParsedSpan], k: f64) -> Vec<Anomaly> {
-    let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for t in &forest.trees {
-        for &r in &t.roots {
-            by_name.entry(&spans[r].name).or_default().push(r);
-        }
-    }
-    let mut out = Vec::new();
-    for roots in by_name.values() {
-        if roots.len() < 10 {
-            continue;
-        }
-        let mut pct = Percentiles::new();
-        for &r in roots {
-            pct.record(spans[r].dur_us() as f64);
-        }
-        let p99 = pct.quantile(0.99).unwrap_or(0.0);
-        for &r in roots {
-            if spans[r].dur_us() as f64 > k * p99 {
-                out.push(Anomaly {
-                    root: r,
-                    dur_us: spans[r].dur_us(),
-                    p99_us: p99,
-                });
-            }
-        }
-    }
-    out.sort_by(|a, b| b.dur_us.cmp(&a.dur_us).then(a.root.cmp(&b.root)));
-    out
-}
-
-fn fmt_attr(span: &ParsedSpan, key: &str) -> String {
-    span.attr(key)
-        .map(|v| match v.as_str() {
-            Some(t) => t.to_string(),
-            None => v.to_string(),
-        })
-        .unwrap_or_else(|| "-".to_string())
-}
-
-/// Builds the analysis report for one JSONL trace, returning it with
-/// the folded-stacks text (one `stack self_us` line per stack).
-pub fn analyze(trace_name: &str, contents: &str, anomaly_k: f64, top: usize) -> (Report, String) {
-    let spans = parse_jsonl(contents);
-    let forest = Forest::build(&spans);
-    let mut report = Report::new("trace-analyze", trace_name);
-    report.line(&format!(
-        "{} spans, {} untraced, {} causal trees",
-        spans.len(),
-        forest.untraced,
-        forest.trees.len()
-    ));
-    report.json_set("spans", medes_obs::json!(spans.len()));
-    report.json_set("trees", medes_obs::json!(forest.trees.len()));
-
-    // Per-root-kind overview: count, mean/p99 duration, and how much
-    // of the root's time the tree's self-times account for (1.0 when
-    // phases tile their parents exactly).
-    let mut kinds: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-    for t in &forest.trees {
-        for &r in &t.roots {
-            kinds.entry(&spans[r].name).or_default().push(r);
-        }
-    }
+/// The operations section: per root kind, count, mean/p99 duration and
+/// how much of the roots' time their trees' self times account for
+/// (1.0 when phases tile their parents exactly); the critical path of
+/// each kind's slowest instance; and the anomalies — roots slower than
+/// [`ANOMALY_K`]` ×` their kind's p99, among kinds with at least 10
+/// roots (fewer make too noisy a p99 to flag against).
+pub(crate) fn operations(report: &mut Report, forest: &Forest) {
+    let dur = |r: usize| forest.spans[r].dur_us();
+    let (mut rows, mut anomalies) = (Vec::new(), Vec::new());
     report.section("operations (tree roots)");
-    let rows: Vec<Vec<String>> = kinds
-        .iter()
-        .map(|(name, roots)| {
-            let mut pct = Percentiles::new();
-            let mut total = 0u64;
-            let mut accounted = 0u64;
-            for &r in roots {
-                pct.record(spans[r].dur_us() as f64);
-                total += spans[r].dur_us();
-                accounted += tree_self_sum(&forest, &spans, r);
-            }
-            vec![
-                name.to_string(),
-                roots.len().to_string(),
-                f(total as f64 / roots.len() as f64, 1),
-                f(pct.quantile(0.99).unwrap_or(0.0), 1),
-                f(accounted as f64 / (total.max(1)) as f64, 3),
-            ]
-        })
-        .collect();
-    report.table(
-        &["op", "count", "mean_us", "p99_us", "self_coverage"],
-        &rows,
-    );
+    for (name, roots) in forest.roots_by_name() {
+        let total: u64 = roots.iter().map(|&r| dur(r)).sum();
+        let accounted: u64 = roots.iter().map(|&r| forest.tree_self_sum(r)).sum();
+        let p99 = percentiles(roots.iter().map(|&r| dur(r) as f64)).quantile(0.99);
+        let p99 = p99.unwrap_or(0.0);
+        rows.push([
+            name.to_string(),
+            roots.len().to_string(),
+            f(total as f64 / roots.len() as f64, 1),
+            f(p99, 1),
+            f(accounted as f64 / total.max(1) as f64, 3),
+        ]);
+        if roots.len() >= 10 {
+            let slow = roots.iter().filter(|&&r| dur(r) as f64 > ANOMALY_K * p99);
+            anomalies.extend(slow.map(|&r| (r, p99)));
+        }
+    }
+    report.table(&["op", "count", "mean_us", "p99_us", "self_coverage"], rows);
 
-    // Critical path of the slowest instance of each op kind.
     report.section("critical path (slowest instance per op)");
-    for (name, roots) in &kinds {
-        let &slowest = roots
+    for roots in forest.roots_by_name().values() {
+        let slowest = roots
             .iter()
-            .max_by_key(|&&r| (spans[r].dur_us(), std::cmp::Reverse(spans[r].start_us)))
-            .expect("kind has roots");
-        let path = forest.critical_path(&spans, slowest);
-        report.line(&format!("{name} ({} us):", spans[slowest].dur_us()));
-        for (depth, &i) in path.iter().enumerate() {
-            report.line(&format!(
-                "  {}{} dur={}us self={}us",
-                "  ".repeat(depth),
-                spans[i].name,
-                spans[i].dur_us(),
-                forest.self_time_us(&spans, i),
-            ));
-        }
+            .max_by_key(|&&r| (dur(r), Reverse(forest.spans[r].start_us)));
+        critical_path_table(report, forest, *slowest.expect("kind has roots"));
     }
 
-    // Per-phase self-time breakdown over every tree node: where the
-    // time actually goes once child waits are subtracted out.
-    let mut self_by_name: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for t in &forest.trees {
-        for &r in &t.roots {
-            let mut stack = vec![r];
-            while let Some(i) = stack.pop() {
-                let e = self_by_name.entry(&spans[i].name).or_default();
-                e.0 += 1;
-                e.1 += forest.self_time_us(&spans, i);
-                stack.extend_from_slice(forest.children(i));
-            }
-        }
-    }
-    let grand: u64 = self_by_name.values().map(|&(_, t)| t).sum();
-    let mut phases: Vec<(&str, u64, u64)> = self_by_name
-        .into_iter()
-        .map(|(n, (c, t))| (n, c, t))
-        .collect();
-    phases.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
-    report.section("per-phase self time");
-    let rows: Vec<Vec<String>> = phases
-        .iter()
-        .map(|&(name, count, total)| {
-            vec![
-                name.to_string(),
-                count.to_string(),
-                f(total as f64 / 1e6, 3),
-                f(100.0 * total as f64 / grand.max(1) as f64, 1),
-            ]
-        })
-        .collect();
-    report.table(&["phase", "count", "self_s", "self_%"], &rows);
-
-    // Anomalies.
-    let anom = anomalies(&forest, &spans, anomaly_k);
-    report.json_set("anomalies", medes_obs::json!(anom.len()));
-    if !anom.is_empty() {
+    if !anomalies.is_empty() {
+        anomalies.sort_by_key(|&(r, _)| (Reverse(dur(r)), r));
         report.section(&format!(
-            "anomalous ops (> {anomaly_k} x p99 of their kind; top {top})"
+            "anomalous ops (> {ANOMALY_K} x p99 of their kind; top {TOP})"
         ));
-        let rows: Vec<Vec<String>> = anom
-            .iter()
-            .take(top)
-            .map(|a| {
-                let s = &spans[a.root];
-                vec![
-                    s.name.clone(),
-                    fmt_attr(s, "id"),
-                    fmt_attr(s, "fn"),
-                    s.start_us.to_string(),
-                    a.dur_us.to_string(),
-                    f(a.p99_us, 1),
-                ]
-            })
-            .collect();
-        report.table(&["op", "id", "fn", "start_us", "dur_us", "p99_us"], &rows);
+        let rows = anomalies.into_iter().take(TOP).map(|(r, p99)| {
+            let s = &forest.spans[r];
+            let mut row = vec![s.name.clone(), fmt_attr(s, "id"), fmt_attr(s, "fn")];
+            row.extend([s.start_us, s.dur_us()].map(|n| n.to_string()));
+            row.push(f(p99, 1));
+            row
+        });
+        report.table(&["op", "id", "fn", "start_us", "dur_us", "p99_us"], rows);
     }
-
-    let folded = forest
-        .folded_stacks(&spans)
-        .into_iter()
-        .map(|(stack, us)| format!("{stack} {us}\n"))
-        .collect::<String>();
-    (report, folded)
-}
-
-/// Sum of self times over the whole tree rooted at `r` — equals the
-/// root's duration when every level's children tile their parent.
-pub fn tree_self_sum(forest: &Forest, spans: &[ParsedSpan], r: usize) -> u64 {
-    let mut sum = 0u64;
-    let mut stack = vec![r];
-    while let Some(i) = stack.pop() {
-        sum += forest.self_time_us(spans, i);
-        stack.extend_from_slice(forest.children(i));
-    }
-    sum
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medes_obs::{Obs, ObsConfig};
+    use crate::trace::{load, report};
+    use medes_obs::{parse_jsonl, Obs, ObsConfig};
     use medes_sim::SimTime;
 
     /// Emits a toy forest: two traced request trees (request → op →
@@ -416,27 +277,30 @@ mod tests {
         obs.export_jsonl()
     }
 
+    fn toy_forest() -> Forest {
+        Forest::build(parse_jsonl(&toy_trace()))
+    }
+
     #[test]
     fn forest_reconstructs_trees_and_self_times() {
-        let spans = parse_jsonl(&toy_trace());
-        let forest = Forest::build(&spans);
+        let forest = toy_forest();
         assert_eq!(forest.trees.len(), 2);
         assert_eq!(forest.untraced, 1);
         for tree in &forest.trees {
             assert_eq!(tree.roots.len(), 1);
             let root = tree.roots[0];
-            assert_eq!(spans[root].name, "request");
+            assert_eq!(forest.spans[root].name, "request");
             // request(140) = op(100) + 40 self; op = 30 + 70 children.
-            assert_eq!(forest.self_time_us(&spans, root), 40);
-            let op = forest.children(root)[0];
-            assert_eq!(forest.self_time_us(&spans, op), 0);
+            assert_eq!(forest.self_time_us(root), 40);
+            let op = forest.children[root][0];
+            assert_eq!(forest.self_time_us(op), 0);
             // The whole tree's self times sum to the root duration.
-            assert_eq!(tree_self_sum(&forest, &spans, root), spans[root].dur_us());
+            assert_eq!(forest.tree_self_sum(root), forest.spans[root].dur_us());
             // Critical path follows the last-ending child chain.
             let path: Vec<&str> = forest
-                .critical_path(&spans, root)
+                .critical_path(root)
                 .iter()
-                .map(|&i| spans[i].name.as_str())
+                .map(|&i| forest.spans[i].name.as_str())
                 .collect();
             assert_eq!(path, ["request", "op", "phase.b"]);
         }
@@ -451,24 +315,26 @@ mod tests {
         // Only a grandchild is emitted: its parent (`op`) is missing.
         obs.span_in("phase.a", t(0), op.child("phase.a", 0))
             .end(t(10));
-        let spans = parse_jsonl(&obs.export_jsonl());
-        let forest = Forest::build(&spans);
+        let forest = Forest::build(parse_jsonl(&obs.export_jsonl()));
         assert_eq!(forest.trees.len(), 1);
         assert_eq!(forest.trees[0].roots.len(), 1);
-        assert_eq!(spans[forest.trees[0].roots[0]].name, "phase.a");
+        assert_eq!(forest.spans[forest.trees[0].roots[0]].name, "phase.a");
     }
 
     #[test]
     fn folded_stacks_aggregate_identical_paths() {
-        let spans = parse_jsonl(&toy_trace());
-        let forest = Forest::build(&spans);
-        let folded = forest.folded_stacks(&spans);
-        // Two identical trees fold into one set of stacks, doubled.
-        assert_eq!(folded.get("request").copied(), Some(80));
-        assert_eq!(folded.get("request;op;phase.a").copied(), Some(60));
-        assert_eq!(folded.get("request;op;phase.b").copied(), Some(140));
+        // Two identical trees fold into one set of stacks, doubled;
         // `op` has zero self time, so it never appears as a leaf line.
-        assert_eq!(folded.get("request;op"), None);
+        let folded = toy_forest().folded_stacks();
+        let lines: Vec<&str> = folded.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "request 80",
+                "request;op;phase.a 60",
+                "request;op;phase.b 140"
+            ]
+        );
     }
 
     #[test]
@@ -482,33 +348,45 @@ mod tests {
                 .end(t(i * 100_000 + dur));
         }
         let spans = parse_jsonl(&obs.export_jsonl());
-        let forest = Forest::build(&spans);
-        let anom = anomalies(&forest, &spans, 2.0);
-        assert_eq!(anom.len(), 1);
-        assert_eq!(anom[0].dur_us, 10_000);
+        let operations = |spans: &[ParsedSpan]| {
+            let mut report = Report::new("t", "t");
+            operations(&mut report, &Forest::build(spans.to_vec()));
+            report.text().to_string()
+        };
+        let text = operations(&spans);
+        let anomalies = text
+            .split("anomalous ops")
+            .nth(1)
+            .expect("anomalies flagged");
+        let rows: Vec<&str> = anomalies.lines().skip(3).collect();
+        assert_eq!(rows.len(), 1, "{anomalies}");
+        assert!(rows[0].contains(" 10000 "), "{anomalies}");
         // Fewer than 10 samples of a kind are never flagged.
-        assert!(anomalies(&Forest::build(&spans[..5]), &spans[..5], 2.0).is_empty());
+        assert!(!operations(&spans[..5]).contains("anomalous ops"));
     }
 
     #[test]
     fn analyze_renders_report_and_folded_output() {
-        let (report, folded) = analyze("toy.jsonl", &toy_trace(), 2.0, 10);
-        let text = report.text();
+        let run = load("toy.jsonl", &toy_trace(), None);
+        let text = report(&run, None, None).0.text().to_string();
         assert!(text.contains("2 causal trees"));
         assert!(text.contains("critical path"));
-        assert!(text.contains("per-phase self time"));
-        assert!(folded.contains("request;op;phase.b 140"));
+        assert!(text.contains("self_s"));
+        assert!(run
+            .forest
+            .folded_stacks()
+            .contains("request;op;phase.b 140"));
     }
 
     #[test]
     fn analyze_handles_empty_and_untraced_input() {
-        let (report, folded) = analyze("empty", "", 2.0, 10);
-        assert!(report.text().contains("0 spans"));
-        assert!(folded.is_empty());
+        let run = load("empty", "", None);
+        assert!(report(&run, None, None).0.text().contains("0 spans"));
+        assert!(run.forest.folded_stacks().is_empty());
         // A purely untraced (pre-causal) trace yields zero trees.
         let obs = Obs::new(ObsConfig::enabled());
         obs.span("flat", SimTime::ZERO).end(SimTime::from_micros(5));
-        let (report, _) = analyze("flat", &obs.export_jsonl(), 2.0, 10);
-        assert!(report.text().contains("0 causal trees"));
+        let run = load("flat", &obs.export_jsonl(), None);
+        assert!(report(&run, None, None).0.text().contains("0 causal trees"));
     }
 }

@@ -1,72 +1,44 @@
 //! Experiment runner: regenerates every table and figure of the paper,
 //! and renders the JSONL traces those runs export. [`usage`] is the
-//! synopsis — every subcommand and every flag; this header says what
-//! the flags mean.
+//! synopsis; README.md walks through each flag:
 //!
-//! `--obs` turns on the `medes-obs` tracing layer: every platform run
-//! also exports a JSONL span trace into the results directory, which
-//! `trace summarize` renders as a per-phase latency breakdown and
-//! `trace analyze` reconstructs into causal trees — critical paths,
-//! per-phase self times, anomalous ops, and a folded-stacks file
-//! (`<trace>.folded` by default) for flamegraph rendering.
-//! `--sample <n>` keeps only one in `n` trace trees (deterministic
-//! head sampling; SLO accounting still sees every request).
+//! * `--quick` shrinks workloads to smoke-test size;
+//! * `--obs` exports a JSONL span trace per platform run; `--labels`
+//!   adds labeled series, exemplars and SLO violators, `--sample <n>`
+//!   keeps one trace tree in `n`, `--stream` writes spans as they
+//!   finish, `--timeseries <ms>` samples series into a
+//!   `.timeseries.jsonl` sibling;
+//! * `--faults`, `--cache`, `--shards`, `--workers`,
+//!   `--registry-owners` and `--content-model` set the fault plan, the
+//!   base-page cache, the registry shards, the scan workers, the
+//!   registry placement and the content model of every cluster run.
 //!
-//! `--faults` injects a deterministic fault plan (node crashes, RDMA
-//! link-fault windows, RPC drops) into every cluster run, synthesized
-//! from the seed at the experiment's scale. The `chaos` experiment
-//! sweeps fault rates on its own and ignores this flag.
+//! Every flag combination is validated through
+//! `PlatformConfig::builder` before anything runs, so nonsense (zero
+//! shards or workers, a cache larger than node memory) is a usage
+//! error, not a panic deep inside an experiment.
 //!
-//! `--cache <MiB>` gives every node a base-page cache of that capacity
-//! in front of the restore read path (default 0: no cache).
+//! `trace report <trace.jsonl>` renders one run export (and its
+//! `.timeseries.jsonl` sibling) and writes its folded stacks to
+//! `<trace>.folded`; it exits 1 when it finds a tail-latency
+//! attribution or, with `--against <base.jsonl>`, a regression
+//! (`medes_bench::trace`).
 //!
-//! `--shards <n>` and `--workers <n>` set the fingerprint-registry
-//! shard count and the dedup scan worker-pool size (default 1 each) in
-//! every cluster run; reports are bit-identical at any value. All flag
-//! combinations are validated through `PlatformConfig::builder`, so
-//! nonsense (zero shards, zero workers, cache larger than node memory)
-//! is rejected up front instead of mutating config fields ad hoc.
-//!
-//! `--registry-owners <n>` places the fingerprint registry's shards on
-//! the first `n` worker nodes (the distributed placement, DESIGN.md §15)
-//! in every cluster run; registry traffic is routed as priced RPCs and
-//! reported through obs counters, while the `RunReport` stays
-//! byte-identical to the in-process placement.
-//!
-//! `--content-model` switches every cluster run to the calibrated
-//! entropy-mixture content model (DESIGN.md §13): per-region
-//! low/medium/high-entropy page mixes with dispersed per-instance
-//! noise. Figure sweeps assert paper-shaped (non-flat) orderings when
-//! it is on; without the flag every experiment stays byte-identical
-//! to the legacy content model. The `scenarios` experiment runs five
-//! adversarial production scenario classes (rolling deploys, flash
-//! crowds, tenant skew, heterogeneous node memory, preemption waves)
-//! against Medes and the keep-alive baselines, self-asserting
-//! determinism and the expected orderings.
-//!
-//! `--stream` (with `--obs`) streams spans to the trace file as they
-//! finish, bounding span memory to the ring; `--timeseries <ms>` turns
-//! on the deterministic sim-time sampler, exporting per-metric series
-//! as `.timeseries.jsonl` next to the trace. `trace timeline` renders
-//! those series with min/p50/p95/max tables and monotonic-leak
-//! detection; `trace diff <base> <cand>` compares two run exports and
-//! exits 1 when any metric regressed past `--threshold` (relative,
-//! default 0.10); `trace attribute` exits 1 when it finds anything to
-//! pin the tail on.
-//!
-//! Usage errors exit 2 before any experiment starts: an unknown id, an
-//! unknown `--flag`, a flag missing its value, an invalid combination.
+//! Exit codes: 2 for a usage error — an unknown id, subcommand or
+//! `--flag`, a flag missing its value, an invalid combination — before
+//! any experiment starts; 1 for an unreadable trace or an unwritable
+//! folded-stacks file.
 
 use medes_bench::common::{ExpConfig, FaultSpec};
 use medes_bench::experiments::{self, RunFn};
-use medes_bench::{analyze, attribute, diff, summarize, timeline};
-use std::path::Path;
+use medes_bench::trace;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--stream] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace summarize <trace.jsonl> [--top <n>]\n       experiments trace analyze <trace.jsonl> [--top <n>] [--anomaly-k <f>] [--folded <path>]\n       experiments trace timeline <trace.timeseries.jsonl> [--group-by <label>]\n       experiments trace diff <base.jsonl> <cand.jsonl> [--threshold <f>] [--group-by <label>]\n       experiments trace attribute <trace.jsonl> [--top <n>]\nids: {}",
+        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--stream] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>] [--group-by <label>]\nids: {}",
         experiments::ALL.join(", ")
     );
     std::process::exit(2);
@@ -86,165 +58,57 @@ fn value<'a, T: FromStr>(it: &mut impl Iterator<Item = &'a String>) -> T {
         .unwrap_or_else(|| usage())
 }
 
-/// A `trace` subcommand's arguments: file operands and flag values.
-struct TraceArgs<'a> {
-    files: Vec<&'a Path>,
-    flags: Vec<(&'a str, &'a str)>,
+/// Fails the process with exit code 1 and `msg`.
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }
 
-impl<'a> TraceArgs<'a> {
-    /// Splits `args` into files and the values of the (value-taking)
-    /// flags the subcommand `accepts`. Any other `--word`, or a flag
-    /// with no value, is a usage error — not a file to fail to read.
-    fn parse(args: &'a [String], accepts: &[&str]) -> Self {
-        let mut parsed = TraceArgs {
-            files: Vec::new(),
-            flags: Vec::new(),
-        };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if accepts.contains(&a.as_str()) {
-                let Some(v) = it.next() else { usage() };
-                parsed.flags.push((a, v));
-            } else if a.starts_with("--") {
-                bad_word("unknown flag", a);
-            } else {
-                parsed.files.push(Path::new(a));
-            }
-        }
-        parsed
-    }
-
-    /// The value of `flag` as given (the last one wins).
-    fn get(&self, flag: &str) -> Option<&'a str> {
-        let given = self.flags.iter().rev().find(|(f, _)| *f == flag);
-        given.map(|&(_, v)| v)
-    }
-
-    /// The parsed value of `flag`, or `default` when it was not given.
-    fn get_or<T: FromStr>(&self, flag: &str, default: T) -> T {
-        self.get(flag)
-            .map_or(default, |v| v.parse().unwrap_or_else(|_| usage()))
-    }
+/// Loads one run export — the trace, plus its `.timeseries.jsonl`
+/// sibling when one exists — labeled with its path.
+fn load(path: &Path) -> trace::Export {
+    let label = path.display().to_string();
+    let trace =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {label}: {e}")));
+    let series = std::fs::read_to_string(path.with_extension("timeseries.jsonl")).ok();
+    trace::load(&label, &trace, series.as_deref())
 }
 
-/// Reads one trace file, exiting 1 when it cannot be read; returns its
-/// display name (the file name) and its contents.
-fn read_named(path: &Path) -> (String, String) {
-    let contents = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    let name = path.file_name().map_or_else(
-        || path.display().to_string(),
-        |n| n.to_string_lossy().into_owned(),
-    );
-    (name, contents)
-}
-
-/// `trace summarize <file.jsonl>... [--top <n>]`.
-fn run_summarize(args: &[String]) {
-    let args = TraceArgs::parse(args, &["--top"]);
-    let top = args.get_or("--top", 10usize);
-    if args.files.is_empty() {
+/// `trace report <trace.jsonl> [--against <base.jsonl>] [--group-by
+/// <label>]`: prints the report, writes `<trace>.folded`, and exits 1
+/// when the report's gate fails.
+fn run_trace(args: &[String]) {
+    let mut it = args.iter();
+    if it.next().map(String::as_str) != Some("report") {
         usage();
     }
-    for &path in &args.files {
-        let (name, contents) = read_named(path);
-        println!("{}", summarize::summarize(&name, &contents, top).text());
-    }
-}
-
-/// `trace analyze <file.jsonl>... [--top <n>] [--anomaly-k <f>] [--folded <path>]`.
-fn run_analyze(args: &[String]) {
-    let args = TraceArgs::parse(args, &["--top", "--anomaly-k", "--folded"]);
-    let top = args.get_or("--top", 10usize);
-    let anomaly_k = args.get_or("--anomaly-k", 2.0f64);
-    if args.files.is_empty() {
-        usage();
-    }
-    for &path in &args.files {
-        let (name, contents) = read_named(path);
-        let (report, folded) = analyze::analyze(&name, &contents, anomaly_k, top);
-        println!("{}", report.text());
-        let out = args
-            .get("--folded")
-            .map_or_else(|| path.with_extension("folded"), Into::into);
-        match std::fs::write(&out, &folded) {
-            Ok(()) => println!("folded stacks -> {}", out.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", out.display()),
+    let (mut file, mut against, mut group_by) = (None, None, None);
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--against" => against = Some(value::<PathBuf>(&mut it)),
+            "--group-by" => group_by = Some(value::<String>(&mut it)),
+            flag if flag.starts_with("--") => bad_word("unknown flag", flag),
+            _ if file.is_none() => file = Some(Path::new(a)),
+            extra => bad_word("unexpected operand", extra),
         }
     }
-}
-
-/// `trace timeline <file.timeseries.jsonl>... [--group-by <label>]`.
-fn run_timeline(args: &[String]) {
-    let args = TraceArgs::parse(args, &["--group-by"]);
-    if args.files.is_empty() {
-        usage();
-    }
-    for &path in &args.files {
-        let (name, contents) = read_named(path);
-        let (report, _leaks) = timeline::timeline_by(&name, &contents, args.get("--group-by"));
-        println!("{}", report.text());
-    }
-}
-
-/// `trace attribute <trace.jsonl> [--top <n>]`. Exits 1
-/// when any attribution is found — the drill-down doubles as a gate.
-fn run_attribute(args: &[String]) {
-    let args = TraceArgs::parse(args, &["--top"]);
-    let [path] = args.files.as_slice() else {
-        usage();
-    };
-    let (name, trace) = read_named(path);
-    let (report, attributions) = attribute::attribute(&name, &trace, args.get_or("--top", 10));
+    let Some(path) = file else { usage() };
+    let run = load(path);
+    let base = against.as_deref().map(load);
+    let (report, findings) = trace::report(&run, base.as_ref(), group_by.as_deref());
     println!("{}", report.text());
-    if !attributions.is_empty() {
-        std::process::exit(1);
+    let folded = path.with_extension("folded");
+    if let Err(e) = std::fs::write(&folded, run.forest.folded_stacks()) {
+        fail(format!("cannot write {}: {e}", folded.display()));
     }
-}
-
-/// Loads one `trace diff` side: the trace itself plus its
-/// `.timeseries.jsonl` sibling when present.
-fn load_diff_side(path: &Path) -> diff::TraceExport {
-    let (name, contents) = read_named(path);
-    let ts = std::fs::read_to_string(path.with_extension("timeseries.jsonl")).ok();
-    diff::TraceExport::load(&name, &contents, ts.as_deref())
-}
-
-/// `trace diff <base.jsonl> <cand.jsonl> [--threshold <f>] [--group-by <label>]`.
-/// Exits 1 when any metric regressed past the thresholds.
-fn run_diff(args: &[String]) {
-    let args = TraceArgs::parse(args, &["--threshold", "--group-by"]);
-    let mut th = diff::DiffThresholds::default();
-    th.rel = args.get_or("--threshold", th.rel);
-    let [base, cand] = args.files.as_slice() else {
-        usage();
-    };
-    let (report, regressions) = diff::diff_by(
-        &load_diff_side(base),
-        &load_diff_side(cand),
-        &th,
-        args.get("--group-by"),
-    );
-    println!("{}", report.text());
-    if !regressions.is_empty() {
-        std::process::exit(1);
-    }
+    println!("folded stacks -> {}", folded.display());
+    std::process::exit(findings.gate().into());
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace") {
-        match args.get(1).map(String::as_str) {
-            Some("summarize") => return run_summarize(&args[2..]),
-            Some("analyze") => return run_analyze(&args[2..]),
-            Some("timeline") => return run_timeline(&args[2..]),
-            Some("diff") => return run_diff(&args[2..]),
-            Some("attribute") => return run_attribute(&args[2..]),
-            _ => usage(),
-        }
+        return run_trace(&args[1..]);
     }
     // Every word is resolved here, before the first experiment starts:
     // a mistyped id or flag must not cost a full run. An alias runs its

@@ -89,7 +89,7 @@ pub struct ExpConfig {
     /// (per node, per function class, per link, per shard owner),
     /// histogram buckets retain exemplar trace ids, and the SLO
     /// tracker keeps its top violators per function — the inputs of
-    /// `trace attribute`. Off by default: label-off runs export
+    /// `trace report`'s attribution. Off by default: label-off runs export
     /// byte-identical traces. Inert without `--obs`.
     pub labels: bool,
     /// Entropy-mixture content model (`--content-model`): every

@@ -1,29 +1,13 @@
-//! `trace diff`: regression detection between two run exports.
-//!
-//! A trace JSONL export is self-contained — spans, then one tail line
-//! with the final metrics snapshot and per-function SLO summary — so
-//! two of them (plus their optional `.timeseries.jsonl` siblings) are
-//! enough to answer "did this change make the platform worse?". The
-//! comparison covers four layers:
-//!
-//! * **run counters**: the curated higher-is-worse set (cold starts,
-//!   fallback colds, queueing, rescheduling, evictions, dedup aborts,
-//!   network retries/failures);
-//! * **latency histograms**: p99 of every `*_us` histogram in the tail;
-//! * **SLO violations**: the total across all functions;
-//! * **per-phase self time** (from the causal-tree analyzer) and
-//!   **time-series endpoints** (final value of every sampled gauge,
-//!   hit-rates inverted).
-//!
-//! Everything is threshold-gated (relative + an absolute floor per
-//! unit, so a 2 → 3 count blip doesn't fail a build) and the caller
-//! exits nonzero when any regression survives the gate.
+//! The comparison section of `trace report --against <base>`: the
+//! curated higher-is-worse counters, histogram p99s, SLO violations,
+//! per-phase self time and gauge endpoints of two run exports, each
+//! gated by a relative threshold plus a per-unit absolute floor, so a
+//! 2 → 3 count blip doesn't fail a build.
 
-use crate::analyze::Forest;
 use crate::report::{f, Report};
-use medes_obs::json::Json;
-use medes_obs::{parse_jsonl, parse_series_key, parse_tail, parse_timeseries, SeriesKind};
-use std::collections::BTreeMap;
+use crate::trace::{group_by, Export};
+use medes_obs::SeriesKind;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters where *more is strictly worse*. Compared whenever either
 /// side has a nonzero value; a name absent from a side counts as 0.
@@ -40,12 +24,14 @@ const WORSE_COUNTERS: [&str; 10] = [
     "medes.net.rpc_failures",
 ];
 
-/// Regression gates. A candidate value regresses when it exceeds
-/// `base · (1 + rel)` *plus* the unit's absolute floor — both must be
-/// cleared, so tiny absolute blips on tiny bases never fail a build.
+/// Regression gates. A higher-is-worse value regresses when it exceeds
+/// `base · (1 + rel)` *plus* the unit's absolute floor; a lower-is-worse
+/// one when it falls below `base · (1 − rel)` *minus* the floor. Both
+/// margins must be cleared, so tiny absolute blips on tiny bases never
+/// fail a build.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffThresholds {
-    /// Relative slack (0.10 = 10% worse allowed). `--threshold`.
+    /// Relative slack (0.10 = 10% worse allowed).
     pub rel: f64,
     /// Absolute floor for event counts.
     pub abs_count: f64,
@@ -67,9 +53,13 @@ impl Default for DiffThresholds {
 }
 
 impl DiffThresholds {
-    /// `cand` regressed past `base` for a higher-is-worse metric.
-    fn worse(&self, base: f64, cand: f64, abs: f64) -> bool {
-        cand > base * (1.0 + self.rel) + abs
+    /// Whether a row's candidate regressed past its base.
+    fn regressed(&self, &(_, b, c, abs, lower_is_worse): &Row) -> bool {
+        if lower_is_worse {
+            c < b * (1.0 - self.rel) - abs
+        } else {
+            c > b * (1.0 + self.rel) + abs
+        }
     }
 }
 
@@ -84,313 +74,174 @@ pub struct Regression {
     pub cand: f64,
 }
 
-/// One side of the comparison, loaded from a trace export (and its
-/// optional `.timeseries.jsonl` sibling).
-#[derive(Debug)]
-pub struct TraceExport {
-    /// Display label (usually the file name).
-    pub label: String,
-    /// Counters and gauges from the metrics tail.
-    scalars: BTreeMap<String, f64>,
-    /// p99 of every histogram in the metrics tail, µs.
-    hist_p99: BTreeMap<String, f64>,
-    /// Total SLO violations across functions.
-    slo_violations: f64,
-    /// Total self time per span name (causal-tree analyzer), µs.
-    phase_self_us: BTreeMap<String, f64>,
-    /// Final sampled value of every time-series gauge.
-    series_last: BTreeMap<String, f64>,
-    /// Labeled twins from the tail's `labeled` key
-    /// (`name{k=v,...}` -> value), empty for label-off runs.
-    labeled: BTreeMap<String, f64>,
+/// One compared metric: name, base, candidate, the unit's absolute
+/// floor, and whether *lower* is worse.
+type Row = (String, f64, f64, f64, bool);
+
+/// A higher-is-worse [`Row`].
+fn row(metric: String, base: f64, cand: f64, abs: f64) -> Row {
+    (metric, base, cand, abs, false)
 }
 
-impl TraceExport {
-    /// Parses one run export. `timeseries` is the contents of the
-    /// sibling `.timeseries.jsonl`, when one was exported.
-    pub fn load(label: &str, trace: &str, timeseries: Option<&str>) -> TraceExport {
-        let mut scalars = BTreeMap::new();
-        let mut hist_p99 = BTreeMap::new();
-        let mut slo_violations = 0.0;
-        let mut labeled = BTreeMap::new();
-        let tail = parse_tail(trace);
-        if let Some(tail) = &tail {
-            if let Some(Json::Object(m)) = tail.get("metrics") {
-                for (name, v) in m.iter() {
-                    match v {
-                        Json::Num(x) => {
-                            scalars.insert(name.to_string(), *x);
-                        }
-                        Json::Object(_) => {
-                            if let Some(p99) = v.get("p99").and_then(Json::as_f64) {
-                                hist_p99.insert(name.to_string(), p99);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            if let Some(Json::Object(l)) = tail.get("labeled") {
-                for (name, v) in l.iter() {
-                    // Histogram twins export as objects; only scalar
-                    // twins are comparable endpoints here.
-                    if let Json::Num(x) = v {
-                        labeled.insert(name.to_string(), *x);
-                    }
-                }
-            }
-            if let Some(Json::Object(slo)) = tail.get("slo") {
-                for (_, row) in slo.iter() {
-                    slo_violations += row.get("violations").and_then(Json::as_f64).unwrap_or(0.0);
-                }
-            }
-        }
-        let spans = parse_jsonl(trace);
-        let forest = Forest::build(&spans);
-        let mut phase_self_us: BTreeMap<String, f64> = BTreeMap::new();
-        for t in &forest.trees {
-            for &r in &t.roots {
-                let mut stack = vec![r];
-                while let Some(i) = stack.pop() {
-                    *phase_self_us.entry(spans[i].name.clone()).or_default() +=
-                        forest.self_time_us(&spans, i) as f64;
-                    stack.extend_from_slice(forest.children(i));
-                }
-            }
-        }
-        let mut series_last = BTreeMap::new();
-        for s in parse_timeseries(timeseries.unwrap_or("")) {
-            // Counters already surface through the metrics tail; only
-            // gauge endpoints add signal here.
-            if s.kind == SeriesKind::Gauge {
-                if let Some(last) = s.last() {
-                    series_last.insert(s.name, last);
-                }
-            }
-        }
-        TraceExport {
-            label: label.to_string(),
-            scalars,
-            hist_p99,
-            slo_violations,
-            phase_self_us,
-            series_last,
-            labeled,
-        }
+/// `(c − b) / b` in percent, `-` for a zero base.
+fn delta(b: f64, c: f64) -> String {
+    if b.abs() > f64::EPSILON {
+        f(100.0 * (c - b) / b, 1)
+    } else {
+        "-".to_string()
     }
 }
 
-/// Compares `cand` against `base`, returning the rendered report and
-/// every regression that cleared the thresholds (empty = clean).
-pub fn diff(
-    base: &TraceExport,
-    cand: &TraceExport,
+/// Renders the comparison of `cand` against `base` and returns every
+/// regression that cleared `th` (empty = clean). With `group`, labeled
+/// twins carrying that label are summed per `(metric, label value)` and
+/// compared side by side; grouped rows only *gate* for the curated
+/// higher-is-worse counters — a node doing more RDMA reads is a shift,
+/// not a regression — and the rest show the verdict `info`.
+pub(crate) fn against(
+    report: &mut Report,
+    base: &Export,
+    cand: &Export,
     th: &DiffThresholds,
-) -> (Report, Vec<Regression>) {
-    diff_by(base, cand, th, None)
-}
+    group: Option<&str>,
+) -> Vec<Regression> {
+    report.section(&format!("against {}", base.label));
+    report.line(&format!("thresholds: {th:?}"));
+    let counter = |name: &str| {
+        let get = |run: &Export| run.scalars.get(name).copied().unwrap_or(0.0);
+        row(name.to_string(), get(base), get(cand), th.abs_count)
+    };
+    let mut counters = WORSE_COUNTERS.map(counter).to_vec();
+    counters.retain(|r| r.1 != 0.0 || r.2 != 0.0);
+    let (b, c) = (base.slo_violations, cand.slo_violations);
+    let slo = vec![row("slo.violations_total".into(), b, c, th.abs_count)];
+    let hists = both(&base.hist_p99, &cand.hist_p99, |n| {
+        (format!("{n}.p99"), th.abs_us, false)
+    });
+    let phases = both(&self_us(base), &self_us(cand), |n| {
+        (format!("self:{n}"), th.abs_us, false)
+    });
+    let ends = both(&gauge_ends(base), &gauge_ends(cand), |n| {
+        let rate = n.contains("hit_rate");
+        let abs = if rate { th.abs_rate } else { th.abs_count };
+        (format!("end:{n}"), abs, rate)
+    });
+    let mut out = Vec::new();
+    for (title, rows) in [
+        ("run counters", counters),
+        ("latency histograms (p99, us)", hists),
+        ("slo", slo),
+        ("per-phase self time (us)", phases),
+        ("time-series endpoints", ends),
+    ] {
+        gated(report, th, title, rows, &mut out);
+    }
 
-/// [`diff`] with an optional `--group-by <label>`: labeled twins in
-/// the tails carrying that label are aggregated per `(metric, label
-/// value)` and compared side by side. Grouped rows only *gate* (flag a
-/// regression) for metrics in the curated higher-is-worse set — a node
-/// doing more RDMA reads is a shift, not a regression — but every
-/// group is rendered so the shift is visible.
-pub fn diff_by(
-    base: &TraceExport,
-    cand: &TraceExport,
-    th: &DiffThresholds,
-    group_by: Option<&str>,
-) -> (Report, Vec<Regression>) {
-    let mut report = Report::new("trace-diff", &format!("{} vs {}", base.label, cand.label));
-    report.line(&format!(
-        "thresholds: rel {:.0}%, floors: count {}, us {}, rate {}",
-        th.rel * 100.0,
-        th.abs_count,
-        th.abs_us,
-        th.abs_rate
-    ));
-    let mut regressions: Vec<Regression> = Vec::new();
-    let mut compare_section =
-        |report: &mut Report, title: &str, rows: Vec<(String, f64, f64, f64, bool)>| {
-            if rows.is_empty() {
-                return;
-            }
-            report.section(title);
-            let rendered: Vec<Vec<String>> = rows
-                .iter()
-                .map(|(name, b, c, abs, lower_is_worse)| {
-                    let (eff_b, eff_c) = if *lower_is_worse { (-b, -c) } else { (*b, *c) };
-                    let bad = th.worse(eff_b, eff_c, *abs);
-                    if bad {
-                        regressions.push(Regression {
-                            metric: name.clone(),
-                            base: *b,
-                            cand: *c,
-                        });
-                    }
-                    let delta = if b.abs() > f64::EPSILON {
-                        f(100.0 * (c - b) / b, 1)
-                    } else {
-                        "-".to_string()
-                    };
-                    vec![
-                        name.clone(),
-                        f(*b, 1),
-                        f(*c, 1),
-                        delta,
-                        if bad { "REGRESSED" } else { "ok" }.to_string(),
-                    ]
-                })
-                .collect();
-            report.table(&["metric", "base", "cand", "delta_%", "verdict"], &rendered);
-        };
-
-    // Run counters (curated higher-is-worse set).
-    let rows: Vec<_> = WORSE_COUNTERS
-        .iter()
-        .filter_map(|&name| {
-            let b = base.scalars.get(name).copied().unwrap_or(0.0);
-            let c = cand.scalars.get(name).copied().unwrap_or(0.0);
-            (b != 0.0 || c != 0.0).then(|| (name.to_string(), b, c, th.abs_count, false))
-        })
-        .collect();
-    compare_section(&mut report, "run counters", rows);
-
-    // Latency histogram p99s (present in both tails).
-    let rows: Vec<_> = base
-        .hist_p99
-        .iter()
-        .filter_map(|(name, &b)| {
-            let &c = cand.hist_p99.get(name)?;
-            Some((format!("{name}.p99"), b, c, th.abs_us, false))
-        })
-        .collect();
-    compare_section(&mut report, "latency histograms (p99, us)", rows);
-
-    // SLO violations.
-    compare_section(
-        &mut report,
-        "slo",
-        vec![(
-            "slo.violations_total".to_string(),
-            base.slo_violations,
-            cand.slo_violations,
-            th.abs_count,
-            false,
-        )],
-    );
-
-    // Per-phase self time (phases present in both forests).
-    let rows: Vec<_> = base
-        .phase_self_us
-        .iter()
-        .filter_map(|(name, &b)| {
-            let &c = cand.phase_self_us.get(name)?;
-            Some((format!("self:{name}"), b, c, th.abs_us, false))
-        })
-        .collect();
-    compare_section(&mut report, "per-phase self time (us)", rows);
-
-    // Time-series gauge endpoints. Hit-rate-style gauges invert:
-    // *lower* is worse.
-    let rows: Vec<_> = base
-        .series_last
-        .iter()
-        .filter_map(|(name, &b)| {
-            let &c = cand.series_last.get(name)?;
-            let inverted = name.contains("hit_rate");
-            let abs = if inverted { th.abs_rate } else { th.abs_count };
-            Some((format!("end:{name}"), b, c, abs, inverted))
-        })
-        .collect();
-    compare_section(&mut report, "time-series endpoints", rows);
-
-    // Labeled twins grouped by a dimension (`--group-by`). Rows whose
-    // base metric is in the higher-is-worse set gate like any other
-    // counter; the rest render as informational shift rows.
-    if let Some(group) = group_by {
-        let collect = |side: &TraceExport| {
-            let mut g: BTreeMap<(String, String), f64> = BTreeMap::new();
-            for (key, v) in &side.labeled {
-                let Some((name, labels)) = parse_series_key(key) else {
-                    continue;
-                };
-                if let Some((_, gv)) = labels.into_iter().find(|(k, _)| k == group) {
-                    *g.entry((name.to_string(), gv)).or_default() += v;
-                }
-            }
-            g
-        };
-        let (gb, gc) = (collect(base), collect(cand));
-        let keys: Vec<&(String, String)> = gb.keys().chain(gc.keys()).collect();
-        let mut gating = Vec::new();
-        let mut info: Vec<Vec<String>> = Vec::new();
-        let mut seen: Vec<&(String, String)> = Vec::new();
-        for key in keys {
-            if seen.contains(&key) {
-                continue;
-            }
-            seen.push(key);
-            let (name, gv) = key;
-            let b = gb.get(key).copied().unwrap_or(0.0);
-            let c = gc.get(key).copied().unwrap_or(0.0);
-            let row_name = format!("{name}{{{group}={gv}}}");
-            if WORSE_COUNTERS.contains(&name.as_str()) {
-                gating.push((row_name, b, c, th.abs_count, false));
-            } else {
-                let delta = if b.abs() > f64::EPSILON {
-                    f(100.0 * (c - b) / b, 1)
-                } else {
-                    "-".to_string()
-                };
-                info.push(vec![row_name, f(b, 1), f(c, 1), delta]);
-            }
-        }
-        compare_section(
-            &mut report,
-            &format!("grouped by {group} (gated counters)"),
-            gating,
-        );
-        if !info.is_empty() {
-            report.section(&format!("grouped by {group} (informational)"));
-            report.table(&["metric", "base", "cand", "delta_%"], &info);
-        } else if seen.is_empty() {
-            report.section(&format!("grouped by {group}"));
+    if let Some(group) = group {
+        let side =
+            |run: &Export| group_by(run.labeled.iter().map(|(k, &v)| (k.as_str(), v)), group);
+        let (gb, gc) = (side(base), side(cand));
+        let keys: BTreeSet<&(String, String)> = gb.keys().chain(gc.keys()).collect();
+        if keys.is_empty() {
             report.line(&format!(
                 "no labeled series carry a {group} label (labeled run required: --obs --labels)"
             ));
         }
+        let rows = keys.into_iter().map(|key @ (name, value)| {
+            let gates = WORSE_COUNTERS.contains(&name.as_str());
+            let abs = if gates { th.abs_count } else { f64::INFINITY };
+            let at = |g: &BTreeMap<_, f64>| g.get(key).copied().unwrap_or(0.0);
+            row(format!("{name}{{{group}={value}}}"), at(&gb), at(&gc), abs)
+        });
+        let title = format!("grouped by {group}");
+        gated(report, th, &title, rows.collect(), &mut out);
     }
 
-    if regressions.is_empty() {
+    if out.is_empty() {
         report.line("\nclean: no regressions past thresholds");
     } else {
-        report.section(&format!("{} regression(s)", regressions.len()));
-        for r in &regressions {
-            report.line(&format!(
-                "{}: {} -> {}",
-                r.metric,
-                f(r.base, 1),
-                f(r.cand, 1)
-            ));
+        report.section(&format!("{} regression(s)", out.len()));
+        for r in &out {
+            let (b, c) = (f(r.base, 1), f(r.cand, 1));
+            report.line(&format!("{}: {b} -> {c}", r.metric));
         }
     }
-    report.json_set(
-        "regressions",
-        Json::Array(
-            regressions
-                .iter()
-                .map(|r| medes_obs::json!(r.metric.as_str()))
-                .collect(),
-        ),
-    );
-    (report, regressions)
+    out
+}
+
+/// Renders one gated table, appending what regressed to `out`. A row
+/// with an infinite floor never gates and shows the verdict `info`.
+fn gated(
+    report: &mut Report,
+    th: &DiffThresholds,
+    title: &str,
+    rows: Vec<Row>,
+    out: &mut Vec<Regression>,
+) {
+    if rows.is_empty() {
+        return;
+    }
+    report.section(&format!("vs base: {title}"));
+    let mut table = Vec::with_capacity(rows.len());
+    for row in rows {
+        let bad = th.regressed(&row);
+        let verdict = match (bad, row.3.is_finite()) {
+            (true, _) => "REGRESSED",
+            (false, true) => "ok",
+            (false, false) => "info",
+        };
+        let (metric, base, cand, ..) = row;
+        let delta = delta(base, cand);
+        table.push([
+            metric.clone(),
+            f(base, 1),
+            f(cand, 1),
+            delta,
+            verdict.into(),
+        ]);
+        if bad {
+            out.push(Regression { metric, base, cand });
+        }
+    }
+    report.table(&["metric", "base", "cand", "delta_%", "verdict"], table);
+}
+
+/// One row per name present on both sides, in `base`'s order; `meta`
+/// gives a name its row label, absolute floor and direction.
+fn both(
+    base: &BTreeMap<String, f64>,
+    cand: &BTreeMap<String, f64>,
+    meta: impl Fn(&str) -> (String, f64, bool),
+) -> Vec<Row> {
+    let row = |(name, &b): (&String, &f64)| {
+        let (label, abs, lower_is_worse) = meta(name);
+        Some((label, b, *cand.get(name)?, abs, lower_is_worse))
+    };
+    base.iter().filter_map(row).collect()
+}
+
+/// Self time per traced phase, µs.
+fn self_us(run: &Export) -> BTreeMap<String, f64> {
+    let traced = run
+        .phases
+        .iter()
+        .filter_map(|p| Some((p.name.clone(), p.self_us?)));
+    traced.map(|(name, us)| (name, us as f64)).collect()
+}
+
+/// The last sample of every gauge series. Counters already surface
+/// through the metrics tail; only gauge endpoints add signal here.
+fn gauge_ends(run: &Export) -> BTreeMap<String, f64> {
+    let gauges = run.series.iter().filter(|s| s.kind == SeriesKind::Gauge);
+    gauges
+        .filter_map(|s| Some((s.name.clone(), s.last()?)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::load;
     use medes_obs::{Obs, ObsConfig, SeriesStore};
     use medes_sim::SimTime;
 
@@ -412,33 +263,52 @@ mod tests {
         obs.export_jsonl()
     }
 
+    /// The comparison section alone, its text and regressions.
+    fn compare(
+        base: &Export,
+        cand: &Export,
+        th: &DiffThresholds,
+        group: Option<&str>,
+    ) -> (String, Vec<Regression>) {
+        let mut report = Report::new("t", "t");
+        let regressions = against(&mut report, base, cand, th, group);
+        (report.text().to_string(), regressions)
+    }
+
+    fn metrics(regressions: &[Regression]) -> Vec<&str> {
+        regressions.iter().map(|r| r.metric.as_str()).collect()
+    }
+
     #[test]
     fn identical_exports_diff_clean() {
         let a = toy_export(3, 500, 50);
-        let base = TraceExport::load("a", &a, None);
-        let cand = TraceExport::load("b", &a, None);
-        let (report, regressions) = diff(&base, &cand, &DiffThresholds::default());
+        let (text, regressions) = compare(
+            &load("a", &a, None),
+            &load("b", &a, None),
+            &DiffThresholds::default(),
+            None,
+        );
         assert!(regressions.is_empty(), "{:?}", regressions);
-        assert!(report.text().contains("clean: no regressions"));
+        assert!(text.contains("clean: no regressions"));
     }
 
     #[test]
     fn worse_counters_and_slo_regress() {
-        let base = TraceExport::load("a", &toy_export(3, 500, 50), None);
-        let cand = TraceExport::load("b", &toy_export(30, 500, 500), None);
-        let (report, regressions) = diff(&base, &cand, &DiffThresholds::default());
-        let names: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
+        let base = load("a", &toy_export(3, 500, 50), None);
+        let cand = load("b", &toy_export(30, 500, 500), None);
+        let (text, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
+        let names = metrics(&regressions);
         assert!(names.contains(&"medes.platform.starts.cold"), "{names:?}");
         assert!(names.contains(&"slo.violations_total"), "{names:?}");
-        assert!(report.text().contains("REGRESSED"));
+        assert!(text.contains("REGRESSED"));
     }
 
     #[test]
     fn hist_p99_and_phase_self_regress() {
-        let base = TraceExport::load("a", &toy_export(1, 1_000, 50), None);
-        let cand = TraceExport::load("b", &toy_export(1, 20_000, 50), None);
-        let (_, regressions) = diff(&base, &cand, &DiffThresholds::default());
-        let names: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
+        let base = load("a", &toy_export(1, 1_000, 50), None);
+        let cand = load("b", &toy_export(1, 20_000, 50), None);
+        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
+        let names = metrics(&regressions);
         assert!(
             names.contains(&"medes.platform.startup_us.p99"),
             "{names:?}"
@@ -450,9 +320,9 @@ mod tests {
     fn thresholds_gate_small_blips() {
         // 3 -> 4 cold starts: past 10% relative but under the absolute
         // count floor — must NOT regress.
-        let base = TraceExport::load("a", &toy_export(3, 500, 50), None);
-        let cand = TraceExport::load("b", &toy_export(4, 500, 50), None);
-        let (_, regressions) = diff(&base, &cand, &DiffThresholds::default());
+        let base = load("a", &toy_export(3, 500, 50), None);
+        let cand = load("b", &toy_export(4, 500, 50), None);
+        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
         assert!(regressions.is_empty(), "{regressions:?}");
         // A zero relative threshold with zero floors flags it.
         let strict = DiffThresholds {
@@ -461,39 +331,66 @@ mod tests {
             abs_us: 0.0,
             abs_rate: 0.0,
         };
-        let (_, regressions) = diff(&base, &cand, &strict);
+        let (_, regressions) = compare(&base, &cand, &strict, None);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].metric, "medes.platform.starts.cold");
     }
 
+    /// Gauge endpoints of `(name, value)` series over one toy trace.
+    fn with_gauges(gauges: &[(&str, f64)]) -> Export {
+        let mut ts = SeriesStore::new();
+        for i in 0..5u64 {
+            for &(name, v) in gauges {
+                ts.point(name, SeriesKind::Gauge, i, v);
+            }
+        }
+        load("x", &toy_export(1, 500, 50), Some(&ts.export_jsonl()))
+    }
+
     #[test]
     fn series_endpoints_compare_and_hit_rate_inverts() {
-        let mut base_ts = SeriesStore::new();
-        let mut cand_ts = SeriesStore::new();
-        for i in 0..5u64 {
-            base_ts.point("medes.cache.hit_rate", SeriesKind::Gauge, i, 0.9);
-            cand_ts.point("medes.cache.hit_rate", SeriesKind::Gauge, i, 0.5);
-            base_ts.point("medes.platform.live_sandboxes", SeriesKind::Gauge, i, 10.0);
-            cand_ts.point("medes.platform.live_sandboxes", SeriesKind::Gauge, i, 100.0);
-        }
-        let trace = toy_export(1, 500, 50);
-        let base = TraceExport::load("a", &trace, Some(&base_ts.export_jsonl()));
-        let cand = TraceExport::load("b", &trace, Some(&cand_ts.export_jsonl()));
-        let (_, regressions) = diff(&base, &cand, &DiffThresholds::default());
-        let names: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
+        let base = with_gauges(&[
+            ("medes.cache.hit_rate", 0.9),
+            ("medes.platform.live_sandboxes", 10.0),
+        ]);
+        let cand = with_gauges(&[
+            ("medes.cache.hit_rate", 0.5),
+            ("medes.platform.live_sandboxes", 100.0),
+        ]);
+        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
+        let names = metrics(&regressions);
         assert!(names.contains(&"end:medes.cache.hit_rate"), "{names:?}");
         assert!(
             names.contains(&"end:medes.platform.live_sandboxes"),
             "{names:?}"
         );
         // Swapped direction: a *rising* hit rate is an improvement.
-        let (_, regressions) = diff(&cand, &base, &DiffThresholds::default());
-        let names: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
-        assert!(!names.contains(&"end:medes.cache.hit_rate"), "{names:?}");
+        let (_, regressions) = compare(&cand, &base, &DiffThresholds::default(), None);
+        assert!(
+            !metrics(&regressions).contains(&"end:medes.cache.hit_rate"),
+            "{regressions:?}"
+        );
     }
 
-    /// Tentpole: `--group-by` compares labeled twins per label value;
-    /// only the higher-is-worse set gates, the rest is informational.
+    /// An unchanged hit rate is no regression at any level: the
+    /// lower-is-worse gate is `cand < base·(1−rel) − abs`, not the
+    /// higher-is-worse gate on negated values (which flagged every
+    /// unchanged rate above 0.2).
+    #[test]
+    fn unchanged_hit_rate_is_not_a_regression() {
+        let hit_rate = |rate: f64| with_gauges(&[("medes.cache.hit_rate", rate)]);
+        let flagged = |base: &Export, cand: &Export| {
+            let (_, regressions) = compare(base, cand, &DiffThresholds::default(), None);
+            metrics(&regressions).contains(&"end:medes.cache.hit_rate")
+        };
+        let (high, low) = (hit_rate(0.9), hit_rate(0.5));
+        assert!(!flagged(&high, &high), "0.9 -> 0.9 flagged");
+        assert!(flagged(&high, &low), "0.9 -> 0.5 not flagged");
+        assert!(!flagged(&low, &high), "0.5 -> 0.9 flagged");
+    }
+
+    /// `--group-by` compares labeled twins per label value; only the
+    /// higher-is-worse set gates, the rest is informational.
     #[test]
     fn group_by_compares_labeled_twins() {
         use medes_obs::LabelSet;
@@ -507,37 +404,42 @@ mod tests {
             });
             obs.export_jsonl()
         };
-        let base = TraceExport::load("a", &export(2), None);
-        let cand = TraceExport::load("b", &export(40), None);
-        let (report, regressions) =
-            diff_by(&base, &cand, &DiffThresholds::default(), Some("owner"));
-        let names: Vec<&str> = regressions.iter().map(|r| r.metric.as_str()).collect();
-        assert!(names.contains(&"medes.net.retries{owner=2}"), "{names:?}");
-        let text = report.text();
-        assert!(text.contains("grouped by owner (gated counters)"), "{text}");
+        let base = load("a", &export(2), None);
+        let cand = load("b", &export(40), None);
+        let th = DiffThresholds::default();
+        let (text, regressions) = compare(&base, &cand, &th, Some("owner"));
+        assert!(
+            metrics(&regressions).contains(&"medes.net.retries{owner=2}"),
+            "{regressions:?}"
+        );
+        assert!(text.contains("grouped by owner"), "{text}");
         // rdma_reads has no owner label: grouping by src is informational.
-        let (report, regressions) = diff_by(&base, &cand, &DiffThresholds::default(), Some("src"));
+        let (text, regressions) = compare(&base, &cand, &th, Some("src"));
         assert!(
             !regressions
                 .iter()
                 .any(|r| r.metric.starts_with("medes.net.rdma_reads")),
             "{regressions:?}"
         );
-        assert!(report.text().contains("grouped by src (informational)"));
+        let row = text
+            .lines()
+            .find(|l| l.starts_with("medes.net.rdma_reads{src=1}"));
+        assert!(row.is_some_and(|l| l.ends_with("info")), "{text}");
         // Label-off exports degrade gracefully.
-        let plain = TraceExport::load("p", &toy_export(1, 500, 50), None);
-        let (report, _) = diff_by(&plain, &plain, &DiffThresholds::default(), Some("node"));
-        assert!(report
-            .text()
-            .contains("no labeled series carry a node label"));
+        let plain = load("p", &toy_export(1, 500, 50), None);
+        let (text, _) = compare(&plain, &plain, &th, Some("node"));
+        assert!(text.contains("no labeled series carry a node label"));
     }
 
     #[test]
     fn empty_inputs_diff_clean() {
-        let base = TraceExport::load("a", "", None);
-        let cand = TraceExport::load("b", "", None);
-        let (report, regressions) = diff(&base, &cand, &DiffThresholds::default());
+        let (text, regressions) = compare(
+            &load("a", "", None),
+            &load("b", "", None),
+            &DiffThresholds::default(),
+            None,
+        );
         assert!(regressions.is_empty());
-        assert!(report.text().contains("clean"));
+        assert!(text.contains("clean"));
     }
 }

@@ -34,33 +34,25 @@
 //! Its rows are named in `BENCHMARK.json` (`hash.sha1_64_ns`,
 //! `delta.encode_ns_per_page`, `dedup.scan_us`, `obs.noop_ns`, …).
 //!
-//! `trace summarize <trace.jsonl>` renders the per-phase latency
-//! breakdown of a JSONL span trace exported by `medes-obs` (run any
-//! experiment with `--obs` to produce one). `trace analyze` goes a
-//! step further: it rebuilds each operation's causal tree from the
-//! `trace_id`/`parent_id` fields, prints critical paths and per-phase
-//! self times, flags anomalous ops, and writes a folded-stacks file
-//! for flamegraph rendering (see [`analyze`]).
-//!
-//! `trace timeline <trace.timeseries.jsonl>` summarizes the
-//! deterministic sampler's per-metric series (run any experiment with
-//! `--obs --timeseries <ms>`) and flags monotonic-leak patterns
-//! (see [`timeline`]). `trace diff <base.jsonl> <cand.jsonl>` compares
-//! two run exports — counters, histogram p99s, SLO violations, phase
-//! self times, series endpoints — and exits nonzero on regression (see
-//! [`diff`]).
+//! `trace report <trace.jsonl> [--against <base.jsonl>] [--group-by
+//! <label>]` reads the JSONL export of any run made with `--obs` — and
+//! its `.timeseries.jsonl` sibling — and renders one report: per-phase
+//! latency and self time, causal-tree critical paths, the slowest
+//! requests, counters, series and leak suspects, tail attribution and,
+//! against a base export, regressions (see [`trace`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyze;
-pub mod attribute;
+mod analyze;
+mod attribute;
 pub mod common;
-pub mod diff;
+mod diff;
 pub mod experiments;
 pub mod report;
-pub mod summarize;
-pub mod timeline;
+mod summarize;
+mod timeline;
+pub mod trace;
 
 pub use common::ExpConfig;
 pub use report::Report;

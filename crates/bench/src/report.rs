@@ -40,11 +40,16 @@ impl Report {
 
     /// Adds an aligned table: `header` then `rows` (column widths are
     /// computed from content).
-    pub fn table(&mut self, header: &[&str], rows: &[Vec<String>]) {
+    pub fn table<R: AsRef<[String]>>(
+        &mut self,
+        header: &[&str],
+        rows: impl IntoIterator<Item = R>,
+    ) {
+        let rows: Vec<R> = rows.into_iter().collect();
         let cols = header.len();
         let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-        for row in rows {
-            for (i, cell) in row.iter().enumerate().take(cols) {
+        for row in &rows {
+            for (i, cell) in row.as_ref().iter().enumerate().take(cols) {
                 widths[i] = widths[i].max(cell.len());
             }
         }
@@ -54,9 +59,9 @@ impl Report {
         }
         let _ = writeln!(self.text, "{}", line.trim_end());
         let _ = writeln!(self.text, "{}", "-".repeat(line.trim_end().len()));
-        for row in rows {
+        for row in &rows {
             let mut line = String::new();
-            for (i, cell) in row.iter().enumerate().take(cols) {
+            for (i, cell) in row.as_ref().iter().enumerate().take(cols) {
                 let _ = write!(line, "{:<w$}  ", cell, w = widths[i]);
             }
             let _ = writeln!(self.text, "{}", line.trim_end());

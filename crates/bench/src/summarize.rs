@@ -1,58 +1,55 @@
-//! `trace summarize`: per-phase latency breakdown of a JSONL span
-//! trace exported by `medes-obs`.
-//!
-//! Groups spans by name, reports count / mean / p50 / p99 / max /
-//! total time per phase, lists the top-N slowest
-//! `medes.platform.request` spans with their attributes, and prints the
-//! run's counters and gauges from the trace's tail line.
+//! The run-level sections of `trace report`: the one per-phase table
+//! (latency and self time per span name), the slowest requests and the
+//! run's counters and gauges from the tail line.
 
+use crate::analyze::Forest;
 use crate::report::{f, Report};
-use medes_obs::{parse_jsonl, parse_tail, ParsedSpan};
-use medes_sim::stats::Percentiles;
+use crate::trace::{fmt_attr, percentiles, Export, TOP};
+use medes_obs::ParsedSpan;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-/// Aggregated stats for one span name.
+/// Latency and self time of one span name.
 #[derive(Debug)]
-pub struct PhaseStats {
+pub(crate) struct Phase {
     /// Span name (`medes.<subsystem>.<name>`).
-    pub name: String,
+    pub(crate) name: String,
     /// Number of spans.
-    pub count: u64,
-    /// Mean duration, µs.
-    pub mean_us: f64,
-    /// Median duration, µs.
-    pub p50_us: f64,
-    /// 99th percentile duration, µs.
-    pub p99_us: f64,
-    /// Longest duration, µs.
-    pub max_us: f64,
+    pub(crate) count: u64,
     /// Sum of durations, µs.
-    pub total_us: u64,
+    pub(crate) total_us: u64,
+    /// Median, 99th percentile and longest duration, µs.
+    pub(crate) p50_p99_max_us: [f64; 3],
+    /// Sum of self times over the name's traced spans, µs; `None` when
+    /// no span of the name is in a causal tree.
+    pub(crate) self_us: Option<u64>,
 }
 
-/// Computes per-phase stats from parsed spans, sorted by total time
-/// descending (the phases where time actually goes come first).
-pub fn phase_stats(spans: &[ParsedSpan]) -> Vec<PhaseStats> {
-    let mut groups: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-    for s in spans {
-        groups.entry(&s.name).or_default().push(s.dur_us());
+/// The one per-phase pass: every span's duration and every traced
+/// span's self time, grouped by name, sorted by total time descending
+/// (the phases where time actually goes come first).
+pub(crate) fn phases(forest: &Forest) -> Vec<Phase> {
+    let mut groups: BTreeMap<&str, (Vec<u64>, Option<u64>)> = BTreeMap::new();
+    for (i, s) in forest.spans.iter().enumerate() {
+        let (durs, self_us) = groups.entry(&s.name).or_default();
+        durs.push(s.dur_us());
+        if s.trace_id != 0 {
+            *self_us.get_or_insert(0) += forest.self_time_us(i);
+        }
     }
-    let mut out: Vec<PhaseStats> = groups
+    let mut out: Vec<Phase> = groups
         .into_iter()
-        .map(|(name, durs)| {
-            let total: u64 = durs.iter().sum();
-            let mut pct = Percentiles::new();
-            for &d in &durs {
-                pct.record(d as f64);
-            }
-            PhaseStats {
-                name: name.to_string(),
-                count: durs.len() as u64,
-                mean_us: total as f64 / durs.len() as f64,
-                p50_us: pct.quantile(0.50).unwrap_or(0.0),
-                p99_us: pct.quantile(0.99).unwrap_or(0.0),
-                max_us: pct.quantile(1.0).unwrap_or(0.0),
-                total_us: total,
+        .map(|(name, (durs, self_us))| {
+            let mut pct = percentiles(durs.iter().map(|&d| d as f64));
+            let p50_p99_max_us = [0.50, 0.99, 1.0].map(|q| pct.quantile(q).unwrap_or(0.0));
+            let (count, total_us) = (durs.len() as u64, durs.iter().sum());
+            let name = name.to_string();
+            Phase {
+                name,
+                count,
+                total_us,
+                p50_p99_max_us,
+                self_us,
             }
         })
         .collect();
@@ -60,110 +57,71 @@ pub fn phase_stats(spans: &[ParsedSpan]) -> Vec<PhaseStats> {
     out
 }
 
-/// The `top` slowest request spans (`medes.platform.request`),
-/// slowest first.
-pub fn slowest_requests(spans: &[ParsedSpan], top: usize) -> Vec<&ParsedSpan> {
-    let mut reqs: Vec<&ParsedSpan> = spans
-        .iter()
-        .filter(|s| s.name == "medes.platform.request")
-        .collect();
-    reqs.sort_by(|a, b| {
-        b.dur_us()
-            .cmp(&a.dur_us())
-            .then(a.start_us.cmp(&b.start_us))
+/// The per-phase table; `self_%` is each phase's share of all self time.
+pub(crate) fn phase_table(report: &mut Report, phases: &[Phase]) {
+    let grand = phases.iter().filter_map(|p| p.self_us).sum::<u64>().max(1) as f64;
+    report.section("per-phase latency and self time");
+    let rows = phases.iter().map(|p| {
+        let mean = f(p.total_us as f64 / p.count as f64, 1);
+        let mut row = vec![p.name.clone(), p.count.to_string(), mean];
+        row.extend(p.p50_p99_max_us.map(|us| f(us, 1)));
+        row.push(f(p.total_us as f64 / 1e6, 3));
+        row.extend(match p.self_us {
+            Some(us) => [f(us as f64 / 1e6, 3), f(100.0 * us as f64 / grand, 1)],
+            None => ["-".into(), "-".into()],
+        });
+        row
     });
-    reqs.truncate(top);
-    reqs
+    let header = [
+        "phase", "count", "mean_us", "p50_us", "p99_us", "max_us", "total_s", "self_s", "self_%",
+    ];
+    report.table(&header, rows);
 }
 
-/// Builds the summary report for one JSONL trace's contents.
-pub fn summarize(trace_name: &str, contents: &str, top: usize) -> Report {
-    let spans = parse_jsonl(contents);
-    let mut report = Report::new("trace-summary", trace_name);
-    report.line(&format!("{} spans", spans.len()));
-
-    report.section("per-phase latency breakdown");
-    let phases = phase_stats(&spans);
-    let rows: Vec<Vec<String>> = phases
+/// The [`TOP`] slowest requests with their attributes, then the run's
+/// counters and gauges (histograms appear through their spans).
+pub(crate) fn slowest_and_counters(report: &mut Report, run: &Export) {
+    let requests = run
+        .forest
+        .spans
         .iter()
-        .map(|p| {
-            vec![
-                p.name.clone(),
-                p.count.to_string(),
-                f(p.mean_us, 1),
-                f(p.p50_us, 1),
-                f(p.p99_us, 1),
-                f(p.max_us, 1),
-                f(p.total_us as f64 / 1e6, 3),
-            ]
-        })
-        .collect();
-    report.table(
-        &[
-            "phase", "count", "mean_us", "p50_us", "p99_us", "max_us", "total_s",
-        ],
-        &rows,
-    );
-
-    let slow = slowest_requests(&spans, top);
+        .filter(|s| s.name == "medes.platform.request");
+    let mut slow: Vec<&ParsedSpan> = requests.collect();
+    slow.sort_by_key(|s| (Reverse(s.dur_us()), s.start_us));
+    slow.truncate(TOP);
     if !slow.is_empty() {
         report.section(&format!("top {} slowest requests", slow.len()));
-        let rows: Vec<Vec<String>> = slow
-            .iter()
-            .map(|s| {
-                let attr_str = |k: &str| {
-                    s.attr(k)
-                        .map(|v| match v.as_str() {
-                            Some(t) => t.to_string(),
-                            None => v.to_string(),
-                        })
-                        .unwrap_or_else(|| "-".to_string())
-                };
-                vec![
-                    attr_str("id"),
-                    attr_str("fn"),
-                    attr_str("start_type"),
-                    s.start_us.to_string(),
-                    attr_str("startup_us"),
-                    attr_str("exec_us"),
-                    s.dur_us().to_string(),
-                ]
-            })
-            .collect();
-        report.table(
-            &[
-                "req",
-                "fn",
-                "start",
-                "arrival_us",
-                "startup_us",
-                "exec_us",
-                "e2e_us",
-            ],
-            &rows,
-        );
+        let rows = slow.iter().map(|s| {
+            let mut row = ["id", "fn", "start_type"].map(|k| fmt_attr(s, k)).to_vec();
+            row.push(s.start_us.to_string());
+            row.extend(["startup_us", "exec_us"].map(|k| fmt_attr(s, k)));
+            row.push(s.dur_us().to_string());
+            row
+        });
+        let header = [
+            "req",
+            "fn",
+            "start",
+            "arrival_us",
+            "startup_us",
+            "exec_us",
+            "e2e_us",
+        ];
+        report.table(&header, rows);
     }
-
-    // Counters and gauges are plain numbers in the tail; histograms are
-    // objects and already appear above through their spans.
-    let tail = parse_tail(contents);
-    let scalars: Vec<Vec<String>> = tail
-        .iter()
-        .filter_map(|t| t.get("metrics")?.as_object())
-        .flat_map(|m| m.iter())
-        .filter(|(_, v)| v.as_f64().is_some())
-        .map(|(name, v)| vec![name.to_string(), v.to_string()])
-        .collect();
-    if !scalars.is_empty() {
+    if !run.scalars.is_empty() {
         report.section("run counters");
-        report.table(&["metric", "value"], &scalars);
+        let rows = run
+            .scalars
+            .iter()
+            .map(|(name, v)| [name.clone(), v.to_string()]);
+        report.table(&["metric", "value"], rows);
     }
-    report
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::trace::{load, report};
 
     fn sample_trace() -> String {
         let obs = medes_obs::Obs::new(medes_obs::ObsConfig::enabled());
@@ -187,36 +145,38 @@ mod tests {
 
     #[test]
     fn phase_stats_aggregate_by_name() {
-        let spans = parse_jsonl(&sample_trace());
-        let phases = phase_stats(&spans);
+        let phases = load("t", &sample_trace(), None).phases;
         assert_eq!(phases.len(), 3);
         let base = phases
             .iter()
             .find(|p| p.name == "medes.restore.base_read")
             .unwrap();
         assert_eq!(base.count, 10);
-        assert!((base.mean_us - 30.0).abs() < 1e-9);
         assert_eq!(base.total_us, 300);
+        assert_eq!(base.p50_p99_max_us, [30.0; 3]);
+        // Untraced spans carry no self time.
+        assert_eq!(base.self_us, None);
         // Sorted by total time: requests (longest spans) first.
         assert_eq!(phases[0].name, "medes.platform.request");
     }
 
     #[test]
     fn slowest_requests_are_ranked() {
-        let spans = parse_jsonl(&sample_trace());
-        let slow = slowest_requests(&spans, 3);
-        assert_eq!(slow.len(), 3);
-        assert!(slow[0].dur_us() >= slow[1].dur_us());
-        assert_eq!(slow[0].attr("id").and_then(|v| v.as_u64()), Some(9));
+        let (report, _) = report(&load("t", &sample_trace(), None), None, None);
+        let text = report.text();
+        let slowest = text.split("slowest requests ---\n").nth(1).unwrap();
+        // Slowest first: request 9 ran longest (exec 63 us).
+        let ids: Vec<&str> = slowest.lines().skip(2).take(3).map(|l| &l[..1]).collect();
+        assert_eq!(ids, ["9", "8", "7"], "{slowest}");
     }
 
     #[test]
     fn summarize_renders_tables() {
-        let report = summarize("trace-test.jsonl", &sample_trace(), 5);
+        let (report, _) = report(&load("trace-test.jsonl", &sample_trace(), None), None, None);
         let text = report.text();
-        assert!(text.contains("per-phase latency breakdown"));
+        assert!(text.contains("per-phase latency and self time"));
         assert!(text.contains("medes.restore.base_read"));
-        assert!(text.contains("top 5 slowest requests"));
+        assert!(text.contains("top 10 slowest requests"));
         assert!(text.contains("LinAlg"));
         assert!(text.contains("run counters"));
         let reused = text
@@ -227,7 +187,7 @@ mod tests {
 
     #[test]
     fn summarize_handles_empty_trace() {
-        let report = summarize("empty", "", 5);
+        let (report, _) = report(&load("empty", "", None), None, None);
         assert!(report.text().contains("0 spans"));
     }
 }

@@ -1,27 +1,17 @@
-//! `trace timeline`: per-metric summaries of a `.timeseries.jsonl`
-//! export (the deterministic sim-time sampler's output).
+//! The series section of `trace report`: per-metric summaries of the
+//! `.timeseries.jsonl` sibling (the deterministic sim-time sampler's
+//! output) and monotonic-leak suspects.
 //!
-//! For every sampled series it renders points, min/p50/p95/max and the
-//! first/last endpoints, then scans gauges for **monotonic-leak
-//! patterns**: a gauge that (almost) never decreases across a long run
-//! and ends well above where it started is the classic signature of a
-//! leaked resource — sandboxes never purged, cache entries never
-//! evicted, a queue that only grows. Counters are monotone by
-//! construction, so only gauges are interrogated.
+//! A gauge that (almost) never decreases across a long run and ends
+//! well above where it started is the classic signature of a leaked
+//! resource — sandboxes never purged, cache entries never evicted, a
+//! queue that only grows. Counters are monotone by construction, so
+//! only gauges are interrogated.
 
 use crate::report::{f, Report};
-use medes_obs::{parse_series_key, parse_timeseries, ParsedSeries, SeriesKind};
-
-/// Exact quantile of an already-sorted value slice (nearest-rank,
-/// `ceil(q·n)`). Series are small (one point per sample tick), so no
-/// sketching is needed.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
+use crate::trace::{group_by, percentiles};
+use medes_obs::{ParsedSeries, SeriesKind};
+use std::collections::BTreeMap;
 
 /// Whether a series looks like a monotonic leak: a gauge with at least
 /// 8 samples whose steps are ≥95% non-decreasing and whose last value
@@ -29,149 +19,102 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
 /// zero). Deliberately a heuristic — it flags candidates for a human,
 /// it does not prove a leak.
 pub fn looks_like_leak(s: &ParsedSeries) -> bool {
-    if s.kind != SeriesKind::Gauge || s.points.len() < 8 {
-        return false;
-    }
     let v = s.values();
-    let steps = v.len() - 1;
-    let rising = v.windows(2).filter(|w| w[1] >= w[0]).count();
-    if (rising as f64) < 0.95 * steps as f64 {
+    if s.kind != SeriesKind::Gauge || v.len() < 8 {
         return false;
     }
-    let (first, last) = (v[0], *v.last().expect("nonempty"));
-    if last <= first {
-        return false;
+    let rising = v.windows(2).filter(|w| w[1] >= w[0]).count() as f64;
+    let (first, last) = (v[0], v[v.len() - 1]);
+    let grew = last > first && (first <= 0.0 || last >= 1.5 * first);
+    rising >= 0.95 * (v.len() - 1) as f64 && grew
+}
+
+/// Renders the series section — nothing when the run sampled no
+/// series. With `group`, labeled twin series (sampled as
+/// `base{k=v,...}`) carrying that label are summed per `(base metric,
+/// label value)`, so a flat aggregate's trend breaks down by dimension.
+pub(crate) fn series(report: &mut Report, series: &[ParsedSeries], group: Option<&str>) {
+    if series.is_empty() {
+        return;
     }
-    first <= 0.0 || last >= 1.5 * first
-}
-
-/// Builds the `trace timeline` report for one `.timeseries.jsonl`
-/// export. Returns the report and the names flagged as leak suspects.
-pub fn timeline(name: &str, contents: &str) -> (Report, Vec<String>) {
-    timeline_by(name, contents, None)
-}
-
-/// [`timeline`] with an optional `--group-by <label>`: labeled twin
-/// series (sampled as `base{k=v,...}`) carrying that label are grouped
-/// per `(base metric, label value)` and summarized side by side, so a
-/// flat aggregate's trend breaks down by dimension.
-pub fn timeline_by(name: &str, contents: &str, group_by: Option<&str>) -> (Report, Vec<String>) {
-    let series = parse_timeseries(contents);
-    let mut report = Report::new("trace-timeline", name);
-    let points: usize = series.iter().map(|s| s.points.len()).sum();
-    report.line(&format!("{} series, {points} points", series.len()));
-    report.json_set("series", medes_obs::json!(series.len()));
-    report.json_set("points", medes_obs::json!(points));
-
     report.section("per-metric summary");
-    let rows: Vec<Vec<String>> = series
-        .iter()
-        .map(|s| {
-            let mut sorted = s.values();
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            vec![
-                s.name.clone(),
-                s.kind.as_str().to_string(),
-                s.points.len().to_string(),
-                f(sorted.first().copied().unwrap_or(0.0), 1),
-                f(quantile(&sorted, 0.50), 1),
-                f(quantile(&sorted, 0.95), 1),
-                f(sorted.last().copied().unwrap_or(0.0), 1),
-                f(s.first().unwrap_or(0.0), 1),
-                f(s.last().unwrap_or(0.0), 1),
-            ]
-        })
-        .collect();
-    report.table(
-        &[
-            "metric", "kind", "points", "min", "p50", "p95", "max", "first", "last",
-        ],
-        &rows,
-    );
+    let rows = series.iter().map(|s| {
+        let mut pct = percentiles(s.values());
+        let mut row = vec![
+            s.name.clone(),
+            s.kind.as_str().into(),
+            s.points.len().to_string(),
+        ];
+        row.extend([0.0, 0.50, 0.95, 1.0].map(|q| f(pct.quantile(q).unwrap_or(0.0), 1)));
+        row.extend([s.first(), s.last()].map(|v| f(v.unwrap_or(0.0), 1)));
+        row
+    });
+    let header = [
+        "metric", "kind", "points", "min", "p50", "p95", "max", "first", "last",
+    ];
+    report.table(&header, rows);
 
-    if let Some(group) = group_by {
+    if let Some(group) = group {
         // One row per (base metric, label value): the series' final
         // sample, plus its share of the base's grouped total.
-        let mut grouped: std::collections::BTreeMap<(String, String), f64> =
-            std::collections::BTreeMap::new();
-        for s in &series {
-            let Some((base, labels)) = parse_series_key(&s.name) else {
-                continue;
-            };
-            let Some((_, v)) = labels.into_iter().find(|(k, _)| k == group) else {
-                continue;
-            };
-            *grouped.entry((base.to_string(), v)).or_default() += s.last().unwrap_or(0.0);
-        }
+        let lasts = series
+            .iter()
+            .map(|s| (s.name.as_str(), s.last().unwrap_or(0.0)));
+        let grouped = group_by(lasts, group);
         report.section(&format!("grouped by {group} (final values)"));
         if grouped.is_empty() {
             report.line(&format!(
                 "no series carry a {group} label (labeled run required: --obs --labels)"
             ));
         } else {
-            let mut totals: std::collections::BTreeMap<&str, f64> =
-                std::collections::BTreeMap::new();
+            let mut totals: BTreeMap<&str, f64> = BTreeMap::new();
             for ((base, _), v) in &grouped {
-                *totals.entry(base.as_str()).or_default() += v;
+                *totals.entry(base).or_default() += v;
             }
-            let rows: Vec<Vec<String>> = grouped
-                .iter()
-                .map(|((base, v), last)| {
-                    let total = totals[base.as_str()];
-                    let share = if total > 0.0 {
-                        100.0 * last / total
-                    } else {
-                        0.0
-                    };
-                    vec![base.clone(), v.clone(), f(*last, 1), f(share, 1)]
-                })
-                .collect();
-            report.table(&["metric", group, "last", "share_%"], &rows);
+            let rows = grouped.iter().map(|((base, v), &last)| {
+                let total = totals[base.as_str()];
+                let share = if total > 0.0 {
+                    100.0 * last / total
+                } else {
+                    0.0
+                };
+                [base.clone(), v.clone(), f(last, 1), f(share, 1)]
+            });
+            report.table(&["metric", group, "last", "share_%"], rows);
         }
     }
 
-    let leaks: Vec<String> = series
-        .iter()
-        .filter(|s| looks_like_leak(s))
-        .map(|s| s.name.clone())
-        .collect();
-    if leaks.is_empty() {
+    let mut leaks = series.iter().filter(|s| looks_like_leak(s)).peekable();
+    if leaks.peek().is_none() {
         report.line("\nno monotonic-leak patterns detected");
     } else {
         report.section("leak suspects (monotonic growth)");
-        for l in &leaks {
-            let s = series.iter().find(|s| &s.name == l).expect("flagged");
+        for s in leaks {
             report.line(&format!(
-                "{l}: {} -> {} over {} samples (never shrinking)",
+                "{}: {} -> {} over {} samples (never shrinking)",
+                s.name,
                 f(s.first().unwrap_or(0.0), 1),
                 f(s.last().unwrap_or(0.0), 1),
                 s.points.len()
             ));
         }
     }
-    report.json_set(
-        "leaks",
-        medes_obs::Json::Array(leaks.iter().map(|l| medes_obs::json!(l.as_str())).collect()),
-    );
-    (report, leaks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medes_obs::SeriesStore;
+    use crate::trace::{load, report};
+    use medes_obs::{parse_timeseries, SeriesStore};
 
     fn store_to_parsed(s: &SeriesStore) -> Vec<ParsedSeries> {
         parse_timeseries(&s.export_jsonl())
     }
 
-    #[test]
-    fn quantiles_are_exact_nearest_rank() {
-        let v: Vec<f64> = (1..=20).map(|x| x as f64).collect();
-        assert_eq!(quantile(&v, 0.50), 10.0);
-        assert_eq!(quantile(&v, 0.95), 19.0);
-        assert_eq!(quantile(&v, 1.0), 20.0);
-        assert_eq!(quantile(&[], 0.5), 0.0);
+    /// The report of a run whose only content is `s`'s series.
+    fn timeline(s: &SeriesStore, group: Option<&str>) -> String {
+        let run = load("ts", "", Some(&s.export_jsonl()));
+        report(&run, None, group).0.text().to_string()
     }
 
     #[test]
@@ -220,17 +163,23 @@ mod tests {
                 (i % 2) as f64,
             );
         }
-        let (report, leaks) = timeline("ts.jsonl", &s.export_jsonl());
-        assert_eq!(leaks, ["medes.leaky.gauge"]);
-        let text = report.text();
+        let text = timeline(&s, None);
         assert!(text.contains("2 series, 20 points"));
-        assert!(text.contains("leak suspects"));
-        assert!(text.contains("medes.leaky.gauge: 0.0 -> 9.0 over 10 samples"));
-        assert_eq!(report.json()["leaks"][0], "medes.leaky.gauge");
+        // Exactly the rising gauge is a leak suspect.
+        let leaks = text.split("leak suspects").nth(1).expect("leak section");
+        assert!(leaks.contains("medes.leaky.gauge: 0.0 -> 9.0 over 10 samples"));
+        assert!(!leaks.contains("medes.ok.gauge"), "{leaks}");
+        // Series percentiles are `Percentiles`' (interpolated): the p50
+        // of 0..=9 is 4.5, where nearest-rank gave 4.0.
+        let row = text
+            .lines()
+            .find(|l| l.starts_with("medes.leaky.gauge "))
+            .unwrap();
+        assert!(row.contains(" 4.5 "), "{row}");
     }
 
-    /// Tentpole: `--group-by` breaks labeled twin series down per
-    /// label value, with shares of the grouped total per base metric.
+    /// `--group-by` breaks labeled twin series down per label value,
+    /// with shares of the grouped total per base metric.
     #[test]
     fn timeline_groups_labeled_series_by_label() {
         let mut s = SeriesStore::new();
@@ -255,8 +204,7 @@ mod tests {
                 i as f64,
             );
         }
-        let (report, _) = timeline_by("ts", &s.export_jsonl(), Some("node"));
-        let text = report.text();
+        let text = timeline(&s, Some("node"));
         assert!(text.contains("grouped by node"), "{text}");
         // node 0 carries 9 of 12 medes.x.ops: 75%.
         assert!(text.contains("75.0"), "{text}");
@@ -273,21 +221,24 @@ mod tests {
             0,
             5.0,
         );
-        let (report, _) = timeline_by("ts", &s.export_jsonl(), Some("func"));
-        let text = report.text();
+        let text = timeline(&s, Some("func"));
         assert!(text.contains("a,b=c}d"), "{text}");
         // 5 of medes.y.ops' 8 grouped-by-func total: 62.5%.
         assert!(text.contains("62.5"), "{text}");
         // Grouping by an absent label degrades gracefully.
-        let (report, _) = timeline_by("ts", &s.export_jsonl(), Some("shard"));
-        assert!(report.text().contains("no series carry a shard label"));
+        let text = timeline(&s, Some("shard"));
+        assert!(text.contains("no series carry a shard label"));
     }
 
     #[test]
     fn timeline_handles_empty_input() {
-        let (report, leaks) = timeline("empty", "");
-        assert!(leaks.is_empty());
-        assert!(report.text().contains("0 series, 0 points"));
-        assert!(report.text().contains("no monotonic-leak patterns"));
+        let text = timeline(&SeriesStore::new(), None);
+        assert!(text.contains("0 series, 0 points"));
+        assert!(!text.contains("leak suspects"));
+        // No series, no series section.
+        assert!(!text.contains("per-metric summary"));
+        let mut s = SeriesStore::new();
+        s.point("medes.flat", SeriesKind::Gauge, 0, 1.0);
+        assert!(timeline(&s, None).contains("no monotonic-leak patterns"));
     }
 }

@@ -1,15 +1,13 @@
 //! End-to-end: a traced quick-scale Medes run exports a JSONL trace
-//! that `trace analyze` reconstructs into exact causal trees, `trace
-//! diff` compares and `trace attribute` drills into — and no telemetry
-//! setting (off, sampled, labeled) moves the `RunReport`. These are the
-//! gates of the observability layer (DESIGN.md §8, §12, §16); the one
+//! that `trace report` reconstructs into exact causal trees, drills
+//! into and compares against another run — and no telemetry setting
+//! (off, sampled, labeled) moves the `RunReport`. These are the gates
+//! of the observability layer (DESIGN.md §8, §12, §16); the one
 //! host-time claim, a ceiling on tracing overhead, is `#[ignore]`d and
 //! run by CI in `--release` with `-- --ignored`.
 
-use medes_bench::analyze::{analyze, tree_self_sum, Forest};
-use medes_bench::attribute::attribute;
 use medes_bench::common::{run_outcome, ExpConfig};
-use medes_bench::diff::{diff, DiffThresholds, TraceExport};
+use medes_bench::trace;
 use medes_core::config::{PlatformConfig, PolicyKind};
 use medes_core::platform::RunOutcome;
 use medes_obs::{parse_jsonl, parse_tail, ObsConfig};
@@ -47,12 +45,39 @@ fn quick_run(obs: ObsConfig, tweak: impl FnOnce(&mut PlatformConfig)) -> RunOutc
     run_outcome(platform, &suite, &trace)
 }
 
+/// The exit code of `experiments trace report` on the `trace` export,
+/// compared `--against` the `base` export when given. Each export is
+/// written to a temp file named after it and removed afterwards, with
+/// the folded stacks the report writes beside it.
+fn report_exit(trace: (&str, &str), base: Option<(&str, &str)>) -> Option<i32> {
+    let write = |(name, jsonl): (&str, &str)| {
+        let path = std::env::temp_dir().join(format!("medes-{name}-{}.jsonl", std::process::id()));
+        std::fs::write(&path, jsonl).expect("temp trace written");
+        path
+    };
+    let path = write(trace);
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
+    cmd.args(["trace", "report"]).arg(&path);
+    let base = base.map(write);
+    if let Some(base) = &base {
+        cmd.arg("--against").arg(base);
+    }
+    let code = cmd.output().expect("experiments binary runs").status.code();
+    for p in [Some(path.with_extension("folded")), Some(path), base]
+        .into_iter()
+        .flatten()
+    {
+        let _ = std::fs::remove_file(p);
+    }
+    code
+}
+
 #[test]
 fn traced_run_reconstructs_exact_request_trees() {
     let outcome = quick_run(traced().labeled(), |_| {});
     let jsonl = outcome.obs.export_jsonl();
-    let spans = parse_jsonl(&jsonl);
-    let forest = Forest::build(&spans);
+    let run = trace::load("e2e.jsonl", &jsonl, None);
+    let forest = &run.forest;
 
     // At least one restore happened and its tree is exact: every
     // request tree's per-node self times sum to the root duration.
@@ -60,21 +85,20 @@ fn traced_run_reconstructs_exact_request_trees() {
     let mut request_trees = 0usize;
     for tree in &forest.trees {
         for &root in &tree.roots {
-            if spans[root].name != "medes.platform.request" {
+            if forest.spans[root].name != "medes.platform.request" {
                 continue;
             }
             request_trees += 1;
             assert_eq!(
-                tree_self_sum(&forest, &spans, root),
-                spans[root].dur_us(),
+                forest.tree_self_sum(root),
+                forest.spans[root].dur_us(),
                 "request tree self times must sum to the root duration"
             );
-            let path = forest.critical_path(&spans, root);
+            let path = forest.critical_path(root);
             assert!(!path.is_empty());
-            let has_restore = forest
-                .children(root)
+            let has_restore = forest.children[root]
                 .iter()
-                .any(|&c| spans[c].name == "medes.restore.op");
+                .any(|&c| forest.spans[c].name == "medes.restore.op");
             if has_restore {
                 restore_trees += 1;
                 // The critical path of a restored request descends
@@ -88,10 +112,11 @@ fn traced_run_reconstructs_exact_request_trees() {
 
     // The report renders and the folded-stacks output is non-empty
     // with multi-level stacks.
-    let (report, folded) = analyze("e2e.jsonl", &jsonl, 2.0, 10);
+    let (report, findings) = trace::report(&run, None, None);
     let text = report.text();
     assert!(text.contains("critical path"));
     assert!(text.contains("medes.platform.request"));
+    let folded = forest.folded_stacks();
     assert!(folded.lines().any(|l| l.contains(';')), "no nested stacks");
 
     // SLO summary rides along on the outcome and in the export's tail.
@@ -104,9 +129,8 @@ fn traced_run_reconstructs_exact_request_trees() {
     // The drill-down needs nothing but the same string: cold starts
     // break the α·s_W bound, so violators are retained, ranked by node
     // and resolved against the spans above the tail.
-    let (drill, attributions) = attribute("e2e.jsonl", &jsonl, 5);
-    assert!(attributions.iter().any(|a| a.kind == "slo-node"));
-    let text = drill.text();
+    assert!(findings.attributions.iter().any(|a| a.kind == "slo-node"));
+    assert!(findings.gate(), "attributions must fail the gate");
     assert!(text.contains("critical path of worst violation"), "{text}");
     assert!(!text.contains("trace not present"), "{text}");
 
@@ -125,7 +149,7 @@ fn traced_run_reconstructs_exact_request_trees() {
         "head sampling changed the simulation"
     );
     assert!(
-        parse_jsonl(&sampled.obs.export_jsonl()).len() < spans.len(),
+        parse_jsonl(&sampled.obs.export_jsonl()).len() < forest.spans.len(),
         "1-in-4 sampling did not shrink the trace"
     );
     let label_off = quick_run(traced(), |_| {});
@@ -134,35 +158,41 @@ fn traced_run_reconstructs_exact_request_trees() {
         "dimensional telemetry changed the simulation"
     );
     assert!(outcome.obs.labeled_len() > 0, "no labeled series recorded");
+    let label_off = label_off.obs.export_jsonl();
     assert!(
-        !label_off.obs.export_jsonl().contains("\"labeled\""),
+        !label_off.contains("\"labeled\""),
         "a label-off tail must not carry a labeled key"
     );
+    // A label-off export has nothing to attribute: `trace report` exits 0.
+    assert_eq!(report_exit(("label-off", &label_off), None), Some(0));
 
-    // `trace diff` is quiet on a run against itself and loud on an
+    // `--against` is quiet on a run against itself and loud on an
     // injected regression: the same workload under a 1 s fixed
     // keep-alive, which cold-starts almost everything.
     let worse = quick_run(traced().labeled(), |p| {
         p.policy = PolicyKind::FixedKeepAlive(SimDuration::from_secs(1));
     });
-    let base_side = TraceExport::load("base", &jsonl, None);
-    let worse_side = TraceExport::load("worse", &worse.obs.export_jsonl(), None);
-    let th = DiffThresholds::default();
-    let (_, clean) = diff(&base_side, &base_side, &th);
-    assert!(clean.is_empty(), "self-diff flagged {clean:?}");
-    let (_, flagged) = diff(&base_side, &worse_side, &th);
+    let worse = worse.obs.export_jsonl();
+    let (_, clean) = trace::report(&run, Some(&run), None);
+    assert_eq!(clean.regressions, Some(vec![]), "self-comparison flagged");
+    assert!(!clean.gate());
+    let (_, flagged) = trace::report(&trace::load("worse", &worse, None), Some(&run), None);
     assert!(
-        !flagged.is_empty(),
+        flagged.regressions.is_some_and(|r| !r.is_empty()),
         "injected regression (1s fixed keep-alive) not flagged"
+    );
+    assert_eq!(
+        report_exit(("worse", &worse), Some(("base", &jsonl))),
+        Some(1)
     );
 }
 
 /// The drill-down names an injected slow node: a latency-spike window
 /// (x150 on every RDMA read into node 1, enough that dedup restores
 /// served there outrank even the worst cold starts among the
-/// per-function violators) makes `trace attribute` rank that node
-/// first and resolve a critical path for its worst violation. The CLI
-/// turns both findings into exit codes.
+/// per-function violators) makes `trace report` rank that node first
+/// and resolve a critical path for its worst violation. The CLI turns
+/// both findings into exit codes.
 #[test]
 fn injected_slow_node_is_the_top_attribution() {
     let slow = quick_run(ObsConfig::enabled().labeled(), |p| {
@@ -182,7 +212,8 @@ fn injected_slow_node_is_the_top_attribution() {
         "slow-node run must record SLO violations"
     );
     let jsonl = slow.obs.export_jsonl();
-    let (drill, attributions) = attribute("slow.jsonl", &jsonl, 10);
+    let (drill, findings) = trace::report(&trace::load("slow.jsonl", &jsonl, None), None, None);
+    let attributions = &findings.attributions;
     let top = attributions
         .first()
         .expect("slow-node run produced no attributions");
@@ -199,24 +230,13 @@ fn injected_slow_node_is_the_top_attribution() {
         "drill-down must resolve a critical path"
     );
 
-    // `trace attribute` exits 1 on findings; `trace diff` of an export
-    // against itself exits 0.
-    let file = std::env::temp_dir().join(format!("medes-slow-{}.jsonl", std::process::id()));
-    std::fs::write(&file, &jsonl).expect("temp trace written");
-    let exit_code = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_experiments"))
-            .arg("trace")
-            .args(args)
-            .arg(&file)
-            .output()
-            .expect("experiments binary runs")
-            .status
-            .code()
-    };
-    let path = file.to_str().expect("utf-8 temp path");
-    assert_eq!(exit_code(&["attribute"]), Some(1));
-    assert_eq!(exit_code(&["diff", path]), Some(0));
-    let _ = std::fs::remove_file(&file);
+    // `trace report` exits 1 on findings; compared against itself it
+    // gates on regressions only, and exits 0.
+    assert_eq!(report_exit(("slow", &jsonl), None), Some(1));
+    assert_eq!(
+        report_exit(("slow-self", &jsonl), Some(("slow-base", &jsonl))),
+        Some(0)
+    );
 }
 
 /// Generous wall-time ceiling for the enabled tracer, as a fraction of
