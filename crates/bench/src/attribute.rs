@@ -215,7 +215,7 @@ mod tests {
                 root.child("medes.restore.op", 0),
             )
             .end(SimTime::from_micros(latency - 5));
-            obs.slo_record_traced("f", latency, 100, root.trace_id, node);
+            obs.slo_record("f", latency, 100, root.trace_id, node);
             obs.record_with("medes.restore.op_us", latency, Some(root.trace_id), || {
                 LabelSet::new().with("node", node)
             });
@@ -237,13 +237,13 @@ mod tests {
     #[test]
     fn clean_run_yields_no_attributions() {
         let obs = Obs::new(ObsConfig::enabled().labeled());
-        obs.slo_record_traced("f", 50, 100, 1, 0);
+        obs.slo_record("f", 50, 100, 1, 0);
         let (text, attributions) = attribute(&obs.export_jsonl());
         assert!(attributions.is_empty(), "{attributions:?}");
         assert!(text.contains("nothing to attribute"));
         // Neither does a label-off export, or no export at all.
         let off = Obs::new(ObsConfig::enabled());
-        off.slo_record_traced("f", 500, 100, 1, 0);
+        off.slo_record("f", 500, 100, 1, 0);
         assert!(attribute(&off.export_jsonl()).1.is_empty());
         assert!(attribute("").1.is_empty());
     }

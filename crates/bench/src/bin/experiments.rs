@@ -3,11 +3,11 @@
 //! synopsis; README.md walks through each flag:
 //!
 //! * `--quick` shrinks workloads to smoke-test size;
-//! * `--obs` exports a JSONL span trace per platform run; `--labels`
-//!   adds labeled series, exemplars and SLO violators, `--sample <n>`
-//!   keeps one trace tree in `n`, `--stream` writes spans as they
-//!   finish, `--timeseries <ms>` samples series into a
-//!   `.timeseries.jsonl` sibling;
+//! * `--obs` streams a JSONL span trace per platform run to the results
+//!   directory; `--labels` adds labeled series, exemplars and SLO
+//!   violators, `--sample <n>` keeps one trace tree in `n`,
+//!   `--timeseries <ms>` samples series into a `.timeseries.jsonl`
+//!   sibling;
 //! * `--faults`, `--cache`, `--shards`, `--workers`,
 //!   `--registry-owners` and `--content-model` set the fault plan, the
 //!   base-page cache, the registry shards, the scan workers, the
@@ -38,7 +38,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--stream] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>] [--group-by <label>]\nids: {}",
+        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>] [--group-by <label>]\nids: {}",
         experiments::ALL.join(", ")
     );
     std::process::exit(2);
@@ -127,7 +127,6 @@ fn main() {
             "--quick" => cfg.quick = true,
             "--obs" => cfg.obs = true,
             "--labels" => cfg.labels = true,
-            "--stream" => cfg.stream = true,
             "--content-model" => cfg.content_model = true,
             "--sample" => cfg.sample = Some(value(&mut it)),
             "--timeseries" => cfg.timeseries_ms = Some(value(&mut it)),

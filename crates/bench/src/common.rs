@@ -69,10 +69,6 @@ pub struct ExpConfig {
     /// Dedup scan worker-pool size (`--workers`). Reports are
     /// bit-identical at any shard and worker count.
     pub workers: usize,
-    /// Streamed span export (`--stream`, with `--obs`): spans go to the
-    /// trace file as they finish, so long traces run in O(ring) memory.
-    /// Inert without `--obs`.
-    pub stream: bool,
     /// Deterministic time-series sampling interval in simulated ms
     /// (`--timeseries <ms>`, with `--obs`): the platform snapshots its
     /// gauge/counter set every interval into `.timeseries.jsonl` next
@@ -113,7 +109,6 @@ impl ExpConfig {
             cache_mib: 0,
             shards: 1,
             workers: 1,
-            stream: false,
             timeseries_ms: None,
             registry_owners: None,
             labels: false,
@@ -249,9 +244,6 @@ impl ExpConfig {
             oc.set_export_dir(self.results_dir.clone());
             if let Some(n) = self.sample {
                 oc = oc.sampled(n);
-            }
-            if self.stream {
-                oc = oc.streamed();
             }
             if let Some(ms) = self.timeseries_ms {
                 oc = oc.sampled_every_ms(ms);
@@ -414,17 +406,18 @@ mod tests {
     #[test]
     fn stream_and_timeseries_flags_require_obs() {
         let mut cfg = ExpConfig::quick();
-        cfg.stream = true;
         cfg.timeseries_ms = Some(500);
-        // Without --obs both knobs are inert (tracing is off).
+        // Without --obs nothing is traced, streamed or sampled.
         let obs = cfg.platform().obs;
         assert!(!obs.enabled);
+        assert!(obs.export_dir.is_none());
+        // With it, the export dir is set, so every span streams to the
+        // trace file, and the sampler runs.
         cfg.obs = true;
         let obs = cfg.platform().obs;
         assert!(obs.enabled);
-        assert!(obs.stream);
+        assert_eq!(obs.export_dir, Some(cfg.results_dir.clone()));
         assert_eq!(obs.sample_every_ms, 500);
-        assert!(obs.export_dir.is_some());
     }
 
     #[test]

@@ -258,7 +258,7 @@ mod tests {
         obs.counter_add("medes.platform.starts.cold", cold_starts);
         obs.record("medes.platform.startup_us", op_us);
         for _ in 0..20 {
-            obs.slo_record("f", latency_us, 100);
+            obs.slo_record("f", latency_us, 100, 0, 0);
         }
         obs.export_jsonl()
     }

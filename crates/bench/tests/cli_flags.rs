@@ -32,6 +32,8 @@ fn dangling_results_flag_is_a_usage_error() {
 fn unknown_flag_or_id_is_rejected_before_any_experiment_runs() {
     assert_usage_error(&["fig13", "--quick", "--bogus"]);
     assert_usage_error(&["fig13", "nope", "--quick"]);
+    // `--stream` is gone: every `--obs` trace is streamed.
+    assert_usage_error(&["fig13", "--quick", "--obs", "--stream"]);
     // `trace report` does not mistake a flag for a file either.
     assert_usage_error(&["trace", "report", "--bogus"]);
 }

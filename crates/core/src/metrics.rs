@@ -320,13 +320,8 @@ impl MetricsCollector {
                 .functions
                 .get(rec.func)
                 .map_or("?", String::as_str);
-            self.obs.slo_record_traced(
-                fn_name,
-                rec.startup_us,
-                bound_us,
-                ctx.trace_id,
-                node as u64,
-            );
+            self.obs
+                .slo_record(fn_name, rec.startup_us, bound_us, ctx.trace_id, node as u64);
             let labels = || {
                 LabelSet::new()
                     .with("node", node)
@@ -362,8 +357,6 @@ impl MetricsCollector {
                 Some(ctx.trace_id),
                 labels,
             );
-            self.obs
-                .gauge_set("medes.slo.violations", self.obs.slo_violations() as f64);
         }
         self.report.requests.push(rec);
     }

@@ -28,11 +28,13 @@ impl Cluster {
         self.obs.series_point("medes.cache.hit_rate", now, rate);
         let pending = self.pipeline.pending.len() as f64;
         self.obs.series_point("medes.dedup.pending", now, pending);
-        // Live sandboxes, SLO violations, and per-shard registry
-        // occupancy are already registry gauges (kept current by the
-        // metrics and registry layers), so the registry snapshot below
-        // covers them — pointing them explicitly too would write two
-        // samples at the same timestamp.
+        // Live sandboxes and per-shard registry occupancy are already
+        // registry gauges, and SLO violations a registry counter (kept
+        // current by the metrics, registry and SLO layers), so the
+        // registry snapshot below covers them — pointing them
+        // explicitly too would write two samples at the same timestamp.
+        // The cache hit rate stays a point: a windowed rate needs
+        // state this read-only sampler does not keep.
         self.obs.series_sample(now);
     }
 

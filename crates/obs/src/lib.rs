@@ -15,7 +15,7 @@ pub mod ids;
 pub mod json;
 pub mod metrics;
 pub mod series;
-pub mod sink;
+mod sink;
 pub mod slo;
 pub mod span;
 
@@ -26,14 +26,15 @@ pub use metrics::{
     MAX_LABELS, TYPE_MISMATCH_METRIC,
 };
 pub use series::{parse_timeseries, MetricSeries, ParsedSeries, SeriesKind, SeriesStore};
-pub use sink::SpanSink;
 pub use slo::{FnSloSummary, SloTracker, SloViolator, TOP_VIOLATORS};
 pub use span::{AttrValue, ParsedSpan, Span, SpanRecord, Tracer};
 
 use medes_sim::{SimDuration, SimTime};
+use sink::SpanSink;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Observability configuration, carried on `PlatformConfig`.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,12 +42,12 @@ pub struct ObsConfig {
     /// Master switch. When false every span/metric call is a no-op.
     pub enabled: bool,
     /// Ring-buffer capacity for spans. The buffer keeps the most
-    /// recent `span_buffer_cap` finished spans; once full, each new
+    /// recent `span_buffer_cap` finished spans for in-process readers
+    /// ([`Obs::spans`], [`Obs::export_jsonl`]); once full, each new
     /// span evicts the oldest one and [`Obs::spans_dropped`] counts it
     /// (exactly — every recorded span is either buffered or counted).
-    /// Traces that lose a span mid-tree are flagged via
-    /// [`Obs::truncated_traces`] instead of exporting as silently
-    /// partial trees.
+    /// The exported trace file holds every span whatever the ring
+    /// size: spans reach it before they can be evicted.
     pub span_buffer_cap: usize,
     /// Deterministic head-sampling: keep roughly one in `n` causal
     /// traces (`0` or `1` keeps every trace). The verdict is a pure
@@ -54,19 +55,14 @@ pub struct ObsConfig {
     /// seed always samples the same traces, whole trees at a time.
     /// Untraced (flat) spans and all metrics ignore sampling.
     pub sample_one_in: u64,
-    /// When set, finished runs export `trace-<run_tag>-<n>.jsonl` here.
+    /// When set, an enabled handle creates `trace-<run_tag>-<n>.jsonl`
+    /// here as it is built, writes each span to it the moment the span
+    /// is recorded, and [`Obs::write_trace`] completes it with the
+    /// metrics tail. Long traces thus run in O(ring) memory while the
+    /// file stays complete.
     pub export_dir: Option<PathBuf>,
     /// Tag embedded in exported trace filenames.
     pub run_tag: String,
-    /// Streamed span export: write each span to the trace file the
-    /// moment it is recorded (through a buffered writer) instead of
-    /// holding the whole trace in memory until the run ends. The ring
-    /// buffer still keeps the most recent `span_buffer_cap` spans for
-    /// in-process consumers, so long traces run in O(ring) memory
-    /// while the on-disk trace stays complete. Requires `export_dir`;
-    /// inert without it. Off by default — buffered export is then
-    /// byte-identical to every pre-streaming build.
-    pub stream: bool,
     /// Deterministic time-series sampling interval in simulated
     /// milliseconds; `0` (the default) disables the sampler. When set,
     /// the platform snapshots its declared gauge/counter set every
@@ -92,7 +88,6 @@ impl Default for ObsConfig {
             sample_one_in: 1,
             export_dir: None,
             run_tag: "run".to_string(),
-            stream: false,
             sample_every_ms: 0,
             labels: false,
         }
@@ -129,13 +124,6 @@ impl ObsConfig {
         self
     }
 
-    /// Turns on streamed span export (builder style; see
-    /// [`ObsConfig::stream`]).
-    pub fn streamed(mut self) -> Self {
-        self.stream = true;
-        self
-    }
-
     /// Samples the metric time series every `ms` simulated
     /// milliseconds (builder style; see
     /// [`ObsConfig::sample_every_ms`]).
@@ -159,56 +147,87 @@ static EXPORT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Shared observability handle. Clone the `Arc<Obs>` into every
 /// subsystem; interior mutability keeps call sites borrow-friendly.
+/// Everything it records sits behind one lock, taken once per call.
 #[derive(Debug)]
 pub struct Obs {
     enabled: bool,
     cfg: ObsConfig,
-    tracer: Mutex<Tracer>,
-    metrics: Mutex<MetricsRegistry>,
-    slo: Mutex<SloTracker>,
-    /// Streamed-mode trace file, opened at construction (`None` in
-    /// buffered mode, after finalization, or if creation failed).
-    sink: Mutex<Option<SpanSink>>,
-    /// Exact count of spans durably handed to the sink. Together with
-    /// the ring's own accounting this keeps streamed-mode eviction
-    /// observable: every recorded span satisfies
-    /// `streamed == buffered + dropped` (see `spans_streamed`).
-    streamed: AtomicU64,
+    state: Mutex<State>,
+}
+
+/// What an [`Obs`] records. A method holding the guard never calls
+/// another locking method: the lock is not reentrant.
+#[derive(Debug)]
+struct State {
+    tracer: Tracer,
+    metrics: MetricsRegistry,
+    slo: SloTracker,
     /// Deterministic metric time series (fed by the platform's
     /// sim-time sample tick).
-    series: Mutex<SeriesStore>,
+    series: SeriesStore,
+    /// The trace file: `Ok(None)` without an export dir or once
+    /// finished; `Err` once opening or writing it failed, which every
+    /// later [`Obs::write_trace`] returns.
+    sink: io::Result<Option<SpanSink>>,
+    /// Exact count of spans written to the trace file. It survives
+    /// [`Obs::write_trace`], and while the file is open every recorded
+    /// span satisfies `streamed == buffered + dropped`.
+    streamed: u64,
+}
+
+impl State {
+    /// The trace export's tail line: one JSON object carrying the
+    /// final metrics snapshot and the per-function SLO summary — plus,
+    /// on a labeled run, the labeled series, the histogram exemplars
+    /// and the SLO top violators as plain records — so a trace file is
+    /// a self-contained run export (`trace report` reads nothing else).
+    fn tail(&self) -> String {
+        let m = &self.metrics;
+        let mut tail = JsonMap::new();
+        tail.insert("metrics", m.to_json());
+        // Only labeled runs carry the dimensional keys: label-off tails
+        // stay byte-identical to every pre-label build.
+        if m.labeled_len() > 0 {
+            tail.insert("labeled", m.labeled_to_json());
+        }
+        let exemplars = m.exemplars_to_json();
+        if !exemplars.is_empty() {
+            tail.insert("exemplars", Json::Array(exemplars));
+        }
+        tail.insert("slo", self.slo.to_json());
+        let violators = self.slo.violators_to_json();
+        if !violators.is_empty() {
+            tail.insert("slo_violators", Json::Array(violators));
+        }
+        let mut out = Json::Object(tail).to_string();
+        out.push('\n');
+        out
+    }
 }
 
 impl Obs {
-    /// Creates a handle from a config. In streamed mode
-    /// ([`ObsConfig::stream`] with an export dir) the trace file is
-    /// created immediately; if that fails, a warning is printed and
-    /// the handle falls back to buffered-only operation.
+    /// Creates a handle from a config. An enabled handle with an
+    /// export dir creates its trace file here; if that fails, the run
+    /// goes on and [`Obs::write_trace`] returns the error.
     pub fn new(cfg: ObsConfig) -> Arc<Obs> {
         let cap = if cfg.enabled { cfg.span_buffer_cap } else { 0 };
-        let sink = if cfg.enabled && cfg.stream {
-            cfg.export_dir.as_ref().and_then(|dir| {
+        let sink = match cfg.export_dir.as_ref().filter(|_| cfg.enabled) {
+            Some(dir) => {
                 let seq = EXPORT_SEQ.fetch_add(1, Ordering::Relaxed);
-                let path = dir.join(format!("trace-{}-{seq}.jsonl", cfg.run_tag));
-                match SpanSink::create(path) {
-                    Ok(s) => Some(s),
-                    Err(e) => {
-                        eprintln!("warning: cannot open streamed trace sink: {e}");
-                        None
-                    }
-                }
-            })
-        } else {
-            None
+                SpanSink::create(dir.join(format!("trace-{}-{seq}.jsonl", cfg.run_tag))).map(Some)
+            }
+            None => Ok(None),
         };
         Arc::new(Obs {
             enabled: cfg.enabled,
-            tracer: Mutex::new(Tracer::new(cap)),
-            metrics: Mutex::new(MetricsRegistry::new()),
-            slo: Mutex::new(SloTracker::new()),
-            sink: Mutex::new(sink),
-            streamed: AtomicU64::new(0),
-            series: Mutex::new(SeriesStore::new()),
+            state: Mutex::new(State {
+                tracer: Tracer::new(cap),
+                metrics: MetricsRegistry::new(),
+                slo: SloTracker::new(),
+                series: SeriesStore::new(),
+                sink,
+                streamed: 0,
+            }),
             cfg,
         })
     }
@@ -227,6 +246,10 @@ impl Obs {
     /// The config this handle was built from.
     pub fn config(&self) -> &ObsConfig {
         &self.cfg
+    }
+
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap()
     }
 
     /// Starts an untraced (flat) span at `start` (simulated time).
@@ -270,39 +293,27 @@ impl Obs {
     }
 
     pub(crate) fn record_span(&self, span: SpanRecord) {
-        // Streamed mode: the span reaches disk before it can be
-        // evicted from the ring, so ring overflow never loses data. A
-        // write error permanently drops the sink (falling back to
-        // buffered-only) rather than spamming one error per span.
-        let mut sink = self.sink.lock().unwrap();
-        if let Some(s) = sink.as_mut() {
-            match s.write_span(&span) {
-                Ok(()) => {
-                    self.streamed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    eprintln!("warning: streamed trace write failed, reverting to buffered: {e}");
-                    *sink = None;
-                }
+        let mut guard = self.state();
+        let s = &mut *guard;
+        // The span reaches the file before it can be evicted from the
+        // ring, so ring overflow never loses data. A write error closes
+        // the file for good rather than failing once per span.
+        if let Ok(Some(sink)) = &mut s.sink {
+            match sink.write_span(&span) {
+                Ok(()) => s.streamed += 1,
+                Err(e) => s.sink = Err(e),
             }
         }
-        drop(sink);
-        let live = {
-            let mut t = self.tracer.lock().unwrap();
-            t.record(span);
-            t.len()
-        };
-        self.metrics
-            .lock()
-            .unwrap()
-            .gauge_set("medes.obs.spans_live", live as f64);
+        s.tracer.record(span);
+        let live = s.tracer.len();
+        s.metrics.gauge_set("medes.obs.spans_live", live as f64);
     }
 
     /// Adds to a counter.
     #[inline]
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if self.enabled {
-            self.metrics.lock().unwrap().counter_add(name, delta);
+            self.state().metrics.counter_add(name, delta);
         }
     }
 
@@ -316,7 +327,7 @@ impl Obs {
     #[inline]
     pub fn gauge_set(&self, name: &'static str, value: f64) {
         if self.enabled {
-            self.metrics.lock().unwrap().gauge_set(name, value);
+            self.state().metrics.gauge_set(name, value);
         }
     }
 
@@ -324,7 +335,7 @@ impl Obs {
     #[inline]
     pub fn record(&self, name: &'static str, sample: u64) {
         if self.enabled {
-            self.metrics.lock().unwrap().record(name, sample);
+            self.state().metrics.record(name, sample);
         }
     }
 
@@ -333,13 +344,6 @@ impl Obs {
     #[inline]
     pub fn record_us(&self, name: &'static str, d: medes_sim::SimDuration) {
         self.record(name, d.as_micros());
-    }
-
-    /// Whether dimensional (labeled) telemetry is live
-    /// ([`ObsConfig::labels`] on an enabled handle).
-    #[inline]
-    fn labels_enabled(&self) -> bool {
-        self.enabled && self.cfg.labels
     }
 
     /// Adds `delta` to the counter `name` and — with labels enabled —
@@ -356,11 +360,11 @@ impl Obs {
         labels: impl FnOnce() -> LabelSet,
     ) {
         if self.enabled {
-            let mut m = self.metrics.lock().unwrap();
+            let mut s = self.state();
             if self.cfg.labels {
-                m.counter_add_with(name, delta, labels());
+                s.metrics.counter_add_with(name, delta, labels());
             } else {
-                m.counter_add(name, delta);
+                s.metrics.counter_add(name, delta);
             }
         }
     }
@@ -386,65 +390,47 @@ impl Obs {
         labels: impl FnOnce() -> LabelSet,
     ) {
         if self.enabled {
-            let mut m = self.metrics.lock().unwrap();
+            let mut s = self.state();
             if self.cfg.labels {
-                m.record_with(name, sample, trace_id, labels());
+                s.metrics.record_with(name, sample, trace_id, labels());
             } else {
-                m.record(name, sample);
+                s.metrics.record(name, sample);
             }
         }
     }
 
     /// Snapshot of all labeled series, name-then-label sorted.
     pub fn labeled_snapshot(&self) -> Vec<(&'static str, LabelSet, Metric)> {
-        self.metrics.lock().unwrap().labeled_snapshot()
+        self.state().metrics.labeled_snapshot()
     }
 
     /// Current labeled counter value (0 if absent).
     pub fn labeled_counter(&self, name: &str, labels: &LabelSet) -> u64 {
-        self.metrics.lock().unwrap().labeled_counter(name, labels)
+        self.state().metrics.labeled_counter(name, labels)
     }
 
     /// Number of labeled series.
     pub fn labeled_len(&self) -> usize {
-        self.metrics.lock().unwrap().labeled_len()
-    }
-
-    /// Telemetry writes dropped due to metric type collisions.
-    pub fn type_mismatches(&self) -> u64 {
-        self.metrics.lock().unwrap().type_mismatches()
+        self.state().metrics.labeled_len()
     }
 
     /// Number of spans currently buffered.
     pub fn span_count(&self) -> usize {
-        self.tracer.lock().unwrap().len()
+        self.state().tracer.len()
     }
 
     /// Spans evicted due to a full buffer (exact; see
     /// [`Tracer::dropped`]).
     pub fn spans_dropped(&self) -> u64 {
-        self.tracer.lock().unwrap().dropped()
+        self.state().tracer.dropped()
     }
 
-    /// Causal traces that lost at least one span to ring-buffer
-    /// eviction (their exported trees are incomplete). In streamed
-    /// mode the on-disk trace still holds every span — truncation only
-    /// affects the in-memory view.
-    pub fn truncated_traces(&self) -> usize {
-        self.tracer.lock().unwrap().truncated_traces()
-    }
-
-    /// Exact count of spans durably streamed to the trace file (0 in
-    /// buffered mode). In streamed mode every recorded span is
-    /// streamed before eviction, so the accounting closes exactly:
+    /// Exact count of spans written to the trace file (0 without an
+    /// export dir). Every recorded span is written before it can be
+    /// evicted, so the accounting closes exactly:
     /// `spans_streamed() == span_count() + spans_dropped()`.
     pub fn spans_streamed(&self) -> u64 {
-        self.streamed.load(Ordering::Relaxed)
-    }
-
-    /// Whether the streamed sink is currently open.
-    pub fn streaming(&self) -> bool {
-        self.sink.lock().unwrap().is_some()
+        self.state().streamed
     }
 
     /// The deterministic time-series sampling interval, if configured
@@ -459,9 +445,8 @@ impl Obs {
     /// cannot route through the `'static`-keyed registry.
     pub fn series_point(&self, name: &str, t: SimTime, value: f64) {
         if self.enabled {
-            self.series
-                .lock()
-                .unwrap()
+            self.state()
+                .series
                 .point(name, SeriesKind::Gauge, t.as_micros(), value);
         }
     }
@@ -470,88 +455,61 @@ impl Obs {
     /// point each at simulated time `t` (histograms are skipped).
     pub fn series_sample(&self, t: SimTime) {
         if self.enabled {
-            let metrics = self.metrics.lock().unwrap();
-            self.series
-                .lock()
-                .unwrap()
-                .sample_registry(&metrics, t.as_micros());
+            let mut guard = self.state();
+            let s = &mut *guard;
+            s.series.sample_registry(&s.metrics, t.as_micros());
         }
-    }
-
-    /// Number of distinct sampled time series.
-    pub fn series_count(&self) -> usize {
-        self.series.lock().unwrap().len()
-    }
-
-    /// Total points across all sampled time series.
-    pub fn series_points_total(&self) -> usize {
-        self.series.lock().unwrap().points_total()
     }
 
     /// Renders the sampled time series as name-sorted JSONL (see
     /// [`SeriesStore::export_jsonl`]).
     pub fn export_timeseries_jsonl(&self) -> String {
-        self.series.lock().unwrap().export_jsonl()
+        self.state().series.export_jsonl()
     }
 
     /// Records one per-function SLO latency sample (`bound_us` = the
-    /// §5.2 `α · s_W` bound in effect, 0 = none). Not head-sampled:
-    /// SLO accounting sees every request even when span sampling is
-    /// on.
+    /// §5.2 `α · s_W` bound in effect, 0 = none). With labels enabled
+    /// the sample is tagged with its deterministic trace id and node,
+    /// so a violation can be drilled back to the exact request; with
+    /// labels off both are dropped. The `medes.slo.violations`
+    /// counter moves with it, by 0 or 1, so the key appears with the
+    /// first sample. Not head-sampled: SLO accounting sees every
+    /// request even when span sampling is on.
     #[inline]
-    pub fn slo_record(&self, func: &str, latency_us: u64, bound_us: u64) {
+    pub fn slo_record(&self, func: &str, latency_us: u64, bound_us: u64, trace_id: u64, node: u64) {
         if self.enabled {
-            self.slo.lock().unwrap().record(func, latency_us, bound_us);
-        }
-    }
-
-    /// Like [`Obs::slo_record`], but tags the sample with its
-    /// deterministic trace id and node when labels are enabled, so a
-    /// violation can be drilled back to the exact request. With labels
-    /// off this is exactly [`Obs::slo_record`], so call sites can
-    /// upgrade unconditionally.
-    #[inline]
-    pub fn slo_record_traced(
-        &self,
-        func: &str,
-        latency_us: u64,
-        bound_us: u64,
-        trace_id: u64,
-        node: u64,
-    ) {
-        if self.labels_enabled() {
-            self.slo
-                .lock()
-                .unwrap()
-                .record_traced(func, latency_us, bound_us, trace_id, node);
-        } else {
-            self.slo_record(func, latency_us, bound_us);
+            let traced = self.cfg.labels.then_some((trace_id, node));
+            let mut s = self.state();
+            let violated = s.slo.record(func, latency_us, bound_us, traced);
+            s.metrics
+                .counter_add("medes.slo.violations", u64::from(violated));
         }
     }
 
     /// Name-sorted per-function SLO summaries.
     pub fn slo_summary(&self) -> Vec<FnSloSummary> {
-        self.slo.lock().unwrap().summary()
+        self.state().slo.summary()
     }
 
     /// Total SLO violations across all functions.
     pub fn slo_violations(&self) -> u64 {
-        self.slo.lock().unwrap().total_violations()
+        self.state().slo.total_violations()
     }
 
     /// Copies out all buffered spans, oldest-first (buffer unchanged).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.tracer.lock().unwrap().iter().cloned().collect()
+        self.state().tracer.iter().cloned().collect()
     }
 
     /// Name-sorted metrics snapshot.
     pub fn metrics_snapshot(&self) -> Vec<(&'static str, Metric)> {
-        self.metrics.lock().unwrap().snapshot()
+        self.state().metrics.snapshot()
     }
 
-    /// Current counter value (0 if absent).
+    /// Current counter value (0 if absent; [`TYPE_MISMATCH_METRIC`]
+    /// reads the count of dropped mismatched writes).
     pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.lock().unwrap().counter(name)
+        self.state().metrics.counter(name)
     }
 
     /// Runs `f` against the histogram under `name`, if present.
@@ -560,87 +518,46 @@ impl Obs {
         name: &str,
         f: impl FnOnce(&LogLinearHistogram) -> R,
     ) -> Option<R> {
-        let m = self.metrics.lock().unwrap();
-        m.histogram(name).map(f)
+        self.state().metrics.histogram(name).map(f)
     }
 
-    /// The trace export's tail line: one JSON object carrying the
-    /// final metrics snapshot and the per-function SLO summary — plus,
-    /// on a labeled run, the labeled series, the histogram exemplars
-    /// and the SLO top violators as plain records — so a trace file is
-    /// a self-contained run export (`trace diff` and `trace attribute`
-    /// read nothing else). Streamed and buffered exports build the
-    /// tail identically.
-    fn export_tail(&self) -> String {
-        let (metrics, labeled, exemplars) = {
-            let m = self.metrics.lock().unwrap();
-            let labeled = (m.labeled_len() > 0).then(|| m.labeled_to_json());
-            (m.to_json(), labeled, m.exemplars_to_json())
-        };
-        let (slo, violators) = {
-            let t = self.slo.lock().unwrap();
-            (t.to_json(), t.violators_to_json())
-        };
-        let mut tail = JsonMap::new();
-        tail.insert("metrics", metrics);
-        // Only labeled runs carry the dimensional keys: label-off tails
-        // stay byte-identical to every pre-label build.
-        if let Some(l) = labeled {
-            tail.insert("labeled", l);
-        }
-        if !exemplars.is_empty() {
-            tail.insert("exemplars", Json::Array(exemplars));
-        }
-        tail.insert("slo", slo);
-        if !violators.is_empty() {
-            tail.insert("slo_violators", Json::Array(violators));
-        }
-        let mut out = Json::Object(tail).to_string();
-        out.push('\n');
-        out
-    }
-
-    /// Renders all buffered spans as JSONL (one span object per line,
+    /// Renders the buffered spans as JSONL (one span object per line,
     /// oldest first), followed by one `{"metrics": ..., "slo": ...}`
-    /// tail line.
+    /// tail line. Until the ring overflows this is, byte for byte, the
+    /// file [`Obs::write_trace`] completes.
     pub fn export_jsonl(&self) -> String {
+        let s = self.state();
         let mut out = String::new();
-        for span in self.tracer.lock().unwrap().iter() {
+        for span in s.tracer.iter() {
             out.push_str(&span.to_json().to_string());
             out.push('\n');
         }
-        out.push_str(&self.export_tail());
+        out.push_str(&s.tail());
         out
     }
 
-    /// Writes the JSONL export to
-    /// `<export_dir>/trace-<run_tag>-<seq>.jsonl`, creating directories
-    /// as needed. In streamed mode the spans are already on disk — this
-    /// finalizes the open sink with the metrics tail instead of
-    /// rewriting the file. When the time-series sampler is configured,
-    /// the sampled series land next to the trace as
-    /// `.timeseries.jsonl`. Returns the JSONL path written, or `None`
-    /// when disabled or no export dir is configured.
-    pub fn write_trace(&self) -> std::io::Result<Option<PathBuf>> {
-        if !self.enabled {
-            return Ok(None);
-        }
-        let path = if let Some(sink) = self.sink.lock().unwrap().take() {
-            sink.finish(&self.export_tail())?
-        } else {
-            let Some(dir) = &self.cfg.export_dir else {
-                return Ok(None);
-            };
-            std::fs::create_dir_all(dir)?;
-            let seq = EXPORT_SEQ.fetch_add(1, Ordering::Relaxed);
-            let path = dir.join(format!("trace-{}-{seq}.jsonl", self.cfg.run_tag));
-            std::fs::write(&path, self.export_jsonl())?;
-            path
+    /// Completes the trace file opened by [`Obs::new`] with the
+    /// metrics tail. When the time-series sampler is configured, the
+    /// sampled series land next to the trace as `.timeseries.jsonl`.
+    /// Returns the trace path, or `None` when disabled, without an
+    /// export dir, or once the file is complete. If the file could not
+    /// be opened or written, every call returns that error and no
+    /// other file is written.
+    pub fn write_trace(&self) -> io::Result<Option<PathBuf>> {
+        let mut guard = self.state();
+        let s = &mut *guard;
+        let sink = match &mut s.sink {
+            Ok(sink) => sink.take(),
+            Err(e) => return Err(io::Error::new(e.kind(), e.to_string())),
         };
+        let Some(sink) = sink else {
+            return Ok(None);
+        };
+        let path = sink.finish(&s.tail())?;
         if self.cfg.sample_every_ms > 0 {
             std::fs::write(
                 path.with_extension("timeseries.jsonl"),
-                self.export_timeseries_jsonl(),
+                s.series.export_jsonl(),
             )?;
         }
         Ok(Some(path))
@@ -800,8 +717,8 @@ mod tests {
     #[test]
     fn slo_flows_through_obs_and_export_tail() {
         let obs = Obs::new(ObsConfig::enabled());
-        obs.slo_record("resnet", 10, 15);
-        obs.slo_record("resnet", 20, 15);
+        obs.slo_record("resnet", 10, 15, 0, 0);
+        obs.slo_record("resnet", 20, 15, 0, 0);
         obs.incr("medes.platform.starts.warm");
         obs.record("medes.platform.e2e_us", 123);
         obs.gauge_set("medes.cluster.mem", 42.0);
@@ -817,9 +734,12 @@ mod tests {
         assert_eq!(tail["slo"]["resnet"]["p50_us"], 10.0);
         assert_eq!(tail["slo"]["resnet"]["violations"], 1);
         assert_eq!(tail["slo"]["resnet"]["bound_us"], 15);
+        // The violation total is a counter, moved under the same lock.
+        assert_eq!(obs.counter("medes.slo.violations"), 1);
+        assert_eq!(tail["metrics"]["medes.slo.violations"], 1);
         // Disabled handles record nothing.
         let off = Obs::disabled();
-        off.slo_record("resnet", 10, 15);
+        off.slo_record("resnet", 10, 15, 0, 0);
         assert!(off.slo_summary().is_empty());
         assert!(off.metrics_snapshot().is_empty());
     }
@@ -886,26 +806,24 @@ mod tests {
         }
     }
 
-    /// Tentpole property test: a seeded random span forest streamed
-    /// through the `SpanSink` produces a trace file byte-identical to
-    /// what buffered [`Obs::export_jsonl`] emits for the same spans —
-    /// on the streaming handle itself *and* on an independent buffered
-    /// handle fed the identical stream.
+    /// Property test: a seeded random span forest streamed to the
+    /// trace file produces a file byte-identical to what the in-memory
+    /// [`Obs::export_jsonl`] emits for the same spans — on the
+    /// exporting handle itself *and* on an independent handle with no
+    /// export dir fed the identical spans.
     #[test]
     fn streamed_export_is_byte_identical_to_buffered() {
         use medes_sim::DetRng;
-        let dir = std::env::temp_dir().join(format!("medes-obs-stream-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("medes-obs-file-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut stream_cfg = ObsConfig::enabled().tagged("prop").streamed();
+        let mut stream_cfg = ObsConfig::enabled().tagged("prop");
         stream_cfg.set_export_dir(&dir);
         let streamed = Obs::new(stream_cfg);
         let buffered = Obs::new(ObsConfig::enabled());
-        assert!(streamed.streaming());
-        assert!(!buffered.streaming());
         let mut rng = DetRng::new(0x57e4_3a1d_0000_0002);
         const NAMES: [&str; 3] = ["medes.a.root", "medes.b.mid", "medes.c.leaf"];
         for trace in 0..60u64 {
-            let root = streamed.trace_root("stream-prop", 9, trace);
+            let root = streamed.trace_root("file-prop", 9, trace);
             let n = 1 + rng.below(4) as usize;
             for d in 0..n {
                 let name = NAMES[rng.below(NAMES.len() as u64) as usize];
@@ -930,18 +848,17 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Satellite: streamed-mode ring eviction is observable — the ring
-    /// stays bounded, the accounting closes exactly
-    /// (`streamed == buffered + dropped`), the `medes.obs.spans_live`
-    /// gauge tracks occupancy, and the on-disk trace still holds every
-    /// span.
+    /// Ring eviction is observable — the ring stays bounded, the
+    /// accounting closes exactly (`streamed == buffered + dropped`),
+    /// the `medes.obs.spans_live` gauge tracks occupancy, and the
+    /// on-disk trace still holds every span.
     #[test]
     fn streamed_ring_is_bounded_with_exact_accounting() {
         let dir = std::env::temp_dir().join(format!("medes-obs-ring-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = ObsConfig {
             span_buffer_cap: 8,
-            ..ObsConfig::enabled().tagged("ring").streamed()
+            ..ObsConfig::enabled().tagged("ring")
         };
         cfg.set_export_dir(&dir);
         let obs = Obs::new(cfg);
@@ -956,7 +873,6 @@ mod tests {
             obs.spans_streamed(),
             obs.span_count() as u64 + obs.spans_dropped()
         );
-        assert!(obs.truncated_traces() > 0, "in-memory trees are truncated");
         let snapshot = obs.metrics_snapshot();
         let live = snapshot
             .iter()
@@ -967,7 +883,9 @@ mod tests {
         let contents = std::fs::read_to_string(&path).unwrap();
         // Every streamed span is on disk despite the tiny ring.
         assert_eq!(parse_jsonl(&contents).len(), 100);
-        assert!(!obs.streaming(), "finalized sink is closed");
+        // A complete file is not written twice, and its count stays.
+        assert_eq!(obs.write_trace().unwrap(), None);
+        assert_eq!(obs.spans_streamed(), 100);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -989,7 +907,7 @@ mod tests {
         let obs = Obs::new(ObsConfig::enabled());
         let samples = [7u64, 11, 13, 1_000_003, 999_983, 3];
         for &v in &samples {
-            obs.slo_record("f", v, 0);
+            obs.slo_record("f", v, 0, 0, 0);
         }
         let exact: f64 = samples.iter().map(|&v| v as f64).sum();
         assert_eq!(obs.slo_summary()[0].sum_us, exact);
@@ -1007,7 +925,7 @@ mod tests {
                 .with("func", hostile.to_string())
                 .with("node", 2u64)
         });
-        obs.slo_record_traced(hostile, 9, 5, 0x77, 2);
+        obs.slo_record(hostile, 9, 5, 0x77, 2);
         let export = obs.export_jsonl();
         assert_eq!(export.lines().count(), 1, "tail must stay one line");
         let tail = parse_tail(&export).expect("tail");
@@ -1038,8 +956,6 @@ mod tests {
         let plain = Obs::new(ObsConfig::enabled());
         let off = Obs::new(ObsConfig::enabled());
         let on = Obs::new(ObsConfig::enabled().labeled());
-        assert!(!off.labels_enabled());
-        assert!(on.labels_enabled());
         plain.counter_add("medes.restore.ops", 2);
         plain.record("medes.platform.e2e_us", 50);
         for obs in [&off, &on] {
@@ -1161,18 +1077,18 @@ mod tests {
         assert_eq!(off.export_jsonl(), flat.export_jsonl());
     }
 
-    /// Traced SLO recording retains violators and surfaces them as
-    /// `slo_violators` records in the tail; with labels off the same
-    /// call degrades to plain recording (no records, same violation
-    /// counts).
+    /// With labels on, SLO recording retains violators and surfaces
+    /// them as `slo_violators` records in the tail; with labels off the
+    /// same call drops the trace id and node (no records, same
+    /// violation counts).
     #[test]
     fn slo_violators_reach_export_tail_when_labeled() {
         let on = Obs::new(ObsConfig::enabled().labeled());
         let off = Obs::new(ObsConfig::enabled());
         for obs in [&on, &off] {
-            obs.slo_record_traced("hot", 50, 100, 0x11, 0);
-            obs.slo_record_traced("hot", 500, 100, 0x22, 3);
-            obs.slo_record_traced("hot", 300, 100, 0x33, 1);
+            obs.slo_record("hot", 50, 100, 0x11, 0);
+            obs.slo_record("hot", 500, 100, 0x22, 3);
+            obs.slo_record("hot", 300, 100, 0x33, 1);
         }
         assert_eq!(on.slo_violations(), 2);
         assert_eq!(off.slo_violations(), 2, "labels off still counts");
@@ -1201,9 +1117,9 @@ mod tests {
                 .end(t(key + 1));
             // 25 over a 100µs bound, 25 with no bound at all.
             if key % 2 == 0 {
-                obs.slo_record("hot", 200, 100);
+                obs.slo_record("hot", 200, 100, root.trace_id, 0);
             } else {
-                obs.slo_record("unbounded", 200, 0);
+                obs.slo_record("unbounded", 200, 0, root.trace_id, 0);
             }
         }
         assert_eq!(obs.span_count(), 0, "sampling dropped every span");
@@ -1215,7 +1131,7 @@ mod tests {
         assert_eq!(unbounded.violations, 0, "absent bound cannot violate");
         assert_eq!(unbounded.count, 25);
         // Exactly one sample: quantiles collapse onto it.
-        obs.slo_record("solo", 9, 100);
+        obs.slo_record("solo", 9, 100, 0, 0);
         let solo = obs
             .slo_summary()
             .into_iter()
@@ -1240,8 +1156,6 @@ mod tests {
         obs.counter_add("medes.x.ops", 3);
         obs.series_sample(t(100_000));
         obs.series_point("medes.node.0.mem_bytes", t(100_000), 30.0);
-        assert_eq!(obs.series_count(), 2);
-        assert_eq!(obs.series_points_total(), 4);
         let path = obs.write_trace().unwrap().expect("path");
         let ts_path = path.with_extension("timeseries.jsonl");
         let series = parse_timeseries(&std::fs::read_to_string(&ts_path).unwrap());
@@ -1256,14 +1170,14 @@ mod tests {
         off.series_sample(t(0));
         off.series_point("x", t(0), 1.0);
         assert_eq!(off.sample_interval(), None);
-        assert_eq!(off.series_count(), 0);
+        assert!(off.export_timeseries_jsonl().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn export_tail_carries_slo_summary() {
         let obs = Obs::new(ObsConfig::enabled());
-        obs.slo_record("resnet", 20, 10);
+        obs.slo_record("resnet", 20, 10, 0, 0);
         let tail = obs.export_jsonl();
         let v = json::parse(tail.lines().last().unwrap()).unwrap();
         assert_eq!(v["slo"]["resnet"]["violations"], 1);

@@ -104,7 +104,7 @@ impl LogLinearHistogram {
 
     /// [`LogLinearHistogram::record_traced`] when a trace id is given,
     /// [`LogLinearHistogram::record`] otherwise.
-    fn observe(&mut self, v: u64, trace_id: Option<u64>) {
+    pub(crate) fn observe(&mut self, v: u64, trace_id: Option<u64>) {
         match trace_id {
             Some(id) => self.record_traced(v, id),
             None => self.record(v),

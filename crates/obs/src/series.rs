@@ -108,11 +108,6 @@ impl SeriesStore {
         self.series.is_empty()
     }
 
-    /// Total points across all series.
-    pub fn points_total(&self) -> usize {
-        self.series.values().map(|s| s.points.len()).sum()
-    }
-
     /// The series under `name`, if any.
     pub fn get(&self, name: &str) -> Option<&MetricSeries> {
         self.series.get(name)
@@ -201,7 +196,6 @@ mod tests {
         s.point("medes.node.0.mem_bytes", SeriesKind::Gauge, 1000, 20.5);
         s.point("medes.platform.arrivals", SeriesKind::Counter, 1000, 3.0);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.points_total(), 3);
         let back = parse_timeseries(&s.export_jsonl());
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].name, "medes.node.0.mem_bytes");

@@ -1,32 +1,29 @@
-//! Streaming JSONL span sink.
+//! The JSONL trace file.
 //!
-//! In streamed mode ([`crate::ObsConfig::stream`]) every finished span
-//! is written to the export file the moment it is recorded, through a
-//! buffered writer, *before* it can be evicted from the in-memory
-//! ring. The ring then only serves in-process consumers (analysis,
-//! tests), so an hours-long trace runs in O(ring) memory while the
-//! on-disk trace stays complete — and, as long as the ring never
-//! overflowed, byte-identical to what buffered
-//! [`crate::Obs::export_jsonl`] would have produced.
+//! Every finished span is written to the export file the moment it is
+//! recorded, through a buffered writer, *before* it can be evicted from
+//! the in-memory ring. The ring then only serves in-process readers, so
+//! an hours-long trace runs in O(ring) memory while the file stays
+//! complete — and, as long as the ring never overflowed, byte-identical
+//! to what [`crate::Obs::export_jsonl`] renders.
 
 use crate::span::SpanRecord;
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// An open streaming trace file. Owned by [`crate::Obs`]; spans are
-/// appended via [`SpanSink::write_span`] and the file is completed
-/// (metrics tail + flush) by [`SpanSink::finish`].
+/// An open trace file. Owned by [`crate::Obs`]; spans are appended via
+/// [`SpanSink::write_span`] and the file is completed (metrics tail +
+/// flush) by [`SpanSink::finish`].
 #[derive(Debug)]
-pub struct SpanSink {
+pub(crate) struct SpanSink {
     w: BufWriter<File>,
     path: PathBuf,
-    streamed: u64,
 }
 
 impl SpanSink {
     /// Creates the trace file at `path` (parent directories included).
-    pub fn create(path: PathBuf) -> std::io::Result<SpanSink> {
+    pub(crate) fn create(path: PathBuf) -> std::io::Result<SpanSink> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
@@ -34,32 +31,19 @@ impl SpanSink {
         Ok(SpanSink {
             w: BufWriter::new(file),
             path,
-            streamed: 0,
         })
     }
 
     /// Appends one span as a JSONL line — the same bytes
     /// `export_jsonl` emits for it.
-    pub fn write_span(&mut self, span: &SpanRecord) -> std::io::Result<()> {
+    pub(crate) fn write_span(&mut self, span: &SpanRecord) -> std::io::Result<()> {
         let mut line = span.to_json().to_string();
         line.push('\n');
-        self.w.write_all(line.as_bytes())?;
-        self.streamed += 1;
-        Ok(())
-    }
-
-    /// Exact count of spans durably handed to the writer.
-    pub fn streamed(&self) -> u64 {
-        self.streamed
-    }
-
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
+        self.w.write_all(line.as_bytes())
     }
 
     /// Writes the metrics tail, flushes, and returns the path.
-    pub fn finish(mut self, tail: &str) -> std::io::Result<PathBuf> {
+    pub(crate) fn finish(mut self, tail: &str) -> std::io::Result<PathBuf> {
         self.w.write_all(tail.as_bytes())?;
         self.w.flush()?;
         Ok(self.path)
@@ -88,9 +72,8 @@ mod tests {
         };
         sink.write_span(&span).unwrap();
         sink.write_span(&span).unwrap();
-        assert_eq!(sink.streamed(), 2);
-        assert_eq!(sink.path(), path.as_path());
         let out = sink.finish("{\"metrics\":{}}\n").unwrap();
+        assert_eq!(out, path);
         let contents = std::fs::read_to_string(&out).unwrap();
         let mut expected = String::new();
         expected.push_str(&span.to_json().to_string());

@@ -38,8 +38,8 @@ struct FnSlo {
     bound_us: u64,
     violations: u64,
     /// Worst [`TOP_VIOLATORS`] violating requests, latency-descending.
-    /// Only fed by [`SloTracker::record_traced`]; the untraced path
-    /// leaves it empty so label-off runs carry no extra state.
+    /// Only fed by traced samples; untraced recording leaves it empty
+    /// so label-off runs carry no extra state.
     violators: Vec<SloViolator>,
 }
 
@@ -81,51 +81,45 @@ impl SloTracker {
         Self::default()
     }
 
-    /// Records one latency sample for `func`. `bound_us` is the SLO
-    /// bound in effect for this request (0 = no bound: the sample is
-    /// recorded but cannot violate).
-    pub fn record(&mut self, func: &str, latency_us: u64, bound_us: u64) {
-        let f = self.funcs.entry(func.to_string()).or_default();
-        f.hist.record(latency_us);
-        if bound_us > 0 {
-            f.bound_us = bound_us;
-            if latency_us > bound_us {
-                f.violations += 1;
-            }
-        }
-    }
-
-    /// Like [`SloTracker::record`], but tags the sample with its
-    /// deterministic trace id and node so a violation can be drilled
-    /// back to the exact request. The histogram keeps the trace id as
-    /// a bucket exemplar; a violating sample additionally competes for
-    /// the function's top-[`TOP_VIOLATORS`] list (latency-descending,
-    /// ties keep the earlier request).
-    pub fn record_traced(
+    /// Records one latency sample for `func` and returns whether it
+    /// violated. `bound_us` is the SLO bound in effect for this request
+    /// (0 = no bound: the sample is recorded but cannot violate).
+    ///
+    /// `traced`, when given, is the sample's deterministic `(trace id,
+    /// node)`, so a violation can be drilled back to the exact request:
+    /// the histogram keeps the trace id as a bucket exemplar, and a
+    /// violating sample competes for the function's top-[`TOP_VIOLATORS`]
+    /// list (latency-descending, ties keep the earlier request).
+    pub fn record(
         &mut self,
         func: &str,
         latency_us: u64,
         bound_us: u64,
-        trace_id: u64,
-        node: u64,
-    ) {
+        traced: Option<(u64, u64)>,
+    ) -> bool {
         let f = self.funcs.entry(func.to_string()).or_default();
-        f.hist.record_traced(latency_us, trace_id);
-        if bound_us > 0 {
-            f.bound_us = bound_us;
-            if latency_us > bound_us {
-                f.violations += 1;
-                let v = SloViolator {
-                    trace_id,
-                    latency_us,
-                    node,
-                };
-                // Stable insert keeps earlier requests ahead on ties.
-                let at = f.violators.partition_point(|w| w.latency_us >= latency_us);
-                f.violators.insert(at, v);
-                f.violators.truncate(TOP_VIOLATORS);
-            }
+        f.hist
+            .observe(latency_us, traced.map(|(trace_id, _)| trace_id));
+        if bound_us == 0 {
+            return false;
         }
+        f.bound_us = bound_us;
+        if latency_us <= bound_us {
+            return false;
+        }
+        f.violations += 1;
+        if let Some((trace_id, node)) = traced {
+            let v = SloViolator {
+                trace_id,
+                latency_us,
+                node,
+            };
+            // Stable insert keeps earlier requests ahead on ties.
+            let at = f.violators.partition_point(|w| w.latency_us >= latency_us);
+            f.violators.insert(at, v);
+            f.violators.truncate(TOP_VIOLATORS);
+        }
+        true
     }
 
     /// The worst retained violators for `func`, latency-descending
@@ -227,7 +221,7 @@ mod tests {
         let mut t = SloTracker::new();
         // 1..=20 µs, bound 15 µs ⇒ samples 16..=20 violate (5 of 20).
         for v in 1..=20u64 {
-            t.record("f", v, 15);
+            t.record("f", v, 15, None);
         }
         let s = &t.summary()[0];
         assert_eq!(s.count, 20);
@@ -253,7 +247,7 @@ mod tests {
     #[test]
     fn single_sample_all_quantiles_equal_it() {
         let mut t = SloTracker::new();
-        t.record("solo", 7, 0);
+        t.record("solo", 7, 0, None);
         let s = &t.summary()[0];
         assert_eq!(s.count, 1);
         assert_eq!((s.p50_us, s.p95_us, s.p99_us), (7.0, 7.0, 7.0));
@@ -266,9 +260,9 @@ mod tests {
     #[test]
     fn violation_is_strict_and_bound_updates() {
         let mut t = SloTracker::new();
-        t.record("f", 10, 10); // == bound: not a violation
-        t.record("f", 11, 10); // > bound: violation
-        t.record("f", 11, 20); // bound moved up: no violation
+        t.record("f", 10, 10, None); // == bound: not a violation
+        t.record("f", 11, 10, None); // > bound: violation
+        t.record("f", 11, 20, None); // bound moved up: no violation
         let s = &t.summary()[0];
         assert_eq!(s.violations, 1);
         assert_eq!(s.bound_us, 20);
@@ -285,7 +279,7 @@ mod tests {
         // so mean*count round-trips would drift.
         let samples = [7u64, 11, 13, 1_000_003, 999_983, 3];
         for &v in &samples {
-            t.record("f", v, 0);
+            t.record("f", v, 0, None);
         }
         let s = &t.summary()[0];
         let exact: f64 = samples.iter().map(|&v| v as f64).sum();
@@ -301,10 +295,10 @@ mod tests {
     #[test]
     fn traced_violators_keep_topk_latency_descending() {
         let mut t = SloTracker::new();
-        t.record_traced("f", 5, 10, 0x1, 0); // under bound: not retained
-        t.record_traced("f", 30, 10, 0x2, 1);
-        t.record_traced("f", 20, 10, 0x3, 2);
-        t.record_traced("f", 30, 10, 0x4, 3); // tie with 0x2: stays behind it
+        t.record("f", 5, 10, Some((0x1, 0))); // under bound: not retained
+        t.record("f", 30, 10, Some((0x2, 1)));
+        t.record("f", 20, 10, Some((0x3, 2)));
+        t.record("f", 30, 10, Some((0x4, 3))); // tie with 0x2: stays behind it
         let v = t.violators("f");
         assert_eq!(v.len(), 3);
         assert_eq!(
@@ -314,7 +308,7 @@ mod tests {
         assert_eq!(v[0].node, 1);
         // Bound: flood with increasing latencies; only the top K stay.
         for i in 0..50u64 {
-            t.record_traced("f", 100 + i, 10, 0x100 + i, 4);
+            t.record("f", 100 + i, 10, Some((0x100 + i, 4)));
         }
         let v = t.violators("f");
         assert_eq!(v.len(), TOP_VIOLATORS);
@@ -322,7 +316,7 @@ mod tests {
         assert!(v.iter().all(|w| w.latency_us >= 142));
         // Untraced recording never grows violator lists.
         let mut plain = SloTracker::new();
-        plain.record("g", 100, 10);
+        plain.record("g", 100, 10, None);
         assert!(plain.violators("g").is_empty());
         assert_eq!(plain.total_violations(), 1);
         assert_eq!(t.all_violators().len(), 1);
@@ -332,8 +326,8 @@ mod tests {
     #[test]
     fn functions_sort_by_name_and_json_mirrors_summary() {
         let mut t = SloTracker::new();
-        t.record("zeta", 5, 0);
-        t.record("alpha", 3, 2);
+        t.record("zeta", 5, 0, None);
+        t.record("alpha", 3, 2, None);
         let summary = t.summary();
         let names: Vec<&str> = summary.iter().map(|s| s.func.as_str()).collect();
         assert_eq!(names, ["alpha", "zeta"]);

@@ -9,7 +9,6 @@
 use crate::ids::TraceCtx;
 use crate::json::{Json, JsonMap};
 use medes_sim::SimTime;
-use std::collections::HashSet;
 
 /// Renders a 64-bit id as a fixed-width hex string. Ids must survive
 /// the JSONL round-trip exactly, and JSON numbers are f64 (53-bit
@@ -190,8 +189,8 @@ impl ParsedSpan {
     }
 }
 
-/// Bounded span buffer: keeps the most recent `cap` spans, counts
-/// drops exactly, and remembers which traces lost spans.
+/// Bounded span buffer: keeps the most recent `cap` spans and counts
+/// drops exactly.
 #[derive(Debug)]
 pub struct Tracer {
     buf: Vec<SpanRecord>,
@@ -199,11 +198,6 @@ pub struct Tracer {
     /// Index of the oldest record once the buffer has wrapped.
     head: usize,
     dropped: u64,
-    /// Trace ids that lost at least one span to eviction. A parented
-    /// span evicted mid-tree leaves its surviving relatives
-    /// unreconstructable, so exporters use this set to flag truncated
-    /// trees instead of silently presenting partial ones.
-    truncated: HashSet<u64>,
 }
 
 impl Tracer {
@@ -214,40 +208,27 @@ impl Tracer {
     /// span; [`Tracer::dropped`] counts exactly the spans that were
     /// recorded but are no longer retained (with `cap == 0` that is
     /// every span, which is how a disabled handle stays allocation
-    /// free). When an evicted span belonged to a causal trace (nonzero
-    /// `trace_id`), that trace id is remembered in
-    /// [`Tracer::truncated_traces`] so its partially-evicted tree can
-    /// be flagged rather than mis-read as complete.
+    /// free). The trace file, not the ring, is the complete record.
     pub fn new(cap: usize) -> Self {
         Tracer {
             buf: Vec::new(),
             cap,
             head: 0,
             dropped: 0,
-            truncated: HashSet::new(),
         }
     }
 
     /// Records a finished span.
     pub fn record(&mut self, span: SpanRecord) {
-        if self.cap == 0 {
-            self.note_drop(span.trace_id);
-            return;
-        }
         if self.buf.len() < self.cap {
             self.buf.push(span);
-        } else {
-            let evicted = std::mem::replace(&mut self.buf[self.head], span);
+            return;
+        }
+        if self.cap > 0 {
+            self.buf[self.head] = span;
             self.head = (self.head + 1) % self.cap;
-            self.note_drop(evicted.trace_id);
         }
-    }
-
-    fn note_drop(&mut self, trace_id: u64) {
         self.dropped += 1;
-        if trace_id != 0 {
-            self.truncated.insert(trace_id);
-        }
     }
 
     /// Number of buffered spans.
@@ -266,30 +247,10 @@ impl Tracer {
         self.dropped
     }
 
-    /// Number of distinct causal traces that lost at least one span to
-    /// eviction (their reconstructed trees are incomplete).
-    pub fn truncated_traces(&self) -> usize {
-        self.truncated.len()
-    }
-
-    /// Whether the given trace lost spans to eviction.
-    pub fn is_truncated(&self, trace_id: u64) -> bool {
-        self.truncated.contains(&trace_id)
-    }
-
     /// Iterates buffered spans oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &SpanRecord> {
         let (wrapped, start) = self.buf.split_at(self.head);
         start.iter().chain(wrapped.iter())
-    }
-
-    /// Drains all buffered spans oldest-first.
-    pub fn drain(&mut self) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> = self.iter().cloned().collect();
-        self.buf.clear();
-        self.head = 0;
-        out.shrink_to_fit();
-        out
     }
 }
 
@@ -363,10 +324,6 @@ mod tests {
         assert_eq!(t.dropped(), 2);
         let starts: Vec<u64> = t.iter().map(|s| s.start_us).collect();
         assert_eq!(starts, vec![2, 3, 4]);
-        let drained = t.drain();
-        assert_eq!(drained.len(), 3);
-        assert!(t.is_empty());
-        assert_eq!(drained[0].start_us, 2);
     }
 
     #[test]
@@ -423,24 +380,21 @@ mod tests {
     }
 
     #[test]
-    fn eviction_accounting_is_exact_and_flags_truncated_traces() {
+    fn eviction_accounting_is_exact() {
         let mut t = Tracer::new(2);
         let mut traced = span("s", 0, 1);
         traced.trace_id = 77;
         traced.span_id = 1;
-        t.record(traced.clone()); // oldest: will be evicted first
+        t.record(traced); // oldest: will be evicted first
         t.record(span("s", 1, 2));
         assert_eq!(t.dropped(), 0);
-        assert_eq!(t.truncated_traces(), 0);
-        // Two more spans evict both buffered ones; only the traced one
-        // marks its trace truncated, and the count stays exact even
-        // though the *incoming* spans are untraced.
+        // Two more spans evict both buffered ones: every recorded span
+        // is either buffered or counted, traced or not.
         t.record(span("s", 2, 3));
         t.record(span("s", 3, 4));
         assert_eq!(t.dropped(), 2);
-        assert_eq!(t.truncated_traces(), 1);
-        assert!(t.is_truncated(77));
-        assert!(!t.is_truncated(78));
+        assert_eq!(t.len() as u64 + t.dropped(), 4);
+        assert!(t.iter().all(|s| s.trace_id == 0));
     }
 
     #[test]

@@ -1,101 +1,12 @@
-//! Streaming statistics for the metrics pipeline.
+//! Statistics for the metrics pipeline.
 //!
 //! The evaluation reports means, medians, extreme percentiles (p99.9),
-//! CDFs, and time-weighted memory usage. These helpers cover all of
-//! those without pulling in a stats crate.
+//! CDFs, and time-weighted memory usage. [`Percentiles`] keeps every
+//! sample and interpolates between ranks, [`Histogram`] buckets a
+//! signal at a fixed width, and [`TimeWeighted`] integrates a
+//! piecewise-constant one — without pulling in a stats crate.
 
 use crate::time::{SimDuration, SimTime};
-
-/// Welford-style streaming mean/variance with min/max tracking.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl StreamingStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        StreamingStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel sweeps).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Exact percentile tracker: stores all samples, sorts lazily.
 ///
@@ -141,8 +52,10 @@ impl Percentiles {
         }
     }
 
-    /// The `q`-quantile (`q` in `[0, 1]`), using nearest-rank
-    /// interpolation. Returns `None` if empty.
+    /// The `q`-quantile (`q` in `[0, 1]`, clamped): linear
+    /// interpolation between the two samples around rank
+    /// `q · (n − 1)` of the sorted samples, so the median of 0..=9 is
+    /// 4.5. Returns `None` if empty.
     pub fn quantile(&mut self, q: f64) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
@@ -189,12 +102,6 @@ impl Percentiles {
             out.push((self.samples[n - 1], 1.0));
         }
         out
-    }
-
-    /// All samples (unsorted order of insertion not preserved after a
-    /// quantile query).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 }
 
@@ -277,18 +184,6 @@ impl Histogram {
             self.overflow as f64 / self.total as f64
         }
     }
-
-    /// Decays all counts by a factor (used for aging policy histograms).
-    pub fn decay(&mut self, factor: f64) {
-        let factor = factor.clamp(0.0, 1.0);
-        let mut new_total = 0u64;
-        for c in &mut self.counts {
-            *c = (*c as f64 * factor) as u64;
-            new_total += *c;
-        }
-        self.overflow = (self.overflow as f64 * factor) as u64;
-        self.total = new_total + self.overflow;
-    }
 }
 
 /// A time-weighted scalar series: tracks the integral of a piecewise-
@@ -358,50 +253,11 @@ impl TimeWeighted {
     pub fn series(&self) -> &[(SimTime, f64)] {
         &self.samples
     }
-
-    /// Latest value.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn streaming_stats_basic() {
-        let mut s = StreamingStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
-
-    #[test]
-    fn streaming_stats_merge_matches_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = StreamingStats::new();
-        for &x in &data {
-            all.record(x);
-        }
-        let mut a = StreamingStats::new();
-        let mut b = StreamingStats::new();
-        for &x in &data[..37] {
-            a.record(x);
-        }
-        for &x in &data[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), all.count());
-    }
 
     #[test]
     fn percentiles_quantiles() {
@@ -451,14 +307,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_overflow_and_decay() {
+    fn histogram_overflow() {
         let mut h = Histogram::new(1.0, 4);
         h.record(100.0);
         h.record(1.5);
         assert_eq!(h.overflow(), 1);
         assert!((h.overflow_fraction() - 0.5).abs() < 1e-12);
-        h.decay(0.0);
-        assert_eq!(h.total(), 0);
+        assert_eq!(h.counts(), [0, 1, 0, 0]);
+        assert_eq!(h.total(), 2);
     }
 
     #[test]
@@ -488,39 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_stats_variance_matches_closed_form() {
-        // Welford's update must agree with the two-pass population
-        // formula sum((x - mean)^2) / n on an awkward spread of values.
-        let data: Vec<f64> = (0..500)
-            .map(|i| 1e6 + ((i * i) % 997) as f64 * 0.25)
-            .collect();
-        let mut s = StreamingStats::new();
-        for &x in &data {
-            s.record(x);
-        }
-        let mean = data.iter().sum::<f64>() / data.len() as f64;
-        let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / data.len() as f64;
-        assert!((s.mean() - mean).abs() / mean < 1e-12);
-        assert!(
-            (s.variance() - var).abs() / var < 1e-9,
-            "welford {} vs exact {var}",
-            s.variance()
-        );
-    }
-
-    #[test]
-    fn streaming_stats_degenerate_counts() {
-        let mut s = StreamingStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.variance(), 0.0);
-        s.record(5.0);
-        // One sample: variance is undefined; we report 0, not NaN.
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.mean(), 5.0);
-    }
-
-    #[test]
     fn time_weighted_out_of_order_update_is_safe() {
         let mut tw = TimeWeighted::new(SimDuration::from_secs(1));
         tw.update(SimTime::from_secs(10), 4.0);
@@ -544,7 +367,6 @@ mod tests {
         // [1s,3s) at value 2.0 over a 3s window -> integral 4/3s... but
         // the first second (before any update) weighs zero.
         assert!((mean - 2.0 * 2.0 / 3.0).abs() < 1e-9, "mean {mean}");
-        assert_eq!(tw.current(), 2.0);
     }
 
     #[test]
@@ -564,7 +386,6 @@ mod tests {
         // 10s at 10.0, then 10s at 20.0 -> mean 15.0 at t=20s.
         let mean = tw.mean_until(SimTime::from_secs(20));
         assert!((mean - 15.0).abs() < 1e-9, "mean {mean}");
-        assert_eq!(tw.current(), 20.0);
         assert!(!tw.series().is_empty());
     }
 }

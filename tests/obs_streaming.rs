@@ -1,10 +1,10 @@
-//! Cross-crate tests for the streaming span sink and the sim-time
+//! Cross-crate tests for the streamed trace file and the sim-time
 //! series sampler (DESIGN.md §12): turning both fully on must leave
 //! the `RunReport` byte-identical, span memory must stay bounded by a
-//! ring far smaller than the trace while the streamed trace on disk is
-//! complete with exact drop accounting, and the streamed file must
-//! match a buffered export byte-for-byte when the ring never
-//! overflows.
+//! ring far smaller than the trace while the trace on disk is complete
+//! with exact drop accounting, the file must match the in-memory
+//! export byte-for-byte when the ring never overflows, and a file that
+//! cannot be written must cost the run nothing.
 
 use medes::obs::{parse_jsonl, parse_timeseries, ObsConfig};
 use medes::platform::config::PlatformConfig;
@@ -51,10 +51,7 @@ fn find_trace(dir: &Path, tag: &str) -> PathBuf {
 
 fn streamed_config(dir: &Path, tag: &str, sample_ms: u64) -> PlatformConfig {
     let mut cfg = PlatformConfig::small_test();
-    let mut oc = ObsConfig::enabled()
-        .tagged(tag)
-        .streamed()
-        .sampled_every_ms(sample_ms);
+    let mut oc = ObsConfig::enabled().tagged(tag).sampled_every_ms(sample_ms);
     oc.set_export_dir(dir.to_path_buf());
     cfg.obs = oc;
     cfg
@@ -127,32 +124,79 @@ fn streaming_and_sampling_do_not_perturb_the_run() {
 }
 
 /// With the default (never-overflowing) ring, the incrementally
-/// streamed file and a buffered `write_trace` export of the same run
-/// are the same bytes — streaming changes *when* lines are written,
-/// never *what* is written.
+/// streamed file and the same run's in-memory `export_jsonl()` are the
+/// same bytes — streaming changes *when* lines are written, never
+/// *what* is written.
 #[test]
 fn streamed_file_matches_buffered_export() {
     let (suite, trace) = workload();
     let dir = scratch_dir("bytes");
-
-    let streamed = Platform::new(streamed_config(&dir, "it-bytes-s", 0), suite.clone()).run(&trace);
-    assert_eq!(streamed.obs.spans_dropped(), 0, "ring must not overflow");
-
-    let mut buffered_cfg = PlatformConfig::small_test();
-    let mut oc = ObsConfig::enabled().tagged("it-bytes-b");
-    oc.set_export_dir(dir.clone());
-    buffered_cfg.obs = oc;
-    let buffered = Platform::new(buffered_cfg, suite).run(&trace);
+    let run = Platform::new(streamed_config(&dir, "it-bytes", 0), suite).run(&trace);
+    assert_eq!(run.obs.spans_dropped(), 0, "ring must not overflow");
+    let file = std::fs::read_to_string(find_trace(&dir, "it-bytes")).expect("streamed file");
     assert_eq!(
-        streamed.report, buffered.report,
-        "two label-off traced runs must produce identical reports"
+        file,
+        run.obs.export_jsonl(),
+        "the streamed file and the in-memory export of the same run must be byte-identical"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let s = std::fs::read(find_trace(&dir, "it-bytes-s")).expect("streamed file");
-    let b = std::fs::read(find_trace(&dir, "it-bytes-b")).expect("buffered file");
-    assert_eq!(
-        s, b,
-        "streamed and buffered exports of the same run must be byte-identical"
+/// A ring smaller than the run and no other obs setting: the exported
+/// file still holds every span the run recorded, not just the ring.
+#[test]
+fn small_ring_export_holds_every_span() {
+    let (suite, trace) = workload();
+    let dir = scratch_dir("ring");
+    let mut cfg = PlatformConfig::small_test();
+    cfg.obs = ObsConfig {
+        span_buffer_cap: RING_CAP,
+        ..ObsConfig::enabled().tagged("it-ring")
+    };
+    cfg.obs.set_export_dir(dir.clone());
+    let run = Platform::new(cfg, suite).run(&trace);
+    let obs = &run.obs;
+    assert!(
+        obs.spans_dropped() > 0,
+        "workload too small to overflow the ring"
     );
+    let text = std::fs::read_to_string(find_trace(&dir, "it-ring")).expect("trace readable");
+    assert_eq!(
+        parse_jsonl(&text).len() as u64,
+        obs.span_count() as u64 + obs.spans_dropped(),
+        "the file must hold every recorded span"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A regular file where the export dir should be: the run completes
+/// with the report of an untraced run, `write_trace` returns the open
+/// error, and no other file appears anywhere.
+#[test]
+fn unwritable_export_dir_costs_the_run_nothing() {
+    let (suite, trace) = workload();
+    let mut plain_cfg = PlatformConfig::small_test();
+    plain_cfg.obs = ObsConfig::default();
+    let plain = Platform::new(plain_cfg, suite.clone()).run(&trace).report;
+
+    let dir = scratch_dir("blocked");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let blocker = dir.join("results");
+    std::fs::write(&blocker, "").expect("blocking file");
+    let mut cfg = PlatformConfig::small_test();
+    cfg.obs = ObsConfig::enabled().tagged("it-blocked");
+    cfg.obs.set_export_dir(blocker.clone());
+    let run = Platform::new(cfg, suite).run(&trace);
+    assert_eq!(
+        plain, run.report,
+        "a failed export must not perturb the run"
+    );
+    assert!(run.obs.write_trace().is_err(), "the open error is returned");
+    let entries: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("scratch dir readable")
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    assert_eq!(entries, [blocker], "no second file may appear");
     let _ = std::fs::remove_dir_all(&dir);
 }
