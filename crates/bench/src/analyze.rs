@@ -17,10 +17,10 @@
 //! * **anomalies**: roots whose duration exceeds [`ANOMALY_K`]` ×` the
 //!   p99 of their kind — the ops worth pulling up individually.
 //!
-//! Spans whose parent never made it into the buffer (head-sampling of
-//! an enclosing op, eviction, or a fault-aborted op that skipped its
-//! phase records) are promoted to roots of their trace rather than
-//! dropped, so a truncated trace still analyzes.
+//! Spans whose parent never made it into the buffer (ring eviction, or
+//! a fault-aborted op that skipped its phase records) are promoted to
+//! roots of their trace rather than dropped, so a truncated trace still
+//! analyzes.
 
 use crate::report::{f, Report};
 use crate::trace::{fmt_attr, percentiles, TOP};
@@ -367,7 +367,7 @@ mod tests {
 
     #[test]
     fn analyze_renders_report_and_folded_output() {
-        let run = load("toy.jsonl", &toy_trace(), None);
+        let run = load("toy.jsonl", &toy_trace());
         let text = report(&run, None, None).0.text().to_string();
         assert!(text.contains("2 causal trees"));
         assert!(text.contains("critical path"));
@@ -380,13 +380,13 @@ mod tests {
 
     #[test]
     fn analyze_handles_empty_and_untraced_input() {
-        let run = load("empty", "", None);
+        let run = load("empty", "");
         assert!(report(&run, None, None).0.text().contains("0 spans"));
         assert!(run.forest.folded_stacks().is_empty());
         // A purely untraced (pre-causal) trace yields zero trees.
         let obs = Obs::new(ObsConfig::enabled());
         obs.span("flat", SimTime::ZERO).end(SimTime::from_micros(5));
-        let run = load("flat", &obs.export_jsonl(), None);
+        let run = load("flat", &obs.export_jsonl());
         assert!(report(&run, None, None).0.text().contains("0 causal trees"));
     }
 }

@@ -134,12 +134,12 @@ pub(crate) fn attribution(report: &mut Report, run: &Export) -> Vec<Attribution>
 }
 
 /// Renders the critical path of `trace_id`'s tree, if the trace file
-/// retained it — head sampling and ring eviction can drop trees.
+/// retained it — an in-memory export's ring eviction can drop trees.
 fn trace_path(report: &mut Report, run: &Export, trace_id: u64) {
     let tree = run.forest.trees.iter().find(|t| t.trace_id == trace_id);
     match tree.and_then(|t| t.roots.first()) {
         Some(&root) => critical_path_table(report, &run.forest, root),
-        None => report.line("trace not present in span file (sampled out or evicted)"),
+        None => report.line("trace not present in span file (evicted)"),
     }
 }
 
@@ -151,7 +151,7 @@ mod tests {
     use medes_sim::SimTime;
 
     fn attribute(trace: &str) -> (String, Vec<Attribution>) {
-        let (report, findings) = report(&load("t", trace, None), None, None);
+        let (report, findings) = report(&load("t", trace), None, None);
         (report.text().to_string(), findings.attributions)
     }
 

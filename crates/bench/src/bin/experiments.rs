@@ -5,24 +5,20 @@
 //! * `--quick` shrinks workloads to smoke-test size;
 //! * `--obs` streams a JSONL span trace per platform run to the results
 //!   directory; `--labels` adds labeled series, exemplars and SLO
-//!   violators, `--sample <n>` keeps one trace tree in `n`,
-//!   `--timeseries <ms>` samples series into a `.timeseries.jsonl`
-//!   sibling;
-//! * `--faults`, `--cache`, `--shards`, `--workers`,
-//!   `--registry-owners` and `--content-model` set the fault plan, the
-//!   base-page cache, the registry shards, the scan workers, the
-//!   registry placement and the content model of every cluster run.
+//!   violators, `--timeseries <ms>` adds the sampled series to the
+//!   trace's tail;
+//! * `--faults`, `--cache` and `--content-model` set the fault plan,
+//!   the base-page cache and the content model of every cluster run.
 //!
 //! Every flag combination is validated through
-//! `PlatformConfig::builder` before anything runs, so nonsense (zero
-//! shards or workers, a cache larger than node memory) is a usage
-//! error, not a panic deep inside an experiment.
+//! `PlatformConfig::builder` before anything runs, so nonsense (a cache
+//! larger than node memory) is a usage error, not a panic deep inside
+//! an experiment.
 //!
-//! `trace report <trace.jsonl>` renders one run export (and its
-//! `.timeseries.jsonl` sibling) and writes its folded stacks to
-//! `<trace>.folded`; it exits 1 when it finds a tail-latency
-//! attribution or, with `--against <base.jsonl>`, a regression
-//! (`medes_bench::trace`).
+//! `trace report <trace.jsonl>` renders one run export and writes its
+//! folded stacks to `<trace>.folded`; it exits 1 when it finds a
+//! tail-latency attribution or, with `--against <base.jsonl>`, a
+//! regression (`medes_bench::trace`).
 //!
 //! Exit codes: 2 for a usage error — an unknown id, subcommand or
 //! `--flag`, a flag missing its value, an invalid combination — before
@@ -38,7 +34,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--sample <n>] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--shards <n>] [--workers <n>] [--registry-owners <n>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>] [--group-by <label>]\nids: {}",
+        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>] [--group-by <label>]\nids: {}",
         experiments::ALL.join(", ")
     );
     std::process::exit(2);
@@ -64,14 +60,12 @@ fn fail(msg: String) -> ! {
     std::process::exit(1);
 }
 
-/// Loads one run export — the trace, plus its `.timeseries.jsonl`
-/// sibling when one exists — labeled with its path.
+/// Loads one run export, labeled with its path.
 fn load(path: &Path) -> trace::Export {
     let label = path.display().to_string();
     let trace =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {label}: {e}")));
-    let series = std::fs::read_to_string(path.with_extension("timeseries.jsonl")).ok();
-    trace::load(&label, &trace, series.as_deref())
+    trace::load(&label, &trace)
 }
 
 /// `trace report <trace.jsonl> [--against <base.jsonl>] [--group-by
@@ -128,13 +122,9 @@ fn main() {
             "--obs" => cfg.obs = true,
             "--labels" => cfg.labels = true,
             "--content-model" => cfg.content_model = true,
-            "--sample" => cfg.sample = Some(value(&mut it)),
             "--timeseries" => cfg.timeseries_ms = Some(value(&mut it)),
             "--results" => cfg.results_dir = value(&mut it),
             "--cache" => cfg.cache_mib = value(&mut it),
-            "--shards" => cfg.shards = value(&mut it),
-            "--workers" => cfg.workers = value(&mut it),
-            "--registry-owners" => cfg.registry_owners = Some(value(&mut it)),
             "--faults" => {
                 let Some(spec) = it.next().and_then(|s| FaultSpec::parse(s)) else {
                     usage();

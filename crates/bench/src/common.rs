@@ -1,6 +1,6 @@
 //! Shared experiment setup: standard workloads and configurations.
 
-use medes_core::config::{ConfigError, PlatformConfig, PolicyKind, RestoreReadConfig};
+use medes_core::config::{ConfigError, PlatformConfig, RestoreReadConfig};
 use medes_core::metrics::RunReport;
 use medes_core::platform::{Platform, RunOutcome};
 use medes_policy::medes::Objective;
@@ -50,13 +50,8 @@ pub struct ExpConfig {
     /// Where JSON results land.
     pub results_dir: PathBuf,
     /// Enable the `medes-obs` tracing layer (`--obs`): platform runs
-    /// export a JSONL span trace to `<results_dir>/trace-<n>.jsonl`.
+    /// export a JSONL span trace to `<results_dir>/trace-run-<n>.jsonl`.
     pub obs: bool,
-    /// Optional head-sampling rate (`--sample <n>`, with `--obs`):
-    /// keep one in `n` trace trees, decided deterministically at the
-    /// trace root so whole trees are kept or dropped together. SLO
-    /// accounting is unaffected — it sees every request.
-    pub sample: Option<u64>,
     /// Optional fault injection (`--faults`): synthesized into a
     /// [`FaultPlan`] by [`ExpConfig::platform`]. `None` keeps every
     /// experiment byte-identical to the fault-free build.
@@ -64,22 +59,11 @@ pub struct ExpConfig {
     /// Per-node base-page cache capacity in MiB (`--cache`) for every
     /// platform built by [`ExpConfig::platform`]; 0 means no cache.
     pub cache_mib: usize,
-    /// Fingerprint-registry shard count (`--shards`).
-    pub shards: usize,
-    /// Dedup scan worker-pool size (`--workers`). Reports are
-    /// bit-identical at any shard and worker count.
-    pub workers: usize,
     /// Deterministic time-series sampling interval in simulated ms
     /// (`--timeseries <ms>`, with `--obs`): the platform snapshots its
-    /// gauge/counter set every interval into `.timeseries.jsonl` next
-    /// to the trace. Inert without `--obs`.
+    /// gauge/counter set every interval into the trace tail's `series`.
+    /// Inert without `--obs`.
     pub timeseries_ms: Option<u64>,
-    /// Optional distributed registry placement (`--registry-owners`):
-    /// the fingerprint registry's shards are placed on the first `n`
-    /// worker nodes and all registry traffic is routed as priced RPCs
-    /// (DESIGN.md §15). `None` keeps the in-process registry (and, by
-    /// design, byte-identical reports either way).
-    pub registry_owners: Option<usize>,
     /// Dimensional telemetry (`--labels`, with `--obs`): hot call
     /// sites additionally keep bounded labeled twins of their metrics
     /// (per node, per function class, per link, per shard owner),
@@ -104,13 +88,9 @@ impl ExpConfig {
             quick: false,
             results_dir: PathBuf::from("results"),
             obs: false,
-            sample: None,
             faults: None,
             cache_mib: 0,
-            shards: 1,
-            workers: 1,
             timeseries_ms: None,
-            registry_owners: None,
             labels: false,
             content_model: false,
         }
@@ -226,9 +206,11 @@ impl ExpConfig {
 
     /// Builds the standard platform configuration through the
     /// validating [`PlatformConfig::builder`], so harness flags cannot
-    /// smuggle in nonsense (zero shards, cache larger than node
-    /// memory): bad combinations surface here as a [`ConfigError`]
-    /// before any run starts.
+    /// smuggle in nonsense (a cache larger than node memory): bad
+    /// combinations surface here as a [`ConfigError`] before any run
+    /// starts. The registry is in-process, with one shard and one scan
+    /// worker: a run's report is the same at any other setting
+    /// (`tests/pipeline_parallel.rs`, `tests/registry_backend.rs`).
     pub fn try_platform(&self) -> Result<PlatformConfig, ConfigError> {
         // 12 x 192 MiB: demand-saturated, like the paper's 2 GB limit.
         let nodes = if self.quick { 6 } else { 12 };
@@ -236,15 +218,10 @@ impl ExpConfig {
             .mem_scale(self.mem_scale())
             .node_mem_bytes(192 << 20)
             .nodes(nodes)
-            .read_path(RestoreReadConfig::cached(self.cache_mib << 20))
-            .shards(self.shards)
-            .workers(self.workers);
+            .read_path(RestoreReadConfig::cached(self.cache_mib << 20));
         if self.obs {
             let mut oc = medes_obs::ObsConfig::enabled();
             oc.set_export_dir(self.results_dir.clone());
-            if let Some(n) = self.sample {
-                oc = oc.sampled(n);
-            }
             if let Some(ms) = self.timeseries_ms {
                 oc = oc.sampled_every_ms(ms);
             }
@@ -260,9 +237,6 @@ impl ExpConfig {
                 SimTime::from_secs(self.trace_secs()),
                 spec.rate,
             ));
-        }
-        if let Some(owners) = self.registry_owners {
-            b = b.registry_owners(owners);
         }
         if self.content_model {
             b = b.tweak(|c| {
@@ -300,35 +274,10 @@ pub fn run_outcome(cfg: PlatformConfig, suite: &[FunctionProfile], trace: &Trace
     Platform::new(cfg, suite.to_vec()).run(trace)
 }
 
-/// Runs the three §7.2 policies over the same trace.
-pub fn run_three(
-    base: &PlatformConfig,
-    suite: &[FunctionProfile],
-    trace: &Trace,
-    medes_policy: MedesPolicyConfig,
-) -> (RunReport, RunReport, RunReport) {
-    let medes = run(
-        base.clone().with_policy(PolicyKind::Medes(medes_policy)),
-        suite,
-        trace,
-    );
-    let fixed = run(
-        base.clone()
-            .with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_mins(10))),
-        suite,
-        trace,
-    );
-    let adaptive = run(
-        base.clone().with_policy(PolicyKind::AdaptiveKeepAlive),
-        suite,
-        trace,
-    );
-    (medes, fixed, adaptive)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use medes_core::config::RegistryPlacement;
 
     #[test]
     fn quick_config_is_smaller() {
@@ -379,28 +328,17 @@ mod tests {
     #[test]
     fn cache_and_pipeline_flags_reach_the_platform() {
         let mut cfg = ExpConfig::quick();
-        assert_eq!(cfg.platform().read_path.page_cache_bytes, 0);
-        cfg.cache_mib = 64;
-        cfg.shards = 4;
-        cfg.workers = 2;
         let p = cfg.platform();
-        assert_eq!(p.read_path.page_cache_bytes, 64 << 20);
-        assert_eq!((p.pipeline.shards, p.pipeline.workers), (4, 2));
-        // The validating builder rejects an empty worker pool.
-        cfg.workers = 0;
+        assert_eq!(p.read_path.page_cache_bytes, 0);
+        // No flag sets the pipeline or the registry: the builder's
+        // serial, in-process defaults.
+        assert_eq!((p.pipeline.shards, p.pipeline.workers), (1, 1));
+        assert_eq!(p.registry, RegistryPlacement::InProcess);
+        cfg.cache_mib = 64;
+        assert_eq!(cfg.platform().read_path.page_cache_bytes, 64 << 20);
+        // The validating builder rejects a cache larger than a node.
+        cfg.cache_mib = 1 << 10;
         assert!(cfg.try_platform().is_err());
-    }
-
-    #[test]
-    fn sample_flag_requires_obs_and_sets_rate() {
-        let mut cfg = ExpConfig::quick();
-        cfg.sample = Some(8);
-        // Without --obs the sampling knob is inert (tracing is off).
-        assert!(!cfg.platform().obs.enabled);
-        cfg.obs = true;
-        let obs = cfg.platform().obs;
-        assert!(obs.enabled);
-        assert_eq!(obs.sample_one_in, 8);
     }
 
     #[test]
@@ -431,21 +369,6 @@ mod tests {
         let obs = cfg.platform().obs;
         assert!(obs.enabled);
         assert!(obs.labels);
-    }
-
-    #[test]
-    fn registry_owners_flag_selects_distributed_backend() {
-        use medes_core::config::RegistryPlacement;
-        let mut cfg = ExpConfig::quick();
-        assert_eq!(cfg.platform().registry, RegistryPlacement::InProcess);
-        cfg.registry_owners = Some(3);
-        assert_eq!(
-            cfg.platform().registry,
-            RegistryPlacement::Distributed { owners: 3 }
-        );
-        // The validating builder rejects placements wider than the cluster.
-        cfg.registry_owners = Some(100);
-        assert!(cfg.try_platform().is_err());
     }
 
     #[test]

@@ -242,15 +242,16 @@ fn gauge_ends(run: &Export) -> BTreeMap<String, f64> {
 mod tests {
     use super::*;
     use crate::trace::load;
-    use medes_obs::{Obs, ObsConfig, SeriesStore};
+    use medes_obs::{Obs, ObsConfig};
     use medes_sim::SimTime;
+    use std::sync::Arc;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    /// A tiny run export: one traced op, some counters, a hist, SLO.
-    fn toy_export(cold_starts: u64, op_us: u64, latency_us: u64) -> String {
+    /// A tiny run: one traced op, some counters, a hist, SLO.
+    fn toy_obs(cold_starts: u64, op_us: u64, latency_us: u64) -> Arc<Obs> {
         let obs = Obs::new(ObsConfig::enabled());
         let root = obs.trace_root("request", 1, 1);
         obs.span_in("medes.platform.request", t(0), root)
@@ -260,7 +261,12 @@ mod tests {
         for _ in 0..20 {
             obs.slo_record("f", latency_us, 100, 0, 0);
         }
-        obs.export_jsonl()
+        obs
+    }
+
+    /// [`toy_obs`]'s export.
+    fn toy_export(cold_starts: u64, op_us: u64, latency_us: u64) -> String {
+        toy_obs(cold_starts, op_us, latency_us).export_jsonl()
     }
 
     /// The comparison section alone, its text and regressions.
@@ -283,8 +289,8 @@ mod tests {
     fn identical_exports_diff_clean() {
         let a = toy_export(3, 500, 50);
         let (text, regressions) = compare(
-            &load("a", &a, None),
-            &load("b", &a, None),
+            &load("a", &a),
+            &load("b", &a),
             &DiffThresholds::default(),
             None,
         );
@@ -294,8 +300,8 @@ mod tests {
 
     #[test]
     fn worse_counters_and_slo_regress() {
-        let base = load("a", &toy_export(3, 500, 50), None);
-        let cand = load("b", &toy_export(30, 500, 500), None);
+        let base = load("a", &toy_export(3, 500, 50));
+        let cand = load("b", &toy_export(30, 500, 500));
         let (text, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
         let names = metrics(&regressions);
         assert!(names.contains(&"medes.platform.starts.cold"), "{names:?}");
@@ -305,8 +311,8 @@ mod tests {
 
     #[test]
     fn hist_p99_and_phase_self_regress() {
-        let base = load("a", &toy_export(1, 1_000, 50), None);
-        let cand = load("b", &toy_export(1, 20_000, 50), None);
+        let base = load("a", &toy_export(1, 1_000, 50));
+        let cand = load("b", &toy_export(1, 20_000, 50));
         let (_, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
         let names = metrics(&regressions);
         assert!(
@@ -320,8 +326,8 @@ mod tests {
     fn thresholds_gate_small_blips() {
         // 3 -> 4 cold starts: past 10% relative but under the absolute
         // count floor — must NOT regress.
-        let base = load("a", &toy_export(3, 500, 50), None);
-        let cand = load("b", &toy_export(4, 500, 50), None);
+        let base = load("a", &toy_export(3, 500, 50));
+        let cand = load("b", &toy_export(4, 500, 50));
         let (_, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
         assert!(regressions.is_empty(), "{regressions:?}");
         // A zero relative threshold with zero floors flags it.
@@ -338,13 +344,13 @@ mod tests {
 
     /// Gauge endpoints of `(name, value)` series over one toy trace.
     fn with_gauges(gauges: &[(&str, f64)]) -> Export {
-        let mut ts = SeriesStore::new();
+        let obs = toy_obs(1, 500, 50);
         for i in 0..5u64 {
             for &(name, v) in gauges {
-                ts.point(name, SeriesKind::Gauge, i, v);
+                obs.series_point(name, t(i), v);
             }
         }
-        load("x", &toy_export(1, 500, 50), Some(&ts.export_jsonl()))
+        load("x", &obs.export_jsonl())
     }
 
     #[test]
@@ -404,8 +410,8 @@ mod tests {
             });
             obs.export_jsonl()
         };
-        let base = load("a", &export(2), None);
-        let cand = load("b", &export(40), None);
+        let base = load("a", &export(2));
+        let cand = load("b", &export(40));
         let th = DiffThresholds::default();
         let (text, regressions) = compare(&base, &cand, &th, Some("owner"));
         assert!(
@@ -426,7 +432,7 @@ mod tests {
             .find(|l| l.starts_with("medes.net.rdma_reads{src=1}"));
         assert!(row.is_some_and(|l| l.ends_with("info")), "{text}");
         // Label-off exports degrade gracefully.
-        let plain = load("p", &toy_export(1, 500, 50), None);
+        let plain = load("p", &toy_export(1, 500, 50));
         let (text, _) = compare(&plain, &plain, &th, Some("node"));
         assert!(text.contains("no labeled series carry a node label"));
     }
@@ -434,8 +440,8 @@ mod tests {
     #[test]
     fn empty_inputs_diff_clean() {
         let (text, regressions) = compare(
-            &load("a", "", None),
-            &load("b", "", None),
+            &load("a", ""),
+            &load("b", ""),
             &DiffThresholds::default(),
             None,
         );

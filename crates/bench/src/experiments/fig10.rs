@@ -6,9 +6,12 @@
 //! Our testbed analogue shrinks the per-node software limit so the
 //! cluster totals match the same ratios.
 
-use crate::common::{run_three, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, Report};
+use medes_core::baselines::{run_comparison, Comparison};
+use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
+use medes_sim::SimDuration;
 
 /// Runs the experiment (covers Fig 10a, 10b and Fig 11).
 pub fn run(cfg: &ExpConfig) -> Report {
@@ -31,11 +34,15 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let mut total_rows = Vec::new();
     let mut json_pools = Vec::new();
     let mut per_fn_sections = Vec::new();
+    let policy = cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 });
     for (label, nodes) in pools {
-        let mut cfg_p = base.clone();
+        let mut cfg_p = base.clone().with_policy(PolicyKind::Medes(policy.clone()));
         cfg_p.nodes = nodes.max(2);
-        let policy = cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 });
-        let (medes, fixed, adaptive) = run_three(&cfg_p, &suite, &trace, policy);
+        let Comparison {
+            medes,
+            fixed,
+            adaptive,
+        } = run_comparison(&cfg_p, &suite, &trace, SimDuration::from_mins(10));
         let reduction_fixed = 100.0
             * (1.0 - medes.total_cold_starts() as f64 / fixed.total_cold_starts().max(1) as f64);
         total_rows.push(vec![

@@ -5,18 +5,25 @@
 //! and adaptive keep-alive, 1–2.3× better 99.9p latencies, and 10–50 %
 //! fewer cold starts.
 
-use crate::common::{run_three, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, Report};
+use medes_core::baselines::{run_comparison, Comparison};
+use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
+use medes_sim::SimDuration;
 
 /// Runs the experiment.
 pub fn run(cfg: &ExpConfig) -> Report {
     let mut report = Report::new("fig7", "end-to-end latencies vs keep-alive baselines (P1)");
     let suite = cfg.suite();
     let trace = cfg.full_trace(&suite);
-    let base = cfg.platform();
     let policy = cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 });
-    let (medes, fixed, adaptive) = run_three(&base, &suite, &trace, policy);
+    let base = cfg.platform().with_policy(PolicyKind::Medes(policy));
+    let Comparison {
+        medes,
+        fixed,
+        adaptive,
+    } = run_comparison(&base, &suite, &trace, SimDuration::from_mins(10));
 
     // Fig 7a: distribution of per-request improvement factors.
     report.section("Fig 7a: improvement-factor distribution (paired by request)");

@@ -6,9 +6,12 @@
 //! adaptive policy using less memory but incurring ≥50 % more cold
 //! starts.
 
-use crate::common::{run_three, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, mib, Report};
+use medes_core::baselines::{run_comparison, Comparison};
+use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
+use medes_sim::SimDuration;
 
 /// Runs the experiment.
 pub fn run(cfg: &ExpConfig) -> Report {
@@ -25,7 +28,16 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let policy = cfg.medes_policy(Objective::MemoryBudget {
         budget_bytes: capacity * 0.5,
     });
-    let (medes, fixed, adaptive) = run_three(&base, &suite, &trace, policy);
+    let Comparison {
+        medes,
+        fixed,
+        adaptive,
+    } = run_comparison(
+        &base.with_policy(PolicyKind::Medes(policy)),
+        &suite,
+        &trace,
+        SimDuration::from_mins(10),
+    );
 
     report.section("Fig 9a: cluster memory usage (paper-scale GiB)");
     let gib = |b: f64| b / (1u64 << 30) as f64;

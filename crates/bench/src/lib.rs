@@ -35,11 +35,11 @@
 //! `delta.encode_ns_per_page`, `dedup.scan_us`, `obs.noop_ns`, …).
 //!
 //! `trace report <trace.jsonl> [--against <base.jsonl>] [--group-by
-//! <label>]` reads the JSONL export of any run made with `--obs` — and
-//! its `.timeseries.jsonl` sibling — and renders one report: per-phase
-//! latency and self time, causal-tree critical paths, the slowest
-//! requests, counters, series and leak suspects, tail attribution and,
-//! against a base export, regressions (see [`trace`]).
+//! <label>]` reads the JSONL export of any run made with `--obs` and
+//! renders one report: per-phase latency and self time, causal-tree
+//! critical paths, the slowest requests, counters, series and leak
+//! suspects, tail attribution and, against a base export, regressions
+//! (see [`trace`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

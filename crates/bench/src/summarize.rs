@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn phase_stats_aggregate_by_name() {
-        let phases = load("t", &sample_trace(), None).phases;
+        let phases = load("t", &sample_trace()).phases;
         assert_eq!(phases.len(), 3);
         let base = phases
             .iter()
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn slowest_requests_are_ranked() {
-        let (report, _) = report(&load("t", &sample_trace(), None), None, None);
+        let (report, _) = report(&load("t", &sample_trace()), None, None);
         let text = report.text();
         let slowest = text.split("slowest requests ---\n").nth(1).unwrap();
         // Slowest first: request 9 ran longest (exec 63 us).
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn summarize_renders_tables() {
-        let (report, _) = report(&load("trace-test.jsonl", &sample_trace(), None), None, None);
+        let (report, _) = report(&load("trace-test.jsonl", &sample_trace()), None, None);
         let text = report.text();
         assert!(text.contains("per-phase latency and self time"));
         assert!(text.contains("medes.restore.base_read"));
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn summarize_handles_empty_trace() {
-        let (report, _) = report(&load("empty", "", None), None, None);
+        let (report, _) = report(&load("empty", ""), None, None);
         assert!(report.text().contains("0 spans"));
     }
 }

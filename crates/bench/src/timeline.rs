@@ -1,6 +1,6 @@
 //! The series section of `trace report`: per-metric summaries of the
-//! `.timeseries.jsonl` sibling (the deterministic sim-time sampler's
-//! output) and monotonic-leak suspects.
+//! tail's sampled series (the deterministic sim-time sampler's output)
+//! and monotonic-leak suspects.
 //!
 //! A gauge that (almost) never decreases across a long run and ends
 //! well above where it started is the classic signature of a leaked
@@ -14,19 +14,22 @@ use medes_obs::{ParsedSeries, SeriesKind};
 use std::collections::BTreeMap;
 
 /// Whether a series looks like a monotonic leak: a gauge with at least
-/// 8 samples whose steps are ≥95% non-decreasing and whose last value
+/// 8 samples, ≥95% of whose *changes* are rises, and whose last value
 /// ends at ≥1.5× its first (any growth counts when it started at
-/// zero). Deliberately a heuristic — it flags candidates for a human,
-/// it does not prove a leak.
+/// zero). Flat steps say nothing either way, so a level that mostly
+/// holds still and dips now and then is not a suspect. Deliberately a
+/// heuristic — it flags candidates for a human, it does not prove a
+/// leak.
 pub fn looks_like_leak(s: &ParsedSeries) -> bool {
     let v = s.values();
     if s.kind != SeriesKind::Gauge || v.len() < 8 {
         return false;
     }
-    let rising = v.windows(2).filter(|w| w[1] >= w[0]).count() as f64;
+    let changes = v.windows(2).filter(|w| w[1] != w[0]);
+    let (rises, moves) = changes.fold((0, 0), |(r, m), w| (r + usize::from(w[1] > w[0]), m + 1));
     let (first, last) = (v[0], v[v.len() - 1]);
     let grew = last > first && (first <= 0.0 || last >= 1.5 * first);
-    rising >= 0.95 * (v.len() - 1) as f64 && grew
+    rises as f64 >= 0.95 * moves as f64 && grew
 }
 
 /// Renders the series section — nothing when the run sampled no
@@ -105,15 +108,18 @@ pub(crate) fn series(report: &mut Report, series: &[ParsedSeries], group: Option
 mod tests {
     use super::*;
     use crate::trace::{load, report};
-    use medes_obs::{parse_timeseries, SeriesStore};
+    use medes_obs::{parse_series, SeriesStore};
 
     fn store_to_parsed(s: &SeriesStore) -> Vec<ParsedSeries> {
-        parse_timeseries(&s.export_jsonl())
+        parse_series(Some(&s.to_json()))
     }
 
-    /// The report of a run whose only content is `s`'s series.
+    /// The report of a run whose only content is `s`'s series, carried
+    /// in a tail the way an export carries them.
     fn timeline(s: &SeriesStore, group: Option<&str>) -> String {
-        let run = load("ts", "", Some(&s.export_jsonl()));
+        let tail =
+            medes_obs::json!({ "metrics": medes_obs::Json::object(), "series": s.to_json() });
+        let run = load("ts", &tail.to_string());
         report(&run, None, group).0.text().to_string()
     }
 
@@ -135,6 +141,25 @@ mod tests {
             .map(|p| p.name.as_str())
             .collect();
         assert_eq!(flagged, ["grow"]);
+    }
+
+    /// Flat steps are no evidence of growth: a level that mostly holds
+    /// still and dips once is not a suspect, a staircase is.
+    #[test]
+    fn leak_heuristic_counts_only_changes() {
+        let mut s = SeriesStore::new();
+        for i in 0..40u64 {
+            let blip = if i == 10 || i == 39 { 1.0 } else { 0.0 };
+            s.point("blip", SeriesKind::Gauge, i, blip);
+            s.point("stairs", SeriesKind::Gauge, i, (i / 5) as f64);
+        }
+        let parsed = store_to_parsed(&s);
+        let flagged: Vec<&str> = parsed
+            .iter()
+            .filter(|p| looks_like_leak(p))
+            .map(|p| p.name.as_str())
+            .collect();
+        assert_eq!(flagged, ["stairs"]);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! `trace report`: one report over one parsed run export.
 //!
 //! A run traced with `--obs` leaves a JSONL file: span lines, then one
-//! tail line with the final metrics, the per-function SLO summary and,
-//! under `--labels`, labeled series, exemplars and SLO violators. With
-//! `--timeseries <ms>` a `.timeseries.jsonl` sibling holds the sampled
-//! series. [`load`] parses both once into an [`Export`]; [`report`]
-//! renders every section from it:
+//! tail line with the final metrics, the per-function SLO summary,
+//! under `--labels` labeled series, exemplars and SLO violators, and
+//! under `--timeseries <ms>` the sampled series. [`load`] parses it
+//! once into an [`Export`]; [`report`] renders every section from it:
 //!
 //! * a header line (spans, causal trees, series, labeled series, SLO
 //!   violations, exemplars);
@@ -35,7 +34,7 @@ use crate::report::Report;
 use crate::summarize::Phase;
 use crate::{analyze, attribute, diff, summarize, timeline};
 use medes_obs::span::parse_id;
-use medes_obs::{parse_jsonl, parse_series_key, parse_tail, parse_timeseries, Json, ParsedSpan};
+use medes_obs::{parse_jsonl, parse_series, parse_series_key, parse_tail, Json, ParsedSpan};
 use medes_obs::{JsonMap, ParsedSeries};
 use medes_sim::stats::Percentiles;
 use std::collections::BTreeMap;
@@ -84,15 +83,14 @@ pub struct Export {
     pub(crate) slo_violations: f64,
     pub(crate) violators: Vec<Violation>,
     pub(crate) exemplars: Vec<Exemplar>,
-    /// The `.timeseries.jsonl` sibling's series; empty when none.
+    /// The tail's sampled series; empty when the sampler did not run.
     pub(crate) series: Vec<ParsedSeries>,
 }
 
-/// Parses one run export: `trace` is the JSONL file's contents,
-/// `timeseries` its `.timeseries.jsonl` sibling's, when one exists.
+/// Parses one run export: `trace` is the JSONL file's contents.
 /// Records missing a field are skipped — the export is a report, not a
 /// protocol.
-pub fn load(label: &str, trace: &str, timeseries: Option<&str>) -> Export {
+pub fn load(label: &str, trace: &str) -> Export {
     let tail = parse_tail(trace).unwrap_or_else(Json::object);
     let records = |key| tail.get(key).and_then(Json::as_array).unwrap_or_default();
     let violators = records("slo_violators").iter().filter_map(|r| {
@@ -132,7 +130,7 @@ pub fn load(label: &str, trace: &str, timeseries: Option<&str>) -> Export {
             .sum(),
         violators: violators.collect(),
         exemplars: exemplars.collect(),
-        series: parse_timeseries(timeseries.unwrap_or("")),
+        series: parse_series(tail.get("series")),
     }
 }
 

@@ -34,6 +34,16 @@ fn unknown_flag_or_id_is_rejected_before_any_experiment_runs() {
     assert_usage_error(&["fig13", "nope", "--quick"]);
     // `--stream` is gone: every `--obs` trace is streamed.
     assert_usage_error(&["fig13", "--quick", "--obs", "--stream"]);
+    // So are the flags no result depended on: the pipeline's shards and
+    // workers, the registry placement, head sampling.
+    for retired in [
+        ["--shards", "4"],
+        ["--workers", "2"],
+        ["--registry-owners", "3"],
+        ["--sample", "4"],
+    ] {
+        assert_usage_error(&["fig13", "--quick", "--obs", retired[0], retired[1]]);
+    }
     // `trace report` does not mistake a flag for a file either.
     assert_usage_error(&["trace", "report", "--bogus"]);
 }

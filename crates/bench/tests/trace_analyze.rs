@@ -1,7 +1,7 @@
 //! End-to-end: a traced quick-scale Medes run exports a JSONL trace
 //! that `trace report` reconstructs into exact causal trees, drills
 //! into and compares against another run — and no telemetry setting
-//! (off, sampled, labeled) moves the `RunReport`. These are the gates
+//! (off, on, labeled) moves the `RunReport`. These are the gates
 //! of the observability layer (DESIGN.md §8, §12, §16); the one
 //! host-time claim, a ceiling on tracing overhead, is `#[ignore]`d and
 //! run by CI in `--release` with `-- --ignored`.
@@ -10,7 +10,7 @@ use medes_bench::common::{run_outcome, ExpConfig};
 use medes_bench::trace;
 use medes_core::config::{PlatformConfig, PolicyKind};
 use medes_core::platform::RunOutcome;
-use medes_obs::{parse_jsonl, parse_tail, ObsConfig};
+use medes_obs::{parse_tail, ObsConfig};
 use medes_policy::medes::Objective;
 use medes_sim::fault::{FaultPlan, LinkFaultKind, LinkFaultWindow};
 use medes_sim::{SimDuration, SimTime};
@@ -76,7 +76,7 @@ fn report_exit(trace: (&str, &str), base: Option<(&str, &str)>) -> Option<i32> {
 fn traced_run_reconstructs_exact_request_trees() {
     let outcome = quick_run(traced().labeled(), |_| {});
     let jsonl = outcome.obs.export_jsonl();
-    let run = trace::load("e2e.jsonl", &jsonl, None);
+    let run = trace::load("e2e.jsonl", &jsonl);
     let forest = &run.forest;
 
     // At least one restore happened and its tree is exact: every
@@ -119,10 +119,11 @@ fn traced_run_reconstructs_exact_request_trees() {
     let folded = forest.folded_stacks();
     assert!(folded.lines().any(|l| l.contains(';')), "no nested stacks");
 
-    // SLO summary rides along on the outcome and in the export's tail.
-    assert!(!outcome.slo.is_empty());
+    // The SLO summary is in the export's tail.
+    let slo = outcome.obs.slo_summary();
+    assert!(!slo.is_empty());
     let tail = parse_tail(&jsonl).expect("export ends in a tail");
-    for row in &outcome.slo {
+    for row in &slo {
         assert_eq!(tail["slo"][row.func.as_str()]["count"], row.count as i64);
     }
 
@@ -134,23 +135,13 @@ fn traced_run_reconstructs_exact_request_trees() {
     assert!(text.contains("critical path of worst violation"), "{text}");
     assert!(!text.contains("trace not present"), "{text}");
 
-    // Telemetry observes the simulation, it never perturbs it: off,
-    // 1-in-4 head-sampled and label-off runs report what this one did.
-    // Sampling keeps whole trees, so it must shrink the trace; labels
-    // must add series, and leave no key behind when off.
+    // Telemetry observes the simulation, it never perturbs it: off and
+    // label-off runs report what this labeled one did. Labels must add
+    // series, and leave no key behind when off.
     let untraced = quick_run(ObsConfig::default(), |_| {});
     assert_eq!(
         untraced.report, outcome.report,
         "enabling the tracer changed the simulation"
-    );
-    let sampled = quick_run(traced().labeled().sampled(4), |_| {});
-    assert_eq!(
-        sampled.report, outcome.report,
-        "head sampling changed the simulation"
-    );
-    assert!(
-        parse_jsonl(&sampled.obs.export_jsonl()).len() < forest.spans.len(),
-        "1-in-4 sampling did not shrink the trace"
     );
     let label_off = quick_run(traced(), |_| {});
     assert_eq!(
@@ -176,7 +167,7 @@ fn traced_run_reconstructs_exact_request_trees() {
     let (_, clean) = trace::report(&run, Some(&run), None);
     assert_eq!(clean.regressions, Some(vec![]), "self-comparison flagged");
     assert!(!clean.gate());
-    let (_, flagged) = trace::report(&trace::load("worse", &worse, None), Some(&run), None);
+    let (_, flagged) = trace::report(&trace::load("worse", &worse), Some(&run), None);
     assert!(
         flagged.regressions.is_some_and(|r| !r.is_empty()),
         "injected regression (1s fixed keep-alive) not flagged"
@@ -212,7 +203,7 @@ fn injected_slow_node_is_the_top_attribution() {
         "slow-node run must record SLO violations"
     );
     let jsonl = slow.obs.export_jsonl();
-    let (drill, findings) = trace::report(&trace::load("slow.jsonl", &jsonl, None), None, None);
+    let (drill, findings) = trace::report(&trace::load("slow.jsonl", &jsonl), None, None);
     let attributions = &findings.attributions;
     let top = attributions
         .first()

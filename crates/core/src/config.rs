@@ -264,8 +264,8 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Validating builder for [`PlatformConfig`]: the supported way for
-/// harness flags (`--cache`, `--faults`, `--shards`, `--workers`) to
-/// assemble a configuration instead of mutating public fields ad hoc.
+/// harness flags (`--cache`, `--faults`) and tests to assemble a
+/// configuration instead of mutating public fields ad hoc.
 /// [`PlatformConfigBuilder::build`] rejects nonsense — zero shards, a
 /// cache larger than node memory — before a run starts.
 #[derive(Debug, Clone)]

@@ -303,11 +303,9 @@ impl MetricsCollector {
     /// it); pass [`TraceCtx::NONE`] for a flat record. `bound_us` is
     /// the SLO bound in effect (`α · s_W`; 0 = none) — the startup
     /// latency is checked against it in the per-function
-    /// [`medes_obs::SloTracker`]. SLO samples are never head-sampled
-    /// away: quantiles stay exact even when span sampling is on.
-    /// `node` is the node the request ran on; with dimensional
-    /// telemetry on it keys the per-node labeled series and tags SLO
-    /// violations for drill-down.
+    /// [`medes_obs::SloTracker`]. `node` is the node the request ran
+    /// on; with dimensional telemetry on it keys the per-node labeled
+    /// series and tags SLO violations for drill-down.
     pub fn push_request(&mut self, rec: RequestRecord, ctx: TraceCtx, bound_us: u64, node: usize) {
         if self.obs.enabled() {
             let start_type = match rec.start {

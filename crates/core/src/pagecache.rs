@@ -67,8 +67,9 @@ impl BasePageCache {
         Self::with_obs(capacity_paper_bytes, mem_scale, Obs::disabled(), 0)
     }
 
-    /// Like [`BasePageCache::new`] but mirroring hit/miss/eviction
-    /// counters and the bytes-saved gauge into `medes.restore.cache.*`.
+    /// Like [`BasePageCache::new`] but mirroring the hit, miss,
+    /// eviction and bytes-saved counters into `medes.restore.cache.*`;
+    /// caches sharing one `obs` add into the same counters.
     /// `node` is the hosting node: with dimensional telemetry on, hit
     /// and miss counters also get per-node labeled twins.
     pub fn with_obs(
@@ -144,9 +145,9 @@ impl BasePageCache {
                     self.obs.incr_with("medes.restore.cache.hits", || {
                         LabelSet::new().with("node", node)
                     });
-                    self.obs.gauge_set(
+                    self.obs.counter_add(
                         "medes.restore.cache.bytes_saved",
-                        self.stats.bytes_saved as f64,
+                        self.page_paper_bytes as u64,
                     );
                 }
                 Some(entry.bytes.clone())
@@ -360,6 +361,24 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.used_paper_bytes(), 0);
         assert_eq!(c.stats().hits, 1, "stats survive a crash-clear");
+    }
+
+    /// Two nodes' caches share one `Obs`: the exported bytes saved is
+    /// what both saved, not whichever hit last.
+    #[test]
+    fn bytes_saved_sums_over_caches_sharing_an_obs() {
+        let obs = Obs::new(medes_obs::ObsConfig::enabled());
+        let mut a = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Arc::clone(&obs), 0);
+        let mut b = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Arc::clone(&obs), 1);
+        a.insert(SandboxId(1), 0, &page(1));
+        b.insert(SandboxId(2), 0, &page(2));
+        for _ in 0..3 {
+            assert!(a.lookup(SandboxId(1), 0).is_some());
+        }
+        assert!(b.lookup(SandboxId(2), 0).is_some());
+        let saved = a.stats().bytes_saved + b.stats().bytes_saved;
+        assert_eq!(saved, 4 * PAGE_SIZE as u64);
+        assert_eq!(obs.counter("medes.restore.cache.bytes_saved"), saved);
     }
 
     #[test]

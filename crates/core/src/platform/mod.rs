@@ -159,11 +159,9 @@ impl Platform {
             Ok(None) => {}
             Err(e) => eprintln!("warning: failed to write obs trace: {e}"),
         }
-        let slo = obs.slo_summary();
         RunOutcome {
             report,
             obs,
-            slo,
             dedup_scan_wall_us,
             dedup_work,
             dedup_memo_peak_bytes,
@@ -180,11 +178,9 @@ pub struct RunOutcome {
     /// The run's metrics (deterministic; `PartialEq` for replay
     /// assertions).
     pub report: RunReport,
-    /// The run's observability handle (spans, counters, histograms).
+    /// The run's observability handle (spans, counters, histograms,
+    /// and the per-function SLO summaries of [`Obs::slo_summary`]).
     pub obs: Arc<Obs>,
-    /// Per-function SLO summaries (paper §5.2: startup latency against
-    /// the `α · s_W` bound). Empty when observability is disabled.
-    pub slo: Vec<medes_obs::FnSloSummary>,
     /// Host wall time spent in the dedup scan phase, microseconds,
     /// summed over every batch. Host time is not deterministic, so it
     /// lives here and never in `report` or an `obs` export.

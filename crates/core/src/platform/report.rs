@@ -6,35 +6,23 @@ use medes_sim::SimTime;
 
 impl Cluster {
     /// One deterministic time-series sample at simulated time `now`:
-    /// per-node memory, page-cache hit rate, dedup batch depth, plus a
-    /// snapshot of every registered counter/gauge. Strictly read-only
-    /// against simulation state — it must never perturb the `RunReport`
-    /// (the obs-overhead experiment pins this).
+    /// per-node memory and dedup batch depth, plus a snapshot of every
+    /// registered counter/gauge. Strictly read-only against simulation
+    /// state — it must never perturb the `RunReport`
+    /// (`tests/obs_streaming.rs` pins this).
     pub(super) fn sample_tick(&self, now: SimTime) {
         for (i, used) in self.mem.used_per_node().enumerate() {
             let series = format!("medes.node.{i}.mem_bytes");
             self.obs.series_point(&series, now, used as f64);
         }
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for s in self.mem.cache_stats() {
-            hits += s.hits;
-            misses += s.misses;
-        }
-        let rate = if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        };
-        self.obs.series_point("medes.cache.hit_rate", now, rate);
         let pending = self.pipeline.pending.len() as f64;
         self.obs.series_point("medes.dedup.pending", now, pending);
         // Live sandboxes and per-shard registry occupancy are already
-        // registry gauges, and SLO violations a registry counter (kept
-        // current by the metrics, registry and SLO layers), so the
-        // registry snapshot below covers them — pointing them
-        // explicitly too would write two samples at the same timestamp.
-        // The cache hit rate stays a point: a windowed rate needs
-        // state this read-only sampler does not keep.
+        // registry gauges, and SLO violations and cache hits and misses
+        // registry counters (kept current by the metrics, registry, SLO
+        // and cache layers), so the registry snapshot below covers them
+        // — pointing them explicitly too would write two samples at the
+        // same timestamp.
         self.obs.series_sample(now);
     }
 

@@ -349,7 +349,7 @@ fn disabled_obs_leaves_run_untouched() {
     assert!(!report.requests.is_empty());
     assert_eq!(obs.span_count(), 0);
     assert!(obs.metrics_snapshot().is_empty());
-    assert!(outcome.slo.is_empty());
+    assert!(obs.slo_summary().is_empty());
 }
 
 /// Tentpole: every restore op links under the request span minted
@@ -423,9 +423,9 @@ fn causal_tree_links_restores_under_request_roots() {
     }
 }
 
-/// Tentpole: per-function SLO rows on `RunOutcome` cover every
-/// request, carry the §5.2 `α·s_W` bound under the latency-target
-/// objective, and surface in the trace export's tail.
+/// Tentpole: per-function SLO rows cover every request, carry the
+/// §5.2 `α·s_W` bound under the latency-target objective, and surface
+/// in the trace export's tail.
 #[test]
 fn slo_summary_reflects_latency_target_bounds() {
     let (suite, trace) = small_trace(120, 2.0);
@@ -436,22 +436,23 @@ fn slo_summary_reflects_latency_target_bounds() {
         PolicyKind::Medes(m) if matches!(m.objective, Objective::LatencyTarget { .. })
     ));
     let outcome = Platform::new(cfg, suite).run(&trace);
-    assert!(!outcome.slo.is_empty());
-    let total: u64 = outcome.slo.iter().map(|s| s.count).sum();
+    let slo = outcome.obs.slo_summary();
+    assert!(!slo.is_empty());
+    let total: u64 = slo.iter().map(|s| s.count).sum();
     assert_eq!(total, outcome.report.requests.len() as u64);
-    for row in &outcome.slo {
+    for row in &slo {
         assert!(row.bound_us > 0, "{} must carry an α·s_W bound", row.func);
         assert!(row.violations <= row.count);
         assert!(row.p50_us <= row.p99_us);
     }
     // Cold starts exceed α·s_W, so a mixed run records violations,
-    // mirrored into the gauge the collector maintains.
-    let violations: u64 = outcome.slo.iter().map(|s| s.violations).sum();
+    // mirrored into the counter the collector maintains.
+    let violations: u64 = slo.iter().map(|s| s.violations).sum();
     assert!(violations > 0, "cold starts must violate the bound");
     assert_eq!(outcome.obs.slo_violations(), violations);
-    assert_eq!(outcome.obs.slo_summary(), outcome.slo);
+    assert_eq!(outcome.obs.counter("medes.slo.violations"), violations);
     let tail = medes_obs::parse_tail(&outcome.obs.export_jsonl()).expect("tail");
-    for row in &outcome.slo {
+    for row in &slo {
         assert_eq!(
             tail["slo"][row.func.as_str()]["violations"],
             row.violations as i64

@@ -361,65 +361,15 @@ impl Fabric {
             .end(start + self.cfg.fault_timeout);
     }
 
-    /// Cost of a one-sided RDMA read of `bytes` from `src` into `dst`.
-    ///
-    /// Same-node "reads" are local memory copies: no verbs, no wire.
-    pub fn rdma_read(
-        &mut self,
-        dst: NodeIdx,
-        src: NodeIdx,
-        bytes: usize,
-    ) -> Result<SimDuration, NetError> {
-        self.rdma_read_at(dst, src, bytes, self.now)
-    }
-
-    fn rdma_read_at(
-        &mut self,
-        dst: NodeIdx,
-        src: NodeIdx,
-        bytes: usize,
-        at: SimTime,
-    ) -> Result<SimDuration, NetError> {
-        self.check(dst);
-        self.check(src);
-        let factor = match self.fault_check(dst, src, bytes, at) {
-            Ok(k) => k,
-            Err(e) => {
-                self.note_error(e, true);
-                return Err(e);
-            }
-        };
-        self.stats.rdma_reads += 1;
-        self.stats.rdma_bytes += bytes as u64;
-        let mut t = if dst == src {
-            SimDuration::from_secs_f64(bytes as f64 / self.cfg.local_mem_bps)
-        } else {
-            self.cfg.base_latency
-                + self.cfg.rdma_op_overhead
-                + SimDuration::from_secs_f64(bytes as f64 / self.cfg.bandwidth_bps)
-        };
-        if factor != 1.0 {
-            t = t.mul_f64(factor);
-        }
-        if self.obs.enabled() {
-            // One series per (src, dst) link, so the drill-down can
-            // pin a slow link instead of a slow cluster.
-            let labels = || LabelSet::new().with("src", src).with("dst", dst);
-            self.obs.incr_with("medes.net.rdma_reads", labels);
-            self.obs
-                .counter_add_with("medes.net.rdma_bytes", bytes as u64, labels);
-            self.obs.record_us("medes.net.rdma_read_us", t);
-        }
-        Ok(t)
-    }
-
-    /// Cost of a batch of RDMA reads to (possibly) many sources.
+    /// Cost of a batch of one-sided RDMA reads into `dst` from
+    /// (possibly) many sources, `(src, bytes)` each.
     ///
     /// Verbs to distinct sources are posted back to back and complete in
     /// parallel; serialization happens on the receiver's link. The cost
     /// model therefore charges one base latency plus the receiver-side
     /// serialization of all remote bytes — which is what makes batched
-    /// base-page fetches far cheaper than sequential ones.
+    /// base-page fetches far cheaper than sequential ones. Same-node
+    /// "reads" are local memory copies: no verbs, no wire.
     ///
     /// Under fault injection the batch fails as a unit: any down source,
     /// or any read falling in a link error window, fails the whole
@@ -768,6 +718,16 @@ mod tests {
         Fabric::new(4, NetConfig::default())
     }
 
+    /// One read of `bytes` from `src` into `dst`: a one-element batch.
+    fn read(
+        f: &mut Fabric,
+        dst: NodeIdx,
+        src: NodeIdx,
+        bytes: usize,
+    ) -> Result<SimDuration, NetError> {
+        f.rdma_read_batch(dst, &[(src, bytes)])
+    }
+
     fn always_fail_window() -> LinkFaultWindow {
         LinkFaultWindow {
             src: None,
@@ -787,7 +747,7 @@ mod tests {
     #[test]
     fn remote_read_costs_latency_plus_serialization() {
         let mut f = fabric();
-        let t = f.rdma_read(0, 1, 4096).unwrap();
+        let t = read(&mut f, 0, 1, 4096).unwrap();
         // 2us + 1us + 4096/1.25e9 ≈ 3.3us -> ~6.3us total
         let us = t.as_micros();
         assert!((3..12).contains(&us), "remote 4KiB read {us}us");
@@ -796,8 +756,8 @@ mod tests {
     #[test]
     fn local_read_is_cheaper_than_remote() {
         let mut f = fabric();
-        let local = f.rdma_read(2, 2, 4096).unwrap();
-        let remote = f.rdma_read(2, 3, 4096).unwrap();
+        let local = read(&mut f, 2, 2, 4096).unwrap();
+        let remote = read(&mut f, 2, 3, 4096).unwrap();
         assert!(local < remote);
     }
 
@@ -809,7 +769,7 @@ mod tests {
         let mut f2 = fabric();
         let sequential: SimDuration = reads
             .iter()
-            .map(|&(s, b)| f2.rdma_read(0, s, b).unwrap())
+            .map(|&(s, b)| read(&mut f2, 0, s, b).unwrap())
             .sum();
         assert!(
             batched < sequential,
@@ -822,7 +782,7 @@ mod tests {
     #[test]
     fn bandwidth_dominates_large_transfers() {
         let mut f = fabric();
-        let t = f.rdma_read(0, 1, 125_000_000).unwrap(); // 125 MB at 1.25 GB/s = 100 ms
+        let t = read(&mut f, 0, 1, 125_000_000).unwrap(); // 125 MB at 1.25 GB/s = 100 ms
         let ms = t.as_millis_f64();
         assert!((95.0..110.0).contains(&ms), "large read {ms}ms");
     }
@@ -847,25 +807,25 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_node_panics() {
         let mut f = fabric();
-        let _ = f.rdma_read(0, 9, 64);
+        let _ = read(&mut f, 0, 9, 64);
     }
 
     #[test]
     fn obs_mirrors_fabric_traffic() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
-        f.rdma_read(0, 1, 4096).unwrap();
+        read(&mut f, 0, 1, 4096).unwrap();
         f.rdma_read_batch(0, &[(1, 100), (2, 200)]).unwrap();
         f.rpc(0, 1, 10, 20).unwrap();
         assert_eq!(obs.counter("medes.net.rdma_reads"), 3);
         assert_eq!(obs.counter("medes.net.rdma_bytes"), 4096 + 300);
         assert_eq!(obs.counter("medes.net.rpcs"), 1);
         assert_eq!(obs.counter("medes.net.rpc_bytes"), 30);
-        let n = obs.with_histogram("medes.net.rdma_read_us", |h| h.count());
-        assert_eq!(n, Some(1));
+        let n = obs.with_histogram("medes.net.rdma_batch_us", |h| h.count());
+        assert_eq!(n, Some(2));
         // The disabled path records nothing.
         let mut quiet = Fabric::new(4, NetConfig::default());
-        quiet.rdma_read(0, 1, 4096).unwrap();
+        read(&mut quiet, 0, 1, 4096).unwrap();
         assert_eq!(quiet.stats().rdma_reads, 1);
     }
 
@@ -876,7 +836,7 @@ mod tests {
     fn labeled_twins_sum_to_flat_counters() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled().labeled());
         let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
-        f.rdma_read(0, 1, 4096).unwrap();
+        read(&mut f, 0, 1, 4096).unwrap();
         f.rdma_read_batch(0, &[(1, 100), (1, 50), (2, 200)])
             .unwrap();
         f.rpc(0, 1, 10, 20).unwrap();
@@ -910,7 +870,7 @@ mod tests {
         // Labels off: same traffic, empty labeled map.
         let off = Obs::new(medes_obs::ObsConfig::enabled());
         let mut g = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&off));
-        g.rdma_read(0, 1, 4096).unwrap();
+        read(&mut g, 0, 1, 4096).unwrap();
         g.rpc(0, 1, 10, 20).unwrap();
         assert_eq!(off.labeled_len(), 0);
         assert_eq!(off.counter("medes.net.rdma_reads"), 1);
@@ -929,8 +889,8 @@ mod tests {
         for i in 0..50usize {
             let bytes = 1000 + i * 37;
             assert_eq!(
-                clean.rdma_read(0, i % 4, bytes).unwrap(),
-                empty.rdma_read(0, i % 4, bytes).unwrap()
+                read(&mut clean, 0, i % 4, bytes).unwrap(),
+                read(&mut empty, 0, i % 4, bytes).unwrap()
             );
         }
         let reads: Vec<(NodeIdx, usize)> = (0..16).map(|i| (i % 4, 4096)).collect();
@@ -961,7 +921,7 @@ mod tests {
         let mut f = faulty(&plan);
         f.set_now(SimTime::from_secs(15));
         assert_eq!(
-            f.rdma_read(0, 2, 64).unwrap_err(),
+            read(&mut f, 0, 2, 64).unwrap_err(),
             NetError::Unreachable { node: 2 }
         );
         assert_eq!(
@@ -971,7 +931,7 @@ mod tests {
         assert_eq!(f.stats().rdma_failures, 2);
         // After the restart the node serves reads again.
         f.set_now(SimTime::from_secs(25));
-        assert!(f.rdma_read(0, 2, 64).is_ok());
+        assert!(read(&mut f, 0, 2, 64).is_ok());
     }
 
     #[test]
@@ -1037,13 +997,13 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut f = faulty(&plan);
-        let spiked = f.rdma_read(0, 1, 1 << 20).unwrap();
-        let clean = fabric().rdma_read(0, 1, 1 << 20).unwrap();
+        let spiked = read(&mut f, 0, 1, 1 << 20).unwrap();
+        let clean = read(&mut fabric(), 0, 1, 1 << 20).unwrap();
         assert_eq!(spiked, clean.mul_f64(5.0));
         // Local copies and unaffected links stay untouched.
         assert_eq!(
-            f.rdma_read(2, 2, 1 << 20).unwrap(),
-            fabric().rdma_read(2, 2, 1 << 20).unwrap()
+            read(&mut f, 2, 2, 1 << 20).unwrap(),
+            read(&mut fabric(), 2, 2, 1 << 20).unwrap()
         );
     }
 

@@ -8,15 +8,10 @@
 //! dispatcher that starts a restore and the collector that finishes
 //! the request) can each mint it independently and agree bit-for-bit,
 //! and a re-run with the same seed produces the same ids.
-//!
-//! Head sampling is decided once per trace at the root (see
-//! [`crate::Obs::trace_root`]): a sampled-out context is carried
-//! through unchanged and every span recorded under it becomes a no-op,
-//! so a trace is either exported whole or not at all.
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash step.
 #[inline]
-pub(crate) fn mix(mut x: u64) -> u64 {
+fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
@@ -47,7 +42,7 @@ fn nonzero(x: u64) -> u64 {
 }
 
 /// Causal identity of one span: which trace it belongs to, its own id,
-/// and its parent's id (`0` = root). Copy it freely; it is four words.
+/// and its parent's id (`0` = root). Copy it freely; it is three words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Trace (operation) id; `0` means "untraced" (legacy flat span).
@@ -56,9 +51,6 @@ pub struct TraceCtx {
     pub span_id: u64,
     /// Parent span id; `0` for the trace root.
     pub parent_id: u64,
-    /// Head-sampling verdict for the whole trace. Spans recorded under
-    /// a sampled-out context are dropped before buffering.
-    pub sampled: bool,
 }
 
 impl TraceCtx {
@@ -68,7 +60,6 @@ impl TraceCtx {
         trace_id: 0,
         span_id: 0,
         parent_id: 0,
-        sampled: true,
     };
 
     /// Whether this context carries causal ids.
@@ -87,7 +78,6 @@ impl TraceCtx {
             trace_id: t,
             span_id: t,
             parent_id: 0,
-            sampled: true,
         }
     }
 
@@ -106,7 +96,6 @@ impl TraceCtx {
             trace_id: self.trace_id,
             span_id: s,
             parent_id: self.span_id,
-            sampled: self.sampled,
         }
     }
 }

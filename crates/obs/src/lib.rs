@@ -25,7 +25,7 @@ pub use metrics::{
     parse_series_key, LabelSet, LogLinearHistogram, Metric, MetricsRegistry, SmallValue,
     MAX_LABELS, TYPE_MISMATCH_METRIC,
 };
-pub use series::{parse_timeseries, MetricSeries, ParsedSeries, SeriesKind, SeriesStore};
+pub use series::{parse_series, MetricSeries, ParsedSeries, SeriesKind, SeriesStore};
 pub use slo::{FnSloSummary, SloTracker, SloViolator, TOP_VIOLATORS};
 pub use span::{AttrValue, ParsedSpan, Span, SpanRecord, Tracer};
 
@@ -49,26 +49,17 @@ pub struct ObsConfig {
     /// The exported trace file holds every span whatever the ring
     /// size: spans reach it before they can be evicted.
     pub span_buffer_cap: usize,
-    /// Deterministic head-sampling: keep roughly one in `n` causal
-    /// traces (`0` or `1` keeps every trace). The verdict is a pure
-    /// hash of the trace id — no wall clock, no RNG — so the same
-    /// seed always samples the same traces, whole trees at a time.
-    /// Untraced (flat) spans and all metrics ignore sampling.
-    pub sample_one_in: u64,
-    /// When set, an enabled handle creates `trace-<run_tag>-<n>.jsonl`
-    /// here as it is built, writes each span to it the moment the span
-    /// is recorded, and [`Obs::write_trace`] completes it with the
-    /// metrics tail. Long traces thus run in O(ring) memory while the
-    /// file stays complete.
+    /// When set, an enabled handle creates `trace-run-<n>.jsonl` here
+    /// as it is built (`n` numbers the handles of one process), writes
+    /// each span to it the moment the span is recorded, and
+    /// [`Obs::write_trace`] completes it with the metrics tail. Long
+    /// traces thus run in O(ring) memory while the file stays complete.
     pub export_dir: Option<PathBuf>,
-    /// Tag embedded in exported trace filenames.
-    pub run_tag: String,
     /// Deterministic time-series sampling interval in simulated
     /// milliseconds; `0` (the default) disables the sampler. When set,
     /// the platform snapshots its declared gauge/counter set every
     /// interval of *simulated* time — never wall clock — into
-    /// per-metric series exported as `.timeseries.jsonl` next to the
-    /// trace.
+    /// per-metric series that the trace's tail carries as `series`.
     pub sample_every_ms: u64,
     /// Dimensional telemetry switch. When true, the `*_with` calls
     /// additionally update their `(name, LabelSet)` series, traced
@@ -85,9 +76,7 @@ impl Default for ObsConfig {
         ObsConfig {
             enabled: false,
             span_buffer_cap: 1 << 16,
-            sample_one_in: 1,
             export_dir: None,
-            run_tag: "run".to_string(),
             sample_every_ms: 0,
             labels: false,
         }
@@ -109,19 +98,6 @@ impl ObsConfig {
     /// into rebind chains.
     pub fn set_export_dir(&mut self, dir: impl Into<PathBuf>) {
         self.export_dir = Some(dir.into());
-    }
-
-    /// Sets the run tag (builder style).
-    pub fn tagged(mut self, tag: impl Into<String>) -> Self {
-        self.run_tag = tag.into();
-        self
-    }
-
-    /// Keeps roughly one in `n` causal traces (builder style; see
-    /// [`ObsConfig::sample_one_in`]).
-    pub fn sampled(mut self, one_in: u64) -> Self {
-        self.sample_one_in = one_in;
-        self
     }
 
     /// Samples the metric time series every `ms` simulated
@@ -179,8 +155,9 @@ impl State {
     /// The trace export's tail line: one JSON object carrying the
     /// final metrics snapshot and the per-function SLO summary — plus,
     /// on a labeled run, the labeled series, the histogram exemplars
-    /// and the SLO top violators as plain records — so a trace file is
-    /// a self-contained run export (`trace report` reads nothing else).
+    /// and the SLO top violators as plain records, and, when the
+    /// sampler ran, the sampled series — so a trace file is a
+    /// self-contained run export (`trace report` reads nothing else).
     fn tail(&self) -> String {
         let m = &self.metrics;
         let mut tail = JsonMap::new();
@@ -199,6 +176,9 @@ impl State {
         if !violators.is_empty() {
             tail.insert("slo_violators", Json::Array(violators));
         }
+        if !self.series.is_empty() {
+            tail.insert("series", self.series.to_json());
+        }
         let mut out = Json::Object(tail).to_string();
         out.push('\n');
         out
@@ -214,7 +194,7 @@ impl Obs {
         let sink = match cfg.export_dir.as_ref().filter(|_| cfg.enabled) {
             Some(dir) => {
                 let seq = EXPORT_SEQ.fetch_add(1, Ordering::Relaxed);
-                SpanSink::create(dir.join(format!("trace-{}-{seq}.jsonl", cfg.run_tag))).map(Some)
+                SpanSink::create(dir.join(format!("trace-run-{seq}.jsonl"))).map(Some)
             }
             None => Ok(None),
         };
@@ -261,8 +241,7 @@ impl Obs {
     }
 
     /// Starts a span at `start` carrying the causal identity `ctx`
-    /// (mint it with [`Obs::trace_root`] / [`TraceCtx::child`]). A
-    /// sampled-out context makes the whole span a no-op.
+    /// (mint it with [`Obs::trace_root`] / [`TraceCtx::child`]).
     #[inline]
     pub fn span_in(&self, name: &'static str, start: SimTime, ctx: TraceCtx) -> Span<'_> {
         Span {
@@ -274,22 +253,16 @@ impl Obs {
         }
     }
 
-    /// Mints the deterministic root [`TraceCtx`] for an operation and
-    /// applies the head-sampling verdict. `(kind, seed, key)` must
-    /// uniquely name the operation within the run; re-minting with the
-    /// same triple (possibly from a different subsystem) returns the
-    /// identical context, sampling verdict included. Returns
+    /// Mints the deterministic root [`TraceCtx`] for an operation.
+    /// `(kind, seed, key)` must uniquely name the operation within the
+    /// run; re-minting with the same triple (possibly from a different
+    /// subsystem) returns the identical context. Returns
     /// [`TraceCtx::NONE`] when disabled.
     pub fn trace_root(&self, kind: &str, seed: u64, key: u64) -> TraceCtx {
         if !self.enabled {
             return TraceCtx::NONE;
         }
-        let mut ctx = TraceCtx::root(kind, seed, key);
-        let n = self.cfg.sample_one_in;
-        if n > 1 {
-            ctx.sampled = ids::mix(ctx.trace_id ^ 0x5afe_5afe_5afe_5afe).is_multiple_of(n);
-        }
-        ctx
+        TraceCtx::root(kind, seed, key)
     }
 
     pub(crate) fn record_span(&self, span: SpanRecord) {
@@ -305,8 +278,6 @@ impl Obs {
             }
         }
         s.tracer.record(span);
-        let live = s.tracer.len();
-        s.metrics.gauge_set("medes.obs.spans_live", live as f64);
     }
 
     /// Adds to a counter.
@@ -461,20 +432,13 @@ impl Obs {
         }
     }
 
-    /// Renders the sampled time series as name-sorted JSONL (see
-    /// [`SeriesStore::export_jsonl`]).
-    pub fn export_timeseries_jsonl(&self) -> String {
-        self.state().series.export_jsonl()
-    }
-
     /// Records one per-function SLO latency sample (`bound_us` = the
     /// §5.2 `α · s_W` bound in effect, 0 = none). With labels enabled
     /// the sample is tagged with its deterministic trace id and node,
     /// so a violation can be drilled back to the exact request; with
     /// labels off both are dropped. The `medes.slo.violations`
     /// counter moves with it, by 0 or 1, so the key appears with the
-    /// first sample. Not head-sampled: SLO accounting sees every
-    /// request even when span sampling is on.
+    /// first sample.
     #[inline]
     pub fn slo_record(&self, func: &str, latency_us: u64, bound_us: u64, trace_id: u64, node: u64) {
         if self.enabled {
@@ -537,12 +501,10 @@ impl Obs {
     }
 
     /// Completes the trace file opened by [`Obs::new`] with the
-    /// metrics tail. When the time-series sampler is configured, the
-    /// sampled series land next to the trace as `.timeseries.jsonl`.
-    /// Returns the trace path, or `None` when disabled, without an
-    /// export dir, or once the file is complete. If the file could not
-    /// be opened or written, every call returns that error and no
-    /// other file is written.
+    /// metrics tail (sampled series included). Returns the trace path,
+    /// or `None` when disabled, without an export dir, or once the
+    /// file is complete. If the file could not be opened or written,
+    /// every call returns that error.
     pub fn write_trace(&self) -> io::Result<Option<PathBuf>> {
         let mut guard = self.state();
         let s = &mut *guard;
@@ -550,17 +512,10 @@ impl Obs {
             Ok(sink) => sink.take(),
             Err(e) => return Err(io::Error::new(e.kind(), e.to_string())),
         };
-        let Some(sink) = sink else {
-            return Ok(None);
-        };
-        let path = sink.finish(&s.tail())?;
-        if self.cfg.sample_every_ms > 0 {
-            std::fs::write(
-                path.with_extension("timeseries.jsonl"),
-                s.series.export_jsonl(),
-            )?;
+        match sink {
+            Some(sink) => sink.finish(&s.tail()).map(Some),
+            None => Ok(None),
         }
-        Ok(Some(path))
     }
 }
 
@@ -612,7 +567,7 @@ mod tests {
         obs.span("medes.dedup.op", t(0)).attr("k", 1u64).end(t(100));
         obs.incr("medes.platform.arrivals");
         obs.gauge_set("medes.registry.entries", 1.0);
-        obs.record("medes.net.rdma_read_us", 5);
+        obs.record("medes.net.rdma_batch_us", 5);
         assert_eq!(obs.span_count(), 0);
         assert_eq!(obs.spans_dropped(), 0);
         assert_eq!(obs.counter("medes.platform.arrivals"), 0);
@@ -682,36 +637,6 @@ mod tests {
         let parsed = parse_jsonl(&obs.export_jsonl());
         assert_eq!(parsed[1].parent_id, parsed[0].span_id);
         assert_eq!(parsed[1].trace_id, parsed[0].trace_id);
-    }
-
-    #[test]
-    fn head_sampling_is_deterministic_and_all_or_nothing() {
-        let cfg = ObsConfig::enabled().sampled(4);
-        let obs = Obs::new(cfg.clone());
-        let mut kept = 0usize;
-        for key in 0..400u64 {
-            let root = obs.trace_root("op", 1, key);
-            obs.span_in("medes.test.root", t(key), root).end(t(key + 1));
-            obs.span_in("medes.test.child", t(key), root.child("c", 0))
-                .end(t(key + 1));
-            if root.sampled {
-                kept += 1;
-            }
-        }
-        // Roughly 1 in 4 kept, and children follow their root exactly.
-        assert!((50..=150).contains(&kept), "kept {kept} of 400");
-        assert_eq!(obs.span_count(), kept * 2);
-        // Same seed/keys → identical verdicts on a fresh handle.
-        let obs2 = Obs::new(cfg);
-        for key in 0..400u64 {
-            assert_eq!(
-                obs2.trace_root("op", 1, key).sampled,
-                obs.trace_root("op", 1, key).sampled
-            );
-        }
-        // Sampling never drops metrics.
-        obs.incr("medes.test.counter");
-        assert_eq!(obs.counter("medes.test.counter"), 1);
     }
 
     #[test]
@@ -816,7 +741,7 @@ mod tests {
         use medes_sim::DetRng;
         let dir = std::env::temp_dir().join(format!("medes-obs-file-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut stream_cfg = ObsConfig::enabled().tagged("prop");
+        let mut stream_cfg = ObsConfig::enabled();
         stream_cfg.set_export_dir(&dir);
         let streamed = Obs::new(stream_cfg);
         let buffered = Obs::new(ObsConfig::enabled());
@@ -850,15 +775,15 @@ mod tests {
 
     /// Ring eviction is observable — the ring stays bounded, the
     /// accounting closes exactly (`streamed == buffered + dropped`),
-    /// the `medes.obs.spans_live` gauge tracks occupancy, and the
-    /// on-disk trace still holds every span.
+    /// recording spans writes no metric, and the on-disk trace still
+    /// holds every span.
     #[test]
     fn streamed_ring_is_bounded_with_exact_accounting() {
         let dir = std::env::temp_dir().join(format!("medes-obs-ring-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = ObsConfig {
             span_buffer_cap: 8,
-            ..ObsConfig::enabled().tagged("ring")
+            ..ObsConfig::enabled()
         };
         cfg.set_export_dir(&dir);
         let obs = Obs::new(cfg);
@@ -873,12 +798,7 @@ mod tests {
             obs.spans_streamed(),
             obs.span_count() as u64 + obs.spans_dropped()
         );
-        let snapshot = obs.metrics_snapshot();
-        let live = snapshot
-            .iter()
-            .find(|(n, _)| *n == "medes.obs.spans_live")
-            .expect("spans_live gauge");
-        assert!(matches!(live.1, Metric::Gauge(v) if v == 8.0));
+        assert!(obs.metrics_snapshot().is_empty());
         let path = obs.write_trace().unwrap().expect("path");
         let contents = std::fs::read_to_string(&path).unwrap();
         // Every streamed span is on disk despite the tiny ring.
@@ -1105,25 +1025,19 @@ mod tests {
         assert_eq!(tail["slo"], parse_tail(&off.export_jsonl()).unwrap()["slo"]);
     }
 
-    /// Satellite: SLO accounting sees every request even under
-    /// aggressive head sampling (spans vanish, violations don't), a
-    /// zero bound never violates, and one sample pins all quantiles.
+    /// A zero bound never violates, and one sample pins all quantiles.
     #[test]
-    fn slo_counts_violations_under_head_sampling() {
-        let obs = Obs::new(ObsConfig::enabled().sampled(u64::MAX));
+    fn slo_zero_bound_never_violates_and_one_sample_pins_quantiles() {
+        let obs = Obs::new(ObsConfig::enabled());
         for key in 0..50u64 {
-            let root = obs.trace_root("req", 5, key);
-            obs.span_in("medes.platform.request", t(key), root)
-                .end(t(key + 1));
             // 25 over a 100µs bound, 25 with no bound at all.
             if key % 2 == 0 {
-                obs.slo_record("hot", 200, 100, root.trace_id, 0);
+                obs.slo_record("hot", 200, 100, key, 0);
             } else {
-                obs.slo_record("unbounded", 200, 0, root.trace_id, 0);
+                obs.slo_record("unbounded", 200, 0, key, 0);
             }
         }
-        assert_eq!(obs.span_count(), 0, "sampling dropped every span");
-        assert_eq!(obs.slo_violations(), 25, "SLO sees every request");
+        assert_eq!(obs.slo_violations(), 25);
         let summary = obs.slo_summary();
         assert_eq!(summary.len(), 2);
         let unbounded = summary.iter().find(|s| s.func == "unbounded").unwrap();
@@ -1142,11 +1056,13 @@ mod tests {
         assert_eq!(solo.violations, 0);
     }
 
+    /// Sampled series ride in the trace's tail, and the trace is the
+    /// only file written.
     #[test]
     fn timeseries_flow_through_obs_and_export() {
         let dir = std::env::temp_dir().join(format!("medes-obs-ts-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ObsConfig::enabled().tagged("ts").sampled_every_ms(100);
+        let mut cfg = ObsConfig::enabled().sampled_every_ms(100);
         cfg.set_export_dir(&dir);
         let obs = Obs::new(cfg);
         assert_eq!(obs.sample_interval(), Some(SimDuration::from_millis(100)));
@@ -1157,20 +1073,23 @@ mod tests {
         obs.series_sample(t(100_000));
         obs.series_point("medes.node.0.mem_bytes", t(100_000), 30.0);
         let path = obs.write_trace().unwrap().expect("path");
-        let ts_path = path.with_extension("timeseries.jsonl");
-        let series = parse_timeseries(&std::fs::read_to_string(&ts_path).unwrap());
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
+        assert_eq!(files.len(), 1, "the trace is the one file");
+        let tail = parse_tail(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let series = parse_series(tail.get("series"));
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].name, "medes.node.0.mem_bytes");
         assert_eq!(series[0].points, vec![(0, 10.0), (100_000, 30.0)]);
         assert_eq!(series[1].name, "medes.x.ops");
         assert_eq!(series[1].kind, SeriesKind::Counter);
         assert_eq!(series[1].points, vec![(0, 2.0), (100_000, 5.0)]);
-        // The sampler is inert on a disabled handle.
+        // The sampler is inert on a disabled handle, and a tail with no
+        // samples carries no series key.
         let off = Obs::disabled();
         off.series_sample(t(0));
         off.series_point("x", t(0), 1.0);
         assert_eq!(off.sample_interval(), None);
-        assert!(off.export_timeseries_jsonl().is_empty());
+        assert!(!off.export_jsonl().contains("series"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1188,7 +1107,7 @@ mod tests {
     fn write_trace_creates_directories() {
         let dir = std::env::temp_dir().join(format!("medes-obs-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ObsConfig::enabled().tagged("unit");
+        let mut cfg = ObsConfig::enabled();
         cfg.set_export_dir(dir.join("nested"));
         let obs = Obs::new(cfg);
         obs.span("s", t(0)).end(t(1));

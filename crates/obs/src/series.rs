@@ -4,25 +4,25 @@
 //! named metrics, fed by a *simulated-time* sampler (the platform's
 //! sample tick — never wall clock, so the same seed always produces
 //! the same series). Points live in compact per-metric vectors and
-//! export as `timeseries.jsonl`: one name-sorted JSON object per
-//! metric, which `trace timeline` renders and `trace diff` compares.
+//! export as the trace tail's `series` object, keyed by metric name in
+//! sorted order, which `trace report` renders and compares.
 
 use crate::json::{Json, JsonMap};
 use crate::metrics::{Metric, MetricsRegistry};
 use std::collections::BTreeMap;
 
 /// What a series measures. Counters are monotone by construction, so
-/// leak detection (`trace timeline`) only interrogates gauges.
+/// leak detection (`trace report`) only interrogates gauges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeriesKind {
-    /// Last-write-wins level (memory in use, ring occupancy, rates).
+    /// Last-write-wins level (memory in use, queue depth, entries).
     Gauge,
     /// Monotonic count (ops, bytes, violations).
     Counter,
 }
 
 impl SeriesKind {
-    /// The JSONL tag for this kind.
+    /// The exported tag for this kind.
     pub fn as_str(self) -> &'static str {
         match self {
             SeriesKind::Gauge => "gauge",
@@ -30,7 +30,7 @@ impl SeriesKind {
         }
     }
 
-    /// Parses the JSONL tag back.
+    /// Parses the exported tag back.
     pub fn parse(s: &str) -> Option<SeriesKind> {
         match s {
             "gauge" => Some(SeriesKind::Gauge),
@@ -113,13 +113,12 @@ impl SeriesStore {
         self.series.get(name)
     }
 
-    /// Renders all series as JSONL, one object per metric, name-sorted:
-    /// `{"metric": "...", "kind": "gauge", "points": [[t_us, v], ...]}`.
-    pub fn export_jsonl(&self) -> String {
-        let mut out = String::new();
+    /// Renders all series as one object keyed by metric name, in name
+    /// order: `{"<name>": {"kind": "gauge", "points": [[t_us, v], ...]}}`.
+    pub fn to_json(&self) -> Json {
+        let mut out = JsonMap::new();
         for (name, s) in &self.series {
             let mut obj = JsonMap::new();
-            obj.insert("metric", name.as_str());
             obj.insert("kind", s.kind.as_str());
             let points: Vec<Json> = s
                 .points
@@ -127,14 +126,13 @@ impl SeriesStore {
                 .map(|&(t, v)| Json::Array(vec![Json::Num(t as f64), Json::Num(v)]))
                 .collect();
             obj.insert("points", Json::Array(points));
-            out.push_str(&Json::Object(obj).to_string());
-            out.push('\n');
+            out.insert(name.as_str(), Json::Object(obj));
         }
-        out
+        Json::Object(out)
     }
 }
 
-/// A series read back from a `timeseries.jsonl` export.
+/// A series read back from a trace tail's `series` object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedSeries {
     /// Metric name.
@@ -162,27 +160,30 @@ impl ParsedSeries {
     }
 }
 
-/// Parses a `timeseries.jsonl` export, skipping malformed lines.
-pub fn parse_timeseries(contents: &str) -> Vec<ParsedSeries> {
-    contents
-        .lines()
-        .filter_map(|line| {
-            let v = crate::json::parse(line).ok()?;
-            let name = v.get("metric")?.as_str()?.to_string();
-            let kind = SeriesKind::parse(v.get("kind")?.as_str()?)?;
-            let Json::Array(raw) = v.get("points")? else {
-                return None;
-            };
-            let mut points = Vec::with_capacity(raw.len());
-            for p in raw {
-                let Json::Array(pair) = p else { return None };
-                let t = pair.first()?.as_u64()?;
-                let val = pair.get(1)?.as_f64()?;
-                points.push((t, val));
-            }
-            Some(ParsedSeries { name, kind, points })
+/// Parses a trace tail's `series` object ([`SeriesStore::to_json`]),
+/// skipping malformed entries; empty when absent.
+pub fn parse_series(series: Option<&Json>) -> Vec<ParsedSeries> {
+    let point = |p: &Json| match p.as_array()? {
+        [t, x] => Some((t.as_u64()?, x.as_f64()?)),
+        _ => None,
+    };
+    let parse = |(name, s): (&str, &Json)| {
+        Some(ParsedSeries {
+            name: name.to_string(),
+            kind: SeriesKind::parse(s.get("kind")?.as_str()?)?,
+            points: s
+                .get("points")?
+                .as_array()?
+                .iter()
+                .map(point)
+                .collect::<Option<_>>()?,
         })
-        .collect()
+    };
+    let entries = series
+        .and_then(Json::as_object)
+        .into_iter()
+        .flat_map(JsonMap::iter);
+    entries.filter_map(parse).collect()
 }
 
 #[cfg(test)]
@@ -196,7 +197,8 @@ mod tests {
         s.point("medes.node.0.mem_bytes", SeriesKind::Gauge, 1000, 20.5);
         s.point("medes.platform.arrivals", SeriesKind::Counter, 1000, 3.0);
         assert_eq!(s.len(), 2);
-        let back = parse_timeseries(&s.export_jsonl());
+        let text = s.to_json().to_string();
+        let back = parse_series(crate::json::parse(&text).ok().as_ref());
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].name, "medes.node.0.mem_bytes");
         assert_eq!(back[0].kind, SeriesKind::Gauge);
@@ -216,10 +218,10 @@ mod tests {
         s.point("medes.a.first", SeriesKind::Gauge, 5, 2.0);
         s.point("medes.m.mid", SeriesKind::Gauge, 5, 3.5);
         assert_eq!(
-            s.export_jsonl(),
-            "{\"metric\":\"medes.a.first\",\"kind\":\"gauge\",\"points\":[[5,2]]}\n\
-             {\"metric\":\"medes.m.mid\",\"kind\":\"gauge\",\"points\":[[5,3.5]]}\n\
-             {\"metric\":\"medes.z.last\",\"kind\":\"counter\",\"points\":[[5,1]]}\n"
+            s.to_json().to_string(),
+            "{\"medes.a.first\":{\"kind\":\"gauge\",\"points\":[[5,2]]},\
+             \"medes.m.mid\":{\"kind\":\"gauge\",\"points\":[[5,3.5]]},\
+             \"medes.z.last\":{\"kind\":\"counter\",\"points\":[[5,1]]}}"
         );
     }
 
@@ -266,8 +268,15 @@ mod tests {
 
     #[test]
     fn parse_skips_garbage_lines() {
-        let parsed = parse_timeseries("not json\n{\"metric\": 3}\n");
-        assert!(parsed.is_empty());
+        assert!(parse_series(None).is_empty());
+        let garbage = crate::json::parse(
+            r#"{"a": 3, "b": {"kind": "bogus", "points": []}, "c": {"kind": "gauge", "points": [[1]]},
+                "d": {"kind": "counter", "points": [[1, 2]]}}"#,
+        )
+        .unwrap();
+        let parsed = parse_series(Some(&garbage));
+        assert_eq!(parsed.len(), 1);
+        assert_eq!(parsed[0].name, "d");
         assert_eq!(SeriesKind::parse("bogus"), None);
     }
 }

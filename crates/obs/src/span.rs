@@ -267,15 +267,9 @@ pub struct Span<'a> {
 }
 
 impl<'a> Span<'a> {
-    #[inline]
-    fn live(&self) -> bool {
-        self.obs.enabled() && self.ctx.sampled
-    }
-
-    /// Adds an attribute (no-op when observability is disabled or the
-    /// span's trace is sampled out).
+    /// Adds an attribute (no-op when observability is disabled).
     pub fn attr(mut self, key: &'static str, value: impl Into<AttrValue>) -> Self {
-        if self.live() {
+        if self.obs.enabled() {
             self.attrs.push((key, value.into()));
         }
         self
@@ -283,7 +277,7 @@ impl<'a> Span<'a> {
 
     /// Finishes the span at `end` and records it.
     pub fn end(self, end: SimTime) {
-        if !self.live() {
+        if !self.obs.enabled() {
             return;
         }
         self.obs.record_span(SpanRecord {

@@ -6,7 +6,7 @@
 //! export byte-for-byte when the ring never overflows, and a file that
 //! cannot be written must cost the run nothing.
 
-use medes::obs::{parse_jsonl, parse_timeseries, ObsConfig};
+use medes::obs::{parse_jsonl, parse_series, parse_tail, ObsConfig};
 use medes::platform::config::PlatformConfig;
 use medes::platform::Platform;
 use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
@@ -33,25 +33,22 @@ fn scratch_dir(label: &str) -> PathBuf {
     dir
 }
 
-/// Finds the exported `trace-<tag>-<seq>.jsonl` for a run tag — the
-/// export sequence number is process-global, so tests cannot assume 0.
-fn find_trace(dir: &Path, tag: &str) -> PathBuf {
-    let prefix = format!("trace-{tag}-");
-    std::fs::read_dir(dir)
+/// The one file a run exported into its own `dir`: the trace. Its
+/// `trace-run-<seq>.jsonl` name carries a process-global sequence
+/// number, so tests cannot assume 0.
+fn find_trace(dir: &Path) -> PathBuf {
+    let files: Vec<PathBuf> = std::fs::read_dir(dir)
         .expect("export dir exists")
         .flatten()
         .map(|e| e.path())
-        .find(|p| {
-            p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                n.starts_with(&prefix) && n.ends_with(".jsonl") && !n.contains(".timeseries")
-            })
-        })
-        .expect("exported trace present")
+        .collect();
+    assert_eq!(files.len(), 1, "one file per traced run: {files:?}");
+    files[0].clone()
 }
 
-fn streamed_config(dir: &Path, tag: &str, sample_ms: u64) -> PlatformConfig {
+fn streamed_config(dir: &Path, sample_ms: u64) -> PlatformConfig {
     let mut cfg = PlatformConfig::small_test();
-    let mut oc = ObsConfig::enabled().tagged(tag).sampled_every_ms(sample_ms);
+    let mut oc = ObsConfig::enabled().sampled_every_ms(sample_ms);
     oc.set_export_dir(dir.to_path_buf());
     cfg.obs = oc;
     cfg
@@ -73,7 +70,7 @@ fn streaming_and_sampling_do_not_perturb_the_run() {
     let plain = Platform::new(plain_cfg, suite.clone()).run(&trace).report;
 
     let dir = scratch_dir("stream");
-    let mut streamed_cfg = streamed_config(&dir, "it-stream", 500);
+    let mut streamed_cfg = streamed_config(&dir, 500);
     streamed_cfg.obs.span_buffer_cap = RING_CAP;
     let outcome = Platform::new(streamed_cfg, suite).run(&trace);
     assert_eq!(
@@ -97,17 +94,15 @@ fn streaming_and_sampling_do_not_perturb_the_run() {
         obs.span_count() as u64 + obs.spans_dropped(),
         "streamed accounting must close exactly"
     );
-    let trace_path = find_trace(&dir, "it-stream");
-    let text = std::fs::read_to_string(&trace_path).expect("streamed trace readable");
+    let text = std::fs::read_to_string(find_trace(&dir)).expect("streamed trace readable");
     assert_eq!(
         parse_jsonl(&text).len() as u64,
         obs.spans_streamed(),
         "disk trace must hold every streamed span"
     );
 
-    let ts_text = std::fs::read_to_string(trace_path.with_extension("timeseries.jsonl"))
-        .expect("timeseries exported next to the trace");
-    let series = parse_timeseries(&ts_text);
+    let tail = parse_tail(&text).expect("trace ends in a tail");
+    let series = parse_series(tail.get("series"));
     assert!(
         series.len() >= 6,
         "sampler exported only {} series",
@@ -131,9 +126,9 @@ fn streaming_and_sampling_do_not_perturb_the_run() {
 fn streamed_file_matches_buffered_export() {
     let (suite, trace) = workload();
     let dir = scratch_dir("bytes");
-    let run = Platform::new(streamed_config(&dir, "it-bytes", 0), suite).run(&trace);
+    let run = Platform::new(streamed_config(&dir, 0), suite).run(&trace);
     assert_eq!(run.obs.spans_dropped(), 0, "ring must not overflow");
-    let file = std::fs::read_to_string(find_trace(&dir, "it-bytes")).expect("streamed file");
+    let file = std::fs::read_to_string(find_trace(&dir)).expect("streamed file");
     assert_eq!(
         file,
         run.obs.export_jsonl(),
@@ -151,7 +146,7 @@ fn small_ring_export_holds_every_span() {
     let mut cfg = PlatformConfig::small_test();
     cfg.obs = ObsConfig {
         span_buffer_cap: RING_CAP,
-        ..ObsConfig::enabled().tagged("it-ring")
+        ..ObsConfig::enabled()
     };
     cfg.obs.set_export_dir(dir.clone());
     let run = Platform::new(cfg, suite).run(&trace);
@@ -160,7 +155,7 @@ fn small_ring_export_holds_every_span() {
         obs.spans_dropped() > 0,
         "workload too small to overflow the ring"
     );
-    let text = std::fs::read_to_string(find_trace(&dir, "it-ring")).expect("trace readable");
+    let text = std::fs::read_to_string(find_trace(&dir)).expect("trace readable");
     assert_eq!(
         parse_jsonl(&text).len() as u64,
         obs.span_count() as u64 + obs.spans_dropped(),
@@ -184,7 +179,7 @@ fn unwritable_export_dir_costs_the_run_nothing() {
     let blocker = dir.join("results");
     std::fs::write(&blocker, "").expect("blocking file");
     let mut cfg = PlatformConfig::small_test();
-    cfg.obs = ObsConfig::enabled().tagged("it-blocked");
+    cfg.obs = ObsConfig::enabled();
     cfg.obs.set_export_dir(blocker.clone());
     let run = Platform::new(cfg, suite).run(&trace);
     assert_eq!(

@@ -40,21 +40,25 @@ fn pressured_trace(secs: u64, seed: u64) -> (Vec<FunctionProfile>, Trace) {
     (suite, trace)
 }
 
-/// Memory-pressured Medes config at the given shard/worker counts.
+/// Memory-pressured Medes config at the given shard/worker counts,
+/// through the validating builder (no harness flag sets either).
 fn pipelined_config(shards: usize, workers: usize) -> PlatformConfig {
-    let mut cfg = PlatformConfig::small_test();
-    if let PolicyKind::Medes(m) = &mut cfg.policy {
-        m.idle_period = SimDuration::from_secs(5);
-        m.objective = Objective::MemoryBudget {
-            budget_bytes: 100e6,
-        };
-    }
-    cfg.pipeline = DedupPipelineConfig {
-        shards,
-        workers,
-        flush_interval: SimDuration::from_secs(5),
-    };
-    cfg
+    PlatformConfig::test_builder()
+        .tweak(|cfg| {
+            if let PolicyKind::Medes(m) = &mut cfg.policy {
+                m.idle_period = SimDuration::from_secs(5);
+                m.objective = Objective::MemoryBudget {
+                    budget_bytes: 100e6,
+                };
+            }
+        })
+        .pipeline(DedupPipelineConfig {
+            shards,
+            workers,
+            flush_interval: SimDuration::from_secs(5),
+        })
+        .build()
+        .expect("valid pipeline config")
 }
 
 /// The chaos plan from the fault-recovery suite: a permanent crash, a

@@ -14,7 +14,9 @@
 use medes::hash::sample::{page_fingerprint, FingerprintConfig};
 use medes::net::{NetConfig, RetryPolicy};
 use medes::obs::{Obs, ObsConfig};
-use medes::platform::config::{PlatformConfig, PolicyKind, RegistryPlacement};
+use medes::platform::config::{
+    PlatformConfig, PlatformConfigBuilder, PolicyKind, RegistryPlacement,
+};
 use medes::platform::ids::{NodeId, SandboxId};
 use medes::platform::registry::{ChunkLoc, RegistryClient};
 use medes::platform::Platform;
@@ -184,17 +186,19 @@ fn trace(secs: u64, seed: u64, scale: f64) -> Trace {
 /// A 12-node pressured cluster, so the 12-owner placement is legal and
 /// the Medes policy dedups enough to populate the registry. Obs is on
 /// (reports are obs-invariant) so the RPC-traffic gates can read the
-/// registry counters.
-fn cluster_config() -> PlatformConfig {
-    let mut cfg = PlatformConfig::small_test();
-    cfg.obs = ObsConfig::enabled();
-    cfg.nodes = 12;
-    cfg.node_mem_bytes = 128 << 20;
-    cfg.pipeline.shards = 16;
-    if let PolicyKind::Medes(m) = &mut cfg.policy {
-        m.idle_period = SimDuration::from_secs(10);
-    }
-    cfg
+/// registry counters. `objective` is the Medes policy's.
+fn cluster_config(objective: Objective) -> PlatformConfigBuilder {
+    PlatformConfig::test_builder()
+        .obs(ObsConfig::enabled())
+        .nodes(12)
+        .node_mem_bytes(128 << 20)
+        .shards(16)
+        .tweak(|cfg| {
+            if let PolicyKind::Medes(m) = &mut cfg.policy {
+                m.idle_period = SimDuration::from_secs(10);
+                m.objective = objective;
+            }
+        })
 }
 
 /// Runs one configuration at every registry placement and asserts the
@@ -203,19 +207,20 @@ fn cluster_config() -> PlatformConfig {
 /// what the registry answers; returns the reference outcome for
 /// scenario-level assertions.
 fn assert_placement_invariant(
-    base: PlatformConfig,
+    base: PlatformConfigBuilder,
     t: &Trace,
 ) -> medes::platform::platform::RunOutcome {
-    let reference = Platform::new(base.clone(), suite()).run(t);
+    let reference_cfg = base.clone().build().expect("valid config");
+    let nodes = reference_cfg.nodes;
+    let reference = Platform::new(reference_cfg, suite()).run(t);
     assert_eq!(
         reference.obs.counter("medes.net.registry.rpcs"),
         0,
         "the in-process registry must issue no registry RPCs"
     );
     for owners in [1usize, 4, 12] {
-        let mut cfg = base.clone();
-        cfg.registry = RegistryPlacement::Distributed { owners };
-        let outcome = Platform::new(cfg, suite()).run(t);
+        let cfg = base.clone().registry_owners(owners).build();
+        let outcome = Platform::new(cfg.expect("valid placement"), suite()).run(t);
         assert_eq!(
             outcome.report, reference.report,
             "report diverged at {owners} owners"
@@ -245,7 +250,7 @@ fn assert_placement_invariant(
         );
         // When every node owns shards any crash hits an owner, and
         // must re-demarcate at least one shard onto a survivor.
-        if owners == base.nodes {
+        if owners == nodes {
             assert_eq!(
                 count("medes.registry.shards_reassigned") > 0,
                 outcome.report.node_crashes > 0,
@@ -271,18 +276,21 @@ fn fig7_style_report_is_placement_invariant() {
             ..Default::default()
         },
     );
-    let mut cfg = cluster_config();
-    cfg.mem_scale = 512;
-    cfg.node_mem_bytes = 192 << 20;
-    if let PolicyKind::Medes(m) = &mut cfg.policy {
-        m.objective = Objective::LatencyTarget { alpha: 2.5 };
-        m.idle_period = SimDuration::from_secs(2);
-    }
-    let reference = Platform::new(cfg.clone(), full_suite.clone()).run(&t);
+    let cfg = cluster_config(Objective::LatencyTarget { alpha: 2.5 })
+        .mem_scale(512)
+        .node_mem_bytes(192 << 20)
+        .tweak(|cfg| {
+            if let PolicyKind::Medes(m) = &mut cfg.policy {
+                m.idle_period = SimDuration::from_secs(2);
+            }
+        });
+    let run = |cfg: PlatformConfigBuilder| {
+        let cfg = cfg.build().expect("valid config");
+        Platform::new(cfg, full_suite.clone()).run(&t)
+    };
+    let reference = run(cfg.clone());
     for owners in [1usize, 4, 12] {
-        let mut c = cfg.clone();
-        c.registry = RegistryPlacement::Distributed { owners };
-        let outcome = Platform::new(c, full_suite.clone()).run(&t);
+        let outcome = run(cfg.clone().registry_owners(owners));
         assert_eq!(
             outcome.report, reference.report,
             "report diverged at {owners} owners"
@@ -297,12 +305,9 @@ fn fig7_style_report_is_placement_invariant() {
 /// Fig 9-style: memory-budget Medes objective (the §7.3 sweep shape).
 #[test]
 fn fig9_style_report_is_placement_invariant() {
-    let mut cfg = cluster_config();
-    if let PolicyKind::Medes(m) = &mut cfg.policy {
-        m.objective = Objective::MemoryBudget {
-            budget_bytes: 400e6,
-        };
-    }
+    let cfg = cluster_config(Objective::MemoryBudget {
+        budget_bytes: 400e6,
+    });
     let t = trace(300, 23, 2.0);
     let reference = assert_placement_invariant(cfg, &t);
     assert!(reference.report.sandboxes_deduped > 0);
@@ -314,15 +319,12 @@ fn fig9_style_report_is_placement_invariant() {
 /// registry state.
 #[test]
 fn chaos_style_report_is_placement_invariant() {
-    let mut cfg = cluster_config();
-    if let PolicyKind::Medes(m) = &mut cfg.policy {
-        m.objective = Objective::MemoryBudget {
-            budget_bytes: 200e6,
-        };
-    }
-    let duration = SimTime::from_secs(400);
-    cfg.faults = FaultPlan::synthesize(0xFA17, cfg.nodes, duration, 4.0);
-    assert!(!cfg.faults.crashes.is_empty(), "plan must crash nodes");
+    let faults = FaultPlan::synthesize(0xFA17, 12, SimTime::from_secs(400), 4.0);
+    assert!(!faults.crashes.is_empty(), "plan must crash nodes");
+    let cfg = cluster_config(Objective::MemoryBudget {
+        budget_bytes: 200e6,
+    })
+    .faults(faults);
     let t = trace(400, 29, 2.0);
     let reference = assert_placement_invariant(cfg, &t);
     assert!(
