@@ -215,17 +215,16 @@ impl RunReport {
     }
 
     /// Per-request improvement factors of `self` over `baseline`
-    /// (baseline e2e / this e2e), paired by request id. This is the
-    /// distribution Fig 7a plots.
+    /// (baseline e2e / this e2e), paired by request id in one merge (both
+    /// lists are in id order). This is the distribution Fig 7a plots.
     pub fn improvement_factors(&self, baseline: &RunReport) -> Vec<f64> {
-        let mut base = std::collections::HashMap::with_capacity(baseline.requests.len());
-        for r in &baseline.requests {
-            base.insert(r.id, r.e2e_us);
-        }
-        self.requests
-            .iter()
-            .filter_map(|r| base.get(&r.id).map(|&b| b as f64 / r.e2e_us.max(1) as f64))
-            .collect()
+        let mut base = baseline.requests.iter().peekable();
+        let mut paired = |r: &RequestRecord| {
+            while base.next_if(|b| b.id < r.id).is_some() {}
+            let b = base.next_if(|b| b.id == r.id)?;
+            Some(b.e2e_us as f64 / r.e2e_us.max(1) as f64)
+        };
+        self.requests.iter().filter_map(&mut paired).collect()
     }
 
     /// CDF points of request slowdowns (Fig 16a).
@@ -269,6 +268,8 @@ pub(crate) enum Tally {
 pub(crate) struct MetricsCollector {
     /// The report under construction.
     pub report: RunReport,
+    /// Completed requests by id, sized to the trace by `Platform::run`.
+    pub slots: Vec<Option<RequestRecord>>,
     obs: Arc<Obs>,
     /// The simulated instant of the event being handled: when the
     /// memory and live-sandbox updates that follow take effect.
@@ -288,6 +289,7 @@ impl MetricsCollector {
                 dedup_stats: vec![FnDedupStats::default(); n],
                 ..Default::default()
             },
+            slots: Vec::new(),
             obs,
             now: SimTime::ZERO,
             mem: medes_sim::stats::TimeWeighted::new(mem_sample_every),
@@ -295,8 +297,8 @@ impl MetricsCollector {
         }
     }
 
-    /// Records one completed request: appends it to the report and
-    /// mirrors it as a `medes.platform.request` span + histograms.
+    /// Records one completed request: places it in its slot and mirrors
+    /// it as a `medes.platform.request` span + histograms.
     ///
     /// `ctx` is the request's trace root (the span carries its ids, so
     /// restore/dedup phase spans minted from the same root link under
@@ -308,16 +310,12 @@ impl MetricsCollector {
     /// series and tags SLO violations for drill-down.
     pub fn push_request(&mut self, rec: RequestRecord, ctx: TraceCtx, bound_us: u64, node: usize) {
         if self.obs.enabled() {
-            let start_type = match rec.start {
-                StartType::Warm => "warm",
-                StartType::Dedup => "dedup",
-                StartType::Cold => "cold",
+            let (start_type, start_counter) = match rec.start {
+                StartType::Warm => ("warm", "medes.platform.starts.warm"),
+                StartType::Dedup => ("dedup", "medes.platform.starts.dedup"),
+                StartType::Cold => ("cold", "medes.platform.starts.cold"),
             };
-            let fn_name = self
-                .report
-                .functions
-                .get(rec.func)
-                .map_or("?", String::as_str);
+            let fn_name = self.report.functions[rec.func].as_str();
             self.obs
                 .slo_record(fn_name, rec.startup_us, bound_us, ctx.trace_id, node as u64);
             let labels = || {
@@ -337,26 +335,16 @@ impl MetricsCollector {
                 .attr("startup_us", rec.startup_us)
                 .attr("exec_us", rec.exec_us)
                 .end(SimTime::from_micros(rec.arrival_us + rec.e2e_us));
-            let start_counter = match rec.start {
-                StartType::Warm => "medes.platform.starts.warm",
-                StartType::Dedup => "medes.platform.starts.dedup",
-                StartType::Cold => "medes.platform.starts.cold",
-            };
             self.obs.incr_with(start_counter, labels);
-            self.obs.record_with(
-                "medes.platform.e2e_us",
-                rec.e2e_us,
-                Some(ctx.trace_id),
-                labels,
-            );
-            self.obs.record_with(
-                "medes.platform.startup_us",
-                rec.startup_us,
-                Some(ctx.trace_id),
-                labels,
-            );
+            for (name, us) in [
+                ("medes.platform.e2e_us", rec.e2e_us),
+                ("medes.platform.startup_us", rec.startup_us),
+            ] {
+                self.obs.record_with(name, us, Some(ctx.trace_id), labels);
+            }
         }
-        self.report.requests.push(rec);
+        let old = self.slots[rec.id as usize].replace(rec);
+        debug_assert!(old.is_none(), "request {} completed twice", rec.id);
     }
 
     /// Records one counted event.
@@ -397,8 +385,10 @@ impl MetricsCollector {
         self.obs.gauge_set("medes.platform.live_sandboxes", count);
     }
 
-    /// Finalizes the report at `end`.
+    /// Finalizes the report at `end`: the completed requests in id order.
+    #[allow(clippy::filter_map_identity)] // `flatten` would not reuse the slots' allocation
     pub fn finish(mut self, end: SimTime) -> RunReport {
+        self.report.requests = self.slots.into_iter().filter_map(|r| r).collect();
         self.report.duration_us = end.as_micros();
         self.report.mem_mean_bytes = self.mem.mean_until(end);
         self.report.mem_median_bytes = self.mem.median().unwrap_or(0.0);
@@ -451,10 +441,15 @@ mod tests {
         base.requests.push(record(0, 0, 300, StartType::Cold));
         medes.requests.push(record(1, 0, 100, StartType::Warm));
         base.requests.push(record(1, 0, 100, StartType::Warm));
-        let f = medes.improvement_factors(&base);
-        assert_eq!(f.len(), 2);
-        assert!((f[0] - 3.0).abs() < 1e-9);
-        assert!((f[1] - 1.0).abs() < 1e-9);
+        // Requests only one side completed are not paired.
+        base.requests.push(record(2, 0, 100, StartType::Warm));
+        medes.requests.push(record(3, 0, 100, StartType::Warm));
+        medes.requests.push(record(5, 0, 50, StartType::Warm));
+        base.requests.push(record(4, 0, 100, StartType::Warm));
+        base.requests.push(record(5, 0, 200, StartType::Warm));
+        base.requests.push(record(6, 0, 100, StartType::Warm));
+        assert_eq!(medes.improvement_factors(&base), vec![3.0, 1.0, 4.0]);
+        assert_eq!(base.improvement_factors(&medes), vec![1.0 / 3.0, 1.0, 0.25]);
     }
 
     #[test]

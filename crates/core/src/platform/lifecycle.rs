@@ -22,11 +22,26 @@ use crate::ids::SandboxId;
 use crate::sandbox::SandboxState::{Dedup, Deduping, Restoring, Running, Spawning, Warm};
 use crate::sandbox::{DedupMemo, DedupPageTable, Sandbox, SandboxState, SandboxTable};
 use medes_sim::SimTime;
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// Idle sandboxes ordered by `(last_used, id)`: the scheduler takes the
-/// most recently used, eviction the least.
-type Pool = BTreeSet<(SimTime, SandboxId)>;
+/// most recently used, eviction the least. A sandbox goes idle at `now`,
+/// so an insert scans from the back past same-instant ties only, and a
+/// warm start pops the back; the rarer removals binary-search.
+#[derive(Debug, Default, PartialEq)]
+struct Pool(VecDeque<(SimTime, SandboxId)>);
+
+impl Pool {
+    fn insert(&mut self, key: (SimTime, SandboxId)) {
+        let at = self.0.iter().rposition(|k| *k < key).map_or(0, |i| i + 1);
+        self.0.insert(at, key);
+    }
+
+    fn remove(&mut self, key: (SimTime, SandboxId)) {
+        let at = self.0.partition_point(|k| *k < key);
+        assert_eq!(self.0.remove(at), Some(key), "an idle sandbox is pooled");
+    }
+}
 
 /// One function's sandboxes by state.
 #[derive(Debug, Default, PartialEq)]
@@ -92,12 +107,12 @@ impl Lifecycle {
 
     /// A function's idle warm sandboxes, least recently used first.
     pub fn idle_warm(&self, func: usize) -> impl DoubleEndedIterator<Item = SandboxId> + '_ {
-        self.fns[func].idle_warm.iter().map(|&(_, id)| id)
+        self.fns[func].idle_warm.0.iter().map(|&(_, id)| id)
     }
 
     /// A function's idle dedup sandboxes, least recently used first.
     pub fn idle_dedup(&self, func: usize) -> impl DoubleEndedIterator<Item = SandboxId> + '_ {
-        self.fns[func].idle_dedup.iter().map(|&(_, id)| id)
+        self.fns[func].idle_dedup.0.iter().map(|&(_, id)| id)
     }
 
     pub fn memo_peak_bytes(&self) -> usize {
@@ -142,7 +157,7 @@ impl Lifecycle {
     /// `Warm → Running`: takes the function's most recently used idle
     /// warm sandbox, if it has one (a warm start).
     pub fn take_warm(&mut self, func: usize) -> Option<SandboxId> {
-        let (_, id) = self.fns[func].idle_warm.pop_last()?;
+        let (_, id) = self.fns[func].idle_warm.0.pop_back()?;
         self.edge(id, &[Warm], Running);
         Some(id)
     }
@@ -160,7 +175,7 @@ impl Lifecycle {
     /// while the op runs. Returns the new timer epoch.
     pub fn begin_dedup(&mut self, id: SandboxId) -> u64 {
         let (sb, pools) = self.edge(id, &[Warm], Deduping);
-        pools.idle_warm.remove(&(sb.last_used, id));
+        pools.idle_warm.remove((sb.last_used, id));
         sb.epoch
     }
 
@@ -184,7 +199,7 @@ impl Lifecycle {
     /// the restore is done.
     pub fn begin_restore(&mut self, id: SandboxId) {
         let (sb, pools) = self.edge(id, &[Dedup], Restoring);
-        pools.idle_dedup.remove(&(sb.last_used, id));
+        pools.idle_dedup.remove((sb.last_used, id));
     }
 
     /// `Restoring → Running`: gives the table back.
@@ -201,10 +216,10 @@ impl Lifecycle {
         let sb = self.table.remove(&id)?;
         let pools = &mut self.fns[sb.func.0];
         match sb.state {
-            Warm => pools.idle_warm.remove(&(sb.last_used, id)),
-            Dedup => pools.idle_dedup.remove(&(sb.last_used, id)),
-            _ => false,
-        };
+            Warm => pools.idle_warm.remove((sb.last_used, id)),
+            Dedup => pools.idle_dedup.remove((sb.last_used, id)),
+            _ => {}
+        }
         pools.total -= 1;
         pools.dedup_total -= u32::from(matches!(sb.state, Dedup | Restoring));
         // The memo dies with its sandbox.
@@ -238,8 +253,8 @@ impl Lifecycle {
             match sb.state {
                 Warm => of.idle_warm.insert((sb.last_used, sb.id)),
                 Dedup => of.idle_dedup.insert((sb.last_used, sb.id)),
-                _ => false,
-            };
+                _ => {}
+            }
             memo_bytes += sb.last_dedup.as_ref().map_or(0, DedupMemo::host_bytes);
         }
         assert_eq!(self.fns, expect, "pools or counts drifted from the states");
@@ -253,8 +268,46 @@ mod tests {
     use crate::ids::{FnId, NodeId};
     use medes_hash::sample::PageFingerprint;
     use medes_sim::DetRng;
-    use std::collections::HashMap;
+    use medes_sim::SimDuration;
+    use std::collections::{BTreeSet, HashMap};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The deque pool against the ordered set it replaced: inserts at a
+    /// non-decreasing `now`, mostly same-instant ties with ids in any
+    /// order, warm starts (take the last), and removals from the middle
+    /// and the front. Pops and iteration order must agree.
+    #[test]
+    fn pool_orders_like_an_ordered_set() {
+        for seed in 0..256u64 {
+            let mut rng = DetRng::new(0x9001_DE9E).fork(seed);
+            let (mut pool, mut model) = (Pool::default(), BTreeSet::new());
+            let mut now = SimTime::ZERO;
+            for step in 0..300 {
+                now += SimDuration::from_micros(u64::from(rng.chance(0.2)));
+                let keys: Vec<(SimTime, SandboxId)> = model.iter().copied().collect();
+                match (rng.below(5), rng.choose(&keys).copied()) {
+                    (0 | 1, _) => {
+                        let id = SandboxId(rng.below(64));
+                        if keys.iter().all(|k| k.1 != id) {
+                            pool.insert((now, id));
+                            model.insert((now, id));
+                        }
+                    }
+                    (2, _) => assert_eq!(pool.0.pop_back(), model.pop_last(), "seed {seed}"),
+                    (3, Some(key)) => {
+                        pool.remove(key);
+                        model.remove(&key);
+                    }
+                    (_, Some(_)) => {
+                        let front = model.pop_first().unwrap();
+                        pool.remove(front);
+                    }
+                    (_, None) => {}
+                }
+                assert!(pool.0.iter().eq(&model), "seed {seed} step {step}");
+            }
+        }
+    }
 
     const FNS: usize = 3;
     /// The id-taking edges and the states each may leave from.

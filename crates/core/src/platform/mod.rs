@@ -111,7 +111,7 @@ impl Platform {
         );
         let horizon = trace.duration();
         let mut cluster = Cluster::new(self.cfg.clone(), self.profiles.clone(), horizon);
-        cluster.metrics.report.requests.reserve_exact(trace.len());
+        cluster.metrics.slots = vec![None; trace.len()];
         let mut sim = Simulation::new(cluster);
         if self.cfg.is_medes() {
             sim.schedule(SimTime::ZERO, Ev::PolicyTick);
@@ -137,10 +137,10 @@ impl Platform {
         // Arrivals are not queued: the loop takes them from the trace as
         // their time comes, each ahead of anything queued for the same
         // instant, so the queue holds pending timers and in-flight
-        // requests only.
-        sim.run_with(trace.invocations.iter().map(|inv| {
+        // requests only. A request's id is its position in the trace.
+        sim.run_with(trace.invocations.iter().enumerate().map(|(id, inv)| {
             let req = ReqInfo {
-                id: inv.id,
+                id: id as u64,
                 func: inv.function,
                 arrival: inv.time(),
             };

@@ -3,15 +3,14 @@
 use medes_obs::json::{self, Json, JsonMap};
 use medes_sim::SimTime;
 
-/// One function invocation request.
+/// One function invocation request. Its request id is its index in
+/// [`Trace::invocations`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Invocation {
     /// Arrival time, microseconds since trace start.
     pub time_us: u64,
     /// Index of the function in the trace's function table.
     pub function: usize,
-    /// Unique request id (dense, assigned at trace build).
-    pub id: u64,
 }
 
 impl Invocation {
@@ -26,7 +25,7 @@ impl Invocation {
 pub struct Trace {
     /// Function names, indexed by [`Invocation::function`].
     pub functions: Vec<String>,
-    /// Invocations sorted by arrival time.
+    /// Invocations sorted by arrival time; a request's id is its index.
     pub invocations: Vec<Invocation>,
     /// Trace duration in microseconds.
     pub duration_us: u64,
@@ -35,31 +34,35 @@ pub struct Trace {
 impl Trace {
     /// Builds a trace from per-function arrival-time lists.
     ///
-    /// `arrivals[f]` holds arrival times for function `f`.
+    /// `arrivals[f]` holds arrival times for function `f`; the trace is
+    /// ordered by `(time_us, function)`.
+    ///
+    /// # Panics
+    /// Panics if a time and a function index do not fit in one `u64`.
     pub fn from_arrivals(
         functions: Vec<String>,
         arrivals: Vec<Vec<SimTime>>,
         duration: SimTime,
     ) -> Self {
         assert_eq!(functions.len(), arrivals.len());
-        let mut invocations: Vec<Invocation> = arrivals
-            .into_iter()
-            .enumerate()
-            .flat_map(|(f, times)| {
-                times.into_iter().map(move |t| Invocation {
-                    time_us: t.as_micros(),
-                    function: f,
-                    id: 0,
-                })
-            })
-            .collect();
-        invocations.sort_by_key(|i| (i.time_us, i.function));
-        for (id, inv) in invocations.iter_mut().enumerate() {
-            inv.id = id as u64;
+        // One `time_us << bits | function` key per arrival, sorted.
+        let bits = u64::BITS - (functions.len().max(1) as u64 - 1).leading_zeros();
+        let mut keys = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
+        for (f, times) in arrivals.into_iter().enumerate() {
+            for t in times {
+                let time_us = t.as_micros();
+                assert!(time_us.leading_zeros() >= bits, "key overflow");
+                keys.push(time_us << bits | f as u64);
+            }
         }
+        keys.sort();
+        let invocations = keys.iter().map(|&k| Invocation {
+            time_us: k >> bits,
+            function: (k & ((1 << bits) - 1)) as usize,
+        });
         Trace {
             functions,
-            invocations,
+            invocations: invocations.collect(),
             duration_us: duration.as_micros(),
         }
     }
@@ -107,7 +110,7 @@ impl Trace {
 
     /// Restricts the trace to a subset of functions (used by the
     /// representative-workload experiments, §7.5). Function indices are
-    /// remapped densely; request ids are reassigned.
+    /// remapped densely, and so are request ids (they are positions).
     pub fn filter_functions(&self, keep: &[&str]) -> Trace {
         let mut map = vec![usize::MAX; self.functions.len()];
         let mut functions = Vec::new();
@@ -117,19 +120,15 @@ impl Trace {
                 functions.push(name.clone());
             }
         }
-        let mut invocations: Vec<Invocation> = self
+        let invocations = self
             .invocations
             .iter()
             .filter(|inv| map[inv.function] != usize::MAX)
             .map(|inv| Invocation {
                 time_us: inv.time_us,
                 function: map[inv.function],
-                id: 0,
             })
             .collect();
-        for (id, inv) in invocations.iter_mut().enumerate() {
-            inv.id = id as u64;
-        }
         Trace {
             functions,
             invocations,
@@ -138,7 +137,7 @@ impl Trace {
     }
 
     /// Serializes to JSON. Invocations are stored as compact
-    /// `[time_us, function, id]` triples.
+    /// `[time_us, function]` pairs.
     pub fn to_json(&self) -> String {
         let mut obj = JsonMap::new();
         obj.insert(
@@ -150,13 +149,7 @@ impl Trace {
             Json::Array(
                 self.invocations
                     .iter()
-                    .map(|inv| {
-                        Json::Array(vec![
-                            Json::from(inv.time_us),
-                            Json::from(inv.function),
-                            Json::from(inv.id),
-                        ])
-                    })
+                    .map(|inv| Json::Array(vec![inv.time_us.into(), inv.function.into()]))
                     .collect(),
             ),
         );
@@ -165,7 +158,8 @@ impl Trace {
     }
 
     /// Parses a JSON trace produced by [`Trace::to_json`]. Invocations
-    /// that are not sorted by arrival time are an error.
+    /// that are not sorted by arrival time, or that name a function
+    /// outside the table, are an error.
     pub fn from_json(text: &str) -> Result<Trace, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
         let functions = v
@@ -175,18 +169,21 @@ impl Trace {
             .iter()
             .map(|f| f.as_str().map(str::to_string).ok_or("non-string function"))
             .collect::<Result<Vec<_>, _>>()?;
+        let n = functions.len();
         let invocations = v
             .get("invocations")
             .and_then(Json::as_array)
             .ok_or("missing invocations array")?
             .iter()
-            .map(|item| {
-                let triple = item.as_array().filter(|a| a.len() == 3);
-                let triple = triple.ok_or("invocation is not a [time, fn, id] triple")?;
+            .enumerate()
+            .map(|(i, item)| {
+                let pair = item.as_array().filter(|a| a.len() == 2);
+                let pair = pair.ok_or("invocation is not a [time_us, function] pair")?;
+                let f = pair[1].as_u64().filter(|&f| f < n as u64);
+                let f = f.ok_or_else(|| format!("invocation {i}: unknown function {}", pair[1]))?;
                 Ok(Invocation {
-                    time_us: triple[0].as_u64().ok_or("bad time_us")?,
-                    function: triple[1].as_u64().ok_or("bad function index")? as usize,
-                    id: triple[2].as_u64().ok_or("bad id")?,
+                    time_us: pair[0].as_u64().ok_or("bad time_us")?,
+                    function: f as usize,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -231,9 +228,52 @@ mod tests {
         assert_eq!(tr.len(), 3);
         let times: Vec<u64> = tr.invocations.iter().map(|i| i.time_us).collect();
         assert_eq!(times, vec![10_000, 20_000, 30_000]);
-        let ids: Vec<u64> = tr.invocations.iter().map(|i| i.id).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
+        let fns: Vec<usize> = tr.invocations.iter().map(|i| i.function).collect();
+        assert_eq!(fns, vec![0, 1, 0]);
         assert_eq!(tr.counts(), vec![2, 1]);
+    }
+
+    /// The packed-key sort orders exactly as sorting `(time_us,
+    /// function)` pairs does.
+    #[test]
+    fn packed_keys_sort_like_time_function_pairs() {
+        let mut rng = medes_sim::DetRng::new(0x50_27);
+        for seed in 0..60u64 {
+            let fns = 1 + rng.below(40) as usize;
+            // Jittered (unsorted per function), run-shaped (one sorted
+            // run per function) and tie-heavy (a handful of instants).
+            let span = [1_000_000_000, 1_000_000_000, 4][(seed % 3) as usize];
+            let arrivals: Vec<Vec<SimTime>> = (0..fns)
+                .map(|_| {
+                    let n = rng.below(300) as usize;
+                    let mut ts: Vec<u64> = (0..n).map(|_| rng.below(span)).collect();
+                    if seed % 3 == 1 {
+                        ts.sort_unstable();
+                    }
+                    ts.into_iter().map(SimTime::from_micros).collect()
+                })
+                .collect();
+            let mut expect: Vec<(u64, usize)> = Vec::new();
+            for (f, ts) in arrivals.iter().enumerate() {
+                expect.extend(ts.iter().map(|t| (t.as_micros(), f)));
+            }
+            expect.sort_by_key(|&k| k);
+            let names = (0..fns).map(|f| f.to_string()).collect();
+            let tr = Trace::from_arrivals(names, arrivals, SimTime::from_secs(1));
+            let got: Vec<(u64, usize)> = tr
+                .invocations
+                .iter()
+                .map(|i| (i.time_us, i.function))
+                .collect();
+            assert_eq!(got, expect, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key overflow")]
+    fn packed_key_must_fit() {
+        let late = SimTime::from_micros(1 << 63);
+        Trace::from_arrivals(vec!["A".into(), "B".into()], vec![vec![late], vec![]], late);
     }
 
     #[test]
@@ -249,27 +289,44 @@ mod tests {
         assert_eq!(only_b.functions, vec!["B".to_string()]);
         assert_eq!(only_b.len(), 1);
         assert_eq!(only_b.invocations[0].function, 0);
-        assert_eq!(only_b.invocations[0].id, 0);
     }
 
     #[test]
     fn json_roundtrip() {
         let tr = sample();
-        let back = Trace::from_json(&tr.to_json()).unwrap();
+        let text = tr.to_json();
+        assert!(text.contains("[[10000,0],[20000,1],[30000,0]]"), "{text}");
+        let back = Trace::from_json(&text).unwrap();
         assert_eq!(back.len(), tr.len());
         assert_eq!(back.functions, tr.functions);
         assert_eq!(back.duration_us, tr.duration_us);
         assert_eq!(back.invocations, tr.invocations);
+        assert_eq!(back.to_json(), text);
     }
 
     #[test]
     fn from_json_rejects_malformed_input() {
         assert!(Trace::from_json("not json").is_err());
         assert!(Trace::from_json("{}").is_err());
-        assert!(
-            Trace::from_json(r#"{"functions": [], "invocations": [[1]], "duration_us": 5}"#)
-                .is_err()
-        );
+        let with = |inv: &str| {
+            let text =
+                format!(r#"{{"functions": ["A"], "invocations": [{inv}], "duration_us": 5}}"#);
+            Trace::from_json(&text)
+        };
+        assert!(with("[1, 0]").is_ok());
+        // Only `[time_us, function]` pairs: the old id-carrying triple
+        // is an error.
+        for bad in ["[1]", "[1, 0, 0]", "1", "[1, -1]"] {
+            assert!(with(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn from_json_rejects_a_function_outside_the_table() {
+        let mut tr = sample();
+        tr.invocations[1].function = 2;
+        let err = Trace::from_json(&tr.to_json()).unwrap_err();
+        assert!(err.contains("invocation 1: unknown function 2"), "{err}");
     }
 
     #[test]

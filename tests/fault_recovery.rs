@@ -5,6 +5,7 @@
 //! cold starts (§5.3), the dead node's chunks vanish from the
 //! fingerprint registry, and the whole run replays bit-identically.
 
+use medes::obs::{AttrValue, ObsConfig};
 use medes::platform::config::{PlatformConfig, PolicyKind};
 use medes::platform::metrics::RunReport;
 use medes::platform::Platform;
@@ -118,6 +119,44 @@ fn node_crash_triggers_cold_fallback_and_purges_registry() {
 
     // The fabric saw real failures and retried.
     assert!(report.net_failures > 0, "faults must surface as net errors");
+}
+
+/// Requests whose sandbox died with its node are re-dispatched, so they
+/// complete later than requests that arrived after them. The report
+/// still lists each completed request once, in id order: its ids are
+/// exactly those of the `medes.platform.request` spans, one per
+/// completion.
+#[test]
+fn rescheduled_requests_are_reported_once_in_id_order() {
+    let (suite, trace) = pressured_trace(600);
+    let mut cfg = pressured_config();
+    cfg.faults = chaos_plan();
+    cfg.obs = ObsConfig {
+        span_buffer_cap: usize::MAX,
+        ..ObsConfig::enabled()
+    };
+    let out = Platform::new(cfg, suite).run(&trace);
+    let report = &out.report;
+    assert!(
+        report.rescheduled_requests > 0,
+        "the crashes kill running requests"
+    );
+    assert_eq!(out.obs.spans_dropped(), 0);
+    let ids: Vec<u64> = report.requests.iter().map(|r| r.id).collect();
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids strictly increase");
+    assert!(ids.last().is_some_and(|&id| id < trace.len() as u64));
+    let mut completed: Vec<u64> = out
+        .obs
+        .spans()
+        .iter()
+        .filter(|s| s.name == "medes.platform.request")
+        .map(|s| match s.attr("id") {
+            Some(AttrValue::Uint(id)) => *id,
+            other => panic!("request span id {other:?}"),
+        })
+        .collect();
+    completed.sort_unstable();
+    assert_eq!(ids, completed);
 }
 
 #[test]
