@@ -134,11 +134,6 @@ impl ImageFactory {
     pub fn unpin_v(&mut self, func: FnId, instance_seed: u64, version: u64) {
         self.pinned.remove(&(func.0, instance_seed, version));
     }
-
-    /// Currently pinned images (≈ base sandboxes alive).
-    pub fn pinned_count(&self) -> usize {
-        self.pinned.len()
-    }
 }
 
 #[cfg(test)]
@@ -167,13 +162,13 @@ mod tests {
     #[test]
     fn pinning_caches() {
         let mut f = factory();
-        assert_eq!(f.pinned_count(), 0);
+        assert_eq!(f.pinned.len(), 0);
         let img = f.pin(FnId(1), 3);
-        assert_eq!(f.pinned_count(), 1);
+        assert_eq!(f.pinned.len(), 1);
         let again = f.image(FnId(1), 3);
         assert!(Arc::ptr_eq(&img, &again), "pinned image must be shared");
         f.unpin(FnId(1), 3);
-        assert_eq!(f.pinned_count(), 0);
+        assert_eq!(f.pinned.len(), 0);
     }
 
     #[test]
@@ -195,7 +190,7 @@ mod tests {
         let v0_again = f.image_v(FnId(0), 7, 0);
         assert!(!Arc::ptr_eq(&pinned, &v0_again));
         f.unpin_v(FnId(0), 7, 1);
-        assert_eq!(f.pinned_count(), 0);
+        assert_eq!(f.pinned.len(), 0);
     }
 
     #[test]

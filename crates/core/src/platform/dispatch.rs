@@ -1,13 +1,14 @@
-//! The scheduler: finding a sandbox for a request, and a node for a
-//! sandbox.
+//! The scheduler: finding a sandbox for a request, a node for a sandbox,
+//! and keeping a served sandbox warm until its keep-alive is up.
 
+use super::lifecycle::KeepAlive;
 use super::{Cluster, Ev, ReqInfo};
 use crate::ids::{FnId, NodeId, SandboxId};
 use crate::metrics::{FnDedupStats, RequestRecord, StartType, Tally};
 use crate::restore::{restore_op_cached, RestoreTiming};
 use crate::sandbox::Sandbox;
-use medes_sim::engine::Scheduler;
-use medes_sim::SimDuration;
+use medes_sim::engine::{Scheduler, Ticket};
+use medes_sim::{SimDuration, SimTime};
 
 /// Retry cadence for requests parked in the wait queue.
 pub(super) const QUEUE_RETRY: SimDuration = SimDuration::from_millis(100);
@@ -80,6 +81,62 @@ impl Cluster {
             start,
         };
         sched.after(lead + exec, Ev::ExecDone(id, rec));
+    }
+
+    /// `Running → Warm` (request served) or `Deduping → Warm` (the dedup
+    /// did not stick): the sandbox joins the idle-warm pool as if it had
+    /// just gone idle, with a keep-alive and — under Medes, inside the
+    /// horizon — an idle check after one idle period.
+    pub(super) fn go_idle(&mut self, id: SandboxId, sched: &mut Scheduler<Ev>) {
+        let now = sched.now();
+        let epoch = self.life.go_warm(id, now);
+        let f = self.life[&id].func.0;
+        self.arm_keep_alive(id, now + self.ka.keep_alive(f), sched);
+        if let Some(m) = &self.medes {
+            if now + m.idle_period <= self.horizon + m.keep_alive {
+                sched.after(m.idle_period, Ev::IdleCheck(id, epoch));
+            }
+        }
+    }
+
+    /// Arms `id`'s keep-alive for `deadline` in the next place in the
+    /// event order; `Lifecycle` decides whether that takes a new timer.
+    fn arm_keep_alive(&mut self, id: SandboxId, deadline: SimTime, sched: &mut Scheduler<Ev>) {
+        let ticket = sched.ticket();
+        if self.life.arm_keep_alive(id, deadline, ticket) {
+            sched.at_ticket(deadline, ticket, Ev::KeepAliveExpire(id, ticket));
+        }
+    }
+
+    /// `id`'s keep-alive timer `ticket` fired: an idle warm sandbox whose
+    /// window has run out is purged, unless it is a referenced base.
+    pub(super) fn keep_alive_expire(
+        &mut self,
+        id: SandboxId,
+        ticket: Ticket,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let now = sched.now();
+        match self.life.fire_keep_alive(id, ticket, now) {
+            KeepAlive::Stale => return,
+            KeepAlive::Moved(deadline, ticket) => {
+                return sched.at_ticket(deadline, ticket, Ev::KeepAliveExpire(id, ticket))
+            }
+            KeepAlive::Due => {}
+        }
+        let sb = &self.life[&id];
+        let window = self.ka.keep_alive(sb.func.0);
+        let expires = sb.last_used + window;
+        if now < expires {
+            self.arm_keep_alive(id, expires, sched);
+        } else if !self.bases.is_referenced(id) {
+            self.purge(id);
+            self.metrics.count(Tally::Expiration);
+        } else if now <= self.horizon + window {
+            // Referenced base sandboxes cannot be purged; re-check after
+            // another window.
+            self.arm_keep_alive(id, now + window, sched);
+        }
     }
 
     /// Restores dedup sandbox `id` for `req` if its node can be made to

@@ -12,15 +12,22 @@
 //! ```
 //!
 //! It is the only caller of `Sandbox::transition`, the only writer of
-//! `last_used`, `dedup_table` and `last_dedup`, and the only code that
-//! touches a pool. So a sandbox is in `idle_warm` iff it is `Warm` and in
-//! `idle_dedup` iff it is `Dedup`, under the key `(last_used, id)`, and
-//! it carries a table iff it is `Dedup` or `Restoring` — which is what
-//! `dedup_total` counts. [`Lifecycle::check`] asserts all of it.
+//! `last_used`, `dedup_table`, `last_dedup` and the keep-alive timer, and
+//! the only code that touches a pool. So a sandbox is in `idle_warm` iff
+//! it is `Warm` and in `idle_dedup` iff it is `Dedup`, under the key
+//! `(last_used, id)`, and it carries a table iff it is `Dedup` or
+//! `Restoring` — which is what `dedup_total` counts. [`Lifecycle::check`]
+//! asserts all of it.
+//!
+//! A sandbox has at most one pending keep-alive timer. A go-warm's
+//! deadline and [`Ticket`] (its place in the event order) are recorded
+//! while that timer fires first, and it moves itself there when it does:
+//! the last go-warm's timer fires as if every go-warm had armed its own.
 
 use crate::ids::SandboxId;
 use crate::sandbox::SandboxState::{Dedup, Deduping, Restoring, Running, Spawning, Warm};
 use crate::sandbox::{DedupMemo, DedupPageTable, Sandbox, SandboxState, SandboxTable};
+use medes_sim::engine::Ticket;
 use medes_sim::SimTime;
 use std::collections::VecDeque;
 
@@ -52,6 +59,17 @@ struct FnSandboxes {
     total: u32,
     /// Live sandboxes that are `Dedup` or `Restoring`: the `D` of `D/B`.
     dedup_total: u32,
+}
+
+/// What a keep-alive timer that fired means.
+#[derive(Debug)]
+pub(crate) enum KeepAlive {
+    /// It was superseded, or its sandbox is gone or no longer `Warm`.
+    Stale,
+    /// The sandbox went warm since: the timer moves to its deadline.
+    Moved(SimTime, Ticket),
+    /// The keep-alive of the sandbox's last go-warm is up.
+    Due,
 }
 
 #[derive(Debug)]
@@ -171,6 +189,37 @@ impl Lifecycle {
         sb.epoch
     }
 
+    /// Arms `id`'s keep-alive for `deadline` in `ticket`'s place. Returns
+    /// whether to schedule a timer there now — none is pending, or the
+    /// pending one fires later and is superseded — or the pending one
+    /// will move there.
+    pub fn arm_keep_alive(&mut self, id: SandboxId, deadline: SimTime, ticket: Ticket) -> bool {
+        let sb = self.table.get_mut(&id).expect("sandbox is live");
+        if sb.keep_alive.is_some_and(|(fires, _)| fires <= deadline) {
+            sb.keep_alive_next = Some((deadline, ticket));
+            false
+        } else {
+            sb.keep_alive = Some((deadline, ticket));
+            sb.keep_alive_next = None;
+            true
+        }
+    }
+
+    /// `id`'s keep-alive timer scheduled under `ticket` fired at `now`.
+    pub fn fire_keep_alive(&mut self, id: SandboxId, ticket: Ticket, now: SimTime) -> KeepAlive {
+        let live = |sb: &&mut Sandbox| sb.keep_alive.is_some_and(|(_, t)| t == ticket);
+        let Some(sb) = self.table.get_mut(&id).filter(live) else {
+            return KeepAlive::Stale;
+        };
+        let next = sb.keep_alive_next.take();
+        sb.keep_alive = next.filter(|&(deadline, _)| sb.state == Warm && now <= deadline);
+        match (sb.state, sb.keep_alive) {
+            (Warm, Some((deadline, ticket))) => KeepAlive::Moved(deadline, ticket),
+            (Warm, None) => KeepAlive::Due,
+            _ => KeepAlive::Stale,
+        }
+    }
+
     /// `Warm → Deduping`: out of the pool, so dispatch cannot reclaim it
     /// while the op runs. Returns the new timer epoch.
     pub fn begin_dedup(&mut self, id: SandboxId) -> u64 {
@@ -239,9 +288,11 @@ impl Lifecycle {
     }
 
     /// Asserts the invariants of the module header — the pools and
-    /// counts are exactly what the sandboxes' states say — and that the
-    /// memo gauge equals what the live sandboxes' memos hold.
-    pub fn check(&self) {
+    /// counts are exactly what the sandboxes' states say, and a recorded
+    /// deadline has a timer no later, as has every `Warm` sandbox
+    /// `inside_horizon` (a referenced base may lapse past it) — and that
+    /// the memo gauge equals what the live sandboxes' memos hold.
+    pub fn check(&self, inside_horizon: bool) {
         let mut expect: Vec<FnSandboxes> = self.fns.iter().map(|_| Default::default()).collect();
         let mut memo_bytes = 0;
         for sb in self.iter() {
@@ -256,6 +307,13 @@ impl Lifecycle {
                 _ => {}
             }
             memo_bytes += sb.last_dedup.as_ref().map_or(0, DedupMemo::host_bytes);
+            if let Some((deadline, _)) = sb.keep_alive_next {
+                let pending = sb.keep_alive.is_some_and(|(fires, _)| fires <= deadline);
+                assert!(pending, "{}: no keep-alive timer by its deadline", sb.id);
+            }
+            if sb.state == Warm && inside_horizon {
+                assert!(sb.keep_alive.is_some(), "{}: warm without a timer", sb.id);
+            }
         }
         assert_eq!(self.fns, expect, "pools or counts drifted from the states");
         assert_eq!(self.memo_bytes, memo_bytes, "the memo gauge drifted");
@@ -267,6 +325,7 @@ mod tests {
     use super::*;
     use crate::ids::{FnId, NodeId};
     use medes_hash::sample::PageFingerprint;
+    use medes_sim::engine::{Scheduler, Simulation, World};
     use medes_sim::DetRng;
     use medes_sim::SimDuration;
     use std::collections::{BTreeSet, HashMap};
@@ -407,7 +466,7 @@ mod tests {
                     }
                     (_, None) => {}
                 }
-                life.check();
+                life.check(false);
                 assert_eq!(life.len(), model.len());
                 for (id, &(func, state, last_used)) in &model {
                     let sb = &life[id];
@@ -431,5 +490,174 @@ mod tests {
             assert!(refused > 0, "seed {seed} never tried an illegal edge");
             assert!(life.memo_peak_bytes() >= life.memo_bytes);
         }
+    }
+
+    /// What happens to the sandboxes of [`Timers`], at scripted instants.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// A new sandbox serves a request and goes warm.
+        Spawn(usize),
+        /// A warm start: the function's most recent warm sandbox runs.
+        Take(usize),
+        /// The longest-running sandbox goes warm again.
+        Release,
+        /// The function's keep-alive window becomes this many seconds.
+        Window(usize, u64),
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Tev {
+        Op(Op),
+        /// A keep-alive timer: its ticket, and the epoch it was armed at
+        /// (read by the model only).
+        Fire(SandboxId, Ticket, u64),
+    }
+
+    /// Keep-alive timers over one `Lifecycle`, either by its rule
+    /// (`owner`) or by the rule it replaced: every go-warm arms a timer,
+    /// and a timer whose epoch is not current is ignored.
+    struct Timers {
+        owner: bool,
+        life: Lifecycle,
+        windows: [u64; FNS],
+        running: VecDeque<SandboxId>,
+        rng: DetRng,
+        /// Every live firing: when, whose, in which place.
+        fired: Vec<(SimTime, SandboxId, Ticket)>,
+        moved: u32,
+        superseded: u32,
+    }
+
+    impl Timers {
+        fn new(owner: bool, seed: u64) -> Self {
+            Timers {
+                owner,
+                life: Lifecycle::new(FNS),
+                windows: [4; FNS],
+                running: VecDeque::new(),
+                rng: DetRng::new(0xCA7E_A11E).fork(seed),
+                fired: Vec::new(),
+                moved: 0,
+                superseded: 0,
+            }
+        }
+
+        fn window(&self, id: SandboxId) -> SimDuration {
+            SimDuration::from_secs(self.windows[self.life[&id].func.0])
+        }
+
+        fn go_warm(&mut self, id: SandboxId, sched: &mut Scheduler<Tev>) {
+            let epoch = self.life.go_warm(id, sched.now());
+            self.arm(id, sched.now() + self.window(id), epoch, sched);
+        }
+
+        fn arm(&mut self, id: SandboxId, at: SimTime, epoch: u64, sched: &mut Scheduler<Tev>) {
+            let ticket = sched.ticket();
+            let pending = self.life[&id].keep_alive.is_some();
+            if !self.owner || self.life.arm_keep_alive(id, at, ticket) {
+                self.superseded += u32::from(self.owner && pending);
+                sched.at_ticket(at, ticket, Tev::Fire(id, ticket, epoch));
+            }
+        }
+    }
+
+    impl World for Timers {
+        type Event = Tev;
+
+        fn handle(&mut self, ev: Tev, sched: &mut Scheduler<Tev>) {
+            let now = sched.now();
+            match ev {
+                Tev::Op(Op::Spawn(f)) => {
+                    let id = self
+                        .life
+                        .spawn(|id| Sandbox::new(id, FnId(f), NodeId(0), 0, 0, now, 4));
+                    self.life.start_exec(id);
+                    self.go_warm(id, sched);
+                }
+                Tev::Op(Op::Take(f)) => self.running.extend(self.life.take_warm(f)),
+                Tev::Op(Op::Release) => {
+                    if let Some(id) = self.running.pop_front() {
+                        self.go_warm(id, sched);
+                    }
+                }
+                Tev::Op(Op::Window(f, secs)) => self.windows[f] = secs,
+                Tev::Fire(id, ticket, epoch) => {
+                    let live = if self.owner {
+                        match self.life.fire_keep_alive(id, ticket, now) {
+                            KeepAlive::Stale => false,
+                            KeepAlive::Moved(at, ticket) => {
+                                self.moved += 1;
+                                sched.at_ticket(at, ticket, Tev::Fire(id, ticket, 0));
+                                false
+                            }
+                            KeepAlive::Due => true,
+                        }
+                    } else {
+                        self.life.current(id, epoch, Warm).is_some()
+                    };
+                    if live {
+                        self.fired.push((now, id, ticket));
+                        // The platform's rule: renew while the window
+                        // (which may have grown) still runs, else expire —
+                        // or, for a referenced base, re-check a window on.
+                        let window = self.window(id);
+                        let expires = self.life[&id].last_used + window;
+                        if now < expires {
+                            self.arm(id, expires, epoch, sched);
+                        } else if self.rng.chance(0.5) {
+                            self.life.remove(id);
+                        } else {
+                            self.arm(id, now + window, epoch, sched);
+                        }
+                    }
+                }
+            }
+            self.life.check(self.owner);
+        }
+    }
+
+    /// The one-timer rule against the one-timer-per-go-warm rule it
+    /// replaced, on random spawn / warm start / go-warm sequences on a
+    /// one-second grid (so many events tie) with windows that grow and
+    /// shrink: every live firing happens at the same instant and under
+    /// the same ticket — the same place among same-instant events — and
+    /// the rule schedules fewer timers.
+    #[test]
+    fn one_keep_alive_timer_fires_where_the_last_of_one_per_go_warm_would() {
+        let (mut moved, mut superseded, mut fired) = (0, 0, 0);
+        for seed in 0..208u64 {
+            let mut rng = DetRng::new(0x71C4_E7ED).fork(seed);
+            let mut t = 0;
+            let script: Vec<(SimTime, Tev)> = (0..300)
+                .map(|_| {
+                    t += rng.below(2);
+                    let f = rng.below(FNS as u64) as usize;
+                    let op = match rng.below(20) {
+                        0..=2 => Op::Spawn(f),
+                        3..=9 => Op::Take(f),
+                        10..=17 => Op::Release,
+                        _ => Op::Window(f, 1 + rng.below(8)),
+                    };
+                    (SimTime::from_secs(t), Tev::Op(op))
+                })
+                .collect();
+            let mut owner = Simulation::new(Timers::new(true, seed));
+            let mut model = Simulation::new(Timers::new(false, seed));
+            owner.run_with(script.iter().copied());
+            model.run_with(script.iter().copied());
+            let (o, m) = (owner.world(), model.world());
+            assert_eq!(o.fired, m.fired, "seed {seed}");
+            assert_eq!(o.life.len(), m.life.len(), "seed {seed}");
+            assert!(owner.processed() <= model.processed(), "seed {seed}");
+            (moved, superseded, fired) = (
+                moved + o.moved,
+                superseded + o.superseded,
+                fired + o.fired.len(),
+            );
+        }
+        assert!(
+            moved > 2000 && superseded > 50 && fired > 10000,
+            "{moved} {superseded} {fired}"
+        );
     }
 }

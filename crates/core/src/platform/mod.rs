@@ -30,7 +30,8 @@
 //!
 //! Every timer event carries the sandbox's `epoch`; state transitions
 //! bump the epoch, so stale timers are ignored — the standard DES
-//! pattern for cancellable timeouts.
+//! pattern for cancellable timeouts. A keep-alive timer carries its
+//! ticket instead: `Lifecycle` keeps one per sandbox (`dispatch`).
 
 mod bases;
 mod dispatch;
@@ -53,7 +54,7 @@ use medes_obs::Obs;
 use medes_policy::keepalive::KeepAlivePolicy;
 use medes_policy::medes::Objective;
 use medes_policy::{AdaptiveKeepAlive, FixedKeepAlive, MedesPolicyConfig};
-use medes_sim::engine::Scheduler;
+use medes_sim::engine::{Scheduler, Ticket};
 use medes_sim::fault::FaultSchedule;
 use medes_sim::{DetRng, SimDuration, SimTime, Simulation, World};
 use medes_trace::{FunctionProfile, Trace};
@@ -199,21 +200,21 @@ pub struct RunOutcome {
     /// `report` because it describes the simulator, not the simulated
     /// cluster.
     pub events: u64,
-    /// Most events pending in the queue at once (deterministic):
-    /// expiry timers plus in-flight requests, independent of how many
-    /// arrivals the trace still holds.
+    /// Most events pending in the queue at once (deterministic): a
+    /// keep-alive timer per sandbox plus in-flight requests, independent
+    /// of how many arrivals the trace still holds.
     pub peak_queue_depth: usize,
 }
 
 /// Platform events. A sandbox's timers carry the epoch it had when
-/// they were armed.
+/// they were armed (its keep-alive timer, the ticket it took).
 enum Ev {
     Arrival(ReqInfo),
     SpawnDone(SandboxId, ReqInfo),
     RestoreDone(SandboxId, ReqInfo),
     ExecDone(SandboxId, RequestRecord),
     IdleCheck(SandboxId, u64),
-    KeepAliveExpire(SandboxId, u64),
+    KeepAliveExpire(SandboxId, Ticket),
     KeepDedupExpire(SandboxId, u64),
     /// The dedup op priced at a flush has run its course: the sandbox,
     /// its epoch at the flush, what the op produced.
@@ -291,11 +292,11 @@ impl Cluster {
         }
     }
 
-    /// Asserts every owner's invariant, in debug builds.
-    fn check(&self) {
+    /// Asserts every owner's invariant at `now`, in debug builds.
+    fn check(&self, now: SimTime) {
         if cfg!(debug_assertions) {
             self.mem.check(&self.life);
-            self.life.check();
+            self.life.check(now <= self.horizon);
             self.bases.check(&self.life, &self.mem);
         }
     }
@@ -310,22 +311,6 @@ impl Cluster {
                 (alpha * self.fns[func].profile.warm_start().as_micros() as f64) as u64
             }
             _ => 0,
-        }
-    }
-
-    /// `Running → Warm` (request served) or `Deduping → Warm` (the dedup
-    /// did not stick): the sandbox joins the idle-warm pool as if it had
-    /// just gone idle, with a keep-alive timer and — under Medes, inside
-    /// the horizon — an idle check after one idle period.
-    fn go_idle(&mut self, id: SandboxId, sched: &mut Scheduler<Ev>) {
-        let now = sched.now();
-        let epoch = self.life.go_warm(id, now);
-        let f = self.life[&id].func.0;
-        sched.after(self.ka.keep_alive(f), Ev::KeepAliveExpire(id, epoch));
-        if let Some(m) = &self.medes {
-            if now + m.idle_period <= self.horizon + m.keep_alive {
-                sched.after(m.idle_period, Ev::IdleCheck(id, epoch));
-            }
         }
     }
 }
@@ -420,23 +405,7 @@ impl World for Cluster {
 
             Ev::IdleCheck(id, epoch) => self.idle_check(id, epoch, sched),
 
-            Ev::KeepAliveExpire(id, epoch) => {
-                let Some(sb) = self.life.current(id, epoch, SandboxState::Warm) else {
-                    return;
-                };
-                let window = self.ka.keep_alive(sb.func.0);
-                let expires = sb.last_used + window;
-                if now < expires {
-                    sched.at(expires, Ev::KeepAliveExpire(id, epoch));
-                } else if !self.bases.is_referenced(id) {
-                    self.purge(id);
-                    self.metrics.count(Tally::Expiration);
-                } else if now <= self.horizon + window {
-                    // Referenced base sandboxes cannot be purged;
-                    // re-check after another window.
-                    sched.after(window, Ev::KeepAliveExpire(id, epoch));
-                }
-            }
+            Ev::KeepAliveExpire(id, ticket) => self.keep_alive_expire(id, ticket, sched),
 
             Ev::KeepDedupExpire(id, epoch) => {
                 if self.life.current(id, epoch, SandboxState::Dedup).is_some() {
@@ -486,7 +455,7 @@ impl World for Cluster {
             Ev::VersionBump(func, version) => self.version_bump(func, version),
         }
         if checked {
-            self.check();
+            self.check(now);
         }
     }
 }

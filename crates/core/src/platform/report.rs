@@ -27,7 +27,7 @@ impl Cluster {
     }
 
     pub(super) fn finish(mut self, end: SimTime) -> RunReport {
-        self.check();
+        self.check(end);
         let (registry, factory) = (self.bases.registry(), self.bases.images());
         let report = &mut self.metrics.report;
         report.registry_entries = registry.entries();

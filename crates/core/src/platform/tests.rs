@@ -30,9 +30,9 @@ fn every_request_completes() {
 }
 
 /// Arrivals are streamed into the loop, not queued, so the queue's
-/// depth follows the work in flight — one expiry timer per request
-/// of the last keep-alive window plus the requests executing — and
-/// not the length of the trace.
+/// depth follows the work in flight — at most one keep-alive timer per
+/// sandbox plus the requests executing — and not the length of the
+/// trace.
 #[test]
 fn queue_depth_follows_in_flight_work_not_trace_length() {
     let (suite, trace) = small_trace(3600, 10.0);
@@ -47,8 +47,30 @@ fn queue_depth_follows_in_flight_work_not_trace_length() {
         "peak queue depth {} against {requests} requests",
         out.peak_queue_depth
     );
-    // At least an arrival and a completion per request.
+    // Most requests in flight at once, counting arrivals first at a tie.
+    let mut edges: Vec<(u64, bool)> = (out.report.requests.iter())
+        .flat_map(|r| [(r.arrival_us, false), (r.arrival_us + r.e2e_us, true)])
+        .collect();
+    edges.sort_unstable();
+    let in_flight = edges.iter().scan(0usize, |n, &(_, done)| {
+        *n = if done { *n - 1 } else { *n + 1 };
+        Some(*n)
+    });
+    let bound = out.report.sandboxes_spawned as usize + in_flight.max().unwrap();
+    assert!(
+        out.peak_queue_depth <= bound,
+        "peak queue depth {} against {bound} sandboxes + requests in flight",
+        out.peak_queue_depth
+    );
+    // At least an arrival and a completion per request, and not much
+    // more: a spawn per sandbox and a keep-alive firing per sandbox and
+    // window (2.12 per request here; 3.03 when every go-idle armed one).
     assert!(out.events >= 2 * requests as u64, "{} events", out.events);
+    assert!(
+        out.events * 5 < 11 * requests as u64,
+        "{} events",
+        out.events
+    );
 }
 
 #[test]

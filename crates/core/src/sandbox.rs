@@ -16,6 +16,7 @@
 use crate::ids::{FnId, NodeId, SandboxId};
 use medes_delta::Patch;
 use medes_hash::sample::PageFingerprint;
+use medes_sim::engine::Ticket;
 use medes_sim::SimTime;
 
 /// Sandbox lifecycle states (Fig 4b).
@@ -266,6 +267,10 @@ pub(crate) struct Sandbox {
     /// Timer epoch: bumped on every state change so stale timer events
     /// can be ignored.
     pub epoch: u64,
+    /// The pending keep-alive timer: when it fires, and its ticket.
+    pub keep_alive: Option<(SimTime, Ticket)>,
+    /// The last go-warm's deadline and ticket, while the timer is before.
+    pub keep_alive_next: Option<(SimTime, Ticket)>,
     /// Whether this sandbox has ever entered the dedup state (for the
     /// distinct-sandbox dedup-fraction metric).
     pub ever_deduped: bool,
@@ -302,6 +307,8 @@ impl Sandbox {
             version,
             last_used: now,
             epoch: 0,
+            keep_alive: None,
+            keep_alive_next: None,
             ever_deduped: false,
             dedup_table: None,
             last_dedup: None,

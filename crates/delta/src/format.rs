@@ -160,27 +160,6 @@ impl Patch {
         self.view().instrs()
     }
 
-    /// Number of literal bytes carried by the patch.
-    pub fn add_bytes(&self) -> usize {
-        self.instrs()
-            .map(|i| match i {
-                Instr::Add(d) => d.len(),
-                Instr::Copy { .. } => 0,
-            })
-            .sum()
-    }
-
-    /// Number of bytes covered by COPY instructions (i.e. bytes *saved*
-    /// by referencing the base instead of storing them).
-    pub fn copied_bytes(&self) -> usize {
-        self.instrs()
-            .map(|i| match i {
-                Instr::Copy { len, .. } => len as usize,
-                Instr::Add(_) => 0,
-            })
-            .sum()
-    }
-
     /// Exact size of [`Patch::to_bytes`] output: the header plus the
     /// instruction bytes held.
     pub fn serialized_size(&self) -> usize {
@@ -369,9 +348,14 @@ mod tests {
 
     #[test]
     fn byte_accounting() {
-        let p = sample_patch();
-        assert_eq!(p.add_bytes(), 5);
-        assert_eq!(p.copied_bytes(), 4091);
+        // Literal bytes carried, and bytes copied from the base.
+        let bytes = sample_patch()
+            .instrs()
+            .fold((0, 0), |(add, copy), i| match i {
+                Instr::Add(d) => (add + d.len(), copy),
+                Instr::Copy { len, .. } => (add, copy + len as usize),
+            });
+        assert_eq!(bytes, (5, 4091));
     }
 
     #[test]

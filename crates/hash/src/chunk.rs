@@ -17,16 +17,6 @@ pub fn fixed_offset_chunks(data: &[u8], k: usize) -> impl Iterator<Item = (usize
         .map(move |off| (off, &data[off..off + k]))
 }
 
-/// Number of fixed-offset chunks of size `k` in `len` bytes.
-pub fn chunk_count(len: usize, k: usize) -> usize {
-    assert!(k > 0);
-    if len < k {
-        0
-    } else {
-        (len - k) / (2 * k) + 1
-    }
-}
-
 /// Longest common extension: grows a match at `a[a_off..]` / `b[b_off..]`
 /// symmetrically left and right, up to `max_total` matched bytes, and
 /// returns the matched byte count. Used to credit the non-hashed bytes
@@ -73,16 +63,16 @@ mod tests {
         assert_eq!(chunks[0].0, 0);
         assert_eq!(chunks[1].0, 128);
         assert!(chunks.iter().all(|(_, c)| c.len() == 64));
-        assert_eq!(chunk_count(1000, 64), 8);
     }
 
     #[test]
     fn chunk_count_edges() {
-        assert_eq!(chunk_count(0, 64), 0);
-        assert_eq!(chunk_count(63, 64), 0);
-        assert_eq!(chunk_count(64, 64), 1);
-        assert_eq!(chunk_count(128, 64), 1);
-        assert_eq!(chunk_count(192, 64), 2);
+        let count = |len| fixed_offset_chunks(&vec![0; len], 64).count();
+        assert_eq!(count(0), 0);
+        assert_eq!(count(63), 0);
+        assert_eq!(count(64), 1);
+        assert_eq!(count(128), 1);
+        assert_eq!(count(192), 2);
     }
 
     #[test]

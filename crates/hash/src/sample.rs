@@ -43,11 +43,6 @@ impl SamplePattern {
     pub fn matches(&self, last_two: u16) -> bool {
         last_two & self.mask == self.pattern
     }
-
-    /// Expected fraction of window positions selected.
-    pub fn selectivity(&self) -> f64 {
-        1.0 / (1u32 << self.mask.count_ones()) as f64
-    }
 }
 
 impl Default for SamplePattern {
@@ -581,11 +576,13 @@ mod tests {
 
     #[test]
     fn selectivity_math() {
-        assert!((SamplePattern::DEFAULT.selectivity() - 1.0 / 256.0).abs() < 1e-12);
+        // A pattern selects one window value in 2^(mask bits).
+        let selected = |p: SamplePattern| (0..=u16::MAX).filter(|&w| p.matches(w)).count();
+        assert_eq!(selected(SamplePattern::DEFAULT), 1 << 8);
         let p = SamplePattern {
             mask: 0x01FF,
             pattern: 0,
         };
-        assert!((p.selectivity() - 1.0 / 512.0).abs() < 1e-12);
+        assert_eq!(selected(p), 1 << 7);
     }
 }

@@ -124,25 +124,23 @@ fn locate_extension(
     (b_off - left, total)
 }
 
-/// Pairwise redundancy matrix: `matrix[i][j]` is the redundancy of
-/// `images[i]` w.r.t. `images[j]` (the layout of Fig 1c).
-pub fn redundancy_matrix(images: &[MemoryImage], k: usize) -> Vec<Vec<f64>> {
-    images
-        .iter()
-        .map(|b| {
-            images
-                .iter()
-                .map(|a| redundancy(a, b, k).fraction())
-                .collect()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::ImageBuilder;
     use crate::spec::FunctionSpec;
+
+    /// Pairwise redundancy matrix: `matrix[i][j]` is the redundancy of
+    /// `images[i]` w.r.t. `images[j]` (the layout of Fig 1c).
+    fn redundancy_matrix(images: &[MemoryImage], k: usize) -> Vec<Vec<f64>> {
+        let row = |b| {
+            images
+                .iter()
+                .map(|a| redundancy(a, b, k).fraction())
+                .collect()
+        };
+        images.iter().map(row).collect()
+    }
 
     fn image(name: &str, instance: u64) -> MemoryImage {
         // Heap-dominant spec so cross-function comparisons are not

@@ -123,26 +123,12 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub const fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: SimDuration::ZERO,
-            max_backoff: SimDuration::ZERO,
-        }
-    }
-
     /// Backoff before retry number `retry` (0-based):
     /// `min(base · 2^retry, max_backoff)`.
     pub fn backoff(&self, retry: u32) -> SimDuration {
         let factor = 1u64.checked_shl(retry).unwrap_or(u64::MAX);
         let us = self.base_backoff.as_micros().saturating_mul(factor);
         SimDuration::from_micros(us).min(self.max_backoff)
-    }
-
-    /// Total backoff slept across `retries` retries.
-    pub fn total_backoff(&self, retries: u32) -> SimDuration {
-        (0..retries).map(|i| self.backoff(i)).sum()
     }
 }
 
@@ -718,6 +704,11 @@ mod tests {
         Fabric::new(4, NetConfig::default())
     }
 
+    /// Total backoff slept across `retries` retries.
+    fn total_backoff(policy: &RetryPolicy, retries: u32) -> SimDuration {
+        (0..retries).map(|i| policy.backoff(i)).sum()
+    }
+
     /// One read of `bytes` from `src` into `dst`: a one-element batch.
     fn read(
         f: &mut Fabric,
@@ -979,9 +970,9 @@ mod tests {
         assert_eq!(out.attempts, 3);
         let clean = fabric().rdma_read_batch(0, &[(1, 4096)]).unwrap();
         // 2 failures à fault_timeout + backoffs (1ms + 2ms) + clean op.
-        let expected = f.config().fault_timeout.mul_f64(2.0) + policy.total_backoff(2) + clean;
+        let expected = f.config().fault_timeout.mul_f64(2.0) + total_backoff(&policy, 2) + clean;
         assert_eq!(out.time, expected);
-        assert_eq!(out.backoff, policy.total_backoff(2));
+        assert_eq!(out.backoff, total_backoff(&policy, 2));
     }
 
     #[test]
@@ -1068,7 +1059,7 @@ mod tests {
                 assert!(policy.backoff(i) <= policy.max_backoff, "case {case}");
             }
             // Closed-form total: geometric until the cap kicks in, then
-            // flat — computed independently of RetryPolicy::total_backoff.
+            // flat — computed independently of the per-retry sum.
             let retries = max_attempts - 1;
             let mut expected_us = 0u64;
             for i in 0..retries {
@@ -1076,7 +1067,7 @@ mod tests {
                 expected_us += raw.min(cap_ms * 1000);
             }
             assert_eq!(
-                policy.total_backoff(retries).as_micros(),
+                total_backoff(&policy, retries).as_micros(),
                 expected_us,
                 "case {case}"
             );
@@ -1102,10 +1093,10 @@ mod tests {
                     let k = out.attempts - 1;
                     let clean = fabric().rdma_read_batch(0, &[(1, 4096)]).unwrap();
                     let expected = f.config().fault_timeout.mul_f64(k as f64)
-                        + policy.total_backoff(k)
+                        + total_backoff(&policy, k)
                         + clean;
                     assert_eq!(out.time, expected, "case {case}");
-                    assert_eq!(out.backoff, policy.total_backoff(k), "case {case}");
+                    assert_eq!(out.backoff, total_backoff(&policy, k), "case {case}");
                 }
                 Err(_) => {
                     assert_eq!(f.stats().retries, (max_attempts - 1) as u64, "case {case}");
@@ -1174,7 +1165,10 @@ mod tests {
         };
         let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
-        let policy = RetryPolicy::no_retry();
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
         let outer = obs.trace_root("outer", 1, 1);
         let inner = obs.trace_root("inner", 2, 2);
         {
@@ -1200,7 +1194,10 @@ mod tests {
     fn registry_rpcs_are_priced_like_rpcs_and_counted_separately() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
-        let policy = RetryPolicy::no_retry();
+        let policy = RetryPolicy {
+            max_attempts: 1,
+            ..RetryPolicy::default()
+        };
         let t = f
             .registry_rpc_retry(0, 1, RegistryOp::Lookup, 40, 120, &policy)
             .unwrap()

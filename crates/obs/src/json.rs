@@ -142,11 +142,6 @@ impl Json {
         }
     }
 
-    /// Whether the value is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
-
     /// Serializes with two-space indentation. (Compact serialization is
     /// the `Display`/`to_string()` impl.)
     pub fn to_string_pretty(&self) -> String {
@@ -652,9 +647,9 @@ mod tests {
         assert_eq!(v["n"], 3);
         assert_eq!(v["mean"], 1.5);
         assert_eq!(v["ok"], Json::Bool(true));
-        assert!(v["missing"].is_null());
+        assert_eq!(v["missing"], Json::Null);
         assert_eq!(v["series"][2], 3);
-        assert!(v["nope"].is_null());
+        assert_eq!(v["nope"], Json::Null);
     }
 
     #[test]

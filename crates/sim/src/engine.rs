@@ -7,7 +7,8 @@
 //! (the world never holds a reference to the queue).
 //!
 //! Events are handled in `(time, seq)` order, `seq` being the order in
-//! which they were scheduled. A run can also be fed from a time-sorted
+//! which they were scheduled, or in which the [`Ticket`] they were later
+//! scheduled under was taken. A run can also be fed from a time-sorted
 //! *source* ([`Simulation::run_with`]): its events are handled as if all
 //! of them had been scheduled before anything else, without ever sitting
 //! in the queue — so the queue holds what is in flight, not the input.
@@ -15,11 +16,18 @@
 use crate::event::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
+/// A place in the event order, from [`Scheduler::ticket`]; each is a
+/// different place, so it also names the one event scheduled under it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Ticket(u64);
+
 /// Handle through which event handlers schedule future events.
 #[derive(Debug)]
 pub struct Scheduler<E> {
     now: SimTime,
-    pending: Vec<(SimTime, E)>,
+    /// The `seq` the next ticket takes.
+    next_seq: u64,
+    queue: EventQueue<E>,
 }
 
 impl<E> Scheduler<E> {
@@ -30,19 +38,28 @@ impl<E> Scheduler<E> {
 
     /// Schedules `event` to fire `delay` from now.
     pub fn after(&mut self, delay: SimDuration, event: E) {
-        self.pending.push((self.now + delay, event));
+        self.at(self.now + delay, event);
     }
 
     /// Schedules `event` at an absolute instant (clamped to now if past).
     pub fn at(&mut self, time: SimTime, event: E) {
-        let t = if time < self.now { self.now } else { time };
-        self.pending.push((t, event));
+        let ticket = self.ticket();
+        self.at_ticket(time.max(self.now), ticket, event);
     }
 
-    /// Schedules `event` to fire immediately (at the current instant,
-    /// after all events already queued for this instant).
-    pub fn immediately(&mut self, event: E) {
-        self.pending.push((self.now, event));
+    /// Takes the place in the event order an event scheduled now would
+    /// get, without scheduling one.
+    pub fn ticket(&mut self) -> Ticket {
+        let ticket = Ticket(self.next_seq);
+        self.next_seq += 1;
+        ticket
+    }
+
+    /// Schedules `event` at `time` as if when `ticket` was taken. Redeem a
+    /// ticket once, before the event order has passed `(time, ticket)`.
+    pub fn at_ticket(&mut self, time: SimTime, ticket: Ticket, event: E) {
+        debug_assert!(time >= self.now, "a ticket redeemed in the past");
+        self.queue.push_at_seq(time, ticket.0, event);
     }
 }
 
@@ -84,11 +101,8 @@ pub trait World {
 #[derive(Debug)]
 pub struct Simulation<W: World> {
     world: W,
-    queue: EventQueue<W::Event>,
-    now: SimTime,
     processed: u64,
-    /// Handed to every handler; its buffer is drained into the queue
-    /// after each event and reused for the next.
+    /// The clock and the queue, lent to every handler.
     sched: Scheduler<W::Event>,
 }
 
@@ -97,24 +111,23 @@ impl<W: World> Simulation<W> {
     pub fn new(world: W) -> Self {
         Simulation {
             world,
-            queue: EventQueue::new(),
-            now: SimTime::ZERO,
             processed: 0,
             sched: Scheduler {
                 now: SimTime::ZERO,
-                pending: Vec::new(),
+                next_seq: 0,
+                queue: EventQueue::new(),
             },
         }
     }
 
     /// Schedules an initial event.
     pub fn schedule(&mut self, time: SimTime, event: W::Event) {
-        self.queue.push(time, event);
+        self.sched.at(time, event);
     }
 
     /// Current simulated time (time of the last processed event).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sched.now
     }
 
     /// Number of events processed so far.
@@ -126,7 +139,7 @@ impl<W: World> Simulation<W> {
     /// once. Events still in a [`run_with`](Self::run_with) source are
     /// not pending.
     pub fn peak_queue_depth(&self) -> usize {
-        self.queue.peak_len()
+        self.sched.queue.peak_len()
     }
 
     /// Immutable access to the world.
@@ -140,23 +153,19 @@ impl<W: World> Simulation<W> {
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, event)) = self.queue.pop() else {
+    fn step(&mut self) -> bool {
+        let Some((time, event)) = self.sched.queue.pop() else {
             return false;
         };
-        debug_assert!(time >= self.now, "event queue went backwards");
+        debug_assert!(time >= self.now(), "event queue went backwards");
         self.deliver(time, event);
         true
     }
 
     fn deliver(&mut self, time: SimTime, event: W::Event) {
-        self.now = time;
         self.processed += 1;
         self.sched.now = time;
         self.world.handle(event, &mut self.sched);
-        for (t, e) in self.sched.pending.drain(..) {
-            self.queue.push(t, e);
-        }
     }
 
     /// Runs until the event queue drains.
@@ -177,27 +186,16 @@ impl<W: World> Simulation<W> {
     pub fn run_with(&mut self, source: impl IntoIterator<Item = (SimTime, W::Event)>) {
         let mut source = source.into_iter().peekable();
         while let Some(&(time, _)) = source.peek() {
-            if self.queue.peek_time().is_some_and(|queued| queued < time) {
+            let queued = self.sched.queue.peek_time();
+            if queued.is_some_and(|queued| queued < time) {
                 self.step();
             } else {
-                debug_assert!(time >= self.now, "event source must be sorted by time");
+                debug_assert!(time >= self.now(), "event source must be sorted by time");
                 let (time, event) = source.next().expect("peeked");
                 self.deliver(time, event);
             }
         }
         while self.step() {}
-    }
-
-    /// Runs until the queue drains or simulated time passes `deadline`.
-    ///
-    /// Events scheduled strictly after `deadline` are left in the queue.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            self.step();
-        }
     }
 }
 
@@ -251,17 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_leaves_future_events() {
-        let mut sim = Simulation::new(Recorder { seen: vec![] });
-        sim.schedule(SimTime::from_micros(10), Ev::Tick(1));
-        sim.schedule(SimTime::from_micros(1000), Ev::Tick(2));
-        sim.run_until(SimTime::from_micros(500));
-        assert_eq!(sim.world().seen.len(), 1);
-        sim.run();
-        assert_eq!(sim.world().seen.len(), 2);
-    }
-
-    #[test]
     fn immediate_events_run_after_same_instant_fifo() {
         struct W2 {
             order: Vec<&'static str>,
@@ -271,7 +258,7 @@ mod tests {
             fn handle(&mut self, ev: &'static str, sched: &mut Scheduler<&'static str>) {
                 self.order.push(ev);
                 if ev == "first" {
-                    sched.immediately("injected");
+                    sched.at(sched.now(), "injected");
                 }
             }
         }
@@ -280,6 +267,41 @@ mod tests {
         sim.schedule(SimTime::ZERO, "second");
         sim.run();
         assert_eq!(sim.world().order, vec!["first", "second", "injected"]);
+    }
+
+    /// A ticket taken while handling "first" and redeemed while handling
+    /// "second" fires where an event scheduled at ticket time would:
+    /// after "second" (scheduled before the ticket was taken) and before
+    /// "later" (scheduled after it), at the same instant.
+    #[test]
+    fn a_ticket_redeemed_later_fires_in_its_place() {
+        struct W4 {
+            order: Vec<&'static str>,
+            held: Option<Ticket>,
+        }
+        impl World for W4 {
+            type Event = &'static str;
+            fn handle(&mut self, ev: &'static str, sched: &mut Scheduler<&'static str>) {
+                self.order.push(ev);
+                let at = SimTime::from_micros(10);
+                match ev {
+                    "first" => {
+                        self.held = Some(sched.ticket());
+                        sched.at(at, "later");
+                    }
+                    "second" => sched.at_ticket(at, self.held.take().unwrap(), "ticketed"),
+                    _ => {}
+                }
+            }
+        }
+        let mut sim = Simulation::new(W4 {
+            order: vec![],
+            held: None,
+        });
+        sim.schedule(SimTime::ZERO, "first");
+        sim.schedule(SimTime::from_micros(10), "second");
+        sim.run();
+        assert_eq!(sim.world().order, ["first", "second", "ticketed", "later"]);
     }
 
     #[test]
@@ -318,7 +340,7 @@ mod tests {
             if depth < 2 {
                 sched.after(SimDuration::from_micros(id % 4), (id * 7 + 1, depth + 1));
                 if id % 3 == 0 {
-                    sched.immediately((id * 7 + 2, depth + 1));
+                    sched.at(sched.now(), (id * 7 + 2, depth + 1));
                 }
                 if id % 5 == 0 {
                     sched.after(SimDuration::from_micros(30), (id * 7 + 3, depth + 1));
@@ -383,25 +405,5 @@ mod tests {
         let mut sim = Simulation::new(Recorder { seen: vec![] });
         let at = |us, n| (SimTime::from_micros(us), Ev::Tick(n));
         sim.run_with([at(10, 1), at(5, 2)]);
-    }
-
-    #[test]
-    fn run_until_stops_at_its_deadline_across_lane_and_heap() {
-        let mut sim = Simulation::new(Recorder { seen: vec![] });
-        // 100 and 200 arrive in time order (the queue's monotone lane);
-        // 50 and 150 arrive behind a later entry (its heap).
-        for (us, n) in [(100, 2), (50, 1), (200, 4), (150, 3)] {
-            sim.schedule(SimTime::from_micros(us), Ev::Tick(n));
-        }
-        let ids = |sim: &Simulation<Recorder>| -> Vec<u32> {
-            sim.world().seen.iter().map(|&(_, n)| n).collect()
-        };
-        sim.run_until(SimTime::from_micros(120));
-        assert_eq!(ids(&sim), vec![1, 2]);
-        assert_eq!(sim.now(), SimTime::from_micros(100));
-        sim.run_until(SimTime::from_micros(150));
-        assert_eq!(ids(&sim), vec![1, 2, 3]);
-        sim.run();
-        assert_eq!(ids(&sim), vec![1, 2, 3, 4]);
     }
 }

@@ -4,18 +4,17 @@
 //! increasing push counter. The tiebreaker guarantees FIFO ordering among
 //! events scheduled for the same instant, which in turn makes
 //! whole-simulation runs reproducible regardless of container internals.
+//! The engine numbers its own pushes, and may push under an old `seq`.
 //!
-//! Two containers hold the pending events. A push whose time is not
-//! before the newest entry of the *monotone lane* (a `VecDeque`) is
+//! Two containers hold the pending events. A push whose `(time, seq)` is
+//! not before the newest entry of the *monotone lane* (a `VecDeque`) is
 //! appended there in O(1); every other push goes to a binary min-heap.
-//! The lane is sorted by `(time, seq)` by construction — times are
-//! non-decreasing along it and `seq` only grows — so the earliest pending
-//! event is whichever of the two fronts has the smaller `(time, seq)`,
-//! and the pop order is exactly that of a single heap. Simulations arm
-//! most of their timers a fixed delay ahead of a clock that only moves
-//! forward (keep-alive expiry: one per request, nearly all stale when
-//! they fire); those ride the lane, and the heap holds only the events
-//! that land in front of them.
+//! The lane is sorted by `(time, seq)` by construction, so the earliest
+//! pending event is whichever of the two fronts has the smaller
+//! `(time, seq)`, and the pop order is exactly that of a single heap.
+//! Simulations arm most of their timers a fixed delay ahead of a clock
+//! that only moves forward; those ride the lane, and the heap holds the
+//! events that land in front of them.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -36,9 +35,9 @@ use std::collections::{BinaryHeap, VecDeque};
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Entries pushed in non-decreasing time order.
+    /// Entries pushed in non-decreasing `(time, seq)` order.
     lane: VecDeque<Entry<E>>,
-    /// Entries pushed with a time before the lane's newest.
+    /// Entries pushed with a `(time, seq)` before the lane's newest.
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     peak_len: usize,
@@ -92,8 +91,14 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.seq;
         self.seq += 1;
+        self.push_at_seq(time, seq, payload);
+    }
+
+    /// [`push`](Self::push), tie-broken by a `seq` no pending entry has.
+    pub(crate) fn push_at_seq(&mut self, time: SimTime, seq: u64, payload: E) {
         let entry = Entry { time, seq, payload };
-        if self.lane.back().is_none_or(|newest| time >= newest.time) {
+        // `None < Some(_)`: an empty lane takes any entry.
+        if self.lane.back().map(Entry::key) <= Some(entry.key()) {
             self.lane.push_back(entry);
         } else {
             self.heap.push(entry);
@@ -206,26 +211,38 @@ mod tests {
     /// ordered by `(time, push index)`: random interleavings of `push`,
     /// `pop` and `peek_time` with heavy timestamp ties, monotone runs
     /// (which ride the lane) and out-of-order bursts (which fall into the
-    /// heap) pop exactly what a sorted model pops.
+    /// heap) pop exactly what a sorted model pops. Some pushes take a
+    /// ticket instead — the next `seq`, as `Scheduler::ticket` does — and
+    /// are pushed under it later (`push_at_seq`), at random or at the
+    /// latest when they are next to pop: each pops exactly where the
+    /// model, which holds it from ticket time, pops it.
     #[test]
     fn lane_and_heap_pop_like_one_sorted_queue() {
         fn model_pop(model: &mut Vec<(SimTime, u64)>) -> Option<(SimTime, u64)> {
             let at = (0..model.len()).min_by_key(|&i| model[i])?;
             Some(model.swap_remove(at))
         }
-        // Steps at which both containers held entries, over all seeds.
-        let mut straddled = 0u32;
+        fn redeem(q: &mut EventQueue<u64>, held: &mut Vec<(SimTime, u64)>, at: usize) {
+            let (t, seq) = held.swap_remove(at);
+            q.push_at_seq(t, seq, seq);
+        }
+        // Steps at which both containers held entries, and tickets
+        // redeemed behind a later push, over all seeds.
+        let (mut straddled, mut late) = (0u32, 0u32);
         for seed in 0..256 {
             let mut rng = DetRng::new(seed);
             let mut q = EventQueue::new();
             // Pending `(time, push index)` pairs; the payload is the index.
             let mut model: Vec<(SimTime, u64)> = Vec::new();
+            // Tickets not yet redeemed: in the model, not in the queue.
+            let mut held: Vec<(SimTime, u64)> = Vec::new();
             let (mut pushes, mut peak, mut clock, mut regime) = (0u64, 0usize, 0u64, 0u64);
             for op in 0..600 {
                 if op % 25 == 0 {
                     regime = rng.below(4);
                 }
-                if rng.below(5) < 3 {
+                let what = rng.below(10);
+                if what < 6 {
                     let t = match regime {
                         // Monotone run, steps of 0–2: mostly ties.
                         0 => {
@@ -242,20 +259,51 @@ mod tests {
                         // Anywhere, on a coarse grid: ties across regimes.
                         _ => 10 * rng.below(12),
                     };
-                    q.push(SimTime::from_micros(t), pushes);
-                    model.push((SimTime::from_micros(t), pushes));
+                    let key = (SimTime::from_micros(t), pushes);
+                    if rng.chance(0.2) {
+                        q.seq += 1;
+                        held.push(key);
+                    } else {
+                        q.push(key.0, pushes);
+                    }
+                    model.push(key);
                     pushes += 1;
-                    peak = peak.max(model.len());
-                } else if rng.chance(0.3) {
-                    let expect = model.iter().map(|&(t, _)| t).min();
-                    assert_eq!(q.peek_time(), expect, "seed {seed} op {op}");
+                } else if what == 6 {
+                    if !held.is_empty() {
+                        let at = rng.below(held.len() as u64) as usize;
+                        late += u32::from(held[at].1 + 1 < pushes);
+                        redeem(&mut q, &mut held, at);
+                    }
                 } else {
-                    assert_eq!(q.pop(), model_pop(&mut model), "seed {seed} op {op}");
+                    // A ticket is redeemed before its place comes up.
+                    while let Some(at) = model
+                        .iter()
+                        .min()
+                        .and_then(|min| held.iter().position(|h| h == min))
+                    {
+                        redeem(&mut q, &mut held, at);
+                        peak = peak.max(model.len() - held.len());
+                    }
+                    if what == 7 {
+                        let expect = model.iter().map(|&(t, _)| t).min();
+                        assert_eq!(q.peek_time(), expect, "seed {seed} op {op}");
+                    } else {
+                        assert_eq!(q.pop(), model_pop(&mut model), "seed {seed} op {op}");
+                    }
                 }
-                assert_eq!(q.len(), model.len(), "seed {seed} op {op}");
-                assert_eq!(q.is_empty(), model.is_empty(), "seed {seed} op {op}");
+                peak = peak.max(model.len() - held.len());
+                assert_eq!(q.len(), model.len() - held.len(), "seed {seed} op {op}");
+                assert_eq!(
+                    q.is_empty(),
+                    model.len() == held.len(),
+                    "seed {seed} op {op}"
+                );
                 straddled += u32::from(!q.lane.is_empty() && !q.heap.is_empty());
             }
+            for (t, seq) in held.drain(..) {
+                q.push_at_seq(t, seq, seq);
+            }
+            peak = peak.max(model.len());
             while let Some(expect) = model_pop(&mut model) {
                 assert_eq!(q.pop(), Some(expect), "seed {seed} drain");
             }
@@ -263,5 +311,6 @@ mod tests {
             assert_eq!(q.peak_len(), peak, "seed {seed}");
         }
         assert!(straddled > 256 * 100, "only {straddled} steps used both");
+        assert!(late > 256 * 10, "only {late} tickets redeemed late");
     }
 }

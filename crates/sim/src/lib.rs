@@ -15,7 +15,7 @@
 //!   trace's arrivals) is streamed into it rather than queued.
 //! * [`rng`] — a from-scratch deterministic RNG ([`rng::DetRng`],
 //!   SplitMix64-seeded xoshiro256**) with the distributions the workload
-//!   generators need (exponential, Poisson, normal, Pareto).
+//!   generators need (exponential, normal, Pareto).
 //! * [`stats`] — streaming statistics, percentile trackers, histograms
 //!   and time-weighted series used by the metrics pipeline.
 //!

@@ -6,7 +6,7 @@
 //! change across crate versions; experiment results must be bit-stable.
 //!
 //! On top of the raw generator we provide the distributions the workload
-//! and content generators need: uniform ranges, exponential, Poisson,
+//! and content generators need: uniform ranges, exponential,
 //! normal (Box–Muller), Pareto, and geometric.
 
 /// SplitMix64 step — used for seeding and as a cheap standalone mixer.
@@ -140,28 +140,6 @@ impl DetRng {
             }
         };
         -mean * u.ln()
-    }
-
-    /// Poisson-distributed sample with the given mean (Knuth for small
-    /// means, normal approximation above 64 to stay O(1)).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        if mean <= 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            let x = self.normal(mean, mean.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let limit = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= limit {
-                return k;
-            }
-            k += 1;
-        }
     }
 
     /// Normal sample via Box–Muller.
@@ -324,19 +302,6 @@ mod tests {
         let n = 200_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(3.0)).sum::<f64>() / n as f64;
         assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_mean_converges_small_and_large() {
-        let mut rng = DetRng::new(8);
-        for target in [0.5, 4.0, 100.0] {
-            let n = 50_000;
-            let mean: f64 = (0..n).map(|_| rng.poisson(target) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (mean - target).abs() / target.max(1.0) < 0.05,
-                "poisson({target}) mean {mean}"
-            );
-        }
     }
 
     #[test]

@@ -99,15 +99,6 @@ impl Trace {
         counts
     }
 
-    /// Average arrival rate of one function, in requests per second.
-    pub fn rate_per_sec(&self, function: usize) -> f64 {
-        let secs = self.duration().as_secs_f64();
-        if secs == 0.0 || function >= self.functions.len() {
-            return 0.0;
-        }
-        self.counts()[function] as f64 / secs
-    }
-
     /// Restricts the trace to a subset of functions (used by the
     /// representative-workload experiments, §7.5). Function indices are
     /// remapped densely, and so are request ids (they are positions).
@@ -279,7 +270,11 @@ mod tests {
     #[test]
     fn rates() {
         let tr = sample();
-        assert!((tr.rate_per_sec(0) - 2.0 / 60.0).abs() < 1e-12);
+        // Arrivals per function over the trace's 60 s.
+        assert_eq!(
+            (tr.counts(), tr.duration()),
+            (vec![2, 1], SimTime::from_secs(60))
+        );
     }
 
     #[test]
@@ -346,6 +341,5 @@ mod tests {
     fn empty_trace() {
         let tr = Trace::default();
         assert!(tr.is_empty());
-        assert_eq!(tr.rate_per_sec(0) as i64, 0);
     }
 }
