@@ -39,8 +39,9 @@ impl RestoreReadConfig {
 /// case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DedupPipelineConfig {
-    /// Number of fingerprint-registry shards (≥ 1). Each chunk hash has
-    /// one home shard, so lookup results are shard-count-invariant.
+    /// Number of fingerprint-registry shards (≥ 1): the routing key of
+    /// a placed registry's RPCs, so lookup results are
+    /// shard-count-invariant.
     pub shards: usize,
     /// Worker threads for the batched dedup compute phase (≥ 1).
     pub workers: usize,
@@ -135,7 +136,7 @@ pub struct PlatformConfig {
 /// Placement of the fingerprint registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RegistryPlacement {
-    /// Controller-resident sharded registry (the default).
+    /// Controller-resident registry (the default).
     #[default]
     InProcess,
     /// Shards owned by the first `owners` worker nodes, accessed over

@@ -239,8 +239,8 @@ impl std::ops::AddAssign for ScanWork {
 }
 
 /// Runs the compute phase of the dedup op: per-page fingerprints, a
-/// registry [`lookup_batch`](RegistryClient::lookup_batch)
-/// (grouped by shard), base-page election, and patch encoding.
+/// registry [`lookup_batch`](RegistryClient::lookup_batch),
+/// base-page election, and patch encoding.
 ///
 /// Takes the registry by `&self` and touches no fabric state, so any
 /// number of scans may run concurrently on worker threads against the
@@ -313,8 +313,8 @@ where
     let encode_cfg = EncodeConfig::with_level(cfg.delta_level);
     let max_patch = (cfg.patch_max_frac * PAGE_SIZE as f64) as usize;
 
-    // Probe the registry in one batch so each shard's read lock is
-    // taken once per op rather than once per page. Empty fingerprints
+    // Probe the registry in one batch so its read lock is taken once
+    // per op rather than once per page. Empty fingerprints
     // (rare) skip the registry exactly as the per-page path did.
     let probe_fps: Vec<_> = fps.iter().filter(|fp| !fp.is_empty()).cloned().collect();
     let candidate_lists = registry.lookup_batch(&probe_fps);

@@ -111,7 +111,7 @@ impl Cluster {
         // in enqueue order regardless of which worker ran which chunk.
         // A memo's patches move into the scan's table instead of being
         // cloned; every other capture is a shared borrow — the registry
-        // takes shard read locks internally. A scan regenerates its
+        // takes its read lock internally. A scan regenerates its
         // sandbox's image only if it needs it and drops it when done,
         // so a batch holds at most one image per worker, not one per
         // item.

@@ -17,8 +17,8 @@ impl Cluster {
         }
         let pending = self.pipeline.pending.len() as f64;
         self.obs.series_point("medes.dedup.pending", now, pending);
-        // Live sandboxes and per-shard registry occupancy are already
-        // registry gauges, and SLO violations and cache hits and misses
+        // Live sandboxes and registry occupancy are already registry
+        // gauges, and SLO violations and cache hits and misses
         // registry counters (kept current by the metrics, registry, SLO
         // and cache layers), so the registry snapshot below covers them
         // — pointing them explicitly too would write two samples at the

@@ -10,24 +10,22 @@
 //! candidate base page, how many of the sampled chunks it shares — the
 //! vote count used for base-page election.
 //!
-//! ## Sharding
+//! ## One store
 //!
-//! The store is partitioned into N independent shards keyed by the
-//! chunk hash value (`hash % N`), each behind its own `RwLock`. Because
-//! every chunk hash has exactly one home shard, the per-hash location
-//! cap, vote accumulation, and removal semantics are identical at any
-//! shard count — a single-shard registry is bit-for-bit the legacy
-//! structure. Reads ([`RegistryClient::lookup`],
-//! [`RegistryClient::lookup_batch`]) take `&self` and shard read locks,
-//! so the parallel dedup pipeline's worker pool can probe the registry
-//! concurrently; writes ([`RegistryClient::insert_page`],
-//! [`RegistryClient::remove_sandbox`]) route each chunk through its
-//! home shard's write lock. Global counters are atomics.
+//! The table and its reverse index live in one store behind one
+//! `RwLock`. Reads ([`RegistryClient::lookup`],
+//! [`RegistryClient::lookup_batch`]) take `&self` and the read lock, so
+//! the parallel dedup pipeline's worker pool can probe the registry
+//! concurrently; the lookup counter is an atomic for that reason. The
+//! writers ([`RegistryClient::insert_page`] at demarcation,
+//! [`RegistryClient::remove_sandbox`] at teardown) run serially in the
+//! event loop.
 //!
-//! ## Placement
+//! ## Shards and placement
 //!
-//! Where the shards live changes only what the traffic *costs*, never
-//! which candidates come back. A client built with
+//! A shard is only a routing key: chunk hash `h` belongs to shard
+//! `h % N`, which decides where its traffic goes, never what is stored
+//! or which candidates come back. A client built with
 //! [`RegistryClient::in_process`] is the controller-resident table and
 //! charges nothing. One built with [`RegistryClient::distributed`]
 //! additionally carries a placement: shard `s` is owned by worker node
@@ -68,8 +66,8 @@ use medes_net::{Fabric, FabricStats, NetConfig, RegistryOp, RetryPolicy};
 use medes_obs::Obs;
 use medes_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Approximate wire size of one serialized candidate in a lookup
 /// response (location + vote count).
@@ -122,50 +120,17 @@ const MAX_LOCS_PER_HASH: usize = 8;
 /// Approximate per-entry bytes for overhead reporting: hash + location.
 const ENTRY_BYTES: usize = 8 + std::mem::size_of::<ChunkLoc>();
 
-/// Interns per-shard metric names so `Obs` (which takes `&'static str`
-/// keys) can record them. The leak is bounded by the number of distinct
-/// shard indices ever used in the process, not by registry count.
-fn interned_name(name: String) -> &'static str {
-    static NAMES: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut map = NAMES
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .unwrap();
-    if let Some(&s) = map.get(&name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.clone().into_boxed_str());
-    map.insert(name, leaked);
-    leaked
-}
-
-/// One registry shard: the hash table plus the reverse index for the
-/// chunk hashes whose home shard this is.
+/// What the registry holds: the hash table, its reverse index and the
+/// entry counts.
 #[derive(Debug, Default)]
-struct Shard {
+struct Store {
     table: HashMap<ChunkHash, Vec<ChunkLoc>>,
     /// Reverse index for exact removal when a base sandbox is purged.
-    /// Holds only the hashes homed in this shard; shard 0 additionally
-    /// anchors an (possibly empty) entry for every inserted sandbox so
-    /// membership queries see sandboxes whose chunks were all capped.
+    /// Every inserted sandbox has an entry, empty when all its chunks
+    /// were capped, so membership queries still count it.
     by_sandbox: HashMap<SandboxId, Vec<ChunkHash>>,
     entries: usize,
-}
-
-/// Per-shard metric names (present only when observability is enabled).
-#[derive(Debug, Clone, Copy)]
-struct ShardMetricNames {
-    entries: &'static str,
-    lookups: &'static str,
-}
-
-/// Shard ownership: crash and restart update both halves together.
-#[derive(Debug)]
-struct Ownership {
-    /// Shard index → owning node index.
-    owner_of: Vec<usize>,
-    /// Node index → alive? (crashed owners never receive shards).
-    alive: Vec<bool>,
+    peak_entries: usize,
 }
 
 /// Which worker node owns each shard, and what reaching the owners has
@@ -173,52 +138,51 @@ struct Ownership {
 /// client.
 #[derive(Debug)]
 struct Placement {
-    ownership: RwLock<Ownership>,
+    /// Shard index → owning node index.
+    owner_of: Vec<usize>,
+    /// Node index → alive? (crashed owners never receive shards).
+    alive: Vec<bool>,
     /// Registry-private fabric: prices RPCs with the platform's cost
     /// model but keeps its own stats, so report-visible fabric
     /// counters stay byte-identical to an unplaced client.
-    fabric: Mutex<Fabric>,
+    fabric: Fabric,
     retry: RetryPolicy,
-    rpc_time_us: AtomicU64,
-    rereplicated: AtomicU64,
+    rpc_time_us: u64,
+    rereplicated: u64,
 }
 
 impl Placement {
     /// Issues (and accounts) one registry RPC to a shard owner. The
     /// clean registry fabric never fails, so the retry machinery is a
     /// straight pass-through; the result feeds the overhead totals.
-    fn owner_rpc(&self, owner: usize, op: RegistryOp, req: usize, resp: usize) {
-        let mut fabric = self.fabric.lock().unwrap();
+    fn owner_rpc(&mut self, owner: usize, op: RegistryOp, req: usize, resp: usize) {
         // An unreachable owner can only happen if a fault schedule was
         // installed directly on the registry fabric: ownership is
         // re-demarcated at crash time. The op still completes against
         // the store; the failure stays in the fabric's stats.
-        if let Ok(out) =
-            fabric.registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, &self.retry)
-        {
-            self.rpc_time_us
-                .fetch_add(out.time.as_micros(), Ordering::Relaxed);
+        let rpc =
+            self.fabric
+                .registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, &self.retry);
+        if let Ok(out) = rpc {
+            self.rpc_time_us += out.time.as_micros();
         }
     }
 }
 
-/// The global fingerprint registry, sharded by chunk hash, with an
-/// optional placement of those shards on worker nodes. Constructed per
-/// run from the platform config; shared across the dedup pipeline's
-/// worker threads by reference (all methods take `&self`; mutable
-/// state sits behind locks and atomics).
+/// The global fingerprint registry, with an optional placement of its
+/// shards on worker nodes. Constructed per run from the platform
+/// config; shared across the dedup pipeline's worker threads by
+/// reference (all methods take `&self`). A method that needs both
+/// locks takes the store's first, then the placement's.
 #[derive(Debug)]
 pub struct RegistryClient {
-    shards: Vec<RwLock<Shard>>,
-    /// Per-shard probe counters (a lookup probes each chunk's home
-    /// shard); atomics because lookups run under read locks.
-    shard_lookups: Vec<AtomicU64>,
-    entries: AtomicUsize,
-    peak_entries: AtomicUsize,
+    store: RwLock<Store>,
+    /// Lookups served: an atomic, because lookups hold only the read
+    /// lock.
     lookups: AtomicU64,
+    shards: usize,
     obs: Arc<Obs>,
-    metric_names: Vec<ShardMetricNames>,
-    placement: Option<Placement>,
+    placement: Option<Mutex<Placement>>,
 }
 
 impl Default for RegistryClient {
@@ -234,29 +198,14 @@ impl RegistryClient {
         Self::in_process(1, Obs::disabled())
     }
 
-    /// A controller-resident registry with `shards` independent shards
-    /// (clamped to at least 1), recording `medes.registry.*` metrics
-    /// (including per-shard entry gauges and lookup counters).
+    /// A controller-resident registry routing by `shards` keys (clamped
+    /// to at least 1), recording `medes.registry.*` metrics.
     pub fn in_process(shards: usize, obs: Arc<Obs>) -> Self {
-        let n = shards.max(1);
-        let metric_names = if obs.enabled() {
-            (0..n)
-                .map(|i| ShardMetricNames {
-                    entries: interned_name(format!("medes.registry.shard{i}.entries")),
-                    lookups: interned_name(format!("medes.registry.shard{i}.lookups")),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
         RegistryClient {
-            shards: (0..n).map(|_| RwLock::new(Shard::default())).collect(),
-            shard_lookups: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            entries: AtomicUsize::new(0),
-            peak_entries: AtomicUsize::new(0),
+            store: RwLock::new(Store::default()),
             lookups: AtomicU64::new(0),
+            shards: shards.max(1),
             obs,
-            metric_names,
             placement: None,
         }
     }
@@ -275,29 +224,40 @@ impl RegistryClient {
         assert!(nodes > 0, "distributed registry needs at least one node");
         let owners = owners.clamp(1, nodes);
         let mut client = Self::in_process(shards, Arc::clone(&obs));
-        client.placement = Some(Placement {
-            ownership: RwLock::new(Ownership {
-                owner_of: (0..client.shards.len()).map(|s| s % owners).collect(),
-                alive: vec![true; nodes],
-            }),
-            fabric: Mutex::new(Fabric::with_obs(nodes, net, obs)),
+        client.placement = Some(Mutex::new(Placement {
+            owner_of: (0..client.shards).map(|s| s % owners).collect(),
+            alive: vec![true; nodes],
+            fabric: Fabric::with_obs(nodes, net, obs),
             retry,
-            rpc_time_us: AtomicU64::new(0),
-            rereplicated: AtomicU64::new(0),
-        });
+            rpc_time_us: 0,
+            rereplicated: 0,
+        }));
         client
+    }
+
+    fn store(&self) -> RwLockReadGuard<'_, Store> {
+        self.store.read().expect("a registry writer panicked")
+    }
+
+    fn store_mut(&self) -> RwLockWriteGuard<'_, Store> {
+        self.store.write().expect("a registry writer panicked")
+    }
+
+    fn placement(&self) -> Option<MutexGuard<'_, Placement>> {
+        let p = self.placement.as_ref()?;
+        Some(p.lock().expect("a registry RPC panicked"))
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.shards
     }
 
-    /// Home shard of a chunk hash. Derived from the content hash value
+    /// Shard of a chunk hash. Derived from the content hash value
     /// itself, so the mapping is deterministic across runs and
     /// processes (never Rust's randomized `HashMap` state).
     fn shard_of(&self, hash: ChunkHash) -> usize {
-        (hash % self.shards.len() as u64) as usize
+        (hash % self.shards as u64) as usize
     }
 
     /// Under a placement, charges one RPC per shard `fps` touches, to
@@ -309,30 +269,22 @@ impl RegistryClient {
         op: RegistryOp,
         sizes: impl Fn(usize) -> (usize, usize),
     ) {
-        let Some(p) = &self.placement else {
+        let Some(mut p) = self.placement() else {
             return;
         };
-        let mut probes = vec![0usize; self.shards.len()];
+        let mut probes = vec![0usize; self.shards];
         for chunk in fps.iter().flat_map(|fp| fp.chunks()) {
             probes[self.shard_of(chunk.hash)] += 1;
         }
-        let own = p.ownership.read().unwrap();
         for (s, &n) in probes.iter().enumerate() {
             if n > 0 {
-                let (req, resp) = sizes(n);
-                p.owner_rpc(own.owner_of[s], op, req, resp);
+                let ((req, resp), owner) = (sizes(n), p.owner_of[s]);
+                p.owner_rpc(owner, op, req, resp);
             }
         }
     }
 
-    fn charge_lookup(&self, fps: &[PageFingerprint]) {
-        self.charge_per_shard(fps, RegistryOp::Lookup, |n| {
-            (n * PROBE_BYTES, n * CANDIDATE_BYTES)
-        });
-    }
-
-    /// Inserts all fingerprint chunks of one base-sandbox page, each
-    /// routed through its home shard's write lock.
+    /// Inserts all fingerprint chunks of one base-sandbox page.
     pub fn insert_page(&self, fp: &PageFingerprint, loc: ChunkLoc) {
         self.charge_per_shard(std::slice::from_ref(fp), RegistryOp::Insert, |n| {
             (
@@ -340,150 +292,75 @@ impl RegistryClient {
                 PROBE_BYTES,
             )
         });
-        let nshards = self.shards.len();
-        let mut inserted_total = 0usize;
-        // Anchor the sandbox in shard 0's reverse index even when no
-        // chunk lands there (or none is inserted at all): the legacy
-        // single-shard registry created the `by_sandbox` entry
-        // unconditionally, and `base_sandboxes`/`contains_sandbox`
-        // must keep counting such sandboxes at every shard count.
-        self.shards[0]
-            .write()
-            .unwrap()
-            .by_sandbox
-            .entry(loc.sandbox)
-            .or_default();
-        // One write-lock acquisition per shard touched, in shard order.
-        for s in 0..nshards {
-            let mut chunks = fp
-                .chunks()
-                .iter()
-                .filter(|c| self.shard_of(c.hash) == s)
-                .peekable();
-            if chunks.peek().is_none() {
-                continue;
-            }
-            let mut shard = self.shards[s].write().unwrap();
-            let mut inserted = 0usize;
-            for chunk in chunks {
-                let locs = shard.table.entry(chunk.hash).or_default();
-                if locs.len() < MAX_LOCS_PER_HASH {
-                    locs.push(loc);
-                    inserted += 1;
-                    shard
-                        .by_sandbox
-                        .entry(loc.sandbox)
-                        .or_default()
-                        .push(chunk.hash);
-                }
-            }
-            shard.entries += inserted;
-            inserted_total += inserted;
-            if self.obs.enabled() {
-                self.obs
-                    .gauge_set(self.metric_names[s].entries, shard.entries as f64);
-            }
-        }
-        let entries = self.entries.fetch_add(inserted_total, Ordering::Relaxed) + inserted_total;
-        self.peak_entries.fetch_max(entries, Ordering::Relaxed);
-        if self.obs.enabled() {
-            self.obs
-                .counter_add("medes.registry.inserts", inserted_total as u64);
-            self.obs.gauge_set("medes.registry.entries", entries as f64);
-        }
-    }
-
-    /// Accumulates one fingerprint's votes out of the shards. Callers
-    /// hold no locks; each chunk probes its home shard.
-    fn accumulate_votes(&self, fp: &PageFingerprint, votes: &mut HashMap<ChunkLoc, u32>) {
+        let mut store = self.store_mut();
+        let Store {
+            table,
+            by_sandbox,
+            entries,
+            peak_entries,
+        } = &mut *store;
+        let hashes = by_sandbox.entry(loc.sandbox).or_default();
+        let mut inserted = 0usize;
         for chunk in fp.chunks() {
-            let s = self.shard_of(chunk.hash);
-            self.shard_lookups[s].fetch_add(1, Ordering::Relaxed);
-            if self.obs.enabled() {
-                self.obs.incr(self.metric_names[s].lookups);
-            }
-            let shard = self.shards[s].read().unwrap();
-            if let Some(locs) = shard.table.get(&chunk.hash) {
-                for &loc in locs {
-                    *votes.entry(loc).or_insert(0) += 1;
-                }
+            let locs = table.entry(chunk.hash).or_default();
+            if locs.len() < MAX_LOCS_PER_HASH {
+                locs.push(loc);
+                hashes.push(chunk.hash);
+                inserted += 1;
             }
         }
-    }
-
-    /// Orders candidates by descending vote count with a total-order
-    /// tie-break, so the result is independent of shard count and of
-    /// `HashMap` iteration order.
-    fn sorted_candidates(votes: HashMap<ChunkLoc, u32>) -> Vec<Candidate> {
-        let mut out: Vec<Candidate> = votes
-            .into_iter()
-            .map(|(loc, votes)| Candidate { loc, votes })
-            .collect();
-        out.sort_unstable_by(|a, b| {
-            b.votes
-                .cmp(&a.votes)
-                .then_with(|| a.loc.sandbox.cmp(&b.loc.sandbox))
-                .then_with(|| a.loc.page.cmp(&b.loc.page))
-                .then_with(|| a.loc.node.cmp(&b.loc.node))
-        });
-        out
-    }
-
-    /// Looks up a page fingerprint and returns candidate base pages
-    /// ordered by descending vote count (stable order for determinism).
-    ///
-    /// Takes `&self`: lookups share the registry across the dedup
-    /// pipeline's worker threads, guarded by shard read locks, with
-    /// the lookup counter kept in an atomic.
-    pub fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
-        self.charge_lookup(std::slice::from_ref(fp));
-        self.lookups.fetch_add(1, Ordering::Relaxed);
-        let mut votes: HashMap<ChunkLoc, u32> = HashMap::new();
-        self.accumulate_votes(fp, &mut votes);
-        let out = Self::sorted_candidates(votes);
+        *entries += inserted;
+        *peak_entries = (*peak_entries).max(*entries);
         if self.obs.enabled() {
-            self.obs.incr("medes.registry.lookups");
             self.obs
-                .record("medes.registry.candidates", out.len() as u64);
+                .counter_add("medes.registry.inserts", inserted as u64);
+            self.obs
+                .gauge_set("medes.registry.entries", *entries as f64);
         }
-        out
     }
 
-    /// Looks up a batch of page fingerprints, grouping the chunk probes
-    /// by home shard so each shard's read lock is taken at most once
-    /// per batch. Returns one candidate list per input fingerprint,
-    /// identical to calling [`RegistryClient::lookup`] on each.
+    /// Looks up a page fingerprint: [`RegistryClient::lookup_batch`] of
+    /// one.
+    pub fn lookup(&self, fp: &PageFingerprint) -> Vec<Candidate> {
+        let mut out = self.lookup_batch(std::slice::from_ref(fp));
+        out.pop().expect("one candidate list per fingerprint")
+    }
+
+    /// Looks up a batch of page fingerprints under one read lock and
+    /// returns one candidate list per fingerprint, ordered by
+    /// descending vote count with a total-order tie-break (sandbox,
+    /// page, node), so the result is independent of `HashMap`
+    /// iteration order.
     pub fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
-        self.charge_lookup(fps);
+        self.charge_per_shard(fps, RegistryOp::Lookup, |n| {
+            (n * PROBE_BYTES, n * CANDIDATE_BYTES)
+        });
         self.lookups.fetch_add(fps.len() as u64, Ordering::Relaxed);
-        let nshards = self.shards.len();
-        // probes[s] = (fingerprint index, chunk hash) pairs homed in s.
-        let mut probes: Vec<Vec<(usize, ChunkHash)>> = vec![Vec::new(); nshards];
-        for (i, fp) in fps.iter().enumerate() {
-            for chunk in fp.chunks() {
-                probes[self.shard_of(chunk.hash)].push((i, chunk.hash));
-            }
-        }
-        let mut votes: Vec<HashMap<ChunkLoc, u32>> = vec![HashMap::new(); fps.len()];
-        for (s, shard_probes) in probes.iter().enumerate() {
-            if shard_probes.is_empty() {
-                continue;
-            }
-            self.shard_lookups[s].fetch_add(shard_probes.len() as u64, Ordering::Relaxed);
-            if self.obs.enabled() {
-                self.obs
-                    .counter_add(self.metric_names[s].lookups, shard_probes.len() as u64);
-            }
-            let shard = self.shards[s].read().unwrap();
-            for &(i, hash) in shard_probes {
-                if let Some(locs) = shard.table.get(&hash) {
-                    for &loc in locs {
-                        *votes[i].entry(loc).or_insert(0) += 1;
+        let store = self.store();
+        let out: Vec<Vec<Candidate>> = fps
+            .iter()
+            .map(|fp| {
+                let mut votes: HashMap<ChunkLoc, u32> = HashMap::new();
+                for chunk in fp.chunks() {
+                    for &loc in store.table.get(&chunk.hash).into_iter().flatten() {
+                        *votes.entry(loc).or_insert(0) += 1;
                     }
                 }
-            }
-        }
-        let out: Vec<Vec<Candidate>> = votes.into_iter().map(Self::sorted_candidates).collect();
+                let mut cands: Vec<Candidate> = votes
+                    .into_iter()
+                    .map(|(loc, votes)| Candidate { loc, votes })
+                    .collect();
+                cands.sort_unstable_by(|a, b| {
+                    b.votes
+                        .cmp(&a.votes)
+                        .then_with(|| a.loc.sandbox.cmp(&b.loc.sandbox))
+                        .then_with(|| a.loc.page.cmp(&b.loc.page))
+                        .then_with(|| a.loc.node.cmp(&b.loc.node))
+                });
+                cands
+            })
+            .collect();
+        drop(store);
         if self.obs.enabled() {
             self.obs
                 .counter_add("medes.registry.lookups", fps.len() as u64);
@@ -495,67 +372,51 @@ impl RegistryClient {
         out
     }
 
-    /// Removes every entry contributed by a base sandbox, shard by
-    /// shard through the shard-local write locks.
+    /// Removes every entry contributed by a base sandbox.
     pub fn remove_sandbox(&self, sandbox: SandboxId) {
-        if let Some(p) = &self.placement {
+        let mut store = self.store_mut();
+        let Some(hashes) = store.by_sandbox.remove(&sandbox) else {
+            return;
+        };
+        if let Some(mut p) = self.placement() {
             // Removal is a broadcast: a sandbox's chunk hashes span
             // shards, and the reverse index lives with each owner.
-            if self.contains_sandbox(sandbox) {
-                let mut owners = p.ownership.read().unwrap().owner_of.clone();
-                owners.sort_unstable();
-                owners.dedup();
-                for owner in owners {
-                    p.owner_rpc(owner, RegistryOp::Remove, PROBE_BYTES, PROBE_BYTES);
+            let mut owners = p.owner_of.clone();
+            owners.sort_unstable();
+            owners.dedup();
+            for owner in owners {
+                p.owner_rpc(owner, RegistryOp::Remove, PROBE_BYTES, PROBE_BYTES);
+            }
+        }
+        let mut removed = 0usize;
+        for h in hashes {
+            if let Some(locs) = store.table.get_mut(&h) {
+                let before = locs.len();
+                locs.retain(|l| l.sandbox != sandbox);
+                removed += before - locs.len();
+                if locs.is_empty() {
+                    store.table.remove(&h);
                 }
             }
         }
-        let mut removed_total = 0usize;
-        let mut known = false;
-        for (s, lock) in self.shards.iter().enumerate() {
-            let mut shard = lock.write().unwrap();
-            let Some(hashes) = shard.by_sandbox.remove(&sandbox) else {
-                continue;
-            };
-            known = true;
-            let mut removed = 0usize;
-            for h in hashes {
-                if let Some(locs) = shard.table.get_mut(&h) {
-                    let before = locs.len();
-                    locs.retain(|l| l.sandbox != sandbox);
-                    removed += before - locs.len();
-                    if locs.is_empty() {
-                        shard.table.remove(&h);
-                    }
-                }
-            }
-            shard.entries -= removed;
-            removed_total += removed;
-            if self.obs.enabled() {
-                self.obs
-                    .gauge_set(self.metric_names[s].entries, shard.entries as f64);
-            }
-        }
-        if !known {
-            return;
-        }
-        let entries = self.entries.fetch_sub(removed_total, Ordering::Relaxed) - removed_total;
+        store.entries -= removed;
         if self.obs.enabled() {
             self.obs.incr("medes.registry.evictions");
-            self.obs.gauge_set("medes.registry.entries", entries as f64);
+            self.obs
+                .gauge_set("medes.registry.entries", store.entries as f64);
         }
     }
 
     /// Number of (hash, location) entries.
     pub fn entries(&self) -> usize {
-        self.entries.load(Ordering::Relaxed)
+        self.store().entries
     }
 
     /// High-water mark of entries over the registry's lifetime (the
     /// §7.7 controller-overhead number; the live count drains as base
     /// sandboxes expire at the end of a run).
     pub fn peak_entries(&self) -> usize {
-        self.peak_entries.load(Ordering::Relaxed)
+        self.store().peak_entries
     }
 
     /// High-water mark of registry bytes.
@@ -568,21 +429,17 @@ impl RegistryClient {
         self.lookups.load(Ordering::Relaxed)
     }
 
-    /// Live entry count per shard.
+    /// Live entry count per shard, counted from the table.
     pub fn shard_entries(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap().entries)
-            .collect()
+        self.entries_per_shard(&self.store())
     }
 
-    /// Chunk probes served per shard (a lookup probes each of its
-    /// chunks' home shards once).
-    pub fn shard_lookup_counts(&self) -> Vec<u64> {
-        self.shard_lookups
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
+    fn entries_per_shard(&self, store: &Store) -> Vec<usize> {
+        let mut out = vec![0usize; self.shards];
+        for (&hash, locs) in &store.table {
+            out[self.shard_of(hash)] += locs.len();
+        }
+        out
     }
 
     /// Approximate resident bytes of the registry.
@@ -590,125 +447,77 @@ impl RegistryClient {
         self.entries() * ENTRY_BYTES
     }
 
-    /// Number of base sandboxes currently contributing entries — the
-    /// *distinct* union across shards (a sandbox's chunk hashes span
-    /// shards, so summing per-shard reverse-index sizes would
-    /// over-count).
+    /// Number of base sandboxes currently indexed.
     pub fn base_sandboxes(&self) -> usize {
-        if self.shards.len() == 1 {
-            return self.shards[0].read().unwrap().by_sandbox.len();
-        }
-        let mut seen: std::collections::HashSet<SandboxId> = std::collections::HashSet::new();
-        for lock in &self.shards {
-            seen.extend(lock.read().unwrap().by_sandbox.keys().copied());
-        }
-        seen.len()
+        self.store().by_sandbox.len()
     }
 
-    /// Whether any shard still holds entries (or the reverse-index
-    /// anchor) for this sandbox.
+    /// Whether the registry still indexes this sandbox.
     pub fn contains_sandbox(&self, sandbox: SandboxId) -> bool {
-        self.shards
-            .iter()
-            .any(|s| s.read().unwrap().by_sandbox.contains_key(&sandbox))
+        self.store().by_sandbox.contains_key(&sandbox)
     }
 
     /// Number of chunk locations pointing at `node`. Used by crash
     /// recovery to assert a dead node's chunks were all purged.
     pub fn locs_on_node(&self, node: NodeId) -> usize {
-        self.shards
-            .iter()
-            .map(|lock| {
-                let shard = lock.read().unwrap();
-                shard
-                    .table
-                    .values()
-                    .map(|locs| locs.iter().filter(|l| l.node == node).count())
-                    .sum::<usize>()
-            })
-            .sum()
+        let store = self.store();
+        let locs = store.table.values().flatten();
+        locs.filter(|l| l.node == node).count()
     }
 
-    /// Checks that every shard's `table` and `by_sandbox` are mutually
-    /// consistent, that each chunk hash lives in (only) its home shard
-    /// — cross-shard disjointness — that the global entry counter
-    /// matches the per-shard sums, and, under a placement, that every
-    /// shard is owned by a live node (or that no node is alive).
+    /// Checks that `table` and `by_sandbox` agree entry for entry, that
+    /// the entry counter matches the table, and, under a placement,
+    /// that every shard is owned by a live node (or that no node is
+    /// alive).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let mut total = 0usize;
-        for (s, lock) in self.shards.iter().enumerate() {
-            let shard = lock.read().unwrap();
-            let counted: usize = shard.table.values().map(Vec::len).sum();
-            if counted != shard.entries {
-                return Err(format!(
-                    "shard {s}: entry count drifted: counted {counted}, tracked {}",
-                    shard.entries
-                ));
+        let store = self.store();
+        let counted: usize = store.table.values().map(Vec::len).sum();
+        if counted != store.entries {
+            return Err(format!(
+                "entry count drifted: counted {counted}, tracked {}",
+                store.entries
+            ));
+        }
+        let mut per_sandbox_hash: HashMap<(SandboxId, ChunkHash), usize> = HashMap::new();
+        for (&hash, locs) in &store.table {
+            if locs.is_empty() {
+                return Err(format!("empty location list left for {hash:#x}"));
             }
-            total += counted;
-            let mut per_sandbox_hash: HashMap<(SandboxId, ChunkHash), usize> = HashMap::new();
-            for (&hash, locs) in &shard.table {
-                if self.shard_of(hash) != s {
+            for loc in locs {
+                if !store.by_sandbox.contains_key(&loc.sandbox) {
                     return Err(format!(
-                        "shard {s}: hash {hash:#x} homed in shard {} (cross-shard \
-                         disjointness violated)",
-                        self.shard_of(hash)
+                        "table references sandbox sb{} unknown to by_sandbox",
+                        loc.sandbox.0
                     ));
                 }
-                if locs.is_empty() {
-                    return Err(format!("shard {s}: empty location list left for {hash:#x}"));
-                }
-                for loc in locs {
-                    if !shard.by_sandbox.contains_key(&loc.sandbox) {
-                        return Err(format!(
-                            "shard {s}: table references sandbox sb{} unknown to by_sandbox",
-                            loc.sandbox.0
-                        ));
-                    }
-                    *per_sandbox_hash.entry((loc.sandbox, hash)).or_insert(0) += 1;
-                }
-            }
-            let mut reverse: HashMap<(SandboxId, ChunkHash), usize> = HashMap::new();
-            for (&sb, hashes) in &shard.by_sandbox {
-                for &h in hashes {
-                    if self.shard_of(h) != s {
-                        return Err(format!(
-                            "shard {s}: by_sandbox hash {h:#x} homed in shard {}",
-                            self.shard_of(h)
-                        ));
-                    }
-                    *reverse.entry((sb, h)).or_insert(0) += 1;
-                }
-            }
-            if per_sandbox_hash != reverse {
-                return Err(format!(
-                    "shard {s}: by_sandbox multiplicities do not match the table"
-                ));
+                *per_sandbox_hash.entry((loc.sandbox, hash)).or_insert(0) += 1;
             }
         }
-        if total != self.entries() {
-            return Err(format!(
-                "global entry counter drifted: shards hold {total}, tracked {}",
-                self.entries()
-            ));
+        let mut reverse: HashMap<(SandboxId, ChunkHash), usize> = HashMap::new();
+        for (&sb, hashes) in &store.by_sandbox {
+            for &h in hashes {
+                *reverse.entry((sb, h)).or_insert(0) += 1;
+            }
         }
-        let Some(p) = &self.placement else {
+        if per_sandbox_hash != reverse {
+            return Err("by_sandbox multiplicities do not match the table".into());
+        }
+        let Some(p) = self.placement() else {
             return Ok(());
         };
-        let own = p.ownership.read().unwrap();
-        if own.owner_of.len() != self.shards.len() {
+        if p.owner_of.len() != self.shards {
             return Err(format!(
-                "ownership map covers {} shards, store has {}",
-                own.owner_of.len(),
-                self.shards.len()
+                "ownership map covers {} shards, registry routes {}",
+                p.owner_of.len(),
+                self.shards
             ));
         }
-        let any_alive = own.alive.contains(&true);
-        for (s, &o) in own.owner_of.iter().enumerate() {
-            if o >= own.alive.len() {
+        let any_alive = p.alive.contains(&true);
+        for (s, &o) in p.owner_of.iter().enumerate() {
+            if o >= p.alive.len() {
                 return Err(format!("shard {s} owned by out-of-range node {o}"));
             }
-            if !own.alive[o] && any_alive {
+            if !p.alive[o] && any_alive {
                 return Err(format!("shard {s} owned by dead node {o}"));
             }
         }
@@ -718,8 +527,8 @@ impl RegistryClient {
     /// Mirrors the simulated clock into the placement's fabric, so RPCs
     /// are priced at the current instant.
     pub fn set_now(&self, now: SimTime) {
-        if let Some(p) = &self.placement {
-            p.fabric.lock().unwrap().set_now(now);
+        if let Some(mut p) = self.placement() {
+            p.fabric.set_now(now);
         }
     }
 
@@ -731,41 +540,40 @@ impl RegistryClient {
     /// no survivor the shards stay put until a node restarts.
     pub fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
         let mut rec = CrashRecovery::default();
-        let Some(p) = &self.placement else {
+        let store = self.store();
+        let Some(mut p) = self.placement() else {
             return rec;
         };
-        let mut own = p.ownership.write().unwrap();
-        if node.0 >= own.alive.len() || !own.alive[node.0] {
+        if node.0 >= p.alive.len() || !p.alive[node.0] {
             return rec;
         }
-        own.alive[node.0] = false;
-        let survivors: Vec<usize> = (0..own.alive.len()).filter(|&n| own.alive[n]).collect();
+        p.alive[node.0] = false;
+        let survivors: Vec<usize> = (0..p.alive.len()).filter(|&n| p.alive[n]).collect();
         if survivors.is_empty() {
             return rec;
         }
-        let shard_entries = self.shard_entries();
-        for (s, owner) in own.owner_of.iter_mut().enumerate() {
-            if *owner != node.0 {
+        let shard_entries = self.entries_per_shard(&store);
+        for (s, &entries) in shard_entries.iter().enumerate() {
+            if p.owner_of[s] != node.0 {
                 continue;
             }
             // The dead owner's physical copy is gone; the recoverable
             // entries (their backing base sandboxes are on live nodes —
             // dead bases were already purged by the platform) move to
             // the new owner.
-            *owner = survivors[rec.reassigned_shards % survivors.len()];
+            let owner = survivors[rec.reassigned_shards % survivors.len()];
+            p.owner_of[s] = owner;
             rec.reassigned_shards += 1;
-            let entries = shard_entries[s];
             rec.purged_entries += entries;
             rec.rereplicated_entries += entries;
             p.owner_rpc(
-                *owner,
+                owner,
                 RegistryOp::Replicate,
                 2 * PROBE_BYTES,
                 entries * ENTRY_BYTES,
             );
         }
-        p.rereplicated
-            .fetch_add(rec.rereplicated_entries as u64, Ordering::Relaxed);
+        p.rereplicated += rec.rereplicated_entries as u64;
         if self.obs.enabled() && rec.reassigned_shards > 0 {
             self.obs
                 .counter_add("medes.registry.crash_purged", rec.purged_entries as u64);
@@ -786,11 +594,12 @@ impl RegistryClient {
     /// shard from a live owner (no proactive rebalancing); shards a
     /// full outage left with dead owners are adopted by it.
     pub fn on_node_restart(&self, node: NodeId) {
-        let Some(p) = &self.placement else {
+        let Some(mut p) = self.placement() else {
             return;
         };
-        let mut own = p.ownership.write().unwrap();
-        let Ownership { owner_of, alive } = &mut *own;
+        let Placement {
+            owner_of, alive, ..
+        } = &mut *p;
         if node.0 >= alive.len() {
             return;
         }
@@ -800,26 +609,22 @@ impl RegistryClient {
         }
     }
 
-    /// Entries resident in shards owned by `node`: 0 without a
-    /// placement, where worker nodes own nothing.
+    /// Entries in shards owned by `node`: 0 without a placement, where
+    /// worker nodes own nothing.
     pub fn entries_owned_by(&self, node: NodeId) -> usize {
-        let Some(p) = &self.placement else {
+        let store = self.store();
+        let Some(p) = self.placement() else {
             return 0;
         };
-        let own = p.ownership.read().unwrap();
-        self.shard_entries()
-            .iter()
-            .zip(own.owner_of.iter())
-            .filter(|&(_, &o)| o == node.0)
-            .map(|(&e, _)| e)
-            .sum()
+        let per_shard = self.entries_per_shard(&store);
+        let owned = per_shard.iter().zip(&p.owner_of);
+        owned.filter(|&(_, &o)| o == node.0).map(|(&e, _)| e).sum()
     }
 
     /// Cumulative registry RPC traffic (zero without a placement).
     pub fn rpc_stats(&self) -> FabricStats {
-        self.placement
-            .as_ref()
-            .map(|p| p.fabric.lock().unwrap().stats())
+        self.placement()
+            .map(|p| p.fabric.stats())
             .unwrap_or_default()
     }
 
@@ -827,39 +632,29 @@ impl RegistryClient {
     /// report-visible path: dedup runs off the critical path, so the
     /// latency is an overhead figure, not a scheduling input.
     pub fn rpc_time(&self) -> SimDuration {
-        SimDuration::from_micros(
-            self.placement
-                .as_ref()
-                .map_or(0, |p| p.rpc_time_us.load(Ordering::Relaxed)),
-        )
+        SimDuration::from_micros(self.placement().map_or(0, |p| p.rpc_time_us))
     }
 
     /// Cumulative entries re-replicated by crash recoveries.
     pub fn rereplicated_entries(&self) -> u64 {
-        self.placement
-            .as_ref()
-            .map_or(0, |p| p.rereplicated.load(Ordering::Relaxed))
+        self.placement().map_or(0, |p| p.rereplicated)
     }
 
     /// Number of shards currently owned by `node`.
     #[cfg(test)]
     fn shards_owned_by(&self, node: NodeId) -> usize {
-        let p = self.placement.as_ref().expect("placed client");
-        let own = p.ownership.read().unwrap();
-        own.owner_of.iter().filter(|&&o| o == node.0).count()
+        let p = self.placement().expect("placed client");
+        p.owner_of.iter().filter(|&&o| o == node.0).count()
     }
 
     /// All (hash, location) pairs, for test assertions.
     #[cfg(test)]
     fn snapshot_locs(&self) -> Vec<(ChunkHash, ChunkLoc)> {
-        let mut out = Vec::new();
-        for lock in &self.shards {
-            let shard = lock.read().unwrap();
-            for (&h, locs) in &shard.table {
-                out.extend(locs.iter().map(|&l| (h, l)));
-            }
-        }
-        out
+        let store = self.store();
+        let pairs = store.table.iter();
+        pairs
+            .flat_map(|(&h, locs)| locs.iter().map(move |&l| (h, l)))
+            .collect()
     }
 }
 
@@ -1060,7 +855,7 @@ mod tests {
     }
 
     /// Randomized insert/remove/crash/restart interleavings — including
-    /// full outages — must keep every shard's `table` and `by_sandbox`
+    /// full outages — must keep the store's `table` and `by_sandbox`
     /// mutually consistent, at several shard counts, on a placed client
     /// and an in-process client fed the same stream; the two must agree
     /// on every lookup, no shard entry may sit with a dead owner, and no
@@ -1224,17 +1019,15 @@ mod tests {
         reg.lookup(&fp);
         assert_eq!(obs.counter("medes.registry.inserts"), fp.len() as u64);
         assert_eq!(obs.counter("medes.registry.lookups"), 1);
-        // Per-shard probe counters sum to the chunk probes served.
-        let per_shard: u64 = (0..2)
-            .map(|i| obs.counter(interned_name(format!("medes.registry.shard{i}.lookups"))))
-            .sum();
-        assert_eq!(per_shard, fp.len() as u64);
-        assert_eq!(
-            reg.shard_lookup_counts().iter().sum::<u64>(),
-            fp.len() as u64
-        );
         reg.remove_sandbox(SandboxId(1));
         assert_eq!(obs.counter("medes.registry.evictions"), 1);
+        // Shards only route traffic: no metric is kept per shard.
+        let names: Vec<&str> = obs.metrics_snapshot().iter().map(|&(n, _)| n).collect();
+        assert!(names.contains(&"medes.registry.entries"), "{names:?}");
+        assert!(
+            names.iter().all(|n| !n.contains("medes.registry.shard")),
+            "{names:?}"
+        );
     }
 
     fn distributed(shards: usize, owners: usize, nodes: usize) -> RegistryClient {
@@ -1401,7 +1194,6 @@ mod tests {
         assert_eq!(a.peak_mem_bytes(), b.peak_mem_bytes());
         assert_eq!(a.shard_count(), b.shard_count());
         assert_eq!(a.shard_entries(), b.shard_entries());
-        assert_eq!(a.shard_lookup_counts(), b.shard_lookup_counts());
         assert_eq!(a.base_sandboxes(), b.base_sandboxes());
         // Only the distributed client reports RPC traffic.
         assert_eq!(a.rpc_stats().rpcs, 0);

@@ -412,7 +412,7 @@ impl Obs {
     }
 
     /// Appends one gauge point to the named time series at simulated
-    /// time `t`. For dynamic names (per-node, per-shard) the sampler
+    /// time `t`. For dynamic names (per-node) the sampler
     /// cannot route through the `'static`-keyed registry.
     pub fn series_point(&self, name: &str, t: SimTime, value: f64) {
         if self.enabled {

@@ -1,8 +1,11 @@
-//! Differential tests for the sharded registry + batch-parallel dedup
-//! pipeline: the `RunReport` must be bit-identical at every shard count
-//! and every worker count, because scans are pure (shard read locks,
-//! no fabric access) and commits merge serially in first-enqueued
-//! order (DESIGN.md §10). The grid runs both clean and under a chaos
+//! Differential tests for the registry + batch-parallel dedup pipeline:
+//! the `RunReport` must be bit-identical at every shard count and every
+//! worker count, because scans are pure (the registry's read lock, no
+//! fabric access) and commits merge serially in first-enqueued order
+//! (DESIGN.md §10). Above one shard the registry is placed on three
+//! owners, so concurrent lookups also price their RPCs through the
+//! placement, and the chaos grid re-demarcates shards of crashed
+//! owners while workers scan. The grid runs both clean and under a chaos
 //! fault plan — the fault schedule consumes RNG per fabric op, so any
 //! reordering of fabric traffic across worker counts would surface
 //! here as a diverged report. Beside the report, the host-work counts
@@ -41,9 +44,15 @@ fn pressured_trace(secs: u64, seed: u64) -> (Vec<FunctionProfile>, Trace) {
 }
 
 /// Memory-pressured Medes config at the given shard/worker counts,
-/// through the validating builder (no harness flag sets either).
+/// through the validating builder (no harness flag sets either). Above
+/// one shard the registry is placed on three owners: shards only route
+/// a placed registry's RPCs.
 fn pipelined_config(shards: usize, workers: usize) -> PlatformConfig {
-    PlatformConfig::test_builder()
+    let mut builder = PlatformConfig::test_builder();
+    if shards > 1 {
+        builder = builder.registry_owners(3);
+    }
+    builder
         .tweak(|cfg| {
             if let PolicyKind::Medes(m) = &mut cfg.policy {
                 m.idle_period = SimDuration::from_secs(5);

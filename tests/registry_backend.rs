@@ -56,7 +56,7 @@ fn backends(shards: usize) -> Vec<(String, RegistryClient)> {
 }
 
 /// Snapshot of every store counter, for parity assertions.
-fn counters(c: &RegistryClient) -> (usize, usize, u64, usize, usize, Vec<usize>, Vec<u64>, usize) {
+fn counters(c: &RegistryClient) -> (usize, usize, u64, usize, usize, Vec<usize>, usize) {
     (
         c.entries(),
         c.peak_entries(),
@@ -64,7 +64,6 @@ fn counters(c: &RegistryClient) -> (usize, usize, u64, usize, usize, Vec<usize>,
         c.mem_bytes(),
         c.peak_mem_bytes(),
         c.shard_entries(),
-        c.shard_lookup_counts(),
         c.base_sandboxes(),
     )
 }
