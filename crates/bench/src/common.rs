@@ -26,7 +26,8 @@ pub struct FaultSpec {
 
 impl FaultSpec {
     /// Parses `rate=<f>[,seed=<u64>]` (order-insensitive). Returns
-    /// `None` on malformed input so the caller can print usage.
+    /// `None` on malformed input so the caller can print usage, and for
+    /// a rate outside [0, 20] (NaN included).
     pub fn parse(s: &str) -> Option<Self> {
         let mut rate = None;
         let mut seed = DEFAULT_FAULT_SEED;
@@ -38,7 +39,9 @@ impl FaultSpec {
                 _ => return None,
             }
         }
-        Some(FaultSpec { rate: rate?, seed })
+        // Above 20 the plan's RPC drop probability, 0.05·rate, passes 1.
+        let rate = rate.filter(|r| (0.0..=20.0).contains(r))?;
+        Some(FaultSpec { rate, seed })
     }
 }
 
@@ -75,9 +78,8 @@ pub struct ExpConfig {
     /// Entropy-mixture content model (`--content-model`): every
     /// platform built by [`ExpConfig::platform`] uses the calibrated
     /// per-region low/medium/high-entropy mixture with dispersed
-    /// per-instance noise (DESIGN.md §13) instead of the legacy tile
-    /// model. `false` keeps every experiment byte-identical to the
-    /// legacy build.
+    /// per-instance noise (DESIGN.md §13). `false` keeps the default
+    /// weights, `ContentModelConfig::legacy()`.
     pub content_model: bool,
 }
 
@@ -308,6 +310,11 @@ mod tests {
         );
         assert_eq!(FaultSpec::parse("seed=9"), None);
         assert_eq!(FaultSpec::parse("rate=x"), None);
+        assert_eq!(FaultSpec::parse("rate=0").map(|f| f.rate), Some(0.0));
+        assert_eq!(FaultSpec::parse("rate=20").map(|f| f.rate), Some(20.0));
+        for bad in ["nan", "inf", "-0.5", "20.5", "1e300"] {
+            assert_eq!(FaultSpec::parse(&format!("rate={bad}")), None, "{bad}");
+        }
         assert_eq!(FaultSpec::parse("bogus=1"), None);
     }
 

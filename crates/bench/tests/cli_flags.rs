@@ -48,6 +48,16 @@ fn unknown_flag_or_id_is_rejected_before_any_experiment_runs() {
     assert_usage_error(&["trace", "report", "--bogus"]);
 }
 
+/// A `--faults` rate that is not a finite number in [0, 20] is a usage
+/// error: an infinite or huge rate would synthesize an endless crash
+/// list before any experiment ran, and NaN would inject one crash.
+#[test]
+fn out_of_range_fault_rate_is_a_usage_error() {
+    for rate in ["nan", "inf", "-1", "20.5"] {
+        assert_usage_error(&["fig13", "--quick", "--faults", &format!("rate={rate}")]);
+    }
+}
+
 /// `trace report` is the one trace subcommand: the five it replaced are
 /// unknown words, and it needs exactly its operand and its flags'
 /// values.

@@ -44,10 +44,9 @@ impl Cluster {
         let Some(sb) = self.life.current(id, epoch, SandboxState::Warm) else {
             return;
         };
-        if now.since(sb.last_used) < idle_period {
-            sched.at(sb.last_used + idle_period, Ev::IdleCheck(id, epoch));
-            return;
-        }
+        // Only `go_warm` and `commit_dedup` move `last_used`, and both
+        // start a new epoch, so a current check is never early.
+        debug_assert!(now.since(sb.last_used) >= idle_period);
         let (f, is_base) = (sb.func.0, self.bases.is_base(id));
         // Base demarcation has priority: the first dedup-eligible
         // sandbox (or one per T dedups) becomes a base instead. A base

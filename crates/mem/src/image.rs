@@ -27,11 +27,13 @@
 //! stream in stream order. An instance build computes its page layout
 //! (the identity, or the heap's per-instance insert/skip jitter), copies
 //! each page of the stream from the template, fills only the tiles the
-//! template marks `Unique` (none in a file-backed region under the
-//! calibrated mixture, 15–18 % of heap and stack) and the pages the
-//! instance inserted, and applies its own two noise passes. There is
-//! one build path: a file-backed region is the overlay with nothing to
-//! overlay.
+//! template marks `Unique` and the pages the instance inserted, and
+//! applies its own two noise passes. No file-backed region has a unique
+//! tile under either shipped weighting; heap and stack have 3 % under
+//! [`ContentModelConfig::legacy`], the default, and 15–18 % under the
+//! calibrated mixture. `legacy()` sets every dispersed-noise rate to
+//! zero, which makes the second noise pass a no-op. There is one build
+//! path: a file-backed region is the overlay with nothing to overlay.
 //!
 //! The heap's template holds an eighth more of the stream than fits the
 //! region, because skipped pages carry an instance's stream index past
@@ -43,6 +45,8 @@
 //! build at another version replaces it); it costs the function's image
 //! size plus that eighth of the heap, which
 //! [`ImageBuilder::template_bytes`] reports.
+//!
+//! [`ContentModelConfig::legacy`]: crate::content::ContentModelConfig::legacy
 
 use crate::aslr::{rotate_content, AslrConfig};
 use crate::content::{mix_seed, write_motif, ContentModel, TileKind};
@@ -292,14 +296,12 @@ impl ImageBuilder {
             let mut data = self.fill_region(p, instance_seed, va_base, version, shared);
 
             m.apply_noise(&mut data, p.stream, instance_seed);
-            if m.mixture.enabled {
-                m.apply_dispersed_noise(
-                    &mut data,
-                    p.stream,
-                    instance_seed,
-                    m.mixture.mix_for(p.kind).dispersed_noise,
-                );
-            }
+            m.apply_dispersed_noise(
+                &mut data,
+                p.stream,
+                instance_seed,
+                m.mixture.mix_for(p.kind).dispersed_noise,
+            );
             if p.kind == RegionKind::Stack {
                 let shift = self.aslr.stack_shift(p.stream, instance_seed);
                 rotate_content(&mut data, shift);
@@ -349,7 +351,7 @@ impl ImageBuilder {
         let mut unique = vec![false; len];
         let base = canonical_base(p.stream);
         for (idx, out) in bytes.chunks_exact_mut(tile).enumerate() {
-            let kind = self.tile_kind(p, idx as u64);
+            let kind = self.model.tile_kind(p.stream, idx as u64, p.kind);
             if kind == TileKind::Unique {
                 unique[idx] = true;
             } else {
@@ -393,7 +395,7 @@ impl ImageBuilder {
                     (None, _) => TileKind::Unique,
                     (Some(_), Some((_, unique))) if unique[t] => TileKind::Unique,
                     (Some(_), Some(_)) => continue, // copied above
-                    (Some(_), None) => self.tile_kind(p, idx),
+                    (Some(_), None) => self.model.tile_kind(p.stream, idx, p.kind),
                 };
                 self.fill_tile(out, kind, p, idx, instance_seed, va_base, version);
             }
@@ -435,14 +437,6 @@ impl ImageBuilder {
         }
     }
 
-    /// The kind the stream of `p` draws for tile `idx`.
-    fn tile_kind(&self, p: &PlannedRegion<'_>, idx: u64) -> TileKind {
-        // Unique tiles only make sense in writable anonymous memory;
-        // file-backed regions are byte-identical in every process.
-        self.model
-            .tile_kind_region(p.stream, idx, p.kind, anonymous(p.kind))
-    }
-
     /// Fills one tile of `p` in a region based at `va_base`.
     #[allow(clippy::too_many_arguments)]
     fn fill_tile(
@@ -465,7 +459,7 @@ impl ImageBuilder {
                 });
                 write_motif(out, &motifs[pid as usize]);
             }
-            _ => m.fill_tile_v(
+            _ => m.fill_tile(
                 out,
                 kind,
                 p.stream,
@@ -477,11 +471,6 @@ impl ImageBuilder {
             ),
         }
     }
-}
-
-/// Writable anonymous memory, as opposed to a file-backed mapping.
-fn anonymous(kind: RegionKind) -> bool {
-    matches!(kind, RegionKind::Heap | RegionKind::Stack)
 }
 
 /// How tile indices map to slots within a region.
@@ -722,13 +711,12 @@ mod tests {
             }
         }
         for (slot, &(tile_idx, forced_unique)) in seq.iter().enumerate() {
-            let allow_unique = matches!(kind, RegionKind::Heap | RegionKind::Stack);
             let tk = if forced_unique {
                 TileKind::Unique
             } else {
-                m.tile_kind_region(stream_seed, tile_idx, kind, allow_unique)
+                m.tile_kind(stream_seed, tile_idx, kind)
             };
-            crate::content::reference::fill_tile_v(
+            crate::content::reference::fill_tile(
                 m,
                 &mut data[slot * m.tile_size..(slot + 1) * m.tile_size],
                 tk,
@@ -741,14 +729,12 @@ mod tests {
             );
         }
         m.apply_noise(&mut data, stream_seed, instance_seed);
-        if m.mixture.enabled {
-            m.apply_dispersed_noise(
-                &mut data,
-                stream_seed,
-                instance_seed,
-                m.mixture.mix_for(kind).dispersed_noise,
-            );
-        }
+        m.apply_dispersed_noise(
+            &mut data,
+            stream_seed,
+            instance_seed,
+            m.mixture.mix_for(kind).dispersed_noise,
+        );
         Region {
             kind,
             name: name.to_string(),
@@ -989,7 +975,7 @@ mod tests {
     #[test]
     fn version_zero_matches_unversioned_build() {
         for mixture in [
-            crate::content::ContentModelConfig::disabled(),
+            crate::content::ContentModelConfig::legacy(),
             crate::content::ContentModelConfig::paper_calibrated(),
         ] {
             let b = builder().with_model(ContentModel {

@@ -35,11 +35,13 @@
 //! divergence), which breaks page alignment without destroying
 //! chunk-level redundancy.
 //!
-//! An optional **entropy mixture** ([`content::ContentModelConfig`],
-//! default-off so legacy runs stay byte-identical) refines this into
-//! per-region low/medium/high-entropy pools with per-instance dispersed
-//! noise and per-version-epoch tile remapping (rolling deploys) — see
-//! `DESIGN.md` §13.
+//! The tile weights of each region kind are data, a
+//! [`content::ContentModelConfig`]. The default,
+//! [`content::ContentModelConfig::legacy`], is the split above. The
+//! **entropy mixture** ([`content::ContentModelConfig::paper_calibrated`])
+//! refines it into per-region low/medium/high-entropy pools with
+//! per-instance dispersed noise. Under either, a version epoch remaps
+//! shared tiles (rolling deploys) — see `DESIGN.md` §13.
 //!
 //! Everything is a pure function of `(spec, instance_seed, config)` —
 //! images can be regenerated at will, so the platform never needs to

@@ -84,12 +84,12 @@ impl FaultPlan {
         self.crashes.is_empty() && self.links.is_empty() && self.rpc_drop_prob <= 0.0
     }
 
-    /// Synthesizes a plan of intensity `rate` ∈ [0, 1] for a cluster of
+    /// Synthesizes a plan of intensity `rate` ∈ [0, 20] for a cluster of
     /// `nodes` nodes over `duration`: ~`rate·nodes/4` crashes (mostly
     /// with restarts, and never so many permanent ones that fewer than
     /// half the nodes survive), `rate·nodes` link fault windows and an
-    /// RPC drop probability of `0.05·rate`. `rate <= 0` yields the empty
-    /// plan. Deterministic in `(seed, nodes, duration, rate)`.
+    /// RPC drop probability of `0.05·rate` (hence the bound on `rate`).
+    /// `rate <= 0` yields the empty plan. Deterministic in `(seed, nodes, duration, rate)`.
     pub fn synthesize(seed: u64, nodes: usize, duration: SimTime, rate: f64) -> Self {
         if rate <= 0.0 || nodes == 0 || duration == SimTime::ZERO {
             return FaultPlan {

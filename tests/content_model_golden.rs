@@ -1,14 +1,14 @@
-//! Golden default-off regression for the entropy-mixture content model.
+//! Golden regression for the content model's default weights.
 //!
-//! The mixture (`ContentModelConfig`) must be a strictly opt-in layer:
-//! with it off — the default — every existing experiment regime
-//! (fig7-style latency-target, fig9-style memory-budget, chaos-style
-//! fault injection) must produce a `RunReport` byte-identical to one
-//! from a config that never mentions the mixture at all. `RunReport`
-//! derives `PartialEq` over every field — request records, memory
-//! series, per-function stats, fault counters — so equality here is the
-//! byte-identical guarantee. And turning the mixture on must actually
-//! change the run, proving the knob is live rather than ignored.
+//! [`ContentModelConfig::legacy`] is the default: every existing
+//! experiment regime (fig7-style latency-target, fig9-style
+//! memory-budget, chaos-style fault injection) given it explicitly must
+//! produce a `RunReport` byte-identical to one from a config that never
+//! mentions the content model at all. `RunReport` derives `PartialEq`
+//! over every field — request records, memory series, per-function
+//! stats, fault counters — so equality here is the byte-identical
+//! guarantee. And the calibrated mixture must actually change the run,
+//! proving the weights are live rather than ignored.
 
 use medes::mem::{ContentModel, ContentModelConfig};
 use medes::platform::config::{PlatformConfig, PolicyKind};
@@ -77,49 +77,52 @@ fn run(cfg: PlatformConfig) -> RunReport {
     Platform::new(cfg, suite).run(&trace).report
 }
 
-fn assert_mixture_default_off(make: fn() -> PlatformConfig, regime: &str) {
+fn assert_legacy_is_the_default(make: fn() -> PlatformConfig, regime: &str) {
     let golden = run(make());
 
-    // Explicitly disabling the mixture must change nothing at all.
-    let mut off = make();
-    off.content.mixture = ContentModelConfig::disabled();
+    // Naming the default weights must change nothing at all.
+    let mut legacy = make();
+    legacy.content.mixture = ContentModelConfig::legacy();
     assert_eq!(
         golden,
-        run(off),
-        "{regime}: explicit mixture-off must be byte-identical to the default"
+        run(legacy),
+        "{regime}: explicit legacy weights must be byte-identical to the default"
     );
 
-    // Turning it on must change the run — the knob is live.
-    let mut on = make();
-    on.content.mixture = ContentModelConfig::paper_calibrated();
+    // The calibrated weights must change the run — the knob is live.
+    let mut calibrated = make();
+    calibrated.content.mixture = ContentModelConfig::paper_calibrated();
     assert_ne!(
         golden,
-        run(on),
-        "{regime}: the mixture must actually alter page content"
+        run(calibrated),
+        "{regime}: the calibrated mixture must actually alter page content"
     );
 }
 
 #[test]
-fn mixture_defaults_to_disabled() {
+fn mixture_defaults_to_legacy() {
+    assert_eq!(ContentModelConfig::default(), ContentModelConfig::legacy());
     assert_eq!(
-        ContentModelConfig::default(),
-        ContentModelConfig::disabled()
+        ContentModel::default().mixture,
+        ContentModelConfig::legacy()
     );
-    assert!(!ContentModel::default().mixture.enabled);
-    assert!(!PlatformConfig::paper_default().content.mixture.enabled);
+    assert_eq!(
+        PlatformConfig::paper_default().content.mixture,
+        ContentModelConfig::legacy()
+    );
 }
 
 #[test]
 fn fig7_style_latency_target_is_mixture_invariant() {
-    assert_mixture_default_off(latency_target_config, "fig7-style");
+    assert_legacy_is_the_default(latency_target_config, "fig7-style");
 }
 
 #[test]
 fn fig9_style_memory_budget_is_mixture_invariant() {
-    assert_mixture_default_off(memory_budget_config, "fig9-style");
+    assert_legacy_is_the_default(memory_budget_config, "fig9-style");
 }
 
 #[test]
 fn chaos_style_fault_run_is_mixture_invariant() {
-    assert_mixture_default_off(chaos_config, "chaos-style");
+    assert_legacy_is_the_default(chaos_config, "chaos-style");
 }
