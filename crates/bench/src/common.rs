@@ -220,7 +220,9 @@ impl ExpConfig {
             .mem_scale(self.mem_scale())
             .node_mem_bytes(192 << 20)
             .nodes(nodes)
-            .read_path(RestoreReadConfig::cached(self.cache_mib << 20));
+            .read_path(RestoreReadConfig::cached(
+                self.cache_mib.saturating_mul(1 << 20),
+            ));
         if self.obs {
             let mut oc = medes_obs::ObsConfig::enabled();
             oc.set_export_dir(self.results_dir.clone());

@@ -102,3 +102,23 @@ fn unreadable_trace_or_unwritable_folded_stacks_exit_1() {
     assert_eq!(code, Some(1));
     assert!(stderr.contains("cannot write"), "{stderr}");
 }
+
+/// A `--cache` larger than a node's memory is rejected up front (exit
+/// 2), however many MiB it names: 2^44 + 1 MiB must not wrap around to
+/// a 1 MiB cache when converted to bytes.
+#[test]
+fn oversized_cache_is_rejected_before_any_experiment_runs() {
+    let dir = std::env::temp_dir().join(format!("medes-cli-cache-{}", std::process::id()));
+    for mib in ["4096", "17592186044417"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["fig13", "--quick", "--cache", mib, "--results"])
+            .arg(&dir)
+            .output()
+            .expect("experiments binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--cache {mib}: {stderr}");
+        assert!(stderr.contains("invalid flag combination"), "{stderr}");
+        assert!(out.stdout.is_empty(), "--cache {mib} must not run fig13");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -14,18 +14,13 @@
 //!   full CRIU restores cost ~650 ms, while Medes's optimizations
 //!   (pre-created namespaces/process tree, in-memory images) bring the
 //!   memory-restore path down to ~140 ms (§4.2).
-//! * [`store::ImageStore`] — the in-memory checkpoint store kept by each
-//!   node's dedup agent, with byte accounting so the platform can report
-//!   agent overheads (§7.7).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod image;
 pub mod obs;
-pub mod store;
 pub mod timing;
 
 pub use image::{CheckpointImage, ProcessSpec, VmaDesc};
-pub use store::ImageStore;
 pub use timing::{RestoreBreakdown, RestoreOptions, TimingModel};

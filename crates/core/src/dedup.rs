@@ -161,8 +161,6 @@ pub struct DedupOutcome {
     pub same_fn_pages: usize,
     /// Pages deduplicated against a *different* function's base page.
     pub cross_fn_pages: usize,
-    /// Distinct base sandboxes referenced (for refcounting).
-    pub referenced_bases: Vec<SandboxId>,
     /// What the sandbox's next scan can reuse (see [`DedupScan::memo`]).
     pub memo: DedupMemo,
 }
@@ -195,8 +193,6 @@ pub struct DedupScan {
     pub same_fn_pages: usize,
     /// Pages deduplicated against a *different* function's base page.
     pub cross_fn_pages: usize,
-    /// Distinct base sandboxes referenced, in first-seen order.
-    pub referenced_bases: Vec<SandboxId>,
     /// Base-page reads to account on the fabric: (source node index,
     /// paper-scale bytes), one per distinct base page, in page order.
     pub remote_reads: Vec<(usize, usize)>,
@@ -298,10 +294,6 @@ where
     let mut verbatim_pages = 0usize;
     let mut same_fn_pages = 0usize;
     let mut cross_fn_pages = 0usize;
-    // First-seen order with a set membership test: `referenced_bases`
-    // stays deterministic without the quadratic `Vec::contains` scan.
-    let mut referenced: Vec<SandboxId> = Vec::new();
-    let mut referenced_set: HashSet<SandboxId> = HashSet::new();
     let mut remote_reads: Vec<(usize, usize)> = Vec::new(); // (node, bytes)
 
     // Each distinct base page is read once per op no matter how many
@@ -374,9 +366,6 @@ where
                 } else {
                     cross_fn_pages += 1;
                 }
-                if referenced_set.insert(loc.sandbox) {
-                    referenced.push(loc.sandbox);
-                }
                 // Base page is read (possibly remotely) to compute the
                 // patch; account paper-scale bytes on the fabric. A
                 // page already read this op is diffed against the
@@ -412,7 +401,6 @@ where
         },
         same_fn_pages,
         cross_fn_pages,
-        referenced_bases: referenced,
         remote_reads,
         patched_pages,
         image_model_bytes: fps.len() * PAGE_SIZE,
@@ -464,7 +452,6 @@ impl DedupScan {
             timing,
             same_fn_pages: self.same_fn_pages,
             cross_fn_pages: self.cross_fn_pages,
-            referenced_bases: self.referenced_bases,
             memo: self.memo,
         }
     }
@@ -554,6 +541,14 @@ mod tests {
         (cfg, factory, registry, fabric)
     }
 
+    /// The distinct base sandboxes `table` patches against, first seen
+    /// first.
+    fn bases_of(table: &DedupPageTable) -> Vec<SandboxId> {
+        let mut ids = Vec::new();
+        table.for_each_base(|id| ids.push(id));
+        ids
+    }
+
     #[test]
     fn dedup_against_same_function_base_saves_most_memory() {
         let (cfg, mut factory, registry, mut fabric) = setup();
@@ -580,48 +575,8 @@ mod tests {
             saved * 100 / total
         );
         assert!(outcome.same_fn_pages > 0);
-        assert_eq!(outcome.referenced_bases, vec![SandboxId(1)]);
+        assert_eq!(bases_of(&outcome.table), vec![SandboxId(1)]);
         assert!(outcome.timing.total() > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn referenced_bases_keep_first_seen_order() {
-        // Two bases indexed; whatever subset the election picks, the
-        // output order must equal the first appearance order in the
-        // page table — the set-based membership test must not change it.
-        let (cfg, mut factory, registry, mut fabric) = setup();
-        let base0 = factory.pin(FnId(0), 100);
-        let base1 = factory.pin(FnId(1), 100);
-        index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base0);
-        index_base_sandbox(&cfg, &registry, NodeId(2), SandboxId(2), &base1);
-        let target = factory.image(FnId(0), 200);
-        let b0 = Arc::clone(&base0);
-        let b1 = Arc::clone(&base1);
-        let resolver = move |id: SandboxId| match id {
-            SandboxId(1) => Some((Arc::clone(&b0), FnId(0))),
-            SandboxId(2) => Some((Arc::clone(&b1), FnId(1))),
-            _ => None,
-        };
-        let outcome = dedup_op(
-            &cfg,
-            &registry,
-            &mut fabric,
-            NodeId(1),
-            FnId(0),
-            &target,
-            &resolver,
-        )
-        .expect("dedup op");
-        let mut expect = Vec::new();
-        for entry in &outcome.table.entries {
-            if let PageEntry::Patched { base_sandbox, .. } = entry {
-                if !expect.contains(base_sandbox) {
-                    expect.push(*base_sandbox);
-                }
-            }
-        }
-        assert!(!expect.is_empty(), "something must dedup");
-        assert_eq!(outcome.referenced_bases, expect);
     }
 
     #[test]
@@ -732,7 +687,6 @@ mod tests {
         assert_eq!(fresh.table, memoised.table, "{ctx}");
         assert_eq!(fresh.same_fn_pages, memoised.same_fn_pages, "{ctx}");
         assert_eq!(fresh.cross_fn_pages, memoised.cross_fn_pages, "{ctx}");
-        assert_eq!(fresh.referenced_bases, memoised.referenced_bases, "{ctx}");
         assert_eq!(fresh.remote_reads, memoised.remote_reads, "{ctx}");
         assert_eq!(fresh.patched_pages, memoised.patched_pages, "{ctx}");
         assert_eq!(fresh.image_model_bytes, memoised.image_model_bytes, "{ctx}");
@@ -824,7 +778,7 @@ mod tests {
             let first = scan_fresh(&bases);
             assert_eq!(first.work.pages_fingerprinted, target.page_count() as u64);
             assert_eq!(first.work.pages_reused, 0);
-            let mut referenced = first.referenced_bases.clone();
+            let mut referenced = bases_of(&first.table);
             let mut memo = first.memo.absorb(first.table);
 
             let rounds = rng.range(2, 5);
@@ -930,7 +884,7 @@ mod tests {
                 )
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
 
-                referenced = memoised.referenced_bases.clone();
+                referenced = bases_of(&memoised.table);
                 memo = memoised.memo.absorb(memoised.table);
             }
         }

@@ -13,8 +13,8 @@
 //! * [`pagecache`] — the per-node base-page LRU cache in front of the
 //!   restore read path; repeat restores of hot base pages skip the
 //!   fabric entirely.
-//! * [`sandbox`] — sandbox state, the Fig 4b transition table and the
-//!   dedup page table.
+//! * [`sandbox`] — sandbox state and the dedup page table (the Fig 4b
+//!   edges are the platform lifecycle's mutators).
 //! * `controller` — per-function policy state: arrival rates, EWMA
 //!   estimates, the `D/B > T` demarcation rule, policy targets.
 //! * [`platform`] — the discrete-event cluster simulation tying it all

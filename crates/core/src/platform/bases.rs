@@ -24,7 +24,7 @@ use crate::ids::{FnId, SandboxId};
 use crate::images::ImageFactory;
 use crate::metrics::MetricsCollector;
 use crate::registry::RegistryClient;
-use crate::sandbox::{DedupPageTable, PageEntry, Sandbox, SandboxTable};
+use crate::sandbox::{DedupPageTable, Sandbox, SandboxTable};
 use medes_mem::MemoryImage;
 use medes_obs::Obs;
 use medes_trace::FunctionProfile;
@@ -51,20 +51,6 @@ pub(crate) struct Bases {
     resolvable: HashMap<SandboxId, Base>,
     /// Per function, its listed bases in demarcation order.
     listed: Vec<Vec<SandboxId>>,
-}
-
-/// Calls `f` once per distinct base sandbox `table` patches against
-/// (a handful at most, so a scan of `seen` beats hashing).
-fn for_each_base(table: &DedupPageTable, mut f: impl FnMut(SandboxId)) {
-    let mut seen: Vec<SandboxId> = Vec::new();
-    for entry in &table.entries {
-        if let PageEntry::Patched { base_sandbox, .. } = entry {
-            if !seen.contains(base_sandbox) {
-                seen.push(*base_sandbox);
-                f(*base_sandbox);
-            }
-        }
-    }
 }
 
 impl Bases {
@@ -152,7 +138,7 @@ impl Bases {
 
     /// Counts `table` as a reference on every base it patches against.
     pub fn pin_refs(&mut self, table: &DedupPageTable) {
-        for_each_base(table, |id| {
+        table.for_each_base(|id| {
             if let Some(b) = self.resolvable.get_mut(&id) {
                 b.refs += 1;
             }
@@ -162,7 +148,7 @@ impl Bases {
     /// Drops the references [`Bases::pin_refs`] took for `table` (bases
     /// that died meanwhile have nothing left to release).
     pub fn release_refs(&mut self, table: &DedupPageTable) {
-        for_each_base(table, |id| {
+        table.for_each_base(|id| {
             if let Some(b) = self.resolvable.get_mut(&id) {
                 b.refs = b.refs.saturating_sub(1);
             }
@@ -187,7 +173,7 @@ impl Bases {
         }
         let mut attached: HashMap<SandboxId, u32> = HashMap::new();
         for t in table.iter().filter_map(|sb| sb.dedup_table.as_ref()) {
-            for_each_base(t, |id| *attached.entry(id).or_default() += 1);
+            t.for_each_base(|id| *attached.entry(id).or_default() += 1);
         }
         for (id, base) in &self.resolvable {
             assert!(table.contains_key(id), "base {id} outlived its sandbox");
@@ -208,6 +194,7 @@ impl Bases {
 mod tests {
     use super::*;
     use crate::ids::NodeId;
+    use crate::sandbox::PageEntry;
     use medes_delta::Patch;
     use medes_sim::{DetRng, SimDuration, SimTime};
     use medes_trace::functionbench_suite;
@@ -337,7 +324,7 @@ mod tests {
                 let tables = table.iter().filter_map(|sb| sb.dedup_table.as_ref());
                 let mut refs: HashMap<SandboxId, u32> = HashMap::new();
                 for t in tables.chain(&in_flight) {
-                    for_each_base(t, |id| *refs.entry(id).or_default() += 1);
+                    t.for_each_base(|id| *refs.entry(id).or_default() += 1);
                 }
                 for sb in table.iter() {
                     let model = bases.is_base(sb.id) && refs.contains_key(&sb.id);

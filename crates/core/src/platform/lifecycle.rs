@@ -11,7 +11,7 @@
 //!     any state ─remove─▶ gone
 //! ```
 //!
-//! It is the only caller of `Sandbox::transition`, the only writer of
+//! It is the only writer of a sandbox's `state` and `epoch`, of
 //! `last_used`, `dedup_table`, `last_dedup` and the keep-alive timer, and
 //! the only code that touches a pool. So a sandbox is in `idle_warm` iff
 //! it is `Warm` and in `idle_dedup` iff it is `Dedup`, under the key
@@ -137,7 +137,8 @@ impl Lifecycle {
         self.memo_peak_bytes
     }
 
-    /// Moves `id` along one edge of Fig 4b.
+    /// Moves `id` along one edge of Fig 4b, bumping its timer epoch. The
+    /// edges below are the whole table of legal transitions.
     ///
     /// # Panics
     /// Panics, before anything changes, if the sandbox is not in one of
@@ -151,7 +152,8 @@ impl Lifecycle {
         let sb = self.table.get_mut(&id).expect("sandbox is live");
         let state = sb.state;
         assert!(from.contains(&state), "{id}: {state:?} not in {from:?}");
-        sb.transition(to);
+        sb.state = to;
+        sb.epoch += 1;
         let pools = &mut self.fns[sb.func.0];
         (sb, pools)
     }

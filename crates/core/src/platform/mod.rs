@@ -35,7 +35,7 @@
 
 mod bases;
 mod dispatch;
-mod lifecycle;
+pub(crate) mod lifecycle;
 mod memory;
 mod pipeline;
 mod recovery;

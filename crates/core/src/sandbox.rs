@@ -1,7 +1,8 @@
-//! Sandbox state and the Fig 4b lifecycle state machine.
+//! Sandbox state (the states of the Fig 4b lifecycle).
 //!
 //! A `Sandbox` is plain data: the platform's `Lifecycle` is the only
-//! code that moves one between states, and what makes a sandbox a *base*
+//! code that moves one between states — its mutators are the edges of
+//! Fig 4b, and the only legal ones — and what makes a sandbox a *base*
 //! (its pinned image, its reference count) lives with the platform's
 //! `Bases`, not here.
 //!
@@ -41,22 +42,6 @@ impl SandboxState {
     /// state. Dedup sandboxes are assignable (they restore first).
     pub fn assignable(self) -> bool {
         matches!(self, SandboxState::Warm | SandboxState::Dedup)
-    }
-
-    /// Legal transitions of the Fig 4b state machine.
-    pub fn can_transition_to(self, next: SandboxState) -> bool {
-        use SandboxState::*;
-        matches!(
-            (self, next),
-            (Spawning, Running)
-                | (Running, Warm)
-                | (Warm, Running)      // warm start
-                | (Warm, Deduping)     // policy chose dedup
-                | (Deduping, Dedup)
-                | (Deduping, Warm)     // dedup found no savings; stay warm
-                | (Dedup, Restoring)   // dedup start
-                | (Restoring, Running)
-        )
     }
 }
 
@@ -131,6 +116,21 @@ impl DedupPageTable {
             }
         }
         out
+    }
+
+    /// Calls `f` once per distinct base sandbox the table patches
+    /// against, in first-seen order (a handful at most, so a scan of
+    /// `seen` beats hashing).
+    pub fn for_each_base(&self, mut f: impl FnMut(SandboxId)) {
+        let mut seen: Vec<SandboxId> = Vec::new();
+        for entry in &self.entries {
+            if let PageEntry::Patched { base_sandbox, .. } = entry {
+                if !seen.contains(base_sandbox) {
+                    seen.push(*base_sandbox);
+                    f(*base_sandbox);
+                }
+            }
+        }
     }
 }
 
@@ -316,22 +316,6 @@ impl Sandbox {
             model_pages,
         }
     }
-
-    /// Transitions the state machine, bumping the timer epoch.
-    ///
-    /// # Panics
-    /// Panics on an illegal transition — that is always a platform bug.
-    pub fn transition(&mut self, next: SandboxState) {
-        assert!(
-            self.state.can_transition_to(next),
-            "illegal sandbox transition {:?} -> {:?} ({})",
-            self.state,
-            next,
-            self.id
-        );
-        self.state = next;
-        self.epoch += 1;
-    }
 }
 
 /// The live sandboxes of one run, indexed by [`SandboxId`].
@@ -401,30 +385,11 @@ impl std::ops::Index<&SandboxId> for SandboxTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::lifecycle::Lifecycle;
     use medes_delta::Patch;
 
     fn sandbox() -> Sandbox {
         Sandbox::new(SandboxId(1), FnId(0), NodeId(0), 42, 0, SimTime::ZERO, 64)
-    }
-
-    #[test]
-    fn lifecycle_happy_path() {
-        let mut sb = sandbox();
-        sb.transition(SandboxState::Running);
-        sb.transition(SandboxState::Warm);
-        sb.transition(SandboxState::Deduping);
-        sb.transition(SandboxState::Dedup);
-        sb.transition(SandboxState::Restoring);
-        sb.transition(SandboxState::Running);
-        sb.transition(SandboxState::Warm);
-        assert_eq!(sb.epoch, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "illegal sandbox transition")]
-    fn illegal_transition_panics() {
-        let mut sb = sandbox();
-        sb.transition(SandboxState::Dedup); // Spawning -> Dedup is illegal
     }
 
     #[test]
@@ -532,14 +497,16 @@ mod tests {
         ));
     }
 
+    /// A dedup that found no savings leaves its sandbox warm.
     #[test]
     fn dedup_to_warm_fallback_is_legal() {
-        let mut sb = sandbox();
-        sb.transition(SandboxState::Running);
-        sb.transition(SandboxState::Warm);
-        sb.transition(SandboxState::Deduping);
-        sb.transition(SandboxState::Warm);
-        assert_eq!(sb.state, SandboxState::Warm);
+        let mut life = Lifecycle::new(1);
+        let id = life.spawn(|id| Sandbox { id, ..sandbox() });
+        life.start_exec(id);
+        life.go_warm(id, SimTime::ZERO);
+        life.begin_dedup(id);
+        life.go_warm(id, SimTime::ZERO);
+        assert_eq!(life[&id].state, SandboxState::Warm);
     }
 
     #[test]

@@ -5,20 +5,11 @@
 //! events scheduled for the same instant, which in turn makes
 //! whole-simulation runs reproducible regardless of container internals.
 //! The engine numbers its own pushes, and may push under an old `seq`.
-//!
-//! Two containers hold the pending events. A push whose `(time, seq)` is
-//! not before the newest entry of the *monotone lane* (a `VecDeque`) is
-//! appended there in O(1); every other push goes to a binary min-heap.
-//! The lane is sorted by `(time, seq)` by construction, so the earliest
-//! pending event is whichever of the two fronts has the smaller
-//! `(time, seq)`, and the pop order is exactly that of a single heap.
-//! Simulations arm most of their timers a fixed delay ahead of a clock
-//! that only moves forward; those ride the lane, and the heap holds the
-//! events that land in front of them.
+//! The pending events are one binary min-heap on `(time, seq)`.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// An event queue over user-defined payloads.
 ///
@@ -35,9 +26,6 @@ use std::collections::{BinaryHeap, VecDeque};
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    /// Entries pushed in non-decreasing `(time, seq)` order.
-    lane: VecDeque<Entry<E>>,
-    /// Entries pushed with a `(time, seq)` before the lane's newest.
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
     peak_len: usize,
@@ -80,7 +68,6 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            lane: VecDeque::new(),
             heap: BinaryHeap::new(),
             seq: 0,
             peak_len: 0,
@@ -96,52 +83,28 @@ impl<E> EventQueue<E> {
 
     /// [`push`](Self::push), tie-broken by a `seq` no pending entry has.
     pub(crate) fn push_at_seq(&mut self, time: SimTime, seq: u64, payload: E) {
-        let entry = Entry { time, seq, payload };
-        // `None < Some(_)`: an empty lane takes any entry.
-        if self.lane.back().map(Entry::key) <= Some(entry.key()) {
-            self.lane.push_back(entry);
-        } else {
-            self.heap.push(entry);
-        }
-        self.peak_len = self.peak_len.max(self.len());
-    }
-
-    /// Whether the lane's front is the earliest pending event.
-    fn lane_is_next(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => l.key() < h.key(),
-            (l, _) => l.is_some(),
-        }
+        self.heap.push(Entry { time, seq, payload });
+        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = if self.lane_is_next() {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
-        };
-        entry.map(|e| (e.time, e.payload))
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let entry = if self.lane_is_next() {
-            self.lane.front()
-        } else {
-            self.heap.peek()
-        };
-        entry.map(|e| e.time)
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.lane.len() + self.heap.len()
+        self.heap.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.lane.is_empty() && self.heap.is_empty()
+        self.heap.is_empty()
     }
 
     /// The largest [`len`](Self::len) the queue has reached.
@@ -207,17 +170,17 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "d");
     }
 
-    /// The lane + heap pair must be indistinguishable from one container
-    /// ordered by `(time, push index)`: random interleavings of `push`,
-    /// `pop` and `peek_time` with heavy timestamp ties, monotone runs
-    /// (which ride the lane) and out-of-order bursts (which fall into the
-    /// heap) pop exactly what a sorted model pops. Some pushes take a
-    /// ticket instead — the next `seq`, as `Scheduler::ticket` does — and
-    /// are pushed under it later (`push_at_seq`), at random or at the
-    /// latest when they are next to pop: each pops exactly where the
-    /// model, which holds it from ticket time, pops it.
+    /// The heap must be indistinguishable from one container ordered by
+    /// `(time, push index)`: random interleavings of `push`, `pop` and
+    /// `peek_time` with heavy timestamp ties, monotone runs and
+    /// out-of-order bursts pop exactly what a sorted model pops. Some
+    /// pushes take a ticket instead — the next `seq`, as
+    /// `Scheduler::ticket` does — and are pushed under it later
+    /// (`push_at_seq`), at random or at the latest when they are next to
+    /// pop: each pops exactly where the model, which holds it from ticket
+    /// time, pops it.
     #[test]
-    fn lane_and_heap_pop_like_one_sorted_queue() {
+    fn heap_pops_like_one_sorted_queue() {
         fn model_pop(model: &mut Vec<(SimTime, u64)>) -> Option<(SimTime, u64)> {
             let at = (0..model.len()).min_by_key(|&i| model[i])?;
             Some(model.swap_remove(at))
@@ -226,9 +189,8 @@ mod tests {
             let (t, seq) = held.swap_remove(at);
             q.push_at_seq(t, seq, seq);
         }
-        // Steps at which both containers held entries, and tickets
-        // redeemed behind a later push, over all seeds.
-        let (mut straddled, mut late) = (0u32, 0u32);
+        // Tickets redeemed behind a later push, over all seeds.
+        let mut late = 0u32;
         for seed in 0..256 {
             let mut rng = DetRng::new(seed);
             let mut q = EventQueue::new();
@@ -298,7 +260,6 @@ mod tests {
                     model.len() == held.len(),
                     "seed {seed} op {op}"
                 );
-                straddled += u32::from(!q.lane.is_empty() && !q.heap.is_empty());
             }
             for (t, seq) in held.drain(..) {
                 q.push_at_seq(t, seq, seq);
@@ -310,7 +271,6 @@ mod tests {
             assert_eq!(q.pop(), None);
             assert_eq!(q.peak_len(), peak, "seed {seed}");
         }
-        assert!(straddled > 256 * 100, "only {straddled} steps used both");
         assert!(late > 256 * 10, "only {late} tickets redeemed late");
     }
 }

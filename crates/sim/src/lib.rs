@@ -7,7 +7,7 @@
 //!
 //! * [`time`] — microsecond-resolution simulated time and durations.
 //! * [`event`] — a stable `(time, push order)` event queue
-//!   ([`event::EventQueue`]): a monotone lane in front of a binary heap.
+//!   ([`event::EventQueue`]): one binary heap.
 //! * [`fault`] — seeded fault-injection plans ([`fault::FaultPlan`]):
 //!   node crashes, link fault windows, RPC drops — all reproducible.
 //! * [`engine`] — a minimal driver loop ([`engine::Simulation`]) for
