@@ -5,8 +5,8 @@
 //! * `--quick` shrinks workloads to smoke-test size;
 //! * `--obs` streams a JSONL span trace per platform run to the results
 //!   directory; `--labels` adds labeled series, exemplars and SLO
-//!   violators, `--timeseries <ms>` adds the sampled series to the
-//!   trace's tail;
+//!   violators, `--timeseries <ms>` (ms > 0) adds the sampled series to
+//!   the trace's tail — both only with `--obs`;
 //! * `--faults`, `--cache` and `--content-model` set the fault plan,
 //!   the base-page cache and the content model of every cluster run.
 //!
@@ -21,7 +21,8 @@
 //! regression (`medes_bench::trace`).
 //!
 //! Exit codes: 2 for a usage error — an unknown id, subcommand or
-//! `--flag`, a flag missing its value, an invalid combination — before
+//! `--flag`, a flag missing its value, an invalid combination (a
+//! telemetry flag without `--obs` among them) — before
 //! any experiment starts; 1 for an unreadable trace or an unwritable
 //! folded-stacks file.
 
@@ -151,6 +152,16 @@ fn main() {
     }
     if runs.is_empty() {
         usage();
+    }
+    // The telemetry flags shape an --obs trace; without one, or with a
+    // zero sampling period, they would be accepted and change nothing.
+    if !cfg.obs && cfg.labels {
+        bad_word("needs --obs", "--labels");
+    }
+    match cfg.timeseries_ms {
+        Some(_) if !cfg.obs => bad_word("needs --obs", "--timeseries"),
+        Some(0) => bad_word("sampling period must be positive", "--timeseries 0"),
+        _ => {}
     }
     // Validate the flag combination once, up front, through the
     // config builder: a bad mix fails with a clear message instead of

@@ -65,7 +65,8 @@ pub struct ExpConfig {
     /// Deterministic time-series sampling interval in simulated ms
     /// (`--timeseries <ms>`, with `--obs`): the platform snapshots its
     /// gauge/counter set every interval into the trace tail's `series`.
-    /// Inert without `--obs`.
+    /// Inert without `--obs` (the binary rejects the flag without it,
+    /// and a zero interval).
     pub timeseries_ms: Option<u64>,
     /// Dimensional telemetry (`--labels`, with `--obs`): hot call
     /// sites additionally keep bounded labeled twins of their metrics
@@ -73,7 +74,8 @@ pub struct ExpConfig {
     /// histogram buckets retain exemplar trace ids, and the SLO
     /// tracker keeps its top violators per function — the inputs of
     /// `trace report`'s attribution. Off by default: label-off runs export
-    /// byte-identical traces. Inert without `--obs`.
+    /// byte-identical traces. Inert without `--obs` (the binary rejects
+    /// the flag without it).
     pub labels: bool,
     /// Entropy-mixture content model (`--content-model`): every
     /// platform built by [`ExpConfig::platform`] uses the calibrated

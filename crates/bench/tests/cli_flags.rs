@@ -48,6 +48,15 @@ fn unknown_flag_or_id_is_rejected_before_any_experiment_runs() {
     assert_usage_error(&["trace", "report", "--bogus"]);
 }
 
+/// A telemetry flag shapes an `--obs` trace: without `--obs`, or with a
+/// zero sampling period, it would change nothing, so it is rejected.
+#[test]
+fn telemetry_flags_that_change_nothing_are_usage_errors() {
+    assert_usage_error(&["table2", "--quick", "--labels"]);
+    assert_usage_error(&["table2", "--quick", "--timeseries", "500"]);
+    assert_usage_error(&["table2", "--quick", "--obs", "--timeseries", "0"]);
+}
+
 /// A `--faults` rate that is not a finite number in [0, 20] is a usage
 /// error: an infinite or huge rate would synthesize an endless crash
 /// list before any experiment ran, and NaN would inject one crash.

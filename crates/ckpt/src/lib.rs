@@ -14,12 +14,16 @@
 //!   full CRIU restores cost ~650 ms, while Medes's optimizations
 //!   (pre-created namespaces/process tree, in-memory images) bring the
 //!   memory-restore path down to ~140 ms (§4.2).
+//!
+//! The crate is a cost and format model only; it records no telemetry.
+//! What a run charged for a checkpoint or a restore is observed on the
+//! `medes.dedup.checkpoint` and `medes.restore.ckpt` phase spans and
+//! histograms that `medes-core` emits per op.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod image;
-pub mod obs;
 pub mod timing;
 
 pub use image::{CheckpointImage, ProcessSpec, VmaDesc};

@@ -82,19 +82,22 @@ impl DedupTiming {
     }
 
     /// Emits the per-phase spans (`medes.dedup.*`) for one dedup op
-    /// that started at `start`, plus duration histograms and the
-    /// `medes.ckpt` checkpoint metrics (`ckpt_paper_bytes` is the
-    /// paper-scale dump size). Phases are laid end-to-end in execution
-    /// order (checkpoint → fingerprint lookup → base read → patch
-    /// compute), so span durations sum to [`DedupTiming::total`].
+    /// that started at `start`, plus one duration histogram per phase.
+    /// Phases are laid end-to-end in execution order (checkpoint →
+    /// fingerprint lookup → base read → patch compute), so span
+    /// durations sum to [`DedupTiming::total`]. The checkpoint phase is
+    /// the memory dump: its span carries `paper_bytes` (the
+    /// paper-scale dump size, `ckpt_paper_bytes`), which also adds to
+    /// `medes.dedup.checkpoint_bytes`.
     ///
-    /// `parent` is the causal context of the enclosing operation (a
-    /// dedup trace root, or the batch span's context on the pipelined
-    /// path); [`TraceCtx::NONE`] records a flat, untraced breakdown.
+    /// `parent` is the causal context of the enclosing operation (the
+    /// platform's dedup trace root); [`TraceCtx::NONE`] records a flat,
+    /// untraced breakdown.
     ///
     /// `node` is the node being checkpointed — with dimensional
-    /// telemetry on, the dedup counters/histograms gain per-node
-    /// labeled twins.
+    /// telemetry on, the op counter, the checkpoint bytes and the
+    /// checkpoint and op histograms gain per-node labeled twins, and
+    /// the histograms keep the trace id as a bucket exemplar.
     pub fn record(
         &self,
         obs: &Obs,
@@ -112,8 +115,13 @@ impl DedupTiming {
         let t2 = t1 + self.lookup;
         let t3 = t2 + self.base_read;
         let t4 = t3 + self.patch_compute;
-        let ckpt = op.child("medes.dedup.checkpoint", 0);
-        obs.span_in("medes.dedup.checkpoint", start, ckpt).end(t1);
+        obs.span_in(
+            "medes.dedup.checkpoint",
+            start,
+            op.child("medes.dedup.checkpoint", 0),
+        )
+        .attr("paper_bytes", ckpt_paper_bytes)
+        .end(t1);
         obs.span_in("medes.dedup.lookup", t1, op.child("medes.dedup.lookup", 0))
             .end(t2);
         obs.span_in(
@@ -129,7 +137,17 @@ impl DedupTiming {
             .end(t4);
         let labels = || LabelSet::new().with("node", node);
         obs.incr_with("medes.dedup.ops", labels);
-        obs.record_us("medes.dedup.checkpoint_us", self.checkpoint);
+        obs.counter_add_with(
+            "medes.dedup.checkpoint_bytes",
+            ckpt_paper_bytes as u64,
+            labels,
+        );
+        obs.record_with(
+            "medes.dedup.checkpoint_us",
+            self.checkpoint.as_micros(),
+            Some(op.trace_id),
+            labels,
+        );
         obs.record_us("medes.dedup.lookup_us", self.lookup);
         obs.record_us("medes.dedup.base_read_us", self.base_read);
         obs.record_us("medes.dedup.patch_us", self.patch_compute);
@@ -138,14 +156,6 @@ impl DedupTiming {
             self.total().as_micros(),
             Some(op.trace_id),
             labels,
-        );
-        medes_ckpt::obs::record_checkpoint_in(
-            obs,
-            ckpt,
-            start,
-            ckpt_paper_bytes,
-            self.checkpoint,
-            node as u64,
         );
     }
 }
@@ -432,9 +442,7 @@ impl DedupScan {
         let scale = cfg.mem_scale as f64;
         let paper_pages = self.image_pages as f64 * scale;
         let lookup_extra = fabric.controller_rpc_check(node.0, &cfg.retry)?;
-        let base_read = fabric
-            .rdma_read_batch_retry(node.0, &self.remote_reads, &cfg.retry)?
-            .time;
+        let base_read = fabric.rdma_read_batch_retry(node.0, &self.remote_reads, &cfg.retry)?;
         Ok(DedupTiming {
             checkpoint: cfg
                 .ckpt
@@ -524,6 +532,7 @@ mod tests {
     use crate::restore::restore_op_cached;
     use medes_mem::{AslrConfig, ContentModel};
     use medes_net::NetConfig;
+    use medes_obs::{AttrValue, Metric};
     use medes_sim::DetRng;
     use medes_trace::functionbench_suite;
     use std::collections::HashMap;
@@ -895,6 +904,64 @@ mod tests {
         );
         assert!(imageless >= 208, "{imageless} scans built no image");
         assert!(full_outages > 0, "no placed case lost every owner");
+    }
+
+    /// The checkpoint phase is the one record of the memory dump: its
+    /// span carries the dump size and has no child, and with labels on
+    /// the dump bytes and the phase histogram are per-node series whose
+    /// flat aggregates they sum to, the histogram keeping the op's
+    /// trace id as its exemplar. Without labels only the flat metrics
+    /// move; without obs nothing does.
+    #[test]
+    fn checkpoint_phase_records_the_dump_per_node() {
+        let timing = DedupTiming {
+            checkpoint: SimDuration::from_millis(120),
+            lookup: SimDuration::from_millis(3),
+            ..DedupTiming::default()
+        };
+        let obs = Obs::new(medes_obs::ObsConfig::enabled().labeled());
+        let root = obs.trace_root("dedup", 1, 2);
+        let start = SimTime::from_micros(50);
+        timing.record(&obs, start, "f", 4096, root, 3);
+        timing.record(&obs, start, "f", 8192, TraceCtx::NONE, 1);
+        let spans = obs.spans();
+        let ckpt = spans
+            .iter()
+            .find(|s| s.name == "medes.dedup.checkpoint" && s.trace_id == root.trace_id)
+            .expect("traced checkpoint span");
+        assert_eq!((ckpt.start_us, ckpt.dur_us()), (50, 120_000));
+        assert_eq!(ckpt.attr("paper_bytes"), Some(&AttrValue::Uint(4096)));
+        assert!(spans.iter().all(|s| s.parent_id != ckpt.span_id));
+        let node3 = LabelSet::new().with("node", 3usize);
+        assert_eq!(obs.counter("medes.dedup.checkpoint_bytes"), 12_288);
+        assert_eq!(
+            obs.labeled_counter("medes.dedup.checkpoint_bytes", &node3),
+            4096
+        );
+        let hist = obs
+            .labeled_snapshot()
+            .into_iter()
+            .find_map(|(name, labels, m)| match m {
+                Metric::Hist(h) if name == "medes.dedup.checkpoint_us" && labels == node3 => {
+                    Some(h)
+                }
+                _ => None,
+            })
+            .expect("per-node checkpoint histogram");
+        let ids: Vec<_> = hist.exemplars().map(|(_, _, id)| id).collect();
+        assert_eq!((hist.count(), ids), (1, vec![root.trace_id]));
+        let flat = obs.with_histogram("medes.dedup.checkpoint_us", |h| h.count());
+        assert_eq!(flat, Some(2));
+        // Labels off, the same call moves the flat metrics alone; obs
+        // off, it records nothing.
+        let flat_only = Obs::new(medes_obs::ObsConfig::enabled());
+        timing.record(&flat_only, start, "f", 4096, root, 3);
+        assert_eq!(flat_only.labeled_len(), 0);
+        assert_eq!(flat_only.counter("medes.dedup.checkpoint_bytes"), 4096);
+        let off = Obs::disabled();
+        timing.record(&off, start, "f", 4096, root, 3);
+        assert_eq!(off.span_count(), 0);
+        assert!(off.metrics_snapshot().is_empty());
     }
 
     #[test]

@@ -200,17 +200,9 @@ impl Cluster {
             }
         };
         let timing = outcome.timing;
-        timing.record(&self.obs, now, &self.fns[f].profile.name, root, node.0);
-        if self.obs.enabled() {
-            // The cache span covers the base-read phase it accelerates,
-            // and sits under it in the trace tree.
-            let ctx = base_read.child("medes.restore.cache", 0);
-            self.obs
-                .span_in("medes.restore.cache", now, ctx)
-                .attr("hits", outcome.cache_hits)
-                .attr("misses", outcome.cache_misses)
-                .end(now + timing.base_read);
-        }
+        let cache = (outcome.cache_hits, outcome.cache_misses);
+        let name = &self.fns[f].profile.name;
+        timing.record(&self.obs, now, name, root, node.0, cache);
         self.life.begin_restore(id);
         let sb = self.life.footprint_mut(id);
         self.mem.resize(&mut self.metrics, sb, cur_mem.max(m_w));

@@ -151,12 +151,6 @@ impl Cluster {
         report.dedup_batches += 1;
         report.dedup_batch_peak = report.dedup_batch_peak.max(items.len() as u64);
         if self.obs.enabled() {
-            self.obs
-                .span("medes.dedup.batch", now)
-                .attr("size", items.len().to_string())
-                .attr("workers", workers.to_string())
-                .attr("shards", self.bases.registry().shard_count().to_string())
-                .end(now);
             self.obs.incr("medes.dedup.batches");
             let size = items.len() as u64;
             self.obs.record("medes.dedup.batch_size", size);

@@ -163,8 +163,8 @@ impl Placement {
         let rpc =
             self.fabric
                 .registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, &self.retry);
-        if let Ok(out) = rpc {
-            self.rpc_time_us += out.time.as_micros();
+        if let Ok(t) = rpc {
+            self.rpc_time_us += t.as_micros();
         }
     }
 }
@@ -246,11 +246,6 @@ impl RegistryClient {
     fn placement(&self) -> Option<MutexGuard<'_, Placement>> {
         let p = self.placement.as_ref()?;
         Some(p.lock().expect("a registry RPC panicked"))
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards
     }
 
     /// Shard of a chunk hash. Derived from the content hash value
@@ -1192,7 +1187,7 @@ mod tests {
         assert_eq!(a.lookups(), b.lookups());
         assert_eq!(a.mem_bytes(), b.mem_bytes());
         assert_eq!(a.peak_mem_bytes(), b.peak_mem_bytes());
-        assert_eq!(a.shard_count(), b.shard_count());
+        // One entry count per shard: equal vectors, equal shard counts.
         assert_eq!(a.shard_entries(), b.shard_entries());
         assert_eq!(a.base_sandboxes(), b.base_sandboxes());
         // Only the distributed client reports RPC traffic.

@@ -50,31 +50,41 @@ impl RestoreTiming {
     }
 
     /// The base-read phase context under an op minted by
-    /// [`RestoreTiming::op_ctx`] (parents the cache span).
+    /// [`RestoreTiming::op_ctx`] (parents fabric retry spans).
     pub fn base_read_ctx(op: TraceCtx) -> TraceCtx {
         op.child("medes.restore.base_read", 0)
     }
 
     /// Emits the per-phase spans (`medes.restore.*`) for one restore
-    /// that started at `start`, plus duration histograms and the
-    /// `medes.ckpt` restore metrics. Phases are laid end-to-end in the
-    /// order they happen (base read → page compute → checkpoint
-    /// restore), so span durations sum to [`RestoreTiming::total`]
-    /// exactly — the JSONL trace reproduces the Fig 8 breakdown.
+    /// that started at `start`, plus one duration histogram per phase.
+    /// Phases are laid end-to-end in the order they happen (base read →
+    /// page compute → checkpoint restore), so span durations sum to
+    /// [`RestoreTiming::total`] exactly — the JSONL trace reproduces the
+    /// Fig 8 breakdown.
     ///
     /// `parent` is the causal context of the enclosing operation
     /// (usually the request trace root); pass [`TraceCtx::NONE`] for a
     /// flat, untraced record. The emitted tree is
-    /// `op → {base_read, page_compute, ckpt → medes.ckpt.restore}`
-    /// (the platform attaches the cache span and any fabric retry
-    /// spans under `base_read`), and the phase spans tile the op span
+    /// `op → {base_read, page_compute, ckpt}` (fabric retry spans hang
+    /// under `base_read`), and the phase spans tile the op span
     /// exactly, so per-node self-times sum to the op duration.
+    /// `(cache_hits, cache_misses)` are the distinct base pages the
+    /// node's base-page cache served and missed; they are attributes
+    /// of the `base_read` span, the phase the cache accelerates.
     ///
     /// `node` is the node performing the restore — with dimensional
-    /// telemetry on, every restore counter/histogram gains a per-node
-    /// labeled twin and the op histogram retains the trace id as a
-    /// bucket exemplar.
-    pub fn record(&self, obs: &Obs, start: SimTime, fn_name: &str, parent: TraceCtx, node: usize) {
+    /// telemetry on, the op counter and the base-read, checkpoint and
+    /// op histograms gain per-node labeled twins, and the histograms
+    /// keep the trace id as a bucket exemplar.
+    pub fn record(
+        &self,
+        obs: &Obs,
+        start: SimTime,
+        fn_name: &str,
+        parent: TraceCtx,
+        node: usize,
+        (cache_hits, cache_misses): (u64, u64),
+    ) {
         if !obs.enabled() {
             return;
         }
@@ -83,6 +93,8 @@ impl RestoreTiming {
         let t2 = t1 + self.page_compute;
         let t3 = t2 + self.ckpt_restore;
         obs.span_in("medes.restore.base_read", start, Self::base_read_ctx(op))
+            .attr("cache_hits", cache_hits)
+            .attr("cache_misses", cache_misses)
             .end(t1);
         obs.span_in(
             "medes.restore.page_compute",
@@ -90,8 +102,8 @@ impl RestoreTiming {
             op.child("medes.restore.page_compute", 0),
         )
         .end(t2);
-        let ckpt = op.child("medes.restore.ckpt", 0);
-        obs.span_in("medes.restore.ckpt", t2, ckpt).end(t3);
+        obs.span_in("medes.restore.ckpt", t2, op.child("medes.restore.ckpt", 0))
+            .end(t3);
         obs.span_in("medes.restore.op", start, op)
             .attr("fn", fn_name.to_string())
             .end(t3);
@@ -104,14 +116,18 @@ impl RestoreTiming {
             labels,
         );
         obs.record_us("medes.restore.page_compute_us", self.page_compute);
-        obs.record_us("medes.restore.ckpt_us", self.ckpt_restore);
+        obs.record_with(
+            "medes.restore.ckpt_us",
+            self.ckpt_restore.as_micros(),
+            Some(op.trace_id),
+            labels,
+        );
         obs.record_with(
             "medes.restore.op_us",
             self.total().as_micros(),
             Some(op.trace_id),
             labels,
         );
-        medes_ckpt::obs::record_restore_in(obs, ckpt, t2, self.ckpt_restore, node as u64);
     }
 }
 
@@ -255,8 +271,7 @@ pub fn restore_op_cached(
 
     let mut base_read = fabric
         .rdma_read_batch_retry(node.0, &reads, &cfg.retry)
-        .map_err(RestoreError::Net)?
-        .time;
+        .map_err(RestoreError::Net)?;
     if hits > 0 {
         base_read += SimDuration::from_secs_f64(
             (hits as usize * page_paper) as f64 / fabric.config().local_mem_bps,
@@ -296,6 +311,7 @@ mod tests {
     use crate::registry::RegistryClient;
     use medes_mem::{AslrConfig, ContentModel};
     use medes_net::NetConfig;
+    use medes_obs::{AttrValue, Metric};
     use medes_trace::functionbench_suite;
     use std::sync::Arc;
 
@@ -522,6 +538,53 @@ mod tests {
         );
         // `m_R` (transient reconstruction bytes) is unchanged by hits.
         assert_eq!(warm.read_paper_bytes, cold.read_paper_bytes);
+    }
+
+    /// A restore is recorded as one span per phase: three spans tile
+    /// the op and none has a child, the cache counts ride on the
+    /// base-read phase, and with labels on the checkpoint-restore
+    /// histogram is a per-node series keeping the op's trace id as its
+    /// exemplar.
+    #[test]
+    fn restore_record_is_one_span_per_phase() {
+        let timing = RestoreTiming {
+            base_read: SimDuration::from_millis(2),
+            page_compute: SimDuration::from_millis(1),
+            ckpt_restore: SimDuration::from_millis(140),
+        };
+        let obs = Obs::new(medes_obs::ObsConfig::enabled().labeled());
+        let root = obs.trace_root("request", 1, 2);
+        timing.record(&obs, SimTime::from_micros(10), "f", root, 2, (5, 7));
+        let spans = obs.spans();
+        assert_eq!(spans.len(), 4);
+        let op = spans.iter().find(|s| s.name == "medes.restore.op").unwrap();
+        let phases: Vec<_> = spans.iter().filter(|s| s.parent_id == op.span_id).collect();
+        let names: Vec<_> = phases.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "medes.restore.base_read",
+                "medes.restore.page_compute",
+                "medes.restore.ckpt"
+            ]
+        );
+        let tiled: u64 = phases.iter().map(|s| s.dur_us()).sum();
+        assert_eq!(tiled, op.dur_us());
+        assert_eq!(phases[0].attr("cache_hits"), Some(&AttrValue::Uint(5)));
+        assert_eq!(phases[0].attr("cache_misses"), Some(&AttrValue::Uint(7)));
+        let node2 = LabelSet::new().with("node", 2usize);
+        assert_eq!(obs.labeled_counter("medes.restore.ops", &node2), 1);
+        let exemplars: Vec<_> = obs
+            .labeled_snapshot()
+            .into_iter()
+            .find_map(|(name, labels, m)| match m {
+                Metric::Hist(h) if name == "medes.restore.ckpt_us" && labels == node2 => {
+                    Some(h.exemplars().collect::<Vec<_>>())
+                }
+                _ => None,
+            })
+            .expect("per-node checkpoint-restore histogram");
+        assert_eq!(exemplars, [(exemplars[0].0, 140_000, root.trace_id)]);
     }
 
     #[test]

@@ -132,17 +132,6 @@ impl RetryPolicy {
     }
 }
 
-/// Outcome of a retried operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryOutcome {
-    /// Total simulated time, including failed attempts and backoff.
-    pub time: SimDuration,
-    /// Attempts performed (≥ 1).
-    pub attempts: u32,
-    /// The backoff portion of `time`.
-    pub backoff: SimDuration,
-}
-
 /// Link and operation cost parameters.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
@@ -445,7 +434,7 @@ impl Fabric {
         dst: NodeIdx,
         reads: &[(NodeIdx, usize)],
         policy: &RetryPolicy,
-    ) -> Result<RetryOutcome, NetError> {
+    ) -> Result<SimDuration, NetError> {
         self.retry(policy, |f, at| f.rdma_read_batch_at(dst, reads, at))
     }
 
@@ -457,21 +446,14 @@ impl Fabric {
         &mut self,
         policy: &RetryPolicy,
         mut attempt: impl FnMut(&mut Self, SimTime) -> Result<SimDuration, NetError>,
-    ) -> Result<RetryOutcome, NetError> {
+    ) -> Result<SimDuration, NetError> {
         let mut elapsed = SimDuration::ZERO;
-        let mut backoff_total = SimDuration::ZERO;
         let mut attempts = 0u32;
         loop {
             attempts += 1;
             let attempt_start = self.now + elapsed;
             match attempt(self, attempt_start) {
-                Ok(t) => {
-                    return Ok(RetryOutcome {
-                        time: elapsed + t,
-                        attempts,
-                        backoff: backoff_total,
-                    })
-                }
+                Ok(t) => return Ok(elapsed + t),
                 Err(e) => {
                     self.retry_span(attempts, attempt_start, e);
                     elapsed += self.cfg.fault_timeout;
@@ -481,9 +463,7 @@ impl Fabric {
                         }
                         return Err(e);
                     }
-                    let pause = policy.backoff(attempts - 1);
-                    elapsed += pause;
-                    backoff_total += pause;
+                    elapsed += policy.backoff(attempts - 1);
                     self.stats.retries += 1;
                     if self.obs.enabled() {
                         self.obs.incr("medes.net.retries");
@@ -569,7 +549,7 @@ impl Fabric {
         req_bytes: usize,
         resp_bytes: usize,
         policy: &RetryPolicy,
-    ) -> Result<RetryOutcome, NetError> {
+    ) -> Result<SimDuration, NetError> {
         self.retry(policy, |f, at| f.rpc_at(a, b, req_bytes, resp_bytes, at))
     }
 
@@ -588,7 +568,7 @@ impl Fabric {
         if self.faults.is_none() {
             return Ok(SimDuration::ZERO);
         }
-        let out = self.retry(policy, |f, at| {
+        self.retry(policy, |f, at| {
             if !f.faults.as_mut().is_some_and(|s| s.rpc_dropped(at)) {
                 return Ok(SimDuration::ZERO);
             }
@@ -598,8 +578,7 @@ impl Fabric {
                 f.obs.incr("medes.net.rpc_dropped");
             }
             Err(e)
-        })?;
-        Ok(out.time)
+        })
     }
 
     fn check(&self, n: NodeIdx) {
@@ -622,7 +601,7 @@ impl Fabric {
         req_bytes: usize,
         resp_bytes: usize,
         policy: &RetryPolicy,
-    ) -> Result<RetryOutcome, NetError> {
+    ) -> Result<SimDuration, NetError> {
         let out = self.rpc_retry(a, b, req_bytes, resp_bytes, policy)?;
         if self.obs.enabled() {
             self.obs.incr(op.counter_name());
@@ -966,13 +945,12 @@ mod tests {
             base_backoff: SimDuration::from_millis(1),
             max_backoff: SimDuration::from_millis(4),
         };
-        let out = f.rdma_read_batch_retry(0, &[(1, 4096)], &policy).unwrap();
-        assert_eq!(out.attempts, 3);
+        let t = f.rdma_read_batch_retry(0, &[(1, 4096)], &policy).unwrap();
+        assert_eq!(f.stats().retries, 2);
         let clean = fabric().rdma_read_batch(0, &[(1, 4096)]).unwrap();
         // 2 failures à fault_timeout + backoffs (1ms + 2ms) + clean op.
         let expected = f.config().fault_timeout.mul_f64(2.0) + total_backoff(&policy, 2) + clean;
-        assert_eq!(out.time, expected);
-        assert_eq!(out.backoff, total_backoff(&policy, 2));
+        assert_eq!(t, expected);
     }
 
     #[test]
@@ -1088,15 +1066,14 @@ mod tests {
                 ..FaultPlan::default()
             }));
             match f.rdma_read_batch_retry(0, &[(1, 4096)], &policy) {
-                Ok(out) => {
+                Ok(t) => {
                     // k failed attempts, then a clean one.
-                    let k = out.attempts - 1;
+                    let k = f.stats().retries as u32;
                     let clean = fabric().rdma_read_batch(0, &[(1, 4096)]).unwrap();
                     let expected = f.config().fault_timeout.mul_f64(k as f64)
                         + total_backoff(&policy, k)
                         + clean;
-                    assert_eq!(out.time, expected, "case {case}");
-                    assert_eq!(out.backoff, total_backoff(&policy, k), "case {case}");
+                    assert_eq!(t, expected, "case {case}");
                 }
                 Err(_) => {
                     assert_eq!(f.stats().retries, (max_attempts - 1) as u64, "case {case}");
@@ -1200,8 +1177,7 @@ mod tests {
         };
         let t = f
             .registry_rpc_retry(0, 1, RegistryOp::Lookup, 40, 120, &policy)
-            .unwrap()
-            .time;
+            .unwrap();
         let plain = fabric().rpc(0, 1, 40, 120).unwrap();
         assert_eq!(t, plain);
         f.registry_rpc_retry(0, 2, RegistryOp::Insert, 64, 8, &policy)

@@ -99,34 +99,6 @@ impl Trace {
         counts
     }
 
-    /// Restricts the trace to a subset of functions (used by the
-    /// representative-workload experiments, §7.5). Function indices are
-    /// remapped densely, and so are request ids (they are positions).
-    pub fn filter_functions(&self, keep: &[&str]) -> Trace {
-        let mut map = vec![usize::MAX; self.functions.len()];
-        let mut functions = Vec::new();
-        for (i, name) in self.functions.iter().enumerate() {
-            if keep.contains(&name.as_str()) {
-                map[i] = functions.len();
-                functions.push(name.clone());
-            }
-        }
-        let invocations = self
-            .invocations
-            .iter()
-            .filter(|inv| map[inv.function] != usize::MAX)
-            .map(|inv| Invocation {
-                time_us: inv.time_us,
-                function: map[inv.function],
-            })
-            .collect();
-        Trace {
-            functions,
-            invocations,
-            duration_us: self.duration_us,
-        }
-    }
-
     /// Serializes to JSON. Invocations are stored as compact
     /// `[time_us, function]` pairs.
     pub fn to_json(&self) -> String {
@@ -275,15 +247,6 @@ mod tests {
             (tr.counts(), tr.duration()),
             (vec![2, 1], SimTime::from_secs(60))
         );
-    }
-
-    #[test]
-    fn filter_remaps_functions() {
-        let tr = sample();
-        let only_b = tr.filter_functions(&["B"]);
-        assert_eq!(only_b.functions, vec!["B".to_string()]);
-        assert_eq!(only_b.len(), 1);
-        assert_eq!(only_b.invocations[0].function, 0);
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! cold starts (§5.3), the dead node's chunks vanish from the
 //! fingerprint registry, and the whole run replays bit-identically.
 
-use medes::obs::{AttrValue, ObsConfig};
-use medes::platform::config::{PlatformConfig, PolicyKind};
+use medes::obs::{AttrValue, ObsConfig, SpanRecord};
+use medes::platform::config::{PlatformConfig, PolicyKind, RestoreReadConfig};
 use medes::platform::metrics::RunReport;
 use medes::platform::Platform;
 use medes::policy::medes::Objective;
 use medes::sim::fault::{FaultPlan, LinkFaultKind, LinkFaultWindow, NodeCrash};
 use medes::sim::{SimDuration, SimTime};
 use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
+use std::collections::HashMap;
 
 fn pressured_trace(secs: u64) -> (Vec<FunctionProfile>, Trace) {
     let suite: Vec<FunctionProfile> = functionbench_suite().into_iter().take(4).collect();
@@ -126,11 +127,16 @@ fn node_crash_triggers_cold_fallback_and_purges_registry() {
 /// still lists each completed request once, in id order: its ids are
 /// exactly those of the `medes.platform.request` spans, one per
 /// completion.
+///
+/// The same trace records each phase once: no span has a parent
+/// covering exactly its own interval, across dedup ops, restores
+/// served partly from the base-page cache, and fabric retries.
 #[test]
 fn rescheduled_requests_are_reported_once_in_id_order() {
     let (suite, trace) = pressured_trace(600);
     let mut cfg = pressured_config();
     cfg.faults = chaos_plan();
+    cfg.read_path = RestoreReadConfig::cached(64 << 20);
     cfg.obs = ObsConfig {
         span_buffer_cap: usize::MAX,
         ..ObsConfig::enabled()
@@ -157,6 +163,31 @@ fn rescheduled_requests_are_reported_once_in_id_order() {
         .collect();
     completed.sort_unstable();
     assert_eq!(ids, completed);
+
+    let spans = out.obs.spans();
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert!(count("medes.dedup.op") > 0 && count("medes.net.retry") > 0);
+    let cache_hits = spans.iter().any(|s| {
+        s.name == "medes.restore.base_read"
+            && matches!(s.attr("cache_hits"), Some(AttrValue::Uint(n)) if *n > 0)
+    });
+    assert!(cache_hits, "some restore is served from the cache");
+    let by_id: HashMap<u64, &SpanRecord> = spans
+        .iter()
+        .filter(|s| s.span_id != 0)
+        .map(|s| (s.span_id, s))
+        .collect();
+    for s in &spans {
+        if let Some(p) = by_id.get(&s.parent_id) {
+            assert_ne!(
+                (s.start_us, s.end_us),
+                (p.start_us, p.end_us),
+                "{} only repeats its parent {}",
+                s.name,
+                p.name
+            );
+        }
+    }
 }
 
 #[test]
