@@ -4,8 +4,8 @@
 //!
 //! * `--quick` shrinks workloads to smoke-test size;
 //! * `--obs` streams a JSONL span trace per platform run to the results
-//!   directory; `--labels` adds labeled series, exemplars and SLO
-//!   violators, `--timeseries <ms>` (ms > 0) adds the sampled series to
+//!   directory; `--labels` adds the fabric's per-link and per-owner
+//!   counters, `--timeseries <ms>` (ms > 0) adds the sampled series to
 //!   the trace's tail — both only with `--obs`;
 //! * `--faults`, `--cache` and `--content-model` set the fault plan,
 //!   the base-page cache and the content model of every cluster run.

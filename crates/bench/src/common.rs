@@ -68,14 +68,13 @@ pub struct ExpConfig {
     /// Inert without `--obs` (the binary rejects the flag without it,
     /// and a zero interval).
     pub timeseries_ms: Option<u64>,
-    /// Dimensional telemetry (`--labels`, with `--obs`): hot call
-    /// sites additionally keep bounded labeled twins of their metrics
-    /// (per node, per function class, per link, per shard owner),
-    /// histogram buckets retain exemplar trace ids, and the SLO
-    /// tracker keeps its top violators per function — the inputs of
-    /// `trace report`'s attribution. Off by default: label-off runs export
-    /// byte-identical traces. Inert without `--obs` (the binary rejects
-    /// the flag without it).
+    /// Dimensional telemetry (`--labels`, with `--obs`): the fabric's
+    /// counters additionally keep labeled twins per link (`src`, `dst`)
+    /// and per registry owner — facts no span carries. Everything
+    /// keyed by node or function is a span attribute, so `trace
+    /// report`'s attribution needs no labels. Off by default: label-off
+    /// runs export byte-identical traces. Inert without `--obs` (the
+    /// binary rejects the flag without it).
     pub labels: bool,
     /// Entropy-mixture content model (`--content-model`): every
     /// platform built by [`ExpConfig::platform`] uses the calibrated

@@ -1,10 +1,11 @@
 //! The comparison section of `trace report --against <base>`: the
-//! curated higher-is-worse counters, histogram p99s, SLO violations,
-//! per-phase self time and gauge endpoints of two run exports, each
+//! curated higher-is-worse counters, SLO violations, per-phase span
+//! p99 and self time, and gauge endpoints of two run exports, each
 //! gated by a relative threshold plus a per-unit absolute floor, so a
 //! 2 → 3 count blip doesn't fail a build.
 
 use crate::report::{f, Report};
+use crate::summarize::Phase;
 use crate::trace::{group_by, Export};
 use medes_obs::SeriesKind;
 use std::collections::{BTreeMap, BTreeSet};
@@ -113,12 +114,15 @@ pub(crate) fn against(
     };
     let mut counters = WORSE_COUNTERS.map(counter).to_vec();
     counters.retain(|r| r.1 != 0.0 || r.2 != 0.0);
-    let (b, c) = (base.slo_violations, cand.slo_violations);
+    let violations = |run: &Export| run.slo.violations.len() as f64;
+    let (b, c) = (violations(base), violations(cand));
     let slo = vec![row("slo.violations_total".into(), b, c, th.abs_count)];
-    let hists = both(&base.hist_p99, &cand.hist_p99, |n| {
-        (format!("{n}.p99"), th.abs_us, false)
+    let p99 = |p: &Phase| Some(p.quantiles_us[2]); // [p50, p95, p99, max]
+    let p99s = both(&per_phase(base, p99), &per_phase(cand, p99), |n| {
+        (format!("p99:{n}"), th.abs_us, false)
     });
-    let phases = both(&self_us(base), &self_us(cand), |n| {
+    let self_us = |p: &Phase| p.self_us.map(|us| us as f64);
+    let phases = both(&per_phase(base, self_us), &per_phase(cand, self_us), |n| {
         (format!("self:{n}"), th.abs_us, false)
     });
     let ends = both(&gauge_ends(base), &gauge_ends(cand), |n| {
@@ -129,7 +133,7 @@ pub(crate) fn against(
     let mut out = Vec::new();
     for (title, rows) in [
         ("run counters", counters),
-        ("latency histograms (p99, us)", hists),
+        ("per-phase latency (p99, us)", p99s),
         ("slo", slo),
         ("per-phase self time (us)", phases),
         ("time-series endpoints", ends),
@@ -220,13 +224,13 @@ fn both(
     base.iter().filter_map(row).collect()
 }
 
-/// Self time per traced phase, µs.
-fn self_us(run: &Export) -> BTreeMap<String, f64> {
-    let traced = run
+/// One number per phase, where `pick` gives one.
+fn per_phase(run: &Export, pick: impl Fn(&Phase) -> Option<f64>) -> BTreeMap<String, f64> {
+    let picked = run
         .phases
         .iter()
-        .filter_map(|p| Some((p.name.clone(), p.self_us?)));
-    traced.map(|(name, us)| (name, us as f64)).collect()
+        .filter_map(|p| Some((p.name.clone(), pick(p)?)));
+    picked.collect()
 }
 
 /// The last sample of every gauge series. Counters already surface
@@ -250,17 +254,20 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    /// A tiny run: one traced op, some counters, a hist, SLO.
+    /// A tiny run: 20 traced requests of `op_us` each, whose startup
+    /// `latency_us` is held to a 100 µs bound, and a counter.
     fn toy_obs(cold_starts: u64, op_us: u64, latency_us: u64) -> Arc<Obs> {
         let obs = Obs::new(ObsConfig::enabled());
-        let root = obs.trace_root("request", 1, 1);
-        obs.span_in("medes.platform.request", t(0), root)
-            .end(t(op_us));
-        obs.counter_add("medes.platform.starts.cold", cold_starts);
-        obs.record("medes.platform.startup_us", op_us);
-        for _ in 0..20 {
-            obs.slo_record("f", latency_us, 100, 0, 0);
+        for id in 0..20 {
+            let root = obs.trace_root("request", 1, id);
+            obs.span_in("medes.platform.request", t(id * op_us), root)
+                .attr("fn", "f")
+                .attr("startup_us", latency_us)
+                .attr("node", 0u64)
+                .attr("bound_us", 100u64)
+                .end(t((id + 1) * op_us));
         }
+        obs.counter_add("medes.platform.starts.cold", cold_starts);
         obs
     }
 
@@ -309,17 +316,19 @@ mod tests {
         assert!(text.contains("REGRESSED"));
     }
 
+    /// The per-phase p99 compared is the spans' own.
     #[test]
-    fn hist_p99_and_phase_self_regress() {
+    fn phase_p99_and_self_regress() {
         let base = load("a", &toy_export(1, 1_000, 50));
         let cand = load("b", &toy_export(1, 20_000, 50));
-        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
+        let (text, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
         let names = metrics(&regressions);
-        assert!(
-            names.contains(&"medes.platform.startup_us.p99"),
-            "{names:?}"
-        );
+        assert!(names.contains(&"p99:medes.platform.request"), "{names:?}");
         assert!(names.contains(&"self:medes.platform.request"), "{names:?}");
+        let row = text
+            .lines()
+            .find(|l| l.starts_with("p99:medes.platform.request"));
+        assert!(row.is_some_and(|l| l.contains(" 1000.0 ") && l.contains(" 20000.0 ")));
     }
 
     #[test]

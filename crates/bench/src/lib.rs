@@ -50,6 +50,7 @@ pub mod common;
 mod diff;
 pub mod experiments;
 pub mod report;
+mod slo;
 mod summarize;
 mod timeline;
 pub mod trace;

@@ -1,6 +1,7 @@
 //! The run-level sections of `trace report`: the one per-phase table
-//! (latency and self time per span name), the slowest requests and the
-//! run's counters and gauges from the tail line.
+//! (latency percentiles and self time per span name, folded from the
+//! spans), the slowest requests and the run's counters and gauges from
+//! the tail line.
 
 use crate::analyze::Forest;
 use crate::report::{f, Report};
@@ -18,12 +19,16 @@ pub(crate) struct Phase {
     pub(crate) count: u64,
     /// Sum of durations, µs.
     pub(crate) total_us: u64,
-    /// Median, 99th percentile and longest duration, µs.
-    pub(crate) p50_p99_max_us: [f64; 3],
+    /// p50, p95, p99 and longest duration, µs: [`PHASE_QUANTILES`] of
+    /// the spans' durations.
+    pub(crate) quantiles_us: [f64; 4],
     /// Sum of self times over the name's traced spans, µs; `None` when
     /// no span of the name is in a causal tree.
     pub(crate) self_us: Option<u64>,
 }
+
+/// The quantiles of the per-phase table.
+pub(crate) const PHASE_QUANTILES: [f64; 4] = [0.50, 0.95, 0.99, 1.0];
 
 /// The one per-phase pass: every span's duration and every traced
 /// span's self time, grouped by name, sorted by total time descending
@@ -41,14 +46,14 @@ pub(crate) fn phases(forest: &Forest) -> Vec<Phase> {
         .into_iter()
         .map(|(name, (durs, self_us))| {
             let mut pct = percentiles(durs.iter().map(|&d| d as f64));
-            let p50_p99_max_us = [0.50, 0.99, 1.0].map(|q| pct.quantile(q).unwrap_or(0.0));
+            let quantiles_us = PHASE_QUANTILES.map(|q| pct.quantile(q).unwrap_or(0.0));
             let (count, total_us) = (durs.len() as u64, durs.iter().sum());
             let name = name.to_string();
             Phase {
                 name,
                 count,
                 total_us,
-                p50_p99_max_us,
+                quantiles_us,
                 self_us,
             }
         })
@@ -64,7 +69,7 @@ pub(crate) fn phase_table(report: &mut Report, phases: &[Phase]) {
     let rows = phases.iter().map(|p| {
         let mean = f(p.total_us as f64 / p.count as f64, 1);
         let mut row = vec![p.name.clone(), p.count.to_string(), mean];
-        row.extend(p.p50_p99_max_us.map(|us| f(us, 1)));
+        row.extend(p.quantiles_us.map(|us| f(us, 1)));
         row.push(f(p.total_us as f64 / 1e6, 3));
         row.extend(match p.self_us {
             Some(us) => [f(us as f64 / 1e6, 3), f(100.0 * us as f64 / grand, 1)],
@@ -73,13 +78,14 @@ pub(crate) fn phase_table(report: &mut Report, phases: &[Phase]) {
         row
     });
     let header = [
-        "phase", "count", "mean_us", "p50_us", "p99_us", "max_us", "total_s", "self_s", "self_%",
+        "phase", "count", "mean_us", "p50_us", "p95_us", "p99_us", "max_us", "total_s", "self_s",
+        "self_%",
     ];
     report.table(&header, rows);
 }
 
 /// The [`TOP`] slowest requests with their attributes, then the run's
-/// counters and gauges (histograms appear through their spans).
+/// counters and gauges.
 pub(crate) fn slowest_and_counters(report: &mut Report, run: &Export) {
     let requests = run
         .forest
@@ -121,6 +127,7 @@ pub(crate) fn slowest_and_counters(report: &mut Report, run: &Export) {
 
 #[cfg(test)]
 mod tests {
+    use super::PHASE_QUANTILES;
     use crate::trace::{load, report};
 
     fn sample_trace() -> String {
@@ -153,11 +160,32 @@ mod tests {
             .unwrap();
         assert_eq!(base.count, 10);
         assert_eq!(base.total_us, 300);
-        assert_eq!(base.p50_p99_max_us, [30.0; 3]);
+        assert_eq!(base.quantiles_us, [30.0; 4]);
         // Untraced spans carry no self time.
         assert_eq!(base.self_us, None);
         // Sorted by total time: requests (longest spans) first.
         assert_eq!(phases[0].name, "medes.platform.request");
+    }
+
+    /// The per-phase p50/p95/p99 of a hand-built export are exactly
+    /// [`Percentiles::quantile`] over the same durations.
+    #[test]
+    fn phase_percentiles_equal_the_sorted_sample_quantiles() {
+        let durations = [7u64, 1_000, 3, 250, 90, 90, 12_000, 41, 5, 600, 77];
+        let mut text = String::new();
+        for (i, d) in durations.iter().enumerate() {
+            let start = 100 * i as u64;
+            let end = start + d;
+            text +=
+                &format!(r#"{{"span":"medes.restore.ckpt","start_us":{start},"end_us":{end}}}"#);
+            text.push('\n');
+        }
+        let phases = load("t", &text).phases;
+        let mut exact = medes_sim::stats::Percentiles::new();
+        durations.iter().for_each(|&d| exact.record(d as f64));
+        let want = PHASE_QUANTILES.map(|q| exact.quantile(q).unwrap());
+        assert_eq!(phases[0].quantiles_us, want);
+        assert_eq!(want[3], 12_000.0);
     }
 
     #[test]

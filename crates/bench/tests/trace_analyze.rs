@@ -1,7 +1,8 @@
 //! End-to-end: a traced quick-scale Medes run exports a JSONL trace
-//! that `trace report` reconstructs into exact causal trees, drills
-//! into and compares against another run — and no telemetry setting
-//! (off, on, labeled) moves the `RunReport`. These are the gates
+//! that `trace report` reconstructs into exact causal trees, folds
+//! into SLO and outlier attributions, and compares against another run
+//! — and no telemetry setting (off, on, labeled) moves the
+//! `RunReport`. These are the gates
 //! of the observability layer (DESIGN.md §8, §12, §16); the one
 //! host-time claim, a ceiling on tracing overhead, is `#[ignore]`d and
 //! run by CI in `--release` with `-- --ignored`.
@@ -10,7 +11,7 @@ use medes_bench::common::{run_outcome, ExpConfig};
 use medes_bench::trace;
 use medes_core::config::{PlatformConfig, PolicyKind};
 use medes_core::platform::RunOutcome;
-use medes_obs::{parse_tail, ObsConfig};
+use medes_obs::ObsConfig;
 use medes_policy::medes::Objective;
 use medes_sim::fault::{FaultPlan, LinkFaultKind, LinkFaultWindow};
 use medes_sim::{SimDuration, SimTime};
@@ -75,6 +76,7 @@ fn report_exit(trace: (&str, &str), base: Option<(&str, &str)>) -> Option<i32> {
 #[test]
 fn traced_run_reconstructs_exact_request_trees() {
     let outcome = quick_run(traced().labeled(), |_| {});
+    assert_eq!(outcome.obs.spans_dropped(), 0);
     let jsonl = outcome.obs.export_jsonl();
     let run = trace::load("e2e.jsonl", &jsonl);
     let forest = &run.forest;
@@ -119,17 +121,20 @@ fn traced_run_reconstructs_exact_request_trees() {
     let folded = forest.folded_stacks();
     assert!(folded.lines().any(|l| l.contains(';')), "no nested stacks");
 
-    // The SLO summary is in the export's tail.
-    let slo = outcome.obs.slo_summary();
-    assert!(!slo.is_empty());
-    let tail = parse_tail(&jsonl).expect("export ends in a tail");
-    for row in &slo {
-        assert_eq!(tail["slo"][row.func.as_str()]["count"], row.count as i64);
-    }
+    // The SLO fold covers every request, from its span alone.
+    let slo = &run.slo;
+    let requests: u64 = slo.by_fn.values().map(|r| r.requests).sum();
+    assert_eq!(requests, outcome.report.requests.len() as u64);
+    assert!(slo.by_fn.values().all(|r| r.bound_us > 0));
+    let violations: u64 = slo.by_fn.values().map(|r| r.violations).sum();
+    assert_eq!(violations, slo.violations.len() as u64);
+    let by_node: u64 = slo.by_node().values().map(|n| n.violations).sum();
+    assert_eq!(by_node, violations, "every violation has its node");
+    assert!(text.contains("slo per function"), "{text}");
 
     // The drill-down needs nothing but the same string: cold starts
-    // break the α·s_W bound, so violators are retained, ranked by node
-    // and resolved against the spans above the tail.
+    // break the α·s_W bound, so violations are ranked by node and
+    // resolved against the spans.
     assert!(findings.attributions.iter().any(|a| a.kind == "slo-node"));
     assert!(findings.gate(), "attributions must fail the gate");
     assert!(text.contains("critical path of worst violation"), "{text}");
@@ -137,7 +142,7 @@ fn traced_run_reconstructs_exact_request_trees() {
 
     // Telemetry observes the simulation, it never perturbs it: off and
     // label-off runs report what this labeled one did. Labels must add
-    // series, and leave no key behind when off.
+    // the fabric's counter series, and leave no key behind when off.
     let untraced = quick_run(ObsConfig::default(), |_| {});
     assert_eq!(
         untraced.report, outcome.report,
@@ -154,8 +159,11 @@ fn traced_run_reconstructs_exact_request_trees() {
         !label_off.contains("\"labeled\""),
         "a label-off tail must not carry a labeled key"
     );
-    // A label-off export has nothing to attribute: `trace report` exits 0.
-    assert_eq!(report_exit(("label-off", &label_off), None), Some(0));
+    // Attribution reads spans, so a label-off export attributes the
+    // same violations: `trace report` exits 1 on it too.
+    let (_, plain) = trace::report(&trace::load("label-off", &label_off), None, None);
+    assert_eq!(plain.attributions, findings.attributions);
+    assert_eq!(report_exit(("label-off", &label_off), None), Some(1));
 
     // `--against` is quiet on a run against itself and loud on an
     // injected regression: the same workload under a 1 s fixed
@@ -180,13 +188,13 @@ fn traced_run_reconstructs_exact_request_trees() {
 
 /// The drill-down names an injected slow node: a latency-spike window
 /// (x150 on every RDMA read into node 1, enough that dedup restores
-/// served there outrank even the worst cold starts among the
-/// per-function violators) makes `trace report` rank that node first
-/// and resolve a critical path for its worst violation. The CLI turns
-/// both findings into exit codes.
+/// served there outrank even the worst cold starts among each
+/// function's slowest violations) makes `trace report` rank that node
+/// first and resolve a critical path for its worst violation, from a
+/// label-off export. The CLI turns both findings into exit codes.
 #[test]
 fn injected_slow_node_is_the_top_attribution() {
-    let slow = quick_run(ObsConfig::enabled().labeled(), |p| {
+    let slow = quick_run(ObsConfig::enabled(), |p| {
         p.faults = FaultPlan {
             links: vec![LinkFaultWindow {
                 src: None,
@@ -198,19 +206,21 @@ fn injected_slow_node_is_the_top_attribution() {
             ..FaultPlan::default()
         };
     });
+    assert_eq!(slow.obs.spans_dropped(), 0);
+    let jsonl = slow.obs.export_jsonl();
+    let run = trace::load("slow.jsonl", &jsonl);
     assert!(
-        slow.obs.slo_violations() > 0,
+        !run.slo.violations.is_empty(),
         "slow-node run must record SLO violations"
     );
-    let jsonl = slow.obs.export_jsonl();
-    let (drill, findings) = trace::report(&trace::load("slow.jsonl", &jsonl), None, None);
+    let (drill, findings) = trace::report(&run, None, None);
     let attributions = &findings.attributions;
     let top = attributions
         .first()
         .expect("slow-node run produced no attributions");
     assert_eq!(
         top.kind, "slo-node",
-        "top attribution must come from the SLO violator ranking"
+        "top attribution must come from the SLO node ranking"
     );
     assert_eq!(
         top.subject, "node 1",

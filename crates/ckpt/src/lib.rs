@@ -17,8 +17,8 @@
 //!
 //! The crate is a cost and format model only; it records no telemetry.
 //! What a run charged for a checkpoint or a restore is observed on the
-//! `medes.dedup.checkpoint` and `medes.restore.ckpt` phase spans and
-//! histograms that `medes-core` emits per op.
+//! `medes.dedup.checkpoint` and `medes.restore.ckpt` phase spans that
+//! `medes-core` emits per op.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

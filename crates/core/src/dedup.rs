@@ -44,7 +44,7 @@ use medes_delta::{encode_with, EncodeConfig, EncodeScratch};
 use medes_hash::sample::pages_fingerprints;
 use medes_mem::{MemoryImage, PAGE_SIZE};
 use medes_net::{Fabric, NetError};
-use medes_obs::{LabelSet, Obs, TraceCtx};
+use medes_obs::{Obs, TraceCtx};
 use medes_sim::{SimDuration, SimTime};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -82,28 +82,26 @@ impl DedupTiming {
     }
 
     /// Emits the per-phase spans (`medes.dedup.*`) for one dedup op
-    /// that started at `start`, plus one duration histogram per phase.
-    /// Phases are laid end-to-end in execution order (checkpoint →
-    /// fingerprint lookup → base read → patch compute), so span
-    /// durations sum to [`DedupTiming::total`]. The checkpoint phase is
-    /// the memory dump: its span carries `paper_bytes` (the
+    /// that started at `start`: the spans are the one record of each
+    /// phase's duration. Phases are laid end-to-end in execution order
+    /// (checkpoint → fingerprint lookup → base read → patch compute),
+    /// so span durations sum to [`DedupTiming::total`]. The checkpoint
+    /// phase is the memory dump: its span carries `paper_bytes` (the
     /// paper-scale dump size, `ckpt_paper_bytes`), which also adds to
-    /// `medes.dedup.checkpoint_bytes`.
+    /// `medes.dedup.checkpoint_bytes`. The lookup span carries
+    /// `candidates`, the registry candidates summed over the op's
+    /// probed pages ([`DedupScan::candidates`]).
     ///
     /// `parent` is the causal context of the enclosing operation (the
     /// platform's dedup trace root); [`TraceCtx::NONE`] records a flat,
-    /// untraced breakdown.
-    ///
-    /// `node` is the node being checkpointed — with dimensional
-    /// telemetry on, the op counter, the checkpoint bytes and the
-    /// checkpoint and op histograms gain per-node labeled twins, and
-    /// the histograms keep the trace id as a bucket exemplar.
+    /// untraced breakdown. `node` is the node being checkpointed; the
+    /// op span carries it.
     pub fn record(
         &self,
         obs: &Obs,
         start: SimTime,
         fn_name: &str,
-        ckpt_paper_bytes: usize,
+        (ckpt_paper_bytes, candidates): (usize, u64),
         parent: TraceCtx,
         node: usize,
     ) {
@@ -123,6 +121,7 @@ impl DedupTiming {
         .attr("paper_bytes", ckpt_paper_bytes)
         .end(t1);
         obs.span_in("medes.dedup.lookup", t1, op.child("medes.dedup.lookup", 0))
+            .attr("candidates", candidates)
             .end(t2);
         obs.span_in(
             "medes.dedup.base_read",
@@ -134,29 +133,10 @@ impl DedupTiming {
             .end(t4);
         obs.span_in("medes.dedup.op", start, op)
             .attr("fn", fn_name.to_string())
+            .attr("node", node)
             .end(t4);
-        let labels = || LabelSet::new().with("node", node);
-        obs.incr_with("medes.dedup.ops", labels);
-        obs.counter_add_with(
-            "medes.dedup.checkpoint_bytes",
-            ckpt_paper_bytes as u64,
-            labels,
-        );
-        obs.record_with(
-            "medes.dedup.checkpoint_us",
-            self.checkpoint.as_micros(),
-            Some(op.trace_id),
-            labels,
-        );
-        obs.record_us("medes.dedup.lookup_us", self.lookup);
-        obs.record_us("medes.dedup.base_read_us", self.base_read);
-        obs.record_us("medes.dedup.patch_us", self.patch_compute);
-        obs.record_with(
-            "medes.dedup.op_us",
-            self.total().as_micros(),
-            Some(op.trace_id),
-            labels,
-        );
+        obs.incr("medes.dedup.ops");
+        obs.counter_add("medes.dedup.checkpoint_bytes", ckpt_paper_bytes as u64);
     }
 }
 
@@ -212,6 +192,8 @@ pub struct DedupScan {
     pub image_model_bytes: usize,
     /// Model-scale page count (for lookup timing).
     pub image_pages: usize,
+    /// Registry candidates returned for the probed pages, summed.
+    pub candidates: u64,
     /// What the sandbox's next scan can reuse of this one (host memory
     /// only; its `entries` are still in `table`).
     pub memo: DedupMemo,
@@ -320,6 +302,7 @@ where
     // (rare) skip the registry exactly as the per-page path did.
     let probe_fps: Vec<_> = fps.iter().filter(|fp| !fp.is_empty()).cloned().collect();
     let candidate_lists = registry.lookup_batch(&probe_fps);
+    let candidates = candidate_lists.iter().map(|c| c.len() as u64).sum();
     let mut probe_cursor = 0usize;
     // One encoder scratch per scan: the hash index and literal arenas
     // are reused across every candidate page of this image.
@@ -415,6 +398,7 @@ where
         patched_pages,
         image_model_bytes: fps.len() * PAGE_SIZE,
         image_pages: fps.len(),
+        candidates,
         memo: DedupMemo {
             fingerprints: fps,
             rejected,
@@ -532,7 +516,7 @@ mod tests {
     use crate::restore::restore_op_cached;
     use medes_mem::{AslrConfig, ContentModel};
     use medes_net::NetConfig;
-    use medes_obs::{AttrValue, Metric};
+    use medes_obs::AttrValue;
     use medes_sim::DetRng;
     use medes_trace::functionbench_suite;
     use std::collections::HashMap;
@@ -907,11 +891,9 @@ mod tests {
     }
 
     /// The checkpoint phase is the one record of the memory dump: its
-    /// span carries the dump size and has no child, and with labels on
-    /// the dump bytes and the phase histogram are per-node series whose
-    /// flat aggregates they sum to, the histogram keeping the op's
-    /// trace id as its exemplar. Without labels only the flat metrics
-    /// move; without obs nothing does.
+    /// span carries the dump size and has no child, the lookup span the
+    /// registry candidates and the op span its node; the dump bytes add
+    /// to one flat counter. Without obs nothing moves.
     #[test]
     fn checkpoint_phase_records_the_dump_per_node() {
         let timing = DedupTiming {
@@ -919,47 +901,33 @@ mod tests {
             lookup: SimDuration::from_millis(3),
             ..DedupTiming::default()
         };
-        let obs = Obs::new(medes_obs::ObsConfig::enabled().labeled());
+        let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let root = obs.trace_root("dedup", 1, 2);
         let start = SimTime::from_micros(50);
-        timing.record(&obs, start, "f", 4096, root, 3);
-        timing.record(&obs, start, "f", 8192, TraceCtx::NONE, 1);
+        timing.record(&obs, start, "f", (4096, 17), root, 3);
+        timing.record(&obs, start, "f", (8192, 0), TraceCtx::NONE, 1);
         let spans = obs.spans();
-        let ckpt = spans
-            .iter()
-            .find(|s| s.name == "medes.dedup.checkpoint" && s.trace_id == root.trace_id)
-            .expect("traced checkpoint span");
+        let traced = |name: &str| {
+            spans
+                .iter()
+                .find(|s| s.name == name && s.trace_id == root.trace_id)
+                .unwrap_or_else(|| panic!("traced {name} span"))
+        };
+        let ckpt = traced("medes.dedup.checkpoint");
         assert_eq!((ckpt.start_us, ckpt.dur_us()), (50, 120_000));
         assert_eq!(ckpt.attr("paper_bytes"), Some(&AttrValue::Uint(4096)));
         assert!(spans.iter().all(|s| s.parent_id != ckpt.span_id));
-        let node3 = LabelSet::new().with("node", 3usize);
-        assert_eq!(obs.counter("medes.dedup.checkpoint_bytes"), 12_288);
+        let lookup = traced("medes.dedup.lookup");
+        assert_eq!(lookup.attr("candidates"), Some(&AttrValue::Uint(17)));
         assert_eq!(
-            obs.labeled_counter("medes.dedup.checkpoint_bytes", &node3),
-            4096
+            traced("medes.dedup.op").attr("node"),
+            Some(&AttrValue::Uint(3))
         );
-        let hist = obs
-            .labeled_snapshot()
-            .into_iter()
-            .find_map(|(name, labels, m)| match m {
-                Metric::Hist(h) if name == "medes.dedup.checkpoint_us" && labels == node3 => {
-                    Some(h)
-                }
-                _ => None,
-            })
-            .expect("per-node checkpoint histogram");
-        let ids: Vec<_> = hist.exemplars().map(|(_, _, id)| id).collect();
-        assert_eq!((hist.count(), ids), (1, vec![root.trace_id]));
-        let flat = obs.with_histogram("medes.dedup.checkpoint_us", |h| h.count());
-        assert_eq!(flat, Some(2));
-        // Labels off, the same call moves the flat metrics alone; obs
-        // off, it records nothing.
-        let flat_only = Obs::new(medes_obs::ObsConfig::enabled());
-        timing.record(&flat_only, start, "f", 4096, root, 3);
-        assert_eq!(flat_only.labeled_len(), 0);
-        assert_eq!(flat_only.counter("medes.dedup.checkpoint_bytes"), 4096);
+        assert_eq!(obs.counter("medes.dedup.checkpoint_bytes"), 12_288);
+        assert_eq!(obs.counter("medes.dedup.ops"), 2);
+        assert_eq!(obs.labeled_len(), 0, "a span fact needs no labeled twin");
         let off = Obs::disabled();
-        timing.record(&off, start, "f", 4096, root, 3);
+        timing.record(&off, start, "f", (4096, 17), root, 3);
         assert_eq!(off.span_count(), 0);
         assert!(off.metrics_snapshot().is_empty());
     }

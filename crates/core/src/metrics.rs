@@ -1,11 +1,11 @@
 //! Run metrics: everything the paper's tables and figures need.
 //!
 //! The platform's collector is layered on top of `medes-obs`: every
-//! request it records is mirrored as a `medes.platform.request` span
-//! plus latency histograms, so an obs-enabled run yields a JSONL trace
-//! whose aggregates match the [`RunReport`] exactly.
+//! request it records is mirrored as a `medes.platform.request` span,
+//! so an obs-enabled run yields a JSONL trace whose aggregates match
+//! the [`RunReport`] exactly.
 
-use medes_obs::{LabelSet, Obs, TraceCtx};
+use medes_obs::{Obs, TraceCtx};
 use medes_sim::stats::Percentiles;
 use medes_sim::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -298,16 +298,15 @@ impl MetricsCollector {
     }
 
     /// Records one completed request: places it in its slot and mirrors
-    /// it as a `medes.platform.request` span + histograms.
+    /// it as a `medes.platform.request` span, the one record of its
+    /// latency.
     ///
     /// `ctx` is the request's trace root (the span carries its ids, so
     /// restore/dedup phase spans minted from the same root link under
     /// it); pass [`TraceCtx::NONE`] for a flat record. `bound_us` is
-    /// the SLO bound in effect (`α · s_W`; 0 = none) — the startup
-    /// latency is checked against it in the per-function
-    /// [`medes_obs::SloTracker`]. `node` is the node the request ran
-    /// on; with dimensional telemetry on it keys the per-node labeled
-    /// series and tags SLO violations for drill-down.
+    /// the SLO bound in effect (`α · s_W`; 0 = none) and `node` the
+    /// node the request ran on; the span carries both, so `trace
+    /// report` counts SLO violations per function and per node.
     pub fn push_request(&mut self, rec: RequestRecord, ctx: TraceCtx, bound_us: u64, node: usize) {
         if self.obs.enabled() {
             let (start_type, start_counter) = match rec.start {
@@ -316,13 +315,6 @@ impl MetricsCollector {
                 StartType::Cold => ("cold", "medes.platform.starts.cold"),
             };
             let fn_name = self.report.functions[rec.func].as_str();
-            self.obs
-                .slo_record(fn_name, rec.startup_us, bound_us, ctx.trace_id, node as u64);
-            let labels = || {
-                LabelSet::new()
-                    .with("node", node)
-                    .with("func", fn_name.to_string())
-            };
             self.obs
                 .span_in(
                     "medes.platform.request",
@@ -334,14 +326,10 @@ impl MetricsCollector {
                 .attr("start_type", start_type)
                 .attr("startup_us", rec.startup_us)
                 .attr("exec_us", rec.exec_us)
+                .attr("node", node)
+                .attr("bound_us", bound_us)
                 .end(SimTime::from_micros(rec.arrival_us + rec.e2e_us));
-            self.obs.incr_with(start_counter, labels);
-            for (name, us) in [
-                ("medes.platform.e2e_us", rec.e2e_us),
-                ("medes.platform.startup_us", rec.startup_us),
-            ] {
-                self.obs.record_with(name, us, Some(ctx.trace_id), labels);
-            }
+            self.obs.incr(start_counter);
         }
         let old = self.slots[rec.id as usize].replace(rec);
         debug_assert!(old.is_none(), "request {} completed twice", rec.id);

@@ -15,7 +15,7 @@
 //! bit-deterministic across runs.
 
 use crate::ids::SandboxId;
-use medes_obs::{LabelSet, Obs};
+use medes_obs::Obs;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -54,9 +54,6 @@ pub struct BasePageCache {
     used_paper_bytes: usize,
     stats: CacheStats,
     obs: Arc<Obs>,
-    /// Hosting node, used as the `node` label on dimensional twins of
-    /// the `medes.restore.cache.*` counters.
-    node: u64,
 }
 
 impl BasePageCache {
@@ -64,20 +61,13 @@ impl BasePageCache {
     /// is charged `PAGE_SIZE * mem_scale` paper bytes. A capacity of
     /// zero (or smaller than one page) never stores anything.
     pub fn new(capacity_paper_bytes: usize, mem_scale: usize) -> Self {
-        Self::with_obs(capacity_paper_bytes, mem_scale, Obs::disabled(), 0)
+        Self::with_obs(capacity_paper_bytes, mem_scale, Obs::disabled())
     }
 
     /// Like [`BasePageCache::new`] but mirroring the hit, miss,
     /// eviction and bytes-saved counters into `medes.restore.cache.*`;
     /// caches sharing one `obs` add into the same counters.
-    /// `node` is the hosting node: with dimensional telemetry on, hit
-    /// and miss counters also get per-node labeled twins.
-    pub fn with_obs(
-        capacity_paper_bytes: usize,
-        mem_scale: usize,
-        obs: Arc<Obs>,
-        node: u64,
-    ) -> Self {
+    pub fn with_obs(capacity_paper_bytes: usize, mem_scale: usize, obs: Arc<Obs>) -> Self {
         BasePageCache {
             capacity_paper_bytes,
             page_paper_bytes: medes_mem::PAGE_SIZE * mem_scale.max(1),
@@ -87,7 +77,6 @@ impl BasePageCache {
             used_paper_bytes: 0,
             stats: CacheStats::default(),
             obs,
-            node,
         }
     }
 
@@ -122,47 +111,43 @@ impl BasePageCache {
         self.entries.keys().map(|&(sandbox, _)| sandbox)
     }
 
-    /// True when the cache holds bytes for `(sandbox, page)` (no LRU or
-    /// stats side effects).
-    pub fn contains(&self, sandbox: SandboxId, page: u32) -> bool {
-        self.entries.contains_key(&(sandbox, page))
+    /// Probes for a base page. A hit refreshes the entry's LRU
+    /// position; both outcomes are counted. Nothing is copied: read a
+    /// hit's bytes with [`BasePageCache::get`].
+    pub fn hit(&mut self, sandbox: SandboxId, page: u32) -> bool {
+        let key = (sandbox, page);
+        let Some(entry) = self.entries.get_mut(&key) else {
+            self.stats.misses += 1;
+            self.obs.incr("medes.restore.cache.misses");
+            return false;
+        };
+        self.lru.remove(&entry.seq);
+        entry.seq = self.next_seq;
+        self.lru.insert(self.next_seq, key);
+        self.next_seq += 1;
+        self.stats.hits += 1;
+        self.stats.bytes_saved += self.page_paper_bytes as u64;
+        self.obs.incr("medes.restore.cache.hits");
+        self.obs.counter_add(
+            "medes.restore.cache.bytes_saved",
+            self.page_paper_bytes as u64,
+        );
+        true
     }
 
-    /// Looks up a base page. A hit refreshes the entry's LRU position
-    /// and returns its bytes; both outcomes are counted.
+    /// The cached bytes of `(sandbox, page)`, borrowed (no LRU or stats
+    /// side effects).
+    pub fn get(&self, sandbox: SandboxId, page: u32) -> Option<&[u8]> {
+        self.entries
+            .get(&(sandbox, page))
+            .map(|e| e.bytes.as_slice())
+    }
+
+    /// [`BasePageCache::hit`], returning a copy of the hit's bytes.
     pub fn lookup(&mut self, sandbox: SandboxId, page: u32) -> Option<Vec<u8>> {
-        let key = (sandbox, page);
-        match self.entries.get_mut(&key) {
-            Some(entry) => {
-                self.lru.remove(&entry.seq);
-                entry.seq = self.next_seq;
-                self.lru.insert(self.next_seq, key);
-                self.next_seq += 1;
-                self.stats.hits += 1;
-                self.stats.bytes_saved += self.page_paper_bytes as u64;
-                if self.obs.enabled() {
-                    let node = self.node;
-                    self.obs.incr_with("medes.restore.cache.hits", || {
-                        LabelSet::new().with("node", node)
-                    });
-                    self.obs.counter_add(
-                        "medes.restore.cache.bytes_saved",
-                        self.page_paper_bytes as u64,
-                    );
-                }
-                Some(entry.bytes.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                if self.obs.enabled() {
-                    let node = self.node;
-                    self.obs.incr_with("medes.restore.cache.misses", || {
-                        LabelSet::new().with("node", node)
-                    });
-                }
-                None
-            }
-        }
+        self.hit(sandbox, page)
+            .then(|| self.get(sandbox, page).map(<[u8]>::to_vec))
+            .flatten()
     }
 
     /// Inserts a freshly fetched base page, evicting LRU entries to
@@ -277,9 +262,13 @@ mod tests {
         c.insert(SandboxId(1), 7, &page(0xAB));
         assert_eq!(c.lookup(SandboxId(1), 7), Some(page(0xAB)));
         assert_eq!(c.lookup(SandboxId(1), 8), None);
-        assert_eq!(c.stats().hits, 1);
+        // The hit test and the borrowed read split the same lookup.
+        assert!(c.hit(SandboxId(1), 7));
+        assert_eq!(c.get(SandboxId(1), 7), Some(&page(0xAB)[..]));
+        assert_eq!(c.get(SandboxId(1), 8), None, "get never counts");
+        assert_eq!(c.stats().hits, 2);
         assert_eq!(c.stats().misses, 1);
-        assert_eq!(c.stats().bytes_saved, PAGE_SIZE as u64);
+        assert_eq!(c.stats().bytes_saved, 2 * PAGE_SIZE as u64);
     }
 
     #[test]
@@ -290,9 +279,9 @@ mod tests {
         // Touch page 0 so page 1 becomes the coldest.
         assert!(c.lookup(SandboxId(1), 0).is_some());
         c.insert(SandboxId(1), 2, &page(3));
-        assert!(c.contains(SandboxId(1), 0));
-        assert!(!c.contains(SandboxId(1), 1), "coldest entry must go");
-        assert!(c.contains(SandboxId(1), 2));
+        assert!(c.get(SandboxId(1), 0).is_some());
+        assert!(c.get(SandboxId(1), 1).is_none(), "coldest entry must go");
+        assert!(c.get(SandboxId(1), 2).is_some());
         assert_eq!(c.stats().evictions, 1);
         assert_eq!(c.used_paper_bytes(), 2 * PAGE_SIZE);
     }
@@ -323,9 +312,9 @@ mod tests {
         c.insert(SandboxId(1), 1, &page(2));
         c.insert(SandboxId(2), 0, &page(3));
         assert_eq!(c.invalidate_sandbox(SandboxId(1)), 2);
-        assert!(!c.contains(SandboxId(1), 0));
-        assert!(!c.contains(SandboxId(1), 1));
-        assert!(c.contains(SandboxId(2), 0));
+        assert!(c.get(SandboxId(1), 0).is_none());
+        assert!(c.get(SandboxId(1), 1).is_none());
+        assert!(c.get(SandboxId(2), 0).is_some());
         assert_eq!(c.stats().invalidations, 2);
         assert_eq!(c.used_paper_bytes(), PAGE_SIZE);
         // Idempotent on a sandbox with nothing cached.
@@ -342,10 +331,10 @@ mod tests {
         assert_eq!(freed, 2 * PAGE_SIZE);
         assert_eq!(c.len(), 2);
         // The two oldest inserts (pages 0 and 1) were the victims.
-        assert!(!c.contains(SandboxId(1), 0));
-        assert!(!c.contains(SandboxId(1), 1));
-        assert!(c.contains(SandboxId(1), 2));
-        assert!(c.contains(SandboxId(1), 3));
+        assert!(c.get(SandboxId(1), 0).is_none());
+        assert!(c.get(SandboxId(1), 1).is_none());
+        assert!(c.get(SandboxId(1), 2).is_some());
+        assert!(c.get(SandboxId(1), 3).is_some());
         // Trimming more than is held empties the cache and reports what
         // was actually freed.
         assert_eq!(c.trim(100 * PAGE_SIZE), 2 * PAGE_SIZE);
@@ -368,17 +357,20 @@ mod tests {
     #[test]
     fn bytes_saved_sums_over_caches_sharing_an_obs() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut a = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Arc::clone(&obs), 0);
-        let mut b = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Arc::clone(&obs), 1);
+        let mut a = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Arc::clone(&obs));
+        let mut b = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Arc::clone(&obs));
         a.insert(SandboxId(1), 0, &page(1));
         b.insert(SandboxId(2), 0, &page(2));
         for _ in 0..3 {
-            assert!(a.lookup(SandboxId(1), 0).is_some());
+            assert!(a.hit(SandboxId(1), 0));
         }
         assert!(b.lookup(SandboxId(2), 0).is_some());
+        assert!(!b.hit(SandboxId(1), 0), "a's page is not b's");
         let saved = a.stats().bytes_saved + b.stats().bytes_saved;
         assert_eq!(saved, 4 * PAGE_SIZE as u64);
         assert_eq!(obs.counter("medes.restore.cache.bytes_saved"), saved);
+        assert_eq!(obs.counter("medes.restore.cache.hits"), 4);
+        assert_eq!(obs.counter("medes.restore.cache.misses"), 1);
     }
 
     #[test]

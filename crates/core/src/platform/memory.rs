@@ -54,8 +54,7 @@ impl NodeMemory {
         };
         let cache_bytes = cfg.read_path.page_cache_bytes;
         let cached_nodes = if cache_bytes > 0 { cfg.nodes } else { 0 };
-        let cache =
-            |n| BasePageCache::with_obs(cache_bytes, cfg.mem_scale, Arc::clone(obs), n as u64);
+        let cache = |_| BasePageCache::with_obs(cache_bytes, cfg.mem_scale, Arc::clone(obs));
         NodeMemory {
             nodes: (0..cfg.nodes).map(node).collect(),
             caches: (0..cached_nodes).map(cache).collect(),

@@ -179,8 +179,7 @@ pub struct RunOutcome {
     /// The run's metrics (deterministic; `PartialEq` for replay
     /// assertions).
     pub report: RunReport,
-    /// The run's observability handle (spans, counters, histograms,
-    /// and the per-function SLO summaries of [`Obs::slo_summary`]).
+    /// The run's observability handle (spans, counters and gauges).
     pub obs: Arc<Obs>,
     /// Host wall time spent in the dedup scan phase, microseconds,
     /// summed over every batch. Host time is not deterministic, so it

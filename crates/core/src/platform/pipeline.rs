@@ -152,8 +152,8 @@ impl Cluster {
         report.dedup_batch_peak = report.dedup_batch_peak.max(items.len() as u64);
         if self.obs.enabled() {
             self.obs.incr("medes.dedup.batches");
-            let size = items.len() as u64;
-            self.obs.record("medes.dedup.batch_size", size);
+            self.obs
+                .counter_add("medes.dedup.batched", items.len() as u64);
         }
 
         // Serial merge in first-enqueued order: fabric accounting,
@@ -162,7 +162,10 @@ impl Cluster {
             let (f, node) = (self.life[&id].func.0, self.life[&id].node);
             let key = dedup_trace_key(id, now);
             let droot = self.obs.trace_root("dedup", self.cfg.seed, key);
-            let ckpt_bytes = self.cfg.to_paper_bytes(scan.image_model_bytes);
+            let sizes = (
+                self.cfg.to_paper_bytes(scan.image_model_bytes),
+                scan.candidates,
+            );
             self.pipeline.work += scan.work;
             let priced = {
                 let mut fabric = self.fabric.with_ctx(DedupTiming::op_ctx(droot));
@@ -171,7 +174,7 @@ impl Cluster {
             match priced {
                 Ok(timing) => {
                     let name = &self.fns[f].profile.name;
-                    timing.record(&self.obs, now, name, ckpt_bytes, droot, node.0);
+                    timing.record(&self.obs, now, name, sizes, droot, node.0);
                     // Reference the bases *now*: the table already
                     // points into them, and they must survive until
                     // DedupDone commits (or reverts) the state.

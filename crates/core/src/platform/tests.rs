@@ -357,8 +357,8 @@ fn obs_exports_are_byte_identical_across_runs() {
     let (a, b) = (run(), run());
     assert!(a.report.dedup_batches > 0, "run must scan dedup batches");
     assert!(a.dedup_scan_wall_us > 0, "scan wall time is measured");
+    assert_eq!(a.obs.spans_dropped(), 0);
     assert_eq!(a.obs.export_jsonl(), b.obs.export_jsonl());
-    assert_eq!(a.obs.slo_summary(), b.obs.slo_summary());
 }
 
 #[test]
@@ -371,7 +371,6 @@ fn disabled_obs_leaves_run_untouched() {
     assert!(!report.requests.is_empty());
     assert_eq!(obs.span_count(), 0);
     assert!(obs.metrics_snapshot().is_empty());
-    assert!(obs.slo_summary().is_empty());
 }
 
 /// Tentpole: every restore op links under the request span minted
@@ -390,6 +389,7 @@ fn causal_tree_links_restores_under_request_roots() {
         };
     }
     let outcome = Platform::new(cfg, suite).run(&trace);
+    assert_eq!(outcome.obs.spans_dropped(), 0);
     let spans = outcome.obs.spans();
     let by_id: HashMap<u64, &medes_obs::SpanRecord> = spans
         .iter()
@@ -433,44 +433,89 @@ fn causal_tree_links_restores_under_request_roots() {
     }
 }
 
-/// Tentpole: per-function SLO rows cover every request, carry the
-/// §5.2 `α·s_W` bound under the latency-target objective, and surface
-/// in the trace export's tail.
+/// The span schema `trace report` folds: every request span carries
+/// its node, function, start type and the §5.2 SLO bound — `⌊α·s_W⌋`
+/// under the latency-target objective (P1), 0 under the memory budget
+/// (P2) and fixed keep-alive — every dedup and restore op span its
+/// node, and every dedup lookup span its registry candidates. No span
+/// is dropped, so the in-process spans are the whole record.
 #[test]
-fn slo_summary_reflects_latency_target_bounds() {
-    let (suite, trace) = small_trace(120, 2.0);
-    let mut cfg = PlatformConfig::small_test();
-    cfg.obs = medes_obs::ObsConfig::enabled();
-    assert!(matches!(
-        &cfg.policy,
-        PolicyKind::Medes(m) if matches!(m.objective, Objective::LatencyTarget { .. })
-    ));
-    let outcome = Platform::new(cfg, suite).run(&trace);
-    let slo = outcome.obs.slo_summary();
-    assert!(!slo.is_empty());
-    let total: u64 = slo.iter().map(|s| s.count).sum();
-    assert_eq!(total, outcome.report.requests.len() as u64);
-    for row in &slo {
-        assert!(row.bound_us > 0, "{} must carry an α·s_W bound", row.func);
-        assert!(row.violations <= row.count);
-        assert!(row.p50_us <= row.p99_us);
+fn request_spans_carry_node_and_slo_bound() {
+    let (suite, trace) = small_trace(600, 10.0);
+    let run = |tweak: &dyn Fn(&mut PlatformConfig)| {
+        let mut cfg = PlatformConfig::small_test();
+        cfg.obs = medes_obs::ObsConfig::enabled();
+        cfg.obs.span_buffer_cap = 1 << 20;
+        tweak(&mut cfg);
+        let outcome = Platform::new(cfg, suite.clone()).run(&trace);
+        assert_eq!(outcome.obs.spans_dropped(), 0, "the ring dropped spans");
+        outcome.obs.spans()
+    };
+    let uint = |s: &medes_obs::SpanRecord, key: &str| match s.attr(key) {
+        Some(medes_obs::AttrValue::Uint(v)) => *v,
+        other => panic!("{} lacks uint {key}: {other:?}", s.name),
+    };
+    let idle_5s = |cfg: &mut PlatformConfig| {
+        if let PolicyKind::Medes(m) = &mut cfg.policy {
+            m.idle_period = SimDuration::from_secs(5);
+        }
+    };
+    let PolicyKind::Medes(m) = &PlatformConfig::small_test().policy else {
+        panic!("small_test runs Medes");
+    };
+    let Objective::LatencyTarget { alpha } = m.objective else {
+        panic!("small_test runs the latency target (P1)");
+    };
+    let spans = run(&idle_5s);
+    let requests: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "medes.platform.request")
+        .collect();
+    assert_eq!(requests.len(), trace.len());
+    for r in &requests {
+        assert!(uint(r, "node") < 4);
+        assert!(matches!(
+            r.attr("start_type"),
+            Some(medes_obs::AttrValue::Str(_))
+        ));
+        let Some(medes_obs::AttrValue::Str(name)) = r.attr("fn") else {
+            panic!("request without fn");
+        };
+        let profile = suite.iter().find(|p| &p.name == name).expect("known fn");
+        let s_w = profile.warm_start().as_micros() as f64;
+        assert_eq!(uint(r, "bound_us"), (alpha * s_w) as u64, "{name}");
     }
-    // Cold starts exceed α·s_W, so a mixed run records violations,
-    // mirrored into the counter the collector maintains.
-    let violations: u64 = slo.iter().map(|s| s.violations).sum();
-    assert!(violations > 0, "cold starts must violate the bound");
-    assert_eq!(outcome.obs.slo_violations(), violations);
-    assert_eq!(outcome.obs.counter("medes.slo.violations"), violations);
-    let tail = medes_obs::parse_tail(&outcome.obs.export_jsonl()).expect("tail");
-    for row in &slo {
-        assert_eq!(
-            tail["slo"][row.func.as_str()]["violations"],
-            row.violations as i64
-        );
-        assert_eq!(
-            tail["slo"][row.func.as_str()]["bound_us"],
-            row.bound_us as i64
-        );
+    let mut kinds = [0usize; 3];
+    for s in &spans {
+        let kind = ["medes.dedup.op", "medes.restore.op", "medes.dedup.lookup"]
+            .iter()
+            .position(|&n| n == s.name);
+        if let Some(k) = kind {
+            kinds[k] += 1;
+            uint(s, if k == 2 { "candidates" } else { "node" });
+        }
+    }
+    assert!(
+        kinds.iter().all(|&n| n > 0),
+        "dedup, restore, lookup: {kinds:?}"
+    );
+    assert_eq!(kinds[0], kinds[2], "one lookup per dedup op");
+
+    // No bound under P2 or a fixed keep-alive.
+    let p2 = |cfg: &mut PlatformConfig| {
+        idle_5s(cfg);
+        if let PolicyKind::Medes(m) = &mut cfg.policy {
+            m.objective = Objective::MemoryBudget {
+                budget_bytes: 100e6,
+            };
+        }
+    };
+    let fixed = |cfg: &mut PlatformConfig| {
+        cfg.policy = PolicyKind::FixedKeepAlive(SimDuration::from_secs(60));
+    };
+    for spans in [run(&p2), run(&fixed)] {
+        let mut requests = spans.iter().filter(|s| s.name == "medes.platform.request");
+        assert!(requests.all(|r| uint(r, "bound_us") == 0));
     }
 }
 

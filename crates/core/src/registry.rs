@@ -356,14 +356,8 @@ impl RegistryClient {
             })
             .collect();
         drop(store);
-        if self.obs.enabled() {
-            self.obs
-                .counter_add("medes.registry.lookups", fps.len() as u64);
-            for cands in &out {
-                self.obs
-                    .record("medes.registry.candidates", cands.len() as u64);
-            }
-        }
+        self.obs
+            .counter_add("medes.registry.lookups", fps.len() as u64);
         out
     }
 

@@ -17,7 +17,7 @@ use crate::sandbox::{DedupPageTable, PageEntry};
 use medes_delta::apply_into;
 use medes_mem::{MemoryImage, PAGE_SIZE};
 use medes_net::{Fabric, NetError};
-use medes_obs::{LabelSet, Obs, TraceCtx};
+use medes_obs::{Obs, TraceCtx};
 use medes_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,7 +56,7 @@ impl RestoreTiming {
     }
 
     /// Emits the per-phase spans (`medes.restore.*`) for one restore
-    /// that started at `start`, plus one duration histogram per phase.
+    /// that started at `start`.
     /// Phases are laid end-to-end in the order they happen (base read →
     /// page compute → checkpoint restore), so span durations sum to
     /// [`RestoreTiming::total`] exactly — the JSONL trace reproduces the
@@ -72,10 +72,8 @@ impl RestoreTiming {
     /// node's base-page cache served and missed; they are attributes
     /// of the `base_read` span, the phase the cache accelerates.
     ///
-    /// `node` is the node performing the restore — with dimensional
-    /// telemetry on, the op counter and the base-read, checkpoint and
-    /// op histograms gain per-node labeled twins, and the histograms
-    /// keep the trace id as a bucket exemplar.
+    /// `node` is the node performing the restore; the op span carries
+    /// it. The spans are the one record of each phase's duration.
     pub fn record(
         &self,
         obs: &Obs,
@@ -106,28 +104,9 @@ impl RestoreTiming {
             .end(t3);
         obs.span_in("medes.restore.op", start, op)
             .attr("fn", fn_name.to_string())
+            .attr("node", node)
             .end(t3);
-        let labels = || LabelSet::new().with("node", node);
-        obs.incr_with("medes.restore.ops", labels);
-        obs.record_with(
-            "medes.restore.base_read_us",
-            self.base_read.as_micros(),
-            Some(op.trace_id),
-            labels,
-        );
-        obs.record_us("medes.restore.page_compute_us", self.page_compute);
-        obs.record_with(
-            "medes.restore.ckpt_us",
-            self.ckpt_restore.as_micros(),
-            Some(op.trace_id),
-            labels,
-        );
-        obs.record_with(
-            "medes.restore.op_us",
-            self.total().as_micros(),
-            Some(op.trace_id),
-            labels,
-        );
+        obs.incr("medes.restore.ops");
     }
 }
 
@@ -217,32 +196,27 @@ pub fn restore_op_cached(
         }
     }
 
-    // Cache pass over the read set: hits keep their bytes
-    // (verification must see what the cache actually returned), misses
-    // join the fabric batch.
+    // Cache pass over the read set: a hit copies nothing, misses join
+    // the fabric batch.
     let mut reads: Vec<(usize, usize)> = Vec::new();
     let mut missed: Vec<usize> = Vec::new();
-    let mut hit_bytes: HashMap<(u64, u32), Vec<u8>> = HashMap::new();
     let mut hits = 0u64;
     for (i, (sb, bnode, page)) in distinct.iter().enumerate() {
-        match cache.as_mut().and_then(|c| c.lookup(*sb, *page)) {
-            Some(bytes) => {
-                hits += 1;
-                if verify_against.is_some() {
-                    hit_bytes.insert((sb.0, *page), bytes);
-                }
-            }
-            None => {
-                missed.push(i);
-                reads.push((bnode.0, page_paper));
-            }
+        if cache.as_mut().is_some_and(|c| c.hit(*sb, *page)) {
+            hits += 1;
+        } else {
+            missed.push(i);
+            reads.push((bnode.0, page_paper));
         }
     }
 
     // Reconstruct and compare every patched page, reading the base
     // bytes from the cache where it hit — a stale cache entry then
-    // surfaces as corruption instead of silently passing.
+    // surfaces as corruption instead of silently passing. Nothing is
+    // inserted before this loop, so the cache still holds exactly the
+    // pages that hit.
     if let Some(original) = verify_against {
+        let cached = cache.as_deref();
         // One reusable output buffer across all patched pages: the
         // apply path allocates once, not once per page.
         let mut rebuilt = Vec::new();
@@ -256,11 +230,9 @@ pub fn restore_op_cached(
             else {
                 continue;
             };
-            let img = &imgs[&base_sandbox.0];
-            let base_bytes: &[u8] = hit_bytes
-                .get(&(base_sandbox.0, *base_page))
-                .map(Vec::as_slice)
-                .unwrap_or_else(|| img.page(*base_page as usize));
+            let base_bytes = cached
+                .and_then(|c| c.get(*base_sandbox, *base_page))
+                .unwrap_or_else(|| imgs[&base_sandbox.0].page(*base_page as usize));
             apply_into(base_bytes, patch, &mut rebuilt)
                 .map_err(|_| RestoreError::Corrupt { page: idx })?;
             if rebuilt != original.page(idx) {
@@ -311,7 +283,7 @@ mod tests {
     use crate::registry::RegistryClient;
     use medes_mem::{AslrConfig, ContentModel};
     use medes_net::NetConfig;
-    use medes_obs::{AttrValue, Metric};
+    use medes_obs::AttrValue;
     use medes_trace::functionbench_suite;
     use std::sync::Arc;
 
@@ -542,9 +514,8 @@ mod tests {
 
     /// A restore is recorded as one span per phase: three spans tile
     /// the op and none has a child, the cache counts ride on the
-    /// base-read phase, and with labels on the checkpoint-restore
-    /// histogram is a per-node series keeping the op's trace id as its
-    /// exemplar.
+    /// base-read phase, the op span carries its node, and the phase
+    /// durations are recorded nowhere else.
     #[test]
     fn restore_record_is_one_span_per_phase() {
         let timing = RestoreTiming {
@@ -552,7 +523,7 @@ mod tests {
             page_compute: SimDuration::from_millis(1),
             ckpt_restore: SimDuration::from_millis(140),
         };
-        let obs = Obs::new(medes_obs::ObsConfig::enabled().labeled());
+        let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let root = obs.trace_root("request", 1, 2);
         timing.record(&obs, SimTime::from_micros(10), "f", root, 2, (5, 7));
         let spans = obs.spans();
@@ -572,19 +543,10 @@ mod tests {
         assert_eq!(tiled, op.dur_us());
         assert_eq!(phases[0].attr("cache_hits"), Some(&AttrValue::Uint(5)));
         assert_eq!(phases[0].attr("cache_misses"), Some(&AttrValue::Uint(7)));
-        let node2 = LabelSet::new().with("node", 2usize);
-        assert_eq!(obs.labeled_counter("medes.restore.ops", &node2), 1);
-        let exemplars: Vec<_> = obs
-            .labeled_snapshot()
-            .into_iter()
-            .find_map(|(name, labels, m)| match m {
-                Metric::Hist(h) if name == "medes.restore.ckpt_us" && labels == node2 => {
-                    Some(h.exemplars().collect::<Vec<_>>())
-                }
-                _ => None,
-            })
-            .expect("per-node checkpoint-restore histogram");
-        assert_eq!(exemplars, [(exemplars[0].0, 140_000, root.trace_id)]);
+        assert_eq!(op.attr("node"), Some(&AttrValue::Uint(2)));
+        assert_eq!(obs.counter("medes.restore.ops"), 1);
+        let metrics: Vec<_> = obs.metrics_snapshot().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(metrics, ["medes.restore.ops"]);
     }
 
     #[test]

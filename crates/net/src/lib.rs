@@ -13,7 +13,9 @@
 //! (propagation latency, per-op overhead, link bandwidth) and keeps
 //! transfer statistics for the overhead reports of §7.7. Built with
 //! [`Fabric::with_obs`], it additionally mirrors every operation into
-//! `medes.net.*` counters and latency histograms.
+//! `medes.net.*` counters; the time an operation takes is the phase
+//! span it runs under, so the fabric keeps only its totals
+//! (`medes.net.{rdma_batch_us_total,rpc_us_total}`).
 //!
 //! ## Fault injection
 //!
@@ -418,7 +420,8 @@ impl Fabric {
                 self.obs
                     .counter_add_with("medes.net.rdma_bytes", bytes, labels);
             }
-            self.obs.record_us("medes.net.rdma_batch_us", t);
+            self.obs
+                .counter_add("medes.net.rdma_batch_us_total", t.as_micros());
         }
         Ok(t)
     }
@@ -535,7 +538,8 @@ impl Fabric {
                 (req_bytes + resp_bytes) as u64,
                 labels,
             );
-            self.obs.record_us("medes.net.rpc_us", t);
+            self.obs
+                .counter_add("medes.net.rpc_us_total", t.as_micros());
         }
         Ok(t)
     }
@@ -784,15 +788,20 @@ mod tests {
     fn obs_mirrors_fabric_traffic() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
-        read(&mut f, 0, 1, 4096).unwrap();
-        f.rdma_read_batch(0, &[(1, 100), (2, 200)]).unwrap();
-        f.rpc(0, 1, 10, 20).unwrap();
+        let one = read(&mut f, 0, 1, 4096).unwrap();
+        let batch = f.rdma_read_batch(0, &[(1, 100), (2, 200)]).unwrap();
+        let rpc = f.rpc(0, 1, 10, 20).unwrap();
         assert_eq!(obs.counter("medes.net.rdma_reads"), 3);
         assert_eq!(obs.counter("medes.net.rdma_bytes"), 4096 + 300);
         assert_eq!(obs.counter("medes.net.rpcs"), 1);
         assert_eq!(obs.counter("medes.net.rpc_bytes"), 30);
-        let n = obs.with_histogram("medes.net.rdma_batch_us", |h| h.count());
-        assert_eq!(n, Some(2));
+        // Batch and RPC time are totals: the per-op durations are the
+        // phase spans they run under.
+        assert_eq!(
+            obs.counter("medes.net.rdma_batch_us_total"),
+            one.as_micros() + batch.as_micros()
+        );
+        assert_eq!(obs.counter("medes.net.rpc_us_total"), rpc.as_micros());
         // The disabled path records nothing.
         let mut quiet = Fabric::new(4, NetConfig::default());
         read(&mut quiet, 0, 1, 4096).unwrap();

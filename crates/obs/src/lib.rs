@@ -2,9 +2,11 @@
 //!
 //! Zero-external-dependency observability layer: simulated-time spans
 //! ([`Span`]) in a bounded ring buffer exportable as JSONL, plus a
-//! [`MetricsRegistry`] of named counters, gauges, and log-linear
-//! histograms. All hot paths go through [`Obs`], which is a cheap
-//! no-op when [`ObsConfig::enabled`] is false.
+//! [`MetricsRegistry`] of named counters and gauges. A duration is
+//! recorded once, as a span; its percentiles are computed from the
+//! spans afterwards (`trace report`). All hot paths go through
+//! [`Obs`], which is a cheap no-op when [`ObsConfig::enabled`] is
+//! false.
 //!
 //! Naming convention: `medes.<subsystem>.<name>` for both spans and
 //! metrics (see DESIGN.md, "Observability").
@@ -16,17 +18,15 @@ pub mod json;
 pub mod metrics;
 pub mod series;
 mod sink;
-pub mod slo;
 pub mod span;
 
 pub use ids::TraceCtx;
 pub use json::{Json, JsonMap, ParseError};
 pub use metrics::{
-    parse_series_key, LabelSet, LogLinearHistogram, Metric, MetricsRegistry, SmallValue,
-    MAX_LABELS, TYPE_MISMATCH_METRIC,
+    parse_series_key, LabelSet, Metric, MetricsRegistry, SmallValue, MAX_LABELS,
+    TYPE_MISMATCH_METRIC,
 };
 pub use series::{parse_series, MetricSeries, ParsedSeries, SeriesKind, SeriesStore};
-pub use slo::{FnSloSummary, SloTracker, SloViolator, TOP_VIOLATORS};
 pub use span::{AttrValue, ParsedSpan, Span, SpanRecord, Tracer};
 
 use medes_sim::{SimDuration, SimTime};
@@ -62,12 +62,11 @@ pub struct ObsConfig {
     /// per-metric series that the trace's tail carries as `series`.
     pub sample_every_ms: u64,
     /// Dimensional telemetry switch. When true, the `*_with` calls
-    /// additionally update their `(name, LabelSet)` series, traced
-    /// histogram samples retain per-bucket exemplar trace ids, and the
-    /// SLO tracker keeps its worst violating requests. Off by default:
-    /// every `*_with`/traced call is then exactly its flat equivalent,
-    /// so all exports are byte-identical to a build that never heard
-    /// of labels.
+    /// additionally update their `(name, LabelSet)` counter series —
+    /// the fabric's per-link and per-owner counts, facts no span
+    /// carries. Off by default: every `*_with` call is then exactly its
+    /// flat equivalent, so all exports are byte-identical to a build
+    /// that never heard of labels.
     pub labels: bool,
 }
 
@@ -137,7 +136,6 @@ pub struct Obs {
 struct State {
     tracer: Tracer,
     metrics: MetricsRegistry,
-    slo: SloTracker,
     /// Deterministic metric time series (fed by the platform's
     /// sim-time sample tick).
     series: SeriesStore,
@@ -153,28 +151,18 @@ struct State {
 
 impl State {
     /// The trace export's tail line: one JSON object carrying the
-    /// final metrics snapshot and the per-function SLO summary — plus,
-    /// on a labeled run, the labeled series, the histogram exemplars
-    /// and the SLO top violators as plain records, and, when the
-    /// sampler ran, the sampled series — so a trace file is a
-    /// self-contained run export (`trace report` reads nothing else).
+    /// final counters and gauges — plus, on a labeled run, the labeled
+    /// counters, and, when the sampler ran, the sampled series — so a
+    /// trace file is a self-contained run export (`trace report` reads
+    /// nothing else).
     fn tail(&self) -> String {
         let m = &self.metrics;
         let mut tail = JsonMap::new();
         tail.insert("metrics", m.to_json());
-        // Only labeled runs carry the dimensional keys: label-off tails
+        // Only labeled runs carry the dimensional key: label-off tails
         // stay byte-identical to every pre-label build.
         if m.labeled_len() > 0 {
             tail.insert("labeled", m.labeled_to_json());
-        }
-        let exemplars = m.exemplars_to_json();
-        if !exemplars.is_empty() {
-            tail.insert("exemplars", Json::Array(exemplars));
-        }
-        tail.insert("slo", self.slo.to_json());
-        let violators = self.slo.violators_to_json();
-        if !violators.is_empty() {
-            tail.insert("slo_violators", Json::Array(violators));
         }
         if !self.series.is_empty() {
             tail.insert("series", self.series.to_json());
@@ -203,7 +191,6 @@ impl Obs {
             state: Mutex::new(State {
                 tracer: Tracer::new(cap),
                 metrics: MetricsRegistry::new(),
-                slo: SloTracker::new(),
                 series: SeriesStore::new(),
                 sink,
                 streamed: 0,
@@ -302,21 +289,6 @@ impl Obs {
         }
     }
 
-    /// Records a histogram sample.
-    #[inline]
-    pub fn record(&self, name: &'static str, sample: u64) {
-        if self.enabled {
-            self.state().metrics.record(name, sample);
-        }
-    }
-
-    /// Records a histogram sample from a [`medes_sim::SimDuration`]'s
-    /// microsecond count.
-    #[inline]
-    pub fn record_us(&self, name: &'static str, d: medes_sim::SimDuration) {
-        self.record(name, d.as_micros());
-    }
-
     /// Adds `delta` to the counter `name` and — with labels enabled —
     /// to its labeled series `(name, labels())`, under one lock: no
     /// call can move a labeled series without its flat aggregate, so
@@ -345,34 +317,6 @@ impl Obs {
     #[inline]
     pub fn incr_with(&self, name: &'static str, labels: impl FnOnce() -> LabelSet) {
         self.counter_add_with(name, 1, labels);
-    }
-
-    /// Records a sample into the histogram `name` and — with labels
-    /// enabled — into its labeled series `(name, labels())`, both
-    /// retaining `trace_id` (when given) as the bucket's max-sample
-    /// exemplar. With labels off this is exactly [`Obs::record`]:
-    /// no series, no exemplars.
-    #[inline]
-    pub fn record_with(
-        &self,
-        name: &'static str,
-        sample: u64,
-        trace_id: Option<u64>,
-        labels: impl FnOnce() -> LabelSet,
-    ) {
-        if self.enabled {
-            let mut s = self.state();
-            if self.cfg.labels {
-                s.metrics.record_with(name, sample, trace_id, labels());
-            } else {
-                s.metrics.record(name, sample);
-            }
-        }
-    }
-
-    /// Snapshot of all labeled series, name-then-label sorted.
-    pub fn labeled_snapshot(&self) -> Vec<(&'static str, LabelSet, Metric)> {
-        self.state().metrics.labeled_snapshot()
     }
 
     /// Current labeled counter value (0 if absent).
@@ -423,41 +367,13 @@ impl Obs {
     }
 
     /// Snapshots every registered counter and gauge as one time-series
-    /// point each at simulated time `t` (histograms are skipped).
+    /// point each at simulated time `t`.
     pub fn series_sample(&self, t: SimTime) {
         if self.enabled {
             let mut guard = self.state();
             let s = &mut *guard;
             s.series.sample_registry(&s.metrics, t.as_micros());
         }
-    }
-
-    /// Records one per-function SLO latency sample (`bound_us` = the
-    /// §5.2 `α · s_W` bound in effect, 0 = none). With labels enabled
-    /// the sample is tagged with its deterministic trace id and node,
-    /// so a violation can be drilled back to the exact request; with
-    /// labels off both are dropped. The `medes.slo.violations`
-    /// counter moves with it, by 0 or 1, so the key appears with the
-    /// first sample.
-    #[inline]
-    pub fn slo_record(&self, func: &str, latency_us: u64, bound_us: u64, trace_id: u64, node: u64) {
-        if self.enabled {
-            let traced = self.cfg.labels.then_some((trace_id, node));
-            let mut s = self.state();
-            let violated = s.slo.record(func, latency_us, bound_us, traced);
-            s.metrics
-                .counter_add("medes.slo.violations", u64::from(violated));
-        }
-    }
-
-    /// Name-sorted per-function SLO summaries.
-    pub fn slo_summary(&self) -> Vec<FnSloSummary> {
-        self.state().slo.summary()
-    }
-
-    /// Total SLO violations across all functions.
-    pub fn slo_violations(&self) -> u64 {
-        self.state().slo.total_violations()
     }
 
     /// Copies out all buffered spans, oldest-first (buffer unchanged).
@@ -476,19 +392,10 @@ impl Obs {
         self.state().metrics.counter(name)
     }
 
-    /// Runs `f` against the histogram under `name`, if present.
-    pub fn with_histogram<R>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&LogLinearHistogram) -> R,
-    ) -> Option<R> {
-        self.state().metrics.histogram(name).map(f)
-    }
-
     /// Renders the buffered spans as JSONL (one span object per line,
-    /// oldest first), followed by one `{"metrics": ..., "slo": ...}`
-    /// tail line. Until the ring overflows this is, byte for byte, the
-    /// file [`Obs::write_trace`] completes.
+    /// oldest first), followed by one `{"metrics": ...}` tail line.
+    /// Until the ring overflows this is, byte for byte, the file
+    /// [`Obs::write_trace`] completes.
     pub fn export_jsonl(&self) -> String {
         let s = self.state();
         let mut out = String::new();
@@ -567,7 +474,7 @@ mod tests {
         obs.span("medes.dedup.op", t(0)).attr("k", 1u64).end(t(100));
         obs.incr("medes.platform.arrivals");
         obs.gauge_set("medes.registry.entries", 1.0);
-        obs.record("medes.net.rdma_batch_us", 5);
+        obs.counter_add("medes.net.rdma_batch_us_total", 5);
         assert_eq!(obs.span_count(), 0);
         assert_eq!(obs.spans_dropped(), 0);
         assert_eq!(obs.counter("medes.platform.arrivals"), 0);
@@ -637,36 +544,6 @@ mod tests {
         let parsed = parse_jsonl(&obs.export_jsonl());
         assert_eq!(parsed[1].parent_id, parsed[0].span_id);
         assert_eq!(parsed[1].trace_id, parsed[0].trace_id);
-    }
-
-    #[test]
-    fn slo_flows_through_obs_and_export_tail() {
-        let obs = Obs::new(ObsConfig::enabled());
-        obs.slo_record("resnet", 10, 15, 0, 0);
-        obs.slo_record("resnet", 20, 15, 0, 0);
-        obs.incr("medes.platform.starts.warm");
-        obs.record("medes.platform.e2e_us", 123);
-        obs.gauge_set("medes.cluster.mem", 42.0);
-        assert_eq!(obs.slo_violations(), 1);
-        let s = obs.slo_summary();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s[0].count, 2);
-        let tail = parse_tail(&obs.export_jsonl()).expect("tail");
-        assert_eq!(tail["metrics"]["medes.platform.starts.warm"], 1);
-        assert_eq!(tail["metrics"]["medes.cluster.mem"], 42.0);
-        assert_eq!(tail["metrics"]["medes.platform.e2e_us"]["count"], 1);
-        assert_eq!(tail["metrics"]["medes.platform.e2e_us"]["p99"], 123.0);
-        assert_eq!(tail["slo"]["resnet"]["p50_us"], 10.0);
-        assert_eq!(tail["slo"]["resnet"]["violations"], 1);
-        assert_eq!(tail["slo"]["resnet"]["bound_us"], 15);
-        // The violation total is a counter, moved under the same lock.
-        assert_eq!(obs.counter("medes.slo.violations"), 1);
-        assert_eq!(tail["metrics"]["medes.slo.violations"], 1);
-        // Disabled handles record nothing.
-        let off = Obs::disabled();
-        off.slo_record("resnet", 10, 15, 0, 0);
-        assert!(off.slo_summary().is_empty());
-        assert!(off.metrics_snapshot().is_empty());
     }
 
     /// Satellite: property test — a seeded `DetRng` span forest
@@ -820,19 +697,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// The SLO summary's `sum_us` is the histogram's exact running sum
-    /// (equal to the raw-sample sum), not `mean * count`.
-    #[test]
-    fn slo_sum_line_is_exact_raw_sample_sum() {
-        let obs = Obs::new(ObsConfig::enabled());
-        let samples = [7u64, 11, 13, 1_000_003, 999_983, 3];
-        for &v in &samples {
-            obs.slo_record("f", v, 0, 0, 0);
-        }
-        let exact: f64 = samples.iter().map(|&v| v as f64).sum();
-        assert_eq!(obs.slo_summary()[0].sum_us, exact);
-    }
-
     /// A hostile function name (every byte that delimits a series key,
     /// plus quote and newline) survives the export: the tail stays one
     /// line of valid JSON and the labeled key parses back to the name.
@@ -845,7 +709,6 @@ mod tests {
                 .with("func", hostile.to_string())
                 .with("node", 2u64)
         });
-        obs.slo_record(hostile, 9, 5, 0x77, 2);
         let export = obs.export_jsonl();
         assert_eq!(export.lines().count(), 1, "tail must stay one line");
         let tail = parse_tail(&export).expect("tail");
@@ -865,7 +728,6 @@ mod tests {
                 ("node".to_string(), "2".to_string())
             ]
         );
-        assert_eq!(tail["slo_violators"][0]["func"], hostile);
     }
 
     /// Labeled series are additive-only — with labels off a `*_with`
@@ -876,13 +738,13 @@ mod tests {
         let plain = Obs::new(ObsConfig::enabled());
         let off = Obs::new(ObsConfig::enabled());
         let on = Obs::new(ObsConfig::enabled().labeled());
-        plain.counter_add("medes.restore.ops", 2);
-        plain.record("medes.platform.e2e_us", 50);
+        plain.counter_add("medes.net.rpcs", 2);
+        plain.counter_add("medes.net.rpc_bytes", 50);
         for obs in [&off, &on] {
-            obs.incr_with("medes.restore.ops", || LabelSet::new().with("node", 0u64));
-            obs.incr_with("medes.restore.ops", || LabelSet::new().with("node", 1u64));
-            obs.record_with("medes.platform.e2e_us", 50, Some(0xbeef), || {
-                LabelSet::new().with("node", 0u64)
+            obs.incr_with("medes.net.rpcs", || LabelSet::new().with("dst", 0u64));
+            obs.incr_with("medes.net.rpcs", || LabelSet::new().with("dst", 1u64));
+            obs.counter_add_with("medes.net.rpc_bytes", 50, || {
+                LabelSet::new().with("dst", 0u64)
             });
         }
         // Labels off: exports byte-identical to a handle that only
@@ -890,67 +752,56 @@ mod tests {
         assert_eq!(off.labeled_len(), 0);
         assert_eq!(off.export_jsonl(), plain.export_jsonl());
         assert!(!off.export_jsonl().contains("labeled"));
-        assert!(!off.export_jsonl().contains("exemplars"));
         // Labels on: flat == Σ labeled, and the export carries both.
         assert_eq!(on.labeled_len(), 3);
-        assert_eq!(on.counter("medes.restore.ops"), 2);
+        assert_eq!(on.counter("medes.net.rpcs"), 2);
         assert_eq!(
-            on.labeled_counter("medes.restore.ops", &LabelSet::new().with("node", 1u64)),
+            on.labeled_counter("medes.net.rpcs", &LabelSet::new().with("dst", 1u64)),
             1
         );
         let v = parse_tail(&on.export_jsonl()).unwrap();
-        assert_eq!(v["metrics"]["medes.restore.ops"], 2);
-        assert_eq!(v["labeled"]["medes.restore.ops{node=0}"], 1);
-        assert_eq!(v["labeled"]["medes.restore.ops{node=1}"], 1);
-        assert_eq!(v["labeled"]["medes.platform.e2e_us{node=0}"]["count"], 1);
-        // The traced sample left an exemplar on the flat histogram and
-        // on its labeled series, flat first.
-        let exemplars = v["exemplars"].as_array().unwrap();
-        assert_eq!(exemplars.len(), 2);
-        assert_eq!(exemplars[0]["series"], "medes.platform.e2e_us");
-        assert_eq!(exemplars[1]["series"], "medes.platform.e2e_us{node=0}");
-        assert_eq!(exemplars[1]["value"], 50);
-        assert_eq!(exemplars[1]["trace_id"], "000000000000beef");
+        assert_eq!(v["metrics"]["medes.net.rpcs"], 2);
+        assert_eq!(v["labeled"]["medes.net.rpcs{dst=0}"], 1);
+        assert_eq!(v["labeled"]["medes.net.rpcs{dst=1}"], 1);
+        assert_eq!(v["labeled"]["medes.net.rpc_bytes{dst=0}"], 50);
     }
 
     /// Construction property: over a random sequence of dimensional
     /// calls with labels on, every flat counter equals the sum of its
-    /// labeled children and every flat histogram count the sum of
-    /// theirs; with labels off the same sequence leaves the registry
-    /// and the exported tail identical to issuing the flat calls alone.
+    /// labeled children; with labels off the same sequence leaves the
+    /// registry and the exported tail identical to issuing the flat
+    /// calls alone.
     #[test]
     fn flat_aggregates_equal_their_labeled_sums_by_construction() {
         use medes_sim::DetRng;
         use std::collections::BTreeMap;
         const COUNTERS: [&str; 3] = ["medes.t.a", "medes.t.b", "medes.t.c"];
-        const HISTS: [&str; 2] = ["medes.t.h_us", "medes.t.g_us"];
         let on = Obs::new(ObsConfig::enabled().labeled());
         let off = Obs::new(ObsConfig::enabled());
         let flat = Obs::new(ObsConfig::enabled());
         let mut rng = DetRng::new(0x0d1e_5eed_0000_0013);
         for _ in 0..2_000 {
             let labels = match rng.below(3) {
-                0 => LabelSet::new().with("node", rng.below(4)),
+                0 => LabelSet::new().with("owner", rng.below(4)),
                 1 => LabelSet::new()
                     .with("src", rng.below(3))
                     .with("dst", rng.below(3)),
                 _ => LabelSet::new().with("func", format!("f{}", rng.below(3))),
             };
             let v = rng.below(1 << 20);
-            match rng.below(4) {
+            let name = COUNTERS[rng.below(3) as usize];
+            match rng.below(3) {
                 0 => {
-                    let name = COUNTERS[rng.below(3) as usize];
                     on.counter_add_with(name, v, || labels.clone());
                     off.counter_add_with(name, v, || labels.clone());
                     flat.counter_add(name, v);
                 }
                 1 => {
-                    let name = COUNTERS[rng.below(3) as usize];
                     on.incr_with(name, || labels.clone());
                     off.incr_with(name, || labels.clone());
                     flat.incr(name);
                 }
-                2 => {
+                _ => {
                     // An undimensioned write to a name that also has
                     // series would break the sum; flat-only names stay
                     // flat-only.
@@ -958,31 +809,18 @@ mod tests {
                     off.counter_add("medes.t.flat_only", v);
                     flat.counter_add("medes.t.flat_only", v);
                 }
-                _ => {
-                    let name = HISTS[rng.below(2) as usize];
-                    let id = rng.chance(0.5).then(|| rng.below(u64::MAX));
-                    on.record_with(name, v, id, || labels.clone());
-                    off.record_with(name, v, id, || labels.clone());
-                    flat.record(name, v);
-                }
             }
         }
+        // Sum the exported labeled series per base name.
+        let tail = parse_tail(&on.export_jsonl()).unwrap();
         let mut counter_sums: BTreeMap<&str, u64> = BTreeMap::new();
-        let mut hist_counts: BTreeMap<&str, u64> = BTreeMap::new();
-        for (name, _, m) in on.labeled_snapshot() {
-            match m {
-                Metric::Counter(v) => *counter_sums.entry(name).or_default() += v,
-                Metric::Hist(h) => *hist_counts.entry(name).or_default() += h.count(),
-                Metric::Gauge(_) => unreachable!("no labeled gauges"),
-            }
+        for (key, v) in tail["labeled"].as_object().unwrap().iter() {
+            let (name, _) = parse_series_key(key).expect("labeled key parses");
+            *counter_sums.entry(name).or_default() += v.as_u64().unwrap();
         }
         assert_eq!(counter_sums.len(), COUNTERS.len());
-        assert_eq!(hist_counts.len(), HISTS.len());
         for (name, sum) in counter_sums {
             assert_eq!(on.counter(name), sum, "{name}");
-        }
-        for (name, sum) in hist_counts {
-            assert_eq!(on.with_histogram(name, |h| h.count()), Some(sum), "{name}");
         }
         // The flat series never depend on the switch.
         assert_eq!(
@@ -995,65 +833,6 @@ mod tests {
             format!("{:?}", flat.metrics_snapshot())
         );
         assert_eq!(off.export_jsonl(), flat.export_jsonl());
-    }
-
-    /// With labels on, SLO recording retains violators and surfaces
-    /// them as `slo_violators` records in the tail; with labels off the
-    /// same call drops the trace id and node (no records, same
-    /// violation counts).
-    #[test]
-    fn slo_violators_reach_export_tail_when_labeled() {
-        let on = Obs::new(ObsConfig::enabled().labeled());
-        let off = Obs::new(ObsConfig::enabled());
-        for obs in [&on, &off] {
-            obs.slo_record("hot", 50, 100, 0x11, 0);
-            obs.slo_record("hot", 500, 100, 0x22, 3);
-            obs.slo_record("hot", 300, 100, 0x33, 1);
-        }
-        assert_eq!(on.slo_violations(), 2);
-        assert_eq!(off.slo_violations(), 2, "labels off still counts");
-        let tail = parse_tail(&on.export_jsonl()).unwrap();
-        let worst = tail["slo_violators"].as_array().unwrap();
-        assert_eq!(worst.len(), 2);
-        assert_eq!(
-            worst[0].to_string(),
-            r#"{"func":"hot","rank":1,"latency_us":500,"node":3,"trace_id":"0000000000000022"}"#
-        );
-        assert_eq!(worst[1]["rank"], 2);
-        assert_eq!(worst[1]["node"], 1);
-        assert!(!off.export_jsonl().contains("slo_violators"));
-        assert_eq!(tail["slo"], parse_tail(&off.export_jsonl()).unwrap()["slo"]);
-    }
-
-    /// A zero bound never violates, and one sample pins all quantiles.
-    #[test]
-    fn slo_zero_bound_never_violates_and_one_sample_pins_quantiles() {
-        let obs = Obs::new(ObsConfig::enabled());
-        for key in 0..50u64 {
-            // 25 over a 100µs bound, 25 with no bound at all.
-            if key % 2 == 0 {
-                obs.slo_record("hot", 200, 100, key, 0);
-            } else {
-                obs.slo_record("unbounded", 200, 0, key, 0);
-            }
-        }
-        assert_eq!(obs.slo_violations(), 25);
-        let summary = obs.slo_summary();
-        assert_eq!(summary.len(), 2);
-        let unbounded = summary.iter().find(|s| s.func == "unbounded").unwrap();
-        assert_eq!(unbounded.bound_us, 0);
-        assert_eq!(unbounded.violations, 0, "absent bound cannot violate");
-        assert_eq!(unbounded.count, 25);
-        // Exactly one sample: quantiles collapse onto it.
-        obs.slo_record("solo", 9, 100, 0, 0);
-        let solo = obs
-            .slo_summary()
-            .into_iter()
-            .find(|s| s.func == "solo")
-            .unwrap();
-        assert_eq!(solo.count, 1);
-        assert_eq!((solo.p50_us, solo.p95_us, solo.p99_us), (9.0, 9.0, 9.0));
-        assert_eq!(solo.violations, 0);
     }
 
     /// Sampled series ride in the trace's tail, and the trace is the
@@ -1091,16 +870,6 @@ mod tests {
         assert_eq!(off.sample_interval(), None);
         assert!(!off.export_jsonl().contains("series"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn export_tail_carries_slo_summary() {
-        let obs = Obs::new(ObsConfig::enabled());
-        obs.slo_record("resnet", 20, 10, 0, 0);
-        let tail = obs.export_jsonl();
-        let v = json::parse(tail.lines().last().unwrap()).unwrap();
-        assert_eq!(v["slo"]["resnet"]["violations"], 1);
-        assert_eq!(v["slo"]["resnet"]["count"], 1);
     }
 
     #[test]

@@ -1,190 +1,14 @@
-//! Named counters, gauges, and log-linear histograms.
+//! Named counters and gauges, flat and labeled.
 //!
-//! Histograms use log-linear bucketing (HdrHistogram-style): values are
-//! grouped by power-of-two octave, each octave split into
-//! `SUB_BUCKETS` linear sub-buckets, so quantile estimates carry a
-//! bounded relative error (≤ 1/SUB_BUCKETS ≈ 3%) without storing
-//! samples. Metric names follow `medes.<subsystem>.<name>`.
+//! A duration is a span, never a metric: `trace report` computes its
+//! percentiles from the spans. What is left here are facts no span
+//! carries — counts, byte totals and levels. Metric names follow
+//! `medes.<subsystem>.<name>`.
 
 use crate::json::{Json, JsonMap};
-use crate::span::id_hex;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-
-/// Linear sub-buckets per power-of-two octave.
-const SUB_BUCKETS: usize = 32;
-/// Octaves covered (u64 range).
-const OCTAVES: usize = 64;
-
-/// A log-linear histogram of non-negative integer samples (e.g.
-/// microseconds or bytes). Memory is a fixed ~16 KiB regardless of
-/// sample count.
-#[derive(Debug, Clone)]
-pub struct LogLinearHistogram {
-    buckets: Box<[u64; OCTAVES * SUB_BUCKETS]>,
-    count: u64,
-    sum: f64,
-    min: u64,
-    max: u64,
-    /// Sparse per-bucket exemplars: `bucket index → (max sample seen in
-    /// that bucket, its deterministic trace id)`. Only populated via
-    /// [`LogLinearHistogram::record_traced`]; plain `record` never
-    /// touches it, so exemplar-free histograms carry no extra state.
-    exemplars: BTreeMap<usize, (u64, u64)>,
-}
-
-impl Default for LogLinearHistogram {
-    fn default() -> Self {
-        LogLinearHistogram {
-            buckets: Box::new([0; OCTAVES * SUB_BUCKETS]),
-            count: 0,
-            sum: 0.0,
-            min: u64::MAX,
-            max: 0,
-            exemplars: BTreeMap::new(),
-        }
-    }
-}
-
-fn bucket_index(v: u64) -> usize {
-    if v < SUB_BUCKETS as u64 {
-        // First octaves: exact (bucket width 1).
-        return v as usize;
-    }
-    let octave = 63 - v.leading_zeros() as usize;
-    // Position within the octave, scaled to SUB_BUCKETS slots.
-    let offset = ((v - (1 << octave)) >> (octave - SUB_BUCKETS.trailing_zeros() as usize)) as usize;
-    octave * SUB_BUCKETS + offset.min(SUB_BUCKETS - 1)
-}
-
-fn bucket_bounds(idx: usize) -> (u64, u64) {
-    if idx < SUB_BUCKETS {
-        return (idx as u64, idx as u64);
-    }
-    let octave = idx / SUB_BUCKETS;
-    let offset = (idx % SUB_BUCKETS) as u64;
-    let width = 1u64 << (octave - SUB_BUCKETS.trailing_zeros() as usize);
-    let lo = (1u64 << octave) + offset * width;
-    (lo, lo + (width - 1))
-}
-
-impl LogLinearHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += v as f64;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Records one sample and retains `trace_id` as the bucket's
-    /// exemplar if `v` is the largest sample that bucket has seen (ties
-    /// keep the earliest, so replay order — which is deterministic
-    /// under the simulator — fully determines the exemplar set).
-    pub fn record_traced(&mut self, v: u64, trace_id: u64) {
-        self.record(v);
-        match self.exemplars.entry(bucket_index(v)) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((v, trace_id));
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                if v > e.get().0 {
-                    e.insert((v, trace_id));
-                }
-            }
-        }
-    }
-
-    /// [`LogLinearHistogram::record_traced`] when a trace id is given,
-    /// [`LogLinearHistogram::record`] otherwise.
-    pub(crate) fn observe(&mut self, v: u64, trace_id: Option<u64>) {
-        match trace_id {
-            Some(id) => self.record_traced(v, id),
-            None => self.record(v),
-        }
-    }
-
-    /// Bucket-sorted exemplars as `(bucket index, max sample, trace
-    /// id)` triples. Empty unless samples came in via
-    /// [`LogLinearHistogram::record_traced`].
-    pub fn exemplars(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
-        self.exemplars.iter().map(|(&idx, &(v, id))| (idx, v, id))
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean sample, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest recorded sample (None when empty).
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest recorded sample (None when empty).
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`). Returns the midpoint
-    /// of the bucket holding the target rank, clamped to the observed
-    /// min/max; `None` when empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target sample, 1-based.
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            seen += n;
-            if seen >= rank {
-                let (lo, hi) = bucket_bounds(idx);
-                let mid = (lo as f64 + hi as f64) / 2.0;
-                return Some(mid.clamp(self.min as f64, self.max as f64));
-            }
-        }
-        Some(self.max as f64)
-    }
-
-    /// Serializes summary stats (not per-bucket counts) to JSON.
-    pub fn to_json(&self) -> Json {
-        let mut m = JsonMap::new();
-        m.insert("count", self.count);
-        m.insert("mean", self.mean());
-        m.insert("min", self.min().map(|v| v as f64));
-        m.insert("max", self.max().map(|v| v as f64));
-        m.insert("p50", self.quantile(0.50));
-        m.insert("p99", self.quantile(0.99));
-        m.insert("p999", self.quantile(0.999));
-        Json::Object(m)
-    }
-}
 
 /// One registered metric.
 #[derive(Debug, Clone)]
@@ -193,18 +17,14 @@ pub enum Metric {
     Counter(u64),
     /// Last-write-wins gauge.
     Gauge(f64),
-    /// Log-linear histogram.
-    Hist(LogLinearHistogram),
 }
 
 impl Metric {
-    /// The metric's exported form: a number for counters and gauges,
-    /// the summary object for histograms.
+    /// The metric's exported form: a number.
     fn to_json(&self) -> Json {
         match self {
             Metric::Counter(v) => Json::from(*v),
             Metric::Gauge(v) => Json::from(*v),
-            Metric::Hist(h) => h.to_json(),
         }
     }
 }
@@ -267,8 +87,9 @@ impl From<String> for SmallValue {
 pub const TYPE_MISMATCH_METRIC: &str = "medes.obs.type_mismatch";
 
 /// Maximum labels per [`LabelSet`]. Telemetry dimensionality is a
-/// cardinality budget, not a data model — four is enough for
-/// `(node, func, owner/shard, op)` and keeps the per-series key small.
+/// cardinality budget, not a data model — four is enough for a link's
+/// `(src, dst)`, a registry `owner` and the report's `(fn, node)` keys,
+/// and keeps the per-series key small.
 pub const MAX_LABELS: usize = 4;
 
 /// A bounded, key-sorted set of at most [`MAX_LABELS`] label pairs.
@@ -393,17 +214,16 @@ pub fn parse_series_key(key: &str) -> Option<(&str, Vec<(String, String)>)> {
 
 /// A registry of named metrics. Names should be `'static` dotted paths
 /// (`medes.net.rdma_bytes`). Alongside the flat map there is a
-/// `(name, LabelSet)`-keyed map of dimensional series. The only way to
-/// move a labeled series is a `*_with` call, which moves the flat
-/// metric of the same name by the same amount first — so every flat
-/// counter is the exact sum of its labeled series (and every flat
-/// histogram holds the union of theirs) by construction, and a run
-/// that never passes labels is byte-identical to one that never heard
-/// of them.
+/// `(name, LabelSet)`-keyed map of dimensional counters. The only way
+/// to move a labeled counter is [`MetricsRegistry::counter_add_with`],
+/// which moves the flat counter of the same name by the same amount
+/// first — so every flat counter is the exact sum of its labeled series
+/// by construction, and a run that never passes labels is
+/// byte-identical to one that never heard of them.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     metrics: HashMap<&'static str, Metric>,
-    labeled: HashMap<(&'static str, LabelSet), Metric>,
+    labeled: HashMap<(&'static str, LabelSet), u64>,
     /// Writes that hit a name already registered under a different
     /// metric type. Production telemetry must not kill a run over a
     /// name collision, so the mismatched write is dropped and counted
@@ -453,30 +273,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a histogram sample (same mismatch policy as
-    /// [`MetricsRegistry::counter_add`]).
-    pub fn record(&mut self, name: &'static str, sample: u64) {
-        self.record_flat(name, sample, None);
-    }
-
-    fn record_flat(&mut self, name: &'static str, sample: u64, trace_id: Option<u64>) -> bool {
-        match self
-            .metrics
-            .entry(name)
-            .or_insert_with(|| Metric::Hist(LogLinearHistogram::new()))
-        {
-            Metric::Hist(h) => {
-                h.observe(sample, trace_id);
-                true
-            }
-            other => {
-                self.type_mismatches += 1;
-                debug_assert!(false, "metric {name} is not a histogram: {other:?}");
-                false
-            }
-        }
-    }
-
     /// Writes dropped because the name was already registered under a
     /// different metric type.
     pub fn type_mismatches(&self) -> u64 {
@@ -485,55 +281,19 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the counter `name` and to its labeled series
     /// `(name, labels)`. A labeled series is only ever created here,
-    /// after the flat write landed, so it always has its flat metric's
-    /// type; a mismatched flat write drops both.
+    /// after the flat write landed; a mismatched flat write drops both.
     pub fn counter_add_with(&mut self, name: &'static str, delta: u64, labels: LabelSet) {
-        if !self.counter_add_flat(name, delta) {
-            return;
-        }
-        if let Metric::Counter(v) = self
-            .labeled
-            .entry((name, labels))
-            .or_insert(Metric::Counter(0))
-        {
-            *v += delta;
-        }
-    }
-
-    /// Records `sample` into the histogram `name` and into its labeled
-    /// series `(name, labels)`; `trace_id`, when given, is retained by
-    /// both as the bucket's max-sample exemplar (see
-    /// [`LogLinearHistogram::record_traced`]). Same typing rule as
-    /// [`MetricsRegistry::counter_add_with`].
-    pub fn record_with(
-        &mut self,
-        name: &'static str,
-        sample: u64,
-        trace_id: Option<u64>,
-        labels: LabelSet,
-    ) {
-        if !self.record_flat(name, sample, trace_id) {
-            return;
-        }
-        if let Metric::Hist(h) = self
-            .labeled
-            .entry((name, labels))
-            .or_insert_with(|| Metric::Hist(LogLinearHistogram::new()))
-        {
-            h.observe(sample, trace_id);
+        if self.counter_add_flat(name, delta) {
+            *self.labeled.entry((name, labels)).or_insert(0) += delta;
         }
     }
 
     /// Current labeled counter value (0 if absent).
     pub fn labeled_counter(&self, name: &str, labels: &LabelSet) -> u64 {
-        match self
-            .labeled
+        self.labeled
             .iter()
             .find(|((n, l), _)| *n == name && l == labels)
-        {
-            Some((_, Metric::Counter(v))) => *v,
-            _ => 0,
-        }
+            .map_or(0, |(_, v)| *v)
     }
 
     /// Number of labeled series.
@@ -541,52 +301,27 @@ impl MetricsRegistry {
         self.labeled.len()
     }
 
-    /// Snapshot of all labeled series, sorted by name then label set —
-    /// the deterministic iteration order every export relies on.
-    pub fn labeled_snapshot(&self) -> Vec<(&'static str, LabelSet, Metric)> {
+    /// Snapshot of all labeled counters, sorted by name then label set
+    /// — the deterministic iteration order every export relies on.
+    pub fn labeled_snapshot(&self) -> Vec<(&'static str, LabelSet, u64)> {
         let mut out: Vec<_> = self
             .labeled
             .iter()
-            .map(|((n, l), m)| (*n, l.clone(), m.clone()))
+            .map(|((n, l), v)| (*n, l.clone(), *v))
             .collect();
         out.sort_by(|a, b| a.0.cmp(b.0).then_with(|| a.1.cmp(&b.1)));
         out
     }
 
-    /// Serializes the labeled series to a JSON object keyed
+    /// Serializes the labeled counters to a JSON object keyed
     /// `name{k=v,...}`, name-then-label sorted. Empty object when no
     /// labeled series exist.
     pub fn labeled_to_json(&self) -> Json {
         let mut m = JsonMap::new();
-        for (name, labels, metric) in self.labeled_snapshot() {
-            m.insert(labels.series_key(name), metric.to_json());
+        for (name, labels, v) in self.labeled_snapshot() {
+            m.insert(labels.series_key(name), v);
         }
         Json::Object(m)
-    }
-
-    /// Every retained histogram exemplar as one plain record
-    /// `{"series", "bucket", "value", "trace_id"}` — flat histograms
-    /// name-sorted, then labeled series in snapshot order, each
-    /// bucket-sorted. Empty unless samples came in with a trace id.
-    pub fn exemplars_to_json(&self) -> Vec<Json> {
-        let flat = self.snapshot().into_iter().map(|(n, m)| (n.to_string(), m));
-        let labeled = self
-            .labeled_snapshot()
-            .into_iter()
-            .map(|(n, l, m)| (l.series_key(n), m));
-        let mut out = Vec::new();
-        for (series, metric) in flat.chain(labeled) {
-            let Metric::Hist(h) = metric else { continue };
-            for (bucket, value, trace_id) in h.exemplars() {
-                out.push(crate::json!({
-                    "series": series.as_str(),
-                    "bucket": bucket,
-                    "value": value,
-                    "trace_id": id_hex(trace_id),
-                }));
-            }
-        }
-        out
     }
 
     /// Current counter value (0 if absent). `medes.obs.type_mismatch`
@@ -605,14 +340,6 @@ impl MetricsRegistry {
     pub fn gauge(&self, name: &str) -> Option<f64> {
         match self.metrics.get(name) {
             Some(Metric::Gauge(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The histogram under `name`, if any.
-    pub fn histogram(&self, name: &str) -> Option<&LogLinearHistogram> {
-        match self.metrics.get(name) {
-            Some(Metric::Hist(h)) => Some(h),
             _ => None,
         }
     }
@@ -656,95 +383,14 @@ mod tests {
     use medes_sim::DetRng;
 
     #[test]
-    fn bucket_index_is_monotonic_and_bounds_contain() {
-        let mut prev = 0usize;
-        for v in (0..100_000u64).step_by(37) {
-            let idx = bucket_index(v);
-            assert!(idx >= prev, "index not monotonic at {v}");
-            prev = idx;
-            let (lo, hi) = bucket_bounds(idx);
-            assert!(lo <= v && v <= hi, "v={v} not in [{lo},{hi}] (idx {idx})");
-        }
-        // Spot-check huge values don't panic.
-        for v in [u64::MAX, u64::MAX / 2, 1 << 62] {
-            let (lo, hi) = bucket_bounds(bucket_index(v));
-            assert!(lo <= v && v <= hi);
-        }
-    }
-
-    #[test]
-    fn small_values_are_exact() {
-        let mut h = LogLinearHistogram::new();
-        for v in 0..SUB_BUCKETS as u64 {
-            h.record(v);
-        }
-        // With bucket width 1 below SUB_BUCKETS, quantiles are exact.
-        assert_eq!(h.quantile(0.0), Some(0.0));
-        assert_eq!(h.quantile(1.0), Some(31.0));
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(31));
-    }
-
-    /// Acceptance criterion: quantile accuracy vs. exact sort on 10k
-    /// samples.
-    #[test]
-    fn quantiles_match_exact_sort_within_relative_error() {
-        let mut rng = DetRng::new(0x0b5e_11a7);
-        let mut h = LogLinearHistogram::new();
-        let mut samples: Vec<u64> = Vec::with_capacity(10_000);
-        for _ in 0..10_000 {
-            // Heavy-tailed latency-like distribution, ~1µs..~1s.
-            let v = (rng.log_normal(8.0, 2.0) as u64).clamp(1, 1_000_000_000);
-            h.record(v);
-            samples.push(v);
-        }
-        samples.sort_unstable();
-        for q in [0.01, 0.10, 0.50, 0.90, 0.99, 0.999] {
-            let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-            let exact = samples[rank - 1] as f64;
-            let est = h.quantile(q).unwrap();
-            let rel = (est - exact).abs() / exact.max(1.0);
-            // Log-linear bound is 1/SUB_BUCKETS per-bucket; allow a bit
-            // of slack for rank landing mid-bucket.
-            assert!(
-                rel < 0.05,
-                "q={q}: est {est} vs exact {exact} (rel {rel:.4})"
-            );
-        }
-        assert_eq!(h.count(), 10_000);
-        let mean_exact = samples.iter().map(|&v| v as f64).sum::<f64>() / 10_000.0;
-        assert!((h.mean() - mean_exact).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_histogram_quantiles_are_none() {
-        let h = LogLinearHistogram::new();
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn single_sample_all_quantiles_equal_it() {
-        let mut h = LogLinearHistogram::new();
-        h.record(12345);
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(12345.0));
-        }
-    }
-
-    #[test]
-    fn registry_counters_gauges_histograms() {
+    fn registry_counters_and_gauges() {
         let mut m = MetricsRegistry::new();
         m.counter_add("medes.platform.starts.warm", 1);
         m.counter_add("medes.platform.starts.warm", 2);
         m.gauge_set("medes.registry.entries", 42.0);
-        m.record("medes.net.rdma_read_us", 10);
-        m.record("medes.net.rdma_read_us", 20);
+        m.counter_add("medes.net.rpc_us_total", 10);
         assert_eq!(m.counter("medes.platform.starts.warm"), 3);
         assert_eq!(m.gauge("medes.registry.entries"), Some(42.0));
-        assert_eq!(m.histogram("medes.net.rdma_read_us").unwrap().count(), 2);
         assert_eq!(m.counter("absent"), 0);
         assert_eq!(m.len(), 3);
 
@@ -756,7 +402,7 @@ mod tests {
 
         let j = m.to_json();
         assert_eq!(j["medes.platform.starts.warm"], 3);
-        assert_eq!(j["medes.net.rdma_read_us"]["count"], 2);
+        assert_eq!(j["medes.registry.entries"], 42.0);
     }
 
     /// Tentpole: label sets are key-sorted regardless of build order,
@@ -784,39 +430,31 @@ mod tests {
     #[test]
     fn labeled_series_are_separate_and_ordered() {
         let mut m = MetricsRegistry::new();
-        m.counter_add_with("medes.restore.ops", 2, LabelSet::new().with("node", 1u64));
-        m.counter_add_with("medes.restore.ops", 3, LabelSet::new().with("node", 0u64));
-        m.record_with(
-            "medes.restore.op_us",
-            40,
-            Some(0xabc),
-            LabelSet::new().with("node", 0u64),
+        let link = |src: u64| LabelSet::new().with("src", src).with("dst", 0u64);
+        m.counter_add_with("medes.net.rdma_reads", 2, link(1));
+        m.counter_add_with("medes.net.rdma_reads", 3, link(0));
+        m.counter_add_with(
+            "medes.net.registry.rpcs",
+            1,
+            LabelSet::new().with("owner", 2u64),
         );
-        assert_eq!(m.counter("medes.restore.ops"), 5, "flat is the sum");
-        assert_eq!(m.histogram("medes.restore.op_us").unwrap().count(), 1);
+        assert_eq!(m.counter("medes.net.rdma_reads"), 5, "flat is the sum");
         assert_eq!(m.len(), 2, "labeled series don't count as flat metrics");
         assert_eq!(m.labeled_len(), 3);
-        assert_eq!(
-            m.labeled_counter("medes.restore.ops", &LabelSet::new().with("node", 0u64)),
-            3
-        );
+        assert_eq!(m.labeled_counter("medes.net.rdma_reads", &link(0)), 3);
         let snap = m.labeled_snapshot();
         let keys: Vec<String> = snap.iter().map(|(n, l, _)| l.series_key(n)).collect();
         assert_eq!(
             keys,
             [
-                "medes.restore.op_us{node=0}",
-                "medes.restore.ops{node=0}",
-                "medes.restore.ops{node=1}",
+                "medes.net.rdma_reads{dst=0,src=0}",
+                "medes.net.rdma_reads{dst=0,src=1}",
+                "medes.net.registry.rpcs{owner=2}",
             ]
         );
         let j = m.labeled_to_json();
-        assert_eq!(j["medes.restore.ops{node=1}"], 2);
-        assert_eq!(j["medes.restore.op_us{node=0}"]["count"], 1);
-        let ex = m.exemplars_to_json();
-        assert_eq!(ex.len(), 2, "flat and labeled histogram both keep it");
-        assert_eq!(ex[1]["series"], "medes.restore.op_us{node=0}");
-        assert_eq!(ex[1]["trace_id"], "0000000000000abc");
+        assert_eq!(j["medes.net.rdma_reads{dst=0,src=1}"], 2);
+        assert_eq!(j["medes.net.registry.rpcs{owner=2}"], 1);
     }
 
     /// A dimensional write to a name held by another metric type drops
@@ -832,11 +470,7 @@ mod tests {
             m.counter_add_with("medes.x.level", 1, labels())
         }));
         assert_eq!(r.is_err(), cfg!(debug_assertions));
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            m.record_with("medes.x.level", 1, None, labels())
-        }));
-        assert_eq!(r.is_err(), cfg!(debug_assertions));
-        assert_eq!(m.type_mismatches(), 2);
+        assert_eq!(m.type_mismatches(), 1);
         assert_eq!(m.labeled_len(), 0);
         assert_eq!(m.gauge("medes.x.level"), Some(1.0));
     }
@@ -891,27 +525,6 @@ mod tests {
         assert_eq!(parse_series_key("x{k=trailing\\}"), None);
     }
 
-    /// Tentpole: each bucket's exemplar is the max sample's trace id,
-    /// ties keep the earliest, and plain `record` leaves exemplars
-    /// untouched.
-    #[test]
-    fn exemplars_track_bucket_max_samples() {
-        let mut h = LogLinearHistogram::new();
-        h.record(1_000_000); // no exemplar
-        h.record_traced(10, 0x1);
-        h.record_traced(12, 0x2); // same octave-0 region? idx 10 vs 12 differ
-        h.record_traced(12, 0x3); // tie: first wins
-        h.record_traced(1 << 20, 0x4);
-        h.record_traced((1 << 20) + 1, 0x5); // same bucket, larger sample
-        let ex: Vec<(usize, u64, u64)> = h.exemplars().collect();
-        assert_eq!(ex.len(), 3);
-        assert_eq!(ex[0], (10, 10, 0x1));
-        assert_eq!(ex[1], (12, 12, 0x2));
-        assert_eq!(ex[2].1, (1 << 20) + 1);
-        assert_eq!(ex[2].2, 0x5);
-        assert_eq!(h.count(), 6);
-    }
-
     /// Satellite: a type-mismatched write is dropped and counted, not
     /// fatal in release builds (debug builds still assert — caught
     /// here so the count is verified under both profiles).
@@ -922,10 +535,12 @@ mod tests {
         m.counter_add("medes.x.ops", 1);
         let r = catch_unwind(AssertUnwindSafe(|| m.gauge_set("medes.x.ops", 2.0)));
         assert_eq!(r.is_err(), cfg!(debug_assertions));
-        let r = catch_unwind(AssertUnwindSafe(|| m.record("medes.x.ops", 3)));
+        m.gauge_set("medes.x.level", 1.0);
+        let r = catch_unwind(AssertUnwindSafe(|| m.counter_add("medes.x.level", 3)));
         assert_eq!(r.is_err(), cfg!(debug_assertions));
         assert_eq!(m.type_mismatches(), 2);
         assert_eq!(m.counter("medes.x.ops"), 1, "original counter intact");
+        assert_eq!(m.gauge("medes.x.level"), Some(1.0), "original gauge intact");
         assert_eq!(m.counter(TYPE_MISMATCH_METRIC), 2);
         let snap = m.snapshot();
         assert!(snap

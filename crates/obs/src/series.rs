@@ -76,25 +76,20 @@ impl SeriesStore {
     }
 
     /// Snapshots every counter and gauge in `reg` as one point each at
-    /// `t_us`. Histograms are skipped: their quantiles live in the
-    /// metrics tail, and sampling a cumulative distribution per tick
-    /// would not be a time series of anything.
+    /// `t_us`.
     pub fn sample_registry(&mut self, reg: &MetricsRegistry, t_us: u64) {
         for (name, metric) in reg.snapshot() {
             match metric {
                 Metric::Counter(v) => self.point(name, SeriesKind::Counter, t_us, v as f64),
                 Metric::Gauge(v) => self.point(name, SeriesKind::Gauge, t_us, v),
-                Metric::Hist(_) => {}
             }
         }
         // Labeled counters sample as `name{k=v,...}` series, so the
         // timeline's `--group-by` can break a flat aggregate down by
         // dimension. Empty with labels off — exports stay byte-stable.
-        for (name, labels, metric) in reg.labeled_snapshot() {
-            if let Metric::Counter(v) = metric {
-                let key = labels.series_key(name);
-                self.point(&key, SeriesKind::Counter, t_us, v as f64);
-            }
+        for (name, labels, v) in reg.labeled_snapshot() {
+            let key = labels.series_key(name);
+            self.point(&key, SeriesKind::Counter, t_us, v as f64);
         }
     }
 
@@ -226,16 +221,15 @@ mod tests {
     }
 
     #[test]
-    fn sample_registry_takes_counters_and_gauges_not_hists() {
+    fn sample_registry_takes_counters_and_gauges() {
         let mut reg = MetricsRegistry::new();
         reg.counter_add("medes.x.ops", 7);
         reg.gauge_set("medes.x.level", 1.5);
-        reg.record("medes.x.latency_us", 10);
         let mut s = SeriesStore::new();
         s.sample_registry(&reg, 100);
         reg.counter_add("medes.x.ops", 1);
         s.sample_registry(&reg, 200);
-        assert_eq!(s.len(), 2, "histogram must not become a series");
+        assert_eq!(s.len(), 2);
         assert_eq!(
             s.get("medes.x.ops").unwrap().points,
             vec![(100, 7.0), (200, 8.0)]
