@@ -368,7 +368,7 @@ mod tests {
     #[test]
     fn analyze_renders_report_and_folded_output() {
         let run = load("toy.jsonl", &toy_trace());
-        let text = report(&run, None, None).0.text().to_string();
+        let text = report(&run, None).0.text().to_string();
         assert!(text.contains("2 causal trees"));
         assert!(text.contains("critical path"));
         assert!(text.contains("self_s"));
@@ -381,12 +381,12 @@ mod tests {
     #[test]
     fn analyze_handles_empty_and_untraced_input() {
         let run = load("empty", "");
-        assert!(report(&run, None, None).0.text().contains("0 spans"));
+        assert!(report(&run, None).0.text().contains("0 spans"));
         assert!(run.forest.folded_stacks().is_empty());
         // A purely untraced (pre-causal) trace yields zero trees.
         let obs = Obs::new(ObsConfig::enabled());
         obs.span("flat", SimTime::ZERO).end(SimTime::from_micros(5));
         let run = load("flat", &obs.export_jsonl());
-        assert!(report(&run, None, None).0.text().contains("0 causal trees"));
+        assert!(report(&run, None).0.text().contains("0 causal trees"));
     }
 }

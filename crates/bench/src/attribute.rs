@@ -9,7 +9,7 @@ use crate::analyze::{critical_path_table, Forest};
 use crate::report::{f, Report};
 use crate::slo::{NodeSlo, SloFold};
 use crate::trace::{percentiles, uint_attr, Export, TOP};
-use medes_obs::{Json, LabelSet};
+use medes_obs::Json;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
@@ -113,6 +113,19 @@ fn span_nodes(forest: &Forest) -> Vec<Option<u64>> {
     nodes
 }
 
+/// `text` with the bytes that delimit a row key (`,`, `=`, `}`, `\`)
+/// backslash-escaped, so no function name can pose as another label.
+fn escaped(text: &str) -> String {
+    let mut out = String::with_capacity(text.len());
+    for c in text.chars() {
+        if matches!(c, ',' | '=' | '}' | '\\') {
+            out.push('\\');
+        }
+        out.push(c);
+    }
+    out
+}
+
 /// Per-(phase, node) p99s far above their phase's p99. A span that
 /// names its function (`fn`) is grouped per function too, and a
 /// request's startup (`startup_us`, what the SLO bounds) is folded as
@@ -123,10 +136,9 @@ fn outliers(report: &mut Report, forest: &Forest) -> Vec<Attribution> {
     for (s, node) in forest.spans.iter().zip(span_nodes(forest)) {
         let Some(node) = node else { continue };
         let labels = match s.attr("fn").and_then(Json::as_str) {
-            Some(func) => LabelSet::new().with("fn", func.to_string()),
-            None => LabelSet::new(),
-        }
-        .with("node", node);
+            Some(func) => format!("fn={},node={node}", escaped(func)),
+            None => format!("node={node}"),
+        };
         let startup = uint_attr(s, "startup_us").filter(|_| s.name == "medes.platform.request");
         let samples = [
             Some((s.name.as_str(), s.dur_us())),
@@ -134,7 +146,7 @@ fn outliers(report: &mut Report, forest: &Forest) -> Vec<Attribution> {
         ];
         for (name, us) in samples.into_iter().flatten() {
             phases.entry(name).or_default().push(us as f64);
-            let key = (name, labels.series_key(name));
+            let key = (name, format!("{name}{{{labels}}}"));
             groups.entry(key).or_default().push(us as f64);
         }
     }
@@ -179,7 +191,7 @@ mod tests {
     use std::sync::Arc;
 
     fn attribute(trace: &str) -> (String, Vec<Attribution>) {
-        let (report, findings) = report(&load("t", trace), None, None);
+        let (report, findings) = report(&load("t", trace), None);
         (report.text().to_string(), findings.attributions)
     }
 

@@ -4,9 +4,8 @@
 //!
 //! * `--quick` shrinks workloads to smoke-test size;
 //! * `--obs` streams a JSONL span trace per platform run to the results
-//!   directory; `--labels` adds the fabric's per-link and per-owner
-//!   counters, `--timeseries <ms>` (ms > 0) adds the sampled series to
-//!   the trace's tail — both only with `--obs`;
+//!   directory; `--timeseries <ms>` (ms > 0, only with `--obs`) adds the
+//!   sampled series to the trace's tail;
 //! * `--faults`, `--cache` and `--content-model` set the fault plan,
 //!   the base-page cache and the content model of every cluster run.
 //!
@@ -21,8 +20,8 @@
 //! regression (`medes_bench::trace`).
 //!
 //! Exit codes: 2 for a usage error — an unknown id, subcommand or
-//! `--flag`, a flag missing its value, an invalid combination (a
-//! telemetry flag without `--obs` among them) — before
+//! `--flag`, a flag missing its value, an invalid combination
+//! (`--timeseries` without `--obs` among them) — before
 //! any experiment starts; 1 for an unreadable trace or an unwritable
 //! folded-stacks file.
 
@@ -35,7 +34,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--labels] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>] [--group-by <label>]\nids: {}",
+        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>]\nids: {}",
         experiments::ALL.join(", ")
     );
     std::process::exit(2);
@@ -69,19 +68,18 @@ fn load(path: &Path) -> trace::Export {
     trace::load(&label, &trace)
 }
 
-/// `trace report <trace.jsonl> [--against <base.jsonl>] [--group-by
-/// <label>]`: prints the report, writes `<trace>.folded`, and exits 1
-/// when the report's gate fails.
+/// `trace report <trace.jsonl> [--against <base.jsonl>]`: prints the
+/// report, writes `<trace>.folded`, and exits 1 when the report's gate
+/// fails.
 fn run_trace(args: &[String]) {
     let mut it = args.iter();
     if it.next().map(String::as_str) != Some("report") {
         usage();
     }
-    let (mut file, mut against, mut group_by) = (None, None, None);
+    let (mut file, mut against) = (None, None);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--against" => against = Some(value::<PathBuf>(&mut it)),
-            "--group-by" => group_by = Some(value::<String>(&mut it)),
             flag if flag.starts_with("--") => bad_word("unknown flag", flag),
             _ if file.is_none() => file = Some(Path::new(a)),
             extra => bad_word("unexpected operand", extra),
@@ -90,7 +88,7 @@ fn run_trace(args: &[String]) {
     let Some(path) = file else { usage() };
     let run = load(path);
     let base = against.as_deref().map(load);
-    let (report, findings) = trace::report(&run, base.as_ref(), group_by.as_deref());
+    let (report, findings) = trace::report(&run, base.as_ref());
     println!("{}", report.text());
     let folded = path.with_extension("folded");
     if let Err(e) = std::fs::write(&folded, run.forest.folded_stacks()) {
@@ -121,7 +119,6 @@ fn main() {
         match a.as_str() {
             "--quick" => cfg.quick = true,
             "--obs" => cfg.obs = true,
-            "--labels" => cfg.labels = true,
             "--content-model" => cfg.content_model = true,
             "--timeseries" => cfg.timeseries_ms = Some(value(&mut it)),
             "--results" => cfg.results_dir = value(&mut it),
@@ -153,11 +150,8 @@ fn main() {
     if runs.is_empty() {
         usage();
     }
-    // The telemetry flags shape an --obs trace; without one, or with a
-    // zero sampling period, they would be accepted and change nothing.
-    if !cfg.obs && cfg.labels {
-        bad_word("needs --obs", "--labels");
-    }
+    // --timeseries shapes an --obs trace; without one, or with a zero
+    // sampling period, it would be accepted and change nothing.
     match cfg.timeseries_ms {
         Some(_) if !cfg.obs => bad_word("needs --obs", "--timeseries"),
         Some(0) => bad_word("sampling period must be positive", "--timeseries 0"),

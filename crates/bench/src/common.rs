@@ -68,14 +68,6 @@ pub struct ExpConfig {
     /// Inert without `--obs` (the binary rejects the flag without it,
     /// and a zero interval).
     pub timeseries_ms: Option<u64>,
-    /// Dimensional telemetry (`--labels`, with `--obs`): the fabric's
-    /// counters additionally keep labeled twins per link (`src`, `dst`)
-    /// and per registry owner — facts no span carries. Everything
-    /// keyed by node or function is a span attribute, so `trace
-    /// report`'s attribution needs no labels. Off by default: label-off
-    /// runs export byte-identical traces. Inert without `--obs` (the
-    /// binary rejects the flag without it).
-    pub labels: bool,
     /// Entropy-mixture content model (`--content-model`): every
     /// platform built by [`ExpConfig::platform`] uses the calibrated
     /// per-region low/medium/high-entropy mixture with dispersed
@@ -94,7 +86,6 @@ impl ExpConfig {
             faults: None,
             cache_mib: 0,
             timeseries_ms: None,
-            labels: false,
             content_model: false,
         }
     }
@@ -230,9 +221,6 @@ impl ExpConfig {
             if let Some(ms) = self.timeseries_ms {
                 oc = oc.sampled_every_ms(ms);
             }
-            if self.labels {
-                oc = oc.labeled();
-            }
             b = b.obs(oc);
         }
         if let Some(spec) = &self.faults {
@@ -366,19 +354,6 @@ mod tests {
         assert!(obs.enabled);
         assert_eq!(obs.export_dir, Some(cfg.results_dir.clone()));
         assert_eq!(obs.sample_every_ms, 500);
-    }
-
-    #[test]
-    fn labels_flag_requires_obs() {
-        let mut cfg = ExpConfig::quick();
-        cfg.labels = true;
-        // Without --obs the labels knob is inert (tracing is off).
-        assert!(!cfg.platform().obs.enabled);
-        assert!(!cfg.platform().obs.labels);
-        cfg.obs = true;
-        let obs = cfg.platform().obs;
-        assert!(obs.enabled);
-        assert!(obs.labels);
     }
 
     #[test]

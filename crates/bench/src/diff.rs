@@ -6,9 +6,9 @@
 
 use crate::report::{f, Report};
 use crate::summarize::Phase;
-use crate::trace::{group_by, Export};
+use crate::trace::Export;
 use medes_obs::SeriesKind;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Counters where *more is strictly worse*. Compared whenever either
 /// side has a nonzero value; a name absent from a side counts as 0.
@@ -94,17 +94,12 @@ fn delta(b: f64, c: f64) -> String {
 }
 
 /// Renders the comparison of `cand` against `base` and returns every
-/// regression that cleared `th` (empty = clean). With `group`, labeled
-/// twins carrying that label are summed per `(metric, label value)` and
-/// compared side by side; grouped rows only *gate* for the curated
-/// higher-is-worse counters — a node doing more RDMA reads is a shift,
-/// not a regression — and the rest show the verdict `info`.
+/// regression that cleared `th` (empty = clean).
 pub(crate) fn against(
     report: &mut Report,
     base: &Export,
     cand: &Export,
     th: &DiffThresholds,
-    group: Option<&str>,
 ) -> Vec<Regression> {
     report.section(&format!("against {}", base.label));
     report.line(&format!("thresholds: {th:?}"));
@@ -141,26 +136,6 @@ pub(crate) fn against(
         gated(report, th, title, rows, &mut out);
     }
 
-    if let Some(group) = group {
-        let side =
-            |run: &Export| group_by(run.labeled.iter().map(|(k, &v)| (k.as_str(), v)), group);
-        let (gb, gc) = (side(base), side(cand));
-        let keys: BTreeSet<&(String, String)> = gb.keys().chain(gc.keys()).collect();
-        if keys.is_empty() {
-            report.line(&format!(
-                "no labeled series carry a {group} label (labeled run required: --obs --labels)"
-            ));
-        }
-        let rows = keys.into_iter().map(|key @ (name, value)| {
-            let gates = WORSE_COUNTERS.contains(&name.as_str());
-            let abs = if gates { th.abs_count } else { f64::INFINITY };
-            let at = |g: &BTreeMap<_, f64>| g.get(key).copied().unwrap_or(0.0);
-            row(format!("{name}{{{group}={value}}}"), at(&gb), at(&gc), abs)
-        });
-        let title = format!("grouped by {group}");
-        gated(report, th, &title, rows.collect(), &mut out);
-    }
-
     if out.is_empty() {
         report.line("\nclean: no regressions past thresholds");
     } else {
@@ -173,8 +148,7 @@ pub(crate) fn against(
     out
 }
 
-/// Renders one gated table, appending what regressed to `out`. A row
-/// with an infinite floor never gates and shows the verdict `info`.
+/// Renders one gated table, appending what regressed to `out`.
 fn gated(
     report: &mut Report,
     th: &DiffThresholds,
@@ -189,11 +163,7 @@ fn gated(
     let mut table = Vec::with_capacity(rows.len());
     for row in rows {
         let bad = th.regressed(&row);
-        let verdict = match (bad, row.3.is_finite()) {
-            (true, _) => "REGRESSED",
-            (false, true) => "ok",
-            (false, false) => "info",
-        };
+        let verdict = if bad { "REGRESSED" } else { "ok" };
         let (metric, base, cand, ..) = row;
         let delta = delta(base, cand);
         table.push([
@@ -277,14 +247,9 @@ mod tests {
     }
 
     /// The comparison section alone, its text and regressions.
-    fn compare(
-        base: &Export,
-        cand: &Export,
-        th: &DiffThresholds,
-        group: Option<&str>,
-    ) -> (String, Vec<Regression>) {
+    fn compare(base: &Export, cand: &Export, th: &DiffThresholds) -> (String, Vec<Regression>) {
         let mut report = Report::new("t", "t");
-        let regressions = against(&mut report, base, cand, th, group);
+        let regressions = against(&mut report, base, cand, th);
         (report.text().to_string(), regressions)
     }
 
@@ -295,12 +260,8 @@ mod tests {
     #[test]
     fn identical_exports_diff_clean() {
         let a = toy_export(3, 500, 50);
-        let (text, regressions) = compare(
-            &load("a", &a),
-            &load("b", &a),
-            &DiffThresholds::default(),
-            None,
-        );
+        let (text, regressions) =
+            compare(&load("a", &a), &load("b", &a), &DiffThresholds::default());
         assert!(regressions.is_empty(), "{:?}", regressions);
         assert!(text.contains("clean: no regressions"));
     }
@@ -309,7 +270,7 @@ mod tests {
     fn worse_counters_and_slo_regress() {
         let base = load("a", &toy_export(3, 500, 50));
         let cand = load("b", &toy_export(30, 500, 500));
-        let (text, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
+        let (text, regressions) = compare(&base, &cand, &DiffThresholds::default());
         let names = metrics(&regressions);
         assert!(names.contains(&"medes.platform.starts.cold"), "{names:?}");
         assert!(names.contains(&"slo.violations_total"), "{names:?}");
@@ -321,7 +282,7 @@ mod tests {
     fn phase_p99_and_self_regress() {
         let base = load("a", &toy_export(1, 1_000, 50));
         let cand = load("b", &toy_export(1, 20_000, 50));
-        let (text, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
+        let (text, regressions) = compare(&base, &cand, &DiffThresholds::default());
         let names = metrics(&regressions);
         assert!(names.contains(&"p99:medes.platform.request"), "{names:?}");
         assert!(names.contains(&"self:medes.platform.request"), "{names:?}");
@@ -337,7 +298,7 @@ mod tests {
         // count floor — must NOT regress.
         let base = load("a", &toy_export(3, 500, 50));
         let cand = load("b", &toy_export(4, 500, 50));
-        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
+        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default());
         assert!(regressions.is_empty(), "{regressions:?}");
         // A zero relative threshold with zero floors flags it.
         let strict = DiffThresholds {
@@ -346,7 +307,7 @@ mod tests {
             abs_us: 0.0,
             abs_rate: 0.0,
         };
-        let (_, regressions) = compare(&base, &cand, &strict, None);
+        let (_, regressions) = compare(&base, &cand, &strict);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].metric, "medes.platform.starts.cold");
     }
@@ -372,7 +333,7 @@ mod tests {
             ("medes.cache.hit_rate", 0.5),
             ("medes.platform.live_sandboxes", 100.0),
         ]);
-        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default(), None);
+        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default());
         let names = metrics(&regressions);
         assert!(names.contains(&"end:medes.cache.hit_rate"), "{names:?}");
         assert!(
@@ -380,7 +341,7 @@ mod tests {
             "{names:?}"
         );
         // Swapped direction: a *rising* hit rate is an improvement.
-        let (_, regressions) = compare(&cand, &base, &DiffThresholds::default(), None);
+        let (_, regressions) = compare(&cand, &base, &DiffThresholds::default());
         assert!(
             !metrics(&regressions).contains(&"end:medes.cache.hit_rate"),
             "{regressions:?}"
@@ -395,7 +356,7 @@ mod tests {
     fn unchanged_hit_rate_is_not_a_regression() {
         let hit_rate = |rate: f64| with_gauges(&[("medes.cache.hit_rate", rate)]);
         let flagged = |base: &Export, cand: &Export| {
-            let (_, regressions) = compare(base, cand, &DiffThresholds::default(), None);
+            let (_, regressions) = compare(base, cand, &DiffThresholds::default());
             metrics(&regressions).contains(&"end:medes.cache.hit_rate")
         };
         let (high, low) = (hit_rate(0.9), hit_rate(0.5));
@@ -404,56 +365,10 @@ mod tests {
         assert!(!flagged(&low, &high), "0.5 -> 0.9 flagged");
     }
 
-    /// `--group-by` compares labeled twins per label value; only the
-    /// higher-is-worse set gates, the rest is informational.
-    #[test]
-    fn group_by_compares_labeled_twins() {
-        use medes_obs::LabelSet;
-        let export = |retries: u64| {
-            let obs = Obs::new(ObsConfig::enabled().labeled());
-            obs.counter_add_with("medes.net.retries", retries, || {
-                LabelSet::new().with("owner", 2u64)
-            });
-            obs.counter_add_with("medes.net.rdma_reads", 10, || {
-                LabelSet::new().with("src", 1u64).with("dst", 0u64)
-            });
-            obs.export_jsonl()
-        };
-        let base = load("a", &export(2));
-        let cand = load("b", &export(40));
-        let th = DiffThresholds::default();
-        let (text, regressions) = compare(&base, &cand, &th, Some("owner"));
-        assert!(
-            metrics(&regressions).contains(&"medes.net.retries{owner=2}"),
-            "{regressions:?}"
-        );
-        assert!(text.contains("grouped by owner"), "{text}");
-        // rdma_reads has no owner label: grouping by src is informational.
-        let (text, regressions) = compare(&base, &cand, &th, Some("src"));
-        assert!(
-            !regressions
-                .iter()
-                .any(|r| r.metric.starts_with("medes.net.rdma_reads")),
-            "{regressions:?}"
-        );
-        let row = text
-            .lines()
-            .find(|l| l.starts_with("medes.net.rdma_reads{src=1}"));
-        assert!(row.is_some_and(|l| l.ends_with("info")), "{text}");
-        // Label-off exports degrade gracefully.
-        let plain = load("p", &toy_export(1, 500, 50));
-        let (text, _) = compare(&plain, &plain, &th, Some("node"));
-        assert!(text.contains("no labeled series carry a node label"));
-    }
-
     #[test]
     fn empty_inputs_diff_clean() {
-        let (text, regressions) = compare(
-            &load("a", ""),
-            &load("b", ""),
-            &DiffThresholds::default(),
-            None,
-        );
+        let (text, regressions) =
+            compare(&load("a", ""), &load("b", ""), &DiffThresholds::default());
         assert!(regressions.is_empty());
         assert!(text.contains("clean"));
     }

@@ -34,9 +34,8 @@
 //! Its rows are named in `BENCHMARK.json` (`hash.sha1_64_ns`,
 //! `delta.encode_ns_per_page`, `dedup.scan_us`, `obs.noop_ns`, …).
 //!
-//! `trace report <trace.jsonl> [--against <base.jsonl>] [--group-by
-//! <label>]` reads the JSONL export of any run made with `--obs` and
-//! renders one report: per-phase latency and self time, causal-tree
+//! `trace report <trace.jsonl> [--against <base.jsonl>]` reads the
+//! JSONL export of any run made with `--obs` and renders one report: per-phase latency and self time, causal-tree
 //! critical paths, the slowest requests, counters, series and leak
 //! suspects, tail attribution and, against a base export, regressions
 //! (see [`trace`]).

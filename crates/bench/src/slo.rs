@@ -255,7 +255,7 @@ mod tests {
             "\n"
         );
         assert!(load("t", text).slo.by_fn.is_empty());
-        let (report, _) = report(&load("t", text), None, None);
+        let (report, _) = report(&load("t", text), None);
         assert!(!report.text().contains("slo per function"));
     }
 
@@ -313,7 +313,7 @@ mod tests {
         let run = load("t", &export(&[("zeta", 0, 5, 0), ("alpha", 0, 3, 2)]));
         let names: Vec<&str> = run.slo.by_fn.keys().map(String::as_str).collect();
         assert_eq!(names, ["alpha", "zeta"]);
-        let (report, _) = report(&run, None, None);
+        let (report, _) = report(&run, None);
         let text = report.text();
         let table = text.split("from request spans) ---\n").nth(1).unwrap();
         let rows: Vec<Vec<&str>> = table

@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn slowest_requests_are_ranked() {
-        let (report, _) = report(&load("t", &sample_trace()), None, None);
+        let (report, _) = report(&load("t", &sample_trace()), None);
         let text = report.text();
         let slowest = text.split("slowest requests ---\n").nth(1).unwrap();
         // Slowest first: request 9 ran longest (exec 63 us).
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn summarize_renders_tables() {
-        let (report, _) = report(&load("trace-test.jsonl", &sample_trace()), None, None);
+        let (report, _) = report(&load("trace-test.jsonl", &sample_trace()), None);
         let text = report.text();
         assert!(text.contains("per-phase latency and self time"));
         assert!(text.contains("medes.restore.base_read"));
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn summarize_handles_empty_trace() {
-        let (report, _) = report(&load("empty", ""), None, None);
+        let (report, _) = report(&load("empty", ""), None);
         assert!(report.text().contains("0 spans"));
     }
 }

@@ -9,9 +9,8 @@
 //! only gauges are interrogated.
 
 use crate::report::{f, Report};
-use crate::trace::{group_by, percentiles};
+use crate::trace::percentiles;
 use medes_obs::{ParsedSeries, SeriesKind};
-use std::collections::BTreeMap;
 
 /// Whether a series looks like a monotonic leak: a gauge with at least
 /// 8 samples, ≥95% of whose *changes* are rises, and whose last value
@@ -33,10 +32,8 @@ pub fn looks_like_leak(s: &ParsedSeries) -> bool {
 }
 
 /// Renders the series section — nothing when the run sampled no
-/// series. With `group`, labeled twin series (sampled as
-/// `base{k=v,...}`) carrying that label are summed per `(base metric,
-/// label value)`, so a flat aggregate's trend breaks down by dimension.
-pub(crate) fn series(report: &mut Report, series: &[ParsedSeries], group: Option<&str>) {
+/// series.
+pub(crate) fn series(report: &mut Report, series: &[ParsedSeries]) {
     if series.is_empty() {
         return;
     }
@@ -56,36 +53,6 @@ pub(crate) fn series(report: &mut Report, series: &[ParsedSeries], group: Option
         "metric", "kind", "points", "min", "p50", "p95", "max", "first", "last",
     ];
     report.table(&header, rows);
-
-    if let Some(group) = group {
-        // One row per (base metric, label value): the series' final
-        // sample, plus its share of the base's grouped total.
-        let lasts = series
-            .iter()
-            .map(|s| (s.name.as_str(), s.last().unwrap_or(0.0)));
-        let grouped = group_by(lasts, group);
-        report.section(&format!("grouped by {group} (final values)"));
-        if grouped.is_empty() {
-            report.line(&format!(
-                "no series carry a {group} label (labeled run required: --obs --labels)"
-            ));
-        } else {
-            let mut totals: BTreeMap<&str, f64> = BTreeMap::new();
-            for ((base, _), v) in &grouped {
-                *totals.entry(base).or_default() += v;
-            }
-            let rows = grouped.iter().map(|((base, v), &last)| {
-                let total = totals[base.as_str()];
-                let share = if total > 0.0 {
-                    100.0 * last / total
-                } else {
-                    0.0
-                };
-                [base.clone(), v.clone(), f(last, 1), f(share, 1)]
-            });
-            report.table(&["metric", group, "last", "share_%"], rows);
-        }
-    }
 
     let mut leaks = series.iter().filter(|s| looks_like_leak(s)).peekable();
     if leaks.peek().is_none() {
@@ -116,11 +83,11 @@ mod tests {
 
     /// The report of a run whose only content is `s`'s series, carried
     /// in a tail the way an export carries them.
-    fn timeline(s: &SeriesStore, group: Option<&str>) -> String {
+    fn timeline(s: &SeriesStore) -> String {
         let tail =
             medes_obs::json!({ "metrics": medes_obs::Json::object(), "series": s.to_json() });
         let run = load("ts", &tail.to_string());
-        report(&run, None, group).0.text().to_string()
+        report(&run, None).0.text().to_string()
     }
 
     #[test]
@@ -188,7 +155,7 @@ mod tests {
                 (i % 2) as f64,
             );
         }
-        let text = timeline(&s, None);
+        let text = timeline(&s);
         assert!(text.contains("2 series, 20 points"));
         // Exactly the rising gauge is a leak suspect.
         let leaks = text.split("leak suspects").nth(1).expect("leak section");
@@ -203,67 +170,15 @@ mod tests {
         assert!(row.contains(" 4.5 "), "{row}");
     }
 
-    /// `--group-by` breaks labeled twin series down per label value,
-    /// with shares of the grouped total per base metric.
-    #[test]
-    fn timeline_groups_labeled_series_by_label() {
-        let mut s = SeriesStore::new();
-        for i in 0..4u64 {
-            s.point("medes.x.ops", SeriesKind::Counter, i * 1000, (i * 4) as f64);
-            s.point(
-                "medes.x.ops{node=0}",
-                SeriesKind::Counter,
-                i * 1000,
-                (i * 3) as f64,
-            );
-            s.point(
-                "medes.x.ops{node=1}",
-                SeriesKind::Counter,
-                i * 1000,
-                i as f64,
-            );
-            s.point(
-                "medes.y.ops{func=a,node=0}",
-                SeriesKind::Counter,
-                i * 1000,
-                i as f64,
-            );
-        }
-        let text = timeline(&s, Some("node"));
-        assert!(text.contains("grouped by node"), "{text}");
-        // node 0 carries 9 of 12 medes.x.ops: 75%.
-        assert!(text.contains("75.0"), "{text}");
-        // The multi-label series still groups by its node label.
-        assert!(text.contains("medes.y.ops"), "{text}");
-        // A function name holding the key's own delimiters groups
-        // under its real value instead of dropping out.
-        let hostile = medes_obs::LabelSet::new()
-            .with("func", "a,b=c}d")
-            .with("node", 1u64);
-        s.point(
-            &hostile.series_key("medes.y.ops"),
-            SeriesKind::Counter,
-            0,
-            5.0,
-        );
-        let text = timeline(&s, Some("func"));
-        assert!(text.contains("a,b=c}d"), "{text}");
-        // 5 of medes.y.ops' 8 grouped-by-func total: 62.5%.
-        assert!(text.contains("62.5"), "{text}");
-        // Grouping by an absent label degrades gracefully.
-        let text = timeline(&s, Some("shard"));
-        assert!(text.contains("no series carry a shard label"));
-    }
-
     #[test]
     fn timeline_handles_empty_input() {
-        let text = timeline(&SeriesStore::new(), None);
+        let text = timeline(&SeriesStore::new());
         assert!(text.contains("0 series, 0 points"));
         assert!(!text.contains("leak suspects"));
         // No series, no series section.
         assert!(!text.contains("per-metric summary"));
         let mut s = SeriesStore::new();
         s.point("medes.flat", SeriesKind::Gauge, 0, 1.0);
-        assert!(timeline(&s, None).contains("no monotonic-leak patterns"));
+        assert!(timeline(&s).contains("no monotonic-leak patterns"));
     }
 }

@@ -1,14 +1,12 @@
 //! `trace report`: one report over one parsed run export.
 //!
 //! A run traced with `--obs` leaves a JSONL file: span lines, then one
-//! tail line with the final counters and gauges, under `--labels` the
-//! fabric's labeled counters, and under `--timeseries <ms>` the sampled
-//! series. A duration is recorded once, as a span: every latency
+//! tail line with the final counters and gauges and, under
+//! `--timeseries <ms>`, the sampled series. A duration is recorded once, as a span: every latency
 //! number below is folded from the spans. [`load`] parses the file
 //! once into an [`Export`]; [`report`] renders every section from it:
 //!
-//! * a header line (spans, causal trees, series, labeled series, SLO
-//!   violations);
+//! * a header line (spans, causal trees, series, SLO violations);
 //! * the per-phase table: p50/p95/p99 per span name
 //!   ([`Percentiles`] over the spans' durations) and self time — the
 //!   phase's duration minus its children's (`analyze`'s forest);
@@ -26,9 +24,8 @@
 //!   SLO violations, per-phase p99 and self time, and gauge endpoints,
 //!   each gated by [`DiffThresholds`].
 //!
-//! `--group-by <label>` breaks the labeled counters and their compared
-//! twins down per label value. [`Findings::gate`] is the exit code:
-//! regressions when compared, attributions otherwise.
+//! [`Findings::gate`] is the exit code: regressions when compared,
+//! attributions otherwise.
 
 pub use crate::analyze::{Forest, TraceTree};
 pub use crate::attribute::Attribution;
@@ -37,7 +34,7 @@ use crate::report::Report;
 pub use crate::slo::{FnSlo, NodeSlo, SloFold, Violation, TAIL};
 use crate::summarize::Phase;
 use crate::{analyze, attribute, diff, slo, summarize, timeline};
-use medes_obs::{parse_jsonl, parse_series, parse_series_key, parse_tail, Json, ParsedSpan};
+use medes_obs::{parse_jsonl, parse_series, parse_tail, Json, ParsedSpan};
 use medes_obs::{JsonMap, ParsedSeries};
 use medes_sim::stats::Percentiles;
 use std::collections::BTreeMap;
@@ -60,8 +57,6 @@ pub struct Export {
     pub slo: SloFold,
     /// Counters and gauges from the tail's `metrics`.
     pub(crate) scalars: BTreeMap<String, f64>,
-    /// Labeled counters (`name{k=v,...}` -> value); empty label-off.
-    pub(crate) labeled: BTreeMap<String, f64>,
     /// The tail's sampled series; empty when the sampler did not run.
     pub(crate) series: Vec<ParsedSeries>,
 }
@@ -78,7 +73,6 @@ pub fn load(label: &str, trace: &str) -> Export {
         slo: SloFold::build(&forest),
         forest,
         scalars: numbers(tail.get("metrics")),
-        labeled: numbers(tail.get("labeled")),
         series: parse_series(tail.get("series")),
     }
 }
@@ -115,57 +109,32 @@ impl Findings {
     }
 }
 
-/// Renders the report of `run`, compared against `against` when given,
-/// with labeled series grouped by `group_by` when given.
-pub fn report(
-    run: &Export,
-    against: Option<&Export>,
-    group_by: Option<&str>,
-) -> (Report, Findings) {
+/// Renders the report of `run`, compared against `against` when given.
+pub fn report(run: &Export, against: Option<&Export>) -> (Report, Findings) {
     let mut report = Report::new("trace-report", &run.label);
     let points: usize = run.series.iter().map(|s| s.points.len()).sum();
     report.line(&format!(
         "{} spans, {} untraced, {} causal trees; {} series, {points} points; \
-         {} labeled series, {} slo violation(s)",
+         {} slo violation(s)",
         run.forest.spans.len(),
         run.forest.untraced,
         run.forest.trees.len(),
         run.series.len(),
-        run.labeled.len(),
         run.slo.violations.len(),
     ));
     summarize::phase_table(&mut report, &run.phases);
     analyze::operations(&mut report, &run.forest);
     summarize::slowest_and_counters(&mut report, run);
     slo::section(&mut report, &run.slo);
-    timeline::series(&mut report, &run.series, group_by);
+    timeline::series(&mut report, &run.series);
     let attributions = attribute::attribution(&mut report, run);
     let th = DiffThresholds::default();
-    let regressions = against.map(|base| diff::against(&mut report, base, run, &th, group_by));
+    let regressions = against.map(|base| diff::against(&mut report, base, run, &th));
     let findings = Findings {
         attributions,
         regressions,
     };
     (report, findings)
-}
-
-/// Sums `(series key, value)` entries whose key carries `label`, per
-/// `(base metric, label value)` — the one group-by of the series and
-/// comparison sections.
-pub(crate) fn group_by<'a>(
-    entries: impl IntoIterator<Item = (&'a str, f64)>,
-    label: &str,
-) -> BTreeMap<(String, String), f64> {
-    let mut grouped = BTreeMap::new();
-    for (key, v) in entries {
-        let Some((base, labels)) = parse_series_key(key) else {
-            continue;
-        };
-        if let Some((_, lv)) = labels.into_iter().find(|(k, _)| k == label) {
-            *grouped.entry((base.to_string(), lv)).or_default() += v;
-        }
-    }
-    grouped
 }
 
 /// A span attribute as an unsigned integer.

@@ -44,15 +44,18 @@ fn unknown_flag_or_id_is_rejected_before_any_experiment_runs() {
     ] {
         assert_usage_error(&["fig13", "--quick", "--obs", retired[0], retired[1]]);
     }
+    // And the labeled counters with their per-label breakdown: the
+    // fabric keeps totals, spans carry node and fn.
+    assert_usage_error(&["fig13", "--quick", "--obs", "--labels"]);
+    assert_usage_error(&["trace", "report", "a.jsonl", "--group-by", "src"]);
     // `trace report` does not mistake a flag for a file either.
     assert_usage_error(&["trace", "report", "--bogus"]);
 }
 
-/// A telemetry flag shapes an `--obs` trace: without `--obs`, or with a
+/// `--timeseries` shapes an `--obs` trace: without `--obs`, or with a
 /// zero sampling period, it would change nothing, so it is rejected.
 #[test]
 fn telemetry_flags_that_change_nothing_are_usage_errors() {
-    assert_usage_error(&["table2", "--quick", "--labels"]);
     assert_usage_error(&["table2", "--quick", "--timeseries", "500"]);
     assert_usage_error(&["table2", "--quick", "--obs", "--timeseries", "0"]);
 }

@@ -1,11 +1,10 @@
 //! End-to-end: a traced quick-scale Medes run exports a JSONL trace
 //! that `trace report` reconstructs into exact causal trees, folds
 //! into SLO and outlier attributions, and compares against another run
-//! — and no telemetry setting (off, on, labeled) moves the
-//! `RunReport`. These are the gates
-//! of the observability layer (DESIGN.md §8, §12, §16); the one
-//! host-time claim, a ceiling on tracing overhead, is `#[ignore]`d and
-//! run by CI in `--release` with `-- --ignored`.
+//! — and turning telemetry on does not move the `RunReport`. These
+//! are the gates of the observability layer (DESIGN.md §8, §12, §16);
+//! the one host-time claim, a ceiling on tracing overhead, is
+//! `#[ignore]`d and run by CI in `--release` with `-- --ignored`.
 
 use medes_bench::common::{run_outcome, ExpConfig};
 use medes_bench::trace;
@@ -75,7 +74,7 @@ fn report_exit(trace: (&str, &str), base: Option<(&str, &str)>) -> Option<i32> {
 
 #[test]
 fn traced_run_reconstructs_exact_request_trees() {
-    let outcome = quick_run(traced().labeled(), |_| {});
+    let outcome = quick_run(traced(), |_| {});
     assert_eq!(outcome.obs.spans_dropped(), 0);
     let jsonl = outcome.obs.export_jsonl();
     let run = trace::load("e2e.jsonl", &jsonl);
@@ -114,7 +113,7 @@ fn traced_run_reconstructs_exact_request_trees() {
 
     // The report renders and the folded-stacks output is non-empty
     // with multi-level stacks.
-    let (report, findings) = trace::report(&run, None, None);
+    let (report, findings) = trace::report(&run, None);
     let text = report.text();
     assert!(text.contains("critical path"));
     assert!(text.contains("medes.platform.request"));
@@ -140,42 +139,31 @@ fn traced_run_reconstructs_exact_request_trees() {
     assert!(text.contains("critical path of worst violation"), "{text}");
     assert!(!text.contains("trace not present"), "{text}");
 
-    // Telemetry observes the simulation, it never perturbs it: off and
-    // label-off runs report what this labeled one did. Labels must add
-    // the fabric's counter series, and leave no key behind when off.
+    // Telemetry observes the simulation, it never perturbs it: an
+    // untraced run reports what this traced one did.
     let untraced = quick_run(ObsConfig::default(), |_| {});
     assert_eq!(
         untraced.report, outcome.report,
         "enabling the tracer changed the simulation"
     );
-    let label_off = quick_run(traced(), |_| {});
-    assert_eq!(
-        label_off.report, outcome.report,
-        "dimensional telemetry changed the simulation"
-    );
-    assert!(outcome.obs.labeled_len() > 0, "no labeled series recorded");
-    let label_off = label_off.obs.export_jsonl();
-    assert!(
-        !label_off.contains("\"labeled\""),
-        "a label-off tail must not carry a labeled key"
-    );
-    // Attribution reads spans, so a label-off export attributes the
-    // same violations: `trace report` exits 1 on it too.
-    let (_, plain) = trace::report(&trace::load("label-off", &label_off), None, None);
-    assert_eq!(plain.attributions, findings.attributions);
-    assert_eq!(report_exit(("label-off", &label_off), None), Some(1));
+    // The tail is the flat counters and nothing else, and the binary
+    // turns the attributions into exit code 1.
+    let tail = medes_obs::parse_tail(&jsonl).expect("tail");
+    let keys: Vec<&str> = tail.as_object().unwrap().iter().map(|(k, _)| k).collect();
+    assert_eq!(keys, ["metrics"]);
+    assert_eq!(report_exit(("traced", &jsonl), None), Some(1));
 
     // `--against` is quiet on a run against itself and loud on an
     // injected regression: the same workload under a 1 s fixed
     // keep-alive, which cold-starts almost everything.
-    let worse = quick_run(traced().labeled(), |p| {
+    let worse = quick_run(traced(), |p| {
         p.policy = PolicyKind::FixedKeepAlive(SimDuration::from_secs(1));
     });
     let worse = worse.obs.export_jsonl();
-    let (_, clean) = trace::report(&run, Some(&run), None);
+    let (_, clean) = trace::report(&run, Some(&run));
     assert_eq!(clean.regressions, Some(vec![]), "self-comparison flagged");
     assert!(!clean.gate());
-    let (_, flagged) = trace::report(&trace::load("worse", &worse), Some(&run), None);
+    let (_, flagged) = trace::report(&trace::load("worse", &worse), Some(&run));
     assert!(
         flagged.regressions.is_some_and(|r| !r.is_empty()),
         "injected regression (1s fixed keep-alive) not flagged"
@@ -213,7 +201,7 @@ fn injected_slow_node_is_the_top_attribution() {
         !run.slo.violations.is_empty(),
         "slow-node run must record SLO violations"
     );
-    let (drill, findings) = trace::report(&run, None, None);
+    let (drill, findings) = trace::report(&run, None);
     let attributions = &findings.attributions;
     let top = attributions
         .first()

@@ -925,7 +925,6 @@ mod tests {
         );
         assert_eq!(obs.counter("medes.dedup.checkpoint_bytes"), 12_288);
         assert_eq!(obs.counter("medes.dedup.ops"), 2);
-        assert_eq!(obs.labeled_len(), 0, "a span fact needs no labeled twin");
         let off = Obs::disabled();
         timing.record(&off, start, "f", (4096, 17), root, 3);
         assert_eq!(off.span_count(), 0);

@@ -1096,7 +1096,7 @@ mod tests {
         assert!(obs.counter("medes.net.registry.insert_rpcs") > 0);
         assert!(obs.counter("medes.net.registry.lookup_rpcs") > 0);
         assert!(removes_after_first > 0);
-        assert_eq!(obs.counter("medes.net.registry.rpcs"), stats.rpcs);
+        assert_eq!(obs.counter("medes.net.rpcs"), stats.rpcs);
         assert!(reg.rpc_time() > SimDuration::ZERO);
     }
 

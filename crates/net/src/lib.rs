@@ -57,10 +57,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use medes_obs::{LabelSet, Obs, TraceCtx};
+use medes_obs::{Obs, TraceCtx};
 use medes_sim::fault::FaultSchedule;
 use medes_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Node identifier within the fabric.
@@ -404,22 +403,13 @@ impl Fabric {
             }
             t += wire;
         }
+        // A zero-delta write would still create the keys, so an empty
+        // batch records nothing.
         if self.obs.enabled() && !reads.is_empty() {
-            // Group the batch per source so each (src, dst) link series
-            // counts exactly the reads it carried.
-            let mut per_src: BTreeMap<NodeIdx, (u64, u64)> = BTreeMap::new();
-            for &(src, bytes) in reads {
-                let e = per_src.entry(src).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += bytes as u64;
-            }
-            for (src, (ops, bytes)) in per_src {
-                let labels = || LabelSet::new().with("src", src).with("dst", dst);
-                self.obs
-                    .counter_add_with("medes.net.rdma_reads", ops, labels);
-                self.obs
-                    .counter_add_with("medes.net.rdma_bytes", bytes, labels);
-            }
+            let bytes: usize = reads.iter().map(|&(_, b)| b).sum();
+            self.obs
+                .counter_add("medes.net.rdma_reads", reads.len() as u64);
+            self.obs.counter_add("medes.net.rdma_bytes", bytes as u64);
             self.obs
                 .counter_add("medes.net.rdma_batch_us_total", t.as_micros());
         }
@@ -531,13 +521,9 @@ impl Fabric {
             t = t.mul_f64(factor);
         }
         if self.obs.enabled() {
-            let labels = || LabelSet::new().with("src", a).with("dst", b);
-            self.obs.incr_with("medes.net.rpcs", labels);
-            self.obs.counter_add_with(
-                "medes.net.rpc_bytes",
-                (req_bytes + resp_bytes) as u64,
-                labels,
-            );
+            self.obs.incr("medes.net.rpcs");
+            self.obs
+                .counter_add("medes.net.rpc_bytes", (req_bytes + resp_bytes) as u64);
             self.obs
                 .counter_add("medes.net.rpc_us_total", t.as_micros());
         }
@@ -609,15 +595,6 @@ impl Fabric {
         let out = self.rpc_retry(a, b, req_bytes, resp_bytes, policy)?;
         if self.obs.enabled() {
             self.obs.incr(op.counter_name());
-            // Registry traffic keyed by the shard owner serving the op,
-            // so hot shards surface as their own series.
-            let labels = || LabelSet::new().with("owner", b);
-            self.obs.incr_with("medes.net.registry.rpcs", labels);
-            self.obs.counter_add_with(
-                "medes.net.registry.rpc_bytes",
-                (req_bytes + resp_bytes) as u64,
-                labels,
-            );
         }
         Ok(out)
     }
@@ -808,12 +785,11 @@ mod tests {
         assert_eq!(quiet.stats().rdma_reads, 1);
     }
 
-    /// Tentpole: with dimensional telemetry on, per-link twins are kept
-    /// per `(src, dst)` pair (per `owner` for registry traffic) and the
-    /// flat counters stay the exact sum of the labeled series.
+    /// Counters are fabric totals: a batch's reads count once each,
+    /// whatever link carried them, and a registry RPC is an RPC.
     #[test]
-    fn labeled_twins_sum_to_flat_counters() {
-        let obs = Obs::new(medes_obs::ObsConfig::enabled().labeled());
+    fn flat_counters_total_all_links() {
+        let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
         read(&mut f, 0, 1, 4096).unwrap();
         f.rdma_read_batch(0, &[(1, 100), (1, 50), (2, 200)])
@@ -821,38 +797,79 @@ mod tests {
         f.rpc(0, 1, 10, 20).unwrap();
         f.registry_rpc_retry(0, 2, RegistryOp::Lookup, 64, 32, &RetryPolicy::default())
             .unwrap();
-        let link = |src: usize, dst: usize| LabelSet::new().with("src", src).with("dst", dst);
-        assert_eq!(obs.labeled_counter("medes.net.rdma_reads", &link(1, 0)), 3);
-        assert_eq!(obs.labeled_counter("medes.net.rdma_reads", &link(2, 0)), 1);
-        assert_eq!(
-            obs.labeled_counter("medes.net.rdma_bytes", &link(1, 0)),
-            4246
-        );
-        assert_eq!(
-            obs.labeled_counter("medes.net.rdma_bytes", &link(2, 0)),
-            200
-        );
-        // The registry RPC goes through rpc_at too, so rpcs has two
-        // labeled series; their sum matches the flat counter.
-        assert_eq!(obs.counter("medes.net.rpcs"), 2);
-        assert_eq!(obs.labeled_counter("medes.net.rpcs", &link(0, 1)), 1);
-        assert_eq!(obs.labeled_counter("medes.net.rpcs", &link(0, 2)), 1);
-        let owner = LabelSet::new().with("owner", 2usize);
-        assert_eq!(obs.labeled_counter("medes.net.registry.rpcs", &owner), 1);
-        assert_eq!(
-            obs.labeled_counter("medes.net.registry.rpc_bytes", &owner),
-            96
-        );
-        // Flat aggregates are exactly the sums across their series.
         assert_eq!(obs.counter("medes.net.rdma_reads"), 4);
         assert_eq!(obs.counter("medes.net.rdma_bytes"), 4446);
-        // Labels off: same traffic, empty labeled map.
-        let off = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut g = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&off));
-        read(&mut g, 0, 1, 4096).unwrap();
-        g.rpc(0, 1, 10, 20).unwrap();
-        assert_eq!(off.labeled_len(), 0);
-        assert_eq!(off.counter("medes.net.rdma_reads"), 1);
+        assert_eq!(obs.counter("medes.net.rpcs"), 2);
+        assert_eq!(obs.counter("medes.net.rpc_bytes"), 126);
+        assert_eq!(obs.counter("medes.net.registry.lookup_rpcs"), 1);
+    }
+
+    /// Property: over random mixes of local and remote read batches
+    /// (empty ones included) and registry RPCs under a random fault
+    /// schedule, every `medes.net.*` traffic counter equals its
+    /// [`FabricStats`] field, and a counter key exists only once
+    /// traffic moved it.
+    #[test]
+    fn fabric_counters_equal_fabric_stats() {
+        const OPS: [RegistryOp; 4] = [
+            RegistryOp::Lookup,
+            RegistryOp::Insert,
+            RegistryOp::Remove,
+            RegistryOp::Replicate,
+        ];
+        for seed in 0..256u64 {
+            let mut rng = DetRng::new(0xfab5_7a75_0000_0000 ^ seed);
+            let nodes = 2 + rng.below(4) as usize;
+            let horizon = SimTime::from_secs(10);
+            let plan = FaultPlan::synthesize(seed, nodes, horizon, rng.f64() * 4.0);
+            let obs = Obs::new(medes_obs::ObsConfig::enabled());
+            let mut f = Fabric::with_obs(nodes, NetConfig::default(), Arc::clone(&obs));
+            f.set_faults(FaultSchedule::compile(&plan));
+            let policy = RetryPolicy {
+                max_attempts: 1 + rng.below(3) as u32,
+                ..RetryPolicy::default()
+            };
+            for _ in 0..rng.below(40) {
+                f.set_now(SimTime::from_micros(rng.below(horizon.as_micros())));
+                let dst = rng.below(nodes as u64) as usize;
+                if rng.chance(0.6) {
+                    let reads: Vec<(NodeIdx, usize)> = (0..rng.below(6))
+                        .map(|_| {
+                            let src = if rng.chance(0.3) {
+                                dst
+                            } else {
+                                rng.below(nodes as u64) as usize
+                            };
+                            (src, rng.below(8192) as usize)
+                        })
+                        .collect();
+                    let _ = f.rdma_read_batch_retry(dst, &reads, &policy);
+                } else {
+                    let op = OPS[rng.below(4) as usize];
+                    let (req, resp) = (rng.below(256) as usize, rng.below(4096) as usize);
+                    let _ = f.registry_rpc_retry(0, dst, op, req, resp, &policy);
+                }
+            }
+            let stats = f.stats();
+            let keys: Vec<&str> = obs.metrics_snapshot().iter().map(|(k, _)| *k).collect();
+            for (name, want) in [
+                ("medes.net.rdma_reads", stats.rdma_reads),
+                ("medes.net.rdma_bytes", stats.rdma_bytes),
+                ("medes.net.rpcs", stats.rpcs),
+                ("medes.net.rpc_bytes", stats.rpc_bytes),
+                ("medes.net.rdma_failures", stats.rdma_failures),
+                ("medes.net.rpc_failures", stats.rpc_failures),
+            ] {
+                assert_eq!(obs.counter(name), want, "seed {seed}: {name}");
+            }
+            for (name, moved) in [
+                ("medes.net.rdma_reads", stats.rdma_reads > 0),
+                ("medes.net.rdma_bytes", stats.rdma_reads > 0),
+                ("medes.net.rpcs", stats.rpcs > 0),
+            ] {
+                assert_eq!(keys.contains(&name), moved, "seed {seed}: {name} key");
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1195,13 +1212,13 @@ mod tests {
             .unwrap();
         f.registry_rpc_retry(1, 2, RegistryOp::Replicate, 16, 4096, &policy)
             .unwrap();
-        assert_eq!(obs.counter("medes.net.registry.rpcs"), 4);
+        assert_eq!(obs.counter("medes.net.rpcs"), 4);
         assert_eq!(obs.counter("medes.net.registry.lookup_rpcs"), 1);
         assert_eq!(obs.counter("medes.net.registry.insert_rpcs"), 1);
         assert_eq!(obs.counter("medes.net.registry.remove_rpcs"), 1);
         assert_eq!(obs.counter("medes.net.registry.replicate_rpcs"), 1);
         assert_eq!(
-            obs.counter("medes.net.registry.rpc_bytes"),
+            obs.counter("medes.net.rpc_bytes"),
             (40 + 120 + 64 + 8 + 8 + 8 + 16 + 4096) as u64
         );
         assert_eq!(f.stats().rpcs, 4);

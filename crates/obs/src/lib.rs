@@ -22,10 +22,7 @@ pub mod span;
 
 pub use ids::TraceCtx;
 pub use json::{Json, JsonMap, ParseError};
-pub use metrics::{
-    parse_series_key, LabelSet, Metric, MetricsRegistry, SmallValue, MAX_LABELS,
-    TYPE_MISMATCH_METRIC,
-};
+pub use metrics::{Metric, MetricsRegistry, TYPE_MISMATCH_METRIC};
 pub use series::{parse_series, MetricSeries, ParsedSeries, SeriesKind, SeriesStore};
 pub use span::{AttrValue, ParsedSpan, Span, SpanRecord, Tracer};
 
@@ -61,13 +58,6 @@ pub struct ObsConfig {
     /// interval of *simulated* time — never wall clock — into
     /// per-metric series that the trace's tail carries as `series`.
     pub sample_every_ms: u64,
-    /// Dimensional telemetry switch. When true, the `*_with` calls
-    /// additionally update their `(name, LabelSet)` counter series —
-    /// the fabric's per-link and per-owner counts, facts no span
-    /// carries. Off by default: every `*_with` call is then exactly its
-    /// flat equivalent, so all exports are byte-identical to a build
-    /// that never heard of labels.
-    pub labels: bool,
 }
 
 impl Default for ObsConfig {
@@ -77,7 +67,6 @@ impl Default for ObsConfig {
             span_buffer_cap: 1 << 16,
             export_dir: None,
             sample_every_ms: 0,
-            labels: false,
         }
     }
 }
@@ -104,13 +93,6 @@ impl ObsConfig {
     /// [`ObsConfig::sample_every_ms`]).
     pub fn sampled_every_ms(mut self, ms: u64) -> Self {
         self.sample_every_ms = ms;
-        self
-    }
-
-    /// Turns on dimensional telemetry (builder style; see
-    /// [`ObsConfig::labels`]).
-    pub fn labeled(mut self) -> Self {
-        self.labels = true;
         self
     }
 }
@@ -151,19 +133,12 @@ struct State {
 
 impl State {
     /// The trace export's tail line: one JSON object carrying the
-    /// final counters and gauges — plus, on a labeled run, the labeled
-    /// counters, and, when the sampler ran, the sampled series — so a
-    /// trace file is a self-contained run export (`trace report` reads
-    /// nothing else).
+    /// final counters and gauges — plus, when the sampler ran, the
+    /// sampled series — so a trace file is a self-contained run export
+    /// (`trace report` reads nothing else).
     fn tail(&self) -> String {
-        let m = &self.metrics;
         let mut tail = JsonMap::new();
-        tail.insert("metrics", m.to_json());
-        // Only labeled runs carry the dimensional key: label-off tails
-        // stay byte-identical to every pre-label build.
-        if m.labeled_len() > 0 {
-            tail.insert("labeled", m.labeled_to_json());
-        }
+        tail.insert("metrics", self.metrics.to_json());
         if !self.series.is_empty() {
             tail.insert("series", self.series.to_json());
         }
@@ -287,46 +262,6 @@ impl Obs {
         if self.enabled {
             self.state().metrics.gauge_set(name, value);
         }
-    }
-
-    /// Adds `delta` to the counter `name` and — with labels enabled —
-    /// to its labeled series `(name, labels())`, under one lock: no
-    /// call can move a labeled series without its flat aggregate, so
-    /// the flat counter is always the exact sum of its series. With
-    /// labels off this is exactly [`Obs::counter_add`] and the closure
-    /// never runs.
-    #[inline]
-    pub fn counter_add_with(
-        &self,
-        name: &'static str,
-        delta: u64,
-        labels: impl FnOnce() -> LabelSet,
-    ) {
-        if self.enabled {
-            let mut s = self.state();
-            if self.cfg.labels {
-                s.metrics.counter_add_with(name, delta, labels());
-            } else {
-                s.metrics.counter_add(name, delta);
-            }
-        }
-    }
-
-    /// Increments the counter `name` and its labeled series by one
-    /// (see [`Obs::counter_add_with`]).
-    #[inline]
-    pub fn incr_with(&self, name: &'static str, labels: impl FnOnce() -> LabelSet) {
-        self.counter_add_with(name, 1, labels);
-    }
-
-    /// Current labeled counter value (0 if absent).
-    pub fn labeled_counter(&self, name: &str, labels: &LabelSet) -> u64 {
-        self.state().metrics.labeled_counter(name, labels)
-    }
-
-    /// Number of labeled series.
-    pub fn labeled_len(&self) -> usize {
-        self.state().metrics.labeled_len()
     }
 
     /// Number of spans currently buffered.
@@ -695,144 +630,6 @@ mod tests {
         let mut b = ObsConfig::enabled();
         b.export_dir = Some("/tmp/medes-x".into());
         assert_eq!(a, b);
-    }
-
-    /// A hostile function name (every byte that delimits a series key,
-    /// plus quote and newline) survives the export: the tail stays one
-    /// line of valid JSON and the labeled key parses back to the name.
-    #[test]
-    fn escape_label_round_trips_hostile_function_name() {
-        let hostile = "bad\"fn\\name,with=all}four\nand newline";
-        let obs = Obs::new(ObsConfig::enabled().labeled());
-        obs.incr_with("medes.platform.starts.cold", || {
-            LabelSet::new()
-                .with("func", hostile.to_string())
-                .with("node", 2u64)
-        });
-        let export = obs.export_jsonl();
-        assert_eq!(export.lines().count(), 1, "tail must stay one line");
-        let tail = parse_tail(&export).expect("tail");
-        let keys: Vec<&str> = tail["labeled"]
-            .as_object()
-            .unwrap()
-            .iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keys.len(), 1);
-        let (base, labels) = parse_series_key(keys[0]).expect("key parses");
-        assert_eq!(base, "medes.platform.starts.cold");
-        assert_eq!(
-            labels,
-            [
-                ("func".to_string(), hostile.to_string()),
-                ("node".to_string(), "2".to_string())
-            ]
-        );
-    }
-
-    /// Labeled series are additive-only — with labels off a `*_with`
-    /// call is its flat equivalent to the byte, and with labels on the
-    /// flat aggregate equals the sum of its labeled children.
-    #[test]
-    fn labels_off_is_byte_identical_and_on_sums_exactly() {
-        let plain = Obs::new(ObsConfig::enabled());
-        let off = Obs::new(ObsConfig::enabled());
-        let on = Obs::new(ObsConfig::enabled().labeled());
-        plain.counter_add("medes.net.rpcs", 2);
-        plain.counter_add("medes.net.rpc_bytes", 50);
-        for obs in [&off, &on] {
-            obs.incr_with("medes.net.rpcs", || LabelSet::new().with("dst", 0u64));
-            obs.incr_with("medes.net.rpcs", || LabelSet::new().with("dst", 1u64));
-            obs.counter_add_with("medes.net.rpc_bytes", 50, || {
-                LabelSet::new().with("dst", 0u64)
-            });
-        }
-        // Labels off: exports byte-identical to a handle that only
-        // ever made flat calls.
-        assert_eq!(off.labeled_len(), 0);
-        assert_eq!(off.export_jsonl(), plain.export_jsonl());
-        assert!(!off.export_jsonl().contains("labeled"));
-        // Labels on: flat == Σ labeled, and the export carries both.
-        assert_eq!(on.labeled_len(), 3);
-        assert_eq!(on.counter("medes.net.rpcs"), 2);
-        assert_eq!(
-            on.labeled_counter("medes.net.rpcs", &LabelSet::new().with("dst", 1u64)),
-            1
-        );
-        let v = parse_tail(&on.export_jsonl()).unwrap();
-        assert_eq!(v["metrics"]["medes.net.rpcs"], 2);
-        assert_eq!(v["labeled"]["medes.net.rpcs{dst=0}"], 1);
-        assert_eq!(v["labeled"]["medes.net.rpcs{dst=1}"], 1);
-        assert_eq!(v["labeled"]["medes.net.rpc_bytes{dst=0}"], 50);
-    }
-
-    /// Construction property: over a random sequence of dimensional
-    /// calls with labels on, every flat counter equals the sum of its
-    /// labeled children; with labels off the same sequence leaves the
-    /// registry and the exported tail identical to issuing the flat
-    /// calls alone.
-    #[test]
-    fn flat_aggregates_equal_their_labeled_sums_by_construction() {
-        use medes_sim::DetRng;
-        use std::collections::BTreeMap;
-        const COUNTERS: [&str; 3] = ["medes.t.a", "medes.t.b", "medes.t.c"];
-        let on = Obs::new(ObsConfig::enabled().labeled());
-        let off = Obs::new(ObsConfig::enabled());
-        let flat = Obs::new(ObsConfig::enabled());
-        let mut rng = DetRng::new(0x0d1e_5eed_0000_0013);
-        for _ in 0..2_000 {
-            let labels = match rng.below(3) {
-                0 => LabelSet::new().with("owner", rng.below(4)),
-                1 => LabelSet::new()
-                    .with("src", rng.below(3))
-                    .with("dst", rng.below(3)),
-                _ => LabelSet::new().with("func", format!("f{}", rng.below(3))),
-            };
-            let v = rng.below(1 << 20);
-            let name = COUNTERS[rng.below(3) as usize];
-            match rng.below(3) {
-                0 => {
-                    on.counter_add_with(name, v, || labels.clone());
-                    off.counter_add_with(name, v, || labels.clone());
-                    flat.counter_add(name, v);
-                }
-                1 => {
-                    on.incr_with(name, || labels.clone());
-                    off.incr_with(name, || labels.clone());
-                    flat.incr(name);
-                }
-                _ => {
-                    // An undimensioned write to a name that also has
-                    // series would break the sum; flat-only names stay
-                    // flat-only.
-                    on.counter_add("medes.t.flat_only", v);
-                    off.counter_add("medes.t.flat_only", v);
-                    flat.counter_add("medes.t.flat_only", v);
-                }
-            }
-        }
-        // Sum the exported labeled series per base name.
-        let tail = parse_tail(&on.export_jsonl()).unwrap();
-        let mut counter_sums: BTreeMap<&str, u64> = BTreeMap::new();
-        for (key, v) in tail["labeled"].as_object().unwrap().iter() {
-            let (name, _) = parse_series_key(key).expect("labeled key parses");
-            *counter_sums.entry(name).or_default() += v.as_u64().unwrap();
-        }
-        assert_eq!(counter_sums.len(), COUNTERS.len());
-        for (name, sum) in counter_sums {
-            assert_eq!(on.counter(name), sum, "{name}");
-        }
-        // The flat series never depend on the switch.
-        assert_eq!(
-            parse_tail(&on.export_jsonl()).unwrap()["metrics"],
-            parse_tail(&flat.export_jsonl()).unwrap()["metrics"]
-        );
-        assert_eq!(off.labeled_len(), 0);
-        assert_eq!(
-            format!("{:?}", off.metrics_snapshot()),
-            format!("{:?}", flat.metrics_snapshot())
-        );
-        assert_eq!(off.export_jsonl(), flat.export_jsonl());
     }
 
     /// Sampled series ride in the trace's tail, and the trace is the

@@ -84,13 +84,6 @@ impl SeriesStore {
                 Metric::Gauge(v) => self.point(name, SeriesKind::Gauge, t_us, v),
             }
         }
-        // Labeled counters sample as `name{k=v,...}` series, so the
-        // timeline's `--group-by` can break a flat aggregate down by
-        // dimension. Empty with labels off — exports stay byte-stable.
-        for (name, labels, v) in reg.labeled_snapshot() {
-            let key = labels.series_key(name);
-            self.point(&key, SeriesKind::Counter, t_us, v as f64);
-        }
     }
 
     /// Number of distinct series.
@@ -235,29 +228,6 @@ mod tests {
             vec![(100, 7.0), (200, 8.0)]
         );
         assert_eq!(s.get("medes.x.level").unwrap().kind, SeriesKind::Gauge);
-    }
-
-    /// Labeled counters sample as `name{labels}` series next to
-    /// their flat parents; with no labeled data the sample set is
-    /// unchanged.
-    #[test]
-    fn sample_registry_includes_labeled_series() {
-        use crate::metrics::LabelSet;
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add_with("medes.x.ops", 3, LabelSet::new().with("node", 1u64));
-        reg.counter_add_with("medes.x.ops", 4, LabelSet::new().with("node", 2u64));
-        let mut s = SeriesStore::new();
-        s.sample_registry(&reg, 100);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.get("medes.x.ops").unwrap().points, vec![(100, 7.0)]);
-        assert_eq!(
-            s.get("medes.x.ops{node=1}").unwrap().points,
-            vec![(100, 3.0)]
-        );
-        assert_eq!(
-            s.get("medes.x.ops{node=2}").unwrap().points,
-            vec![(100, 4.0)]
-        );
     }
 
     #[test]

@@ -213,7 +213,7 @@ fn assert_placement_invariant(
     let nodes = reference_cfg.nodes;
     let reference = Platform::new(reference_cfg, suite()).run(t);
     assert_eq!(
-        reference.obs.counter("medes.net.registry.rpcs"),
+        reference.obs.counter("medes.net.rpcs"),
         0,
         "the in-process registry must issue no registry RPCs"
     );
@@ -226,10 +226,10 @@ fn assert_placement_invariant(
         );
         assert_eq!(outcome.report.registry_dead_node_locs, 0);
         let count = |name: &str| outcome.obs.counter(name);
-        let rpcs = count("medes.net.registry.rpcs");
+        let rpcs = count("medes.net.rpcs");
         assert!(rpcs > 0, "{owners} owners: no registry RPCs issued");
         assert!(
-            count("medes.net.registry.rpc_bytes") > 0,
+            count("medes.net.rpc_bytes") > 0,
             "{owners} owners: registry RPCs moved no bytes"
         );
         assert_eq!(
