@@ -25,42 +25,27 @@ const WORSE_COUNTERS: [&str; 10] = [
     "medes.net.rpc_failures",
 ];
 
-/// Regression gates. A higher-is-worse value regresses when it exceeds
-/// `base · (1 + rel)` *plus* the unit's absolute floor; a lower-is-worse
-/// one when it falls below `base · (1 − rel)` *minus* the floor. Both
-/// margins must be cleared, so tiny absolute blips on tiny bases never
-/// fail a build.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffThresholds {
-    /// Relative slack (0.10 = 10% worse allowed).
-    pub rel: f64,
-    /// Absolute floor for event counts.
-    pub abs_count: f64,
-    /// Absolute floor for microsecond quantities (p99s, self times).
-    pub abs_us: f64,
-    /// Absolute floor for rates in `[0, 1]` (hit rates).
-    pub abs_rate: f64,
-}
+// Regression gates. A higher-is-worse value regresses when it exceeds
+// `base · (1 + REL)` *plus* the unit's absolute floor; a lower-is-worse
+// one when it falls below `base · (1 − REL)` *minus* the floor. Both
+// margins must be cleared, so tiny absolute blips on tiny bases never
+// fail a build.
 
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            rel: 0.10,
-            abs_count: 5.0,
-            abs_us: 500.0,
-            abs_rate: 0.02,
-        }
-    }
-}
+/// Relative slack (0.10 = 10% worse allowed).
+const REL: f64 = 0.10;
+/// Absolute floor for event counts.
+const ABS_COUNT: f64 = 5.0;
+/// Absolute floor for microsecond quantities (p99s, self times).
+const ABS_US: f64 = 500.0;
+/// Absolute floor for rates in `[0, 1]` (hit rates).
+const ABS_RATE: f64 = 0.02;
 
-impl DiffThresholds {
-    /// Whether a row's candidate regressed past its base.
-    fn regressed(&self, &(_, b, c, abs, lower_is_worse): &Row) -> bool {
-        if lower_is_worse {
-            c < b * (1.0 - self.rel) - abs
-        } else {
-            c > b * (1.0 + self.rel) + abs
-        }
+/// Whether a row's candidate regressed past its base.
+fn regressed(&(_, b, c, abs, lower_is_worse): &Row) -> bool {
+    if lower_is_worse {
+        c < b * (1.0 - REL) - abs
+    } else {
+        c > b * (1.0 + REL) + abs
     }
 }
 
@@ -94,35 +79,32 @@ fn delta(b: f64, c: f64) -> String {
 }
 
 /// Renders the comparison of `cand` against `base` and returns every
-/// regression that cleared `th` (empty = clean).
-pub(crate) fn against(
-    report: &mut Report,
-    base: &Export,
-    cand: &Export,
-    th: &DiffThresholds,
-) -> Vec<Regression> {
+/// regression that cleared the gates (empty = clean).
+pub(crate) fn against(report: &mut Report, base: &Export, cand: &Export) -> Vec<Regression> {
     report.section(&format!("against {}", base.label));
-    report.line(&format!("thresholds: {th:?}"));
+    report.line(&format!(
+        "thresholds: rel {REL}, abs_count {ABS_COUNT}, abs_us {ABS_US}, abs_rate {ABS_RATE}"
+    ));
     let counter = |name: &str| {
         let get = |run: &Export| run.scalars.get(name).copied().unwrap_or(0.0);
-        row(name.to_string(), get(base), get(cand), th.abs_count)
+        row(name.to_string(), get(base), get(cand), ABS_COUNT)
     };
     let mut counters = WORSE_COUNTERS.map(counter).to_vec();
     counters.retain(|r| r.1 != 0.0 || r.2 != 0.0);
     let violations = |run: &Export| run.slo.violations.len() as f64;
     let (b, c) = (violations(base), violations(cand));
-    let slo = vec![row("slo.violations_total".into(), b, c, th.abs_count)];
+    let slo = vec![row("slo.violations_total".into(), b, c, ABS_COUNT)];
     let p99 = |p: &Phase| Some(p.quantiles_us[2]); // [p50, p95, p99, max]
     let p99s = both(&per_phase(base, p99), &per_phase(cand, p99), |n| {
-        (format!("p99:{n}"), th.abs_us, false)
+        (format!("p99:{n}"), ABS_US, false)
     });
     let self_us = |p: &Phase| p.self_us.map(|us| us as f64);
     let phases = both(&per_phase(base, self_us), &per_phase(cand, self_us), |n| {
-        (format!("self:{n}"), th.abs_us, false)
+        (format!("self:{n}"), ABS_US, false)
     });
     let ends = both(&gauge_ends(base), &gauge_ends(cand), |n| {
         let rate = n.contains("hit_rate");
-        let abs = if rate { th.abs_rate } else { th.abs_count };
+        let abs = if rate { ABS_RATE } else { ABS_COUNT };
         (format!("end:{n}"), abs, rate)
     });
     let mut out = Vec::new();
@@ -133,7 +115,7 @@ pub(crate) fn against(
         ("per-phase self time (us)", phases),
         ("time-series endpoints", ends),
     ] {
-        gated(report, th, title, rows, &mut out);
+        gated(report, title, rows, &mut out);
     }
 
     if out.is_empty() {
@@ -149,20 +131,14 @@ pub(crate) fn against(
 }
 
 /// Renders one gated table, appending what regressed to `out`.
-fn gated(
-    report: &mut Report,
-    th: &DiffThresholds,
-    title: &str,
-    rows: Vec<Row>,
-    out: &mut Vec<Regression>,
-) {
+fn gated(report: &mut Report, title: &str, rows: Vec<Row>, out: &mut Vec<Regression>) {
     if rows.is_empty() {
         return;
     }
     report.section(&format!("vs base: {title}"));
     let mut table = Vec::with_capacity(rows.len());
     for row in rows {
-        let bad = th.regressed(&row);
+        let bad = regressed(&row);
         let verdict = if bad { "REGRESSED" } else { "ok" };
         let (metric, base, cand, ..) = row;
         let delta = delta(base, cand);
@@ -247,9 +223,9 @@ mod tests {
     }
 
     /// The comparison section alone, its text and regressions.
-    fn compare(base: &Export, cand: &Export, th: &DiffThresholds) -> (String, Vec<Regression>) {
+    fn compare(base: &Export, cand: &Export) -> (String, Vec<Regression>) {
         let mut report = Report::new("t", "t");
-        let regressions = against(&mut report, base, cand, th);
+        let regressions = against(&mut report, base, cand);
         (report.text().to_string(), regressions)
     }
 
@@ -260,8 +236,7 @@ mod tests {
     #[test]
     fn identical_exports_diff_clean() {
         let a = toy_export(3, 500, 50);
-        let (text, regressions) =
-            compare(&load("a", &a), &load("b", &a), &DiffThresholds::default());
+        let (text, regressions) = compare(&load("a", &a), &load("b", &a));
         assert!(regressions.is_empty(), "{:?}", regressions);
         assert!(text.contains("clean: no regressions"));
     }
@@ -270,7 +245,7 @@ mod tests {
     fn worse_counters_and_slo_regress() {
         let base = load("a", &toy_export(3, 500, 50));
         let cand = load("b", &toy_export(30, 500, 500));
-        let (text, regressions) = compare(&base, &cand, &DiffThresholds::default());
+        let (text, regressions) = compare(&base, &cand);
         let names = metrics(&regressions);
         assert!(names.contains(&"medes.platform.starts.cold"), "{names:?}");
         assert!(names.contains(&"slo.violations_total"), "{names:?}");
@@ -282,7 +257,7 @@ mod tests {
     fn phase_p99_and_self_regress() {
         let base = load("a", &toy_export(1, 1_000, 50));
         let cand = load("b", &toy_export(1, 20_000, 50));
-        let (text, regressions) = compare(&base, &cand, &DiffThresholds::default());
+        let (text, regressions) = compare(&base, &cand);
         let names = metrics(&regressions);
         assert!(names.contains(&"p99:medes.platform.request"), "{names:?}");
         assert!(names.contains(&"self:medes.platform.request"), "{names:?}");
@@ -298,16 +273,11 @@ mod tests {
         // count floor — must NOT regress.
         let base = load("a", &toy_export(3, 500, 50));
         let cand = load("b", &toy_export(4, 500, 50));
-        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default());
+        let (_, regressions) = compare(&base, &cand);
         assert!(regressions.is_empty(), "{regressions:?}");
-        // A zero relative threshold with zero floors flags it.
-        let strict = DiffThresholds {
-            rel: 0.0,
-            abs_count: 0.0,
-            abs_us: 0.0,
-            abs_rate: 0.0,
-        };
-        let (_, regressions) = compare(&base, &cand, &strict);
+        // 3 -> 9 clears both the 10% and the floor of 5 (3.3 + 5 < 9).
+        let cand = load("b", &toy_export(9, 500, 50));
+        let (_, regressions) = compare(&base, &cand);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].metric, "medes.platform.starts.cold");
     }
@@ -333,7 +303,7 @@ mod tests {
             ("medes.cache.hit_rate", 0.5),
             ("medes.platform.live_sandboxes", 100.0),
         ]);
-        let (_, regressions) = compare(&base, &cand, &DiffThresholds::default());
+        let (_, regressions) = compare(&base, &cand);
         let names = metrics(&regressions);
         assert!(names.contains(&"end:medes.cache.hit_rate"), "{names:?}");
         assert!(
@@ -341,7 +311,7 @@ mod tests {
             "{names:?}"
         );
         // Swapped direction: a *rising* hit rate is an improvement.
-        let (_, regressions) = compare(&cand, &base, &DiffThresholds::default());
+        let (_, regressions) = compare(&cand, &base);
         assert!(
             !metrics(&regressions).contains(&"end:medes.cache.hit_rate"),
             "{regressions:?}"
@@ -356,7 +326,7 @@ mod tests {
     fn unchanged_hit_rate_is_not_a_regression() {
         let hit_rate = |rate: f64| with_gauges(&[("medes.cache.hit_rate", rate)]);
         let flagged = |base: &Export, cand: &Export| {
-            let (_, regressions) = compare(base, cand, &DiffThresholds::default());
+            let (_, regressions) = compare(base, cand);
             metrics(&regressions).contains(&"end:medes.cache.hit_rate")
         };
         let (high, low) = (hit_rate(0.9), hit_rate(0.5));
@@ -367,8 +337,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_diff_clean() {
-        let (text, regressions) =
-            compare(&load("a", ""), &load("b", ""), &DiffThresholds::default());
+        let (text, regressions) = compare(&load("a", ""), &load("b", ""));
         assert!(regressions.is_empty());
         assert!(text.contains("clean"));
     }

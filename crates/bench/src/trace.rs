@@ -22,14 +22,14 @@
 //!   violation;
 //! * with a base export (`--against`), the comparison: curated counters,
 //!   SLO violations, per-phase p99 and self time, and gauge endpoints,
-//!   each gated by [`DiffThresholds`].
+//!   each gated by a relative threshold plus a per-unit absolute floor.
 //!
 //! [`Findings::gate`] is the exit code: regressions when compared,
 //! attributions otherwise.
 
 pub use crate::analyze::{Forest, TraceTree};
 pub use crate::attribute::Attribution;
-pub use crate::diff::{DiffThresholds, Regression};
+pub use crate::diff::Regression;
 use crate::report::Report;
 pub use crate::slo::{FnSlo, NodeSlo, SloFold, Violation, TAIL};
 use crate::summarize::Phase;
@@ -128,8 +128,7 @@ pub fn report(run: &Export, against: Option<&Export>) -> (Report, Findings) {
     slo::section(&mut report, &run.slo);
     timeline::series(&mut report, &run.series);
     let attributions = attribute::attribution(&mut report, run);
-    let th = DiffThresholds::default();
-    let regressions = against.map(|base| diff::against(&mut report, base, run, &th));
+    let regressions = against.map(|base| diff::against(&mut report, base, run));
     let findings = Findings {
         attributions,
         regressions,

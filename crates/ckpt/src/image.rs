@@ -1,7 +1,7 @@
 //! Checkpoint images: process tree, VMA descriptors, page dump.
 
 use medes_mem::region::RegionKind;
-use medes_mem::{MemoryImage, PAGE_SIZE};
+use medes_mem::MemoryImage;
 
 /// The process-tree shape of a sandbox (drives fork() costs at restore).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,14 +63,6 @@ impl CheckpointImage {
         CheckpointImage { proc, vmas, pages }
     }
 
-    /// Reassembles a checkpoint from restored pages (the final step of
-    /// the restore op). `pages` must match the VMA layout.
-    pub fn from_parts(proc: ProcessSpec, vmas: Vec<VmaDesc>, pages: Vec<Vec<u8>>) -> Self {
-        let expected: usize = vmas.iter().map(|v| v.pages as usize).sum();
-        assert_eq!(pages.len(), expected, "page count must match VMA layout");
-        CheckpointImage { proc, vmas, pages }
-    }
-
     /// The process-tree spec.
     pub fn proc(&self) -> ProcessSpec {
         self.proc
@@ -85,83 +77,12 @@ impl CheckpointImage {
     pub fn page_count(&self) -> usize {
         self.pages.len()
     }
-
-    /// Total dump bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.pages.len() * PAGE_SIZE
-    }
-
-    /// Borrows page `i` of the dump.
-    pub fn page(&self, i: usize) -> &[u8] {
-        &self.pages[i]
-    }
-
-    /// Iterates every page of the dump as a raw slice, in VMA order —
-    /// the shape the batch fingerprint API
-    /// (`medes_hash::sample::pages_fingerprints`) consumes.
-    pub fn page_slices(&self) -> impl Iterator<Item = &[u8]> {
-        self.pages.iter().map(Vec::as_slice)
-    }
-
-    /// Replaces page `i` (used when the dedup agent reconstructs
-    /// deduplicated pages during restore).
-    pub fn set_page(&mut self, i: usize, data: Vec<u8>) {
-        assert_eq!(data.len(), PAGE_SIZE, "pages are {PAGE_SIZE} bytes");
-        self.pages[i] = data;
-    }
-
-    /// Verifies the dump is byte-identical to a memory image. This is
-    /// the correctness criterion of the whole dedup/restore pipeline.
-    pub fn verify_against(&self, image: &MemoryImage) -> Result<(), VerifyError> {
-        if self.pages.len() != image.page_count() {
-            return Err(VerifyError::PageCount {
-                dump: self.pages.len(),
-                image: image.page_count(),
-            });
-        }
-        for (i, page) in image.pages() {
-            if self.pages[i] != page {
-                return Err(VerifyError::PageContent { page: i });
-            }
-        }
-        Ok(())
-    }
 }
-
-/// Checkpoint/image divergence found by [`CheckpointImage::verify_against`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifyError {
-    /// Page counts differ.
-    PageCount {
-        /// Pages in the dump.
-        dump: usize,
-        /// Pages in the image.
-        image: usize,
-    },
-    /// A page's bytes differ.
-    PageContent {
-        /// Index of the first mismatching page.
-        page: usize,
-    },
-}
-
-impl std::fmt::Display for VerifyError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifyError::PageCount { dump, image } => {
-                write!(f, "page count mismatch: dump {dump}, image {image}")
-            }
-            VerifyError::PageContent { page } => write!(f, "page {page} differs"),
-        }
-    }
-}
-
-impl std::error::Error for VerifyError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medes_mem::{FunctionSpec, ImageBuilder};
+    use medes_mem::{FunctionSpec, ImageBuilder, PAGE_SIZE};
 
     fn image() -> MemoryImage {
         ImageBuilder::new(FunctionSpec::new("CkptFn", 8 << 20, &["json"]))
@@ -173,54 +94,12 @@ mod tests {
     fn checkpoint_captures_everything() {
         let img = image();
         let ckpt = CheckpointImage::from_image(&img, ProcessSpec::default());
+        assert_eq!(ckpt.proc(), ProcessSpec::default());
         assert_eq!(ckpt.page_count(), img.page_count());
-        assert_eq!(ckpt.total_bytes(), img.total_bytes());
         assert_eq!(ckpt.vmas().len(), img.regions().len());
-        assert!(ckpt.verify_against(&img).is_ok());
-    }
-
-    #[test]
-    fn verify_detects_corruption() {
-        let img = image();
-        let mut ckpt = CheckpointImage::from_image(&img, ProcessSpec::default());
-        let mut page = ckpt.page(3).to_vec();
-        page[100] ^= 0xFF;
-        ckpt.set_page(3, page);
-        assert_eq!(
-            ckpt.verify_against(&img),
-            Err(VerifyError::PageContent { page: 3 })
-        );
-    }
-
-    #[test]
-    fn verify_detects_size_mismatch() {
-        let img = image();
-        let other = ImageBuilder::new(FunctionSpec::new("Other", 12 << 20, &[]))
-            .with_scale(16)
-            .build(1);
-        let ckpt = CheckpointImage::from_image(&img, ProcessSpec::default());
-        assert!(matches!(
-            ckpt.verify_against(&other),
-            Err(VerifyError::PageCount { .. })
-        ));
-    }
-
-    #[test]
-    fn from_parts_roundtrip() {
-        let img = image();
-        let ckpt = CheckpointImage::from_image(&img, ProcessSpec::default());
-        let pages: Vec<Vec<u8>> = (0..ckpt.page_count())
-            .map(|i| ckpt.page(i).to_vec())
-            .collect();
-        let rebuilt = CheckpointImage::from_parts(ckpt.proc(), ckpt.vmas().to_vec(), pages);
-        assert!(rebuilt.verify_against(&img).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "page count must match")]
-    fn from_parts_rejects_bad_layout() {
-        let img = image();
-        let ckpt = CheckpointImage::from_image(&img, ProcessSpec::default());
-        let _ = CheckpointImage::from_parts(ckpt.proc(), ckpt.vmas().to_vec(), vec![]);
+        let vma_pages: u32 = ckpt.vmas().iter().map(|v| v.pages).sum();
+        assert_eq!(vma_pages as usize, img.page_count());
+        assert!(ckpt.pages.iter().all(|p| p.len() == PAGE_SIZE));
+        assert!(ckpt.pages.iter().zip(img.pages()).all(|(d, (_, p))| d == p));
     }
 }

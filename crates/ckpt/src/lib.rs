@@ -8,8 +8,10 @@
 //!
 //! * [`image::CheckpointImage`] — a process-tree + VMA + page-dump
 //!   structure mirroring CRIU's image format, built from a
-//!   [`medes_mem::MemoryImage`]; restore reproduces the exact bytes
-//!   (verified in tests).
+//!   [`medes_mem::MemoryImage`] by copying its pages. The bytes a
+//!   restore rebuilds are checked in `medes-core` (the platform's
+//!   `verify_restores` switch compares every restored page with the
+//!   image), not here.
 //! * [`timing::TimingModel`] — where the paper's measured costs live:
 //!   full CRIU restores cost ~650 ms, while Medes's optimizations
 //!   (pre-created namespaces/process tree, in-memory images) bring the

@@ -129,7 +129,6 @@ mod tests {
                 duration_secs: 120,
                 scale: 2.0,
                 seed: 3,
-                ..Default::default()
             },
         );
         (PlatformConfig::small_test(), suite, trace)

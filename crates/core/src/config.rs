@@ -341,15 +341,8 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Registry placement (in-process vs distributed).
-    pub fn registry(mut self, placement: RegistryPlacement) -> Self {
-        self.cfg.registry = placement;
-        self
-    }
-
     /// Distributes the fingerprint registry across `owners` worker
-    /// nodes. Shorthand for
-    /// `registry(RegistryPlacement::Distributed { owners })`.
+    /// nodes (`RegistryPlacement::Distributed { owners }`).
     pub fn registry_owners(mut self, owners: usize) -> Self {
         self.cfg.registry = RegistryPlacement::Distributed { owners };
         self

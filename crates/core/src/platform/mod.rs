@@ -271,7 +271,7 @@ impl Cluster {
             MetricsCollector::with_obs(names, SimDuration::from_secs(10), Arc::clone(&obs));
         let (ka, medes): (Box<dyn KeepAlivePolicy>, _) = match &cfg.policy {
             PolicyKind::FixedKeepAlive(d) => (Box::new(FixedKeepAlive::new(*d)), None),
-            PolicyKind::AdaptiveKeepAlive => (Box::new(AdaptiveKeepAlive::paper_default()), None),
+            PolicyKind::AdaptiveKeepAlive => (Box::new(AdaptiveKeepAlive::new()), None),
             PolicyKind::Medes(m) => (Box::new(FixedKeepAlive::new(m.keep_alive)), Some(m.clone())),
         };
         Cluster {

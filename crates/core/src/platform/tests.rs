@@ -13,7 +13,6 @@ fn small_trace(secs: u64, scale: f64) -> (Vec<FunctionProfile>, Trace) {
             duration_secs: secs,
             scale,
             seed: 7,
-            ..Default::default()
         },
     );
     (suite, trace)

@@ -19,6 +19,17 @@
 //! dedup sandbox's memory footprint, and a [`format::Patch`] holds
 //! exactly those bytes, so [`format::Patch::serialized_size`] is exact,
 //! not an estimate.
+//!
+//! ```
+//! use medes_delta::{apply, encode, EncodeConfig};
+//!
+//! let base = b"hello, serverless world".to_vec();
+//! let mut target = base.clone();
+//! target.extend_from_slice(b" -- patched");
+//! let patch = encode(&base, &target, &EncodeConfig::with_level(1));
+//! assert!(patch.serialized_size() < target.len());
+//! assert_eq!(apply(&base, &patch).unwrap(), target);
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,20 +41,3 @@ pub mod format;
 pub use apply::{apply, apply_into, DeltaError};
 pub use encode::{encode, encode_reference, encode_with, EncodeConfig, EncodeScratch};
 pub use format::{Instr, ParseError, Patch, PatchRef};
-
-/// Convenience: encode `target` against `base` at the given level and
-/// return the patch.
-///
-/// # Examples
-///
-/// ```
-/// let base = b"hello, serverless world".to_vec();
-/// let mut target = base.clone();
-/// target.extend_from_slice(b" -- patched");
-/// let patch = medes_delta::diff(&base, &target, 1);
-/// assert!(patch.serialized_size() < target.len());
-/// assert_eq!(medes_delta::apply(&base, &patch).unwrap(), target);
-/// ```
-pub fn diff(base: &[u8], target: &[u8], level: u8) -> Patch {
-    encode::encode(base, target, &EncodeConfig::with_level(level))
-}

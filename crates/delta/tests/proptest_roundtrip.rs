@@ -6,7 +6,7 @@
 //! offending case, which reproduces it exactly.
 
 use medes_delta::{
-    apply, apply_into, diff, encode_reference, encode_with, format::Patch, DeltaError,
+    apply, apply_into, encode, encode_reference, encode_with, format::Patch, DeltaError,
     EncodeConfig, EncodeScratch, PatchRef,
 };
 use medes_sim::DetRng;
@@ -32,7 +32,7 @@ fn encode_apply_roundtrip() {
         let base = random_vec(&mut rng, 2048);
         let target = random_vec(&mut rng, 2048);
         let level = rng.below(10) as u8;
-        let patch = diff(&base, &target, level);
+        let patch = encode(&base, &target, &EncodeConfig::with_level(level));
         let out = apply(&base, &patch).expect("apply must succeed");
         assert_eq!(out, target, "case {case} (level {level})");
     }
@@ -51,7 +51,7 @@ fn related_buffers_roundtrip() {
             target[i] = rng.next_u8();
         }
         let level = rng.range(1, 10) as u8;
-        let patch = diff(&base, &target, level);
+        let patch = encode(&base, &target, &EncodeConfig::with_level(level));
         let out = apply(&base, &patch).expect("apply must succeed");
         assert_eq!(out, target, "case {case} (level {level})");
         // A patch never needs to be much larger than storing the target.
@@ -71,7 +71,7 @@ fn serialization_roundtrip() {
         let base = random_vec(&mut rng, 1024);
         let target = random_vec(&mut rng, 1024);
         let level = rng.below(10) as u8;
-        let patch = diff(&base, &target, level);
+        let patch = encode(&base, &target, &EncodeConfig::with_level(level));
         let bytes = patch.to_bytes();
         assert_eq!(bytes.len(), patch.serialized_size(), "case {case}");
         let parsed = Patch::from_bytes(&bytes).expect("parse must succeed");
@@ -281,7 +281,7 @@ fn corrupted_streams_error_without_overallocating() {
         let mut rng = DetRng::new(0xD1FF_6000 + case);
         let base = random_vec_min(&mut rng, 64, 1024);
         let target = random_vec_min(&mut rng, 64, 1024);
-        let mut bytes = diff(&base, &target, 1).to_bytes();
+        let mut bytes = encode(&base, &target, &EncodeConfig::with_level(1)).to_bytes();
         // Corrupt 1..8 bytes anywhere past the magic.
         for _ in 0..rng.range(1, 8) {
             let i = rng.range(4, bytes.len() as u64) as usize;

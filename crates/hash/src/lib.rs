@@ -9,8 +9,9 @@
 //! * [`fnv`] — FNV-1a, used for cheap non-cryptographic table hashing.
 //! * [`sample`] — *value-sampled page fingerprints* (§4.1.2): a linear
 //!   scan over each 4 KiB page selecting 64 B chunks whose last two bytes
-//!   match a fixed pattern; the (at most) five selected chunk hashes form
-//!   the page's fingerprint.
+//!   match a fixed pattern (its high byte masked out, so one byte
+//!   decides); the (at most) five selected chunk hashes form the page's
+//!   fingerprint.
 //! * [`chunk`] — fixed-offset chunking used by the redundancy
 //!   measurement methodology of §2.1.
 
@@ -22,7 +23,7 @@ pub mod fnv;
 pub mod sample;
 pub mod sha1;
 
-pub use sample::{PageFingerprint, SamplePattern};
+pub use sample::PageFingerprint;
 pub use sha1::Sha1;
 
 /// Hash of a single RSC (64-byte chunk): the first 8 bytes of its SHA-1

@@ -3,11 +3,14 @@
 //! For every 4 KiB page under consideration, the dedup agent conducts a
 //! single linear scan with a rolling 64 B window and selects a chunk as a
 //! fingerprint candidate when its **last two bytes match a fixed
-//! pattern**. The unordered set of (at most) `cardinality` selected chunk
-//! hashes is the page's fingerprint. Sampling *by value* (rather than by
-//! position) makes the fingerprint robust to insertions/shifts in the
-//! page — the property that lets Medes match similar-but-not-identical
-//! pages, unlike Difference Engine's random-offset fingerprints.
+//! pattern**. Here that pattern has its high byte masked out, so the
+//! rule is one byte: the window's byte `w − 2` equals `0x5A`, which one
+//! window in 256 satisfies. The unordered set of (at most)
+//! `cardinality` selected chunk hashes is the page's fingerprint.
+//! Sampling *by value* (rather than by position) makes the fingerprint
+//! robust to insertions/shifts in the page — the property that lets Medes
+//! match similar-but-not-identical pages, unlike Difference Engine's
+//! random-offset fingerprints.
 //!
 //! When more than `cardinality` positions match, we keep the chunks with
 //! the numerically smallest *distinct* hashes (equal hashes collapse
@@ -18,38 +21,6 @@
 //! probability.
 
 use crate::{chunk_hash, ChunkHash};
-
-/// The value-sampling pattern: a chunk is selected when
-/// `last_two_bytes & mask == pattern`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SamplePattern {
-    /// Bits of the trailing 16-bit word that participate in the match.
-    pub mask: u16,
-    /// Required value of the masked bits.
-    pub pattern: u16,
-}
-
-impl SamplePattern {
-    /// The default pattern: 8 low bits must equal `0x5A`, i.e. an
-    /// expected one match per 256 window positions (≈ 15 candidates per
-    /// 4 KiB page — comfortably above the default cardinality of 5).
-    pub const DEFAULT: SamplePattern = SamplePattern {
-        mask: 0x00FF,
-        pattern: 0x005A,
-    };
-
-    /// Whether the 2-byte value matches.
-    #[inline]
-    pub fn matches(&self, last_two: u16) -> bool {
-        last_two & self.mask == self.pattern
-    }
-}
-
-impl Default for SamplePattern {
-    fn default() -> Self {
-        SamplePattern::DEFAULT
-    }
-}
 
 /// One sampled chunk: where it starts in the page, and its hash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,8 +82,6 @@ pub struct FingerprintConfig {
     /// Maximum number of sampled chunks per page (5 in the paper;
     /// §7.8 sweeps 5/10/20).
     pub cardinality: usize,
-    /// The value-sampling pattern.
-    pub pattern: SamplePattern,
 }
 
 impl Default for FingerprintConfig {
@@ -120,17 +89,23 @@ impl Default for FingerprintConfig {
         FingerprintConfig {
             chunk_size: 64,
             cardinality: 5,
-            pattern: SamplePattern::DEFAULT,
         }
     }
 }
 
+/// The sampling rule: a window is selected when its byte `w − 2` equals
+/// this value. It is the paper's fixed two-byte pattern with the high
+/// (last) byte masked out, so one window value in 256 matches: ≈ 15
+/// candidates per 4 KiB page, comfortably above the default cardinality
+/// of 5.
+const SAMPLE_BYTE: u8 = 0x5A;
+
 /// Extracts the value-sampled fingerprint of `page`.
 ///
-/// Single linear scan; the only per-position work is a two-byte load and
-/// masked compare, exactly as the paper describes ("computationally
-/// lightweight... a single linear scan and a lightweight equality check
-/// over two bytes"). SHA-1 is computed only for the selected chunks.
+/// Single linear scan; the only per-position work is a one-byte load and
+/// compare, the paper's "single linear scan and a lightweight equality
+/// check over two bytes" with one of the two bytes masked out. SHA-1 is
+/// computed only for the selected chunks.
 /// Selected chunks never overlap (the scan skips `chunk_size` after a
 /// hit) so a single repeated byte run cannot dominate the fingerprint.
 ///
@@ -165,8 +140,7 @@ pub fn page_fingerprint_scalar(page: &[u8], cfg: &FingerprintConfig) -> PageFing
     let mut selected: Vec<SampledChunk> = Vec::with_capacity(cfg.cardinality * 4);
     let mut off = 0usize;
     while off + w <= page.len() {
-        let last_two = u16::from_le_bytes([page[off + w - 2], page[off + w - 1]]);
-        if cfg.pattern.matches(last_two) {
+        if page[off + w - 2] == SAMPLE_BYTE {
             selected.push(SampledChunk {
                 offset: off as u32,
                 hash: chunk_hash(&page[off..off + w]),
@@ -228,14 +202,14 @@ fn bcast(b: u8) -> u64 {
     (b as u64) * 0x0101_0101_0101_0101
 }
 
-/// Returns `0x80` in every byte lane of `word` whose byte satisfies
-/// `(byte & mask) == want` (`mask`/`want` pre-broadcast). Uses the
-/// exact per-lane zero test `!(((v & 0x7F..) + 0x7F..) | v) & 0x80..`
-/// — unlike the cheaper `(v - 0x01..) & !v & 0x80..` idiom, it has no
-/// cross-lane borrow false positives.
+/// Returns `0x80` in every byte lane of `word` whose byte equals the
+/// matching lane of `want` (pre-broadcast). Uses the exact per-lane zero
+/// test `!(((v & 0x7F..) + 0x7F..) | v) & 0x80..` — unlike the cheaper
+/// `(v - 0x01..) & !v & 0x80..` idiom, it has no cross-lane borrow false
+/// positives.
 #[inline]
-fn match_lanes(word: u64, mask: u64, want: u64) -> u64 {
-    let v = (word & mask) ^ want;
+fn match_lanes(word: u64, want: u64) -> u64 {
+    let v = word ^ want;
     !(((v & LANE_LOW7) + LANE_LOW7) | v) & LANE_MSB
 }
 
@@ -246,8 +220,7 @@ fn load_u64(page: &[u8], i: usize) -> u64 {
 
 /// The wide candidate scan behind [`page_fingerprint`]: walks the page
 /// in 32-byte strides, testing all 32 window-tail positions at once
-/// with SWAR lane matches (low tail byte against `word`, high tail
-/// byte against the same word shifted by one), and only touches
+/// with SWAR lane matches against `SAMPLE_BYTE`, and only touches
 /// per-position code for strides that contain a match. Candidate
 /// positions come out in ascending order, so the paper's greedy
 /// skip-`chunk_size`-after-a-hit rule is replayed exactly by the
@@ -257,33 +230,17 @@ fn load_u64(page: &[u8], i: usize) -> u64 {
 fn scan_candidates(page: &[u8], cfg: &FingerprintConfig, selected: &mut Vec<SampledChunk>) {
     let w = cfg.chunk_size;
     let n = page.len();
-    if cfg.pattern.pattern & !cfg.pattern.mask != 0 {
-        return; // unsatisfiable pattern: no window can ever match
-    }
-    // `i` indexes the first of the window's two tail bytes; the window
-    // itself starts at `off = i - (w - 2)`.
+    // `i` indexes the sampled byte, the window's second-to-last; the
+    // window itself is `off..=i + 1` with `off = i - (w - 2)`.
     let min_i = w - 2;
-    let mlo = bcast((cfg.pattern.mask & 0xFF) as u8);
-    let plo = bcast((cfg.pattern.pattern & 0xFF) as u8);
-    let mhi = bcast((cfg.pattern.mask >> 8) as u8);
-    let phi = bcast((cfg.pattern.pattern >> 8) as u8);
+    let want = bcast(SAMPLE_BYTE);
     let mut next_allowed = 0usize;
     let mut s = 0usize;
-    // 32-byte strides: four lane words, plus one carry byte to build
-    // the one-byte-shifted view of the last word.
-    while s + 33 <= n {
-        let w0 = load_u64(page, s);
-        let w1 = load_u64(page, s + 8);
-        let w2 = load_u64(page, s + 16);
-        let w3 = load_u64(page, s + 24);
-        let sh0 = (w0 >> 8) | (w1 << 56);
-        let sh1 = (w1 >> 8) | (w2 << 56);
-        let sh2 = (w2 >> 8) | (w3 << 56);
-        let sh3 = (w3 >> 8) | ((page[s + 32] as u64) << 56);
-        let l0 = match_lanes(w0, mlo, plo) & match_lanes(sh0, mhi, phi);
-        let l1 = match_lanes(w1, mlo, plo) & match_lanes(sh1, mhi, phi);
-        let l2 = match_lanes(w2, mlo, plo) & match_lanes(sh2, mhi, phi);
-        let l3 = match_lanes(w3, mlo, plo) & match_lanes(sh3, mhi, phi);
+    while s + 32 <= n {
+        let l0 = match_lanes(load_u64(page, s), want);
+        let l1 = match_lanes(load_u64(page, s + 8), want);
+        let l2 = match_lanes(load_u64(page, s + 16), want);
+        let l3 = match_lanes(load_u64(page, s + 24), want);
         if l0 | l1 | l2 | l3 != 0 {
             for (word_idx, lanes) in [l0, l1, l2, l3].into_iter().enumerate() {
                 let mut m = lanes;
@@ -291,7 +248,8 @@ fn scan_candidates(page: &[u8], cfg: &FingerprintConfig, selected: &mut Vec<Samp
                     let lane = (m.trailing_zeros() >> 3) as usize;
                     m &= m - 1;
                     let i = s + word_idx * 8 + lane;
-                    if i < min_i {
+                    // The window must start and end inside the page.
+                    if i < min_i || i + 1 >= n {
                         continue;
                     }
                     let off = i - min_i;
@@ -311,8 +269,7 @@ fn scan_candidates(page: &[u8], cfg: &FingerprintConfig, selected: &mut Vec<Samp
     // Scalar tail: the last few positions that don't fill a stride.
     let mut i = s;
     while i + 2 <= n {
-        let last_two = u16::from_le_bytes([page[i], page[i + 1]]);
-        if cfg.pattern.matches(last_two) && i >= min_i {
+        if page[i] == SAMPLE_BYTE && i >= min_i {
             let off = i - min_i;
             if off >= next_allowed {
                 selected.push(SampledChunk {
@@ -332,15 +289,15 @@ mod tests {
 
     fn page_with_markers(len: usize, marker_offsets: &[usize]) -> Vec<u8> {
         // Position-dependent filler (so planted chunks differ in content)
-        // that can never match DEFAULT accidentally: DEFAULT requires the
-        // low byte 0x5A (= 90), and values mod 89 never reach 90.
+        // that can never match accidentally: the rule requires the byte
+        // SAMPLE_BYTE (0x5A = 90), and values mod 89 never reach 90.
         let mut p = vec![0u8; len];
         for (i, b) in p.iter_mut().enumerate() {
             *b = ((i * 131) % 89) as u8;
         }
         for &off in marker_offsets {
             // Plant the pattern at the *end* of the chunk starting at off.
-            p[off + 62] = 0x5A;
+            p[off + 62] = SAMPLE_BYTE;
             p[off + 63] = 0x00;
         }
         p
@@ -494,9 +451,9 @@ mod tests {
     #[test]
     fn wide_scan_matches_scalar_reference() {
         // Random pages across lengths (including non-multiples of the
-        // 32-byte stride), chunk sizes, and patterns with high-byte
-        // mask bits. Release builds skip the debug assertion inside
-        // page_fingerprint, so this comparison is load-bearing there.
+        // 32-byte stride) and chunk sizes. Release builds skip the debug
+        // assertion inside page_fingerprint, so this comparison is
+        // load-bearing there.
         let mut rng = 0xF00Du64;
         let mut fill = |len: usize| {
             let mut p = vec![0u8; len];
@@ -506,50 +463,32 @@ mod tests {
             }
             p
         };
-        let patterns = [
-            SamplePattern::DEFAULT,
-            SamplePattern {
-                mask: 0x01FF,
-                pattern: 0x015A,
-            },
-            SamplePattern {
-                mask: 0xFFFF,
-                pattern: 0x5A5A,
-            },
-            // Unsatisfiable: pattern bits outside the mask.
-            SamplePattern {
-                mask: 0x00FF,
-                pattern: 0x015A,
-            },
-        ];
         for len in [64, 65, 95, 96, 97, 1000, 4096, 4097] {
             for chunk_size in [2, 3, 32, 64] {
-                for pattern in patterns {
-                    let cfg = FingerprintConfig {
-                        chunk_size,
-                        cardinality: 5,
-                        pattern,
-                    };
-                    let page = fill(len);
-                    assert_eq!(
-                        page_fingerprint(&page, &cfg),
-                        page_fingerprint_scalar(&page, &cfg),
-                        "len {len} chunk {chunk_size} pattern {pattern:?}"
-                    );
+                let cfg = FingerprintConfig {
+                    chunk_size,
+                    cardinality: 5,
+                };
+                let page = fill(len);
+                assert_eq!(
+                    page_fingerprint(&page, &cfg),
+                    page_fingerprint_scalar(&page, &cfg),
+                    "len {len} chunk {chunk_size}"
+                );
+                // Dense matches, the page's last byte among them (a
+                // window there would end past the page): low-entropy
+                // pages exercise the greedy skip and the bounds.
+                let mut page = fill(len);
+                for b in page.iter_mut().step_by(3) {
+                    *b = SAMPLE_BYTE;
                 }
+                page[len - 1] = SAMPLE_BYTE;
+                assert_eq!(
+                    page_fingerprint(&page, &cfg),
+                    page_fingerprint_scalar(&page, &cfg),
+                    "dense, len {len} chunk {chunk_size}"
+                );
             }
-        }
-        // Dense matches: low-entropy pages exercise the greedy skip.
-        for len in [4096, 4100] {
-            let mut page = fill(len);
-            for b in page.iter_mut().step_by(3) {
-                *b = 0x5A;
-            }
-            let cfg = FingerprintConfig::default();
-            assert_eq!(
-                page_fingerprint(&page, &cfg),
-                page_fingerprint_scalar(&page, &cfg)
-            );
         }
     }
 
@@ -576,13 +515,25 @@ mod tests {
 
     #[test]
     fn selectivity_math() {
-        // A pattern selects one window value in 2^(mask bits).
-        let selected = |p: SamplePattern| (0..=u16::MAX).filter(|&w| p.matches(w)).count();
-        assert_eq!(selected(SamplePattern::DEFAULT), 1 << 8);
-        let p = SamplePattern {
-            mask: 0x01FF,
-            pattern: 0,
+        // One sampled byte: on random bytes about one window in 256 is a
+        // candidate (2-byte windows, so a hit only skips the next one).
+        let mut rng = 0x5E1Eu64;
+        let mut page = vec![0u8; 1 << 18];
+        for b in &mut page {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+            *b = (rng >> 56) as u8;
+        }
+        let cfg = FingerprintConfig {
+            chunk_size: 2,
+            cardinality: 5,
         };
-        assert_eq!(selected(p), 1 << 7);
+        let mut candidates = Vec::new();
+        scan_candidates(&page, &cfg, &mut candidates);
+        let expected = page.len() / 256;
+        assert!(
+            candidates.len().abs_diff(expected) < expected / 8,
+            "{} candidates, expected about {expected}",
+            candidates.len()
+        );
     }
 }

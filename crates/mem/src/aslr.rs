@@ -13,59 +13,45 @@
 
 use crate::content::mix_seed;
 
-/// ASLR configuration.
-#[derive(Debug, Clone, Copy)]
+/// Maximum mmap base shift, in pages: 64 Ki pages (256 MiB), as on
+/// Linux.
+const MAX_SHIFT_PAGES: u64 = 1 << 16;
+/// Stack randomization granularity in bytes (16 on Linux x86-64).
+const STACK_GRANULARITY: usize = 16;
+/// Maximum stack shift in multiples of the granularity.
+const MAX_STACK_STEPS: u64 = 256;
+
+/// ASLR configuration: on with Linux's shifts, or off.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct AslrConfig {
     /// Master switch. Off = the upper-bound measurement setup of Fig 1a.
     pub enabled: bool,
-    /// Maximum mmap base shift, in pages (power of two recommended).
-    pub max_shift_pages: u64,
-    /// Stack randomization granularity in bytes (16 on Linux x86-64).
-    pub stack_granularity: usize,
-    /// Maximum stack shift in multiples of the granularity.
-    pub max_stack_steps: u64,
 }
 
 impl AslrConfig {
     /// ASLR disabled (paper's upper-bound measurement).
-    pub const DISABLED: AslrConfig = AslrConfig {
-        enabled: false,
-        max_shift_pages: 0,
-        stack_granularity: 16,
-        max_stack_steps: 0,
-    };
+    pub const DISABLED: AslrConfig = AslrConfig { enabled: false };
 
-    /// Linux-like defaults: up to 64 Ki pages (256 MiB) of mmap shift,
-    /// 16 B stack granularity.
-    pub const LINUX: AslrConfig = AslrConfig {
-        enabled: true,
-        max_shift_pages: 1 << 16,
-        stack_granularity: 16,
-        max_stack_steps: 256,
-    };
+    /// Linux-like shifts: up to 64 Ki pages (256 MiB) of mmap shift, 16 B
+    /// stack granularity.
+    pub const LINUX: AslrConfig = AslrConfig { enabled: true };
 
     /// Per-instance base address of a region, given its canonical base.
     pub fn region_base(&self, canonical: u64, region_seed: u64, instance_seed: u64) -> u64 {
-        if !self.enabled || self.max_shift_pages == 0 {
+        if !self.enabled {
             return canonical;
         }
         let h = mix_seed(mix_seed(region_seed, instance_seed), 0xA51A);
-        canonical + (h % self.max_shift_pages) * crate::page::PAGE_SIZE as u64
+        canonical + (h % MAX_SHIFT_PAGES) * crate::page::PAGE_SIZE as u64
     }
 
     /// Per-instance stack content shift in bytes.
     pub fn stack_shift(&self, region_seed: u64, instance_seed: u64) -> usize {
-        if !self.enabled || self.max_stack_steps == 0 {
+        if !self.enabled {
             return 0;
         }
         let h = mix_seed(mix_seed(region_seed, instance_seed), 0x57AC);
-        (h % self.max_stack_steps) as usize * self.stack_granularity
-    }
-}
-
-impl Default for AslrConfig {
-    fn default() -> Self {
-        AslrConfig::DISABLED
+        (h % MAX_STACK_STEPS) as usize * STACK_GRANULARITY
     }
 }
 
@@ -106,8 +92,8 @@ mod tests {
         let a = AslrConfig::LINUX;
         for inst in 0..50 {
             let s = a.stack_shift(3, inst);
-            assert_eq!(s % 16, 0);
-            assert!(s < 256 * 16);
+            assert_eq!(s % STACK_GRANULARITY, 0);
+            assert!(s < MAX_STACK_STEPS as usize * STACK_GRANULARITY);
         }
     }
 

@@ -3,8 +3,8 @@
 //! The workspace deliberately avoids external dependencies (experiment
 //! results must be bit-stable across crate versions, and the build must
 //! work offline), so this module hand-rolls the small JSON surface the
-//! repo needs: experiment reports, workload trace serialization, and the
-//! JSONL span traces emitted by [`crate::Tracer`].
+//! repo needs: experiment reports and the JSONL span traces emitted by
+//! [`crate::Tracer`].
 //!
 //! Numbers are stored as `f64`. Simulated timestamps are microseconds
 //! well below 2^53, so every value the workspace serializes round-trips

@@ -15,41 +15,22 @@ use medes_sim::stats::Histogram;
 use medes_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
 
-/// Tuning for [`AdaptiveKeepAlive`].
-#[derive(Debug, Clone)]
-pub struct AdaptiveConfig {
-    /// Histogram bin width.
-    pub bin: SimDuration,
-    /// Number of bins (range = bin × bins).
-    pub bins: usize,
-    /// Percentile of inter-arrival times to cover.
-    pub percentile: f64,
-    /// Multiplicative safety margin on the chosen window.
-    pub margin: f64,
-    /// Window bounds.
-    pub min_window: SimDuration,
-    /// Upper bound on the window.
-    pub max_window: SimDuration,
-    /// Window used before enough observations accumulate.
-    pub default_window: SimDuration,
-    /// Observations needed before the histogram is trusted.
-    pub min_samples: u64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            bin: SimDuration::from_mins(1),
-            bins: 240,
-            percentile: 0.99,
-            margin: 1.10,
-            min_window: SimDuration::from_mins(1),
-            max_window: SimDuration::from_mins(30),
-            default_window: SimDuration::from_mins(10),
-            min_samples: 8,
-        }
-    }
-}
+/// Histogram bin width.
+const BIN: SimDuration = SimDuration::from_mins(1);
+/// Number of bins (range = `BIN` × `BINS`, 4 hours).
+const BINS: usize = 240;
+/// Percentile of inter-arrival times to cover.
+const PERCENTILE: f64 = 0.99;
+/// Multiplicative safety margin on the chosen window.
+const MARGIN: f64 = 1.10;
+/// Lower bound on the window.
+const MIN_WINDOW: SimDuration = SimDuration::from_mins(1);
+/// Upper bound on the window.
+const MAX_WINDOW: SimDuration = SimDuration::from_mins(30);
+/// Window used before enough observations accumulate.
+const DEFAULT_WINDOW: SimDuration = SimDuration::from_mins(10);
+/// Observations needed before the histogram is trusted.
+const MIN_SAMPLES: u64 = 8;
 
 #[derive(Debug)]
 struct FunctionHistory {
@@ -59,24 +40,15 @@ struct FunctionHistory {
 }
 
 /// The adaptive keep-alive policy.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AdaptiveKeepAlive {
-    cfg: AdaptiveConfig,
     functions: HashMap<usize, FunctionHistory>,
 }
 
 impl AdaptiveKeepAlive {
-    /// Creates the policy.
-    pub fn new(cfg: AdaptiveConfig) -> Self {
-        AdaptiveKeepAlive {
-            cfg,
-            functions: HashMap::new(),
-        }
-    }
-
-    /// Creates the policy with default (paper-like) tuning.
-    pub fn paper_default() -> Self {
-        Self::new(AdaptiveConfig::default())
+    /// Creates the policy with no history.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of inter-arrival samples recorded for a function.
@@ -87,13 +59,12 @@ impl AdaptiveKeepAlive {
 
 impl KeepAlivePolicy for AdaptiveKeepAlive {
     fn on_request(&mut self, function: usize, now: SimTime) {
-        let cfg = &self.cfg;
         let entry = self
             .functions
             .entry(function)
             .or_insert_with(|| FunctionHistory {
                 last_arrival: None,
-                histogram: Histogram::new(cfg.bin.as_secs_f64(), cfg.bins),
+                histogram: Histogram::new(BIN.as_secs_f64(), BINS),
                 samples: 0,
             });
         if let Some(last) = entry.last_arrival {
@@ -106,21 +77,21 @@ impl KeepAlivePolicy for AdaptiveKeepAlive {
 
     fn keep_alive(&self, function: usize) -> SimDuration {
         let Some(h) = self.functions.get(&function) else {
-            return self.cfg.default_window;
+            return DEFAULT_WINDOW;
         };
-        if h.samples < self.cfg.min_samples {
-            return self.cfg.default_window;
+        if h.samples < MIN_SAMPLES {
+            return DEFAULT_WINDOW;
         }
         // Heavily out-of-range functions: arrivals are so sparse that
         // keeping sandboxes is futile below the max window.
         if h.histogram.overflow_fraction() > 0.5 {
-            return self.cfg.max_window;
+            return MAX_WINDOW;
         }
-        let Some(bound_secs) = h.histogram.quantile_upper_bound(self.cfg.percentile) else {
-            return self.cfg.default_window;
+        let Some(bound_secs) = h.histogram.quantile_upper_bound(PERCENTILE) else {
+            return DEFAULT_WINDOW;
         };
-        let window = SimDuration::from_secs_f64(bound_secs * self.cfg.margin);
-        window.clamp(self.cfg.min_window, self.cfg.max_window)
+        let window = SimDuration::from_secs_f64(bound_secs * MARGIN);
+        window.clamp(MIN_WINDOW, MAX_WINDOW)
     }
 }
 
@@ -139,13 +110,13 @@ mod tests {
 
     #[test]
     fn no_history_gives_default() {
-        let p = AdaptiveKeepAlive::paper_default();
-        assert_eq!(p.keep_alive(0), AdaptiveConfig::default().default_window);
+        let p = AdaptiveKeepAlive::new();
+        assert_eq!(p.keep_alive(0), DEFAULT_WINDOW);
     }
 
     #[test]
     fn frequent_function_gets_short_window() {
-        let mut p = AdaptiveKeepAlive::paper_default();
+        let mut p = AdaptiveKeepAlive::new();
         arrivals(&mut p, 0, &[20; 50]); // arrivals every 20 s
         let w = p.keep_alive(0);
         assert!(
@@ -157,7 +128,7 @@ mod tests {
 
     #[test]
     fn sparse_function_gets_long_window() {
-        let mut p = AdaptiveKeepAlive::paper_default();
+        let mut p = AdaptiveKeepAlive::new();
         arrivals(&mut p, 1, &[20 * 60; 20]); // every 20 min
         let w = p.keep_alive(1);
         assert!(
@@ -168,17 +139,17 @@ mod tests {
 
     #[test]
     fn window_respects_bounds() {
-        let mut p = AdaptiveKeepAlive::paper_default();
+        let mut p = AdaptiveKeepAlive::new();
         arrivals(&mut p, 2, &[1; 30]); // every second
-        assert!(p.keep_alive(2) >= AdaptiveConfig::default().min_window);
-        let mut p2 = AdaptiveKeepAlive::paper_default();
+        assert!(p.keep_alive(2) >= MIN_WINDOW);
+        let mut p2 = AdaptiveKeepAlive::new();
         arrivals(&mut p2, 3, &[10 * 3600; 10]); // every 10 h: overflow
-        assert_eq!(p2.keep_alive(3), AdaptiveConfig::default().max_window);
+        assert_eq!(p2.keep_alive(3), MAX_WINDOW);
     }
 
     #[test]
     fn functions_are_independent() {
-        let mut p = AdaptiveKeepAlive::paper_default();
+        let mut p = AdaptiveKeepAlive::new();
         arrivals(&mut p, 0, &[20; 50]);
         arrivals(&mut p, 1, &[1500; 20]);
         assert!(p.keep_alive(0) < p.keep_alive(1));
@@ -186,7 +157,7 @@ mod tests {
 
     #[test]
     fn mixed_gaps_track_the_tail_percentile() {
-        let mut p = AdaptiveKeepAlive::paper_default();
+        let mut p = AdaptiveKeepAlive::new();
         // 95 short gaps, 5 nine-minute gaps: p99 should cover ~9 min.
         let mut gaps = vec![30u64; 95];
         gaps.extend([9 * 60; 5]);

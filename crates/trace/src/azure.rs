@@ -180,10 +180,6 @@ pub struct TraceGenConfig {
     pub duration_secs: u64,
     /// Volume scale factor (the paper uses 5×).
     pub scale: f64,
-    /// Pareto shape for per-function base rates (lower = more skew).
-    pub rate_pareto_shape: f64,
-    /// Minimum per-function base rate, arrivals/min (before scaling).
-    pub min_rate_per_min: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -193,12 +189,15 @@ impl Default for TraceGenConfig {
         TraceGenConfig {
             duration_secs: 3600,
             scale: 5.0,
-            rate_pareto_shape: 1.2,
-            min_rate_per_min: 0.6,
             seed: 20220405, // EuroSys'22 dates
         }
     }
 }
+
+/// Pareto shape for per-function base rates (lower = more skew).
+const RATE_PARETO_SHAPE: f64 = 1.2;
+/// Minimum per-function base rate, arrivals/min (before scaling).
+const MIN_RATE_PER_MIN: f64 = 0.6;
 
 /// Generates an Azure-like multi-function trace for the named functions.
 ///
@@ -210,10 +209,11 @@ pub fn azure_like_trace(function_names: &[String], cfg: &TraceGenConfig) -> Trac
     let mut arrivals = Vec::with_capacity(function_names.len());
     for (i, _) in function_names.iter().enumerate() {
         let mut rng = root.fork(i as u64 + 1);
-        let base_rate = (cfg.min_rate_per_min * rng.pareto(1.0, cfg.rate_pareto_shape)).min(120.0); // cap: ≤2 requests/second before scaling
-                                                                                                    // Class mix: bursty event streams dominate (they are what
-                                                                                                    // creates pools of simultaneously-idle sandboxes), with steady,
-                                                                                                    // diurnal and timer-triggered functions mixed in.
+        // Capped at ≤ 2 requests/second before scaling.
+        let base_rate = (MIN_RATE_PER_MIN * rng.pareto(1.0, RATE_PARETO_SHAPE)).min(120.0);
+        // Class mix: bursty event streams dominate (they are what
+        // creates pools of simultaneously-idle sandboxes), with steady,
+        // diurnal and timer-triggered functions mixed in.
         let pattern = match i % 4 {
             0 => ArrivalPattern::Bursty {
                 rate_per_min: base_rate * 120.0,

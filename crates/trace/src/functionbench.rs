@@ -1,6 +1,5 @@
 //! The FunctionBench function catalog (paper Tables 1 and 2).
 
-use medes_obs::json::{self, Json, JsonMap};
 use medes_sim::SimDuration;
 
 /// One serverless function's profile.
@@ -40,44 +39,6 @@ impl FunctionProfile {
     pub fn warm_start(&self) -> SimDuration {
         let mb = self.memory_bytes as f64 / (1 << 20) as f64;
         SimDuration::from_millis_f64(1.0 + (mb / 10.0).min(14.0))
-    }
-
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonMap::new();
-        obj.insert("name", self.name.as_str());
-        obj.insert(
-            "libs",
-            Json::Array(self.libs.iter().map(Json::from).collect()),
-        );
-        obj.insert("exec_time_us", self.exec_time_us);
-        obj.insert("exec_cv", self.exec_cv);
-        obj.insert("memory_bytes", self.memory_bytes);
-        obj.insert("cold_start_us", self.cold_start_us);
-        obj.insert("processes", self.processes as u64);
-        Json::Object(obj).to_string()
-    }
-
-    /// Parses a JSON profile produced by [`FunctionProfile::to_json`].
-    pub fn from_json(text: &str) -> Result<FunctionProfile, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let field = |k: &str| v.get(k).ok_or(format!("missing {k}"));
-        Ok(FunctionProfile {
-            name: field("name")?.as_str().ok_or("bad name")?.to_string(),
-            libs: field("libs")?
-                .as_array()
-                .ok_or("bad libs")?
-                .iter()
-                .map(|l| l.as_str().map(str::to_string).ok_or("non-string lib"))
-                .collect::<Result<Vec<_>, _>>()?,
-            exec_time_us: field("exec_time_us")?.as_u64().ok_or("bad exec_time_us")?,
-            exec_cv: field("exec_cv")?.as_f64().ok_or("bad exec_cv")?,
-            memory_bytes: field("memory_bytes")?.as_u64().ok_or("bad memory_bytes")? as usize,
-            cold_start_us: field("cold_start_us")?
-                .as_u64()
-                .ok_or("bad cold_start_us")?,
-            processes: field("processes")?.as_u64().ok_or("bad processes")? as u32,
-        })
     }
 }
 
@@ -179,16 +140,5 @@ mod tests {
     fn lookup_by_name() {
         assert!(by_name("VideoPro").is_some());
         assert!(by_name("NoSuchFn").is_none());
-    }
-
-    #[test]
-    fn profiles_serialize() {
-        let p = by_name("LinAlg").unwrap();
-        let back = FunctionProfile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back.name, "LinAlg");
-        assert_eq!(back.memory_bytes, p.memory_bytes);
-        assert_eq!(back.libs, p.libs);
-        assert_eq!(back.exec_time_us, p.exec_time_us);
-        assert!(FunctionProfile::from_json("{}").is_err());
     }
 }

@@ -12,8 +12,7 @@
 //! * [`functionbench`] — the function catalog (libraries, execution
 //!   times, memory footprints, cold-start costs).
 //! * [`azure`] — per-function arrival pattern generators.
-//! * [`trace`] — the merged, time-sorted invocation trace with JSON
-//!   serialization.
+//! * [`trace`] — the merged, time-sorted invocation trace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,6 +1,5 @@
 //! Invocation traces.
 
-use medes_obs::json::{self, Json, JsonMap};
 use medes_sim::SimTime;
 
 /// One function invocation request. Its request id is its index in
@@ -21,7 +20,7 @@ impl Invocation {
 }
 
 /// A time-sorted multi-function invocation trace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Function names, indexed by [`Invocation::function`].
     pub functions: Vec<String>,
@@ -97,75 +96,6 @@ impl Trace {
             counts[inv.function] += 1;
         }
         counts
-    }
-
-    /// Serializes to JSON. Invocations are stored as compact
-    /// `[time_us, function]` pairs.
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonMap::new();
-        obj.insert(
-            "functions",
-            Json::Array(self.functions.iter().map(Json::from).collect()),
-        );
-        obj.insert(
-            "invocations",
-            Json::Array(
-                self.invocations
-                    .iter()
-                    .map(|inv| Json::Array(vec![inv.time_us.into(), inv.function.into()]))
-                    .collect(),
-            ),
-        );
-        obj.insert("duration_us", self.duration_us);
-        Json::Object(obj).to_string()
-    }
-
-    /// Parses a JSON trace produced by [`Trace::to_json`]. Invocations
-    /// that are not sorted by arrival time, or that name a function
-    /// outside the table, are an error.
-    pub fn from_json(text: &str) -> Result<Trace, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let functions = v
-            .get("functions")
-            .and_then(Json::as_array)
-            .ok_or("missing functions array")?
-            .iter()
-            .map(|f| f.as_str().map(str::to_string).ok_or("non-string function"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let n = functions.len();
-        let invocations = v
-            .get("invocations")
-            .and_then(Json::as_array)
-            .ok_or("missing invocations array")?
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let pair = item.as_array().filter(|a| a.len() == 2);
-                let pair = pair.ok_or("invocation is not a [time_us, function] pair")?;
-                let f = pair[1].as_u64().filter(|&f| f < n as u64);
-                let f = f.ok_or_else(|| format!("invocation {i}: unknown function {}", pair[1]))?;
-                Ok(Invocation {
-                    time_us: pair[0].as_u64().ok_or("bad time_us")?,
-                    function: f as usize,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let duration_us = v
-            .get("duration_us")
-            .and_then(Json::as_u64)
-            .ok_or("missing duration_us")?;
-        let trace = Trace {
-            functions,
-            invocations,
-            duration_us,
-        };
-        match trace.first_out_of_order() {
-            Some(i) => Err(format!(
-                "invocation {i} arrives before invocation {}: a trace is sorted by arrival time",
-                i - 1
-            )),
-            None => Ok(trace),
-        }
     }
 }
 
@@ -250,54 +180,14 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let tr = sample();
-        let text = tr.to_json();
-        assert!(text.contains("[[10000,0],[20000,1],[30000,0]]"), "{text}");
-        let back = Trace::from_json(&text).unwrap();
-        assert_eq!(back.len(), tr.len());
-        assert_eq!(back.functions, tr.functions);
-        assert_eq!(back.duration_us, tr.duration_us);
-        assert_eq!(back.invocations, tr.invocations);
-        assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(Trace::from_json("not json").is_err());
-        assert!(Trace::from_json("{}").is_err());
-        let with = |inv: &str| {
-            let text =
-                format!(r#"{{"functions": ["A"], "invocations": [{inv}], "duration_us": 5}}"#);
-            Trace::from_json(&text)
-        };
-        assert!(with("[1, 0]").is_ok());
-        // Only `[time_us, function]` pairs: the old id-carrying triple
-        // is an error.
-        for bad in ["[1]", "[1, 0, 0]", "1", "[1, -1]"] {
-            assert!(with(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_a_function_outside_the_table() {
-        let mut tr = sample();
-        tr.invocations[1].function = 2;
-        let err = Trace::from_json(&tr.to_json()).unwrap_err();
-        assert!(err.contains("invocation 1: unknown function 2"), "{err}");
-    }
-
-    #[test]
-    fn from_json_rejects_out_of_order_arrivals() {
+    fn first_out_of_order_finds_the_first_late_arrival() {
         let mut tr = sample();
         assert_eq!(tr.first_out_of_order(), None);
         tr.invocations.swap(1, 2);
         assert_eq!(tr.first_out_of_order(), Some(2));
-        let err = Trace::from_json(&tr.to_json()).unwrap_err();
-        assert!(err.contains("invocation 2 arrives before"), "{err}");
         // Equal arrival times are in order.
         tr.invocations[2].time_us = tr.invocations[1].time_us;
-        assert!(Trace::from_json(&tr.to_json()).is_ok());
+        assert_eq!(tr.first_out_of_order(), None);
     }
 
     #[test]

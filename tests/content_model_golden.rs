@@ -28,7 +28,6 @@ fn workload(secs: u64) -> (Vec<FunctionProfile>, Trace) {
             duration_secs: secs,
             scale: 8.0,
             seed: 11,
-            ..Default::default()
         },
     );
     (suite, trace)

@@ -22,7 +22,6 @@ fn trace(secs: u64, seed: u64) -> Trace {
             duration_secs: secs,
             scale: 2.0,
             seed,
-            ..Default::default()
         },
     )
 }
@@ -182,4 +181,53 @@ fn policy_objectives_trade_memory_for_latency() {
         rl.mem_mean_bytes
     );
     assert!(rt.sandboxes_deduped >= rl.sandboxes_deduped);
+}
+
+/// A second implementation of the keep-alive rule. With memory unbounded
+/// nothing is evicted, so a request is warm iff the most recently freed
+/// sandbox of its function went idle before it arrived and at most one
+/// keep-alive window earlier. An arrival is handled before a completion
+/// or a timer at the same instant, and the reused sandbox is the MRU one,
+/// as `Lifecycle::take_warm` pops the back of its pool.
+///
+/// The paper's 10-minute window outlasts the 600 s trace, so nothing
+/// expires under it; the 20 s window is what checks expiry and the MRU
+/// choice (a `take_warm` that pops the front fails there).
+#[test]
+fn fixed_keep_alive_starts_match_an_independent_replay() {
+    let suite: Vec<FunctionProfile> = functionbench_suite().into_iter().take(4).collect();
+    let names: Vec<String> = suite.iter().map(|p| p.name.clone()).collect();
+    let gen = TraceGenConfig {
+        duration_secs: 600,
+        scale: 10.0,
+        ..Default::default()
+    };
+    let t = azure_like_trace(&names, &gen);
+    for ka in [SimDuration::from_mins(10), SimDuration::from_secs(20)] {
+        let mut cfg = PlatformConfig::small_test().with_policy(PolicyKind::FixedKeepAlive(ka));
+        cfg.node_mem_bytes *= 1000;
+        let report = Platform::new(cfg, suite.clone()).run(&t).report;
+        assert_eq!(report.evictions, 0);
+        assert_eq!(report.requests.len(), t.len());
+
+        // Per function, the instants at which its sandboxes went idle.
+        let mut idle: Vec<Vec<u64>> = vec![Vec::new(); names.len()];
+        let mut cold = 0;
+        for (id, r) in report.requests.iter().enumerate() {
+            assert_eq!(r.id, id as u64, "records are placed by id");
+            let (pool, at) = (&mut idle[r.func], r.arrival_us);
+            let before = (0..pool.len()).filter(|&i| pool[i] < at);
+            let start = match before.max_by_key(|&i| pool[i]) {
+                Some(i) if at <= pool[i] + ka.as_micros() => {
+                    pool.swap_remove(i);
+                    StartType::Warm
+                }
+                _ => StartType::Cold,
+            };
+            cold += usize::from(start == StartType::Cold);
+            assert_eq!(r.start, start, "request {id}, keep-alive {ka:?}");
+            pool.push(at + r.e2e_us);
+        }
+        assert!(cold > names.len() && cold < t.len() / 2, "{cold} cold");
+    }
 }

@@ -21,7 +21,6 @@ fn workload() -> (Vec<FunctionProfile>, Trace) {
             duration_secs: 300,
             scale: 10.0,
             seed: 7,
-            ..Default::default()
         },
     );
     (suite, trace)

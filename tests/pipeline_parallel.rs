@@ -37,7 +37,6 @@ fn pressured_trace(secs: u64, seed: u64) -> (Vec<FunctionProfile>, Trace) {
             duration_secs: secs,
             scale: 10.0,
             seed,
-            ..Default::default()
         },
     );
     (suite, trace)

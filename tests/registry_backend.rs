@@ -14,9 +14,7 @@
 use medes::hash::sample::{page_fingerprint, FingerprintConfig};
 use medes::net::{NetConfig, RetryPolicy};
 use medes::obs::{Obs, ObsConfig};
-use medes::platform::config::{
-    PlatformConfig, PlatformConfigBuilder, PolicyKind, RegistryPlacement,
-};
+use medes::platform::config::{PlatformConfig, PlatformConfigBuilder, PolicyKind};
 use medes::platform::ids::{NodeId, SandboxId};
 use medes::platform::registry::{ChunkLoc, RegistryClient};
 use medes::platform::Platform;
@@ -177,7 +175,6 @@ fn trace(secs: u64, seed: u64, scale: f64) -> Trace {
             duration_secs: secs,
             scale,
             seed,
-            ..Default::default()
         },
     )
 }
@@ -345,23 +342,24 @@ fn full_outage_report_is_placement_invariant() {
             restart: Some(SimTime::from_secs(60)),
         })
         .collect();
-    let run = |registry: RegistryPlacement| {
-        let cfg = PlatformConfig::test_builder()
+    let run = |owners: Option<usize>| {
+        let mut b = PlatformConfig::test_builder()
             .nodes(4)
             .shards(4)
-            .registry(registry)
             .faults(FaultPlan {
                 crashes: crashes.clone(),
                 ..Default::default()
-            })
-            .build()
-            .expect("valid config");
+            });
+        if let Some(owners) = owners {
+            b = b.registry_owners(owners);
+        }
+        let cfg = b.build().expect("valid config");
         Platform::new(cfg, suite()).run(&trace(120, 31, 2.0)).report
     };
-    let reference = run(RegistryPlacement::InProcess);
+    let reference = run(None);
     assert_eq!(reference.node_crashes, 4);
     assert_eq!(reference.node_restarts, 4);
-    let placed = run(RegistryPlacement::Distributed { owners: 2 });
+    let placed = run(Some(2));
     assert_eq!(placed, reference);
     assert_eq!(placed.registry_dead_node_locs, 0);
 }

@@ -60,7 +60,6 @@ fn inputs_at(scale: f64) -> (Vec<FunctionProfile>, Trace) {
             duration_secs: 600,
             scale,
             seed: 7,
-            ..Default::default()
         },
     );
     (suite, trace)

@@ -93,7 +93,6 @@ fn pressured_trace(secs: u64) -> (Vec<FunctionProfile>, Trace) {
             duration_secs: secs,
             scale: 10.0,
             seed: 7,
-            ..Default::default()
         },
     );
     (suite, trace)

@@ -47,8 +47,6 @@ fn scenario_cfg(base: &PlatformConfig) -> ScenarioConfig {
         nodes: base.nodes,
         node_mem_bytes: base.node_mem_bytes,
         epochs: 2,
-        tenants: 4,
-        zipf_s: 1.1,
         waves: 2,
     }
 }
