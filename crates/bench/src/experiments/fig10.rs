@@ -22,8 +22,8 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let suite = cfg.suite();
     let trace = cfg.full_trace(&suite);
     let base = cfg.platform();
-    // Shrink the pool by node count (19 -> 14 -> 9), keeping per-node
-    // capacity above the largest sandbox + restore overhead.
+    // Shrink the pool by node count (12 -> 9 -> 6 in full mode), keeping
+    // per-node capacity above the largest sandbox + restore overhead.
     let full_nodes = base.nodes;
     let pools = [
         ("40G", full_nodes),

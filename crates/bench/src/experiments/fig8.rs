@@ -37,10 +37,10 @@ pub fn run(cfg: &ExpConfig) -> Report {
     for (i, p) in suite.iter().enumerate() {
         let registry = RegistryClient::new();
         let mut fabric = Fabric::new(pcfg.nodes, pcfg.net.clone());
-        let base = factory.pin(FnId(i), 1000 + i as u64);
+        let base = factory.pin_v(FnId(i), 1000 + i as u64, 0);
         let base_id = SandboxId(i as u64);
         index_base_sandbox(&pcfg, &registry, NodeId(0), base_id, &base);
-        let target = factory.image(FnId(i), 2000 + i as u64);
+        let target = factory.image_v(FnId(i), 2000 + i as u64, 0);
         let base_arc = Arc::clone(&base);
         let resolver =
             move |id: SandboxId| (id == base_id).then(|| (Arc::clone(&base_arc), FnId(i)));
@@ -64,7 +64,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
             Some(&target),
         )
         .expect("restore must verify");
-        factory.unpin(FnId(i), 1000 + i as u64);
+        factory.unpin_v(FnId(i), 1000 + i as u64, 0);
 
         let t = restore.timing;
         let cold = p.cold_start().as_millis_f64();

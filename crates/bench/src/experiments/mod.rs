@@ -31,7 +31,7 @@ pub type RunFn = fn(&ExpConfig) -> Report;
 /// alias names a sub-figure that its id's run already produces.
 /// [`ALL`], `experiments list` and [`resolve`] all derive from this table.
 /// `scenarios` goes last: its full-mode p99 gate is known to abort
-/// (ROADMAP item 4b), and `all` must have written every paper artifact
+/// (ROADMAP item 11), and `all` must have written every paper artifact
 /// by then.
 pub const TABLE: &[(&str, &[&str], RunFn)] = &[
     ("fig1a", &[], fig1::run_fig1a),

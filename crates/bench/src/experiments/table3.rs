@@ -49,7 +49,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let registry = RegistryClient::new();
     let mut bases: HashMap<SandboxId, (FnId, Arc<MemoryImage>)> = HashMap::new();
     for (i, _) in suite.iter().enumerate() {
-        let img = factory.pin(FnId(i), 5000 + i as u64);
+        let img = factory.pin_v(FnId(i), 5000 + i as u64, 0);
         let id = SandboxId(i as u64);
         index_base_sandbox(&pcfg, &registry, NodeId(i % pcfg.nodes), id, &img);
         bases.insert(id, (FnId(i), img));
@@ -61,7 +61,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let mut json = Vec::new();
     let mut pcts: Vec<(String, f64)> = Vec::new();
     for (i, p) in suite.iter().enumerate() {
-        let target = factory.image(FnId(i), 9000 + i as u64);
+        let target = factory.image_v(FnId(i), 9000 + i as u64, 0);
         let outcome = dedup_op(
             &pcfg,
             &registry,

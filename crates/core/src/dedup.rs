@@ -545,10 +545,10 @@ mod tests {
     #[test]
     fn dedup_against_same_function_base_saves_most_memory() {
         let (cfg, mut factory, registry, mut fabric) = setup();
-        let base_img = factory.pin(FnId(0), 100);
+        let base_img = factory.pin_v(FnId(0), 100, 0);
         index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base_img);
 
-        let target = factory.image(FnId(0), 200);
+        let target = factory.image_v(FnId(0), 200, 0);
         let base_arc = Arc::clone(&base_img);
         let outcome = dedup_op(
             &cfg,
@@ -631,7 +631,7 @@ mod tests {
     #[test]
     fn empty_registry_keeps_everything_verbatim() {
         let (cfg, factory, registry, mut fabric) = setup();
-        let target = factory.image(FnId(0), 1);
+        let target = factory.image_v(FnId(0), 1, 0);
         let outcome = dedup_op(
             &cfg,
             &registry,
@@ -651,9 +651,9 @@ mod tests {
     fn cross_function_dedup_happens_via_shared_content() {
         let (cfg, mut factory, registry, mut fabric) = setup();
         // Base sandbox runs function 1; dedup a function-0 sandbox.
-        let base_img = factory.pin(FnId(1), 50);
+        let base_img = factory.pin_v(FnId(1), 50, 0);
         index_base_sandbox(&cfg, &registry, NodeId(2), SandboxId(7), &base_img);
-        let target = factory.image(FnId(0), 60);
+        let target = factory.image_v(FnId(0), 60, 0);
         let base_arc = Arc::clone(&base_img);
         let outcome = dedup_op(
             &cfg,
@@ -739,7 +739,7 @@ mod tests {
                                 func: FnId| {
                 let (id, node) = (SandboxId(next_id), NodeId(rng.below(NODES as u64) as usize));
                 next_id += 1;
-                let img = factory.pin(func, 0xBA5E_0000 + id.0);
+                let img = factory.pin_v(func, 0xBA5E_0000 + id.0, 0);
                 index_base_sandbox(&cfg, &registry, node, id, &img);
                 bases.insert(id, (img, func, node));
             };
@@ -762,7 +762,7 @@ mod tests {
                 let f = FnId(rng.below(FUNCS) as usize);
                 add_base(&mut bases, &mut factory, &mut rng, f);
             }
-            let target = factory.image(func, seed);
+            let target = factory.image_v(func, seed, 0);
             let scan_fresh = |bases: &HashMap<SandboxId, (Arc<MemoryImage>, FnId, NodeId)>| {
                 dedup_scan(&cfg, &registry, node, func, &target, &|id| {
                     bases.get(&id).map(|(img, f, _)| (Arc::clone(img), *f))
@@ -828,7 +828,7 @@ mod tests {
                     &registry,
                     node,
                     func,
-                    || factory.image(func, seed),
+                    || factory.image_v(func, seed, 0),
                     Some(memo),
                     &|id| bases.get(&id).map(|(img, f, _)| (Arc::clone(img), *f)),
                 );
@@ -934,12 +934,12 @@ mod tests {
     #[test]
     fn timing_scales_with_image_size() {
         let (cfg, mut factory, registry, mut fabric) = setup();
-        let base0 = factory.pin(FnId(0), 1);
-        let base1 = factory.pin(FnId(1), 1);
+        let base0 = factory.pin_v(FnId(0), 1, 0);
+        let base1 = factory.pin_v(FnId(1), 1, 0);
         index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base0);
         index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(2), &base1);
-        let small = factory.image(FnId(0), 2); // Vanilla 17MB
-        let large = factory.image(FnId(1), 2); // LinAlg 32MB
+        let small = factory.image_v(FnId(0), 2, 0); // Vanilla 17MB
+        let large = factory.image_v(FnId(1), 2, 0); // LinAlg 32MB
         let b0 = Arc::clone(&base0);
         let b1 = Arc::clone(&base1);
         let resolver = move |id: SandboxId| match id {

@@ -7,12 +7,12 @@
 //! removes them *across* restores on the same node: the first restore
 //! pays the RDMA transfer, repeats are served from local memory.
 //!
-//! The cache stores real model-scale page bytes (restores stay
-//! byte-verifiable end to end) but charges **paper-scale** bytes — one
-//! entry costs `PAGE_SIZE * mem_scale` — so the platform can charge the
-//! cache to node memory like any other resident state. Eviction is LRU
-//! over a monotonic sequence number, which keeps replacement decisions
-//! bit-deterministic across runs.
+//! An entry is a key and an LRU sequence number: the bytes are in the
+//! base's pinned image, which restores read (and verify) them from. The
+//! cache still charges the **paper-scale** copy a real node would hold —
+//! `PAGE_SIZE * mem_scale` per entry — to node memory like any other
+//! resident state. Eviction is LRU over a monotonic sequence number,
+//! which keeps replacement decisions bit-deterministic across runs.
 
 use crate::ids::SandboxId;
 use medes_obs::Obs;
@@ -38,7 +38,8 @@ pub struct CacheStats {
 #[derive(Debug)]
 struct CacheEntry {
     seq: u64,
-    bytes: Vec<u8>,
+    /// Held only by entries [`BasePageCache::insert`] made.
+    bytes: Option<Box<[u8]>>,
 }
 
 /// A per-node LRU cache of base pages, keyed by
@@ -78,11 +79,6 @@ impl BasePageCache {
             stats: CacheStats::default(),
             obs,
         }
-    }
-
-    /// Paper-scale capacity.
-    pub fn capacity_paper_bytes(&self) -> usize {
-        self.capacity_paper_bytes
     }
 
     /// Paper-scale bytes currently held (what the platform charges to
@@ -135,30 +131,38 @@ impl BasePageCache {
         true
     }
 
-    /// The cached bytes of `(sandbox, page)`, borrowed (no LRU or stats
-    /// side effects).
+    /// The bytes [`BasePageCache::insert`] copied for `(sandbox, page)`,
+    /// borrowed (no LRU or stats side effects); `None` for a recorded key.
     pub fn get(&self, sandbox: SandboxId, page: u32) -> Option<&[u8]> {
-        self.entries
-            .get(&(sandbox, page))
-            .map(|e| e.bytes.as_slice())
+        self.entries.get(&(sandbox, page))?.bytes.as_deref()
     }
 
-    /// [`BasePageCache::hit`], returning a copy of the hit's bytes.
+    /// [`BasePageCache::hit`], returning a copy of the hit's bytes. Kept
+    /// only for the repository benchmark's page-cache probe.
     pub fn lookup(&mut self, sandbox: SandboxId, page: u32) -> Option<Vec<u8>> {
         self.hit(sandbox, page)
             .then(|| self.get(sandbox, page).map(<[u8]>::to_vec))
             .flatten()
     }
 
-    /// Inserts a freshly fetched base page, evicting LRU entries to
-    /// stay within capacity. A page that cannot fit at all is skipped.
+    /// Records a freshly fetched base page by its key, evicting LRU
+    /// entries to stay within capacity. A page that cannot fit is skipped.
+    pub fn record(&mut self, sandbox: SandboxId, page: u32) {
+        self.put((sandbox, page), None);
+    }
+
+    /// [`BasePageCache::record`] plus a copy of `bytes` for `get`. Kept
+    /// only for the repository benchmark's page-cache probe.
     pub fn insert(&mut self, sandbox: SandboxId, page: u32, bytes: &[u8]) {
+        self.put((sandbox, page), Some(bytes.into()));
+    }
+
+    fn put(&mut self, key: (SandboxId, u32), bytes: Option<Box<[u8]>>) {
         if self.page_paper_bytes > self.capacity_paper_bytes {
             return;
         }
-        let key = (sandbox, page);
         if let Some(entry) = self.entries.get_mut(&key) {
-            // Refresh in place: same bytes (base images are immutable),
+            // Refresh in place: same page (base images are immutable),
             // newer LRU position.
             self.lru.remove(&entry.seq);
             entry.seq = self.next_seq;
@@ -169,14 +173,9 @@ impl BasePageCache {
         while self.used_paper_bytes + self.page_paper_bytes > self.capacity_paper_bytes {
             self.evict_coldest();
         }
-        self.entries.insert(
-            key,
-            CacheEntry {
-                seq: self.next_seq,
-                bytes: bytes.to_vec(),
-            },
-        );
-        self.lru.insert(self.next_seq, key);
+        let seq = self.next_seq;
+        self.entries.insert(key, CacheEntry { seq, bytes });
+        self.lru.insert(seq, key);
         self.next_seq += 1;
         self.used_paper_bytes += self.page_paper_bytes;
     }
@@ -266,9 +265,14 @@ mod tests {
         assert!(c.hit(SandboxId(1), 7));
         assert_eq!(c.get(SandboxId(1), 7), Some(&page(0xAB)[..]));
         assert_eq!(c.get(SandboxId(1), 8), None, "get never counts");
-        assert_eq!(c.stats().hits, 2);
+        // A recorded key hits and is charged, but holds no bytes.
+        c.record(SandboxId(2), 7);
+        assert_eq!(c.get(SandboxId(2), 7), None);
+        assert!(c.hit(SandboxId(2), 7));
+        assert_eq!(c.used_paper_bytes(), 2 * PAGE_SIZE);
+        assert_eq!(c.stats().hits, 3);
         assert_eq!(c.stats().misses, 1);
-        assert_eq!(c.stats().bytes_saved, 2 * PAGE_SIZE as u64);
+        assert_eq!(c.stats().bytes_saved, 3 * PAGE_SIZE as u64);
     }
 
     #[test]

@@ -294,10 +294,8 @@ mod tests {
                     (6, _) if !resolvable.is_empty() => {
                         // A restore caches pages of a base it resolved.
                         let base = *rng.choose(&resolvable).unwrap();
-                        let (image, _) = bases.resolve(base).expect("resolvable");
-                        mem.with_cache(&mut m, node, |c| {
-                            c.map(|c| c.insert(base, 0, image.page(0)))
-                        });
+                        assert!(bases.resolve(base).is_some(), "resolvable");
+                        mem.with_cache(&mut m, node, |c| c.map(|c| c.record(base, 0)));
                     }
                     (7, Some(id)) => {
                         bases.retire(id, &mut mem, &mut m);

@@ -164,8 +164,8 @@ impl std::error::Error for RestoreError {}
 /// The read set is the table's distinct `(base sandbox, base page)`
 /// pairs; pairs present in `cache` are served from local memory
 /// (`local_mem_bps`) without touching the fabric, and the remaining
-/// pages are fetched in one batched RDMA read and inserted into the
-/// cache once the transfer succeeds.
+/// pages are fetched in one batched RDMA read and recorded in the
+/// cache, by key, once the transfer succeeds.
 ///
 /// When `verify_against` is provided, every patched page is actually
 /// reconstructed and compared byte-for-byte with the original image —
@@ -210,11 +210,10 @@ pub fn restore_op_cached(
         }
     }
 
-    // Reconstruct and compare every patched page, reading the base
-    // bytes from the cache where it hit — a stale cache entry then
-    // surfaces as corruption instead of silently passing. Nothing is
-    // inserted before this loop, so the cache still holds exactly the
-    // pages that hit.
+    // Reconstruct and compare every patched page. An entry the restore
+    // path made is a key only, so its bytes come from the resolved base
+    // image; an entry holding bytes (`BasePageCache::insert`) is read
+    // as held, so wrong bytes in it surface as corruption.
     if let Some(original) = verify_against {
         let cached = cache.as_deref();
         // One reusable output buffer across all patched pages: the
@@ -253,7 +252,7 @@ pub fn restore_op_cached(
     if let Some(c) = cache.as_mut() {
         for &i in &missed {
             let (sb, _, page) = distinct[i];
-            c.insert(sb, page, imgs[&sb.0].page(page as usize));
+            c.record(sb, page);
         }
     }
 
@@ -321,9 +320,9 @@ mod tests {
         );
         let registry = RegistryClient::new();
         let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
-        let base = factory.pin(FnId(0), 10);
+        let base = factory.pin_v(FnId(0), 10, 0);
         index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
-        let target = factory.image(FnId(0), 20);
+        let target = factory.image_v(FnId(0), 20, 0);
         let base_arc = Arc::clone(&base);
         let outcome = dedup_op(
             &cfg,
@@ -485,6 +484,13 @@ mod tests {
         .unwrap();
         assert_eq!(cold.cache_hits, 0);
         assert!(cold.cache_misses > 0);
+        // The cold restore recorded keys only; the bytes stay in the base
+        // image, which the warm restore below verifies against.
+        let distinct = table.distinct_base_pages();
+        assert_eq!(cache.len(), distinct.len());
+        assert!(distinct
+            .iter()
+            .all(|&(sb, _, p)| cache.get(sb, p).is_none()));
         let after_first = fabric.stats();
 
         let warm = restore_op_cached(
@@ -499,6 +505,7 @@ mod tests {
         .unwrap();
         assert_eq!(warm.cache_misses, 0, "every page must hit the cache");
         assert_eq!(warm.cache_hits, cold.cache_misses);
+        assert_eq!(cache.stats().hits, warm.cache_hits);
         assert_eq!(
             fabric.stats().rdma_bytes,
             after_first.rdma_bytes,
@@ -582,7 +589,7 @@ mod tests {
             AslrConfig::DISABLED,
             cfg.mem_scale,
         );
-        let wrong = factory.image(FnId(0), 999);
+        let wrong = factory.image_v(FnId(0), 999, 0);
         let base_arc = Arc::clone(&base);
         let err = restore_op_cached(
             &cfg,

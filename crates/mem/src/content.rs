@@ -335,7 +335,7 @@ impl ContentModel {
     ) {
         debug_assert_eq!(out.len(), self.tile_size);
         match kind {
-            TileKind::Pattern(pid) => self.fill_pattern(out, pid),
+            TileKind::Pattern(pid) => write_motif(out, &self.pattern_motif(pid)),
             TileKind::Shared => {
                 let vsalt = self.epoch_salt(stream_seed, idx, version);
                 let mut rng = DetRng::new(mix(mix(stream_seed, SHARED_SALT), idx) ^ vsalt);
@@ -363,14 +363,9 @@ impl ContentModel {
         }
     }
 
-    /// Writes the universal pattern `pid`: pattern 0 is all zeros (the
-    /// overwhelmingly most common page content in real dumps); others
-    /// repeat a short motif from a small byte alphabet.
-    pub fn fill_pattern(&self, out: &mut [u8], pid: u32) {
-        write_motif(out, &self.pattern_motif(pid));
-    }
-
-    /// The 16 bytes pattern `pid` repeats.
+    /// The 16 bytes the universal pattern `pid` repeats: pattern 0 is all
+    /// zeros (the overwhelmingly most common page content in real dumps);
+    /// others repeat a short motif from a small byte alphabet.
     pub fn pattern_motif(&self, pid: u32) -> [u8; 16] {
         let mut motif = [0u8; 16];
         if pid != 0 {
@@ -653,9 +648,9 @@ mod tests {
     fn pattern_zero_is_zeros_and_patterns_are_low_entropy() {
         let m = model();
         let mut t = vec![0xAAu8; m.tile_size];
-        m.fill_pattern(&mut t, 0);
+        write_motif(&mut t, &m.pattern_motif(0));
         assert!(t.iter().all(|&b| b == 0));
-        m.fill_pattern(&mut t, 17);
+        write_motif(&mut t, &m.pattern_motif(17));
         // Motif repeats every 16 bytes.
         for i in 16..t.len() {
             assert_eq!(t[i], t[i - 16]);

@@ -23,12 +23,14 @@
 //! premise (§2, Fig 1): a tile whose kind is not `Unique` is a function
 //! of (stream, tile index, deploy version, region base, region length)
 //! only. The builder fills those tiles once per deploy version into a
-//! *template* that holds, for every region, the leading tiles of its
-//! stream in stream order. An instance build computes its page layout
-//! (the identity, or the heap's per-instance insert/skip jitter), copies
-//! each page of the stream from the template, fills only the tiles the
-//! template marks `Unique` and the pages the instance inserted, and
-//! applies its own two noise passes. No file-backed region has a unique
+//! *template* that has, for every region, the leading tiles of its
+//! stream in stream order: bytes for a `Shared` or `Medium` tile, a
+//! pattern id (its 16-byte motif is rewritten) or a `Unique` mark for the
+//! rest. An instance build computes its page layout (the identity, or
+//! the heap's per-instance insert/skip jitter), takes each page of the
+//! stream from the template, fills only the tiles it marks `Unique` and
+//! the pages the instance inserted, and applies its own two noise
+//! passes. No file-backed region has a unique
 //! tile under either shipped weighting; heap and stack have 3 % under
 //! [`ContentModelConfig::legacy`], the default, and 15–18 % under the
 //! calibrated mixture. `legacy()` sets every dispersed-noise rate to
@@ -42,9 +44,9 @@
 //! the canonical one (ASLR moved it, so the pointers planted in its
 //! shared tiles differ). The template
 //! is built lazily on first use and exactly one version is held (a
-//! build at another version replaces it); it costs the function's image
-//! size plus that eighth of the heap, which
-//! [`ImageBuilder::template_bytes`] reports.
+//! build at another version replaces it). Its held tiles and 8-byte tags
+//! cost about a fifth of the image under `legacy()` and three fifths
+//! under the calibrated mixture ([`ImageBuilder::template_bytes`]).
 //!
 //! [`ContentModelConfig::legacy`]: crate::content::ContentModelConfig::legacy
 
@@ -86,28 +88,35 @@ struct Template {
 /// whose kind is not `Unique` is a function of (stream, tile index,
 /// version, region base, region length) only, so every instance with
 /// the canonical base holds the same bytes wherever its layout puts the
-/// tile.
+/// tile. Only `Shared` and `Medium` tiles cost bytes: a pattern tile is
+/// rewritten from its 16-byte motif as cheaply as it would be copied.
 #[derive(Debug)]
 struct SharedTiles {
-    /// `unique.len()` tiles back to back; a unique tile's are unset.
+    /// The held tiles, back to back in stream order.
     bytes: Vec<u8>,
-    /// Whether the stream draws tile `i` as `Unique`.
-    unique: Vec<bool>,
+    /// What the template has for each stream tile.
+    tags: Vec<Tag>,
+}
+
+/// What a template has for one stream tile: a pattern id, a mark that
+/// every instance fills the tile itself, or a tile's index in the store.
+#[derive(Debug, Clone, Copy)]
+enum Tag {
+    Pattern(u32),
+    Unique,
+    Held(u32),
 }
 
 impl SharedTiles {
-    /// The `n` stream tiles from `first` on, if all are held: their
-    /// bytes, and which of them every instance fills for itself.
-    fn tiles(&self, first: u64, n: usize, tile_size: usize) -> Option<(&[u8], &[bool])> {
+    /// The tags of the `n` stream tiles from `first` on, if all are held.
+    fn tags(&self, first: u64, n: usize) -> Option<&[Tag]> {
         let first = usize::try_from(first).ok()?;
-        let unique = self.unique.get(first..first + n)?;
-        let bytes = &self.bytes[first * tile_size..(first + n) * tile_size];
-        Some((bytes, unique))
+        self.tags.get(first..first + n)
     }
 
     /// Bytes this holds.
     fn held_bytes(&self) -> usize {
-        self.bytes.len() + self.unique.len()
+        self.bytes.len() + std::mem::size_of_val(self.tags.as_slice())
     }
 }
 
@@ -347,22 +356,27 @@ impl ImageBuilder {
             Layout::Direct => n_tiles,
             Layout::Jittered => n_tiles + n_tiles / 8,
         };
-        let mut bytes = vec![0u8; len * tile];
-        let mut unique = vec![false; len];
+        // At most every tile is held; the shrink returns the rest.
+        let mut bytes = Vec::with_capacity(len * tile);
         let base = canonical_base(p.stream);
-        for (idx, out) in bytes.chunks_exact_mut(tile).enumerate() {
-            let kind = self.model.tile_kind(p.stream, idx as u64, p.kind);
-            if kind == TileKind::Unique {
-                unique[idx] = true;
-            } else {
-                self.fill_tile(out, kind, p, idx as u64, 0, base, version);
-            }
-        }
-        SharedTiles { bytes, unique }
+        let tags = (0..len as u64)
+            .map(|idx| match self.model.tile_kind(p.stream, idx, p.kind) {
+                TileKind::Pattern(pid) => Tag::Pattern(pid),
+                TileKind::Unique => Tag::Unique,
+                kind => {
+                    let at = bytes.len();
+                    bytes.resize(at + tile, 0);
+                    self.fill_tile(&mut bytes[at..], kind, p, idx, 0, base, version);
+                    Tag::Held((at / tile) as u32)
+                }
+            })
+            .collect();
+        bytes.shrink_to_fit();
+        SharedTiles { bytes, tags }
     }
 
     /// Fills one region's tiles (no noise) for a region based at
-    /// `va_base`, copying from `shared` the tiles it holds.
+    /// `va_base`, taking from `shared` the tiles it has.
     fn fill_region(
         &self,
         p: &PlannedRegion<'_>,
@@ -381,23 +395,35 @@ impl ImageBuilder {
                 Some(stream_page) => stream_page * per_page as u64,
                 None => (1u64 << 40) + (slot * per_page) as u64,
             };
-            let at = data.len();
             let held = shared
                 .filter(|_| from.is_some())
-                .and_then(|s| s.tiles(first, tiles, tile));
-            match held {
-                Some((bytes, _)) => data.extend_from_slice(bytes),
-                None => data.resize(at + tiles * tile, 0),
-            }
-            for (t, out) in data[at..].chunks_exact_mut(tile).enumerate() {
+                .and_then(|s| Some((s, s.tags(first, tiles)?)));
+            let mut t = 0;
+            while t < tiles {
                 let idx = first + t as u64;
                 let kind = match (from, held) {
                     (None, _) => TileKind::Unique,
-                    (Some(_), Some((_, unique))) if unique[t] => TileKind::Unique,
-                    (Some(_), Some(_)) => continue, // copied above
+                    (Some(_), Some((s, tags))) => match tags[t] {
+                        Tag::Pattern(pid) => TileKind::Pattern(pid),
+                        Tag::Unique => TileKind::Unique,
+                        Tag::Held(i) => {
+                            // Held tiles in a row are in a row in the store.
+                            let run = tags[t..]
+                                .iter()
+                                .take_while(|g| matches!(g, Tag::Held(_)))
+                                .count();
+                            data.extend_from_slice(&s.bytes[i as usize * tile..][..run * tile]);
+                            t += run;
+                            continue;
+                        }
+                    },
                     (Some(_), None) => self.model.tile_kind(p.stream, idx, p.kind),
                 };
+                let at = data.len();
+                data.resize(at + tile, 0);
+                let out = &mut data[at..];
                 self.fill_tile(out, kind, p, idx, instance_seed, va_base, version);
+                t += 1;
             }
         }
         data.resize(p.size, 0);
@@ -825,6 +851,63 @@ mod tests {
                     assert_eq!(b.template_builds(), expect, "{}", b.spec.name);
                     assert_eq!(b.template_bytes() > 0, !aslr.enabled);
                 }
+            }
+        }
+    }
+
+    /// A template holds bytes only for `Shared` and `Medium` tiles, back
+    /// to back in stream order; a pattern tile is its id and a unique
+    /// tile a tag. Builds from it at versions 0–2 equal the reference
+    /// fills under both shipped weightings.
+    #[test]
+    fn template_holds_no_bytes_for_pattern_or_unique_tiles() {
+        use crate::content::ContentModelConfig;
+        for mixture in [
+            ContentModelConfig::legacy(),
+            ContentModelConfig::paper_calibrated(),
+        ] {
+            let b = builder().with_model(ContentModel {
+                mixture,
+                ..ContentModel::default()
+            });
+            let tile = b.model.tile_size;
+            for version in 0..3 {
+                for seed in [5u64, 6] {
+                    assert_same_image(
+                        &b.build_versioned(seed, version),
+                        &reference_build(&b, seed, version),
+                        &format!("v{version} seed {seed}"),
+                    );
+                }
+                let plan = b.region_plan();
+                let t = b.template(&plan, version);
+                let (mut patterns, mut uniques, mut held_bytes) = (0, 0, 0);
+                for (p, shared) in plan.iter().zip(&t.regions) {
+                    let mut held = 0;
+                    for (idx, tag) in shared.tags.iter().enumerate() {
+                        match (b.model.tile_kind(p.stream, idx as u64, p.kind), *tag) {
+                            (TileKind::Pattern(want), Tag::Pattern(pid)) => {
+                                assert_eq!(pid, want);
+                                patterns += 1;
+                            }
+                            (TileKind::Unique, Tag::Unique) => uniques += 1,
+                            (TileKind::Shared | TileKind::Medium, Tag::Held(i)) => {
+                                assert_eq!(i, held, "{} tile {idx}", p.name);
+                                held += 1;
+                            }
+                            (kind, tag) => panic!("{} tile {idx}: {kind:?} as {tag:?}", p.name),
+                        }
+                    }
+                    assert_eq!(shared.bytes.len(), held as usize * tile, "{}", p.name);
+                    held_bytes += shared.held_bytes();
+                }
+                assert!(patterns > 0 && uniques > 0, "v{version}");
+                assert_eq!(b.template_bytes(), held_bytes);
+                assert_eq!(
+                    b.template_builds(),
+                    version + 1,
+                    "the held template was reused"
+                );
             }
         }
     }
