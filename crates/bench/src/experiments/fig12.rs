@@ -18,8 +18,8 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let suite = cfg.representative_suite();
     let trace = cfg.representative_trace(&suite);
     let mut base = cfg.platform();
-    // Constrain the pool so long keep-alives hurt (the Fig 12 regime):
-    // KA-10 retention fits, KA-15/20 retention overflows.
+    // Every window, KA-5 included, overflows this pool (81–93 evictions),
+    // so eviction, not the window, decides who is cold (ROADMAP item 21).
     base.nodes = 3;
     base.node_mem_bytes = 168 << 20;
 

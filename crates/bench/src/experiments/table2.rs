@@ -26,7 +26,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         let execs: Vec<f64> = r
             .requests
             .iter()
-            .filter(|q| q.func == i)
+            .filter(|q| q.func as usize == i)
             .map(|q| q.exec_us as f64 / 1e3)
             .collect();
         let measured = if execs.is_empty() {

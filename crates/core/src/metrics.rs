@@ -28,8 +28,8 @@ pub enum StartType {
 pub struct RequestRecord {
     /// Trace request id (stable across policies for paired comparison).
     pub id: u64,
-    /// Function index.
-    pub func: usize,
+    /// Function index (a `u32`, so that the record is 48 bytes).
+    pub func: u32,
     /// Arrival time, µs.
     pub arrival_us: u64,
     /// Startup latency (queue wait + sandbox acquisition), µs.
@@ -171,13 +171,7 @@ pub struct RunReport {
 impl RunReport {
     /// Cold starts per function.
     pub fn cold_starts(&self) -> Vec<u64> {
-        let mut v = vec![0u64; self.functions.len()];
-        for r in &self.requests {
-            if r.start == StartType::Cold {
-                v[r.func] += 1;
-            }
-        }
-        v
+        self.starts(StartType::Cold)
     }
 
     /// Total cold starts.
@@ -187,11 +181,13 @@ impl RunReport {
 
     /// Dedup starts per function.
     pub fn dedup_starts(&self) -> Vec<u64> {
+        self.starts(StartType::Dedup)
+    }
+
+    fn starts(&self, start: StartType) -> Vec<u64> {
         let mut v = vec![0u64; self.functions.len()];
-        for r in &self.requests {
-            if r.start == StartType::Dedup {
-                v[r.func] += 1;
-            }
+        for r in self.requests.iter().filter(|r| r.start == start) {
+            v[r.func as usize] += 1;
         }
         v
     }
@@ -199,7 +195,7 @@ impl RunReport {
     /// The `q`-quantile of end-to-end latency for one function, in ms.
     pub fn e2e_quantile_ms(&self, func: usize, q: f64) -> Option<f64> {
         let mut p = Percentiles::new();
-        for r in self.requests.iter().filter(|r| r.func == func) {
+        for r in self.requests.iter().filter(|r| r.func as usize == func) {
             p.record(r.e2e_us as f64 / 1e3);
         }
         p.quantile(q)
@@ -268,7 +264,8 @@ pub(crate) enum Tally {
 pub(crate) struct MetricsCollector {
     /// The report under construction.
     pub report: RunReport,
-    /// Completed requests by id, sized to the trace by `Platform::run`.
+    /// Requests by id, sized to the trace by `Platform::run`; a request
+    /// that is executing has its record parked in its slot.
     pub slots: Vec<Option<RequestRecord>>,
     obs: Arc<Obs>,
     /// The simulated instant of the event being handled: when the
@@ -297,6 +294,12 @@ impl MetricsCollector {
         }
     }
 
+    /// Parks the record of a request that has started executing.
+    pub fn park(&mut self, rec: RequestRecord) {
+        let old = self.slots[rec.id as usize].replace(rec);
+        debug_assert!(old.is_none(), "request {} started twice", rec.id);
+    }
+
     /// Records one completed request: places it in its slot and mirrors
     /// it as a `medes.platform.request` span, the one record of its
     /// latency.
@@ -314,7 +317,7 @@ impl MetricsCollector {
                 StartType::Dedup => ("dedup", "medes.platform.starts.dedup"),
                 StartType::Cold => ("cold", "medes.platform.starts.cold"),
             };
-            let fn_name = self.report.functions[rec.func].as_str();
+            let fn_name = self.report.functions[rec.func as usize].as_str();
             self.obs
                 .span_in(
                     "medes.platform.request",
@@ -395,7 +398,7 @@ impl MetricsCollector {
 mod tests {
     use super::*;
 
-    fn record(id: u64, func: usize, e2e_ms: u64, start: StartType) -> RequestRecord {
+    fn record(id: u64, func: u32, e2e_ms: u64, start: StartType) -> RequestRecord {
         RequestRecord {
             id,
             func,
@@ -405,6 +408,14 @@ mod tests {
             e2e_us: e2e_ms * 1000,
             start,
         }
+    }
+
+    /// A run holds one slot per request of its trace, so the record
+    /// and its slot are the host bytes a request costs.
+    #[test]
+    fn a_record_and_its_slot_are_48_bytes() {
+        assert_eq!(std::mem::size_of::<RequestRecord>(), 48);
+        assert_eq!(std::mem::size_of::<Option<RequestRecord>>(), 48);
     }
 
     #[test]

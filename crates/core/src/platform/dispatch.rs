@@ -73,14 +73,15 @@ impl Cluster {
         };
         let rec = RequestRecord {
             id: req.id,
-            func: req.func,
+            func: req.func as u32,
             arrival_us: req.arrival.as_micros(),
             startup_us: (sched.now().since(req.arrival) + lead).as_micros(),
             exec_us: exec.as_micros(),
             e2e_us: 0, // finalized at ExecDone
             start,
         };
-        sched.after(lead + exec, Ev::ExecDone(id, rec));
+        self.metrics.park(rec);
+        sched.after(lead + exec, Ev::ExecDone(id, req.id));
     }
 
     /// `Running → Warm` (request served) or `Deduping → Warm` (the dedup

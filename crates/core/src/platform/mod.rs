@@ -45,7 +45,7 @@ use crate::config::{PlatformConfig, PolicyKind};
 use crate::controller::{solve_targets, FunctionRuntime, ReqInfo, POLICY_TICK};
 use crate::dedup::{DedupOutcome, ScanWork};
 use crate::ids::SandboxId;
-use crate::metrics::{MetricsCollector, RequestRecord, RunReport, StartType, Tally};
+use crate::metrics::{MetricsCollector, RunReport, StartType, Tally};
 use crate::sandbox::SandboxState;
 use bases::Bases;
 use lifecycle::Lifecycle;
@@ -211,7 +211,8 @@ enum Ev {
     Arrival(ReqInfo),
     SpawnDone(SandboxId, ReqInfo),
     RestoreDone(SandboxId, ReqInfo),
-    ExecDone(SandboxId, RequestRecord),
+    /// The sandbox and the request, whose record is parked in its slot.
+    ExecDone(SandboxId, u64),
     IdleCheck(SandboxId, u64),
     KeepAliveExpire(SandboxId, Ticket),
     KeepDedupExpire(SandboxId, u64),
@@ -369,17 +370,19 @@ impl World for Cluster {
                 self.run_request(id, req, SimDuration::ZERO, StartType::Dedup, sched);
             }
 
-            Ev::ExecDone(id, mut rec) => {
+            Ev::ExecDone(id, req) => {
+                let slot = &mut self.metrics.slots[req as usize];
+                let mut rec = slot.take().expect("an executing request");
                 let arrival = SimTime::from_micros(rec.arrival_us);
                 let Some(sb) = self.life.get(&id) else {
                     let req = ReqInfo {
                         id: rec.id,
-                        func: rec.func,
+                        func: rec.func as usize,
                         arrival,
                     };
                     return self.reschedule(req, sched);
                 };
-                let (f, node, version) = (rec.func, sb.node, sb.version);
+                let (f, node, version) = (rec.func as usize, sb.node, sb.version);
                 rec.e2e_us = now.since(arrival).as_micros();
                 // Same (seed, request id) → same ids as the context the
                 // dispatcher minted for the restore op, so the request

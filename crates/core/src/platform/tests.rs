@@ -28,6 +28,15 @@ fn every_request_completes() {
     assert!(report.requests.iter().all(|r| r.e2e_us >= r.exec_us));
 }
 
+/// `ExecDone` carries ids (the record waits in its metrics slot), so
+/// no event passes 40 bytes and a queue entry, a time and a sequence
+/// number ahead of its event, is 56.
+#[test]
+fn events_are_40_bytes_and_queue_entries_56() {
+    assert_eq!(std::mem::size_of::<Ev>(), 40);
+    assert_eq!(std::mem::size_of::<(SimTime, u64, Ev)>(), 56);
+}
+
 /// Arrivals are streamed into the loop, not queued, so the queue's
 /// depth follows the work in flight — at most one keep-alive timer per
 /// sandbox plus the requests executing — and not the length of the
@@ -109,7 +118,7 @@ fn first_request_is_a_cold_start_then_warm_reuse() {
         if let Some(first) = report
             .requests
             .iter()
-            .filter(|r| r.func == f)
+            .filter(|r| r.func as usize == f)
             .min_by_key(|r| r.arrival_us)
         {
             assert_eq!(first.start, StartType::Cold, "fn {f}");

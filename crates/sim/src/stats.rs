@@ -34,16 +34,6 @@ impl Percentiles {
         self.sorted = false;
     }
 
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.samples
@@ -67,20 +57,6 @@ impl Percentiles {
         let hi = pos.ceil() as usize;
         let frac = pos - lo as f64;
         Some(self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac)
-    }
-
-    /// Convenience: median.
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
     }
 
     /// Returns `(value, cumulative_fraction)` pairs suitable for plotting
@@ -141,21 +117,6 @@ impl Histogram {
         } else {
             self.overflow += 1;
         }
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Number of observations that fell past the last bucket.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Per-bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
     }
 
     /// Upper edge of the bucket containing the `q`-quantile, or `None` if
@@ -246,7 +207,7 @@ impl TimeWeighted {
 
     /// Median of the periodic snapshots.
     pub fn median(&mut self) -> Option<f64> {
-        self.values.median()
+        self.values.quantile(0.5)
     }
 
     /// The sampled `(time, value)` series.
@@ -267,7 +228,7 @@ mod tests {
         }
         assert_eq!(p.quantile(0.0), Some(1.0));
         assert_eq!(p.quantile(1.0), Some(100.0));
-        assert!((p.median().unwrap() - 50.5).abs() < 1e-9);
+        assert!((p.quantile(0.5).unwrap() - 50.5).abs() < 1e-9);
         assert!((p.quantile(0.99).unwrap() - 99.01).abs() < 0.02);
         assert!(p.quantile(2.0).unwrap() <= 100.0);
     }
@@ -276,7 +237,6 @@ mod tests {
     fn percentiles_empty() {
         let mut p = Percentiles::new();
         assert_eq!(p.quantile(0.5), None);
-        assert_eq!(p.mean(), 0.0);
         assert!(p.cdf(10).is_empty());
     }
 
@@ -301,7 +261,7 @@ mod tests {
         for x in [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5, 9.5] {
             h.record(x);
         }
-        assert_eq!(h.total(), 10);
+        assert_eq!(h.total, 10);
         assert_eq!(h.quantile_upper_bound(0.5), Some(5.0));
         assert_eq!(h.quantile_upper_bound(1.0), Some(10.0));
     }
@@ -311,10 +271,10 @@ mod tests {
         let mut h = Histogram::new(1.0, 4);
         h.record(100.0);
         h.record(1.5);
-        assert_eq!(h.overflow(), 1);
+        assert_eq!(h.overflow, 1);
         assert!((h.overflow_fraction() - 0.5).abs() < 1e-12);
-        assert_eq!(h.counts(), [0, 1, 0, 0]);
-        assert_eq!(h.total(), 2);
+        assert_eq!(h.counts, [0, 1, 0, 0]);
+        assert_eq!(h.total, 2);
     }
 
     #[test]
@@ -325,8 +285,6 @@ mod tests {
         assert_eq!(p.quantile(0.0), Some(42.0));
         assert_eq!(p.quantile(0.5), Some(42.0));
         assert_eq!(p.quantile(1.0), Some(42.0));
-        assert_eq!(p.median(), Some(42.0));
-        assert_eq!(p.mean(), 42.0);
         assert_eq!(p.cdf(10), vec![(42.0, 1.0)]);
     }
 

@@ -33,35 +33,20 @@ pub struct Trace {
 impl Trace {
     /// Builds a trace from per-function arrival-time lists.
     ///
-    /// `arrivals[f]` holds arrival times for function `f`; the trace is
-    /// ordered by `(time_us, function)`.
-    ///
-    /// # Panics
-    /// Panics if a time and a function index do not fit in one `u64`.
+    /// `arrivals[f]` holds arrival times for function `f`; each list is
+    /// sorted in place and merged into `(time_us, function)` order.
     pub fn from_arrivals(
         functions: Vec<String>,
-        arrivals: Vec<Vec<SimTime>>,
+        mut arrivals: Vec<Vec<SimTime>>,
         duration: SimTime,
     ) -> Self {
         assert_eq!(functions.len(), arrivals.len());
-        // One `time_us << bits | function` key per arrival, sorted.
-        let bits = u64::BITS - (functions.len().max(1) as u64 - 1).leading_zeros();
-        let mut keys = Vec::with_capacity(arrivals.iter().map(Vec::len).sum());
-        for (f, times) in arrivals.into_iter().enumerate() {
-            for t in times {
-                let time_us = t.as_micros();
-                assert!(time_us.leading_zeros() >= bits, "key overflow");
-                keys.push(time_us << bits | f as u64);
-            }
+        for times in &mut arrivals {
+            times.sort_unstable();
         }
-        keys.sort();
-        let invocations = keys.iter().map(|&k| Invocation {
-            time_us: k >> bits,
-            function: (k & ((1 << bits) - 1)) as usize,
-        });
         Trace {
             functions,
-            invocations: invocations.collect(),
+            invocations: merge(&arrivals),
             duration_us: duration.as_micros(),
         }
     }
@@ -99,6 +84,53 @@ impl Trace {
     }
 }
 
+/// Merges sorted per-function lists into one list in `(time_us,
+/// function)` order through a loser tree: each output costs one match
+/// per level, about `log2(lists)`, and nothing is held beyond the
+/// output and one head per list.
+fn merge(lists: &[Vec<SimTime>]) -> Vec<Invocation> {
+    let (k, total) = (lists.len(), lists.iter().map(Vec::len).sum());
+    let mut out = Vec::with_capacity(total);
+    // A head as one key: the time above the list's index, so equal
+    // times go to the lower index; an exhausted list never wins.
+    let key = |f: usize, i: usize| {
+        lists[f]
+            .get(i)
+            .map_or(u128::MAX, |t| (t.as_micros() as u128) << 64 | f as u128)
+    };
+    let mut next = vec![0usize; k];
+    let mut heads: Vec<u128> = (0..k).map(|f| key(f, 0)).collect();
+    // Node n in 1..k holds the loser of the match played there, and
+    // list f is leaf k + f; the first round plays every match once.
+    let mut losers = vec![0usize; k];
+    let mut winners: Vec<usize> = (0..k).chain(0..k).collect();
+    for n in (1..k).rev() {
+        let (a, b) = (winners[2 * n], winners[2 * n + 1]);
+        (winners[n], losers[n]) = if heads[a] < heads[b] { (a, b) } else { (b, a) };
+    }
+    let mut win = winners.get(1).copied().unwrap_or_default();
+    for _ in 0..total {
+        out.push(Invocation {
+            time_us: (heads[win] >> 64) as u64,
+            function: win,
+        });
+        next[win] += 1;
+        let mut wk = key(win, next[win]);
+        heads[win] = wk;
+        // Replay the winner's path. Which side wins is data, so the
+        // matches are selects, not branches.
+        let mut n = (k + win) / 2;
+        while n > 0 {
+            let (l, lk) = (losers[n], heads[losers[n]]);
+            let swap = lk < wk;
+            losers[n] = if swap { win } else { l };
+            (win, wk) = if swap { (l, lk) } else { (win, wk) };
+            n /= 2;
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,10 +158,25 @@ mod tests {
         assert_eq!(tr.counts(), vec![2, 1]);
     }
 
-    /// The packed-key sort orders exactly as sorting `(time_us,
-    /// function)` pairs does.
+    /// The merge orders exactly as sorting `(time_us, function)` pairs
+    /// does.
     #[test]
-    fn packed_keys_sort_like_time_function_pairs() {
+    fn merge_orders_like_sorted_time_function_pairs() {
+        let check = |arrivals: Vec<Vec<SimTime>>, what: &str| {
+            let mut expect: Vec<(u64, usize)> = Vec::new();
+            for (f, ts) in arrivals.iter().enumerate() {
+                expect.extend(ts.iter().map(|t| (t.as_micros(), f)));
+            }
+            expect.sort_unstable();
+            let names = (0..arrivals.len()).map(|f| f.to_string()).collect();
+            let tr = Trace::from_arrivals(names, arrivals, SimTime::from_secs(1));
+            let got: Vec<(u64, usize)> = tr
+                .invocations
+                .iter()
+                .map(|i| (i.time_us, i.function))
+                .collect();
+            assert_eq!(got, expect, "{what}");
+        };
         let mut rng = medes_sim::DetRng::new(0x50_27);
         for seed in 0..60u64 {
             let fns = 1 + rng.below(40) as usize;
@@ -146,27 +193,34 @@ mod tests {
                     ts.into_iter().map(SimTime::from_micros).collect()
                 })
                 .collect();
-            let mut expect: Vec<(u64, usize)> = Vec::new();
-            for (f, ts) in arrivals.iter().enumerate() {
-                expect.extend(ts.iter().map(|t| (t.as_micros(), f)));
-            }
-            expect.sort_by_key(|&k| k);
-            let names = (0..fns).map(|f| f.to_string()).collect();
-            let tr = Trace::from_arrivals(names, arrivals, SimTime::from_secs(1));
-            let got: Vec<(u64, usize)> = tr
-                .invocations
-                .iter()
-                .map(|i| (i.time_us, i.function))
-                .collect();
-            assert_eq!(got, expect, "seed {seed}");
+            check(arrivals, &format!("seed {seed}"));
         }
+        let at = |us: &[u64]| us.iter().map(|&u| SimTime::from_micros(u)).collect();
+        check(
+            vec![at(&[5, 1]), vec![], at(&[3, 1])],
+            "a function with none",
+        );
+        check(vec![at(&[9, 2, 2, 7])], "one function");
+        check(vec![at(&[4, 4]), at(&[4]), at(&[4])], "one instant");
+        check(vec![vec![], vec![]], "no arrivals");
     }
 
+    /// No key has to fit a packing: an arrival late in the `u64` range,
+    /// with 40 functions, builds.
     #[test]
-    #[should_panic(expected = "key overflow")]
-    fn packed_key_must_fit() {
-        let late = SimTime::from_micros(1 << 63);
-        Trace::from_arrivals(vec!["A".into(), "B".into()], vec![vec![late], vec![]], late);
+    fn late_arrival_with_many_functions_builds() {
+        let late = SimTime::from_micros(1 << 62);
+        let mut arrivals = vec![vec![]; 40];
+        arrivals[39] = vec![late];
+        let names = (0..40).map(|f| f.to_string()).collect();
+        let tr = Trace::from_arrivals(names, arrivals, late);
+        assert_eq!(
+            tr.invocations,
+            vec![Invocation {
+                time_us: 1 << 62,
+                function: 39
+            }]
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/bin/bash
 # Alternating-pair benchmark of the working tree against a base revision.
 #
-#   scripts/bench-pairs.sh <base-rev> [pairs] [out.json]
+#   scripts/bench-pairs.sh [--moves] <base-rev> [pairs] [out.json]
 #
 # Builds the repository benchmark (benchmark/) of <base-rev> and of the
 # working tree, each in its own git worktree and target directory. The
@@ -18,10 +18,18 @@
 #
 # Exits 1 when a run fails its own checks, a simulated metric's ratio
 # is not exactly 1 or a digest differs, so a change that claims to move
-# no simulated number is held to it. benchmark/ is only read: every
-# build and every file a run writes stays in a temporary directory.
+# no simulated number is held to it. With --moves, a change that is
+# meant to move simulated numbers records them instead of failing:
+# out.json gains "moves", per workload and simulated metric the base
+# and change value on the main and the held-out seed, and whether the
+# digests moved; the script prints them as a table. A run that fails
+# its own checks, or whose digests differ between repeats of one side,
+# still exits 1. benchmark/ is only read: every build and every file a
+# run writes stays in a temporary directory.
 set -euo pipefail
-[ $# -ge 1 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
+moves=0
+[ "${1:-}" = --moves ] && { moves=1; shift; }
+[ $# -ge 1 ] || { sed -n '2,28p' "$0" >&2; exit 2; }
 base_rev=$(git rev-parse --verify "$1^{commit}")
 pairs=${2:-10}
 out=$(realpath -m "${3:-bench-pairs.json}")
@@ -75,11 +83,11 @@ for side in base change; do
   run "$side" fleet.traced --workload fleet --seed "$seed" --trace 1
 done
 
-python3 - "$tmp/runs" "$out" "$pairs" "$base_rev" "$change_rev" "$(nproc)" \
+python3 - "$tmp/runs" "$out" "$pairs" "$base_rev" "$change_rev" "$(nproc)" "$moves" \
   "${workloads[@]}" <<'PY'
 import json, os, sys, time
-runs, out, pairs, base_rev, change_rev, cores = sys.argv[1:7]
-pairs, workloads = int(pairs), sys.argv[7:]
+runs, out, pairs, base_rev, change_rev, cores, moves = sys.argv[1:8]
+pairs, workloads, moves = int(pairs), sys.argv[8:], moves == "1"
 SIMULATED = {"startup_mean_ms", "slowdown_p999", "cold_start_frac", "mem_mean_gib"}
 failures = []
 
@@ -101,7 +109,7 @@ def quartiles(xs):
         return xs[lo] if frac == 0 else xs[lo] * (1 - frac) + xs[lo + 1] * frac
     return {"median": q(0.5), "q1": q(0.25), "q3": q(0.75)}
 
-result = {}
+result, moved = {}, {}
 for w in workloads:
     base = [read("base", f"{w}.{i}") for i in range(pairs)]
     change = [read("change", f"{w}.{i}") for i in range(pairs)]
@@ -113,7 +121,14 @@ for w in workloads:
         ratios = [y / x if x else float(y == x) for x, y in zip(b, c)]
         held_ratio = held[1]["metrics"][m] / held[0]["metrics"][m] if held[0]["metrics"][m] else 1.0
         simulated = m in SIMULATED
-        if simulated and any(r != 1.0 for r in ratios + [held_ratio]):
+        if simulated and moves:
+            moved.setdefault(w, {"metrics": {}})["metrics"][m] = {
+                "base": b[0], "change": c[0],
+                "held_out_base": held[0]["metrics"][m], "held_out_change": held[1]["metrics"][m],
+            }
+            if len(set(b)) > 1 or len(set(c)) > 1:
+                failures.append(f"{w} {m}: a side's simulated value differs between repeats")
+        elif simulated and any(r != 1.0 for r in ratios + [held_ratio]):
             failures.append(f"{w} {m}: simulated ratio != 1")
         metrics[m] = {
             "kind": "simulated" if simulated else "host",
@@ -125,8 +140,14 @@ for w in workloads:
         }
     digests = {"base": base[0]["digests"], "change": change[0]["digests"],
                "held_out_base": held[0]["digests"], "held_out_change": held[1]["digests"]}
-    runs_digests = [r["digests"] for r in base + change]
-    if any(d != digests["base"] for d in runs_digests) or held[0]["digests"] != held[1]["digests"]:
+    if moves:
+        if any(r["digests"] != digests["base"] for r in base) or any(
+                r["digests"] != digests["change"] for r in change):
+            failures.append(f"{w}: a side's digests differ between repeats")
+        moved[w]["digests_moved"] = (digests["base"] != digests["change"]
+                                     or held[0]["digests"] != held[1]["digests"])
+    elif any(r["digests"] != digests["base"] for r in base + change) \
+            or held[0]["digests"] != held[1]["digests"]:
         failures.append(f"{w}: digests differ")
     result[w] = {"metrics": metrics, "digests": digests}
 
@@ -144,6 +165,8 @@ doc = {
     "obs_overhead_frac": {"workload": "fleet", **overhead},
     "failures": failures,
 }
+if moves:
+    doc["moves"] = moved
 with open(out, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
@@ -151,6 +174,16 @@ for w in workloads:
     row = " ".join(f"{m}={v['ratio']['median']:.3f}" for m, v in result[w]["metrics"].items())
     print(f"{w}: {row}")
 print("obs.overhead_frac on fleet:", overhead)
+if moves:
+    print("\n| workload | metric | base | change | ratio | held-out base | held-out change | ratio |")
+    print("|---|---|---|---|---|---|---|---|")
+    ratio = lambda x, y: f"{y / x:.4f}" if x else ("1.0000" if y == x else "inf")
+    for w, entry in moved.items():
+        for m, v in entry["metrics"].items():
+            hb, hc = v["held_out_base"], v["held_out_change"]
+            print(f"| {w} | {m} | {v['base']:.6g} | {v['change']:.6g} | {ratio(v['base'], v['change'])} "
+                  f"| {hb:.6g} | {hc:.6g} | {ratio(hb, hc)} |")
+        print(f"| {w} | digests | | {'moved' if entry['digests_moved'] else 'equal'} | | | | |")
 for msg in failures:
     print("FAIL", msg, file=sys.stderr)
 sys.exit(1 if failures else 0)

@@ -94,13 +94,13 @@ fn dedup_starts_are_faster_than_cold_starts() {
     for r in &report.requests {
         match r.start {
             StartType::Dedup => {
-                let cold = s[r.func].cold_start().as_micros();
+                let cold = s[r.func as usize].cold_start().as_micros();
                 assert!(
                     r.startup_us < cold + 200_000,
                     "dedup start {}us should be near/below cold {}us ({})",
                     r.startup_us,
                     cold,
-                    s[r.func].name
+                    s[r.func as usize].name
                 );
             }
             StartType::Warm => {
@@ -215,7 +215,7 @@ fn fixed_keep_alive_starts_match_an_independent_replay() {
         let mut cold = 0;
         for (id, r) in report.requests.iter().enumerate() {
             assert_eq!(r.id, id as u64, "records are placed by id");
-            let (pool, at) = (&mut idle[r.func], r.arrival_us);
+            let (pool, at) = (&mut idle[r.func as usize], r.arrival_us);
             let before = (0..pool.len()).filter(|&i| pool[i] < at);
             let start = match before.max_by_key(|&i| pool[i]) {
                 Some(i) if at <= pool[i] + ka.as_micros() => {
