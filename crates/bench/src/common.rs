@@ -202,9 +202,9 @@ impl ExpConfig {
     /// validating [`PlatformConfig::builder`], so harness flags cannot
     /// smuggle in nonsense (a cache larger than node memory): bad
     /// combinations surface here as a [`ConfigError`] before any run
-    /// starts. The registry is in-process, with one shard and one scan
-    /// worker: a run's report is the same at any other setting
-    /// (`tests/pipeline_parallel.rs`, `tests/registry_backend.rs`).
+    /// starts. The registry is in-process, with one shard: a run's
+    /// report is the same at any other shard count or placement
+    /// (`tests/registry_backend.rs`).
     pub fn try_platform(&self) -> Result<PlatformConfig, ConfigError> {
         // 12 x 192 MiB: demand-saturated, like the paper's 2 GB limit.
         let nodes = if self.quick { 6 } else { 12 };
@@ -260,9 +260,8 @@ pub fn run(cfg: PlatformConfig, suite: &[FunctionProfile], trace: &Trace) -> Run
 }
 
 /// Runs one platform configuration over a trace, returning the full
-/// [`RunOutcome`] (report + observability handle + scan wall time).
-/// Experiments that read counters or the `pipeline` wall-time gate use
-/// this.
+/// [`RunOutcome`] (report + observability handle + host work counts).
+/// Experiments that read counters use this.
 pub fn run_outcome(cfg: PlatformConfig, suite: &[FunctionProfile], trace: &Trace) -> RunOutcome {
     Platform::new(cfg, suite.to_vec()).run(trace)
 }
@@ -328,9 +327,9 @@ mod tests {
         let mut cfg = ExpConfig::quick();
         let p = cfg.platform();
         assert_eq!(p.read_path.page_cache_bytes, 0);
-        // No flag sets the pipeline or the registry: the builder's
-        // serial, in-process defaults.
-        assert_eq!((p.pipeline.shards, p.pipeline.workers), (1, 1));
+        // No flag sets the registry: the builder's one shard, in
+        // process.
+        assert_eq!(p.shards, 1);
         assert_eq!(p.registry, RegistryPlacement::InProcess);
         cfg.cache_mib = 64;
         assert_eq!(cfg.platform().read_path.page_cache_bytes, 64 << 20);

@@ -16,7 +16,7 @@
 //! tests).
 //!
 //! An experiment produces numbers. A property that must merely hold —
-//! reports invariant under shards, workers, registry placement and
+//! reports invariant under registry shards and placement and under
 //! telemetry; the cache's benefit; bounded streaming; slow-node
 //! attribution — is asserted by a test, in the root `tests/` and in
 //! this crate's `tests/` (EXPERIMENTS.md, "Gates that live in tests"),

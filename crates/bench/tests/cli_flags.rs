@@ -34,8 +34,8 @@ fn unknown_flag_or_id_is_rejected_before_any_experiment_runs() {
     assert_usage_error(&["fig13", "nope", "--quick"]);
     // `--stream` is gone: every `--obs` trace is streamed.
     assert_usage_error(&["fig13", "--quick", "--obs", "--stream"]);
-    // So are the flags no result depended on: the pipeline's shards and
-    // workers, the registry placement, head sampling.
+    // So are the flags no result depended on: the registry's shards
+    // and placement, a scan worker count, head sampling.
     for retired in [
         ["--shards", "4"],
         ["--workers", "2"],

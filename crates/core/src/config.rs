@@ -1,4 +1,7 @@
 //! Platform configuration.
+//!
+//! Dedup has no setting of its own: an op starts at the §5 policy's idle
+//! check (`platform::pipeline`), so the policy knobs decide when.
 
 use medes_ckpt::TimingModel;
 use medes_hash::sample::FingerprintConfig;
@@ -25,37 +28,6 @@ impl RestoreReadConfig {
     /// A per-node cache of the given paper-scale capacity.
     pub fn cached(page_cache_bytes: usize) -> Self {
         RestoreReadConfig { page_cache_bytes }
-    }
-}
-
-/// Dedup pipeline configuration: registry sharding plus the dedup
-/// worker pool.
-///
-/// Sandboxes picked for dedup are queued; the queue is flushed every
-/// `flush_interval`, fanning the chunk-scan/lookup/patch-encode work
-/// across a scoped worker pool and merging outcomes in first-enqueued
-/// order (see DESIGN.md §10 for the determinism argument: `RunReport`
-/// is bit-identical at any worker count). One worker is the serial
-/// case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DedupPipelineConfig {
-    /// Number of fingerprint-registry shards (≥ 1): the routing key of
-    /// a placed registry's RPCs, so lookup results are
-    /// shard-count-invariant.
-    pub shards: usize,
-    /// Worker threads for the batched dedup compute phase (≥ 1).
-    pub workers: usize,
-    /// How long pending dedups accumulate before a batch flush.
-    pub flush_interval: SimDuration,
-}
-
-impl Default for DedupPipelineConfig {
-    fn default() -> Self {
-        DedupPipelineConfig {
-            shards: 1,
-            workers: 1,
-            flush_interval: SimDuration::from_secs(1),
-        }
     }
 }
 
@@ -115,9 +87,6 @@ pub struct PlatformConfig {
     /// Restore read path: per-node base-page cache capacity (0 by
     /// default, meaning no cache).
     pub read_path: RestoreReadConfig,
-    /// Registry sharding + the batched dedup pipeline. Defaults to one
-    /// shard and one worker.
-    pub pipeline: DedupPipelineConfig,
     /// Per-node memory capacities, bytes. Empty (the default) means
     /// every node has `node_mem_bytes`; a non-empty vector must have one
     /// entry per node and enables heterogeneous placement/eviction.
@@ -131,6 +100,10 @@ pub struct PlatformConfig {
     /// distributed placement stores shards on worker nodes and routes
     /// registry traffic over the fabric as priced RPCs.
     pub registry: RegistryPlacement,
+    /// Number of fingerprint-registry shards (≥ 1, default 1): the
+    /// routing key of a placed registry's RPCs, so lookup results are
+    /// shard-count-invariant.
+    pub shards: usize,
 }
 
 /// Placement of the fingerprint registry.
@@ -169,10 +142,9 @@ pub enum ConfigError {
         /// Configured per-node memory limit, bytes.
         node_mem_bytes: usize,
     },
-    /// The dedup pipeline needs at least one worker.
-    ZeroWorkers,
-    /// The dedup pipeline needs a positive flush interval.
-    ZeroFlushInterval,
+    /// [`PlatformConfigBuilder::workers`] was given something other
+    /// than 1: dedup runs in the event loop, with no worker pool.
+    Workers(usize),
     /// A heterogeneous memory profile must list one capacity per node.
     NodeMemProfileLen {
         /// Number of worker nodes configured.
@@ -224,13 +196,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "page cache of {cache_bytes} B cannot exceed node memory of {node_mem_bytes} B"
             ),
-            ConfigError::ZeroWorkers => write!(
+            ConfigError::Workers(n) => write!(
                 f,
-                "dedup pipeline needs at least one worker (use 1 for serial scans)"
+                "dedup runs at the idle check, with no worker pool: workers({n}) must be 1"
             ),
-            ConfigError::ZeroFlushInterval => {
-                write!(f, "dedup pipeline needs a positive flush interval")
-            }
             ConfigError::NodeMemProfileLen { nodes, got } => {
                 write!(f, "node memory profile has {got} entries for {nodes} nodes")
             }
@@ -272,6 +241,8 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone)]
 pub struct PlatformConfigBuilder {
     cfg: PlatformConfig,
+    /// What [`Self::workers`] was given.
+    workers: usize,
 }
 
 impl PlatformConfigBuilder {
@@ -323,21 +294,19 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Registry sharding + the batched dedup pipeline.
-    pub fn pipeline(mut self, pipeline: DedupPipelineConfig) -> Self {
-        self.cfg.pipeline = pipeline;
-        self
-    }
-
-    /// Registry shard count (leaves the rest of the pipeline config).
+    /// Registry shard count.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.pipeline.shards = shards;
+        self.cfg.shards = shards;
         self
     }
 
-    /// Dedup worker-pool size (≥ 1; 1 scans serially).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.cfg.pipeline.workers = workers;
+    /// Kept so the repository benchmark's `.workers(1)` compiles; there
+    /// is no worker pool. Any `n` but 1 makes [`Self::build`] fail with
+    /// [`ConfigError::Workers`]. ROADMAP item 10 deletes it together
+    /// with that call.
+    #[doc(hidden)]
+    pub fn workers(mut self, n: usize) -> Self {
+        self.workers = n;
         self
     }
 
@@ -387,7 +356,7 @@ impl PlatformConfigBuilder {
         if c.mem_scale == 0 {
             return Err(ConfigError::ZeroMemScale);
         }
-        if c.pipeline.shards == 0 {
+        if c.shards == 0 {
             return Err(ConfigError::ZeroShards);
         }
         if !(c.patch_max_frac > 0.0 && c.patch_max_frac <= 1.0) {
@@ -399,11 +368,8 @@ impl PlatformConfigBuilder {
                 node_mem_bytes: c.node_mem_bytes,
             });
         }
-        if c.pipeline.workers == 0 {
-            return Err(ConfigError::ZeroWorkers);
-        }
-        if c.pipeline.flush_interval == SimDuration::ZERO {
-            return Err(ConfigError::ZeroFlushInterval);
+        if self.workers != 1 {
+            return Err(ConfigError::Workers(self.workers));
         }
         if !c.node_mem_profile.is_empty() {
             if c.node_mem_profile.len() != c.nodes {
@@ -451,6 +417,7 @@ impl PlatformConfig {
     pub fn builder() -> PlatformConfigBuilder {
         PlatformConfigBuilder {
             cfg: Self::paper_default(),
+            workers: 1,
         }
     }
 
@@ -458,6 +425,7 @@ impl PlatformConfig {
     pub fn test_builder() -> PlatformConfigBuilder {
         PlatformConfigBuilder {
             cfg: Self::small_test(),
+            workers: 1,
         }
     }
 
@@ -482,10 +450,10 @@ impl PlatformConfig {
             faults: FaultPlan::default(),
             retry: RetryPolicy::default(),
             read_path: RestoreReadConfig::default(),
-            pipeline: DedupPipelineConfig::default(),
             node_mem_profile: Vec::new(),
             deploys: DeploySchedule::default(),
             registry: RegistryPlacement::InProcess,
+            shards: 1,
         }
     }
 
@@ -581,13 +549,11 @@ mod tests {
         let c = PlatformConfig::builder()
             .nodes(8)
             .shards(16)
-            .workers(4)
             .seed(7)
             .build()
             .expect("valid config");
         assert_eq!(c.nodes, 8);
-        assert_eq!(c.pipeline.shards, 16);
-        assert_eq!(c.pipeline.workers, 4);
+        assert_eq!(c.shards, 16);
         assert_eq!(c.seed, 7);
         // The builder starts from paper_default; untouched fields keep it.
         assert_eq!(c.node_mem_bytes, 2 << 30);
@@ -620,17 +586,10 @@ mod tests {
         );
         assert_eq!(
             PlatformConfig::builder().workers(0).build().unwrap_err(),
-            ConfigError::ZeroWorkers
+            ConfigError::Workers(0)
         );
         // Errors render as actionable messages: the fix is in the text.
-        assert!(ConfigError::ZeroWorkers.to_string().contains("use 1"));
-        assert_eq!(
-            PlatformConfig::builder()
-                .tweak(|c| c.pipeline.flush_interval = SimDuration::ZERO)
-                .build()
-                .unwrap_err(),
-            ConfigError::ZeroFlushInterval
-        );
+        assert!(ConfigError::Workers(0).to_string().contains("must be 1"));
         assert_eq!(
             PlatformConfig::builder()
                 .tweak(|c| c.patch_max_frac = 0.0)

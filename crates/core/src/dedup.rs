@@ -170,11 +170,9 @@ pub type BaseResolver<'a> = dyn Fn(SandboxId) -> Option<(Arc<MemoryImage>, FnId)
 /// including) the fabric accounting. Produced by [`dedup_scan`],
 /// consumed by [`dedup_commit`].
 ///
-/// Holding no fabric or registry borrows, scans for different sandboxes
-/// are independent — the parallel dedup pipeline computes them on a
-/// worker pool, then commits each serially in first-enqueued order so
-/// the fault-injection RNG stream (consumed per fabric op) is walked
-/// identically at any worker count.
+/// Holding no fabric or registry borrows, a scan touches neither the
+/// fabric nor its fault-injection RNG stream: the platform scans at the
+/// idle check, then prices the op ([`DedupScan::price`]).
 #[derive(Debug)]
 pub struct DedupScan {
     /// The residual representation assembled by the scan.

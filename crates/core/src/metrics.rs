@@ -159,11 +159,6 @@ pub struct RunReport {
     /// Paper-scale bytes served from the base-page caches instead of
     /// the fabric.
     pub cache_bytes_saved: u64,
-    /// Dedup pipeline batch flushes executed. Invariant across worker
-    /// counts (batch membership depends only on simulated time).
-    pub dedup_batches: u64,
-    /// Largest dedup batch flushed over the run.
-    pub dedup_batch_peak: u64,
     /// Wall-clock-equivalent simulated duration of the run.
     pub duration_us: u64,
 }

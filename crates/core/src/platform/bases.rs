@@ -55,7 +55,7 @@ pub(crate) struct Bases {
 
 impl Bases {
     pub fn new(cfg: &PlatformConfig, profiles: &[FunctionProfile], obs: &Arc<Obs>) -> Self {
-        let (shards, obs) = (cfg.pipeline.shards, Arc::clone(obs));
+        let (shards, obs) = (cfg.shards, Arc::clone(obs));
         let registry = match cfg.registry {
             RegistryPlacement::InProcess => RegistryClient::in_process(shards, obs),
             RegistryPlacement::Distributed { owners } => {
@@ -239,7 +239,8 @@ mod tests {
             let names = vec!["a".into(), "b".into()];
             let mut m = MetricsCollector::with_obs(names, SimDuration::from_secs(10), obs);
             let mut table = SandboxTable::default();
-            // Tables pinned at a flush whose `DedupDone` is still to come.
+            // Tables pinned at an idle check whose `DedupDone` is still
+            // to come.
             let mut in_flight: Vec<DedupPageTable> = Vec::new();
             let mut next_id = 0u64;
             let drop_sandbox =

@@ -22,8 +22,8 @@
 //!   the keep-alive and idle-period timers are armed); a queued request
 //!   drains.
 //! * `IdleCheck` (Medes, `pipeline`) → consult the §5 policy targets;
-//!   demarcate a base if `D/B > T`, else queue the dedup op (§4.1);
-//!   `DedupFlush` scans the queue, `DedupDone` commits or reverts.
+//!   demarcate a base if `D/B > T`, else scan the sandbox and start the
+//!   dedup op (§4.1); `DedupDone` commits or reverts.
 //! * `KeepAliveExpire` / `KeepDedupExpire` → purge idle sandboxes.
 //! * `PolicyTick` → re-estimate per-function state, re-solve targets.
 //! * `NodeCrash` / `NodeRestart` / `VersionBump` → `recovery`.
@@ -59,7 +59,6 @@ use medes_sim::fault::FaultSchedule;
 use medes_sim::{DetRng, SimDuration, SimTime, Simulation, World};
 use medes_trace::{FunctionProfile, Trace};
 use memory::NodeMemory;
-use pipeline::DedupPipeline;
 use std::sync::Arc;
 
 /// The platform: configuration + function catalog.
@@ -151,8 +150,7 @@ impl Platform {
         let (events, peak_queue_depth) = (sim.processed(), sim.peak_queue_depth());
         cluster = sim.into_world();
         let obs = Arc::clone(&cluster.obs);
-        let (dedup_scan_wall_us, dedup_work) =
-            (cluster.pipeline.scan_wall_us, cluster.pipeline.work);
+        let dedup_work = cluster.dedup_work;
         let dedup_memo_peak_bytes = cluster.life.memo_peak_bytes();
         let report = cluster.finish(end);
         match obs.write_trace() {
@@ -163,7 +161,6 @@ impl Platform {
         RunOutcome {
             report,
             obs,
-            dedup_scan_wall_us,
             dedup_work,
             dedup_memo_peak_bytes,
             events,
@@ -181,10 +178,6 @@ pub struct RunOutcome {
     pub report: RunReport,
     /// The run's observability handle (spans, counters and gauges).
     pub obs: Arc<Obs>,
-    /// Host wall time spent in the dedup scan phase, microseconds,
-    /// summed over every batch. Host time is not deterministic, so it
-    /// lives here and never in `report` or an `obs` export.
-    pub dedup_scan_wall_us: u64,
     /// What the host computed, and what it reused, over every dedup
     /// scan (deterministic). Here and not in `report` because a memoised
     /// scan is the same simulated op: the report must not tell them
@@ -216,12 +209,9 @@ enum Ev {
     IdleCheck(SandboxId, u64),
     KeepAliveExpire(SandboxId, Ticket),
     KeepDedupExpire(SandboxId, u64),
-    /// The dedup op priced at a flush has run its course: the sandbox,
-    /// its epoch at the flush, what the op produced.
+    /// The dedup op begun at an idle check has run its course: the
+    /// sandbox, its epoch when the op began, what the op produced.
     DedupDone(SandboxId, u64, Box<DedupOutcome>),
-    /// Batched dedup pipeline: drain the pending-dedup queue, fan the
-    /// scans across the worker pool, commit in first-enqueued order.
-    DedupFlush,
     PolicyTick,
     /// Deterministic time-series sampler: snapshot the declared
     /// gauge/counter set every [`medes_obs::ObsConfig::sample_every_ms`]
@@ -245,7 +235,8 @@ struct Cluster {
     mem: NodeMemory,
     life: Lifecycle,
     bases: Bases,
-    pipeline: DedupPipeline,
+    /// See `RunOutcome::dedup_work`.
+    dedup_work: ScanWork,
     /// Per function: profile, deployed version, §5 policy state, wait
     /// queue.
     fns: Vec<FunctionRuntime>,
@@ -280,7 +271,7 @@ impl Cluster {
             mem: NodeMemory::new(&cfg, &obs),
             life: Lifecycle::new(profiles.len()),
             bases: Bases::new(&cfg, &profiles, &obs),
-            pipeline: DedupPipeline::default(),
+            dedup_work: ScanWork::default(),
             fns: profiles.into_iter().map(FunctionRuntime::new).collect(),
             ka,
             medes,
@@ -326,10 +317,12 @@ impl World for Cluster {
         self.fabric.set_now(now);
         self.bases.registry().set_now(now);
         self.metrics.set_now(now);
-        // The rare multi-owner sequences end in a check of every owner.
-        let checked = matches!(
+        // The rare multi-owner sequences end in a check of every owner:
+        // a crash, a restart, a deploy, and an idle check that began a
+        // dedup op.
+        let mut checked = matches!(
             event,
-            Ev::DedupFlush | Ev::NodeCrash(_) | Ev::NodeRestart(_) | Ev::VersionBump(..)
+            Ev::NodeCrash(_) | Ev::NodeRestart(_) | Ev::VersionBump(..)
         );
         match event {
             Ev::Arrival(req) => {
@@ -405,7 +398,7 @@ impl World for Cluster {
                 }
             }
 
-            Ev::IdleCheck(id, epoch) => self.idle_check(id, epoch, sched),
+            Ev::IdleCheck(id, epoch) => checked = self.idle_check(id, epoch, sched),
 
             Ev::KeepAliveExpire(id, ticket) => self.keep_alive_expire(id, ticket, sched),
 
@@ -417,7 +410,6 @@ impl World for Cluster {
             }
 
             Ev::DedupDone(id, epoch, outcome) => self.dedup_done(id, epoch, *outcome, sched),
-            Ev::DedupFlush => self.dedup_flush(sched),
 
             Ev::PolicyTick => {
                 let Some(medes) = &self.medes else {

@@ -6,17 +6,15 @@ use medes_sim::SimTime;
 
 impl Cluster {
     /// One deterministic time-series sample at simulated time `now`:
-    /// per-node memory and dedup batch depth, plus a snapshot of every
-    /// registered counter/gauge. Strictly read-only against simulation
-    /// state — it must never perturb the `RunReport`
+    /// per-node memory plus a snapshot of every registered
+    /// counter/gauge. Strictly read-only against simulation state — it
+    /// must never perturb the `RunReport`
     /// (`tests/obs_streaming.rs` pins this).
     pub(super) fn sample_tick(&self, now: SimTime) {
         for (i, used) in self.mem.used_per_node().enumerate() {
             let series = format!("medes.node.{i}.mem_bytes");
             self.obs.series_point(&series, now, used as f64);
         }
-        let pending = self.pipeline.pending.len() as f64;
-        self.obs.series_point("medes.dedup.pending", now, pending);
         // Live sandboxes and registry occupancy are already registry
         // gauges, and SLO violations and cache hits and misses
         // registry counters (kept current by the metrics, registry, SLO
@@ -49,7 +47,7 @@ impl Cluster {
             let (rpc, rpc_us) = (registry.rpc_stats(), registry.rpc_time().as_micros());
             let dead_owned: usize = down().map(|n| registry.entries_owned_by(n)).sum();
             let template_bytes = factory.template_bytes() as u64;
-            let (w, memo_peak) = (self.pipeline.work, self.life.memo_peak_bytes() as u64);
+            let (w, memo_peak) = (self.dedup_work, self.life.memo_peak_bytes() as u64);
             for (name, v) in [
                 ("medes.registry.rpc_total", rpc.rpcs),
                 ("medes.registry.rpc_bytes_total", rpc.rpc_bytes),

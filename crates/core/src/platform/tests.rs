@@ -344,9 +344,7 @@ fn obs_trace_matches_report_aggregates() {
 
 /// Host wall time must never enter a deterministic export: two
 /// obs-on runs of one config export byte-identical JSONL (spans
-/// plus the metrics/SLO tail) and equal SLO summaries, while the
-/// scan wall time is still measured — on `RunOutcome`, outside
-/// both.
+/// plus the metrics/SLO tail) and equal SLO summaries.
 #[test]
 fn obs_exports_are_byte_identical_across_runs() {
     let run = || {
@@ -363,10 +361,60 @@ fn obs_exports_are_byte_identical_across_runs() {
         Platform::new(cfg, suite).run(&trace)
     };
     let (a, b) = (run(), run());
-    assert!(a.report.dedup_batches > 0, "run must scan dedup batches");
-    assert!(a.dedup_scan_wall_us > 0, "scan wall time is measured");
+    assert!(a.report.sandboxes_deduped > 0, "run must dedup");
     assert_eq!(a.obs.spans_dropped(), 0);
     assert_eq!(a.obs.export_jsonl(), b.obs.export_jsonl());
+}
+
+/// A dedup op starts at the idle check that picks its sandbox. Two
+/// overlapping requests of one function leave two warm sandboxes; the
+/// first to go idle becomes the base, and the other's op span starts
+/// exactly `idle_period` after its exec end.
+#[test]
+fn dedup_starts_at_the_idle_check() {
+    let suite: Vec<FunctionProfile> = functionbench_suite().into_iter().take(1).collect();
+    let arrivals = vec![vec![SimTime::ZERO, SimTime::from_millis(1)]];
+    let trace = Trace::from_arrivals(
+        vec![suite[0].name.clone()],
+        arrivals,
+        SimTime::from_secs(60),
+    );
+    let idle_period = SimDuration::from_secs(5);
+    let cfg = PlatformConfig::test_builder()
+        .obs(medes_obs::ObsConfig::enabled())
+        .tweak(|cfg| {
+            if let PolicyKind::Medes(m) = &mut cfg.policy {
+                m.idle_period = idle_period;
+                m.objective = Objective::MemoryBudget { budget_bytes: 1.0 };
+            }
+        })
+        .build()
+        .expect("valid config");
+    let outcome = Platform::new(cfg, suite).run(&trace);
+    let report = &outcome.report;
+    assert_eq!(report.cold_starts(), vec![2], "two sandboxes");
+    let last_exec_end = (report.requests.iter())
+        .map(|r| r.arrival_us + r.e2e_us)
+        .max()
+        .unwrap();
+    let spans = outcome.obs.spans();
+    let first_op = (spans.iter())
+        .filter(|s| s.name == "medes.dedup.op")
+        .map(|s| s.start_us)
+        .min()
+        .expect("the second sandbox dedups");
+    assert_eq!(first_op, last_exec_end + idle_period.as_micros());
+
+    // `workers` is a shim that accepts only 1, which changes nothing.
+    assert_eq!(
+        PlatformConfig::builder().workers(2).build().unwrap_err(),
+        crate::config::ConfigError::Workers(2)
+    );
+    let one = PlatformConfig::builder().workers(1).build().unwrap();
+    assert_eq!(
+        format!("{one:?}"),
+        format!("{:?}", PlatformConfig::paper_default())
+    );
 }
 
 #[test]

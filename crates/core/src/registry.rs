@@ -14,12 +14,12 @@
 //!
 //! The table and its reverse index live in one store behind one
 //! `RwLock`. Reads ([`RegistryClient::lookup`],
-//! [`RegistryClient::lookup_batch`]) take `&self` and the read lock, so
-//! the parallel dedup pipeline's worker pool can probe the registry
-//! concurrently; the lookup counter is an atomic for that reason. The
-//! writers ([`RegistryClient::insert_page`] at demarcation,
-//! [`RegistryClient::remove_sandbox`] at teardown) run serially in the
-//! event loop.
+//! [`RegistryClient::lookup_batch`]) take `&self` and the read lock; the
+//! lookup counter is an atomic. Every caller — the dedup scan at an
+//! idle check, [`RegistryClient::insert_page`] at demarcation,
+//! [`RegistryClient::remove_sandbox`] at teardown — runs serially in
+//! the event loop, so the lock is never contended (ROADMAP item 11
+//! makes these plain fields).
 //!
 //! ## Shards and placement
 //!

@@ -155,8 +155,8 @@ pub fn page_fingerprint_scalar(page: &[u8], cfg: &FingerprintConfig) -> PageFing
 }
 
 /// Fingerprints a batch of pages in one call, reusing the candidate
-/// scratch buffer across pages so pipeline workers (PR 4) amortize
-/// per-page setup. Result order matches input order; each element is
+/// scratch buffer across pages so a dedup scan amortizes per-page
+/// setup. Result order matches input order; each element is
 /// exactly `page_fingerprint(pages[i], cfg)`.
 pub fn pages_fingerprints(pages: &[&[u8]], cfg: &FingerprintConfig) -> Vec<PageFingerprint> {
     let mut out = Vec::with_capacity(pages.len());

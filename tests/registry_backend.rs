@@ -3,13 +3,14 @@
 //! A placed [`RegistryClient`] must be observationally identical to the
 //! in-process reference: same candidates, same counters, at every
 //! interleaving of inserts, lookups, and removals. On top of the
-//! client-level contract, whole-platform runs (fig7-, fig9-, and
-//! chaos-style configurations) must produce bit-identical `RunReport`s
-//! with the registry distributed over 1, 4, and 12 owner nodes — and
-//! crash runs, a full outage included, must end with zero registry
-//! state tied to dead nodes. What placement does change is counted:
-//! the obs counters must show routed RPC traffic at every placement
-//! and none in process.
+//! client-level contract, whole-platform runs (fig7-, fig9-, chaos- and
+//! link-fault-style configurations) must produce bit-identical
+//! `RunReport`s, and count the same host scan work, with the registry
+//! in process or distributed over 1, 4, and 12 owner nodes, at 1 and at
+//! 16 shards — and crash runs, a full outage included, must end with
+//! zero registry state tied to dead nodes. What placement does change
+//! is counted: the obs counters must show routed RPC traffic at every
+//! placement and none in process.
 
 use medes::hash::sample::{page_fingerprint, FingerprintConfig};
 use medes::net::{NetConfig, RetryPolicy};
@@ -19,7 +20,7 @@ use medes::platform::ids::{NodeId, SandboxId};
 use medes::platform::registry::{ChunkLoc, RegistryClient};
 use medes::platform::Platform;
 use medes::policy::medes::Objective;
-use medes::sim::fault::{FaultPlan, NodeCrash};
+use medes::sim::fault::{FaultPlan, LinkFaultKind, LinkFaultWindow, NodeCrash};
 use medes::sim::{DetRng, SimDuration, SimTime};
 use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
 
@@ -188,7 +189,6 @@ fn cluster_config(objective: Objective) -> PlatformConfigBuilder {
         .obs(ObsConfig::enabled())
         .nodes(12)
         .node_mem_bytes(128 << 20)
-        .shards(16)
         .tweak(|cfg| {
             if let PolicyKind::Medes(m) = &mut cfg.policy {
                 m.idle_period = SimDuration::from_secs(10);
@@ -197,33 +197,49 @@ fn cluster_config(objective: Objective) -> PlatformConfigBuilder {
         })
 }
 
-/// Runs one configuration at every registry placement and asserts the
-/// reports are bit-identical while the registry counters show real
-/// routed traffic — placement decides where registry RPCs go, never
-/// what the registry answers; returns the reference outcome for
+/// Registry shard counts every placement runs at. A shard is only the
+/// routing key of a placed registry's RPCs (`hash % N`).
+const SHARDS: [usize; 2] = [1, 16];
+
+/// Runs one configuration at every shard count and registry placement
+/// and asserts the reports and the host scan work are bit-identical
+/// while the registry counters show real routed traffic — shards and
+/// placement decide where registry RPCs go, never what the registry
+/// answers; returns the reference outcome (one shard, in process) for
 /// scenario-level assertions.
 fn assert_placement_invariant(
     base: PlatformConfigBuilder,
     t: &Trace,
 ) -> medes::platform::platform::RunOutcome {
-    let reference_cfg = base.clone().build().expect("valid config");
-    let nodes = reference_cfg.nodes;
-    let reference = Platform::new(reference_cfg, suite()).run(t);
-    assert_eq!(
-        reference.obs.counter("medes.net.rpcs"),
-        0,
-        "the in-process registry must issue no registry RPCs"
-    );
-    for owners in [1usize, 4, 12] {
-        let cfg = base.clone().registry_owners(owners).build();
-        let outcome = Platform::new(cfg.expect("valid placement"), suite()).run(t);
-        assert_eq!(
-            outcome.report, reference.report,
-            "report diverged at {owners} owners"
-        );
+    let run = |b: PlatformConfigBuilder| {
+        let cfg = b.build().expect("valid placement");
+        Platform::new(cfg, suite()).run(t)
+    };
+    let reference = run(base.clone().shards(1));
+    let nodes = base.clone().build().expect("valid config").nodes;
+    // Zero owners is the in-process registry.
+    for (shards, owners) in SHARDS
+        .iter()
+        .flat_map(|&s| [(s, 0), (s, 1), (s, 4), (s, 12)])
+    {
+        if (shards, owners) == (1, 0) {
+            continue;
+        }
+        let mut b = base.clone().shards(shards);
+        if owners > 0 {
+            b = b.registry_owners(owners);
+        }
+        let outcome = run(b);
+        let at = format!("{shards} shards x {owners} owners");
+        assert_eq!(outcome.report, reference.report, "report diverged at {at}");
+        assert_eq!(outcome.dedup_work, reference.dedup_work, "work at {at}");
         assert_eq!(outcome.report.registry_dead_node_locs, 0);
         let count = |name: &str| outcome.obs.counter(name);
         let rpcs = count("medes.net.rpcs");
+        if owners == 0 {
+            assert_eq!(rpcs, 0, "the in-process registry must issue no RPCs");
+            continue;
+        }
         assert!(rpcs > 0, "{owners} owners: no registry RPCs issued");
         assert!(
             count("medes.net.rpc_bytes") > 0,
@@ -273,6 +289,7 @@ fn fig7_style_report_is_placement_invariant() {
         },
     );
     let cfg = cluster_config(Objective::LatencyTarget { alpha: 2.5 })
+        .shards(16)
         .mem_scale(512)
         .node_mem_bytes(192 << 20)
         .tweak(|cfg| {
@@ -327,6 +344,64 @@ fn chaos_style_report_is_placement_invariant() {
         reference.report.node_crashes > 0,
         "no crash landed during the trace; the hygiene gate is vacuous"
     );
+}
+
+/// The chaos plan the fault-recovery suite runs: a permanent crash, a
+/// bounce, a window in which every link drops every message, a latency
+/// spike and background RPC drops.
+fn chaos_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 0xFA17,
+        crashes: vec![
+            NodeCrash {
+                node: 0,
+                at: SimTime::from_secs(200),
+                restart: None,
+            },
+            NodeCrash {
+                node: 1,
+                at: SimTime::from_secs(380),
+                restart: Some(SimTime::from_secs(450)),
+            },
+        ],
+        links: vec![
+            LinkFaultWindow {
+                src: None,
+                dst: None,
+                from: SimTime::from_secs(250),
+                until: SimTime::from_secs(320),
+                kind: LinkFaultKind::Error { drop_prob: 1.0 },
+            },
+            LinkFaultWindow {
+                src: None,
+                dst: None,
+                from: SimTime::from_secs(450),
+                until: SimTime::from_secs(500),
+                kind: LinkFaultKind::LatencySpike { factor: 8.0 },
+            },
+        ],
+        rpc_drop_prob: 0.02,
+    }
+}
+
+/// Crashes plus link faults: fabric retries draw from the fault
+/// schedule's RNG stream per operation, so a shard count or placement
+/// that reordered fabric traffic — or aborted a different dedup op —
+/// would surface here as a diverged report.
+#[test]
+fn link_fault_report_is_placement_invariant() {
+    let cfg = cluster_config(Objective::MemoryBudget {
+        budget_bytes: 100e6,
+    })
+    .faults(chaos_plan());
+    let t = trace(500, 7, 2.0);
+    let reference = assert_placement_invariant(cfg, &t);
+    let report = &reference.report;
+    assert_eq!(report.node_crashes, 2, "both crashes land in the trace");
+    assert!(report.net_retries > 0, "the link faults cost retries");
+    assert!(report.sandboxes_deduped > 0, "the run dedups");
+    let aborts = reference.obs.counter("medes.platform.dedup_aborts");
+    assert!(aborts > 0, "no dedup op aborted");
 }
 
 /// A full outage: every node — so every registry owner candidate — is

@@ -255,9 +255,9 @@ fn p2_churn_with_cache_and_placed_registry() {
     assert_eq!(d, P2_CHURN, "{d:#018x}");
 }
 
-const P1: u64 = 0x5d48_d9ba_e921_b981;
-const P2_PRESSURED: u64 = 0x8a89_2bff_f525_de16;
-const P2_CRASH_AND_BUMP: u64 = 0x7646_7cf0_abce_1e0a;
-const FIXED_PRESSURED: u64 = 0x2d88_cc44_604e_fbfb;
-const ADAPTIVE_PRESSURED: u64 = 0xe83e_cddd_c095_d5d5;
-const P2_CHURN: u64 = 0x02f8_4247_1c9c_06e3;
+const P1: u64 = 0xba42_ef6f_7811_156c;
+const P2_PRESSURED: u64 = 0x9939_cb87_6e1a_499f;
+const P2_CRASH_AND_BUMP: u64 = 0xeaed_5b63_db5d_9dc4;
+const FIXED_PRESSURED: u64 = 0x69aa_72b3_715d_9af1;
+const ADAPTIVE_PRESSURED: u64 = 0xb8a1_e64d_cb78_247d;
+const P2_CHURN: u64 = 0x842e_dcde_2b90_7127;
