@@ -4,8 +4,7 @@
 //!
 //! * `--quick` shrinks workloads to smoke-test size;
 //! * `--obs` streams a JSONL span trace per platform run to the results
-//!   directory; `--timeseries <ms>` (ms > 0, only with `--obs`) adds the
-//!   sampled series to the trace's tail;
+//!   directory;
 //! * `--faults`, `--cache` and `--content-model` set the fault plan,
 //!   the base-page cache and the content model of every cluster run.
 //!
@@ -20,8 +19,7 @@
 //! regression (`medes_bench::trace`).
 //!
 //! Exit codes: 2 for a usage error — an unknown id, subcommand or
-//! `--flag`, a flag missing its value, an invalid combination
-//! (`--timeseries` without `--obs` among them) — before
+//! `--flag`, a flag missing its value, an invalid combination — before
 //! any experiment starts; 1 for an unreadable trace or an unwritable
 //! folded-stacks file.
 
@@ -34,7 +32,7 @@ use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--timeseries <ms>] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>]\nids: {}",
+        "usage: experiments <id>... [--quick] [--results <dir>] [--obs] [--faults rate=<f>[,seed=<u64>]] [--cache <MiB>] [--content-model]\n       experiments all [--quick]\n       experiments list\n       experiments trace report <trace.jsonl> [--against <base.jsonl>]\nids: {}",
         experiments::ALL.join(", ")
     );
     std::process::exit(2);
@@ -120,7 +118,6 @@ fn main() {
             "--quick" => cfg.quick = true,
             "--obs" => cfg.obs = true,
             "--content-model" => cfg.content_model = true,
-            "--timeseries" => cfg.timeseries_ms = Some(value(&mut it)),
             "--results" => cfg.results_dir = value(&mut it),
             "--cache" => cfg.cache_mib = value(&mut it),
             "--faults" => {
@@ -149,13 +146,6 @@ fn main() {
     }
     if runs.is_empty() {
         usage();
-    }
-    // --timeseries shapes an --obs trace; without one, or with a zero
-    // sampling period, it would be accepted and change nothing.
-    match cfg.timeseries_ms {
-        Some(_) if !cfg.obs => bad_word("needs --obs", "--timeseries"),
-        Some(0) => bad_word("sampling period must be positive", "--timeseries 0"),
-        _ => {}
     }
     // Validate the flag combination once, up front, through the
     // config builder: a bad mix fails with a clear message instead of

@@ -62,12 +62,6 @@ pub struct ExpConfig {
     /// Per-node base-page cache capacity in MiB (`--cache`) for every
     /// platform built by [`ExpConfig::platform`]; 0 means no cache.
     pub cache_mib: usize,
-    /// Deterministic time-series sampling interval in simulated ms
-    /// (`--timeseries <ms>`, with `--obs`): the platform snapshots its
-    /// gauge/counter set every interval into the trace tail's `series`.
-    /// Inert without `--obs` (the binary rejects the flag without it,
-    /// and a zero interval).
-    pub timeseries_ms: Option<u64>,
     /// Entropy-mixture content model (`--content-model`): every
     /// platform built by [`ExpConfig::platform`] uses the calibrated
     /// per-region low/medium/high-entropy mixture with dispersed
@@ -85,7 +79,6 @@ impl ExpConfig {
             obs: false,
             faults: None,
             cache_mib: 0,
-            timeseries_ms: None,
             content_model: false,
         }
     }
@@ -218,9 +211,6 @@ impl ExpConfig {
         if self.obs {
             let mut oc = medes_obs::ObsConfig::enabled();
             oc.set_export_dir(self.results_dir.clone());
-            if let Some(ms) = self.timeseries_ms {
-                oc = oc.sampled_every_ms(ms);
-            }
             b = b.obs(oc);
         }
         if let Some(spec) = &self.faults {
@@ -339,20 +329,18 @@ mod tests {
     }
 
     #[test]
-    fn stream_and_timeseries_flags_require_obs() {
+    fn obs_flag_streams_to_the_results_dir() {
         let mut cfg = ExpConfig::quick();
-        cfg.timeseries_ms = Some(500);
-        // Without --obs nothing is traced, streamed or sampled.
+        // Without --obs nothing is traced or streamed.
         let obs = cfg.platform().obs;
         assert!(!obs.enabled);
         assert!(obs.export_dir.is_none());
         // With it, the export dir is set, so every span streams to the
-        // trace file, and the sampler runs.
+        // trace file.
         cfg.obs = true;
         let obs = cfg.platform().obs;
         assert!(obs.enabled);
         assert_eq!(obs.export_dir, Some(cfg.results_dir.clone()));
-        assert_eq!(obs.sample_every_ms, 500);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The comparison section of `trace report --against <base>`: the
-//! curated higher-is-worse counters, SLO violations, per-phase span
-//! p99 and self time, and gauge endpoints of two run exports, each
-//! gated by a relative threshold plus a per-unit absolute floor, so a
-//! 2 → 3 count blip doesn't fail a build.
+//! curated higher-is-worse counters, SLO violations, and per-phase
+//! span p99 and self time of two run exports, each gated by a relative
+//! threshold plus a per-unit absolute floor, so a 2 → 3 count blip
+//! doesn't fail a build.
 
 use crate::report::{f, Report};
 use crate::summarize::Phase;
 use crate::trace::Export;
-use medes_obs::SeriesKind;
 use std::collections::BTreeMap;
 
 /// Counters where *more is strictly worse*. Compared whenever either
@@ -25,11 +24,10 @@ const WORSE_COUNTERS: [&str; 10] = [
     "medes.net.rpc_failures",
 ];
 
-// Regression gates. A higher-is-worse value regresses when it exceeds
-// `base · (1 + REL)` *plus* the unit's absolute floor; a lower-is-worse
-// one when it falls below `base · (1 − REL)` *minus* the floor. Both
-// margins must be cleared, so tiny absolute blips on tiny bases never
-// fail a build.
+// Regression gates. Every compared value is higher-is-worse and
+// regresses when it exceeds `base · (1 + REL)` *plus* the unit's
+// absolute floor. Both margins must be cleared, so tiny absolute blips
+// on tiny bases never fail a build.
 
 /// Relative slack (0.10 = 10% worse allowed).
 const REL: f64 = 0.10;
@@ -37,22 +35,16 @@ const REL: f64 = 0.10;
 const ABS_COUNT: f64 = 5.0;
 /// Absolute floor for microsecond quantities (p99s, self times).
 const ABS_US: f64 = 500.0;
-/// Absolute floor for rates in `[0, 1]` (hit rates).
-const ABS_RATE: f64 = 0.02;
 
 /// Whether a row's candidate regressed past its base.
-fn regressed(&(_, b, c, abs, lower_is_worse): &Row) -> bool {
-    if lower_is_worse {
-        c < b * (1.0 - REL) - abs
-    } else {
-        c > b * (1.0 + REL) + abs
-    }
+fn regressed(&(_, b, c, abs): &Row) -> bool {
+    c > b * (1.0 + REL) + abs
 }
 
 /// One metric that regressed past the gate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Regression {
-    /// Metric (or phase/series) name.
+    /// Metric (or phase) name.
     pub metric: String,
     /// Baseline value.
     pub base: f64,
@@ -60,14 +52,9 @@ pub struct Regression {
     pub cand: f64,
 }
 
-/// One compared metric: name, base, candidate, the unit's absolute
-/// floor, and whether *lower* is worse.
-type Row = (String, f64, f64, f64, bool);
-
-/// A higher-is-worse [`Row`].
-fn row(metric: String, base: f64, cand: f64, abs: f64) -> Row {
-    (metric, base, cand, abs, false)
-}
+/// One compared metric: name, base, candidate, and the unit's
+/// absolute floor.
+type Row = (String, f64, f64, f64);
 
 /// `(c − b) / b` in percent, `-` for a zero base.
 fn delta(b: f64, c: f64) -> String {
@@ -83,37 +70,27 @@ fn delta(b: f64, c: f64) -> String {
 pub(crate) fn against(report: &mut Report, base: &Export, cand: &Export) -> Vec<Regression> {
     report.section(&format!("against {}", base.label));
     report.line(&format!(
-        "thresholds: rel {REL}, abs_count {ABS_COUNT}, abs_us {ABS_US}, abs_rate {ABS_RATE}"
+        "thresholds: rel {REL}, abs_count {ABS_COUNT}, abs_us {ABS_US}"
     ));
     let counter = |name: &str| {
         let get = |run: &Export| run.scalars.get(name).copied().unwrap_or(0.0);
-        row(name.to_string(), get(base), get(cand), ABS_COUNT)
+        (name.to_string(), get(base), get(cand), ABS_COUNT)
     };
     let mut counters = WORSE_COUNTERS.map(counter).to_vec();
     counters.retain(|r| r.1 != 0.0 || r.2 != 0.0);
     let violations = |run: &Export| run.slo.violations.len() as f64;
     let (b, c) = (violations(base), violations(cand));
-    let slo = vec![row("slo.violations_total".into(), b, c, ABS_COUNT)];
+    let slo = vec![("slo.violations_total".into(), b, c, ABS_COUNT)];
     let p99 = |p: &Phase| Some(p.quantiles_us[2]); // [p50, p95, p99, max]
-    let p99s = both(&per_phase(base, p99), &per_phase(cand, p99), |n| {
-        (format!("p99:{n}"), ABS_US, false)
-    });
+    let p99s = phase_rows(base, cand, "p99", p99);
     let self_us = |p: &Phase| p.self_us.map(|us| us as f64);
-    let phases = both(&per_phase(base, self_us), &per_phase(cand, self_us), |n| {
-        (format!("self:{n}"), ABS_US, false)
-    });
-    let ends = both(&gauge_ends(base), &gauge_ends(cand), |n| {
-        let rate = n.contains("hit_rate");
-        let abs = if rate { ABS_RATE } else { ABS_COUNT };
-        (format!("end:{n}"), abs, rate)
-    });
+    let phases = phase_rows(base, cand, "self", self_us);
     let mut out = Vec::new();
     for (title, rows) in [
         ("run counters", counters),
         ("per-phase latency (p99, us)", p99s),
         ("slo", slo),
         ("per-phase self time (us)", phases),
-        ("time-series endpoints", ends),
     ] {
         gated(report, title, rows, &mut out);
     }
@@ -156,18 +133,17 @@ fn gated(report: &mut Report, title: &str, rows: Vec<Row>, out: &mut Vec<Regress
     report.table(&["metric", "base", "cand", "delta_%", "verdict"], table);
 }
 
-/// One row per name present on both sides, in `base`'s order; `meta`
-/// gives a name its row label, absolute floor and direction.
-fn both(
-    base: &BTreeMap<String, f64>,
-    cand: &BTreeMap<String, f64>,
-    meta: impl Fn(&str) -> (String, f64, bool),
+/// One microsecond row per phase `pick` gives a number on both sides,
+/// in `base`'s order, labelled `<what>:<phase>`.
+fn phase_rows(
+    base: &Export,
+    cand: &Export,
+    what: &str,
+    pick: impl Fn(&Phase) -> Option<f64>,
 ) -> Vec<Row> {
-    let row = |(name, &b): (&String, &f64)| {
-        let (label, abs, lower_is_worse) = meta(name);
-        Some((label, b, *cand.get(name)?, abs, lower_is_worse))
-    };
-    base.iter().filter_map(row).collect()
+    let cand = per_phase(cand, &pick);
+    let row = |(name, b)| Some((format!("{what}:{name}"), b, *cand.get(&name)?, ABS_US));
+    per_phase(base, &pick).into_iter().filter_map(row).collect()
 }
 
 /// One number per phase, where `pick` gives one.
@@ -179,30 +155,20 @@ fn per_phase(run: &Export, pick: impl Fn(&Phase) -> Option<f64>) -> BTreeMap<Str
     picked.collect()
 }
 
-/// The last sample of every gauge series. Counters already surface
-/// through the metrics tail; only gauge endpoints add signal here.
-fn gauge_ends(run: &Export) -> BTreeMap<String, f64> {
-    let gauges = run.series.iter().filter(|s| s.kind == SeriesKind::Gauge);
-    gauges
-        .filter_map(|s| Some((s.name.clone(), s.last()?)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::load;
     use medes_obs::{Obs, ObsConfig};
     use medes_sim::SimTime;
-    use std::sync::Arc;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    /// A tiny run: 20 traced requests of `op_us` each, whose startup
-    /// `latency_us` is held to a 100 µs bound, and a counter.
-    fn toy_obs(cold_starts: u64, op_us: u64, latency_us: u64) -> Arc<Obs> {
+    /// A tiny run's export: 20 traced requests of `op_us` each, whose
+    /// startup `latency_us` is held to a 100 µs bound, and a counter.
+    fn toy_export(cold_starts: u64, op_us: u64, latency_us: u64) -> String {
         let obs = Obs::new(ObsConfig::enabled());
         for id in 0..20 {
             let root = obs.trace_root("request", 1, id);
@@ -214,12 +180,7 @@ mod tests {
                 .end(t((id + 1) * op_us));
         }
         obs.counter_add("medes.platform.starts.cold", cold_starts);
-        obs
-    }
-
-    /// [`toy_obs`]'s export.
-    fn toy_export(cold_starts: u64, op_us: u64, latency_us: u64) -> String {
-        toy_obs(cold_starts, op_us, latency_us).export_jsonl()
+        obs.export_jsonl()
     }
 
     /// The comparison section alone, its text and regressions.
@@ -280,59 +241,6 @@ mod tests {
         let (_, regressions) = compare(&base, &cand);
         assert_eq!(regressions.len(), 1);
         assert_eq!(regressions[0].metric, "medes.platform.starts.cold");
-    }
-
-    /// Gauge endpoints of `(name, value)` series over one toy trace.
-    fn with_gauges(gauges: &[(&str, f64)]) -> Export {
-        let obs = toy_obs(1, 500, 50);
-        for i in 0..5u64 {
-            for &(name, v) in gauges {
-                obs.series_point(name, t(i), v);
-            }
-        }
-        load("x", &obs.export_jsonl())
-    }
-
-    #[test]
-    fn series_endpoints_compare_and_hit_rate_inverts() {
-        let base = with_gauges(&[
-            ("medes.cache.hit_rate", 0.9),
-            ("medes.platform.live_sandboxes", 10.0),
-        ]);
-        let cand = with_gauges(&[
-            ("medes.cache.hit_rate", 0.5),
-            ("medes.platform.live_sandboxes", 100.0),
-        ]);
-        let (_, regressions) = compare(&base, &cand);
-        let names = metrics(&regressions);
-        assert!(names.contains(&"end:medes.cache.hit_rate"), "{names:?}");
-        assert!(
-            names.contains(&"end:medes.platform.live_sandboxes"),
-            "{names:?}"
-        );
-        // Swapped direction: a *rising* hit rate is an improvement.
-        let (_, regressions) = compare(&cand, &base);
-        assert!(
-            !metrics(&regressions).contains(&"end:medes.cache.hit_rate"),
-            "{regressions:?}"
-        );
-    }
-
-    /// An unchanged hit rate is no regression at any level: the
-    /// lower-is-worse gate is `cand < base·(1−rel) − abs`, not the
-    /// higher-is-worse gate on negated values (which flagged every
-    /// unchanged rate above 0.2).
-    #[test]
-    fn unchanged_hit_rate_is_not_a_regression() {
-        let hit_rate = |rate: f64| with_gauges(&[("medes.cache.hit_rate", rate)]);
-        let flagged = |base: &Export, cand: &Export| {
-            let (_, regressions) = compare(base, cand);
-            metrics(&regressions).contains(&"end:medes.cache.hit_rate")
-        };
-        let (high, low) = (hit_rate(0.9), hit_rate(0.5));
-        assert!(!flagged(&high, &high), "0.9 -> 0.9 flagged");
-        assert!(flagged(&high, &low), "0.9 -> 0.5 not flagged");
-        assert!(!flagged(&low, &high), "0.5 -> 0.9 flagged");
     }
 
     #[test]

@@ -35,10 +35,10 @@
 //! `delta.encode_ns_per_page`, `dedup.scan_us`, `obs.noop_ns`, …).
 //!
 //! `trace report <trace.jsonl> [--against <base.jsonl>]` reads the
-//! JSONL export of any run made with `--obs` and renders one report: per-phase latency and self time, causal-tree
-//! critical paths, the slowest requests, counters, series and leak
-//! suspects, tail attribution and, against a base export, regressions
-//! (see [`trace`]).
+//! JSONL export of any run made with `--obs` and renders one report:
+//! per-phase latency and self time, causal-tree critical paths, the
+//! slowest requests, counters, tail attribution and, against a base
+//! export, regressions (see [`trace`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,6 @@ pub mod experiments;
 pub mod report;
 mod slo;
 mod summarize;
-mod timeline;
 pub mod trace;
 
 pub use common::ExpConfig;

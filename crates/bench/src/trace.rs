@@ -1,12 +1,12 @@
 //! `trace report`: one report over one parsed run export.
 //!
 //! A run traced with `--obs` leaves a JSONL file: span lines, then one
-//! tail line with the final counters and gauges and, under
-//! `--timeseries <ms>`, the sampled series. A duration is recorded once, as a span: every latency
-//! number below is folded from the spans. [`load`] parses the file
-//! once into an [`Export`]; [`report`] renders every section from it:
+//! tail line with the final counters and gauges. A duration is recorded
+//! once, as a span: every latency number below is folded from the
+//! spans. [`load`] parses the file once into an [`Export`]; [`report`]
+//! renders every section from it:
 //!
-//! * a header line (spans, causal trees, series, SLO violations);
+//! * a header line (spans, causal trees, SLO violations);
 //! * the per-phase table: p50/p95/p99 per span name
 //!   ([`Percentiles`] over the spans' durations) and self time — the
 //!   phase's duration minus its children's (`analyze`'s forest);
@@ -15,14 +15,12 @@
 //!   kind's p99;
 //! * the 10 slowest requests and the run's counters;
 //! * the SLO fold: per function, requests, bound and violations;
-//! * series: min/p50/p95/max per sampled metric, and monotonic-leak
-//!   suspects;
 //! * attribution: SLO violations by serving node, per-(phase, node)
 //!   p99s far above their phase's, and the critical path of the worst
 //!   violation;
 //! * with a base export (`--against`), the comparison: curated counters,
-//!   SLO violations, per-phase p99 and self time, and gauge endpoints,
-//!   each gated by a relative threshold plus a per-unit absolute floor.
+//!   SLO violations, and per-phase p99 and self time, each gated by a
+//!   relative threshold plus a per-unit absolute floor.
 //!
 //! [`Findings::gate`] is the exit code: regressions when compared,
 //! attributions otherwise.
@@ -33,9 +31,8 @@ pub use crate::diff::Regression;
 use crate::report::Report;
 pub use crate::slo::{FnSlo, NodeSlo, SloFold, Violation, TAIL};
 use crate::summarize::Phase;
-use crate::{analyze, attribute, diff, slo, summarize, timeline};
-use medes_obs::{parse_jsonl, parse_series, parse_tail, Json, ParsedSpan};
-use medes_obs::{JsonMap, ParsedSeries};
+use crate::{analyze, attribute, diff, slo, summarize};
+use medes_obs::{parse_jsonl, parse_tail, Json, JsonMap, ParsedSpan};
 use medes_sim::stats::Percentiles;
 use std::collections::BTreeMap;
 
@@ -44,7 +41,7 @@ use std::collections::BTreeMap;
 pub(crate) const TOP: usize = 10;
 
 /// One run export, parsed once: spans as a causal forest, the per-phase
-/// and SLO folds over them, the tail's counters and the sampled series.
+/// and SLO folds over them, and the tail's counters.
 #[derive(Debug)]
 pub struct Export {
     /// Display label (usually the file's path).
@@ -57,8 +54,6 @@ pub struct Export {
     pub slo: SloFold,
     /// Counters and gauges from the tail's `metrics`.
     pub(crate) scalars: BTreeMap<String, f64>,
-    /// The tail's sampled series; empty when the sampler did not run.
-    pub(crate) series: Vec<ParsedSeries>,
 }
 
 /// Parses one run export: `trace` is the JSONL file's contents.
@@ -73,7 +68,6 @@ pub fn load(label: &str, trace: &str) -> Export {
         slo: SloFold::build(&forest),
         forest,
         scalars: numbers(tail.get("metrics")),
-        series: parse_series(tail.get("series")),
     }
 }
 
@@ -99,8 +93,8 @@ pub struct Findings {
 
 impl Findings {
     /// Whether the report fails its gate: any regression when compared
-    /// against a base, any attribution otherwise. Leak suspects and
-    /// anomalies never gate.
+    /// against a base, any attribution otherwise. Anomalies never
+    /// gate.
     pub fn gate(&self) -> bool {
         match &self.regressions {
             Some(r) => !r.is_empty(),
@@ -112,21 +106,17 @@ impl Findings {
 /// Renders the report of `run`, compared against `against` when given.
 pub fn report(run: &Export, against: Option<&Export>) -> (Report, Findings) {
     let mut report = Report::new("trace-report", &run.label);
-    let points: usize = run.series.iter().map(|s| s.points.len()).sum();
     report.line(&format!(
-        "{} spans, {} untraced, {} causal trees; {} series, {points} points; \
-         {} slo violation(s)",
+        "{} spans, {} untraced, {} causal trees; {} slo violation(s)",
         run.forest.spans.len(),
         run.forest.untraced,
         run.forest.trees.len(),
-        run.series.len(),
         run.slo.violations.len(),
     ));
     summarize::phase_table(&mut report, &run.phases);
     analyze::operations(&mut report, &run.forest);
     summarize::slowest_and_counters(&mut report, run);
     slo::section(&mut report, &run.slo);
-    timeline::series(&mut report, &run.series);
     let attributions = attribute::attribution(&mut report, run);
     let regressions = against.map(|base| diff::against(&mut report, base, run));
     let findings = Findings {

@@ -52,12 +52,12 @@ fn unknown_flag_or_id_is_rejected_before_any_experiment_runs() {
     assert_usage_error(&["trace", "report", "--bogus"]);
 }
 
-/// `--timeseries` shapes an `--obs` trace: without `--obs`, or with a
-/// zero sampling period, it would change nothing, so it is rejected.
+/// The sim-time sampler is gone, and its flag with it: `--timeseries`
+/// is an unknown flag with or without `--obs`.
 #[test]
 fn telemetry_flags_that_change_nothing_are_usage_errors() {
     assert_usage_error(&["table2", "--quick", "--timeseries", "500"]);
-    assert_usage_error(&["table2", "--quick", "--obs", "--timeseries", "0"]);
+    assert_usage_error(&["table2", "--quick", "--obs", "--timeseries", "500"]);
 }
 
 /// A `--faults` rate that is not a finite number in [0, 20] is a usage

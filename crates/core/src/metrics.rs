@@ -273,7 +273,7 @@ pub(crate) struct MetricsCollector {
 impl MetricsCollector {
     /// Creates a collector that mirrors everything it records into the
     /// given observability sink.
-    pub fn with_obs(functions: Vec<String>, mem_sample_every: SimDuration, obs: Arc<Obs>) -> Self {
+    pub fn with_obs(functions: Vec<String>, mem_point_every: SimDuration, obs: Arc<Obs>) -> Self {
         let n = functions.len();
         MetricsCollector {
             report: RunReport {
@@ -284,8 +284,8 @@ impl MetricsCollector {
             slots: Vec::new(),
             obs,
             now: SimTime::ZERO,
-            mem: medes_sim::stats::TimeWeighted::new(mem_sample_every),
-            live: medes_sim::stats::TimeWeighted::new(mem_sample_every),
+            mem: medes_sim::stats::TimeWeighted::new(mem_point_every),
+            live: medes_sim::stats::TimeWeighted::new(mem_point_every),
         }
     }
 

@@ -116,9 +116,6 @@ impl Platform {
         if self.cfg.is_medes() {
             sim.schedule(SimTime::ZERO, Ev::PolicyTick);
         }
-        if self.cfg.obs.enabled && self.cfg.obs.sample_every_ms > 0 {
-            sim.schedule(SimTime::ZERO, Ev::SampleTick);
-        }
         for c in &self.cfg.faults.crashes {
             sim.schedule(c.at, Ev::NodeCrash(c.node));
             if let Some(r) = c.restart {
@@ -213,12 +210,6 @@ enum Ev {
     /// sandbox, its epoch when the op began, what the op produced.
     DedupDone(SandboxId, u64, Box<DedupOutcome>),
     PolicyTick,
-    /// Deterministic time-series sampler: snapshot the declared
-    /// gauge/counter set every [`medes_obs::ObsConfig::sample_every_ms`]
-    /// *simulated* milliseconds. Strictly read-only against simulation
-    /// state, so the `RunReport` is byte-identical whether sampling is
-    /// on or off.
-    SampleTick,
     /// Retry the head of a function's wait queue.
     RetryQueue(usize),
     NodeCrash(usize),
@@ -418,15 +409,6 @@ impl World for Cluster {
                 solve_targets(&mut self.fns, medes, |f| self.life.total(f));
                 if now + POLICY_TICK <= self.horizon {
                     sched.after(POLICY_TICK, Ev::PolicyTick);
-                }
-            }
-
-            Ev::SampleTick => {
-                self.sample_tick(now);
-                if let Some(interval) = self.obs.sample_interval() {
-                    if now + interval <= self.horizon {
-                        sched.after(interval, Ev::SampleTick);
-                    }
                 }
             }
 

@@ -1,29 +1,10 @@
-//! What a run says about itself: the sampler and the final report.
+//! What a run says about itself: the final report.
 
 use super::Cluster;
 use crate::metrics::RunReport;
 use medes_sim::SimTime;
 
 impl Cluster {
-    /// One deterministic time-series sample at simulated time `now`:
-    /// per-node memory plus a snapshot of every registered
-    /// counter/gauge. Strictly read-only against simulation state — it
-    /// must never perturb the `RunReport`
-    /// (`tests/obs_streaming.rs` pins this).
-    pub(super) fn sample_tick(&self, now: SimTime) {
-        for (i, used) in self.mem.used_per_node().enumerate() {
-            let series = format!("medes.node.{i}.mem_bytes");
-            self.obs.series_point(&series, now, used as f64);
-        }
-        // Live sandboxes and registry occupancy are already registry
-        // gauges, and SLO violations and cache hits and misses
-        // registry counters (kept current by the metrics, registry, SLO
-        // and cache layers), so the registry snapshot below covers them
-        // — pointing them explicitly too would write two samples at the
-        // same timestamp.
-        self.obs.series_sample(now);
-    }
-
     pub(super) fn finish(mut self, end: SimTime) -> RunReport {
         self.check(end);
         let (registry, factory) = (self.bases.registry(), self.bases.images());

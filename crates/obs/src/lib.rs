@@ -16,17 +16,15 @@
 pub mod ids;
 pub mod json;
 pub mod metrics;
-pub mod series;
 mod sink;
 pub mod span;
 
 pub use ids::TraceCtx;
 pub use json::{Json, JsonMap, ParseError};
 pub use metrics::{Metric, MetricsRegistry, TYPE_MISMATCH_METRIC};
-pub use series::{parse_series, MetricSeries, ParsedSeries, SeriesKind, SeriesStore};
 pub use span::{AttrValue, ParsedSpan, Span, SpanRecord, Tracer};
 
-use medes_sim::{SimDuration, SimTime};
+use medes_sim::SimTime;
 use sink::SpanSink;
 use std::io;
 use std::path::PathBuf;
@@ -52,12 +50,6 @@ pub struct ObsConfig {
     /// [`Obs::write_trace`] completes it with the metrics tail. Long
     /// traces thus run in O(ring) memory while the file stays complete.
     pub export_dir: Option<PathBuf>,
-    /// Deterministic time-series sampling interval in simulated
-    /// milliseconds; `0` (the default) disables the sampler. When set,
-    /// the platform snapshots its declared gauge/counter set every
-    /// interval of *simulated* time — never wall clock — into
-    /// per-metric series that the trace's tail carries as `series`.
-    pub sample_every_ms: u64,
 }
 
 impl Default for ObsConfig {
@@ -66,7 +58,6 @@ impl Default for ObsConfig {
             enabled: false,
             span_buffer_cap: 1 << 16,
             export_dir: None,
-            sample_every_ms: 0,
         }
     }
 }
@@ -87,14 +78,6 @@ impl ObsConfig {
     pub fn set_export_dir(&mut self, dir: impl Into<PathBuf>) {
         self.export_dir = Some(dir.into());
     }
-
-    /// Samples the metric time series every `ms` simulated
-    /// milliseconds (builder style; see
-    /// [`ObsConfig::sample_every_ms`]).
-    pub fn sampled_every_ms(mut self, ms: u64) -> Self {
-        self.sample_every_ms = ms;
-        self
-    }
 }
 
 /// Distinguishes trace files exported by successive runs within one
@@ -108,7 +91,6 @@ static EXPORT_SEQ: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug)]
 pub struct Obs {
     enabled: bool,
-    cfg: ObsConfig,
     state: Mutex<State>,
 }
 
@@ -118,9 +100,6 @@ pub struct Obs {
 struct State {
     tracer: Tracer,
     metrics: MetricsRegistry,
-    /// Deterministic metric time series (fed by the platform's
-    /// sim-time sample tick).
-    series: SeriesStore,
     /// The trace file: `Ok(None)` without an export dir or once
     /// finished; `Err` once opening or writing it failed, which every
     /// later [`Obs::write_trace`] returns.
@@ -133,15 +112,11 @@ struct State {
 
 impl State {
     /// The trace export's tail line: one JSON object carrying the
-    /// final counters and gauges — plus, when the sampler ran, the
-    /// sampled series — so a trace file is a self-contained run export
-    /// (`trace report` reads nothing else).
+    /// final counters and gauges, so a trace file is a self-contained
+    /// run export (`trace report` reads nothing else).
     fn tail(&self) -> String {
         let mut tail = JsonMap::new();
         tail.insert("metrics", self.metrics.to_json());
-        if !self.series.is_empty() {
-            tail.insert("series", self.series.to_json());
-        }
         let mut out = Json::Object(tail).to_string();
         out.push('\n');
         out
@@ -166,11 +141,9 @@ impl Obs {
             state: Mutex::new(State {
                 tracer: Tracer::new(cap),
                 metrics: MetricsRegistry::new(),
-                series: SeriesStore::new(),
                 sink,
                 streamed: 0,
             }),
-            cfg,
         })
     }
 
@@ -183,11 +156,6 @@ impl Obs {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The config this handle was built from.
-    pub fn config(&self) -> &ObsConfig {
-        &self.cfg
     }
 
     fn state(&self) -> MutexGuard<'_, State> {
@@ -283,34 +251,6 @@ impl Obs {
         self.state().streamed
     }
 
-    /// The deterministic time-series sampling interval, if configured
-    /// (`None` when disabled or `sample_every_ms == 0`).
-    pub fn sample_interval(&self) -> Option<SimDuration> {
-        (self.enabled && self.cfg.sample_every_ms > 0)
-            .then(|| SimDuration::from_millis(self.cfg.sample_every_ms))
-    }
-
-    /// Appends one gauge point to the named time series at simulated
-    /// time `t`. For dynamic names (per-node) the sampler
-    /// cannot route through the `'static`-keyed registry.
-    pub fn series_point(&self, name: &str, t: SimTime, value: f64) {
-        if self.enabled {
-            self.state()
-                .series
-                .point(name, SeriesKind::Gauge, t.as_micros(), value);
-        }
-    }
-
-    /// Snapshots every registered counter and gauge as one time-series
-    /// point each at simulated time `t`.
-    pub fn series_sample(&self, t: SimTime) {
-        if self.enabled {
-            let mut guard = self.state();
-            let s = &mut *guard;
-            s.series.sample_registry(&s.metrics, t.as_micros());
-        }
-    }
-
     /// Copies out all buffered spans, oldest-first (buffer unchanged).
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.state().tracer.iter().cloned().collect()
@@ -343,10 +283,9 @@ impl Obs {
     }
 
     /// Completes the trace file opened by [`Obs::new`] with the
-    /// metrics tail (sampled series included). Returns the trace path,
-    /// or `None` when disabled, without an export dir, or once the
-    /// file is complete. If the file could not be opened or written,
-    /// every call returns that error.
+    /// metrics tail. Returns the trace path, or `None` when disabled,
+    /// without an export dir, or once the file is complete. If the file
+    /// could not be opened or written, every call returns that error.
     pub fn write_trace(&self) -> io::Result<Option<PathBuf>> {
         let mut guard = self.state();
         let s = &mut *guard;
@@ -630,43 +569,6 @@ mod tests {
         let mut b = ObsConfig::enabled();
         b.export_dir = Some("/tmp/medes-x".into());
         assert_eq!(a, b);
-    }
-
-    /// Sampled series ride in the trace's tail, and the trace is the
-    /// only file written.
-    #[test]
-    fn timeseries_flow_through_obs_and_export() {
-        let dir = std::env::temp_dir().join(format!("medes-obs-ts-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ObsConfig::enabled().sampled_every_ms(100);
-        cfg.set_export_dir(&dir);
-        let obs = Obs::new(cfg);
-        assert_eq!(obs.sample_interval(), Some(SimDuration::from_millis(100)));
-        obs.counter_add("medes.x.ops", 2);
-        obs.series_sample(t(0));
-        obs.series_point("medes.node.0.mem_bytes", t(0), 10.0);
-        obs.counter_add("medes.x.ops", 3);
-        obs.series_sample(t(100_000));
-        obs.series_point("medes.node.0.mem_bytes", t(100_000), 30.0);
-        let path = obs.write_trace().unwrap().expect("path");
-        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().flatten().collect();
-        assert_eq!(files.len(), 1, "the trace is the one file");
-        let tail = parse_tail(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let series = parse_series(tail.get("series"));
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0].name, "medes.node.0.mem_bytes");
-        assert_eq!(series[0].points, vec![(0, 10.0), (100_000, 30.0)]);
-        assert_eq!(series[1].name, "medes.x.ops");
-        assert_eq!(series[1].kind, SeriesKind::Counter);
-        assert_eq!(series[1].points, vec![(0, 2.0), (100_000, 5.0)]);
-        // The sampler is inert on a disabled handle, and a tail with no
-        // samples carries no series key.
-        let off = Obs::disabled();
-        off.series_sample(t(0));
-        off.series_point("x", t(0), 1.0);
-        assert_eq!(off.sample_interval(), None);
-        assert!(!off.export_jsonl().contains("series"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -157,22 +157,22 @@ pub struct TimeWeighted {
     integral: f64,
     started: bool,
     samples: Vec<(SimTime, f64)>,
-    sample_every: SimDuration,
+    point_every: SimDuration,
     next_sample: SimTime,
     values: Percentiles,
 }
 
 impl TimeWeighted {
     /// Creates a series that additionally snapshots the value every
-    /// `sample_every` (for time-series plots).
-    pub fn new(sample_every: SimDuration) -> Self {
+    /// `point_every` (for time-series plots).
+    pub fn new(point_every: SimDuration) -> Self {
         TimeWeighted {
             last_time: SimTime::ZERO,
             last_value: 0.0,
             integral: 0.0,
             started: false,
             samples: Vec::new(),
-            sample_every,
+            point_every,
             next_sample: SimTime::ZERO,
             values: Percentiles::new(),
         }
@@ -186,7 +186,7 @@ impl TimeWeighted {
             while self.next_sample <= now {
                 self.samples.push((self.next_sample, self.last_value));
                 self.values.record(self.last_value);
-                self.next_sample += self.sample_every;
+                self.next_sample += self.point_every;
             }
         } else {
             self.started = true;

@@ -19,7 +19,7 @@
 //! | [`mem`] | sandbox memory images + the synthetic content model |
 //! | [`ckpt`] | CRIU-like checkpoint/restore with the paper's timings |
 //! | [`net`] | RDMA/RPC fabric cost model |
-//! | [`obs`] | tracing/metrics layer: spans, streamed JSONL export, time series |
+//! | [`obs`] | tracing/metrics layer: spans, streamed JSONL export, final counters |
 //! | [`trace`] | FunctionBench profiles + Azure-like workload generator |
 //! | [`policy`] | fixed/adaptive keep-alive + the §5 Medes optimizer |
 //! | [`platform`] | the full platform: controller, registry, dedup & restore ops |

@@ -1,12 +1,12 @@
-//! Cross-crate tests for the streamed trace file and the sim-time
-//! series sampler (DESIGN.md §12): turning both fully on must leave
-//! the `RunReport` byte-identical, span memory must stay bounded by a
+//! Cross-crate tests for the streamed trace file (DESIGN.md §12):
+//! turning it fully on must leave the `RunReport` byte-identical, span
+//! memory must stay bounded by a
 //! ring far smaller than the trace while the trace on disk is complete
 //! with exact drop accounting, the file must match the in-memory
 //! export byte-for-byte when the ring never overflows, and a file that
 //! cannot be written must cost the run nothing.
 
-use medes::obs::{parse_jsonl, parse_series, parse_tail, ObsConfig};
+use medes::obs::{parse_jsonl, parse_tail, ObsConfig};
 use medes::platform::config::PlatformConfig;
 use medes::platform::Platform;
 use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
@@ -45,11 +45,10 @@ fn find_trace(dir: &Path) -> PathBuf {
     files[0].clone()
 }
 
-fn streamed_config(dir: &Path, sample_ms: u64) -> PlatformConfig {
+fn streamed_config(dir: &Path) -> PlatformConfig {
     let mut cfg = PlatformConfig::small_test();
-    let mut oc = ObsConfig::enabled().sampled_every_ms(sample_ms);
-    oc.set_export_dir(dir.to_path_buf());
-    cfg.obs = oc;
+    cfg.obs = ObsConfig::enabled();
+    cfg.obs.set_export_dir(dir.to_path_buf());
     cfg
 }
 
@@ -57,24 +56,23 @@ fn streamed_config(dir: &Path, sample_ms: u64) -> PlatformConfig {
 /// many spans, so the bound and the drop accounting are exercised.
 const RING_CAP: usize = 128;
 
-/// Streaming spans to disk and sampling time series every 500 sim-ms
-/// must not move a single byte of the `RunReport`; the ring bounds span
-/// memory while the disk trace holds every streamed span, and the
-/// series must be strictly time-ordered.
+/// Streaming spans to disk must not move a single byte of the
+/// `RunReport`; the ring bounds span memory while the disk trace holds
+/// every streamed span, and the tail carries the final counters alone.
 #[test]
-fn streaming_and_sampling_do_not_perturb_the_run() {
+fn streaming_does_not_perturb_the_run() {
     let (suite, trace) = workload();
     let mut plain_cfg = PlatformConfig::small_test();
     plain_cfg.obs = ObsConfig::default();
     let plain = Platform::new(plain_cfg, suite.clone()).run(&trace).report;
 
     let dir = scratch_dir("stream");
-    let mut streamed_cfg = streamed_config(&dir, 500);
+    let mut streamed_cfg = streamed_config(&dir);
     streamed_cfg.obs.span_buffer_cap = RING_CAP;
     let outcome = Platform::new(streamed_cfg, suite).run(&trace);
     assert_eq!(
         plain, outcome.report,
-        "streaming + sampling must not perturb the simulation"
+        "streaming must not perturb the simulation"
     );
 
     let obs = &outcome.obs;
@@ -101,19 +99,8 @@ fn streaming_and_sampling_do_not_perturb_the_run() {
     );
 
     let tail = parse_tail(&text).expect("trace ends in a tail");
-    let series = parse_series(tail.get("series"));
-    assert!(
-        series.len() >= 6,
-        "sampler exported only {} series",
-        series.len()
-    );
-    for s in &series {
-        assert!(
-            s.points.windows(2).all(|w| w[0].0 < w[1].0),
-            "{}: sample timestamps must be strictly increasing",
-            s.name
-        );
-    }
+    let keys: Vec<&str> = tail.as_object().unwrap().iter().map(|(k, _)| k).collect();
+    assert_eq!(keys, ["metrics"], "the tail is the final counters alone");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -125,7 +112,7 @@ fn streaming_and_sampling_do_not_perturb_the_run() {
 fn streamed_file_matches_buffered_export() {
     let (suite, trace) = workload();
     let dir = scratch_dir("bytes");
-    let run = Platform::new(streamed_config(&dir, 0), suite).run(&trace);
+    let run = Platform::new(streamed_config(&dir), suite).run(&trace);
     assert_eq!(run.obs.spans_dropped(), 0, "ring must not overflow");
     let file = std::fs::read_to_string(find_trace(&dir)).expect("streamed file");
     assert_eq!(
