@@ -18,14 +18,6 @@ use medes_trace::{FunctionProfile, Trace};
 use std::process::Command;
 use std::time::Instant;
 
-/// Tracing on, with a span cap large enough that the tree checks are
-/// not confounded by ring eviction.
-fn traced() -> ObsConfig {
-    let mut obs = ObsConfig::enabled();
-    obs.span_buffer_cap = 1 << 21;
-    obs
-}
-
 /// The quick-scale harness cluster under Medes P1, its suite and trace.
 fn quick_inputs() -> (PlatformConfig, Vec<FunctionProfile>, Trace) {
     let cfg = ExpConfig::quick();
@@ -74,7 +66,7 @@ fn report_exit(trace: (&str, &str), base: Option<(&str, &str)>) -> Option<i32> {
 
 #[test]
 fn traced_run_reconstructs_exact_request_trees() {
-    let outcome = quick_run(traced(), |_| {});
+    let outcome = quick_run(ObsConfig::enabled(), |_| {});
     assert_eq!(outcome.obs.spans_dropped(), 0);
     let jsonl = outcome.obs.export_jsonl();
     let run = trace::load("e2e.jsonl", &jsonl);
@@ -156,7 +148,7 @@ fn traced_run_reconstructs_exact_request_trees() {
     // `--against` is quiet on a run against itself and loud on an
     // injected regression: the same workload under a 1 s fixed
     // keep-alive, which cold-starts almost everything.
-    let worse = quick_run(traced(), |p| {
+    let worse = quick_run(ObsConfig::enabled(), |p| {
         p.policy = PolicyKind::FixedKeepAlive(SimDuration::from_secs(1));
     });
     let worse = worse.obs.export_jsonl();
@@ -228,10 +220,12 @@ fn injected_slow_node_is_the_top_attribution() {
     );
 }
 
-/// Generous wall-time ceiling for the enabled tracer, as a fraction of
-/// the disabled run (3.0 = +300 %): it guards against an accidental
-/// O(n^2), it does not benchmark the tracer — `obs.overhead_frac` in
-/// `BENCHMARK.json` is the number.
+/// Wall-time ceiling for the enabled tracer, which formats every span
+/// in memory, as a fraction of the disabled run (1.35 = +135 %, 1.5×
+/// the worst of twelve optimised runs on a 2-vCPU VM: +9 % to +90 %):
+/// it guards against an accidental O(n^2) or a tracer that builds what
+/// it could write; it does not benchmark the tracer —
+/// `obs.overhead_frac` in `BENCHMARK.json` is the number.
 #[test]
 #[ignore = "host-time gate"]
 fn tracing_overhead_stays_under_the_ceiling() {
@@ -247,10 +241,11 @@ fn tracing_overhead_stays_under_the_ceiling() {
             })
             .fold(f64::INFINITY, f64::min)
     };
-    let overhead = best_of_3(traced()) / best_of_3(ObsConfig::default()) - 1.0;
+    let overhead = best_of_3(ObsConfig::enabled()) / best_of_3(ObsConfig::default()) - 1.0;
+    eprintln!("tracing overhead {:.1}%", overhead * 100.0);
     assert!(
-        overhead < 3.0,
-        "tracing overhead {:.0}% exceeds the 300% ceiling",
+        overhead < 1.35,
+        "tracing overhead {:.0}% exceeds the 135% ceiling",
         overhead * 100.0
     );
 }

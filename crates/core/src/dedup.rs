@@ -132,7 +132,7 @@ impl DedupTiming {
         obs.span_in("medes.dedup.patch", t3, op.child("medes.dedup.patch", 0))
             .end(t4);
         obs.span_in("medes.dedup.op", start, op)
-            .attr("fn", fn_name.to_string())
+            .attr("fn", fn_name)
             .attr("node", node)
             .end(t4);
         obs.incr("medes.dedup.ops");
@@ -514,7 +514,7 @@ mod tests {
     use crate::restore::restore_op_cached;
     use medes_mem::{AslrConfig, ContentModel};
     use medes_net::NetConfig;
-    use medes_obs::AttrValue;
+    use medes_obs::Json;
     use medes_sim::DetRng;
     use medes_trace::functionbench_suite;
     use std::collections::HashMap;
@@ -913,13 +913,13 @@ mod tests {
         };
         let ckpt = traced("medes.dedup.checkpoint");
         assert_eq!((ckpt.start_us, ckpt.dur_us()), (50, 120_000));
-        assert_eq!(ckpt.attr("paper_bytes"), Some(&AttrValue::Uint(4096)));
+        assert_eq!(ckpt.attr("paper_bytes").and_then(Json::as_u64), Some(4096));
         assert!(spans.iter().all(|s| s.parent_id != ckpt.span_id));
         let lookup = traced("medes.dedup.lookup");
-        assert_eq!(lookup.attr("candidates"), Some(&AttrValue::Uint(17)));
+        assert_eq!(lookup.attr("candidates").and_then(Json::as_u64), Some(17));
         assert_eq!(
-            traced("medes.dedup.op").attr("node"),
-            Some(&AttrValue::Uint(3))
+            traced("medes.dedup.op").attr("node").and_then(Json::as_u64),
+            Some(3)
         );
         assert_eq!(obs.counter("medes.dedup.checkpoint_bytes"), 12_288);
         assert_eq!(obs.counter("medes.dedup.ops"), 2);

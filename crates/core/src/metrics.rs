@@ -254,6 +254,10 @@ pub(crate) enum Tally {
     Rescheduled,
 }
 
+/// How often the memory and live-sandbox series snapshot their value:
+/// the spacing of [`RunReport::mem_series`], the points of Fig 2.
+const MEM_POINT_EVERY: SimDuration = SimDuration::from_secs(10);
+
 /// Builder that the platform drives while the simulation runs.
 #[derive(Debug)]
 pub(crate) struct MetricsCollector {
@@ -273,7 +277,7 @@ pub(crate) struct MetricsCollector {
 impl MetricsCollector {
     /// Creates a collector that mirrors everything it records into the
     /// given observability sink.
-    pub fn with_obs(functions: Vec<String>, mem_point_every: SimDuration, obs: Arc<Obs>) -> Self {
+    pub fn with_obs(functions: Vec<String>, obs: Arc<Obs>) -> Self {
         let n = functions.len();
         MetricsCollector {
             report: RunReport {
@@ -284,8 +288,8 @@ impl MetricsCollector {
             slots: Vec::new(),
             obs,
             now: SimTime::ZERO,
-            mem: medes_sim::stats::TimeWeighted::new(mem_point_every),
-            live: medes_sim::stats::TimeWeighted::new(mem_point_every),
+            mem: medes_sim::stats::TimeWeighted::new(MEM_POINT_EVERY),
+            live: medes_sim::stats::TimeWeighted::new(MEM_POINT_EVERY),
         }
     }
 
@@ -469,18 +473,15 @@ mod tests {
 
     #[test]
     fn collector_time_weighting() {
-        let mut c = MetricsCollector::with_obs(
-            vec!["A".into()],
-            SimDuration::from_secs(1),
-            Obs::disabled(),
-        );
+        let mut c = MetricsCollector::with_obs(vec!["A".into()], Obs::disabled());
         c.mem_update(100.0);
         c.live_update(1.0);
         c.set_now(SimTime::from_secs(10));
         c.mem_update(200.0);
         let r = c.finish(SimTime::from_secs(20));
         assert!((r.mem_mean_bytes - 150.0).abs() < 1e-9);
-        assert!(!r.mem_series.is_empty());
+        // One point per `MEM_POINT_EVERY`: the value held up to it.
+        assert_eq!(r.mem_series, [(0, 100.0), (10_000_000, 100.0)]);
         assert_eq!(r.duration_us, 20_000_000);
     }
 

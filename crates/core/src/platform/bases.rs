@@ -196,7 +196,7 @@ mod tests {
     use crate::ids::NodeId;
     use crate::sandbox::PageEntry;
     use medes_delta::Patch;
-    use medes_sim::{DetRng, SimDuration, SimTime};
+    use medes_sim::{DetRng, SimTime};
     use medes_trace::functionbench_suite;
 
     /// A dedup table that patches one page against each of `bases`.
@@ -237,7 +237,7 @@ mod tests {
             let mut bases = Bases::new(&cfg, &profiles, &obs);
             let mut mem = NodeMemory::new(&cfg, &obs);
             let names = vec!["a".into(), "b".into()];
-            let mut m = MetricsCollector::with_obs(names, SimDuration::from_secs(10), obs);
+            let mut m = MetricsCollector::with_obs(names, obs);
             let mut table = SandboxTable::default();
             // Tables pinned at an idle check whose `DedupDone` is still
             // to come.

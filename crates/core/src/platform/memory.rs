@@ -253,7 +253,7 @@ impl NodeMemory {
 mod tests {
     use super::*;
     use crate::ids::FnId;
-    use medes_sim::{DetRng, SimDuration};
+    use medes_sim::DetRng;
 
     /// Random admit / resize / release / cache insert / shed / trim /
     /// invalidate / crash / restart sequences, with and without a cache:
@@ -271,11 +271,7 @@ mod tests {
             let page_paper = medes_mem::PAGE_SIZE * cfg.mem_scale;
             let obs = Obs::disabled();
             let mut mem = NodeMemory::new(&cfg, &obs);
-            let mut m = MetricsCollector::with_obs(
-                vec!["f".into()],
-                SimDuration::from_secs(10),
-                Arc::clone(&obs),
-            );
+            let mut m = MetricsCollector::with_obs(vec!["f".into()], Arc::clone(&obs));
             let mut table = SandboxTable::default();
             let mut live: Vec<SandboxId> = Vec::new();
             let mut next_id = 0u64;

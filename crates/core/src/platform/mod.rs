@@ -250,8 +250,7 @@ impl Cluster {
             fabric.set_faults(FaultSchedule::compile(&cfg.faults));
         }
         let names: Vec<String> = profiles.iter().map(|p| p.name.clone()).collect();
-        let metrics =
-            MetricsCollector::with_obs(names, SimDuration::from_secs(10), Arc::clone(&obs));
+        let metrics = MetricsCollector::with_obs(names, Arc::clone(&obs));
         let (ka, medes): (Box<dyn KeepAlivePolicy>, _) = match &cfg.policy {
             PolicyKind::FixedKeepAlive(d) => (Box::new(FixedKeepAlive::new(*d)), None),
             PolicyKind::AdaptiveKeepAlive => (Box::new(AdaptiveKeepAlive::new()), None),

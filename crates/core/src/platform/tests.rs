@@ -1,6 +1,7 @@
 use super::*;
 use crate::ids::FnId;
 use crate::images::ImageFactory;
+use medes_obs::Json;
 use medes_trace::{azure_like_trace, functionbench_suite, TraceGenConfig};
 use std::collections::HashMap;
 
@@ -270,7 +271,6 @@ fn obs_trace_matches_report_aggregates() {
     let (suite, trace) = small_trace(600, 10.0);
     let mut cfg = PlatformConfig::small_test();
     cfg.obs = medes_obs::ObsConfig::enabled();
-    cfg.obs.span_buffer_cap = 1 << 20;
     if let PolicyKind::Medes(m) = &mut cfg.policy {
         m.idle_period = SimDuration::from_secs(5);
         m.objective = medes_policy::medes::Objective::MemoryBudget {
@@ -351,7 +351,6 @@ fn obs_exports_are_byte_identical_across_runs() {
         let (suite, trace) = small_trace(600, 10.0);
         let mut cfg = PlatformConfig::small_test();
         cfg.obs = medes_obs::ObsConfig::enabled();
-        cfg.obs.span_buffer_cap = 1 << 20;
         if let PolicyKind::Medes(m) = &mut cfg.policy {
             m.idle_period = SimDuration::from_secs(5);
             m.objective = medes_policy::medes::Objective::MemoryBudget {
@@ -437,7 +436,6 @@ fn causal_tree_links_restores_under_request_roots() {
     let (suite, trace) = small_trace(600, 10.0);
     let mut cfg = PlatformConfig::small_test();
     cfg.obs = medes_obs::ObsConfig::enabled();
-    cfg.obs.span_buffer_cap = 1 << 20;
     if let PolicyKind::Medes(m) = &mut cfg.policy {
         m.idle_period = SimDuration::from_secs(5);
         m.objective = medes_policy::medes::Objective::MemoryBudget {
@@ -447,7 +445,7 @@ fn causal_tree_links_restores_under_request_roots() {
     let outcome = Platform::new(cfg, suite).run(&trace);
     assert_eq!(outcome.obs.spans_dropped(), 0);
     let spans = outcome.obs.spans();
-    let by_id: HashMap<u64, &medes_obs::SpanRecord> = spans
+    let by_id: HashMap<u64, &medes_obs::ParsedSpan> = spans
         .iter()
         .filter(|s| s.span_id != 0)
         .map(|s| (s.span_id, s))
@@ -501,15 +499,14 @@ fn request_spans_carry_node_and_slo_bound() {
     let run = |tweak: &dyn Fn(&mut PlatformConfig)| {
         let mut cfg = PlatformConfig::small_test();
         cfg.obs = medes_obs::ObsConfig::enabled();
-        cfg.obs.span_buffer_cap = 1 << 20;
         tweak(&mut cfg);
         let outcome = Platform::new(cfg, suite.clone()).run(&trace);
-        assert_eq!(outcome.obs.spans_dropped(), 0, "the ring dropped spans");
+        assert_eq!(outcome.obs.spans_dropped(), 0, "spans went past the cap");
         outcome.obs.spans()
     };
-    let uint = |s: &medes_obs::SpanRecord, key: &str| match s.attr(key) {
-        Some(medes_obs::AttrValue::Uint(v)) => *v,
-        other => panic!("{} lacks uint {key}: {other:?}", s.name),
+    let uint = |s: &medes_obs::ParsedSpan, key: &str| {
+        (s.attr(key).and_then(Json::as_u64))
+            .unwrap_or_else(|| panic!("{} lacks uint {key}", s.name))
     };
     let idle_5s = |cfg: &mut PlatformConfig| {
         if let PolicyKind::Medes(m) = &mut cfg.policy {
@@ -530,14 +527,11 @@ fn request_spans_carry_node_and_slo_bound() {
     assert_eq!(requests.len(), trace.len());
     for r in &requests {
         assert!(uint(r, "node") < 4);
-        assert!(matches!(
-            r.attr("start_type"),
-            Some(medes_obs::AttrValue::Str(_))
-        ));
-        let Some(medes_obs::AttrValue::Str(name)) = r.attr("fn") else {
+        assert!(r.attr("start_type").and_then(Json::as_str).is_some());
+        let Some(name) = r.attr("fn").and_then(Json::as_str) else {
             panic!("request without fn");
         };
-        let profile = suite.iter().find(|p| &p.name == name).expect("known fn");
+        let profile = suite.iter().find(|p| p.name == name).expect("known fn");
         let s_w = profile.warm_start().as_micros() as f64;
         assert_eq!(uint(r, "bound_us"), (alpha * s_w) as u64, "{name}");
     }

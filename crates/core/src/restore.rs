@@ -103,7 +103,7 @@ impl RestoreTiming {
         obs.span_in("medes.restore.ckpt", t2, op.child("medes.restore.ckpt", 0))
             .end(t3);
         obs.span_in("medes.restore.op", start, op)
-            .attr("fn", fn_name.to_string())
+            .attr("fn", fn_name)
             .attr("node", node)
             .end(t3);
         obs.incr("medes.restore.ops");
@@ -282,7 +282,7 @@ mod tests {
     use crate::registry::RegistryClient;
     use medes_mem::{AslrConfig, ContentModel};
     use medes_net::NetConfig;
-    use medes_obs::AttrValue;
+    use medes_obs::Json;
     use medes_trace::functionbench_suite;
     use std::sync::Arc;
 
@@ -537,7 +537,7 @@ mod tests {
         assert_eq!(spans.len(), 4);
         let op = spans.iter().find(|s| s.name == "medes.restore.op").unwrap();
         let phases: Vec<_> = spans.iter().filter(|s| s.parent_id == op.span_id).collect();
-        let names: Vec<_> = phases.iter().map(|s| s.name).collect();
+        let names: Vec<_> = phases.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
             [
@@ -548,9 +548,12 @@ mod tests {
         );
         let tiled: u64 = phases.iter().map(|s| s.dur_us()).sum();
         assert_eq!(tiled, op.dur_us());
-        assert_eq!(phases[0].attr("cache_hits"), Some(&AttrValue::Uint(5)));
-        assert_eq!(phases[0].attr("cache_misses"), Some(&AttrValue::Uint(7)));
-        assert_eq!(op.attr("node"), Some(&AttrValue::Uint(2)));
+        assert_eq!(phases[0].attr("cache_hits").and_then(Json::as_u64), Some(5));
+        assert_eq!(
+            phases[0].attr("cache_misses").and_then(Json::as_u64),
+            Some(7)
+        );
+        assert_eq!(op.attr("node").and_then(Json::as_u64), Some(2));
         assert_eq!(obs.counter("medes.restore.ops"), 1);
         let metrics: Vec<_> = obs.metrics_snapshot().into_iter().map(|(n, _)| n).collect();
         assert_eq!(metrics, ["medes.restore.ops"]);

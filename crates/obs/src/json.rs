@@ -3,8 +3,9 @@
 //! The workspace deliberately avoids external dependencies (experiment
 //! results must be bit-stable across crate versions, and the build must
 //! work offline), so this module hand-rolls the small JSON surface the
-//! repo needs: experiment reports and the JSONL span traces emitted by
-//! [`crate::Tracer`].
+//! repo needs: experiment reports, and the writers and parser of the
+//! JSONL span traces ([`crate::Span::end`] writes their lines with
+//! `write_number` and `write_string`).
 //!
 //! Numbers are stored as `f64`. Simulated timestamps are microseconds
 //! well below 2^53, so every value the workspace serializes round-trips
@@ -207,36 +208,64 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Appends `n`: an integer below 2^53 without a decimal point, a
+/// non-finite value as `null`.
+pub(crate) fn write_number(out: &mut String, n: f64) {
     use fmt::Write as _;
     if !n.is_finite() {
         // JSON has no NaN/Inf; null is the conventional fallback.
         out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", n as i64);
+    } else if n.abs() < 9.007_199_254_740_992e15 && (n as i64) as f64 == n {
+        // An integer: its digits, without the formatting machinery
+        // (span lines are mostly integers).
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        let mut v = (n as i64).unsigned_abs();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        if n < 0.0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string, copying the runs between the
+/// characters it escapes whole.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     use fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    // Every escaped character is ASCII, so the byte after one starts
+    // a char.
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0c => out.push_str("\\f"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 

@@ -1,12 +1,13 @@
 //! Structured tracing and metrics for the Medes reproduction.
 //!
 //! Zero-external-dependency observability layer: simulated-time spans
-//! ([`Span`]) in a bounded ring buffer exportable as JSONL, plus a
-//! [`MetricsRegistry`] of named counters and gauges. A duration is
-//! recorded once, as a span; its percentiles are computed from the
-//! spans afterwards (`trace report`). All hot paths go through
-//! [`Obs`], which is a cheap no-op when [`ObsConfig::enabled`] is
-//! false.
+//! ([`Span`]), each written once as one JSONL line into its handle's
+//! one destination — the trace file, or an in-memory export capped at
+//! [`SPAN_BYTES_CAP`] — plus a [`MetricsRegistry`] of named counters
+//! and gauges. A duration is recorded once, as a span; its percentiles
+//! are computed from the spans afterwards (`trace report`). All hot
+//! paths go through [`Obs`], which is a cheap no-op when
+//! [`ObsConfig::enabled`] is false.
 //!
 //! Naming convention: `medes.<subsystem>.<name>` for both spans and
 //! metrics (see DESIGN.md, "Observability").
@@ -22,7 +23,7 @@ pub mod span;
 pub use ids::TraceCtx;
 pub use json::{Json, JsonMap, ParseError};
 pub use metrics::{Metric, MetricsRegistry, TYPE_MISMATCH_METRIC};
-pub use span::{AttrValue, ParsedSpan, Span, SpanRecord, Tracer};
+pub use span::{AttrValue, ParsedSpan, Span};
 
 use medes_sim::SimTime;
 use sink::SpanSink;
@@ -31,39 +32,32 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+/// Bytes of span lines a handle without an export dir holds for
+/// [`Obs::export_jsonl`]: 16 MiB, about 60 000 request spans. Lines
+/// past it are still formatted, then discarded and counted by
+/// [`Obs::spans_dropped`], so span memory stays bounded on any run.
+pub const SPAN_BYTES_CAP: usize = 16 << 20;
+
+/// Bytes of formatted lines a handle with an export dir gathers
+/// before writing them to the file.
+const FILE_BATCH_BYTES: usize = 64 << 10;
+
 /// Observability configuration, carried on `PlatformConfig`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsConfig {
     /// Master switch. When false every span/metric call is a no-op.
     pub enabled: bool,
-    /// Ring-buffer capacity for spans. The buffer keeps the most
-    /// recent `span_buffer_cap` finished spans for in-process readers
-    /// ([`Obs::spans`], [`Obs::export_jsonl`]); once full, each new
-    /// span evicts the oldest one and [`Obs::spans_dropped`] counts it
-    /// (exactly — every recorded span is either buffered or counted).
-    /// The exported trace file holds every span whatever the ring
-    /// size: spans reach it before they can be evicted.
-    pub span_buffer_cap: usize,
     /// When set, an enabled handle creates `trace-run-<n>.jsonl` here
     /// as it is built (`n` numbers the handles of one process), writes
-    /// each span to it the moment the span is recorded, and
-    /// [`Obs::write_trace`] completes it with the metrics tail. Long
-    /// traces thus run in O(ring) memory while the file stays complete.
+    /// every span line to it and nowhere else, and
+    /// [`Obs::write_trace`] completes it with the metrics tail. Span
+    /// memory is then one write batch, however long the run. Without
+    /// it, the lines stay in memory for [`Obs::export_jsonl`].
     pub export_dir: Option<PathBuf>,
 }
 
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            span_buffer_cap: 1 << 16,
-            export_dir: None,
-        }
-    }
-}
-
 impl ObsConfig {
-    /// An enabled config with default buffer size and no export.
+    /// An enabled config with no export dir.
     pub fn enabled() -> Self {
         ObsConfig {
             enabled: true,
@@ -98,19 +92,58 @@ pub struct Obs {
 /// another locking method: the lock is not reentrant.
 #[derive(Debug)]
 struct State {
-    tracer: Tracer,
     metrics: MetricsRegistry,
-    /// The trace file: `Ok(None)` without an export dir or once
-    /// finished; `Err` once opening or writing it failed, which every
-    /// later [`Obs::write_trace`] returns.
-    sink: io::Result<Option<SpanSink>>,
-    /// Exact count of spans written to the trace file. It survives
-    /// [`Obs::write_trace`], and while the file is open every recorded
-    /// span satisfies `streamed == buffered + dropped`.
-    streamed: u64,
+    /// Span lines: every kept line without an export dir, else the
+    /// lines not yet written to the file.
+    lines: String,
+    dest: Dest,
+    /// Spans whose lines are in `lines` or the file.
+    kept: u64,
+    /// Spans formatted, then discarded.
+    dropped: u64,
+}
+
+/// Where a handle's span lines go.
+#[derive(Debug)]
+enum Dest {
+    /// No export dir: `lines` holds them, up to [`SPAN_BYTES_CAP`].
+    Memory,
+    /// The trace file.
+    File(SpanSink),
+    /// Opening or writing the file failed; every later
+    /// [`Obs::write_trace`] returns this error.
+    Failed(io::Error),
+    /// [`Obs::write_trace`] completed the file.
+    Done,
 }
 
 impl State {
+    /// Keeps the span line that `lines` gained past `mark`, or
+    /// discards and counts it: past the memory cap, and once the file
+    /// failed or was completed. Past the cap, every later line goes
+    /// too, so the export is a prefix of the run.
+    fn keep(&mut self, mark: usize) {
+        let kept = match &mut self.dest {
+            Dest::Memory => self.dropped == 0 && self.lines.len() <= SPAN_BYTES_CAP,
+            Dest::File(sink) => {
+                if self.lines.len() >= FILE_BATCH_BYTES {
+                    if let Err(e) = sink.write(&self.lines) {
+                        self.dest = Dest::Failed(e);
+                    }
+                    self.lines.clear();
+                }
+                true
+            }
+            Dest::Failed(_) | Dest::Done => false,
+        };
+        if kept {
+            self.kept += 1;
+        } else {
+            self.lines.truncate(mark);
+            self.dropped += 1;
+        }
+    }
+
     /// The trace export's tail line: one JSON object carrying the
     /// final counters and gauges, so a trace file is a self-contained
     /// run export (`trace report` reads nothing else).
@@ -123,26 +156,39 @@ impl State {
     }
 }
 
+impl Drop for State {
+    /// A handle dropped before [`Obs::write_trace`] (a run that
+    /// panicked) still leaves every span it recorded in its file.
+    fn drop(&mut self) {
+        if let Dest::File(sink) = &mut self.dest {
+            let _ = sink.write(&self.lines);
+        }
+    }
+}
+
 impl Obs {
     /// Creates a handle from a config. An enabled handle with an
     /// export dir creates its trace file here; if that fails, the run
     /// goes on and [`Obs::write_trace`] returns the error.
     pub fn new(cfg: ObsConfig) -> Arc<Obs> {
-        let cap = if cfg.enabled { cfg.span_buffer_cap } else { 0 };
-        let sink = match cfg.export_dir.as_ref().filter(|_| cfg.enabled) {
+        let dest = match cfg.export_dir.as_ref().filter(|_| cfg.enabled) {
             Some(dir) => {
                 let seq = EXPORT_SEQ.fetch_add(1, Ordering::Relaxed);
-                SpanSink::create(dir.join(format!("trace-run-{seq}.jsonl"))).map(Some)
+                match SpanSink::create(dir.join(format!("trace-run-{seq}.jsonl"))) {
+                    Ok(sink) => Dest::File(sink),
+                    Err(e) => Dest::Failed(e),
+                }
             }
-            None => Ok(None),
+            None => Dest::Memory,
         };
         Arc::new(Obs {
             enabled: cfg.enabled,
             state: Mutex::new(State {
-                tracer: Tracer::new(cap),
                 metrics: MetricsRegistry::new(),
-                sink,
-                streamed: 0,
+                lines: String::new(),
+                dest,
+                kept: 0,
+                dropped: 0,
             }),
         })
     }
@@ -195,19 +241,13 @@ impl Obs {
         TraceCtx::root(kind, seed, key)
     }
 
-    pub(crate) fn record_span(&self, span: SpanRecord) {
-        let mut guard = self.state();
-        let s = &mut *guard;
-        // The span reaches the file before it can be evicted from the
-        // ring, so ring overflow never loses data. A write error closes
-        // the file for good rather than failing once per span.
-        if let Ok(Some(sink)) = &mut s.sink {
-            match sink.write_span(&span) {
-                Ok(()) => s.streamed += 1,
-                Err(e) => s.sink = Err(e),
-            }
-        }
-        s.tracer.record(span);
+    /// Formats one span line with `write` straight into the handle's
+    /// destination.
+    pub(crate) fn record_span(&self, write: impl FnOnce(&mut String)) {
+        let mut s = self.state();
+        let mark = s.lines.len();
+        write(&mut s.lines);
+        s.keep(mark);
     }
 
     /// Adds to a counter.
@@ -232,28 +272,21 @@ impl Obs {
         }
     }
 
-    /// Number of spans currently buffered.
+    /// Spans held in memory or written to the trace file.
     pub fn span_count(&self) -> usize {
-        self.state().tracer.len()
+        self.state().kept as usize
     }
 
-    /// Spans evicted due to a full buffer (exact; see
-    /// [`Tracer::dropped`]).
+    /// Spans formatted, then discarded: past [`SPAN_BYTES_CAP`], or
+    /// after the trace file failed or was completed. Every recorded
+    /// span is counted here or by [`Obs::span_count`].
     pub fn spans_dropped(&self) -> u64 {
-        self.state().tracer.dropped()
+        self.state().dropped
     }
 
-    /// Exact count of spans written to the trace file (0 without an
-    /// export dir). Every recorded span is written before it can be
-    /// evicted, so the accounting closes exactly:
-    /// `spans_streamed() == span_count() + spans_dropped()`.
-    pub fn spans_streamed(&self) -> u64 {
-        self.state().streamed
-    }
-
-    /// Copies out all buffered spans, oldest-first (buffer unchanged).
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.state().tracer.iter().cloned().collect()
+    /// The spans of [`Obs::export_jsonl`], parsed back.
+    pub fn spans(&self) -> Vec<ParsedSpan> {
+        parse_jsonl(&self.export_jsonl())
     }
 
     /// Name-sorted metrics snapshot.
@@ -267,19 +300,22 @@ impl Obs {
         self.state().metrics.counter(name)
     }
 
-    /// Renders the buffered spans as JSONL (one span object per line,
-    /// oldest first), followed by one `{"metrics": ...}` tail line.
-    /// Until the ring overflows this is, byte for byte, the file
-    /// [`Obs::write_trace`] completes.
+    /// The run's export held in memory: every span line in recording
+    /// order, then one `{"metrics": ...}` tail line — byte for byte
+    /// the file the same run writes with an export dir.
+    ///
+    /// # Panics
+    /// When the handle has an export dir (its lines went to the file)
+    /// or dropped a span past [`SPAN_BYTES_CAP`]: a partial export
+    /// would read as a complete one.
     pub fn export_jsonl(&self) -> String {
         let s = self.state();
-        let mut out = String::new();
-        for span in s.tracer.iter() {
-            out.push_str(&span.to_json().to_string());
-            out.push('\n');
+        if matches!(s.dest, Dest::Memory) && s.dropped == 0 {
+            return s.lines.clone() + &s.tail();
         }
-        out.push_str(&s.tail());
-        out
+        let dropped = s.dropped;
+        drop(s); // unlocked, so the handle outlives a caught panic
+        panic!("export_jsonl: the span lines went to a trace file or past the {SPAN_BYTES_CAP}-byte cap ({dropped} dropped)");
     }
 
     /// Completes the trace file opened by [`Obs::new`] with the
@@ -289,13 +325,18 @@ impl Obs {
     pub fn write_trace(&self) -> io::Result<Option<PathBuf>> {
         let mut guard = self.state();
         let s = &mut *guard;
-        let sink = match &mut s.sink {
-            Ok(sink) => sink.take(),
-            Err(e) => return Err(io::Error::new(e.kind(), e.to_string())),
-        };
-        match sink {
-            Some(sink) => sink.finish(&s.tail()).map(Some),
-            None => Ok(None),
+        if matches!(s.dest, Dest::File(_)) {
+            let Dest::File(sink) = std::mem::replace(&mut s.dest, Dest::Done) else {
+                unreachable!()
+            };
+            match sink.finish(&std::mem::take(&mut s.lines), &s.tail()) {
+                Ok(path) => return Ok(Some(path)),
+                Err(e) => s.dest = Dest::Failed(e),
+            }
+        }
+        match &s.dest {
+            Dest::Failed(e) => Err(io::Error::new(e.kind(), e.to_string())),
+            _ => Ok(None),
         }
     }
 }
@@ -316,7 +357,7 @@ pub fn parse_tail(contents: &str) -> Option<Json> {
 pub fn parse_jsonl(contents: &str) -> Vec<ParsedSpan> {
     contents
         .lines()
-        .filter_map(SpanRecord::parse_line)
+        .filter_map(ParsedSpan::parse_line)
         .collect()
 }
 
@@ -339,7 +380,7 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "medes.dedup.op");
         assert_eq!(spans[0].dur_us(), 240);
-        assert_eq!(spans[0].attr("fn"), Some(&AttrValue::Str("resnet".into())));
+        assert_eq!(spans[0].attr("fn"), Some(&Json::Str("resnet".into())));
     }
 
     #[test]
@@ -363,20 +404,26 @@ mod tests {
         assert_eq!(span.attrs.capacity(), 0);
     }
 
+    /// Lines past the byte cap are formatted, discarded and counted,
+    /// later small ones included, and the partial export refuses to be
+    /// read.
     #[test]
     fn buffer_cap_is_respected() {
-        let cfg = ObsConfig {
-            enabled: true,
-            span_buffer_cap: 4,
-            ..ObsConfig::default()
-        };
-        let obs = Obs::new(cfg);
+        let obs = Obs::new(ObsConfig::enabled());
+        let big = "x".repeat(SPAN_BYTES_CAP / 4);
         for i in 0..10u64 {
-            obs.span("s", t(i)).end(t(i + 1));
+            let span = obs.span("s", t(i));
+            let span = if i < 5 {
+                span.attr("pad", big.as_str())
+            } else {
+                span
+            };
+            span.end(t(i + 1));
         }
-        assert_eq!(obs.span_count(), 4);
-        assert_eq!(obs.spans_dropped(), 6);
-        assert_eq!(obs.spans()[0].start_us, 6);
+        assert_eq!(obs.span_count(), 3);
+        assert_eq!(obs.spans_dropped(), 7);
+        let export = std::panic::catch_unwind(|| obs.export_jsonl());
+        assert!(export.is_err(), "a partial export must not be read");
     }
 
     #[test]
@@ -420,15 +467,15 @@ mod tests {
         assert_eq!(parsed[1].trace_id, parsed[0].trace_id);
     }
 
-    /// Satellite: property test — a seeded `DetRng` span forest
-    /// survives `to_json` → `parse_jsonl` exactly, every `AttrValue`
-    /// variant and the causal ids included.
+    /// Property test: a seeded `DetRng` span forest survives the
+    /// writer and `parse_jsonl` exactly, every `AttrValue` variant and
+    /// the causal ids included.
     #[test]
     fn jsonl_round_trip_preserves_a_random_span_forest() {
         use medes_sim::DetRng;
         let mut rng = DetRng::new(0x0b5f_04e5_7000_0001);
         let obs = Obs::new(ObsConfig::enabled());
-        let mut expected: Vec<SpanRecord> = Vec::new();
+        let mut expected: Vec<(&str, u64, u64, TraceCtx, Vec<Json>)> = Vec::new();
         const NAMES: [&str; 4] = ["medes.a.root", "medes.b.mid", "medes.c.leaf", "medes.d.x"];
         for trace in 0..40u64 {
             let root = obs.trace_root("forest", 3, trace);
@@ -444,49 +491,48 @@ mod tests {
                 let start = rng.below(1 << 40);
                 let end = start + rng.below(1 << 20);
                 let mut span = obs.span_in(name, t(start), ctx);
+                let mut attrs = Vec::new();
                 // Every AttrValue variant; uints capped to f64-exact.
                 if rng.chance(0.8) {
-                    span = span.attr("u", rng.below(1 << 53));
+                    let u = rng.below(1 << 53);
+                    span = span.attr("u", u);
+                    attrs.push(Json::from(u));
                 }
                 if rng.chance(0.8) {
-                    span = span.attr("f", rng.f64());
+                    let f = rng.f64();
+                    span = span.attr("f", f);
+                    attrs.push(Json::from(f));
                 }
+                let s: String = (0..rng.below(12))
+                    .map(|_| (b'a' + rng.below(26) as u8) as char)
+                    .collect();
                 if rng.chance(0.8) {
-                    let s: String = (0..rng.below(12))
-                        .map(|_| (b'a' + rng.below(26) as u8) as char)
-                        .collect();
-                    span = span.attr("s", s);
+                    span = span.attr("s", s.as_str());
+                    attrs.push(Json::from(s.as_str()));
                 }
                 span.end(t(end));
-                expected.push(obs.spans().last().unwrap().clone());
+                expected.push((name, start, end, ctx, attrs));
             }
         }
         let parsed = parse_jsonl(&obs.export_jsonl());
         assert_eq!(parsed.len(), expected.len());
-        for (p, e) in parsed.iter().zip(&expected) {
-            assert_eq!(p.name, e.name);
-            assert_eq!(p.start_us, e.start_us);
-            assert_eq!(p.end_us, e.end_us);
-            assert_eq!(p.trace_id, e.trace_id);
-            assert_eq!(p.span_id, e.span_id);
-            assert_eq!(p.parent_id, e.parent_id);
-            assert_eq!(p.attrs.len(), e.attrs.len());
-            for (k, v) in &e.attrs {
-                let got = p.attr(k).expect("attr survives");
-                match v {
-                    AttrValue::Uint(u) => assert_eq!(got.as_u64(), Some(*u)),
-                    AttrValue::Float(f) => assert_eq!(got.as_f64(), Some(*f)),
-                    AttrValue::Str(s) => assert_eq!(got.as_str(), Some(s.as_str())),
-                }
-            }
+        for (p, (name, start, end, ctx, attrs)) in parsed.iter().zip(&expected) {
+            assert_eq!(p.name, *name);
+            assert_eq!((p.start_us, p.end_us), (*start, *end));
+            assert_eq!(
+                (p.trace_id, p.span_id, p.parent_id),
+                (ctx.trace_id, ctx.span_id, ctx.parent_id)
+            );
+            let got: Vec<&Json> = p.attrs.iter().map(|(_, v)| v).collect();
+            assert_eq!(got, attrs.iter().collect::<Vec<_>>());
         }
     }
 
-    /// Property test: a seeded random span forest streamed to the
-    /// trace file produces a file byte-identical to what the in-memory
-    /// [`Obs::export_jsonl`] emits for the same spans — on the
-    /// exporting handle itself *and* on an independent handle with no
-    /// export dir fed the identical spans.
+    /// Property test: a seeded random span forest written to the trace
+    /// file produces a file byte-identical to what [`Obs::export_jsonl`]
+    /// returns on a handle with no export dir fed the identical spans;
+    /// the file's handle holds nothing in memory to export, and the
+    /// file holds every span it counts.
     #[test]
     fn streamed_export_is_byte_identical_to_buffered() {
         use medes_sim::DetRng;
@@ -498,7 +544,8 @@ mod tests {
         let buffered = Obs::new(ObsConfig::enabled());
         let mut rng = DetRng::new(0x57e4_3a1d_0000_0002);
         const NAMES: [&str; 3] = ["medes.a.root", "medes.b.mid", "medes.c.leaf"];
-        for trace in 0..60u64 {
+        // Enough spans to fill several file batches.
+        for trace in 0..2000u64 {
             let root = streamed.trace_root("file-prop", 9, trace);
             let n = 1 + rng.below(4) as usize;
             for d in 0..n {
@@ -517,46 +564,23 @@ mod tests {
                 }
             }
         }
+        assert_eq!(streamed.span_count(), buffered.span_count());
+        assert_eq!(streamed.spans_dropped(), 0);
+        assert!(std::panic::catch_unwind(|| streamed.export_jsonl()).is_err());
         let path = streamed.write_trace().unwrap().expect("streamed path");
         let file = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(file, streamed.export_jsonl());
+        assert!(file.len() > 4 * FILE_BATCH_BYTES);
         assert_eq!(file, buffered.export_jsonl());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Ring eviction is observable — the ring stays bounded, the
-    /// accounting closes exactly (`streamed == buffered + dropped`),
-    /// recording spans writes no metric, and the on-disk trace still
-    /// holds every span.
-    #[test]
-    fn streamed_ring_is_bounded_with_exact_accounting() {
-        let dir = std::env::temp_dir().join(format!("medes-obs-ring-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ObsConfig {
-            span_buffer_cap: 8,
-            ..ObsConfig::enabled()
-        };
-        cfg.set_export_dir(&dir);
-        let obs = Obs::new(cfg);
-        for key in 0..100u64 {
-            let root = obs.trace_root("op", 2, key);
-            obs.span_in("medes.test.op", t(key), root).end(t(key + 1));
-        }
-        assert_eq!(obs.span_count(), 8);
-        assert_eq!(obs.spans_dropped(), 92);
-        assert_eq!(obs.spans_streamed(), 100);
-        assert_eq!(
-            obs.spans_streamed(),
-            obs.span_count() as u64 + obs.spans_dropped()
-        );
-        assert!(obs.metrics_snapshot().is_empty());
-        let path = obs.write_trace().unwrap().expect("path");
-        let contents = std::fs::read_to_string(&path).unwrap();
-        // Every streamed span is on disk despite the tiny ring.
-        assert_eq!(parse_jsonl(&contents).len(), 100);
-        // A complete file is not written twice, and its count stays.
-        assert_eq!(obs.write_trace().unwrap(), None);
-        assert_eq!(obs.spans_streamed(), 100);
+        assert_eq!(parse_jsonl(&file).len(), streamed.span_count());
+        // A complete file is not written twice; spans after it are
+        // discarded and counted.
+        assert_eq!(streamed.write_trace().unwrap(), None);
+        streamed.span("s", t(0)).end(t(1));
+        assert_eq!(streamed.spans_dropped(), 1);
+        assert!(streamed
+            .metrics_snapshot()
+            .iter()
+            .all(|(k, _)| *k == "medes.test.ops"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -569,6 +593,29 @@ mod tests {
         let mut b = ObsConfig::enabled();
         b.export_dir = Some("/tmp/medes-x".into());
         assert_eq!(a, b);
+    }
+
+    /// A handle dropped without `write_trace` leaves its spans, and no
+    /// tail, in the file.
+    #[test]
+    fn dropped_handle_leaves_its_spans_in_the_file() {
+        let dir = std::env::temp_dir().join(format!("medes-obs-drop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ObsConfig::enabled();
+        cfg.set_export_dir(&dir);
+        let obs = Obs::new(cfg);
+        obs.span("s", t(0)).end(t(1));
+        drop(obs);
+        let file = std::fs::read_dir(&dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let contents = std::fs::read_to_string(file).unwrap();
+        assert_eq!(parse_jsonl(&contents).len(), 1);
+        assert!(parse_tail(&contents).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! cold starts (§5.3), the dead node's chunks vanish from the
 //! fingerprint registry, and the whole run replays bit-identically.
 
-use medes::obs::{AttrValue, ObsConfig, SpanRecord};
+use medes::obs::{Json, ObsConfig, ParsedSpan};
 use medes::platform::config::{PlatformConfig, PolicyKind, RestoreReadConfig};
 use medes::platform::metrics::RunReport;
 use medes::platform::Platform;
@@ -136,10 +136,7 @@ fn rescheduled_requests_are_reported_once_in_id_order() {
     let mut cfg = pressured_config();
     cfg.faults = chaos_plan();
     cfg.read_path = RestoreReadConfig::cached(64 << 20);
-    cfg.obs = ObsConfig {
-        span_buffer_cap: usize::MAX,
-        ..ObsConfig::enabled()
-    };
+    cfg.obs = ObsConfig::enabled();
     let out = Platform::new(cfg, suite).run(&trace);
     let report = &out.report;
     assert!(
@@ -155,9 +152,10 @@ fn rescheduled_requests_are_reported_once_in_id_order() {
         .spans()
         .iter()
         .filter(|s| s.name == "medes.platform.request")
-        .map(|s| match s.attr("id") {
-            Some(AttrValue::Uint(id)) => *id,
-            other => panic!("request span id {other:?}"),
+        .map(|s| {
+            s.attr("id")
+                .and_then(Json::as_u64)
+                .expect("request span id")
         })
         .collect();
     completed.sort_unstable();
@@ -168,10 +166,12 @@ fn rescheduled_requests_are_reported_once_in_id_order() {
     assert!(count("medes.dedup.op") > 0 && count("medes.net.retry") > 0);
     let cache_hits = spans.iter().any(|s| {
         s.name == "medes.restore.base_read"
-            && matches!(s.attr("cache_hits"), Some(AttrValue::Uint(n)) if *n > 0)
+            && s.attr("cache_hits")
+                .and_then(Json::as_u64)
+                .is_some_and(|n| n > 0)
     });
     assert!(cache_hits, "some restore is served from the cache");
-    let by_id: HashMap<u64, &SpanRecord> = spans
+    let by_id: HashMap<u64, &ParsedSpan> = spans
         .iter()
         .filter(|s| s.span_id != 0)
         .map(|s| (s.span_id, s))

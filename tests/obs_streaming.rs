@@ -1,12 +1,11 @@
-//! Cross-crate tests for the streamed trace file (DESIGN.md §12):
-//! turning it fully on must leave the `RunReport` byte-identical, span
-//! memory must stay bounded by a
-//! ring far smaller than the trace while the trace on disk is complete
-//! with exact drop accounting, the file must match the in-memory
-//! export byte-for-byte when the ring never overflows, and a file that
-//! cannot be written must cost the run nothing.
+//! Cross-crate tests for the trace file (DESIGN.md §12): turning it
+//! fully on must leave the `RunReport` byte-identical and the file
+//! complete, the file must be byte for byte the in-memory export of
+//! the same run without an export dir, span memory without one must
+//! stop at its cap with exact drop accounting, and a file that cannot
+//! be written must cost the run nothing.
 
-use medes::obs::{parse_jsonl, parse_tail, ObsConfig};
+use medes::obs::{parse_jsonl, parse_tail, Obs, ObsConfig, SPAN_BYTES_CAP};
 use medes::platform::config::PlatformConfig;
 use medes::platform::Platform;
 use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
@@ -52,13 +51,9 @@ fn streamed_config(dir: &Path) -> PlatformConfig {
     cfg
 }
 
-/// Deliberately tiny ring: the workload streams four times this
-/// many spans, so the bound and the drop accounting are exercised.
-const RING_CAP: usize = 128;
-
-/// Streaming spans to disk must not move a single byte of the
-/// `RunReport`; the ring bounds span memory while the disk trace holds
-/// every streamed span, and the tail carries the final counters alone.
+/// Writing spans to the file must not move a single byte of the
+/// `RunReport`; the file holds every span the run counts, and the
+/// tail carries the final counters alone.
 #[test]
 fn streaming_does_not_perturb_the_run() {
     let (suite, trace) = workload();
@@ -67,35 +62,19 @@ fn streaming_does_not_perturb_the_run() {
     let plain = Platform::new(plain_cfg, suite.clone()).run(&trace).report;
 
     let dir = scratch_dir("stream");
-    let mut streamed_cfg = streamed_config(&dir);
-    streamed_cfg.obs.span_buffer_cap = RING_CAP;
-    let outcome = Platform::new(streamed_cfg, suite).run(&trace);
+    let outcome = Platform::new(streamed_config(&dir), suite).run(&trace);
     assert_eq!(
         plain, outcome.report,
         "streaming must not perturb the simulation"
     );
 
     let obs = &outcome.obs;
-    assert!(
-        obs.span_count() <= RING_CAP,
-        "ring exceeded its cap: {} > {RING_CAP}",
-        obs.span_count()
-    );
-    assert!(
-        obs.spans_streamed() > RING_CAP as u64,
-        "workload too small to overflow the ring ({} spans)",
-        obs.spans_streamed()
-    );
-    assert_eq!(
-        obs.spans_streamed(),
-        obs.span_count() as u64 + obs.spans_dropped(),
-        "streamed accounting must close exactly"
-    );
+    assert_eq!(obs.spans_dropped(), 0, "a file takes every span");
     let text = std::fs::read_to_string(find_trace(&dir)).expect("streamed trace readable");
     assert_eq!(
-        parse_jsonl(&text).len() as u64,
-        obs.spans_streamed(),
-        "disk trace must hold every streamed span"
+        parse_jsonl(&text).len(),
+        obs.span_count(),
+        "disk trace must hold every span"
     );
 
     let tail = parse_tail(&text).expect("trace ends in a tail");
@@ -104,50 +83,45 @@ fn streaming_does_not_perturb_the_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// With the default (never-overflowing) ring, the incrementally
-/// streamed file and the same run's in-memory `export_jsonl()` are the
-/// same bytes — streaming changes *when* lines are written, never
-/// *what* is written.
+/// A run's trace file and the in-memory `export_jsonl()` of the same
+/// run without an export dir are the same bytes: the destination
+/// changes where lines go, never what they are.
 #[test]
 fn streamed_file_matches_buffered_export() {
     let (suite, trace) = workload();
     let dir = scratch_dir("bytes");
-    let run = Platform::new(streamed_config(&dir), suite).run(&trace);
-    assert_eq!(run.obs.spans_dropped(), 0, "ring must not overflow");
+    Platform::new(streamed_config(&dir), suite.clone()).run(&trace);
+    let mut cfg = PlatformConfig::small_test();
+    cfg.obs = ObsConfig::enabled();
+    let run = Platform::new(cfg, suite).run(&trace);
+    assert_eq!(run.obs.spans_dropped(), 0, "the run fits under the cap");
     let file = std::fs::read_to_string(find_trace(&dir)).expect("streamed file");
     assert_eq!(
         file,
         run.obs.export_jsonl(),
-        "the streamed file and the in-memory export of the same run must be byte-identical"
+        "the file and the in-memory export of the same run must be byte-identical"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A ring smaller than the run and no other obs setting: the exported
-/// file still holds every span the run recorded, not just the ring.
+/// Without an export dir, lines past `SPAN_BYTES_CAP` are formatted,
+/// then discarded: every recorded span is either held or counted as
+/// dropped, and the partial export panics rather than pass for whole.
 #[test]
-fn small_ring_export_holds_every_span() {
-    let (suite, trace) = workload();
-    let dir = scratch_dir("ring");
-    let mut cfg = PlatformConfig::small_test();
-    cfg.obs = ObsConfig {
-        span_buffer_cap: RING_CAP,
-        ..ObsConfig::enabled()
-    };
-    cfg.obs.set_export_dir(dir.clone());
-    let run = Platform::new(cfg, suite).run(&trace);
-    let obs = &run.obs;
-    assert!(
-        obs.spans_dropped() > 0,
-        "workload too small to overflow the ring"
-    );
-    let text = std::fs::read_to_string(find_trace(&dir)).expect("trace readable");
-    assert_eq!(
-        parse_jsonl(&text).len() as u64,
-        obs.span_count() as u64 + obs.spans_dropped(),
-        "the file must hold every recorded span"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+fn spans_past_the_cap_are_counted_and_export_panics() {
+    let obs = Obs::new(ObsConfig::enabled());
+    let pad = "p".repeat(64 << 10);
+    let recorded = (SPAN_BYTES_CAP / pad.len() + 50) as u64;
+    for i in 0..recorded {
+        obs.span("medes.test.padded", medes::sim::SimTime::from_micros(i))
+            .attr("pad", pad.as_str())
+            .end(medes::sim::SimTime::from_micros(i + 1));
+    }
+    assert!(obs.spans_dropped() > 0, "the spans overran the cap");
+    assert!(obs.span_count() * pad.len() <= SPAN_BYTES_CAP);
+    assert_eq!(obs.span_count() as u64 + obs.spans_dropped(), recorded);
+    let export = std::panic::catch_unwind(|| obs.export_jsonl());
+    assert!(export.is_err(), "a partial export must not be read");
 }
 
 /// A regular file where the export dir should be: the run completes
