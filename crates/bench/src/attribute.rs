@@ -188,7 +188,7 @@ mod tests {
     use crate::trace::{load, report};
     use medes_obs::{Obs, ObsConfig};
     use medes_sim::SimTime;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     fn attribute(trace: &str) -> (String, Vec<Attribution>) {
         let (report, findings) = report(&load("t", trace), None);
@@ -197,7 +197,7 @@ mod tests {
 
     /// Records one request `(id, fn, node, startup, bound)` with a
     /// restore op under it that ends 5 µs before the request does.
-    fn request(obs: &Arc<Obs>, (id, func, node, latency, bound): (u64, &str, u64, u64, u64)) {
+    fn request(obs: &Rc<Obs>, (id, func, node, latency, bound): (u64, &str, u64, u64, u64)) {
         let root = obs.trace_root("request", 7, id);
         let t = SimTime::from_micros;
         let start = id * 100_000;

@@ -2,12 +2,13 @@
 
 use medes_core::config::{ConfigError, PlatformConfig, RestoreReadConfig};
 use medes_core::metrics::RunReport;
-use medes_core::platform::{Platform, RunOutcome};
+use medes_core::platform::Platform;
 use medes_policy::medes::Objective;
 use medes_policy::MedesPolicyConfig;
 use medes_sim::fault::FaultPlan;
 use medes_sim::{SimDuration, SimTime};
 use medes_trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
+use std::cell::Cell;
 use std::path::PathBuf;
 
 /// Default seed for synthesized fault plans (`--faults` without `seed=`).
@@ -45,15 +46,18 @@ impl FaultSpec {
     }
 }
 
-/// Experiment-suite configuration: sizes shrink under `--quick`.
-#[derive(Debug, Clone)]
+/// Experiment-suite configuration: sizes shrink under `--quick`. Not
+/// `Clone`: a clone would hand out its trace-file numbers again.
+#[derive(Debug)]
 pub struct ExpConfig {
     /// Quick mode (CI/smoke): short traces, coarse scales.
     pub quick: bool,
     /// Where JSON results land.
     pub results_dir: PathBuf,
-    /// Enable the `medes-obs` tracing layer (`--obs`): platform runs
-    /// export a JSONL span trace to `<results_dir>/trace-run-<n>.jsonl`.
+    /// Enable the `medes-obs` tracing layer (`--obs`): each traced run
+    /// of [`ExpConfig::run`] writes a JSONL span trace to
+    /// `<results_dir>/trace-run-<n>.jsonl`, `n` counting this config's
+    /// traced runs from 0 in the order they start.
     pub obs: bool,
     /// Optional fault injection (`--faults`): synthesized into a
     /// [`FaultPlan`] by [`ExpConfig::platform`]. `None` keeps every
@@ -68,6 +72,8 @@ pub struct ExpConfig {
     /// per-instance noise (DESIGN.md §13). `false` keeps the default
     /// weights, `ContentModelConfig::legacy()`.
     pub content_model: bool,
+    /// Traced runs started so far: the `n` of the next trace file.
+    traced_runs: Cell<u32>,
 }
 
 impl ExpConfig {
@@ -80,6 +86,7 @@ impl ExpConfig {
             faults: None,
             cache_mib: 0,
             content_model: false,
+            traced_runs: Cell::new(0),
         }
     }
 
@@ -209,9 +216,7 @@ impl ExpConfig {
                 self.cache_mib.saturating_mul(1 << 20),
             ));
         if self.obs {
-            let mut oc = medes_obs::ObsConfig::enabled();
-            oc.set_export_dir(self.results_dir.clone());
-            b = b.obs(oc);
+            b = b.obs(medes_obs::ObsConfig::enabled());
         }
         if let Some(spec) = &self.faults {
             b = b.faults(FaultPlan::synthesize(
@@ -242,24 +247,38 @@ impl ExpConfig {
             base_threshold: 40,
         }
     }
+
+    /// Runs one platform configuration over a trace, returning the
+    /// report. Under `--obs` a traced run gets the next trace file.
+    pub fn run(
+        &self,
+        mut cfg: PlatformConfig,
+        suite: &[FunctionProfile],
+        trace: &Trace,
+    ) -> RunReport {
+        if self.obs && cfg.obs.enabled {
+            let n = self.traced_runs.replace(self.traced_runs.get() + 1);
+            cfg.obs.trace_file = Some(self.results_dir.join(format!("trace-run-{n}.jsonl")));
+        }
+        Platform::new(cfg, suite.to_vec()).run(trace).report
+    }
 }
 
-/// Runs one platform configuration over a trace, returning the report.
-pub fn run(cfg: PlatformConfig, suite: &[FunctionProfile], trace: &Trace) -> RunReport {
-    Platform::new(cfg, suite.to_vec()).run(trace).report
-}
-
-/// Runs one platform configuration over a trace, returning the full
-/// [`RunOutcome`] (report + observability handle + host work counts).
-/// Experiments that read counters use this.
-pub fn run_outcome(cfg: PlatformConfig, suite: &[FunctionProfile], trace: &Trace) -> RunOutcome {
-    Platform::new(cfg, suite.to_vec()).run(trace)
-}
+/// A run's inputs and its report may cross threads, so independent
+/// runs can fan out one per thread; the `Platform` that runs one holds
+/// an `Rc<Obs>` and stays on its thread.
+const _: () = {
+    const fn assert_send<T: Send>() {}
+    assert_send::<PlatformConfig>();
+    assert_send::<RunReport>();
+    assert_send::<ExpConfig>();
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use medes_core::config::RegistryPlacement;
+    use std::collections::BTreeSet;
 
     #[test]
     fn quick_config_is_smaller() {
@@ -328,19 +347,88 @@ mod tests {
         assert!(cfg.try_platform().is_err());
     }
 
+    /// A tiny two-function workload for runs that only name files.
+    fn tiny_workload() -> (Vec<FunctionProfile>, Trace) {
+        let suite: Vec<FunctionProfile> = functionbench_suite().into_iter().take(2).collect();
+        let names: Vec<String> = suite.iter().map(|p| p.name.clone()).collect();
+        let trace = azure_like_trace(
+            &names,
+            &TraceGenConfig {
+                duration_secs: 30,
+                scale: 1.0,
+                seed: 5,
+            },
+        );
+        (suite, trace)
+    }
+
     #[test]
     fn obs_flag_streams_to_the_results_dir() {
+        let dir = std::env::temp_dir().join(format!("medes-bench-obs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (suite, trace) = tiny_workload();
         let mut cfg = ExpConfig::quick();
+        cfg.results_dir = dir.clone();
         // Without --obs nothing is traced or streamed.
         let obs = cfg.platform().obs;
         assert!(!obs.enabled);
-        assert!(obs.export_dir.is_none());
-        // With it, the export dir is set, so every span streams to the
-        // trace file.
+        assert!(obs.trace_file.is_none());
+        // With it, tracing is on and the run names its trace file in
+        // the results dir, so every span streams there.
         cfg.obs = true;
-        let obs = cfg.platform().obs;
-        assert!(obs.enabled);
-        assert_eq!(obs.export_dir, Some(cfg.results_dir.clone()));
+        let pcfg = cfg.platform();
+        assert!(pcfg.obs.enabled);
+        cfg.run(pcfg, &suite, &trace);
+        let file = std::fs::read_to_string(dir.join("trace-run-0.jsonl")).expect("trace file");
+        assert!(!medes_obs::parse_jsonl(&file).is_empty());
+        assert!(medes_obs::parse_tail(&file).is_some(), "a complete file");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The harness numbers its traced runs in the order they start; a
+    /// fresh config starts again at 0, and an untraced run takes no
+    /// number.
+    #[test]
+    fn traced_runs_are_numbered_in_run_order() {
+        let dir = std::env::temp_dir().join(format!("medes-bench-seq-{}", std::process::id()));
+        let (suite, trace) = tiny_workload();
+        let traced = PlatformConfig {
+            obs: medes_obs::ObsConfig::enabled(),
+            ..PlatformConfig::small_test()
+        };
+        let untraced = PlatformConfig::small_test();
+        let files = |runs: &[&PlatformConfig]| {
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut cfg = ExpConfig::quick();
+            cfg.obs = true;
+            cfg.results_dir = dir.clone();
+            let listing = || -> BTreeSet<String> {
+                let entries = std::fs::read_dir(&dir).into_iter().flatten().flatten();
+                entries
+                    .map(|e| e.file_name().to_string_lossy().into_owned())
+                    .collect()
+            };
+            // The file each run added to the results dir, if any.
+            let mut seen = BTreeSet::new();
+            let mut added = Vec::new();
+            for &run in runs {
+                cfg.run(run.clone(), &suite, &trace);
+                let now = listing();
+                added.push(now.difference(&seen).next().cloned());
+                seen = now;
+            }
+            added
+        };
+        let name = |n: u32| Some(format!("trace-run-{n}.jsonl"));
+        assert_eq!(
+            files(&[&traced, &traced, &traced]),
+            [name(0), name(1), name(2)]
+        );
+        assert_eq!(
+            files(&[&untraced, &traced, &untraced, &traced]),
+            [None, name(0), None, name(1)]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

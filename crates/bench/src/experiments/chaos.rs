@@ -9,7 +9,7 @@
 //! in-flight requests are rescheduled — and the whole run stays
 //! bit-deterministic: same seed + plan, same `RunReport`.
 
-use crate::common::{run as run_platform, ExpConfig, DEFAULT_FAULT_SEED};
+use crate::common::{ExpConfig, DEFAULT_FAULT_SEED};
 use crate::report::{f, mib, Report};
 use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
@@ -50,12 +50,12 @@ pub fn run(cfg: &ExpConfig) -> Report {
         let plan = FaultPlan::synthesize(DEFAULT_FAULT_SEED, base.nodes, duration, rate);
         let mut pcfg = base.clone().with_policy(PolicyKind::Medes(policy.clone()));
         pcfg.faults = plan.clone();
-        let r = run_platform(pcfg, &suite, &trace);
+        let r = cfg.run(pcfg, &suite, &trace);
         // Determinism is a hard guarantee, not a hope: replaying the
         // same plan must reproduce the run bit-for-bit.
         let mut pcfg2 = base.clone().with_policy(PolicyKind::Medes(policy.clone()));
         pcfg2.faults = plan.clone();
-        let r2 = run_platform(pcfg2, &suite, &trace);
+        let r2 = cfg.run(pcfg2, &suite, &trace);
         assert_eq!(
             r, r2,
             "chaos run must be deterministic for rate {rate} (seed {DEFAULT_FAULT_SEED:#x})"

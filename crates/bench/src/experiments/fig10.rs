@@ -42,7 +42,9 @@ pub fn run(cfg: &ExpConfig) -> Report {
             medes,
             fixed,
             adaptive,
-        } = run_comparison(&cfg_p, &suite, &trace, SimDuration::from_mins(10));
+        } = run_comparison(&cfg_p, &suite, SimDuration::from_mins(10), |c, p| {
+            cfg.run(c, p, &trace)
+        });
         let reduction_fixed = 100.0
             * (1.0 - medes.total_cold_starts() as f64 / fixed.total_cold_starts().max(1) as f64);
         total_rows.push(vec![

@@ -5,7 +5,7 @@
 //! (KA-15/KA-20 regress because long-lived idle sandboxes trigger
 //! evictions), and Medes beating the best fixed window by ~38 %.
 
-use crate::common::{run as run_platform, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, Report};
 use medes_core::baselines::keep_alive_sweep;
 use medes_core::config::PolicyKind;
@@ -27,8 +27,8 @@ pub fn run(cfg: &ExpConfig) -> Report {
         .iter()
         .map(|&m| SimDuration::from_mins(m))
         .collect();
-    let sweep = keep_alive_sweep(&base, &suite, &trace, &windows);
-    let medes = run_platform(
+    let sweep = keep_alive_sweep(&base, &suite, &windows, |c, p| cfg.run(c, p, &trace));
+    let medes = cfg.run(
         base.clone().with_policy(PolicyKind::Medes(
             cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 }),
         )),

@@ -22,7 +22,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     base.node_mem_bytes = 168 << 20; // same constrained regime as Fig 12
     base.policy = PolicyKind::Medes(cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 }));
 
-    let (plain, with_medes) = catalyzer_comparison(&base, &suite, &trace);
+    let (plain, with_medes) = catalyzer_comparison(&base, &suite, |c, p| cfg.run(c, p, &trace));
     report.table(
         &["configuration", "cold starts", "dedup fraction %"],
         &[

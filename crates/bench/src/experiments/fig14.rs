@@ -5,7 +5,7 @@
 //! redundancy (smaller savings → more evictions → more cold starts).
 //! 64 B is the sweet spot the paper picks.
 
-use crate::common::{run as run_platform, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, Report};
 use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
@@ -26,7 +26,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     for chunk in [32usize, 64, 128] {
         let mut c = base.clone();
         c.fingerprint.chunk_size = chunk;
-        let r = run_platform(c, &suite, &trace);
+        let r = cfg.run(c, &suite, &trace);
         let savings: f64 = r
             .dedup_stats
             .iter()

@@ -4,7 +4,7 @@
 //! cold starts), but past a threshold stale dedup sandboxes occupy
 //! memory and force evictions (the KA-20 analogue).
 
-use crate::common::{run as run_platform, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::Report;
 use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
@@ -23,7 +23,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let mut json = Vec::new();
 
     // "No dedup" reference: the fixed keep-alive platform.
-    let nodedup = run_platform(
+    let nodedup = cfg.run(
         base.clone()
             .with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_mins(10))),
         &suite,
@@ -39,7 +39,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     for mins in [5u64, 10, 15, 20] {
         let mut policy = cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 });
         policy.keep_dedup = SimDuration::from_mins(mins);
-        let r = run_platform(
+        let r = cfg.run(
             base.clone().with_policy(PolicyKind::Medes(policy)),
             &suite,
             &trace,

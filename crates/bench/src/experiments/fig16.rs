@@ -5,7 +5,7 @@
 //! per restore, inflating dedup-start latency (378 → 478 → 554 ms) and,
 //! through slower reuse, the tail.
 
-use crate::common::{run as run_platform, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, Report};
 use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
@@ -29,7 +29,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         let mut c = base.clone();
         c.fingerprint.cardinality = card;
         c.policy = PolicyKind::Medes(cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 }));
-        let r = run_platform(c, &suite, &trace);
+        let r = cfg.run(c, &suite, &trace);
         let active = r
             .dedup_stats
             .iter()

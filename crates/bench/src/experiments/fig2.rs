@@ -6,7 +6,7 @@
 //! baseline and an aggressively deduplicating Medes configuration over
 //! the same trace and compare the memory time series.
 
-use crate::common::{run as run_platform, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, mib, Report};
 use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
@@ -22,7 +22,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let trace = cfg.full_trace(&suite);
     let base = cfg.platform();
 
-    let keepalive = run_platform(
+    let keepalive = cfg.run(
         base.clone()
             .with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_mins(10))),
         &suite,
@@ -32,7 +32,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     // Aggressive dedup: tiny memory budget + short idle period.
     let mut medes_policy = cfg.medes_policy(Objective::MemoryBudget { budget_bytes: 1.0 });
     medes_policy.idle_period = SimDuration::from_secs(30);
-    let dedup = run_platform(
+    let dedup = cfg.run(
         base.clone().with_policy(PolicyKind::Medes(medes_policy)),
         &suite,
         &trace,

@@ -23,7 +23,9 @@ pub fn run(cfg: &ExpConfig) -> Report {
         medes,
         fixed,
         adaptive,
-    } = run_comparison(&base, &suite, &trace, SimDuration::from_mins(10));
+    } = run_comparison(&base, &suite, SimDuration::from_mins(10), |c, p| {
+        cfg.run(c, p, &trace)
+    });
 
     // Fig 7a: distribution of per-request improvement factors.
     report.section("Fig 7a: improvement-factor distribution (paired by request)");

@@ -35,8 +35,8 @@ pub fn run(cfg: &ExpConfig) -> Report {
     } = run_comparison(
         &base.with_policy(PolicyKind::Medes(policy)),
         &suite,
-        &trace,
         SimDuration::from_mins(10),
+        |c, p| cfg.run(c, p, &trace),
     );
 
     report.section("Fig 9a: cluster memory usage (paper-scale GiB)");

@@ -5,7 +5,7 @@
 //! pages); agent metadata below 10 % of node memory; controller memory
 //! up ~11.8 % from the fingerprint registry and policy metadata.
 
-use crate::common::{run as run_platform, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, Report};
 use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
@@ -18,7 +18,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let mut base = cfg.platform();
     base.nodes = 8; // enough pressure for steady dedup traffic
     base.policy = PolicyKind::Medes(cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 }));
-    let r = run_platform(base.clone(), &suite, &trace);
+    let r = cfg.run(base.clone(), &suite, &trace);
 
     report.section("dedup-op wall time per function (background work)");
     let mut rows = Vec::new();

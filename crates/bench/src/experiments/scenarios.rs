@@ -14,7 +14,7 @@
 //! regression in any gate aborts the run instead of silently emitting
 //! worse numbers.
 
-use crate::common::{run as run_platform, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, mib, Report};
 use medes_core::config::{PlatformConfig, PolicyKind};
 use medes_core::metrics::RunReport;
@@ -112,21 +112,21 @@ pub fn run(cfg: &ExpConfig) -> Report {
     for sc in all_scenarios(&names, &scfg) {
         let id = sc.kind.id();
         let sc_cfg = apply(&base, &sc);
-        let medes = run_platform(
+        let medes = cfg.run(
             sc_cfg
                 .clone()
                 .with_policy(PolicyKind::Medes(policy.clone())),
             &suite,
             &sc.trace,
         );
-        let fixed = run_platform(
+        let fixed = cfg.run(
             sc_cfg
                 .clone()
                 .with_policy(PolicyKind::FixedKeepAlive(fixed_ka)),
             &suite,
             &sc.trace,
         );
-        let adaptive = run_platform(
+        let adaptive = cfg.run(
             sc_cfg.with_policy(PolicyKind::AdaptiveKeepAlive),
             &suite,
             &sc.trace,
@@ -140,7 +140,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
             .find(|s| s.kind == sc.kind)
             .expect("scenario class exists");
         assert!(sc.trace == sc2.trace, "{id} trace");
-        let medes2 = run_platform(
+        let medes2 = cfg.run(
             apply(&base, &sc2).with_policy(PolicyKind::Medes(policy.clone())),
             &suite,
             &sc2.trace,
@@ -260,14 +260,14 @@ pub fn run(cfg: &ExpConfig) -> Report {
         .into_iter()
         .find(|s| s.kind == ScenarioKind::RollingDeploy)
         .expect("rolling-deploy scenario exists");
-    let with_deploys = run_platform(
+    let with_deploys = cfg.run(
         apply(&base, &deploy_sc).with_policy(PolicyKind::Medes(collapse_policy.clone())),
         &suite,
         &deploy_sc.trace,
     );
     let mut no_deploy_cfg = apply(&base, &deploy_sc);
     no_deploy_cfg.deploys = medes_trace::DeploySchedule::default();
-    let without_deploys = run_platform(
+    let without_deploys = cfg.run(
         no_deploy_cfg.with_policy(PolicyKind::Medes(collapse_policy)),
         &suite,
         &deploy_sc.trace,

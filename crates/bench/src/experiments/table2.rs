@@ -3,7 +3,7 @@
 //! Prints the configured profiles (the paper's inputs) next to measured
 //! execution-time means from a short calibration run.
 
-use crate::common::{run as run_platform, ExpConfig};
+use crate::common::ExpConfig;
 use crate::report::{f, Report};
 use medes_core::config::PolicyKind;
 use medes_sim::SimDuration;
@@ -13,7 +13,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let mut report = Report::new("table2", "FunctionBench execution time and memory usage");
     let suite = cfg.suite();
     let trace = cfg.full_trace(&suite);
-    let r = run_platform(
+    let r = cfg.run(
         cfg.platform()
             .with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_mins(10))),
         &suite,

@@ -1,4 +1,8 @@
 //! Convenience runners for the paper's baseline comparisons.
+//!
+//! Each takes the function that runs one configuration: [`runner`]
+//! runs it over a trace, and a harness that names each run's trace file
+//! passes its own.
 
 use crate::config::{PlatformConfig, PolicyKind};
 use crate::metrics::RunReport;
@@ -17,40 +21,42 @@ pub struct Comparison {
     pub adaptive: RunReport,
 }
 
-/// Runs the same trace under Medes, fixed keep-alive, and adaptive
-/// keep-alive, holding everything else constant (§7.2 methodology).
-pub fn run_comparison(
-    cfg: &PlatformConfig,
-    profiles: &[FunctionProfile],
-    trace: &Trace,
-    fixed_window: SimDuration,
-) -> Comparison {
-    let medes_cfg = if cfg.is_medes() {
+/// Runs one configuration over `trace` on a fresh [`Platform`].
+pub fn runner(trace: &Trace) -> impl FnMut(PlatformConfig, &[FunctionProfile]) -> RunReport + '_ {
+    move |cfg, profiles| Platform::new(cfg, profiles.to_vec()).run(trace).report
+}
+
+/// The configuration with the Medes policy: `cfg` itself if it is
+/// Medes already.
+fn as_medes(cfg: &PlatformConfig) -> PlatformConfig {
+    if cfg.is_medes() {
         cfg.clone()
     } else {
         cfg.clone()
             .with_policy(PolicyKind::Medes(Default::default()))
-    };
-    let medes = Platform::new(medes_cfg, profiles.to_vec())
-        .run(trace)
-        .report;
-    let fixed = Platform::new(
-        cfg.clone()
-            .with_policy(PolicyKind::FixedKeepAlive(fixed_window)),
-        profiles.to_vec(),
-    )
-    .run(trace)
-    .report;
-    let adaptive = Platform::new(
-        cfg.clone().with_policy(PolicyKind::AdaptiveKeepAlive),
-        profiles.to_vec(),
-    )
-    .run(trace)
-    .report;
+    }
+}
+
+/// Runs the same trace under Medes, fixed keep-alive, and adaptive
+/// keep-alive, in that order, holding everything else constant (§7.2
+/// methodology).
+pub fn run_comparison(
+    cfg: &PlatformConfig,
+    profiles: &[FunctionProfile],
+    fixed_window: SimDuration,
+    mut run: impl FnMut(PlatformConfig, &[FunctionProfile]) -> RunReport,
+) -> Comparison {
     Comparison {
-        medes,
-        fixed,
-        adaptive,
+        medes: run(as_medes(cfg), profiles),
+        fixed: run(
+            cfg.clone()
+                .with_policy(PolicyKind::FixedKeepAlive(fixed_window)),
+            profiles,
+        ),
+        adaptive: run(
+            cfg.clone().with_policy(PolicyKind::AdaptiveKeepAlive),
+            profiles,
+        ),
     }
 }
 
@@ -59,19 +65,14 @@ pub fn run_comparison(
 pub fn keep_alive_sweep(
     cfg: &PlatformConfig,
     profiles: &[FunctionProfile],
-    trace: &Trace,
     windows: &[SimDuration],
+    mut run: impl FnMut(PlatformConfig, &[FunctionProfile]) -> RunReport,
 ) -> Vec<(SimDuration, RunReport)> {
     windows
         .iter()
         .map(|&w| {
-            let report = Platform::new(
-                cfg.clone().with_policy(PolicyKind::FixedKeepAlive(w)),
-                profiles.to_vec(),
-            )
-            .run(trace)
-            .report;
-            (w, report)
+            let cfg = cfg.clone().with_policy(PolicyKind::FixedKeepAlive(w));
+            (w, run(cfg, profiles))
         })
         .collect()
 }
@@ -93,25 +94,18 @@ pub fn catalyzer_profiles(profiles: &[FunctionProfile]) -> Vec<FunctionProfile> 
 }
 
 /// Runs the emulated-Catalyzer experiment (§7.6): cold starts are
-/// replaced by snapshot restores, with and without Medes on top.
+/// replaced by snapshot restores, without and then with Medes on top.
 pub fn catalyzer_comparison(
     cfg: &PlatformConfig,
     profiles: &[FunctionProfile],
-    trace: &Trace,
+    mut run: impl FnMut(PlatformConfig, &[FunctionProfile]) -> RunReport,
 ) -> (RunReport, RunReport) {
     let profiles = catalyzer_profiles(profiles);
     let plain = cfg
         .clone()
         .with_policy(PolicyKind::FixedKeepAlive(SimDuration::from_mins(10)));
-    let without_medes = Platform::new(plain, profiles.clone()).run(trace).report;
-
-    let with = if cfg.is_medes() {
-        cfg.clone()
-    } else {
-        cfg.clone()
-            .with_policy(PolicyKind::Medes(Default::default()))
-    };
-    let with_medes = Platform::new(with, profiles).run(trace).report;
+    let without_medes = run(plain, &profiles);
+    let with_medes = run(as_medes(cfg), &profiles);
     (without_medes, with_medes)
 }
 
@@ -137,7 +131,7 @@ mod tests {
     #[test]
     fn comparison_runs_all_three() {
         let (cfg, suite, trace) = setup();
-        let c = run_comparison(&cfg, &suite, &trace, SimDuration::from_mins(10));
+        let c = run_comparison(&cfg, &suite, SimDuration::from_mins(10), runner(&trace));
         assert_eq!(c.medes.requests.len(), trace.len());
         assert_eq!(c.fixed.requests.len(), trace.len());
         assert_eq!(c.adaptive.requests.len(), trace.len());
@@ -149,7 +143,7 @@ mod tests {
     fn sweep_covers_all_windows() {
         let (cfg, suite, trace) = setup();
         let windows = [SimDuration::from_mins(5), SimDuration::from_mins(10)];
-        let results = keep_alive_sweep(&cfg, &suite, &trace, &windows);
+        let results = keep_alive_sweep(&cfg, &suite, &windows, runner(&trace));
         assert_eq!(results.len(), 2);
         for (_, r) in &results {
             assert_eq!(r.requests.len(), trace.len());
@@ -159,7 +153,7 @@ mod tests {
     #[test]
     fn catalyzer_preset_shrinks_cold_start_latency() {
         let (cfg, suite, trace) = setup();
-        let (plain, with_medes) = catalyzer_comparison(&cfg, &suite, &trace);
+        let (plain, with_medes) = catalyzer_comparison(&cfg, &suite, runner(&trace));
         assert_eq!(plain.requests.len(), trace.len());
         assert_eq!(with_medes.requests.len(), trace.len());
         // Cold starts now cost the snapshot-restore time: their startup

@@ -228,9 +228,7 @@ impl std::ops::AddAssign for ScanWork {
 /// registry [`lookup_batch`](RegistryClient::lookup_batch),
 /// base-page election, and patch encoding.
 ///
-/// Takes the registry by `&self` and touches no fabric state, so any
-/// number of scans may run concurrently on worker threads against the
-/// same registry.
+/// Reads the registry and touches no fabric state.
 pub fn dedup_scan<F>(
     cfg: &PlatformConfig,
     registry: &RegistryClient,
@@ -295,9 +293,9 @@ where
     let encode_cfg = EncodeConfig::with_level(cfg.delta_level);
     let max_patch = (cfg.patch_max_frac * PAGE_SIZE as f64) as usize;
 
-    // Probe the registry in one batch so its read lock is taken once
-    // per op rather than once per page. Empty fingerprints
-    // (rare) skip the registry exactly as the per-page path did.
+    // Probe the registry in one batch per op rather than once per page.
+    // Empty fingerprints (rare) skip the registry exactly as the
+    // per-page path did.
     let probe_fps: Vec<_> = fps.iter().filter(|fp| !fp.is_empty()).cloned().collect();
     let candidate_lists = registry.lookup_batch(&probe_fps);
     let candidates = candidate_lists.iter().map(|c| c.len() as u64).sum();

@@ -28,8 +28,8 @@
 use crate::ids::FnId;
 use medes_mem::{AslrConfig, ContentModel, FunctionSpec, ImageBuilder, MemoryImage};
 use medes_trace::FunctionProfile;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Builds and caches sandbox memory images.
@@ -40,8 +40,8 @@ pub struct ImageFactory {
     /// code version). Rolling deploys give distinct versions distinct
     /// content, so the version participates in identity.
     pinned: HashMap<(usize, u64, u64), Arc<MemoryImage>>,
-    /// Images materialized. Statistic only; publishes no other data.
-    builds: AtomicU64,
+    /// Images materialized.
+    builds: Cell<u64>,
 }
 
 impl ImageFactory {
@@ -66,7 +66,7 @@ impl ImageFactory {
         ImageFactory {
             builders,
             pinned: HashMap::new(),
-            builds: AtomicU64::new(0),
+            builds: Cell::new(0),
         }
     }
 
@@ -77,7 +77,7 @@ impl ImageFactory {
         if let Some(img) = self.pinned.get(&(func.0, instance_seed, version)) {
             return Arc::clone(img);
         }
-        self.builds.fetch_add(1, Ordering::Relaxed);
+        self.builds.set(self.builds.get() + 1);
         Arc::new(self.builders[func.0].build_versioned(instance_seed, version))
     }
 
@@ -89,7 +89,7 @@ impl ImageFactory {
 
     /// Images materialized so far (pinned hits excluded).
     pub fn builds(&self) -> u64 {
-        self.builds.load(Ordering::Relaxed)
+        self.builds.get()
     }
 
     /// Templates filled so far, over all functions.

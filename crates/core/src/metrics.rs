@@ -8,7 +8,7 @@
 use medes_obs::{Obs, TraceCtx};
 use medes_sim::stats::Percentiles;
 use medes_sim::{SimDuration, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// How a request's sandbox was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,7 +266,7 @@ pub(crate) struct MetricsCollector {
     /// Requests by id, sized to the trace by `Platform::run`; a request
     /// that is executing has its record parked in its slot.
     pub slots: Vec<Option<RequestRecord>>,
-    obs: Arc<Obs>,
+    obs: Rc<Obs>,
     /// The simulated instant of the event being handled: when the
     /// memory and live-sandbox updates that follow take effect.
     now: SimTime,
@@ -277,7 +277,7 @@ pub(crate) struct MetricsCollector {
 impl MetricsCollector {
     /// Creates a collector that mirrors everything it records into the
     /// given observability sink.
-    pub fn with_obs(functions: Vec<String>, obs: Arc<Obs>) -> Self {
+    pub fn with_obs(functions: Vec<String>, obs: Rc<Obs>) -> Self {
         let n = functions.len();
         MetricsCollector {
             report: RunReport {

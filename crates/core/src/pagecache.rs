@@ -17,7 +17,7 @@
 use crate::ids::SandboxId;
 use medes_obs::Obs;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Cumulative cache statistics (paper-scale byte counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub struct BasePageCache {
     next_seq: u64,
     used_paper_bytes: usize,
     stats: CacheStats,
-    obs: Arc<Obs>,
+    obs: Rc<Obs>,
 }
 
 impl BasePageCache {
@@ -68,7 +68,7 @@ impl BasePageCache {
     /// Like [`BasePageCache::new`] but mirroring the hit, miss,
     /// eviction and bytes-saved counters into `medes.restore.cache.*`;
     /// caches sharing one `obs` add into the same counters.
-    pub fn with_obs(capacity_paper_bytes: usize, mem_scale: usize, obs: Arc<Obs>) -> Self {
+    pub fn with_obs(capacity_paper_bytes: usize, mem_scale: usize, obs: Rc<Obs>) -> Self {
         BasePageCache {
             capacity_paper_bytes,
             page_paper_bytes: medes_mem::PAGE_SIZE * mem_scale.max(1),
@@ -361,8 +361,8 @@ mod tests {
     #[test]
     fn bytes_saved_sums_over_caches_sharing_an_obs() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut a = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Arc::clone(&obs));
-        let mut b = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Arc::clone(&obs));
+        let mut a = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Rc::clone(&obs));
+        let mut b = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Rc::clone(&obs));
         a.insert(SandboxId(1), 0, &page(1));
         b.insert(SandboxId(2), 0, &page(2));
         for _ in 0..3 {

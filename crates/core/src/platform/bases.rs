@@ -29,6 +29,7 @@ use medes_mem::MemoryImage;
 use medes_obs::Obs;
 use medes_trace::FunctionProfile;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A resolvable base sandbox.
@@ -54,8 +55,8 @@ pub(crate) struct Bases {
 }
 
 impl Bases {
-    pub fn new(cfg: &PlatformConfig, profiles: &[FunctionProfile], obs: &Arc<Obs>) -> Self {
-        let (shards, obs) = (cfg.shards, Arc::clone(obs));
+    pub fn new(cfg: &PlatformConfig, profiles: &[FunctionProfile], obs: &Rc<Obs>) -> Self {
+        let (shards, obs) = (cfg.shards, Rc::clone(obs));
         let registry = match cfg.registry {
             RegistryPlacement::InProcess => RegistryClient::in_process(shards, obs),
             RegistryPlacement::Distributed { owners } => {

@@ -22,7 +22,7 @@ use crate::sandbox::{Sandbox, SandboxState, SandboxTable};
 use medes_obs::Obs;
 use medes_sim::SimTime;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[derive(Debug)]
 struct NodeState {
@@ -45,7 +45,7 @@ pub(crate) struct NodeMemory {
 }
 
 impl NodeMemory {
-    pub fn new(cfg: &PlatformConfig, obs: &Arc<Obs>) -> Self {
+    pub fn new(cfg: &PlatformConfig, obs: &Rc<Obs>) -> Self {
         let node = |n| NodeState {
             capacity: cfg.node_mem(n),
             mem_used: 0,
@@ -54,7 +54,7 @@ impl NodeMemory {
         };
         let cache_bytes = cfg.read_path.page_cache_bytes;
         let cached_nodes = if cache_bytes > 0 { cfg.nodes } else { 0 };
-        let cache = |_| BasePageCache::with_obs(cache_bytes, cfg.mem_scale, Arc::clone(obs));
+        let cache = |_| BasePageCache::with_obs(cache_bytes, cfg.mem_scale, Rc::clone(obs));
         NodeMemory {
             nodes: (0..cfg.nodes).map(node).collect(),
             caches: (0..cached_nodes).map(cache).collect(),
@@ -271,7 +271,7 @@ mod tests {
             let page_paper = medes_mem::PAGE_SIZE * cfg.mem_scale;
             let obs = Obs::disabled();
             let mut mem = NodeMemory::new(&cfg, &obs);
-            let mut m = MetricsCollector::with_obs(vec!["f".into()], Arc::clone(&obs));
+            let mut m = MetricsCollector::with_obs(vec!["f".into()], Rc::clone(&obs));
             let mut table = SandboxTable::default();
             let mut live: Vec<SandboxId> = Vec::new();
             let mut next_id = 0u64;

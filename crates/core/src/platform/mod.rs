@@ -59,7 +59,7 @@ use medes_sim::fault::FaultSchedule;
 use medes_sim::{DetRng, SimDuration, SimTime, Simulation, World};
 use medes_trace::{FunctionProfile, Trace};
 use memory::NodeMemory;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The platform: configuration + function catalog.
 #[derive(Debug)]
@@ -146,7 +146,7 @@ impl Platform {
         let end = sim.now();
         let (events, peak_queue_depth) = (sim.processed(), sim.peak_queue_depth());
         cluster = sim.into_world();
-        let obs = Arc::clone(&cluster.obs);
+        let obs = Rc::clone(&cluster.obs);
         let dedup_work = cluster.dedup_work;
         let dedup_memo_peak_bytes = cluster.life.memo_peak_bytes();
         let report = cluster.finish(end);
@@ -174,7 +174,7 @@ pub struct RunOutcome {
     /// assertions).
     pub report: RunReport,
     /// The run's observability handle (spans, counters and gauges).
-    pub obs: Arc<Obs>,
+    pub obs: Rc<Obs>,
     /// What the host computed, and what it reused, over every dedup
     /// scan (deterministic). Here and not in `report` because a memoised
     /// scan is the same simulated op: the report must not tell them
@@ -237,7 +237,7 @@ struct Cluster {
     medes: Option<MedesPolicyConfig>,
     rng: DetRng,
     metrics: MetricsCollector,
-    obs: Arc<Obs>,
+    obs: Rc<Obs>,
     /// Don't re-arm periodic events past this instant.
     horizon: SimTime,
 }
@@ -245,12 +245,12 @@ struct Cluster {
 impl Cluster {
     fn new(cfg: PlatformConfig, profiles: Vec<FunctionProfile>, horizon: SimTime) -> Self {
         let obs = Obs::new(cfg.obs.clone());
-        let mut fabric = Fabric::with_obs(cfg.nodes, cfg.net.clone(), Arc::clone(&obs));
+        let mut fabric = Fabric::with_obs(cfg.nodes, cfg.net.clone(), Rc::clone(&obs));
         if !cfg.faults.is_empty() {
             fabric.set_faults(FaultSchedule::compile(&cfg.faults));
         }
         let names: Vec<String> = profiles.iter().map(|p| p.name.clone()).collect();
-        let metrics = MetricsCollector::with_obs(names, Arc::clone(&obs));
+        let metrics = MetricsCollector::with_obs(names, Rc::clone(&obs));
         let (ka, medes): (Box<dyn KeepAlivePolicy>, _) = match &cfg.policy {
             PolicyKind::FixedKeepAlive(d) => (Box::new(FixedKeepAlive::new(*d)), None),
             PolicyKind::AdaptiveKeepAlive => (Box::new(AdaptiveKeepAlive::new()), None),

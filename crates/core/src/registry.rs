@@ -12,14 +12,11 @@
 //!
 //! ## One store
 //!
-//! The table and its reverse index live in one store behind one
-//! `RwLock`. Reads ([`RegistryClient::lookup`],
-//! [`RegistryClient::lookup_batch`]) take `&self` and the read lock; the
-//! lookup counter is an atomic. Every caller — the dedup scan at an
+//! The table and its reverse index live in one store in a `RefCell`,
+//! so every method takes `&self`. Every caller — the dedup scan at an
 //! idle check, [`RegistryClient::insert_page`] at demarcation,
-//! [`RegistryClient::remove_sandbox`] at teardown — runs serially in
-//! the event loop, so the lock is never contended (ROADMAP item 11
-//! makes these plain fields).
+//! [`RegistryClient::remove_sandbox`] at teardown — runs serially on
+//! the thread that runs the platform's event loop.
 //!
 //! ## Shards and placement
 //!
@@ -65,9 +62,9 @@ use medes_hash::PageFingerprint;
 use medes_net::{Fabric, FabricStats, NetConfig, RegistryOp, RetryPolicy};
 use medes_obs::Obs;
 use medes_sim::{SimDuration, SimTime};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::rc::Rc;
 
 /// Approximate wire size of one serialized candidate in a lookup
 /// response (location + vote count).
@@ -171,18 +168,16 @@ impl Placement {
 
 /// The global fingerprint registry, with an optional placement of its
 /// shards on worker nodes. Constructed per run from the platform
-/// config; shared across the dedup pipeline's worker threads by
-/// reference (all methods take `&self`). A method that needs both
-/// locks takes the store's first, then the placement's.
+/// config and owned by the thread that runs it; all methods take
+/// `&self`.
 #[derive(Debug)]
 pub struct RegistryClient {
-    store: RwLock<Store>,
-    /// Lookups served: an atomic, because lookups hold only the read
-    /// lock.
-    lookups: AtomicU64,
+    store: RefCell<Store>,
+    /// Lookups served.
+    lookups: Cell<u64>,
     shards: usize,
-    obs: Arc<Obs>,
-    placement: Option<Mutex<Placement>>,
+    obs: Rc<Obs>,
+    placement: Option<RefCell<Placement>>,
 }
 
 impl Default for RegistryClient {
@@ -200,10 +195,10 @@ impl RegistryClient {
 
     /// A controller-resident registry routing by `shards` keys (clamped
     /// to at least 1), recording `medes.registry.*` metrics.
-    pub fn in_process(shards: usize, obs: Arc<Obs>) -> Self {
+    pub fn in_process(shards: usize, obs: Rc<Obs>) -> Self {
         RegistryClient {
-            store: RwLock::new(Store::default()),
-            lookups: AtomicU64::new(0),
+            store: RefCell::default(),
+            lookups: Cell::new(0),
             shards: shards.max(1),
             obs,
             placement: None,
@@ -219,12 +214,12 @@ impl RegistryClient {
         nodes: usize,
         net: NetConfig,
         retry: RetryPolicy,
-        obs: Arc<Obs>,
+        obs: Rc<Obs>,
     ) -> Self {
         assert!(nodes > 0, "distributed registry needs at least one node");
         let owners = owners.clamp(1, nodes);
-        let mut client = Self::in_process(shards, Arc::clone(&obs));
-        client.placement = Some(Mutex::new(Placement {
+        let mut client = Self::in_process(shards, Rc::clone(&obs));
+        client.placement = Some(RefCell::new(Placement {
             owner_of: (0..client.shards).map(|s| s % owners).collect(),
             alive: vec![true; nodes],
             fabric: Fabric::with_obs(nodes, net, obs),
@@ -233,19 +228,6 @@ impl RegistryClient {
             rereplicated: 0,
         }));
         client
-    }
-
-    fn store(&self) -> RwLockReadGuard<'_, Store> {
-        self.store.read().expect("a registry writer panicked")
-    }
-
-    fn store_mut(&self) -> RwLockWriteGuard<'_, Store> {
-        self.store.write().expect("a registry writer panicked")
-    }
-
-    fn placement(&self) -> Option<MutexGuard<'_, Placement>> {
-        let p = self.placement.as_ref()?;
-        Some(p.lock().expect("a registry RPC panicked"))
     }
 
     /// Shard of a chunk hash. Derived from the content hash value
@@ -264,9 +246,10 @@ impl RegistryClient {
         op: RegistryOp,
         sizes: impl Fn(usize) -> (usize, usize),
     ) {
-        let Some(mut p) = self.placement() else {
+        let Some(p) = &self.placement else {
             return;
         };
+        let mut p = p.borrow_mut();
         let mut probes = vec![0usize; self.shards];
         for chunk in fps.iter().flat_map(|fp| fp.chunks()) {
             probes[self.shard_of(chunk.hash)] += 1;
@@ -287,7 +270,7 @@ impl RegistryClient {
                 PROBE_BYTES,
             )
         });
-        let mut store = self.store_mut();
+        let mut store = self.store.borrow_mut();
         let Store {
             table,
             by_sandbox,
@@ -321,17 +304,16 @@ impl RegistryClient {
         out.pop().expect("one candidate list per fingerprint")
     }
 
-    /// Looks up a batch of page fingerprints under one read lock and
-    /// returns one candidate list per fingerprint, ordered by
-    /// descending vote count with a total-order tie-break (sandbox,
-    /// page, node), so the result is independent of `HashMap`
-    /// iteration order.
+    /// Looks up a batch of page fingerprints and returns one candidate
+    /// list per fingerprint, ordered by descending vote count with a
+    /// total-order tie-break (sandbox, page, node), so the result is
+    /// independent of `HashMap` iteration order.
     pub fn lookup_batch(&self, fps: &[PageFingerprint]) -> Vec<Vec<Candidate>> {
         self.charge_per_shard(fps, RegistryOp::Lookup, |n| {
             (n * PROBE_BYTES, n * CANDIDATE_BYTES)
         });
-        self.lookups.fetch_add(fps.len() as u64, Ordering::Relaxed);
-        let store = self.store();
+        self.lookups.set(self.lookups.get() + fps.len() as u64);
+        let store = self.store.borrow();
         let out: Vec<Vec<Candidate>> = fps
             .iter()
             .map(|fp| {
@@ -363,11 +345,12 @@ impl RegistryClient {
 
     /// Removes every entry contributed by a base sandbox.
     pub fn remove_sandbox(&self, sandbox: SandboxId) {
-        let mut store = self.store_mut();
+        let mut store = self.store.borrow_mut();
         let Some(hashes) = store.by_sandbox.remove(&sandbox) else {
             return;
         };
-        if let Some(mut p) = self.placement() {
+        if let Some(p) = &self.placement {
+            let mut p = p.borrow_mut();
             // Removal is a broadcast: a sandbox's chunk hashes span
             // shards, and the reverse index lives with each owner.
             let mut owners = p.owner_of.clone();
@@ -398,14 +381,14 @@ impl RegistryClient {
 
     /// Number of (hash, location) entries.
     pub fn entries(&self) -> usize {
-        self.store().entries
+        self.store.borrow().entries
     }
 
     /// High-water mark of entries over the registry's lifetime (the
     /// §7.7 controller-overhead number; the live count drains as base
     /// sandboxes expire at the end of a run).
     pub fn peak_entries(&self) -> usize {
-        self.store().peak_entries
+        self.store.borrow().peak_entries
     }
 
     /// High-water mark of registry bytes.
@@ -415,12 +398,12 @@ impl RegistryClient {
 
     /// Total lookups served (for the §7.7 overhead report).
     pub fn lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
+        self.lookups.get()
     }
 
     /// Live entry count per shard, counted from the table.
     pub fn shard_entries(&self) -> Vec<usize> {
-        self.entries_per_shard(&self.store())
+        self.entries_per_shard(&self.store.borrow())
     }
 
     fn entries_per_shard(&self, store: &Store) -> Vec<usize> {
@@ -438,18 +421,18 @@ impl RegistryClient {
 
     /// Number of base sandboxes currently indexed.
     pub fn base_sandboxes(&self) -> usize {
-        self.store().by_sandbox.len()
+        self.store.borrow().by_sandbox.len()
     }
 
     /// Whether the registry still indexes this sandbox.
     pub fn contains_sandbox(&self, sandbox: SandboxId) -> bool {
-        self.store().by_sandbox.contains_key(&sandbox)
+        self.store.borrow().by_sandbox.contains_key(&sandbox)
     }
 
     /// Number of chunk locations pointing at `node`. Used by crash
     /// recovery to assert a dead node's chunks were all purged.
     pub fn locs_on_node(&self, node: NodeId) -> usize {
-        let store = self.store();
+        let store = self.store.borrow();
         let locs = store.table.values().flatten();
         locs.filter(|l| l.node == node).count()
     }
@@ -459,7 +442,7 @@ impl RegistryClient {
     /// that every shard is owned by a live node (or that no node is
     /// alive).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let store = self.store();
+        let store = self.store.borrow();
         let counted: usize = store.table.values().map(Vec::len).sum();
         if counted != store.entries {
             return Err(format!(
@@ -491,9 +474,10 @@ impl RegistryClient {
         if per_sandbox_hash != reverse {
             return Err("by_sandbox multiplicities do not match the table".into());
         }
-        let Some(p) = self.placement() else {
+        let Some(p) = &self.placement else {
             return Ok(());
         };
+        let p = p.borrow();
         if p.owner_of.len() != self.shards {
             return Err(format!(
                 "ownership map covers {} shards, registry routes {}",
@@ -516,8 +500,8 @@ impl RegistryClient {
     /// Mirrors the simulated clock into the placement's fabric, so RPCs
     /// are priced at the current instant.
     pub fn set_now(&self, now: SimTime) {
-        if let Some(mut p) = self.placement() {
-            p.fabric.set_now(now);
+        if let Some(p) = &self.placement {
+            p.borrow_mut().fabric.set_now(now);
         }
     }
 
@@ -529,10 +513,11 @@ impl RegistryClient {
     /// no survivor the shards stay put until a node restarts.
     pub fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
         let mut rec = CrashRecovery::default();
-        let store = self.store();
-        let Some(mut p) = self.placement() else {
+        let store = self.store.borrow();
+        let Some(p) = &self.placement else {
             return rec;
         };
+        let mut p = p.borrow_mut();
         if node.0 >= p.alive.len() || !p.alive[node.0] {
             return rec;
         }
@@ -583,9 +568,10 @@ impl RegistryClient {
     /// shard from a live owner (no proactive rebalancing); shards a
     /// full outage left with dead owners are adopted by it.
     pub fn on_node_restart(&self, node: NodeId) {
-        let Some(mut p) = self.placement() else {
+        let Some(p) = &self.placement else {
             return;
         };
+        let mut p = p.borrow_mut();
         let Placement {
             owner_of, alive, ..
         } = &mut *p;
@@ -601,10 +587,11 @@ impl RegistryClient {
     /// Entries in shards owned by `node`: 0 without a placement, where
     /// worker nodes own nothing.
     pub fn entries_owned_by(&self, node: NodeId) -> usize {
-        let store = self.store();
-        let Some(p) = self.placement() else {
+        let store = self.store.borrow();
+        let Some(p) = &self.placement else {
             return 0;
         };
+        let p = p.borrow();
         let per_shard = self.entries_per_shard(&store);
         let owned = per_shard.iter().zip(&p.owner_of);
         owned.filter(|&(_, &o)| o == node.0).map(|(&e, _)| e).sum()
@@ -612,34 +599,35 @@ impl RegistryClient {
 
     /// Cumulative registry RPC traffic (zero without a placement).
     pub fn rpc_stats(&self) -> FabricStats {
-        self.placement()
-            .map(|p| p.fabric.stats())
-            .unwrap_or_default()
+        let p = self.placement.as_ref();
+        p.map(|p| p.borrow().fabric.stats()).unwrap_or_default()
     }
 
     /// Total simulated time spent in registry RPCs. Accounted off the
     /// report-visible path: dedup runs off the critical path, so the
     /// latency is an overhead figure, not a scheduling input.
     pub fn rpc_time(&self) -> SimDuration {
-        SimDuration::from_micros(self.placement().map_or(0, |p| p.rpc_time_us))
+        let p = self.placement.as_ref();
+        SimDuration::from_micros(p.map_or(0, |p| p.borrow().rpc_time_us))
     }
 
     /// Cumulative entries re-replicated by crash recoveries.
     pub fn rereplicated_entries(&self) -> u64 {
-        self.placement().map_or(0, |p| p.rereplicated)
+        let p = self.placement.as_ref();
+        p.map_or(0, |p| p.borrow().rereplicated)
     }
 
     /// Number of shards currently owned by `node`.
     #[cfg(test)]
     fn shards_owned_by(&self, node: NodeId) -> usize {
-        let p = self.placement().expect("placed client");
+        let p = self.placement.as_ref().expect("placed client").borrow();
         p.owner_of.iter().filter(|&&o| o == node.0).count()
     }
 
     /// All (hash, location) pairs, for test assertions.
     #[cfg(test)]
     fn snapshot_locs(&self) -> Vec<(ChunkHash, ChunkLoc)> {
-        let store = self.store();
+        let store = self.store.borrow();
         let pairs = store.table.iter();
         pairs
             .flat_map(|(&h, locs)| locs.iter().map(move |&l| (h, l)))
@@ -1002,7 +990,7 @@ mod tests {
     fn obs_mirrors_registry_activity() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let cfg = FingerprintConfig::default();
-        let reg = RegistryClient::in_process(2, Arc::clone(&obs));
+        let reg = RegistryClient::in_process(2, Rc::clone(&obs));
         let fp = page_fingerprint(&random_page(9), &cfg);
         reg.insert_page(&fp, loc(1, 0));
         reg.lookup(&fp);
@@ -1076,7 +1064,7 @@ mod tests {
             4,
             medes_net::NetConfig::default(),
             RetryPolicy::default(),
-            Arc::clone(&obs),
+            Rc::clone(&obs),
         );
         let fp = page_fingerprint(&random_page(60), &cfg);
         reg.insert_page(&fp, loc(1, 0));

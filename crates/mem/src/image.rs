@@ -55,8 +55,7 @@ use crate::content::{mix_seed, write_motif, ContentModel, TileKind};
 use crate::page::{page_align, PAGE_SIZE};
 use crate::region::{Region, RegionKind};
 use crate::spec::{FunctionSpec, LibraryId};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::{Cell, OnceCell, Ref, RefCell};
 
 const LAYOUT_SALT: u64 = 0x1A_0001;
 const CANON_SALT: u64 = 0x1A_0002;
@@ -124,11 +123,10 @@ impl SharedTiles {
 /// builds. A cloned or reconfigured builder starts with none of it.
 #[derive(Debug, Default)]
 struct BuildCache {
-    template: Mutex<Option<Arc<Template>>>,
-    /// Statistic only; publishes no other data.
-    template_builds: AtomicU64,
+    template: RefCell<Option<Template>>,
+    template_builds: Cell<u64>,
     /// The 16-byte motif of every pattern id.
-    motifs: OnceLock<Vec<[u8; 16]>>,
+    motifs: OnceCell<Vec<[u8; 16]>>,
 }
 
 impl Clone for BuildCache {
@@ -193,16 +191,12 @@ impl ImageBuilder {
     /// Templates filled so far (one per builder and deploy version
     /// unless versions alternate).
     pub fn template_builds(&self) -> u64 {
-        self.cache.template_builds.load(Ordering::Relaxed)
+        self.cache.template_builds.get()
     }
 
     /// Bytes the held template occupies (0 before the first build).
     pub fn template_bytes(&self) -> usize {
-        let held = self
-            .cache
-            .template
-            .lock()
-            .expect("a template fill panicked");
+        let held = self.cache.template.borrow();
         held.as_ref()
             .map_or(0, |t| t.regions.iter().map(SharedTiles::held_bytes).sum())
     }
@@ -290,7 +284,7 @@ impl ImageBuilder {
     pub fn build_versioned(&self, instance_seed: u64, version: u64) -> MemoryImage {
         let m = &self.model;
         let plan = self.region_plan();
-        let mut template: Option<Arc<Template>> = None;
+        let mut template: Option<Ref<'_, Template>> = None;
         let mut regions = Vec::with_capacity(plan.len());
         for (i, p) in plan.iter().enumerate() {
             let canonical = canonical_base(p.stream);
@@ -327,20 +321,14 @@ impl ImageBuilder {
 
     /// The template at `version`, filling it if the held one is of
     /// another version (or there is none yet).
-    fn template(&self, plan: &[PlannedRegion<'_>], version: u64) -> Arc<Template> {
-        let mut held = self
-            .cache
-            .template
-            .lock()
-            .expect("a template fill panicked");
-        if let Some(t) = held.as_ref().filter(|t| t.version == version) {
-            return Arc::clone(t);
+    fn template(&self, plan: &[PlannedRegion<'_>], version: u64) -> Ref<'_, Template> {
+        let (slot, builds) = (&self.cache.template, &self.cache.template_builds);
+        if slot.borrow().as_ref().is_none_or(|t| t.version != version) {
+            let regions = plan.iter().map(|p| self.shared_tiles(p, version)).collect();
+            builds.set(builds.get() + 1);
+            *slot.borrow_mut() = Some(Template { version, regions });
         }
-        let regions = plan.iter().map(|p| self.shared_tiles(p, version)).collect();
-        self.cache.template_builds.fetch_add(1, Ordering::Relaxed);
-        let t = Arc::new(Template { version, regions });
-        *held = Some(Arc::clone(&t));
-        t
+        Ref::map(slot.borrow(), |t| t.as_ref().expect("filled above"))
     }
 
     /// Fills the stream tiles of `p` an instance is likely to place: all

@@ -60,7 +60,7 @@
 use medes_obs::{Obs, TraceCtx};
 use medes_sim::fault::FaultSchedule;
 use medes_sim::{SimDuration, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Node identifier within the fabric.
 pub type NodeIdx = usize;
@@ -191,7 +191,7 @@ pub struct Fabric {
     nodes: usize,
     cfg: NetConfig,
     stats: FabricStats,
-    obs: Arc<Obs>,
+    obs: Rc<Obs>,
     faults: Option<FaultSchedule>,
     now: SimTime,
     ctx: TraceCtx,
@@ -204,7 +204,7 @@ impl Fabric {
     }
 
     /// Creates a fabric that records `medes.net.*` metrics.
-    pub fn with_obs(nodes: usize, cfg: NetConfig, obs: Arc<Obs>) -> Self {
+    pub fn with_obs(nodes: usize, cfg: NetConfig, obs: Rc<Obs>) -> Self {
         assert!(nodes > 0, "fabric needs at least one node");
         Fabric {
             nodes,
@@ -764,7 +764,7 @@ mod tests {
     #[test]
     fn obs_mirrors_fabric_traffic() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
         let one = read(&mut f, 0, 1, 4096).unwrap();
         let batch = f.rdma_read_batch(0, &[(1, 100), (2, 200)]).unwrap();
         let rpc = f.rpc(0, 1, 10, 20).unwrap();
@@ -790,7 +790,7 @@ mod tests {
     #[test]
     fn flat_counters_total_all_links() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
         read(&mut f, 0, 1, 4096).unwrap();
         f.rdma_read_batch(0, &[(1, 100), (1, 50), (2, 200)])
             .unwrap();
@@ -823,7 +823,7 @@ mod tests {
             let horizon = SimTime::from_secs(10);
             let plan = FaultPlan::synthesize(seed, nodes, horizon, rng.f64() * 4.0);
             let obs = Obs::new(medes_obs::ObsConfig::enabled());
-            let mut f = Fabric::with_obs(nodes, NetConfig::default(), Arc::clone(&obs));
+            let mut f = Fabric::with_obs(nodes, NetConfig::default(), Rc::clone(&obs));
             f.set_faults(FaultSchedule::compile(&plan));
             let policy = RetryPolicy {
                 max_attempts: 1 + rng.below(3) as u32,
@@ -1119,7 +1119,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
         let policy = RetryPolicy {
             max_attempts: 3,
@@ -1166,7 +1166,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
         let policy = RetryPolicy {
             max_attempts: 1,
@@ -1196,7 +1196,7 @@ mod tests {
     #[test]
     fn registry_rpcs_are_priced_like_rpcs_and_counted_separately() {
         let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
         let policy = RetryPolicy {
             max_attempts: 1,
             ..RetryPolicy::default()
@@ -1235,7 +1235,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Arc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
         let policy = RetryPolicy {
             max_attempts: 3,

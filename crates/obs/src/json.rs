@@ -77,7 +77,7 @@ pub enum Json {
     Object(JsonMap),
 }
 
-static NULL: Json = Json::Null;
+const NULL: &Json = &Json::Null;
 
 impl Json {
     /// An empty object.
@@ -280,7 +280,7 @@ impl fmt::Display for Json {
 impl Index<&str> for Json {
     type Output = Json;
     fn index(&self, key: &str) -> &Json {
-        self.get(key).unwrap_or(&NULL)
+        self.get(key).unwrap_or(NULL)
     }
 }
 
@@ -288,8 +288,8 @@ impl Index<usize> for Json {
     type Output = Json;
     fn index(&self, idx: usize) -> &Json {
         match self {
-            Json::Array(items) => items.get(idx).unwrap_or(&NULL),
-            _ => &NULL,
+            Json::Array(items) => items.get(idx).unwrap_or(NULL),
+            _ => NULL,
         }
     }
 }

@@ -27,19 +27,19 @@ pub use span::{AttrValue, ParsedSpan, Span};
 
 use medes_sim::SimTime;
 use sink::SpanSink;
+use std::cell::RefCell;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
-/// Bytes of span lines a handle without an export dir holds for
+/// Bytes of span lines a handle without a trace file holds for
 /// [`Obs::export_jsonl`]: 16 MiB, about 60 000 request spans. Lines
 /// past it are still formatted, then discarded and counted by
 /// [`Obs::spans_dropped`], so span memory stays bounded on any run.
 pub const SPAN_BYTES_CAP: usize = 16 << 20;
 
-/// Bytes of formatted lines a handle with an export dir gathers
-/// before writing them to the file.
+/// Bytes of formatted lines a handle with a trace file gathers before
+/// writing them to the file.
 const FILE_BATCH_BYTES: usize = 64 << 10;
 
 /// Observability configuration, carried on `PlatformConfig`.
@@ -47,53 +47,42 @@ const FILE_BATCH_BYTES: usize = 64 << 10;
 pub struct ObsConfig {
     /// Master switch. When false every span/metric call is a no-op.
     pub enabled: bool,
-    /// When set, an enabled handle creates `trace-run-<n>.jsonl` here
-    /// as it is built (`n` numbers the handles of one process), writes
-    /// every span line to it and nowhere else, and
-    /// [`Obs::write_trace`] completes it with the metrics tail. Span
-    /// memory is then one write batch, however long the run. Without
-    /// it, the lines stay in memory for [`Obs::export_jsonl`].
-    pub export_dir: Option<PathBuf>,
+    /// When set, an enabled handle creates this file (and its parent
+    /// directories) as it is built, writes every span line to it and
+    /// nowhere else, and [`Obs::write_trace`] completes it with the
+    /// metrics tail. Span memory is then one write batch, however long
+    /// the run. Without it, the lines stay in memory for
+    /// [`Obs::export_jsonl`]. The caller names the file: `medes-obs`
+    /// numbers nothing.
+    pub trace_file: Option<PathBuf>,
 }
 
 impl ObsConfig {
-    /// An enabled config with no export dir.
+    /// An enabled config with no trace file.
     pub fn enabled() -> Self {
         ObsConfig {
             enabled: true,
             ..ObsConfig::default()
         }
     }
-
-    /// Sets the export directory in place — the composition-friendly
-    /// setter for callers holding a `&mut ObsConfig` (harness flag
-    /// loops, config tweaks) that the consuming builder style forced
-    /// into rebind chains.
-    pub fn set_export_dir(&mut self, dir: impl Into<PathBuf>) {
-        self.export_dir = Some(dir.into());
-    }
 }
 
-/// Distinguishes trace files exported by successive runs within one
-/// process (simulated time restarts at zero each run, so wall-clock or
-/// sim time can't disambiguate).
-static EXPORT_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Shared observability handle. Clone the `Arc<Obs>` into every
-/// subsystem; interior mutability keeps call sites borrow-friendly.
-/// Everything it records sits behind one lock, taken once per call.
+/// The observability handle of one run. Clone the `Rc<Obs>` into
+/// every subsystem of the run; the handle stays on the thread that
+/// runs it. Everything it records sits in one `RefCell`, borrowed
+/// once per call.
 #[derive(Debug)]
 pub struct Obs {
     enabled: bool,
-    state: Mutex<State>,
+    state: RefCell<State>,
 }
 
-/// What an [`Obs`] records. A method holding the guard never calls
-/// another locking method: the lock is not reentrant.
+/// What an [`Obs`] records. A method holding the borrow never calls
+/// another [`Obs`] method: a re-entrant borrow panics.
 #[derive(Debug)]
 struct State {
     metrics: MetricsRegistry,
-    /// Span lines: every kept line without an export dir, else the
+    /// Span lines: every kept line without a trace file, else the
     /// lines not yet written to the file.
     lines: String,
     dest: Dest,
@@ -106,7 +95,7 @@ struct State {
 /// Where a handle's span lines go.
 #[derive(Debug)]
 enum Dest {
-    /// No export dir: `lines` holds them, up to [`SPAN_BYTES_CAP`].
+    /// No trace file: `lines` holds them, up to [`SPAN_BYTES_CAP`].
     Memory,
     /// The trace file.
     File(SpanSink),
@@ -167,23 +156,20 @@ impl Drop for State {
 }
 
 impl Obs {
-    /// Creates a handle from a config. An enabled handle with an
-    /// export dir creates its trace file here; if that fails, the run
-    /// goes on and [`Obs::write_trace`] returns the error.
-    pub fn new(cfg: ObsConfig) -> Arc<Obs> {
-        let dest = match cfg.export_dir.as_ref().filter(|_| cfg.enabled) {
-            Some(dir) => {
-                let seq = EXPORT_SEQ.fetch_add(1, Ordering::Relaxed);
-                match SpanSink::create(dir.join(format!("trace-run-{seq}.jsonl"))) {
-                    Ok(sink) => Dest::File(sink),
-                    Err(e) => Dest::Failed(e),
-                }
-            }
+    /// Creates a handle from a config. An enabled handle with a trace
+    /// file creates it here; if that fails, the run goes on and
+    /// [`Obs::write_trace`] returns the error.
+    pub fn new(cfg: ObsConfig) -> Rc<Obs> {
+        let dest = match cfg.trace_file.filter(|_| cfg.enabled) {
+            Some(path) => match SpanSink::create(path) {
+                Ok(sink) => Dest::File(sink),
+                Err(e) => Dest::Failed(e),
+            },
             None => Dest::Memory,
         };
-        Arc::new(Obs {
+        Rc::new(Obs {
             enabled: cfg.enabled,
-            state: Mutex::new(State {
+            state: RefCell::new(State {
                 metrics: MetricsRegistry::new(),
                 lines: String::new(),
                 dest,
@@ -194,7 +180,7 @@ impl Obs {
     }
 
     /// A permanently-disabled handle (every call is a no-op).
-    pub fn disabled() -> Arc<Obs> {
+    pub fn disabled() -> Rc<Obs> {
         Obs::new(ObsConfig::default())
     }
 
@@ -202,10 +188,6 @@ impl Obs {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    fn state(&self) -> MutexGuard<'_, State> {
-        self.state.lock().unwrap()
     }
 
     /// Starts an untraced (flat) span at `start` (simulated time).
@@ -244,7 +226,7 @@ impl Obs {
     /// Formats one span line with `write` straight into the handle's
     /// destination.
     pub(crate) fn record_span(&self, write: impl FnOnce(&mut String)) {
-        let mut s = self.state();
+        let mut s = self.state.borrow_mut();
         let mark = s.lines.len();
         write(&mut s.lines);
         s.keep(mark);
@@ -254,7 +236,7 @@ impl Obs {
     #[inline]
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if self.enabled {
-            self.state().metrics.counter_add(name, delta);
+            self.state.borrow_mut().metrics.counter_add(name, delta);
         }
     }
 
@@ -268,20 +250,20 @@ impl Obs {
     #[inline]
     pub fn gauge_set(&self, name: &'static str, value: f64) {
         if self.enabled {
-            self.state().metrics.gauge_set(name, value);
+            self.state.borrow_mut().metrics.gauge_set(name, value);
         }
     }
 
     /// Spans held in memory or written to the trace file.
     pub fn span_count(&self) -> usize {
-        self.state().kept as usize
+        self.state.borrow().kept as usize
     }
 
     /// Spans formatted, then discarded: past [`SPAN_BYTES_CAP`], or
     /// after the trace file failed or was completed. Every recorded
     /// span is counted here or by [`Obs::span_count`].
     pub fn spans_dropped(&self) -> u64 {
-        self.state().dropped
+        self.state.borrow().dropped
     }
 
     /// The spans of [`Obs::export_jsonl`], parsed back.
@@ -291,40 +273,38 @@ impl Obs {
 
     /// Name-sorted metrics snapshot.
     pub fn metrics_snapshot(&self) -> Vec<(&'static str, Metric)> {
-        self.state().metrics.snapshot()
+        self.state.borrow().metrics.snapshot()
     }
 
     /// Current counter value (0 if absent; [`TYPE_MISMATCH_METRIC`]
     /// reads the count of dropped mismatched writes).
     pub fn counter(&self, name: &str) -> u64 {
-        self.state().metrics.counter(name)
+        self.state.borrow().metrics.counter(name)
     }
 
     /// The run's export held in memory: every span line in recording
     /// order, then one `{"metrics": ...}` tail line — byte for byte
-    /// the file the same run writes with an export dir.
+    /// the file the same run writes with a trace file.
     ///
     /// # Panics
-    /// When the handle has an export dir (its lines went to the file)
-    /// or dropped a span past [`SPAN_BYTES_CAP`]: a partial export
-    /// would read as a complete one.
+    /// When the handle has a trace file (its lines went there) or
+    /// dropped a span past [`SPAN_BYTES_CAP`]: a partial export would
+    /// read as a complete one.
     pub fn export_jsonl(&self) -> String {
-        let s = self.state();
+        let s = self.state.borrow();
         if matches!(s.dest, Dest::Memory) && s.dropped == 0 {
             return s.lines.clone() + &s.tail();
         }
-        let dropped = s.dropped;
-        drop(s); // unlocked, so the handle outlives a caught panic
-        panic!("export_jsonl: the span lines went to a trace file or past the {SPAN_BYTES_CAP}-byte cap ({dropped} dropped)");
+        panic!("export_jsonl: the span lines went to a trace file or past the {SPAN_BYTES_CAP}-byte cap ({} dropped)", s.dropped);
     }
 
     /// Completes the trace file opened by [`Obs::new`] with the
     /// metrics tail. Returns the trace path, or `None` when disabled,
-    /// without an export dir, or once the file is complete. If the file
+    /// without a trace file, or once the file is complete. If the file
     /// could not be opened or written, every call returns that error.
     pub fn write_trace(&self) -> io::Result<Option<PathBuf>> {
-        let mut guard = self.state();
-        let s = &mut *guard;
+        let mut state = self.state.borrow_mut();
+        let s = &mut *state;
         if matches!(s.dest, Dest::File(_)) {
             let Dest::File(sink) = std::mem::replace(&mut s.dest, Dest::Done) else {
                 unreachable!()
@@ -364,6 +344,7 @@ pub fn parse_jsonl(contents: &str) -> Vec<ParsedSpan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -404,6 +385,21 @@ mod tests {
         assert_eq!(span.attrs.capacity(), 0);
     }
 
+    /// An enabled span's first attr reserves room for every attr a
+    /// span carries, so a seven-attr request span allocates once; a
+    /// bare span allocates nothing.
+    #[test]
+    fn enabled_span_allocates_attrs_once() {
+        let obs = Obs::new(ObsConfig::enabled());
+        assert_eq!(obs.span("medes.test", t(0)).attrs.capacity(), 0);
+        let keys = ["a", "b", "c", "d", "e", "f", "g"];
+        let span = keys
+            .iter()
+            .fold(obs.span("medes.test", t(0)), |s, k| s.attr(k, 1u64));
+        assert_eq!(span.attrs.capacity(), keys.len());
+        span.end(t(1));
+    }
+
     /// Lines past the byte cap are formatted, discarded and counted,
     /// later small ones included, and the partial export refuses to be
     /// read.
@@ -422,7 +418,7 @@ mod tests {
         }
         assert_eq!(obs.span_count(), 3);
         assert_eq!(obs.spans_dropped(), 7);
-        let export = std::panic::catch_unwind(|| obs.export_jsonl());
+        let export = std::panic::catch_unwind(AssertUnwindSafe(|| obs.export_jsonl()));
         assert!(export.is_err(), "a partial export must not be read");
     }
 
@@ -530,7 +526,7 @@ mod tests {
 
     /// Property test: a seeded random span forest written to the trace
     /// file produces a file byte-identical to what [`Obs::export_jsonl`]
-    /// returns on a handle with no export dir fed the identical spans;
+    /// returns on a handle with no trace file fed the identical spans;
     /// the file's handle holds nothing in memory to export, and the
     /// file holds every span it counts.
     #[test]
@@ -538,9 +534,10 @@ mod tests {
         use medes_sim::DetRng;
         let dir = std::env::temp_dir().join(format!("medes-obs-file-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut stream_cfg = ObsConfig::enabled();
-        stream_cfg.set_export_dir(&dir);
-        let streamed = Obs::new(stream_cfg);
+        let streamed = Obs::new(ObsConfig {
+            trace_file: Some(dir.join("trace.jsonl")),
+            ..ObsConfig::enabled()
+        });
         let buffered = Obs::new(ObsConfig::enabled());
         let mut rng = DetRng::new(0x57e4_3a1d_0000_0002);
         const NAMES: [&str; 3] = ["medes.a.root", "medes.b.mid", "medes.c.leaf"];
@@ -566,7 +563,7 @@ mod tests {
         }
         assert_eq!(streamed.span_count(), buffered.span_count());
         assert_eq!(streamed.spans_dropped(), 0);
-        assert!(std::panic::catch_unwind(|| streamed.export_jsonl()).is_err());
+        assert!(std::panic::catch_unwind(AssertUnwindSafe(|| streamed.export_jsonl())).is_err());
         let path = streamed.write_trace().unwrap().expect("streamed path");
         let file = std::fs::read_to_string(&path).unwrap();
         assert!(file.len() > 4 * FILE_BATCH_BYTES);
@@ -584,34 +581,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Satellite: the `&mut self` export-dir setter composes without
-    /// rebind chains (the old `export_to` builder shim is gone).
-    #[test]
-    fn set_export_dir_composes_in_place() {
-        let mut a = ObsConfig::enabled();
-        a.set_export_dir("/tmp/medes-x");
-        let mut b = ObsConfig::enabled();
-        b.export_dir = Some("/tmp/medes-x".into());
-        assert_eq!(a, b);
-    }
-
     /// A handle dropped without `write_trace` leaves its spans, and no
     /// tail, in the file.
     #[test]
     fn dropped_handle_leaves_its_spans_in_the_file() {
         let dir = std::env::temp_dir().join(format!("medes-obs-drop-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ObsConfig::enabled();
-        cfg.set_export_dir(&dir);
-        let obs = Obs::new(cfg);
+        let file = dir.join("trace.jsonl");
+        let obs = Obs::new(ObsConfig {
+            trace_file: Some(file.clone()),
+            ..ObsConfig::enabled()
+        });
         obs.span("s", t(0)).end(t(1));
         drop(obs);
-        let file = std::fs::read_dir(&dir)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap()
-            .path();
         let contents = std::fs::read_to_string(file).unwrap();
         assert_eq!(parse_jsonl(&contents).len(), 1);
         assert!(parse_tail(&contents).is_none());
@@ -622,9 +604,10 @@ mod tests {
     fn write_trace_creates_directories() {
         let dir = std::env::temp_dir().join(format!("medes-obs-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = ObsConfig::enabled();
-        cfg.set_export_dir(dir.join("nested"));
-        let obs = Obs::new(cfg);
+        let obs = Obs::new(ObsConfig {
+            trace_file: Some(dir.join("nested").join("trace.jsonl")),
+            ..ObsConfig::enabled()
+        });
         obs.span("s", t(0)).end(t(1));
         let path = obs.write_trace().unwrap().expect("path");
         assert!(path.exists());

@@ -2,7 +2,7 @@
 //!
 //! [`crate::Obs`] formats span lines into its own buffer and hands them
 //! over here in large batches, whole lines only; the file is the one
-//! destination of a handle with an export dir, and the same bytes that
+//! destination of a handle with a trace file, and the same bytes that
 //! [`crate::Obs::export_jsonl`] returns for a handle without one.
 
 use std::fs::File;

@@ -113,6 +113,10 @@ impl ParsedSpan {
     }
 }
 
+/// Attributes a span has room for at its first [`Span::attr`]: the
+/// most any span carries (a request span's seven).
+const SPAN_ATTRS: usize = 7;
+
 /// In-flight span builder. Obtained from [`crate::Obs::span`] (flat,
 /// untraced) or [`crate::Obs::span_in`] (carrying a [`TraceCtx`]);
 /// call [`Span::end`] with the phase end time to record it.
@@ -127,9 +131,13 @@ pub struct Span<'a> {
 
 impl<'a> Span<'a> {
     /// Adds an attribute (no-op when observability is disabled). Keys
-    /// are distinct within a span.
+    /// are distinct within a span. The first one reserves room for the
+    /// most any span carries, so a span allocates its attributes once.
     pub fn attr(mut self, key: &'static str, value: impl Into<AttrValue<'a>>) -> Self {
         if self.obs.enabled() {
+            if self.attrs.capacity() == 0 {
+                self.attrs.reserve_exact(SPAN_ATTRS);
+            }
             self.attrs.push((key, value.into()));
         }
         self

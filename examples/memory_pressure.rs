@@ -5,7 +5,7 @@
 //! cargo run --release --example memory_pressure
 //! ```
 
-use medes::platform::baselines::run_comparison;
+use medes::platform::baselines::{run_comparison, runner};
 use medes::platform::PlatformConfig;
 use medes::sim::SimDuration;
 use medes::trace::{azure_like_trace, functionbench_suite, TraceGenConfig};
@@ -31,7 +31,7 @@ fn main() {
         cfg.mem_scale = 256;
         cfg.node_mem_bytes = 256 << 20;
         cfg.nodes = ((19.0 * frac) as usize).max(2);
-        let c = run_comparison(&cfg, &suite, &trace, SimDuration::from_mins(10));
+        let c = run_comparison(&cfg, &suite, SimDuration::from_mins(10), runner(&trace));
         let adv = 100.0
             * (1.0
                 - c.medes.total_cold_starts() as f64 / c.fixed.total_cold_starts().max(1) as f64);

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use medes::platform::baselines::run_comparison;
+use medes::platform::baselines::{run_comparison, runner};
 use medes::platform::PlatformConfig;
 use medes::sim::SimDuration;
 use medes::trace::{azure_like_trace, functionbench_suite, TraceGenConfig};
@@ -38,7 +38,7 @@ fn main() {
     cfg.nodes = 12;
 
     // 3. Run Medes and both baselines over the same trace.
-    let c = run_comparison(&cfg, &suite, &trace, SimDuration::from_mins(10));
+    let c = run_comparison(&cfg, &suite, SimDuration::from_mins(10), runner(&trace));
 
     println!(
         "\n{:<22} {:>12} {:>14} {:>16}",

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: the whole dedup pipeline, end to end.
 
-use medes::platform::baselines::{catalyzer_profiles, run_comparison};
+use medes::platform::baselines::{catalyzer_profiles, run_comparison, runner};
 use medes::platform::config::{PlatformConfig, PolicyKind};
 use medes::platform::metrics::StartType;
 use medes::platform::Platform;
@@ -57,8 +57,8 @@ fn medes_never_loses_requests_vs_baselines() {
     let c = run_comparison(
         &pressured_config(),
         &suite(),
-        &t,
         SimDuration::from_mins(10),
+        runner(&t),
     );
     assert_eq!(c.medes.requests.len(), t.len());
     assert_eq!(c.fixed.requests.len(), t.len());
@@ -72,7 +72,7 @@ fn medes_uses_less_memory_than_fixed_keepalive() {
     if let PolicyKind::Medes(m) = &mut cfg.policy {
         m.idle_period = SimDuration::from_secs(20);
     }
-    let c = run_comparison(&cfg, &suite(), &t, SimDuration::from_mins(10));
+    let c = run_comparison(&cfg, &suite(), SimDuration::from_mins(10), runner(&t));
     assert!(
         c.medes.mem_mean_bytes <= c.fixed.mem_mean_bytes,
         "medes {} vs fixed {}",

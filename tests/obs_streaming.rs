@@ -1,7 +1,7 @@
 //! Cross-crate tests for the trace file (DESIGN.md §12): turning it
 //! fully on must leave the `RunReport` byte-identical and the file
 //! complete, the file must be byte for byte the in-memory export of
-//! the same run without an export dir, span memory without one must
+//! the same run without a trace file, span memory without one must
 //! stop at its cap with exact drop accounting, and a file that cannot
 //! be written must cost the run nothing.
 
@@ -9,6 +9,7 @@ use medes::obs::{parse_jsonl, parse_tail, Obs, ObsConfig, SPAN_BYTES_CAP};
 use medes::platform::config::PlatformConfig;
 use medes::platform::Platform;
 use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
 fn workload() -> (Vec<FunctionProfile>, Trace) {
@@ -31,23 +32,17 @@ fn scratch_dir(label: &str) -> PathBuf {
     dir
 }
 
-/// The one file a run exported into its own `dir`: the trace. Its
-/// `trace-run-<seq>.jsonl` name carries a process-global sequence
-/// number, so tests cannot assume 0.
-fn find_trace(dir: &Path) -> PathBuf {
-    let files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("export dir exists")
-        .flatten()
-        .map(|e| e.path())
-        .collect();
-    assert_eq!(files.len(), 1, "one file per traced run: {files:?}");
-    files[0].clone()
+/// The trace file of a run in `dir`: the test names it.
+fn trace_file(dir: &Path) -> PathBuf {
+    dir.join("trace.jsonl")
 }
 
 fn streamed_config(dir: &Path) -> PlatformConfig {
     let mut cfg = PlatformConfig::small_test();
-    cfg.obs = ObsConfig::enabled();
-    cfg.obs.set_export_dir(dir.to_path_buf());
+    cfg.obs = ObsConfig {
+        trace_file: Some(trace_file(dir)),
+        ..ObsConfig::enabled()
+    };
     cfg
 }
 
@@ -70,7 +65,13 @@ fn streaming_does_not_perturb_the_run() {
 
     let obs = &outcome.obs;
     assert_eq!(obs.spans_dropped(), 0, "a file takes every span");
-    let text = std::fs::read_to_string(find_trace(&dir)).expect("streamed trace readable");
+    let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("trace dir exists")
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    assert_eq!(files, [trace_file(&dir)], "one file per traced run");
+    let text = std::fs::read_to_string(trace_file(&dir)).expect("streamed trace readable");
     assert_eq!(
         parse_jsonl(&text).len(),
         obs.span_count(),
@@ -84,7 +85,7 @@ fn streaming_does_not_perturb_the_run() {
 }
 
 /// A run's trace file and the in-memory `export_jsonl()` of the same
-/// run without an export dir are the same bytes: the destination
+/// run without a trace file are the same bytes: the destination
 /// changes where lines go, never what they are.
 #[test]
 fn streamed_file_matches_buffered_export() {
@@ -95,7 +96,7 @@ fn streamed_file_matches_buffered_export() {
     cfg.obs = ObsConfig::enabled();
     let run = Platform::new(cfg, suite).run(&trace);
     assert_eq!(run.obs.spans_dropped(), 0, "the run fits under the cap");
-    let file = std::fs::read_to_string(find_trace(&dir)).expect("streamed file");
+    let file = std::fs::read_to_string(trace_file(&dir)).expect("streamed file");
     assert_eq!(
         file,
         run.obs.export_jsonl(),
@@ -104,7 +105,7 @@ fn streamed_file_matches_buffered_export() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Without an export dir, lines past `SPAN_BYTES_CAP` are formatted,
+/// Without a trace file, lines past `SPAN_BYTES_CAP` are formatted,
 /// then discarded: every recorded span is either held or counted as
 /// dropped, and the partial export panics rather than pass for whole.
 #[test]
@@ -120,13 +121,13 @@ fn spans_past_the_cap_are_counted_and_export_panics() {
     assert!(obs.spans_dropped() > 0, "the spans overran the cap");
     assert!(obs.span_count() * pad.len() <= SPAN_BYTES_CAP);
     assert_eq!(obs.span_count() as u64 + obs.spans_dropped(), recorded);
-    let export = std::panic::catch_unwind(|| obs.export_jsonl());
+    let export = std::panic::catch_unwind(AssertUnwindSafe(|| obs.export_jsonl()));
     assert!(export.is_err(), "a partial export must not be read");
 }
 
-/// A regular file where the export dir should be: the run completes
-/// with the report of an untraced run, `write_trace` returns the open
-/// error, and no other file appears anywhere.
+/// A regular file where the trace file's directory should be: the run
+/// completes with the report of an untraced run, `write_trace` returns
+/// the open error, and no other file appears anywhere.
 #[test]
 fn unwritable_export_dir_costs_the_run_nothing() {
     let (suite, trace) = workload();
@@ -140,7 +141,7 @@ fn unwritable_export_dir_costs_the_run_nothing() {
     std::fs::write(&blocker, "").expect("blocking file");
     let mut cfg = PlatformConfig::small_test();
     cfg.obs = ObsConfig::enabled();
-    cfg.obs.set_export_dir(blocker.clone());
+    cfg.obs.trace_file = Some(trace_file(&blocker));
     let run = Platform::new(cfg, suite).run(&trace);
     assert_eq!(
         plain, run.report,
