@@ -6,9 +6,15 @@
 //! be written must cost the run nothing.
 
 use medes::obs::{parse_jsonl, parse_tail, Obs, ObsConfig, SPAN_BYTES_CAP};
-use medes::platform::config::PlatformConfig;
+use medes::platform::config::{PlatformConfig, PolicyKind, RestoreReadConfig};
 use medes::platform::Platform;
-use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
+use medes::policy::medes::Objective;
+use medes::sim::fault::{FaultPlan, LinkFaultKind, LinkFaultWindow, NodeCrash};
+use medes::sim::{SimDuration, SimTime};
+use medes::trace::{
+    azure_like_trace, functionbench_suite, DeploySchedule, FunctionProfile, Trace, TraceGenConfig,
+    VersionBump,
+};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
@@ -156,3 +162,134 @@ fn unwritable_export_dir_costs_the_run_nothing() {
     assert_eq!(entries, [blocker], "no second file may appear");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The tail line of one quick traced run that reaches nearly every
+/// counter family: Medes under a memory budget on 96 MiB nodes, a
+/// 3-owner placed registry, a crash with a restart and one without, a
+/// dead link, dropped RPCs, a page cache and one rolling deploy.
+fn all_families_tail() -> String {
+    let (suite, trace) = workload();
+    let secs = SimTime::from_secs;
+    let faults = FaultPlan {
+        seed: 0xFA17,
+        crashes: vec![
+            NodeCrash {
+                node: 0,
+                at: secs(100),
+                restart: Some(secs(160)),
+            },
+            NodeCrash {
+                node: 3,
+                at: secs(220),
+                restart: None,
+            },
+        ],
+        links: vec![LinkFaultWindow {
+            src: None,
+            dst: None,
+            from: secs(180),
+            until: secs(200),
+            kind: LinkFaultKind::Error { drop_prob: 1.0 },
+        }],
+        rpc_drop_prob: 0.05,
+    };
+    let cfg = PlatformConfig::test_builder()
+        .tweak(|c| {
+            c.node_mem_bytes = 96 << 20;
+            if let PolicyKind::Medes(m) = &mut c.policy {
+                m.idle_period = SimDuration::from_secs(5);
+                m.objective = Objective::MemoryBudget {
+                    budget_bytes: 100e6,
+                };
+            }
+            c.obs = ObsConfig::enabled();
+        })
+        .read_path(RestoreReadConfig::cached(64 << 20))
+        .registry_owners(3)
+        .faults(faults)
+        .deploys(DeploySchedule {
+            bumps: vec![VersionBump {
+                function: 1,
+                at: secs(140),
+                version: 1,
+            }],
+        })
+        .build()
+        .expect("valid configuration");
+    let export = Platform::new(cfg, suite).run(&trace).obs.export_jsonl();
+    export.lines().last().expect("a tail line").to_owned()
+}
+
+/// The whole tail of [`all_families_tail`], byte for byte: which keys
+/// appear, their order and every value. A change to where a count is
+/// kept must leave it alone; a change that moves a pinned report
+/// digest re-records it together with the digests.
+///
+/// Three keys no run of this size reaches, so they are absent here:
+/// `medes.platform.queued` and `medes.platform.evictions` need more
+/// load than leaves any dedup state on 96 MiB nodes, and
+/// `medes.net.err.unreachable` needs a fabric op addressed to a node
+/// that is down at that instant, which this run never issues. The
+/// traced `fig7` and `chaos` experiments reach all three.
+#[test]
+fn the_tail_of_an_all_families_run_is_pinned() {
+    let tail = all_families_tail();
+    assert_eq!(tail, ALL_FAMILIES_TAIL);
+    let metrics = parse_tail(&tail).expect("a tail");
+    let keys: Vec<&str> = metrics["metrics"]
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k)
+        .collect();
+    for family in [
+        "medes.net.registry.lookup_rpcs",
+        "medes.net.registry.insert_rpcs",
+        "medes.net.registry.remove_rpcs",
+        "medes.net.registry.replicate_rpcs",
+        "medes.registry.crash_purged",
+        "medes.registry.rereplicated",
+        "medes.registry.shards_reassigned",
+        "medes.platform.version_bumps",
+        "medes.platform.version_purges",
+        "medes.platform.re_demarcations",
+        "medes.platform.registry_reassignments",
+        "medes.restore.cache.evictions",
+        "medes.platform.starts.fallback_cold",
+    ] {
+        assert!(keys.contains(&family), "{family} missing from the tail");
+    }
+}
+
+const ALL_FAMILIES_TAIL: &str = concat!(
+    r#"{"metrics":{"medes.dedup.checkpoint_bytes":1474297856,"#,
+    r#""medes.dedup.memo_peak_bytes":77732,"medes.dedup.ops":50,"#,
+    r#""medes.dedup.pages_encoded":423,"medes.dedup.pages_fingerprinted":426,"#,
+    r#""medes.dedup.pages_reused":1027,"medes.dedup.saved_paper_bytes":1037764352,"#,
+    r#""medes.dedup.scans_without_image":47,"medes.images.builds":70,"#,
+    r#""medes.images.template_builds":3,"medes.images.template_bytes":49792,"#,
+    r#""medes.net.err.partial_read":44,"medes.net.err.timeout":38,"#,
+    r#""medes.net.rdma_batch_us_total":925314,"medes.net.rdma_bytes":1425014784,"#,
+    r#""medes.net.rdma_failures":76,"medes.net.rdma_reads":1359,"#,
+    r#""medes.net.registry.insert_rpcs":162,"medes.net.registry.lookup_rpcs":69,"#,
+    r#""medes.net.registry.remove_rpcs":5,"medes.net.registry.replicate_rpcs":1,"#,
+    r#""medes.net.retries":63,"medes.net.retry_giveups":19,"medes.net.rpc_bytes":188520,"#,
+    r#""medes.net.rpc_dropped":6,"medes.net.rpc_failures":6,"medes.net.rpc_us_total":7910,"#,
+    r#""medes.net.rpcs":237,"medes.platform.arrivals":517,"medes.platform.dedup_aborts":19,"#,
+    r#""medes.platform.demarcations":6,"medes.platform.expirations":8,"#,
+    r#""medes.platform.live_sandboxes":1,"medes.platform.mem_paper_bytes":96888422,"#,
+    r#""medes.platform.node_crashes":2,"medes.platform.node_restarts":1,"#,
+    r#""medes.platform.re_demarcations":1,"medes.platform.registry_reassignments":1,"#,
+    r#""medes.platform.rescheduled":2,"medes.platform.starts.cold":19,"#,
+    r#""medes.platform.starts.dedup":38,"medes.platform.starts.fallback_cold":4,"#,
+    r#""medes.platform.starts.warm":460,"medes.platform.version_bumps":1,"#,
+    r#""medes.platform.version_purges":3,"medes.registry.crash_purged":79,"#,
+    r#""medes.registry.dead_owner_entries":0,"medes.registry.entries":62,"#,
+    r#""medes.registry.evictions":5,"medes.registry.inserts":439,"medes.registry.lookups":1599,"#,
+    r#""medes.registry.rereplicated":79,"medes.registry.rpc_bytes_total":188520,"#,
+    r#""medes.registry.rpc_time_us":7910,"medes.registry.rpc_total":237,"#,
+    r#""medes.registry.shards_reassigned":1,"medes.restore.cache.bytes_saved":529530880,"#,
+    r#""medes.restore.cache.evictions":82,"medes.restore.cache.hits":505,"#,
+    r#""medes.restore.cache.invalidations":153,"medes.restore.cache.misses":301,"#,
+    r#""medes.restore.ops":38}}"#,
+);
