@@ -135,8 +135,6 @@ impl DedupTiming {
             .attr("fn", fn_name)
             .attr("node", node)
             .end(t4);
-        obs.incr("medes.dedup.ops");
-        obs.counter_add("medes.dedup.checkpoint_bytes", ckpt_paper_bytes as u64);
     }
 }
 
@@ -888,8 +886,8 @@ mod tests {
 
     /// The checkpoint phase is the one record of the memory dump: its
     /// span carries the dump size and has no child, the lookup span the
-    /// registry candidates and the op span its node; the dump bytes add
-    /// to one flat counter. Without obs nothing moves.
+    /// registry candidates and the op span its node. A record writes
+    /// spans and no counter; without obs nothing moves.
     #[test]
     fn checkpoint_phase_records_the_dump_per_node() {
         let timing = DedupTiming {
@@ -919,8 +917,9 @@ mod tests {
             traced("medes.dedup.op").attr("node").and_then(Json::as_u64),
             Some(3)
         );
-        assert_eq!(obs.counter("medes.dedup.checkpoint_bytes"), 12_288);
-        assert_eq!(obs.counter("medes.dedup.ops"), 2);
+        let ops = spans.iter().filter(|s| s.name == "medes.dedup.op");
+        assert_eq!(ops.count(), 2);
+        assert!(obs.metrics_snapshot().is_empty());
         let off = Obs::disabled();
         timing.record(&off, start, "f", (4096, 17), root, 3);
         assert_eq!(off.span_count(), 0);

@@ -238,20 +238,24 @@ impl RunReport {
     }
 }
 
-/// The platform events a run only counts: each is one field of the
-/// report and one `medes.platform.*` counter of the same meaning.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Tally {
-    /// A sandbox evicted under memory pressure.
-    Eviction,
-    /// A keep-alive / keep-dedup expiration.
-    Expiration,
-    NodeCrash,
-    NodeRestart,
-    VersionBump,
-    VersionPurge,
-    FallbackColdStart,
-    Rescheduled,
+/// The platform counts only the trace tail reports (`medes.platform.*`
+/// and `medes.dedup.*` of the same names; DESIGN.md §7): no
+/// [`RunReport`] field or other owner keeps them.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Counts {
+    pub queued: u64,
+    /// Including the re-demarcations after a crash.
+    pub demarcations: u64,
+    pub re_demarcations: u64,
+    /// Crashes that moved a registry shard.
+    pub registry_reassignments: u64,
+    pub dedup_aborts: u64,
+    /// Dedup ops begun at the idle check, and their paper-scale
+    /// checkpoint bytes.
+    pub dedup_ops: u64,
+    pub checkpoint_bytes: u64,
+    /// Paper-scale bytes the committed dedup ops saved.
+    pub saved_paper_bytes: u64,
 }
 
 /// How often the memory and live-sandbox series snapshot their value:
@@ -266,17 +270,20 @@ pub(crate) struct MetricsCollector {
     /// Requests by id, sized to the trace by `Platform::run`; a request
     /// that is executing has its record parked in its slot.
     pub slots: Vec<Option<RequestRecord>>,
+    /// The counts that only the trace tail reports.
+    pub counts: Counts,
     obs: Rc<Obs>,
     /// The simulated instant of the event being handled: when the
     /// memory and live-sandbox updates that follow take effect.
     now: SimTime,
-    mem: medes_sim::stats::TimeWeighted,
-    live: medes_sim::stats::TimeWeighted,
+    /// The cluster memory and live-sandbox series.
+    pub mem: medes_sim::stats::TimeWeighted,
+    pub live: medes_sim::stats::TimeWeighted,
 }
 
 impl MetricsCollector {
-    /// Creates a collector that mirrors everything it records into the
-    /// given observability sink.
+    /// Creates a collector that mirrors each request it records into
+    /// the given observability sink as a span.
     pub fn with_obs(functions: Vec<String>, obs: Rc<Obs>) -> Self {
         let n = functions.len();
         MetricsCollector {
@@ -286,6 +293,7 @@ impl MetricsCollector {
                 ..Default::default()
             },
             slots: Vec::new(),
+            counts: Counts::default(),
             obs,
             now: SimTime::ZERO,
             mem: medes_sim::stats::TimeWeighted::new(MEM_POINT_EVERY),
@@ -311,10 +319,10 @@ impl MetricsCollector {
     /// report` counts SLO violations per function and per node.
     pub fn push_request(&mut self, rec: RequestRecord, ctx: TraceCtx, bound_us: u64, node: usize) {
         if self.obs.enabled() {
-            let (start_type, start_counter) = match rec.start {
-                StartType::Warm => ("warm", "medes.platform.starts.warm"),
-                StartType::Dedup => ("dedup", "medes.platform.starts.dedup"),
-                StartType::Cold => ("cold", "medes.platform.starts.cold"),
+            let start_type = match rec.start {
+                StartType::Warm => "warm",
+                StartType::Dedup => "dedup",
+                StartType::Cold => "cold",
             };
             let fn_name = self.report.functions[rec.func as usize].as_str();
             self.obs
@@ -331,30 +339,9 @@ impl MetricsCollector {
                 .attr("node", node)
                 .attr("bound_us", bound_us)
                 .end(SimTime::from_micros(rec.arrival_us + rec.e2e_us));
-            self.obs.incr(start_counter);
         }
         let old = self.slots[rec.id as usize].replace(rec);
         debug_assert!(old.is_none(), "request {} completed twice", rec.id);
-    }
-
-    /// Records one counted event.
-    pub fn count(&mut self, what: Tally) {
-        let r = &mut self.report;
-        let (field, counter) = match what {
-            Tally::Eviction => (&mut r.evictions, "medes.platform.evictions"),
-            Tally::Expiration => (&mut r.expirations, "medes.platform.expirations"),
-            Tally::NodeCrash => (&mut r.node_crashes, "medes.platform.node_crashes"),
-            Tally::NodeRestart => (&mut r.node_restarts, "medes.platform.node_restarts"),
-            Tally::VersionBump => (&mut r.version_bumps, "medes.platform.version_bumps"),
-            Tally::VersionPurge => (&mut r.version_purges, "medes.platform.version_purges"),
-            Tally::FallbackColdStart => (
-                &mut r.fallback_cold_starts,
-                "medes.platform.starts.fallback_cold",
-            ),
-            Tally::Rescheduled => (&mut r.rescheduled_requests, "medes.platform.rescheduled"),
-        };
-        *field += 1;
-        self.obs.incr(counter);
     }
 
     /// Mirrors the simulated clock (like `Fabric::set_now`).
@@ -365,14 +352,11 @@ impl MetricsCollector {
     /// Records a cluster memory usage change (paper bytes).
     pub fn mem_update(&mut self, paper_bytes: f64) {
         self.mem.update(self.now, paper_bytes);
-        self.obs
-            .gauge_set("medes.platform.mem_paper_bytes", paper_bytes);
     }
 
     /// Records a live-sandbox-count change.
     pub fn live_update(&mut self, count: f64) {
         self.live.update(self.now, count);
-        self.obs.gauge_set("medes.platform.live_sandboxes", count);
     }
 
     /// Finalizes the report at `end`: the completed requests in id order.

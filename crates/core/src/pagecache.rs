@@ -15,9 +15,7 @@
 //! which keeps replacement decisions bit-deterministic across runs.
 
 use crate::ids::SandboxId;
-use medes_obs::Obs;
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
 
 /// Cumulative cache statistics (paper-scale byte counts).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,7 +52,6 @@ pub struct BasePageCache {
     next_seq: u64,
     used_paper_bytes: usize,
     stats: CacheStats,
-    obs: Rc<Obs>,
 }
 
 impl BasePageCache {
@@ -62,13 +59,6 @@ impl BasePageCache {
     /// is charged `PAGE_SIZE * mem_scale` paper bytes. A capacity of
     /// zero (or smaller than one page) never stores anything.
     pub fn new(capacity_paper_bytes: usize, mem_scale: usize) -> Self {
-        Self::with_obs(capacity_paper_bytes, mem_scale, Obs::disabled())
-    }
-
-    /// Like [`BasePageCache::new`] but mirroring the hit, miss,
-    /// eviction and bytes-saved counters into `medes.restore.cache.*`;
-    /// caches sharing one `obs` add into the same counters.
-    pub fn with_obs(capacity_paper_bytes: usize, mem_scale: usize, obs: Rc<Obs>) -> Self {
         BasePageCache {
             capacity_paper_bytes,
             page_paper_bytes: medes_mem::PAGE_SIZE * mem_scale.max(1),
@@ -77,7 +67,6 @@ impl BasePageCache {
             next_seq: 0,
             used_paper_bytes: 0,
             stats: CacheStats::default(),
-            obs,
         }
     }
 
@@ -114,7 +103,6 @@ impl BasePageCache {
         let key = (sandbox, page);
         let Some(entry) = self.entries.get_mut(&key) else {
             self.stats.misses += 1;
-            self.obs.incr("medes.restore.cache.misses");
             return false;
         };
         self.lru.remove(&entry.seq);
@@ -123,11 +111,6 @@ impl BasePageCache {
         self.next_seq += 1;
         self.stats.hits += 1;
         self.stats.bytes_saved += self.page_paper_bytes as u64;
-        self.obs.incr("medes.restore.cache.hits");
-        self.obs.counter_add(
-            "medes.restore.cache.bytes_saved",
-            self.page_paper_bytes as u64,
-        );
         true
     }
 
@@ -195,15 +178,8 @@ impl BasePageCache {
             self.lru.remove(&entry.seq);
             self.used_paper_bytes -= self.page_paper_bytes;
         }
-        let n = victims.len();
-        if n > 0 {
-            self.stats.invalidations += n as u64;
-            if self.obs.enabled() {
-                self.obs
-                    .counter_add("medes.restore.cache.invalidations", n as u64);
-            }
-        }
-        n
+        self.stats.invalidations += victims.len() as u64;
+        victims.len()
     }
 
     /// Evicts LRU entries until at least `paper_bytes` have been freed
@@ -235,9 +211,6 @@ impl BasePageCache {
         self.entries.remove(&key);
         self.used_paper_bytes -= self.page_paper_bytes;
         self.stats.evictions += 1;
-        if self.obs.enabled() {
-            self.obs.incr("medes.restore.cache.evictions");
-        }
     }
 }
 
@@ -356,13 +329,11 @@ mod tests {
         assert_eq!(c.stats().hits, 1, "stats survive a crash-clear");
     }
 
-    /// Two nodes' caches share one `Obs`: the exported bytes saved is
-    /// what both saved, not whichever hit last.
+    /// Each cache counts its own hits, misses and bytes saved (a page
+    /// per hit); a run's totals are the sum over its nodes' caches.
     #[test]
-    fn bytes_saved_sums_over_caches_sharing_an_obs() {
-        let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut a = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Rc::clone(&obs));
-        let mut b = BasePageCache::with_obs(4 * PAGE_SIZE, 1, Rc::clone(&obs));
+    fn bytes_saved_is_one_page_per_hit_of_its_own_cache() {
+        let (mut a, mut b) = (cache(4), cache(4));
         a.insert(SandboxId(1), 0, &page(1));
         b.insert(SandboxId(2), 0, &page(2));
         for _ in 0..3 {
@@ -370,11 +341,15 @@ mod tests {
         }
         assert!(b.lookup(SandboxId(2), 0).is_some());
         assert!(!b.hit(SandboxId(1), 0), "a's page is not b's");
-        let saved = a.stats().bytes_saved + b.stats().bytes_saved;
-        assert_eq!(saved, 4 * PAGE_SIZE as u64);
-        assert_eq!(obs.counter("medes.restore.cache.bytes_saved"), saved);
-        assert_eq!(obs.counter("medes.restore.cache.hits"), 4);
-        assert_eq!(obs.counter("medes.restore.cache.misses"), 1);
+        let (sa, sb) = (a.stats(), b.stats());
+        assert_eq!(
+            (sa.hits, sa.misses, sa.bytes_saved),
+            (3, 0, 3 * PAGE_SIZE as u64)
+        );
+        assert_eq!(
+            (sb.hits, sb.misses, sb.bytes_saved),
+            (1, 1, PAGE_SIZE as u64)
+        );
     }
 
     #[test]

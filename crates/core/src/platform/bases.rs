@@ -29,7 +29,6 @@ use medes_mem::MemoryImage;
 use medes_obs::Obs;
 use medes_trace::FunctionProfile;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A resolvable base sandbox.
@@ -55,8 +54,9 @@ pub(crate) struct Bases {
 }
 
 impl Bases {
-    pub fn new(cfg: &PlatformConfig, profiles: &[FunctionProfile], obs: &Rc<Obs>) -> Self {
-        let (shards, obs) = (cfg.shards, Rc::clone(obs));
+    pub fn new(cfg: &PlatformConfig, profiles: &[FunctionProfile]) -> Self {
+        // The registry records nothing into the handle it is given.
+        let (shards, obs) = (cfg.shards, Obs::disabled());
         let registry = match cfg.registry {
             RegistryPlacement::InProcess => RegistryClient::in_process(shards, obs),
             RegistryPlacement::Distributed { owners } => {
@@ -106,13 +106,12 @@ impl Bases {
     /// indexes every page in the registry and lists it with its
     /// function. The sandbox itself does not change (it stays warm, in
     /// the idle-warm pool).
-    pub fn demarcate(&mut self, cfg: &PlatformConfig, obs: &Obs, sb: &Sandbox) {
+    pub fn demarcate(&mut self, cfg: &PlatformConfig, sb: &Sandbox) {
         let image = self.factory.image_v(sb.func, sb.instance_seed, sb.version);
         index_base_sandbox(cfg, &self.registry, sb.node, sb.id, &image);
         let (func, refs) = (sb.func, 0);
         self.resolvable.insert(sb.id, Base { func, image, refs });
         self.listed[func.0].push(sb.id);
-        obs.incr("medes.platform.demarcations");
     }
 
     /// Takes a base out of the registry, its function's list and every
@@ -234,11 +233,10 @@ mod tests {
                 b = b.registry_owners(2);
             }
             let cfg = b.build().expect("valid");
-            let obs = Obs::disabled();
-            let mut bases = Bases::new(&cfg, &profiles, &obs);
-            let mut mem = NodeMemory::new(&cfg, &obs);
+            let mut bases = Bases::new(&cfg, &profiles);
+            let mut mem = NodeMemory::new(&cfg);
             let names = vec!["a".into(), "b".into()];
-            let mut m = MetricsCollector::with_obs(names, obs);
+            let mut m = MetricsCollector::with_obs(names, Obs::disabled());
             let mut table = SandboxTable::default();
             // Tables pinned at an idle check whose `DedupDone` is still
             // to come.
@@ -268,7 +266,7 @@ mod tests {
                         let sb = Sandbox::new(id, func, node, rng.next_u64(), 0, SimTime::ZERO, 1);
                         table.insert(id, sb);
                         if rng.chance(0.6) {
-                            bases.demarcate(&cfg, &Obs::disabled(), &table[&id]);
+                            bases.demarcate(&cfg, &table[&id]);
                             assert!(bases.listed(func.0).contains(&id) && !bases.is_referenced(id));
                             assert!(bases.resolve(id).is_some_and(|(_, f)| f == func));
                         }

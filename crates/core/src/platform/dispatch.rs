@@ -4,7 +4,7 @@
 use super::lifecycle::KeepAlive;
 use super::{Cluster, Ev, ReqInfo};
 use crate::ids::{FnId, NodeId, SandboxId};
-use crate::metrics::{FnDedupStats, RequestRecord, StartType, Tally};
+use crate::metrics::{FnDedupStats, RequestRecord, StartType};
 use crate::restore::{restore_op_cached, RestoreTiming};
 use crate::sandbox::Sandbox;
 use medes_sim::engine::{Scheduler, Ticket};
@@ -36,7 +36,7 @@ impl Cluster {
             // No capacity anywhere: park in the wait queue. Exactly one
             // retry chain per function keeps the event count linear.
             self.fns[f].wait_queue.push_back(req);
-            self.obs.incr("medes.platform.queued");
+            self.metrics.counts.queued += 1;
             if !self.fns[f].retry_armed {
                 self.fns[f].retry_armed = true;
                 sched.after(QUEUE_RETRY, Ev::RetryQueue(f));
@@ -132,7 +132,7 @@ impl Cluster {
             self.arm_keep_alive(id, expires, sched);
         } else if !self.bases.is_referenced(id) {
             self.purge(id);
-            self.metrics.count(Tally::Expiration);
+            self.metrics.report.expirations += 1;
         } else if now <= self.horizon + window {
             // Referenced base sandboxes cannot be purged; re-check after
             // another window.
@@ -195,7 +195,7 @@ impl Cluster {
                     "restore failed without fault injection: {err}"
                 );
                 let _ = &err;
-                self.metrics.count(Tally::FallbackColdStart);
+                self.metrics.report.fallback_cold_starts += 1;
                 self.purge(id);
                 return false;
             }
@@ -249,7 +249,7 @@ impl Cluster {
                 break;
             }
             self.purge(id);
-            self.metrics.count(Tally::Eviction);
+            self.metrics.report.evictions += 1;
         }
         self.mem.free(node) >= needed
     }

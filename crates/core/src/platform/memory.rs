@@ -19,10 +19,8 @@ use crate::ids::{NodeId, SandboxId};
 use crate::metrics::MetricsCollector;
 use crate::pagecache::{BasePageCache, CacheStats};
 use crate::sandbox::{Sandbox, SandboxState, SandboxTable};
-use medes_obs::Obs;
 use medes_sim::SimTime;
 use std::collections::BTreeSet;
-use std::rc::Rc;
 
 #[derive(Debug)]
 struct NodeState {
@@ -45,7 +43,7 @@ pub(crate) struct NodeMemory {
 }
 
 impl NodeMemory {
-    pub fn new(cfg: &PlatformConfig, obs: &Rc<Obs>) -> Self {
+    pub fn new(cfg: &PlatformConfig) -> Self {
         let node = |n| NodeState {
             capacity: cfg.node_mem(n),
             mem_used: 0,
@@ -54,7 +52,7 @@ impl NodeMemory {
         };
         let cache_bytes = cfg.read_path.page_cache_bytes;
         let cached_nodes = if cache_bytes > 0 { cfg.nodes } else { 0 };
-        let cache = |_| BasePageCache::with_obs(cache_bytes, cfg.mem_scale, Rc::clone(obs));
+        let cache = |_| BasePageCache::new(cache_bytes, cfg.mem_scale);
         NodeMemory {
             nodes: (0..cfg.nodes).map(node).collect(),
             caches: (0..cached_nodes).map(cache).collect(),
@@ -253,6 +251,7 @@ impl NodeMemory {
 mod tests {
     use super::*;
     use crate::ids::FnId;
+    use medes_obs::Obs;
     use medes_sim::DetRng;
 
     /// Random admit / resize / release / cache insert / shed / trim /
@@ -269,9 +268,8 @@ mod tests {
             cfg.node_mem_bytes = 256 << 20;
             cfg.read_path.page_cache_bytes = (seed % 2) as usize * (2 << 20);
             let page_paper = medes_mem::PAGE_SIZE * cfg.mem_scale;
-            let obs = Obs::disabled();
-            let mut mem = NodeMemory::new(&cfg, &obs);
-            let mut m = MetricsCollector::with_obs(vec!["f".into()], Rc::clone(&obs));
+            let mut mem = NodeMemory::new(&cfg);
+            let mut m = MetricsCollector::with_obs(vec!["f".into()], Obs::disabled());
             let mut table = SandboxTable::default();
             let mut live: Vec<SandboxId> = Vec::new();
             let mut next_id = 0u64;

@@ -45,7 +45,7 @@ use crate::config::{PlatformConfig, PolicyKind};
 use crate::controller::{solve_targets, FunctionRuntime, ReqInfo, POLICY_TICK};
 use crate::dedup::{DedupOutcome, ScanWork};
 use crate::ids::SandboxId;
-use crate::metrics::{MetricsCollector, RunReport, StartType, Tally};
+use crate::metrics::{MetricsCollector, RunReport, StartType};
 use crate::sandbox::SandboxState;
 use bases::Bases;
 use lifecycle::Lifecycle;
@@ -258,9 +258,9 @@ impl Cluster {
         };
         Cluster {
             fabric,
-            mem: NodeMemory::new(&cfg, &obs),
+            mem: NodeMemory::new(&cfg),
             life: Lifecycle::new(profiles.len()),
-            bases: Bases::new(&cfg, &profiles, &obs),
+            bases: Bases::new(&cfg, &profiles),
             dedup_work: ScanWork::default(),
             fns: profiles.into_iter().map(FunctionRuntime::new).collect(),
             ka,
@@ -316,7 +316,6 @@ impl World for Cluster {
         );
         match event {
             Ev::Arrival(req) => {
-                self.obs.incr("medes.platform.arrivals");
                 self.fns[req.func].on_arrival();
                 self.ka.on_request(req.func, now);
                 self.dispatch(req, sched);
@@ -395,7 +394,7 @@ impl World for Cluster {
             Ev::KeepDedupExpire(id, epoch) => {
                 if self.life.current(id, epoch, SandboxState::Dedup).is_some() {
                     self.purge(id);
-                    self.metrics.count(Tally::Expiration);
+                    self.metrics.report.expirations += 1;
                 }
             }
 

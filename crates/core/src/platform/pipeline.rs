@@ -91,6 +91,8 @@ impl Cluster {
             Ok(timing) => {
                 let name = &self.fns[f].profile.name;
                 timing.record(&self.obs, now, name, sizes, droot, node.0);
+                self.metrics.counts.dedup_ops += 1;
+                self.metrics.counts.checkpoint_bytes += sizes.0 as u64;
                 // Reference the bases *now*: the table already points
                 // into them, and they must survive until DedupDone
                 // commits (or reverts) the state.
@@ -105,7 +107,7 @@ impl Cluster {
                 // what the scan computed stays good for the sandbox's
                 // next one.
                 debug_assert!(!self.cfg.faults.is_empty());
-                self.obs.incr("medes.platform.dedup_aborts");
+                self.metrics.counts.dedup_aborts += 1;
                 let memo = scan.memo.absorb(scan.table);
                 self.life.swap_memo(id, Some(memo));
                 self.go_idle(id, sched);
@@ -154,8 +156,7 @@ impl Cluster {
         let stats = &mut self.metrics.report.dedup_stats[f];
         stats.dedup_ops += 1;
         let n = stats.dedup_ops;
-        let counter = "medes.dedup.saved_paper_bytes";
-        self.obs.counter_add(counter, saved_paper as u64);
+        self.metrics.counts.saved_paper_bytes += saved_paper as u64;
         let op_us = outcome.timing.total().as_micros() as f64;
         let patch_bytes = table.patch_bytes as f64 / table.patched_pages().max(1) as f64;
         FnDedupStats::fold(&mut stats.mean_saved_paper_bytes, n, saved_paper);

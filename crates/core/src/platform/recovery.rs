@@ -8,7 +8,6 @@ use super::lifecycle::Lifecycle;
 use super::{Cluster, Ev, ReqInfo};
 use crate::controller::needs_base;
 use crate::ids::{NodeId, SandboxId};
-use crate::metrics::Tally;
 use crate::pagecache::BasePageCache;
 use crate::sandbox::Sandbox;
 use medes_sim::engine::Scheduler;
@@ -44,7 +43,7 @@ impl Cluster {
     /// whatever it was doing.
     pub(super) fn purge_stale(&mut self, id: SandboxId) {
         self.teardown(id);
-        self.metrics.count(Tally::VersionPurge);
+        self.metrics.report.version_purges += 1;
     }
 
     /// `D/B > T` for function `f`, or no listed base yet.
@@ -54,7 +53,8 @@ impl Cluster {
     }
 
     pub(super) fn demarcate(&mut self, id: SandboxId) {
-        self.bases.demarcate(&self.cfg, &self.obs, &self.life[&id]);
+        self.bases.demarcate(&self.cfg, &self.life[&id]);
+        self.metrics.counts.demarcations += 1;
     }
 
     /// After a crash removed base sandboxes, promotes MRU idle warm
@@ -71,13 +71,13 @@ impl Cluster {
                 break;
             };
             self.demarcate(id);
-            self.obs.incr("medes.platform.re_demarcations");
+            self.metrics.counts.re_demarcations += 1;
         }
     }
 
     /// Re-dispatches a request whose sandbox vanished in a crash.
     pub(super) fn reschedule(&mut self, req: ReqInfo, sched: &mut Scheduler<Ev>) {
-        self.metrics.count(Tally::Rescheduled);
+        self.metrics.report.rescheduled_requests += 1;
         self.dispatch(req, sched);
     }
 
@@ -88,7 +88,7 @@ impl Cluster {
         let Some(victims) = self.mem.mark_down(node) else {
             return;
         };
-        self.metrics.count(Tally::NodeCrash);
+        self.metrics.report.node_crashes += 1;
         let mut affected: Vec<usize> = Vec::new();
         for id in victims {
             if let Some(f) = self.teardown(id).filter(|f| !affected.contains(f)) {
@@ -113,7 +113,7 @@ impl Cluster {
             "re-demarcation must leave no shard owned by the dead node"
         );
         if recovery.reassigned_shards > 0 {
-            self.obs.incr("medes.platform.registry_reassignments");
+            self.metrics.counts.registry_reassignments += 1;
         }
         // The dead node's own cache dies with it (its memory is gone);
         // entries for its bases were already invalidated cluster-wide
@@ -127,7 +127,7 @@ impl Cluster {
 
     pub(super) fn node_restart(&mut self, node: usize) {
         if self.mem.mark_up(node) {
-            self.metrics.count(Tally::NodeRestart);
+            self.metrics.report.node_restarts += 1;
             // The node rejoins the registry's owner candidate set (it
             // reclaims no shards).
             self.bases.registry().on_node_restart(NodeId(node));
@@ -146,7 +146,7 @@ impl Cluster {
             return; // out-of-order or duplicate bump: ignore
         }
         self.fns[f].version = version;
-        self.metrics.count(Tally::VersionBump);
+        self.metrics.report.version_bumps += 1;
         let stale = |life: &Lifecycle, id: &SandboxId| life[id].version < version;
         // Idle sandboxes (warm and dedup pools) die immediately — their
         // content is obsolete — except referenced bases.
@@ -163,7 +163,7 @@ impl Cluster {
         let retired: Vec<SandboxId> = listed.filter(|id| stale(&self.life, id)).collect();
         for id in retired {
             self.bases.retire(id, &mut self.mem, &mut self.metrics);
-            self.metrics.count(Tally::VersionPurge);
+            self.metrics.report.version_purges += 1;
         }
     }
 }

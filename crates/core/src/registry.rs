@@ -61,8 +61,8 @@ use medes_hash::ChunkHash;
 use medes_hash::PageFingerprint;
 use medes_net::{Fabric, FabricStats, NetConfig, RegistryOp, RetryPolicy};
 use medes_obs::Obs;
-use medes_sim::{SimDuration, SimTime};
-use std::cell::{Cell, RefCell};
+use medes_sim::SimTime;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -117,8 +117,22 @@ const MAX_LOCS_PER_HASH: usize = 8;
 /// Approximate per-entry bytes for overhead reporting: hash + location.
 const ENTRY_BYTES: usize = 8 + std::mem::size_of::<ChunkLoc>();
 
-/// What the registry holds: the hash table, its reverse index and the
-/// entry counts.
+/// What a registry has done over its lifetime (the §7.7 overhead
+/// counts of a run's trace tail).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RegistryCounts {
+    /// Fingerprints looked up.
+    pub lookups: u64,
+    /// Chunk entries inserted.
+    pub inserts: u64,
+    /// Base sandboxes removed.
+    pub evictions: u64,
+    /// Every crash recovery, summed.
+    pub recovered: CrashRecovery,
+}
+
+/// What the registry holds: the hash table, its reverse index, the
+/// entry counts and what it has done.
 #[derive(Debug, Default)]
 struct Store {
     table: HashMap<ChunkHash, Vec<ChunkLoc>>,
@@ -128,6 +142,7 @@ struct Store {
     by_sandbox: HashMap<SandboxId, Vec<ChunkHash>>,
     entries: usize,
     peak_entries: usize,
+    counts: RegistryCounts,
 }
 
 /// Which worker node owns each shard, and what reaching the owners has
@@ -144,25 +159,17 @@ struct Placement {
     /// counters stay byte-identical to an unplaced client.
     fabric: Fabric,
     retry: RetryPolicy,
-    rpc_time_us: u64,
-    rereplicated: u64,
 }
 
 impl Placement {
-    /// Issues (and accounts) one registry RPC to a shard owner. The
-    /// clean registry fabric never fails, so the retry machinery is a
-    /// straight pass-through; the result feeds the overhead totals.
+    /// Issues one registry RPC to a shard owner; the fabric's stats
+    /// keep its traffic and time. The registry fabric has no fault
+    /// schedule, so the first attempt always succeeds and the retry
+    /// machinery is a straight pass-through.
     fn owner_rpc(&mut self, owner: usize, op: RegistryOp, req: usize, resp: usize) {
-        // An unreachable owner can only happen if a fault schedule was
-        // installed directly on the registry fabric: ownership is
-        // re-demarcated at crash time. The op still completes against
-        // the store; the failure stays in the fabric's stats.
-        let rpc =
-            self.fabric
-                .registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, &self.retry);
-        if let Ok(t) = rpc {
-            self.rpc_time_us += t.as_micros();
-        }
+        let (fabric, retry) = (&mut self.fabric, &self.retry);
+        let rpc = fabric.registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, retry);
+        debug_assert!(rpc.is_ok(), "the registry fabric never fails");
     }
 }
 
@@ -173,10 +180,7 @@ impl Placement {
 #[derive(Debug)]
 pub struct RegistryClient {
     store: RefCell<Store>,
-    /// Lookups served.
-    lookups: Cell<u64>,
     shards: usize,
-    obs: Rc<Obs>,
     placement: Option<RefCell<Placement>>,
 }
 
@@ -187,45 +191,44 @@ impl Default for RegistryClient {
 }
 
 impl RegistryClient {
-    /// A single-shard controller-resident registry with observability
-    /// disabled.
+    /// A single-shard controller-resident registry.
     pub fn new() -> Self {
         Self::in_process(1, Obs::disabled())
     }
 
     /// A controller-resident registry routing by `shards` keys (clamped
-    /// to at least 1), recording `medes.registry.*` metrics.
-    pub fn in_process(shards: usize, obs: Rc<Obs>) -> Self {
+    /// to at least 1). It records nothing into `_obs`: the registry
+    /// counts its own work ([`RegistryClient::counts`]). The parameter
+    /// stays only because the repository benchmark passes one.
+    pub fn in_process(shards: usize, _obs: Rc<Obs>) -> Self {
         RegistryClient {
             store: RefCell::default(),
-            lookups: Cell::new(0),
             shards: shards.max(1),
-            obs,
             placement: None,
         }
     }
 
     /// The same registry with its `shards` placed on the first `owners`
     /// of `nodes` worker nodes (`owners` is clamped to `1..=nodes`),
-    /// every operation priced as RPCs under `net` and `retry`.
+    /// every operation priced as RPCs under `net` and `retry`. `_obs`
+    /// is unused, as in [`RegistryClient::in_process`].
     pub fn distributed(
         shards: usize,
         owners: usize,
         nodes: usize,
         net: NetConfig,
         retry: RetryPolicy,
-        obs: Rc<Obs>,
+        _obs: Rc<Obs>,
     ) -> Self {
         assert!(nodes > 0, "distributed registry needs at least one node");
         let owners = owners.clamp(1, nodes);
-        let mut client = Self::in_process(shards, Rc::clone(&obs));
+        let mut client = Self::new();
+        client.shards = shards.max(1);
         client.placement = Some(RefCell::new(Placement {
             owner_of: (0..client.shards).map(|s| s % owners).collect(),
             alive: vec![true; nodes],
-            fabric: Fabric::with_obs(nodes, net, obs),
+            fabric: Fabric::new(nodes, net),
             retry,
-            rpc_time_us: 0,
-            rereplicated: 0,
         }));
         client
     }
@@ -276,6 +279,7 @@ impl RegistryClient {
             by_sandbox,
             entries,
             peak_entries,
+            counts,
         } = &mut *store;
         let hashes = by_sandbox.entry(loc.sandbox).or_default();
         let mut inserted = 0usize;
@@ -289,12 +293,7 @@ impl RegistryClient {
         }
         *entries += inserted;
         *peak_entries = (*peak_entries).max(*entries);
-        if self.obs.enabled() {
-            self.obs
-                .counter_add("medes.registry.inserts", inserted as u64);
-            self.obs
-                .gauge_set("medes.registry.entries", *entries as f64);
-        }
+        counts.inserts += inserted as u64;
     }
 
     /// Looks up a page fingerprint: [`RegistryClient::lookup_batch`] of
@@ -312,7 +311,7 @@ impl RegistryClient {
         self.charge_per_shard(fps, RegistryOp::Lookup, |n| {
             (n * PROBE_BYTES, n * CANDIDATE_BYTES)
         });
-        self.lookups.set(self.lookups.get() + fps.len() as u64);
+        self.store.borrow_mut().counts.lookups += fps.len() as u64;
         let store = self.store.borrow();
         let out: Vec<Vec<Candidate>> = fps
             .iter()
@@ -337,9 +336,6 @@ impl RegistryClient {
                 cands
             })
             .collect();
-        drop(store);
-        self.obs
-            .counter_add("medes.registry.lookups", fps.len() as u64);
         out
     }
 
@@ -372,11 +368,7 @@ impl RegistryClient {
             }
         }
         store.entries -= removed;
-        if self.obs.enabled() {
-            self.obs.incr("medes.registry.evictions");
-            self.obs
-                .gauge_set("medes.registry.entries", store.entries as f64);
-        }
+        store.counts.evictions += 1;
     }
 
     /// Number of (hash, location) entries.
@@ -396,9 +388,10 @@ impl RegistryClient {
         self.peak_entries() * ENTRY_BYTES
     }
 
-    /// Total lookups served (for the §7.7 overhead report).
-    pub fn lookups(&self) -> u64 {
-        self.lookups.get()
+    /// What the registry has done so far (for the §7.7 overhead
+    /// report).
+    pub fn counts(&self) -> RegistryCounts {
+        self.store.borrow().counts
     }
 
     /// Live entry count per shard, counted from the table.
@@ -513,7 +506,7 @@ impl RegistryClient {
     /// no survivor the shards stay put until a node restarts.
     pub fn on_node_crash(&self, node: NodeId) -> CrashRecovery {
         let mut rec = CrashRecovery::default();
-        let store = self.store.borrow();
+        let mut store = self.store.borrow_mut();
         let Some(p) = &self.placement else {
             return rec;
         };
@@ -547,19 +540,10 @@ impl RegistryClient {
                 entries * ENTRY_BYTES,
             );
         }
-        p.rereplicated += rec.rereplicated_entries as u64;
-        if self.obs.enabled() && rec.reassigned_shards > 0 {
-            self.obs
-                .counter_add("medes.registry.crash_purged", rec.purged_entries as u64);
-            self.obs.counter_add(
-                "medes.registry.rereplicated",
-                rec.rereplicated_entries as u64,
-            );
-            self.obs.counter_add(
-                "medes.registry.shards_reassigned",
-                rec.reassigned_shards as u64,
-            );
-        }
+        let total = &mut store.counts.recovered;
+        total.purged_entries += rec.purged_entries;
+        total.rereplicated_entries += rec.rereplicated_entries;
+        total.reassigned_shards += rec.reassigned_shards;
         rec
     }
 
@@ -597,24 +581,13 @@ impl RegistryClient {
         owned.filter(|&(_, &o)| o == node.0).map(|(&e, _)| e).sum()
     }
 
-    /// Cumulative registry RPC traffic (zero without a placement).
+    /// Cumulative registry RPC traffic and time (zero without a
+    /// placement). Accounted off the report-visible path: dedup runs
+    /// off the critical path, so the time is an overhead figure, not a
+    /// scheduling input.
     pub fn rpc_stats(&self) -> FabricStats {
         let p = self.placement.as_ref();
         p.map(|p| p.borrow().fabric.stats()).unwrap_or_default()
-    }
-
-    /// Total simulated time spent in registry RPCs. Accounted off the
-    /// report-visible path: dedup runs off the critical path, so the
-    /// latency is an overhead figure, not a scheduling input.
-    pub fn rpc_time(&self) -> SimDuration {
-        let p = self.placement.as_ref();
-        SimDuration::from_micros(p.map_or(0, |p| p.borrow().rpc_time_us))
-    }
-
-    /// Cumulative entries re-replicated by crash recoveries.
-    pub fn rereplicated_entries(&self) -> u64 {
-        let p = self.placement.as_ref();
-        p.map_or(0, |p| p.borrow().rereplicated)
     }
 
     /// Number of shards currently owned by `node`.
@@ -739,7 +712,7 @@ mod tests {
         let fp = page_fingerprint(&random_page(8), &cfg);
         reg.lookup(&fp);
         reg.lookup(&fp);
-        assert_eq!(reg.lookups(), 2);
+        assert_eq!(reg.counts().lookups, 2);
     }
 
     /// The shard map must be a pure function of the chunk hash: the
@@ -806,10 +779,10 @@ mod tests {
                 .map(|i| page_fingerprint(&random_page(i), &cfg))
                 .collect();
             let individual: Vec<Vec<Candidate>> = probes.iter().map(|fp| reg.lookup(fp)).collect();
-            let lookups_before = reg.lookups();
+            let lookups_before = reg.counts().lookups;
             let batched = reg.lookup_batch(&probes);
             assert_eq!(batched, individual, "{shards} shards");
-            assert_eq!(reg.lookups(), lookups_before + probes.len() as u64);
+            assert_eq!(reg.counts().lookups, lookups_before + probes.len() as u64);
         }
     }
 
@@ -987,24 +960,25 @@ mod tests {
     }
 
     #[test]
-    fn obs_mirrors_registry_activity() {
-        let obs = Obs::new(medes_obs::ObsConfig::enabled());
+    fn registry_counts_its_own_activity() {
         let cfg = FingerprintConfig::default();
-        let reg = RegistryClient::in_process(2, Rc::clone(&obs));
+        let reg = RegistryClient::in_process(2, Obs::disabled());
         let fp = page_fingerprint(&random_page(9), &cfg);
         reg.insert_page(&fp, loc(1, 0));
         reg.lookup(&fp);
-        assert_eq!(obs.counter("medes.registry.inserts"), fp.len() as u64);
-        assert_eq!(obs.counter("medes.registry.lookups"), 1);
         reg.remove_sandbox(SandboxId(1));
-        assert_eq!(obs.counter("medes.registry.evictions"), 1);
-        // Shards only route traffic: no metric is kept per shard.
-        let names: Vec<&str> = obs.metrics_snapshot().iter().map(|&(n, _)| n).collect();
-        assert!(names.contains(&"medes.registry.entries"), "{names:?}");
-        assert!(
-            names.iter().all(|n| !n.contains("medes.registry.shard")),
-            "{names:?}"
-        );
+        // Removing an unknown sandbox is no eviction.
+        reg.remove_sandbox(SandboxId(99));
+        let want = RegistryCounts {
+            lookups: 1,
+            inserts: fp.len() as u64,
+            evictions: 1,
+            recovered: CrashRecovery::default(),
+        };
+        assert_eq!(reg.counts(), want);
+        // Unplaced, a crash moves no shard and counts nothing.
+        reg.on_node_crash(NodeId(0));
+        assert_eq!(reg.counts(), want);
     }
 
     fn distributed(shards: usize, owners: usize, nodes: usize) -> RegistryClient {
@@ -1041,7 +1015,12 @@ mod tests {
             }
             reg.remove_sandbox(SandboxId(2));
             let batch = reg.lookup_batch(&fps);
-            (batch, reg.entries(), reg.base_sandboxes(), reg.lookups())
+            (
+                batch,
+                reg.entries(),
+                reg.base_sandboxes(),
+                reg.counts().lookups,
+            )
         };
         let local = RegistryClient::in_process(8, Obs::disabled());
         let baseline = run(&local);
@@ -1056,36 +1035,28 @@ mod tests {
     /// priced RPC traffic on its private fabric, split by op kind.
     #[test]
     fn distributed_charges_rpc_traffic() {
-        let obs = Obs::new(medes_obs::ObsConfig::enabled());
         let cfg = FingerprintConfig::default();
-        let reg = RegistryClient::distributed(
-            4,
-            2,
-            4,
-            medes_net::NetConfig::default(),
-            RetryPolicy::default(),
-            Rc::clone(&obs),
-        );
+        let reg = distributed(4, 2, 4);
         let fp = page_fingerprint(&random_page(60), &cfg);
         reg.insert_page(&fp, loc(1, 0));
         reg.lookup(&fp);
         reg.remove_sandbox(SandboxId(1));
         // Removing an unknown sandbox must not broadcast.
-        let removes_after_first = obs.counter("medes.net.registry.remove_rpcs");
+        let removes_after_first = reg.rpc_stats().registry_rpcs[RegistryOp::Remove as usize];
         reg.remove_sandbox(SandboxId(99));
+        let stats = reg.rpc_stats();
         assert_eq!(
-            obs.counter("medes.net.registry.remove_rpcs"),
+            stats.registry_rpcs[RegistryOp::Remove as usize],
             removes_after_first
         );
-        let stats = reg.rpc_stats();
         assert!(stats.rpcs > 0, "RPCs issued");
         assert!(stats.rpc_bytes > 0, "RPC bytes accounted");
         assert_eq!(stats.rpc_failures, 0, "clean registry fabric never fails");
-        assert!(obs.counter("medes.net.registry.insert_rpcs") > 0);
-        assert!(obs.counter("medes.net.registry.lookup_rpcs") > 0);
+        assert!(stats.registry_rpcs[RegistryOp::Insert as usize] > 0);
+        assert!(stats.registry_rpcs[RegistryOp::Lookup as usize] > 0);
         assert!(removes_after_first > 0);
-        assert_eq!(obs.counter("medes.net.rpcs"), stats.rpcs);
-        assert!(reg.rpc_time() > SimDuration::ZERO);
+        assert_eq!(stats.registry_rpcs.iter().sum::<u64>(), stats.rpcs);
+        assert!(stats.rpc_us_total > 0);
     }
 
     /// An owner crash re-demarcates every shard it owned onto the
@@ -1117,7 +1088,7 @@ mod tests {
         assert_eq!(rec.rereplicated_entries, owned_before);
         assert_eq!(reg.shards_owned_by(NodeId(1)), 0);
         assert_eq!(reg.entries_owned_by(NodeId(1)), 0);
-        assert_eq!(reg.rereplicated_entries(), owned_before as u64);
+        assert_eq!(reg.counts().recovered, rec);
         assert_eq!(
             reg.rpc_stats().rpcs - replicates_before,
             rec.reassigned_shards as u64,
@@ -1166,7 +1137,7 @@ mod tests {
         let [a, b] = clients;
         assert_eq!(a.entries(), b.entries());
         assert_eq!(a.peak_entries(), b.peak_entries());
-        assert_eq!(a.lookups(), b.lookups());
+        assert_eq!(a.counts(), b.counts());
         assert_eq!(a.mem_bytes(), b.mem_bytes());
         assert_eq!(a.peak_mem_bytes(), b.peak_mem_bytes());
         // One entry count per shard: equal vectors, equal shard counts.

@@ -10,12 +10,11 @@
 //!   op (off the critical path) and scheduling traffic.
 //!
 //! [`Fabric`] prices both deterministically from a [`NetConfig`]
-//! (propagation latency, per-op overhead, link bandwidth) and keeps
-//! transfer statistics for the overhead reports of §7.7. Built with
-//! [`Fabric::with_obs`], it additionally mirrors every operation into
-//! `medes.net.*` counters; the time an operation takes is the phase
-//! span it runs under, so the fabric keeps only its totals
-//! (`medes.net.{rdma_batch_us_total,rpc_us_total}`).
+//! (propagation latency, per-op overhead, link bandwidth) and counts
+//! what it moved, what failed and how long it took in one
+//! [`FabricStats`], for the overhead reports of §7.7. The time one
+//! operation takes is the phase span it runs under, so the stats keep
+//! only totals.
 //!
 //! ## Fault injection
 //!
@@ -50,9 +49,9 @@
 //! The distributed fingerprint registry routes lookups, inserts,
 //! removals, and crash-time shard re-replication over the fabric.
 //! [`Fabric::registry_rpc_retry`] prices those exactly like
-//! [`Fabric::rpc_retry`] and additionally tallies per-kind
-//! `medes.net.registry.*` counters (see [`RegistryOp`]) so registry
-//! traffic is separable from data-path RDMA and control-path RPCs.
+//! [`Fabric::rpc_retry`] and additionally counts them per kind
+//! ([`FabricStats::registry_rpcs`]), so registry traffic is separable
+//! from data-path RDMA and control-path RPCs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -167,22 +166,68 @@ impl Default for NetConfig {
 }
 
 /// Cumulative transfer statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricStats {
     /// Completed one-sided reads.
     pub rdma_reads: u64,
     /// Bytes moved by RDMA reads.
     pub rdma_bytes: u64,
+    /// Simulated µs of the completed RDMA batches, summed.
+    pub rdma_batch_us_total: u64,
     /// Completed RPC round trips.
     pub rpcs: u64,
     /// Bytes moved by RPCs (request + response).
     pub rpc_bytes: u64,
+    /// Simulated µs of the completed RPCs, summed.
+    pub rpc_us_total: u64,
     /// Failed RDMA operations (batches count once).
     pub rdma_failures: u64,
     /// Failed RPC round trips.
     pub rpc_failures: u64,
+    /// Failures by kind: timeouts (dropped RPCs included).
+    pub timeouts: u64,
+    /// Failures by kind: a node was down.
+    pub unreachable: u64,
+    /// Failures by kind: a read came back short.
+    pub partial_reads: u64,
+    /// RPCs the fault schedule dropped.
+    pub rpc_dropped: u64,
     /// Retries performed by the `*_retry` variants.
     pub retries: u64,
+    /// `*_retry` operations that ran out of attempts.
+    pub retry_giveups: u64,
+    /// Completed [`Fabric::registry_rpc_retry`] round trips, indexed
+    /// by [`RegistryOp`] (`op as usize`).
+    pub registry_rpcs: [u64; 4],
+}
+
+impl std::ops::Add for FabricStats {
+    type Output = FabricStats;
+
+    /// Field-wise sum: the totals of two fabrics.
+    fn add(self, o: FabricStats) -> FabricStats {
+        let mut registry_rpcs = self.registry_rpcs;
+        for (a, b) in registry_rpcs.iter_mut().zip(o.registry_rpcs) {
+            *a += b;
+        }
+        FabricStats {
+            rdma_reads: self.rdma_reads + o.rdma_reads,
+            rdma_bytes: self.rdma_bytes + o.rdma_bytes,
+            rdma_batch_us_total: self.rdma_batch_us_total + o.rdma_batch_us_total,
+            rpcs: self.rpcs + o.rpcs,
+            rpc_bytes: self.rpc_bytes + o.rpc_bytes,
+            rpc_us_total: self.rpc_us_total + o.rpc_us_total,
+            rdma_failures: self.rdma_failures + o.rdma_failures,
+            rpc_failures: self.rpc_failures + o.rpc_failures,
+            timeouts: self.timeouts + o.timeouts,
+            unreachable: self.unreachable + o.unreachable,
+            partial_reads: self.partial_reads + o.partial_reads,
+            rpc_dropped: self.rpc_dropped + o.rpc_dropped,
+            retries: self.retries + o.retries,
+            retry_giveups: self.retry_giveups + o.retry_giveups,
+            registry_rpcs,
+        }
+    }
 }
 
 /// The cluster fabric: prices operations between nodes.
@@ -203,7 +248,8 @@ impl Fabric {
         Self::with_obs(nodes, cfg, Obs::disabled())
     }
 
-    /// Creates a fabric that records `medes.net.*` metrics.
+    /// Creates a fabric whose failed retry attempts emit
+    /// `medes.net.retry` spans (see [`Fabric::with_ctx`]).
     pub fn with_obs(nodes: usize, cfg: NetConfig, obs: Rc<Obs>) -> Self {
         assert!(nodes > 0, "fabric needs at least one node");
         Fabric {
@@ -289,27 +335,20 @@ impl Fabric {
         Ok(f.latency_factor(src, dst, at))
     }
 
+    /// Counts a failure by transport, so data-path (RDMA) and
+    /// control-path (RPC) faults stay apart, and by kind.
     fn note_error(&mut self, err: NetError, rdma: bool) {
-        if rdma {
-            self.stats.rdma_failures += 1;
+        let s = &mut self.stats;
+        *if rdma {
+            &mut s.rdma_failures
         } else {
-            self.stats.rpc_failures += 1;
-        }
-        if self.obs.enabled() {
-            // Split failure counters by transport so the sampled time
-            // series can separate data-path (RDMA) from control-path
-            // (RPC) fault clusters.
-            self.obs.incr(if rdma {
-                "medes.net.rdma_failures"
-            } else {
-                "medes.net.rpc_failures"
-            });
-            self.obs.incr(match err {
-                NetError::Timeout { .. } => "medes.net.err.timeout",
-                NetError::Unreachable { .. } => "medes.net.err.unreachable",
-                NetError::PartialRead { .. } => "medes.net.err.partial_read",
-            });
-        }
+            &mut s.rpc_failures
+        } += 1;
+        *match err {
+            NetError::Timeout { .. } => &mut s.timeouts,
+            NetError::Unreachable { .. } => &mut s.unreachable,
+            NetError::PartialRead { .. } => &mut s.partial_reads,
+        } += 1;
     }
 
     /// Emits the `medes.net.retry` span for failed attempt number
@@ -403,16 +442,7 @@ impl Fabric {
             }
             t += wire;
         }
-        // A zero-delta write would still create the keys, so an empty
-        // batch records nothing.
-        if self.obs.enabled() && !reads.is_empty() {
-            let bytes: usize = reads.iter().map(|&(_, b)| b).sum();
-            self.obs
-                .counter_add("medes.net.rdma_reads", reads.len() as u64);
-            self.obs.counter_add("medes.net.rdma_bytes", bytes as u64);
-            self.obs
-                .counter_add("medes.net.rdma_batch_us_total", t.as_micros());
-        }
+        self.stats.rdma_batch_us_total += t.as_micros();
         Ok(t)
     }
 
@@ -451,16 +481,11 @@ impl Fabric {
                     self.retry_span(attempts, attempt_start, e);
                     elapsed += self.cfg.fault_timeout;
                     if attempts >= policy.max_attempts.max(1) {
-                        if self.obs.enabled() {
-                            self.obs.incr("medes.net.retry_giveups");
-                        }
+                        self.stats.retry_giveups += 1;
                         return Err(e);
                     }
                     elapsed += policy.backoff(attempts - 1);
                     self.stats.retries += 1;
-                    if self.obs.enabled() {
-                        self.obs.incr("medes.net.retries");
-                    }
                 }
             }
         }
@@ -500,9 +525,7 @@ impl Fabric {
             if dropped {
                 let e = NetError::Timeout { node: b };
                 self.note_error(e, false);
-                if self.obs.enabled() {
-                    self.obs.incr("medes.net.rpc_dropped");
-                }
+                self.stats.rpc_dropped += 1;
                 return Err(e);
             }
         }
@@ -520,13 +543,7 @@ impl Fabric {
         if factor != 1.0 {
             t = t.mul_f64(factor);
         }
-        if self.obs.enabled() {
-            self.obs.incr("medes.net.rpcs");
-            self.obs
-                .counter_add("medes.net.rpc_bytes", (req_bytes + resp_bytes) as u64);
-            self.obs
-                .counter_add("medes.net.rpc_us_total", t.as_micros());
-        }
+        self.stats.rpc_us_total += t.as_micros();
         Ok(t)
     }
 
@@ -564,9 +581,7 @@ impl Fabric {
             }
             let e = NetError::Timeout { node: from };
             f.note_error(e, false);
-            if f.obs.enabled() {
-                f.obs.incr("medes.net.rpc_dropped");
-            }
+            f.stats.rpc_dropped += 1;
             Err(e)
         })
     }
@@ -580,8 +595,8 @@ impl Fabric {
     }
 
     /// [`Fabric::rpc_retry`] attributed to the distributed fingerprint
-    /// registry: identical pricing and fault semantics, plus per-kind
-    /// `medes.net.registry.*` counters so registry traffic is
+    /// registry: identical pricing and fault semantics, plus a per-kind
+    /// count ([`FabricStats::registry_rpcs`]) so registry traffic is
     /// separable from the rest of the control path.
     pub fn registry_rpc_retry(
         &mut self,
@@ -593,9 +608,7 @@ impl Fabric {
         policy: &RetryPolicy,
     ) -> Result<SimDuration, NetError> {
         let out = self.rpc_retry(a, b, req_bytes, resp_bytes, policy)?;
-        if self.obs.enabled() {
-            self.obs.incr(op.counter_name());
-        }
+        self.stats.registry_rpcs[op as usize] += 1;
         Ok(out)
     }
 }
@@ -640,18 +653,6 @@ pub enum RegistryOp {
     Remove,
     /// Bulk shard transfer during crash-time re-replication.
     Replicate,
-}
-
-impl RegistryOp {
-    /// The obs counter tallying round trips of this kind.
-    pub const fn counter_name(self) -> &'static str {
-        match self {
-            RegistryOp::Lookup => "medes.net.registry.lookup_rpcs",
-            RegistryOp::Insert => "medes.net.registry.insert_rpcs",
-            RegistryOp::Remove => "medes.net.registry.remove_rpcs",
-            RegistryOp::Replicate => "medes.net.registry.replicate_rpcs",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -762,53 +763,48 @@ mod tests {
     }
 
     #[test]
-    fn obs_mirrors_fabric_traffic() {
-        let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
+    fn stats_total_traffic_and_time() {
+        let mut f = fabric();
         let one = read(&mut f, 0, 1, 4096).unwrap();
         let batch = f.rdma_read_batch(0, &[(1, 100), (2, 200)]).unwrap();
+        f.rdma_read_batch(0, &[]).unwrap();
         let rpc = f.rpc(0, 1, 10, 20).unwrap();
-        assert_eq!(obs.counter("medes.net.rdma_reads"), 3);
-        assert_eq!(obs.counter("medes.net.rdma_bytes"), 4096 + 300);
-        assert_eq!(obs.counter("medes.net.rpcs"), 1);
-        assert_eq!(obs.counter("medes.net.rpc_bytes"), 30);
+        let s = f.stats();
+        assert_eq!((s.rdma_reads, s.rdma_bytes), (3, 4096 + 300));
+        assert_eq!((s.rpcs, s.rpc_bytes), (1, 30));
         // Batch and RPC time are totals: the per-op durations are the
         // phase spans they run under.
-        assert_eq!(
-            obs.counter("medes.net.rdma_batch_us_total"),
-            one.as_micros() + batch.as_micros()
-        );
-        assert_eq!(obs.counter("medes.net.rpc_us_total"), rpc.as_micros());
-        // The disabled path records nothing.
-        let mut quiet = Fabric::new(4, NetConfig::default());
-        read(&mut quiet, 0, 1, 4096).unwrap();
-        assert_eq!(quiet.stats().rdma_reads, 1);
+        assert_eq!(s.rdma_batch_us_total, one.as_micros() + batch.as_micros());
+        assert_eq!(s.rpc_us_total, rpc.as_micros());
+        // Two fabrics' totals add field by field.
+        let sum = s + s;
+        assert_eq!((sum.rdma_reads, sum.rpc_us_total), (6, 2 * rpc.as_micros()));
+        assert_eq!(s + FabricStats::default(), s);
     }
 
     /// Counters are fabric totals: a batch's reads count once each,
     /// whatever link carried them, and a registry RPC is an RPC.
     #[test]
     fn flat_counters_total_all_links() {
-        let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
+        let mut f = fabric();
         read(&mut f, 0, 1, 4096).unwrap();
         f.rdma_read_batch(0, &[(1, 100), (1, 50), (2, 200)])
             .unwrap();
         f.rpc(0, 1, 10, 20).unwrap();
         f.registry_rpc_retry(0, 2, RegistryOp::Lookup, 64, 32, &RetryPolicy::default())
             .unwrap();
-        assert_eq!(obs.counter("medes.net.rdma_reads"), 4);
-        assert_eq!(obs.counter("medes.net.rdma_bytes"), 4446);
-        assert_eq!(obs.counter("medes.net.rpcs"), 2);
-        assert_eq!(obs.counter("medes.net.rpc_bytes"), 126);
-        assert_eq!(obs.counter("medes.net.registry.lookup_rpcs"), 1);
+        let s = f.stats();
+        assert_eq!((s.rdma_reads, s.rdma_bytes), (4, 4446));
+        assert_eq!((s.rpcs, s.rpc_bytes), (2, 126));
+        assert_eq!(s.registry_rpcs, [1, 0, 0, 0]);
     }
 
     /// Property: over random mixes of local and remote read batches
     /// (empty ones included) and registry RPCs under a random fault
-    /// schedule, every `medes.net.*` traffic counter equals its
-    /// [`FabricStats`] field, and a counter key exists only once
-    /// traffic moved it.
+    /// schedule, the [`FabricStats`] counters agree with each other:
+    /// failures by kind total failures by transport, every completed
+    /// registry RPC is a completed RPC, a dropped RPC is a timeout, and
+    /// every retried op ended in a success or a give-up.
     #[test]
     fn fabric_counters_equal_fabric_stats() {
         const OPS: [RegistryOp; 4] = [
@@ -822,14 +818,15 @@ mod tests {
             let nodes = 2 + rng.below(4) as usize;
             let horizon = SimTime::from_secs(10);
             let plan = FaultPlan::synthesize(seed, nodes, horizon, rng.f64() * 4.0);
-            let obs = Obs::new(medes_obs::ObsConfig::enabled());
-            let mut f = Fabric::with_obs(nodes, NetConfig::default(), Rc::clone(&obs));
+            let mut f = Fabric::new(nodes, NetConfig::default());
             f.set_faults(FaultSchedule::compile(&plan));
             let policy = RetryPolicy {
                 max_attempts: 1 + rng.below(3) as u32,
                 ..RetryPolicy::default()
             };
+            let (mut ops, mut ok) = (0u64, 0u64);
             for _ in 0..rng.below(40) {
+                ops += 1;
                 f.set_now(SimTime::from_micros(rng.below(horizon.as_micros())));
                 let dst = rng.below(nodes as u64) as usize;
                 if rng.chance(0.6) {
@@ -843,31 +840,26 @@ mod tests {
                             (src, rng.below(8192) as usize)
                         })
                         .collect();
-                    let _ = f.rdma_read_batch_retry(dst, &reads, &policy);
+                    ok += f.rdma_read_batch_retry(dst, &reads, &policy).is_ok() as u64;
                 } else {
                     let op = OPS[rng.below(4) as usize];
                     let (req, resp) = (rng.below(256) as usize, rng.below(4096) as usize);
-                    let _ = f.registry_rpc_retry(0, dst, op, req, resp, &policy);
+                    ok += f.registry_rpc_retry(0, dst, op, req, resp, &policy).is_ok() as u64;
                 }
             }
-            let stats = f.stats();
-            let keys: Vec<&str> = obs.metrics_snapshot().iter().map(|(k, _)| *k).collect();
-            for (name, want) in [
-                ("medes.net.rdma_reads", stats.rdma_reads),
-                ("medes.net.rdma_bytes", stats.rdma_bytes),
-                ("medes.net.rpcs", stats.rpcs),
-                ("medes.net.rpc_bytes", stats.rpc_bytes),
-                ("medes.net.rdma_failures", stats.rdma_failures),
-                ("medes.net.rpc_failures", stats.rpc_failures),
-            ] {
-                assert_eq!(obs.counter(name), want, "seed {seed}: {name}");
-            }
-            for (name, moved) in [
-                ("medes.net.rdma_reads", stats.rdma_reads > 0),
-                ("medes.net.rdma_bytes", stats.rdma_reads > 0),
-                ("medes.net.rpcs", stats.rpcs > 0),
-            ] {
-                assert_eq!(keys.contains(&name), moved, "seed {seed}: {name} key");
+            let s = f.stats();
+            let failures = s.rdma_failures + s.rpc_failures;
+            assert_eq!(
+                s.timeouts + s.unreachable + s.partial_reads,
+                failures,
+                "seed {seed}"
+            );
+            assert_eq!(s.registry_rpcs.iter().sum::<u64>(), s.rpcs, "seed {seed}");
+            assert!(s.rpc_dropped <= s.timeouts, "seed {seed}");
+            assert_eq!(ok + s.retry_giveups, ops, "seed {seed}");
+            assert_eq!(s.retries + s.retry_giveups, failures, "seed {seed}");
+            if s.rdma_reads == 0 {
+                assert_eq!((s.rdma_bytes, s.rdma_batch_us_total), (0, 0), "seed {seed}");
             }
         }
     }
@@ -1195,8 +1187,7 @@ mod tests {
 
     #[test]
     fn registry_rpcs_are_priced_like_rpcs_and_counted_separately() {
-        let obs = Obs::new(medes_obs::ObsConfig::enabled());
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
+        let mut f = fabric();
         let policy = RetryPolicy {
             max_attempts: 1,
             ..RetryPolicy::default()
@@ -1212,16 +1203,10 @@ mod tests {
             .unwrap();
         f.registry_rpc_retry(1, 2, RegistryOp::Replicate, 16, 4096, &policy)
             .unwrap();
-        assert_eq!(obs.counter("medes.net.rpcs"), 4);
-        assert_eq!(obs.counter("medes.net.registry.lookup_rpcs"), 1);
-        assert_eq!(obs.counter("medes.net.registry.insert_rpcs"), 1);
-        assert_eq!(obs.counter("medes.net.registry.remove_rpcs"), 1);
-        assert_eq!(obs.counter("medes.net.registry.replicate_rpcs"), 1);
-        assert_eq!(
-            obs.counter("medes.net.rpc_bytes"),
-            (40 + 120 + 64 + 8 + 8 + 8 + 16 + 4096) as u64
-        );
-        assert_eq!(f.stats().rpcs, 4);
+        let s = f.stats();
+        assert_eq!(s.rpcs, 4);
+        assert_eq!(s.registry_rpcs, [1, 1, 1, 1]);
+        assert_eq!(s.rpc_bytes, (40 + 120 + 64 + 8 + 8 + 8 + 16 + 4096) as u64);
     }
 
     #[test]
@@ -1241,9 +1226,20 @@ mod tests {
             max_attempts: 3,
             ..RetryPolicy::default()
         };
-        assert!(f.rdma_read_batch_retry(0, &[(1, 64)], &policy).is_err());
-        assert_eq!(obs.counter("medes.net.err.unreachable"), 3);
-        assert_eq!(obs.counter("medes.net.retries"), 2);
-        assert_eq!(obs.counter("medes.net.retry_giveups"), 1);
+        let ctx = obs.trace_root("request", 7, 1);
+        assert!(f
+            .with_ctx(ctx)
+            .rdma_read_batch_retry(0, &[(1, 64)], &policy)
+            .is_err());
+        // Each failed attempt is a span and a count; the give-up is a
+        // count alone.
+        let spans = obs.spans();
+        assert_eq!(spans.len(), 3);
+        assert!(spans
+            .iter()
+            .all(|s| s.attr("error") == Some(&medes_obs::Json::Str("unreachable".into()))));
+        let s = f.stats();
+        assert_eq!((s.unreachable, s.rdma_failures), (3, 3));
+        assert_eq!((s.retries, s.retry_giveups), (2, 1));
     }
 }

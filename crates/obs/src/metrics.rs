@@ -75,12 +75,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Writes dropped because the name was already registered under a
-    /// different metric type.
-    pub fn type_mismatches(&self) -> u64 {
-        self.type_mismatches
-    }
-
     /// Current counter value (0 if absent). `medes.obs.type_mismatch`
     /// reads the internal mismatch count.
     pub fn counter(&self, name: &str) -> u64 {
@@ -91,24 +85,6 @@ impl MetricsRegistry {
             Some(Metric::Counter(v)) => *v,
             _ => 0,
         }
-    }
-
-    /// Current gauge value (None if absent).
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        match self.metrics.get(name) {
-            Some(Metric::Gauge(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether no metrics are registered.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
     }
 
     /// Name-sorted snapshot of all metrics. When type-mismatched
@@ -146,11 +122,10 @@ mod tests {
         m.gauge_set("medes.registry.entries", 42.0);
         m.counter_add("medes.net.rpc_us_total", 10);
         assert_eq!(m.counter("medes.platform.starts.warm"), 3);
-        assert_eq!(m.gauge("medes.registry.entries"), Some(42.0));
         assert_eq!(m.counter("absent"), 0);
-        assert_eq!(m.len(), 3);
 
         let snap = m.snapshot();
+        assert_eq!(snap.len(), 3);
         let names: Vec<&str> = snap.iter().map(|(k, _)| *k).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
@@ -174,9 +149,8 @@ mod tests {
         m.gauge_set("medes.x.level", 1.0);
         let r = catch_unwind(AssertUnwindSafe(|| m.counter_add("medes.x.level", 3)));
         assert_eq!(r.is_err(), cfg!(debug_assertions));
-        assert_eq!(m.type_mismatches(), 2);
         assert_eq!(m.counter("medes.x.ops"), 1, "original counter intact");
-        assert_eq!(m.gauge("medes.x.level"), Some(1.0), "original gauge intact");
+        assert_eq!(m.to_json()["medes.x.level"], 1.0, "original gauge intact");
         assert_eq!(m.counter(TYPE_MISMATCH_METRIC), 2);
         let snap = m.snapshot();
         assert!(snap

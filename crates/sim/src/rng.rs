@@ -358,6 +358,39 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// `zipf(n, s)` draws rank `r` with probability ∝ `(r + 1)^-s`, so
+    /// the log of a rank's count is linear in `ln(r + 1)` with slope
+    /// `-s`. A least-squares fit weighted by the counts (a count `c`
+    /// has a log with variance ≈ `1/c`) gives the exponent back within
+    /// four of the fit's own standard errors.
+    #[test]
+    fn zipf_exponent_is_recovered_by_a_log_log_fit() {
+        for (seed, s) in [(21u64, 0.8), (22, 1.2), (23, 1.6)] {
+            let (n, draws) = (24u64, 40_000);
+            let mut rng = DetRng::new(seed);
+            let mut counts = vec![0f64; n as usize];
+            for _ in 0..draws {
+                counts[rng.zipf(n, s) as usize] += 1.0;
+            }
+            // Ranks drawn often enough that their log is near normal.
+            let pts: Vec<(f64, f64, f64)> = (0..n as usize)
+                .filter(|&r| counts[r] >= 20.0)
+                .map(|r| (((r + 1) as f64).ln(), counts[r].ln(), counts[r]))
+                .collect();
+            assert!(pts.len() >= 8, "s {s}: {} ranks", pts.len());
+            let w: f64 = pts.iter().map(|p| p.2).sum();
+            let mx = pts.iter().map(|p| p.2 * p.0).sum::<f64>() / w;
+            let my = pts.iter().map(|p| p.2 * p.1).sum::<f64>() / w;
+            let sxx: f64 = pts.iter().map(|p| p.2 * (p.0 - mx).powi(2)).sum();
+            let sxy: f64 = pts.iter().map(|p| p.2 * (p.0 - mx) * (p.1 - my)).sum();
+            let (slope, se) = (sxy / sxx, 1.0 / sxx.sqrt());
+            assert!(
+                (slope + s).abs() < 4.0 * se,
+                "s {s}: slope {slope}, se {se}"
+            );
+        }
+    }
+
     #[test]
     fn zipf_is_skewed_and_in_range() {
         let mut rng = DetRng::new(14);

@@ -214,6 +214,11 @@ impl TimeWeighted {
     pub fn series(&self) -> &[(SimTime, f64)] {
         &self.samples
     }
+
+    /// The value of the last update; `None` before the first.
+    pub fn last(&self) -> Option<f64> {
+        self.started.then_some(self.last_value)
+    }
 }
 
 #[cfg(test)]
@@ -308,6 +313,7 @@ mod tests {
         // A stale (earlier) update must not subtract from the integral:
         // `since` saturates, so the interval contributes zero weight.
         tw.update(SimTime::from_secs(5), 8.0);
+        assert_eq!(tw.last(), Some(8.0), "the last update wins, stale or not");
         let mean = tw.mean_until(SimTime::from_secs(10));
         assert!(mean.is_finite());
         assert!(mean >= 0.0, "mean {mean}");
@@ -330,6 +336,7 @@ mod tests {
     #[test]
     fn time_weighted_mean_until_zero_span() {
         let mut tw = TimeWeighted::new(SimDuration::from_secs(1));
+        assert_eq!(tw.last(), None);
         tw.update(SimTime::ZERO, 7.0);
         // Zero-length window: falls back to the current value rather
         // than dividing by zero.

@@ -257,6 +257,32 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
 
+    /// Exponential gaps have a coefficient of variation of exactly 1,
+    /// and the sample CV of `n` of them has a standard error of about
+    /// `1/√n` (delta method: Var(s) = 2σ²/n, Var(m) = σ²/n,
+    /// Cov(s, m) = σ²/n). Each seed's CV must lie within four of those.
+    #[test]
+    fn poisson_inter_arrival_cv_is_one() {
+        for seed in 0..8 {
+            let mut rng = DetRng::new(0x9015_5017).fork(seed);
+            let p = ArrivalPattern::Poisson { rate_per_min: 30.0 };
+            let times = p.generate(&mut rng, hour());
+            let gaps: Vec<f64> = times
+                .windows(2)
+                .map(|w| (w[1].as_micros() - w[0].as_micros()) as f64)
+                .collect();
+            let n = gaps.len() as f64;
+            let mean = gaps.iter().sum::<f64>() / n;
+            let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / (n - 1.0);
+            let cv = var.sqrt() / mean;
+            let tol = 4.0 / n.sqrt();
+            assert!(
+                (cv - 1.0).abs() < tol,
+                "seed {seed}: CV {cv}, n {n}, tol {tol}"
+            );
+        }
+    }
+
     #[test]
     fn bursty_is_clumped() {
         let mut rng = DetRng::new(2);

@@ -59,7 +59,7 @@ fn counters(c: &RegistryClient) -> (usize, usize, u64, usize, usize, Vec<usize>,
     (
         c.entries(),
         c.peak_entries(),
-        c.lookups(),
+        c.counts().lookups,
         c.mem_bytes(),
         c.peak_mem_bytes(),
         c.shard_entries(),
@@ -160,7 +160,7 @@ fn crash_purge_leaves_no_dead_node_state() {
     }
     assert_eq!(client.entries(), entries, "re-demarcation lost entries");
     assert_eq!(client.entries_owned_by(NodeId(5)), entries);
-    assert!(client.rereplicated_entries() > 0);
+    assert!(client.counts().recovered.rereplicated_entries > 0);
 }
 
 fn suite() -> Vec<FunctionProfile> {
