@@ -221,8 +221,8 @@ fn injected_slow_node_is_the_top_attribution() {
 }
 
 /// Wall-time ceiling for the enabled tracer, which formats every span
-/// in memory, as a fraction of the disabled run (1.10 = +110 %, 1.5×
-/// the worst of twelve optimised runs on a 2-vCPU VM: +21 % to +71 %):
+/// in memory, as a fraction of the disabled run (0.60 = +60 %, 1.5×
+/// the worst of twelve optimised runs on a 2-vCPU VM: +30 % to +39 %):
 /// it guards against an accidental O(n^2) or a tracer that builds what
 /// it could write; it does not benchmark the tracer —
 /// `obs.overhead_frac` in `BENCHMARK.json` is the number.
@@ -244,8 +244,8 @@ fn tracing_overhead_stays_under_the_ceiling() {
     let overhead = best_of_3(ObsConfig::enabled()) / best_of_3(ObsConfig::default()) - 1.0;
     eprintln!("tracing overhead {:.1}%", overhead * 100.0);
     assert!(
-        overhead < 1.10,
-        "tracing overhead {:.0}% exceeds the 110% ceiling",
+        overhead < 0.60,
+        "tracing overhead {:.0}% exceeds the 60% ceiling",
         overhead * 100.0
     );
 }
