@@ -238,8 +238,8 @@ impl RunReport {
     }
 }
 
-/// The platform counts only the trace tail reports (`medes.platform.*`
-/// and `medes.dedup.*` of the same names; DESIGN.md §7): no
+/// Counts that only the trace tail reports, as the `medes.platform.*`
+/// and `medes.dedup.*` counters of the same names (DESIGN.md §7): no
 /// [`RunReport`] field or other owner keeps them.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Counts {
