@@ -45,12 +45,9 @@ impl Cluster {
     fn write_tail(&self) {
         let (m, r, c) = (&self.metrics, &self.metrics.report, self.metrics.counts);
         let (registry, images, w) = (self.bases.registry(), self.bases.images(), self.dedup_work);
-        let (reg, rpc, down) = (
-            registry.counts(),
-            registry.rpc_stats(),
-            self.mem.down_nodes(),
-        );
+        let (reg, rpc) = (registry.counts(), registry.rpc_stats());
         let (net, rec) = (self.fabric.stats() + rpc, reg.recovered);
+        let down = self.mem.down_nodes();
         let dead_owned: usize = down.map(|n| registry.entries_owned_by(n)).sum();
         let starts = |t| m.slots.iter().flatten().filter(|q| q.start == t).count() as u64;
         let per_fn = |f: fn(&FnDedupStats) -> u64| r.dedup_stats.iter().map(f).sum::<u64>();
