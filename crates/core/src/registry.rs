@@ -210,7 +210,7 @@ impl RegistryClient {
 
     /// The same registry with its `shards` placed on the first `owners`
     /// of `nodes` worker nodes (`owners` is clamped to `1..=nodes`),
-    /// every operation priced as RPCs under `net` and `retry`. `_obs`
+    /// every operation priced as RPCs under `net` and `retry`. `obs`
     /// is unused, as in [`RegistryClient::in_process`].
     pub fn distributed(
         shards: usize,
@@ -218,12 +218,11 @@ impl RegistryClient {
         nodes: usize,
         net: NetConfig,
         retry: RetryPolicy,
-        _obs: Rc<Obs>,
+        obs: Rc<Obs>,
     ) -> Self {
         assert!(nodes > 0, "distributed registry needs at least one node");
         let owners = owners.clamp(1, nodes);
-        let mut client = Self::new();
-        client.shards = shards.max(1);
+        let mut client = Self::in_process(shards, obs);
         client.placement = Some(RefCell::new(Placement {
             owner_of: (0..client.shards).map(|s| s % owners).collect(),
             alive: vec![true; nodes],
