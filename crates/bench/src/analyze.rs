@@ -17,7 +17,8 @@
 //! * **anomalies**: roots whose duration exceeds [`ANOMALY_K`]` ×` the
 //!   p99 of their kind — the ops worth pulling up individually.
 //!
-//! Spans whose parent never made it into the buffer (ring eviction, or
+//! Spans whose parent is not in the export (a file cut short because
+//! the run stopped or the file failed before the parent span ended, or
 //! a fault-aborted op that skipped its phase records) are promoted to
 //! roots of their trace rather than dropped, so a truncated trace still
 //! analyzes.

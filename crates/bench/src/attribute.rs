@@ -2,8 +2,10 @@
 //! latency can be pinned on, folded from its spans. It ranks nodes by
 //! the SLO violations they served among each function's slowest
 //! ([`SloFold::tail`]), ranks per-(phase, node) p99s far above their
-//! phase's, and prints the worst violation's critical path. A run with
-//! no SLO bound and an even spread of latency attributes nothing.
+//! phase's (their function's in the phase, when the series names one),
+//! and prints the worst violation's critical path. A run with no SLO
+//! bound and an even spread of latency attributes nothing; nor does a
+//! function that is slower on every node.
 
 use crate::analyze::{critical_path_table, Forest};
 use crate::report::{f, Report};
@@ -13,8 +15,8 @@ use medes_obs::Json;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-/// A (phase, node) p99 must run at least this factor above its phase's
-/// p99 to be flagged as an outlier.
+/// A (phase, node) p99 must run at least this factor above its
+/// baseline p99 to be flagged as an outlier.
 const OUTLIER_RATIO: f64 = 1.5;
 
 /// (phase, node) p99s under this floor (µs) are never flagged: a 3 µs
@@ -29,7 +31,7 @@ const STARTUP: &str = "medes.platform.startup";
 #[derive(Debug, Clone, PartialEq)]
 pub struct Attribution {
     /// `slo-node` (a node serving SLO violations) or `p99-outlier`
-    /// (a (phase, node) p99 far above its phase's).
+    /// (a (phase, node) p99 far above its baseline's).
     pub kind: &'static str,
     /// The attributed dimension, e.g. `node 3` or
     /// `medes.restore.op{node=3}`.
@@ -126,16 +128,19 @@ fn escaped(text: &str) -> String {
     out
 }
 
-/// Per-(phase, node) p99s far above their phase's p99. A span that
-/// names its function (`fn`) is grouped per function too, and a
+/// Per-(phase, node) p99s far above their baseline: the phase's p99,
+/// or, for a span that names its function (`fn`), that function's p99
+/// in the phase, so a function slower on every node flags no node. A
 /// request's startup (`startup_us`, what the SLO bounds) is folded as
 /// the phase `medes.platform.startup` beside the request's duration.
 fn outliers(report: &mut Report, forest: &Forest) -> Vec<Attribution> {
-    let mut phases: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    let mut groups: BTreeMap<(&str, String), Vec<f64>> = BTreeMap::new();
+    // Keyed (phase, None) over every span, (phase, Some(fn)) per function.
+    let mut phases: BTreeMap<(&str, Option<&str>), Vec<f64>> = BTreeMap::new();
+    let mut groups: BTreeMap<(&str, Option<&str>, String), Vec<f64>> = BTreeMap::new();
     for (s, node) in forest.spans.iter().zip(span_nodes(forest)) {
         let Some(node) = node else { continue };
-        let labels = match s.attr("fn").and_then(Json::as_str) {
+        let func = s.attr("fn").and_then(Json::as_str);
+        let labels = match func {
             Some(func) => format!("fn={},node={node}", escaped(func)),
             None => format!("node={node}"),
         };
@@ -145,20 +150,23 @@ fn outliers(report: &mut Report, forest: &Forest) -> Vec<Attribution> {
             startup.map(|us| (STARTUP, us)),
         ];
         for (name, us) in samples.into_iter().flatten() {
-            phases.entry(name).or_default().push(us as f64);
-            let key = (name, format!("{name}{{{labels}}}"));
+            phases.entry((name, None)).or_default().push(us as f64);
+            if func.is_some() {
+                phases.entry((name, func)).or_default().push(us as f64);
+            }
+            let key = (name, func, format!("{name}{{{labels}}}"));
             groups.entry(key).or_default().push(us as f64);
         }
     }
     let p99 = |durs: &[f64]| percentiles(durs.iter().copied()).quantile(0.99);
-    let phase_p99: BTreeMap<&str, f64> = phases
+    let base_p99: BTreeMap<_, f64> = phases
         .iter()
-        .filter_map(|(&name, durs)| Some((name, p99(durs)?)))
+        .filter_map(|(&base, durs)| Some((base, p99(durs)?)))
         .collect();
     let mut out: Vec<(String, f64, f64, f64)> = groups
         .into_iter()
-        .filter_map(|((name, key), durs)| {
-            let (p, flat) = (p99(&durs)?, phase_p99[name]);
+        .filter_map(|((name, func, key), durs)| {
+            let (p, flat) = (p99(&durs)?, base_p99[&(name, func)]);
             let ratio = p / flat;
             (flat > 0.0 && p >= OUTLIER_FLOOR_US && ratio >= OUTLIER_RATIO)
                 .then_some((key, p, flat, ratio))
@@ -169,7 +177,7 @@ fn outliers(report: &mut Report, forest: &Forest) -> Vec<Attribution> {
     if out.is_empty() {
         return Vec::new();
     }
-    report.section("(phase, node) p99 outliers (vs the phase's p99)");
+    report.section("(phase, node) p99 outliers (vs the phase's p99, per function where named)");
     let rows = out
         .iter()
         .map(|(key, p, flat, ratio)| [key.clone(), f(*p, 1), f(*flat, 1), f(*ratio, 2)]);
@@ -258,6 +266,40 @@ mod tests {
             );
         }
         assert!(attribute(&obs.export_jsonl()).1.is_empty());
+    }
+
+    /// A function slower than the rest on every node is held to its
+    /// own p99, so it flags no node and the report passes its gate; a
+    /// node slow for one function is still flagged against that
+    /// function's p99.
+    #[test]
+    fn a_function_slow_everywhere_flags_no_node() {
+        let obs = Obs::new(ObsConfig::enabled());
+        let mut id = 0..;
+        let mut run =
+            |func, node, latency| request(&obs, (id.next().unwrap(), func, node, latency, 0));
+        for node in 0..4 {
+            (0..500).for_each(|_| run("fast", node, 2_000));
+            (0..3).for_each(|_| run("slow", node, 20_000));
+        }
+        let (report, findings) = report(&load("t", &obs.export_jsonl()), None);
+        assert!(findings.attributions.is_empty(), "{}", report.text());
+        assert!(!findings.gate());
+        (0..10).for_each(|_| run("fast", 2, 20_000));
+        let (_, attributions) = attribute(&obs.export_jsonl());
+        let subjects: Vec<&str> = attributions.iter().map(|a| a.subject.as_str()).collect();
+        assert!(
+            subjects.contains(&"medes.platform.request{fn=fast,node=2}"),
+            "{subjects:?}"
+        );
+        assert!(
+            subjects.contains(&"medes.platform.startup{fn=fast,node=2}"),
+            "{subjects:?}"
+        );
+        assert!(
+            subjects.iter().all(|s| !s.contains("fn=slow")),
+            "{subjects:?}"
+        );
     }
 
     /// End to end on a synthetic run: the node serving the violations

@@ -1,7 +1,7 @@
 //! Shared experiment setup: standard workloads and configurations.
 
 use medes_core::config::{ConfigError, PlatformConfig, RestoreReadConfig};
-use medes_core::metrics::RunReport;
+use medes_core::metrics::{FnDedupStats, RunReport};
 use medes_core::platform::Platform;
 use medes_policy::medes::Objective;
 use medes_policy::MedesPolicyConfig;
@@ -262,6 +262,13 @@ impl ExpConfig {
         }
         Platform::new(cfg, suite.to_vec()).run(trace).report
     }
+}
+
+/// The mean of `stat` over the functions that deduplicated (0 when
+/// none did).
+pub fn dedup_mean(r: &RunReport, stat: impl Fn(&FnDedupStats) -> f64) -> f64 {
+    let active = r.dedup_stats.iter().filter(|s| s.dedup_ops > 0);
+    active.clone().map(stat).sum::<f64>() / active.count().max(1) as f64
 }
 
 /// A run's inputs and its report may cross threads, so independent

@@ -5,7 +5,7 @@
 //! redundancy (smaller savings → more evictions → more cold starts).
 //! 64 B is the sweet spot the paper picks.
 
-use crate::common::ExpConfig;
+use crate::common::{dedup_mean, ExpConfig};
 use crate::report::{f, Report};
 use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
@@ -27,28 +27,8 @@ pub fn run(cfg: &ExpConfig) -> Report {
         let mut c = base.clone();
         c.fingerprint.chunk_size = chunk;
         let r = cfg.run(c, &suite, &trace);
-        let savings: f64 = r
-            .dedup_stats
-            .iter()
-            .filter(|s| s.dedup_ops > 0)
-            .map(|s| s.mean_saved_paper_bytes)
-            .sum::<f64>()
-            / r.dedup_stats
-                .iter()
-                .filter(|s| s.dedup_ops > 0)
-                .count()
-                .max(1) as f64;
-        let patch: f64 = r
-            .dedup_stats
-            .iter()
-            .filter(|s| s.dedup_ops > 0)
-            .map(|s| s.mean_patch_bytes)
-            .sum::<f64>()
-            / r.dedup_stats
-                .iter()
-                .filter(|s| s.dedup_ops > 0)
-                .count()
-                .max(1) as f64;
+        let savings = dedup_mean(&r, |s| s.mean_saved_paper_bytes);
+        let patch = dedup_mean(&r, |s| s.mean_patch_bytes);
         sweep.push((chunk, savings, patch));
         rows.push(vec![
             format!("{chunk}B"),

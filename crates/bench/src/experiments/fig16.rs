@@ -5,7 +5,7 @@
 //! per restore, inflating dedup-start latency (378 → 478 → 554 ms) and,
 //! through slower reuse, the tail.
 
-use crate::common::ExpConfig;
+use crate::common::{dedup_mean, ExpConfig};
 use crate::report::{f, Report};
 use medes_core::config::PolicyKind;
 use medes_policy::medes::Objective;
@@ -30,19 +30,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         c.fingerprint.cardinality = card;
         c.policy = PolicyKind::Medes(cfg.medes_policy(Objective::LatencyTarget { alpha: 2.5 }));
         let r = cfg.run(c, &suite, &trace);
-        let active = r
-            .dedup_stats
-            .iter()
-            .filter(|s| s.dedup_ops > 0)
-            .count()
-            .max(1) as f64;
-        let savings: f64 = r
-            .dedup_stats
-            .iter()
-            .filter(|s| s.dedup_ops > 0)
-            .map(|s| s.mean_saved_paper_bytes)
-            .sum::<f64>()
-            / active;
+        let savings = dedup_mean(&r, |s| s.mean_saved_paper_bytes);
         let restore_ms: f64 = {
             let with = r.dedup_stats.iter().filter(|s| s.restores > 0);
             let n = with.clone().count().max(1) as f64;

@@ -919,11 +919,11 @@ mod tests {
         );
         let ops = spans.iter().filter(|s| s.name == "medes.dedup.op");
         assert_eq!(ops.count(), 2);
-        assert!(obs.metrics_snapshot().is_empty());
+        assert!(obs.export_jsonl().ends_with("{\"metrics\":{}}\n"));
         let off = Obs::disabled();
         timing.record(&off, start, "f", (4096, 17), root, 3);
         assert_eq!(off.span_count(), 0);
-        assert!(off.metrics_snapshot().is_empty());
+        assert!(off.export_jsonl().ends_with("{\"metrics\":{}}\n"));
     }
 
     #[test]

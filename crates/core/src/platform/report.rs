@@ -122,17 +122,26 @@ impl Cluster {
             ("medes.net.registry.remove_rpcs", nz(rpcs(RegistryOp::Remove))),
             ("medes.net.registry.replicate_rpcs", nz(rpcs(RegistryOp::Replicate))),
         ];
+        let entries = (reg.inserts > 0).then_some(registry.entries() as f64);
+        let gauges = [
+            ("medes.platform.mem_paper_bytes", m.mem.last()),
+            ("medes.platform.live_sandboxes", m.live.last()),
+            ("medes.registry.entries", entries),
+        ];
+        // The tail keeps one number a name, so a name written twice
+        // would merge silently.
+        debug_assert!({
+            let mut names: Vec<_> = counters.iter().map(|c| c.0).collect();
+            names.extend(gauges.iter().map(|g| g.0));
+            names.sort_unstable();
+            names.windows(2).all(|w| w[0] != w[1])
+        });
         for (name, v) in counters {
             if let Some(v) = v {
                 self.obs.counter_add(name, v);
             }
         }
-        let entries = (reg.inserts > 0).then_some(registry.entries() as f64);
-        for (name, v) in [
-            ("medes.platform.mem_paper_bytes", m.mem.last()),
-            ("medes.platform.live_sandboxes", m.live.last()),
-            ("medes.registry.entries", entries),
-        ] {
+        for (name, v) in gauges {
             if let Some(v) = v {
                 self.obs.gauge_set(name, v);
             }

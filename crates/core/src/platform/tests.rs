@@ -425,7 +425,7 @@ fn disabled_obs_leaves_run_untouched() {
     let (report, obs) = (outcome.report, outcome.obs);
     assert!(!report.requests.is_empty());
     assert_eq!(obs.span_count(), 0);
-    assert!(obs.metrics_snapshot().is_empty());
+    assert!(obs.export_jsonl().ends_with("{\"metrics\":{}}\n"));
 }
 
 /// Tentpole: every restore op links under the request span minted

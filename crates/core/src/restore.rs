@@ -554,7 +554,7 @@ mod tests {
         );
         assert_eq!(op.attr("node").and_then(Json::as_u64), Some(2));
         // The spans are the whole record: the run counts its restores.
-        assert!(obs.metrics_snapshot().is_empty());
+        assert!(obs.export_jsonl().ends_with("{\"metrics\":{}}\n"));
     }
 
     #[test]

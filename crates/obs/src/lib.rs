@@ -1,30 +1,30 @@
-//! Structured tracing and metrics for the Medes reproduction.
+//! Structured tracing for the Medes reproduction.
 //!
 //! Zero-external-dependency observability layer: simulated-time spans
 //! ([`Span`]), each written once as one JSONL line into its handle's
 //! one destination — the trace file, or an in-memory export capped at
-//! [`SPAN_BYTES_CAP`] — plus a [`MetricsRegistry`] of named counters
-//! and gauges. A duration is recorded once, as a span; its percentiles
-//! are computed from the spans afterwards (`trace report`). All hot
-//! paths go through [`Obs`], which is a cheap no-op when
-//! [`ObsConfig::enabled`] is false.
+//! [`SPAN_BYTES_CAP`] — then one tail line of the run's named counters
+//! and gauges, kept as one name-sorted list and written at the end
+//! with the writers a span line uses. A duration is recorded once, as
+//! a span; its percentiles are computed from the spans afterwards
+//! (`trace report`). All hot paths go through [`Obs`], which is a
+//! cheap no-op when [`ObsConfig::enabled`] is false.
 //!
 //! Naming convention: `medes.<subsystem>.<name>` for both spans and
-//! metrics (see DESIGN.md, "Observability").
+//! tail entries (see DESIGN.md, "Observability").
 
 #![warn(missing_docs)]
 
 pub mod ids;
 pub mod json;
-pub mod metrics;
 mod sink;
 pub mod span;
 
 pub use ids::TraceCtx;
 pub use json::{Json, JsonMap, ParseError};
-pub use metrics::{Metric, MetricsRegistry, TYPE_MISMATCH_METRIC};
 pub use span::{AttrValue, ParsedSpan, Span};
 
+use json::{write_number, write_string};
 use medes_sim::SimTime;
 use sink::SpanSink;
 use std::cell::RefCell;
@@ -81,7 +81,10 @@ pub struct Obs {
 /// another [`Obs`] method: a re-entrant borrow panics.
 #[derive(Debug)]
 struct State {
-    metrics: MetricsRegistry,
+    /// The tail's counters and gauges, name-sorted. A duration is a
+    /// span, never a tail entry; what is left are facts no span
+    /// carries — counts, byte totals and levels.
+    tail: Vec<(&'static str, f64)>,
     /// Span lines: every kept line without a trace file, else the
     /// lines not yet written to the file.
     lines: String,
@@ -133,14 +136,32 @@ impl State {
         }
     }
 
+    /// The tail entry named `name`, inserted at 0 if absent.
+    fn entry(&mut self, name: &'static str) -> &mut f64 {
+        let i = match self.tail.binary_search_by_key(&name, |&(k, _)| k) {
+            Ok(i) => i,
+            Err(i) => {
+                self.tail.insert(i, (name, 0.0));
+                i
+            }
+        };
+        &mut self.tail[i].1
+    }
+
     /// The trace export's tail line: one JSON object carrying the
     /// final counters and gauges, so a trace file is a self-contained
     /// run export (`trace report` reads nothing else).
     fn tail(&self) -> String {
-        let mut tail = JsonMap::new();
-        tail.insert("metrics", self.metrics.to_json());
-        let mut out = Json::Object(tail).to_string();
-        out.push('\n');
+        let mut out = String::from("{\"metrics\":{");
+        for (i, &(name, v)) in self.tail.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_string(&mut out, name);
+            out.push(':');
+            write_number(&mut out, v);
+        }
+        out.push_str("}}\n");
         out
     }
 }
@@ -170,7 +191,7 @@ impl Obs {
         Rc::new(Obs {
             enabled: cfg.enabled,
             state: RefCell::new(State {
-                metrics: MetricsRegistry::new(),
+                tail: Vec::new(),
                 lines: String::new(),
                 dest,
                 kept: 0,
@@ -232,11 +253,11 @@ impl Obs {
         s.keep(mark);
     }
 
-    /// Adds to a counter.
+    /// Adds to a tail counter (created at 0).
     #[inline]
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if self.enabled {
-            self.state.borrow_mut().metrics.counter_add(name, delta);
+            *self.state.borrow_mut().entry(name) += delta as f64;
         }
     }
 
@@ -246,11 +267,11 @@ impl Obs {
         self.counter_add(name, 1);
     }
 
-    /// Sets a gauge.
+    /// Sets a tail gauge.
     #[inline]
     pub fn gauge_set(&self, name: &'static str, value: f64) {
         if self.enabled {
-            self.state.borrow_mut().metrics.gauge_set(name, value);
+            *self.state.borrow_mut().entry(name) = value;
         }
     }
 
@@ -271,15 +292,11 @@ impl Obs {
         parse_jsonl(&self.export_jsonl())
     }
 
-    /// Name-sorted metrics snapshot.
-    pub fn metrics_snapshot(&self) -> Vec<(&'static str, Metric)> {
-        self.state.borrow().metrics.snapshot()
-    }
-
-    /// Current counter value (0 if absent; [`TYPE_MISMATCH_METRIC`]
-    /// reads the count of dropped mismatched writes).
+    /// A tail entry's value as a count (0 if absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.state.borrow().metrics.counter(name)
+        let s = self.state.borrow();
+        let entry = s.tail.iter().find(|e| e.0 == name);
+        entry.map_or(0, |e| e.1 as u64)
     }
 
     /// The run's export held in memory: every span line in recording
@@ -364,6 +381,29 @@ mod tests {
         assert_eq!(spans[0].attr("fn"), Some(&Json::Str("resnet".into())));
     }
 
+    /// Counters add, gauges overwrite, an absent name reads 0, and the
+    /// tail line lists each name once, name-sorted.
+    #[test]
+    fn registry_counters_and_gauges() {
+        let obs = Obs::new(ObsConfig::enabled());
+        obs.counter_add("medes.platform.starts.warm", 1);
+        obs.counter_add("medes.platform.starts.warm", 2);
+        obs.gauge_set("medes.registry.entries", 41.0);
+        obs.gauge_set("medes.registry.entries", 42.5);
+        obs.counter_add("medes.net.rpc_us_total", 10);
+        obs.counter_add("medes.dedup.ops", 0);
+        assert_eq!(obs.counter("medes.platform.starts.warm"), 3);
+        assert_eq!(obs.counter("absent"), 0);
+        assert_eq!(
+            obs.export_jsonl(),
+            "{\"metrics\":{\"medes.dedup.ops\":0,\"medes.net.rpc_us_total\":10,\
+             \"medes.platform.starts.warm\":3,\"medes.registry.entries\":42.5}}\n"
+        );
+        let tail = parse_tail(&obs.export_jsonl()).unwrap();
+        assert_eq!(tail["metrics"]["medes.platform.starts.warm"], 3);
+        assert_eq!(tail["metrics"]["medes.registry.entries"], 42.5);
+    }
+
     #[test]
     fn disabled_is_a_noop() {
         let obs = Obs::disabled();
@@ -374,7 +414,7 @@ mod tests {
         assert_eq!(obs.span_count(), 0);
         assert_eq!(obs.spans_dropped(), 0);
         assert_eq!(obs.counter("medes.platform.arrivals"), 0);
-        assert!(obs.metrics_snapshot().is_empty());
+        assert!(obs.state.borrow().tail.is_empty());
         assert_eq!(obs.write_trace().unwrap(), None);
     }
 
@@ -574,10 +614,10 @@ mod tests {
         assert_eq!(streamed.write_trace().unwrap(), None);
         streamed.span("s", t(0)).end(t(1));
         assert_eq!(streamed.spans_dropped(), 1);
-        assert!(streamed
-            .metrics_snapshot()
-            .iter()
-            .all(|(k, _)| *k == "medes.test.ops"));
+        assert!(file.ends_with(&format!(
+            "{{\"metrics\":{{\"medes.test.ops\":{}}}}}\n",
+            streamed.counter("medes.test.ops")
+        )));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,8 +6,10 @@ use medes::platform::metrics::StartType;
 use medes::platform::Platform;
 use medes::policy::medes::Objective;
 use medes::policy::MedesPolicyConfig;
-use medes::sim::SimDuration;
-use medes::trace::{azure_like_trace, functionbench_suite, FunctionProfile, Trace, TraceGenConfig};
+use medes::sim::{DetRng, SimDuration, SimTime};
+use medes::trace::{
+    azure_like_trace, functionbench_suite, ArrivalPattern, FunctionProfile, Trace, TraceGenConfig,
+};
 
 fn suite() -> Vec<FunctionProfile> {
     functionbench_suite().into_iter().take(5).collect()
@@ -193,6 +195,46 @@ fn policy_objectives_trade_memory_for_latency() {
 /// The paper's 10-minute window outlasts the 600 s trace, so nothing
 /// expires under it; the 20 s window is what checks expiry and the MRU
 /// choice (a `take_warm` that pops the front fails there).
+/// Analytic oracle: under Poisson arrivals at rate λ and a fixed
+/// keep-alive KA, a request finds its sandbox warm iff the previous one
+/// arrived within KA, so the cold fraction is e^{−λ·KA}. The tolerance
+/// is four binomial standard errors plus λ·(c + e), the chance that a
+/// request lands while the sandbox is still busy and spawns a second.
+#[test]
+fn keep_alive_cold_fraction_under_poisson_is_exp_minus_lambda_ka() {
+    let (e_us, c_us, n) = (1_000, 10_000, 2_200.0);
+    let mut profile = functionbench_suite().remove(0);
+    profile.exec_time_us = e_us;
+    profile.exec_cv = 0.0;
+    profile.cold_start_us = c_us;
+    let ka = SimDuration::from_secs(1);
+    let mut cfg = PlatformConfig::small_test().with_policy(PolicyKind::FixedKeepAlive(ka));
+    cfg.nodes = 1;
+    for (i, lambda_ka) in [0.1, 0.5, 1.0, 2.0, 5.0].into_iter().enumerate() {
+        let lambda = lambda_ka / ka.as_secs_f64();
+        let arrivals = ArrivalPattern::Poisson {
+            rate_per_min: 60.0 * lambda,
+        };
+        let horizon = SimTime::from_micros((n / lambda * 1e6) as u64);
+        let times = arrivals.generate(&mut DetRng::new(0x0ac1_e000 + i as u64), horizon);
+        let trace = Trace::from_arrivals(vec![profile.name.clone()], vec![times], horizon);
+        let report = Platform::new(cfg.clone(), vec![profile.clone()])
+            .run(&trace)
+            .report;
+        assert_eq!(report.evictions, 0);
+        assert!(report.requests.len() >= 2_000);
+        let requests = report.requests.len() as f64;
+        let cold = report.total_cold_starts() as f64 / requests;
+        let p = (-lambda_ka).exp();
+        let busy = lambda * (c_us + e_us) as f64 / 1e6;
+        let tol = 4.0 * (p * (1.0 - p) / requests).sqrt() + busy;
+        assert!(
+            (cold - p).abs() < tol,
+            "λ·KA {lambda_ka}: cold {cold}, e^(-λ·KA) {p}, tol {tol}, n {requests}"
+        );
+    }
+}
+
 #[test]
 fn fixed_keep_alive_starts_match_an_independent_replay() {
     let suite: Vec<FunctionProfile> = functionbench_suite().into_iter().take(4).collect();
