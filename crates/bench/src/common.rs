@@ -1,5 +1,6 @@
 //! Shared experiment setup: standard workloads and configurations.
 
+use crate::report::f;
 use medes_core::config::{ConfigError, PlatformConfig, RestoreReadConfig};
 use medes_core::metrics::{FnDedupStats, RunReport};
 use medes_core::platform::Platform;
@@ -269,6 +270,41 @@ impl ExpConfig {
 pub fn dedup_mean(r: &RunReport, stat: impl Fn(&FnDedupStats) -> f64) -> f64 {
     let active = r.dedup_stats.iter().filter(|s| s.dedup_ops > 0);
     active.clone().map(stat).sum::<f64>() / active.count().max(1) as f64
+}
+
+/// The headers of [`per_fn_rows`]' table.
+pub const PER_FN_HEADERS: [&str; 7] = [
+    "function",
+    "cold fixed",
+    "cold adaptive",
+    "cold medes",
+    "p99.9 fixed",
+    "p99.9 adaptive",
+    "p99.9 medes",
+];
+
+/// Fig 7b's and Fig 10b/11's table: per function, the cold starts and
+/// then the p99.9 end-to-end latency (ms) under fixed keep-alive,
+/// adaptive keep-alive and Medes.
+pub fn per_fn_rows(medes: &RunReport, fixed: &RunReport, adaptive: &RunReport) -> Vec<Vec<String>> {
+    let (cm, cf, ca) = (
+        medes.cold_starts(),
+        fixed.cold_starts(),
+        adaptive.cold_starts(),
+    );
+    let row = |(i, name): (usize, &String)| {
+        let p999 = |r: &RunReport| f(r.e2e_quantile_ms(i, 0.999).unwrap_or(0.0), 0);
+        vec![
+            name.clone(),
+            cf[i].to_string(),
+            ca[i].to_string(),
+            cm[i].to_string(),
+            p999(fixed),
+            p999(adaptive),
+            p999(medes),
+        ]
+    };
+    medes.functions.iter().enumerate().map(row).collect()
 }
 
 /// A run's inputs and its report may cross threads, so independent

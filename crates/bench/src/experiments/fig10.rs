@@ -6,7 +6,7 @@
 //! Our testbed analogue shrinks the per-node software limit so the
 //! cluster totals match the same ratios.
 
-use crate::common::ExpConfig;
+use crate::common::{per_fn_rows, ExpConfig, PER_FN_HEADERS};
 use crate::report::{f, Report};
 use medes_core::baselines::{run_comparison, Comparison};
 use medes_core::config::PolicyKind;
@@ -57,25 +57,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         // Per-function breakdown + p99.9 for the pressured pools (Fig
         // 10b / Fig 11).
         if label != "40G" {
-            let (cm, cf, ca) = (
-                medes.cold_starts(),
-                fixed.cold_starts(),
-                adaptive.cold_starts(),
-            );
-            let mut rows = Vec::new();
-            for (i, name) in medes.functions.iter().enumerate() {
-                let p =
-                    |r: &medes_core::metrics::RunReport| r.e2e_quantile_ms(i, 0.999).unwrap_or(0.0);
-                rows.push(vec![
-                    name.clone(),
-                    cf[i].to_string(),
-                    ca[i].to_string(),
-                    cm[i].to_string(),
-                    f(p(&fixed), 0),
-                    f(p(&adaptive), 0),
-                    f(p(&medes), 0),
-                ]);
-            }
+            let rows = per_fn_rows(&medes, &fixed, &adaptive);
             per_fn_sections.push((label.to_string(), rows));
         }
         json_pools.push(medes_obs::json!({
@@ -104,18 +86,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         report.section(&format!(
             "Fig 10b/11 ({label}): per-function cold starts and p99.9 (ms)"
         ));
-        report.table(
-            &[
-                "function",
-                "cold fixed",
-                "cold adaptive",
-                "cold medes",
-                "p99.9 fixed",
-                "p99.9 adaptive",
-                "p99.9 medes",
-            ],
-            &rows,
-        );
+        report.table(&PER_FN_HEADERS, &rows);
     }
     report.line("");
     report.line("paper: up to 3.8x tail-latency improvement under extreme pressure; Medes keeps 43-56% more sandboxes");

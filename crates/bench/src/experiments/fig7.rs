@@ -5,10 +5,11 @@
 //! and adaptive keep-alive, 1–2.3× better 99.9p latencies, and 10–50 %
 //! fewer cold starts.
 
-use crate::common::ExpConfig;
+use crate::common::{per_fn_rows, ExpConfig, PER_FN_HEADERS};
 use crate::report::{f, Report};
 use medes_core::baselines::{run_comparison, Comparison};
 use medes_core::config::PolicyKind;
+use medes_core::metrics::RunReport;
 use medes_policy::medes::Objective;
 use medes_sim::SimDuration;
 
@@ -66,19 +67,9 @@ pub fn run(cfg: &ExpConfig) -> Report {
         fixed.cold_starts(),
         adaptive.cold_starts(),
     );
-    let mut rows = Vec::new();
     let mut json_fns = Vec::new();
     for (i, name) in medes.functions.iter().enumerate() {
-        let p999 = |r: &medes_core::metrics::RunReport| r.e2e_quantile_ms(i, 0.999).unwrap_or(0.0);
-        rows.push(vec![
-            name.clone(),
-            cf[i].to_string(),
-            ca[i].to_string(),
-            cm[i].to_string(),
-            f(p999(&fixed), 0),
-            f(p999(&adaptive), 0),
-            f(p999(&medes), 0),
-        ]);
+        let p999 = |r: &RunReport| r.e2e_quantile_ms(i, 0.999).unwrap_or(0.0);
         json_fns.push(medes_obs::json!({
             "function": name.clone(),
             "cold": medes_obs::json!({
@@ -91,18 +82,8 @@ pub fn run(cfg: &ExpConfig) -> Report {
             }),
         }));
     }
-    report.table(
-        &[
-            "function",
-            "cold fixed",
-            "cold adaptive",
-            "cold medes",
-            "p99.9 fixed",
-            "p99.9 adaptive",
-            "p99.9 medes",
-        ],
-        &rows,
-    );
+    let rows = per_fn_rows(&medes, &fixed, &adaptive);
+    report.table(&PER_FN_HEADERS, &rows);
 
     let reduction_fixed =
         100.0 * (1.0 - medes.total_cold_starts() as f64 / fixed.total_cold_starts().max(1) as f64);

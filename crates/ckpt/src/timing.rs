@@ -55,45 +55,33 @@ impl RestoreBreakdown {
     }
 }
 
-/// Checkpoint/restore cost model.
-#[derive(Debug, Clone)]
-pub struct TimingModel {
-    /// Fixed cost of initiating a checkpoint (freeze, parasite inject).
-    pub ckpt_fixed: SimDuration,
-    /// Checkpoint cost per MiB dumped.
-    pub ckpt_per_mib: SimDuration,
-    /// Cost of creating one namespace.
-    pub ns_create: SimDuration,
-    /// Cost of one fork() during process-tree reconstruction.
-    pub fork_per_proc: SimDuration,
-    /// Fixed cost of the memory-restore path (page-table setup, CRIU
-    /// bookkeeping) — the ~140 ms the paper reports.
-    pub restore_fixed: SimDuration,
-    /// Disk read bandwidth for on-disk images (MiB/s).
-    pub disk_mib_s: f64,
-    /// Memory copy bandwidth for in-memory images (MiB/s).
-    pub mem_mib_s: f64,
-}
+/// Checkpoint/restore cost model. It has no settings: every cost is a
+/// const beside the method that reads it.
+#[derive(Debug, Clone, Default)]
+pub struct TimingModel;
 
-impl Default for TimingModel {
-    fn default() -> Self {
-        TimingModel {
-            ckpt_fixed: SimDuration::from_millis(120),
-            ckpt_per_mib: SimDuration::from_millis(6),
-            ns_create: SimDuration::from_millis(60),
-            fork_per_proc: SimDuration::from_millis(2),
-            restore_fixed: SimDuration::from_millis(110),
-            disk_mib_s: 200.0,
-            mem_mib_s: 4096.0,
-        }
-    }
-}
+/// Fixed cost of initiating a checkpoint (freeze, parasite inject).
+const CKPT_FIXED: SimDuration = SimDuration::from_millis(120);
+/// Checkpoint cost per MiB dumped.
+const CKPT_PER_MIB: SimDuration = SimDuration::from_millis(6);
+
+/// Cost of creating one namespace.
+const NS_CREATE: SimDuration = SimDuration::from_millis(60);
+/// Cost of one fork() during process-tree reconstruction.
+const FORK_PER_PROC: SimDuration = SimDuration::from_millis(2);
+/// Fixed cost of the memory-restore path (page-table setup, CRIU
+/// bookkeeping) — the ~140 ms the paper reports.
+const RESTORE_FIXED: SimDuration = SimDuration::from_millis(110);
+/// Disk read bandwidth for on-disk images (MiB/s).
+const DISK_MIB_S: f64 = 200.0;
+/// Memory copy bandwidth for in-memory images (MiB/s).
+const MEM_MIB_S: f64 = 4096.0;
 
 impl TimingModel {
     /// Time to checkpoint `bytes` of sandbox memory.
     pub fn checkpoint_time(&self, bytes: usize) -> SimDuration {
         let mib = bytes as f64 / (1 << 20) as f64;
-        self.ckpt_fixed + self.ckpt_per_mib.mul_f64(mib)
+        CKPT_FIXED + CKPT_PER_MIB.mul_f64(mib)
     }
 
     /// Restore cost for a dump of `bytes` with the given options.
@@ -106,16 +94,15 @@ impl TimingModel {
         let preparation = if opts.precreated_sandbox {
             SimDuration::ZERO
         } else {
-            self.ns_create.mul_f64(proc.namespaces as f64)
-                + self.fork_per_proc.mul_f64(proc.processes as f64)
+            NS_CREATE.mul_f64(proc.namespaces as f64) + FORK_PER_PROC.mul_f64(proc.processes as f64)
         };
         let mib = bytes as f64 / (1 << 20) as f64;
         let bw = if opts.in_memory_image {
-            self.mem_mib_s
+            MEM_MIB_S
         } else {
-            self.disk_mib_s
+            DISK_MIB_S
         };
-        let memory = self.restore_fixed + SimDuration::from_secs_f64(mib / bw);
+        let memory = RESTORE_FIXED + SimDuration::from_secs_f64(mib / bw);
         RestoreBreakdown {
             preparation,
             memory,
@@ -133,7 +120,7 @@ mod tests {
     fn medes_restore_matches_paper_scale() {
         // ~30 MiB sandbox: the paper reports ~140 ms for the optimized
         // memory-restore path.
-        let m = TimingModel::default();
+        let m = TimingModel;
         let b = m.restore_time(30 * MIB, &ProcessSpec::default(), &RestoreOptions::MEDES);
         let ms = b.total().as_millis_f64();
         assert!((100.0..200.0).contains(&ms), "optimized restore {ms} ms");
@@ -143,7 +130,7 @@ mod tests {
     #[test]
     fn vanilla_restore_is_much_slower() {
         // The paper's unoptimized number is ~650 ms.
-        let m = TimingModel::default();
+        let m = TimingModel;
         let b = m.restore_time(
             30 * MIB,
             &ProcessSpec::default(),
@@ -155,16 +142,16 @@ mod tests {
 
     #[test]
     fn checkpoint_scales_with_size() {
-        let m = TimingModel::default();
+        let m = TimingModel;
         let small = m.checkpoint_time(17 * MIB);
         let large = m.checkpoint_time(90 * MIB);
         assert!(large > small);
-        assert!(small >= m.ckpt_fixed);
+        assert!(small >= CKPT_FIXED);
     }
 
     #[test]
     fn more_processes_cost_more_preparation() {
-        let m = TimingModel::default();
+        let m = TimingModel;
         let single = m.restore_time(
             MIB,
             &ProcessSpec {

@@ -442,8 +442,8 @@ impl PlatformConfig {
             policy: PolicyKind::Medes(MedesPolicyConfig::default()),
             content: ContentModel::default(),
             aslr: AslrConfig::DISABLED,
-            net: NetConfig::default(),
-            ckpt: TimingModel::default(),
+            net: NetConfig,
+            ckpt: TimingModel,
             seed: 0xC0FFEE,
             verify_restores: false,
             obs: ObsConfig::default(),

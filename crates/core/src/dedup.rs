@@ -524,7 +524,7 @@ mod tests {
             cfg.mem_scale,
         );
         let registry = RegistryClient::new();
-        let fabric = Fabric::new(cfg.nodes, NetConfig::default());
+        let fabric = Fabric::new(cfg.nodes, NetConfig);
         (cfg, factory, registry, fabric)
     }
 
@@ -588,7 +588,7 @@ mod tests {
         };
         let cfg = PlatformConfig::small_test();
         let registry = RegistryClient::new();
-        let mut fabric = Fabric::new(cfg.nodes, medes_net::NetConfig::default());
+        let mut fabric = Fabric::new(cfg.nodes, medes_net::NetConfig);
         let base = Arc::new(synth(4, 0xBA5E));
         index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
         let mut data = Vec::new();
@@ -711,18 +711,11 @@ mod tests {
             );
             let shards = 1 + rng.below(4) as usize;
             let registry = if placed {
-                RegistryClient::distributed(
-                    shards,
-                    3,
-                    NODES,
-                    NetConfig::default(),
-                    cfg.retry,
-                    Obs::disabled(),
-                )
+                RegistryClient::distributed(shards, 3, NODES, NetConfig, cfg.retry, Obs::disabled())
             } else {
                 RegistryClient::in_process(shards, Obs::disabled())
             };
-            let mut fabric = Fabric::new(NODES, NetConfig::default());
+            let mut fabric = Fabric::new(NODES, NetConfig);
 
             // Live bases: id -> (pinned image, function, node).
             let mut bases: HashMap<SandboxId, (Arc<MemoryImage>, FnId, NodeId)> = HashMap::new();

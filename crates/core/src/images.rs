@@ -1,13 +1,16 @@
-//! The image factory: deterministic regeneration + caching.
+//! The image factory: deterministic regeneration.
 //!
 //! Sandbox memory images are pure functions of `(function, instance
 //! seed, code version)`, so the platform holds real bytes only where
-//! the system semantically requires residency: **base sandbox images**
-//! (pinned, the registry points into them) are cached here; everything
-//! else is regenerated on demand — by a dedup scan that has a page to
-//! fingerprint or encode (a sandbox's repeat scan often has none, see
-//! `crate::dedup`), which drops the image when the scan ends, or to
-//! verify a restore. Spawning a sandbox
+//! the system semantically requires residency: **base sandbox images**,
+//! which the registry points into, are built once at demarcation and
+//! held by the platform's base owner (`platform::bases`) while the base
+//! resolves; everything else is regenerated on demand — by a dedup scan
+//! that has a page to fingerprint or encode (a sandbox's repeat scan
+//! often has none, see `crate::dedup`), which drops the image when the
+//! scan ends, or to verify a restore. The platform pins nothing here:
+//! [`ImageFactory::pin_v`] serves the microbenchmarks and tests that
+//! want one image shared without a rebuild. Spawning a sandbox
 //! needs only the page count, which [`ImageFactory::model_pages`] reads
 //! off the builder's region plan without building anything.
 //!

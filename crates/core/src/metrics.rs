@@ -1,14 +1,11 @@
 //! Run metrics: everything the paper's tables and figures need.
 //!
-//! The platform's collector is layered on top of `medes-obs`: every
-//! request it records is mirrored as a `medes.platform.request` span,
-//! so an obs-enabled run yields a JSONL trace whose aggregates match
-//! the [`RunReport`] exactly.
+//! The platform mirrors every request it records as a
+//! `medes.platform.request` span, so an obs-enabled run yields a JSONL
+//! trace whose aggregates match the [`RunReport`] exactly.
 
-use medes_obs::{Obs, TraceCtx};
 use medes_sim::stats::Percentiles;
-use medes_sim::{SimDuration, SimTime};
-use std::rc::Rc;
+use medes_sim::SimTime;
 
 /// How a request's sandbox was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,10 +255,6 @@ pub(crate) struct Counts {
     pub saved_paper_bytes: u64,
 }
 
-/// How often the memory and live-sandbox series snapshot their value:
-/// the spacing of [`RunReport::mem_series`], the points of Fig 2.
-const MEM_POINT_EVERY: SimDuration = SimDuration::from_secs(10);
-
 /// Builder that the platform drives while the simulation runs.
 #[derive(Debug)]
 pub(crate) struct MetricsCollector {
@@ -272,19 +265,11 @@ pub(crate) struct MetricsCollector {
     pub slots: Vec<Option<RequestRecord>>,
     /// The counts that only the trace tail reports.
     pub counts: Counts,
-    obs: Rc<Obs>,
-    /// The simulated instant of the event being handled: when the
-    /// memory and live-sandbox updates that follow take effect.
-    now: SimTime,
-    /// The cluster memory and live-sandbox series.
-    pub mem: medes_sim::stats::TimeWeighted,
-    pub live: medes_sim::stats::TimeWeighted,
 }
 
 impl MetricsCollector {
-    /// Creates a collector that mirrors each request it records into
-    /// the given observability sink as a span.
-    pub fn with_obs(functions: Vec<String>, obs: Rc<Obs>) -> Self {
+    /// An empty record of a run over `functions`.
+    pub fn new(functions: Vec<String>) -> Self {
         let n = functions.len();
         MetricsCollector {
             report: RunReport {
@@ -294,69 +279,15 @@ impl MetricsCollector {
             },
             slots: Vec::new(),
             counts: Counts::default(),
-            obs,
-            now: SimTime::ZERO,
-            mem: medes_sim::stats::TimeWeighted::new(MEM_POINT_EVERY),
-            live: medes_sim::stats::TimeWeighted::new(MEM_POINT_EVERY),
         }
     }
 
-    /// Parks the record of a request that has started executing.
+    /// Puts a request's record in its slot: parked when the request
+    /// starts executing (`ExecDone` takes it out), final once it has
+    /// completed.
     pub fn park(&mut self, rec: RequestRecord) {
         let old = self.slots[rec.id as usize].replace(rec);
-        debug_assert!(old.is_none(), "request {} started twice", rec.id);
-    }
-
-    /// Records one completed request: places it in its slot and mirrors
-    /// it as a `medes.platform.request` span, the one record of its
-    /// latency.
-    ///
-    /// `ctx` is the request's trace root (the span carries its ids, so
-    /// restore/dedup phase spans minted from the same root link under
-    /// it); pass [`TraceCtx::NONE`] for a flat record. `bound_us` is
-    /// the SLO bound in effect (`α · s_W`; 0 = none) and `node` the
-    /// node the request ran on; the span carries both, so `trace
-    /// report` counts SLO violations per function and per node.
-    pub fn push_request(&mut self, rec: RequestRecord, ctx: TraceCtx, bound_us: u64, node: usize) {
-        if self.obs.enabled() {
-            let start_type = match rec.start {
-                StartType::Warm => "warm",
-                StartType::Dedup => "dedup",
-                StartType::Cold => "cold",
-            };
-            let fn_name = self.report.functions[rec.func as usize].as_str();
-            self.obs
-                .span_in(
-                    "medes.platform.request",
-                    SimTime::from_micros(rec.arrival_us),
-                    ctx,
-                )
-                .attr("id", rec.id)
-                .attr("fn", fn_name)
-                .attr("start_type", start_type)
-                .attr("startup_us", rec.startup_us)
-                .attr("exec_us", rec.exec_us)
-                .attr("node", node)
-                .attr("bound_us", bound_us)
-                .end(SimTime::from_micros(rec.arrival_us + rec.e2e_us));
-        }
-        let old = self.slots[rec.id as usize].replace(rec);
-        debug_assert!(old.is_none(), "request {} completed twice", rec.id);
-    }
-
-    /// Mirrors the simulated clock (like `Fabric::set_now`).
-    pub fn set_now(&mut self, now: SimTime) {
-        self.now = now;
-    }
-
-    /// Records a cluster memory usage change (paper bytes).
-    pub fn mem_update(&mut self, paper_bytes: f64) {
-        self.mem.update(self.now, paper_bytes);
-    }
-
-    /// Records a live-sandbox-count change.
-    pub fn live_update(&mut self, count: f64) {
-        self.live.update(self.now, count);
+        debug_assert!(old.is_none(), "request {} parked twice", rec.id);
     }
 
     /// Finalizes the report at `end`: the completed requests in id order.
@@ -364,15 +295,6 @@ impl MetricsCollector {
     pub fn finish(mut self, end: SimTime) -> RunReport {
         self.report.requests = self.slots.into_iter().filter_map(|r| r).collect();
         self.report.duration_us = end.as_micros();
-        self.report.mem_mean_bytes = self.mem.mean_until(end);
-        self.report.mem_median_bytes = self.mem.median().unwrap_or(0.0);
-        self.report.mean_live_sandboxes = self.live.mean_until(end);
-        self.report.mem_series = self
-            .mem
-            .series()
-            .iter()
-            .map(|&(t, v)| (t.as_micros(), v))
-            .collect();
         self.report
     }
 }
@@ -456,17 +378,14 @@ mod tests {
     }
 
     #[test]
-    fn collector_time_weighting() {
-        let mut c = MetricsCollector::with_obs(vec!["A".into()], Obs::disabled());
-        c.mem_update(100.0);
-        c.live_update(1.0);
-        c.set_now(SimTime::from_secs(10));
-        c.mem_update(200.0);
+    fn finish_keeps_requests_in_id_order_and_stamps_the_end() {
+        let mut c = MetricsCollector::new(vec!["A".into()]);
+        c.slots = vec![None; 3];
+        c.park(record(2, 0, 10, StartType::Warm));
+        c.park(record(1, 0, 20, StartType::Cold));
         let r = c.finish(SimTime::from_secs(20));
-        assert!((r.mem_mean_bytes - 150.0).abs() < 1e-9);
-        // One point per `MEM_POINT_EVERY`: the value held up to it.
-        assert_eq!(r.mem_series, [(0, 100.0), (10_000_000, 100.0)]);
-        assert_eq!(r.duration_us, 20_000_000);
+        let ids: Vec<u64> = r.requests.iter().map(|q| q.id).collect();
+        assert_eq!((ids, r.duration_us), (vec![1, 2], 20_000_000));
     }
 
     #[test]

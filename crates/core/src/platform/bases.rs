@@ -22,7 +22,6 @@ use crate::config::{PlatformConfig, RegistryPlacement};
 use crate::dedup::index_base_sandbox;
 use crate::ids::{FnId, SandboxId};
 use crate::images::ImageFactory;
-use crate::metrics::MetricsCollector;
 use crate::registry::RegistryClient;
 use crate::sandbox::{DedupPageTable, Sandbox, SandboxTable};
 use medes_mem::MemoryImage;
@@ -119,20 +118,20 @@ impl Bases {
     /// content. It stays resolvable — so a later restore may cache its
     /// pages again, which is why [`Bases::drop_base`] retires once more.
     /// No-op on a non-base.
-    pub fn retire(&mut self, id: SandboxId, mem: &mut NodeMemory, m: &mut MetricsCollector) {
+    pub fn retire(&mut self, id: SandboxId, mem: &mut NodeMemory) {
         let Some(base) = self.resolvable.get(&id) else {
             return;
         };
         self.registry.remove_sandbox(id);
         self.listed[base.func.0].retain(|&b| b != id);
-        mem.invalidate_base(m, id);
+        mem.invalidate_base(id);
     }
 
     /// Forgets a base whose sandbox was torn down — even a referenced
     /// one dies with its node; its dependants discover the loss when
     /// their restore fails to resolve it. No-op on a non-base.
-    pub fn drop_base(&mut self, id: SandboxId, mem: &mut NodeMemory, m: &mut MetricsCollector) {
-        self.retire(id, mem, m);
+    pub fn drop_base(&mut self, id: SandboxId, mem: &mut NodeMemory) {
+        self.retire(id, mem);
         self.resolvable.remove(&id);
     }
 
@@ -235,23 +234,19 @@ mod tests {
             let cfg = b.build().expect("valid");
             let mut bases = Bases::new(&cfg, &profiles);
             let mut mem = NodeMemory::new(&cfg);
-            let names = vec!["a".into(), "b".into()];
-            let mut m = MetricsCollector::with_obs(names, Obs::disabled());
             let mut table = SandboxTable::default();
             // Tables pinned at an idle check whose `DedupDone` is still
             // to come.
             let mut in_flight: Vec<DedupPageTable> = Vec::new();
             let mut next_id = 0u64;
-            let drop_sandbox =
-                |id, table: &mut SandboxTable, bases: &mut Bases, mem: &mut _, m: &mut _| {
-                    let sb: Sandbox = table.remove(&id).expect("live");
-                    if let Some(t) = &sb.dedup_table {
-                        bases.release_refs(t);
-                    }
-                    bases.drop_base(id, mem, m);
-                };
+            let drop_sandbox = |id, table: &mut SandboxTable, bases: &mut Bases, mem: &mut _| {
+                let sb: Sandbox = table.remove(&id).expect("live");
+                if let Some(t) = &sb.dedup_table {
+                    bases.release_refs(t);
+                }
+                bases.drop_base(id, mem);
+            };
             for step in 0..40u64 {
-                m.set_now(SimTime::from_secs(step));
                 let ids: Vec<SandboxId> = table.iter().map(|sb| sb.id).collect();
                 let resolvable: Vec<SandboxId> = ids
                     .iter()
@@ -295,19 +290,19 @@ mod tests {
                         // A restore caches pages of a base it resolved.
                         let base = *rng.choose(&resolvable).unwrap();
                         assert!(bases.resolve(base).is_some(), "resolvable");
-                        mem.with_cache(&mut m, node, |c| c.map(|c| c.record(base, 0)));
+                        mem.with_cache(node, |c| c.map(|c| c.record(base, 0)));
                     }
                     (7, Some(id)) => {
-                        bases.retire(id, &mut mem, &mut m);
+                        bases.retire(id, &mut mem);
                         assert!(bases.listed(table[&id].func.0).iter().all(|b| *b != id));
                     }
-                    (8, Some(id)) => drop_sandbox(id, &mut table, &mut bases, &mut mem, &mut m),
+                    (8, Some(id)) => drop_sandbox(id, &mut table, &mut bases, &mut mem),
                     (9, _) => {
                         // A crash as `Cluster::node_crash` settles it,
                         // and (sometimes) the restart that follows.
                         for id in ids {
                             if table[&id].node == node {
-                                drop_sandbox(id, &mut table, &mut bases, &mut mem, &mut m);
+                                drop_sandbox(id, &mut table, &mut bases, &mut mem);
                             }
                         }
                         assert_eq!(bases.registry().locs_on_node(node), 0);

@@ -49,9 +49,8 @@ impl Cluster {
         let new = |id| Sandbox::new(id, FnId(f), node, instance_seed, version, now, pages);
         let id = self.life.spawn(new);
         let sb = self.life.footprint_mut(id);
-        self.mem.admit(&mut self.metrics, sb, m_w);
+        self.mem.admit(sb, m_w);
         self.metrics.report.sandboxes_spawned += 1;
-        self.metrics.live_update(self.life.len() as f64);
         let cold = self.fns[f].profile.cold_start();
         sched.after(cold, Ev::SpawnDone(id, req));
     }
@@ -171,7 +170,7 @@ impl Cluster {
         let restored = {
             let mut fabric = self.fabric.with_ctx(base_read);
             let (cfg, resolve) = (&self.cfg, |b| self.bases.resolve(b));
-            self.mem.with_cache(&mut self.metrics, node, |cache| {
+            self.mem.with_cache(node, |cache| {
                 restore_op_cached(
                     cfg,
                     &mut fabric,
@@ -183,7 +182,7 @@ impl Cluster {
                 )
             })
         };
-        self.mem.trim_overflow(&mut self.metrics, node);
+        self.mem.trim_overflow(node);
         let outcome = match restored {
             Ok(outcome) => outcome,
             Err(err) => {
@@ -206,7 +205,7 @@ impl Cluster {
         timing.record(&self.obs, now, name, root, node.0, cache);
         self.life.begin_restore(id);
         let sb = self.life.footprint_mut(id);
-        self.mem.resize(&mut self.metrics, sb, cur_mem.max(m_w));
+        self.mem.resize(sb, cur_mem.max(m_w));
         sched.after(timing.total(), Ev::RestoreDone(id, req));
         // Record the Fig 8 breakdown.
         let stats = &mut self.metrics.report.dedup_stats[f];
@@ -238,7 +237,7 @@ impl Cluster {
     /// dedup sandbox being restored) from being evicted to make its own
     /// room.
     fn ensure_capacity(&mut self, node: NodeId, needed: usize, exclude: Option<SandboxId>) -> bool {
-        if self.mem.shed_cache(&mut self.metrics, node, needed) {
+        if self.mem.shed_cache(node, needed) {
             return true;
         }
         let victims = self

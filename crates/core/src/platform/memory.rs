@@ -12,15 +12,26 @@
 //!                + caches[n].used_paper_bytes()
 //! cluster_mem == Σ mem_used
 //! ```
+//!
+//! It also keeps the run's two histories, since it has their numbers:
+//! cluster memory, updated by every charge, and the live-sandbox count,
+//! updated by every admission and release. [`NodeMemory::set_now`]
+//! stamps them with the event's instant. So it runs alone, with no
+//! record of the run to write into.
 
 use super::bases::Bases;
 use crate::config::PlatformConfig;
 use crate::ids::{NodeId, SandboxId};
-use crate::metrics::MetricsCollector;
 use crate::pagecache::{BasePageCache, CacheStats};
 use crate::sandbox::{Sandbox, SandboxState, SandboxTable};
-use medes_sim::SimTime;
+use medes_sim::stats::TimeWeighted;
+use medes_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
+
+/// How often the memory and live-sandbox histories snapshot their
+/// value: the spacing of a run report's `mem_series`, the points of
+/// Fig 2.
+const MEM_POINT_EVERY: SimDuration = SimDuration::from_secs(10);
 
 #[derive(Debug)]
 struct NodeState {
@@ -40,6 +51,14 @@ pub(crate) struct NodeMemory {
     caches: Vec<BasePageCache>,
     cluster_mem: usize,
     cluster_capacity: usize,
+    /// Sandboxes resident on some node: the live count.
+    resident: usize,
+    /// The simulated instant of the event being handled: when the
+    /// charges, admissions and releases that follow take effect.
+    now: SimTime,
+    /// `cluster_mem` and `resident` over time.
+    mem_history: TimeWeighted,
+    live_history: TimeWeighted,
 }
 
 impl NodeMemory {
@@ -58,7 +77,22 @@ impl NodeMemory {
             caches: (0..cached_nodes).map(cache).collect(),
             cluster_mem: 0,
             cluster_capacity: cfg.cluster_mem_bytes(),
+            resident: 0,
+            now: SimTime::ZERO,
+            mem_history: TimeWeighted::new(MEM_POINT_EVERY),
+            live_history: TimeWeighted::new(MEM_POINT_EVERY),
         }
+    }
+
+    /// Mirrors the simulated clock (like `Fabric::set_now`).
+    pub fn set_now(&mut self, now: SimTime) {
+        self.now = now;
+    }
+
+    /// Cluster memory (paper bytes) and the live-sandbox count over the
+    /// run.
+    pub fn histories(&self) -> (&TimeWeighted, &TimeWeighted) {
+        (&self.mem_history, &self.live_history)
     }
 
     pub fn free(&self, node: NodeId) -> usize {
@@ -90,30 +124,35 @@ impl NodeMemory {
         self.caches.iter().flat_map(|c| c.cached_sandboxes())
     }
 
-    fn charge(&mut self, m: &mut MetricsCollector, node: NodeId, delta: i64) {
+    /// Every charge is a point of the memory history, a zero one too.
+    fn charge(&mut self, node: NodeId, delta: i64) {
         let n = &mut self.nodes[node.0];
         n.mem_used = (n.mem_used as i64 + delta) as usize;
         self.cluster_mem = (self.cluster_mem as i64 + delta) as usize;
-        m.mem_update(self.cluster_mem as f64);
+        self.mem_history.update(self.now, self.cluster_mem as f64);
     }
 
     /// Makes a freshly spawned sandbox resident on its node at `bytes`.
-    pub fn admit(&mut self, m: &mut MetricsCollector, sb: &mut Sandbox, bytes: usize) {
+    pub fn admit(&mut self, sb: &mut Sandbox, bytes: usize) {
         self.nodes[sb.node.0].sandboxes.insert(sb.id);
-        self.resize(m, sb, bytes);
+        self.resize(sb, bytes);
+        self.resident += 1;
+        self.live_history.update(self.now, self.resident as f64);
     }
 
     /// Sets a resident sandbox's footprint and charges the difference.
-    pub fn resize(&mut self, m: &mut MetricsCollector, sb: &mut Sandbox, bytes: usize) {
+    pub fn resize(&mut self, sb: &mut Sandbox, bytes: usize) {
         let delta = bytes as i64 - sb.mem_paper_bytes as i64;
         sb.mem_paper_bytes = bytes;
-        self.charge(m, sb.node, delta);
+        self.charge(sb.node, delta);
     }
 
     /// Forgets a sandbox that was just removed and frees what it held.
-    pub fn release(&mut self, m: &mut MetricsCollector, sb: &Sandbox) {
+    pub fn release(&mut self, sb: &Sandbox) {
         self.nodes[sb.node.0].sandboxes.remove(&sb.id);
-        self.charge(m, sb.node, -(sb.mem_paper_bytes as i64));
+        self.charge(sb.node, -(sb.mem_paper_bytes as i64));
+        self.resident -= 1;
+        self.live_history.update(self.now, self.resident as f64);
     }
 
     /// The one place a page cache changes: runs `f` on `node`'s cache —
@@ -122,7 +161,6 @@ impl NodeMemory {
     /// bytes, charged like any other sandbox state.
     pub fn with_cache<R>(
         &mut self,
-        m: &mut MetricsCollector,
         node: NodeId,
         f: impl FnOnce(Option<&mut BasePageCache>) -> R,
     ) -> R {
@@ -133,41 +171,41 @@ impl NodeMemory {
         let out = f(Some(&mut *cache));
         let delta = cache.used_paper_bytes() as i64 - before as i64;
         if delta != 0 {
-            self.charge(m, node, delta);
+            self.charge(node, delta);
         }
         out
     }
 
-    fn trim_cache(&mut self, m: &mut MetricsCollector, node: NodeId, bytes: usize) {
-        self.with_cache(m, node, |c| c.map(|c| c.trim(bytes)));
+    fn trim_cache(&mut self, node: NodeId, bytes: usize) {
+        self.with_cache(node, |c| c.map(|c| c.trim(bytes)));
     }
 
     /// Sheds cached pages — strictly less valuable than live sandboxes,
     /// they can always be re-fetched — until `node` has `needed` bytes
     /// free or its cache is empty. Returns whether it has them.
-    pub fn shed_cache(&mut self, m: &mut MetricsCollector, node: NodeId, needed: usize) -> bool {
+    pub fn shed_cache(&mut self, node: NodeId, needed: usize) -> bool {
         let shortfall = needed.saturating_sub(self.free(node));
         if shortfall > 0 {
-            self.trim_cache(m, node, shortfall);
+            self.trim_cache(node, shortfall);
         }
         self.free(node) >= needed
     }
 
     /// Trims `node`'s cache back if the pages a restore just cached
     /// pushed the node over its limit (cached pages are expendable).
-    pub fn trim_overflow(&mut self, m: &mut MetricsCollector, node: NodeId) {
+    pub fn trim_overflow(&mut self, node: NodeId) {
         let n = &self.nodes[node.0];
         let over = n.mem_used.saturating_sub(n.capacity);
         if over > 0 {
-            self.trim_cache(m, node, over);
+            self.trim_cache(node, over);
         }
     }
 
     /// Drops a base's pages from every node's cache: once a base cannot
     /// be matched any more its pages must not be served from cache.
-    pub fn invalidate_base(&mut self, m: &mut MetricsCollector, base: SandboxId) {
+    pub fn invalidate_base(&mut self, base: SandboxId) {
         for node in (0..self.caches.len()).map(NodeId) {
-            self.with_cache(m, node, |c| c.map(|c| c.invalidate_sandbox(base)));
+            self.with_cache(node, |c| c.map(|c| c.invalidate_sandbox(base)));
         }
     }
 
@@ -242,6 +280,7 @@ impl NodeMemory {
         }
         let resident: usize = self.nodes.iter().map(|n| n.sandboxes.len()).sum();
         assert_eq!(resident, table.len(), "a live sandbox is resident nowhere");
+        assert_eq!(self.resident, resident, "live count drifted");
         let used: usize = self.used_per_node().sum();
         assert_eq!(self.cluster_mem, used, "cluster accounting drifted");
     }
@@ -251,14 +290,32 @@ impl NodeMemory {
 mod tests {
     use super::*;
     use crate::ids::FnId;
-    use medes_obs::Obs;
     use medes_sim::DetRng;
+
+    /// The memory history is weighted by time and snapshots, every
+    /// `MEM_POINT_EVERY`, the value held up to that instant; the live
+    /// history counts the resident sandboxes.
+    #[test]
+    fn histories_weight_by_time() {
+        let mut mem = NodeMemory::new(&PlatformConfig::small_test());
+        let mut sb = Sandbox::new(SandboxId(0), FnId(0), NodeId(0), 0, 0, SimTime::ZERO, 1);
+        mem.admit(&mut sb, 100);
+        mem.set_now(SimTime::from_secs(10));
+        mem.resize(&mut sb, 200);
+        let (m, live) = mem.histories();
+        let end = SimTime::from_secs(20);
+        assert!((m.mean_until(end) - 150.0).abs() < 1e-9);
+        let ten = SimTime::from_secs(10);
+        assert_eq!(m.series(), [(SimTime::ZERO, 100.0), (ten, 100.0)]);
+        assert_eq!((live.mean_until(end), live.last()), (1.0, Some(1.0)));
+    }
 
     /// Random admit / resize / release / cache insert / shed / trim /
     /// invalidate / crash / restart sequences, with and without a cache:
-    /// the accounting identities hold after every step, and node memory
-    /// is exactly what an independent model of the sandboxes plus the
-    /// caches' own byte counts says.
+    /// the accounting identities hold after every step, node memory is
+    /// exactly what an independent model of the sandboxes plus the
+    /// caches' own byte counts says, and the two histories are that
+    /// model's cluster total and sandbox count, integrated step by step.
     #[test]
     fn accounting_holds_under_random_operation_sequences() {
         for seed in 0..240u64 {
@@ -269,12 +326,15 @@ mod tests {
             cfg.read_path.page_cache_bytes = (seed % 2) as usize * (2 << 20);
             let page_paper = medes_mem::PAGE_SIZE * cfg.mem_scale;
             let mut mem = NodeMemory::new(&cfg);
-            let mut m = MetricsCollector::with_obs(vec!["f".into()], Obs::disabled());
             let mut table = SandboxTable::default();
             let mut live: Vec<SandboxId> = Vec::new();
             let mut next_id = 0u64;
+            // The model's (cluster memory, live count) after each step,
+            // and the first step the memory history has a point at.
+            let mut held: Vec<[f64; 2]> = Vec::new();
+            let mut first_point = None;
             for step in 0..120u64 {
-                m.set_now(SimTime::from_secs(step));
+                mem.set_now(SimTime::from_secs(step));
                 let node = NodeId(rng.below(cfg.nodes as u64) as usize);
                 let up = !mem.down_nodes().any(|n| n == node);
                 match rng.below(9) {
@@ -284,21 +344,21 @@ mod tests {
                         let sb = Sandbox::new(id, FnId(0), node, seed, 0, SimTime::ZERO, 1);
                         table.insert(id, sb);
                         let bytes = rng.below(40 << 20) as usize;
-                        mem.admit(&mut m, table.get_mut(&id).unwrap(), bytes);
+                        mem.admit(table.get_mut(&id).unwrap(), bytes);
                         live.push(id);
                     }
                     2 if !live.is_empty() => {
                         let id = *rng.choose(&live).unwrap();
                         let bytes = rng.below(40 << 20) as usize;
-                        mem.resize(&mut m, table.get_mut(&id).unwrap(), bytes);
+                        mem.resize(table.get_mut(&id).unwrap(), bytes);
                         assert_eq!(table[&id].mem_paper_bytes, bytes);
                     }
                     3 if !live.is_empty() => {
                         let id = live.swap_remove(rng.below(live.len() as u64) as usize);
-                        mem.release(&mut m, &table.remove(&id).unwrap());
+                        mem.release(&table.remove(&id).unwrap());
                     }
                     4 if up => {
-                        let inserted = mem.with_cache(&mut m, node, |c| {
+                        let inserted = mem.with_cache(node, |c| {
                             let c = c?;
                             for _ in 0..rng.below(200) {
                                 let (base, page) = (SandboxId(rng.below(4)), rng.below(64) as u32);
@@ -307,21 +367,21 @@ mod tests {
                             Some(())
                         });
                         assert_eq!(inserted.is_some(), seed % 2 == 1);
-                        mem.trim_overflow(&mut m, node);
+                        mem.trim_overflow(node);
                     }
                     5 => {
                         let needed = rng.below(300 << 20) as usize;
-                        let fits = mem.shed_cache(&mut m, node, needed);
+                        let fits = mem.shed_cache(node, needed);
                         assert_eq!(fits, mem.free(node) >= needed);
                     }
-                    6 => mem.invalidate_base(&mut m, SandboxId(rng.below(4))),
+                    6 => mem.invalidate_base(SandboxId(rng.below(4))),
                     7 => {
                         // A crash, as `Cluster::node_crash` settles it.
                         for id in mem.mark_down(node.0).unwrap_or_default() {
                             live.retain(|l| *l != id);
-                            mem.release(&mut m, &table.remove(&id).unwrap());
+                            mem.release(&table.remove(&id).unwrap());
                         }
-                        mem.with_cache(&mut m, node, |c| c.map(|c| c.clear()));
+                        mem.with_cache(node, |c| c.map(|c| c.clear()));
                     }
                     _ => assert_eq!(mem.mark_up(node.0), !up),
                 }
@@ -336,8 +396,30 @@ mod tests {
                     let free = mem.free(NodeId(n));
                     assert_eq!(free, cfg.node_mem_bytes.saturating_sub(used));
                 }
+                let cluster: usize = mem.used_per_node().sum();
+                held.push([cluster as f64, table.len() as f64]);
+                let (m, live) = mem.histories();
+                first_point = first_point.or(m.last().map(|_| step));
+                assert_eq!(m.last().unwrap_or(0.0), cluster as f64, "seed {seed}");
+                assert_eq!(live.last().unwrap_or(0.0), table.len() as f64);
             }
             assert!(mem.mark_down(cfg.nodes).is_none() && !mem.mark_up(cfg.nodes));
+            // Each step's values hold for one second, up to the end.
+            let end = SimTime::from_secs(held.len() as u64);
+            let (m, live) = mem.histories();
+            let mean = |i: usize| held.iter().map(|h| h[i]).sum::<f64>() / held.len() as f64;
+            let close = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.max(1.0);
+            assert!(close(m.mean_until(end), mean(0)), "seed {seed}");
+            assert!(close(live.mean_until(end), mean(1)), "seed {seed}");
+            // A snapshot past the first point is the value held just
+            // before its instant: the model's at the step before.
+            for (k, &(t, v)) in m.series().iter().enumerate() {
+                let secs = t.as_micros() / 1_000_000;
+                assert_eq!(secs, 10 * k as u64, "seed {seed}");
+                if first_point.is_some_and(|f| secs > f) {
+                    assert_eq!(v, held[secs as usize - 1][0], "seed {seed} at {secs} s");
+                }
+            }
         }
     }
 }

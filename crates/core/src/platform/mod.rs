@@ -250,7 +250,7 @@ impl Cluster {
             fabric.set_faults(FaultSchedule::compile(&cfg.faults));
         }
         let names: Vec<String> = profiles.iter().map(|p| p.name.clone()).collect();
-        let metrics = MetricsCollector::with_obs(names, Rc::clone(&obs));
+        let metrics = MetricsCollector::new(names);
         let (ka, medes): (Box<dyn KeepAlivePolicy>, _) = match &cfg.policy {
             PolicyKind::FixedKeepAlive(d) => (Box::new(FixedKeepAlive::new(*d)), None),
             PolicyKind::AdaptiveKeepAlive => (Box::new(AdaptiveKeepAlive::new()), None),
@@ -302,11 +302,11 @@ impl World for Cluster {
     fn handle(&mut self, event: Ev, sched: &mut Scheduler<Ev>) {
         let now = sched.now();
         // Fault windows are evaluated at the fabric's current instant;
-        // a placed registry prices its RPCs, and the collector stamps
-        // memory and live-sandbox changes, at the same instant.
+        // a placed registry prices its RPCs, and `NodeMemory` stamps
+        // its histories, at the same instant.
         self.fabric.set_now(now);
         self.bases.registry().set_now(now);
-        self.metrics.set_now(now);
+        self.mem.set_now(now);
         // The rare multi-owner sequences end in a check of every owner:
         // a crash, a restart, a deploy, and an idle check that began a
         // dedup op.
@@ -341,7 +341,7 @@ impl World for Cluster {
                 let table = self.life.finish_restore(id);
                 let m_w = self.fns[req.func].profile.memory_bytes;
                 let sb = self.life.footprint_mut(id);
-                self.mem.resize(&mut self.metrics, sb, m_w);
+                self.mem.resize(sb, m_w);
                 self.bases.release_refs(&table);
                 // The sandbox lives on: the patches it no longer needs
                 // resident are what its next scan would otherwise
@@ -366,12 +366,8 @@ impl World for Cluster {
                 };
                 let (f, node, version) = (rec.func as usize, sb.node, sb.version);
                 rec.e2e_us = now.since(arrival).as_micros();
-                // Same (seed, request id) → same ids as the context the
-                // dispatcher minted for the restore op, so the request
-                // span becomes the root of that tree.
-                let root = self.obs.trace_root("request", self.cfg.seed, rec.id);
-                let bound_us = self.slo_bound_us(f);
-                self.metrics.push_request(rec, root, bound_us, node.0);
+                self.request_span(&rec, node.0);
+                self.metrics.park(rec);
                 // A sandbox a rolling deploy superseded while it ran
                 // dies instead of joining the warm pool (a referenced
                 // stale base must linger until its dependants release

@@ -173,7 +173,7 @@ impl Cluster {
         let (epoch, first) = self.life.commit_dedup(id, table, sched.now());
         self.metrics.report.sandboxes_deduped += u64::from(first);
         let sb = self.life.footprint_mut(id);
-        self.mem.resize(&mut self.metrics, sb, new_paper);
+        self.mem.resize(sb, new_paper);
         let medes = self.medes.as_ref().expect("dedup runs under Medes");
         sched.after(medes.keep_dedup, Ev::KeepDedupExpire(id, epoch));
     }

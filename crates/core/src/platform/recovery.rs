@@ -21,12 +21,11 @@ impl Cluster {
     /// sandbox's function for re-demarcation.
     fn teardown(&mut self, id: SandboxId) -> Option<usize> {
         let sb = self.life.remove(id)?;
-        self.mem.release(&mut self.metrics, &sb);
+        self.mem.release(&sb);
         if let Some(table) = &sb.dedup_table {
             self.bases.release_refs(table);
         }
-        self.bases.drop_base(id, &mut self.mem, &mut self.metrics);
-        self.metrics.live_update(self.life.len() as f64);
+        self.bases.drop_base(id, &mut self.mem);
         Some(sb.func.0)
     }
 
@@ -119,7 +118,7 @@ impl Cluster {
         // entries for its bases were already invalidated cluster-wide
         // by the teardowns above.
         let clear = |c: Option<&mut BasePageCache>| c.map(|c| c.clear());
-        self.mem.with_cache(&mut self.metrics, node, clear);
+        self.mem.with_cache(node, clear);
         for f in affected {
             self.re_demarcate(f);
         }
@@ -162,7 +161,7 @@ impl Cluster {
         let listed = self.bases.listed(f).iter().copied();
         let retired: Vec<SandboxId> = listed.filter(|id| stale(&self.life, id)).collect();
         for id in retired {
-            self.bases.retire(id, &mut self.mem, &mut self.metrics);
+            self.bases.retire(id, &mut self.mem);
             self.metrics.report.version_purges += 1;
         }
     }

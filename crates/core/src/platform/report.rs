@@ -2,7 +2,7 @@
 //! the counters and gauges of the trace's tail line.
 
 use super::Cluster;
-use crate::metrics::{FnDedupStats, RunReport, StartType};
+use crate::metrics::{FnDedupStats, RequestRecord, RunReport, StartType};
 use medes_net::RegistryOp;
 use medes_sim::SimTime;
 
@@ -11,6 +11,12 @@ impl Cluster {
         self.check(end);
         let registry = self.bases.registry();
         let report = &mut self.metrics.report;
+        let (mem, live) = self.mem.histories();
+        report.mem_mean_bytes = mem.mean_until(end);
+        report.mem_median_bytes = mem.clone().median().unwrap_or(0.0);
+        report.mean_live_sandboxes = live.mean_until(end);
+        let series = mem.series().iter().map(|&(t, v)| (t.as_micros(), v));
+        report.mem_series = series.collect();
         report.registry_entries = registry.entries();
         report.registry_peak_entries = registry.peak_entries();
         report.registry_peak_bytes = registry.peak_mem_bytes();
@@ -35,6 +41,37 @@ impl Cluster {
         self.metrics.finish(end)
     }
 
+    /// Mirrors a completed request as a `medes.platform.request` span,
+    /// the one record of its latency. The span's root has the same
+    /// (seed, request id) as the context the dispatcher minted for the
+    /// restore op, so restore and dedup phase spans link under it. It
+    /// carries the SLO bound in effect (`α · s_W`; 0 = none) and the
+    /// node the request ran on, so `trace report` counts SLO
+    /// violations per function and per node.
+    pub(super) fn request_span(&self, rec: &RequestRecord, node: usize) {
+        if !self.obs.enabled() {
+            return;
+        }
+        let start_type = match rec.start {
+            StartType::Warm => "warm",
+            StartType::Dedup => "dedup",
+            StartType::Cold => "cold",
+        };
+        let f = rec.func as usize;
+        let root = self.obs.trace_root("request", self.cfg.seed, rec.id);
+        let arrival = SimTime::from_micros(rec.arrival_us);
+        self.obs
+            .span_in("medes.platform.request", arrival, root)
+            .attr("id", rec.id)
+            .attr("fn", self.fns[f].profile.name.as_str())
+            .attr("start_type", start_type)
+            .attr("startup_us", rec.startup_us)
+            .attr("exec_us", rec.exec_us)
+            .attr("node", node)
+            .attr("bound_us", self.slo_bound_us(f))
+            .end(SimTime::from_micros(rec.arrival_us + rec.e2e_us));
+    }
+
     /// Writes the trace tail's counters and gauges, each folded from
     /// the one owner that counted it (DESIGN.md §7). Registry RPC
     /// traffic and ownership hygiene live here and never in
@@ -44,6 +81,7 @@ impl Cluster {
     /// gauge iff it was ever set.
     fn write_tail(&self) {
         let (m, r, c) = (&self.metrics, &self.metrics.report, self.metrics.counts);
+        let (mem, live) = self.mem.histories();
         let (registry, images, w) = (self.bases.registry(), self.bases.images(), self.dedup_work);
         let (reg, rpc) = (registry.counts(), registry.rpc_stats());
         let (net, rec) = (self.fabric.stats() + rpc, reg.recovered);
@@ -124,8 +162,8 @@ impl Cluster {
         ];
         let entries = (reg.inserts > 0).then_some(registry.entries() as f64);
         let gauges = [
-            ("medes.platform.mem_paper_bytes", m.mem.last()),
-            ("medes.platform.live_sandboxes", m.live.last()),
+            ("medes.platform.mem_paper_bytes", mem.last()),
+            ("medes.platform.live_sandboxes", live.last()),
             ("medes.registry.entries", entries),
         ];
         // The tail keeps one number a name, so a name written twice

@@ -985,7 +985,7 @@ mod tests {
             shards,
             owners,
             nodes,
-            medes_net::NetConfig::default(),
+            medes_net::NetConfig,
             RetryPolicy::default(),
             Obs::disabled(),
         )
@@ -1119,7 +1119,7 @@ mod tests {
                 4,
                 3,
                 5,
-                medes_net::NetConfig::default(),
+                medes_net::NetConfig,
                 RetryPolicy::default(),
                 Obs::disabled(),
             ),

@@ -16,7 +16,7 @@ use crate::pagecache::BasePageCache;
 use crate::sandbox::{DedupPageTable, PageEntry};
 use medes_delta::apply_into;
 use medes_mem::{MemoryImage, PAGE_SIZE};
-use medes_net::{Fabric, NetError};
+use medes_net::{Fabric, NetError, LOCAL_MEM_BPS};
 use medes_obs::{Obs, TraceCtx};
 use medes_sim::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -162,7 +162,7 @@ impl std::error::Error for RestoreError {}
 ///
 /// The read set is the table's distinct `(base sandbox, base page)`
 /// pairs; pairs present in `cache` are served from local memory
-/// (`local_mem_bps`) without touching the fabric, and the remaining
+/// (`LOCAL_MEM_BPS`) without touching the fabric, and the remaining
 /// pages are fetched in one batched RDMA read and recorded in the
 /// cache, by key, once the transfer succeeds.
 ///
@@ -243,9 +243,8 @@ pub fn restore_op_cached(
         .rdma_read_batch_retry(node.0, &reads, &cfg.retry)
         .map_err(RestoreError::Net)?;
     if hits > 0 {
-        base_read += SimDuration::from_secs_f64(
-            (hits as usize * page_paper) as f64 / fabric.config().local_mem_bps,
-        );
+        base_read +=
+            SimDuration::from_secs_f64((hits as usize * page_paper) as f64 / LOCAL_MEM_BPS);
     }
     // Fetched pages enter the cache only after the transfer succeeded.
     if let Some(c) = cache.as_mut() {
@@ -318,7 +317,7 @@ mod tests {
             cfg.mem_scale,
         );
         let registry = RegistryClient::new();
-        let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+        let mut fabric = Fabric::new(cfg.nodes, NetConfig);
         let base = factory.pin_v(FnId(0), 10, 0);
         index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
         let target = factory.image_v(FnId(0), 20, 0);
@@ -425,7 +424,7 @@ mod tests {
             // so the repeat restore mixes hits and misses.
             let cap = rng.below(2 * distinct as u64 + 1) as usize * page_paper;
             let mut cache = crate::pagecache::BasePageCache::new(cap, cfg.mem_scale);
-            let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+            let mut fabric = Fabric::new(cfg.nodes, NetConfig);
             for pass in 0..2 {
                 let reads_before = fabric.stats().rdma_reads;
                 let out = restore_op_cached(

@@ -183,11 +183,6 @@ impl ImageBuilder {
         &self.spec
     }
 
-    /// The scale denominator.
-    pub fn scale_denom(&self) -> usize {
-        self.scale_denom
-    }
-
     /// Templates filled so far (one per builder and deploy version
     /// unless versions alternate).
     pub fn template_builds(&self) -> u64 {

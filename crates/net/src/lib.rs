@@ -27,7 +27,7 @@
 //! partial reads, and latency-spike windows stretch the wire time. The
 //! `*_retry` variants wrap an op in a [`RetryPolicy`] — exponential
 //! backoff in **simulated** time, with each failed attempt costing
-//! [`NetConfig::fault_timeout`] — and re-evaluate the schedule at the
+//! [`FAULT_TIMEOUT`] — and re-evaluate the schedule at the
 //! accumulated instant, so retries can outlive a fault window.
 //!
 //! ## Causal tracing
@@ -132,38 +132,28 @@ impl RetryPolicy {
     }
 }
 
-/// Link and operation cost parameters.
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// One-way propagation + switching latency between two nodes.
-    pub base_latency: SimDuration,
-    /// Fixed per-operation overhead of posting an RDMA verb.
-    pub rdma_op_overhead: SimDuration,
-    /// Link bandwidth in bytes per second (10 Gb/s ≈ 1.25 GB/s).
-    pub bandwidth_bps: f64,
-    /// Fixed cost of an RPC round trip above raw propagation
-    /// (serialization, dispatch, protocol buffers).
-    pub rpc_overhead: SimDuration,
-    /// Local (same-node) memory read bandwidth in bytes per second.
-    pub local_mem_bps: f64,
-    /// Simulated time charged to an attempt that fails under fault
-    /// injection (detection timeout). Uniform across failure kinds so
-    /// retry delays have a closed form.
-    pub fault_timeout: SimDuration,
-}
+/// The link and operation cost model. It has no settings: every cost
+/// is a const beside the formula that reads it ([`LOCAL_MEM_BPS`],
+/// [`FAULT_TIMEOUT`] and the private wire costs of
+/// `Fabric::rdma_read_batch` and `Fabric::rpc`).
+#[derive(Debug, Clone, Default)]
+pub struct NetConfig;
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            base_latency: SimDuration::from_micros(2),
-            rdma_op_overhead: SimDuration::from_micros(1),
-            bandwidth_bps: 1.25e9,
-            rpc_overhead: SimDuration::from_micros(30),
-            local_mem_bps: 8.0e9,
-            fault_timeout: SimDuration::from_millis(10),
-        }
-    }
-}
+/// One-way propagation + switching latency between two nodes.
+const BASE_LATENCY: SimDuration = SimDuration::from_micros(2);
+/// Fixed per-operation overhead of posting an RDMA verb.
+const RDMA_OP_OVERHEAD: SimDuration = SimDuration::from_micros(1);
+/// Link bandwidth in bytes per second (10 Gb/s ≈ 1.25 GB/s).
+const BANDWIDTH_BPS: f64 = 1.25e9;
+/// Fixed cost of an RPC round trip above raw propagation
+/// (serialization, dispatch, protocol buffers).
+const RPC_OVERHEAD: SimDuration = SimDuration::from_micros(30);
+/// Local (same-node) memory read bandwidth in bytes per second.
+pub const LOCAL_MEM_BPS: f64 = 8.0e9;
+/// Simulated time charged to an attempt that fails under fault
+/// injection (detection timeout). Uniform across failure kinds so
+/// retry delays have a closed form.
+pub const FAULT_TIMEOUT: SimDuration = SimDuration::from_millis(10);
 
 /// Cumulative transfer statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -234,7 +224,6 @@ impl std::ops::Add for FabricStats {
 #[derive(Debug, Clone)]
 pub struct Fabric {
     nodes: usize,
-    cfg: NetConfig,
     stats: FabricStats,
     obs: Rc<Obs>,
     faults: Option<FaultSchedule>,
@@ -244,17 +233,16 @@ pub struct Fabric {
 
 impl Fabric {
     /// Creates a fabric over `nodes` nodes (observability disabled).
-    pub fn new(nodes: usize, cfg: NetConfig) -> Self {
-        Self::with_obs(nodes, cfg, Obs::disabled())
+    pub fn new(nodes: usize, net: NetConfig) -> Self {
+        Self::with_obs(nodes, net, Obs::disabled())
     }
 
     /// Creates a fabric whose failed retry attempts emit
     /// `medes.net.retry` spans (see [`Fabric::with_ctx`]).
-    pub fn with_obs(nodes: usize, cfg: NetConfig, obs: Rc<Obs>) -> Self {
+    pub fn with_obs(nodes: usize, _net: NetConfig, obs: Rc<Obs>) -> Self {
         assert!(nodes > 0, "fabric needs at least one node");
         Fabric {
             nodes,
-            cfg,
             stats: FabricStats::default(),
             obs,
             faults: None,
@@ -288,11 +276,6 @@ impl Fabric {
     /// Number of nodes.
     pub fn nodes(&self) -> usize {
         self.nodes
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
     }
 
     /// Transfer statistics so far.
@@ -373,7 +356,7 @@ impl Fabric {
                     NetError::PartialRead { .. } => "partial_read",
                 },
             )
-            .end(start + self.cfg.fault_timeout);
+            .end(start + FAULT_TIMEOUT);
     }
 
     /// Cost of a batch of one-sided RDMA reads into `dst` from
@@ -432,11 +415,11 @@ impl Fabric {
             self.stats.rdma_reads += 1;
             self.stats.rdma_bytes += bytes as u64;
         }
-        let mut t = SimDuration::from_secs_f64(local_bytes as f64 / self.cfg.local_mem_bps);
+        let mut t = SimDuration::from_secs_f64(local_bytes as f64 / LOCAL_MEM_BPS);
         if ops > 0 {
-            let mut wire = self.cfg.base_latency
-                + self.cfg.rdma_op_overhead.mul_f64(ops as f64)
-                + SimDuration::from_secs_f64(remote_bytes as f64 / self.cfg.bandwidth_bps);
+            let mut wire = BASE_LATENCY
+                + RDMA_OP_OVERHEAD.mul_f64(ops as f64)
+                + SimDuration::from_secs_f64(remote_bytes as f64 / BANDWIDTH_BPS);
             if factor != 1.0 {
                 wire = wire.mul_f64(factor);
             }
@@ -447,7 +430,7 @@ impl Fabric {
     }
 
     /// [`Fabric::rdma_read_batch`] wrapped in a retry policy. Each failed
-    /// attempt costs [`NetConfig::fault_timeout`] plus exponential
+    /// attempt costs [`FAULT_TIMEOUT`] plus exponential
     /// backoff, and the next attempt re-evaluates the fault schedule at
     /// the accumulated simulated instant — retries escape fault windows
     /// that end in time. Returns the total elapsed time on success; the
@@ -464,7 +447,7 @@ impl Fabric {
     /// The one retry loop behind every `*_retry` op: runs `attempt` at
     /// the accumulated simulated instant until it succeeds or
     /// `max_attempts` is exhausted, charging each failure
-    /// [`NetConfig::fault_timeout`] plus the policy's backoff.
+    /// [`FAULT_TIMEOUT`] plus the policy's backoff.
     fn retry(
         &mut self,
         policy: &RetryPolicy,
@@ -479,7 +462,7 @@ impl Fabric {
                 Ok(t) => return Ok(elapsed + t),
                 Err(e) => {
                     self.retry_span(attempts, attempt_start, e);
-                    elapsed += self.cfg.fault_timeout;
+                    elapsed += FAULT_TIMEOUT;
                     if attempts >= policy.max_attempts.max(1) {
                         self.stats.retry_giveups += 1;
                         return Err(e);
@@ -532,13 +515,11 @@ impl Fabric {
         self.stats.rpcs += 1;
         self.stats.rpc_bytes += (req_bytes + resp_bytes) as u64;
         let mut t = if a == b {
-            self.cfg.rpc_overhead
+            RPC_OVERHEAD
         } else {
-            self.cfg.rpc_overhead
-                + self.cfg.base_latency.mul_f64(2.0)
-                + SimDuration::from_secs_f64(
-                    (req_bytes + resp_bytes) as f64 / self.cfg.bandwidth_bps,
-                )
+            RPC_OVERHEAD
+                + BASE_LATENCY.mul_f64(2.0)
+                + SimDuration::from_secs_f64((req_bytes + resp_bytes) as f64 / BANDWIDTH_BPS)
         };
         if factor != 1.0 {
             t = t.mul_f64(factor);
@@ -662,7 +643,7 @@ mod tests {
     use medes_sim::DetRng;
 
     fn fabric() -> Fabric {
-        Fabric::new(4, NetConfig::default())
+        Fabric::new(4, NetConfig)
     }
 
     /// Total backoff slept across `retries` retries.
@@ -818,7 +799,7 @@ mod tests {
             let nodes = 2 + rng.below(4) as usize;
             let horizon = SimTime::from_secs(10);
             let plan = FaultPlan::synthesize(seed, nodes, horizon, rng.f64() * 4.0);
-            let mut f = Fabric::new(nodes, NetConfig::default());
+            let mut f = Fabric::new(nodes, NetConfig);
             f.set_faults(FaultSchedule::compile(&plan));
             let policy = RetryPolicy {
                 max_attempts: 1 + rng.below(3) as u32,
@@ -966,8 +947,8 @@ mod tests {
         let t = f.rdma_read_batch_retry(0, &[(1, 4096)], &policy).unwrap();
         assert_eq!(f.stats().retries, 2);
         let clean = fabric().rdma_read_batch(0, &[(1, 4096)]).unwrap();
-        // 2 failures à fault_timeout + backoffs (1ms + 2ms) + clean op.
-        let expected = f.config().fault_timeout.mul_f64(2.0) + total_backoff(&policy, 2) + clean;
+        // 2 failures à FAULT_TIMEOUT + backoffs (1ms + 2ms) + clean op.
+        let expected = FAULT_TIMEOUT.mul_f64(2.0) + total_backoff(&policy, 2) + clean;
         assert_eq!(t, expected);
     }
 
@@ -1036,7 +1017,7 @@ mod tests {
 
     /// DetRng-driven property: for random (attempts, base delay, cap,
     /// fault-window) combinations, the total retry delay matches the
-    /// closed form `k·fault_timeout + Σ backoff(i) + op_time` and no
+    /// closed form `k·FAULT_TIMEOUT + Σ backoff(i) + op_time` and no
     /// single backoff exceeds the cap.
     #[test]
     fn retry_delay_matches_closed_form() {
@@ -1088,9 +1069,8 @@ mod tests {
                     // k failed attempts, then a clean one.
                     let k = f.stats().retries as u32;
                     let clean = fabric().rdma_read_batch(0, &[(1, 4096)]).unwrap();
-                    let expected = f.config().fault_timeout.mul_f64(k as f64)
-                        + total_backoff(&policy, k)
-                        + clean;
+                    let expected =
+                        FAULT_TIMEOUT.mul_f64(k as f64) + total_backoff(&policy, k) + clean;
                     assert_eq!(t, expected, "case {case}");
                 }
                 Err(_) => {
@@ -1111,7 +1091,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig, Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
         let policy = RetryPolicy {
             max_attempts: 3,
@@ -1134,11 +1114,7 @@ mod tests {
             assert_eq!(s.name, "medes.net.retry");
             assert_eq!(s.trace_id, ctx.trace_id);
             assert_eq!(s.parent_id, ctx.span_id);
-            assert_eq!(
-                s.dur_us(),
-                f.config().fault_timeout.as_micros(),
-                "attempt {i}"
-            );
+            assert_eq!(s.dur_us(), FAULT_TIMEOUT.as_micros(), "attempt {i}");
         }
         // First attempt starts at the fabric's current instant.
         assert_eq!(spans[0].start_us, 5_000);
@@ -1158,7 +1134,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig, Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
         let policy = RetryPolicy {
             max_attempts: 1,
@@ -1220,7 +1196,7 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig::default(), Rc::clone(&obs));
+        let mut f = Fabric::with_obs(4, NetConfig, Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
         let policy = RetryPolicy {
             max_attempts: 3,

@@ -38,7 +38,7 @@ fn full_pipeline_reconstructs_every_page() {
     let base = image("PipeFn", 16, &["numpy"], cfg.mem_scale, 1);
     let target = image("PipeFn", 16, &["numpy"], cfg.mem_scale, 2);
     let registry = RegistryClient::new();
-    let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+    let mut fabric = Fabric::new(cfg.nodes, NetConfig);
     index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
 
     let b = Arc::clone(&base);
@@ -87,7 +87,7 @@ fn dedup_footprint_is_always_smaller_when_pages_patch() {
     let base = image("SizeFn", 24, &["pandas"], cfg.mem_scale, 5);
     let target = image("SizeFn", 24, &["pandas"], cfg.mem_scale, 6);
     let registry = RegistryClient::new();
-    let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+    let mut fabric = Fabric::new(cfg.nodes, NetConfig);
     index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
     let b = Arc::clone(&base);
     let outcome = dedup_op(
@@ -121,7 +121,7 @@ fn aslr_reduces_dedup_effectiveness_but_not_correctness() {
     cfg.aslr = AslrConfig::LINUX;
     let registry_off = RegistryClient::new();
     let registry_on = RegistryClient::new();
-    let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+    let mut fabric = Fabric::new(cfg.nodes, NetConfig);
 
     let base_off = build(AslrConfig::DISABLED, 1);
     let tgt_off = build(AslrConfig::DISABLED, 2);
@@ -223,7 +223,7 @@ fn savings_accounting_is_consistent() {
         let base = image("PropFn", 8, &[], cfg.mem_scale, a);
         let target = image("PropFn", 8, &[], cfg.mem_scale, b);
         let registry = RegistryClient::new();
-        let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+        let mut fabric = Fabric::new(cfg.nodes, NetConfig);
         index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
         let bb = Arc::clone(&base);
         let outcome = dedup_op(

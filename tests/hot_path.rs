@@ -38,7 +38,7 @@ fn pipeline_patches_match_reference_encoder() {
     let base = image("HotFn", 1, cfg.mem_scale);
     let target = image("HotFn", 2, cfg.mem_scale);
     let registry = RegistryClient::new();
-    let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+    let mut fabric = Fabric::new(cfg.nodes, NetConfig);
     index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
     let b = Arc::clone(&base);
     let outcome = dedup_op(

@@ -26,7 +26,7 @@ fn image(name: &str, scale: usize, inst: u64) -> Arc<MemoryImage> {
     )
 }
 
-/// Same-node base pages go through `local_mem_bps`, not the RDMA NIC:
+/// Same-node base pages go through `LOCAL_MEM_BPS`, not the RDMA NIC:
 /// restoring next to the base sandbox must be strictly faster than
 /// restoring across the fabric.
 #[test]
@@ -36,7 +36,7 @@ fn local_base_restore_beats_remote() {
     let base = image("LocalFn", cfg.mem_scale, 1);
     let target = image("LocalFn", cfg.mem_scale, 2);
     let registry = RegistryClient::new();
-    let mut fabric = Fabric::new(cfg.nodes, NetConfig::default());
+    let mut fabric = Fabric::new(cfg.nodes, NetConfig);
     index_base_sandbox(&cfg, &registry, NodeId(0), SandboxId(1), &base);
     let b = Arc::clone(&base);
     let resolver = move |id: SandboxId| (id == SandboxId(1)).then(|| (Arc::clone(&b), FnId(0)));
