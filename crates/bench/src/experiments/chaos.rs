@@ -6,8 +6,10 @@
 //! and replayed against the standard Medes configuration. The platform
 //! must absorb every fault — broken dedup restores fall back to cold
 //! starts, crashed nodes are evicted and their registry chunks purged,
-//! in-flight requests are rescheduled — and the whole run stays
-//! bit-deterministic: same seed + plan, same `RunReport`.
+//! in-flight requests are rescheduled. Each rate runs once and the
+//! experiment only reports: that a plan replays bit-identically and
+//! leaves no dead-node registry chunks is pinned by
+//! `tests/fault_recovery.rs`.
 
 use crate::common::{ExpConfig, DEFAULT_FAULT_SEED};
 use crate::report::{f, mib, Report};
@@ -46,24 +48,17 @@ pub fn run(cfg: &ExpConfig) -> Report {
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     let mut baseline_cold = 0u64;
+    let mut worst_dead = 0;
     for &rate in rates {
         let plan = FaultPlan::synthesize(DEFAULT_FAULT_SEED, base.nodes, duration, rate);
         let mut pcfg = base.clone().with_policy(PolicyKind::Medes(policy.clone()));
         pcfg.faults = plan.clone();
         let r = cfg.run(pcfg, &suite, &trace);
-        // Determinism is a hard guarantee, not a hope: replaying the
-        // same plan must reproduce the run bit-for-bit.
-        let mut pcfg2 = base.clone().with_policy(PolicyKind::Medes(policy.clone()));
-        pcfg2.faults = plan.clone();
-        let r2 = cfg.run(pcfg2, &suite, &trace);
-        assert_eq!(
-            r, r2,
-            "chaos run must be deterministic for rate {rate} (seed {DEFAULT_FAULT_SEED:#x})"
-        );
         let cold = r.total_cold_starts();
         if rate == 0.0 {
             baseline_cold = cold;
         }
+        worst_dead = worst_dead.max(r.registry_dead_node_locs);
         let p99 = r.e2e_quantile_all_ms(0.99).unwrap_or(0.0);
         rows.push(vec![
             format!("{rate:.2}"),
@@ -95,11 +90,6 @@ pub fn run(cfg: &ExpConfig) -> Report {
             "mem_mean_bytes": r.mem_mean_bytes,
             "registry_dead_node_locs": r.registry_dead_node_locs,
         }));
-        // A crashed node must leave nothing behind in the registry.
-        assert_eq!(
-            r.registry_dead_node_locs, 0,
-            "registry must hold no chunks on dead nodes at rate {rate}"
-        );
     }
     report.table(
         &[
@@ -124,7 +114,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         .unwrap_or(0);
     report.line(&format!(
         "cold starts grow from {baseline_cold} (no faults) to {worst_cold} at the highest rate; \
-         every run completed with zero dead-node registry chunks"
+         at most {worst_dead} dead-node registry chunks left at the end of a run"
     ));
     report.json_set("sweep", medes_obs::Json::Array(json_rows));
     report

@@ -30,7 +30,7 @@ pub type RunFn = fn(&ExpConfig) -> Report;
 /// Every experiment, in paper order: `(id, aliases, entry point)`. An
 /// alias names a sub-figure that its id's run already produces.
 /// [`ALL`], `experiments list` and [`resolve`] all derive from this table.
-/// `scenarios` goes last: its full-mode p99 gate is known to abort
+/// `scenarios` goes last: its two gates abort the run if they fail
 /// (ROADMAP item 11), and `all` must have written every paper artifact
 /// by then.
 pub const TABLE: &[(&str, &[&str], RunFn)] = &[

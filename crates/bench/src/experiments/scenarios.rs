@@ -6,13 +6,14 @@
 //! functions, Zipf tenant skew, heterogeneous node memories, and spot
 //! preemption waves — against Medes and the §7.2 keep-alive baselines.
 //!
-//! The experiment is **self-asserting**: every run replays
-//! bit-identically, the preemption waves leave zero dead-node registry
-//! chunks, rolling deploys collapse dedup savings relative to the same
-//! trace without deploys, and Medes beats the fixed keep-alive baseline
-//! on p99 startup latency in at least three of the five classes. A
-//! regression in any gate aborts the run instead of silently emitting
-//! worse numbers.
+//! Each configuration runs once. Two gates hold the numbers it
+//! reports to its claims: Medes beats the fixed keep-alive baseline on
+//! p99 startup latency in at least three of the five classes, and
+//! rolling deploys collapse dedup savings relative to the same trace
+//! without deploys. A failing gate aborts the run instead of
+//! emitting worse numbers. Replay determinism and the per-class
+//! invariants (preemption leaves zero dead-node registry chunks, every
+//! deploy bump registers and purges) are pinned by `tests/scenarios.rs`.
 
 use crate::common::ExpConfig;
 use crate::report::{f, mib, Report};
@@ -131,22 +132,6 @@ pub fn run(cfg: &ExpConfig) -> Report {
             &suite,
             &sc.trace,
         );
-        // Gate 1 — determinism: regenerating the scenario and replaying
-        // must reproduce the run bit-for-bit (trace, deploy schedule,
-        // fault plan and memory profile are all pure functions of the
-        // seed).
-        let sc2 = all_scenarios(&names, &scfg)
-            .into_iter()
-            .find(|s| s.kind == sc.kind)
-            .expect("scenario class exists");
-        assert!(sc.trace == sc2.trace, "{id} trace");
-        let medes2 = cfg.run(
-            apply(&base, &sc2).with_policy(PolicyKind::Medes(policy.clone())),
-            &suite,
-            &sc2.trace,
-        );
-        assert_eq!(medes, medes2, "{id} must replay bit-identically");
-
         let (pm, pf, pa) = (
             p99_startup_ms(&medes),
             p99_startup_ms(&fixed),
@@ -154,33 +139,6 @@ pub fn run(cfg: &ExpConfig) -> Report {
         );
         if pm < pf {
             medes_wins += 1;
-        }
-
-        // Gate 2 — per-class invariants.
-        match sc.kind {
-            ScenarioKind::PreemptionWave => {
-                assert!(medes.node_crashes > 0, "waves must preempt nodes");
-                assert_eq!(
-                    medes.node_crashes, medes.node_restarts,
-                    "every spot node rejoins"
-                );
-                assert_eq!(
-                    medes.registry_dead_node_locs, 0,
-                    "preemption must leave no dead-node registry chunks"
-                );
-            }
-            ScenarioKind::RollingDeploy => {
-                assert_eq!(
-                    medes.version_bumps,
-                    sc.deploys.bumps.len() as u64,
-                    "every deploy bump must register"
-                );
-                assert!(medes.version_purges > 0, "deploys must purge sandboxes");
-            }
-            ScenarioKind::HeteroMemory => {
-                assert!(!sc.node_mem.is_empty());
-            }
-            _ => {}
         }
 
         rows.push(vec![
@@ -226,7 +184,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         &rows,
     );
 
-    // Gate 3 — the headline direction: Medes must beat fixed keep-alive
+    // Gate 1 — the headline direction: Medes must beat fixed keep-alive
     // on p99 startup in at least 3 of the 5 classes.
     assert!(
         medes_wins >= 3,
@@ -236,7 +194,7 @@ pub fn run(cfg: &ExpConfig) -> Report {
         "medes beats fixed keep-alive on p99 startup in {medes_wins}/5 scenarios"
     ));
 
-    // Gate 4 — rolling deploys collapse dedup savings: on the same
+    // Gate 2 — rolling deploys collapse dedup savings: on the same
     // trace without the deploy schedule, each dedup op must save
     // strictly more (epoch boundaries retire every demarcated base, so
     // post-epoch ops dedup against an empty registry and store mostly

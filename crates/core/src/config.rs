@@ -82,7 +82,7 @@ pub struct PlatformConfig {
     /// is a provable no-op: no schedule is installed and every run is
     /// byte-identical to a build without fault support.
     pub faults: FaultPlan,
-    /// Retry/backoff policy for fabric operations under fault injection.
+    /// Has no settings: the fabric owns its retry schedule.
     pub retry: RetryPolicy,
     /// Restore read path: per-node base-page cache capacity (0 by
     /// default, meaning no cache).
@@ -448,7 +448,7 @@ impl PlatformConfig {
             verify_restores: false,
             obs: ObsConfig::default(),
             faults: FaultPlan::default(),
-            retry: RetryPolicy::default(),
+            retry: RetryPolicy,
             read_path: RestoreReadConfig::default(),
             node_mem_profile: Vec::new(),
             deploys: DeploySchedule::default(),

@@ -20,7 +20,7 @@ const EWMA_ALPHA: f64 = 0.2;
 /// one arrival-rate bucket.
 pub(crate) const POLICY_TICK: SimDuration = SimDuration::from_secs(10);
 /// Arrival-rate window: number of policy ticks whose maximum defines
-/// λ_max. Five minutes of 10 s ticks: a burst keeps λ_max (and with it
+/// λ_max. Twelve 10 s ticks (120–130 s): a burst keeps λ_max (and with it
 /// the aggressive-dedup phase, §5.2.3) alive well past its end, which is
 /// what converts post-burst idle pools into dedup sandboxes.
 const RATE_WINDOW_TICKS: usize = 12;

@@ -419,7 +419,7 @@ impl DedupScan {
     ) -> Result<DedupTiming, NetError> {
         let scale = cfg.mem_scale as f64;
         let paper_pages = self.image_pages as f64 * scale;
-        let lookup_extra = fabric.controller_rpc_check(node.0, &cfg.retry)?;
+        let lookup_extra = fabric.controller_rpc_check(node.0)?;
         let base_read = fabric.rdma_read_batch_retry(node.0, &self.remote_reads, &cfg.retry)?;
         Ok(DedupTiming {
             checkpoint: cfg

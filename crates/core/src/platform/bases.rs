@@ -193,6 +193,7 @@ impl Bases {
 mod tests {
     use super::*;
     use crate::ids::NodeId;
+    use crate::platform::tests::pick;
     use crate::sandbox::PageEntry;
     use medes_delta::Patch;
     use medes_sim::{DetRng, SimTime};
@@ -254,7 +255,7 @@ mod tests {
                     .filter(|id| bases.is_base(*id))
                     .collect();
                 let node = NodeId(rng.below(cfg.nodes as u64) as usize);
-                match (rng.below(10), rng.choose(&ids).copied()) {
+                match (rng.below(10), pick(&mut rng, &ids)) {
                     (0..=2, _) => {
                         let (id, func) = (SandboxId(next_id), FnId(rng.below(2) as usize));
                         next_id += 1;
@@ -288,7 +289,7 @@ mod tests {
                     }
                     (6, _) if !resolvable.is_empty() => {
                         // A restore caches pages of a base it resolved.
-                        let base = *rng.choose(&resolvable).unwrap();
+                        let base = pick(&mut rng, &resolvable).unwrap();
                         assert!(bases.resolve(base).is_some(), "resolvable");
                         mem.with_cache(node, |c| c.map(|c| c.record(base, 0)));
                     }

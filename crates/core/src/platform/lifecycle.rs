@@ -326,6 +326,7 @@ impl Lifecycle {
 mod tests {
     use super::*;
     use crate::ids::{FnId, NodeId};
+    use crate::platform::tests::pick;
     use medes_hash::sample::PageFingerprint;
     use medes_sim::engine::{Scheduler, Simulation, World};
     use medes_sim::DetRng;
@@ -346,7 +347,7 @@ mod tests {
             for step in 0..300 {
                 now += SimDuration::from_micros(u64::from(rng.chance(0.2)));
                 let keys: Vec<(SimTime, SandboxId)> = model.iter().copied().collect();
-                match (rng.below(5), rng.choose(&keys).copied()) {
+                match (rng.below(5), pick(&mut rng, &keys)) {
                     (0 | 1, _) => {
                         let id = SandboxId(rng.below(64));
                         if keys.iter().all(|k| k.1 != id) {
@@ -419,7 +420,7 @@ mod tests {
                 let now = SimTime::from_secs(step);
                 let ids: Vec<SandboxId> = life.iter().map(|sb| sb.id).collect();
                 let func = rng.below(FNS as u64) as usize;
-                match (rng.below(10), rng.choose(&ids).copied()) {
+                match (rng.below(10), pick(&mut rng, &ids)) {
                     (0 | 1, _) => {
                         let new = |id| Sandbox::new(id, FnId(func), NodeId(0), seed, 0, now, 4);
                         let id = life.spawn(new);
@@ -453,7 +454,7 @@ mod tests {
                         assert_eq!(old.as_ref().map(DedupMemo::host_bytes), held);
                     }
                     (_, Some(id)) => {
-                        let (edge, from) = *rng.choose(&EDGES).unwrap();
+                        let (edge, from) = pick(&mut rng, &EDGES).unwrap();
                         let m = model.get_mut(&id).unwrap();
                         if from.contains(&m.1) {
                             m.1 = walk(&mut life, edge, id, now);

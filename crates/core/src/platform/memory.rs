@@ -290,6 +290,7 @@ impl NodeMemory {
 mod tests {
     use super::*;
     use crate::ids::FnId;
+    use crate::platform::tests::pick;
     use medes_sim::DetRng;
 
     /// The memory history is weighted by time and snapshots, every
@@ -348,7 +349,7 @@ mod tests {
                         live.push(id);
                     }
                     2 if !live.is_empty() => {
-                        let id = *rng.choose(&live).unwrap();
+                        let id = pick(&mut rng, &live).unwrap();
                         let bytes = rng.below(40 << 20) as usize;
                         mem.resize(table.get_mut(&id).unwrap(), bytes);
                         assert_eq!(table[&id].mem_paper_bytes, bytes);

@@ -245,7 +245,7 @@ struct Cluster {
 impl Cluster {
     fn new(cfg: PlatformConfig, profiles: Vec<FunctionProfile>, horizon: SimTime) -> Self {
         let obs = Obs::new(cfg.obs.clone());
-        let mut fabric = Fabric::with_obs(cfg.nodes, cfg.net.clone(), Rc::clone(&obs));
+        let mut fabric = Fabric::with_obs(cfg.nodes, Rc::clone(&obs));
         if !cfg.faults.is_empty() {
             fabric.set_faults(FaultSchedule::compile(&cfg.faults));
         }

@@ -5,6 +5,13 @@ use medes_obs::Json;
 use medes_trace::{azure_like_trace, functionbench_suite, TraceGenConfig};
 use std::collections::HashMap;
 
+/// A uniformly random element of `v`, or `None` when it is empty: one
+/// `below(len)` draw, and none on an empty slice. The owner drivers in
+/// `bases`, `lifecycle` and `memory` pick with it.
+pub(super) fn pick<T: Copy>(rng: &mut medes_sim::DetRng, v: &[T]) -> Option<T> {
+    (!v.is_empty()).then(|| v[rng.below(v.len() as u64) as usize])
+}
+
 fn small_trace(secs: u64, scale: f64) -> (Vec<FunctionProfile>, Trace) {
     let suite: Vec<FunctionProfile> = functionbench_suite().into_iter().take(4).collect();
     let names: Vec<String> = suite.iter().map(|p| p.name.clone()).collect();

@@ -158,7 +158,6 @@ struct Placement {
     /// model but keeps its own stats, so report-visible fabric
     /// counters stay byte-identical to an unplaced client.
     fabric: Fabric,
-    retry: RetryPolicy,
 }
 
 impl Placement {
@@ -167,8 +166,8 @@ impl Placement {
     /// schedule, so the first attempt always succeeds and the retry
     /// machinery is a straight pass-through.
     fn owner_rpc(&mut self, owner: usize, op: RegistryOp, req: usize, resp: usize) {
-        let (fabric, retry) = (&mut self.fabric, &self.retry);
-        let rpc = fabric.registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp, retry);
+        let fabric = &mut self.fabric;
+        let rpc = fabric.registry_rpc_retry(CONTROLLER_NODE, owner, op, req, resp);
         debug_assert!(rpc.is_ok(), "the registry fabric never fails");
     }
 }
@@ -210,14 +209,15 @@ impl RegistryClient {
 
     /// The same registry with its `shards` placed on the first `owners`
     /// of `nodes` worker nodes (`owners` is clamped to `1..=nodes`),
-    /// every operation priced as RPCs under `net` and `retry`. `obs`
-    /// is unused, as in [`RegistryClient::in_process`].
+    /// every operation priced as RPCs under `net`. `_retry` (the
+    /// fabric owns its retry schedule) and `obs` are unused, as in
+    /// [`RegistryClient::in_process`].
     pub fn distributed(
         shards: usize,
         owners: usize,
         nodes: usize,
         net: NetConfig,
-        retry: RetryPolicy,
+        _retry: RetryPolicy,
         obs: Rc<Obs>,
     ) -> Self {
         assert!(nodes > 0, "distributed registry needs at least one node");
@@ -227,7 +227,6 @@ impl RegistryClient {
             owner_of: (0..client.shards).map(|s| s % owners).collect(),
             alive: vec![true; nodes],
             fabric: Fabric::new(nodes, net),
-            retry,
         }));
         client
     }
@@ -986,7 +985,7 @@ mod tests {
             owners,
             nodes,
             medes_net::NetConfig,
-            RetryPolicy::default(),
+            RetryPolicy,
             Obs::disabled(),
         )
     }
@@ -1120,7 +1119,7 @@ mod tests {
                 3,
                 5,
                 medes_net::NetConfig,
-                RetryPolicy::default(),
+                RetryPolicy,
                 Obs::disabled(),
             ),
         ];

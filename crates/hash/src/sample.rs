@@ -54,8 +54,9 @@ impl PageFingerprint {
         self.chunks.is_empty()
     }
 
-    /// Number of chunk hashes shared with another fingerprint — the
-    /// similarity estimate used for base-page election.
+    /// Number of chunk hashes shared with another fingerprint — a
+    /// similarity estimate. Base-page election does not use it: it
+    /// counts registry votes per candidate page.
     pub fn overlap(&self, other: &PageFingerprint) -> usize {
         // Both sides are sorted by hash: merge-count.
         let (mut i, mut j, mut n) = (0, 0, 0);
@@ -113,19 +114,9 @@ const SAMPLE_BYTE: u8 = 0x5A;
 /// `scan_candidates`); debug builds cross-check every result against
 /// the byte-at-a-time [`page_fingerprint_scalar`] reference.
 pub fn page_fingerprint(page: &[u8], cfg: &FingerprintConfig) -> PageFingerprint {
-    if page.len() < cfg.chunk_size || cfg.chunk_size < 2 || cfg.cardinality == 0 {
-        return PageFingerprint::default();
-    }
-    let mut selected: Vec<SampledChunk> = Vec::with_capacity(cfg.cardinality * 4);
-    scan_candidates(page, cfg, &mut selected);
-    bottom_k(&mut selected, cfg.cardinality);
-    let fp = PageFingerprint { chunks: selected };
-    debug_assert_eq!(
-        fp,
-        page_fingerprint_scalar(page, cfg),
-        "wide scan must match the scalar reference"
-    );
-    fp
+    pages_fingerprints(&[page], cfg)
+        .pop()
+        .expect("one page in, one fingerprint out")
 }
 
 /// The byte-at-a-time reference scan — the pre-optimization
@@ -156,8 +147,8 @@ pub fn page_fingerprint_scalar(page: &[u8], cfg: &FingerprintConfig) -> PageFing
 
 /// Fingerprints a batch of pages in one call, reusing the candidate
 /// scratch buffer across pages so a dedup scan amortizes per-page
-/// setup. Result order matches input order; each element is
-/// exactly `page_fingerprint(pages[i], cfg)`.
+/// setup. Result order matches input order; [`page_fingerprint`] is
+/// the one-page batch.
 pub fn pages_fingerprints(pages: &[&[u8]], cfg: &FingerprintConfig) -> Vec<PageFingerprint> {
     let mut out = Vec::with_capacity(pages.len());
     let mut selected: Vec<SampledChunk> = Vec::with_capacity(cfg.cardinality * 4);

@@ -25,10 +25,11 @@
 //! simulated time ([`Fabric::set_now`]): reads touching a down node are
 //! [`NetError::Unreachable`], link error windows produce timeouts or
 //! partial reads, and latency-spike windows stretch the wire time. The
-//! `*_retry` variants wrap an op in a [`RetryPolicy`] — exponential
-//! backoff in **simulated** time, with each failed attempt costing
-//! [`FAULT_TIMEOUT`] — and re-evaluate the schedule at the
-//! accumulated instant, so retries can outlive a fault window.
+//! `*_retry` variants wrap an op in the fabric's one retry schedule —
+//! up to four attempts, exponential backoff in **simulated** time, with
+//! each failed attempt costing [`FAULT_TIMEOUT`] — and re-evaluate the
+//! schedule at the accumulated instant, so retries can outlive a fault
+//! window.
 //!
 //! ## Causal tracing
 //!
@@ -101,36 +102,11 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
-/// Retry/backoff policy for fabric operations, in simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included); must be ≥ 1.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles each retry.
-    pub base_backoff: SimDuration,
-    /// Cap on any single backoff.
-    pub max_backoff: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: SimDuration::from_millis(1),
-            max_backoff: SimDuration::from_millis(50),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (0-based):
-    /// `min(base · 2^retry, max_backoff)`.
-    pub fn backoff(&self, retry: u32) -> SimDuration {
-        let factor = 1u64.checked_shl(retry).unwrap_or(u64::MAX);
-        let us = self.base_backoff.as_micros().saturating_mul(factor);
-        SimDuration::from_micros(us).min(self.max_backoff)
-    }
-}
+/// The retry schedule of [`Fabric::rdma_read_batch_retry`]. It has no
+/// settings: the fabric owns its schedule, private consts beside
+/// [`FAULT_TIMEOUT`]. The type stays for the callers that pass one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetryPolicy;
 
 /// The link and operation cost model. It has no settings: every cost
 /// is a const beside the formula that reads it ([`LOCAL_MEM_BPS`],
@@ -154,6 +130,12 @@ pub const LOCAL_MEM_BPS: f64 = 8.0e9;
 /// injection (detection timeout). Uniform across failure kinds so
 /// retry delays have a closed form.
 pub const FAULT_TIMEOUT: SimDuration = SimDuration::from_millis(10);
+/// Attempts of a retried op, the first try included.
+const RETRY_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry; doubles each retry.
+const RETRY_BASE_BACKOFF: SimDuration = SimDuration::from_millis(1);
+/// Cap on any single backoff.
+const RETRY_MAX_BACKOFF: SimDuration = SimDuration::from_millis(50);
 
 /// Cumulative transfer statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -233,13 +215,13 @@ pub struct Fabric {
 
 impl Fabric {
     /// Creates a fabric over `nodes` nodes (observability disabled).
-    pub fn new(nodes: usize, net: NetConfig) -> Self {
-        Self::with_obs(nodes, net, Obs::disabled())
+    pub fn new(nodes: usize, _net: NetConfig) -> Self {
+        Self::with_obs(nodes, Obs::disabled())
     }
 
     /// Creates a fabric whose failed retry attempts emit
     /// `medes.net.retry` spans (see [`Fabric::with_ctx`]).
-    pub fn with_obs(nodes: usize, _net: NetConfig, obs: Rc<Obs>) -> Self {
+    pub fn with_obs(nodes: usize, obs: Rc<Obs>) -> Self {
         assert!(nodes > 0, "fabric needs at least one node");
         Fabric {
             nodes,
@@ -429,28 +411,35 @@ impl Fabric {
         Ok(t)
     }
 
-    /// [`Fabric::rdma_read_batch`] wrapped in a retry policy. Each failed
-    /// attempt costs [`FAULT_TIMEOUT`] plus exponential
+    /// [`Fabric::rdma_read_batch`] under the fabric's retry schedule.
+    /// Each failed attempt costs [`FAULT_TIMEOUT`] plus exponential
     /// backoff, and the next attempt re-evaluates the fault schedule at
     /// the accumulated simulated instant — retries escape fault windows
     /// that end in time. Returns the total elapsed time on success; the
-    /// last error once `max_attempts` is exhausted.
+    /// last error once the attempts are exhausted.
     pub fn rdma_read_batch_retry(
         &mut self,
         dst: NodeIdx,
         reads: &[(NodeIdx, usize)],
-        policy: &RetryPolicy,
+        _policy: &RetryPolicy,
     ) -> Result<SimDuration, NetError> {
-        self.retry(policy, |f, at| f.rdma_read_batch_at(dst, reads, at))
+        self.retry(|f, at| f.rdma_read_batch_at(dst, reads, at))
+    }
+
+    /// Backoff before retry number `retry` (0-based):
+    /// `min(RETRY_BASE_BACKOFF · 2^retry, RETRY_MAX_BACKOFF)`.
+    fn backoff(retry: u32) -> SimDuration {
+        let factor = 1u64.checked_shl(retry).unwrap_or(u64::MAX);
+        let us = RETRY_BASE_BACKOFF.as_micros().saturating_mul(factor);
+        SimDuration::from_micros(us).min(RETRY_MAX_BACKOFF)
     }
 
     /// The one retry loop behind every `*_retry` op: runs `attempt` at
     /// the accumulated simulated instant until it succeeds or
-    /// `max_attempts` is exhausted, charging each failure
-    /// [`FAULT_TIMEOUT`] plus the policy's backoff.
+    /// [`RETRY_ATTEMPTS`] are exhausted, charging each failure
+    /// [`FAULT_TIMEOUT`] plus [`Fabric::backoff`].
     fn retry(
         &mut self,
-        policy: &RetryPolicy,
         mut attempt: impl FnMut(&mut Self, SimTime) -> Result<SimDuration, NetError>,
     ) -> Result<SimDuration, NetError> {
         let mut elapsed = SimDuration::ZERO;
@@ -463,11 +452,11 @@ impl Fabric {
                 Err(e) => {
                     self.retry_span(attempts, attempt_start, e);
                     elapsed += FAULT_TIMEOUT;
-                    if attempts >= policy.max_attempts.max(1) {
+                    if attempts >= RETRY_ATTEMPTS {
                         self.stats.retry_giveups += 1;
                         return Err(e);
                     }
-                    elapsed += policy.backoff(attempts - 1);
+                    elapsed += Self::backoff(attempts - 1);
                     self.stats.retries += 1;
                 }
             }
@@ -528,7 +517,7 @@ impl Fabric {
         Ok(t)
     }
 
-    /// [`Fabric::rpc`] wrapped in a retry policy (see
+    /// [`Fabric::rpc`] under the fabric's retry schedule (see
     /// [`Fabric::rdma_read_batch_retry`] for the time accounting).
     pub fn rpc_retry(
         &mut self,
@@ -536,9 +525,8 @@ impl Fabric {
         b: NodeIdx,
         req_bytes: usize,
         resp_bytes: usize,
-        policy: &RetryPolicy,
     ) -> Result<SimDuration, NetError> {
-        self.retry(policy, |f, at| f.rpc_at(a, b, req_bytes, resp_bytes, at))
+        self.retry(|f, at| f.rpc_at(a, b, req_bytes, resp_bytes, at))
     }
 
     /// Fault gate for the dedup agent's fingerprint RPC to the
@@ -546,17 +534,13 @@ impl Fabric {
     /// per-page lookup model, so this returns only the **extra**
     /// fault-induced delay: `ZERO` without faults (no side effects at
     /// all), the accumulated retry delay when drops occur, or the final
-    /// error once the policy is exhausted.
-    pub fn controller_rpc_check(
-        &mut self,
-        from: NodeIdx,
-        policy: &RetryPolicy,
-    ) -> Result<SimDuration, NetError> {
+    /// error once the attempts are exhausted.
+    pub fn controller_rpc_check(&mut self, from: NodeIdx) -> Result<SimDuration, NetError> {
         self.check(from);
         if self.faults.is_none() {
             return Ok(SimDuration::ZERO);
         }
-        self.retry(policy, |f, at| {
+        self.retry(|f, at| {
             if !f.faults.as_mut().is_some_and(|s| s.rpc_dropped(at)) {
                 return Ok(SimDuration::ZERO);
             }
@@ -586,9 +570,8 @@ impl Fabric {
         op: RegistryOp,
         req_bytes: usize,
         resp_bytes: usize,
-        policy: &RetryPolicy,
     ) -> Result<SimDuration, NetError> {
-        let out = self.rpc_retry(a, b, req_bytes, resp_bytes, policy)?;
+        let out = self.rpc_retry(a, b, req_bytes, resp_bytes)?;
         self.stats.registry_rpcs[op as usize] += 1;
         Ok(out)
     }
@@ -647,8 +630,8 @@ mod tests {
     }
 
     /// Total backoff slept across `retries` retries.
-    fn total_backoff(policy: &RetryPolicy, retries: u32) -> SimDuration {
-        (0..retries).map(|i| policy.backoff(i)).sum()
+    fn total_backoff(retries: u32) -> SimDuration {
+        (0..retries).map(Fabric::backoff).sum()
     }
 
     /// One read of `bytes` from `src` into `dst`: a one-element batch.
@@ -772,7 +755,7 @@ mod tests {
         f.rdma_read_batch(0, &[(1, 100), (1, 50), (2, 200)])
             .unwrap();
         f.rpc(0, 1, 10, 20).unwrap();
-        f.registry_rpc_retry(0, 2, RegistryOp::Lookup, 64, 32, &RetryPolicy::default())
+        f.registry_rpc_retry(0, 2, RegistryOp::Lookup, 64, 32)
             .unwrap();
         let s = f.stats();
         assert_eq!((s.rdma_reads, s.rdma_bytes), (4, 4446));
@@ -801,10 +784,6 @@ mod tests {
             let plan = FaultPlan::synthesize(seed, nodes, horizon, rng.f64() * 4.0);
             let mut f = Fabric::new(nodes, NetConfig);
             f.set_faults(FaultSchedule::compile(&plan));
-            let policy = RetryPolicy {
-                max_attempts: 1 + rng.below(3) as u32,
-                ..RetryPolicy::default()
-            };
             let (mut ops, mut ok) = (0u64, 0u64);
             for _ in 0..rng.below(40) {
                 ops += 1;
@@ -821,11 +800,11 @@ mod tests {
                             (src, rng.below(8192) as usize)
                         })
                         .collect();
-                    ok += f.rdma_read_batch_retry(dst, &reads, &policy).is_ok() as u64;
+                    ok += f.rdma_read_batch_retry(dst, &reads, &RetryPolicy).is_ok() as u64;
                 } else {
                     let op = OPS[rng.below(4) as usize];
                     let (req, resp) = (rng.below(256) as usize, rng.below(4096) as usize);
-                    ok += f.registry_rpc_retry(0, dst, op, req, resp, &policy).is_ok() as u64;
+                    ok += f.registry_rpc_retry(0, dst, op, req, resp).is_ok() as u64;
                 }
             }
             let s = f.stats();
@@ -911,23 +890,23 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut f = faulty(&plan);
-        let policy = RetryPolicy::default();
         let err = f
-            .rdma_read_batch_retry(0, &[(1, 4096)], &policy)
+            .rdma_read_batch_retry(0, &[(1, 4096)], &RetryPolicy)
             .unwrap_err();
         assert!(matches!(
             err,
             NetError::Timeout { .. } | NetError::PartialRead { .. }
         ));
-        assert_eq!(f.stats().retries, (policy.max_attempts - 1) as u64);
-        assert_eq!(f.stats().rdma_failures, policy.max_attempts as u64);
+        assert_eq!(f.stats().retries, (RETRY_ATTEMPTS - 1) as u64);
+        assert_eq!(f.stats().rdma_failures, RETRY_ATTEMPTS as u64);
     }
 
     #[test]
     fn retry_escapes_a_fault_window() {
         // Window covers [0, 15ms); each failed attempt costs 10ms plus
         // 1ms backoff, so the second attempt at t=11ms still fails but
-        // the third (t=24ms) lands after the window and succeeds.
+        // the third (t=23ms, after a 2ms backoff) lands after the window
+        // and succeeds.
         let plan = FaultPlan {
             links: vec![LinkFaultWindow {
                 src: None,
@@ -939,16 +918,13 @@ mod tests {
             ..FaultPlan::default()
         };
         let mut f = faulty(&plan);
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            base_backoff: SimDuration::from_millis(1),
-            max_backoff: SimDuration::from_millis(4),
-        };
-        let t = f.rdma_read_batch_retry(0, &[(1, 4096)], &policy).unwrap();
+        let t = f
+            .rdma_read_batch_retry(0, &[(1, 4096)], &RetryPolicy)
+            .unwrap();
         assert_eq!(f.stats().retries, 2);
         let clean = fabric().rdma_read_batch(0, &[(1, 4096)]).unwrap();
         // 2 failures à FAULT_TIMEOUT + backoffs (1ms + 2ms) + clean op.
-        let expected = FAULT_TIMEOUT.mul_f64(2.0) + total_backoff(&policy, 2) + clean;
+        let expected = FAULT_TIMEOUT.mul_f64(2.0) + total_backoff(2) + clean;
         assert_eq!(t, expected);
     }
 
@@ -987,73 +963,44 @@ mod tests {
             f.rpc(0, 1, 64, 64).unwrap_err(),
             NetError::Timeout { node: 1 }
         );
-        let policy = RetryPolicy::default();
-        assert!(f.controller_rpc_check(0, &policy).is_err());
+        assert!(f.controller_rpc_check(0).is_err());
         assert!(f.stats().rpc_failures > 0);
         // Without faults the gate is free and draws nothing.
         let mut clean = fabric();
-        assert_eq!(
-            clean.controller_rpc_check(0, &policy).unwrap(),
-            SimDuration::ZERO
-        );
+        assert_eq!(clean.controller_rpc_check(0).unwrap(), SimDuration::ZERO);
         assert_eq!(clean.stats().rpc_failures, 0);
     }
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_backoff: SimDuration::from_millis(1),
-            max_backoff: SimDuration::from_millis(10),
-        };
-        assert_eq!(p.backoff(0), SimDuration::from_millis(1));
-        assert_eq!(p.backoff(1), SimDuration::from_millis(2));
-        assert_eq!(p.backoff(2), SimDuration::from_millis(4));
-        assert_eq!(p.backoff(3), SimDuration::from_millis(8));
-        assert_eq!(p.backoff(4), SimDuration::from_millis(10)); // capped
-        assert_eq!(p.backoff(63), SimDuration::from_millis(10));
-        assert_eq!(p.backoff(64), SimDuration::from_millis(10)); // shl overflow guard
+        let ms = |retry| Fabric::backoff(retry).as_micros() / 1000;
+        let doubling: Vec<u64> = (0..7).map(ms).collect();
+        assert_eq!(doubling, [1, 2, 4, 8, 16, 32, 50]); // capped at 50
+        assert_eq!(ms(63), 50);
+        assert_eq!(ms(64), 50); // shl overflow guard
     }
 
-    /// DetRng-driven property: for random (attempts, base delay, cap,
-    /// fault-window) combinations, the total retry delay matches the
-    /// closed form `k·FAULT_TIMEOUT + Σ backoff(i) + op_time` and no
-    /// single backoff exceeds the cap.
+    /// The total backoff matches the closed form (geometric until the
+    /// cap, then flat), and for random fault-window lengths the total
+    /// retry delay is `k·FAULT_TIMEOUT + Σ backoff(i) + op_time`.
     #[test]
     fn retry_delay_matches_closed_form() {
-        let mut rng = DetRng::new(0x4E7);
-        for case in 0..64 {
-            let max_attempts = rng.range(1, 8) as u32;
-            let base_ms = rng.range(1, 20);
-            let cap_ms = rng.range(base_ms, base_ms * 16 + 1);
-            let policy = RetryPolicy {
-                max_attempts,
-                base_backoff: SimDuration::from_millis(base_ms),
-                max_backoff: SimDuration::from_millis(cap_ms),
-            };
-            // Every backoff respects the cap.
-            for i in 0..max_attempts {
-                assert!(policy.backoff(i) <= policy.max_backoff, "case {case}");
-            }
-            // Closed-form total: geometric until the cap kicks in, then
-            // flat — computed independently of the per-retry sum.
-            let retries = max_attempts - 1;
-            let mut expected_us = 0u64;
-            for i in 0..retries {
-                let raw = base_ms * 1000 * (1u64 << i);
-                expected_us += raw.min(cap_ms * 1000);
-            }
-            assert_eq!(
-                total_backoff(&policy, retries).as_micros(),
-                expected_us,
-                "case {case}"
-            );
+        for retries in 0..RETRY_ATTEMPTS + 8 {
+            assert!(Fabric::backoff(retries) <= RETRY_MAX_BACKOFF);
+            // Computed independently of the per-retry sum.
+            let expected_us: u64 = (0..retries)
+                .map(|i| (RETRY_BASE_BACKOFF.as_micros() << i).min(RETRY_MAX_BACKOFF.as_micros()))
+                .sum();
+            assert_eq!(total_backoff(retries).as_micros(), expected_us);
+        }
 
-            // Build a fault window long enough that every attempt fails,
-            // then check the simulated give-up delay via a success just
-            // after the window.
+        // Windows up to 60 ms: the schedule's last attempt starts at
+        // 37 ms, so some cases escape the window and some give up.
+        let mut rng = DetRng::new(0x4E7);
+        let (mut escaped, mut gave_up) = (0, 0);
+        for case in 0..64 {
             let mut f = fabric();
-            let window_ms = rng.range(1, 2000);
+            let window_ms = rng.range(1, 60);
             f.set_faults(FaultSchedule::compile(&FaultPlan {
                 links: vec![LinkFaultWindow {
                     src: None,
@@ -1064,20 +1011,29 @@ mod tests {
                 }],
                 ..FaultPlan::default()
             }));
-            match f.rdma_read_batch_retry(0, &[(1, 4096)], &policy) {
+            match f.rdma_read_batch_retry(0, &[(1, 4096)], &RetryPolicy) {
                 Ok(t) => {
                     // k failed attempts, then a clean one.
                     let k = f.stats().retries as u32;
                     let clean = fabric().rdma_read_batch(0, &[(1, 4096)]).unwrap();
-                    let expected =
-                        FAULT_TIMEOUT.mul_f64(k as f64) + total_backoff(&policy, k) + clean;
+                    let expected = FAULT_TIMEOUT.mul_f64(k as f64) + total_backoff(k) + clean;
                     assert_eq!(t, expected, "case {case}");
+                    escaped += 1;
                 }
                 Err(_) => {
-                    assert_eq!(f.stats().retries, (max_attempts - 1) as u64, "case {case}");
+                    assert_eq!(
+                        f.stats().retries,
+                        (RETRY_ATTEMPTS - 1) as u64,
+                        "case {case}"
+                    );
+                    gave_up += 1;
                 }
             }
         }
+        assert!(
+            escaped > 0 && gave_up > 0,
+            "{escaped} escaped, {gave_up} gave up"
+        );
     }
 
     #[test]
@@ -1091,14 +1047,12 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig, Rc::clone(&obs));
+        let mut f = Fabric::with_obs(4, Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
         // Without a context, failures emit no spans.
-        assert!(f.rdma_read_batch_retry(0, &[(1, 64)], &policy).is_err());
+        assert!(f
+            .rdma_read_batch_retry(0, &[(1, 64)], &RetryPolicy)
+            .is_err());
         assert_eq!(obs.span_count(), 0);
         // With one, every failed attempt becomes a child span covering
         // its detection timeout.
@@ -1106,10 +1060,12 @@ mod tests {
         f.set_now(SimTime::from_millis(5));
         {
             let mut g = f.with_ctx(ctx);
-            assert!(g.rdma_read_batch_retry(0, &[(1, 64)], &policy).is_err());
+            assert!(g
+                .rdma_read_batch_retry(0, &[(1, 64)], &RetryPolicy)
+                .is_err());
         }
         let spans = obs.spans();
-        assert_eq!(spans.len(), 3);
+        assert_eq!(spans.len(), RETRY_ATTEMPTS as usize);
         for (i, s) in spans.iter().enumerate() {
             assert_eq!(s.name, "medes.net.retry");
             assert_eq!(s.trace_id, ctx.trace_id);
@@ -1119,8 +1075,10 @@ mod tests {
         // First attempt starts at the fabric's current instant.
         assert_eq!(spans[0].start_us, 5_000);
         // Once the guard dropped, failures are silent again.
-        assert!(f.rdma_read_batch_retry(0, &[(1, 64)], &policy).is_err());
-        assert_eq!(obs.span_count(), 3);
+        assert!(f
+            .rdma_read_batch_retry(0, &[(1, 64)], &RetryPolicy)
+            .is_err());
+        assert_eq!(obs.span_count(), RETRY_ATTEMPTS as usize);
     }
 
     #[test]
@@ -1134,12 +1092,8 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig, Rc::clone(&obs));
+        let mut f = Fabric::with_obs(4, Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        };
         let outer = obs.trace_root("outer", 1, 1);
         let inner = obs.trace_root("inner", 2, 2);
         {
@@ -1148,36 +1102,40 @@ mod tests {
                 // Nested installs stack: the inner guard restores the
                 // outer context, not NONE.
                 let mut g2 = g1.with_ctx(inner);
-                assert!(g2.rdma_read_batch_retry(0, &[(1, 64)], &policy).is_err());
+                assert!(g2
+                    .rdma_read_batch_retry(0, &[(1, 64)], &RetryPolicy)
+                    .is_err());
             }
-            assert!(g1.rdma_read_batch_retry(0, &[(1, 64)], &policy).is_err());
+            assert!(g1
+                .rdma_read_batch_retry(0, &[(1, 64)], &RetryPolicy)
+                .is_err());
         }
+        // One span per failed attempt: the inner op's, then the outer's.
+        let n = RETRY_ATTEMPTS as usize;
         let spans = obs.spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].trace_id, inner.trace_id);
-        assert_eq!(spans[1].trace_id, outer.trace_id);
+        assert_eq!(spans.len(), 2 * n);
+        assert!(spans[..n].iter().all(|s| s.trace_id == inner.trace_id));
+        assert!(spans[n..].iter().all(|s| s.trace_id == outer.trace_id));
         // Fully unwound: no context installed, failures are silent.
-        assert!(f.rdma_read_batch_retry(0, &[(1, 64)], &policy).is_err());
-        assert_eq!(obs.span_count(), 2);
+        assert!(f
+            .rdma_read_batch_retry(0, &[(1, 64)], &RetryPolicy)
+            .is_err());
+        assert_eq!(obs.span_count(), 2 * n);
     }
 
     #[test]
     fn registry_rpcs_are_priced_like_rpcs_and_counted_separately() {
         let mut f = fabric();
-        let policy = RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        };
         let t = f
-            .registry_rpc_retry(0, 1, RegistryOp::Lookup, 40, 120, &policy)
+            .registry_rpc_retry(0, 1, RegistryOp::Lookup, 40, 120)
             .unwrap();
         let plain = fabric().rpc(0, 1, 40, 120).unwrap();
         assert_eq!(t, plain);
-        f.registry_rpc_retry(0, 2, RegistryOp::Insert, 64, 8, &policy)
+        f.registry_rpc_retry(0, 2, RegistryOp::Insert, 64, 8)
             .unwrap();
-        f.registry_rpc_retry(0, 2, RegistryOp::Remove, 8, 8, &policy)
+        f.registry_rpc_retry(0, 2, RegistryOp::Remove, 8, 8)
             .unwrap();
-        f.registry_rpc_retry(1, 2, RegistryOp::Replicate, 16, 4096, &policy)
+        f.registry_rpc_retry(1, 2, RegistryOp::Replicate, 16, 4096)
             .unwrap();
         let s = f.stats();
         assert_eq!(s.rpcs, 4);
@@ -1196,26 +1154,23 @@ mod tests {
             }],
             ..FaultPlan::default()
         };
-        let mut f = Fabric::with_obs(4, NetConfig, Rc::clone(&obs));
+        let mut f = Fabric::with_obs(4, Rc::clone(&obs));
         f.set_faults(FaultSchedule::compile(&plan));
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
         let ctx = obs.trace_root("request", 7, 1);
         assert!(f
             .with_ctx(ctx)
-            .rdma_read_batch_retry(0, &[(1, 64)], &policy)
+            .rdma_read_batch_retry(0, &[(1, 64)], &RetryPolicy)
             .is_err());
         // Each failed attempt is a span and a count; the give-up is a
         // count alone.
+        let n = RETRY_ATTEMPTS as u64;
         let spans = obs.spans();
-        assert_eq!(spans.len(), 3);
+        assert_eq!(spans.len() as u64, n);
         assert!(spans
             .iter()
             .all(|s| s.attr("error") == Some(&medes_obs::Json::Str("unreachable".into()))));
         let s = f.stats();
-        assert_eq!((s.unreachable, s.rdma_failures), (3, 3));
-        assert_eq!((s.retries, s.retry_giveups), (2, 1));
+        assert_eq!((s.unreachable, s.rdma_failures), (n, n));
+        assert_eq!((s.retries, s.retry_giveups), (n - 1, 1));
     }
 }

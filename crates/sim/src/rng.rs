@@ -230,15 +230,6 @@ impl DetRng {
             slice.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element, or `None` on an empty slice.
-    pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
-        if slice.is_empty() {
-            None
-        } else {
-            Some(&slice[self.below(slice.len() as u64) as usize])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -415,14 +406,5 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.zipf(5, 0.9), b.zipf(5, 0.9));
         }
-    }
-
-    #[test]
-    fn choose_handles_empty_and_nonempty() {
-        let mut rng = DetRng::new(13);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let v = [1, 2, 3];
-        assert!(v.contains(rng.choose(&v).unwrap()));
     }
 }

@@ -123,20 +123,6 @@ impl ArrivalPattern {
         out
     }
 
-    /// Approximate mean rate in arrivals per minute.
-    pub fn mean_rate_per_min(&self) -> f64 {
-        match *self {
-            ArrivalPattern::Poisson { rate_per_min } => rate_per_min,
-            ArrivalPattern::Bursty {
-                rate_per_min,
-                on_secs,
-                off_secs,
-            } => rate_per_min * on_secs / (on_secs + off_secs),
-            ArrivalPattern::Diurnal { base_per_min, .. } => base_per_min,
-            ArrivalPattern::Periodic { interval_secs, .. } => 60.0 / interval_secs,
-        }
-    }
-
     /// Scales the pattern's volume by `k` (the paper magnifies the Azure
     /// rates 5×).
     pub fn scaled(&self, k: f64) -> ArrivalPattern {
@@ -242,6 +228,23 @@ pub fn azure_like_trace(function_names: &[String], cfg: &TraceGenConfig) -> Trac
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArrivalPattern {
+        /// Approximate mean rate in arrivals per minute: the oracle the
+        /// generator and `scaled` tests measure against.
+        pub(crate) fn mean_rate_per_min(&self) -> f64 {
+            match *self {
+                ArrivalPattern::Poisson { rate_per_min } => rate_per_min,
+                ArrivalPattern::Bursty {
+                    rate_per_min,
+                    on_secs,
+                    off_secs,
+                } => rate_per_min * on_secs / (on_secs + off_secs),
+                ArrivalPattern::Diurnal { base_per_min, .. } => base_per_min,
+                ArrivalPattern::Periodic { interval_secs, .. } => 60.0 / interval_secs,
+            }
+        }
+    }
 
     fn hour() -> SimTime {
         SimTime::from_secs(3600)

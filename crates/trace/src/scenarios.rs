@@ -83,7 +83,7 @@ impl ScenarioKind {
 /// A generated scenario: the arrival trace plus every non-arrival knob
 /// the class needs. Fields not used by a class stay at their no-op
 /// defaults (empty schedule / empty plan / uniform memory).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Which class this is.
     pub kind: ScenarioKind,

@@ -79,8 +79,8 @@ fn chaos_plan() -> FaultPlan {
     }
 }
 
-fn run_with(plan: &FaultPlan) -> RunReport {
-    let (suite, trace) = pressured_trace(600);
+fn run_with(secs: u64, plan: &FaultPlan) -> RunReport {
+    let (suite, trace) = pressured_trace(secs);
     let mut cfg = pressured_config();
     cfg.faults = plan.clone();
     Platform::new(cfg, suite).run(&trace).report
@@ -88,7 +88,7 @@ fn run_with(plan: &FaultPlan) -> RunReport {
 
 #[test]
 fn node_crash_triggers_cold_fallback_and_purges_registry() {
-    let report = run_with(&chaos_plan());
+    let report = run_with(600, &chaos_plan());
 
     // The run completed: every arrival produced a finished request.
     assert!(!report.requests.is_empty(), "requests must complete");
@@ -192,16 +192,43 @@ fn rescheduled_requests_are_reported_once_in_id_order() {
 #[test]
 fn chaos_run_is_bit_identical_across_executions() {
     let plan = chaos_plan();
-    let r1 = run_with(&plan);
-    let r2 = run_with(&plan);
+    let r1 = run_with(600, &plan);
+    let r2 = run_with(600, &plan);
     // RunReport derives PartialEq over every field — request records,
     // memory series, per-function stats, fault counters, all of it.
     assert_eq!(r1, r2, "same seed + same plan must replay bit-identically");
 }
 
+/// A synthesized plan (the kind the `chaos` experiment sweeps) replays
+/// bit-identically and leaves no registry chunk on a dead node, at a
+/// light and a heavy fault rate. On a 300 s trace the four debug runs
+/// take well under a second, and each still dedups, crashes and
+/// retries.
+#[test]
+fn synthesized_plans_replay_bit_identically() {
+    let nodes = pressured_config().nodes;
+    for rate in [0.5, 4.0] {
+        let plan = FaultPlan::synthesize(0xFA17, nodes, SimTime::from_secs(300), rate);
+        let r1 = run_with(300, &plan);
+        assert!(
+            r1.node_crashes > 0 && r1.net_retries > 0 && r1.sandboxes_deduped > 0,
+            "rate {rate}: a crash, a retry and a dedup must land in the run"
+        );
+        assert_eq!(
+            r1,
+            run_with(300, &plan),
+            "rate {rate} must replay bit-identically"
+        );
+        assert_eq!(
+            r1.registry_dead_node_locs, 0,
+            "rate {rate}: registry must hold no chunks on dead nodes"
+        );
+    }
+}
+
 #[test]
 fn empty_plan_matches_fault_free_run_exactly() {
-    let clean = run_with(&FaultPlan::default());
+    let clean = run_with(600, &FaultPlan::default());
     let (suite, trace) = pressured_trace(600);
     let baseline = Platform::new(pressured_config(), suite).run(&trace).report;
     assert_eq!(

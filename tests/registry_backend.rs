@@ -41,14 +41,7 @@ fn backends(shards: usize) -> Vec<(String, RegistryClient)> {
     for owners in [1, 3, 6] {
         out.push((
             format!("distributed/{owners}"),
-            RegistryClient::distributed(
-                shards,
-                owners,
-                6,
-                NetConfig,
-                RetryPolicy::default(),
-                Obs::disabled(),
-            ),
+            RegistryClient::distributed(shards, owners, 6, NetConfig, RetryPolicy, Obs::disabled()),
         ));
     }
     out
@@ -129,8 +122,7 @@ fn interleavings_agree_across_backends() {
 #[test]
 fn crash_purge_leaves_no_dead_node_state() {
     let cfg = FingerprintConfig::default();
-    let client =
-        RegistryClient::distributed(8, 6, 6, NetConfig, RetryPolicy::default(), Obs::disabled());
+    let client = RegistryClient::distributed(8, 6, 6, NetConfig, RetryPolicy, Obs::disabled());
     for i in 0..24u64 {
         let fp = page_fingerprint(&random_page(200 + i), &cfg);
         client.insert_page(

@@ -1,7 +1,8 @@
 //! Cross-crate scenario tests: the adversarial scenario generators
-//! driven end-to-end through the full platform. A spot-preemption wave
-//! composed as a plain `FaultPlan` must replay bit-identically and
-//! leave zero dead-node chunks in the fingerprint registry; a
+//! driven end-to-end through the full platform. Every class must
+//! regenerate and replay bit-identically, and a spot-preemption wave
+//! composed as a plain `FaultPlan` must leave zero dead-node chunks in
+//! the fingerprint registry; a
 //! rolling-deploy schedule must register every bump and purge stale
 //! sandboxes, while the empty schedule is a provable no-op; a
 //! heterogeneous memory profile must actually change placement under
@@ -13,8 +14,8 @@ use medes::platform::Platform;
 use medes::policy::medes::Objective;
 use medes::sim::SimDuration;
 use medes::trace::{
-    functionbench_suite, hetero_memory_scenario, preemption_wave_scenario, rolling_deploy_scenario,
-    DeploySchedule, FunctionProfile, Scenario, ScenarioConfig,
+    all_scenarios, functionbench_suite, hetero_memory_scenario, rolling_deploy_scenario,
+    DeploySchedule, FunctionProfile, Scenario, ScenarioConfig, ScenarioKind,
 };
 
 fn suite() -> Vec<FunctionProfile> {
@@ -61,29 +62,40 @@ fn run_scenario(sc: &Scenario) -> RunReport {
 }
 
 #[test]
-fn preemption_wave_replays_bit_identically() {
+fn every_scenario_replays_bit_identically() {
     let s = suite();
     let n = names(&s);
-    let cfg = scenario_cfg(&pressured_config());
-    let sc = preemption_wave_scenario(&n, &cfg);
+    // Half the usual length: ten debug runs stay near two seconds, and
+    // every class still shows its mechanism (both waves preempt).
+    let cfg = ScenarioConfig {
+        duration_secs: 300,
+        ..scenario_cfg(&pressured_config())
+    };
+    let scenarios = all_scenarios(&n, &cfg);
+    assert_eq!(scenarios.len(), 5);
+    // Regenerate every class from the seed and replay: trace, deploy
+    // schedule, fault plan and memory profile are pure functions of it,
+    // and a preemption wave's FaultPlan goes through the fault layer
+    // bit-for-bit.
+    for (sc, sc2) in scenarios.iter().zip(all_scenarios(&n, &cfg)) {
+        let id = sc.kind.id();
+        assert!(*sc == sc2, "{id} must regenerate identically");
+        let r1 = run_scenario(sc);
+        assert_eq!(r1, run_scenario(&sc2), "{id} must replay bit-identically");
+        if sc.kind != ScenarioKind::PreemptionWave {
+            continue;
+        }
+        // Every planned preemption fired and every spot node rejoined.
+        assert_eq!(r1.node_crashes, sc.faults.crashes.len() as u64);
+        assert_eq!(r1.node_crashes, r1.node_restarts, "spot nodes all rejoin");
 
-    let r1 = run_scenario(&sc);
-    // Regenerate the whole scenario from the seed and replay: the
-    // FaultPlan goes through the PR 2 fault layer bit-for-bit.
-    let sc2 = preemption_wave_scenario(&n, &cfg);
-    let r2 = run_scenario(&sc2);
-    assert_eq!(r1, r2, "preemption wave must replay bit-identically");
-
-    // Every planned preemption fired and every spot node rejoined.
-    assert_eq!(r1.node_crashes, sc.faults.crashes.len() as u64);
-    assert_eq!(r1.node_crashes, r1.node_restarts, "spot nodes all rejoin");
-
-    // The controller purged every preempted node's chunks from the
-    // fingerprint registry via the reverse index.
-    assert_eq!(
-        r1.registry_dead_node_locs, 0,
-        "registry must not reference chunks on preempted nodes"
-    );
+        // The controller purged every preempted node's chunks from the
+        // fingerprint registry via the reverse index.
+        assert_eq!(
+            r1.registry_dead_node_locs, 0,
+            "registry must not reference chunks on preempted nodes"
+        );
+    }
 }
 
 #[test]
@@ -144,6 +156,4 @@ fn hetero_memory_profile_changes_the_run() {
         hetero, flat,
         "heterogeneous memory must alter placement under pressure"
     );
-    // And the heterogeneous run itself stays deterministic.
-    assert_eq!(hetero, run_scenario(&hetero_memory_scenario(&n, &cfg)));
 }
